@@ -24,6 +24,7 @@ import (
 	"blast/internal/lsh"
 	"blast/internal/metablocking"
 	"blast/internal/metrics"
+	"blast/internal/prune"
 	"blast/internal/text"
 	"blast/internal/weights"
 )
@@ -437,6 +438,49 @@ func BenchmarkEngine_CSRBuild(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCNPStream times CNP's selection-cut kernel alone — the cut
+// pass plus the retention pass of prune.CNPStream — over one resident,
+// weighted CSR of a streamed dirty corpus (the shape of bench/e2e's
+// sweep-dirty, a quarter of its size: mean degree in the hundreds
+// against a budget of tens). Run with -benchmem: scratch is O(k) per
+// worker plus two per-node vectors, never per-entry.
+func BenchmarkCNPStream(b *testing.B) {
+	ctx := context.Background()
+	p, err := blast.NewPipeline(blast.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := datasets.NewStream(5000, 1).Dataset()
+	schema, err := p.InduceSchema(ctx, ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks, err := p.Block(ctx, ds, schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	csr := graph.BuildCSRParallel(blocks.Collection, 0)
+	weights.Blast().ApplyCSR(csr)
+	csr.ReleaseStats()
+	for _, mode := range []prune.Mode{prune.Redefined, prune.Reciprocal} {
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("%v/workers=%d", mode, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				var pairs int
+				for i := 0; i < b.N; i++ {
+					got, err := prune.CNPStream(ctx, csr, 0, mode, workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pairs = len(got)
+				}
+				b.ReportMetric(float64(csr.NumEdges()), "edges")
+				b.ReportMetric(float64(pairs), "pairs")
+			})
+		}
+	}
 }
 
 func BenchmarkComponent_GraphBuildParallel(b *testing.B) {

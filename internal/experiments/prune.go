@@ -43,7 +43,7 @@ var pruneWorkerCounts = []int{1, 2, 4}
 // prunePrunings are the schemes the experiment times: BLAST's own
 // pruning (threshold + retention passes), the two global schemes whose
 // scratch the histogram cut eliminated, and one cardinality node
-// scheme (mark + mirror-resolution passes).
+// scheme (selection-cut + retention passes).
 var prunePrunings = []metablocking.Pruning{
 	metablocking.BlastWNP, metablocking.WEP, metablocking.CEP, metablocking.CNP1,
 }

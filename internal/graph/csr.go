@@ -58,7 +58,7 @@ type CSR struct {
 	// node-aligned pages instead of the resident slices above (which are
 	// then nil); see paged.go. Offsets and BlockCounts stay resident in
 	// both modes. All access to Neighbors/Weights must go through the
-	// run accessors (Run, Canonical*, MirrorEntry) so both backings
+	// run accessors (Run, Canonical*) so both backings
 	// serve the identical bytes.
 	pages *pagedEntries
 }
@@ -175,32 +175,9 @@ func (g *CSR) CanonicalCtx(ctx context.Context, fn func(u, v int32, p int64)) er
 // entries are visited — a per-node cursor into that prefix always lands
 // on the current edge's mirror. Every consumer that needs both entries
 // of an edge (weight mirroring, per-endpoint mark resolution) must go
-// through this iterator or MirrorEntry rather than re-derive the
-// invariant.
+// through this iterator rather than re-derive the invariant.
 func (g *CSR) CanonicalMirror(fn func(u, v int32, p, mp int64)) {
 	_ = g.CanonicalMirrorCtx(context.Background(), fn)
-}
-
-// MirrorEntry locates the reverse entry of edge (u, v) — the position
-// of u in v's neighbor-sorted run — by binary search, O(log degree(v)).
-// It is the random-access counterpart of CanonicalMirror's cursor sweep
-// (both resolve the same unique entry; the sorted-unique run layout is
-// owned here, next to the iterator): chunked parallel passes use it
-// because per-node cursors only work when one sweep visits every node
-// in ascending order. The edge must exist.
-func (g *CSR) MirrorEntry(u, v int32) int64 {
-	base := g.Offsets[v]
-	nbr, _ := g.Run(int(v))
-	lo, hi := 0, len(nbr)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if nbr[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return base + int64(lo)
 }
 
 // CanonicalMirrorCtx is CanonicalMirror with cooperative cancellation,

@@ -176,24 +176,28 @@ func TestCutRangesCoverAndBalance(t *testing.T) {
 	}
 }
 
-// TestMirrorEntryMatchesCursor pins the two sanctioned mirror
-// accessors to each other: the binary-search MirrorEntry must locate
-// exactly the entry the CanonicalMirror cursor sweep yields, for every
-// edge, in both directions.
-func TestMirrorEntryMatchesCursor(t *testing.T) {
+// TestCanonicalMirrorPointsBack pins the cursor sweep's invariant: for
+// every canonical edge, p sits in u's run pointing at v and mp sits in
+// v's run pointing back at u.
+func TestCanonicalMirrorPointsBack(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := stats.NewRNG(seed * 31337)
 		for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
 			c := blocking.RandomCollection(rng, kind, 30+rng.Intn(50), 25+rng.Intn(25))
 			g := BuildCSR(c)
+			edges := 0
 			g.CanonicalMirror(func(u, v int32, p, mp int64) {
-				if got := g.MirrorEntry(u, v); got != mp {
-					t.Fatalf("MirrorEntry(%d,%d) = %d, cursor says %d", u, v, got, mp)
+				edges++
+				if p < g.Offsets[u] || p >= g.Offsets[u+1] || g.Neighbors[p] != v {
+					t.Fatalf("edge (%d,%d): canonical entry %d is not u's entry for v", u, v, p)
 				}
-				if got := g.MirrorEntry(v, u); got != p {
-					t.Fatalf("MirrorEntry(%d,%d) = %d, canonical entry is %d", v, u, got, p)
+				if mp < g.Offsets[v] || mp >= g.Offsets[v+1] || g.Neighbors[mp] != u {
+					t.Fatalf("edge (%d,%d): mirror entry %d is not v's entry for u", u, v, mp)
 				}
 			})
+			if edges != g.NumEdges() {
+				t.Fatalf("sweep visited %d edges, want %d", edges, g.NumEdges())
+			}
 		}
 	}
 }

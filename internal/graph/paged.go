@@ -134,6 +134,9 @@ func cacheKey(stream, page int) uint64 {
 	return uint64(stream)<<48 | uint64(uint32(page))
 }
 
+// keyStream recovers the stream of a cacheKey.
+func keyStream(key uint64) int { return int(key >> 48) }
+
 func (pg *pagedEntries) pageLen(page int) int {
 	return int(pg.startEntry[page+1] - pg.startEntry[page])
 }
@@ -396,6 +399,16 @@ func (g *CSR) WeighSpilled(fn func(u, v int32, common int32, arcs, entropySum fl
 }
 
 func (g *CSR) weighSpilled(pg *pagedEntries, fn func(u, v int32, common int32, arcs, entropySum float64) float64) error {
+	// Re-weighting replaces the weights stream: release the previous
+	// scheme's segment and evict its cached pages first, or every later
+	// pass would keep pruning on the first scheme's weights.
+	if old := pg.arenas[streamWts]; old != nil {
+		pg.arenas[streamWts] = nil
+		pg.cache.Drop(func(key uint64) bool { return keyStream(key) == streamWts })
+		if err := old.CloseAndRemove(); err != nil {
+			return err
+		}
+	}
 	wts, err := store.CreateFile(pg.arenas[streamNbr].Path() + ".wts")
 	if err != nil {
 		return err

@@ -103,13 +103,6 @@ func TestBuildCSRSpillMatchesResident(t *testing.T) {
 			}
 		}
 
-		// Mirror resolution agrees across backings.
-		resident.Canonical(func(u, v int32, p int64) {
-			if rm, sm := resident.MirrorEntry(u, v), spilled.MirrorEntry(u, v); rm != sm {
-				t.Fatalf("MirrorEntry(%d,%d) = %d spilled, %d resident", u, v, sm, rm)
-			}
-		})
-
 		// CanonicalMirror sweeps visit identical (u, v, p, mp) tuples.
 		type quad struct {
 			u, v  int32

@@ -4,10 +4,14 @@ package prune
 // the parallel pruning passes: the fuzz input derives a random block
 // collection, a weighting scheme, a pruning scheme with its knobs, and
 // a worker count, and the parallel output must be byte-identical to the
-// serial streaming scheme. Registered in CI's fuzz smoke matrix.
+// serial streaming scheme. A second leg pins CNP's selection cut at an
+// explicit budget — anywhere from 1 to past the largest degree — to
+// the sort-based edge-list oracle, both modes, at the fuzzed worker
+// count. Registered in CI's fuzz smoke matrix.
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"blast/internal/blocking"
@@ -75,6 +79,24 @@ func FuzzPruneParallel(f *testing.F) {
 			if want[i] != got[i] {
 				t.Fatalf("%s workers=%d: pair %d = %v, want %v", sc.name, workers, i, got[i], want[i])
 			}
+		}
+
+		maxDegree := 0
+		for n := 0; n < csr.NumProfiles; n++ {
+			if d := csr.Degree(n); d > maxDegree {
+				maxDegree = d
+			}
+		}
+		explicitK := 1 + int((seed>>8)%uint64(maxDegree+2))
+		g := graph.Build(c)
+		s.Apply(g)
+		for _, mode := range []Mode{Redefined, Reciprocal} {
+			got, err := CNPStream(ctx, csr, explicitK, mode, workers)
+			if err != nil {
+				t.Fatalf("cnp k=%d %v workers=%d: %v", explicitK, mode, workers, err)
+			}
+			comparePairs(t, fmt.Sprintf("cnp k=%d %v workers=%d vs edge-list oracle", explicitK, mode, workers),
+				pairsOf(g, CNP(g, explicitK, mode)), got)
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Parallel execution substrate of the streaming pruning schemes.
 //
 // Every streaming scheme decomposes into passes over the CSR that are
-// node-local (per-node thresholds, per-node top-k marks) or that emit
+// node-local (per-node thresholds, per-node top-k cuts) or that emit
 // canonical edges grouped by their smaller endpoint (retention). Both
 // shapes parallelize over node ranges — but determinism, not speed, is
 // the contract here: the retained pairs must be byte-identical to the
@@ -82,8 +82,8 @@ type pruneWorker struct {
 	ctx    context.Context
 	id     int
 	budget int
-	// order is the reusable per-node sort scratch of the CNP mark pass.
-	order []int64
+	// top is the reusable size-k selection heap of the CNP cut pass.
+	top []topEntry
 }
 
 // tick spends n edges of the cancellation budget and polls ctx when the
@@ -177,7 +177,7 @@ func runChunks(ctx context.Context, workers, chunks int, fn func(w *pruneWorker,
 // the spilled (paged) backings serve byte-identical data through — and
 // each entry's weight rides along so passes never index a flat weight
 // array that may not be resident.
-func forChunkCanonical(g *graph.CSR, w *pruneWorker, chunk int, fn func(u, v int32, p int64, wt float64)) error {
+func forChunkCanonical(g *graph.CSR, w *pruneWorker, chunk int, fn func(u, v int32, wt float64)) error {
 	lo, hi := chunkBounds(chunk, g.NumProfiles)
 	for u := lo; u < hi; u++ {
 		base, end := g.Offsets[u], g.Offsets[u+1]
@@ -192,7 +192,7 @@ func forChunkCanonical(g *graph.CSR, w *pruneWorker, chunk int, fn func(u, v int
 			}
 			for stop := p + seg; p < stop; p++ {
 				if v := nbr[p-base]; int(v) > u {
-					fn(int32(u), v, p, wts[p-base])
+					fn(int32(u), v, wts[p-base])
 				}
 			}
 			if err := w.tick(int(seg)); err != nil {
@@ -206,13 +206,13 @@ func forChunkCanonical(g *graph.CSR, w *pruneWorker, chunk int, fn func(u, v int
 // emitChunked runs a chunked retention pass: keep decides each positive-
 // weight canonical edge, per-chunk buffers collect the retained pairs,
 // and the buffers are stitched in chunk order (= canonical order).
-func emitChunked(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, p int64, wt float64) bool) ([]model.IDPair, error) {
+func emitChunked(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, wt float64) bool) ([]model.IDPair, error) {
 	nch := numChunks(g.NumProfiles)
 	bufs := make([][]model.IDPair, nch)
 	err := runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
 		var out []model.IDPair
-		err := forChunkCanonical(g, w, chunk, func(u, v int32, p int64, wt float64) {
-			if wt > 0 && keep(u, v, p, wt) {
+		err := forChunkCanonical(g, w, chunk, func(u, v int32, wt float64) {
+			if wt > 0 && keep(u, v, wt) {
 				out = append(out, model.IDPair{U: u, V: v})
 			}
 		})
@@ -260,7 +260,7 @@ func chunkPartialSums(ctx context.Context, g *graph.CSR, workers int) (sums []fl
 	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
 		s, n := 0.0, int64(0)
 		rowSum, row := 0.0, int32(-1)
-		err := forChunkCanonical(g, w, chunk, func(u, _ int32, _ int64, wt float64) {
+		err := forChunkCanonical(g, w, chunk, func(u, _ int32, wt float64) {
 			if u != row {
 				if row >= 0 {
 					s += rowSum

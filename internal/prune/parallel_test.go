@@ -49,6 +49,11 @@ func csrFromEdges(n int, edges []graph.Edge) (*graph.CSR, *graph.Graph) {
 		NumProfiles: n,
 		Edges:       append([]graph.Edge(nil), edges...),
 		BlockCounts: make([]int32, n),
+		Degrees:     make([]int32, n),
+	}
+	for _, e := range edges {
+		g.Degrees[e.U]++
+		g.Degrees[e.V]++
 	}
 	sort.Slice(g.Edges, func(i, j int) bool {
 		return g.Edges[i].U < g.Edges[j].U ||
@@ -281,7 +286,7 @@ func denseCSR(n int) *graph.CSR {
 // TestCancellationPollsPerEdge asserts the edge-granular polling
 // contract: on a dense graph whose node count fits well under the old
 // 1024-node polling stride (which would have polled exactly once), the
-// threshold, mark and retention passes must poll in proportion to the
+// threshold, cut and retention passes must poll in proportion to the
 // edges they process.
 func TestCancellationPollsPerEdge(t *testing.T) {
 	csr := denseCSR(256) // 32640 edges, 65280 entries, one old-style poll

@@ -2,7 +2,7 @@
 // partitioned shard holds an owned-rows CSR (graph.BuildOwnedCSR):
 // full-length Offsets, adjacency runs only for the rows it owns. The
 // global pruning decisions — WEP's mean, CEP's cut, the node-centric
-// thresholds and top-k marks of the rows a canonical edge touches — are
+// thresholds and top-k cuts of the rows a canonical edge touches — are
 // resolved by exchanging the compact per-row aggregates below in
 // deterministic shard order and refolding them with the exact reduction
 // shapes of the whole-graph schemes, so the union of every shard's
@@ -21,9 +21,10 @@
 //     carries its node's complete adjacency), so shards exchange their
 //     owned rows of the threshold vector (MeanThresholds,
 //     BlastThresholds) and mark against the merged one.
-//   - CNP:  per-row top-k marked-neighbor lists (RowTopKMarks), merged
-//     into one global list; retention consults both endpoints' lists by
-//     binary search, equivalent to the mirror-entry probe of CNPStream.
+//   - CNP:  per-node selection cuts are row-local for the same reason,
+//     so shards exchange their owned rows of the (cut, tie) vectors
+//     (TopKCuts) and mark against the merged ones with InTopK — the
+//     very test CNPStream retains by.
 //
 // The final retention mask is produced by MarkOwned: every entry of an
 // owned row — both orientations, so a row's served candidates are
@@ -35,7 +36,6 @@ package prune
 
 import (
 	"context"
-	"slices"
 
 	"blast/internal/graph"
 	"blast/internal/model"
@@ -50,7 +50,7 @@ func CEPBudget(blockCounts []int32) int { return cepBudget(blockCounts) }
 // CNPBudget is CNP's default per-node budget (k <= 0): the average
 // number of blocks per profile over the profiles appearing in at least
 // one block, 0 when none does. Exported for the same reason as
-// CEPBudget; RowTopKMarks also resolves it internally.
+// CEPBudget: TopKCuts takes the resolved budget.
 func CNPBudget(blockCounts []int32) int { return cnpBudget(blockCounts) }
 
 // RowWeightSums computes, per row, the left-to-right weight sum and
@@ -63,7 +63,7 @@ func RowWeightSums(ctx context.Context, g *graph.CSR, workers int) (sums []float
 	counts = make([]int64, g.NumProfiles)
 	err = runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
 		// Chunks own disjoint row ranges, so these writes never race.
-		return forChunkCanonical(g, w, chunk, func(u, _ int32, _ int64, wt float64) {
+		return forChunkCanonical(g, w, chunk, func(u, _ int32, wt float64) {
 			sums[u] += wt
 			counts[u]++
 		})
@@ -112,7 +112,7 @@ func FoldRowSums(sums []float64, counts []int64) (total float64, edges int64) {
 func RowTieCounts(ctx context.Context, g *graph.CSR, workers int, cut float64) ([]int64, error) {
 	ties := make([]int64, g.NumProfiles)
 	err := runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
-		return forChunkCanonical(g, w, chunk, func(u, _ int32, _ int64, wt float64) {
+		return forChunkCanonical(g, w, chunk, func(u, _ int32, wt float64) {
 			if wt == cut {
 				ties[u]++
 			}
@@ -143,7 +143,7 @@ func CEPTakenTies(ctx context.Context, g *graph.CSR, workers int, cut float64, r
 	err := runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
 		tie, row := int64(0), int32(-1)
 		var out []model.IDPair
-		err := forChunkCanonical(g, w, chunk, func(u, v int32, _ int64, wt float64) {
+		err := forChunkCanonical(g, w, chunk, func(u, v int32, wt float64) {
 			if wt != cut {
 				return
 			}
@@ -213,98 +213,4 @@ func MarkOwned(ctx context.Context, g *graph.CSR, workers int, keep func(u, v in
 		marks += n
 	}
 	return retained, marks, nil
-}
-
-// RowTopKMarks runs CNP's mark pass over the shard's owned rows — each
-// row marks its top-k adjacent entries by weight, stable on the
-// adjacency order, exactly as CNPStream — and returns the marks as
-// per-row neighbor-id lists: ids[offsets[u]:offsets[u+1]] are row u's
-// marked neighbors, ascending (adjacency runs are sorted). k <= 0
-// resolves to CNPBudget of the graph's (global) block counts; a zero
-// budget marks nothing. Owned rows across shards are disjoint, so
-// scattering the lists by ownership rebuilds the whole graph's marks.
-func RowTopKMarks(ctx context.Context, g *graph.CSR, k, workers int) (offsets []int64, ids []int32, err error) {
-	if k <= 0 {
-		k = cnpBudget(g.BlockCounts)
-	}
-	mark := make([]bool, g.NumEntries())
-	if k > 0 {
-		err := runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
-			lo, hi := chunkBounds(chunk, g.NumProfiles)
-			for n := lo; n < hi; n++ {
-				rlo, rhi := g.Offsets[n], g.Offsets[n+1]
-				if rlo == rhi {
-					continue
-				}
-				_, ws := g.Run(n)
-				order := w.order[:0]
-				for p := rlo; p < rhi; {
-					seg := rhi - p
-					if seg > streamCancelCheckEdges {
-						seg = streamCancelCheckEdges
-					}
-					for stop := p + seg; p < stop; p++ {
-						order = append(order, p)
-					}
-					w.order = order
-					if err := w.tick(int(seg)); err != nil {
-						return err
-					}
-				}
-				slices.SortStableFunc(order, func(a, b int64) int {
-					switch wa, wb := ws[a-rlo], ws[b-rlo]; {
-					case wa > wb:
-						return -1
-					case wa < wb:
-						return 1
-					default:
-						return 0
-					}
-				})
-				limit := k
-				if limit > len(order) {
-					limit = len(order)
-				}
-				for _, p := range order[:limit] {
-					mark[p] = true
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	offsets = make([]int64, g.NumProfiles+1)
-	total := 0
-	for _, m := range mark {
-		if m {
-			total++
-		}
-	}
-	ids = make([]int32, 0, total)
-	for n := 0; n < g.NumProfiles; n++ {
-		base, end := g.Offsets[n], g.Offsets[n+1]
-		if base == end {
-			offsets[n+1] = int64(len(ids))
-			continue
-		}
-		nbr, _ := g.Run(n)
-		for p := base; p < end; {
-			seg := end - p
-			if seg > streamCancelCheckEdges {
-				seg = streamCancelCheckEdges
-			}
-			for stop := p + seg; p < stop; p++ {
-				if mark[p] {
-					ids = append(ids, nbr[p-base])
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-		offsets[n+1] = int64(len(ids))
-	}
-	return offsets, ids, nil
 }

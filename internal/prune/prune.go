@@ -219,6 +219,11 @@ func WNP(g *graph.Graph, mode Mode) []int {
 // edges by weight, resolved by mode. If k <= 0 it defaults to the average
 // number of blocks per profile, max(1, round(sum |B_i| / |V|)) — the
 // node-centric comparison budget of the meta-blocking literature.
+//
+// It is deliberately sort-based — each node's incident edges stably
+// sorted by descending weight, the first k marked: this is the
+// independent oracle TestEngineEquivalence checks the selection-cut
+// kernel of CNPStream against, so it must not share that kernel.
 func CNP(g *graph.Graph, k int, mode Mode) []int {
 	if len(g.Edges) == 0 {
 		return nil
@@ -230,9 +235,9 @@ func CNP(g *graph.Graph, k int, mode Mode) []int {
 		}
 	}
 	adj := g.Adjacency()
-	inTop := make([][]bool, 2) // [0] = of U side? we mark per (edge, endpoint)
-	inTop[0] = make([]bool, len(g.Edges))
-	inTop[1] = make([]bool, len(g.Edges))
+	// byU[e] / byV[e]: edge e is in the top k of its U / V endpoint.
+	byU := make([]bool, len(g.Edges))
+	byV := make([]bool, len(g.Edges))
 
 	var order []int32
 	for node, edges := range adj {
@@ -248,11 +253,10 @@ func CNP(g *graph.Graph, k int, mode Mode) []int {
 			limit = len(order)
 		}
 		for _, ei := range order[:limit] {
-			e := &g.Edges[ei]
-			if int(e.U) == node {
-				inTop[0][ei] = true
+			if int(g.Edges[ei].U) == node {
+				byU[ei] = true
 			} else {
-				inTop[1][ei] = true
+				byV[ei] = true
 			}
 		}
 	}
@@ -263,9 +267,9 @@ func CNP(g *graph.Graph, k int, mode Mode) []int {
 			continue
 		}
 		if mode == Redefined {
-			keep[i] = inTop[0][i] || inTop[1][i]
+			keep[i] = byU[i] || byV[i]
 		} else {
-			keep[i] = inTop[0][i] && inTop[1][i]
+			keep[i] = byU[i] && byV[i]
 		}
 	}
 	return retained(keep)

@@ -94,7 +94,7 @@ func CountCutHist(ctx context.Context, g *graph.CSR, workers int, prefix uint64,
 	// outcome.
 	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
 		h := hists[w.id]
-		return forChunkCanonical(g, w, chunk, func(_, _ int32, _ int64, wt float64) {
+		return forChunkCanonical(g, w, chunk, func(_, _ int32, wt float64) {
 			key := weightKey(wt)
 			if key>>(shift+selBucketBits) != prefix {
 				return

@@ -6,15 +6,23 @@
 // counterpart.
 //
 // Every streaming scheme runs its passes — per-node thresholds, top-k
-// marking, histogram counting, retention emission — over the fixed node
-// chunks of parallel.go on `workers` goroutines (0 selects GOMAXPROCS),
-// and the output is byte-identical for every worker count: chunk
-// boundaries are a pure function of the node count, per-chunk float
-// partials are combined in chunk order, and per-chunk output buffers
-// are stitched in canonical order. Even the global schemes WEP/CEP now
-// run in O(adjacency-run) scratch: WEP's mean is a chunked sum and
-// CEP's cut comes from the bounded histogram selection of select.go
-// instead of a flat O(|E|) weight sort.
+// selection cuts, histogram counting, retention emission — over the
+// fixed node chunks of parallel.go on `workers` goroutines (0 selects
+// GOMAXPROCS), and the output is byte-identical for every worker count:
+// chunk boundaries are a pure function of the node count, per-chunk
+// float partials are combined in chunk order, and per-chunk output
+// buffers are stitched in canonical order. Even the global schemes
+// WEP/CEP now run in O(adjacency-run) scratch: WEP's mean is a chunked
+// sum and CEP's cut comes from the bounded histogram selection of
+// select.go instead of a flat O(|E|) weight sort.
+//
+// All three node-centric schemes share one shape: a reduce pass turns
+// every adjacency run into a few per-node scalars — WNP's mean, BLAST's
+// M_i/c, CNP's selection cut (cut, tie) — and the retention pass tests
+// each canonical edge against the resident per-node vectors of its two
+// endpoints. No pass holds per-entry state or looks up an edge's mirror
+// entry, so runs are only ever read sequentially — the access shape a
+// spilled CSR serves with O(1) page loads per page.
 //
 // Every streaming scheme takes a context and supports cooperative
 // cancellation: each pass polls ctx at edge-segment granularity — even
@@ -24,7 +32,7 @@ package prune
 
 import (
 	"context"
-	"slices"
+	"math"
 
 	"blast/internal/graph"
 	"blast/internal/model"
@@ -43,7 +51,7 @@ func WEPStream(ctx context.Context, g *graph.CSR, workers int) ([]model.IDPair, 
 		return nil, err
 	}
 	theta := combinePartials(sums, counts) / float64(g.NumEdges())
-	return emitChunked(ctx, g, workers, func(_, _ int32, _ int64, wt float64) bool {
+	return emitChunked(ctx, g, workers, func(_, _ int32, wt float64) bool {
 		return wt >= theta
 	})
 }
@@ -80,12 +88,12 @@ func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPai
 	// per-edge tie ordinal is needed and one emission pass suffices.
 	rem := int64(k - greater)
 	if rem >= int64(ties) {
-		return emitChunked(ctx, g, workers, func(_, _ int32, _ int64, wt float64) bool {
+		return emitChunked(ctx, g, workers, func(_, _ int32, wt float64) bool {
 			return wt >= cut
 		})
 	}
 	if rem <= 0 {
-		return emitChunked(ctx, g, workers, func(_, _ int32, _ int64, wt float64) bool {
+		return emitChunked(ctx, g, workers, func(_, _ int32, wt float64) bool {
 			return wt > cut
 		})
 	}
@@ -96,7 +104,7 @@ func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPai
 	tiesPerChunk := make([]int64, nch)
 	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
 		n := int64(0)
-		err := forChunkCanonical(g, w, chunk, func(_, _ int32, _ int64, wt float64) {
+		err := forChunkCanonical(g, w, chunk, func(_, _ int32, wt float64) {
 			if wt == cut {
 				n++
 			}
@@ -117,7 +125,7 @@ func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPai
 	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
 		tie := tieBase[chunk]
 		var out []model.IDPair
-		err := forChunkCanonical(g, w, chunk, func(u, v int32, _ int64, wt float64) {
+		err := forChunkCanonical(g, w, chunk, func(u, v int32, wt float64) {
 			take := wt > cut
 			if !take && wt == cut {
 				take = tie < rem
@@ -189,28 +197,38 @@ func blastReducer(c float64) runReducer {
 	}
 }
 
-// nodeThresholdsCSR computes a per-node threshold by reducing each
-// node's adjacent weights; nodes without edges get 0. Each run is
-// reduced in adjacency order, matching the edge-list nodeThresholds.
-// Chunks run on `workers` goroutines, writing disjoint index ranges of
-// the result; the values are per-node, so the worker count cannot
-// change a single bit.
-func nodeThresholdsCSR(ctx context.Context, g *graph.CSR, workers int, reduce runReducer) ([]float64, error) {
-	th := make([]float64, g.NumProfiles)
-	err := runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
+// forEachRun invokes fn for every non-empty adjacency run, chunk by
+// chunk on `workers` goroutines. Runs are read in ascending node order
+// inside a chunk — the strictly sequential access a spilled CSR serves
+// with one page load per page — and fn polls the worker's cancellation
+// budget itself, so it may write per-node slots without racing (chunks
+// own disjoint node ranges).
+func forEachRun(ctx context.Context, g *graph.CSR, workers int, fn func(w *pruneWorker, n int, nbr []int32, ws []float64) error) error {
+	return runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
 		lo, hi := chunkBounds(chunk, g.NumProfiles)
 		for n := lo; n < hi; n++ {
 			if g.Offsets[n] == g.Offsets[n+1] {
 				continue
 			}
-			_, ws := g.Run(n)
-			v, err := reduce(w, ws)
-			if err != nil {
+			nbr, ws := g.Run(n)
+			if err := fn(w, n, nbr, ws); err != nil {
 				return err
 			}
-			th[n] = v
 		}
 		return nil
+	})
+}
+
+// nodeThresholdsCSR computes a per-node threshold by reducing each
+// node's adjacent weights; nodes without edges get 0. Each run is
+// reduced in adjacency order, matching the edge-list nodeThresholds.
+// The values are per-node, so the worker count cannot change a single
+// bit.
+func nodeThresholdsCSR(ctx context.Context, g *graph.CSR, workers int, reduce runReducer) ([]float64, error) {
+	th := make([]float64, g.NumProfiles)
+	err := forEachRun(ctx, g, workers, func(w *pruneWorker, n int, _ []int32, ws []float64) (err error) {
+		th[n], err = reduce(w, ws)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -307,18 +325,120 @@ func BlastWNPStream(ctx context.Context, g *graph.CSR, c, d float64, workers int
 // node-centric schemes: every positive-weight canonical edge is tested
 // against its endpoints' thresholds.
 func emitByThreshold(ctx context.Context, g *graph.CSR, workers int, keep func(w, thU, thV float64) bool, th []float64) ([]model.IDPair, error) {
-	return emitChunked(ctx, g, workers, func(u, v int32, _ int64, wt float64) bool {
+	return emitChunked(ctx, g, workers, func(u, v int32, wt float64) bool {
 		return keep(wt, th[u], th[v])
 	})
+}
+
+// topEntry is one slot of the CNP selection heap: an entry's weight and
+// its neighbor id (= its rank in the neighbor-sorted run).
+type topEntry struct {
+	w float64
+	x int32
+}
+
+// worse orders entries by CNP's preference, worst first: lower weight,
+// and among equal weights the later adjacency position — the entry a
+// stable descending sort would place last.
+func (a topEntry) worse(b topEntry) bool {
+	return a.w < b.w || (a.w == b.w && a.x > b.x)
+}
+
+// topKCut reduces one adjacency run to CNP's selection cut (cut, tie):
+// node n marks its entry (n, x, w) iff w > cut || (w == cut && x <= tie)
+// (InTopK), which is exactly the first k entries of the run stably
+// sorted by descending weight. One pass keeps the k best entries seen
+// so far in a min-heap whose root is the worst of them; a later entry
+// displaces the root only with a strictly larger weight (on a tie it
+// sits later in the run, so it loses), and the final root IS the k-th
+// entry: its weight is the cut, its neighbor the last tie that still
+// fits the budget. O(degree) compares plus O(log k) per displacement,
+// O(k) scratch, no sort. Runs of at most k entries mark everything:
+// (-Inf, MaxInt32). Like the threshold reducers it polls the worker's
+// cancellation budget between edge segments.
+func (w *pruneWorker) topKCut(nbr []int32, ws []float64, k int) (cut float64, tie int32, err error) {
+	if len(ws) <= k {
+		return math.Inf(-1), math.MaxInt32, w.tick(len(ws))
+	}
+	h := w.top[:0]
+	for i := 0; i < len(ws); {
+		seg := len(ws) - i
+		if seg > streamCancelCheckEdges {
+			seg = streamCancelCheckEdges
+		}
+		for stop := i + seg; i < stop; i++ {
+			e := topEntry{ws[i], nbr[i]}
+			if len(h) < k {
+				// Sift the new leaf up.
+				h = append(h, e)
+				for c := len(h) - 1; c > 0; {
+					p := (c - 1) / 2
+					if !h[c].worse(h[p]) {
+						break
+					}
+					h[c], h[p] = h[p], h[c]
+					c = p
+				}
+			} else if e.w > h[0].w {
+				// Replace the root and sift it down.
+				p := 0
+				for {
+					c := 2*p + 1
+					if c >= k {
+						break
+					}
+					if c+1 < k && h[c+1].worse(h[c]) {
+						c++
+					}
+					if !h[c].worse(e) {
+						break
+					}
+					h[p] = h[c]
+					p = c
+				}
+				h[p] = e
+			}
+		}
+		if err := w.tick(seg); err != nil {
+			return 0, 0, err
+		}
+	}
+	w.top = h
+	return h[0].w, h[0].x, nil
+}
+
+// InTopK reports whether a node whose selection cut is (cut, tie) marks
+// its adjacent entry with neighbor x and weight w.
+func InTopK(w float64, x int32, cut float64, tie int32) bool {
+	return w > cut || (w == cut && x <= tie)
+}
+
+// TopKCuts returns CNP's per-node selection cuts over the CSR graph for
+// a positive budget k (see topKCut); nodes without edges keep the zero
+// cut, which nothing ever consults. The two vectors are all a retention
+// pass needs to decide any edge from either endpoint, so partitioned
+// shards exchange their owned rows of them exactly like the WNP
+// thresholds. The values are per-node: identical for every worker count.
+func TopKCuts(ctx context.Context, g *graph.CSR, k, workers int) (cut []float64, tie []int32, err error) {
+	cut = make([]float64, g.NumProfiles)
+	tie = make([]int32, g.NumProfiles)
+	err = forEachRun(ctx, g, workers, func(w *pruneWorker, n int, nbr []int32, ws []float64) (err error) {
+		cut[n], tie[n], err = w.topKCut(nbr, ws, k)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return cut, tie, nil
 }
 
 // CNPStream is CNP over the CSR graph: each node marks its top-k
 // adjacent edges by weight (stable on the adjacency order, like the
 // edge-list CNP), and an edge is retained if the marks of its endpoints
-// satisfy the mode. The mark pass writes only positions inside its
-// chunk's runs, so chunks never race; the retention pass locates each
-// edge's mirror entry by binary search instead of the serial cursor
-// sweep, which lets chunks resolve marks independently.
+// satisfy the mode. The marks are never materialized: one pass reduces
+// every run to its selection cut, and retention tests each canonical
+// edge against both endpoints' cuts — the same shape as WNP, with
+// strictly sequential run access.
 func CNPStream(ctx context.Context, g *graph.CSR, k int, mode Mode, workers int) ([]model.IDPair, error) {
 	if g.NumEdges() == 0 {
 		return nil, ctx.Err()
@@ -329,57 +449,14 @@ func CNPStream(ctx context.Context, g *graph.CSR, k int, mode Mode, workers int)
 			return nil, ctx.Err()
 		}
 	}
-	mark := make([]bool, g.NumEntries())
-	err := runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
-		lo, hi := chunkBounds(chunk, g.NumProfiles)
-		for n := lo; n < hi; n++ {
-			rlo, rhi := g.Offsets[n], g.Offsets[n+1]
-			if rlo == rhi {
-				continue
-			}
-			_, ws := g.Run(n)
-			order := w.order[:0]
-			for p := rlo; p < rhi; {
-				seg := rhi - p
-				if seg > streamCancelCheckEdges {
-					seg = streamCancelCheckEdges
-				}
-				for stop := p + seg; p < stop; p++ {
-					order = append(order, p)
-				}
-				w.order = order
-				if err := w.tick(int(seg)); err != nil {
-					return err
-				}
-			}
-			slices.SortStableFunc(order, func(a, b int64) int {
-				switch wa, wb := ws[a-rlo], ws[b-rlo]; {
-				case wa > wb:
-					return -1
-				case wa < wb:
-					return 1
-				default:
-					return 0
-				}
-			})
-			limit := k
-			if limit > len(order) {
-				limit = len(order)
-			}
-			for _, p := range order[:limit] {
-				mark[p] = true
-			}
-		}
-		return nil
-	})
+	cut, tie, err := TopKCuts(ctx, g, k, workers)
 	if err != nil {
 		return nil, err
 	}
-	return emitChunked(ctx, g, workers, func(u, v int32, p int64, _ float64) bool {
-		mp := g.MirrorEntry(u, v)
+	return emitChunked(ctx, g, workers, func(u, v int32, wt float64) bool {
 		if mode == Reciprocal {
-			return mark[p] && mark[mp]
+			return InTopK(wt, v, cut[u], tie[u]) && InTopK(wt, u, cut[v], tie[v])
 		}
-		return mark[p] || mark[mp]
+		return InTopK(wt, v, cut[u], tie[u]) || InTopK(wt, u, cut[v], tie[v])
 	})
 }

@@ -2,7 +2,7 @@ package shard
 
 // The aggregate exchange of partitioned sharding. Partitioned shard
 // writers resolve graph-global pruning inputs (degree vectors, weight
-// sums, histogram cuts, threshold vectors, top-k mark lists) by
+// sums, histogram cuts, threshold vectors, top-k selection cuts) by
 // all-gathering compact per-shard frames: every shard contributes its
 // frame for a round and blocks until all n frames of that round are
 // present, then reads them back in slot (shard) order — the

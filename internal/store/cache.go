@@ -87,6 +87,23 @@ func (c *Cache) Get(key uint64, load func() (any, int64, error)) (any, error) {
 	return val, nil
 }
 
+// Drop evicts every entry whose key satisfies match. A paged structure
+// that rewrites one of its streams calls it so no reader can be served
+// a page of the replaced contents.
+func (c *Cache) Drop(match func(key uint64) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if e := el.Value.(*cacheEntry); match(e.key) {
+			c.ll.Remove(el)
+			delete(c.idx, e.key)
+			c.used -= e.size
+		}
+		el = next
+	}
+}
+
 // Stats returns the cache's hit/miss counters and residency.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

@@ -247,6 +247,34 @@ func TestCacheLRUAndStats(t *testing.T) {
 	}
 }
 
+// TestCacheDrop: dropped keys are reloaded on the next Get and stop
+// counting against the budget; other keys stay cached.
+func TestCacheDrop(t *testing.T) {
+	c := NewCache(1000)
+	loads := map[uint64]int{}
+	get := func(key uint64) {
+		t.Helper()
+		if _, err := c.Get(key, func() (any, int64, error) { loads[key]++; return key, 10, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key := uint64(0); key < 6; key++ {
+		get(key)
+	}
+	c.Drop(func(key uint64) bool { return key%2 == 1 })
+	if st := c.Stats(); st.Entries != 3 || st.Bytes != 30 {
+		t.Fatalf("after Drop: %+v, want 3 entries / 30 bytes", st)
+	}
+	for key := uint64(0); key < 6; key++ {
+		get(key)
+	}
+	for key, n := range loads {
+		if want := 1 + int(key%2); n != want {
+			t.Errorf("key %d loaded %d times, want %d", key, n, want)
+		}
+	}
+}
+
 func TestCloseAndRemove(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg")
 	a, err := CreateFile(path)

@@ -16,7 +16,7 @@ package blast
 //	           (+ per-row tie counts and the taken-tie pair set when
 //	            the budget splits a tie group)
 //	WNP/Blast  owned threshold rows      → the global theta vector
-//	CNP        owned top-k mark lists    → the global mark lists
+//	CNP        owned (cut, tie) rows     → the global selection cuts
 //	final      owned mark counts        → the global retained count
 //
 // Every aggregate merges either by ownership scatter (per-row values:
@@ -226,14 +226,8 @@ func (px *partIndex) keepPredicate(ctx context.Context, g *graph.CSR, numEdges i
 			if err := px.checkFrame(r, len(s) == g.NumProfiles && len(c) == g.NumProfiles); err != nil {
 				return nil, nil, err
 			}
-			// Ownership scatter: a row's value comes from its one owner,
-			// never an element-wise sum (which could disturb IEEE signed
-			// zeros).
-			for u := range s {
-				if int(owners[u]) == i {
-					gsums[u], gcounts[u] = s[u], c[u]
-				}
-			}
+			scatterOwned(gsums, s, owners, i)
+			scatterOwned(gcounts, c, owners, i)
 		}
 		total, _ := prune.FoldRowSums(gsums, gcounts)
 		theta := total / float64(numEdges)
@@ -329,33 +323,33 @@ func (px *partIndex) keepPredicate(ctx context.Context, g *graph.CSR, numEdges i
 		if k == 0 {
 			return nil, nil, nil
 		}
-		offsets, ids, err := prune.RowTopKMarks(ctx, g, k, opt.Workers)
+		cut, tie, err := prune.TopKCuts(ctx, g, k, opt.Workers)
 		if err != nil {
 			return nil, nil, err
 		}
 		var w shard.FrameWriter
-		w.Int64s(offsets)
-		w.Int32s(ids)
+		w.Float64s(cut)
+		w.Int32s(tie)
 		rs, err := px.gather(&w)
 		if err != nil {
 			return nil, nil, err
 		}
-		goff, gids, err := px.mergeTopKMarks(rs, g.NumProfiles, owners)
-		if err != nil {
-			return nil, nil, err
-		}
-		marked := func(u, v int32) bool {
-			lo, hi := goff[u], goff[u+1]
-			_, ok := slices.BinarySearch(gids[lo:hi], v)
-			return ok
+		gcut := make([]float64, g.NumProfiles)
+		gtie := make([]int32, g.NumProfiles)
+		for i, r := range rs {
+			c, t := r.Float64s(), r.Int32s()
+			if err := px.checkFrame(r, len(c) == g.NumProfiles && len(t) == g.NumProfiles); err != nil {
+				return nil, nil, err
+			}
+			scatterOwned(gcut, c, owners, i)
+			scatterOwned(gtie, t, owners, i)
 		}
 		redefined := opt.Pruning == metablocking.CNP1
-		return func(u, v int32, _ float64) bool {
-			mu, mv := marked(u, v), marked(v, u)
+		return func(u, v int32, w float64) bool {
 			if redefined {
-				return mu || mv
+				return prune.InTopK(w, v, gcut[u], gtie[u]) || prune.InTopK(w, u, gcut[v], gtie[v])
 			}
-			return mu && mv
+			return prune.InTopK(w, v, gcut[u], gtie[u]) && prune.InTopK(w, u, gcut[v], gtie[v])
 		}, nil, nil
 
 	default:
@@ -420,11 +414,7 @@ func (px *partIndex) takenTiesExchanged(ctx context.Context, g *graph.CSR, cut f
 		if err := px.checkFrame(r, len(v) == g.NumProfiles); err != nil {
 			return nil, err
 		}
-		for u := range v {
-			if int(owners[u]) == i {
-				gties[u] = v[u]
-			}
-		}
+		scatterOwned(gties, v, owners, i)
 	}
 	// tieBase[u]: the global ordinal of row u's first tie.
 	tieBase := make([]int64, g.NumProfiles)
@@ -468,38 +458,9 @@ func (px *partIndex) exchangeThresholds(th []float64, owners []uint8) ([]float64
 		if err := px.checkFrame(r, len(v) == len(th)); err != nil {
 			return nil, err
 		}
-		for u := range v {
-			if int(owners[u]) == i {
-				gth[u] = v[u]
-			}
-		}
+		scatterOwned(gth, v, owners, i)
 	}
 	return gth, nil
-}
-
-// mergeTopKMarks scatters per-shard owned top-k mark lists into the
-// global per-row list table.
-func (px *partIndex) mergeTopKMarks(rs []*shard.FrameReader, np int, owners []uint8) ([]int64, []int32, error) {
-	offs := make([][]int64, len(rs))
-	idss := make([][]int32, len(rs))
-	for i, r := range rs {
-		offs[i] = r.Int64s()
-		idss[i] = r.Int32s()
-		if err := px.checkFrame(r, len(offs[i]) == np+1); err != nil {
-			return nil, nil, err
-		}
-	}
-	goff := make([]int64, np+1)
-	for u := 0; u < np; u++ {
-		o := offs[owners[u]]
-		goff[u+1] = goff[u] + (o[u+1] - o[u])
-	}
-	gids := make([]int32, goff[np])
-	for u := 0; u < np; u++ {
-		s := owners[u]
-		copy(gids[goff[u]:goff[u+1]], idss[s][offs[s][u]:offs[s][u+1]])
-	}
-	return goff, gids, nil
 }
 
 // gather runs one exchange round: contribute this shard's frame, wait
@@ -517,7 +478,8 @@ func (px *partIndex) gather(w *shard.FrameWriter) ([]*shard.FrameReader, error) 
 }
 
 // gatherInt32Scatter runs the degree round: exchange the owned degree
-// vector and scatter the peers' owned rows into it in place.
+// vector and scatter every shard's owned rows into it in place (this
+// shard's own rows are rewritten with the values they already hold).
 func (px *partIndex) gatherInt32Scatter(w *shard.FrameWriter, owners []uint8, dst []int32) error {
 	rs, err := px.gather(w)
 	if err != nil {
@@ -528,16 +490,21 @@ func (px *partIndex) gatherInt32Scatter(w *shard.FrameWriter, owners []uint8, ds
 		if err := px.checkFrame(r, len(v) == len(dst)); err != nil {
 			return err
 		}
-		if i == px.part {
-			continue
-		}
-		for u := range v {
-			if int(owners[u]) == i {
-				dst[u] = v[u]
-			}
-		}
+		scatterOwned(dst, v, owners, i)
 	}
 	return nil
+}
+
+// scatterOwned is the ownership-scatter merge of one exchanged per-row
+// vector: the rows shard i owns are copied from its frame into the
+// global vector. A row's value comes from its one owner, never from an
+// element-wise sum (which could disturb IEEE signed zeros).
+func scatterOwned[T any](dst, src []T, owners []uint8, i int) {
+	for u := range src {
+		if int(owners[u]) == i {
+			dst[u] = src[u]
+		}
+	}
 }
 
 // checkFrame folds a reader's sticky decode error together with a

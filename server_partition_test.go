@@ -90,6 +90,48 @@ func TestPartitionedEquivalenceMatrix(t *testing.T) {
 	}
 }
 
+// TestPartitionedCNPCutExchange drives CNP's (cut, tie) exchange where
+// it is most fragile: CBS weights are small integers, so nearly every
+// node's budget cuts through a run of ties whose tie-break neighbor is
+// owned by another shard. Both modes, the default and explicit budgets,
+// every shard count — each must match the cold rebuild.
+func TestPartitionedCNPCutExchange(t *testing.T) {
+	ctx := context.Background()
+	for _, pruning := range []metablocking.Pruning{metablocking.CNP1, metablocking.CNP2} {
+		for _, k := range []int{0, 1, 3} {
+			for _, shards := range []int{1, 2, 4} {
+				label := fmt.Sprintf("part/cbs/%v/k=%d/shards=%d", pruning, k, shards)
+				rng := stats.NewRNG(uint64(shards*31+k)*7919 + 5)
+				opt := DefaultOptions()
+				opt.Scheme = weights.Scheme{Kind: weights.CBS}
+				opt.Pruning = pruning
+				opt.K = k
+				p, err := NewPipeline(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv, err := p.Serve(ctx, synthDirty(rng, 60), ServerOptions{
+					Shards: shards, Topology: TopologyPartitioned, SwapOps: 4,
+				})
+				if err != nil {
+					t.Fatalf("%s: Serve: %v", label, err)
+				}
+				profs := make([]model.Profile, 9)
+				for i := range profs {
+					profs[i] = synthProfile(rng, fmt.Sprintf("c%d", i))
+				}
+				if _, err := srv.InsertAll(ctx, profs); err != nil {
+					t.Fatalf("%s: InsertAll: %v", label, err)
+				}
+				checkServerEquivalence(t, label, p, srv)
+				if err := srv.Close(); err != nil {
+					t.Fatalf("%s: Close: %v", label, err)
+				}
+			}
+		}
+	}
+}
+
 // TestPartitionedMatchesReplicated runs the same insert sequence
 // through both topologies and compares every observable directly —
 // pairs, per-profile candidates, thresholds, epoch-independent global
