@@ -409,19 +409,22 @@ type Options struct {
 	TrainFraction float64
 	// Seed drives the deterministic randomness (LSH, SVM sampling).
 	Seed uint64
-	// Workers parallelizes blocking-graph construction AND the streaming
-	// pruning passes (thresholds, top-k marking, retention — everywhere
-	// a CSR is pruned: batch runs, IndexBlocks, the incremental index's
-	// re-derivations, the sharded server's replicas): 0 uses one worker
-	// per CPU, 1 forces serial execution, >1 uses exactly that many
-	// goroutines. Results are byte-identical at every count — pruning
-	// runs over fixed node chunks with float partials combined in chunk
-	// order, so parallelism never moves a ulp. With the default EdgeList
+	// Workers parallelizes attribute-match induction (the exhaustive
+	// row kernel; attribute rows are independent), blocking-graph
+	// construction AND the streaming pruning passes (thresholds, top-k
+	// marking, retention — everywhere a CSR is pruned: batch runs,
+	// IndexBlocks, the incremental index's re-derivations, the sharded
+	// server's replicas): 0 uses one worker per CPU, 1 forces serial
+	// execution, >1 uses exactly that many goroutines. Results are
+	// byte-identical at every count — induction and graph construction
+	// compute each row on one worker, and pruning runs over fixed node
+	// chunks with float partials combined in chunk order, so parallelism
+	// never moves a ulp. With the default EdgeList
 	// engine, 0 only engages build parallelism on collections large
 	// enough for the sharded builder to pay off (see
 	// metablocking.Config.Workers); explicit counts are always honored.
-	// Like Engine, ignored when Supervised is set (the supervised
-	// baseline always builds its graph serially).
+	// Like Engine, ignored by Phase 3 when Supervised is set (the
+	// supervised baseline always builds its graph serially).
 	Workers int
 
 	// Storage selects where the blocking graph's adjacency lives during

@@ -1,16 +1,24 @@
 package attr
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
 	"blast/internal/lsh"
 	"blast/internal/model"
+	"blast/internal/stats"
 	"blast/internal/text"
 )
 
@@ -101,6 +109,48 @@ func TestExtractProfilesPaperExample(t *testing.T) {
 	year := byName["year"]
 	if math.Abs(year.Entropy-1) > 1e-12 {
 		t.Errorf("year entropy = %v, want 1", year.Entropy)
+	}
+}
+
+// TestExtractProfilesMatchesMapCount: the sort-and-run-length extraction
+// yields, bit for bit, the profiles of counting occurrences in a map and
+// summing the entropy over the token-hash-ordered frequencies.
+func TestExtractProfilesMatchesMapCount(t *testing.T) {
+	tr := text.NewTokenizer()
+	for _, ds := range []*model.Dataset{datasets.PaperExample(), datasets.MOV(0.01, 7), datasets.AR1(0.05, 3)} {
+		byRef := make(map[Ref]map[uint64]int)
+		for source, c := range ds.Sources() {
+			for i := range c.Profiles {
+				for _, pair := range c.Profiles[i].Pairs {
+					ref := Ref{Source: source, Name: pair.Name}
+					if byRef[ref] == nil {
+						byRef[ref] = make(map[uint64]int)
+					}
+					for _, tok := range tr.Terms(pair.Value) {
+						byRef[ref][lsh.TokenHash(tok)]++
+					}
+				}
+			}
+		}
+		got := ExtractProfiles(ds, tr)
+		if len(got) != len(byRef) {
+			t.Fatalf("%s: %d profiles, want %d", ds.Name, len(got), len(byRef))
+		}
+		for _, p := range got {
+			want := Profile{Ref: p.Ref}
+			for tok := range byRef[p.Ref] {
+				want.Tokens = append(want.Tokens, tok)
+			}
+			slices.Sort(want.Tokens)
+			for _, tok := range want.Tokens {
+				want.Freqs = append(want.Freqs, byRef[p.Ref][tok])
+				want.Count += byRef[p.Ref][tok]
+			}
+			want.Entropy = stats.Entropy(want.Freqs)
+			if !reflect.DeepEqual(p, want) {
+				t.Fatalf("%s %v: profile differs from the map count:\n got %+v\nwant %+v", ds.Name, p.Ref, p, want)
+			}
+		}
 	}
 }
 
@@ -485,21 +535,387 @@ func TestPartitioningString(t *testing.T) {
 	}
 }
 
-func TestLMIParallelWorkersIdentical(t *testing.T) {
-	ds := datasets.MOV(0.01, 7)
-	profiles := ExtractProfiles(ds, text.NewTokenizer())
-	serial := LMI(profiles, ds.Kind, DefaultConfig())
-	cfg := DefaultConfig()
-	cfg.Workers = 4
-	par := LMI(profiles, ds.Kind, cfg)
-	if serial.NumClusters() != par.NumClusters() {
-		t.Fatalf("workers changed clusters: %d vs %d", serial.NumClusters(), par.NumClusters())
+// ---- differential oracle ------------------------------------------------
+//
+// The reference induction: enumerate every comparable attribute pair,
+// score it by a merge of the two sorted token lists (Jaccard /
+// weightedView.cosine), then run Algorithm 1 over the pair list with
+// map candidate sets. The row kernel must reproduce its Partitioning
+// exactly.
+
+type refPair struct {
+	i, j int
+	sim  float64
+}
+
+func refScoredPairs(profiles []Profile, kind model.Kind, cfg Config) []refPair {
+	cross := func(i, j int) bool {
+		return kind != model.CleanClean || profiles[i].Ref.Source != profiles[j].Ref.Source
 	}
-	for _, p := range profiles {
-		a, okA := serial.ClusterOf(p.Ref.Source, p.Ref.Name)
-		b, okB := par.ClusterOf(p.Ref.Source, p.Ref.Name)
-		if okA != okB || a != b {
-			t.Fatalf("attribute %v assigned differently: %d/%v vs %d/%v", p.Ref, a, okA, b, okB)
+	var pairs []refPair
+	if cfg.LSH != nil {
+		signer := lsh.NewSigner(cfg.LSH.Rows*cfg.LSH.Bands, cfg.LSH.Seed)
+		ix := lsh.NewIndex(cfg.LSH.Rows, cfg.LSH.Bands)
+		for i := range profiles {
+			ix.Add(int32(i), signer.SignHashes(profiles[i].Tokens))
+		}
+		for _, c := range ix.Candidates(func(a, b int32) bool { return cross(int(a), int(b)) }) {
+			pairs = append(pairs, refPair{i: int(c.A), j: int(c.B)})
+		}
+	} else {
+		for i := range profiles {
+			for j := i + 1; j < len(profiles); j++ {
+				if cross(i, j) {
+					pairs = append(pairs, refPair{i: i, j: j})
+				}
+			}
 		}
 	}
+	var view *weightedView
+	if cfg.Representation == TFIDF {
+		view = buildTFIDF(profiles)
+	}
+	out := pairs[:0]
+	for _, p := range pairs {
+		if view != nil {
+			p.sim = view.cosine(&profiles[p.i], &profiles[p.j], p.i, p.j)
+		} else {
+			p.sim = Jaccard(profiles[p.i].Tokens, profiles[p.j].Tokens)
+		}
+		if p.sim <= 0 || p.sim < cfg.MinSim {
+			continue
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+func refLMI(profiles []Profile, kind model.Kind, cfg Config) *Partitioning {
+	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
+		cfg.Alpha = 0.9
+	}
+	pairs := refScoredPairs(profiles, kind, cfg)
+	maxSim := make([]float64, len(profiles))
+	for _, p := range pairs {
+		maxSim[p.i] = math.Max(maxSim[p.i], p.sim)
+		maxSim[p.j] = math.Max(maxSim[p.j], p.sim)
+	}
+	cand := make([]map[int]bool, len(profiles))
+	for i := range cand {
+		cand[i] = make(map[int]bool)
+	}
+	for _, p := range pairs {
+		if p.sim >= cfg.Alpha*maxSim[p.i] {
+			cand[p.i][p.j] = true
+		}
+		if p.sim >= cfg.Alpha*maxSim[p.j] {
+			cand[p.j][p.i] = true
+		}
+	}
+	uf := newUnionFind(len(profiles))
+	for _, p := range pairs {
+		if cand[p.i][p.j] && cand[p.j][p.i] {
+			uf.union(p.i, p.j)
+		}
+	}
+	return buildPartitioning(profiles, uf, cfg.Glue)
+}
+
+func refAC(profiles []Profile, kind model.Kind, cfg Config) *Partitioning {
+	pairs := refScoredPairs(profiles, kind, cfg)
+	best := make([]int, len(profiles))
+	bestSim := make([]float64, len(profiles))
+	for i := range best {
+		best[i] = -1
+	}
+	// Pairs arrive in ascending (i, j), so every attribute meets its
+	// partners in ascending index order and > keeps the smallest tie.
+	for _, p := range pairs {
+		if p.sim > bestSim[p.i] {
+			bestSim[p.i], best[p.i] = p.sim, p.j
+		}
+		if p.sim > bestSim[p.j] {
+			bestSim[p.j], best[p.j] = p.sim, p.i
+		}
+	}
+	uf := newUnionFind(len(profiles))
+	for i, j := range best {
+		if j >= 0 {
+			uf.union(i, j)
+		}
+	}
+	return buildPartitioning(profiles, uf, cfg.Glue)
+}
+
+// tokenProfile builds a profile over small integer tokens (sorted,
+// deduplicated) with per-token frequencies 1 + tok%3.
+func tokenProfile(src int, name string, toks ...uint64) Profile {
+	slices.Sort(toks)
+	toks = slices.Compact(toks)
+	p := Profile{Ref: Ref{Source: src, Name: name}, Tokens: toks, Freqs: make([]int, len(toks))}
+	for k, t := range toks {
+		p.Freqs[k] = 1 + int(t%3)
+		p.Count += p.Freqs[k]
+	}
+	p.Entropy = stats.Entropy(p.Freqs)
+	return p
+}
+
+// randomProfiles draws n attributes over a vocabulary small enough that
+// most pairs overlap and exact similarity ties are common; sources are
+// interleaved, one token is shared by every non-empty attribute, and a
+// few attributes are empty or exact copies of an earlier one.
+func randomProfiles(rng *stats.RNG, n, vocab int) []Profile {
+	ps := make([]Profile, 0, n)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("a%03d", i)
+		switch {
+		case i > 0 && rng.Intn(8) == 0:
+			twin := ps[rng.Intn(i)]
+			ps = append(ps, tokenProfile(rng.Intn(2), name, slices.Clone(twin.Tokens)...))
+		case rng.Intn(12) == 0:
+			ps = append(ps, tokenProfile(rng.Intn(2), name))
+		default:
+			toks := []uint64{0}
+			for k := 1 + rng.Intn(8); k > 0; k-- {
+				toks = append(toks, uint64(1+rng.Intn(vocab)))
+			}
+			ps = append(ps, tokenProfile(rng.Intn(2), name, toks...))
+		}
+	}
+	return ps
+}
+
+// checkInductionMatrix compares LMI and AC against the oracle over the
+// whole configuration matrix for one profile set.
+func checkInductionMatrix(t *testing.T, label string, ps []Profile, workers []int) {
+	t.Helper()
+	for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
+		for _, rep := range []Representation{Binary, TFIDF} {
+			for _, alpha := range []float64{0.5, 0.9, 1.0} {
+				for _, minSim := range []float64{0, 0.3} {
+					for _, glue := range []bool{true, false} {
+						cfg := Config{Alpha: alpha, Glue: glue, MinSim: minSim, Representation: rep}
+						wantLMI, wantAC := refLMI(ps, kind, cfg), refAC(ps, kind, cfg)
+						for _, w := range workers {
+							cfg.Workers = w
+							if got := LMI(ps, kind, cfg); !reflect.DeepEqual(got, wantLMI) {
+								t.Fatalf("%s: LMI kind=%v %+v differs from the oracle:\n got %+v\nwant %+v", label, kind, cfg, got.Clusters, wantLMI.Clusters)
+							}
+							if got := AC(ps, kind, cfg); !reflect.DeepEqual(got, wantAC) {
+								t.Fatalf("%s: AC kind=%v %+v differs from the oracle:\n got %+v\nwant %+v", label, kind, cfg, got.Clusters, wantAC.Clusters)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInductionRowsMatchOracle: the token-posting row kernel returns the
+// oracle's Partitioning across {LMI, AC} x {Binary, TFIDF} x {Dirty,
+// CleanClean} x Alpha x MinSim x Glue x Workers on random profile sets
+// (wide enough for several row chunks) and on the shapes the kernel
+// treats specially.
+func TestInductionRowsMatchOracle(t *testing.T) {
+	workers := []int{0, 1, 2, 4}
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := stats.NewRNG(seed)
+		n := 20 + rng.Intn(60)
+		if seed%3 == 0 {
+			n = 3*rowChunk + rng.Intn(rowChunk) // every worker count claims chunks
+		}
+		checkInductionMatrix(t, fmt.Sprintf("seed %d", seed), randomProfiles(rng, n, 6+rng.Intn(30)), workers)
+	}
+
+	shapes := map[string][]Profile{
+		// a's row: sim(a,b) = 1 and sim(a,c) = 0.5 — a tie exactly at
+		// Alpha*maxSim for Alpha = 0.5 and at the maximum for b/b2.
+		"alpha tie": {
+			tokenProfile(0, "a", 1, 2),
+			tokenProfile(1, "b", 1, 2),
+			tokenProfile(1, "b2", 1, 2),
+			tokenProfile(1, "c", 1, 2, 3, 4),
+			tokenProfile(0, "d", 3, 4),
+		},
+		// AC must link a to the smaller of its two equally good matches
+		// even though the kernel meets them in posting order.
+		"ac tie-break": {
+			tokenProfile(1, "z9", 5, 6, 7),
+			tokenProfile(0, "a", 5, 6, 7, 8),
+			tokenProfile(1, "z1", 5, 6, 7),
+			tokenProfile(1, "lone", 8),
+		},
+		"identical": {
+			tokenProfile(0, "p", 1, 2, 3), tokenProfile(1, "q", 1, 2, 3),
+			tokenProfile(0, "r", 1, 2, 3), tokenProfile(1, "s", 1, 2, 3),
+		},
+		"empty attributes": {
+			tokenProfile(0, "e0"), tokenProfile(1, "e1"),
+			tokenProfile(0, "x", 1, 2), tokenProfile(1, "y", 2, 3),
+		},
+		"one empty source": {
+			tokenProfile(0, "x", 1, 2), tokenProfile(0, "y", 1, 2), tokenProfile(0, "z", 2, 3),
+		},
+		"shared by all": {
+			tokenProfile(0, "m", 0), tokenProfile(1, "n", 0, 1),
+			tokenProfile(0, "o", 0, 1, 2), tokenProfile(1, "p", 0, 2), tokenProfile(1, "q", 0),
+		},
+		"no profiles": nil,
+	}
+	for label, ps := range shapes {
+		checkInductionMatrix(t, label, ps, workers)
+	}
+
+	// Real extracted profiles, heterogeneous clean-clean schema.
+	ds := datasets.MOV(0.01, 7)
+	profiles := ExtractProfiles(ds, text.NewTokenizer())
+	for _, cfg := range []Config{DefaultConfig(), {Alpha: 0.9, Glue: true, Representation: TFIDF, Workers: 3}} {
+		if got, want := LMI(profiles, ds.Kind, cfg), refLMI(profiles, ds.Kind, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("MOV %+v: LMI differs from the oracle", cfg)
+		}
+		if got, want := AC(profiles, ds.Kind, cfg), refAC(profiles, ds.Kind, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("MOV %+v: AC differs from the oracle", cfg)
+		}
+	}
+}
+
+// TestInductionLSHMatchesOracle: the LSH path regroups its scored pairs
+// into rows and must keep returning the pair-list result.
+func TestInductionLSHMatchesOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := stats.NewRNG(seed)
+		ps := randomProfiles(rng, 60, 12)
+		for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
+			for _, rep := range []Representation{Binary, TFIDF} {
+				cfg := Config{Alpha: 0.9, Glue: seed%2 == 0, Representation: rep, LSH: &LSHConfig{Rows: 2, Bands: 8, Seed: seed}}
+				if got, want := LMI(ps, kind, cfg), refLMI(ps, kind, cfg); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d kind=%v rep=%v: LSH LMI differs from the oracle", seed, kind, rep)
+				}
+				if got, want := AC(ps, kind, cfg), refAC(ps, kind, cfg); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d kind=%v rep=%v: LSH AC differs from the oracle", seed, kind, rep)
+				}
+			}
+		}
+	}
+}
+
+// FuzzInductionRows drives the same comparison from fuzz input: 0xFF
+// separates attributes, an attribute's first byte picks its source and
+// the rest are its tokens; knobs selects the configuration.
+func FuzzInductionRows(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0xFF, 1, 1, 2, 0xFF, 1, 1, 2, 3, 4, 0xFF, 0, 3, 4}, uint16(0))
+	f.Add([]byte{1, 5, 6, 7, 0xFF, 0, 5, 6, 7, 8, 0xFF, 1, 5, 6, 7, 0xFF, 0xFF, 0}, uint16(0x1FF))
+	f.Add([]byte{0, 9, 0xFF, 0, 9, 0xFF, 0, 9, 10}, uint16(0x2A))
+	f.Fuzz(func(t *testing.T, data []byte, knobs uint16) {
+		if len(data) > 512 {
+			return
+		}
+		var ps []Profile
+		for i, rec := range bytes.Split(data, []byte{0xFF}) {
+			src := 0
+			toks := []uint64{}
+			for k, b := range rec {
+				if k == 0 {
+					src = int(b & 1)
+					continue
+				}
+				toks = append(toks, uint64(b%32))
+			}
+			ps = append(ps, tokenProfile(src, fmt.Sprintf("f%03d", i), toks...))
+		}
+		cfg := Config{
+			Alpha:   []float64{0.5, 0.9, 1.0, 0.75}[knobs&3],
+			Glue:    knobs&4 != 0,
+			MinSim:  []float64{0, 0.3}[knobs>>3&1],
+			Workers: int(knobs >> 4 & 3),
+		}
+		if knobs&64 != 0 {
+			cfg.Representation = TFIDF
+		}
+		kind := model.Dirty
+		if knobs&128 != 0 {
+			kind = model.CleanClean
+		}
+		if got, want := LMI(ps, kind, cfg), refLMI(ps, kind, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("LMI kind=%v %+v differs from the oracle:\n got %+v\nwant %+v", kind, cfg, got.Clusters, want.Clusters)
+		}
+		if got, want := AC(ps, kind, cfg), refAC(ps, kind, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("AC kind=%v %+v differs from the oracle:\n got %+v\nwant %+v", kind, cfg, got.Clusters, want.Clusters)
+		}
+	})
+}
+
+// TestInductionCancellation: a cancelled context stops the row loop and
+// the LSH scoring loop with ctx.Err() and no partial result, at every
+// worker count, and leaves no goroutine behind.
+func TestInductionCancellation(t *testing.T) {
+	ps := randomProfiles(stats.NewRNG(11), 5*rowChunk, 20)
+	before := runtime.NumGoroutine()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, w := range []int{0, 1, 2, 4} {
+		for _, lshCfg := range []*LSHConfig{nil, {Rows: 2, Bands: 8, Seed: 1}} {
+			cfg := Config{Alpha: 0.9, Glue: true, Workers: w, LSH: lshCfg}
+			if p, err := LMICtx(cancelled, ps, model.Dirty, cfg); err != context.Canceled || p != nil {
+				t.Errorf("LMICtx workers=%d lsh=%v: (%v, %v), want (nil, context.Canceled)", w, lshCfg != nil, p, err)
+			}
+			if p, err := ACCtx(cancelled, ps, model.CleanClean, cfg); err != context.Canceled || p != nil {
+				t.Errorf("ACCtx workers=%d lsh=%v: (%v, %v), want (nil, context.Canceled)", w, lshCfg != nil, p, err)
+			}
+		}
+	}
+
+	// Mid-run: the context trips after a fixed number of polls, so the
+	// chunk claim and the in-row posting budget both get to observe it.
+	for _, w := range []int{1, 2, 4} {
+		for after := int64(1); after <= 4; after++ {
+			ctx := &tripCtx{Context: context.Background(), after: after}
+			if p, err := LMICtx(ctx, ps, model.Dirty, Config{Alpha: 0.9, Workers: w}); err != context.Canceled || p != nil {
+				t.Errorf("LMICtx workers=%d tripping after %d polls: (%v, %v), want (nil, context.Canceled)", w, after, p, err)
+			}
+		}
+	}
+
+	// Inside one row: every attribute holds the same 1100 tokens, so a
+	// single row walks more posting entries than the in-row budget. The
+	// second poll (after the first chunk claim) is the one inside row 0,
+	// which must stop before any row is picked.
+	wide := make([]Profile, 1100)
+	toks := make([]uint64, len(wide))
+	for k := range toks {
+		toks[k] = uint64(k)
+	}
+	for i := range wide {
+		wide[i] = tokenProfile(0, fmt.Sprintf("w%04d", i), slices.Clone(toks)...)
+	}
+	var picked atomic.Int64
+	err := scoreRows(&tripCtx{Context: context.Background(), after: 2}, wide, model.Dirty, Config{Workers: 1}, nil,
+		func(int, []int32, []float64) { picked.Add(1) })
+	if err != context.Canceled || picked.Load() != 0 {
+		t.Errorf("in-row cancellation: err = %v after %d picked rows, want context.Canceled after 0", err, picked.Load())
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines leaked by cancelled inductions: %d > %d", n, before)
+	}
+}
+
+// tripCtx reports context.Canceled from its after-th Err call onwards.
+type tripCtx struct {
+	context.Context
+	after int64
+	polls atomic.Int64
+}
+
+func (c *tripCtx) Err() error {
+	if c.polls.Add(1) >= c.after {
+		return context.Canceled
+	}
+	return nil
 }

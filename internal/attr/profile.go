@@ -4,9 +4,19 @@
 // Papadakis et al. TKDE'13), the optional LSH-based candidate generation
 // step, and the entropy extraction that turns an attribute partitioning
 // into the aggregate-entropy weights used by the meta-blocking phase.
+//
+// Induction is a co-occurrence join, computed the ScanCount way: instead
+// of comparing every pair of attribute token sets, a token -> attribute
+// posting index is walked once per attribute, filling one dense row of
+// shared-token counts (or TF-IDF dot products) from which the row's
+// maximum similarity and its candidates come out together. Rows are
+// independent and run over Config.Workers goroutines; similarities are
+// bit-identical to a merge of the two sorted token lists, which is what
+// the LSH path (a few proposed pairs) and the test oracle still do.
 package attr
 
 import (
+	"slices"
 	"sort"
 
 	"blast/internal/lsh"
@@ -25,7 +35,8 @@ type Ref struct {
 // Profile is the profile of an attribute (Section 2.1): the set of terms
 // its values assume under the value transformation function, represented
 // with binary presence. Tokens are stored as sorted unique 64-bit hashes,
-// which makes Jaccard a linear merge and feeds MinHash directly.
+// which makes Jaccard a linear merge, fixes the order in which the row
+// kernel sums TF-IDF products, and feeds MinHash directly.
 type Profile struct {
 	Ref Ref
 	// Tokens is the sorted, deduplicated set of token hashes of all
@@ -47,23 +58,19 @@ type Profile struct {
 // are kept distinct even when names coincide. Results are sorted by
 // (source, name) for determinism.
 func ExtractProfiles(ds *model.Dataset, tr text.Transform) []Profile {
-	type acc struct {
-		freq map[uint64]int
-	}
-	accs := make(map[Ref]*acc)
-
+	// Every occurrence's hash is appended to its attribute's list; one
+	// sort per attribute then yields the token set, the frequencies (run
+	// lengths) and the count without a map.
+	occurrences := make(map[Ref][]uint64)
 	scan := func(source int, c *model.Collection) {
 		for i := range c.Profiles {
 			for _, pair := range c.Profiles[i].Pairs {
 				ref := Ref{Source: source, Name: pair.Name}
-				a := accs[ref]
-				if a == nil {
-					a = &acc{freq: make(map[uint64]int)}
-					accs[ref] = a
-				}
+				occ := occurrences[ref]
 				for _, tok := range tr.Terms(pair.Value) {
-					a.freq[lsh.TokenHash(tok)]++
+					occ = append(occ, lsh.TokenHash(tok))
 				}
+				occurrences[ref] = occ
 			}
 		}
 	}
@@ -72,28 +79,33 @@ func ExtractProfiles(ds *model.Dataset, tr text.Transform) []Profile {
 		scan(1, ds.E2)
 	}
 
-	out := make([]Profile, 0, len(accs))
-	for ref, a := range accs {
-		toks := make([]uint64, 0, len(a.freq))
-		count := 0
-		for t, c := range a.freq {
-			toks = append(toks, t)
-			count += c
+	out := make([]Profile, 0, len(occurrences))
+	for ref, occ := range occurrences {
+		slices.Sort(occ)
+		distinct := 0
+		for k, t := range occ {
+			if k == 0 || t != occ[k-1] {
+				distinct++
+			}
 		}
-		sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
-		freqs := make([]int, len(toks))
-		for i, t := range toks {
-			freqs[i] = a.freq[t]
+		toks := make([]uint64, 0, distinct)
+		freqs := make([]int, 0, distinct)
+		for k, t := range occ {
+			if k == 0 || t != occ[k-1] {
+				toks = append(toks, t)
+				freqs = append(freqs, 0)
+			}
+			freqs[len(freqs)-1]++
 		}
 		out = append(out, Profile{
 			Ref:    ref,
 			Tokens: toks,
 			Freqs:  freqs,
-			// Entropy over the token-hash-ordered freqs, not the map:
-			// the summation order must be a function of the data alone
-			// for two runs over equal collections to agree bitwise.
+			// Entropy over the token-hash-ordered freqs: the summation
+			// order must be a function of the data alone for two runs
+			// over equal collections to agree bitwise.
 			Entropy: stats.Entropy(freqs),
-			Count:   count,
+			Count:   len(occ),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {

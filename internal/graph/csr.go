@@ -2,8 +2,8 @@ package graph
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 
@@ -277,232 +277,237 @@ func buildBlockIndex(c *blocking.Collection, counts []int32) blockIndex {
 	return blockIndex{offsets: offsets, blocks: blocks}
 }
 
-// nodeAcc is the reusable sparse accumulator of one node's adjacency:
-// dense arrays indexed by neighbor id plus the list of touched ids. The
-// arrays are O(NumProfiles) but are allocated once per builder (per
-// worker for the parallel builder) and reset in O(degree) per node.
-type nodeAcc struct {
+// rowAcc is the reusable sparse accumulator of one node's adjacency:
+// dense statistics indexed by neighbor id plus a three-level bitmap of
+// the neighbors met — bit j of met[0], and in each level above one bit
+// per non-zero word of the level below. Draining walks the set bits
+// from the top, so a run comes out in ascending neighbor order without
+// a sort and in O(degree) however large the collection (the top level
+// has one word per 2^18 profiles). The arrays are O(NumProfiles) but
+// are allocated once per builder worker and cleared as each node is
+// drained.
+type rowAcc struct {
 	common  []int32
 	arcs    []float64
 	entropy []float64
-	touched []int32
+	met     [3][]uint64
 }
 
-func newNodeAcc(n int) *nodeAcc {
-	return &nodeAcc{
+func newRowAcc(n int) *rowAcc {
+	a := &rowAcc{
 		common:  make([]int32, n),
 		arcs:    make([]float64, n),
 		entropy: make([]float64, n),
 	}
-}
-
-func (a *nodeAcc) add(j int32, inv, entropy float64) {
-	if a.common[j] == 0 {
-		a.touched = append(a.touched, j)
+	for l := range a.met {
+		n = (n + 63) / 64
+		a.met[l] = make([]uint64, n)
 	}
-	a.common[j]++
-	a.arcs[j] += inv
-	a.entropy[j] += entropy
+	return a
 }
 
-// accumulate fills the accumulator with node's co-occurrence statistics,
-// visiting the node's blocks in ascending block order so that per-edge
-// floating-point sums are bit-identical to the edge-list builders (which
-// also accumulate in block order). Touched neighbor ids end up sorted.
-func (a *nodeAcc) accumulate(c *blocking.Collection, inv []float64, ix *blockIndex, node int32) {
+// walk visits every comparison the node takes part in, in ascending
+// block order, and returns how many it visited (an upper bound of the
+// node's degree). It always marks the neighbors met; with stats it also
+// accumulates their co-occurrence statistics, in the block order of the
+// edge-list builders (which makes the per-edge floating-point sums
+// bit-identical to theirs).
+func (a *rowAcc) walk(c *blocking.Collection, inv []float64, ix *blockIndex, node int32, stats bool) (visited int) {
 	for _, bi := range ix.of(node) {
 		w := inv[bi]
 		if w == 0 {
 			continue
 		}
 		b := &c.Blocks[bi]
-		if b.P2 != nil {
-			// Clean-clean: only cross-source comparisons are valid.
-			others := b.P2
-			if int(node) >= c.Split {
-				others = b.P1
+		// Clean-clean: only cross-source comparisons are valid. Dirty:
+		// everyone else in the block.
+		others := b.P1
+		if b.P2 != nil && int(node) < c.Split {
+			others = b.P2
+		}
+		visited += len(others)
+		for _, j := range others {
+			if j == node {
+				continue
 			}
-			for _, j := range others {
-				a.add(j, w, b.Entropy)
+			a.met[0][j>>6] |= 1 << (j & 63)
+			a.met[1][j>>12] |= 1 << (j >> 6 & 63)
+			a.met[2][j>>18] |= 1 << (j >> 12 & 63)
+			if stats {
+				a.common[j]++
+				a.arcs[j] += w
+				a.entropy[j] += b.Entropy
 			}
+		}
+	}
+	return visited
+}
+
+// drain passes every non-zero word of the neighbor bitmap to visit, in
+// ascending order, and clears all three levels.
+func (a *rowAcc) drain(visit func(w int, word uint64)) {
+	for tw, top := range a.met[2] {
+		if top == 0 {
 			continue
 		}
-		for _, j := range b.P1 {
-			if j != node {
-				a.add(j, w, b.Entropy)
+		a.met[2][tw] = 0
+		for ; top != 0; top &= top - 1 {
+			mw := tw<<6 + bits.TrailingZeros64(top)
+			mid := a.met[1][mw]
+			a.met[1][mw] = 0
+			for ; mid != 0; mid &= mid - 1 {
+				w := mw<<6 + bits.TrailingZeros64(mid)
+				visit(w, a.met[0][w])
+				a.met[0][w] = 0
 			}
 		}
 	}
-	slices.Sort(a.touched)
 }
 
-// reset clears the touched entries in O(degree).
-func (a *nodeAcc) reset() {
-	for _, j := range a.touched {
-		a.common[j], a.arcs[j], a.entropy[j] = 0, 0, 0
-	}
-	a.touched = a.touched[:0]
+// degree counts and clears the marked neighbors.
+func (a *rowAcc) degree() (deg int) {
+	a.drain(func(_ int, word uint64) { deg += bits.OnesCount64(word) })
+	return deg
 }
 
-// entryStore accumulates adjacency entries with doubling growth. Plain
-// append grows large slices by ~1.25x, which allocates roughly 5x the
-// final size over a build; doubling caps total churn at ~2x. These
-// arrays dominate the engine's footprint, so the growth policy is the
-// difference between beating the edge-list builder on allocation and
-// merely matching it.
-type entryStore struct {
-	neighbors  []int32
-	common     []int32
-	arcs       []float64
-	entropySum []float64
-}
-
-func growTo[T any](s []T, newCap int) []T {
-	ns := make([]T, len(s), newCap)
-	copy(ns, s)
-	return ns
-}
-
-// appendNode flushes the accumulator's touched entries into the store.
-func (st *entryStore) appendNode(acc *nodeAcc) {
-	if need := len(st.neighbors) + len(acc.touched); need > cap(st.neighbors) {
-		newCap := 2 * cap(st.neighbors)
-		if newCap < need {
-			newCap = need
+// emit writes the accumulated run to the front of the destination
+// slices in ascending neighbor order, clears the accumulator and
+// returns the run's length.
+func (a *rowAcc) emit(nbr, common []int32, arcs, entropy []float64) (k int) {
+	a.drain(func(w int, word uint64) {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 + bits.TrailingZeros64(word)
+			nbr[k], common[k], arcs[k], entropy[k] = int32(j), a.common[j], a.arcs[j], a.entropy[j]
+			a.common[j], a.arcs[j], a.entropy[j] = 0, 0, 0
+			k++
 		}
-		if newCap < 1024 {
-			newCap = 1024
-		}
-		st.neighbors = growTo(st.neighbors, newCap)
-		st.common = growTo(st.common, newCap)
-		st.arcs = growTo(st.arcs, newCap)
-		st.entropySum = growTo(st.entropySum, newCap)
-	}
-	for _, j := range acc.touched {
-		st.neighbors = append(st.neighbors, j)
-		st.common = append(st.common, acc.common[j])
-		st.arcs = append(st.arcs, acc.arcs[j])
-		st.entropySum = append(st.entropySum, acc.entropy[j])
-	}
+	})
+	return k
 }
 
-// BuildCSR constructs the node-centric blocking graph of a block
-// collection. It visits each block once per member profile, so the cost
-// is proportional to 2*||B|| — the same asymptotics as Build — but no
-// global edge map is ever allocated: memory is the output adjacency plus
-// an O(NumProfiles) scratch accumulator. The resulting graph carries
-// exactly the statistics of Build (per-edge values are bit-identical).
-func BuildCSR(c *blocking.Collection) *CSR {
-	g, _ := BuildCSRCtx(context.Background(), c)
-	return g
-}
+// buildPollBudget paces the builders' cancellation polls: a node costs
+// buildPollBudget/csrCancelCheckEvery plus the comparisons its walk
+// visited, and ctx is polled each time the budget runs out — every
+// csrCancelCheckEvery nodes at the latest, sooner across hub nodes.
+const buildPollBudget = 1 << 20
 
-// BuildCSRCtx is BuildCSR with cooperative cancellation: the per-node
-// accumulation loop checks ctx every few thousand nodes and returns
-// ctx.Err() as soon as cancellation is observed, discarding the partial
-// adjacency.
-func BuildCSRCtx(ctx context.Context, c *blocking.Collection) (*CSR, error) {
-	g := newCSRHeader(c)
-	ix := buildBlockIndex(c, g.BlockCounts)
-	inv := blockInverses(c)
-	acc := newNodeAcc(c.NumProfiles)
-	var st entryStore
-	for n := 0; n < c.NumProfiles; n++ {
-		if n%csrCancelCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		acc.accumulate(c, inv, &ix, int32(n))
-		st.appendNode(acc)
-		g.Offsets[n+1] = int64(len(st.neighbors))
-		acc.reset()
-	}
-	g.Neighbors, g.Common, g.ARCS, g.EntropySum =
-		st.neighbors, st.common, st.arcs, st.entropySum
-	g.Weights = make([]float64, len(g.Neighbors))
-	return g, nil
-}
-
-// BuildCSRParallel constructs the same graph as BuildCSR using workers
-// goroutines (0 = GOMAXPROCS). Nodes are cut into contiguous ranges of
-// roughly equal block-membership mass; each worker builds its range's
-// adjacency independently (per-node computation touches only that
-// worker's scratch), and the per-range chunks are concatenated in node
-// order, so the result is byte-identical to the serial build.
-func BuildCSRParallel(c *blocking.Collection, workers int) *CSR {
-	g, _ := BuildCSRParallelCtx(context.Background(), c, workers)
-	return g
-}
-
-// BuildCSRParallelCtx is BuildCSRParallel with cooperative cancellation:
-// every worker polls ctx at node-chunk granularity and abandons its
-// range, and the build returns ctx.Err() after the join, discarding the
-// partial chunks.
-func BuildCSRParallelCtx(ctx context.Context, c *blocking.Collection, workers int) (*CSR, error) {
+// BuildOwnedCSR is the one resident CSR builder; BuildCSR is workers = 1
+// with owns = nil (every row). Offsets spans every profile of the
+// collection, but adjacency runs are built only for the rows owns
+// selects; every other row is an empty run. That is the build primitive
+// of partitioned sharding: each shard materializes its owned rows from
+// the shared block collection, bit-identical to the same rows of a full
+// build because a node's run depends on nothing but the collection. The
+// header statistics (BlockCounts, TotalBlocks, TotalComparisons) stay
+// global; NumEdges() of an owned build counts owned entries over two,
+// NOT the global edges (shards exchange owned degrees for those).
+//
+// Nodes are cut into contiguous ranges of roughly equal block-membership
+// mass, one per worker (0 = GOMAXPROCS). A degree pass marks each owned
+// node's neighbors and counts them into Offsets; after the prefix sums
+// every entry array is allocated once at its exact size, and a fill
+// pass accumulates each node again and emits its run in place. A node
+// is computed by one worker into its own slice of the output, so the
+// result is byte-identical at every worker count. Both passes poll ctx
+// (see buildPollBudget); a cancelled build returns ctx.Err() after the
+// join and discards the partial adjacency.
+func BuildOwnedCSR(ctx context.Context, c *blocking.Collection, owns func(int32) bool, workers int) (*CSR, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || c.NumProfiles < 2*workers {
-		return BuildCSRCtx(ctx, c)
+	if c.NumProfiles < 2*workers {
+		workers = 1
 	}
 	g := newCSRHeader(c)
 	ix := buildBlockIndex(c, g.BlockCounts)
 	inv := blockInverses(c)
 	bounds := cutRanges(ix.offsets, workers)
+	accs := make([]*rowAcc, workers)
 
-	chunks := make([]entryStore, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			acc := newNodeAcc(c.NumProfiles)
-			ch := &chunks[w]
-			for n := bounds[w]; n < bounds[w+1]; n++ {
-				if (n-bounds[w])%csrCancelCheckEvery == 0 && ctx.Err() != nil {
-					return
+	// pass runs visit over every owned node, each worker on its range.
+	pass := func(visit func(acc *rowAcc, n int32) (visited int)) error {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if accs[w] == nil {
+					accs[w] = newRowAcc(c.NumProfiles)
 				}
-				acc.accumulate(c, inv, &ix, int32(n))
-				ch.appendNode(acc)
-				// Chunk-local offset; rebased after the join. Ranges are
-				// disjoint, so these writes do not race.
-				g.Offsets[n+1] = int64(len(ch.neighbors))
-				acc.reset()
-			}
-		}(w)
+				budget := 0
+				for n := bounds[w]; n < bounds[w+1]; n++ {
+					if budget <= 0 {
+						if ctx.Err() != nil {
+							return
+						}
+						budget = buildPollBudget
+					}
+					budget -= buildPollBudget / csrCancelCheckEvery
+					if owns == nil || owns(int32(n)) {
+						budget -= visit(accs[w], int32(n))
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		return ctx.Err()
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+
+	err := pass(func(acc *rowAcc, n int32) int {
+		visited := acc.walk(c, inv, &ix, n, false)
+		g.Offsets[n+1] = int64(acc.degree())
+		return visited
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	total := 0
-	for w := range chunks {
-		total += len(chunks[w].neighbors)
+	for n := 0; n < c.NumProfiles; n++ {
+		g.Offsets[n+1] += g.Offsets[n]
 	}
-	g.Neighbors = make([]int32, 0, total)
-	g.Common = make([]int32, 0, total)
-	g.ARCS = make([]float64, 0, total)
-	g.EntropySum = make([]float64, 0, total)
-	base := int64(0)
-	for w := range chunks {
-		for n := bounds[w]; n < bounds[w+1]; n++ {
-			g.Offsets[n+1] += base
-		}
-		g.Neighbors = append(g.Neighbors, chunks[w].neighbors...)
-		g.Common = append(g.Common, chunks[w].common...)
-		g.ARCS = append(g.ARCS, chunks[w].arcs...)
-		g.EntropySum = append(g.EntropySum, chunks[w].entropySum...)
-		base += int64(len(chunks[w].neighbors))
-		// Release each chunk as soon as it is stitched. The peak — final
-		// arrays plus all chunks, ~2x the adjacency — is unavoidable at
-		// the start of the merge, but this makes memory fall back toward
-		// 1x as the merge proceeds instead of holding 2x throughout.
-		chunks[w] = entryStore{}
+	entries := g.Offsets[c.NumProfiles]
+	g.Neighbors = make([]int32, entries)
+	g.Common = make([]int32, entries)
+	g.ARCS = make([]float64, entries)
+	g.EntropySum = make([]float64, entries)
+	g.Weights = make([]float64, entries)
+	err = pass(func(acc *rowAcc, n int32) int {
+		visited := acc.walk(c, inv, &ix, n, true)
+		lo, hi := g.Offsets[n], g.Offsets[n+1]
+		acc.emit(g.Neighbors[lo:hi], g.Common[lo:hi], g.ARCS[lo:hi], g.EntropySum[lo:hi])
+		return visited
+	})
+	if err != nil {
+		return nil, err
 	}
-	g.Weights = make([]float64, len(g.Neighbors))
 	return g, nil
+}
+
+// BuildCSR constructs the node-centric blocking graph of a block
+// collection. It visits each block twice per member profile (to size
+// the runs, then to fill them), so the cost is proportional to ||B|| —
+// the asymptotics of Build — but no global edge map is ever allocated:
+// memory is the output adjacency plus an O(NumProfiles) accumulator.
+// The graph carries exactly the statistics of Build, bit for bit.
+func BuildCSR(c *blocking.Collection) *CSR {
+	g, _ := BuildCSRCtx(context.Background(), c)
+	return g
+}
+
+// BuildCSRCtx is BuildCSR with cooperative cancellation.
+func BuildCSRCtx(ctx context.Context, c *blocking.Collection) (*CSR, error) {
+	return BuildOwnedCSR(ctx, c, nil, 1)
+}
+
+// BuildCSRParallel constructs the same graph as BuildCSR, byte for
+// byte, using workers goroutines (0 = GOMAXPROCS).
+func BuildCSRParallel(c *blocking.Collection, workers int) *CSR {
+	g, _ := BuildCSRParallelCtx(context.Background(), c, workers)
+	return g
+}
+
+// BuildCSRParallelCtx is BuildCSRParallel with cooperative cancellation.
+func BuildCSRParallelCtx(ctx context.Context, c *blocking.Collection, workers int) (*CSR, error) {
+	return BuildOwnedCSR(ctx, c, nil, workers)
 }
 
 // cutRanges splits the node space into `workers` contiguous ranges of

@@ -1,7 +1,16 @@
 package graph
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"os"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
@@ -75,6 +84,135 @@ func TestBuildCSRMatchesBuildOnPaperExample(t *testing.T) {
 	checkCSRMatchesGraph(t, Build(c), BuildCSR(c))
 }
 
+// csrEntry is one adjacency entry with its co-occurrence statistics.
+type csrEntry struct {
+	v, common int32
+	arcs, ent float64
+}
+
+// csrRows lists a graph's adjacency row by row: straight from the entry
+// arrays of a resident graph, through WeighSpilled for a spilled one.
+func csrRows(t *testing.T, g *CSR) [][]csrEntry {
+	t.Helper()
+	rows := make([][]csrEntry, g.NumProfiles)
+	if g.Spilled() {
+		err := g.WeighSpilled(func(u, v int32, common int32, arcs, ent float64) float64 {
+			rows[u] = append(rows[u], csrEntry{v, common, arcs, ent})
+			return 0
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	for n := range rows {
+		for p := g.Offsets[n]; p < g.Offsets[n+1]; p++ {
+			rows[n] = append(rows[n], csrEntry{g.Neighbors[p], g.Common[p], g.ARCS[p], g.EntropySum[p]})
+		}
+	}
+	return rows
+}
+
+// checkExactArrays asserts that every entry array was allocated at its
+// exact size: nothing of a builder's growth slack may survive into the
+// serving index.
+func checkExactArrays(t *testing.T, label string, g *CSR) {
+	t.Helper()
+	n := int(g.NumEntries())
+	for name, lc := range map[string][2]int{
+		"Neighbors":  {len(g.Neighbors), cap(g.Neighbors)},
+		"Common":     {len(g.Common), cap(g.Common)},
+		"ARCS":       {len(g.ARCS), cap(g.ARCS)},
+		"EntropySum": {len(g.EntropySum), cap(g.EntropySum)},
+		"Weights":    {len(g.Weights), cap(g.Weights)},
+	} {
+		if lc[0] != n || lc[1] != n {
+			t.Fatalf("%s: %s has len %d cap %d, want both %d", label, name, lc[0], lc[1], n)
+		}
+	}
+}
+
+// checkBuildersAgree holds every builder to the edge-list oracle on one
+// collection: the serial CSR matches graph.Build; the parallel build is
+// the serial one array for array at every worker count; the owned
+// builds of 1, 2 and 4 owners partition its rows; the spilled build
+// serves the same rows, and the under-budget spill build is resident
+// and equal.
+func checkBuildersAgree(t *testing.T, label string, c *blocking.Collection) {
+	t.Helper()
+	ctx := context.Background()
+	full := BuildCSR(c)
+	checkCSRMatchesGraph(t, Build(c), full)
+	checkExactArrays(t, label+" serial", full)
+	rows := csrRows(t, full)
+	for n, row := range rows {
+		for _, e := range row {
+			if int(e.v) == n {
+				t.Fatalf("%s: node %d lists itself as a neighbor", label, n)
+			}
+		}
+	}
+
+	for _, workers := range []int{0, 2, 3, 4, 8} {
+		par, err := BuildCSRParallelCtx(ctx, c, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(par, full) {
+			t.Fatalf("%s: workers=%d build differs from the serial build", label, workers)
+		}
+		checkExactArrays(t, fmt.Sprintf("%s workers=%d", label, workers), par)
+	}
+
+	for _, owners := range []int{1, 2, 4} {
+		for k := 0; k < owners; k++ {
+			owns := func(n int32) bool { return int(n)%owners == k }
+			workers := []int{1, 2, 4}[k%3]
+			g, err := BuildOwnedCSR(ctx, c, owns, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExactArrays(t, fmt.Sprintf("%s owner %d/%d", label, k, owners), g)
+			if !reflect.DeepEqual(g.BlockCounts, full.BlockCounts) || g.TotalBlocks != full.TotalBlocks || g.TotalComparisons != full.TotalComparisons {
+				t.Fatalf("%s: owner %d/%d header differs from the full build", label, k, owners)
+			}
+			for n, row := range csrRows(t, g) {
+				want := rows[n]
+				if !owns(int32(n)) {
+					want = nil
+				}
+				if !reflect.DeepEqual(row, want) {
+					t.Fatalf("%s: owner %d/%d row %d = %v, want %v", label, k, owners, n, row, want)
+				}
+			}
+		}
+	}
+
+	opt := tinySpill
+	opt.Dir = t.TempDir()
+	spilled, err := BuildCSRSpillCtx(ctx, c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !spilled.Spilled() || !reflect.DeepEqual(spilled.Offsets, full.Offsets) {
+		t.Fatalf("%s: spilled build: spilled=%v, offsets equal=%v", label, spilled.Spilled(), reflect.DeepEqual(spilled.Offsets, full.Offsets))
+	}
+	if got := csrRows(t, spilled); !reflect.DeepEqual(got, rows) {
+		t.Fatalf("%s: spilled rows differ from the resident build", label)
+	}
+	if err := spilled.Close(); err != nil {
+		t.Fatal(err)
+	}
+	roomy, err := BuildCSRSpillCtx(ctx, c, SpillOptions{Dir: opt.Dir, MemoryBudget: 1 << 40, PageEntries: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(roomy, full) {
+		t.Fatalf("%s: under-budget spill build differs from BuildCSR", label)
+	}
+	checkExactArrays(t, label+" under-budget spill", roomy)
+}
+
 func TestBuildCSRMatchesBuildOnRandomCollections(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		rng := stats.NewRNG(seed)
@@ -83,7 +221,7 @@ func TestBuildCSRMatchesBuildOnRandomCollections(t *testing.T) {
 			if err := c.Validate(); err != nil {
 				t.Fatalf("seed %d: invalid random collection: %v", seed, err)
 			}
-			checkCSRMatchesGraph(t, Build(c), BuildCSR(c))
+			checkBuildersAgree(t, fmt.Sprintf("seed %d %v", seed, kind), c)
 		}
 	}
 }
@@ -91,27 +229,161 @@ func TestBuildCSRMatchesBuildOnRandomCollections(t *testing.T) {
 func TestBuildCSRParallelMatchesSerial(t *testing.T) {
 	rng := stats.NewRNG(7)
 	for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
-		c := blocking.RandomCollection(rng, kind, 200, 150)
-		serial := BuildCSR(c)
-		for _, workers := range []int{0, 2, 3, 8} {
-			par := BuildCSRParallel(c, workers)
-			if len(par.Neighbors) != len(serial.Neighbors) {
-				t.Fatalf("workers=%d: %d entries, want %d", workers, len(par.Neighbors), len(serial.Neighbors))
-			}
-			for i := range serial.Offsets {
-				if par.Offsets[i] != serial.Offsets[i] {
-					t.Fatalf("workers=%d: Offsets[%d] = %d, want %d", workers, i, par.Offsets[i], serial.Offsets[i])
-				}
-			}
-			for i := range serial.Neighbors {
-				if par.Neighbors[i] != serial.Neighbors[i] ||
-					par.Common[i] != serial.Common[i] ||
-					par.ARCS[i] != serial.ARCS[i] ||
-					par.EntropySum[i] != serial.EntropySum[i] {
-					t.Fatalf("workers=%d: entry %d differs", workers, i)
-				}
+		checkBuildersAgree(t, kind.String(), blocking.RandomCollection(rng, kind, 200, 150))
+	}
+}
+
+// TestBuildCSRShapes runs the builder agreement over the shapes the
+// kernel's emission and ownership logic could get wrong.
+func TestBuildCSRShapes(t *testing.T) {
+	rng := stats.NewRNG(5)
+
+	// A hub adjacent to every profile, over a random background: its run
+	// sets every word of the neighbor bitmap.
+	hubDirty := blocking.RandomCollection(rng, model.Dirty, 300, 80)
+	for i := int32(1); i < 300; i++ {
+		hubDirty.Blocks = append(hubDirty.Blocks, blocking.Block{Key: fmt.Sprintf("hub%03d", i), P1: []int32{0, i}, Entropy: 0.5})
+	}
+	hubClean := blocking.RandomCollection(rng, model.CleanClean, 300, 80)
+	e2 := make([]int32, 0, 150)
+	for j := int32(hubClean.Split); j < 300; j++ {
+		e2 = append(e2, j)
+	}
+	hubClean.Blocks = append(hubClean.Blocks, blocking.Block{Key: "hub", P1: []int32{3}, P2: e2, Entropy: 1.5})
+
+	// N far above the mean degree: most summary words stay zero and a
+	// run's neighbors sit in words far apart.
+	sparse := &blocking.Collection{Kind: model.Dirty, NumProfiles: 100_000}
+	for b := 0; b < 1500; b++ {
+		blk := blocking.Block{Key: fmt.Sprintf("s%04d", b), Entropy: rng.Float64()}
+		for len(blk.P1) < 2+b%2 {
+			if id := int32(rng.Intn(sparse.NumProfiles)); !slices.Contains(blk.P1, id) {
+				blk.P1 = append(blk.P1, id)
 			}
 		}
+		sparse.Blocks = append(sparse.Blocks, blk)
+	}
+
+	// Blocks that entail no comparison, between blocks that do.
+	free := &blocking.Collection{Kind: model.CleanClean, NumProfiles: 12, Split: 6}
+	free.Blocks = []blocking.Block{
+		{Key: "a", P1: []int32{0, 1}, P2: []int32{}, Entropy: 1},
+		{Key: "b", P1: []int32{1}, P2: []int32{7, 8}, Entropy: 0.3},
+		{Key: "c", P1: []int32{}, P2: []int32{9}, Entropy: 1},
+		{Key: "d", P1: []int32{1, 2}, P2: []int32{8}, Entropy: 0},
+	}
+
+	// Profiles past the last block member: trailing empty runs.
+	tail := blocking.RandomCollection(rng, model.Dirty, 90, 40)
+	tail.NumProfiles = 700
+
+	for label, c := range map[string]*blocking.Collection{
+		"hub dirty": hubDirty, "hub clean-clean": hubClean, "sparse": sparse,
+		"comparison-free": free, "edgeless tail": tail,
+		"no blocks": {Kind: model.Dirty, NumProfiles: 5}, "no profiles": {Kind: model.Dirty},
+	} {
+		checkBuildersAgree(t, label, c)
+	}
+	if hubDirty.NumProfiles-1 != BuildCSR(hubDirty).Degree(0) {
+		t.Error("the dirty hub is not adjacent to every profile")
+	}
+}
+
+// tripCtx reports context.Canceled from its after-th Err call onwards
+// and counts the calls.
+type tripCtx struct {
+	context.Context
+	after int64
+	polls atomic.Int64
+}
+
+func (c *tripCtx) Err() error {
+	if c.polls.Add(1) >= c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBuildCSRCancellation: every builder returns ctx.Err() with no
+// partial graph, no goroutine and no spill file left behind, whether
+// the context is cancelled before the build or trips at any poll of the
+// degree pass, the fill pass or the spill loop; and polls keep their
+// granularity — once per csrCancelCheckEvery nodes, sooner across hubs.
+func TestBuildCSRCancellation(t *testing.T) {
+	c := blocking.RandomCollection(stats.NewRNG(9), model.Dirty, 3*csrCancelCheckEvery+100, 900)
+	spillDir := t.TempDir()
+	builders := map[string]func(ctx context.Context) (*CSR, error){
+		"serial":   func(ctx context.Context) (*CSR, error) { return BuildCSRCtx(ctx, c) },
+		"parallel": func(ctx context.Context) (*CSR, error) { return BuildCSRParallelCtx(ctx, c, 4) },
+		"owned": func(ctx context.Context) (*CSR, error) {
+			return BuildOwnedCSR(ctx, c, func(n int32) bool { return n%2 == 0 }, 2)
+		},
+		"spill": func(ctx context.Context) (*CSR, error) {
+			return BuildCSRSpillCtx(ctx, c, SpillOptions{Dir: spillDir, MemoryBudget: -1, PageEntries: 64})
+		},
+	}
+	before := runtime.NumGoroutine()
+	for name, build := range builders {
+		// A healthy build tells how many polls there are to trip at.
+		counter := &tripCtx{Context: context.Background(), after: math.MaxInt64}
+		g, err := build(counter)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		polls := counter.polls.Load()
+		for after := int64(1); after <= polls; after++ {
+			if g, err := build(&tripCtx{Context: context.Background(), after: after}); err != context.Canceled || g != nil {
+				t.Fatalf("%s tripping at poll %d of %d: (%v, %v), want (nil, context.Canceled)", name, after, polls, g, err)
+			}
+		}
+	}
+	if left, err := os.ReadDir(spillDir); err != nil || len(left) != 0 {
+		t.Errorf("cancelled spill builds left %d entries behind (%v)", len(left), err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines leaked by cancelled builds: %d > %d", n, before)
+	}
+
+	// Granularity. A serial pass polls at least once per
+	// csrCancelCheckEvery nodes — exactly that over edgeless nodes — and
+	// each of the two passes is closed by one more check.
+	edgeless := &blocking.Collection{Kind: model.Dirty, NumProfiles: c.NumProfiles}
+	perPass := int64((c.NumProfiles+csrCancelCheckEvery-1)/csrCancelCheckEvery) + 1
+	for _, tc := range []struct {
+		c     *blocking.Collection
+		exact bool
+	}{{edgeless, true}, {c, false}} {
+		counter := &tripCtx{Context: context.Background(), after: math.MaxInt64}
+		if _, err := BuildCSRCtx(counter, tc.c); err != nil {
+			t.Fatal(err)
+		}
+		if got := counter.polls.Load(); got < 2*perPass || (tc.exact && got != 2*perPass) {
+			t.Errorf("serial build of %d nodes polled %d times, want %d (exactly: %v)", tc.c.NumProfiles, got, 2*perPass, tc.exact)
+		}
+	}
+	// One block holding all 1500 profiles makes every node visit 1500
+	// comparisons, so the entry budget must trigger polls well inside
+	// the first csrCancelCheckEvery nodes.
+	hubs := &blocking.Collection{Kind: model.Dirty, NumProfiles: 1500}
+	all := make([]int32, hubs.NumProfiles)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	hubs.Blocks = []blocking.Block{{Key: "all", P1: all, Entropy: 1}}
+	counter := &tripCtx{Context: context.Background(), after: math.MaxInt64}
+	if _, err := BuildCSRCtx(counter, hubs); err != nil {
+		t.Fatal(err)
+	}
+	nodePolls := 2 * (int64((hubs.NumProfiles+csrCancelCheckEvery-1)/csrCancelCheckEvery) + 1)
+	if got := counter.polls.Load(); got <= nodePolls {
+		t.Errorf("hub build polled %d times, want more than the %d node-count polls", got, nodePolls)
 	}
 }
 

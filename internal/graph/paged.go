@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sync"
 
 	"blast/internal/blocking"
@@ -462,7 +463,6 @@ func (g *CSR) weighSpilled(pg *pagedEntries, fn func(u, v int32, common int32, a
 type spillBuilder struct {
 	opt     SpillOptions
 	target  int
-	g       *CSR
 	pg      *pagedEntries
 	spilled bool
 
@@ -484,16 +484,22 @@ type pageBuf struct {
 
 func (b *pageBuf) len() int { return len(b.nbr) }
 
-// appendRun appends one node's accumulated run to the open page.
-func (sb *spillBuilder) appendRun(acc *nodeAcc) error {
-	for _, j := range acc.touched {
-		sb.cur.nbr = append(sb.cur.nbr, j)
-		sb.cur.common = append(sb.cur.common, acc.common[j])
-		sb.cur.arcs = append(sb.cur.arcs, acc.arcs[j])
-		sb.cur.ent = append(sb.cur.ent, acc.entropy[j])
-	}
-	sb.entries += int64(len(acc.touched))
-	return nil
+// resize sets the length of every column to n, keeping their contents.
+func (b *pageBuf) resize(n int) {
+	b.nbr = slices.Grow(b.nbr[:0], n)[:n]
+	b.common = slices.Grow(b.common[:0], n)[:n]
+	b.arcs = slices.Grow(b.arcs[:0], n)[:n]
+	b.ent = slices.Grow(b.ent[:0], n)[:n]
+}
+
+// appendRun emits the accumulator's run onto the open page; atMost
+// bounds its length (the comparisons the node's walk visited).
+func (sb *spillBuilder) appendRun(acc *rowAcc, atMost int) {
+	at := sb.cur.len()
+	sb.cur.resize(at + atMost)
+	n := acc.emit(sb.cur.nbr[at:], sb.cur.common[at:], sb.cur.arcs[at:], sb.cur.ent[at:])
+	sb.cur.resize(at + n)
+	sb.entries += int64(n)
 }
 
 // closeNode seals the node boundary after node u's run was appended:
@@ -522,7 +528,7 @@ func (sb *spillBuilder) sealPage(nextNode int) error {
 		if err := sb.flushPage(&sb.cur); err != nil {
 			return err
 		}
-		sb.cur = pageBuf{nbr: sb.cur.nbr[:0], common: sb.cur.common[:0], arcs: sb.cur.arcs[:0], ent: sb.cur.ent[:0]}
+		sb.cur.resize(0)
 	} else {
 		sb.done = append(sb.done, sb.cur)
 		sb.cur = pageBuf{}
@@ -600,11 +606,10 @@ func BuildCSRSpillCtx(ctx context.Context, c *blocking.Collection, opt SpillOpti
 	g := newCSRHeader(c)
 	ix := buildBlockIndex(c, g.BlockCounts)
 	inv := blockInverses(c)
-	acc := newNodeAcc(c.NumProfiles)
+	acc := newRowAcc(c.NumProfiles)
 	sb := &spillBuilder{
 		opt:    opt,
 		target: opt.pageEntries(),
-		g:      g,
 		pg:     &pagedEntries{startNode: []int32{0}, startEntry: []int64{0}},
 	}
 	if opt.MemoryBudget <= 0 {
@@ -614,20 +619,19 @@ func BuildCSRSpillCtx(ctx context.Context, c *blocking.Collection, opt SpillOpti
 			return nil, err
 		}
 	}
+	budget := 0
 	for n := 0; n < c.NumProfiles; n++ {
-		if n%csrCancelCheckEvery == 0 {
+		if budget <= 0 {
 			if err := ctx.Err(); err != nil {
 				sb.abort()
 				return nil, err
 			}
+			budget = buildPollBudget
 		}
-		acc.accumulate(c, inv, &ix, int32(n))
-		if err := sb.appendRun(acc); err != nil {
-			sb.abort()
-			return nil, err
-		}
+		visited := acc.walk(c, inv, &ix, int32(n), true)
+		budget -= buildPollBudget/csrCancelCheckEvery + visited
+		sb.appendRun(acc, visited)
 		g.Offsets[n+1] = sb.entries
-		acc.reset()
 		if err := sb.closeNode(n); err != nil {
 			sb.abort()
 			return nil, err

@@ -354,13 +354,10 @@ func runNodeCentric(ctx context.Context, c *blocking.Collection, cfg Config) (*R
 	t0 := telemetryNow()
 	var g *graph.CSR
 	var err error
-	switch {
-	case cfg.Spill != nil:
+	if cfg.Spill != nil {
 		g, err = graph.BuildCSRSpillCtx(ctx, c, *cfg.Spill)
-	case workers > 1:
+	} else {
 		g, err = graph.BuildCSRParallelCtx(ctx, c, workers)
-	default:
-		g, err = graph.BuildCSRCtx(ctx, c)
 	}
 	if err != nil {
 		return nil, err

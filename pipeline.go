@@ -117,7 +117,7 @@ func (p *Pipeline) InduceSchema(ctx context.Context, ds *model.Dataset) (*Schema
 	sch := &Schema{Induction: p.opt.Induction}
 	if p.opt.Induction != NoInduction {
 		profiles := attr.ExtractProfiles(ds, p.opt.Transform)
-		cfg := attr.Config{Alpha: p.opt.Alpha, Glue: p.opt.Glue}
+		cfg := attr.Config{Alpha: p.opt.Alpha, Glue: p.opt.Glue, Workers: p.opt.Workers}
 		if p.opt.TFIDF {
 			cfg.Representation = attr.TFIDF
 		}
