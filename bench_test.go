@@ -468,19 +468,18 @@ func BenchmarkEngine_CSRBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkCNPStream times CNP's selection-cut kernel alone — the cut
-// pass plus the retention pass of prune.CNPStream — over one resident,
-// weighted CSR of a streamed dirty corpus (the shape of bench/e2e's
-// sweep-dirty, a quarter of its size: mean degree in the hundreds
-// against a budget of tens). Run with -benchmem: scratch is O(k) per
-// worker plus two per-node vectors, never per-entry.
-func BenchmarkCNPStream(b *testing.B) {
+// streamBlocks runs the default pipeline's schema induction and
+// blocking over a streamed dirty corpus of n profiles: the shape of
+// bench/e2e's sweep workloads (5000 is a quarter of their size, mean
+// degree in the hundreds).
+func streamBlocks(b *testing.B, n int) *blocking.Collection {
+	b.Helper()
 	ctx := context.Background()
 	p, err := blast.NewPipeline(blast.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	ds := datasets.NewStream(5000, 1).Dataset()
+	ds := datasets.NewStream(n, 1).Dataset()
 	schema, err := p.InduceSchema(ctx, ds)
 	if err != nil {
 		b.Fatal(err)
@@ -489,7 +488,97 @@ func BenchmarkCNPStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	csr := graph.BuildCSRParallel(blocks.Collection, 0)
+	return blocks.Collection
+}
+
+// BenchmarkEngine_ApplyCSR times the weighting kernel alone over one
+// resident CSR: CBS (the weight is a copy of a statistic, so this is
+// the kernel's own cost per entry) and the paper's chi2*h, serial and
+// with one worker per CPU.
+func BenchmarkEngine_ApplyCSR(b *testing.B) {
+	ctx := context.Background()
+	csr := graph.BuildCSRParallel(streamBlocks(b, 5000), 0)
+	for _, s := range []weights.Scheme{{Kind: weights.CBS}, weights.Blast()} {
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("%s/workers=%d", s.Name(), workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := s.ApplyCSRCtx(ctx, csr, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(csr.NumEdges()), "edges")
+			})
+		}
+	}
+}
+
+// BenchmarkEngine_SpilledSweep runs one Phase-3 sweep — chi2*h, then
+// BlastWNP and CEP — over the same blocks resident and spilled at a
+// budget far below the adjacency. Run with -benchmem: the spilled row
+// reports its time over the resident row's, the segment frames a sweep
+// loads (one per page and stream a pass reads, see pages) and, in B/op,
+// that a paged pass allocates its workers' page buffers — O(workers x
+// page) — and nothing per entry.
+func BenchmarkEngine_SpilledSweep(b *testing.B) {
+	ctx := context.Background()
+	blocks := streamBlocks(b, 5000)
+	resident := graph.BuildCSRParallel(blocks, 0)
+	spilled, err := graph.BuildCSRSpillCtx(ctx, blocks, graph.SpillOptions{Dir: b.TempDir(), MemoryBudget: 1 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer spilled.Close()
+	if !spilled.Spilled() {
+		b.Fatal("the adjacency fit the budget")
+	}
+	sweep := func(b *testing.B, g *graph.CSR) (pairs int) {
+		if err := weights.Blast().ApplyCSRCtx(ctx, g, 0); err != nil {
+			b.Fatal(err)
+		}
+		for _, pruning := range []metablocking.Pruning{metablocking.BlastWNP, metablocking.CEP} {
+			got, err := metablocking.PruneCSR(ctx, g, metablocking.Config{Scheme: weights.Blast(), Pruning: pruning, C: 2, D: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pairs += len(got)
+		}
+		return pairs
+	}
+	var residentNs float64
+	b.Run("resident", func(b *testing.B) {
+		b.ReportAllocs()
+		pairs := 0
+		for i := 0; i < b.N; i++ {
+			pairs = sweep(b, resident)
+		}
+		residentNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		b.ReportMetric(float64(pairs), "pairs")
+	})
+	b.Run("spilled", func(b *testing.B) {
+		b.ReportAllocs()
+		pairs, loads := 0, spilled.PageLoads()
+		for i := 0; i < b.N; i++ {
+			pairs = sweep(b, spilled)
+		}
+		b.ReportMetric(float64(pairs), "pairs")
+		b.ReportMetric(float64(spilled.PageLoads()-loads)/float64(b.N), "frames/op")
+		b.ReportMetric(float64(spilled.NumEntries())/float64(1<<16), "pages")
+		if residentNs > 0 {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/residentNs, "paged/resident")
+		}
+	})
+}
+
+// BenchmarkCNPStream times CNP's selection-cut kernel alone — the cut
+// pass plus the retention pass of prune.CNPStream — over one resident,
+// weighted CSR of a streamed dirty corpus (the shape of bench/e2e's
+// sweep-dirty, a quarter of its size: mean degree in the hundreds
+// against a budget of tens). Run with -benchmem: scratch is O(k) per
+// worker plus two per-node vectors, never per-entry.
+func BenchmarkCNPStream(b *testing.B) {
+	ctx := context.Background()
+	csr := graph.BuildCSRParallel(streamBlocks(b, 5000), 0)
 	weights.Blast().ApplyCSR(csr)
 	csr.ReleaseStats()
 	for _, mode := range []prune.Mode{prune.Redefined, prune.Reciprocal} {

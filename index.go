@@ -184,12 +184,11 @@ func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bo
 		}
 		return nil, err
 	}
-	p.opt.Scheme.ApplyCSR(csr)
+	if err := p.opt.Scheme.ApplyCSRCtx(ctx, csr, p.opt.Workers); err != nil {
+		return fail(err)
+	}
 	if !keepStats {
 		csr.ReleaseStats()
-	}
-	if err := ctx.Err(); err != nil {
-		return fail(err)
 	}
 
 	pairs, retained, theta, err := freezeDecisions(ctx, csr, p.opt)
@@ -225,7 +224,10 @@ func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bo
 // retained pairs in canonical order, the per-entry retention mask, and
 // the per-node thresholds. It is the shared tail of a cold IndexBlocks
 // and of the incremental path's global re-derivation, which is what
-// makes the two byte-identical by construction.
+// makes the two byte-identical by construction. Over a spilled CSR each
+// of its three passes fails closed on the graph's sticky read error —
+// at entry and for pages that fail under it — so no decision is ever
+// adopted from zeroed runs.
 func freezeDecisions(ctx context.Context, csr *graph.CSR, opt Options) ([]model.IDPair, []bool, []float64, error) {
 	pairs, err := metablocking.PruneCSR(ctx, csr, metaConfigFromOptions(opt))
 	if err != nil {
@@ -248,11 +250,6 @@ func freezeDecisions(ctx context.Context, csr *graph.CSR, opt Options) ([]model.
 	}
 	theta, err := nodeThresholds(ctx, csr, opt)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Spilled page reads fail closed through the sticky error: reject
-	// the freeze rather than adopting decisions derived from zeroed runs.
-	if err := csr.Err(); err != nil {
 		return nil, nil, nil, err
 	}
 	return pairs, retained, theta, nil
@@ -637,14 +634,16 @@ func (ix *Index) Spilled() bool {
 }
 
 // StorageStats reports the residency counters of the index's graph
-// storage: bytes of spill segment data on disk and the page-cache
-// statistics accumulated by candidate serving. Both are zero for a
-// resident index (including a spilled one already materialized by an
+// storage: bytes of spill segment data on disk, the page-cache
+// statistics accumulated by candidate serving (the build's sequential
+// passes read through private page cursors and never touch the cache),
+// and the segment frames read back so far by any path. All are zero for
+// a resident index (including a spilled one already materialized by an
 // Insert or a snapshot export).
-func (ix *Index) StorageStats() (spillBytes int64, cache store.CacheStats) {
+func (ix *Index) StorageStats() (spillBytes int64, cache store.CacheStats, pageLoads int64) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.csr.SpillBytes(), ix.csr.CacheStats()
+	return ix.csr.SpillBytes(), ix.csr.CacheStats(), ix.csr.PageLoads()
 }
 
 // Close releases the index's spilled segment files, if any. A resident
@@ -1076,10 +1075,12 @@ func (ix *Index) rebuildDecisionsLocked() error {
 		// broken invariant — surfaced to InsertAll, not a panic.
 		return err
 	}
-	ix.opt.Scheme.ApplyCSR(csr)
+	if err := ix.opt.Scheme.ApplyCSRCtx(ctx, csr, ix.opt.Workers); err != nil {
+		return err // background context never cancels
+	}
 	pairs, retained, theta, err := freezeDecisions(ctx, csr, ix.opt)
 	if err != nil {
-		return err // background context never cancels
+		return err
 	}
 	ix.csr = csr
 	ix.retained = retained

@@ -42,8 +42,14 @@ type SpillRow struct {
 
 	// CacheHitRate is the page-cache hit rate over two full candidate
 	// sweeps of the spilled index (the second sweep re-reads pages the
-	// first faulted in).
+	// first faulted in). Only these serving reads go through the cache;
+	// the build's sequential passes read through private page cursors.
 	CacheHitRate float64 `json:"cache_hit_rate"`
+	// BuildPageLoads / ServePageLoads count the segment frames read back
+	// by the cold build (weighting, pruning, freeze) and by the two
+	// candidate sweeps (their cache misses).
+	BuildPageLoads int64 `json:"build_page_loads"`
+	ServePageLoads int64 `json:"serve_page_loads"`
 
 	// PairsMatch records the spilled-vs-resident differential; a
 	// divergence fails the experiment rather than annotating the row.
@@ -130,6 +136,7 @@ func spillOne(cfg Config, n int) (SpillRow, error) {
 	defer fileIx.Close()
 	row.HeapSpilledBytes = liveHeap() - heap0
 	row.Spilled = fileIx.Spilled()
+	_, _, row.BuildPageLoads = fileIx.StorageStats()
 	if !row.Spilled {
 		return SpillRow{}, fmt.Errorf("corpus of %d profiles stayed under the %d-byte budget", n, int64(spillBudgetBytes))
 	}
@@ -145,11 +152,8 @@ func spillOne(cfg Config, n int) (SpillRow, error) {
 			buf = fileIx.AppendCandidates(buf[:0], i)
 		}
 	}
-	var cache = func() (spill int64, hit float64) {
-		spill, cs := fileIx.StorageStats()
-		return spill, cs.HitRate()
-	}
-	row.SpillBytes, row.CacheHitRate = cache()
+	spill, cs, loads := fileIx.StorageStats()
+	row.SpillBytes, row.CacheHitRate, row.ServePageLoads = spill, cs.HitRate(), loads-row.BuildPageLoads
 
 	row.PairsMatch = slices.Equal(memPairs, fileIx.Pairs())
 	if !row.PairsMatch {
@@ -165,13 +169,14 @@ func spillOne(cfg Config, n int) (SpillRow, error) {
 func RenderSpill(rows []SpillRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "beyond-RAM storage: file-backed (spilled) vs resident index build\n")
-	fmt.Fprintf(&b, "%9s %12s %8s %12s %12s %12s %9s %8s %7s\n",
-		"profiles", "budget", "spilled", "spill bytes", "heap spill", "heap resid", "heap/res", "cache", "match")
+	fmt.Fprintf(&b, "%9s %12s %8s %12s %12s %12s %9s %8s %11s %11s %7s\n",
+		"profiles", "budget", "spilled", "spill bytes", "heap spill", "heap resid", "heap/res", "cache",
+		"build loads", "serve loads", "match")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%9d %12d %8v %12d %12d %12d %8.2fx %7.1f%% %7v\n",
+		fmt.Fprintf(&b, "%9d %12d %8v %12d %12d %12d %8.2fx %7.1f%% %11d %11d %7v\n",
 			r.Profiles, r.MemoryBudget, r.Spilled, r.SpillBytes,
 			r.HeapSpilledBytes, r.HeapResidentBytes, r.HeapVsResident,
-			100*r.CacheHitRate, r.PairsMatch)
+			100*r.CacheHitRate, r.BuildPageLoads, r.ServePageLoads, r.PairsMatch)
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"context"
+	"errors"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -58,8 +59,8 @@ type CSR struct {
 	// node-aligned pages instead of the resident slices above (which are
 	// then nil); see paged.go. Offsets and BlockCounts stay resident in
 	// both modes. All access to Neighbors/Weights must go through the
-	// run accessors (Run, Canonical*) so both backings
-	// serve the identical bytes.
+	// run accessors (Run, Reader, Canonical*) so both backings serve the
+	// identical bytes.
 	pages *pagedEntries
 }
 
@@ -82,9 +83,11 @@ func (g *CSR) Degree(i int) int { return int(g.Offsets[i+1] - g.Offsets[i]) }
 // before). Entry i of the run sits at global position Offsets[u]+i in
 // the entry arrays. The slices alias the graph's backing store — a
 // resident sub-slice or a cached page — and must not be mutated or
-// retained across other graph operations. This is the one accessor
-// every pruning and serving pass iterates runs through, so the resident
-// and spilled backings serve byte-identical data.
+// retained across other graph operations. Run is the random-access
+// read (a serving lookup of one row): on a spilled graph it goes
+// through the shared page cache. Passes that sweep runs in order read
+// through a cursor of their own instead (Reader), which serves the
+// identical bytes without the cache.
 func (g *CSR) Run(u int) (nbr []int32, wts []float64) {
 	lo, hi := g.Offsets[u], g.Offsets[u+1]
 	if g.pages != nil {
@@ -136,8 +139,14 @@ func (g *CSR) Canonical(fn func(u, v int32, p int64)) {
 // every few thousand nodes and at edge-segment granularity inside each
 // adjacency run, stopping early with ctx.Err(). Entries already visited
 // have been passed to fn; callers must discard partial results on
-// error.
+// error. Over a spilled graph it reads through a private page cursor
+// and fails closed: it refuses a graph whose sticky error is set and
+// returns one raised by its own page loads.
 func (g *CSR) CanonicalCtx(ctx context.Context, fn func(u, v int32, p int64)) error {
+	if err := g.Err(); err != nil {
+		return err
+	}
+	runs := g.Reader()
 	budget := int64(csrCancelCheckEvery)
 	for u := 0; u < g.NumProfiles; u++ {
 		if u%csrCancelCheckEvery == 0 {
@@ -146,7 +155,7 @@ func (g *CSR) CanonicalCtx(ctx context.Context, fn func(u, v int32, p int64)) er
 			}
 		}
 		base, end := g.Offsets[u], g.Offsets[u+1]
-		nbr, _ := g.Run(u)
+		nbr := runs.Neighbors(u)
 		for p := base; p < end; {
 			seg := end - p
 			if seg > budget {
@@ -165,7 +174,7 @@ func (g *CSR) CanonicalCtx(ctx context.Context, fn func(u, v int32, p int64)) er
 			}
 		}
 	}
-	return nil
+	return g.Err()
 }
 
 // CanonicalMirror is Canonical plus the position mp of each edge's
@@ -174,15 +183,19 @@ func (g *CSR) CanonicalCtx(ctx context.Context, fn func(u, v int32, p int64)) er
 // v's run in ascending order — the same order in which their canonical
 // entries are visited — a per-node cursor into that prefix always lands
 // on the current edge's mirror. Every consumer that needs both entries
-// of an edge (weight mirroring, per-endpoint mark resolution) must go
-// through this iterator rather than re-derive the invariant.
+// of an edge (per-endpoint mark resolution) must go through this
+// iterator rather than re-derive the invariant.
 func (g *CSR) CanonicalMirror(fn func(u, v int32, p, mp int64)) {
 	_ = g.CanonicalMirrorCtx(context.Background(), fn)
 }
 
 // CanonicalMirrorCtx is CanonicalMirror with cooperative cancellation,
-// with the same early-stop contract as CanonicalCtx.
+// with the same early-stop and fail-closed contract as CanonicalCtx.
 func (g *CSR) CanonicalMirrorCtx(ctx context.Context, fn func(u, v int32, p, mp int64)) error {
+	if err := g.Err(); err != nil {
+		return err
+	}
+	runs := g.Reader()
 	cursors := make([]int64, g.NumProfiles)
 	budget := int64(csrCancelCheckEvery)
 	for u := 0; u < g.NumProfiles; u++ {
@@ -192,7 +205,7 @@ func (g *CSR) CanonicalMirrorCtx(ctx context.Context, fn func(u, v int32, p, mp 
 			}
 		}
 		base, end := g.Offsets[u], g.Offsets[u+1]
-		nbr, _ := g.Run(u)
+		nbr := runs.Neighbors(u)
 		for p := base; p < end; {
 			seg := end - p
 			if seg > budget {
@@ -213,6 +226,93 @@ func (g *CSR) CanonicalMirrorCtx(ctx context.Context, fn func(u, v int32, p, mp 
 					return err
 				}
 			}
+		}
+	}
+	return g.Err()
+}
+
+// EntryWeight computes the weight of one adjacency entry — row u's
+// entry for neighbor v — from the edge's co-occurrence statistics. The
+// weighting kernel calls it once per entry, from several goroutines and
+// in no particular order, so it must be a pure function of its
+// arguments and of state nobody writes meanwhile; and it must treat
+// (u, v) and (v, u) alike, since the two entries of an edge are weighed
+// independently and have to come out bit-identical. They can: both
+// carry bit-identical statistics, each accumulated over the shared
+// blocks in ascending block order.
+type EntryWeight func(u, v, common int32, arcs, entropySum float64) float64
+
+// WeighEntries is the one weighting kernel: it sets the weight of every
+// adjacency entry to fn of the entry, on `workers` goroutines (<= 0 =
+// GOMAXPROCS). A resident graph — full or owned-rows — is cut into row
+// ranges of equal entry mass and written in place; a spilled graph is
+// weighed page by page into a new weights segment (see weighSpilled).
+// Every entry is computed on its own, so the weights are bit-identical
+// at every worker count and in either residency. ctx is polled every
+// csrCancelCheckEvery entries; all workers have exited when an error is
+// returned, and the weights of a cancelled resident pass are partial —
+// callers must discard the graph's weights on error.
+func (g *CSR) WeighEntries(ctx context.Context, workers int, fn EntryWeight) error {
+	if err := g.Err(); err != nil {
+		return err
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if g.pages != nil {
+		return g.weighSpilled(ctx, workers, fn)
+	}
+	if g.Common == nil && g.NumEntries() > 0 {
+		return errors.New("graph: weighting a CSR whose statistics were released")
+	}
+	bounds := cutRanges(g.Offsets, workers)
+	return fanOut(workers, func(w int) error {
+		return g.weighRows(ctx, bounds[w], bounds[w+1], 0, g.Neighbors, g.Common, g.ARCS, g.EntropySum, g.Weights, fn)
+	})
+}
+
+// weighRows weighs the entries of rows [lo, hi) out of arrays whose
+// element 0 is entry `base` of the graph — the whole resident arrays or
+// one decoded page.
+func (g *CSR) weighRows(ctx context.Context, lo, hi int, base int64, nbr, common []int32, arcs, ent, out []float64, fn EntryWeight) error {
+	budget := int64(0)
+	for u := lo; u < hi; u++ {
+		for p, end := g.Offsets[u]-base, g.Offsets[u+1]-base; p < end; {
+			if budget == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				budget = csrCancelCheckEvery
+			}
+			seg := min(end-p, budget)
+			for stop := p + seg; p < stop; p++ {
+				out[p] = fn(int32(u), nbr[p], common[p], arcs[p], ent[p])
+			}
+			budget -= seg
+		}
+	}
+	return nil
+}
+
+// fanOut runs fn(0) … fn(n-1) concurrently (inline when n is 1), waits
+// for all of them and returns the first error in index order.
+func fanOut(n int, fn func(i int) error) error {
+	if n == 1 {
+		return fn(0)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -426,30 +526,25 @@ func BuildOwnedCSR(ctx context.Context, c *blocking.Collection, owns func(int32)
 
 	// pass runs visit over every owned node, each worker on its range.
 	pass := func(visit func(acc *rowAcc, n int32) (visited int)) error {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if accs[w] == nil {
-					accs[w] = newRowAcc(c.NumProfiles)
-				}
-				budget := 0
-				for n := bounds[w]; n < bounds[w+1]; n++ {
-					if budget <= 0 {
-						if ctx.Err() != nil {
-							return
-						}
-						budget = buildPollBudget
+		_ = fanOut(workers, func(w int) error {
+			if accs[w] == nil {
+				accs[w] = newRowAcc(c.NumProfiles)
+			}
+			budget := 0
+			for n := bounds[w]; n < bounds[w+1]; n++ {
+				if budget <= 0 {
+					if ctx.Err() != nil {
+						return nil
 					}
-					budget -= buildPollBudget / csrCancelCheckEvery
-					if owns == nil || owns(int32(n)) {
-						budget -= visit(accs[w], int32(n))
-					}
+					budget = buildPollBudget
 				}
-			}()
-		}
-		wg.Wait()
+				budget -= buildPollBudget / csrCancelCheckEvery
+				if owns == nil || owns(int32(n)) {
+					budget -= visit(accs[w], int32(n))
+				}
+			}
+			return nil
+		})
 		return ctx.Err()
 	}
 

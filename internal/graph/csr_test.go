@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -91,23 +92,34 @@ type csrEntry struct {
 }
 
 // csrRows lists a graph's adjacency row by row: straight from the entry
-// arrays of a resident graph, through WeighSpilled for a spilled one.
+// arrays of a resident graph, page by page through the typed loader for
+// a spilled one.
 func csrRows(t *testing.T, g *CSR) [][]csrEntry {
 	t.Helper()
 	rows := make([][]csrEntry, g.NumProfiles)
-	if g.Spilled() {
-		err := g.WeighSpilled(func(u, v int32, common int32, arcs, ent float64) float64 {
-			rows[u] = append(rows[u], csrEntry{v, common, arcs, ent})
-			return 0
-		})
-		if err != nil {
-			t.Fatal(err)
+	nbr, common, arcs, ent := g.Neighbors, g.Common, g.ARCS, g.EntropySum
+	if pg := g.pages; pg != nil {
+		nbr, common, arcs, ent = nil, nil, nil, nil
+		for p := 0; p < pg.pages(); p++ {
+			load := func(err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			n, _, err := loadPage[int32](pg, streamNbr, p, nil, nil)
+			load(err)
+			c, _, err := loadPage[int32](pg, streamCommon, p, nil, nil)
+			load(err)
+			a, _, err := loadPage[float64](pg, streamARCS, p, nil, nil)
+			load(err)
+			e, _, err := loadPage[float64](pg, streamEnt, p, nil, nil)
+			load(err)
+			nbr, common, arcs, ent = append(nbr, n...), append(common, c...), append(arcs, a...), append(ent, e...)
 		}
-		return rows
 	}
 	for n := range rows {
 		for p := g.Offsets[n]; p < g.Offsets[n+1]; p++ {
-			rows[n] = append(rows[n], csrEntry{g.Neighbors[p], g.Common[p], g.ARCS[p], g.EntropySum[p]})
+			rows[n] = append(rows[n], csrEntry{nbr[p], common[p], arcs[p], ent[p]})
 		}
 	}
 	return rows
@@ -384,6 +396,73 @@ func TestBuildCSRCancellation(t *testing.T) {
 	nodePolls := 2 * (int64((hubs.NumProfiles+csrCancelCheckEvery-1)/csrCancelCheckEvery) + 1)
 	if got := counter.polls.Load(); got <= nodePolls {
 		t.Errorf("hub build polled %d times, want more than the %d node-count polls", got, nodePolls)
+	}
+}
+
+// TestWeighEntriesCancellation trips every poll of the weighting kernel
+// in both residencies, serial and parallel: it returns context.Canceled
+// with every worker gone, polls at least once per csrCancelCheckEvery
+// entries, and over a spilled graph a cancelled weighting leaves no
+// half-written segment, no sticky error, and the previous weights
+// readable.
+func TestWeighEntriesCancellation(t *testing.T) {
+	bg := context.Background()
+	c := blocking.RandomCollection(stats.NewRNG(9), model.Dirty, 3*csrCancelCheckEvery+100, 900)
+	resident := BuildCSR(c)
+	spillDir := t.TempDir()
+	spilled, err := BuildCSRSpillCtx(bg, c, SpillOptions{Dir: spillDir, MemoryBudget: -1, PageEntries: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := spilled.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	want := wantWeights(resident, testWeigh)
+	other := func(u, v, common int32, arcs, ent float64) float64 { return -1 }
+
+	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		name    string
+		g       *CSR
+		workers int
+	}{{"resident serial", resident, 1}, {"resident parallel", resident, 4}, {"spilled serial", spilled, 1}, {"spilled parallel", spilled, 3}} {
+		// A healthy weighting tells how many polls there are to trip at.
+		counter := &tripCtx{Context: bg, after: math.MaxInt64}
+		if err := tc.g.WeighEntries(counter, tc.workers, testWeigh); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		polls := counter.polls.Load()
+		if floor := resident.NumEntries() / csrCancelCheckEvery; polls < floor {
+			t.Errorf("%s: %d polls over %d entries, want at least %d", tc.name, polls, resident.NumEntries(), floor)
+		}
+		for after := int64(1); after <= polls; after++ {
+			if err := tc.g.WeighEntries(&tripCtx{Context: bg, after: after}, tc.workers, other); err != context.Canceled {
+				t.Fatalf("%s tripping at poll %d of %d: %v, want context.Canceled", tc.name, after, polls, err)
+			}
+			if !tc.g.Spilled() {
+				continue
+			}
+			if err := tc.g.Err(); err != nil {
+				t.Fatalf("%s: cancellation at poll %d stuck on the graph: %v", tc.name, after, err)
+			}
+			got, err := tc.g.MaterializeWeights()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("%s after cancellation at poll %d", tc.name, after), got, want)
+		}
+	}
+	if segs, _ := filepath.Glob(filepath.Join(spillDir, "*", "*")); len(segs) != numStreams {
+		t.Errorf("cancelled weightings left segments behind: %v", segs)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines leaked by cancelled weightings: %d > %d", n, before)
 	}
 }
 

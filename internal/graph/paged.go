@@ -3,34 +3,46 @@ package graph
 // Beyond-RAM CSR: the spilled form of the blocking graph. The per-entry
 // arrays (Neighbors, the co-occurrence stats, Weights) are cut into
 // node-aligned pages and written as CRC-framed segments (internal/
-// store); Offsets, BlockCounts and all node-level state stay resident.
-// Pages load back through a bounded LRU cache, so the resident footprint
-// of a spilled graph is O(nodes) + the cache capacity instead of
-// O(entries).
+// store); Offsets, BlockCounts and all node-level state stay resident,
+// so the resident footprint of a spilled graph is O(nodes) plus what
+// its readers hold instead of O(entries).
 //
 // Pages are cut only at node boundaries, so one adjacency run never
-// straddles two pages and Run(u) is always a sub-slice of a single
-// decoded page — which is exactly the access shape of the streaming
-// pruning passes (ascending node sweeps) and of the chunked parallel
-// pruner (contiguous node ranges). A hub node whose run exceeds the
-// page target simply gets a larger page of its own.
+// straddles two pages and a run is always a sub-slice of a single
+// decoded page. A hub node whose run exceeds the page target simply
+// gets a larger page of its own. There are two ways to read one:
 //
-// Read failures are sticky: a page that fails validation (a named
-// internal/store error — corruption fails closed, never yields
-// plausible bytes) records itself on the CSR, the failing access
-// observes zeroed entries, and every build/prune entry point checks
-// Err() before trusting its output. That keeps the hot accessors free
-// of error returns without ever letting a corrupt build complete
-// silently.
+//   - Sequential readers — the pruning passes (ascending node sweeps
+//     over contiguous node ranges), the canonical sweeps, the weighting
+//     kernel, MaterializeWeights — each hold a private cursor
+//     (RunReader, weighBufs): one reusable decoded page per stream read
+//     plus one read buffer, so crossing a page boundary costs one frame
+//     load and one decode and nothing else. A pass holds workers x one
+//     page per stream, for as long as it runs.
+//   - Random row reads (CSR.Run, a spilled index's candidate lookups)
+//     go through the bounded LRU cache, which decodes a whole page per
+//     miss and serializes loads: fine for the occasional row, and what
+//     the sequential passes used to pay per page.
+//
+// Both go through loadPage, so every page handed out was CRC-checked on
+// that load. Read failures are sticky: a page that fails validation (a
+// named internal/store error — corruption fails closed, never yields
+// plausible bytes) records itself on the CSR and reads as zeros, and
+// every pass over the graph refuses a recorded error at entry and
+// returns one raised while it ran (see CSR.Err). That keeps the hot
+// accessors free of error returns without ever letting a corrupt build
+// complete silently.
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"blast/internal/blocking"
 	"blast/internal/store"
@@ -52,8 +64,12 @@ type SpillOptions struct {
 	// PageEntries is the target adjacency entries per page (pages are
 	// cut at the first node boundary at or past it); 0 uses 64Ki.
 	PageEntries int
-	// CacheBytes bounds the decoded-page LRU cache; 0 derives a default
-	// from MemoryBudget (a quarter of it, clamped to [1MiB, 256MiB]).
+	// CacheBytes bounds the decoded-page LRU cache that serves random
+	// row reads (CSR.Run); 0 derives a default from MemoryBudget (a
+	// quarter of it, clamped to [1MiB, 256MiB]). Sequential passes do
+	// not use the cache: while one runs it additionally holds one
+	// decoded page per worker and stream it reads (20 bytes per page
+	// entry for a pruning pass, 48 for weighting).
 	CacheBytes int64
 }
 
@@ -110,6 +126,11 @@ type pagedEntries struct {
 	startNode  []int32
 	startEntry []int64
 	nodePage   []int32
+	// wtsGen numbers the weights segments: a re-weighting writes the
+	// next one beside the current and swaps on success.
+	wtsGen int
+	// loads counts segment frames read, by every path.
+	loads atomic.Int64
 
 	mu  sync.Mutex
 	err error
@@ -142,78 +163,112 @@ func (pg *pagedEntries) pageLen(page int) int {
 	return int(pg.startEntry[page+1] - pg.startEntry[page])
 }
 
-// loadInt32s loads and decodes one page of an int32 stream, bypassing
-// the cache (used by the streaming weigh pass).
-func (pg *pagedEntries) loadInt32s(stream, page int, scratch []byte) ([]int32, []byte, error) {
-	buf, err := pg.arenas[stream].Load(page, scratch)
-	if err != nil {
-		return nil, scratch, err
-	}
-	n := pg.pageLen(page)
-	s, err := decodeInt32s(buf, n)
-	if err != nil {
-		return nil, buf, fmt.Errorf("%s page %d: %w", streamNames[stream], page, err)
-	}
-	return s, buf, nil
+// entry is the element type of a spilled stream.
+type entry interface{ int32 | float64 }
+
+// entryWidth is the encoded size of one element.
+func entryWidth[T entry]() int {
+	var zero T
+	return binary.Size(zero)
 }
 
-func (pg *pagedEntries) loadFloat64s(stream, page int, scratch []byte) ([]float64, []byte, error) {
-	buf, err := pg.arenas[stream].Load(page, scratch)
-	if err != nil {
-		return nil, scratch, err
+// appendEntries appends the page encoding of s — little-endian words —
+// to dst.
+func appendEntries[T entry](dst []byte, s []T) []byte {
+	dst = slices.Grow(dst, len(s)*entryWidth[T]())
+	switch s := any(s).(type) {
+	case []int32:
+		for _, v := range s {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+		}
+	case []float64:
+		for _, v := range s {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
 	}
-	n := pg.pageLen(page)
-	s, err := decodeFloat64s(buf, n)
-	if err != nil {
-		return nil, buf, fmt.Errorf("%s page %d: %w", streamNames[stream], page, err)
-	}
-	return s, buf, nil
+	return dst
 }
 
-// pageInt32s returns one decoded page of an int32 stream through the
-// shared cache. On a read failure it records the sticky error and
-// returns a zeroed page so callers keep their shape.
-func (pg *pagedEntries) pageInt32s(stream, page int) []int32 {
+// decodeEntries is the inverse of appendEntries: it fills dst from b,
+// whose length the caller has checked.
+func decodeEntries[T entry](dst []T, b []byte) {
+	switch dst := any(dst).(type) {
+	case []int32:
+		for i := range dst {
+			dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	case []float64:
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	}
+}
+
+// loadPage is the one reader of spilled pages: it loads frame `page` of
+// a stream — positioned read, CRC-32C and header checks in the arena,
+// then the payload length against the page table — and decodes it into
+// dst. Both dst and the read buffer raw are reused when large enough
+// and handed back, so a reader that keeps them allocates on its first
+// page only. On failure dst comes back zeroed at the page's length:
+// callers without an error return keep their shape and never see bytes
+// of a frame that did not check out.
+func loadPage[T entry](pg *pagedEntries, stream, page int, dst []T, raw []byte) ([]T, []byte, error) {
+	n, width := pg.pageLen(page), entryWidth[T]()
+	if cap(dst) < n {
+		dst = make([]T, n)
+	}
+	dst = dst[:n]
+	if need := store.FrameHeaderSize + n*width; cap(raw) < need {
+		raw = make([]byte, need)
+	}
+	var payload []byte
+	err := store.ErrClosed // a released stream
+	if a := pg.arenas[stream]; a != nil {
+		pg.loads.Add(1)
+		payload, err = a.Load(page, raw)
+	}
+	if err == nil && len(payload) != n*width {
+		err = fmt.Errorf("%w: %d payload bytes for %d entries", store.ErrCorruptSegment, len(payload), n)
+	}
+	if err != nil {
+		clear(dst)
+		return dst, raw, fmt.Errorf("%s page %d: %w", streamNames[stream], page, err)
+	}
+	decodeEntries(dst, payload)
+	return dst, raw, nil
+}
+
+// cachedPage returns one decoded page through the shared cache, for
+// random reads. A failed load records the sticky error and yields a
+// zeroed page that is not cached.
+func cachedPage[T entry](pg *pagedEntries, stream, page int) []T {
+	var failed []T
 	v, err := pg.cache.Get(cacheKey(stream, page), func() (any, int64, error) {
-		s, _, err := pg.loadInt32s(stream, page, nil)
+		s, _, err := loadPage[T](pg, stream, page, nil, nil)
 		if err != nil {
+			failed = s
 			return nil, 0, err
 		}
-		return s, int64(len(s)) * 4, nil
+		return s, int64(len(s) * entryWidth[T]()), nil
 	})
 	if err != nil {
 		pg.noteErr(err)
-		return make([]int32, pg.pageLen(page))
+		return failed
 	}
-	return v.([]int32)
+	return v.([]T)
 }
 
-func (pg *pagedEntries) pageFloat64s(stream, page int) []float64 {
-	v, err := pg.cache.Get(cacheKey(stream, page), func() (any, int64, error) {
-		s, _, err := pg.loadFloat64s(stream, page, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		return s, int64(len(s)) * 8, nil
-	})
-	if err != nil {
-		pg.noteErr(err)
-		return make([]float64, pg.pageLen(page))
-	}
-	return v.([]float64)
-}
-
-// run returns node u's adjacency slices out of its page. wts is nil
-// until the graph has been weighted.
+// run returns node u's adjacency slices out of its cached page. wts is
+// nil until the graph has been weighted.
 func (pg *pagedEntries) run(u int, lo, hi int64) (nbr []int32, wts []float64) {
 	if lo == hi {
 		return nil, nil
 	}
 	p := int(pg.nodePage[u])
 	base := pg.startEntry[p]
-	nbr = pg.pageInt32s(streamNbr, p)[lo-base : hi-base]
+	nbr = cachedPage[int32](pg, streamNbr, p)[lo-base : hi-base]
 	if pg.arenas[streamWts] != nil {
-		wts = pg.pageFloat64s(streamWts, p)[lo-base : hi-base]
+		wts = cachedPage[float64](pg, streamWts, p)[lo-base : hi-base]
 	}
 	return nbr, wts
 }
@@ -251,49 +306,80 @@ func (pg *pagedEntries) releaseStats() {
 	}
 }
 
-// ---- typed payload codec ------------------------------------------------
+// ---- run cursor ----------------------------------------------------------
 
-func appendInt32s(dst []byte, s []int32) []byte {
-	for _, v := range s {
-		u := uint32(v)
-		dst = append(dst, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
-	}
-	return dst
+// RunReader is a private cursor over a CSR's adjacency runs for one
+// sequential reader: a pruning worker in one pass, a canonical sweep.
+// On a resident graph it hands out the plain sub-slices. On a spilled
+// graph it owns one decoded page per stream it reads and one read
+// buffer, all reused: moving to another page costs one checked frame
+// load and one decode into the same memory — no lock, no cache, no
+// allocation after the first page — so an ascending sweep loads every
+// page once. A page that fails validation records the graph's sticky
+// error (CSR.Err) and reads as zeros. A RunReader must not be shared
+// between goroutines; any number of them may read one graph
+// concurrently.
+type RunReader struct {
+	g   *CSR
+	nbr cursorPage[int32]
+	wts cursorPage[float64]
+	raw []byte
 }
 
-func appendFloat64s(dst []byte, s []float64) []byte {
-	for _, v := range s {
-		u := math.Float64bits(v)
-		dst = append(dst, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-	}
-	return dst
+// cursorPage is the page of one stream a cursor currently holds.
+type cursorPage[T entry] struct {
+	next int // 1 + the page held; 0 before the first load
+	data []T
 }
 
-func decodeInt32s(b []byte, n int) ([]int32, error) {
-	if len(b) != n*4 {
-		return nil, fmt.Errorf("%w: %d payload bytes for %d int32 entries", store.ErrCorruptSegment, len(b), n)
+// at returns page p of the stream, loading it over the page held.
+func (c *cursorPage[T]) at(pg *pagedEntries, stream, p int, raw *[]byte) []T {
+	if c.next != p+1 {
+		var err error
+		if c.data, *raw, err = loadPage(pg, stream, p, c.data, *raw); err != nil {
+			pg.noteErr(err)
+		}
+		c.next = p + 1
 	}
-	s := make([]int32, n)
-	for i := range s {
-		o := i * 4
-		s[i] = int32(uint32(b[o]) | uint32(b[o+1])<<8 | uint32(b[o+2])<<16 | uint32(b[o+3])<<24)
-	}
-	return s, nil
+	return c.data
 }
 
-func decodeFloat64s(b []byte, n int) ([]float64, error) {
-	if len(b) != n*8 {
-		return nil, fmt.Errorf("%w: %d payload bytes for %d float64 entries", store.ErrCorruptSegment, len(b), n)
+// Reader returns a new cursor over g's runs.
+func (g *CSR) Reader() *RunReader { return &RunReader{g: g} }
+
+// Neighbors returns node u's neighbor ids. Like every slice a cursor
+// hands out, it is valid until the cursor's next call.
+func (r *RunReader) Neighbors(u int) []int32 {
+	g := r.g
+	lo, hi := g.Offsets[u], g.Offsets[u+1]
+	pg := g.pages
+	if pg == nil {
+		return g.Neighbors[lo:hi]
 	}
-	s := make([]float64, n)
-	for i := range s {
-		o := i * 8
-		s[i] = math.Float64frombits(uint64(b[o]) | uint64(b[o+1])<<8 | uint64(b[o+2])<<16 |
-			uint64(b[o+3])<<24 | uint64(b[o+4])<<32 | uint64(b[o+5])<<40 |
-			uint64(b[o+6])<<48 | uint64(b[o+7])<<56)
+	if lo == hi {
+		return nil
 	}
-	return s, nil
+	p := int(pg.nodePage[u])
+	base := pg.startEntry[p]
+	return r.nbr.at(pg, streamNbr, p, &r.raw)[lo-base : hi-base]
+}
+
+// Run returns node u's adjacency run as CSR.Run does — neighbor ids and,
+// once the graph has been weighted, the matching weights — without
+// touching the page cache.
+func (r *RunReader) Run(u int) (nbr []int32, wts []float64) {
+	g := r.g
+	pg := g.pages
+	if pg == nil {
+		return g.Run(u)
+	}
+	nbr = r.Neighbors(u)
+	if nbr == nil || pg.arenas[streamWts] == nil {
+		return nbr, nil
+	}
+	p := int(pg.nodePage[u])
+	base := pg.startEntry[p]
+	return nbr, r.wts.at(pg, streamWts, p, &r.raw)[g.Offsets[u]-base : g.Offsets[u+1]-base]
 }
 
 // ---- spilled accessors on CSR -------------------------------------------
@@ -305,8 +391,10 @@ func (g *CSR) Spilled() bool { return g.pages != nil }
 // Err returns the first page read/decode failure observed on a spilled
 // graph (nil for resident graphs and healthy spilled ones). Reads from
 // a failing page observe zeroed entries so hot accessors stay free of
-// error returns; every pass that consumes a spilled graph must check
-// Err before trusting its output — the build and prune entry points do.
+// error returns; the passes that consume a spilled graph — the
+// canonical sweeps, the weighting kernel, every chunked pruning pass —
+// refuse a graph whose error is set and return one raised while they
+// ran, so no caller can adopt output derived from zeroed runs.
 func (g *CSR) Err() error {
 	if g.pages == nil {
 		return nil
@@ -326,12 +414,23 @@ func (g *CSR) Close() error {
 }
 
 // CacheStats returns the page-cache counters of a spilled graph (zero
-// for resident graphs, which have no cache).
+// for resident graphs, which have no cache). Only random row reads
+// (Run) go through the cache; see PageLoads for all page traffic.
 func (g *CSR) CacheStats() store.CacheStats {
 	if g.pages == nil {
 		return store.CacheStats{}
 	}
 	return g.pages.cache.Stats()
+}
+
+// PageLoads returns how many segment frames a spilled graph has read
+// back so far, by any path — cursors, cache misses, the weighting
+// kernel, MaterializeWeights (0 for resident graphs).
+func (g *CSR) PageLoads() int64 {
+	if g.pages == nil {
+		return 0
+	}
+	return g.pages.loads.Load()
 }
 
 // SpillBytes returns the on-disk footprint of a spilled graph's open
@@ -358,100 +457,117 @@ func (g *CSR) SpillBytes() int64 {
 // mutation of a spilled index rebuilds a resident CSR and carries the
 // weights over through this call.
 func (g *CSR) MaterializeWeights() ([]float64, error) {
-	if g.pages == nil {
+	pg := g.pages
+	if pg == nil {
 		return g.Weights, nil
 	}
-	if g.pages.arenas[streamWts] == nil {
+	if pg.arenas[streamWts] == nil {
 		return nil, errors.New("graph: spilled CSR has no weights stream")
 	}
 	out := make([]float64, g.NumEntries())
-	var scratch []byte
-	for p := 0; p < g.pages.pages(); p++ {
-		s, sc, err := g.pages.loadFloat64s(streamWts, p, scratch)
-		if err != nil {
+	var raw []byte
+	for p := 0; p < pg.pages(); p++ {
+		// Each page decodes straight into its slot of the output.
+		var err error
+		if _, raw, err = loadPage(pg, streamWts, p, out[pg.startEntry[p]:pg.startEntry[p]:pg.startEntry[p+1]], raw); err != nil {
 			return nil, err
 		}
-		scratch = sc
-		copy(out[g.pages.startEntry[p]:], s)
 	}
 	return out, nil
 }
 
-// WeighSpilled streams every adjacency entry of a spilled graph through
-// fn — in storage order, with the entry's co-occurrence statistics —
-// and persists the returned weights page by page. It is the spilled
-// counterpart of a weighting scheme's in-place resident pass
-// (weights.Scheme.ApplyCSR): fn must compute the weight with its
-// arguments in canonical (u < v) orientation so both entries of an edge
-// carry bit-identical values, exactly as ApplyOwnedCSR already does for
-// owned-rows graphs.
-func (g *CSR) WeighSpilled(fn func(u, v int32, common int32, arcs, entropySum float64) float64) error {
+// weighBufs is one weighting worker's page of every stream it reads,
+// the weights it computes and their encoding.
+type weighBufs struct {
+	nbr, common    []int32
+	arcs, ent, wts []float64
+	raw, enc       []byte
+}
+
+// weighPage loads page p's adjacency and statistics, weighs its rows
+// and leaves the encoded weights frame in b.enc.
+func (g *CSR) weighPage(ctx context.Context, b *weighBufs, p int, fn EntryWeight) (err error) {
 	pg := g.pages
-	if pg == nil {
-		return errors.New("graph: WeighSpilled on a resident CSR")
+	if b.nbr, b.raw, err = loadPage(pg, streamNbr, p, b.nbr, b.raw); err != nil {
+		return err
 	}
-	// Failures are sticky (Err) in addition to being returned: weighting
-	// runs inside passes whose callers consult Err once at the end.
-	err := g.weighSpilled(pg, fn)
+	if b.common, b.raw, err = loadPage(pg, streamCommon, p, b.common, b.raw); err != nil {
+		return err
+	}
+	if b.arcs, b.raw, err = loadPage(pg, streamARCS, p, b.arcs, b.raw); err != nil {
+		return err
+	}
+	if b.ent, b.raw, err = loadPage(pg, streamEnt, p, b.ent, b.raw); err != nil {
+		return err
+	}
+	n := pg.pageLen(p)
+	b.wts = slices.Grow(b.wts[:0], n)[:n]
+	err = g.weighRows(ctx, int(pg.startNode[p]), int(pg.startNode[p+1]), pg.startEntry[p],
+		b.nbr, b.common, b.arcs, b.ent, b.wts, fn)
 	if err != nil {
-		pg.noteErr(err)
+		return err
+	}
+	b.enc = appendEntries(b.enc[:0], b.wts)
+	return nil
+}
+
+// weighSpilled is WeighEntries over a spilled graph: workers weigh
+// disjoint pages, `workers` at a time, each through its own reused
+// buffers, and the weight frames are appended in page order. An I/O
+// failure is sticky on the graph (Err) as well as returned;
+// cancellation is only returned.
+func (g *CSR) weighSpilled(ctx context.Context, workers int, fn EntryWeight) error {
+	err := g.replaceWeights(ctx, workers, fn)
+	if err != nil && ctx.Err() == nil {
+		g.pages.noteErr(err)
 	}
 	return err
 }
 
-func (g *CSR) weighSpilled(pg *pagedEntries, fn func(u, v int32, common int32, arcs, entropySum float64) float64) error {
-	// Re-weighting replaces the weights stream: release the previous
-	// scheme's segment and evict its cached pages first, or every later
-	// pass would keep pruning on the first scheme's weights.
-	if old := pg.arenas[streamWts]; old != nil {
-		pg.arenas[streamWts] = nil
-		pg.cache.Drop(func(key uint64) bool { return keyStream(key) == streamWts })
-		if err := old.CloseAndRemove(); err != nil {
-			return err
-		}
-	}
-	wts, err := store.CreateFile(pg.arenas[streamNbr].Path() + ".wts")
+// replaceWeights writes the new weights segment beside the current one
+// and swaps only when every page is in: a failed or cancelled weighting
+// removes its half-written segment and leaves the previous weights
+// readable.
+func (g *CSR) replaceWeights(ctx context.Context, workers int, fn EntryWeight) error {
+	pg := g.pages
+	pg.wtsGen++
+	next, err := store.CreateFile(fmt.Sprintf("%s/%s.%d.seg", pg.dir, streamNames[streamWts], pg.wtsGen))
 	if err != nil {
 		return err
 	}
-	var nbrScratch, comScratch, arcsScratch, entScratch, encBuf []byte
-	wbuf := make([]float64, 0, defaultPageEntries)
-	for p := 0; p < pg.pages(); p++ {
-		nbr, sc1, err := pg.loadInt32s(streamNbr, p, nbrScratch)
-		if err != nil {
-			return errors.Join(err, wts.CloseAndRemove())
+	if err := g.weighPages(ctx, next, workers, fn); err != nil {
+		if rmErr := next.CloseAndRemove(); rmErr != nil {
+			err = errors.Join(err, rmErr)
 		}
-		nbrScratch = sc1
-		com, sc2, err := pg.loadInt32s(streamCommon, p, comScratch)
-		if err != nil {
-			return errors.Join(err, wts.CloseAndRemove())
-		}
-		comScratch = sc2
-		arcs, sc3, err := pg.loadFloat64s(streamARCS, p, arcsScratch)
-		if err != nil {
-			return errors.Join(err, wts.CloseAndRemove())
-		}
-		arcsScratch = sc3
-		ent, sc4, err := pg.loadFloat64s(streamEnt, p, entScratch)
-		if err != nil {
-			return errors.Join(err, wts.CloseAndRemove())
-		}
-		entScratch = sc4
+		return err
+	}
+	old := pg.arenas[streamWts]
+	pg.arenas[streamWts] = next
+	if old == nil {
+		return nil
+	}
+	// No reader may be served a page of the replaced weights.
+	pg.cache.Drop(func(key uint64) bool { return keyStream(key) == streamWts })
+	return old.CloseAndRemove()
+}
 
-		wbuf = wbuf[:0]
-		base := pg.startEntry[p]
-		for u := int(pg.startNode[p]); u < int(pg.startNode[p+1]); u++ {
-			for e := g.Offsets[u]; e < g.Offsets[u+1]; e++ {
-				i := e - base
-				wbuf = append(wbuf, fn(int32(u), nbr[i], com[i], arcs[i], ent[i]))
+func (g *CSR) weighPages(ctx context.Context, wts *store.FileArena, workers int, fn EntryWeight) error {
+	pages := g.pages.pages()
+	bufs := make([]weighBufs, min(workers, pages))
+	for base := 0; base < pages; base += len(bufs) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n := min(len(bufs), pages-base)
+		if err := fanOut(n, func(i int) error { return g.weighPage(ctx, &bufs[i], base+i, fn) }); err != nil {
+			return err
+		}
+		for i := range bufs[:n] {
+			if _, err := wts.Append(bufs[i].enc); err != nil {
+				return err
 			}
 		}
-		encBuf = appendFloat64s(encBuf[:0], wbuf)
-		if _, err := wts.Append(encBuf); err != nil {
-			return errors.Join(err, wts.CloseAndRemove())
-		}
 	}
-	pg.arenas[streamWts] = wts
 	return nil
 }
 
@@ -537,19 +653,19 @@ func (sb *spillBuilder) sealPage(nextNode int) error {
 }
 
 func (sb *spillBuilder) flushPage(p *pageBuf) error {
-	sb.encBuf = appendInt32s(sb.encBuf[:0], p.nbr)
+	sb.encBuf = appendEntries(sb.encBuf[:0], p.nbr)
 	if _, err := sb.pg.arenas[streamNbr].Append(sb.encBuf); err != nil {
 		return err
 	}
-	sb.encBuf = appendInt32s(sb.encBuf[:0], p.common)
+	sb.encBuf = appendEntries(sb.encBuf[:0], p.common)
 	if _, err := sb.pg.arenas[streamCommon].Append(sb.encBuf); err != nil {
 		return err
 	}
-	sb.encBuf = appendFloat64s(sb.encBuf[:0], p.arcs)
+	sb.encBuf = appendEntries(sb.encBuf[:0], p.arcs)
 	if _, err := sb.pg.arenas[streamARCS].Append(sb.encBuf); err != nil {
 		return err
 	}
-	sb.encBuf = appendFloat64s(sb.encBuf[:0], p.ent)
+	sb.encBuf = appendEntries(sb.encBuf[:0], p.ent)
 	if _, err := sb.pg.arenas[streamEnt].Append(sb.encBuf); err != nil {
 		return err
 	}

@@ -3,8 +3,13 @@ package graph
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"blast/internal/blocking"
@@ -17,11 +22,39 @@ import (
 // zero budget, small pages, a cache that holds only a few pages.
 var tinySpill = SpillOptions{MemoryBudget: -1, PageEntries: 64, CacheBytes: 4 * 1024}
 
-// testWeigh is an arbitrary orientation-symmetric weighting used to
-// exercise the spilled weigh/read path without importing the weights
-// package (which depends on this one).
-func testWeigh(common int32, arcs, ent float64) float64 {
-	return float64(common)*3 + arcs*7 + ent
+// testWeigh is an arbitrary EntryWeight — pure, and the same for (u, v)
+// and (v, u) — used to exercise the weighting kernel and the weighted
+// read paths without importing the weights package (which depends on
+// this one).
+func testWeigh(u, v, common int32, arcs, ent float64) float64 {
+	if v < u {
+		u, v = v, u
+	}
+	return float64(common)*3 + arcs*7 + ent + float64(u)/8 + float64(v)/1024
+}
+
+// wantWeights is the kernel's specification: entry p of row u carries
+// fn(u, Neighbors[p], Common[p], ARCS[p], EntropySum[p]).
+func wantWeights(resident *CSR, fn EntryWeight) []float64 {
+	want := make([]float64, resident.NumEntries())
+	for u := 0; u < resident.NumProfiles; u++ {
+		for p := resident.Offsets[u]; p < resident.Offsets[u+1]; p++ {
+			want[p] = fn(int32(u), resident.Neighbors[p], resident.Common[p], resident.ARCS[p], resident.EntropySum[p])
+		}
+	}
+	return want
+}
+
+func sameBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d weights, want %d", label, len(got), len(want))
+	}
+	for p := range want {
+		if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+			t.Fatalf("%s: weight %d = %v, want %v", label, p, got[p], want[p])
+		}
+	}
 }
 
 func buildSpilledPair(t *testing.T, c *blocking.Collection) (resident, spilled *CSR) {
@@ -63,27 +96,56 @@ func TestBuildCSRSpillMatchesResident(t *testing.T) {
 			}
 		}
 
-		// The spilled stats streams must carry bit-identical values;
-		// WeighSpilled observes them entry by entry.
-		var pos int64
-		err := spilled.WeighSpilled(func(u, v int32, common int32, arcs, ent float64) float64 {
-			if resident.Neighbors[pos] != v || resident.Common[pos] != common ||
-				resident.ARCS[pos] != arcs || resident.EntropySum[pos] != ent {
-				t.Fatalf("entry %d: spilled (%d,%d,%v,%v) vs resident (%d,%d,%v,%v)",
-					pos, v, common, arcs, ent,
-					resident.Neighbors[pos], resident.Common[pos], resident.ARCS[pos], resident.EntropySum[pos])
+		// The spilled stats streams carry bit-identical values.
+		if !reflect.DeepEqual(csrRows(t, spilled), csrRows(t, resident)) {
+			t.Fatal("spilled rows differ from the resident build")
+		}
+
+		// The kernel's contract: fn is called once per entry, from any
+		// worker in any order, and entry p ends up with fn of entry p —
+		// in place over the resident arrays, in the weights segment of
+		// the spilled graph — at every worker count.
+		want := wantWeights(resident, testWeigh)
+		for _, workers := range []int{1, 3, 0} {
+			var calls atomic.Int64
+			counted := func(u, v, common int32, arcs, ent float64) float64 {
+				calls.Add(1)
+				return testWeigh(u, v, common, arcs, ent)
 			}
-			pos++
-			return testWeigh(common, arcs, ent)
-		})
-		if err != nil {
-			t.Fatal(err)
+			clear(resident.Weights)
+			for _, g := range []*CSR{resident, spilled} {
+				if err := g.WeighEntries(context.Background(), workers, counted); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := calls.Load(); got != 2*resident.NumEntries() {
+				t.Fatalf("workers=%d: %d weigh calls over two graphs of %d entries", workers, got, resident.NumEntries())
+			}
+			sameBits(t, fmt.Sprintf("resident workers=%d", workers), resident.Weights, want)
+			mw, err := spilled.MaterializeWeights()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("spilled workers=%d", workers), mw, want)
 		}
-		if pos != resident.NumEntries() {
-			t.Fatalf("WeighSpilled visited %d entries, want %d", pos, resident.NumEntries())
+		if sub, _ := filepath.Glob(filepath.Join(spilled.pages.dir, "weights.*.seg")); len(sub) != 1 {
+			t.Fatalf("weights segments after three weightings: %v, want the last one only", sub)
 		}
-		for p := range resident.Weights {
-			resident.Weights[p] = testWeigh(resident.Common[p], resident.ARCS[p], resident.EntropySum[p])
+
+		// A cursor serves the resident bytes whatever order it is moved
+		// in, without touching the page cache.
+		for _, step := range []int{1, -1, 7} {
+			runs := spilled.Reader()
+			for i, u := 0, 0; i < resident.NumProfiles; i, u = i+1, (u+step+resident.NumProfiles)%resident.NumProfiles {
+				rn, rw := resident.Run(u)
+				sn, sw := runs.Run(u)
+				if !slices.Equal(rn, sn) || !slices.Equal(rw, sw) || !slices.Equal(rn, runs.Neighbors(u)) {
+					t.Fatalf("cursor step %d: node %d run differs from the resident one", step, u)
+				}
+			}
+		}
+		if st := spilled.CacheStats(); st.Hits+st.Misses != 0 {
+			t.Fatalf("sequential readers went through the page cache: %+v", st)
 		}
 
 		// Run accessors serve identical bytes in both modes, including
@@ -108,28 +170,17 @@ func TestBuildCSRSpillMatchesResident(t *testing.T) {
 			u, v  int32
 			p, mp int64
 		}
-		var want []quad
-		resident.CanonicalMirror(func(u, v int32, p, mp int64) { want = append(want, quad{u, v, p, mp}) })
+		var edges []quad
+		resident.CanonicalMirror(func(u, v int32, p, mp int64) { edges = append(edges, quad{u, v, p, mp}) })
 		i := 0
 		spilled.CanonicalMirror(func(u, v int32, p, mp int64) {
-			if i >= len(want) || want[i] != (quad{u, v, p, mp}) {
+			if i >= len(edges) || edges[i] != (quad{u, v, p, mp}) {
 				t.Fatalf("mirror sweep diverged at %d", i)
 			}
 			i++
 		})
-		if i != len(want) {
-			t.Fatalf("mirror sweep visited %d edges, want %d", i, len(want))
-		}
-
-		// MaterializeWeights restores the full resident weight array.
-		mw, err := spilled.MaterializeWeights()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := range resident.Weights {
-			if mw[p] != resident.Weights[p] {
-				t.Fatalf("materialized weight %d = %v, want %v", p, mw[p], resident.Weights[p])
-			}
+		if i != len(edges) {
+			t.Fatalf("mirror sweep visited %d edges, want %d", i, len(edges))
 		}
 
 		// ReleaseStats drops the stat segment files but adjacency and
@@ -199,32 +250,17 @@ func TestSpillCloseRemovesSegments(t *testing.T) {
 	}
 }
 
-// TestSpillFaultInjection corrupts a spilled segment file in place and
-// verifies the graph fails closed: the sticky Err reports the named
-// store error instead of serving mangled adjacency silently.
-func TestSpillFaultInjection(t *testing.T) {
-	rng := stats.NewRNG(13)
-	c := blocking.RandomCollection(rng, model.Dirty, 200, 120)
-	dir := t.TempDir()
-	opt := tinySpill
-	opt.Dir = dir
-	g, err := BuildCSRSpillCtx(context.Background(), c, opt)
+// flipSegmentByte flips one payload byte of the first frame of a
+// segment file.
+func flipSegmentByte(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
-
-	matches, err := filepath.Glob(filepath.Join(dir, "*", "neighbors.seg"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("neighbors segment: %v (%d matches)", err, len(matches))
-	}
-	f, err := os.OpenFile(matches[0], os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte well inside the payload region.
+	defer f.Close()
 	var b [1]byte
-	off := int64(len(store.Magic) + 32)
+	off := int64(len(store.Magic) + store.FrameHeaderSize + 24)
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
@@ -232,14 +268,78 @@ func TestSpillFaultInjection(t *testing.T) {
 	if _, err := f.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
+}
+
+// TestSpillFaultInjection corrupts a spilled segment file in place and
+// verifies the graph fails closed on every read path: the cached row
+// read, the canonical sweep and a run cursor each surface the named
+// store error instead of serving mangled adjacency or weights, the
+// failing page reads as zeros, and later passes refuse the graph.
+func TestSpillFaultInjection(t *testing.T) {
+	named := func(err error) bool {
+		return errors.Is(err, store.ErrCorruptSegment) || errors.Is(err, store.ErrTruncatedSegment)
+	}
+	c := blocking.RandomCollection(stats.NewRNG(13), model.Dirty, 200, 120)
+	resident := BuildCSR(c)
+	if err := resident.WeighEntries(context.Background(), 1, testWeigh); err != nil {
 		t.Fatal(err)
 	}
+	build := func(stream int) *CSR {
+		opt := tinySpill
+		opt.Dir = t.TempDir()
+		g, err := BuildCSRSpillCtx(context.Background(), c, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { g.Close() })
+		if err := g.WeighEntries(context.Background(), 2, testWeigh); err != nil {
+			t.Fatal(err)
+		}
+		flipSegmentByte(t, g.pages.arenas[stream].Path())
+		return g
+	}
 
-	g.Canonical(func(u, v int32, p int64) {})
-	err = g.Err()
-	if !errors.Is(err, store.ErrCorruptSegment) && !errors.Is(err, store.ErrTruncatedSegment) {
-		t.Fatalf("Err() = %v, want a named segment error", err)
+	g := build(streamNbr)
+	for u := 0; g.Err() == nil && u < g.NumProfiles; u++ {
+		g.Run(u)
+	}
+	if err := g.Err(); !named(err) {
+		t.Fatalf("cached read: Err() = %v, want a named segment error", err)
+	}
+
+	g = build(streamNbr)
+	visited := 0
+	if err := g.CanonicalCtx(context.Background(), func(u, v int32, p int64) { visited++ }); !named(err) {
+		t.Fatalf("CanonicalCtx = %v after %d edges, want a named segment error", err, visited)
+	}
+	if err := g.CanonicalCtx(context.Background(), func(u, v int32, p int64) { t.Fatal("sweep over a failed graph") }); !named(err) {
+		t.Fatalf("second CanonicalCtx = %v, want the sticky error", err)
+	}
+
+	// A cursor over a bad page of either stream it reads: the page's
+	// runs come back zeroed in that stream, everything else intact.
+	for _, stream := range []int{streamNbr, streamWts} {
+		g := build(stream)
+		runs := g.Reader()
+		for u := 0; u < g.NumProfiles; u++ {
+			wantNbr, wantWts := resident.Run(u)
+			if u < int(g.pages.startNode[1]) {
+				if stream == streamNbr {
+					wantNbr = make([]int32, len(wantNbr))
+				} else {
+					wantWts = make([]float64, len(wantWts))
+				}
+			}
+			if nbr, wts := runs.Run(u); !slices.Equal(nbr, wantNbr) || !slices.Equal(wts, wantWts) {
+				t.Fatalf("%s corrupt: node %d reads (%v, %v), want (%v, %v)", streamNames[stream], u, nbr, wts, wantNbr, wantWts)
+			}
+		}
+		if err := g.Err(); !named(err) {
+			t.Fatalf("%s corrupt: cursor sweep left Err() = %v, want a named segment error", streamNames[stream], err)
+		}
+		if err := g.WeighEntries(context.Background(), 1, testWeigh); !named(err) {
+			t.Fatalf("%s corrupt: weighting a failed graph = %v, want the sticky error", streamNames[stream], err)
+		}
 	}
 }
 

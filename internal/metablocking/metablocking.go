@@ -370,21 +370,17 @@ func runNodeCentric(ctx context.Context, c *blocking.Collection, cfg Config) (*R
 	}
 	t1 := telemetryNow()
 	cfg.stage("graph", t1.Sub(t0))
-	cfg.Scheme.ApplyCSR(g)
-	g.ReleaseStats()
-	if err := ctx.Err(); err != nil {
+	if err := cfg.Scheme.ApplyCSRCtx(ctx, g, workers); err != nil {
 		return nil, err
 	}
+	g.ReleaseStats()
 	t2 := telemetryNow()
 	cfg.stage("weight", t2.Sub(t1))
+	// Spilled reads fail closed inside the passes: a pruning pass over
+	// corrupt or truncated segments returns the named store error, never
+	// pairs derived from zeroed runs.
 	pairs, err := PruneCSR(ctx, g, cfg)
 	if err != nil {
-		return nil, err
-	}
-	// Spilled reads fail closed through the graph's sticky error: a
-	// pruning pass over corrupt or truncated segments produced zeroed
-	// runs, not silent wrong answers — reject the run.
-	if err := g.Err(); err != nil {
 		return nil, err
 	}
 	t3 := telemetryNow()

@@ -2,13 +2,18 @@ package metablocking
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"blast/internal/blocking"
 	"blast/internal/graph"
 	"blast/internal/model"
 	"blast/internal/stats"
+	"blast/internal/store"
 	"blast/internal/weights"
 )
 
@@ -57,6 +62,215 @@ func TestSpilledReweigh(t *testing.T) {
 		}
 		if err := spilled.Err(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+}
+
+// spilledShapes are the collections the cursor differential runs over:
+// two pruning chunks with page boundaries inside them, a hub whose
+// run fills a page of its own, whole chunks of edgeless nodes before
+// and after the edges, clean-clean, and graphs without an entry.
+func spilledShapes() map[string]*blocking.Collection {
+	rng := stats.NewRNG(808)
+	chunks := blocking.RandomCollection(rng, model.Dirty, 2048+300, 1200)
+
+	hub := blocking.RandomCollection(rng, model.Dirty, 600, 300)
+	for i := int32(0); i < 600; i++ {
+		if i != 7 {
+			hub.Blocks = append(hub.Blocks, blocking.Block{Key: fmt.Sprintf("hub%03d", i), P1: []int32{7, i}, Entropy: 0.5})
+		}
+	}
+
+	const pad = 2100 // more than one pruning chunk of edgeless nodes
+	padded := blocking.RandomCollection(rng, model.Dirty, 400, 300)
+	for i := range padded.Blocks {
+		for j := range padded.Blocks[i].P1 {
+			padded.Blocks[i].P1[j] += pad
+		}
+	}
+	padded.NumProfiles += 2 * pad
+
+	return map[string]*blocking.Collection{
+		"chunks": chunks, "hub": hub, "edgeless head and tail": padded,
+		"clean-clean": blocking.RandomCollection(rng, model.CleanClean, 300, 200),
+		"no edges":    {Kind: model.Dirty, NumProfiles: 5},
+		"no profiles": {Kind: model.Dirty},
+	}
+}
+
+// TestSpilledPruneMatchesResident is the differential of the page
+// cursors: every pruning under three weightings retains, over a spilled
+// CSR read by 1, 2 and 4 workers at three page sizes, exactly the pairs
+// it retains over the resident CSR.
+func TestSpilledPruneMatchesResident(t *testing.T) {
+	ctx := context.Background()
+	schemes := []weights.Scheme{
+		{Kind: weights.ChiSquared, Entropy: true}, {Kind: weights.CBS}, {Kind: weights.EJS},
+	}
+	for name, c := range spilledShapes() {
+		resident := graph.BuildCSR(c)
+		want := make(map[string][]model.IDPair)
+		for _, s := range schemes {
+			s.ApplyCSR(resident)
+			for _, p := range allPrunings {
+				pairs, err := PruneCSR(ctx, resident, Config{Scheme: s, Pruning: p, C: 2, D: 2, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[s.Name()+p.String()] = pairs
+			}
+		}
+		for _, pageEntries := range []int{64, 256, 0} {
+			spilled, err := graph.BuildCSRSpillCtx(ctx, c, graph.SpillOptions{
+				Dir: t.TempDir(), MemoryBudget: -1, PageEntries: pageEntries, CacheBytes: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range schemes {
+				s.ApplyCSR(spilled)
+				for _, p := range allPrunings {
+					for _, workers := range []int{1, 2, 4} {
+						got, err := PruneCSR(ctx, spilled, Config{Scheme: s, Pruning: p, C: 2, D: 2, Workers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						samePairs(t, fmt.Sprintf("%s page=%d %s+%s workers=%d", name, pageEntries, s.Name(), p, workers),
+							want[s.Name()+p.String()], got)
+					}
+				}
+			}
+			if st := spilled.CacheStats(); st.Hits+st.Misses != 0 {
+				t.Errorf("%s page=%d: sequential passes went through the page cache: %+v", name, pageEntries, st)
+			}
+			if err := spilled.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// flipSegmentByte flips one payload byte of the first frame of the
+// segment file matching pattern under a spill directory.
+func flipSegmentByte(t *testing.T, dir, pattern string) {
+	t.Helper()
+	matches, err := filepath.Glob(filepath.Join(dir, "*", pattern))
+	if err != nil || len(matches) != 1 {
+		t.Fatalf("%s: %v (%d matches)", pattern, err, len(matches))
+	}
+	f, err := os.OpenFile(matches[0], os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	off := int64(len(store.Magic) + store.FrameHeaderSize + 24)
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// spilledForFaults builds a small spilled CSR of many pages.
+func spilledForFaults(t *testing.T) (g *graph.CSR, c *blocking.Collection, dir string) {
+	t.Helper()
+	c = blocking.RandomCollection(stats.NewRNG(23), model.Dirty, 300, 200)
+	dir = t.TempDir()
+	g, err := graph.BuildCSRSpillCtx(context.Background(), c, graph.SpillOptions{Dir: dir, MemoryBudget: -1, PageEntries: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := g.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	return g, c, dir
+}
+
+// refusesCorrupt asserts that every pruning and the mirror sweep return
+// the named segment error over g, and no pairs.
+func refusesCorrupt(t *testing.T, label string, g *graph.CSR) {
+	t.Helper()
+	ctx := context.Background()
+	for _, p := range allPrunings {
+		pairs, err := PruneCSR(ctx, g, Config{Scheme: weights.Blast(), Pruning: p, C: 2, D: 2, Workers: 2})
+		if !errors.Is(err, store.ErrCorruptSegment) || pairs != nil {
+			t.Fatalf("%s: PruneCSR %s = (%d pairs, %v), want (nil, ErrCorruptSegment)", label, p, len(pairs), err)
+		}
+	}
+	visited := 0
+	err := g.CanonicalMirrorCtx(ctx, func(u, v int32, p, mp int64) { visited++ })
+	if !errors.Is(err, store.ErrCorruptSegment) || visited != 0 {
+		t.Fatalf("%s: CanonicalMirrorCtx visited %d edges, err %v, want none and ErrCorruptSegment", label, visited, err)
+	}
+}
+
+// TestSpilledWeighFailureFailsClosed: a weighting that cannot read one
+// of its input pages returns the named error from the ctx-taking
+// variant; through plain ApplyCSR, which has no error return, it stays
+// on the graph and every later pass refuses it — at the parent commit
+// the weights stream was simply gone and the next pruning pass indexed
+// a nil run. A failed re-weighting keeps the previous weights.
+func TestSpilledWeighFailureFailsClosed(t *testing.T) {
+	ctx := context.Background()
+	for _, stream := range []string{"common", "arcs", "entropy", "neighbors"} {
+		g, _, dir := spilledForFaults(t)
+		flipSegmentByte(t, dir, stream+".seg")
+		if err := weights.Blast().ApplyCSRCtx(ctx, g, 2); !errors.Is(err, store.ErrCorruptSegment) {
+			t.Fatalf("%s: ApplyCSRCtx = %v, want ErrCorruptSegment", stream, err)
+		}
+		refusesCorrupt(t, stream+" after ApplyCSRCtx", g)
+
+		g, _, dir = spilledForFaults(t)
+		flipSegmentByte(t, dir, stream+".seg")
+		weights.Blast().ApplyCSR(g)
+		if err := g.Err(); !errors.Is(err, store.ErrCorruptSegment) {
+			t.Fatalf("%s: Err() after ApplyCSR = %v, want ErrCorruptSegment", stream, err)
+		}
+		refusesCorrupt(t, stream+" after ApplyCSR", g)
+	}
+
+	g, c, dir := spilledForFaults(t)
+	cbs := weights.Scheme{Kind: weights.CBS}
+	cbs.ApplyCSR(g)
+	resident := graph.BuildCSR(c)
+	cbs.ApplyCSR(resident)
+	flipSegmentByte(t, dir, "arcs.seg")
+	if err := weights.Blast().ApplyCSRCtx(ctx, g, 1); !errors.Is(err, store.ErrCorruptSegment) {
+		t.Fatalf("re-weighting over a corrupt page = %v, want ErrCorruptSegment", err)
+	}
+	got, err := g.MaterializeWeights()
+	if err != nil {
+		t.Fatalf("previous weights unreadable after a failed re-weighting: %v", err)
+	}
+	if !slices.Equal(got, resident.Weights) {
+		t.Fatal("a failed re-weighting changed the previous scheme's weights")
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "*", "weights.*.seg")); len(segs) != 1 {
+		t.Fatalf("weights segments after a failed re-weighting: %v, want the previous one only", segs)
+	}
+}
+
+// TestSpilledPruneFaultFailsClosed: a page that goes bad after a healthy
+// weighting — adjacency or weights — surfaces from the pruning pass that
+// loads it through its cursor, as the named error and without pairs.
+func TestSpilledPruneFaultFailsClosed(t *testing.T) {
+	ctx := context.Background()
+	for _, pattern := range []string{"neighbors.seg", "weights.*.seg"} {
+		for _, p := range allPrunings {
+			g, _, dir := spilledForFaults(t)
+			if err := weights.Blast().ApplyCSRCtx(ctx, g, 2); err != nil {
+				t.Fatal(err)
+			}
+			flipSegmentByte(t, dir, pattern)
+			pairs, err := PruneCSR(ctx, g, Config{Scheme: weights.Blast(), Pruning: p, C: 2, D: 2, Workers: 2})
+			if !errors.Is(err, store.ErrCorruptSegment) || pairs != nil {
+				t.Fatalf("%s/%s: PruneCSR = (%d pairs, %v), want (nil, ErrCorruptSegment)", pattern, p, len(pairs), err)
+			}
 		}
 	}
 }

@@ -76,12 +76,15 @@ func resolvePruneWorkers(workers int) int {
 
 // pruneWorker is the per-goroutine state of a chunked pruning pass: the
 // worker's stable id (for passes accumulating into per-worker state,
-// like the CEP selection histograms), the cancellation budget, and
-// reusable scratch. It is never shared between goroutines.
+// like the CEP selection histograms), the cancellation budget, its
+// private cursor over the graph's runs (on a spilled graph: its own
+// decoded pages, kept from chunk to chunk), and reusable scratch. It is
+// never shared between goroutines.
 type pruneWorker struct {
 	ctx    context.Context
 	id     int
 	budget int
+	runs   *graph.RunReader
 	// top is the reusable size-k selection heap of the CNP cut pass.
 	top []topEntry
 }
@@ -111,14 +114,17 @@ func pruneWorkerCount(workers, chunks int) int {
 	return workers
 }
 
-// runChunks executes fn(worker, chunk) for every chunk using at most
-// `workers` goroutines (<= 0 selects GOMAXPROCS). Which worker computes
-// which chunk is racy by design; callers must write results into
-// per-chunk (or per-node or per-worker) slots so the output is
-// independent of the assignment. Returns the first error observed
-// (cancellation is the only error source; every worker returns the same
-// ctx.Err()).
-func runChunks(ctx context.Context, workers, chunks int, fn func(w *pruneWorker, chunk int) error) error {
+// runChunks executes fn(worker, chunk) for every fixed node chunk of g
+// using at most `workers` goroutines (<= 0 selects GOMAXPROCS). Which
+// worker computes which chunk is racy by design; callers must write
+// results into per-chunk (or per-node or per-worker) slots so the
+// output is independent of the assignment. Returns the first error
+// observed: cancellation (every worker returns the same ctx.Err()) or,
+// over a spilled graph, its sticky read error — a pass refuses a graph
+// that already failed (a failed weighting leaves no weights to read)
+// and reports a page that failed while it ran, whose runs it saw as
+// zeros.
+func runChunks(ctx context.Context, g *graph.CSR, workers int, fn func(w *pruneWorker, chunk int) error) error {
 	// Poll before any work: graphs smaller than one tick budget would
 	// otherwise never observe an already-cancelled context, and every
 	// pass must fail fast on one (the contract the serial schemes always
@@ -126,18 +132,22 @@ func runChunks(ctx context.Context, workers, chunks int, fn func(w *pruneWorker,
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if err := g.Err(); err != nil {
+		return err
+	}
+	chunks := numChunks(g.NumProfiles)
 	if chunks == 0 {
 		return nil
 	}
 	workers = pruneWorkerCount(workers, chunks)
 	if workers <= 1 {
-		w := &pruneWorker{ctx: ctx, budget: streamCancelCheckEdges}
+		w := &pruneWorker{ctx: ctx, budget: streamCancelCheckEdges, runs: g.Reader()}
 		for c := 0; c < chunks; c++ {
 			if err := fn(w, c); err != nil {
 				return err
 			}
 		}
-		return nil
+		return g.Err()
 	}
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -147,7 +157,7 @@ func runChunks(ctx context.Context, workers, chunks int, fn func(w *pruneWorker,
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := &pruneWorker{ctx: ctx, id: i, budget: streamCancelCheckEdges}
+			w := &pruneWorker{ctx: ctx, id: i, budget: streamCancelCheckEdges, runs: g.Reader()}
 			for !failed.Load() {
 				c := int(next.Add(1)) - 1
 				if c >= chunks {
@@ -167,13 +177,13 @@ func runChunks(ctx context.Context, workers, chunks int, fn func(w *pruneWorker,
 			return err
 		}
 	}
-	return nil
+	return g.Err()
 }
 
 // forChunkCanonical invokes fn for every canonical (u < v) entry whose
 // smaller endpoint lies in the chunk, in canonical order, polling ctx at
 // edge-segment granularity even inside a single long run. Runs are read
-// through the CSR's run accessor — the one seam both the resident and
+// through the worker's run cursor — the one seam both the resident and
 // the spilled (paged) backings serve byte-identical data through — and
 // each entry's weight rides along so passes never index a flat weight
 // array that may not be resident.
@@ -184,7 +194,7 @@ func forChunkCanonical(g *graph.CSR, w *pruneWorker, chunk int, fn func(u, v int
 		if base == end {
 			continue
 		}
-		nbr, wts := g.Run(u)
+		nbr, wts := w.runs.Run(u)
 		for p := base; p < end; {
 			seg := end - p
 			if seg > streamCancelCheckEdges {
@@ -209,7 +219,7 @@ func forChunkCanonical(g *graph.CSR, w *pruneWorker, chunk int, fn func(u, v int
 func emitChunked(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, wt float64) bool) ([]model.IDPair, error) {
 	nch := numChunks(g.NumProfiles)
 	bufs := make([][]model.IDPair, nch)
-	err := runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
+	err := runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		var out []model.IDPair
 		err := forChunkCanonical(g, w, chunk, func(u, v int32, wt float64) {
 			if wt > 0 && keep(u, v, wt) {
@@ -257,7 +267,7 @@ func chunkPartialSums(ctx context.Context, g *graph.CSR, workers int) (sums []fl
 	nch := numChunks(g.NumProfiles)
 	sums = make([]float64, nch)
 	counts = make([]int64, nch)
-	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
+	err = runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		s, n := 0.0, int64(0)
 		rowSum, row := 0.0, int32(-1)
 		err := forChunkCanonical(g, w, chunk, func(u, _ int32, wt float64) {

@@ -61,7 +61,7 @@ func CNPBudget(blockCounts []int32) int { return cnpBudget(blockCounts) }
 func RowWeightSums(ctx context.Context, g *graph.CSR, workers int) (sums []float64, counts []int64, err error) {
 	sums = make([]float64, g.NumProfiles)
 	counts = make([]int64, g.NumProfiles)
-	err = runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
+	err = runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		// Chunks own disjoint row ranges, so these writes never race.
 		return forChunkCanonical(g, w, chunk, func(u, _ int32, wt float64) {
 			sums[u] += wt
@@ -111,7 +111,7 @@ func FoldRowSums(sums []float64, counts []int64) (total float64, edges int64) {
 // graph vector assign every tie its global canonical ordinal.
 func RowTieCounts(ctx context.Context, g *graph.CSR, workers int, cut float64) ([]int64, error) {
 	ties := make([]int64, g.NumProfiles)
-	err := runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
+	err := runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		return forChunkCanonical(g, w, chunk, func(u, _ int32, wt float64) {
 			if wt == cut {
 				ties[u]++
@@ -140,7 +140,7 @@ func RowTieCounts(ctx context.Context, g *graph.CSR, workers int, cut float64) (
 func CEPTakenTies(ctx context.Context, g *graph.CSR, workers int, cut float64, rem int64, tieBase []int64) ([]model.IDPair, error) {
 	nch := numChunks(g.NumProfiles)
 	bufs := make([][]model.IDPair, nch)
-	err := runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
+	err := runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		tie, row := int64(0), int32(-1)
 		var out []model.IDPair
 		err := forChunkCanonical(g, w, chunk, func(u, v int32, wt float64) {
@@ -178,7 +178,7 @@ func MarkOwned(ctx context.Context, g *graph.CSR, workers int, keep func(u, v in
 	retained = make([]bool, g.NumEntries())
 	nch := numChunks(g.NumProfiles)
 	perChunk := make([]int64, nch)
-	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
+	err = runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		lo, hi := chunkBounds(chunk, g.NumProfiles)
 		n := int64(0)
 		for u := lo; u < hi; u++ {
@@ -186,7 +186,7 @@ func MarkOwned(ctx context.Context, g *graph.CSR, workers int, keep func(u, v in
 			if base == end {
 				continue
 			}
-			nbr, wts := g.Run(u)
+			nbr, wts := w.runs.Run(u)
 			for p := base; p < end; {
 				seg := end - p
 				if seg > streamCancelCheckEdges {

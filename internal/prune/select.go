@@ -92,7 +92,7 @@ func CountCutHist(ctx context.Context, g *graph.CSR, workers int, prefix uint64,
 	// hists[w.id] belongs to its goroutine alone; the merge below is
 	// commutative, so the racy chunk assignment cannot influence the
 	// outcome.
-	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
+	err = runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		h := hists[w.id]
 		return forChunkCanonical(g, w, chunk, func(_, _ int32, wt float64) {
 			key := weightKey(wt)

@@ -102,7 +102,7 @@ func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPai
 	// emit.
 	nch := numChunks(g.NumProfiles)
 	tiesPerChunk := make([]int64, nch)
-	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
+	err = runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		n := int64(0)
 		err := forChunkCanonical(g, w, chunk, func(_, _ int32, wt float64) {
 			if wt == cut {
@@ -122,7 +122,7 @@ func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPai
 		base += n
 	}
 	bufs := make([][]model.IDPair, nch)
-	err = runChunks(ctx, workers, nch, func(w *pruneWorker, chunk int) error {
+	err = runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		tie := tieBase[chunk]
 		var out []model.IDPair
 		err := forChunkCanonical(g, w, chunk, func(u, v int32, wt float64) {
@@ -199,18 +199,18 @@ func blastReducer(c float64) runReducer {
 
 // forEachRun invokes fn for every non-empty adjacency run, chunk by
 // chunk on `workers` goroutines. Runs are read in ascending node order
-// inside a chunk — the strictly sequential access a spilled CSR serves
-// with one page load per page — and fn polls the worker's cancellation
-// budget itself, so it may write per-node slots without racing (chunks
-// own disjoint node ranges).
+// inside a chunk — the strictly sequential access the worker's cursor
+// serves with one page load per page over a spilled CSR — and fn polls
+// the worker's cancellation budget itself, so it may write per-node
+// slots without racing (chunks own disjoint node ranges).
 func forEachRun(ctx context.Context, g *graph.CSR, workers int, fn func(w *pruneWorker, n int, nbr []int32, ws []float64) error) error {
-	return runChunks(ctx, workers, numChunks(g.NumProfiles), func(w *pruneWorker, chunk int) error {
+	return runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		lo, hi := chunkBounds(chunk, g.NumProfiles)
 		for n := lo; n < hi; n++ {
 			if g.Offsets[n] == g.Offsets[n+1] {
 				continue
 			}
-			nbr, ws := g.Run(n)
+			nbr, ws := w.runs.Run(n)
 			if err := fn(w, n, nbr, ws); err != nil {
 				return err
 			}

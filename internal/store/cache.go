@@ -6,15 +6,16 @@ import (
 )
 
 // Cache is a byte-bounded LRU over decoded segment pages, shared by
-// every reader of one spilled structure. Values are opaque to the
-// cache; the loader reports each value's resident size and the cache
-// evicts least-recently-used entries until it fits its capacity again.
+// every random reader of one spilled structure (single-row serving
+// reads; sequential passes bring their own page cursors and never come
+// here). Values are opaque to the cache; the loader reports each
+// value's resident size and the cache evicts least-recently-used
+// entries until it fits its capacity again.
 //
-// Get serializes loads under the cache mutex. That is deliberate: the
-// paged consumers are correctness-first (the bench gate is on resident
-// memory, not on paged throughput), and a single-flight load guarantees
-// a page is never decoded twice concurrently nor double-counted against
-// the budget.
+// Get serializes loads under the cache mutex: a single-flight load
+// guarantees a page is never decoded twice concurrently nor
+// double-counted against the budget. Random reads pay for that with
+// one page decode per miss, however short the row they wanted.
 type Cache struct {
 	mu       sync.Mutex
 	capBytes int64

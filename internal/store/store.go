@@ -63,13 +63,16 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-const frameHeaderSize = 8
+// FrameHeaderSize is the bytes a frame adds in front of its payload; a
+// Load into a buffer with capacity for header plus payload allocates
+// nothing.
+const FrameHeaderSize = 8
 
 // AppendFrame appends the CRC-framed encoding of payload to dst and
 // returns the extended slice. It is the single encoder of the frame
 // format, shared by the file arena and the fuzz round-trip.
 func AppendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
+	var hdr [FrameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
 	dst = append(dst, hdr[:]...)
@@ -81,7 +84,7 @@ func AppendFrame(dst, payload []byte) []byte {
 // the end of b is ErrTruncatedSegment; an implausible length or a
 // checksum mismatch is ErrCorruptSegment.
 func DecodeFrame(b []byte) (payload, rest []byte, err error) {
-	if len(b) < frameHeaderSize {
+	if len(b) < FrameHeaderSize {
 		return nil, nil, fmt.Errorf("%w: %d bytes left mid-header", ErrTruncatedSegment, len(b))
 	}
 	n := binary.LittleEndian.Uint32(b[0:4])
@@ -89,7 +92,7 @@ func DecodeFrame(b []byte) (payload, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: implausible frame length %d", ErrCorruptSegment, n)
 	}
 	want := binary.LittleEndian.Uint32(b[4:8])
-	body := b[frameHeaderSize:]
+	body := b[FrameHeaderSize:]
 	if uint32(len(body)) < n {
 		return nil, nil, fmt.Errorf("%w: %d bytes left of a %d-byte payload", ErrTruncatedSegment, len(body), n)
 	}
@@ -134,10 +137,11 @@ type Arena interface {
 	// Append stores payload as the next frame and returns its id
 	// (sequential from 0).
 	Append(payload []byte) (id int, err error)
-	// Load returns frame id's payload, reusing dst's backing array when
-	// it has capacity. A frame that fails validation returns a nil
-	// payload and an error wrapping ErrCorruptSegment or
-	// ErrTruncatedSegment.
+	// Load returns frame id's payload, reading through dst's backing
+	// array when it has capacity (a file arena needs FrameHeaderSize
+	// more than the payload; the payload then aliases dst). A frame that
+	// fails validation returns a nil payload and an error wrapping
+	// ErrCorruptSegment or ErrTruncatedSegment.
 	Load(id int, dst []byte) ([]byte, error)
 	// Frames returns the number of frames appended.
 	Frames() int
@@ -240,7 +244,7 @@ func (a *FileArena) Load(id int, dst []byte) ([]byte, error) {
 	if id < 0 || id >= len(a.offs) {
 		return nil, fmt.Errorf("store: frame %d out of range (%d frames)", id, len(a.offs))
 	}
-	need := frameHeaderSize + int(a.sizes[id])
+	need := FrameHeaderSize + int(a.sizes[id])
 	if cap(dst) < need {
 		dst = make([]byte, need)
 	}

@@ -122,7 +122,7 @@ func TestFileArenaFaultInjection(t *testing.T) {
 		a := build(t)
 		defer a.Close()
 		// Flip one payload byte of frame 3 in place.
-		off := a.offs[3] + frameHeaderSize + int64(len(payloads[3])/2)
+		off := a.offs[3] + FrameHeaderSize + int64(len(payloads[3])/2)
 		flipByteAt(t, a.f, off)
 		if _, err := a.Load(3, nil); !errors.Is(err, ErrCorruptSegment) {
 			t.Fatalf("corrupt payload load: %v, want ErrCorruptSegment", err)

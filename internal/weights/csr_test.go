@@ -1,6 +1,10 @@
 package weights
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"blast/internal/blocking"
@@ -41,6 +45,158 @@ func TestApplyCSRMatchesApplyAllSchemes(t *testing.T) {
 		for _, kind := range []Kind{CBS, ECBS, ARCS, JS, EJS, ChiSquared} {
 			checkApplyCSRMatchesApply(t, c, Scheme{Kind: kind})
 			checkApplyCSRMatchesApply(t, c, Scheme{Kind: kind, Entropy: true})
+		}
+	}
+}
+
+// mirrorWalkOracle is the weighting the per-entry kernel replaced, kept
+// as its reference: every edge is weighted once, from its canonical
+// (u < v) entry, and the value is written to both of its entries through
+// the CanonicalMirror walk.
+func mirrorWalkOracle(s Scheme, g *graph.CSR) []float64 {
+	w := s.Weigher(g.NumEdges(), g.TotalBlocks)
+	out := make([]float64, len(g.Neighbors))
+	g.CanonicalMirror(func(u, v int32, p, mp int64) {
+		wt := w.Weight(g.Common[p],
+			g.BlockCounts[u], g.BlockCounts[v],
+			int32(g.Degree(int(u))), int32(g.Degree(int(v))),
+			g.ARCS[p], g.EntropySum[p])
+		out[p], out[mp] = wt, wt
+	})
+	return out
+}
+
+func sameBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d weights, want %d", label, len(got), len(want))
+	}
+	for p := range want {
+		if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+			t.Fatalf("%s: weight %d = %v (%#x), want %v (%#x)", label, p,
+				got[p], math.Float64bits(got[p]), want[p], math.Float64bits(want[p]))
+		}
+	}
+}
+
+// TestKernelMatchesMirrorWalk holds the one weighting kernel to the
+// mirror-walk oracle bit for bit, for every scheme, at every worker
+// count and in every shape a graph reaches it in: full and resident,
+// two owned halves weighted apart under the exchanged (= the full
+// graph's) degrees, and spilled, read back through MaterializeWeights.
+// Some blocks carry entropy 0, -0 and negative values, and two hub
+// profiles co-occur less than independence predicts in blocks of
+// negative entropy: entropy-scaled schemes meet zero-entropy edges and
+// χ²·h produces a negative zero, whose sign a == comparison would not
+// see.
+func TestKernelMatchesMirrorWalk(t *testing.T) {
+	ctx := context.Background()
+	rng := stats.NewRNG(77)
+	for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
+		c := blocking.RandomCollection(rng, kind, 160, 110)
+		hubA, hubB := int32(0), int32(1)
+		if kind == model.CleanClean {
+			hubB = int32(c.Split)
+		}
+		join := func(ids []int32, id int32) []int32 {
+			if slices.Contains(ids, id) {
+				return ids
+			}
+			return append(ids, id)
+		}
+		for i := range c.Blocks {
+			b := &c.Blocks[i]
+			switch i % 7 {
+			case 2:
+				b.Entropy = math.Copysign(0, -1)
+			case 5:
+				b.Entropy = -0.75
+			}
+			// A sits in half the blocks, B in 3/8, both in 1/8 — under
+			// the 3/16 of independent profiles, so chi2's positive
+			// association is 0 — and the shared blocks weigh -1.
+			if i%2 == 0 {
+				b.P1 = join(b.P1, hubA)
+			}
+			if i%4 == 1 || i%8 == 0 {
+				if kind == model.CleanClean {
+					b.P2 = join(b.P2, hubB)
+				} else {
+					b.P1 = join(b.P1, hubB)
+				}
+			}
+			if i%8 == 0 {
+				b.Entropy = -1
+			}
+		}
+		full := graph.BuildCSR(c)
+		degrees := make([]int32, full.NumProfiles)
+		for u := range degrees {
+			degrees[u] = int32(full.Degree(u))
+		}
+		var halves [2]*graph.CSR
+		for k := range halves {
+			var err error
+			halves[k], err = graph.BuildOwnedCSR(ctx, c, func(n int32) bool { return int(n)%2 == k }, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		spilled, err := graph.BuildCSRSpillCtx(ctx, c, graph.SpillOptions{Dir: t.TempDir(), MemoryBudget: -1, PageEntries: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := spilled.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		}()
+
+		negZeros := 0
+		for _, k := range []Kind{CBS, ECBS, ARCS, JS, EJS, ChiSquared} {
+			for _, entropy := range []bool{false, true} {
+				s := Scheme{Kind: k, Entropy: entropy}
+				want := mirrorWalkOracle(s, full)
+				for _, w := range want {
+					if w == 0 && math.Signbit(w) {
+						negZeros++
+					}
+				}
+				for _, workers := range []int{0, 1, 2, 4} {
+					label := fmt.Sprintf("%v %s workers=%d", kind, s.Name(), workers)
+					clear(full.Weights)
+					if err := s.ApplyCSRCtx(ctx, full, workers); err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, label+" resident", full.Weights, want)
+
+					for k, g := range halves {
+						clear(g.Weights)
+						if err := s.ApplyOwnedCSR(ctx, g, degrees, full.NumEdges(), workers); err != nil {
+							t.Fatal(err)
+						}
+						for u := 0; u < g.NumProfiles; u++ {
+							if u%2 != k {
+								continue
+							}
+							sameBits(t, fmt.Sprintf("%s owned half %d row %d", label, k, u),
+								g.Weights[g.Offsets[u]:g.Offsets[u+1]], want[full.Offsets[u]:full.Offsets[u+1]])
+						}
+					}
+
+					if err := s.ApplyCSRCtx(ctx, spilled, workers); err != nil {
+						t.Fatal(err)
+					}
+					got, err := spilled.MaterializeWeights()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, label+" spilled", got, want)
+				}
+			}
+		}
+		if negZeros == 0 {
+			t.Errorf("%v: no scheme produced a negative zero; the sign check is vacuous", kind)
 		}
 	}
 }

@@ -7,6 +7,7 @@
 package weights
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -179,66 +180,49 @@ func (s Scheme) Apply(g *graph.Graph) {
 	}
 }
 
-// ApplyCSR computes the weight of every adjacency entry of g in place.
-// Each undirected edge is weighted once, from its canonical (u < v)
-// entry, and mirrored into the reverse entry, so per-node passes observe
-// the same value from either endpoint.
-//
-// A spilled graph is weighted through its streaming pass instead: every
-// entry independently, arguments in canonical orientation — the
-// ApplyOwnedCSR argument shows both evaluations are bit-identical. A
-// spilled weighting failure is sticky on the graph (graph.CSR.Err), as
-// all spilled I/O failures are.
+// ApplyCSR computes the weight of every adjacency entry of g, one
+// worker per CPU: ApplyCSRCtx with a background context and workers = 0.
+// Over a spilled graph an I/O failure is not lost: it stays on the
+// graph (graph.CSR.Err) and every later pass refuses it.
 func (s Scheme) ApplyCSR(g *graph.CSR) {
-	w := s.Weigher(g.NumEdges(), g.TotalBlocks)
-	if g.Spilled() {
-		g.WeighSpilled(func(u, v int32, common int32, arcs, entropySum float64) float64 {
-			lo, hi := u, v
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			return w.Weight(common,
-				g.BlockCounts[lo], g.BlockCounts[hi],
-				int32(g.Degree(int(lo))), int32(g.Degree(int(hi))),
-				arcs, entropySum)
-		})
-		return
-	}
-	g.CanonicalMirror(func(u, v int32, p, mp int64) {
-		wt := w.Weight(g.Common[p],
-			g.BlockCounts[u], g.BlockCounts[v],
-			int32(g.Degree(int(u))), int32(g.Degree(int(v))),
-			g.ARCS[p], g.EntropySum[p])
-		g.Weights[p] = wt
-		g.Weights[mp] = wt
-	})
+	_ = s.ApplyCSRCtx(context.Background(), g, 0)
 }
 
-// ApplyOwnedCSR computes the weight of every adjacency entry of an
-// owned-rows CSR (graph.BuildOwnedCSR) in place. g carries full-length
-// Offsets but adjacency runs only for the rows one shard owns, so
-// neighbor degrees are not derivable locally: degrees is the global
-// per-node degree vector and numEdges the global edge count, both
-// resolved by the cross-shard aggregate exchange. Every entry is
-// weighted with its arguments in canonical (u < v) orientation — the
-// same orientation ApplyCSR uses before mirroring — so an edge's two
-// entries, weighted independently on two shards, carry bit-identical
-// values.
-func (s Scheme) ApplyOwnedCSR(g *graph.CSR, degrees []int32, numEdges int) {
-	w := s.Weigher(numEdges, g.TotalBlocks)
-	for u := 0; u < g.NumProfiles; u++ {
-		for p := g.Offsets[u]; p < g.Offsets[u+1]; p++ {
-			v := g.Neighbors[p]
-			lo, hi := int32(u), v
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			g.Weights[p] = w.Weight(g.Common[p],
-				g.BlockCounts[lo], g.BlockCounts[hi],
-				degrees[lo], degrees[hi],
-				g.ARCS[p], g.EntropySum[p])
-		}
+// ApplyCSRCtx weighs a full graph on `workers` goroutines (0 = one per
+// CPU): ApplyOwnedCSR over a graph that owns every row, so its degree
+// vector and edge count are its own.
+func (s Scheme) ApplyCSRCtx(ctx context.Context, g *graph.CSR, workers int) error {
+	degrees := make([]int32, g.NumProfiles)
+	for u := range degrees {
+		degrees[u] = int32(g.Degree(u))
 	}
+	return s.ApplyOwnedCSR(ctx, g, degrees, g.NumEdges(), workers)
+}
+
+// ApplyOwnedCSR is the one CSR weighting: it computes the weight of
+// every adjacency entry g holds through the graph's row-parallel kernel
+// (graph.CSR.WeighEntries) — in place over resident arrays, into a new
+// weights segment over a spilled graph. g may be an owned-rows CSR
+// (graph.BuildOwnedCSR), whose neighbor degrees are not derivable
+// locally: degrees is the global per-node degree vector and numEdges
+// the global edge count, both resolved by the cross-shard aggregate
+// exchange. Every entry is weighted on its own with its arguments in
+// canonical (lo, hi) orientation, through the same Weigher as the
+// edge-list Apply; an edge's two entries carry bit-identical statistics,
+// so they come out bit-identical whether one pass weighs both or two
+// shards weigh one each, at every worker count. It returns ctx.Err() if
+// cancelled (all workers have exited; g's weights are then undefined,
+// except that a spilled graph keeps its previous ones) and a spilled
+// graph's I/O failure.
+func (s Scheme) ApplyOwnedCSR(ctx context.Context, g *graph.CSR, degrees []int32, numEdges, workers int) error {
+	w := s.Weigher(numEdges, g.TotalBlocks)
+	blocks := g.BlockCounts
+	return g.WeighEntries(ctx, workers, func(u, v, common int32, arcs, entropySum float64) float64 {
+		if v < u {
+			u, v = v, u
+		}
+		return w.Weight(common, blocks[u], blocks[v], degrees[u], degrees[v], arcs, entropySum)
+	})
 }
 
 // safeLog returns log(x) clamped to 0 for x <= 1, keeping the

@@ -140,7 +140,9 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 	}
 	numEdges := int(ne / 2)
 
-	px.opt.Scheme.ApplyOwnedCSR(g, degrees, numEdges)
+	if err := px.opt.Scheme.ApplyOwnedCSR(ctx, g, degrees, numEdges, px.opt.Workers); err != nil {
+		return nil, err
+	}
 	g.ReleaseStats()
 
 	keep, theta, err := px.keepPredicate(ctx, g, numEdges, owners)

@@ -11,10 +11,14 @@ package blast
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"blast/internal/metablocking"
 	"blast/internal/model"
@@ -119,7 +123,15 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 			if memIx.Spilled() {
 				t.Fatalf("%s: resident index reports spilled", label)
 			}
+			// The cold build read its pages through private cursors: the
+			// page cache is untouched until the first lookup fills it.
+			if _, cs, loads := fileIx.StorageStats(); cs.Bytes != 0 || cs.Hits+cs.Misses != 0 || loads == 0 {
+				t.Fatalf("%s: after a cold build the cache holds %+v and %d frames were loaded; want an empty cache and some loads", label, cs, loads)
+			}
 			assertSameIndex(t, label, memIx, fileIx)
+			if _, cs, _ := fileIx.StorageStats(); cs.Misses == 0 || cs.Bytes == 0 {
+				t.Fatalf("%s: lookups did not go through the page cache: %+v", label, cs)
+			}
 			if err := fileIx.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", label, err)
 			}
@@ -264,6 +276,85 @@ func TestStorageSpillDirLifecycle(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("spill segments leaked after Close: %v", entries)
+	}
+}
+
+// tripCtx reports context.Canceled from its after-th Err call onwards.
+type tripCtx struct {
+	context.Context
+	after int64
+	polls atomic.Int64
+}
+
+func (c *tripCtx) Err() error {
+	if c.polls.Add(1) >= c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestStorageCancelledBuildLeavesNoSegments trips every cancellation
+// poll of a file-backed IndexBlocks and MetaBlock in turn — the spill
+// build, the paged weighting kernel, every pruning pass, the freeze —
+// and checks each cancelled run returns context.Canceled through the
+// exits that close the spilled graph: no segment file, spill directory
+// or goroutine is left behind.
+func TestStorageCancelledBuildLeavesNoSegments(t *testing.T) {
+	spill := t.TempDir()
+	opt := fileStorageOptions(DefaultOptions())
+	opt.SpillDir = spill
+	opt.Workers = 2
+	p, err := NewPipeline(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := context.Background()
+	ds := synthDirty(stats.NewRNG(0xC0FFEE), 150)
+	sch, err := p.InduceSchema(bg, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := p.Block(bg, ds, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for name, run := range map[string]func(ctx context.Context) error{
+		"IndexBlocks": func(ctx context.Context) error {
+			ix, err := p.IndexBlocks(ctx, blocks)
+			if err != nil {
+				return err
+			}
+			return ix.Close()
+		},
+		"MetaBlock": func(ctx context.Context) error {
+			_, err := p.MetaBlock(ctx, blocks)
+			return err
+		},
+	} {
+		counter := &tripCtx{Context: bg, after: math.MaxInt64}
+		if err := run(counter); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		polls := counter.polls.Load()
+		if polls < 8 {
+			t.Fatalf("%s polled %d times: too few to cover its phases", name, polls)
+		}
+		for after := int64(1); after <= polls; after++ {
+			if err := run(&tripCtx{Context: bg, after: after}); err != context.Canceled {
+				t.Fatalf("%s tripping at poll %d of %d: %v, want context.Canceled", name, after, polls, err)
+			}
+			if left, err := os.ReadDir(spill); err != nil || len(left) != 0 {
+				t.Fatalf("%s cancelled at poll %d left %d entries in the spill directory (%v)", name, after, len(left), err)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines leaked by cancelled builds: %d > %d", n, before)
 	}
 }
 
