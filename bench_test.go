@@ -19,6 +19,7 @@ import (
 	"blast/internal/attr"
 	"blast/internal/blocking"
 	"blast/internal/datasets"
+	"blast/internal/edgelist"
 	"blast/internal/experiments"
 	"blast/internal/graph"
 	"blast/internal/lsh"
@@ -262,7 +263,7 @@ func BenchmarkComponent_GraphBuild(b *testing.B) {
 	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := graph.Build(blocks)
+		g := graph.BuildCSR(blocks)
 		if g.NumEdges() == 0 {
 			b.Fatal("no edges")
 		}
@@ -271,10 +272,10 @@ func BenchmarkComponent_GraphBuild(b *testing.B) {
 
 func BenchmarkComponent_ChiSquaredWeighting(b *testing.B) {
 	ds := datasets.AR1(0.2, 42)
-	g := graph.Build(blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8))
+	g := graph.BuildCSR(blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		weights.Blast().Apply(g)
+		weights.Blast().ApplyCSR(g)
 	}
 }
 
@@ -387,32 +388,41 @@ func BenchmarkAblation_WeightingScheme(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine_MetaBlocking compares the edge-list and node-centric
-// meta-blocking engines end to end (graph + weighting + pruning) on the
-// same cleaned block collection. Run with -benchmem: the node-centric
-// engine's B/op is the headline — it never allocates the global edge
-// accumulator.
+// BenchmarkEngine_MetaBlocking runs Phase 3 end to end (graph +
+// weighting + pruning) on one cleaned block collection, twice: through
+// the test-only edge-list reference the engine is held to (global pair
+// map, one Edge per comparison, sort-based pruning) and through the
+// engine. Run with -benchmem: the gap in time and in B/op is why the
+// reference is a reference.
 func BenchmarkEngine_MetaBlocking(b *testing.B) {
 	ds := datasets.AR1(0.4, 42)
 	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
-	for _, engine := range []metablocking.Engine{metablocking.EdgeList, metablocking.NodeCentric} {
-		b.Run(engine.String(), func(b *testing.B) {
+	cfg := metablocking.DefaultConfig()
+	cfg.Workers = 1
+	for _, run := range []struct {
+		name  string
+		pairs func() int
+	}{
+		{"reference", func() int {
+			g := edgelist.Build(blocks)
+			g.Weigh(cfg.Scheme.Weigher(g.NumEdges(), g.TotalBlocks).Weight)
+			return len(g.Pairs(edgelist.BlastWNP(g, cfg.C, cfg.D)))
+		}},
+		{"engine", func() int { return len(metablocking.Run(blocks, cfg).Pairs) }},
+	} {
+		b.Run(run.name, func(b *testing.B) {
 			b.ReportAllocs()
-			cfg := metablocking.DefaultConfig()
-			cfg.Engine = engine
-			cfg.Workers = 1
 			var pairs int
 			for i := 0; i < b.N; i++ {
-				res := metablocking.Run(blocks, cfg)
-				pairs = len(res.Pairs)
+				pairs = run.pairs()
 			}
 			b.ReportMetric(float64(pairs), "pairs")
 		})
 	}
 }
 
-// BenchmarkEngine_CSRBuild isolates graph construction: edge-map
-// accumulation (Build) vs the node-centric kernel, serial, parallel and
+// BenchmarkEngine_CSRBuild isolates graph construction: the reference's
+// edge-map accumulation vs the node-centric kernel, serial, parallel and
 // as one of two owners' rows. Run with -benchmem. The dense collection
 // (a token-blocked corpus, mean degree in the hundreds) shows what the
 // exact-size in-place fill allocates; the sparse one (N five orders of
@@ -441,7 +451,7 @@ func BenchmarkEngine_CSRBuild(b *testing.B) {
 			name  string
 			edges func() int
 		}{
-			{"edge-list", func() int { return graph.Build(shape.blocks).NumEdges() }},
+			{"edge-list", func() int { return edgelist.Build(shape.blocks).NumEdges() }},
 			{"node-centric", func() int { return graph.BuildCSR(shape.blocks).NumEdges() }},
 			{"node-centric-parallel", func() int { return graph.BuildCSRParallel(shape.blocks, 4).NumEdges() }},
 			{"owned-half", func() int {
@@ -597,21 +607,6 @@ func BenchmarkCNPStream(b *testing.B) {
 				b.ReportMetric(float64(pairs), "pairs")
 			})
 		}
-	}
-}
-
-func BenchmarkComponent_GraphBuildParallel(b *testing.B) {
-	ds := datasets.AR1(0.4, 42)
-	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := graph.BuildParallel(blocks, workers)
-				if g.NumEdges() == 0 {
-					b.Fatal("no edges")
-				}
-			}
-		})
 	}
 }
 

@@ -127,8 +127,7 @@ const (
 	// the build's resident footprint exceeds Options.MemoryBudget,
 	// serving subsequent passes through a bounded page cache. Retained
 	// pairs and served candidates are byte-identical to StorageMemory;
-	// only peak memory (and speed) differ. Requires the NodeCentric
-	// engine — the edge-list engine materializes every edge by design.
+	// only peak memory (and speed) differ.
 	StorageFile
 )
 
@@ -383,13 +382,6 @@ type Options struct {
 	Scheme weights.Scheme
 	// Pruning is the pruning algorithm (default BlastWNP).
 	Pruning metablocking.Pruning
-	// Engine selects the meta-blocking execution strategy: EdgeList
-	// (default) materializes the blocking graph's edge list, NodeCentric
-	// streams over a per-node CSR adjacency and keeps peak memory
-	// proportional to the adjacency. Retained pairs are identical.
-	// Ignored when Supervised is set: the supervised baseline needs
-	// per-edge feature vectors and always builds the edge list.
-	Engine metablocking.Engine
 	// C is the local threshold divisor theta_i = M_i/C (default 2;
 	// higher C retains more comparisons — higher PC, lower PQ).
 	C float64
@@ -399,40 +391,26 @@ type Options struct {
 	// K overrides the cardinality of CEP/CNP pruning (<= 0: defaults).
 	K int
 
-	// Supervised switches Phase 3 to supervised meta-blocking (SVM over
-	// edge features, trained on TrainFraction of the ground truth). Used
-	// only for the paper's comparison rows. Always runs on the edge-list
-	// graph; the Engine option does not apply.
-	Supervised bool
-	// TrainFraction is the fraction of matches used to train the
-	// supervised baseline (default 0.1).
-	TrainFraction float64
-	// Seed drives the deterministic randomness (LSH, SVM sampling).
+	// Seed drives the deterministic randomness (LSH).
 	Seed uint64
 	// Workers parallelizes attribute-match induction (the exhaustive
 	// row kernel; attribute rows are independent), blocking-graph
-	// construction AND the streaming pruning passes (thresholds, top-k
-	// marking, retention — everywhere a CSR is pruned: batch runs,
-	// IndexBlocks, the incremental index's re-derivations, the sharded
-	// server's replicas): 0 uses one worker per CPU, 1 forces serial
-	// execution, >1 uses exactly that many goroutines. Results are
-	// byte-identical at every count — induction and graph construction
-	// compute each row on one worker, and pruning runs over fixed node
-	// chunks with float partials combined in chunk order, so parallelism
-	// never moves a ulp. With the default EdgeList
-	// engine, 0 only engages build parallelism on collections large
-	// enough for the sharded builder to pay off (see
-	// metablocking.Config.Workers); explicit counts are always honored.
-	// Like Engine, ignored by Phase 3 when Supervised is set (the
-	// supervised baseline always builds its graph serially).
+	// construction, weighting AND the streaming pruning passes
+	// (thresholds, top-k cuts, retention — everywhere a CSR is pruned:
+	// batch runs, IndexBlocks, the incremental index's re-derivations,
+	// the sharded server's replicas): 0 uses one worker per CPU, 1 forces
+	// serial execution, >1 uses exactly that many goroutines. Results are
+	// byte-identical at every count — induction, graph construction and
+	// weighting compute each row or entry on one worker, and pruning runs
+	// over fixed node chunks with float partials combined in chunk order,
+	// so parallelism never moves a ulp.
 	Workers int
 
 	// Storage selects where the blocking graph's adjacency lives during
 	// meta-blocking and index builds: StorageMemory (default) keeps it
 	// resident, StorageFile spills it to segment files past MemoryBudget
 	// and serves passes through a bounded page cache. Byte-identical
-	// output either way. StorageFile requires the NodeCentric engine and
-	// does not apply to Supervised runs.
+	// output either way.
 	Storage Storage
 	// MemoryBudget bounds (in bytes) the resident footprint of the
 	// adjacency entries a StorageFile build may accumulate before
@@ -456,9 +434,9 @@ type Options struct {
 
 	// Progress, when non-nil, observes pipeline execution: it is invoked
 	// synchronously as each phase or sub-stage completes ("induce",
-	// "block", "graph", "weight", "prune", "supervised", "index") with
-	// the stage's wall-clock duration. It must be fast and must not
-	// retain pipeline structures.
+	// "block", "graph", "weight", "prune", "index") with the stage's
+	// wall-clock duration. It must be fast and must not retain pipeline
+	// structures.
 	Progress Progress
 }
 
@@ -475,8 +453,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("blast: unknown induction %d", int(o.Induction))
 	}
 	if o.Induction != NoInduction {
-		// Alpha and LSH only drive attribute-match induction; like
-		// TrainFraction below, they are checked only when used.
+		// Alpha and LSH only drive attribute-match induction; they are
+		// checked only when used.
 		if o.Alpha <= 0 || o.Alpha > 1 {
 			return fmt.Errorf("blast: Alpha = %v outside (0, 1]: the LMI candidate factor is a fraction of the per-attribute best similarity", o.Alpha)
 		}
@@ -496,11 +474,6 @@ func (o Options) Validate() error {
 	default:
 		return fmt.Errorf("blast: unknown pruning %d", int(o.Pruning))
 	}
-	switch o.Engine {
-	case metablocking.EdgeList, metablocking.NodeCentric:
-	default:
-		return fmt.Errorf("blast: unknown engine %d", int(o.Engine))
-	}
 	if o.C <= 0 {
 		return fmt.Errorf("blast: C = %v must be > 0: it divides the per-node maximum weight (theta_i = M_i/C)", o.C)
 	}
@@ -516,14 +489,7 @@ func (o Options) Validate() error {
 	if err := o.Storage.Validate(); err != nil {
 		return err
 	}
-	if o.Storage == StorageFile {
-		if o.Engine != metablocking.NodeCentric {
-			return fmt.Errorf("blast: StorageFile requires the NodeCentric engine: the edge-list engine materializes every edge in memory by design")
-		}
-		if o.Supervised {
-			return fmt.Errorf("blast: StorageFile does not apply to Supervised runs: the supervised baseline needs a resident per-edge feature matrix")
-		}
-	} else if o.MemoryBudget != 0 || o.SpillDir != "" {
+	if o.Storage != StorageFile && (o.MemoryBudget != 0 || o.SpillDir != "") {
 		return fmt.Errorf("blast: MemoryBudget/SpillDir = %d/%q without StorageFile: the spill knobs need file storage", o.MemoryBudget, o.SpillDir)
 	}
 	if math.IsNaN(o.Compaction.MaxOverlayFraction) || math.IsInf(o.Compaction.MaxOverlayFraction, 0) {
@@ -532,25 +498,16 @@ func (o Options) Validate() error {
 	if o.Compaction.MinOverlayEntries < 0 {
 		return fmt.Errorf("blast: Compaction.MinOverlayEntries = %d must be >= 0 (0 selects the default)", o.Compaction.MinOverlayEntries)
 	}
-	if o.Supervised && (o.TrainFraction <= 0 || o.TrainFraction > 1) {
-		return fmt.Errorf("blast: TrainFraction = %v outside (0, 1]: it is the fraction of ground-truth matches used for training", o.TrainFraction)
-	}
 	return nil
 }
 
 // spillOptions maps the public storage knobs onto the graph builder's
-// spill configuration, nil when storage is resident. dir, when
-// non-empty, overrides an unset SpillDir (the durable Server points it
-// next to the WAL).
-func (o *Options) spillOptions(dir string) *graph.SpillOptions {
+// spill configuration, nil when storage is resident.
+func (o *Options) spillOptions() *graph.SpillOptions {
 	if o.Storage != StorageFile {
 		return nil
 	}
-	d := o.SpillDir
-	if d == "" {
-		d = dir
-	}
-	return &graph.SpillOptions{Dir: d, MemoryBudget: o.MemoryBudget}
+	return &graph.SpillOptions{Dir: o.SpillDir, MemoryBudget: o.MemoryBudget}
 }
 
 // progress reports a completed phase to the Progress observer, if any.
@@ -563,18 +520,17 @@ func (o *Options) progress(phase string, d time.Duration) {
 // DefaultOptions returns the paper's configuration of BLAST.
 func DefaultOptions() Options {
 	return Options{
-		Transform:     text.NewTokenizer(),
-		Induction:     LMI,
-		Alpha:         0.9,
-		Glue:          true,
-		PurgeRatio:    0.5,
-		FilterRatio:   0.8,
-		Scheme:        weights.Blast(),
-		Pruning:       metablocking.BlastWNP,
-		C:             2,
-		D:             2,
-		TrainFraction: 0.1,
-		Seed:          1,
+		Transform:   text.NewTokenizer(),
+		Induction:   LMI,
+		Alpha:       0.9,
+		Glue:        true,
+		PurgeRatio:  0.5,
+		FilterRatio: 0.8,
+		Scheme:      weights.Blast(),
+		Pruning:     metablocking.BlastWNP,
+		C:           2,
+		D:           2,
+		Seed:        1,
 	}
 }
 

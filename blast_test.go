@@ -1,12 +1,17 @@
 package blast
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"blast/internal/datasets"
+	"blast/internal/edgelist"
+	"blast/internal/graph"
 	"blast/internal/metablocking"
+	"blast/internal/metrics"
 	"blast/internal/model"
+	"blast/internal/supervised"
 	"blast/internal/weights"
 )
 
@@ -100,16 +105,29 @@ func TestRunWithLSH(t *testing.T) {
 	}
 }
 
+// TestRunSupervised: the supervised meta-blocking baseline is no pipeline
+// option; it composes with the staged artifacts the way the paper's
+// comparison rows use it (examples/bibliographic, Tables 4-5) — the CSR
+// of a Blocks artifact plus the dataset's ground truth.
 func TestRunSupervised(t *testing.T) {
 	ds := datasets.AR1(0.1, 9)
-	opt := DefaultOptions()
-	opt.Supervised = true
-	res, err := Run(ds, opt)
+	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Quality.PC < 0.9 || res.Quality.PQ < 0.5 {
-		t.Errorf("supervised PC=%v PQ=%v, want strong on easy ar1", res.Quality.PC, res.Quality.PQ)
+	ctx := context.Background()
+	sch, err := p.InduceSchema(ctx, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := p.Block(ctx, ds, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := supervised.Run(graph.BuildCSR(blocks.Collection), ds.Truth,
+		supervised.Config{TrainFraction: 0.1, NegativeRatio: 1, Seed: 1})
+	if q := metrics.EvaluatePairs(sup.Pairs, ds.Truth); q.PC < 0.9 || q.PQ < 0.5 {
+		t.Errorf("supervised PC=%v PQ=%v, want strong on easy ar1", q.PC, q.PQ)
 	}
 }
 
@@ -307,30 +325,23 @@ func TestRunParallelWorkersIdentical(t *testing.T) {
 	}
 }
 
-// TestRunEngineIdentical: the public pipeline must return identical
-// pairs (and quality) whichever meta-blocking engine is selected.
+// TestRunEngineIdentical: the public pipeline returns exactly the pairs
+// the test-only edge-list reference retains over the same blocks (the
+// Scheme x Pruning x Workers matrix of this contract is
+// internal/metablocking's TestEngineEquivalence*).
 func TestRunEngineIdentical(t *testing.T) {
 	for _, ds := range []*model.Dataset{datasets.AR1(0.1, 9), datasets.Census(0.2, 9)} {
-		legacy, err := Run(ds, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
 		opt := DefaultOptions()
-		opt.Engine = metablocking.NodeCentric
-		stream, err := Run(ds, opt)
+		res, err := Run(ds, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(legacy.Pairs) != len(stream.Pairs) {
-			t.Fatalf("%s: engine changed output: %d vs %d pairs", ds.Name, len(legacy.Pairs), len(stream.Pairs))
-		}
-		for i := range legacy.Pairs {
-			if legacy.Pairs[i] != stream.Pairs[i] {
-				t.Fatalf("%s: node-centric pairs differ from edge-list", ds.Name)
-			}
-		}
-		if legacy.Quality != stream.Quality {
-			t.Errorf("%s: quality differs across engines", ds.Name)
+		g := edgelist.Build(res.Blocks)
+		g.Weigh(opt.Scheme.Weigher(g.NumEdges(), g.TotalBlocks).Weight)
+		want := g.Pairs(edgelist.BlastWNP(g, opt.C, opt.D))
+		assertSamePairs(t, ds.Name, want, res.Pairs)
+		if q := metrics.EvaluatePairs(want, ds.Truth); q != res.Quality {
+			t.Errorf("%s: quality %v differs from the reference's %v", ds.Name, res.Quality, q)
 		}
 	}
 }

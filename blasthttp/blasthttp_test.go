@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"blast"
-	"blast/internal/metablocking"
 	"blast/internal/model"
 	"blast/internal/stats"
 )
@@ -585,7 +584,6 @@ func TestStatszTopology(t *testing.T) {
 // materialized at publish time).
 func TestStatszStorage(t *testing.T) {
 	opt := blast.DefaultOptions()
-	opt.Engine = metablocking.NodeCentric
 	opt.Storage = blast.StorageFile
 	opt.MemoryBudget = 1
 	p, err := blast.NewPipeline(opt)

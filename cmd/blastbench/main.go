@@ -10,11 +10,10 @@
 // come from one dispatch table below; the flag's usage string is
 // generated from it, so the two cannot drift. -scale multiplies the
 // per-dataset default sizes (see internal/experiments); absolute
-// metrics depend on it, comparative structure does not. The engines
-// experiment compares the edge-list and node-centric meta-blocking
-// engines (time, allocation, output equality); the query experiment
-// measures single-profile Index.Candidates latency and throughput on
-// the registry datasets; the incremental experiment streams each
+// metrics depend on it, comparative structure does not. The query
+// experiment measures single-profile Index.Candidates latency and
+// throughput on the registry datasets; the incremental experiment
+// streams each
 // dataset's tail through Index.Insert and reports per-insert latency
 // and the amortized speedup over a cold rebuild; the serve experiment
 // drives a mixed read/write load against the sharded snapshot-swap
@@ -76,7 +75,6 @@ var experimentTable = []experimentSpec{
 	{id: "fig10", run: runFig10},
 	{id: "endtoend", run: runEndToEnd},
 	{id: "scalability", run: runScalability},
-	{id: "engines", json: true, run: runEngines},
 	{id: "query", json: true, run: runQuery},
 	{id: "incremental", json: true, run: runIncremental},
 	{id: "prune", json: true, run: runPrune},
@@ -112,7 +110,7 @@ func jsonUsage() string {
 
 func main() {
 	exp := flag.String("exp", "all", expUsage())
-	dataset := flag.String("dataset", "", "dataset for table4/table7/endtoend/engines/query/incremental/prune/recover (default: every applicable)")
+	dataset := flag.String("dataset", "", "dataset for table4/table7/endtoend/query/incremental/prune/recover (default: every applicable)")
 	scale := flag.Float64("scale", 1, "scale multiplier over per-dataset defaults")
 	seed := flag.Uint64("seed", 42, "random seed")
 	jsonOut := flag.Bool("json", false, jsonUsage())
@@ -279,28 +277,6 @@ func runScalability(cfg experiments.Config, dataset string, _ bool) error {
 	}
 	fmt.Println("== Scalability: phase overhead vs dataset scale ==")
 	fmt.Print(experiments.RenderScalability(name, rows))
-	return nil
-}
-
-func runEngines(cfg experiments.Config, dataset string, jsonOut bool) error {
-	name := dataset
-	if name == "" {
-		name = "ar1"
-	}
-	rows, err := experiments.Engines(cfg, name, nil)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		js, err := experiments.EnginesJSON(rows)
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(js))
-		return nil
-	}
-	fmt.Println("== Engines: edge-list vs node-centric meta-blocking ==")
-	fmt.Print(experiments.RenderEngines(name, rows))
 	return nil
 }
 

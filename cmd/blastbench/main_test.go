@@ -30,15 +30,6 @@ func TestRunSingleDatasetSelectors(t *testing.T) {
 	}
 }
 
-func TestRunEnginesExperiment(t *testing.T) {
-	if err := run(tinyCfg(), "engines", "ar1", false); err != nil {
-		t.Errorf("engines text: %v", err)
-	}
-	if err := run(tinyCfg(), "engines", "ar1", true); err != nil {
-		t.Errorf("engines json: %v", err)
-	}
-}
-
 func TestRunQueryExperiment(t *testing.T) {
 	if err := run(tinyCfg(), "query", "ar1", false); err != nil {
 		t.Errorf("query text: %v", err)

@@ -15,8 +15,11 @@ import (
 
 	"blast"
 	"blast/internal/datasets"
+	"blast/internal/graph"
 	"blast/internal/match"
 	"blast/internal/metablocking"
+	"blast/internal/metrics"
+	"blast/internal/supervised"
 	"blast/internal/text"
 	"blast/internal/weights"
 )
@@ -42,6 +45,10 @@ func run(quick bool) error {
 	type row struct {
 		name string
 		opt  blast.Options
+		// supervised replaces the row's Phase 3 by the supervised
+		// meta-blocking baseline (an experiments-only comparator, not a
+		// pipeline option) over the same Blocks artifact.
+		supervised bool
 	}
 	rows := []row{
 		{"token blocking only", func() blast.Options {
@@ -51,20 +58,16 @@ func run(quick bool) error {
 			o.K = 1 << 30 // effectively "keep the whole graph"
 			o.Scheme = weights.Scheme{Kind: weights.CBS}
 			return o
-		}()},
+		}(), false},
 		{"traditional wnp2 (JS)", func() blast.Options {
 			o := blast.DefaultOptions()
 			o.Induction = blast.NoInduction
 			o.Scheme = weights.Scheme{Kind: weights.JS}
 			o.Pruning = metablocking.WNP2
 			return o
-		}()},
-		{"supervised MB (SVM)", func() blast.Options {
-			o := blast.DefaultOptions()
-			o.Supervised = true
-			return o
-		}()},
-		{"BLAST", blast.DefaultOptions()},
+		}(), false},
+		{"supervised MB (SVM)", blast.DefaultOptions(), true},
+		{"BLAST", blast.DefaultOptions(), false},
 	}
 
 	// The staged API shares phase artifacts across comparison rows: the
@@ -91,6 +94,19 @@ func run(quick bool) error {
 				return err
 			}
 			blocksCache[r.opt.Induction] = blocks
+		}
+		if r.supervised {
+			// The baseline reads its per-edge features off the CSR rows of
+			// the blocking graph: SVM trained on 10% of the matches.
+			t0 := time.Now()
+			sup := supervised.Run(graph.BuildCSR(blocks.Collection), ds.Truth, supervised.Config{
+				TrainFraction: 0.1, NegativeRatio: 1, Seed: r.opt.Seed,
+			})
+			overhead := blocks.Schema.Duration + blocks.Duration + time.Since(t0)
+			q := metrics.EvaluatePairs(sup.Pairs, ds.Truth)
+			fmt.Printf("%-22s %8.2f %9.4f %8.3f %12d %10s\n",
+				r.name, q.PC*100, q.PQ*100, q.F1, len(sup.Pairs), overhead.Round(time.Millisecond))
+			continue
 		}
 		rowRes, err := p.MetaBlock(ctx, blocks)
 		if err != nil {

@@ -42,15 +42,21 @@ func run() error {
 	printBlocks(blocks)
 
 	// --- Figure 1c: the blocking graph with CBS weights ------------
-	g := graph.Build(blocks)
-	weights.Scheme{Kind: weights.CBS}.Apply(g)
+	g := graph.BuildCSR(blocks)
+	weights.Scheme{Kind: weights.CBS}.ApplyCSR(g)
 	fmt.Println("\n=== Blocking graph, co-occurrence weights (Figure 1c) ===")
-	printGraph(g)
+	g.Canonical(func(u, v int32, p int64) {
+		fmt.Printf("  p%d - p%d  weight %.0f\n", u+1, v+1, g.Weights[p])
+	})
 
 	// --- Figure 1d: traditional WNP keeps two superfluous edges ----
-	wnp := metablocking.RunOnGraph(g, metablocking.Config{
+	ctx := context.Background()
+	wnp, err := metablocking.RunOnCSR(ctx, g, metablocking.Config{
 		Scheme: weights.Scheme{Kind: weights.CBS}, Pruning: metablocking.WNP1,
 	})
+	if err != nil {
+		return err
+	}
 	fmt.Println("\n=== Traditional WNP pruning (Figure 1d) ===")
 	for _, p := range wnp.Pairs {
 		marker := "superfluous!"
@@ -71,7 +77,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
 	schema, err := pipe.InduceSchema(ctx, ds)
 	if err != nil {
 		return err
@@ -122,12 +127,5 @@ func printBlocks(c *blocking.Collection) {
 			members = append(members, fmt.Sprintf("p%d", p+1))
 		}
 		fmt.Printf("  %-12q -> %v\n", b.Key, members)
-	}
-}
-
-func printGraph(g *graph.Graph) {
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		fmt.Printf("  p%d - p%d  weight %.0f\n", e.U+1, e.V+1, e.Weight)
 	}
 }

@@ -4,9 +4,9 @@ package blast
 // Insert/InsertAll/Compact calls, the mutable Index must be
 // byte-identical — Pairs(), Candidates(i), Threshold(i) — to a cold
 // IndexBlocks over its own live (appended) collection, across the
-// Induction x Scheme x Pruning configuration axes and against both batch
-// engines. Plus the boundary, cancellation and concurrency contracts of
-// the mutable index.
+// Induction x Scheme x Pruning configuration axes and against the batch
+// run. Plus the boundary, cancellation and concurrency contracts of the
+// mutable index.
 
 import (
 	"context"
@@ -102,7 +102,7 @@ func checkIndexEquivalence(t *testing.T, label string, p *Pipeline, ix *Index) {
 // TestIncrementalEquivalenceMatrix streams profile batches into indexes
 // across Induction x Scheme x Pruning and checks the cold-rebuild
 // contract at every batch boundary, then cross-checks the final pair set
-// against both batch engines run over the live collection.
+// against the batch run over the live collection.
 func TestIncrementalEquivalenceMatrix(t *testing.T) {
 	ctx := context.Background()
 	schemes := []weights.Scheme{
@@ -155,16 +155,12 @@ func TestIncrementalEquivalenceMatrix(t *testing.T) {
 					checkIndexEquivalence(t, fmt.Sprintf("%s batch %d", label, batch), p, ix)
 				}
 				// The live collection must also reproduce the index's
-				// pairs through both batch engines.
-				for _, engine := range []metablocking.Engine{metablocking.EdgeList, metablocking.NodeCentric} {
-					cfg := metaConfigFromOptions(opt)
-					cfg.Engine = engine
-					mb, err := metablocking.RunCtx(ctx, ix.Blocks(), cfg)
-					if err != nil {
-						t.Fatalf("%s/%v: RunCtx: %v", label, engine, err)
-					}
-					assertSamePairs(t, fmt.Sprintf("%s final %v", label, engine), mb.Pairs, ix.Pairs())
+				// pairs through the batch run.
+				mb, err := metablocking.RunCtx(ctx, ix.Blocks(), metaConfigFromOptions(opt))
+				if err != nil {
+					t.Fatalf("%s: RunCtx: %v", label, err)
 				}
+				assertSamePairs(t, label+" final", mb.Pairs, ix.Pairs())
 			}
 		}
 	}
@@ -190,9 +186,6 @@ func TestIncrementalEquivalenceRandom(t *testing.T) {
 		opt.Induction = []Induction{LMI, AC, NoInduction}[rng.Intn(3)]
 		opt.Scheme = weights.Scheme{Kind: schemes[rng.Intn(len(schemes))], Entropy: rng.Intn(2) == 0}
 		opt.Pruning = prunings[rng.Intn(len(prunings))]
-		if rng.Intn(2) == 0 {
-			opt.Engine = metablocking.NodeCentric // ignored by the index; part of the axis anyway
-		}
 		opt.C = []float64{1, 2, 4}[rng.Intn(3)]
 		opt.Workers = []int{0, 1, 2, 4}[rng.Intn(4)]
 		switch rng.Intn(3) {

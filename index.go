@@ -44,8 +44,6 @@ import (
 	"blast/internal/store"
 )
 
-var errSupervisedIndex = errors.New("blast: supervised meta-blocking has no candidate-serving index form")
-
 // ErrPartialInsert reports that InsertAll failed after admitting a
 // prefix of its batch: the returned ids identify the profiles that WERE
 // admitted (the index is finalized and consistent over them — equivalent
@@ -121,14 +119,8 @@ type Index struct {
 
 // BuildIndex runs the full pipeline on the dataset and freezes the
 // outcome into a candidate-serving Index: InduceSchema, Block, then
-// IndexBlocks. Supervised meta-blocking has no per-node decision
-// structure and is rejected.
+// IndexBlocks.
 func (p *Pipeline) BuildIndex(ctx context.Context, ds *model.Dataset) (*Index, error) {
-	if p.opt.Supervised {
-		// Fail before the expensive phases: the configuration alone
-		// decides this.
-		return nil, errSupervisedIndex
-	}
 	sch, err := p.InduceSchema(ctx, ds)
 	if err != nil {
 		return nil, err
@@ -140,15 +132,14 @@ func (p *Pipeline) BuildIndex(ctx context.Context, ds *model.Dataset) (*Index, e
 	return p.IndexBlocks(ctx, blocks)
 }
 
-// IndexBlocks freezes a Blocks artifact into an Index: the node-centric
-// (CSR) blocking graph is built and weighted, the configured pruning
-// decides retention, and the per-entry decisions are kept alongside the
-// weights for per-profile lookup. The engine option is ignored — an
-// index is by nature node-centric — but the retained pairs are
-// byte-identical to both engines' batch output. The co-occurrence
-// statistics are released after weighting (a query-only index stays at
-// its serving footprint); the first Insert re-derives them with one
-// graph pass over the retained collection.
+// IndexBlocks freezes a Blocks artifact into an Index: the CSR blocking
+// graph is built and weighted exactly as MetaBlock does it
+// (metablocking.BuildWeighted), the configured pruning decides
+// retention, and the per-entry decisions are kept alongside the weights
+// for per-profile lookup; Pairs is byte-identical to MetaBlock's. The
+// co-occurrence statistics are released after weighting (a query-only
+// index stays at its serving footprint); the first Insert re-derives
+// them with one graph pass over the retained collection.
 func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, error) {
 	return p.indexBlocks(ctx, blocks, false)
 }
@@ -158,34 +149,14 @@ func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, err
 // replicas (which will certainly mutate) skip the one-off graph rebuild
 // their first Insert would otherwise pay.
 func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bool) (*Index, error) {
-	if p.opt.Supervised {
-		return nil, errSupervisedIndex
-	}
 	if blocks == nil || blocks.Collection == nil {
 		return nil, errors.New("blast: IndexBlocks requires a non-nil Blocks artifact")
 	}
 	t0 := time.Now()
 	c := blocks.Collection
-	var csr *graph.CSR
-	var err error
-	if sp := p.opt.spillOptions(""); sp != nil {
-		csr, err = graph.BuildCSRSpillCtx(ctx, c, *sp)
-	} else {
-		csr, err = graph.BuildCSRParallelCtx(ctx, c, p.opt.Workers)
-	}
+	csr, _, err := metablocking.BuildWeighted(ctx, c, metaConfigFromOptions(p.opt))
 	if err != nil {
 		return nil, err
-	}
-	fail := func(err error) (*Index, error) {
-		// A spilled build owns temporary segment files; no Index will
-		// carry them, so delete them on every error exit.
-		if cerr := csr.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		return nil, err
-	}
-	if err := p.opt.Scheme.ApplyCSRCtx(ctx, csr, p.opt.Workers); err != nil {
-		return fail(err)
 	}
 	if !keepStats {
 		csr.ReleaseStats()
@@ -193,7 +164,9 @@ func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bo
 
 	pairs, retained, theta, err := freezeDecisions(ctx, csr, p.opt)
 	if err != nil {
-		return fail(err)
+		// A spilled build owns temporary segment files; no Index will
+		// carry them, so delete them on this exit too.
+		return nil, csr.CloseAfter(err)
 	}
 	if !keepStats {
 		// The pruning dispatch above was the last reader of the per-node
@@ -1143,9 +1116,6 @@ func (ix *Index) cloneForServing() *Index {
 // snapshot's decision arrays are adopted; any drift (a foreign snapshot,
 // a schema change, undetected corruption) fails closed.
 func (p *Pipeline) restoreIndex(ctx context.Context, blocks *Blocks, snap *shard.Snapshot, prefix [][]model.Profile) (*Index, error) {
-	if p.opt.Supervised {
-		return nil, errSupervisedIndex
-	}
 	if blocks == nil || blocks.Collection == nil {
 		return nil, errors.New("blast: restoreIndex requires a non-nil Blocks artifact")
 	}

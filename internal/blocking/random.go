@@ -11,7 +11,7 @@ import (
 // block collection: profiles scattered over blocks of varying size, with
 // varied entropies including zero. It exists for property-style tests and
 // benchmarks — notably the engine-equivalence harness, which asserts that
-// every graph builder and pruning engine agrees on arbitrary collections —
+// the CSR kernels and the edge-list reference agree on arbitrary collections —
 // and draws all randomness from the caller's seeded generator, so a given
 // (rng state, shape) is fully reproducible.
 //

@@ -75,7 +75,7 @@ func Figure8(cfg Config, names []string) ([]Figure8Row, error) {
 			return nil, err
 		}
 		blocks, _ := buildBlocks(ds, "L", nil)
-		g := graph.Build(blocks)
+		g := graph.BuildCSR(blocks)
 
 		// wnp: average of wnp1 and wnp2 across classic schemes.
 		w1 := averageClassic(g, metablocking.WNP1, ds.Truth)
@@ -84,7 +84,7 @@ func Figure8(cfg Config, names []string) ([]Figure8Row, error) {
 			PC: (w1.PC + w2.PC) / 2, PQ: (w1.PQ + w2.PQ) / 2})
 
 		// chi: BLAST weighting without entropy.
-		res := metablocking.RunOnGraph(g, metablocking.Config{
+		res := runCell(g, metablocking.Config{
 			Scheme:  weights.Scheme{Kind: weights.ChiSquared},
 			Pruning: metablocking.BlastWNP, C: 2, D: 2,
 		})
@@ -94,7 +94,7 @@ func Figure8(cfg Config, names []string) ([]Figure8Row, error) {
 		// wsh: classic schemes scaled by entropy, BLAST pruning, averaged.
 		var pc, pq float64
 		for _, k := range weights.Classic() {
-			res := metablocking.RunOnGraph(g, metablocking.Config{
+			res := runCell(g, metablocking.Config{
 				Scheme:  weights.Scheme{Kind: k, Entropy: true},
 				Pruning: metablocking.BlastWNP, C: 2, D: 2,
 			})
@@ -106,7 +106,7 @@ func Figure8(cfg Config, names []string) ([]Figure8Row, error) {
 		out = append(out, Figure8Row{Dataset: name, Variant: "wsh", PC: pc / n, PQ: pq / n})
 
 		// bch: full BLAST.
-		res = metablocking.RunOnGraph(g, metablocking.Config{
+		res = runCell(g, metablocking.Config{
 			Scheme: weights.Blast(), Pruning: metablocking.BlastWNP, C: 2, D: 2,
 		})
 		q = metrics.EvaluatePairs(res.Pairs, ds.Truth)

@@ -10,7 +10,6 @@ import (
 
 	"blast"
 	"blast/internal/datasets"
-	"blast/internal/metablocking"
 )
 
 // SpillRow summarizes one corpus-size point of the beyond-RAM storage
@@ -98,7 +97,6 @@ func spillOne(cfg Config, n int) (SpillRow, error) {
 	ds := datasets.NewStream(n, cfg.Seed).Dataset()
 
 	memOpt := blast.DefaultOptions()
-	memOpt.Engine = metablocking.NodeCentric
 	fileOpt := memOpt
 	fileOpt.Storage = blast.StorageFile
 	fileOpt.MemoryBudget = spillBudgetBytes

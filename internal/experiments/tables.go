@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -138,13 +139,27 @@ func buildBlocks(ds *model.Dataset, variant string, lshCfg *attr.LSHConfig) (*bl
 	return c, time.Since(start)
 }
 
+// runCell runs one scheme x pruning cell over the prebuilt graph of a
+// block collection. Tables 4/5/7 and Figure 8 build one CSR per
+// collection and re-weigh it for every cell; the graph keeps its
+// co-occurrence statistics throughout.
+func runCell(g *graph.CSR, mcfg metablocking.Config) *metablocking.Result {
+	res, err := metablocking.RunOnCSR(context.Background(), g, mcfg)
+	if err != nil {
+		// The background context never cancels and a resident graph has
+		// no I/O to fail.
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return res
+}
+
 // averageClassic runs a pruning over the five classic weighting schemes
 // and averages the quality metrics (the paper lists scheme-averaged rows
 // for wnp1/wnp2/cnp1/cnp2).
-func averageClassic(g *graph.Graph, pruning metablocking.Pruning, truth *model.GroundTruth) CompareRow {
+func averageClassic(g *graph.CSR, pruning metablocking.Pruning, truth *model.GroundTruth) CompareRow {
 	var acc CompareRow
 	for _, k := range weights.Classic() {
-		res := metablocking.RunOnGraph(g, metablocking.Config{
+		res := runCell(g, metablocking.Config{
 			Scheme:  weights.Scheme{Kind: k},
 			Pruning: pruning,
 		})
@@ -192,18 +207,18 @@ func Table5(cfg Config) ([]CompareRow, error) {
 func compareAll(cfg Config, ds *model.Dataset, lshCfg *attr.LSHConfig) ([]CompareRow, error) {
 	tBlocks, tTime := buildBlocks(ds, "T", nil)
 	lBlocks, lTime := buildBlocks(ds, "L", nil)
-	tGraph := graph.Build(tBlocks)
-	lGraph := graph.Build(lBlocks)
+	tGraph := graph.BuildCSR(tBlocks)
+	lGraph := graph.BuildCSR(lBlocks)
 
 	var rows []CompareRow
-	addAvg := func(method string, g *graph.Graph, pruning metablocking.Pruning, base time.Duration) {
+	addAvg := func(method string, g *graph.CSR, pruning metablocking.Pruning, base time.Duration) {
 		r := averageClassic(g, pruning, ds.Truth)
 		r.Method = method
 		r.Overhead += base
 		rows = append(rows, r)
 	}
-	addOne := func(method string, g *graph.Graph, mcfg metablocking.Config, base time.Duration) {
-		res := metablocking.RunOnGraph(g, mcfg)
+	addOne := func(method string, g *graph.CSR, mcfg metablocking.Config, base time.Duration) {
+		res := runCell(g, mcfg)
 		q := metrics.EvaluatePairs(res.Pairs, ds.Truth)
 		rows = append(rows, CompareRow{
 			Method: method, PC: q.PC, PQ: q.PQ, F1: q.F1,
@@ -229,7 +244,8 @@ func compareAll(cfg Config, ds *model.Dataset, lshCfg *attr.LSHConfig) ([]Compar
 		}
 	}
 
-	// Supervised meta-blocking (WEP-style SVM classification, T blocks).
+	// Supervised meta-blocking (WEP-style SVM classification, T blocks):
+	// the baseline reads its features off the same CSR.
 	supStart := time.Now()
 	sup := supervised.Run(tGraph, ds.Truth, supervised.Config{
 		TrainFraction: 0.10, NegativeRatio: 1, Seed: cfg.Seed,
@@ -247,7 +263,7 @@ func compareAll(cfg Config, ds *model.Dataset, lshCfg *attr.LSHConfig) ([]Compar
 
 	if lshCfg != nil {
 		lsBlocks, lsTime := buildBlocks(ds, "L*", lshCfg)
-		lsGraph := graph.Build(lsBlocks)
+		lsGraph := graph.BuildCSR(lsBlocks)
 		addAvg("wnp1 L*", lsGraph, metablocking.WNP1, lsTime)
 		addAvg("cnp2 L*", lsGraph, metablocking.CNP2, lsTime)
 		addOne("Blast*", lsGraph, metablocking.Config{
@@ -266,11 +282,11 @@ func Table7(cfg Config, dataset string) ([]CompareRow, error) {
 		return nil, err
 	}
 	lBlocks, lTime := buildBlocks(ds, "L", nil)
-	lGraph := graph.Build(lBlocks)
+	lGraph := graph.BuildCSR(lBlocks)
 
 	var rows []CompareRow
 	addOne := func(method string, mcfg metablocking.Config) {
-		res := metablocking.RunOnGraph(lGraph, mcfg)
+		res := runCell(lGraph, mcfg)
 		q := metrics.EvaluatePairs(res.Pairs, ds.Truth)
 		rows = append(rows, CompareRow{
 			Method: method, PC: q.PC, PQ: q.PQ, F1: q.F1,

@@ -1,3 +1,10 @@
+// Package graph builds the blocking graph of graph-based meta-blocking
+// (Section 2.2 of the paper): nodes are entity profiles, and an edge
+// connects two profiles that co-occur in at least one block. Each edge
+// carries the co-occurrence statistics every weighting scheme needs —
+// |B_uv|, ARCS mass, and the entropy sum that BLAST's h(B_uv) term
+// averages — while per-node block counts |B_i| and the block-collection
+// totals live on the graph.
 package graph
 
 import (
@@ -18,14 +25,11 @@ import (
 // thresholds of Section 3.3.2, per-node top-k) never consult anything
 // beyond a node's own run.
 //
-// The representation exists for scale: Build/BuildParallel accumulate
-// every edge in a global map keyed by the pair, which dominates memory
-// and allocation churn once ||B|| reaches tens of millions. BuildCSR
-// instead builds each node's run independently from the block index with
-// an O(|profiles|) scratch accumulator, so peak allocation stays
-// proportional to the output adjacency rather than to a hash table over
-// it. The streaming pruning schemes (package prune) consume this form
-// directly and never materialize an edge list.
+// The builders (BuildOwnedCSR and its wrappers) accumulate each node's
+// run independently from the block index with an O(|profiles|) scratch
+// accumulator, so peak allocation is the output adjacency itself — no
+// hash table over the pairs, no per-edge records, no sort. The
+// streaming pruning schemes (package prune) consume this form directly.
 type CSR struct {
 	// NumProfiles is the number of nodes (profiles of the dataset,
 	// whether or not they have edges).
@@ -34,13 +38,14 @@ type CSR struct {
 	// positions [Offsets[i], Offsets[i+1]).
 	Offsets []int64
 	// Neighbors holds the neighbor profile id of every entry. Within a
-	// node's run entries are sorted by ascending neighbor id — the same
-	// order in which Graph.Adjacency lists a node's incident edges.
+	// node's run entries are sorted by ascending neighbor id.
 	Neighbors []int32
-	// Common, ARCS and EntropySum mirror the co-occurrence accumulators
-	// of Edge, per entry (both entries of an undirected edge carry
-	// identical values). They are only needed to compute Weights;
-	// ReleaseStats drops them once weighting is done.
+	// Common (|B_uv|), ARCS (sum over the shared blocks of 1/||b||) and
+	// EntropySum (sum of their entropies h(b); h(B_uv) = EntropySum /
+	// Common) are the co-occurrence accumulators, per entry (both
+	// entries of an undirected edge carry identical values). They are
+	// only needed to compute Weights; ReleaseStats drops them once
+	// weighting is done.
 	Common     []int32
 	ARCS       []float64
 	EntropySum []float64
@@ -129,8 +134,8 @@ func (g *CSR) ReleaseBlockCounts() { g.BlockCounts = nil }
 const csrCancelCheckEvery = 1024
 
 // Canonical invokes fn for every canonical (u < v) entry in ascending
-// (u, v) order — exactly the order of Graph.Edges — passing the entry's
-// position p into the entry arrays.
+// (u, v) order — one visit per edge — passing the entry's position p
+// into the entry arrays.
 func (g *CSR) Canonical(fn func(u, v int32, p int64)) {
 	_ = g.CanonicalCtx(context.Background(), fn)
 }
@@ -409,9 +414,9 @@ func newRowAcc(n int) *rowAcc {
 // walk visits every comparison the node takes part in, in ascending
 // block order, and returns how many it visited (an upper bound of the
 // node's degree). It always marks the neighbors met; with stats it also
-// accumulates their co-occurrence statistics, in the block order of the
-// edge-list builders (which makes the per-edge floating-point sums
-// bit-identical to theirs).
+// accumulates their co-occurrence statistics, each per-edge
+// floating-point sum in ascending block order — the order the edge-list
+// reference adds in, which is what makes the two bit-identical.
 func (a *rowAcc) walk(c *blocking.Collection, inv []float64, ix *blockIndex, node int32, stats bool) (visited int) {
 	for _, bi := range ix.of(node) {
 		w := inv[bi]
@@ -579,10 +584,9 @@ func BuildOwnedCSR(ctx context.Context, c *blocking.Collection, owns func(int32)
 
 // BuildCSR constructs the node-centric blocking graph of a block
 // collection. It visits each block twice per member profile (to size
-// the runs, then to fill them), so the cost is proportional to ||B|| —
-// the asymptotics of Build — but no global edge map is ever allocated:
-// memory is the output adjacency plus an O(NumProfiles) accumulator.
-// The graph carries exactly the statistics of Build, bit for bit.
+// the runs, then to fill them), so the cost is proportional to ||B||,
+// and memory is the output adjacency plus an O(NumProfiles)
+// accumulator.
 func BuildCSR(c *blocking.Collection) *CSR {
 	g, _ := BuildCSRCtx(context.Background(), c)
 	return g

@@ -15,13 +15,14 @@ import (
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
+	"blast/internal/edgelist"
 	"blast/internal/model"
 	"blast/internal/stats"
 )
 
 // checkCSRMatchesGraph asserts that the CSR carries exactly the edges
 // and (bit-identical) accumulators of the edge-list graph.
-func checkCSRMatchesGraph(t *testing.T, g *Graph, csr *CSR) {
+func checkCSRMatchesGraph(t *testing.T, g *edgelist.Graph, csr *CSR) {
 	t.Helper()
 	if csr.NumProfiles != g.NumProfiles {
 		t.Fatalf("NumProfiles = %d, want %d", csr.NumProfiles, g.NumProfiles)
@@ -82,7 +83,7 @@ func checkCSRMatchesGraph(t *testing.T, g *Graph, csr *CSR) {
 
 func TestBuildCSRMatchesBuildOnPaperExample(t *testing.T) {
 	c := blocking.TokenBlocking(datasets.PaperExample())
-	checkCSRMatchesGraph(t, Build(c), BuildCSR(c))
+	checkCSRMatchesGraph(t, edgelist.Build(c), BuildCSR(c))
 }
 
 // csrEntry is one adjacency entry with its co-occurrence statistics.
@@ -145,7 +146,7 @@ func checkExactArrays(t *testing.T, label string, g *CSR) {
 }
 
 // checkBuildersAgree holds every builder to the edge-list oracle on one
-// collection: the serial CSR matches graph.Build; the parallel build is
+// collection: the serial CSR matches edgelist.Build; the parallel build is
 // the serial one array for array at every worker count; the owned
 // builds of 1, 2 and 4 owners partition its rows; the spilled build
 // serves the same rows, and the under-budget spill build is resident
@@ -154,7 +155,7 @@ func checkBuildersAgree(t *testing.T, label string, c *blocking.Collection) {
 	t.Helper()
 	ctx := context.Background()
 	full := BuildCSR(c)
-	checkCSRMatchesGraph(t, Build(c), full)
+	checkCSRMatchesGraph(t, edgelist.Build(c), full)
 	checkExactArrays(t, label+" serial", full)
 	rows := csrRows(t, full)
 	for n, row := range rows {
@@ -491,7 +492,7 @@ func TestBuildCSRRegistryDatasets(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := blocking.CleanWorkflow(blocking.TokenBlocking(gen(0.05, 42)), 0.5, 0.8)
-		checkCSRMatchesGraph(t, Build(c), BuildCSR(c))
+		checkCSRMatchesGraph(t, edgelist.Build(c), BuildCSR(c))
 	}
 }
 

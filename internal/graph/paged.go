@@ -413,6 +413,18 @@ func (g *CSR) Close() error {
 	return pg.close()
 }
 
+// CloseAfter closes the graph on the way out of a stage that returned
+// err, and returns err — joined with Close's own failure if there is
+// one, untouched otherwise, so callers can still compare it with
+// context.Canceled. A spilled build owns segment files nobody else will
+// delete; every failure exit of a build goes through here.
+func (g *CSR) CloseAfter(err error) error {
+	if cerr := g.Close(); cerr != nil {
+		return errors.Join(err, cerr)
+	}
+	return err
+}
+
 // CacheStats returns the page-cache counters of a spilled graph (zero
 // for resident graphs, which have no cache). Only random row reads
 // (Run) go through the cache; see PageLoads for all page traffic.

@@ -1,74 +1,47 @@
 package graph
 
 import (
-	"math"
 	"testing"
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
+	"blast/internal/edgelist"
 )
 
-// graphsEqual compares two graphs field by field.
-func graphsEqual(t *testing.T, a, b *Graph) {
-	t.Helper()
-	if a.NumProfiles != b.NumProfiles || a.TotalBlocks != b.TotalBlocks ||
-		a.TotalComparisons != b.TotalComparisons {
-		t.Fatalf("graph headers differ: %+v vs %+v", a, b)
-	}
-	if len(a.Edges) != len(b.Edges) {
-		t.Fatalf("edge counts differ: %d vs %d", len(a.Edges), len(b.Edges))
-	}
-	for i := range a.Edges {
-		ea, eb := a.Edges[i], b.Edges[i]
-		if ea.U != eb.U || ea.V != eb.V || ea.Common != eb.Common {
-			t.Fatalf("edge %d differs: %+v vs %+v", i, ea, eb)
-		}
-		if math.Abs(ea.ARCS-eb.ARCS) > 1e-9 || math.Abs(ea.EntropySum-eb.EntropySum) > 1e-9 {
-			t.Fatalf("edge %d stats differ: %+v vs %+v", i, ea, eb)
-		}
-	}
-	for i := range a.Degrees {
-		if a.Degrees[i] != b.Degrees[i] {
-			t.Fatalf("degree %d differs", i)
-		}
-	}
-	for i := range a.BlockCounts {
-		if a.BlockCounts[i] != b.BlockCounts[i] {
-			t.Fatalf("block count %d differs", i)
-		}
-	}
-}
+// The parallel CSR build against the serial edge-list reference on
+// registry datasets: node ranges are cut by block-membership mass, so
+// the clean-clean, dirty and tiny collections below exercise different
+// cuts (and the serial fallback), and every one must reproduce the
+// reference's edges and bit-identical accumulators.
 
 func TestBuildParallelMatchesSerial(t *testing.T) {
 	ds := datasets.AR1(0.1, 5)
 	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
-	serial := Build(blocks)
+	serial := edgelist.Build(blocks)
 	for _, workers := range []int{2, 3, 4, 8} {
-		par := BuildParallel(blocks, workers)
-		graphsEqual(t, serial, par)
+		checkCSRMatchesGraph(t, serial, BuildCSRParallel(blocks, workers))
 	}
 }
 
 func TestBuildParallelDirty(t *testing.T) {
 	ds := datasets.Census(0.3, 5)
 	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
-	graphsEqual(t, Build(blocks), BuildParallel(blocks, 4))
+	checkCSRMatchesGraph(t, edgelist.Build(blocks), BuildCSRParallel(blocks, 4))
 }
 
 func TestBuildParallelSmallInputFallsBack(t *testing.T) {
-	ds := datasets.PaperExample()
-	blocks := blocking.TokenBlocking(ds)
-	// 12 blocks with 8 workers triggers the serial fallback; result must
-	// still be identical.
-	graphsEqual(t, Build(blocks), BuildParallel(blocks, 8))
-	graphsEqual(t, Build(blocks), BuildParallel(blocks, 0)) // GOMAXPROCS default
-	graphsEqual(t, Build(blocks), BuildParallel(blocks, 1))
+	blocks := blocking.TokenBlocking(datasets.PaperExample())
+	// 4 profiles with 8 workers triggers the serial fallback; the result
+	// must still be identical.
+	for _, workers := range []int{8, 0, 1} { // 0 = GOMAXPROCS default
+		checkCSRMatchesGraph(t, edgelist.Build(blocks), BuildCSRParallel(blocks, workers))
+	}
 }
 
 func TestBuildParallelDeterministic(t *testing.T) {
 	ds := datasets.PRD(0.2, 9)
 	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
-	a := BuildParallel(blocks, 4)
-	b := BuildParallel(blocks, 4)
-	graphsEqual(t, a, b)
+	serial := edgelist.Build(blocks)
+	checkCSRMatchesGraph(t, serial, BuildCSRParallel(blocks, 4))
+	checkCSRMatchesGraph(t, serial, BuildCSRParallel(blocks, 4))
 }

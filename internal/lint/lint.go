@@ -90,7 +90,7 @@ func byName(analyzers []*Analyzer) map[string]bool {
 }
 
 // deterministicPkgs are the packages whose outputs are pinned
-// byte-identical across runs, worker counts and engines. Nondeterminism
+// byte-identical across runs, worker counts and residencies. Nondeterminism
 // inside them is a correctness bug class, not a style issue.
 var deterministicPkgs = map[string]bool{
 	"blast/internal/attr":         true,

@@ -7,7 +7,7 @@ import (
 
 // WallClock flags wall-clock reads (time.Now, time.Since) and global
 // math/rand state in the deterministic packages. Those packages are
-// pinned byte-identical across runs, engines and worker counts; a
+// pinned byte-identical across runs, residencies and worker counts; a
 // timestamp or an unseeded random draw folded into any computed value
 // breaks that silently. Timing telemetry that never feeds a computed
 // value carries a //blast:allow wallclock justification; cmd/,

@@ -1,11 +1,11 @@
 package metablocking
 
-// The engine-equivalence harness: the edge-list engine (serial and
-// parallel graph build) and the node-centric streaming engine must
-// produce byte-identical retained pair lists for every Pruning x Scheme
-// combination, on randomized block collections of both kinds and on the
-// registry benchmarks. This is the contract that lets callers switch
-// engines purely on resource considerations.
+// The engine-equivalence harness, the system-level oracle of Phase 3:
+// Run — CSR build, weighting kernel, streaming pruning — must retain
+// pair lists byte-identical to the test-only edge-list reference (serial
+// map-and-sort build, one sort-based pruning per scheme) for every
+// Pruning x Scheme x Workers combination, on randomized block
+// collections of both kinds and on the registry benchmarks.
 
 import (
 	"fmt"
@@ -14,7 +14,10 @@ import (
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
+	"blast/internal/edgelist"
+	"blast/internal/graph"
 	"blast/internal/model"
+	"blast/internal/prune"
 	"blast/internal/stats"
 	"blast/internal/weights"
 )
@@ -47,38 +50,59 @@ func samePairs(t *testing.T, label string, want, got []model.IDPair) {
 	}
 }
 
-// engineWorkersAxis is the Workers matrix the node-centric engine is
-// held to: automatic (0 = GOMAXPROCS), serial, and explicit counts —
-// graph build AND pruning must be byte-identical at every value.
+// referencePairs runs a configuration through the edge-list reference,
+// handing it what it cannot import: the production per-edge formula,
+// the defaulted CEP/CNP budgets and the row width of WEP's summation
+// order.
+func referencePairs(c *blocking.Collection, cfg Config) []model.IDPair {
+	g := edgelist.Build(c)
+	g.Weigh(cfg.Scheme.Weigher(g.NumEdges(), g.TotalBlocks).Weight)
+	k := cfg.K
+	var idx []int
+	switch cfg.Pruning {
+	case WEP:
+		idx = edgelist.WEP(g, prune.ChunkNodes)
+	case CEP:
+		if k <= 0 {
+			k = prune.CEPBudget(g.BlockCounts)
+		}
+		idx = edgelist.CEP(g, k)
+	case WNP1, WNP2:
+		idx = edgelist.WNP(g, cfg.Pruning == WNP2)
+	case CNP1, CNP2:
+		if k <= 0 {
+			k = prune.CNPBudget(g.BlockCounts)
+		}
+		idx = edgelist.CNP(g, k, cfg.Pruning == CNP2)
+	case BlastWNP:
+		idx = edgelist.BlastWNP(g, cfg.C, cfg.D)
+	default:
+		panic(fmt.Sprintf("no reference for pruning %v", cfg.Pruning))
+	}
+	return g.Pairs(idx)
+}
+
+// engineWorkersAxis is the Workers matrix the engine is held to:
+// automatic (0 = GOMAXPROCS), serial, and explicit counts — graph build,
+// weighting AND pruning must be byte-identical at every value.
 var engineWorkersAxis = []int{0, 1, 2, 4}
 
-// checkEngineEquivalence runs one configuration through every execution
-// path — edge-list serial and parallel, node-centric across the full
-// Workers axis — and asserts identical output.
+// checkEngineEquivalence runs one configuration through the reference
+// and through the engine across the full Workers axis, and asserts
+// identical output.
 func checkEngineEquivalence(t *testing.T, c *blocking.Collection, cfg Config) {
 	t.Helper()
-	base := cfg
-	base.Engine = EdgeList
-	base.Workers = 1
-	want := Run(c, base)
-
-	parallel := base
-	parallel.Workers = 3
+	want := referencePairs(c, cfg)
 	label := cfg.Scheme.Name() + "+" + cfg.Pruning.String()
-	samePairs(t, label+" parallel-build", want.Pairs, Run(c, parallel).Pairs)
-
-	stream := base
-	stream.Engine = NodeCentric
 	for _, workers := range engineWorkersAxis {
-		stream.Workers = workers
-		samePairs(t, fmt.Sprintf("%s node-centric workers=%d", label, workers),
-			want.Pairs, Run(c, stream).Pairs)
+		cfg.Workers = workers
+		samePairs(t, fmt.Sprintf("%s workers=%d", label, workers), want, Run(c, cfg).Pairs)
 	}
 }
 
-// TestEngineEquivalenceRandomized is the property harness of the issue:
-// seeded random collections, every Workers x Pruning x Scheme
-// combination across both engines, byte-identical results.
+// TestEngineEquivalenceRandomized is the property harness: seeded random
+// collections, every Workers x Pruning x Scheme combination, the engine
+// byte-identical to the reference.
 func TestEngineEquivalenceRandomized(t *testing.T) {
 	schemes := allSchemes()
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -118,8 +142,7 @@ func TestEngineEquivalenceConfigKnobs(t *testing.T) {
 
 // TestEngineEquivalenceRegistryDatasets is the acceptance criterion: on
 // every registry benchmark (token-blocked and cleaned at small scale),
-// the node-centric engine returns byte-identical pairs to the edge-list
-// engine.
+// the engine returns byte-identical pairs to the edge-list reference.
 func TestEngineEquivalenceRegistryDatasets(t *testing.T) {
 	scales := map[string]float64{"dbp": 0.02, "mov": 0.01, "ar2": 0.02, "cddb": 0.03}
 	for _, name := range datasets.AllNames() {
@@ -144,21 +167,12 @@ func TestEngineEquivalenceRegistryDatasets(t *testing.T) {
 	}
 }
 
-// TestNodeCentricResultShape: the streaming result must carry the CSR
-// (not an edge-list graph) and canonical sorted pairs.
+// TestNodeCentricResultShape: a run returns canonical sorted pairs and a
+// non-nil (possibly empty) pair list.
 func TestNodeCentricResultShape(t *testing.T) {
-	c := paperBlocks()
-	cfg := DefaultConfig()
-	cfg.Engine = NodeCentric
-	res := Run(c, cfg)
-	if res.Graph != nil {
-		t.Error("node-centric run must not materialize an edge-list graph")
-	}
-	if res.CSR == nil {
-		t.Fatal("node-centric run must carry the CSR")
-	}
-	if res.CSR.Common != nil || res.CSR.ARCS != nil || res.CSR.EntropySum != nil {
-		t.Error("CSR stats should be released after weighting")
+	res := Run(paperBlocks(), DefaultConfig())
+	if len(res.Pairs) == 0 {
+		t.Fatal("BLAST retains the two matches of the paper example")
 	}
 	for i, p := range res.Pairs {
 		if p.U >= p.V {
@@ -168,33 +182,22 @@ func TestNodeCentricResultShape(t *testing.T) {
 			t.Error("pairs not sorted")
 		}
 	}
+	empty := Run(&blocking.Collection{Kind: model.Dirty, NumProfiles: 3}, DefaultConfig())
+	if empty.Pairs == nil || len(empty.Pairs) != 0 {
+		t.Errorf("edgeless collection: Pairs = %v, want empty and non-nil", empty.Pairs)
+	}
 }
 
+// TestNodeCentricPanicsOnUnknownPruning: the spilled build reaches the
+// same pruning dispatch as the resident one.
 func TestNodeCentricPanicsOnUnknownPruning(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("unknown pruning should panic")
 		}
 	}()
-	Run(paperBlocks(), Config{Scheme: weights.Blast(), Pruning: Pruning(42), Engine: NodeCentric})
-}
-
-func TestRunPanicsOnUnknownEngine(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown engine should panic, not silently pick one")
-		}
-	}()
-	Run(paperBlocks(), Config{Scheme: weights.Blast(), Pruning: BlastWNP, Engine: Engine(7)})
-}
-
-func TestEngineString(t *testing.T) {
-	if EdgeList.String() != "edge-list" || NodeCentric.String() != "node-centric" {
-		t.Error("Engine.String mismatch")
-	}
-	if Engine(9).String() == "" {
-		t.Error("unknown engine should render")
-	}
+	cfg := Config{Scheme: weights.Blast(), Pruning: Pruning(42), Spill: &graph.SpillOptions{Dir: t.TempDir(), MemoryBudget: -1}}
+	Run(paperBlocks(), cfg)
 }
 
 // TestResolveWorkers is the regression test for the documented
@@ -213,33 +216,18 @@ func TestResolveWorkers(t *testing.T) {
 }
 
 func TestRunResolvesZeroWorkers(t *testing.T) {
-	// NodeCentric: the CSR builder partitions work without duplication,
-	// so Workers=0 auto-parallelizes at any scale.
-	cfg := DefaultConfig()
-	cfg.Engine = NodeCentric
-	res := Run(paperBlocks(), cfg)
+	// The CSR builder partitions work without duplication, so Workers=0
+	// auto-parallelizes at any scale.
+	res := Run(paperBlocks(), DefaultConfig())
 	if want := runtime.GOMAXPROCS(0); res.Workers != want {
-		t.Errorf("node-centric: Workers = %d, want GOMAXPROCS = %d", res.Workers, want)
+		t.Errorf("Workers = %d, want GOMAXPROCS = %d", res.Workers, want)
 	}
-	// EdgeList: Workers=0 resolves to GOMAXPROCS but the automatic
-	// default declines parallelism below autoParallelMinComparisons
-	// (the sharded builder would scan all pairs once per worker), so
-	// the tiny paper example builds serially...
-	cfg = DefaultConfig()
-	if res := Run(paperBlocks(), cfg); runtime.GOMAXPROCS(0) > 1 && res.Workers != 1 {
-		t.Errorf("edge-list auto: Workers = %d, want 1 on a tiny collection", res.Workers)
-	}
-	// ...while an explicit request is always honored.
-	cfg.Workers = 4
-	if res := Run(paperBlocks(), cfg); res.Workers != 4 {
-		t.Errorf("edge-list explicit: Workers = %d, want 4", res.Workers)
-	}
-	for _, engine := range []Engine{EdgeList, NodeCentric} {
+	// Explicit requests pass through.
+	for _, workers := range []int{1, 4} {
 		cfg := DefaultConfig()
-		cfg.Engine = engine
-		cfg.Workers = 1
-		if res := Run(paperBlocks(), cfg); res.Workers != 1 {
-			t.Errorf("%v: Workers = %d, want 1", engine, res.Workers)
+		cfg.Workers = workers
+		if res := Run(paperBlocks(), cfg); res.Workers != workers {
+			t.Errorf("Workers = %d, want %d", res.Workers, workers)
 		}
 	}
 }

@@ -4,11 +4,14 @@
 // retained edge becomes a block of two profiles, so redundant comparisons
 // are impossible by construction — Definition 2 of the paper).
 //
-// Two execution engines are available. EdgeList materializes the full
-// edge list (graph.Build) before weighting and pruning; NodeCentric
-// streams over a CSR adjacency (graph.BuildCSR) and never allocates a
-// global edge accumulator, which keeps peak memory proportional to the
-// adjacency itself on large collections. Both produce identical Pairs.
+// There is one engine: a CSR adjacency per node (graph.BuildOwnedCSR,
+// resident or spilled to segment files), one row-parallel weighting
+// kernel (weights.Scheme.ApplyCSRCtx) and the streaming pruning schemes
+// of package prune. No global edge map or per-edge record is ever
+// allocated, every stage polls its context, and the retained pairs are
+// byte-identical at every worker count and in either residency. The
+// edge-list formulation of the literature survives as the test-only
+// reference (internal/edgelist) the engine is held to.
 package metablocking
 
 import (
@@ -83,80 +86,51 @@ func (p Pruning) NodeLocal() bool {
 	}
 }
 
-// Engine selects the blocking-graph execution strategy of Run.
-type Engine int
-
-const (
-	// EdgeList materializes the deduplicated edge list before weighting
-	// and pruning — the default engine, required by RunOnGraph and by
-	// consumers that inspect Result.Graph.
-	EdgeList Engine = iota
-	// NodeCentric builds a CSR adjacency per node from the block index
-	// and streams the pruning schemes over it in two passes (thresholds,
-	// then retention). No global edge map or edge slice is ever
-	// allocated; Result.Graph is nil and Result.CSR carries the
-	// adjacency. Retained pairs are identical to EdgeList.
-	NodeCentric
-)
-
-// String implements fmt.Stringer.
-func (e Engine) String() string {
-	switch e {
-	case EdgeList:
-		return "edge-list"
-	case NodeCentric:
-		return "node-centric"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
 // Config selects the weighting scheme and pruning algorithm.
 type Config struct {
 	// Scheme is the edge weighting (default: BLAST chi2*h).
 	Scheme weights.Scheme
 	// Pruning is the pruning algorithm (default BlastWNP).
 	Pruning Pruning
-	// Engine selects the execution strategy (default EdgeList).
-	Engine Engine
 	// C is BLAST's local threshold divisor theta_i = M_i / C (default 2).
 	C float64
 	// D is BLAST's threshold combiner (theta_u + theta_v) / D (default 2).
 	D float64
 	// K overrides the cardinality of CEP/CNP; <= 0 uses their defaults.
 	K int
-	// Workers parallelizes blocking-graph construction and, on the
-	// NodeCentric path, the streaming pruning passes (see PruneCSR): 0
-	// uses one worker per CPU (GOMAXPROCS), 1 runs serially, >1 uses
-	// exactly that many goroutines. Output is byte-identical either way.
-	// For the EdgeList engine the automatic default only engages on
-	// collections with at least ~4M aggregate comparisons: its sharded
-	// builder makes every worker scan every pair, so parallelism below
-	// that scale multiplies CPU for little wall-clock gain (an explicit
-	// Workers > 1 is always honored). The NodeCentric builder partitions
-	// work without duplication and parallelizes at any scale, as do the
-	// pruning passes.
+	// Workers parallelizes blocking-graph construction, weighting and the
+	// streaming pruning passes (see PruneCSR): 0 uses one worker per CPU
+	// (GOMAXPROCS), 1 runs serially, >1 uses exactly that many
+	// goroutines. Every stage partitions its work without duplication, so
+	// parallelism pays at any scale, and the output is byte-identical at
+	// every count.
 	Workers int
 	// OnStage, when non-nil, is invoked synchronously as each internal
 	// stage of a run completes ("graph", "weight", "prune") with the
 	// stage's wall-clock duration. It must be fast and must not retain
 	// the run's structures.
 	OnStage func(stage string, d time.Duration)
-	// Spill, when non-nil, selects the beyond-RAM NodeCentric path: the
-	// blocking graph is built through graph.BuildCSRSpillCtx, spilling
-	// its adjacency to segment files under Spill.Dir once the resident
+	// Spill, when non-nil, selects the beyond-RAM build: the blocking
+	// graph is built through graph.BuildCSRSpillCtx, spilling its
+	// adjacency to segment files under Spill.Dir once the resident
 	// footprint exceeds Spill.MemoryBudget. The retained pairs are
-	// byte-identical to the resident build; the Result carries no CSR
-	// (the spilled graph is closed, its segments deleted). Only the
-	// NodeCentric engine supports spilling.
+	// byte-identical to the resident build. Run closes the spilled graph
+	// (deleting its segments) before it returns.
 	Spill *graph.SpillOptions
 }
 
-// stage reports a completed stage to the OnStage observer, if any.
-func (c *Config) stage(name string, d time.Duration) {
+// timed runs one stage of a run and returns its wall-clock duration,
+// reporting it to the OnStage observer, if any.
+func (c *Config) timed(name string, stage func() error) (time.Duration, error) {
+	t0 := telemetryNow()
+	if err := stage(); err != nil {
+		return 0, err
+	}
+	d := telemetryNow().Sub(t0)
 	if c.OnStage != nil {
 		c.OnStage(name, d)
 	}
+	return d, nil
 }
 
 // DefaultConfig returns BLAST's meta-blocking configuration.
@@ -173,30 +147,15 @@ func resolveWorkers(w int) int {
 	return w
 }
 
-// autoParallelMinComparisons gates the EdgeList engine's automatic
-// (Workers == 0) parallelism: graph.BuildParallel's sharding has every
-// worker enumerate all ||B|| pairs, so below this aggregate cardinality
-// the duplicated scanning outweighs the shared map work it divides (the
-// builder's own guidance is "tens of millions").
-const autoParallelMinComparisons = 4 << 20
-
 // Result is the outcome of a meta-blocking run.
 type Result struct {
 	// Pairs are the retained comparisons in canonical order; each is a
 	// block of two profiles in the restructured collection.
 	Pairs []model.IDPair
-	// Graph is the weighted blocking graph (weights as of the run). It
-	// is nil for NodeCentric runs, which never materialize an edge list;
-	// see CSR instead.
-	Graph *graph.Graph
-	// CSR is the node-centric adjacency of a NodeCentric run (nil for
-	// EdgeList runs). Its co-occurrence stat arrays are released after
-	// weighting; Weights remain valid.
-	CSR *graph.CSR
 	// Workers is the resolved worker count requested of the graph
-	// builder (0 and negatives resolve to GOMAXPROCS). The builders may
+	// builder (0 and negatives resolve to GOMAXPROCS). The builder may
 	// still fall back to a serial build on collections too small to
-	// shard; RunOnGraph, which builds no graph, leaves it 0.
+	// shard; RunOnCSR, which builds no graph, leaves it 0.
 	Workers int
 	// GraphTime, WeightTime and PruneTime decompose the overhead time to.
 	GraphTime  time.Duration
@@ -223,33 +182,9 @@ func (r *Result) PairSet() map[uint64]struct{} {
 	return set
 }
 
-// pruneGraph dispatches the configured pruning over an edge-list graph,
-// returning the indexes of the retained edges.
-func pruneGraph(g *graph.Graph, cfg Config) []int {
-	switch cfg.Pruning {
-	case WEP:
-		return prune.WEP(g)
-	case CEP:
-		return prune.CEP(g, cfg.K)
-	case WNP1:
-		return prune.WNP(g, prune.Redefined)
-	case WNP2:
-		return prune.WNP(g, prune.Reciprocal)
-	case CNP1:
-		return prune.CNP(g, cfg.K, prune.Redefined)
-	case CNP2:
-		return prune.CNP(g, cfg.K, prune.Reciprocal)
-	case BlastWNP:
-		return prune.BlastWNP(g, cfg.C, cfg.D)
-	default:
-		panic(fmt.Sprintf("metablocking: unknown pruning %d", int(cfg.Pruning)))
-	}
-}
-
 // PruneCSR dispatches the configured pruning over a weighted CSR graph,
-// emitting the retained pairs directly in canonical order. It is the
-// streaming counterpart of the edge-list pruning dispatch and is exported
-// for consumers (the candidate-serving index) that weight a CSR
+// emitting the retained pairs directly in canonical order. It is
+// exported for consumers (the candidate-serving index) that weight a CSR
 // themselves and only need the retention decision. Cfg.Workers selects
 // the pruning parallelism (0 = GOMAXPROCS, 1 = serial); the retained
 // pairs are byte-identical at every worker count. Cancellation is
@@ -287,134 +222,91 @@ func Run(c *blocking.Collection, cfg Config) *Result {
 	return res
 }
 
-// RunCtx is Run with cooperative cancellation: graph construction polls
-// ctx at worker-chunk granularity, pruning at node-chunk granularity, and
-// the run returns ctx.Err() at the first stage boundary (or chunk) that
-// observes cancellation. The retained pairs are identical to Run's.
+// RunCtx is Run with cooperative cancellation: graph construction,
+// weighting and pruning all poll ctx at chunk (or, spilled, page)
+// granularity — even inside one hub node's adjacency run — and the run
+// returns ctx.Err() from the first poll that observes cancellation, with
+// every worker joined and a spilled graph's segments deleted. The
+// retained pairs are identical to Run's.
 func RunCtx(ctx context.Context, c *blocking.Collection, cfg Config) (*Result, error) {
-	switch cfg.Engine {
-	case EdgeList:
-		if cfg.Spill != nil {
-			panic("metablocking: Spill requires the NodeCentric engine")
-		}
-		// fall through to the edge-list path below
-	case NodeCentric:
-		return runNodeCentric(ctx, c, cfg)
-	default:
-		panic(fmt.Sprintf("metablocking: unknown engine %d", int(cfg.Engine)))
-	}
-	workers := resolveWorkers(cfg.Workers)
-	if cfg.Workers <= 0 && workers > 1 && c.AggregateCardinality() < autoParallelMinComparisons {
-		workers = 1 // auto-parallelism not worth W x the pair scanning here
-	}
-	t0 := telemetryNow()
-	var g *graph.Graph
-	var err error
-	if workers > 1 {
-		g, err = graph.BuildParallelCtx(ctx, c, workers)
-	} else {
-		g, err = graph.BuildCtx(ctx, c)
-	}
+	g, res, err := BuildWeighted(ctx, c, cfg)
 	if err != nil {
-		return nil, err
-	}
-	t1 := telemetryNow()
-	cfg.stage("graph", t1.Sub(t0))
-	cfg.Scheme.Apply(g)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t2 := telemetryNow()
-	cfg.stage("weight", t2.Sub(t1))
-	retained := pruneGraph(g, cfg)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t3 := telemetryNow()
-	cfg.stage("prune", t3.Sub(t2))
-
-	pairs := make([]model.IDPair, len(retained))
-	for i, idx := range retained {
-		pairs[i] = g.Edges[idx].Pair()
-	}
-	return &Result{
-		Pairs:      pairs,
-		Graph:      g,
-		Workers:    workers,
-		GraphTime:  t1.Sub(t0),
-		WeightTime: t2.Sub(t1),
-		PruneTime:  t3.Sub(t2),
-	}, nil
-}
-
-// runNodeCentric is the streaming path of RunCtx: CSR construction,
-// per-adjacency weighting, and two-pass pruning, with no edge list.
-func runNodeCentric(ctx context.Context, c *blocking.Collection, cfg Config) (*Result, error) {
-	workers := resolveWorkers(cfg.Workers)
-	t0 := telemetryNow()
-	var g *graph.CSR
-	var err error
-	if cfg.Spill != nil {
-		g, err = graph.BuildCSRSpillCtx(ctx, c, *cfg.Spill)
-	} else {
-		g, err = graph.BuildCSRParallelCtx(ctx, c, workers)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// A spilled graph is temporary to the run: its segments are deleted
-	// on every exit path, and the Result carries no CSR.
-	spilled := g.Spilled()
-	if spilled {
-		defer g.Close()
-	}
-	t1 := telemetryNow()
-	cfg.stage("graph", t1.Sub(t0))
-	if err := cfg.Scheme.ApplyCSRCtx(ctx, g, workers); err != nil {
 		return nil, err
 	}
 	g.ReleaseStats()
-	t2 := telemetryNow()
-	cfg.stage("weight", t2.Sub(t1))
-	// Spilled reads fail closed inside the passes: a pruning pass over
-	// corrupt or truncated segments returns the named store error, never
-	// pairs derived from zeroed runs.
-	pairs, err := PruneCSR(ctx, g, cfg)
-	if err != nil {
+	// The graph is temporary to the run: every exit deletes a spilled
+	// graph's segments (Close is a no-op on a resident one).
+	if err := g.CloseAfter(res.prune(ctx, g, cfg)); err != nil {
 		return nil, err
-	}
-	t3 := telemetryNow()
-	cfg.stage("prune", t3.Sub(t2))
-	if pairs == nil {
-		pairs = make([]model.IDPair, 0)
-	}
-	res := &Result{
-		Pairs:      pairs,
-		Workers:    workers,
-		GraphTime:  t1.Sub(t0),
-		WeightTime: t2.Sub(t1),
-		PruneTime:  t3.Sub(t2),
-	}
-	if !spilled {
-		res.CSR = g
 	}
 	return res, nil
 }
 
-// RunOnGraph executes weighting and pruning on a prebuilt edge-list
-// graph (always the EdgeList engine). The graph's weights are
-// overwritten. Useful for ablations that reuse one graph across schemes.
-func RunOnGraph(g *graph.Graph, cfg Config) *Result {
-	t1 := telemetryNow()
-	cfg.Scheme.Apply(g)
-	t2 := telemetryNow()
-	retained := pruneGraph(g, cfg)
-	t3 := telemetryNow()
-	pairs := make([]model.IDPair, len(retained))
-	for i, idx := range retained {
-		pairs[i] = g.Edges[idx].Pair()
+// BuildWeighted is the first half of a run, written once for RunCtx and
+// for the candidate-serving index (blast.IndexBlocks): it builds the
+// blocking graph of c — resident on cfg.Workers goroutines, or spilled
+// under cfg.Spill — and weighs it under cfg.Scheme, reporting the
+// "graph" and "weight" stages. The returned graph still bears its
+// co-occurrence statistics (ReleaseStats is the caller's decision) and
+// is the caller's to Close; res carries the two stage timings and the
+// resolved worker count. When weighting fails the graph is closed here
+// — a spilled build owns segment files nobody else will delete — and
+// its error joined.
+func BuildWeighted(ctx context.Context, c *blocking.Collection, cfg Config) (g *graph.CSR, res *Result, err error) {
+	res = &Result{Workers: resolveWorkers(cfg.Workers)}
+	res.GraphTime, err = cfg.timed("graph", func() (err error) {
+		if cfg.Spill != nil {
+			g, err = graph.BuildCSRSpillCtx(ctx, c, *cfg.Spill)
+		} else {
+			g, err = graph.BuildCSRParallelCtx(ctx, c, res.Workers)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return &Result{Pairs: pairs, Graph: g, WeightTime: t2.Sub(t1), PruneTime: t3.Sub(t2)}
+	if err := res.weigh(ctx, g, cfg); err != nil {
+		return nil, nil, g.CloseAfter(err)
+	}
+	return g, res, nil
+}
+
+// RunOnCSR executes weighting and pruning on a prebuilt CSR graph, whose
+// weights are overwritten: the second half of RunCtx, for ablations and
+// parameter grids that build one graph per block collection and run
+// many scheme x pruning cells through it. The graph must still bear its
+// co-occurrence statistics, and keeps them, so the next cell can weigh
+// it again; GraphTime and Workers of the Result are left zero.
+func RunOnCSR(ctx context.Context, g *graph.CSR, cfg Config) (*Result, error) {
+	res := &Result{}
+	if err := res.weigh(ctx, g, cfg); err != nil {
+		return nil, err
+	}
+	if err := res.prune(ctx, g, cfg); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// weigh runs the weighting stage.
+func (r *Result) weigh(ctx context.Context, g *graph.CSR, cfg Config) (err error) {
+	r.WeightTime, err = cfg.timed("weight", func() error {
+		return cfg.Scheme.ApplyCSRCtx(ctx, g, cfg.Workers)
+	})
+	return err
+}
+
+// prune runs the pruning stage over a weighted graph. Pairs is never nil
+// on success, even when nothing is retained.
+func (r *Result) prune(ctx context.Context, g *graph.CSR, cfg Config) (err error) {
+	r.PruneTime, err = cfg.timed("prune", func() (err error) {
+		r.Pairs, err = PruneCSR(ctx, g, cfg)
+		return err
+	})
+	if r.Pairs == nil {
+		r.Pairs = make([]model.IDPair, 0)
+	}
+	return err
 }
 
 // telemetryNow reads the wall clock for the per-stage timing telemetry

@@ -1,10 +1,12 @@
 package metablocking
 
 import (
+	"context"
 	"testing"
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
+	"blast/internal/edgelist"
 	"blast/internal/graph"
 	"blast/internal/metrics"
 	"blast/internal/model"
@@ -29,7 +31,7 @@ func TestRunBlastOnPaperExample(t *testing.T) {
 
 func TestRunAllPruningsProduceSubsetOfGraph(t *testing.T) {
 	c := paperBlocks()
-	all := graph.Build(c)
+	all := edgelist.Build(c)
 	valid := make(map[uint64]bool)
 	for i := range all.Edges {
 		valid[all.Edges[i].Pair().Key()] = true
@@ -67,18 +69,27 @@ func TestMetaBlockingNeverIncreasesComparisons(t *testing.T) {
 	}
 }
 
+// TestRunOnGraphMatchesRun: a prebuilt CSR re-weighed under a second
+// scheme (and a third, and the first again) retains what a fresh run
+// under that scheme retains — the ablation-grid pattern of Tables 4/5/7.
 func TestRunOnGraphMatchesRun(t *testing.T) {
 	c := paperBlocks()
-	cfg := DefaultConfig()
-	a := Run(c, cfg)
-	g := graph.Build(c)
-	b := RunOnGraph(g, cfg)
-	if len(a.Pairs) != len(b.Pairs) {
-		t.Fatalf("Run %d pairs vs RunOnGraph %d", len(a.Pairs), len(b.Pairs))
-	}
-	for i := range a.Pairs {
-		if a.Pairs[i] != b.Pairs[i] {
-			t.Fatalf("pair %d differs", i)
+	g := graph.BuildCSR(c)
+	for _, s := range []weights.Scheme{
+		weights.Blast(), {Kind: weights.CBS}, {Kind: weights.EJS, Entropy: true}, weights.Blast(),
+	} {
+		cfg := DefaultConfig()
+		cfg.Scheme = s
+		b, err := RunOnCSR(context.Background(), g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePairs(t, s.Name(), Run(c, cfg).Pairs, b.Pairs)
+		if g.Common == nil {
+			t.Fatalf("%s: RunOnCSR released the statistics the next cell needs", s.Name())
+		}
+		if b.GraphTime != 0 || b.Workers != 0 {
+			t.Errorf("%s: RunOnCSR builds no graph, got GraphTime %v Workers %d", s.Name(), b.GraphTime, b.Workers)
 		}
 	}
 }
@@ -188,17 +199,14 @@ func TestCleanCleanMetaBlocking(t *testing.T) {
 
 func TestRunOnGraphAllPrunings(t *testing.T) {
 	c := paperBlocks()
+	g := graph.BuildCSR(c)
 	for _, p := range []Pruning{WEP, CEP, WNP1, WNP2, CNP1, CNP2, BlastWNP} {
-		g := graph.Build(c)
-		res := RunOnGraph(g, Config{Scheme: weights.Scheme{Kind: weights.CBS}, Pruning: p, K: 3, C: 2, D: 2})
-		if res.Graph != g {
-			t.Errorf("%v: result should carry the graph", p)
+		cfg := Config{Scheme: weights.Scheme{Kind: weights.CBS}, Pruning: p, K: 3, C: 2, D: 2}
+		res, err := RunOnCSR(context.Background(), g, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, pair := range res.Pairs {
-			if g.EdgeBetween(int(pair.U), int(pair.V)) == nil {
-				t.Errorf("%v: pair %v not an edge", p, pair)
-			}
-		}
+		samePairs(t, p.String(), referencePairs(c, cfg), res.Pairs)
 	}
 }
 
@@ -208,8 +216,8 @@ func TestRunOnGraphPanicsOnUnknownPruning(t *testing.T) {
 			t.Error("unknown pruning should panic")
 		}
 	}()
-	g := graph.Build(paperBlocks())
-	RunOnGraph(g, Config{Scheme: weights.Blast(), Pruning: Pruning(77)})
+	g := graph.BuildCSR(paperBlocks())
+	RunOnCSR(context.Background(), g, Config{Scheme: weights.Blast(), Pruning: Pruning(77)})
 }
 
 func TestRunWithWorkersMatchesSerial(t *testing.T) {

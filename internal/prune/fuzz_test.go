@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"blast/internal/blocking"
+	"blast/internal/edgelist"
 	"blast/internal/graph"
 	"blast/internal/model"
 	"blast/internal/stats"
@@ -88,15 +89,15 @@ func FuzzPruneParallel(f *testing.F) {
 			}
 		}
 		explicitK := 1 + int((seed>>8)%uint64(maxDegree+2))
-		g := graph.Build(c)
-		s.Apply(g)
+		g := edgelist.Build(c)
+		applyRef(s, g)
 		for _, mode := range []Mode{Redefined, Reciprocal} {
 			got, err := CNPStream(ctx, csr, explicitK, mode, workers)
 			if err != nil {
 				t.Fatalf("cnp k=%d %v workers=%d: %v", explicitK, mode, workers, err)
 			}
 			comparePairs(t, fmt.Sprintf("cnp k=%d %v workers=%d vs edge-list oracle", explicitK, mode, workers),
-				pairsOf(g, CNP(g, explicitK, mode)), got)
+				g.Pairs(refCNP(g, explicitK, mode)), got)
 		}
 	})
 }

@@ -9,7 +9,7 @@
 // enforce it, designed in rather than bolted on (the PR 4 entropy
 // ordering bug is the precedent for what happens otherwise):
 //
-//  1. Chunk boundaries are a pure function of (NumProfiles, chunkNodes).
+//  1. Chunk boundaries are a pure function of (NumProfiles, ChunkNodes).
 //     They never depend on the worker count, the weight distribution or
 //     load balancing, so every execution — serial included — reduces
 //     over exactly the same partition.
@@ -35,11 +35,13 @@ import (
 )
 
 const (
-	// chunkNodes is the fixed node width of a pruning chunk. It is part
+	// ChunkNodes is the fixed node width of a pruning chunk. It is part
 	// of the determinism contract: chunk boundaries derive only from
 	// NumProfiles and this constant, so the chunked float reductions are
-	// identical for every worker count.
-	chunkNodes = 2048
+	// identical for every worker count. Exported because it is also part
+	// of WEP's documented summation order, which the edge-list reference
+	// reproduces from the outside.
+	ChunkNodes = 2048
 	// streamCancelCheckEdges is the edge granularity at which every
 	// pruning pass polls for cancellation — including *inside* a single
 	// adjacency run, so one hub node with a multi-million-edge run
@@ -52,13 +54,13 @@ func numChunks(nodes int) int {
 	if nodes <= 0 {
 		return 0
 	}
-	return (nodes + chunkNodes - 1) / chunkNodes
+	return (nodes + ChunkNodes - 1) / ChunkNodes
 }
 
 // chunkBounds returns the half-open node range [lo, hi) of a chunk.
 func chunkBounds(chunk, nodes int) (lo, hi int) {
-	lo = chunk * chunkNodes
-	hi = lo + chunkNodes
+	lo = chunk * ChunkNodes
+	hi = lo + ChunkNodes
 	if hi > nodes {
 		hi = nodes
 	}
@@ -259,10 +261,9 @@ func stitchPairs(bufs [][]model.IDPair) []model.IDPair {
 // endpoint row is summed left to right into its own partial, and the
 // row partials fold in ascending row order. Combined in chunk order by
 // combinePartials, the result is THE canonical edge-weight sum of the
-// graph — the edge-list WEP computes bit-identical partials from its
-// sorted edge slice (see canonicalWeightSum in prune.go), and a
-// partitioned server refolds the identical total from exchanged
-// per-row sums (see RowWeightSums).
+// graph — the edge-list reference adds its sorted edges in the same
+// documented order, and a partitioned server refolds the identical
+// total from exchanged per-row sums (see RowWeightSums).
 func chunkPartialSums(ctx context.Context, g *graph.CSR, workers int) (sums []float64, counts []int64, err error) {
 	nch := numChunks(g.NumProfiles)
 	sums = make([]float64, nch)
@@ -294,8 +295,8 @@ func chunkPartialSums(ctx context.Context, g *graph.CSR, workers int) (sums []fl
 
 // combinePartials folds per-chunk partial sums in ascending chunk order,
 // skipping chunks that hold no edges — the fixed reduction shape shared
-// with the edge-list WEP, whose edge iteration never visits empty
-// chunks.
+// with the edge-list reference and FoldRowSums, whose iteration over
+// the edges themselves never visits an empty chunk.
 func combinePartials(sums []float64, counts []int64) float64 {
 	total := 0.0
 	for i, s := range sums {

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"blast/internal/blocking"
+	"blast/internal/edgelist"
 	"blast/internal/graph"
 	"blast/internal/model"
 	"blast/internal/stats"
@@ -26,11 +27,11 @@ import (
 // edge list with controlled weights (both entries of every edge carry
 // the weight), plus an equivalent edge-list graph — the two inputs the
 // equivalence assertions need.
-func csrFromEdges(n int, edges []graph.Edge) (*graph.CSR, *graph.Graph) {
-	adj := make([][]graph.Edge, n)
+func csrFromEdges(n int, edges []edgelist.Edge) (*graph.CSR, *edgelist.Graph) {
+	adj := make([][]edgelist.Edge, n)
 	for _, e := range edges {
 		adj[e.U] = append(adj[e.U], e)
-		adj[e.V] = append(adj[e.V], graph.Edge{U: e.V, V: e.U, Weight: e.Weight})
+		adj[e.V] = append(adj[e.V], edgelist.Edge{U: e.V, V: e.U, Weight: e.Weight})
 	}
 	csr := &graph.CSR{
 		NumProfiles: n,
@@ -45,9 +46,9 @@ func csrFromEdges(n int, edges []graph.Edge) (*graph.CSR, *graph.Graph) {
 		}
 		csr.Offsets[u+1] = int64(len(csr.Neighbors))
 	}
-	g := &graph.Graph{
+	g := &edgelist.Graph{
 		NumProfiles: n,
-		Edges:       append([]graph.Edge(nil), edges...),
+		Edges:       append([]edgelist.Edge(nil), edges...),
 		BlockCounts: make([]int32, n),
 		Degrees:     make([]int32, n),
 	}
@@ -145,11 +146,11 @@ func TestSelectCutMatchesSort(t *testing.T) {
 	for pi, pool := range pools {
 		for trial := 0; trial < 4; trial++ {
 			n := 30 + rng.Intn(40)
-			var edges []graph.Edge
+			var edges []edgelist.Edge
 			for u := 0; u < n; u++ {
 				for v := u + 1; v < n; v++ {
 					if rng.Intn(3) == 0 {
-						edges = append(edges, graph.Edge{U: int32(u), V: int32(v), Weight: pool[rng.Intn(len(pool))]})
+						edges = append(edges, edgelist.Edge{U: int32(u), V: int32(v), Weight: pool[rng.Intn(len(pool))]})
 					}
 				}
 			}
@@ -197,12 +198,12 @@ func TestSelectCutMatchesSort(t *testing.T) {
 func TestCEPTieBoundaries(t *testing.T) {
 	ctx := context.Background()
 	must := muster(t)
-	mk := func(ws ...float64) (*graph.CSR, *graph.Graph) {
+	mk := func(ws ...float64) (*graph.CSR, *edgelist.Graph) {
 		// A path graph 0-1, 1-2, ... keeps the canonical edge order
 		// aligned with the weight list.
-		edges := make([]graph.Edge, len(ws))
+		edges := make([]edgelist.Edge, len(ws))
 		for i, w := range ws {
-			edges[i] = graph.Edge{U: int32(i), V: int32(i + 1), Weight: w}
+			edges[i] = edgelist.Edge{U: int32(i), V: int32(i + 1), Weight: w}
 		}
 		return csrFromEdges(len(ws)+1, edges)
 	}
@@ -221,7 +222,7 @@ func TestCEPTieBoundaries(t *testing.T) {
 	for _, tc := range cases {
 		csr, g := mk(tc.ws...)
 		for _, k := range tc.ks {
-			want := pairsOf(g, CEP(g, k))
+			want := g.Pairs(refCEP(g, k))
 			for _, workers := range []int{1, 2, 4} {
 				got := must(CEPStream(ctx, csr, k, workers))
 				comparePairs(t, fmt.Sprintf("%s k=%d workers=%d", tc.name, k, workers), want, got)
@@ -273,10 +274,10 @@ func (c *pollCountCtx) Err() error {
 
 // denseCSR builds the complete graph on n nodes with synthetic weights.
 func denseCSR(n int) *graph.CSR {
-	var edges []graph.Edge
+	var edges []edgelist.Edge
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			edges = append(edges, graph.Edge{U: int32(u), V: int32(v), Weight: float64((u*31+v)%17) + 0.5})
+			edges = append(edges, edgelist.Edge{U: int32(u), V: int32(v), Weight: float64((u*31+v)%17) + 0.5})
 		}
 	}
 	csr, _ := csrFromEdges(n, edges)
@@ -339,7 +340,7 @@ func TestCancellationPollsPerEdge(t *testing.T) {
 // graphs smaller than one poll budget: a pre-cancelled context must
 // surface from every scheme even when no tick would ever fire.
 func TestCancellationTinyGraph(t *testing.T) {
-	csr, _ := csrFromEdges(4, []graph.Edge{
+	csr, _ := csrFromEdges(4, []edgelist.Edge{
 		{U: 0, V: 1, Weight: 2}, {U: 1, V: 2, Weight: 1}, {U: 2, V: 3, Weight: 3},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -362,12 +363,12 @@ func TestCancellationTinyGraph(t *testing.T) {
 // other node — one adjacency run longer than the poll stride — plus a
 // ring of light edges among the leaves.
 func hubCSR(n int) *graph.CSR {
-	edges := make([]graph.Edge, 0, n+n/8)
+	edges := make([]edgelist.Edge, 0, n+n/8)
 	for v := 1; v < n; v++ {
-		edges = append(edges, graph.Edge{U: 0, V: int32(v), Weight: float64(v%11) + 0.25})
+		edges = append(edges, edgelist.Edge{U: 0, V: int32(v), Weight: float64(v%11) + 0.25})
 	}
 	for v := 1; v+8 < n; v += 8 {
-		edges = append(edges, graph.Edge{U: int32(v), V: int32(v + 8), Weight: 0.75})
+		edges = append(edges, edgelist.Edge{U: int32(v), V: int32(v + 8), Weight: 0.75})
 	}
 	csr, _ := csrFromEdges(n, edges)
 	return csr
@@ -413,7 +414,7 @@ func TestCancellationHubRace(t *testing.T) {
 // TestChunkBoundsPure pins the chunk geometry: boundaries cover the node
 // space exactly once and depend only on the node count.
 func TestChunkBoundsPure(t *testing.T) {
-	for _, n := range []int{0, 1, chunkNodes - 1, chunkNodes, chunkNodes + 1, 5*chunkNodes + 13} {
+	for _, n := range []int{0, 1, ChunkNodes - 1, ChunkNodes, ChunkNodes + 1, 5*ChunkNodes + 13} {
 		nch := numChunks(n)
 		prev := 0
 		for c := 0; c < nch; c++ {

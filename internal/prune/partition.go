@@ -41,18 +41,6 @@ import (
 	"blast/internal/model"
 )
 
-// CEPBudget is CEP's default comparison budget (k <= 0): half the total
-// number of block memberships. Exported for partitioned servers, which
-// must resolve the budget from the (globally replicated) block counts
-// before driving the distributed selection.
-func CEPBudget(blockCounts []int32) int { return cepBudget(blockCounts) }
-
-// CNPBudget is CNP's default per-node budget (k <= 0): the average
-// number of blocks per profile over the profiles appearing in at least
-// one block, 0 when none does. Exported for the same reason as
-// CEPBudget: TopKCuts takes the resolved budget.
-func CNPBudget(blockCounts []int32) int { return cnpBudget(blockCounts) }
-
 // RowWeightSums computes, per row, the left-to-right weight sum and
 // count of the canonical entries whose smaller endpoint is the row.
 // Over an owned-rows CSR only owned rows are populated; the per-shard
@@ -91,7 +79,7 @@ func FoldRowSums(sums []float64, counts []int64) (total float64, edges int64) {
 			continue
 		}
 		edges += counts[u]
-		if c := u / chunkNodes; c != chunk {
+		if c := u / ChunkNodes; c != chunk {
 			if chunk >= 0 {
 				total += partial
 			}

@@ -1,12 +1,18 @@
 package prune
 
+// The pruning schemes on the paper's worked examples and as invariants
+// over random graphs, run through the sort-based edge-list reference
+// (internal/edgelist): these hand-computed expectations are what makes
+// it an oracle, and stream_test.go, parallel_test.go, topk_test.go and
+// the fuzzer hold the streaming kernels to it pair for pair.
+
 import (
 	"fmt"
 	"testing"
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
-	"blast/internal/graph"
+	"blast/internal/edgelist"
 	"blast/internal/model"
 	"blast/internal/stats"
 	"blast/internal/weights"
@@ -14,13 +20,13 @@ import (
 
 // figure1Graph returns the paper's blocking graph with CBS weights
 // (Figure 1c): p1p2=1, p1p3=4, p1p4=3, p2p3=4, p2p4=4, p3p4=1.
-func figure1Graph() *graph.Graph {
-	g := graph.Build(blocking.TokenBlocking(datasets.PaperExample()))
-	weights.Scheme{Kind: weights.CBS}.Apply(g)
+func figure1Graph() *edgelist.Graph {
+	g := edgelist.Build(blocking.TokenBlocking(datasets.PaperExample()))
+	applyRef(weights.Scheme{Kind: weights.CBS}, g)
 	return g
 }
 
-func retainedPairs(g *graph.Graph, idx []int) map[model.IDPair]bool {
+func retainedPairs(g *edgelist.Graph, idx []int) map[model.IDPair]bool {
 	out := make(map[model.IDPair]bool, len(idx))
 	for _, i := range idx {
 		out[g.Edges[i].Pair()] = true
@@ -34,7 +40,7 @@ func retainedPairs(g *graph.Graph, idx []int) map[model.IDPair]bool {
 func TestWNPFigure1d(t *testing.T) {
 	g := figure1Graph()
 	for _, mode := range []Mode{Redefined, Reciprocal} {
-		got := retainedPairs(g, WNP(g, mode))
+		got := retainedPairs(g, refWNP(g, mode))
 		want := []model.IDPair{
 			model.MakePair(0, 2), model.MakePair(1, 3),
 			model.MakePair(0, 3), model.MakePair(1, 2),
@@ -56,7 +62,7 @@ func TestWNPFigure1d(t *testing.T) {
 func TestWEPGlobalAverage(t *testing.T) {
 	g := figure1Graph()
 	// Mean weight = 17/6 = 2.83: keeps the 3s and 4s.
-	got := retainedPairs(g, WEP(g))
+	got := retainedPairs(g, refWEP(g))
 	if len(got) != 4 {
 		t.Fatalf("WEP retained %d, want 4", len(got))
 	}
@@ -67,7 +73,7 @@ func TestWEPGlobalAverage(t *testing.T) {
 
 func TestCEPTopK(t *testing.T) {
 	g := figure1Graph()
-	got := CEP(g, 3)
+	got := refCEP(g, 3)
 	if len(got) != 3 {
 		t.Fatalf("CEP(3) retained %d", len(got))
 	}
@@ -77,11 +83,11 @@ func TestCEPTopK(t *testing.T) {
 		}
 	}
 	// k larger than edges: everything with positive weight.
-	if got := CEP(g, 100); len(got) != 6 {
+	if got := refCEP(g, 100); len(got) != 6 {
 		t.Errorf("CEP(100) = %d, want all 6", len(got))
 	}
 	// Default k = sum|B_i|/2 = 26/2 = 13 > 6: all edges.
-	if got := CEP(g, 0); len(got) != 6 {
+	if got := refCEP(g, 0); len(got) != 6 {
 		t.Errorf("CEP(default) = %d, want 6", len(got))
 	}
 }
@@ -89,8 +95,8 @@ func TestCEPTopK(t *testing.T) {
 func TestCNPModes(t *testing.T) {
 	g := figure1Graph()
 	// k=1: each node marks its single best edge (stable order for ties).
-	red := retainedPairs(g, CNP(g, 1, Redefined))
-	rec := retainedPairs(g, CNP(g, 1, Reciprocal))
+	red := retainedPairs(g, refCNP(g, 1, Redefined))
+	rec := retainedPairs(g, refCNP(g, 1, Reciprocal))
 	// Reciprocal must be a subset of redefined.
 	for p := range rec {
 		if !red[p] {
@@ -111,7 +117,7 @@ func TestCNPModes(t *testing.T) {
 func TestCNPDefaultK(t *testing.T) {
 	g := figure1Graph()
 	// Default k = round(26/4) = 7 >= degree: keeps all positive edges.
-	if got := CNP(g, 0, Redefined); len(got) != 6 {
+	if got := refCNP(g, 0, Redefined); len(got) != 6 {
 		t.Errorf("CNP(default) = %d, want 6", len(got))
 	}
 }
@@ -120,7 +126,7 @@ func TestCNPDefaultK(t *testing.T) {
 // edge threshold is 2, retaining the four heavy edges.
 func TestBlastWNPFigure1(t *testing.T) {
 	g := figure1Graph()
-	got := retainedPairs(g, BlastWNP(g, 2, 2))
+	got := retainedPairs(g, edgelist.BlastWNP(g, 2, 2))
 	if len(got) != 4 {
 		t.Fatalf("BlastWNP retained %d, want 4", len(got))
 	}
@@ -133,9 +139,9 @@ func TestBlastWNPFigure1(t *testing.T) {
 // example leaves only the true matches with positive weight; pruning
 // yields exactly PC=1, PQ=1.
 func TestBlastWNPWithBlastWeighting(t *testing.T) {
-	g := graph.Build(blocking.TokenBlocking(datasets.PaperExample()))
-	weights.Blast().Apply(g)
-	got := retainedPairs(g, BlastWNP(g, 2, 2))
+	g := edgelist.Build(blocking.TokenBlocking(datasets.PaperExample()))
+	applyRef(weights.Blast(), g)
+	got := retainedPairs(g, edgelist.BlastWNP(g, 2, 2))
 	if len(got) != 2 {
 		t.Fatalf("retained %d, want exactly the 2 matches: %v", len(got), got)
 	}
@@ -161,24 +167,24 @@ func TestBlastWNPThresholdIndependence(t *testing.T) {
 	addPairBlocks(base, 0, 2, 2, "y")
 	addPairBlocks(base, 0, 3, 1, "z")
 
-	decide := func(c *blocking.Collection, prune func(*graph.Graph) []int) map[model.IDPair]bool {
-		g := graph.Build(c)
-		weights.Scheme{Kind: weights.CBS}.Apply(g)
+	decide := func(c *blocking.Collection, prune func(*edgelist.Graph) []int) map[model.IDPair]bool {
+		g := edgelist.Build(c)
+		applyRef(weights.Scheme{Kind: weights.CBS}, g)
 		return retainedPairs(g, prune(g))
 	}
 
 	// Reciprocal mode isolates node 0's threshold: the other endpoints are
 	// leaves whose only edge always passes their own threshold.
-	blastBefore := decide(base, func(g *graph.Graph) []int { return BlastWNP(g, 2, 2) })
-	wnpBefore := decide(base, func(g *graph.Graph) []int { return WNP(g, Reciprocal) })
+	blastBefore := decide(base, func(g *edgelist.Graph) []int { return edgelist.BlastWNP(g, 2, 2) })
+	wnpBefore := decide(base, func(g *edgelist.Graph) []int { return refWNP(g, Reciprocal) })
 
 	// Add two more weight-1 neighbors (the p5, p6 of Figure 6a).
 	extended := base.Clone()
 	addPairBlocks(extended, 0, 4, 1, "w")
 	addPairBlocks(extended, 0, 5, 1, "v")
 
-	blastAfter := decide(extended, func(g *graph.Graph) []int { return BlastWNP(g, 2, 2) })
-	wnpAfter := decide(extended, func(g *graph.Graph) []int { return WNP(g, Reciprocal) })
+	blastAfter := decide(extended, func(g *edgelist.Graph) []int { return edgelist.BlastWNP(g, 2, 2) })
+	wnpAfter := decide(extended, func(g *edgelist.Graph) []int { return refWNP(g, Reciprocal) })
 
 	target := model.MakePair(0, 2) // the weight-2 edge
 	if blastBefore[target] != blastAfter[target] {
@@ -195,8 +201,8 @@ func TestBlastWNPThresholdIndependence(t *testing.T) {
 
 func TestBlastWNPDefaults(t *testing.T) {
 	g := figure1Graph()
-	a := BlastWNP(g, 0, 0) // defaults c=2, d=2
-	b := BlastWNP(g, 2, 2)
+	a := edgelist.BlastWNP(g, 0, 0) // defaults c=2, d=2
+	b := edgelist.BlastWNP(g, 2, 2)
 	if len(a) != len(b) {
 		t.Errorf("default params differ: %d vs %d", len(a), len(b))
 	}
@@ -204,9 +210,9 @@ func TestBlastWNPDefaults(t *testing.T) {
 
 func TestBlastWNPHigherCRetainsMore(t *testing.T) {
 	g := figure1Graph()
-	strict := BlastWNP(g, 1, 2)  // theta_i = M_i
-	def := BlastWNP(g, 2, 2)     // theta_i = M_i/2
-	loose := BlastWNP(g, 100, 2) // theta_i ~ 0
+	strict := edgelist.BlastWNP(g, 1, 2)  // theta_i = M_i
+	def := edgelist.BlastWNP(g, 2, 2)     // theta_i = M_i/2
+	loose := edgelist.BlastWNP(g, 100, 2) // theta_i ~ 0
 	if !(len(strict) <= len(def) && len(def) <= len(loose)) {
 		t.Errorf("retention not monotone in c: %d, %d, %d", len(strict), len(def), len(loose))
 	}
@@ -225,13 +231,13 @@ func TestZeroWeightEdgesNeverRetained(t *testing.T) {
 		}
 	}
 	checks := map[string][]int{
-		"WEP":      WEP(g),
-		"CEP":      CEP(g, 100),
-		"WNP1":     WNP(g, Redefined),
-		"WNP2":     WNP(g, Reciprocal),
-		"CNP1":     CNP(g, 10, Redefined),
-		"CNP2":     CNP(g, 10, Reciprocal),
-		"BlastWNP": BlastWNP(g, 2, 2),
+		"WEP":      refWEP(g),
+		"CEP":      refCEP(g, 100),
+		"WNP1":     refWNP(g, Redefined),
+		"WNP2":     refWNP(g, Reciprocal),
+		"CNP1":     refCNP(g, 10, Redefined),
+		"CNP2":     refCNP(g, 10, Reciprocal),
+		"BlastWNP": edgelist.BlastWNP(g, 2, 2),
 	}
 	for name, idx := range checks {
 		for _, i := range idx {
@@ -243,17 +249,17 @@ func TestZeroWeightEdgesNeverRetained(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := &graph.Graph{NumProfiles: 3, Degrees: make([]int32, 3), BlockCounts: make([]int32, 3)}
-	if WEP(g) != nil || CEP(g, 5) != nil || WNP(g, Redefined) != nil ||
-		CNP(g, 2, Reciprocal) != nil || BlastWNP(g, 2, 2) != nil {
+	g := &edgelist.Graph{NumProfiles: 3, Degrees: make([]int32, 3), BlockCounts: make([]int32, 3)}
+	if refWEP(g) != nil || refCEP(g, 5) != nil || refWNP(g, Redefined) != nil ||
+		refCNP(g, 2, Reciprocal) != nil || edgelist.BlastWNP(g, 2, 2) != nil {
 		t.Error("empty graph should prune to nothing")
 	}
 }
 
 func TestReciprocalSubsetOfRedefined(t *testing.T) {
 	g := figure1Graph()
-	redW := retainedPairs(g, WNP(g, Redefined))
-	recW := retainedPairs(g, WNP(g, Reciprocal))
+	redW := retainedPairs(g, refWNP(g, Redefined))
+	recW := retainedPairs(g, refWNP(g, Reciprocal))
 	for p := range recW {
 		if !redW[p] {
 			t.Errorf("WNP reciprocal edge %v not in redefined set", p)
@@ -265,7 +271,7 @@ func TestReciprocalSubsetOfRedefined(t *testing.T) {
 // keeps at least its maximum-weight edge (it is >= the node average).
 func TestWNPRetainsLocalMaximum(t *testing.T) {
 	g := figure1Graph()
-	kept := retainedPairs(g, WNP(g, Redefined))
+	kept := retainedPairs(g, refWNP(g, Redefined))
 	adj := g.Adjacency()
 	for node, edges := range adj {
 		if len(edges) == 0 {
@@ -285,8 +291,8 @@ func TestWNPRetainsLocalMaximum(t *testing.T) {
 
 func TestGlobalMaximumSurvivesBlastWNP(t *testing.T) {
 	g := figure1Graph()
-	kept := retainedPairs(g, BlastWNP(g, 2, 2))
-	var best *graph.Edge
+	kept := retainedPairs(g, edgelist.BlastWNP(g, 2, 2))
+	var best *edgelist.Edge
 	for i := range g.Edges {
 		if best == nil || g.Edges[i].Weight > best.Weight {
 			best = &g.Edges[i]
@@ -304,7 +310,7 @@ func TestModeString(t *testing.T) {
 }
 
 // randomGraph builds a random weighted blocking graph for property tests.
-func randomGraph(seed uint64, nodes, blocks int) *graph.Graph {
+func randomGraph(seed uint64, nodes, blocks int) *edgelist.Graph {
 	rng := stats.NewRNG(seed)
 	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: nodes}
 	for b := 0; b < blocks; b++ {
@@ -322,8 +328,8 @@ func randomGraph(seed uint64, nodes, blocks int) *graph.Graph {
 			Key: fmt.Sprintf("b%04d", b), P1: members, Entropy: 1,
 		})
 	}
-	g := graph.Build(c)
-	weights.Scheme{Kind: weights.CBS}.Apply(g)
+	g := edgelist.Build(c)
+	applyRef(weights.Scheme{Kind: weights.CBS}, g)
 	return g
 }
 
@@ -347,13 +353,13 @@ func TestPruningInvariantsRandomGraphs(t *testing.T) {
 				}
 			}
 		}
-		wnpR := WNP(g, Redefined)
-		wnpC := WNP(g, Reciprocal)
-		cnpR := CNP(g, 3, Redefined)
-		cnpC := CNP(g, 3, Reciprocal)
-		wep := WEP(g)
-		cep := CEP(g, 5)
-		bl := BlastWNP(g, 2, 2)
+		wnpR := refWNP(g, Redefined)
+		wnpC := refWNP(g, Reciprocal)
+		cnpR := refCNP(g, 3, Redefined)
+		cnpC := refCNP(g, 3, Reciprocal)
+		wep := refWEP(g)
+		cep := refCEP(g, 5)
+		bl := edgelist.BlastWNP(g, 2, 2)
 		for name, idx := range map[string][]int{
 			"wnp1": wnpR, "wnp2": wnpC, "cnp1": cnpR, "cnp2": cnpC,
 			"wep": wep, "cep": cep, "blast": bl,
@@ -407,9 +413,9 @@ func TestPruningInvariantsRandomGraphs(t *testing.T) {
 func TestBlastWNPSubsetOfLooserD(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		g := randomGraph(seed, 15, 40)
-		tight := BlastWNP(g, 2, 1)
-		def := BlastWNP(g, 2, 2)
-		loose := BlastWNP(g, 2, 4)
+		tight := edgelist.BlastWNP(g, 2, 1)
+		def := edgelist.BlastWNP(g, 2, 2)
+		loose := edgelist.BlastWNP(g, 2, 4)
 		in := func(idx []int) map[int]bool {
 			m := make(map[int]bool)
 			for _, i := range idx {

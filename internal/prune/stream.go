@@ -1,9 +1,8 @@
 // Streaming (node-centric) implementations of the pruning schemes over
-// the CSR blocking graph. Unlike the edge-list functions, which return
-// indexes into Graph.Edges, these consume graph.CSR — where no edge list
-// exists — and emit the retained pairs directly, in canonical (u, v)
-// order. For every scheme the retained set is identical to its edge-list
-// counterpart.
+// the CSR blocking graph: they consume graph.CSR — no edge list exists —
+// and emit the retained pairs directly, in canonical (u, v) order. For
+// every scheme the retained pairs are identical to those of its
+// sort-based counterpart in the test-only reference (internal/edgelist).
 //
 // Every streaming scheme runs its passes — per-node thresholds, top-k
 // selection cuts, histogram counting, retention emission — over the
@@ -40,8 +39,7 @@ import (
 
 // WEPStream is WEP over the CSR graph: discard every edge whose weight
 // is below the mean edge weight. The mean's numerator is the chunked
-// canonical weight sum (combined in chunk order), shared bit for bit
-// with the edge-list WEP.
+// canonical weight sum (combined in chunk order; see chunkPartialSums).
 func WEPStream(ctx context.Context, g *graph.CSR, workers int) ([]model.IDPair, error) {
 	if g.NumEdges() == 0 {
 		return nil, ctx.Err()
@@ -58,17 +56,17 @@ func WEPStream(ctx context.Context, g *graph.CSR, workers int) ([]model.IDPair, 
 
 // CEPStream is CEP over the CSR graph: retain the globally top-k edges
 // by weight (k <= 0 uses the block-membership budget), breaking ties at
-// the cut in favor of canonically smaller pairs — the same tie rule as
-// the stable sort of the edge-list CEP. The cut is located by the
-// bounded histogram selection of select.go; no O(|E|) weight scratch is
-// ever allocated.
+// the cut in favor of canonically smaller pairs — the tie rule of a
+// stable descending sort of the canonical edges. The cut is located by
+// the bounded histogram selection of select.go; no O(|E|) weight scratch
+// is ever allocated.
 func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPair, error) {
 	ne := g.NumEdges()
 	if ne == 0 {
 		return nil, ctx.Err()
 	}
 	if k <= 0 {
-		k = cepBudget(g.BlockCounts)
+		k = CEPBudget(g.BlockCounts)
 	}
 	if k > ne {
 		k = ne
@@ -221,7 +219,7 @@ func forEachRun(ctx context.Context, g *graph.CSR, workers int, fn func(w *prune
 
 // nodeThresholdsCSR computes a per-node threshold by reducing each
 // node's adjacent weights; nodes without edges get 0. Each run is
-// reduced in adjacency order, matching the edge-list nodeThresholds.
+// reduced in adjacency (ascending neighbor) order.
 // The values are per-node, so the worker count cannot change a single
 // bit.
 func nodeThresholdsCSR(ctx context.Context, g *graph.CSR, workers int, reduce runReducer) ([]float64, error) {
@@ -433,8 +431,8 @@ func TopKCuts(ctx context.Context, g *graph.CSR, k, workers int) (cut []float64,
 }
 
 // CNPStream is CNP over the CSR graph: each node marks its top-k
-// adjacent edges by weight (stable on the adjacency order, like the
-// edge-list CNP), and an edge is retained if the marks of its endpoints
+// adjacent edges by weight (ties broken by adjacency order, as a stable
+// sort would), and an edge is retained if the marks of its endpoints
 // satisfy the mode. The marks are never materialized: one pass reduces
 // every run to its selection cut, and retention tests each canonical
 // edge against both endpoints' cuts — the same shape as WNP, with
@@ -444,7 +442,7 @@ func CNPStream(ctx context.Context, g *graph.CSR, k int, mode Mode, workers int)
 		return nil, ctx.Err()
 	}
 	if k <= 0 {
-		k = cnpBudget(g.BlockCounts)
+		k = CNPBudget(g.BlockCounts)
 		if k == 0 {
 			return nil, ctx.Err()
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"blast/internal/blocking"
+	"blast/internal/edgelist"
 	"blast/internal/graph"
 	"blast/internal/model"
 	"blast/internal/stats"
@@ -151,11 +152,11 @@ func TestCNPTieBoundaries(t *testing.T) {
 	}
 	for pi, pool := range pools {
 		n := 40 + rng.Intn(30)
-		var edges []graph.Edge
+		var edges []edgelist.Edge
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
 				if u == 0 || rng.Intn(3) == 0 { // node 0 is a hub: degree n-1
-					edges = append(edges, graph.Edge{U: int32(u), V: int32(v), Weight: pool[rng.Intn(len(pool))]})
+					edges = append(edges, edgelist.Edge{U: int32(u), V: int32(v), Weight: pool[rng.Intn(len(pool))]})
 				}
 			}
 		}
@@ -166,7 +167,7 @@ func TestCNPTieBoundaries(t *testing.T) {
 		}
 		for _, k := range []int{1, 2, 5, n - 2, n - 1, n} {
 			for _, mode := range []Mode{Redefined, Reciprocal} {
-				want := pairsOf(g, CNP(g, k, mode))
+				want := g.Pairs(refCNP(g, k, mode))
 				for _, p := range want {
 					if weightOf[p] <= 0 {
 						t.Fatalf("pool %d k=%d %v: retained %v with weight %v", pi, k, mode, p, weightOf[p])
@@ -191,7 +192,7 @@ func TestCNPTieBoundaries(t *testing.T) {
 // decoded a page per edge. The yardstick is one cursor's ascending
 // sweep, which loads exactly pages x streams frames.
 func TestCNPSpilledSequentialAccess(t *testing.T) {
-	c := blocking.RandomCollection(stats.NewRNG(4242), model.Dirty, 3*chunkNodes-100, 24000)
+	c := blocking.RandomCollection(stats.NewRNG(4242), model.Dirty, 3*ChunkNodes-100, 24000)
 	resident := graph.BuildCSR(c)
 	spilled, err := graph.BuildCSRSpillCtx(context.Background(), c, graph.SpillOptions{
 		Dir: t.TempDir(), MemoryBudget: -1, PageEntries: 256, CacheBytes: 64 << 10,

@@ -2,7 +2,6 @@ package supervised
 
 import (
 	"math"
-	"time"
 
 	"blast/internal/graph"
 	"blast/internal/model"
@@ -12,9 +11,12 @@ import (
 // NumFeatures is the dimensionality of the per-edge feature vector.
 const NumFeatures = 6
 
-// Features computes the schema-agnostic feature vector of edge e, the
-// feature set of the supervised meta-blocking paper adapted to this
-// graph representation:
+// Features computes the schema-agnostic feature vector of the canonical
+// edge (u, v), u < v, whose entry in u's adjacency run sits at position
+// p of g's entry arrays — the (u, v, p) graph.CSR.Canonical visits. It
+// is the feature set of the supervised meta-blocking paper adapted to
+// this graph representation; every feature is a function of the
+// co-occurrence statistics the CSR entry and header already carry:
 //
 //	0: CFIBF  — co-occurrence frequency * inverse block frequency
 //	            (|B_uv| * log(|B|/|B_u|) * log(|B|/|B_v|), i.e. ECBS);
@@ -24,14 +26,14 @@ const NumFeatures = 6
 //	3: |B_uv| — raw co-occurrence count (CBS);
 //	4: NodeDegree(u)+NodeDegree(v), normalized by the number of edges;
 //	5: |B_u|+|B_v|, normalized by the number of blocks.
-func Features(g *graph.Graph, e *graph.Edge, out []float64) []float64 {
+func Features(g *graph.CSR, u, v int32, p int64, out []float64) []float64 {
 	if cap(out) < NumFeatures {
 		out = make([]float64, NumFeatures)
 	}
 	out = out[:NumFeatures]
-	bu := float64(g.BlockCounts[e.U])
-	bv := float64(g.BlockCounts[e.V])
-	common := float64(e.Common)
+	bu := float64(g.BlockCounts[u])
+	bv := float64(g.BlockCounts[v])
+	common := float64(g.Common[p])
 	total := float64(g.TotalBlocks)
 
 	logf := func(x float64) float64 {
@@ -41,7 +43,7 @@ func Features(g *graph.Graph, e *graph.Edge, out []float64) []float64 {
 		return math.Log(x)
 	}
 	out[0] = common * logf(total/bu) * logf(total/bv)
-	out[1] = e.ARCS
+	out[1] = g.ARCS[p]
 	if d := bu + bv - common; d > 0 {
 		out[2] = common / d
 	} else {
@@ -49,7 +51,7 @@ func Features(g *graph.Graph, e *graph.Edge, out []float64) []float64 {
 	}
 	out[3] = common
 	if ne := float64(g.NumEdges()); ne > 0 {
-		out[4] = (float64(g.Degrees[e.U]) + float64(g.Degrees[e.V])) / ne
+		out[4] = (float64(g.Degree(int(u))) + float64(g.Degree(int(v)))) / ne
 	} else {
 		out[4] = 0
 	}
@@ -71,8 +73,6 @@ type Config struct {
 	NegativeRatio int
 	// Seed drives sampling and SGD (deterministic).
 	Seed uint64
-	// Train overrides the SVM optimizer settings.
-	Train TrainConfig
 }
 
 // Result is the outcome of a supervised meta-blocking run.
@@ -83,17 +83,37 @@ type Result struct {
 	Model *SVM
 	// TrainSize is the number of labeled examples used.
 	TrainSize int
-	// Overhead is the total time spent extracting features, training and
-	// classifying.
-	Overhead time.Duration
 }
 
 // Run trains on a sample of the ground truth and classifies every edge
 // of the (already built) blocking graph, returning the retained pairs.
-// Edges used for training are classified like any other (the paper's
-// setting evaluates the final block collection as a whole).
-func Run(g *graph.Graph, truth *model.GroundTruth, cfg Config) *Result {
-	start := time.Now()
+// g must be resident and still bear its co-occurrence statistics (a
+// graph.BuildCSR result before ReleaseStats); it is only read, so one
+// graph can serve this baseline and any number of metablocking.RunOnCSR
+// cells. Edges are visited in canonical (u, v) order, which fixes the
+// sampling draws. Edges used for training are classified like any other
+// (the paper's setting evaluates the final block collection as a whole).
+func Run(g *graph.CSR, truth *model.GroundTruth, cfg Config) *Result {
+	if g.Common == nil && g.NumEntries() > 0 {
+		panic("supervised: the graph must be resident with its co-occurrence statistics")
+	}
+	type edge struct {
+		u, v int32
+		p    int64
+	}
+	edges := make([]edge, 0, g.NumEdges())
+	g.Canonical(func(u, v int32, p int64) { edges = append(edges, edge{u, v, p}) })
+	return classify(len(edges),
+		func(i int) model.IDPair { return model.IDPair{U: edges[i].u, V: edges[i].v} },
+		func(i int, out []float64) []float64 { return Features(g, edges[i].u, edges[i].v, edges[i].p, out) },
+		truth, cfg)
+}
+
+// classify is the supervised routine over n edges in canonical order,
+// edge i being the comparison pair(i) described by features(i, buf). It
+// knows nothing of how the graph is stored, which is what lets the tests
+// drive the identical routine from the edge-list reference.
+func classify(n int, pair func(i int) model.IDPair, features func(i int, out []float64) []float64, truth *model.GroundTruth, cfg Config) *Result {
 	if cfg.TrainFraction <= 0 || cfg.TrainFraction > 1 {
 		cfg.TrainFraction = 0.10
 	}
@@ -104,9 +124,8 @@ func Run(g *graph.Graph, truth *model.GroundTruth, cfg Config) *Result {
 
 	// Index edges by match/non-match.
 	var posIdx, negIdx []int
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		if truth.Contains(int(e.U), int(e.V)) {
+	for i := 0; i < n; i++ {
+		if p := pair(i); truth.Contains(int(p.U), int(p.V)) {
 			posIdx = append(posIdx, i)
 		} else {
 			negIdx = append(negIdx, i)
@@ -117,8 +136,10 @@ func Run(g *graph.Graph, truth *model.GroundTruth, cfg Config) *Result {
 	if len(posIdx) == 0 || len(negIdx) == 0 {
 		// Degenerate graph: no training signal; retain every edge (the
 		// conservative choice preserves PC).
-		res.Pairs = allPairs(g)
-		res.Overhead = time.Since(start)
+		res.Pairs = make([]model.IDPair, n)
+		for i := range res.Pairs {
+			res.Pairs[i] = pair(i)
+		}
 		return res
 	}
 
@@ -140,35 +161,25 @@ func Run(g *graph.Graph, truth *model.GroundTruth, cfg Config) *Result {
 	xs := make([][]float64, 0, nPos+nNeg)
 	ys := make([]int, 0, nPos+nNeg)
 	for _, i := range posIdx[:nPos] {
-		xs = append(xs, Features(g, &g.Edges[i], nil))
+		xs = append(xs, features(i, nil))
 		ys = append(ys, +1)
 	}
 	for _, i := range negIdx[:nNeg] {
-		xs = append(xs, Features(g, &g.Edges[i], nil))
+		xs = append(xs, features(i, nil))
 		ys = append(ys, -1)
 	}
-	cfg.Train.Seed = cfg.Seed
-	svm := Train(xs, ys, cfg.Train)
+	svm := Train(xs, ys, TrainConfig{Seed: cfg.Seed})
 
 	var pairs []model.IDPair
 	buf := make([]float64, NumFeatures)
-	for i := range g.Edges {
-		buf = Features(g, &g.Edges[i], buf)
+	for i := 0; i < n; i++ {
+		buf = features(i, buf)
 		if svm.Predict(buf) {
-			pairs = append(pairs, g.Edges[i].Pair())
+			pairs = append(pairs, pair(i))
 		}
 	}
 	res.Pairs = pairs
 	res.Model = svm
 	res.TrainSize = len(xs)
-	res.Overhead = time.Since(start)
 	return res
-}
-
-func allPairs(g *graph.Graph) []model.IDPair {
-	out := make([]model.IDPair, len(g.Edges))
-	for i := range g.Edges {
-		out[i] = g.Edges[i].Pair()
-	}
-	return out
 }

@@ -9,6 +9,7 @@ import (
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
+	"blast/internal/edgelist"
 	"blast/internal/graph"
 	"blast/internal/model"
 	"blast/internal/stats"
@@ -19,8 +20,8 @@ import (
 // mirrored across its two CSR entries.
 func checkApplyCSRMatchesApply(t *testing.T, c *blocking.Collection, s Scheme) {
 	t.Helper()
-	g := graph.Build(c)
-	s.Apply(g)
+	g := edgelist.Build(c)
+	apply(s, g)
 	csr := graph.BuildCSR(c)
 	s.ApplyCSR(csr)
 	for n := 0; n < csr.NumProfiles; n++ {
@@ -201,22 +202,22 @@ func TestKernelMatchesMirrorWalk(t *testing.T) {
 	}
 }
 
+// TestWeigherMatchesApplyPerEdge: the kernel's weight of every entry is
+// the Weigher's weight of its edge, arguments in canonical orientation.
 func TestWeigherMatchesApplyPerEdge(t *testing.T) {
-	c := blocking.TokenBlocking(datasets.PaperExample())
-	g := graph.Build(c)
+	g := graph.BuildCSR(blocking.TokenBlocking(datasets.PaperExample()))
 	s := Blast()
-	s.Apply(g)
+	s.ApplyCSR(g)
 	w := s.Weigher(g.NumEdges(), g.TotalBlocks)
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		got := w.Weight(e.Common,
-			g.BlockCounts[e.U], g.BlockCounts[e.V],
-			g.Degrees[e.U], g.Degrees[e.V],
-			e.ARCS, e.EntropySum)
-		if got != e.Weight {
-			t.Errorf("edge (%d,%d): Weigher = %v, Apply = %v", e.U, e.V, got, e.Weight)
+	g.CanonicalMirror(func(u, v int32, p, mp int64) {
+		want := w.Weight(g.Common[p],
+			g.BlockCounts[u], g.BlockCounts[v],
+			int32(g.Degree(int(u))), int32(g.Degree(int(v))),
+			g.ARCS[p], g.EntropySum[p])
+		if g.Weights[p] != want || g.Weights[mp] != want {
+			t.Errorf("edge (%d,%d): ApplyCSR = %v / %v, Weigher = %v", u, v, g.Weights[p], g.Weights[mp], want)
 		}
-	}
+	})
 }
 
 func TestWeigherPanicsOnUnknownKind(t *testing.T) {

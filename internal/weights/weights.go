@@ -101,9 +101,10 @@ func (s Scheme) Name() string {
 }
 
 // Weigher computes single-edge weights for a scheme over fixed
-// graph-level totals. Both the edge-list engine (Scheme.Apply) and the
-// node-centric engine (Scheme.ApplyCSR) funnel every edge through the
-// same Weigher, so the two representations carry bit-identical weights.
+// graph-level totals. It is the one per-edge formula: the CSR kernel
+// (Scheme.ApplyOwnedCSR), the incremental index's localized reweigh and
+// the edge-list reference the kernels are tested against all funnel
+// every edge through it.
 type Weigher struct {
 	scheme         Scheme
 	numEdges       float64
@@ -168,18 +169,6 @@ func (w Weigher) Weight(common, bu, bv, du, dv int32, arcs, entropySum float64) 
 	return out
 }
 
-// Apply computes the weight of every edge of g in place.
-func (s Scheme) Apply(g *graph.Graph) {
-	w := s.Weigher(g.NumEdges(), g.TotalBlocks)
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		e.Weight = w.Weight(e.Common,
-			g.BlockCounts[e.U], g.BlockCounts[e.V],
-			g.Degrees[e.U], g.Degrees[e.V],
-			e.ARCS, e.EntropySum)
-	}
-}
-
 // ApplyCSR computes the weight of every adjacency entry of g, one
 // worker per CPU: ApplyCSRCtx with a background context and workers = 0.
 // Over a spilled graph an I/O failure is not lost: it stays on the
@@ -207,8 +196,8 @@ func (s Scheme) ApplyCSRCtx(ctx context.Context, g *graph.CSR, workers int) erro
 // locally: degrees is the global per-node degree vector and numEdges
 // the global edge count, both resolved by the cross-shard aggregate
 // exchange. Every entry is weighted on its own with its arguments in
-// canonical (lo, hi) orientation, through the same Weigher as the
-// edge-list Apply; an edge's two entries carry bit-identical statistics,
+// canonical (lo, hi) orientation; an edge's two entries carry
+// bit-identical statistics,
 // so they come out bit-identical whether one pass weighs both or two
 // shards weigh one each, at every worker count. It returns ctx.Err() if
 // cancelled (all workers have exited; g's weights are then undefined,

@@ -6,16 +6,26 @@ import (
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
-	"blast/internal/graph"
+	"blast/internal/edgelist"
 	"blast/internal/model"
 	"blast/internal/stats"
 )
 
-func paperGraph() *graph.Graph {
-	return graph.Build(blocking.TokenBlocking(datasets.PaperExample()))
+// The hand-computed weights below go through the edge-list reference:
+// its Weigh loop feeds every edge's statistics to the production
+// per-edge formula (Weigher.Weight), which is what these tests pin.
+// csr_test.go holds the CSR kernel to the same reference.
+
+func paperGraph() *edgelist.Graph {
+	return edgelist.Build(blocking.TokenBlocking(datasets.PaperExample()))
 }
 
-func edge(t *testing.T, g *graph.Graph, u, v int) *graph.Edge {
+// apply weighs the reference graph under the scheme.
+func apply(s Scheme, g *edgelist.Graph) {
+	g.Weigh(s.Weigher(g.NumEdges(), g.TotalBlocks).Weight)
+}
+
+func edge(t *testing.T, g *edgelist.Graph, u, v int) *edgelist.Edge {
 	t.Helper()
 	e := g.EdgeBetween(u, v)
 	if e == nil {
@@ -26,7 +36,7 @@ func edge(t *testing.T, g *graph.Graph, u, v int) *graph.Edge {
 
 func TestCBSMatchesFigure1c(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: CBS}.Apply(g)
+	apply(Scheme{Kind: CBS}, g)
 	want := map[[2]int]float64{
 		{0, 2}: 4, {1, 3}: 4, {0, 3}: 3, {1, 2}: 4, {0, 1}: 1, {2, 3}: 1,
 	}
@@ -39,7 +49,7 @@ func TestCBSMatchesFigure1c(t *testing.T) {
 
 func TestJSKnownValue(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: JS}.Apply(g)
+	apply(Scheme{Kind: JS}, g)
 	// p1-p3: |B_uv|=4, |B_u|=6, |B_v|=7 -> 4/(6+7-4) = 4/9.
 	if got := edge(t, g, 0, 2).Weight; math.Abs(got-4.0/9) > 1e-12 {
 		t.Errorf("JS(p1,p3) = %v, want 4/9", got)
@@ -48,7 +58,7 @@ func TestJSKnownValue(t *testing.T) {
 
 func TestECBSKnownValue(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: ECBS}.Apply(g)
+	apply(Scheme{Kind: ECBS}, g)
 	want := 4 * math.Log(12.0/6) * math.Log(12.0/7)
 	if got := edge(t, g, 0, 2).Weight; math.Abs(got-want) > 1e-12 {
 		t.Errorf("ECBS(p1,p3) = %v, want %v", got, want)
@@ -57,7 +67,7 @@ func TestECBSKnownValue(t *testing.T) {
 
 func TestARCSUsesAccumulatedMass(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: ARCS}.Apply(g)
+	apply(Scheme{Kind: ARCS}, g)
 	want := 3 + 1.0/6 // car, main, jr (1 comparison each) + abram (6)
 	if got := edge(t, g, 0, 2).Weight; math.Abs(got-want) > 1e-12 {
 		t.Errorf("ARCS(p1,p3) = %v, want %v", got, want)
@@ -66,10 +76,10 @@ func TestARCSUsesAccumulatedMass(t *testing.T) {
 
 func TestEJSDiscountsHighDegree(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: EJS}.Apply(g)
+	apply(Scheme{Kind: EJS}, g)
 	// All nodes have degree 3 and |E|=6: factor log(2)^2 on each JS.
 	jsG := paperGraph()
-	Scheme{Kind: JS}.Apply(jsG)
+	apply(Scheme{Kind: JS}, jsG)
 	f := math.Log(2) * math.Log(2)
 	for i := range g.Edges {
 		want := jsG.Edges[i].Weight * f
@@ -81,7 +91,7 @@ func TestEJSDiscountsHighDegree(t *testing.T) {
 
 func TestChiSquaredMatchesContingency(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: ChiSquared}.Apply(g)
+	apply(Scheme{Kind: ChiSquared}, g)
 	// p1-p3 contingency (Table 1): common=4, |B_u|=6, |B_v|=7, n=12.
 	want := stats.NewContingency(4, 6, 7, 12).PositiveAssociation()
 	if got := edge(t, g, 0, 2).Weight; math.Abs(got-want) > 1e-12 {
@@ -94,7 +104,7 @@ func TestChiSquaredMatchesContingency(t *testing.T) {
 
 func TestChiSquaredRanksMatchesAboveNonMatches(t *testing.T) {
 	g := paperGraph()
-	Scheme{Kind: ChiSquared}.Apply(g)
+	apply(Scheme{Kind: ChiSquared}, g)
 	match1 := edge(t, g, 0, 2).Weight // p1-p3 (true match)
 	match2 := edge(t, g, 1, 3).Weight // p2-p4 (true match)
 	super1 := edge(t, g, 0, 1).Weight // p1-p2
@@ -124,12 +134,12 @@ func TestEntropyScaling(t *testing.T) {
 			{Key: "c", P1: []int32{0, 1, 2}, Entropy: 1.0},
 		},
 	}
-	g := graph.Build(c)
-	Scheme{Kind: CBS}.Apply(g)
+	g := edgelist.Build(c)
+	apply(Scheme{Kind: CBS}, g)
 	base01 := g.EdgeBetween(0, 1).Weight
 	base23 := g.EdgeBetween(2, 3).Weight
 
-	Scheme{Kind: CBS, Entropy: true}.Apply(g)
+	apply(Scheme{Kind: CBS, Entropy: true}, g)
 	h01 := g.EdgeBetween(0, 1).Weight
 	h23 := g.EdgeBetween(2, 3).Weight
 
@@ -157,7 +167,7 @@ func TestAllSchemesNonNegativeAndFinite(t *testing.T) {
 	kinds := append(Classic(), ChiSquared)
 	for _, k := range kinds {
 		for _, entropy := range []bool{false, true} {
-			Scheme{Kind: k, Entropy: entropy}.Apply(g)
+			apply(Scheme{Kind: k, Entropy: entropy}, g)
 			for i := range g.Edges {
 				w := g.Edges[i].Weight
 				if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
@@ -193,7 +203,7 @@ func TestApplyPanicsOnUnknownKind(t *testing.T) {
 		}
 	}()
 	g := paperGraph()
-	Scheme{Kind: Kind(99)}.Apply(g)
+	apply(Scheme{Kind: Kind(99)}, g)
 }
 
 func TestSafeLog(t *testing.T) {

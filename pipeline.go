@@ -29,11 +29,9 @@ import (
 
 	"blast/internal/attr"
 	"blast/internal/blocking"
-	"blast/internal/graph"
 	"blast/internal/metablocking"
 	"blast/internal/metrics"
 	"blast/internal/model"
-	"blast/internal/supervised"
 	"blast/internal/text"
 )
 
@@ -172,10 +170,11 @@ func (p *Pipeline) Block(ctx context.Context, ds *model.Dataset, schema *Schema)
 
 // MetaBlock runs Phase 3 (meta-blocking) on a Blocks artifact: the
 // blocking graph is built, weighted and pruned under this pipeline's
-// Scheme/Pruning/Engine settings, so re-running MetaBlock with different
-// pipelines over one Blocks artifact sweeps Phase 3 parameters without
-// recomputing induction or blocking. The returned Result carries the
-// phase timings of the artifacts it consumed.
+// Scheme/Pruning/Storage settings, so re-running MetaBlock with
+// different pipelines over one Blocks artifact sweeps Phase 3 parameters
+// without recomputing induction or blocking. Every stage polls ctx at
+// chunk granularity. The returned Result carries the phase timings of
+// the artifacts it consumed.
 func (p *Pipeline) MetaBlock(ctx context.Context, blocks *Blocks) (*Result, error) {
 	if blocks == nil || blocks.Collection == nil {
 		return nil, errors.New("blast: MetaBlock requires a non-nil Blocks artifact")
@@ -191,34 +190,12 @@ func (p *Pipeline) MetaBlock(ctx context.Context, blocks *Blocks) (*Result, erro
 	res.BlockTime = blocks.Duration
 
 	t0 := time.Now()
-	if p.opt.Supervised {
-		ds := blocks.Dataset
-		if ds == nil || ds.Truth == nil {
-			return nil, errors.New("blast: supervised meta-blocking requires a Blocks artifact with a ground truth")
-		}
-		g, err := graph.BuildCtx(ctx, blocks.Collection)
-		if err != nil {
-			return nil, err
-		}
-		sup := supervised.Run(g, ds.Truth, supervised.Config{
-			TrainFraction: p.opt.TrainFraction,
-			NegativeRatio: 1,
-			Seed:          p.opt.Seed,
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res.Pairs = sup.Pairs
-		res.MetaTime = time.Since(t0)
-		p.opt.progress("supervised", res.MetaTime)
-	} else {
-		mb, err := metablocking.RunCtx(ctx, blocks.Collection, p.metaConfig())
-		if err != nil {
-			return nil, err
-		}
-		res.Pairs = mb.Pairs
-		res.MetaTime = time.Since(t0)
+	mb, err := metablocking.RunCtx(ctx, blocks.Collection, p.metaConfig())
+	if err != nil {
+		return nil, err
 	}
+	res.Pairs = mb.Pairs
+	res.MetaTime = time.Since(t0)
 
 	if ds := blocks.Dataset; ds != nil && ds.Truth != nil && ds.Truth.Size() > 0 {
 		res.Quality = metrics.EvaluatePairs(res.Pairs, ds.Truth)
@@ -235,12 +212,11 @@ func metaConfigFromOptions(o Options) metablocking.Config {
 	return metablocking.Config{
 		Scheme:  o.Scheme,
 		Pruning: o.Pruning,
-		Engine:  o.Engine,
 		C:       o.C,
 		D:       o.D,
 		K:       o.K,
 		Workers: o.Workers,
-		Spill:   o.spillOptions(""),
+		Spill:   o.spillOptions(),
 	}
 }
 

@@ -25,23 +25,21 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatalf("DefaultOptions must validate: %v", err)
 	}
 	mutations := map[string]func(*Options){
-		"zero value":          func(o *Options) { *o = Options{} },
-		"alpha zero":          func(o *Options) { o.Alpha = 0 },
-		"alpha above one":     func(o *Options) { o.Alpha = 1.5 },
-		"purge zero":          func(o *Options) { o.PurgeRatio = 0 },
-		"purge above one":     func(o *Options) { o.PurgeRatio = 1.01 },
-		"filter negative":     func(o *Options) { o.FilterRatio = -0.2 },
-		"filter above one":    func(o *Options) { o.FilterRatio = 2 },
-		"c zero":              func(o *Options) { o.C = 0 },
-		"c negative":          func(o *Options) { o.C = -1 },
-		"d zero":              func(o *Options) { o.D = 0 },
-		"k below -1":          func(o *Options) { o.K = -2 },
-		"negative workers":    func(o *Options) { o.Workers = -3 },
-		"unknown induction":   func(o *Options) { o.Induction = Induction(42) },
-		"unknown pruning":     func(o *Options) { o.Pruning = metablocking.Pruning(42) },
-		"unknown engine":      func(o *Options) { o.Engine = metablocking.Engine(42) },
-		"lsh zero rows":       func(o *Options) { o.LSH = &LSHOptions{Rows: 0, Bands: 10} },
-		"supervised no train": func(o *Options) { o.Supervised = true; o.TrainFraction = 0 },
+		"zero value":        func(o *Options) { *o = Options{} },
+		"alpha zero":        func(o *Options) { o.Alpha = 0 },
+		"alpha above one":   func(o *Options) { o.Alpha = 1.5 },
+		"purge zero":        func(o *Options) { o.PurgeRatio = 0 },
+		"purge above one":   func(o *Options) { o.PurgeRatio = 1.01 },
+		"filter negative":   func(o *Options) { o.FilterRatio = -0.2 },
+		"filter above one":  func(o *Options) { o.FilterRatio = 2 },
+		"c zero":            func(o *Options) { o.C = 0 },
+		"c negative":        func(o *Options) { o.C = -1 },
+		"d zero":            func(o *Options) { o.D = 0 },
+		"k below -1":        func(o *Options) { o.K = -2 },
+		"negative workers":  func(o *Options) { o.Workers = -3 },
+		"unknown induction": func(o *Options) { o.Induction = Induction(42) },
+		"unknown pruning":   func(o *Options) { o.Pruning = metablocking.Pruning(42) },
+		"lsh zero rows":     func(o *Options) { o.LSH = &LSHOptions{Rows: 0, Bands: 10} },
 	}
 	for name, mutate := range mutations {
 		opt := DefaultOptions()
@@ -74,9 +72,8 @@ func assertSamePairs(t *testing.T, label string, want, got []model.IDPair) {
 	}
 }
 
-// TestStagedEquivalenceMatrix: across Induction x Scheme x Pruning x
-// Engine, the staged Pipeline, Index.Pairs() and legacy Run are
-// byte-identical. Induction and blocking artifacts are computed once per
+// TestStagedEquivalenceMatrix: across Induction x Scheme x Pruning, the
+// staged Pipeline, Index.Pairs() and legacy Run are byte-identical. Induction and blocking artifacts are computed once per
 // induction setting and reused across the Phase 3 sweep — the workload
 // shape the staged API exists for.
 func TestStagedEquivalenceMatrix(t *testing.T) {
@@ -108,34 +105,31 @@ func TestStagedEquivalenceMatrix(t *testing.T) {
 		}
 		for _, scheme := range schemes {
 			for _, pruning := range prunings {
-				for _, engine := range []metablocking.Engine{metablocking.EdgeList, metablocking.NodeCentric} {
-					label := fmt.Sprintf("%v/%s/%v/%v", ind, scheme.Name(), pruning, engine)
-					opt := base
-					opt.Scheme = scheme
-					opt.Pruning = pruning
-					opt.Engine = engine
-					legacy, err := Run(ds, opt)
-					if err != nil {
-						t.Fatalf("%s: Run: %v", label, err)
-					}
-					p, err := NewPipeline(opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					staged, err := p.MetaBlock(ctx, blocks)
-					if err != nil {
-						t.Fatalf("%s: MetaBlock: %v", label, err)
-					}
-					assertSamePairs(t, label+" staged", legacy.Pairs, staged.Pairs)
-					if legacy.Quality != staged.Quality {
-						t.Errorf("%s: quality differs: %+v vs %+v", label, legacy.Quality, staged.Quality)
-					}
-					ix, err := p.IndexBlocks(ctx, blocks)
-					if err != nil {
-						t.Fatalf("%s: IndexBlocks: %v", label, err)
-					}
-					assertSamePairs(t, label+" index", legacy.Pairs, ix.Pairs())
+				label := fmt.Sprintf("%v/%s/%v", ind, scheme.Name(), pruning)
+				opt := base
+				opt.Scheme = scheme
+				opt.Pruning = pruning
+				legacy, err := Run(ds, opt)
+				if err != nil {
+					t.Fatalf("%s: Run: %v", label, err)
 				}
+				p, err := NewPipeline(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				staged, err := p.MetaBlock(ctx, blocks)
+				if err != nil {
+					t.Fatalf("%s: MetaBlock: %v", label, err)
+				}
+				assertSamePairs(t, label+" staged", legacy.Pairs, staged.Pairs)
+				if legacy.Quality != staged.Quality {
+					t.Errorf("%s: quality differs: %+v vs %+v", label, legacy.Quality, staged.Quality)
+				}
+				ix, err := p.IndexBlocks(ctx, blocks)
+				if err != nil {
+					t.Fatalf("%s: IndexBlocks: %v", label, err)
+				}
+				assertSamePairs(t, label+" index", legacy.Pairs, ix.Pairs())
 			}
 		}
 	}
@@ -158,9 +152,6 @@ func TestStagedEquivalenceRandom(t *testing.T) {
 			metablocking.WEP, metablocking.CEP, metablocking.WNP1, metablocking.WNP2,
 			metablocking.CNP1, metablocking.CNP2, metablocking.BlastWNP,
 		}[rng.Intn(7)]
-		if rng.Intn(2) == 0 {
-			opt.Engine = metablocking.NodeCentric
-		}
 		legacy, err := Run(ds, opt)
 		if err != nil {
 			return false
@@ -293,18 +284,6 @@ func TestIndexThresholds(t *testing.T) {
 	}
 }
 
-func TestIndexSupervisedRejected(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Supervised = true
-	p, err := NewPipeline(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.BuildIndex(context.Background(), datasets.AR1(0.03, 2)); err == nil {
-		t.Error("supervised BuildIndex should error")
-	}
-}
-
 // TestSchemaReuseAcrossPipelines: the headline staged scenario — one
 // Schema and one Blocks artifact feeding a C sweep — matches the
 // per-configuration full runs exactly.
@@ -394,7 +373,6 @@ func TestPipelineCancellationMidRunNoLeak(t *testing.T) {
 	ds := datasets.AR1(0.1, 6)
 	opt := DefaultOptions()
 	opt.Workers = 4
-	opt.Engine = metablocking.NodeCentric
 	p, err := NewPipeline(opt)
 	if err != nil {
 		t.Fatal(err)

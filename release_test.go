@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"testing"
 
-	"blast/internal/metablocking"
 	"blast/internal/model"
 	"blast/internal/stats"
 )
@@ -23,31 +22,26 @@ import (
 // EntropySum, BlockCounts) must be gone.
 func TestIndexReleasesServingOnlyArrays(t *testing.T) {
 	ctx := context.Background()
-	for _, engine := range []metablocking.Engine{metablocking.EdgeList, metablocking.NodeCentric} {
-		opt := DefaultOptions()
-		opt.Engine = engine
-		p, err := NewPipeline(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := p.BuildIndex(ctx, synthDirty(stats.NewRNG(0xB10C), 50))
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("engine=%v", engine)
-		if ix.csr.Common != nil || ix.csr.ARCS != nil || ix.csr.EntropySum != nil {
-			t.Errorf("%s: co-occurrence statistics live on a query-only index", label)
-		}
-		if ix.csr.BlockCounts != nil {
-			t.Errorf("%s: BlockCounts live on a query-only index", label)
-		}
-		if ix.csr.Weights == nil || ix.csr.Offsets == nil {
-			t.Errorf("%s: serving arrays missing", label)
-		}
-		// Candidate serving needs none of the released arrays.
-		if ix.AppendCandidates(nil, 0) == nil && ix.Threshold(0) != 0 {
-			t.Errorf("%s: no candidates for profile 0 but a live threshold", label)
-		}
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := p.BuildIndex(ctx, synthDirty(stats.NewRNG(0xB10C), 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.csr.Common != nil || ix.csr.ARCS != nil || ix.csr.EntropySum != nil {
+		t.Error("co-occurrence statistics live on a query-only index")
+	}
+	if ix.csr.BlockCounts != nil {
+		t.Error("BlockCounts live on a query-only index")
+	}
+	if ix.csr.Weights == nil || ix.csr.Offsets == nil {
+		t.Error("serving arrays missing")
+	}
+	// Candidate serving needs none of the released arrays.
+	if ix.AppendCandidates(nil, 0) == nil && ix.Threshold(0) != 0 {
+		t.Error("no candidates for profile 0 but a live threshold")
 	}
 }
 

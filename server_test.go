@@ -478,15 +478,6 @@ func TestServerLifecycleAndBoundaries(t *testing.T) {
 	if _, err := p.Serve(ctx, ds, ServerOptions{Shards: maxServerShards + 1}); err == nil {
 		t.Error("absurd shard count accepted")
 	}
-	sup := DefaultOptions()
-	sup.Supervised = true
-	ps, err := NewPipeline(sup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ps.Serve(ctx, ds, ServerOptions{}); err == nil {
-		t.Error("supervised serving accepted")
-	}
 
 	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 2, SwapOps: -1})
 	if err != nil {

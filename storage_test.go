@@ -29,7 +29,6 @@ import (
 // fileStorageOptions returns opt flipped to file storage with a budget
 // that forces the build to spill from the first page.
 func fileStorageOptions(opt Options) Options {
-	opt.Engine = metablocking.NodeCentric
 	opt.Storage = StorageFile
 	opt.MemoryBudget = 1
 	return opt
@@ -89,7 +88,6 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 			memOpt := DefaultOptions()
 			memOpt.Scheme = scheme
 			memOpt.Pruning = pruning
-			memOpt.Engine = metablocking.NodeCentric
 			pMem, err := NewPipeline(memOpt)
 			if err != nil {
 				t.Fatal(err)
@@ -146,7 +144,6 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 func TestStorageServerEquivalence(t *testing.T) {
 	ctx := context.Background()
 	memOpt := DefaultOptions()
-	memOpt.Engine = metablocking.NodeCentric
 	pMem, err := NewPipeline(memOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +194,6 @@ func TestStorageInsertMaterializes(t *testing.T) {
 	rng := stats.NewRNG(0xFEED)
 	ds := synthDirty(rng, 50)
 	memOpt := DefaultOptions()
-	memOpt.Engine = metablocking.NodeCentric
 	pMem, err := NewPipeline(memOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -298,13 +294,19 @@ func (c *tripCtx) Err() error {
 // build, the paged weighting kernel, every pruning pass, the freeze —
 // and checks each cancelled run returns context.Canceled through the
 // exits that close the spilled graph: no segment file, spill directory
-// or goroutine is left behind.
+// or goroutine is left behind. MetaBlock under DefaultOptions goes
+// through the same sweep: the default pipeline is cancellable inside
+// Phase 3, at the granularity of the entries it weighs and prunes.
 func TestStorageCancelledBuildLeavesNoSegments(t *testing.T) {
 	spill := t.TempDir()
 	opt := fileStorageOptions(DefaultOptions())
 	opt.SpillDir = spill
 	opt.Workers = 2
 	p, err := NewPipeline(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pDefault, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +331,10 @@ func TestStorageCancelledBuildLeavesNoSegments(t *testing.T) {
 		},
 		"MetaBlock": func(ctx context.Context) error {
 			_, err := p.MetaBlock(ctx, blocks)
+			return err
+		},
+		"MetaBlock under DefaultOptions": func(ctx context.Context) error {
+			_, err := pDefault.MetaBlock(ctx, blocks)
 			return err
 		},
 	} {
@@ -370,7 +376,6 @@ func TestDurableStorageManifestPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	memOpt := DefaultOptions()
-	memOpt.Engine = metablocking.NodeCentric
 	pMem, err := NewPipeline(memOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -450,14 +455,12 @@ func TestStorageOptionValidation(t *testing.T) {
 			t.Errorf("%s: invalid storage configuration accepted", label)
 		}
 	}
-	reject("edge-list engine", func(o *Options) {
-		o.Storage = StorageFile // default engine is EdgeList
-	})
-	reject("supervised", func(o *Options) {
-		o.Engine = metablocking.NodeCentric
-		o.Storage = StorageFile
-		o.Supervised = true
-	})
+	// File storage needs nothing beside itself: the defaults validate.
+	file := DefaultOptions()
+	file.Storage = StorageFile
+	if _, err := NewPipeline(file); err != nil {
+		t.Errorf("StorageFile under DefaultOptions rejected: %v", err)
+	}
 	reject("budget without file storage", func(o *Options) {
 		o.MemoryBudget = 1 << 20
 	})
