@@ -523,6 +523,100 @@ func BenchmarkEngine_ApplyCSR(b *testing.B) {
 	}
 }
 
+// BenchmarkEngine_BuildWeighted is the first half of a cold run both
+// ways: "stats" fills the five entry arrays and then runs the weighting
+// kernel over them (what a mutable index, which re-weighs, needs),
+// "fused" weighs each entry as the fill pass emits it and makes only
+// Neighbors + Weights (what RunCtx, IndexBlocks and a partitioned
+// shard's export take). Run with -benchmem: B/op roughly halves (32 vs
+// 12 bytes an entry plus the per-profile arrays).
+func BenchmarkEngine_BuildWeighted(b *testing.B) {
+	ctx := context.Background()
+	blocks := streamBlocks(b, 5000)
+	cfg := metablocking.DefaultConfig()
+	for _, mode := range []struct {
+		name      string
+		keepStats bool
+	}{{"stats", true}, {"fused", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var edges int
+			for i := 0; i < b.N; i++ {
+				g, _, err := metablocking.BuildWeighted(ctx, blocks, cfg, mode.keepStats)
+				if err != nil {
+					b.Fatal(err)
+				}
+				edges = g.NumEdges()
+			}
+			b.ReportMetric(float64(edges), "edges")
+		})
+	}
+}
+
+// BenchmarkServer_StreamPublish streams 1024 profiles in batches of 16
+// into a fresh in-memory partitioned two-shard server (SwapOps at its
+// default 256) and quiesces it: the write path of bench/e2e's
+// serve-stream without the journal. An op is one stream; swaps/op is
+// the publications both shards made for it — admission outruns an
+// export, so group publication covers the backlog with fewer than the
+// eight a per-window policy makes (the exact count depends on timing,
+// by design) — and profiles/s the rate at which streamed profiles
+// became visible.
+func BenchmarkServer_StreamPublish(b *testing.B) {
+	ctx := context.Background()
+	const base, streamed, batch = 5000, 1024, 16
+	st := datasets.NewStream(base+streamed, 1)
+	e := model.NewCollection("stream")
+	for i := 0; i < base; i++ {
+		e.Append(st.Profile(i))
+	}
+	ds := &model.Dataset{Name: "stream", Kind: model.Dirty, E1: e, Truth: model.NewGroundTruth()}
+	stream := st.Profiles(base, base+streamed)
+	p, err := blast.NewPipeline(blast.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema, err := p.InduceSchema(ctx, ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks, err := p.Block(ctx, ds, schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var swaps int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv, err := p.ServeBlocks(ctx, blocks, blast.ServerOptions{Shards: 2, Topology: blast.TopologyPartitioned})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for off := 0; off < len(stream); off += batch {
+			if _, err := srv.InsertAll(ctx, stream[off:off+batch]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := srv.Quiesce(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if got := srv.NumProfiles(); got != base+streamed {
+			b.Fatalf("quiesced server serves %d profiles, want %d", got, base+streamed)
+		}
+		for _, st := range srv.Stats() {
+			swaps += st.Swaps
+		}
+		if err := srv.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(swaps)/float64(b.N), "swaps/op")
+	b.ReportMetric(float64(streamed)*float64(b.N)/b.Elapsed().Seconds(), "profiles/s")
+}
+
 // BenchmarkEngine_SpilledSweep runs one Phase-3 sweep — chi2*h, then
 // BlastWNP and CEP — over the same blocks resident and spilled at a
 // budget far below the adjacency. Run with -benchmem: the spilled row

@@ -234,10 +234,18 @@ type ServerOptions struct {
 	Shards int
 	// Topology selects replicated (zero value) or partitioned shards.
 	Topology Topology
-	// SwapOps publishes a fresh read snapshot after this many streamed
-	// profiles have been applied on a shard since its last publication.
-	// 0 selects 256; negative disables the op-count trigger, leaving
-	// swaps to the overlay trigger (Options.Compaction) and Quiesce.
+	// SwapOps makes a fresh read snapshot fall due once this many
+	// streamed profiles have been applied on a shard since its last
+	// publication. A due snapshot is published at the newest batch every
+	// shard of the server had already received at that moment: at once
+	// when nothing is queued behind the batch that made it due, and as
+	// ONE publication covering the backlog — not one per SwapOps window,
+	// each stale before it is swapped in — when admission runs ahead of
+	// the shards. The position is fixed when the publication falls due,
+	// so a writer that never pauses cannot postpone it, and Quiesce or
+	// Close publish at the latest. 0 selects 256; negative disables the
+	// op-count trigger, leaving publication to the overlay trigger
+	// (Options.Compaction) and Quiesce.
 	SwapOps int
 
 	// Dir, when non-empty, makes the server durable: every admitted

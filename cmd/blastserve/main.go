@@ -74,7 +74,7 @@ func parseFlags(args []string, w io.Writer) (config, error) {
 	fs.Float64Var(&cfg.scale, "scale", 0.1, "fraction of paper-scale size for the bootstrap dataset")
 	fs.Uint64Var(&cfg.seed, "seed", 42, "random seed for the bootstrap dataset")
 	fs.IntVar(&cfg.shards, "shards", 2, "shard workers (full replicas, or row-owning partitions under -topology partitioned)")
-	fs.IntVar(&cfg.swapOps, "swap-ops", 0, "publish a snapshot every N applied profiles (0 = default)")
+	fs.IntVar(&cfg.swapOps, "swap-ops", 0, "a snapshot falls due every N applied profiles and is published once the backlog the shards held by then is applied (0 = default)")
 	topology := fs.String("topology", blast.TopologyReplicated.String(), "shard topology: replicated or partitioned")
 	fs.StringVar(&cfg.dir, "dir", "", "durable directory (empty = in-memory only)")
 	fs.IntVar(&cfg.syncEvery, "sync-every", 0, "fsync the WALs every N admitted batches (0 = every batch)")

@@ -604,8 +604,8 @@ func (p *Pipeline) finishDurablePartitioned(ctx context.Context, blocks *Blocks,
 	}
 
 	shOpt := p.shardOptions(sopt)
-	// Only the deterministic SwapOps cadence may trigger exports — see
-	// servePartitioned.
+	// Only the deterministic SwapOps count may make an export fall due —
+	// see servePartitioned.
 	shOpt.MaxOverlayFraction = 0
 	ex := shard.NewExchange(n)
 	shOpt.OnFail = func(err error) { ex.Poison(err) }

@@ -136,10 +136,12 @@ func (p *Pipeline) BuildIndex(ctx context.Context, ds *model.Dataset) (*Index, e
 // graph is built and weighted exactly as MetaBlock does it
 // (metablocking.BuildWeighted), the configured pruning decides
 // retention, and the per-entry decisions are kept alongside the weights
-// for per-profile lookup; Pairs is byte-identical to MetaBlock's. The
-// co-occurrence statistics are released after weighting (a query-only
-// index stays at its serving footprint); the first Insert re-derives
-// them with one graph pass over the retained collection.
+// for per-profile lookup; Pairs is byte-identical to MetaBlock's. A
+// resident build never makes the co-occurrence statistics — the graph's
+// fill pass weighs each entry as it emits it — and a spilled one
+// releases them after weighting (a query-only index stays at its
+// serving footprint); the first Insert re-derives them with one graph
+// pass over the retained collection.
 func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, error) {
 	return p.indexBlocks(ctx, blocks, false)
 }
@@ -154,12 +156,9 @@ func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bo
 	}
 	t0 := time.Now()
 	c := blocks.Collection
-	csr, _, err := metablocking.BuildWeighted(ctx, c, metaConfigFromOptions(p.opt))
+	csr, _, err := metablocking.BuildWeighted(ctx, c, metaConfigFromOptions(p.opt), keepStats)
 	if err != nil {
 		return nil, err
-	}
-	if !keepStats {
-		csr.ReleaseStats()
 	}
 
 	pairs, retained, theta, err := freezeDecisions(ctx, csr, p.opt)

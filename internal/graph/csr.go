@@ -25,11 +25,12 @@ import (
 // thresholds of Section 3.3.2, per-node top-k) never consult anything
 // beyond a node's own run.
 //
-// The builders (BuildOwnedCSR and its wrappers) accumulate each node's
-// run independently from the block index with an O(|profiles|) scratch
-// accumulator, so peak allocation is the output adjacency itself — no
-// hash table over the pairs, no per-edge records, no sort. The
-// streaming pruning schemes (package prune) consume this form directly.
+// The builder (OwnedBuild; BuildOwnedCSR and its wrappers run both of
+// its passes) accumulates each node's run independently from the block
+// index with an O(|profiles|) scratch accumulator, so peak allocation
+// is the output adjacency itself — no hash table over the pairs, no
+// per-edge records, no sort. The streaming pruning schemes (package
+// prune) consume this form directly.
 type CSR struct {
 	// NumProfiles is the number of nodes (profiles of the dataset,
 	// whether or not they have edges).
@@ -45,7 +46,8 @@ type CSR struct {
 	// Common) are the co-occurrence accumulators, per entry (both
 	// entries of an undirected edge carry identical values). They are
 	// only needed to compute Weights; ReleaseStats drops them once
-	// weighting is done.
+	// weighting is done, and a build that weighs as it fills
+	// (OwnedBuild.Fill given an EntryWeight) never makes them.
 	Common     []int32
 	ARCS       []float64
 	EntropySum []float64
@@ -82,6 +84,18 @@ func (g *CSR) NumEdges() int { return int(g.NumEntries() / 2) }
 
 // Degree returns |v_i|, the number of edges adjacent to node i.
 func (g *CSR) Degree(i int) int { return int(g.Offsets[i+1] - g.Offsets[i]) }
+
+// Degrees returns the run length of every row as a fresh vector. Over a
+// full graph these are the node degrees; over an owned-rows graph the
+// unowned rows read 0 until the shards exchange theirs. It needs only
+// Offsets, so it also serves the header of a build in progress.
+func (g *CSR) Degrees() []int32 {
+	degrees := make([]int32, g.NumProfiles)
+	for u := range degrees {
+		degrees[u] = int32(g.Offsets[u+1] - g.Offsets[u])
+	}
+	return degrees
+}
 
 // Run returns node u's adjacency run: its neighbor ids and, once a
 // weighting scheme has run, the matching per-entry weights (nil
@@ -477,12 +491,28 @@ func (a *rowAcc) degree() (deg int) {
 
 // emit writes the accumulated run to the front of the destination
 // slices in ascending neighbor order, clears the accumulator and
-// returns the run's length.
+// returns the run's length. It is the statistics sink of the fill pass.
 func (a *rowAcc) emit(nbr, common []int32, arcs, entropy []float64) (k int) {
 	a.drain(func(w int, word uint64) {
 		for ; word != 0; word &= word - 1 {
 			j := w<<6 + bits.TrailingZeros64(word)
 			nbr[k], common[k], arcs[k], entropy[k] = int32(j), a.common[j], a.arcs[j], a.entropy[j]
+			a.common[j], a.arcs[j], a.entropy[j] = 0, 0, 0
+			k++
+		}
+	})
+	return k
+}
+
+// emitWeighed is the weighing sink of the fill pass: the same drain, but
+// each entry's statistics go straight from the accumulator into weigh
+// and only the neighbor id and the weight are written out — the
+// statistics of row u never exist outside the accumulator.
+func (a *rowAcc) emitWeighed(u int32, nbr []int32, wts []float64, weigh EntryWeight) (k int) {
+	a.drain(func(w int, word uint64) {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 + bits.TrailingZeros64(word)
+			nbr[k], wts[k] = int32(j), weigh(u, int32(j), a.common[j], a.arcs[j], a.entropy[j])
 			a.common[j], a.arcs[j], a.entropy[j] = 0, 0, 0
 			k++
 		}
@@ -496,8 +526,134 @@ func (a *rowAcc) emit(nbr, common []int32, arcs, entropy []float64) (k int) {
 // csrCancelCheckEvery nodes at the latest, sooner across hub nodes.
 const buildPollBudget = 1 << 20
 
-// BuildOwnedCSR is the one resident CSR builder; BuildCSR is workers = 1
-// with owns = nil (every row). Offsets spans every profile of the
+// OwnedBuild is the one resident CSR builder, in its two passes.
+//
+// StartOwnedCSR runs the degree pass: every owned node's neighbors are
+// marked and counted, and the prefix sums become Offsets — from which
+// the caller reads the degree vector and the edge count before a single
+// entry exists. Fill runs the fill pass: every entry array is allocated
+// once at its exact size and each node is accumulated again and emitted
+// in place, into one of two sinks. With no EntryWeight the run lands in
+// Neighbors + Common/ARCS/EntropySum (Weights allocated, zero): the
+// statistics-keeping graph that sweeps, grids and mutable indexes weigh
+// and re-weigh. With one, each entry is weighed as it is emitted and
+// only Neighbors + Weights are made — 12 instead of 32 bytes an entry,
+// no second pass over them — for callers that would release the
+// statistics straight after weighting anyway (a partitioned shard's
+// export, a cold Run or IndexBlocks). The builder is split, not handed a
+// callback up front, because a weight may need what only the finished
+// degree pass knows: EJS reads the degrees and the edge count, which a
+// partitioned shard must first exchange with its peers.
+//
+// Nodes are cut into contiguous ranges of roughly equal block-membership
+// mass, one per worker. A node is computed by one worker into its own
+// slice of the output, so the result is byte-identical at every worker
+// count, and the weighing sink writes bit for bit what the statistics
+// sink followed by WeighEntries would. Both passes poll ctx (see
+// buildPollBudget); a cancelled pass returns ctx.Err() after the join
+// and no graph.
+type OwnedBuild struct {
+	c       *blocking.Collection
+	owns    func(int32) bool
+	workers int
+	g       *CSR
+	ix      blockIndex
+	inv     []float64
+	bounds  []int
+	accs    []*rowAcc
+}
+
+// StartOwnedCSR runs the degree pass of a build over the rows owns
+// selects (nil = every row) on `workers` goroutines (<= 0 = GOMAXPROCS).
+func StartOwnedCSR(ctx context.Context, c *blocking.Collection, owns func(int32) bool, workers int) (*OwnedBuild, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if c.NumProfiles < 2*workers {
+		workers = 1
+	}
+	b := &OwnedBuild{c: c, owns: owns, workers: workers, g: newCSRHeader(c), inv: blockInverses(c)}
+	b.ix = buildBlockIndex(c, b.g.BlockCounts)
+	b.bounds = cutRanges(b.ix.offsets, workers)
+	b.accs = make([]*rowAcc, workers)
+	offsets := b.g.Offsets
+	err := b.pass(ctx, func(acc *rowAcc, n int32) int {
+		visited := acc.walk(c, b.inv, &b.ix, n, false)
+		offsets[n+1] = int64(acc.degree())
+		return visited
+	})
+	if err != nil {
+		return nil, err
+	}
+	for n := 0; n < c.NumProfiles; n++ {
+		offsets[n+1] += offsets[n]
+	}
+	return b, nil
+}
+
+// pass runs visit over every owned node, each worker on its range.
+func (b *OwnedBuild) pass(ctx context.Context, visit func(acc *rowAcc, n int32) (visited int)) error {
+	_ = fanOut(b.workers, func(w int) error {
+		if b.accs[w] == nil {
+			b.accs[w] = newRowAcc(b.c.NumProfiles)
+		}
+		budget := 0
+		for n := b.bounds[w]; n < b.bounds[w+1]; n++ {
+			if budget <= 0 {
+				if ctx.Err() != nil {
+					return nil
+				}
+				budget = buildPollBudget
+			}
+			budget -= buildPollBudget / csrCancelCheckEvery
+			if b.owns == nil || b.owns(int32(n)) {
+				budget -= visit(b.accs[w], int32(n))
+			}
+		}
+		return nil
+	})
+	return ctx.Err()
+}
+
+// Header returns the graph under construction as the degree pass left
+// it: the collection-level statistics and the final Offsets, no entry
+// arrays yet. Read-only; Fill completes and returns the same graph.
+func (b *OwnedBuild) Header() *CSR { return b.g }
+
+// Fill runs the fill pass and returns the finished graph: statistics
+// kept when weigh is nil, weighed on emission (Common, ARCS and
+// EntropySum nil, as after ReleaseStats) when it is not. weigh is called
+// from several goroutines under the EntryWeight contract. A build is
+// filled once.
+func (b *OwnedBuild) Fill(ctx context.Context, weigh EntryWeight) (*CSR, error) {
+	g, c := b.g, b.c
+	entries := g.Offsets[c.NumProfiles]
+	g.Neighbors = make([]int32, entries)
+	g.Weights = make([]float64, entries)
+	if weigh == nil {
+		g.Common = make([]int32, entries)
+		g.ARCS = make([]float64, entries)
+		g.EntropySum = make([]float64, entries)
+	}
+	err := b.pass(ctx, func(acc *rowAcc, n int32) int {
+		visited := acc.walk(c, b.inv, &b.ix, n, true)
+		lo, hi := g.Offsets[n], g.Offsets[n+1]
+		if weigh == nil {
+			acc.emit(g.Neighbors[lo:hi], g.Common[lo:hi], g.ARCS[lo:hi], g.EntropySum[lo:hi])
+		} else {
+			acc.emitWeighed(n, g.Neighbors[lo:hi], g.Weights[lo:hi], weigh)
+		}
+		return visited
+	})
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// BuildOwnedCSR is the statistics-keeping build: the degree pass plus
+// the fill pass into the statistics sink; BuildCSR is workers = 1 with
+// owns = nil (every row). Offsets spans every profile of the
 // collection, but adjacency runs are built only for the rows owns
 // selects; every other row is an empty run. That is the build primitive
 // of partitioned sharding: each shard materializes its owned rows from
@@ -506,80 +662,12 @@ const buildPollBudget = 1 << 20
 // header statistics (BlockCounts, TotalBlocks, TotalComparisons) stay
 // global; NumEdges() of an owned build counts owned entries over two,
 // NOT the global edges (shards exchange owned degrees for those).
-//
-// Nodes are cut into contiguous ranges of roughly equal block-membership
-// mass, one per worker (0 = GOMAXPROCS). A degree pass marks each owned
-// node's neighbors and counts them into Offsets; after the prefix sums
-// every entry array is allocated once at its exact size, and a fill
-// pass accumulates each node again and emits its run in place. A node
-// is computed by one worker into its own slice of the output, so the
-// result is byte-identical at every worker count. Both passes poll ctx
-// (see buildPollBudget); a cancelled build returns ctx.Err() after the
-// join and discards the partial adjacency.
 func BuildOwnedCSR(ctx context.Context, c *blocking.Collection, owns func(int32) bool, workers int) (*CSR, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if c.NumProfiles < 2*workers {
-		workers = 1
-	}
-	g := newCSRHeader(c)
-	ix := buildBlockIndex(c, g.BlockCounts)
-	inv := blockInverses(c)
-	bounds := cutRanges(ix.offsets, workers)
-	accs := make([]*rowAcc, workers)
-
-	// pass runs visit over every owned node, each worker on its range.
-	pass := func(visit func(acc *rowAcc, n int32) (visited int)) error {
-		_ = fanOut(workers, func(w int) error {
-			if accs[w] == nil {
-				accs[w] = newRowAcc(c.NumProfiles)
-			}
-			budget := 0
-			for n := bounds[w]; n < bounds[w+1]; n++ {
-				if budget <= 0 {
-					if ctx.Err() != nil {
-						return nil
-					}
-					budget = buildPollBudget
-				}
-				budget -= buildPollBudget / csrCancelCheckEvery
-				if owns == nil || owns(int32(n)) {
-					budget -= visit(accs[w], int32(n))
-				}
-			}
-			return nil
-		})
-		return ctx.Err()
-	}
-
-	err := pass(func(acc *rowAcc, n int32) int {
-		visited := acc.walk(c, inv, &ix, n, false)
-		g.Offsets[n+1] = int64(acc.degree())
-		return visited
-	})
+	b, err := StartOwnedCSR(ctx, c, owns, workers)
 	if err != nil {
 		return nil, err
 	}
-	for n := 0; n < c.NumProfiles; n++ {
-		g.Offsets[n+1] += g.Offsets[n]
-	}
-	entries := g.Offsets[c.NumProfiles]
-	g.Neighbors = make([]int32, entries)
-	g.Common = make([]int32, entries)
-	g.ARCS = make([]float64, entries)
-	g.EntropySum = make([]float64, entries)
-	g.Weights = make([]float64, entries)
-	err = pass(func(acc *rowAcc, n int32) int {
-		visited := acc.walk(c, inv, &ix, n, true)
-		lo, hi := g.Offsets[n], g.Offsets[n+1]
-		acc.emit(g.Neighbors[lo:hi], g.Common[lo:hi], g.ARCS[lo:hi], g.EntropySum[lo:hi])
-		return visited
-	})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
+	return b.Fill(ctx, nil)
 }
 
 // BuildCSR constructs the node-centric blocking graph of a block

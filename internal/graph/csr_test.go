@@ -128,20 +128,63 @@ func csrRows(t *testing.T, g *CSR) [][]csrEntry {
 
 // checkExactArrays asserts that every entry array was allocated at its
 // exact size: nothing of a builder's growth slack may survive into the
-// serving index.
-func checkExactArrays(t *testing.T, label string, g *CSR) {
+// serving index. A graph filled through the weighing sink has only two.
+func checkExactArrays(t *testing.T, label string, g *CSR, weighed bool) {
 	t.Helper()
 	n := int(g.NumEntries())
-	for name, lc := range map[string][2]int{
-		"Neighbors":  {len(g.Neighbors), cap(g.Neighbors)},
-		"Common":     {len(g.Common), cap(g.Common)},
-		"ARCS":       {len(g.ARCS), cap(g.ARCS)},
-		"EntropySum": {len(g.EntropySum), cap(g.EntropySum)},
-		"Weights":    {len(g.Weights), cap(g.Weights)},
-	} {
+	arrays := map[string][2]int{
+		"Neighbors": {len(g.Neighbors), cap(g.Neighbors)},
+		"Weights":   {len(g.Weights), cap(g.Weights)},
+	}
+	if weighed {
+		if g.Common != nil || g.ARCS != nil || g.EntropySum != nil {
+			t.Fatalf("%s: the weighing fill made statistics arrays", label)
+		}
+	} else {
+		arrays["Common"] = [2]int{len(g.Common), cap(g.Common)}
+		arrays["ARCS"] = [2]int{len(g.ARCS), cap(g.ARCS)}
+		arrays["EntropySum"] = [2]int{len(g.EntropySum), cap(g.EntropySum)}
+	}
+	for name, lc := range arrays {
 		if lc[0] != n || lc[1] != n {
 			t.Fatalf("%s: %s has len %d cap %d, want both %d", label, name, lc[0], lc[1], n)
 		}
+	}
+}
+
+// checkWeighingFill holds the fill pass's weighing sink to the kernel it
+// replaces: over the same rows, weighing each entry as it is emitted
+// yields the Offsets and Neighbors of the statistics-keeping build and,
+// bit for bit, the Weights WeighEntries then computes from the
+// statistics — while making none of the statistics arrays, so that the
+// kernel's "statistics were released" guard refuses to re-weigh it.
+func checkWeighingFill(t *testing.T, label string, c *blocking.Collection, owns func(int32) bool, workers int, kept *CSR) {
+	t.Helper()
+	ctx := context.Background()
+	b, err := StartOwnedCSR(ctx, c, owns, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := b.Header(); !slices.Equal(h.Offsets, kept.Offsets) || h.Neighbors != nil || h.Weights != nil {
+		t.Fatalf("%s: the degree pass left offsets equal=%v, entry arrays made=%v", label, slices.Equal(h.Offsets, kept.Offsets), h.Neighbors != nil || h.Weights != nil)
+	}
+	if !slices.Equal(b.Header().Degrees(), kept.Degrees()) {
+		t.Fatalf("%s: the degree pass's degrees differ from the finished build's", label)
+	}
+	g, err := b.Fill(ctx, testWeigh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExactArrays(t, label, g, true)
+	if !slices.Equal(g.Offsets, kept.Offsets) || !slices.Equal(g.Neighbors, kept.Neighbors) {
+		t.Fatalf("%s: weighing fill adjacency differs from the statistics-keeping fill", label)
+	}
+	if !reflect.DeepEqual(g.BlockCounts, kept.BlockCounts) || g.TotalBlocks != kept.TotalBlocks || g.TotalComparisons != kept.TotalComparisons {
+		t.Fatalf("%s: weighing fill header differs", label)
+	}
+	sameBits(t, label, g.Weights, wantWeights(kept, testWeigh))
+	if err := g.WeighEntries(ctx, workers, testWeigh); g.NumEntries() > 0 && err == nil {
+		t.Fatalf("%s: the kernel re-weighed a graph that has no statistics", label)
 	}
 }
 
@@ -156,7 +199,8 @@ func checkBuildersAgree(t *testing.T, label string, c *blocking.Collection) {
 	ctx := context.Background()
 	full := BuildCSR(c)
 	checkCSRMatchesGraph(t, edgelist.Build(c), full)
-	checkExactArrays(t, label+" serial", full)
+	checkExactArrays(t, label+" serial", full, false)
+	checkWeighingFill(t, label+" serial weighing fill", c, nil, 1, full)
 	rows := csrRows(t, full)
 	for n, row := range rows {
 		for _, e := range row {
@@ -174,7 +218,8 @@ func checkBuildersAgree(t *testing.T, label string, c *blocking.Collection) {
 		if !reflect.DeepEqual(par, full) {
 			t.Fatalf("%s: workers=%d build differs from the serial build", label, workers)
 		}
-		checkExactArrays(t, fmt.Sprintf("%s workers=%d", label, workers), par)
+		checkExactArrays(t, fmt.Sprintf("%s workers=%d", label, workers), par, false)
+		checkWeighingFill(t, fmt.Sprintf("%s workers=%d weighing fill", label, workers), c, nil, workers, full)
 	}
 
 	for _, owners := range []int{1, 2, 4} {
@@ -185,7 +230,8 @@ func checkBuildersAgree(t *testing.T, label string, c *blocking.Collection) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkExactArrays(t, fmt.Sprintf("%s owner %d/%d", label, k, owners), g)
+			checkExactArrays(t, fmt.Sprintf("%s owner %d/%d", label, k, owners), g, false)
+			checkWeighingFill(t, fmt.Sprintf("%s owner %d/%d weighing fill", label, k, owners), c, owns, workers, g)
 			if !reflect.DeepEqual(g.BlockCounts, full.BlockCounts) || g.TotalBlocks != full.TotalBlocks || g.TotalComparisons != full.TotalComparisons {
 				t.Fatalf("%s: owner %d/%d header differs from the full build", label, k, owners)
 			}
@@ -223,7 +269,7 @@ func checkBuildersAgree(t *testing.T, label string, c *blocking.Collection) {
 	if !reflect.DeepEqual(roomy, full) {
 		t.Fatalf("%s: under-budget spill build differs from BuildCSR", label)
 	}
-	checkExactArrays(t, label+" under-budget spill", roomy)
+	checkExactArrays(t, label+" under-budget spill", roomy, false)
 }
 
 func TestBuildCSRMatchesBuildOnRandomCollections(t *testing.T) {
@@ -333,6 +379,15 @@ func TestBuildCSRCancellation(t *testing.T) {
 		},
 		"spill": func(ctx context.Context) (*CSR, error) {
 			return BuildCSRSpillCtx(ctx, c, SpillOptions{Dir: spillDir, MemoryBudget: -1, PageEntries: 64})
+		},
+		// The two passes apart, the fill weighing as it emits: a trip in
+		// either one yields ctx.Err() and no graph.
+		"weighing fill": func(ctx context.Context) (*CSR, error) {
+			b, err := StartOwnedCSR(ctx, c, func(n int32) bool { return n%3 != 0 }, 2)
+			if err != nil {
+				return nil, err
+			}
+			return b.Fill(ctx, testWeigh)
 		},
 	}
 	before := runtime.NumGoroutine()

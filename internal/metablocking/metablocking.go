@@ -4,14 +4,16 @@
 // retained edge becomes a block of two profiles, so redundant comparisons
 // are impossible by construction — Definition 2 of the paper).
 //
-// There is one engine: a CSR adjacency per node (graph.BuildOwnedCSR,
-// resident or spilled to segment files), one row-parallel weighting
-// kernel (weights.Scheme.ApplyCSRCtx) and the streaming pruning schemes
-// of package prune. No global edge map or per-edge record is ever
-// allocated, every stage polls its context, and the retained pairs are
-// byte-identical at every worker count and in either residency. The
-// edge-list formulation of the literature survives as the test-only
-// reference (internal/edgelist) the engine is held to.
+// There is one engine: a CSR adjacency per node (graph.OwnedBuild,
+// resident, or spilled to segment files), one per-entry weight
+// (weights.Scheme.EntryWeight) applied as the resident build emits its
+// runs or by the row-parallel kernel over a built graph, and the
+// streaming pruning schemes of package prune. No global edge map or
+// per-edge record is ever allocated, every stage polls its context, and
+// the retained pairs are byte-identical at every worker count and in
+// either residency. The edge-list formulation of the literature
+// survives as the test-only reference (internal/edgelist) the engine is
+// held to.
 package metablocking
 
 import (
@@ -158,6 +160,11 @@ type Result struct {
 	// shard; RunOnCSR, which builds no graph, leaves it 0.
 	Workers int
 	// GraphTime, WeightTime and PruneTime decompose the overhead time to.
+	// A run that keeps no statistics (RunCtx, a resident BuildWeighted
+	// with keepStats false) weighs as it fills: GraphTime is then the
+	// builder's degree pass alone and WeightTime its fill-and-weigh pass;
+	// otherwise GraphTime is the whole build and WeightTime the kernel's
+	// pass over it.
 	GraphTime  time.Duration
 	WeightTime time.Duration
 	PruneTime  time.Duration
@@ -229,11 +236,10 @@ func Run(c *blocking.Collection, cfg Config) *Result {
 // every worker joined and a spilled graph's segments deleted. The
 // retained pairs are identical to Run's.
 func RunCtx(ctx context.Context, c *blocking.Collection, cfg Config) (*Result, error) {
-	g, res, err := BuildWeighted(ctx, c, cfg)
+	g, res, err := BuildWeighted(ctx, c, cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	g.ReleaseStats()
 	// The graph is temporary to the run: every exit deletes a spilled
 	// graph's segments (Close is a no-op on a resident one).
 	if err := g.CloseAfter(res.prune(ctx, g, cfg)); err != nil {
@@ -245,15 +251,37 @@ func RunCtx(ctx context.Context, c *blocking.Collection, cfg Config) (*Result, e
 // BuildWeighted is the first half of a run, written once for RunCtx and
 // for the candidate-serving index (blast.IndexBlocks): it builds the
 // blocking graph of c — resident on cfg.Workers goroutines, or spilled
-// under cfg.Spill — and weighs it under cfg.Scheme, reporting the
-// "graph" and "weight" stages. The returned graph still bears its
-// co-occurrence statistics (ReleaseStats is the caller's decision) and
-// is the caller's to Close; res carries the two stage timings and the
-// resolved worker count. When weighting fails the graph is closed here
-// — a spilled build owns segment files nobody else will delete — and
-// its error joined.
-func BuildWeighted(ctx context.Context, c *blocking.Collection, cfg Config) (g *graph.CSR, res *Result, err error) {
+// under cfg.Spill — weighed under cfg.Scheme, reporting the "graph" and
+// "weight" stages. keepStats says whether the caller will weigh the
+// graph again (a mutable index re-weighs on insert): with it the graph
+// is built with its co-occurrence statistics and the kernel weighs it;
+// without it the graph comes back as after ReleaseStats, and a resident
+// build never makes the statistics arrays at all — the degree pass is
+// the "graph" stage, the fill pass weighs each entry as it emits it and
+// is the "weight" stage (graph.OwnedBuild), bit-identical to the kernel.
+// The graph is the caller's to Close; res carries the two stage timings
+// and the resolved worker count. When weighting fails the graph is
+// closed here — a spilled build owns segment files nobody else will
+// delete — and its error joined.
+func BuildWeighted(ctx context.Context, c *blocking.Collection, cfg Config, keepStats bool) (g *graph.CSR, res *Result, err error) {
 	res = &Result{Workers: resolveWorkers(cfg.Workers)}
+	if cfg.Spill == nil && !keepStats {
+		var b *graph.OwnedBuild
+		if res.GraphTime, err = cfg.timed("graph", func() (err error) {
+			b, err = graph.StartOwnedCSR(ctx, c, nil, res.Workers)
+			return err
+		}); err != nil {
+			return nil, nil, err
+		}
+		if res.WeightTime, err = cfg.timed("weight", func() (err error) {
+			h := b.Header()
+			g, err = b.Fill(ctx, cfg.Scheme.EntryWeight(h, h.Degrees(), h.NumEdges()))
+			return err
+		}); err != nil {
+			return nil, nil, err
+		}
+		return g, res, nil
+	}
 	res.GraphTime, err = cfg.timed("graph", func() (err error) {
 		if cfg.Spill != nil {
 			g, err = graph.BuildCSRSpillCtx(ctx, c, *cfg.Spill)
@@ -267,6 +295,9 @@ func BuildWeighted(ctx context.Context, c *blocking.Collection, cfg Config) (g *
 	}
 	if err := res.weigh(ctx, g, cfg); err != nil {
 		return nil, nil, g.CloseAfter(err)
+	}
+	if !keepStats {
+		g.ReleaseStats()
 	}
 	return g, res, nil
 }

@@ -15,7 +15,10 @@ package shard
 // construction even though the shard workers run concurrently and may
 // sit many rounds apart at any instant — consecutive exports may even
 // overlap, because a shard that finished round k of export e cannot
-// reach round 0 of export e+1 before every peer consumed round k.
+// reach round 0 of export e+1 before every peer consumed round k. The
+// agreement round of group publication (AgreeMin) shares the sequence:
+// every shard takes one at every point where a publication falls due,
+// and those points are the same on every shard (see Shard.apply).
 //
 // Failure: a shard that dies mid-export would leave its peers waiting
 // forever, so the shard worker's failure hook poisons the exchange —
@@ -100,6 +103,27 @@ func (e *Exchange) Gather(slot int, frame []byte) ([][]byte, error) {
 		e.base++
 	}
 	return rd.frames, nil
+}
+
+// AgreeMin is the agreement round of group publication: every shard
+// contributes the number of insert batches it has received and all of
+// them get back the smallest — the newest position of the insert stream
+// every shard already holds, hence one they can all apply through
+// without waiting for input. One 8-byte frame per shard; like any round
+// it returns the poison error instead of waiting on a dead peer.
+func (e *Exchange) AgreeMin(slot int, received int64) (int64, error) {
+	frames, err := e.Gather(slot, binary.LittleEndian.AppendUint64(nil, uint64(received)))
+	if err != nil {
+		return 0, err
+	}
+	lowest := received
+	for _, f := range frames {
+		if len(f) != 8 {
+			return 0, fmt.Errorf("shard: agreement frame of %d bytes", len(f))
+		}
+		lowest = min(lowest, int64(binary.LittleEndian.Uint64(f)))
+	}
+	return lowest, nil
 }
 
 // Poison fails the exchange permanently: every blocked and future

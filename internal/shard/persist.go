@@ -179,7 +179,17 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(d.data) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", errSnapCorrupt, len(d.data))
 	}
-	return s, validateSnapshot(s)
+	err := validateSnapshot(s)
+	if err == nil && s.PartShards > 0 {
+		// Owned is derived, not encoded: the decoder is one of the makers
+		// of partitioned snapshots and counts it before anyone holds s.
+		for u := 0; u < s.NumProfiles; u++ {
+			if s.Owns(int32(u)) {
+				s.Owned++
+			}
+		}
+	}
+	return s, err
 }
 
 // validateSnapshot re-checks the structural invariants snapshot readers

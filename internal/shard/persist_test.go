@@ -157,3 +157,41 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestOwnedRowsCountedWhereMade: OwnedRows is served from a count taken
+// where a partitioned snapshot is made — here SliceOwned and the
+// decoder (the field is derived, not encoded) — and equals the hashed
+// count it used to recompute on every call, for every geometry; a full
+// replica owns every row.
+func TestOwnedRowsCountedWhereMade(t *testing.T) {
+	full := sampleSnapshot(true)
+	if got := full.OwnedRows(); got != full.NumProfiles {
+		t.Fatalf("full replica owns %d rows, want all %d", got, full.NumProfiles)
+	}
+	for nparts := 1; nparts <= 4; nparts++ {
+		total := 0
+		for part := 0; part < nparts; part++ {
+			hashed := 0
+			for u := 0; u < full.NumProfiles; u++ {
+				if Owner(int32(u), nparts) == part {
+					hashed++
+				}
+			}
+			sliced := SliceOwned(full, part, nparts)
+			if got := sliced.OwnedRows(); got != hashed {
+				t.Fatalf("shard %d/%d: sliced snapshot owns %d rows, hashed count %d", part, nparts, got, hashed)
+			}
+			decoded, err := DecodeSnapshot(EncodeSnapshot(sliced))
+			if err != nil {
+				t.Fatalf("shard %d/%d: %v", part, nparts, err)
+			}
+			if got := decoded.OwnedRows(); got != hashed {
+				t.Fatalf("shard %d/%d: decoded snapshot owns %d rows, hashed count %d", part, nparts, got, hashed)
+			}
+			total += hashed
+		}
+		if total != full.NumProfiles {
+			t.Fatalf("%d shards own %d rows between them, want %d", nparts, total, full.NumProfiles)
+		}
+	}
+}

@@ -20,6 +20,17 @@ type Writer interface {
 	// InsertAll appends a batch of profiles and folds them into the
 	// writable index.
 	InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error)
+	// Agree is called when a publication falls due, with the number of
+	// insert batches this shard's mailbox has received so far, and
+	// returns the batch position the publication covers: the shard
+	// applies through it and only then exports. A writer whose exports
+	// are its own returns received unchanged — publish once the backlog
+	// already admitted is in. A writer whose exports must line up with
+	// its peers' (partitioned sharding) returns the smallest count any
+	// of them received (Exchange.AgreeMin), the newest state they all
+	// hold. The result lies between the shard's current position and
+	// received, so the shard never waits for input to reach it.
+	Agree(received int64) (int64, error)
 	// Export compacts pending overlay state and returns an immutable
 	// snapshot of the index. The returned snapshot's Epoch is assigned
 	// by the shard.
@@ -30,15 +41,20 @@ type Writer interface {
 	OverlayStats() (entries int, load float64)
 }
 
-// Options tunes a shard's snapshot-swap policy.
+// Options tunes a shard's snapshot-swap policy. A publication falls due
+// once SwapOps profiles have been applied since the last one (or the
+// overlay trigger fires); it is published at the batch position
+// Writer.Agree returns at that moment — the newest state every shard of
+// the server already held — and at the latest at the next barrier or
+// Close, whichever the worker meets first.
 type Options struct {
-	// SwapOps publishes a fresh snapshot once this many profiles have
-	// been applied since the last publication. <= 0 disables the
-	// op-count trigger.
+	// SwapOps makes a publication fall due once this many profiles have
+	// been applied since the last one. <= 0 disables the op-count
+	// trigger.
 	SwapOps int
-	// MaxOverlayFraction publishes (and thereby compacts) once the
-	// writer's overlay load exceeds this fraction and MinOverlayEntries
-	// is reached. <= 0 disables the overlay trigger.
+	// MaxOverlayFraction makes a publication (and thereby a compaction)
+	// fall due once the writer's overlay load exceeds this fraction and
+	// MinOverlayEntries is reached. <= 0 disables the overlay trigger.
 	MaxOverlayFraction float64
 	// MinOverlayEntries suppresses the overlay trigger below this many
 	// overlay entries.
@@ -102,11 +118,18 @@ type op struct {
 
 // Shard is one snapshot-swap serving partition: a single worker
 // goroutine drains a mailbox of insert batches into the writable index
-// and publishes immutable snapshots on the swap policy, while any number
-// of readers load the current snapshot wait-free. Mailbox enqueues are
-// non-blocking (the queue is unbounded); writes are therefore
-// all-or-nothing across the shards of a server, which is what keeps
-// replicas convergent.
+// and publishes immutable snapshots, while any number of readers load
+// the current snapshot wait-free. A publication falls due after
+// Options.SwapOps applied profiles; the worker then asks its Writer how
+// far the server's shards have all been fed (Writer.Agree), keeps
+// applying through that batch and exports there — one export for the
+// whole backlog instead of one per SwapOps window, each of which would
+// be stale before it was swapped in. The target is fixed when the
+// publication falls due, so a writer that never pauses cannot postpone
+// it; a barrier or the Close drain met on the way publishes on the spot.
+// Mailbox enqueues are non-blocking (the queue is unbounded); writes are
+// therefore all-or-nothing across the shards of a server, which is what
+// keeps replicas convergent.
 type Shard struct {
 	id  int
 	w   Writer
@@ -118,15 +141,18 @@ type Shard struct {
 	cond      *sync.Cond
 	queue     []op
 	closed    bool
-	err       error // first apply/publish error; sticky
+	err       error // first apply/agree/publish error; sticky
+	received  int64 // insert batches ever enqueued
 	applied   int64
 	batches   int64 // insert batches applied successfully
 	swaps     int64
 	applyTime time.Duration
 
-	// sinceSwap counts profiles applied since the last publication.
-	// Worker-goroutine-local; no lock needed.
+	// sinceSwap counts profiles applied since the last publication;
+	// publishAt, when non-zero, is the batch position the due publication
+	// was agreed to cover. Both worker-goroutine-local; no lock needed.
 	sinceSwap int
+	publishAt int64
 
 	stopped chan struct{}
 }
@@ -199,6 +225,7 @@ func (s *Shard) Enqueue(profiles []model.Profile) error {
 		return ErrClosed
 	}
 	s.queue = append(s.queue, op{profiles: profiles})
+	s.received++
 	s.cond.Signal()
 	return nil
 }
@@ -301,11 +328,21 @@ func (s *Shard) loop() {
 	}
 }
 
-// apply folds one insert batch into the writable index and publishes if
-// the swap policy fires. A shard that has already failed drops the
-// batch: its writable index may sit in the aftermath of the failed
-// apply, and pretending to continue would publish state the healthy
-// shards never converge with.
+// apply folds one insert batch into the writable index and runs the
+// publication policy. A shard that has already failed drops the batch
+// and takes no part in any agreement: its writable index may sit in the
+// aftermath of the failed apply, and pretending to continue would
+// publish state the healthy shards never converge with.
+//
+// The policy: when a publication falls due the writer is asked, once,
+// which batch position it covers (Writer.Agree); the shard publishes
+// when it has applied through that position. With no backlog behind the
+// due batch that is at once; under a burst it is one export at the
+// newest state the server's shards all held instead of one per SwapOps
+// window. Every shard of a partitioned server reaches the same due
+// points (publications are aligned, so the counts since them are too)
+// and receives the same answer, which is what keeps their exports — and
+// the exchange rounds inside them — aligned.
 func (s *Shard) apply(profiles []model.Profile) {
 	if s.Err() != nil {
 		return
@@ -319,20 +356,27 @@ func (s *Shard) apply(profiles []model.Profile) {
 	if err == nil && s.err == nil {
 		s.batches++
 	}
+	pos, received := s.batches, s.received
 	s.mu.Unlock()
 	if err != nil {
 		s.setErr(fmt.Errorf("shard %d: apply: %w", s.id, err))
 		return
 	}
 	s.sinceSwap += len(profiles)
-	if s.shouldSwap() {
+	if s.publishAt == 0 && s.due() {
+		if s.publishAt, err = s.w.Agree(received); err != nil {
+			s.setErr(fmt.Errorf("shard %d: agree: %w", s.id, err))
+			return
+		}
+	}
+	if s.publishAt != 0 && pos >= s.publishAt {
 		s.publish()
 	}
 }
 
-// shouldSwap evaluates the publication policy against the profiles
-// applied since the last swap and the writer's overlay load.
-func (s *Shard) shouldSwap() bool {
+// due reports whether a publication falls due: enough profiles applied
+// since the last one, or the writer's overlay past its load limit.
+func (s *Shard) due() bool {
 	if s.opt.SwapOps > 0 && s.sinceSwap >= s.opt.SwapOps {
 		return true
 	}
@@ -358,7 +402,9 @@ func (s *Shard) publishIfBehind() error {
 
 // publish exports a snapshot from the writer and swaps it in, tagging
 // it with the next epoch and the insert-stream position it covers, then
-// hands it to the Persist hook.
+// hands it to the Persist hook. It settles any publication that was due:
+// whatever position it was agreed for, the state just published is newer
+// than the one that made it fall due.
 func (s *Shard) publish() error {
 	snap, err := s.w.Export(context.Background())
 	if err != nil {
@@ -371,7 +417,7 @@ func (s *Shard) publish() error {
 	snap.Batches = s.batches
 	s.mu.Unlock()
 	s.snap.Store(snap)
-	s.sinceSwap = 0
+	s.sinceSwap, s.publishAt = 0, 0
 	s.mu.Lock()
 	s.swaps++
 	s.mu.Unlock()

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +17,12 @@ import (
 // fakeWriter is a model-backed Writer: it records every applied profile
 // and exports snapshots whose NumProfiles reflects the applied count,
 // with a tiny one-node graph so the lookup paths have something to walk.
+//
+// agree, when set, answers Writer.Agree (the default is the replicated
+// answer, received itself); every call is logged as {received, target}.
+// gate, when set, makes every Export announce itself on entered and then
+// block until the test sends on gate — the way a test holds the worker
+// inside an export while a backlog builds up behind it.
 type fakeWriter struct {
 	mu        sync.Mutex
 	applied   []model.Profile
@@ -24,6 +32,48 @@ type fakeWriter struct {
 	applyErr  error
 	exportErr error
 	slow      time.Duration
+	agree     func(received int64) (int64, error)
+	agreed    [][2]int64
+	gate      chan struct{}
+	entered   chan struct{}
+}
+
+// gatedWriter returns a fakeWriter whose exports block until released.
+func gatedWriter() *fakeWriter {
+	// entered is buffered past any test's export count so the worker
+	// never blocks announcing one.
+	return &fakeWriter{gate: make(chan struct{}), entered: make(chan struct{}, 64)}
+}
+
+// release lets the export the worker is blocked in (or next enters)
+// proceed, after waiting for it to be entered.
+func (f *fakeWriter) release(t *testing.T) {
+	t.Helper()
+	select {
+	case <-f.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never entered the export")
+	}
+	f.gate <- struct{}{}
+}
+
+func (f *fakeWriter) Agree(received int64) (int64, error) {
+	target, err := received, error(nil)
+	if f.agree != nil {
+		target, err = f.agree(received)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err == nil {
+		f.agreed = append(f.agreed, [2]int64{received, target})
+	}
+	return target, err
+}
+
+func (f *fakeWriter) agreements() [][2]int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.agreed)
 }
 
 func (f *fakeWriter) InsertAll(ctx context.Context, ps []model.Profile) ([]int, error) {
@@ -44,6 +94,10 @@ func (f *fakeWriter) InsertAll(ctx context.Context, ps []model.Profile) ([]int, 
 }
 
 func (f *fakeWriter) Export(ctx context.Context) (*Snapshot, error) {
+	if f.gate != nil {
+		f.entered <- struct{}{}
+		<-f.gate
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.exportErr != nil {
@@ -66,6 +120,16 @@ func (f *fakeWriter) appliedCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.applied)
+}
+
+// enqueueSingles sends n single-profile batches.
+func enqueueSingles(t *testing.T, s *Shard, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := s.Enqueue(profiles(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func profiles(n int) []model.Profile {
@@ -108,26 +172,364 @@ func TestShardAppliesInOrderAndBarrierPublishes(t *testing.T) {
 	}
 }
 
+// cursorLog is a Persist hook recording the Batches cursor of every
+// publication.
+type cursorLog struct {
+	mu      sync.Mutex
+	cursors []int64
+}
+
+func (l *cursorLog) persist(sn *Snapshot) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.cursors = append(l.cursors, sn.Batches)
+	return nil
+}
+
+func (l *cursorLog) get() []int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.cursors)
+}
+
+// waitBatches blocks until the worker has applied n batches — and, the
+// counter moving in the critical section that samples the mailbox count
+// for Agree, has also taken that sample.
+func waitBatches(t *testing.T, s *Shard, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Batches < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("shard applied %d batches, want %d", s.Stats().Batches, n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestShardSwapOpsTrigger is the first half of the publication contract:
+// with no backlog behind the batch that makes a publication fall due,
+// nothing is deferred — the shard publishes at exactly the positions the
+// op count names.
 func TestShardSwapOpsTrigger(t *testing.T) {
+	var log cursorLog
 	w := &fakeWriter{}
-	s := New(0, w, &Snapshot{}, Options{SwapOps: 4})
+	s := New(0, w, &Snapshot{}, Options{SwapOps: 4, Persist: log.persist})
 	defer s.Close()
-	for i := 0; i < 10; i++ {
+	// One batch at a time, each applied before the next is sent.
+	for i := int64(1); i <= 10; i++ {
 		if err := s.Enqueue(profiles(1)); err != nil {
 			t.Fatal(err)
 		}
+		waitBatches(t, s, i)
 	}
 	if err := s.Barrier(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// 10 single-profile batches with SwapOps 4: swaps after the 4th and
-	// 8th, plus the barrier publishing the remainder.
-	st := s.Stats()
-	if st.Swaps < 3 {
-		t.Fatalf("swaps = %d, want >= 3", st.Swaps)
+	// Due after the 4th and the 8th with an empty mailbox each time, so
+	// agreed for those very positions; the barrier publishes the rest.
+	if got, want := log.get(), []int64{4, 8, 10}; !slices.Equal(got, want) {
+		t.Fatalf("published at %v, want %v", got, want)
 	}
-	if s.Snapshot().NumProfiles != 10 {
-		t.Fatalf("published %d profiles, want 10", s.Snapshot().NumProfiles)
+	if got, want := w.agreements(), [][2]int64{{4, 4}, {8, 8}}; !slices.Equal(got, want) {
+		t.Fatalf("agreements {received, target} = %v, want %v", got, want)
+	}
+	if st := s.Stats(); st.Swaps != 3 || st.Published != 10 {
+		t.Fatalf("stats = %+v, want 3 swaps over 10 profiles", st)
+	}
+
+	// Enqueue-then-Barrier, every batch a full SwapOps window: the policy
+	// publishes each (agreed at its own position) and the barriers find
+	// nothing left to do.
+	for i := int64(11); i <= 13; i++ {
+		if err := s.Enqueue(profiles(4)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Barrier(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := log.get(), []int64{4, 8, 10, 11, 12, 13}; !slices.Equal(got, want) {
+		t.Fatalf("published at %v, want %v", got, want)
+	}
+	if got, want := w.agreements()[2:], [][2]int64{{11, 11}, {12, 12}, {13, 13}}; !slices.Equal(got, want) {
+		t.Fatalf("agreements {received, target} = %v, want %v", got, want)
+	}
+}
+
+// TestShardBurstPublishesOnceAtAgreedPosition is the second half: a
+// burst that arrives while the worker sits in an export is covered by
+// ONE publication, at the position agreed when it fell due — the count
+// the mailbox had received then — and not one per SwapOps window.
+func TestShardBurstPublishesOnceAtAgreedPosition(t *testing.T) {
+	var log cursorLog
+	w := gatedWriter()
+	s := New(0, w, &Snapshot{}, Options{SwapOps: 2, Persist: log.persist})
+	defer s.Close()
+	enqueueSingles(t, s, 2)
+	// The worker is now inside the export of position 2; ten more batches
+	// queue up behind it.
+	<-w.entered
+	enqueueSingles(t, s, 10)
+	w.gate <- struct{}{}
+	// Batches 3 and 4 make the next publication fall due with 12 received:
+	// it is agreed for 12 and published there, windows 6, 8 and 10 skipped.
+	w.release(t)
+	if err := s.Barrier(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := log.get(), []int64{2, 12}; !slices.Equal(got, want) {
+		t.Fatalf("published at %v, want %v", got, want)
+	}
+	if got, want := w.agreements(), [][2]int64{{2, 2}, {12, 12}}; !slices.Equal(got, want) {
+		t.Fatalf("agreements {received, target} = %v, want %v", got, want)
+	}
+	if st := s.Stats(); st.Swaps != 2 || st.Batches != 12 || st.Published != 12 {
+		t.Fatalf("stats = %+v, want 2 swaps covering 12 batches", st)
+	}
+}
+
+// TestShardContinuousStreamCannotPostpone: the target is fixed when the
+// publication falls due, so a writer that never pauses still gets one
+// publication per agreed window — each at exactly the agreed position,
+// never later.
+func TestShardContinuousStreamCannotPostpone(t *testing.T) {
+	var log cursorLog
+	w := &fakeWriter{}
+	s := New(0, w, &Snapshot{}, Options{SwapOps: 8, Persist: log.persist})
+	const total = 4000
+	for i := 0; i < total; i++ {
+		if err := s.Enqueue(profiles(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cursors, agreed := log.get(), w.agreements()
+	if len(agreed) == 0 {
+		t.Fatal("no publication ever fell due")
+	}
+	for i, a := range agreed {
+		if a[1] < 1 || a[1] > total || i >= len(cursors) || cursors[i] != a[1] {
+			t.Fatalf("agreement %d {received, target} = %v, published at %v", i, a, cursors)
+		}
+	}
+	if last := cursors[len(cursors)-1]; last != total || len(cursors) > len(agreed)+1 {
+		t.Fatalf("published at %v after %d agreements, want the last at %d", cursors, len(agreed), total)
+	}
+}
+
+// TestShardBarrierInsideHoldPublishesThere: a barrier the worker meets
+// before the agreed position publishes on the spot and clears the hold —
+// the next publication falls due afresh, counted from the barrier.
+func TestShardBarrierInsideHoldPublishesThere(t *testing.T) {
+	var log cursorLog
+	w := gatedWriter()
+	s := New(0, w, &Snapshot{}, Options{SwapOps: 2, Persist: log.persist})
+	defer s.Close()
+	enqueueSingles(t, s, 2)
+	<-w.entered             // inside the export of position 2
+	enqueueSingles(t, s, 4) // 3..6
+	done, err := s.BarrierStart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enqueueSingles(t, s, 4) // 7..10
+	w.gate <- struct{}{}
+	// Due at 4 with 10 received: held for 10. The barrier after batch 6
+	// publishes there.
+	w.release(t)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := log.get(), []int64{2, 6}; !slices.Equal(got, want) {
+		t.Fatalf("published at %v, want %v", got, want)
+	}
+	// Hold cleared: 7 and 8 make a publication fall due again (a third
+	// agreement), published at 10.
+	w.release(t)
+	if err := s.Barrier(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := log.get(), []int64{2, 6, 10}; !slices.Equal(got, want) {
+		t.Fatalf("published at %v, want %v", got, want)
+	}
+	if got, want := w.agreements(), [][2]int64{{2, 2}, {10, 10}, {10, 10}}; !slices.Equal(got, want) {
+		t.Fatalf("agreements {received, target} = %v, want %v", got, want)
+	}
+}
+
+// TestShardCloseDuringHold: Close with a publication on hold drains the
+// mailbox, publishes the final state and returns — also when the agreed
+// position lies past everything the shard will ever receive, which an
+// honest Writer never answers but which must not hang a shutdown.
+func TestShardCloseDuringHold(t *testing.T) {
+	for _, overshoot := range []int64{0, 100} {
+		var log cursorLog
+		w := gatedWriter()
+		if overshoot > 0 {
+			// Nothing is published before the drain ends: no gate needed.
+			w = &fakeWriter{}
+		}
+		w.agree = func(received int64) (int64, error) { return received + overshoot, nil }
+		s := New(0, w, &Snapshot{}, Options{SwapOps: 2, Persist: log.persist})
+		enqueueSingles(t, s, 2)
+		if overshoot == 0 {
+			<-w.entered // inside the export of position 2
+		}
+		enqueueSingles(t, s, 5)
+		closed := make(chan error, 1)
+		go func() { closed <- s.Close() }()
+		if overshoot == 0 {
+			w.gate <- struct{}{}
+			w.release(t) // due at 4, held for 7, reached inside the drain
+		}
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("overshoot %d: Close hung on a held publication", overshoot)
+		}
+		want := []int64{2, 7}
+		if overshoot > 0 {
+			want = []int64{7}
+		}
+		if got := log.get(); !slices.Equal(got, want) {
+			t.Fatalf("overshoot %d: published at %v, want %v", overshoot, got, want)
+		}
+		if snap := s.Snapshot(); snap.Batches != 7 || snap.NumProfiles != 7 {
+			t.Fatalf("overshoot %d: final snapshot = {batches %d, profiles %d}, want 7 of each", overshoot, snap.Batches, snap.NumProfiles)
+		}
+	}
+}
+
+// exchangePair starts two shards whose writers agree over one Exchange
+// and whose failure hooks poison it, the way a partitioned server wires
+// them; fails counts each shard's OnFail invocations.
+func exchangePair(opts [2]Options) (shards [2]*Shard, writers [2]*fakeWriter, fails *[2]atomic.Int32) {
+	ex := NewExchange(2)
+	fails = new([2]atomic.Int32)
+	for i := range shards {
+		i := i
+		writers[i] = &fakeWriter{agree: func(received int64) (int64, error) { return ex.AgreeMin(i, received) }}
+		opts[i].OnFail = func(err error) {
+			fails[i].Add(1)
+			ex.Poison(err)
+		}
+		shards[i] = New(i, writers[i], &Snapshot{}, opts[i])
+	}
+	return shards, writers, fails
+}
+
+// TestShardAgreementPicksTheSlowestMailbox: two shards fed unevenly
+// agree on the smaller received count and both publish exactly there.
+func TestShardAgreementPicksTheSlowestMailbox(t *testing.T) {
+	var logs [2]cursorLog
+	shards, writers, _ := exchangePair([2]Options{
+		{SwapOps: 2, Persist: logs[0].persist},
+		{SwapOps: 2, Persist: logs[1].persist},
+	})
+	// Shard 0 holds 9 batches when its publication falls due; shard 1 is
+	// given only 5 before it can answer.
+	enqueueSingles(t, shards[0], 9)
+	waitBatches(t, shards[0], 2)
+	enqueueSingles(t, shards[1], 5)
+	waitBatches(t, shards[1], 5)
+	enqueueSingles(t, shards[1], 4)
+	for i := range shards {
+		if err := shards[i].Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a0, a1 := writers[0].agreements(), writers[1].agreements()
+	if len(a0) == 0 || len(a0) != len(a1) {
+		t.Fatalf("agreement rounds: %v vs %v", a0, a1)
+	}
+	for k := range a0 {
+		if a0[k][1] != a1[k][1] {
+			t.Fatalf("round %d agreed differently: %v vs %v", k, a0, a1)
+		}
+	}
+	if first := a0[0]; first[1] < 2 || first[1] > 5 {
+		t.Fatalf("first agreement %v: shard 1 had received at most 5 batches", first)
+	}
+	if c0, c1 := logs[0].get(), logs[1].get(); !slices.Equal(c0, c1) || c0[len(c0)-1] != 9 {
+		t.Fatalf("published positions differ or stop short of 9: %v vs %v", c0, c1)
+	}
+}
+
+// TestShardAgreementErrorIsStickyAndPoisonsPeers: a failed agreement is
+// the shard's sticky error, fires OnFail exactly once, and through it
+// fails the peer's round instead of leaving it waiting.
+func TestShardAgreementErrorIsStickyAndPoisonsPeers(t *testing.T) {
+	boom := errors.New("agree boom")
+	shards, writers, fails := exchangePair([2]Options{{SwapOps: 2}, {SwapOps: 2}})
+	defer shards[0].Close()
+	defer shards[1].Close()
+	writers[0].agree = func(int64) (int64, error) { return 0, boom }
+	for _, sh := range shards {
+		enqueueSingles(t, sh, 2)
+	}
+	for i, sh := range shards {
+		if err := sh.Barrier(context.Background()); !errors.Is(err, boom) {
+			t.Fatalf("shard %d barrier = %v, want the agreement failure", i, err)
+		}
+	}
+	// Sticky, and dropped batches reach neither the writer nor a round.
+	for _, sh := range shards {
+		enqueueSingles(t, sh, 4)
+	}
+	for i, sh := range shards {
+		if err := sh.Barrier(context.Background()); !errors.Is(err, boom) {
+			t.Fatalf("shard %d second barrier = %v, want the sticky failure", i, err)
+		}
+		if got := writers[i].appliedCount(); got != 2 {
+			t.Fatalf("shard %d applied %d profiles after failing, want 2", i, got)
+		}
+		if got := fails[i].Load(); got != 1 {
+			t.Fatalf("shard %d fired OnFail %d times, want once", i, got)
+		}
+		if st := sh.Stats(); st.Swaps != 0 {
+			t.Fatalf("shard %d published %d times past a failed agreement", i, st.Swaps)
+		}
+	}
+}
+
+// TestShardFailedPeerTakesNoAgreementRound: a shard that failed on apply
+// drops its batches without ever joining an agreement, and the round its
+// peer is already waiting in returns the poison.
+func TestShardFailedPeerTakesNoAgreementRound(t *testing.T) {
+	boom := errors.New("apply boom")
+	shards, writers, fails := exchangePair([2]Options{{SwapOps: 2}, {SwapOps: 2}})
+	defer shards[0].Close()
+	defer shards[1].Close()
+	writers[0].applyErr = boom
+	// Shard 1 falls due first and waits in the round for shard 0.
+	enqueueSingles(t, shards[1], 2)
+	waitBatches(t, shards[1], 2)
+	pending, err := shards[1].BarrierStart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enqueueSingles(t, shards[0], 4)
+	if err := shards[0].Barrier(context.Background()); !errors.Is(err, boom) {
+		t.Fatalf("failed shard barrier = %v, want %v", err, boom)
+	}
+	select {
+	case err := <-pending:
+		if !errors.Is(err, boom) {
+			t.Fatalf("peer's pending round = %v, want the poison %v", err, boom)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("peer still waits for a round the failed shard will never join")
+	}
+	if got := len(writers[0].agreements()); got != 0 {
+		t.Fatalf("failed shard took %d agreement rounds, want none", got)
+	}
+	if f0, f1 := fails[0].Load(), fails[1].Load(); f0 != 1 || f1 != 1 {
+		t.Fatalf("OnFail fired %d and %d times, want once each", f0, f1)
 	}
 }
 
@@ -224,47 +626,45 @@ func TestShardCloseDrainsAndStops(t *testing.T) {
 
 // TestShardBatchesAndPersistHook pins the durability contract of the
 // worker: published snapshots carry the batch cursor, the Persist hook
-// sees every publication, a closing drain publishes the tail, and a
-// persist failure is sticky.
+// sees exactly the publications — the agreed one of a burst, not one per
+// SwapOps window —, a closing drain publishes the tail, and a persist
+// failure is sticky.
 func TestShardBatchesAndPersistHook(t *testing.T) {
-	var persisted []int64
-	w := &fakeWriter{}
-	s := New(0, w, &Snapshot{}, Options{SwapOps: 2, Persist: func(sn *Snapshot) error {
-		persisted = append(persisted, sn.Batches)
-		return nil
-	}})
-	for i := 0; i < 5; i++ {
-		if err := s.Enqueue(profiles(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	var log cursorLog
+	w := gatedWriter()
+	s := New(0, w, &Snapshot{}, Options{SwapOps: 2, Persist: log.persist})
+	enqueueSingles(t, s, 2)
+	<-w.entered // inside the export of position 2
+	enqueueSingles(t, s, 3)
+	w.gate <- struct{}{}
+	// Due again at 4 with 5 received: agreed for 5, window 4 skipped.
+	w.release(t)
 	if err := s.Barrier(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	snap := s.Snapshot()
-	if snap.Batches != 5 {
-		t.Fatalf("published Batches = %d, want 5", snap.Batches)
+	if snap.Batches != 5 || snap.Epoch != 2 {
+		t.Fatalf("published {batches %d, epoch %d}, want {5, 2}", snap.Batches, snap.Epoch)
 	}
-	if st := s.Stats(); st.Batches != 5 {
-		t.Fatalf("stats Batches = %d, want 5", st.Batches)
+	if st := s.Stats(); st.Batches != 5 || st.Swaps != 2 {
+		t.Fatalf("stats = %+v, want 5 batches in 2 swaps", st)
 	}
-	// SwapOps 2 over 5 single-profile batches: publications at 2, 4 and
-	// the barrier's 5 — the hook observed each, in order.
-	if len(persisted) != 3 || persisted[0] != 2 || persisted[1] != 4 || persisted[2] != 5 {
-		t.Fatalf("persisted cursor sequence = %v", persisted)
+	if got, want := log.get(), []int64{2, 5}; !slices.Equal(got, want) {
+		t.Fatalf("persisted cursor sequence = %v, want %v", got, want)
 	}
 	// Close with unpublished tail: the drain publishes (and persists).
-	if err := s.Enqueue(profiles(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
+	enqueueSingles(t, s, 1)
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	w.release(t)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Snapshot().Batches; got != 6 {
 		t.Fatalf("post-Close Batches = %d, want 6 (close drain must publish)", got)
 	}
-	if persisted[len(persisted)-1] != 6 {
-		t.Fatalf("close-drain publication not persisted: %v", persisted)
+	if got, want := log.get(), []int64{2, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("persisted cursor sequence = %v, want %v", got, want)
 	}
 }
 

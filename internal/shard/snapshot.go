@@ -105,6 +105,12 @@ type Snapshot struct {
 	// PartShard is this snapshot's shard index in [0, PartShards); 0 for
 	// a full replica.
 	PartShard int
+	// Owned is the number of rows Owner hashes onto PartShard, counted
+	// once where a partitioned snapshot is made (the exporter's owner
+	// table, SliceOwned's row walk, the decoder's shape check) so that
+	// OwnedRows — which every Stats call reads — is O(1). Derived, never
+	// encoded; unused (0) on a full replica.
+	Owned int
 }
 
 // Owns reports whether a profile's row is resident in this snapshot:
@@ -113,19 +119,13 @@ func (s *Snapshot) Owns(profile int32) bool {
 	return s.PartShards == 0 || Owner(profile, s.PartShards) == s.PartShard
 }
 
-// OwnedRows counts the resident rows: NumProfiles for a full replica,
-// the hash-owned subset for a partitioned snapshot.
+// OwnedRows returns the number of resident rows: NumProfiles for a full
+// replica, the hash-owned subset (Owned) for a partitioned snapshot.
 func (s *Snapshot) OwnedRows() int {
 	if s.PartShards == 0 {
 		return s.NumProfiles
 	}
-	n := 0
-	for u := 0; u < s.NumProfiles; u++ {
-		if Owner(int32(u), s.PartShards) == s.PartShard {
-			n++
-		}
-	}
-	return n
+	return s.Owned
 }
 
 // ResidentBytes approximates the heap footprint of the snapshot's
@@ -147,10 +147,11 @@ func (s *Snapshot) ResidentBytes() int64 {
 // same collection.
 func SliceOwned(s *Snapshot, part, nparts int) *Snapshot {
 	offsets := make([]int64, s.NumProfiles+1)
-	total := int64(0)
+	total, owned := int64(0), 0
 	for u := 0; u < s.NumProfiles; u++ {
 		if Owner(int32(u), nparts) == part {
 			total += s.Offsets[u+1] - s.Offsets[u]
+			owned++
 		}
 		offsets[u+1] = total
 	}
@@ -179,6 +180,7 @@ func SliceOwned(s *Snapshot, part, nparts int) *Snapshot {
 		Theta:         s.Theta,
 		PartShards:    nparts,
 		PartShard:     part,
+		Owned:         owned,
 	}
 }
 

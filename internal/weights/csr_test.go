@@ -202,6 +202,72 @@ func TestKernelMatchesMirrorWalk(t *testing.T) {
 	}
 }
 
+// TestWeighingFillMatchesKernel pins the fill pass that weighs as it
+// emits (graph.OwnedBuild.Fill given Scheme.EntryWeight) to the path it
+// replaces — the statistics-keeping fill followed by ApplyOwnedCSR — for
+// every scheme, full and as the owned parts of a 2- and a 3-way split
+// weighed under the exchanged (= the full graph's) degrees and edge
+// count, at every worker count: Offsets and Neighbors equal, Weights
+// equal bit for bit, no statistics array made, both entry arrays exact,
+// and the kernel refusing to re-weigh the result. EJS is the scheme the
+// builder is split for: its weight reads the degrees of BOTH endpoints
+// and the global edge count, which an owned build only knows after its
+// degree pass has been exchanged.
+func TestWeighingFillMatchesKernel(t *testing.T) {
+	ctx := context.Background()
+	rng := stats.NewRNG(2016)
+	for label, c := range map[string]*blocking.Collection{
+		"random dirty": blocking.RandomCollection(rng, model.Dirty, 140, 90),
+		"paper":        blocking.TokenBlocking(datasets.PaperExample()),
+		"clean-clean":  blocking.RandomCollection(rng, model.CleanClean, 120, 80),
+	} {
+		full := graph.BuildCSR(c)
+		degrees, numEdges := full.Degrees(), full.NumEdges()
+		for _, k := range []Kind{CBS, ECBS, ARCS, JS, EJS, ChiSquared} {
+			for _, entropy := range []bool{false, true} {
+				s := Scheme{Kind: k, Entropy: entropy}
+				for _, parts := range []int{1, 2, 3} {
+					for part := 0; part < parts; part++ {
+						owns := func(n int32) bool { return int(n)%parts == part }
+						for _, workers := range []int{1, 2, 4} {
+							label := fmt.Sprintf("%s %s part %d/%d workers=%d", label, s.Name(), part, parts, workers)
+							kept, err := graph.BuildOwnedCSR(ctx, c, owns, workers)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if err := s.ApplyOwnedCSR(ctx, kept, degrees, numEdges, workers); err != nil {
+								t.Fatal(err)
+							}
+							b, err := graph.StartOwnedCSR(ctx, c, owns, workers)
+							if err != nil {
+								t.Fatal(err)
+							}
+							g, err := b.Fill(ctx, s.EntryWeight(b.Header(), degrees, numEdges))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !slices.Equal(g.Offsets, kept.Offsets) || !slices.Equal(g.Neighbors, kept.Neighbors) {
+								t.Fatalf("%s: adjacency differs from the statistics-keeping fill", label)
+							}
+							sameBits(t, label, g.Weights, kept.Weights)
+							if g.Common != nil || g.ARCS != nil || g.EntropySum != nil {
+								t.Fatalf("%s: the weighing fill made statistics arrays", label)
+							}
+							if n := len(g.Neighbors); cap(g.Neighbors) != n || len(g.Weights) != n || cap(g.Weights) != n {
+								t.Fatalf("%s: entry arrays not exact: neighbors %d/%d, weights %d/%d", label,
+									len(g.Neighbors), cap(g.Neighbors), len(g.Weights), cap(g.Weights))
+							}
+							if err := s.ApplyOwnedCSR(ctx, g, degrees, numEdges, workers); len(g.Neighbors) > 0 && err == nil {
+								t.Fatalf("%s: the kernel re-weighed a graph that has no statistics", label)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWeigherMatchesApplyPerEdge: the kernel's weight of every entry is
 // the Weigher's weight of its edge, arguments in canonical orientation.
 func TestWeigherMatchesApplyPerEdge(t *testing.T) {

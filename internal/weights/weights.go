@@ -102,9 +102,9 @@ func (s Scheme) Name() string {
 
 // Weigher computes single-edge weights for a scheme over fixed
 // graph-level totals. It is the one per-edge formula: the CSR kernel
-// (Scheme.ApplyOwnedCSR), the incremental index's localized reweigh and
-// the edge-list reference the kernels are tested against all funnel
-// every edge through it.
+// and the weighing fill pass (both through Scheme.EntryWeight), the
+// incremental index's localized reweigh and the edge-list reference the
+// kernels are tested against all funnel every edge through it.
 type Weigher struct {
 	scheme         Scheme
 	numEdges       float64
@@ -181,11 +181,7 @@ func (s Scheme) ApplyCSR(g *graph.CSR) {
 // CPU): ApplyOwnedCSR over a graph that owns every row, so its degree
 // vector and edge count are its own.
 func (s Scheme) ApplyCSRCtx(ctx context.Context, g *graph.CSR, workers int) error {
-	degrees := make([]int32, g.NumProfiles)
-	for u := range degrees {
-		degrees[u] = int32(g.Degree(u))
-	}
-	return s.ApplyOwnedCSR(ctx, g, degrees, g.NumEdges(), workers)
+	return s.ApplyOwnedCSR(ctx, g, g.Degrees(), g.NumEdges(), workers)
 }
 
 // ApplyOwnedCSR is the one CSR weighting: it computes the weight of
@@ -204,14 +200,26 @@ func (s Scheme) ApplyCSRCtx(ctx context.Context, g *graph.CSR, workers int) erro
 // except that a spilled graph keeps its previous ones) and a spilled
 // graph's I/O failure.
 func (s Scheme) ApplyOwnedCSR(ctx context.Context, g *graph.CSR, degrees []int32, numEdges, workers int) error {
+	return g.WeighEntries(ctx, workers, s.EntryWeight(g, degrees, numEdges))
+}
+
+// EntryWeight returns the scheme as the graph's per-entry weight: the
+// Weigher of the given edge count and g's block total, fed g's per-node
+// block counts and the given degrees in canonical (lo, hi) orientation.
+// It is the one closure both sinks of the weight run through — the
+// kernel over a built graph (ApplyOwnedCSR) and the fill pass that
+// weighs as it emits (graph.OwnedBuild.Fill), which is what makes the
+// two bit-identical — and it needs of g only the header the degree pass
+// of a build already holds (graph.OwnedBuild.Header).
+func (s Scheme) EntryWeight(g *graph.CSR, degrees []int32, numEdges int) graph.EntryWeight {
 	w := s.Weigher(numEdges, g.TotalBlocks)
 	blocks := g.BlockCounts
-	return g.WeighEntries(ctx, workers, func(u, v, common int32, arcs, entropySum float64) float64 {
+	return func(u, v, common int32, arcs, entropySum float64) float64 {
 		if v < u {
 			u, v = v, u
 		}
 		return w.Weight(common, blocks[u], blocks[v], degrees[u], degrees[v], arcs, entropySum)
-	})
+	}
 }
 
 // safeLog returns log(x) clamped to 0 for x <= 1, keeping the

@@ -10,7 +10,12 @@ package blast
 // an all-gather of compact per-shard aggregates over the server's
 // shard.Exchange:
 //
+//	agreement  received batch counts     → the batch to publish at
+//	           (shard.Exchange.AgreeMin; once per due publication,
+//	            before the export — see Agree)
 //	round 0    owned degree vectors      → global degrees, edge count
+//	           (off the builder's degree pass; the fill pass then
+//	            weighs each entry as it emits it)
 //	WEP        per-row weight sums       → the exact global mean
 //	CEP        counting histograms       → the exact global cut
 //	           (+ per-row tie counts and the taken-tie pair set when
@@ -26,7 +31,14 @@ package blast
 // a shard takes between rounds — edge-count zero, budget resolution,
 // the tie-budget case split — depends only on globally merged values,
 // so all shards run the identical round sequence and the exchange's
-// call-index round matching never misaligns.
+// call-index round matching never misaligns. The agreement round keeps
+// to the same rule: every shard takes one at every point where a
+// publication falls due and nowhere else, only after a batch it applied
+// successfully (a failed shard takes none and poisons the exchange), and
+// due points coincide across shards because they are counted in applied
+// profiles since the last publication, which was itself aligned — by a
+// previous agreement, by a barrier the server placed at one position on
+// every shard, or by the final drain of Close.
 //
 // The correctness contract matches the replicated one bit for bit: a
 // row's run in a partitioned snapshot is byte-identical to the same row
@@ -74,11 +86,6 @@ func newPartIndex(c *blocking.Collection, schema *Schema, opt Options, part, npa
 	}
 }
 
-// owns is the row-ownership predicate of this shard.
-func (px *partIndex) owns(p int32) bool {
-	return shard.Owner(p, px.nparts) == px.part
-}
-
 // InsertAll tokenizes and appends a batch to the shard's collection.
 // Unlike Index.InsertAll there is no decision state to fold the batch
 // into — ownership resolution happens wholesale at the next Export —
@@ -103,32 +110,46 @@ func (px *partIndex) InsertAll(ctx context.Context, profiles []model.Profile) ([
 
 // OverlayStats reports no overlay: a partIndex carries no incremental
 // graph state, so the server's overlay-triggered swap policy never
-// fires for partitioned shards (their compaction cadence is purely
-// SwapOps-driven, identically on every shard).
+// fires for partitioned shards (their publications fall due by SwapOps
+// alone, at the same batch on every shard).
 func (px *partIndex) OverlayStats() (int, float64) { return 0, 0 }
+
+// Agree resolves a due publication to the newest batch position every
+// shard of the server has received: partitioned exports exchange
+// aggregates, so all shards must export the same collection state, and
+// agreeing on the minimum picks one none of them has to wait for.
+func (px *partIndex) Agree(received int64) (int64, error) {
+	return px.ex.AgreeMin(px.part, received)
+}
 
 // Export builds this shard's owned-rows snapshot at the current
 // collection state, running the aggregate-exchange rounds described in
 // the package comment. All participating shards must export
 // concurrently from identical collection states; the server guarantees
-// both (batches are enqueued to all shards atomically, and swaps are
-// SwapOps-aligned).
+// both (batches are enqueued to all shards atomically, and every
+// publication happens at a position all shards share: one they agreed
+// on, a server-placed barrier, or the end of the stream).
 func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 	c := px.app.Collection()
 	np := c.NumProfiles
-	g, err := graph.BuildOwnedCSR(ctx, c, px.owns, px.opt.Workers)
+	owners := ownerTable(np, px.nparts)
+	owned := 0
+	for _, o := range owners {
+		if int(o) == px.part {
+			owned++
+		}
+	}
+	owns := func(p int32) bool { return int(owners[p]) == px.part }
+	build, err := graph.StartOwnedCSR(ctx, c, owns, px.opt.Workers)
 	if err != nil {
 		return nil, err
 	}
-	owners := ownerTable(np, px.nparts)
 
-	// Round 0: owned degree vectors. An owned row's run is its node's
-	// complete adjacency, so run lengths are the global degrees and
-	// their sum counts every edge endpoint exactly once per side.
-	degrees := make([]int32, np)
-	for u := 0; u < np; u++ {
-		degrees[u] = int32(g.Offsets[u+1] - g.Offsets[u])
-	}
+	// Round 0: owned degree vectors, straight off the degree pass. An
+	// owned row's run is its node's complete adjacency, so run lengths
+	// are the global degrees and their sum counts every edge endpoint
+	// exactly once per side.
+	degrees := build.Header().Degrees()
 	var w shard.FrameWriter
 	w.Int32s(degrees)
 	if err := px.gatherInt32Scatter(&w, owners, degrees); err != nil {
@@ -140,10 +161,12 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 	}
 	numEdges := int(ne / 2)
 
-	if err := px.opt.Scheme.ApplyOwnedCSR(ctx, g, degrees, numEdges, px.opt.Workers); err != nil {
+	// The fill pass weighs each entry as it emits it: nothing reads the
+	// co-occurrence statistics after the weights, so they are never made.
+	g, err := build.Fill(ctx, px.opt.Scheme.EntryWeight(build.Header(), degrees, numEdges))
+	if err != nil {
 		return nil, err
 	}
-	g.ReleaseStats()
 
 	keep, theta, err := px.keepPredicate(ctx, g, numEdges, owners)
 	if err != nil {
@@ -194,6 +217,7 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 		Theta:         theta,
 		PartShards:    px.nparts,
 		PartShard:     px.part,
+		Owned:         owned,
 	}, nil
 }
 

@@ -48,6 +48,10 @@ func (w indexWriter) Export(ctx context.Context) (*shard.Snapshot, error) {
 	return w.ix.exportSnapshot(ctx)
 }
 
+// Agree publishes a due snapshot once the shard's own backlog is in:
+// replicas export independently, so there is nobody to line up with.
+func (w indexWriter) Agree(received int64) (int64, error) { return received, nil }
+
 func (w indexWriter) OverlayStats() (int, float64) {
 	st := w.ix.Stats()
 	return st.OverlayEntries, st.OverlayLoad
@@ -173,9 +177,11 @@ func (p *Pipeline) servePartitioned(ctx context.Context, blocks *Blocks, sopt Se
 	n := sopt.shards()
 	shOpt := p.shardOptions(sopt)
 	// The overlay-fraction swap trigger consults per-shard overlay load,
-	// which could fire shards' publishes at different stream positions;
-	// partitioned exports must stay position-aligned (they exchange
-	// aggregates), so only the deterministic SwapOps cadence may trigger.
+	// which could make shards' publications fall due at different stream
+	// positions; partitioned exports must stay position-aligned (they
+	// exchange aggregates), so only the deterministic SwapOps count may
+	// make one due — where it is published the shards then agree on
+	// (partIndex.Agree).
 	shOpt.MaxOverlayFraction = 0
 	ex := shard.NewExchange(n)
 	shOpt.OnFail = func(err error) { ex.Poison(err) }
@@ -277,9 +283,10 @@ func (s *Server) Err() error {
 }
 
 // Insert admits one profile and returns its assigned global id. The
-// profile is applied asynchronously on every shard's write path;
-// reads observe it once the owning shard next publishes (at the swap
-// cadence, or at the latest on Quiesce).
+// profile is applied asynchronously on every shard's write path; reads
+// observe it once the owning shard next publishes — a publication falls
+// due after ServerOptions.SwapOps applied profiles and covers everything
+// the shards had received by then — or at the latest on Quiesce.
 func (s *Server) Insert(ctx context.Context, p *model.Profile) (int, error) {
 	if p == nil {
 		return -1, errors.New("blast: Insert requires a non-nil profile")
@@ -296,7 +303,10 @@ func (s *Server) Insert(ctx context.Context, p *model.Profile) (int, error) {
 // broadcast is all-or-nothing — enqueues never block — so replicas
 // always converge on the same insert sequence; ctx guards only
 // admission. Ids are returned immediately; application and publication
-// are asynchronous (see the consistency contract in the type docs).
+// are asynchronous: reads observe the batch once the owning shard next
+// publishes (due after ServerOptions.SwapOps applied profiles, published
+// at the newest batch every shard held when it fell due, at the latest
+// on Quiesce or Close — see the consistency contract in the type docs).
 func (s *Server) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
 	if len(profiles) == 0 {
 		return nil, ctx.Err()

@@ -10,7 +10,14 @@ package blast
 import (
 	"context"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"blast/internal/metablocking"
 	"blast/internal/model"
@@ -375,6 +382,277 @@ func TestViewConsistency(t *testing.T) {
 		}
 		if got, want := v2.NumProfiles(), srv.Admitted(); got != want {
 			t.Fatalf("%v: second view covers %d profiles, want %d", topo, got, want)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// publicationLog samples the published snapshot of every shard and keeps,
+// per shard, the insert-stream position (Snapshot.Batches) of each
+// publication epoch it saw. Partitioned shards publish in lockstep — the
+// k-th publication of every shard covers the same batches, or their
+// exchange rounds would pair up states of different collections — so any
+// epoch seen on two shards must carry one position.
+type publicationLog struct {
+	mu   sync.Mutex
+	seen []map[uint64]int64
+}
+
+func (l *publicationLog) sample(srv *Server) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.seen == nil {
+		l.seen = make([]map[uint64]int64, len(srv.shards))
+		for i := range l.seen {
+			l.seen[i] = make(map[uint64]int64)
+		}
+	}
+	for i, sh := range srv.shards {
+		snap := sh.Snapshot()
+		l.seen[i][snap.Epoch] = snap.Batches
+	}
+}
+
+// check asserts the sampled sequences agree wherever they overlap and
+// that later publications cover more of the stream.
+func (l *publicationLog) check(t *testing.T, label string) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	merged := make(map[uint64]int64)
+	for i, seen := range l.seen {
+		for epoch, batches := range seen {
+			if prev, ok := merged[epoch]; ok && prev != batches {
+				t.Fatalf("%s: publication %d covers %d batches on shard %d and %d on another", label, epoch, batches, i, prev)
+			}
+			merged[epoch] = batches
+		}
+	}
+	epochs := make([]uint64, 0, len(merged))
+	for epoch := range merged {
+		epochs = append(epochs, epoch)
+	}
+	slices.Sort(epochs)
+	for k := 1; k < len(epochs); k++ {
+		if a, b := merged[epochs[k-1]], merged[epochs[k]]; b <= a {
+			t.Fatalf("%s: publication %d covers %d batches, publication %d before it %d", label, epochs[k], b, epochs[k-1], a)
+		}
+	}
+}
+
+// copyTree copies a directory as a SIGKILL would leave it: the files as
+// they are on disk right now, nothing flushed or closed on their behalf.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPartitionedAlignmentUnderBacklog drives group publication through
+// the public API: partitioned servers of 1, 2 and 4 shards, at SwapOps
+// 2, 16 and 256, are fed one seeded stream by a writer that bursts, that
+// waits for every shard to apply each batch, or that yields at random —
+// so publications fall due with every kind of backlog behind them. In
+// every cell no shard may deadlock (a watchdog bounds the cell), the
+// shards' publication sequences must coincide, every admitted profile is
+// visible after Quiesce, and Pairs/Candidates/Threshold equal a cold
+// IndexBlocks over the served collection. The durable cells then reopen
+// a kill image of the quiesced directory: it must adopt the snapshots
+// published at the WAL cut (no rebuild) and serve equal pairs.
+func TestPartitionedAlignmentUnderBacklog(t *testing.T) {
+	ctx := context.Background()
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base, nBatches = 40, 14
+	cell := 0
+	for i, shards := range []int{1, 2, 4} {
+		for j, swapOps := range []int{2, 16, 256} {
+			for k, pacing := range []string{"burst", "lockstep", "yields"} {
+				cell++
+				// A third of the cells run durable, laid out as a Latin square
+				// so every pair of axis values meets a durable cell once.
+				durable := (i+j+k)%3 == 0
+				label := fmt.Sprintf("shards=%d/swap=%d/%s/durable=%v", shards, swapOps, pacing, durable)
+				seed := uint64(cell)*2654435761 + 17
+				// The watchdog: a cell that deadlocks — shards waiting on an
+				// exchange round a peer will never join — takes the binary
+				// down with every goroutine's stack instead of hanging it.
+				watchdog := time.AfterFunc(2*time.Minute, func() { panic(label + ": deadlocked") })
+				func() {
+					defer watchdog.Stop()
+					rng := stats.NewRNG(seed)
+					ds := synthDirty(rng, base)
+					sopt := ServerOptions{Shards: shards, Topology: TopologyPartitioned, SwapOps: swapOps}
+					if durable {
+						sopt.Dir, sopt.SnapshotEvery, sopt.SyncEvery = t.TempDir(), 1, 1
+					}
+					srv, err := p.Serve(ctx, ds, sopt)
+					if err != nil {
+						t.Fatalf("%s: Serve: %v", label, err)
+					}
+					var log publicationLog
+					stop := make(chan struct{})
+					var sampler sync.WaitGroup
+					stopSampler := sync.OnceFunc(func() {
+						close(stop)
+						sampler.Wait()
+					})
+					defer stopSampler()
+					sampler.Add(1)
+					go func() {
+						defer sampler.Done()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+								log.sample(srv)
+								runtime.Gosched()
+							}
+						}
+					}()
+					for b := 1; b <= nBatches; b++ {
+						profs := make([]model.Profile, 1+rng.Intn(5))
+						for i := range profs {
+							profs[i] = synthProfile(rng, fmt.Sprintf("a%d-%d", b, i))
+						}
+						if _, err := srv.InsertAll(ctx, profs); err != nil {
+							t.Fatalf("%s: InsertAll: %v", label, err)
+						}
+						switch pacing {
+						case "lockstep":
+							for applied := false; !applied; {
+								applied = true
+								for _, st := range srv.Stats() {
+									applied = applied && st.Batches == int64(b)
+								}
+								runtime.Gosched()
+							}
+							log.sample(srv)
+						case "yields":
+							for n := rng.Intn(40); n > 0; n-- {
+								runtime.Gosched()
+							}
+						}
+					}
+					if err := srv.Quiesce(ctx); err != nil {
+						t.Fatalf("%s: Quiesce: %v", label, err)
+					}
+					stopSampler()
+					log.sample(srv)
+					log.check(t, label)
+					for i, st := range srv.Stats() {
+						if first := srv.Stats()[0]; st.Epoch != first.Epoch || st.Swaps != first.Swaps || st.Batches != nBatches {
+							t.Errorf("%s: shard %d at epoch %d after %d swaps and %d batches, shard 0 at epoch %d after %d",
+								label, i, st.Epoch, st.Swaps, st.Batches, first.Epoch, first.Swaps)
+						}
+					}
+					checkServerEquivalence(t, label, p, srv)
+					if durable {
+						want, err := srv.Pairs(ctx)
+						if err != nil {
+							t.Fatalf("%s: Pairs: %v", label, err)
+						}
+						image := t.TempDir()
+						copyTree(t, sopt.Dir, image)
+						killOpt := sopt
+						killOpt.Dir = image
+						srv2, err := p.Serve(ctx, synthDirty(stats.NewRNG(seed), base), killOpt)
+						if err != nil {
+							t.Fatalf("%s: reopen from the kill image: %v", label, err)
+						}
+						for i, sh := range srv2.shards {
+							// An adopted snapshot keeps its epoch; a rebuilt one
+							// is published above every file on disk.
+							if got, want := sh.Snapshot().Epoch, srv.shards[i].Snapshot().Epoch; got != want {
+								t.Errorf("%s: shard %d reopened at epoch %d, want the adopted %d", label, i, got, want)
+							}
+						}
+						got, err := srv2.Pairs(ctx)
+						if err != nil {
+							t.Fatalf("%s: recovered Pairs: %v", label, err)
+						}
+						assertSamePairs(t, label+" kill image", want, got)
+						if err := srv2.Close(); err != nil {
+							t.Fatalf("%s: recovered Close: %v", label, err)
+						}
+					}
+					if err := srv.Close(); err != nil {
+						t.Fatalf("%s: Close: %v", label, err)
+					}
+				}()
+			}
+		}
+	}
+}
+
+// TestPartitionedOwnedRowsServedFromTheSnapshot: Stats().OwnedRows is a
+// count carried by the published snapshot, not a re-hash of every
+// profile id per call, and equals the hashed count for every shard count
+// — on the sliced initial snapshots and on exported ones after inserts.
+func TestPartitionedOwnedRowsServedFromTheSnapshot(t *testing.T) {
+	ctx := context.Background()
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shards := 1; shards <= 4; shards++ {
+		rng := stats.NewRNG(uint64(shards) * 65537)
+		srv, err := p.Serve(ctx, synthDirty(rng, 37), ServerOptions{Shards: shards, Topology: TopologyPartitioned, SwapOps: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(stage string) {
+			t.Helper()
+			np := srv.NumProfiles()
+			for i, st := range srv.Stats() {
+				hashed := 0
+				for u := 0; u < np; u++ {
+					if shard.Owner(int32(u), shards) == i {
+						hashed++
+					}
+				}
+				if st.OwnedRows != hashed || st.Published != np {
+					t.Fatalf("shards=%d %s: shard %d reports %d owned rows of %d profiles, hashed count %d of %d",
+						shards, stage, i, st.OwnedRows, st.Published, hashed, np)
+				}
+			}
+		}
+		check("initial")
+		for b := 0; b < 3; b++ {
+			profs := make([]model.Profile, 5)
+			for i := range profs {
+				profs[i] = synthProfile(rng, fmt.Sprintf("o%d-%d", b, i))
+			}
+			if _, err := srv.InsertAll(ctx, profs); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Quiesce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("after batch %d", b))
 		}
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
