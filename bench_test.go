@@ -13,6 +13,7 @@ package blast_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"blast"
@@ -675,7 +676,7 @@ func BenchmarkEngine_SpilledSweep(b *testing.B) {
 }
 
 // BenchmarkCNPStream times CNP's selection-cut kernel alone — the cut
-// pass plus the retention pass of prune.CNPStream — over one resident,
+// pass plus the retention pass of prune.Sink.CNP — over one resident,
 // weighted CSR of a streamed dirty corpus (the shape of bench/e2e's
 // sweep-dirty, a quarter of its size: mean degree in the hundreds
 // against a budget of tens). Run with -benchmem: scratch is O(k) per
@@ -691,11 +692,11 @@ func BenchmarkCNPStream(b *testing.B) {
 				b.ReportAllocs()
 				var pairs int
 				for i := 0; i < b.N; i++ {
-					got, err := prune.CNPStream(ctx, csr, 0, mode, workers)
-					if err != nil {
+					var s prune.Sink
+					if err := s.CNP(ctx, csr, 0, mode, workers); err != nil {
 						b.Fatal(err)
 					}
-					pairs = len(got)
+					pairs = len(s.Pairs())
 				}
 				b.ReportMetric(float64(csr.NumEdges()), "edges")
 				b.ReportMetric(float64(pairs), "pairs")
@@ -744,26 +745,102 @@ func BenchmarkRestructuredBlocks(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexCandidates measures the online serving path: one
-// per-profile candidate lookup on a frozen Index (the -exp query
-// experiment measures the same path across the registry datasets).
-func BenchmarkIndexCandidates(b *testing.B) {
-	ds := datasets.AR1(0.2, 42)
+// indexCorpus blocks the first base profiles of a seeded stream — the
+// shape of bench/e2e's serving workloads at half their size: mean degree
+// in the hundreds, a fraction of a percent of it retained — and returns
+// the next 16 profiles as an insert batch.
+func indexCorpus(b *testing.B) (*blast.Pipeline, *blast.Blocks, []model.Profile) {
+	b.Helper()
+	ctx := context.Background()
+	const base, batch = 5000, 16
+	st := datasets.NewStream(base+batch, 1)
+	e := model.NewCollection("stream")
+	for i := 0; i < base; i++ {
+		e.Append(st.Profile(i))
+	}
+	ds := &model.Dataset{Name: "stream", Kind: model.Dirty, E1: e, Truth: model.NewGroundTruth()}
 	p, err := blast.NewPipeline(blast.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := p.BuildIndex(context.Background(), ds)
+	schema, err := p.InduceSchema(ctx, ds)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf []blast.Candidate
+	blocks, err := p.Block(ctx, ds, schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, blocks, st.Profiles(base, base+batch)
+}
+
+// liveHeap is the heap in use after a full collection (two cycles, so
+// that what the first one's finalizers and pools released is gone too).
+func liveHeap() float64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
+}
+
+// BenchmarkIndex_Freeze is a cold IndexBlocks over prebuilt Blocks — the
+// blocking graph built, weighed, pruned and dropped, its retained rows
+// kept. Run with -benchmem: B/op is the build's allocation (12 bytes an
+// adjacency entry for the graph, nothing else per entry), and
+// live-B/retained-entry what the frozen index holds beside its
+// collection once the build is garbage — 12 bytes an entry for the rows
+// plus 16 a profile, over the entries of the retained pairs.
+func BenchmarkIndex_Freeze(b *testing.B) {
+	ctx := context.Background()
+	p, blocks, _ := indexCorpus(b)
+	var ix *blast.Index
+	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = ix.AppendCandidates(buf[:0], i%ix.NumProfiles())
+		if ix, err = p.IndexBlocks(ctx, blocks); err != nil {
+			b.Fatal(err)
+		}
 	}
-	_ = buf
+	b.StopTimer()
+	edges, retained := ix.NumEdges(), ix.NumRetained()
+	with := liveHeap()
+	runtime.KeepAlive(ix)
+	ix = nil
+	b.ReportMetric((with-liveHeap())/float64(2*retained), "live-B/retained-entry")
+	b.ReportMetric(float64(retained)/float64(edges), "retained-share")
+	runtime.KeepAlive(blocks) // the collection is not the index's to count
+}
+
+// BenchmarkIndex_Lookup measures the online serving path, one
+// per-profile candidate lookup into a reused buffer (0 allocs/op), on
+// the two forms of an index: frozen — a copy and a sort of the two or
+// three entries of the profile's row — and after an insert batch has
+// made it a writer, which filters the profile's whole adjacency run (the
+// -exp query experiment measures the frozen path across the registry
+// datasets).
+func BenchmarkIndex_Lookup(b *testing.B) {
+	ctx := context.Background()
+	p, blocks, batch := indexCorpus(b)
+	ix, err := p.IndexBlocks(ctx, blocks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lookups := func(b *testing.B) {
+		var buf []blast.Candidate
+		np := ix.NumProfiles()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = ix.AppendCandidates(buf[:0], i%np)
+		}
+	}
+	b.Run("frozen", lookups)
+	if _, err := ix.InsertAll(ctx, batch); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("after-insert", lookups)
 }
 
 // BenchmarkExtension_Baselines compares the blocking substrates feeding

@@ -115,7 +115,11 @@ func (c Compaction) minEntries() int {
 func (c Compaction) disabled() bool { return c.MaxOverlayFraction < 0 }
 
 // Storage selects where the blocking graph's adjacency entries live
-// while a run or index build is in flight.
+// while a run or index build is in flight. It is a build-time choice
+// and nothing more: a run returns pairs, an index build freezes the
+// rows of what pruning retained into RAM, and either way the graph —
+// and any segment file it was spilled to — is gone when the call
+// returns. What is served never depends on it.
 type Storage int
 
 const (
@@ -124,10 +128,12 @@ const (
 	// whenever the graph fits.
 	StorageMemory Storage = iota
 	// StorageFile spills the adjacency to CRC-checked segment files once
-	// the build's resident footprint exceeds Options.MemoryBudget,
-	// serving subsequent passes through a bounded page cache. Retained
-	// pairs and served candidates are byte-identical to StorageMemory;
-	// only peak memory (and speed) differ.
+	// the build's resident footprint exceeds Options.MemoryBudget; the
+	// weighting and pruning passes then stream the pages back through
+	// per-worker cursors, and the segments are deleted before MetaBlock
+	// or IndexBlocks returns. Retained pairs and served candidates are
+	// byte-identical to StorageMemory; only the build's peak memory (and
+	// speed) differ.
 	StorageFile
 )
 
@@ -174,8 +180,9 @@ const (
 	// count in exchange for read-side parallelism. This is the original
 	// Server behavior and the right trade for read-heavy serving.
 	TopologyReplicated Topology = iota
-	// TopologyPartitioned gives each shard only the adjacency, weights
-	// and retention marks of the rows hash-owned by it. Cross-shard edge
+	// TopologyPartitioned has each shard build only the adjacency of the
+	// rows hash-owned by it, and serve only their retained entries.
+	// Cross-shard edge
 	// state (degree vectors, weight-sum partials, histogram cuts, top-k
 	// marks) is resolved at publish time by exchanging compact per-shard
 	// aggregates in deterministic shard order, so a quiesced partitioned
@@ -415,10 +422,13 @@ type Options struct {
 	Workers int
 
 	// Storage selects where the blocking graph's adjacency lives during
-	// meta-blocking and index builds: StorageMemory (default) keeps it
+	// meta-blocking and index builds (MetaBlock, IndexBlocks, the initial
+	// build of a partitioned Server): StorageMemory (default) keeps it
 	// resident, StorageFile spills it to segment files past MemoryBudget
-	// and serves passes through a bounded page cache. Byte-identical
-	// output either way.
+	// and streams them back page by page. Byte-identical output either
+	// way. It does not reach a writer — an Index after its first Insert,
+	// a replicated Server's replicas, a shard's export — whose graph is
+	// resident by construction.
 	Storage Storage
 	// MemoryBudget bounds (in bytes) the resident footprint of the
 	// adjacency entries a StorageFile build may accumulate before
@@ -426,11 +436,14 @@ type Options struct {
 	// than the graph never spills at all (the build simply stays
 	// resident). The budget covers the adjacency entry streams only —
 	// offsets, block counts and the fixed pipeline state are O(profiles)
-	// and excluded. Ignored under StorageMemory.
+	// and excluded, as is what the build is for: the retained pairs of a
+	// run (8 bytes each) or the frozen rows of an index (24 bytes a
+	// retained pair), which are resident by definition. Ignored under
+	// StorageMemory.
 	MemoryBudget int64
 	// SpillDir is the directory StorageFile segment files are created
-	// under (a fresh subdirectory per build, removed when the graph is
-	// closed). Empty selects the OS temp dir — or, on a durable Server,
+	// under (a fresh subdirectory per build, removed before the build
+	// returns). Empty selects the OS temp dir — or, on a durable Server,
 	// a "spill" directory next to the WAL so segments live on the same
 	// filesystem as the rest of the state. Ignored under StorageMemory.
 	SpillDir string

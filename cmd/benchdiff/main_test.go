@@ -528,21 +528,20 @@ func TestGateMalformedJSON(t *testing.T) {
 	}
 }
 
-func spillRow(profiles int, heapVsResident, hitRate float64, spilled, match bool) experiments.SpillRow {
+func spillRow(profiles int, peakVsResident float64, spilled, match bool) experiments.SpillRow {
 	return experiments.SpillRow{Profiles: profiles, GOMAXPROCS: 8, MemoryBudget: 16384,
-		Spilled: spilled, SpillBytes: 1 << 20, HeapVsResident: heapVsResident,
-		CacheHitRate: hitRate, PairsMatch: match}
+		Spilled: spilled, SpillBytes: 1 << 20, PeakVsResident: peakVsResident, PairsMatch: match}
 }
 
 func TestGateSpill(t *testing.T) {
 	base, cur := t.TempDir(), t.TempDir()
 	writeJSON(t, base, "BENCH_spill.json", []experiments.SpillRow{
-		spillRow(750, 1.1, 0.99, true, true),
-		spillRow(3000, 0.3, 0.99, true, true),
+		spillRow(750, 1.1, true, true),
+		spillRow(3000, 0.3, true, true),
 	})
 	writeJSON(t, cur, "BENCH_spill.json", []experiments.SpillRow{
-		spillRow(750, 1.2, 0.95, true, true),   // hit rate -4% < 25%; heap not gated (not largest)
-		spillRow(3000, 0.35, 0.99, true, true), // ceiling 0.5 holds at the largest point
+		spillRow(750, 1.2, true, true),   // peak heap not gated (not largest)
+		spillRow(3000, 0.35, true, true), // ceiling 0.5 holds at the largest point
 	})
 	var out strings.Builder
 	failures, err := run(&out, base, cur, 0.25, 2.0, 2.0, 0.6, 0.5, 4)
@@ -553,47 +552,41 @@ func TestGateSpill(t *testing.T) {
 		t.Fatalf("failures = %d within threshold\n%s", failures, out.String())
 	}
 
-	// Collapsed hit rate, a never-spilled row, a diverged build and a
-	// flat serving heap at the largest point: four named failures.
+	// A never-spilled row, a diverged build and a flat peak heap at the
+	// largest point: three named failures, with or without a baseline.
 	writeJSON(t, cur, "BENCH_spill.json", []experiments.SpillRow{
-		spillRow(750, 1.2, 0.10, true, false),   // hit rate -90% AND diverged
-		spillRow(3000, 0.95, 0.99, false, true), // never spilled AND flat heap
+		spillRow(750, 1.2, true, false),   // diverged
+		spillRow(3000, 0.95, false, true), // never spilled AND flat heap
 	})
-	out.Reset()
-	failures, err = run(&out, base, cur, 0.25, 2.0, 2.0, 0.6, 0.5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 4 {
-		t.Fatalf("failures = %d, want 4 (hit rate, match, spilled, heap ceiling)\n%s", failures, out.String())
-	}
-	if !strings.Contains(out.String(), "never exceeded the memory budget") {
-		t.Errorf("missing spilled note:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "diverged from the resident build") {
-		t.Errorf("missing divergence note:\n%s", out.String())
-	}
-
-	// The flags and the heap ceiling gate even when no baseline exists.
-	if err := os.Remove(filepath.Join(base, "BENCH_spill.json")); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	failures, err = run(&out, base, cur, 0.25, 2.0, 2.0, 0.6, 0.5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failures != 3 {
-		t.Fatalf("failures = %d, want 3 without a baseline (match, spilled, heap ceiling)\n%s", failures, out.String())
+	for _, baseline := range []bool{true, false} {
+		if !baseline {
+			if err := os.Remove(filepath.Join(base, "BENCH_spill.json")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out.Reset()
+		failures, err = run(&out, base, cur, 0.25, 2.0, 2.0, 0.6, 0.5, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if failures != 3 {
+			t.Fatalf("baseline %v: failures = %d, want 3 (match, spilled, heap ceiling)\n%s", baseline, failures, out.String())
+		}
+		if !strings.Contains(out.String(), "never exceeded the memory budget") {
+			t.Errorf("missing spilled note:\n%s", out.String())
+		}
+		if !strings.Contains(out.String(), "diverged from the resident build") {
+			t.Errorf("missing divergence note:\n%s", out.String())
+		}
 	}
 
 	// A baseline corpus point missing from the current run is a
 	// regression.
 	writeJSON(t, base, "BENCH_spill.json", []experiments.SpillRow{
-		spillRow(6000, 0.3, 0.99, true, true),
+		spillRow(6000, 0.3, true, true),
 	})
 	writeJSON(t, cur, "BENCH_spill.json", []experiments.SpillRow{
-		spillRow(3000, 0.3, 0.99, true, true),
+		spillRow(3000, 0.3, true, true),
 	})
 	out.Reset()
 	failures, err = run(&out, base, cur, 0.25, 2.0, 2.0, 0.6, 0.5, 4)

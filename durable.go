@@ -32,10 +32,11 @@ package blast
 //	   any disagreement or undecodable record inside the cut fails
 //	   closed — recovery never invents or reorders admitted data.
 //	2. Per shard, the newest snapshot file that decodes, validates, and
-//	   covers at most the cut is restored (Index.restoreIndex: decision
-//	   arrays from the snapshot, structure re-derived and verified);
-//	   unusable snapshots fall back to older ones, then to a cold build
-//	   replaying the whole WAL.
+//	   covers at most the cut fixes the replica's starting position
+//	   (Index.restoreIndex: the writer is re-derived over seed + that
+//	   batch prefix and must reproduce the snapshot's rows bit for bit);
+//	   unusable snapshots — files of an older layout among them — fall
+//	   back to older ones, then to a cold build replaying the whole WAL.
 //	3. The WAL records past each shard's snapshot position are replayed
 //	   through the ordinary InsertAll path, after which every replica
 //	   sits exactly where a never-crashed server's replicas would.
@@ -50,12 +51,13 @@ package blast
 // hold only owned state: shard i's WAL records carry just the profiles
 // whose assigned ids hash to i (wal.AppendOwnedBatch — every shard
 // still journals every batch, so the common-cut rule is unchanged), and
-// its snapshot files are owned-rows slices (BLSNAP02). Recovery
+// its snapshot files hold its owned rows only. Recovery
 // reassembles the full batch sequence from the per-shard subsets with
 // fail-closed coverage checks, replays it into every shard's appender,
-// and restores the published snapshots either by adopting a complete
-// at-cut set from disk (the replay-free path a drained Close leaves) or
-// by slicing a cold master rebuild. See finishDurablePartitioned.
+// and restores the published snapshots either by adopting a complete,
+// cross-checked at-cut set from disk (the replay-free path a drained
+// Close leaves) or by slicing a cold master rebuild. See
+// finishDurablePartitioned.
 
 import (
 	"bytes"
@@ -346,8 +348,8 @@ func (p *Pipeline) serveDurable(ctx context.Context, blocks *Blocks, sopt Server
 		// Spill segments default to living alongside the WAL and the
 		// snapshots: one directory to provision, one filesystem whose
 		// capacity and durability characteristics the operator reasons
-		// about. (They are temporary either way — the build deletes them
-		// once the index materializes.)
+		// about. (They are temporary either way — a build deletes them
+		// once its rows are frozen.)
 		spill := filepath.Join(dir, "spill")
 		if err := os.MkdirAll(spill, 0o755); err != nil {
 			return nil, err
@@ -356,21 +358,14 @@ func (p *Pipeline) serveDurable(ctx context.Context, blocks *Blocks, sopt Server
 		pp.opt.SpillDir = spill
 		p = &pp
 	}
-	master, err := p.indexBlocks(ctx, blocks, true)
+	// A replicated master becomes a replica, a writer from the start. A
+	// partitioned one is only exported and sliced, which its frozen form
+	// serves; should a WAL suffix need replaying through it, its first
+	// InsertAll thaws it like any frozen index.
+	master, err := p.indexBlocks(ctx, blocks, sopt.Topology != TopologyPartitioned)
 	if err != nil {
 		return nil, err
 	}
-	// A spilled master owns temporary segment files until something
-	// materializes it (replay, snapshot export). If construction fails
-	// before then, delete them; a successful server hands the master to
-	// a shard (or discards it materialized) and clears the flag.
-	masterOwned := true
-	defer func() {
-		if masterOwned {
-			//blast:allow syncerr -- construction is already failing with a primary error; this close only reclaims temporary spill segments and must not mask it
-			master.Close()
-		}
-	}()
 	if err := checkManifest(dir, durManifest{
 		Version:      durManifestVersion,
 		Shards:       n,
@@ -434,14 +429,6 @@ func (p *Pipeline) serveDurable(ctx context.Context, blocks *Blocks, sopt Server
 
 	// Phase 1 — pick each shard's recovery source. Cold fallbacks clone
 	// the master NOW, before any replay mutates it.
-	// Replicated recovery clones the master per shard and replays into
-	// the clones; materialize a spilled build once up front so every
-	// clone starts from resident state (the in-memory path gets this
-	// for free from the snapshot export preceding its clones).
-	if err := master.ensureResident(); err != nil {
-		closeLogs()
-		return nil, err
-	}
 	reps := make([]*Index, n)
 	replayFrom := make([]int, n)
 	epochs := make([]uint64, n)
@@ -533,9 +520,6 @@ func (p *Pipeline) serveDurable(ctx context.Context, blocks *Blocks, sopt Server
 		srv.shards[i] = shard.New(i, indexWriter{rep}, snap, shOptI)
 	}
 	srv.dur = &durability{wals: logs}
-	// The master serves as a replica now (unless every shard recovered
-	// from disk, in which case the deferred close reclaims any spill).
-	masterOwned = !masterUsed
 	return srv, nil
 }
 
@@ -702,13 +686,17 @@ func reassembleOwnedBatches(recs [][][]byte, cut, seed, n int) ([][]model.Profil
 // adoptOwnedSnapshots tries to restore the initial published snapshots
 // directly from disk: usable only when EVERY shard has a snapshot file
 // that decodes, validates, and sits at exactly the WAL cut with the
-// right partition geometry and profile count. Partitioned snapshots
-// cannot be rolled forward (the writable side holds no decision state),
-// so a stale or missing file on any one shard forces the whole set onto
-// the cold rebuild path — adopting a mixed set would publish shards at
-// different stream positions.
+// right partition geometry and profile count — and the files are one
+// set: they agree on the global counters, and between them hold each
+// retained pair exactly twice, once in each endpoint's row (a file of
+// another stream at the same cut passes every check of its own).
+// Partitioned snapshots cannot be rolled forward (the writable side
+// holds no decision state), so a stale, missing or foreign file on any
+// one shard forces the whole set onto the cold rebuild path — adopting a
+// mixed set would publish shards at different stream positions.
 func adoptOwnedSnapshots(dir string, n, cut, numProfiles int) []*shard.Snapshot {
 	snaps := make([]*shard.Snapshot, n)
+	entries := 0
 	for i := 0; i < n; i++ {
 		sdir := durSnapDir(dir, i)
 		names := snapFileNames(sdir)
@@ -721,9 +709,14 @@ func adoptOwnedSnapshots(dir string, n, cut, numProfiles int) []*shard.Snapshot 
 			snaps[i] = snap
 			break
 		}
-		if snaps[i] == nil {
+		if snaps[i] == nil || snaps[i].NumEdges != snaps[0].NumEdges ||
+			snaps[i].RetainedPairs != snaps[0].RetainedPairs || len(snaps[i].Theta) != len(snaps[0].Theta) {
 			return nil
 		}
+		entries += len(snaps[i].Neighbors)
+	}
+	if entries != 2*snaps[0].RetainedPairs {
+		return nil
 	}
 	return snaps
 }

@@ -8,9 +8,11 @@ package blast
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -135,6 +137,132 @@ func TestDurablePartitionedTornWAL(t *testing.T) {
 			}
 			checkRecovered(t, "torn", p, srv2, batches-1)
 			if err := srv2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestDurablePartitionedAdoptionCrossCheck: the at-cut snapshot files
+// of a partitioned directory are adopted as one set or not at all. Each
+// file alone can only be checked against its own header; what makes
+// them a set is that they agree on the global counters and between them
+// hold every retained pair exactly twice. A file of another stream at
+// the same cut, and a file short of one entry, pass every check of
+// their own — the reopen must fall back to the rebuild and serve what a
+// cold build serves; so must one over a shard whose files are all of the
+// retired layout. The intact set is the control: it is adopted
+// (recovery publishes it at the epoch it was persisted under, where a
+// rebuild publishes past every file on disk).
+func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
+	ctx := context.Background()
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards, batches, victim = 2, 4, 1
+	// seedDir streams batches first..first+batches into a fresh directory
+	// and closes it, leaving every shard a snapshot at the cut.
+	seedDir := func(first int) string {
+		dir := t.TempDir()
+		srv, err := durOpenPart(t, p, dir, shards, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := first; k < first+batches; k++ {
+			if _, err := srv.InsertAll(ctx, durBatchFor(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	newest := func(dir string) string {
+		sdir := durSnapDir(dir, victim)
+		names := snapFileNames(sdir)
+		if len(names) == 0 {
+			t.Fatalf("shard %d persisted no snapshot", victim)
+		}
+		return filepath.Join(sdir, names[len(names)-1])
+	}
+	cases := map[string]func(path string){
+		"intact": func(string) {},
+		"foreign stream": func(path string) {
+			foreign, err := shard.ReadSnapshotFile(newest(seedDir(100)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			own, err := shard.ReadSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if foreign.Batches != own.Batches || foreign.NumProfiles != own.NumProfiles {
+				t.Fatalf("precondition: the foreign file sits at batch %d over %d profiles, the set at %d over %d",
+					foreign.Batches, foreign.NumProfiles, own.Batches, own.NumProfiles)
+			}
+			if err := shard.WriteSnapshotFile(path, foreign); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := shard.ReadSnapshotFile(path); err != nil {
+				t.Fatalf("precondition: the foreign file must pass every check of its own: %v", err)
+			}
+		},
+		"entry missing": func(path string) {
+			own, err := shard.ReadSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(own.Neighbors)
+			if n == 0 {
+				t.Fatalf("precondition: shard %d retains nothing", victim)
+			}
+			offsets := slices.Clone(own.Offsets)
+			for u := range offsets {
+				offsets[u] = min(offsets[u], int64(n-1))
+			}
+			short := &shard.Snapshot{
+				Epoch: own.Epoch, Batches: own.Batches, NumProfiles: own.NumProfiles,
+				NumEdges: own.NumEdges, RetainedPairs: own.RetainedPairs,
+				Offsets: offsets, Neighbors: own.Neighbors[:n-1], Weights: own.Weights[:n-1],
+				Theta: own.Theta, PartShards: own.PartShards, PartShard: own.PartShard,
+			}
+			if err := shard.WriteSnapshotFile(path, short); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := shard.ReadSnapshotFile(path); err != nil {
+				t.Fatalf("precondition: the short file must pass every check of its own: %v", err)
+			}
+		},
+		"old layout": func(path string) {
+			sdir := filepath.Dir(path)
+			for _, name := range snapFileNames(sdir) {
+				if err := os.WriteFile(filepath.Join(sdir, name), oldLayoutSnapshot("BLSNAP02"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := shard.ReadSnapshotFile(path); !errors.Is(err, shard.ErrSnapshotVersion) {
+				t.Fatalf("old-layout file: %v, want ErrSnapshotVersion", err)
+			}
+		},
+	}
+	for name, damage := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := seedDir(0)
+			path := newest(dir)
+			persisted := snapFileEpoch(filepath.Base(path))
+			damage(path)
+			srv, err := durOpenPart(t, p, dir, shards, 1)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			checkRecovered(t, name, p, srv, batches)
+			epoch := srv.Stats()[victim].Epoch
+			if adopted := epoch == persisted; adopted != (name == "intact") {
+				t.Errorf("recovery published epoch %d over a file persisted at %d: adopted = %v", epoch, persisted, adopted)
+			}
+			if err := srv.Close(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -9,12 +9,16 @@ package blast
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"blast/internal/model"
+	"blast/internal/shard"
 	"blast/internal/stats"
 	"blast/internal/wal"
 )
@@ -305,6 +309,20 @@ func TestDurableSnapshotFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// A directory written before the snapshot layout changed: every
+		// file is whole, checksummed, and of a version this build refuses
+		// by name.
+		{"old-layout-only", func(t *testing.T, sdir string, names []string) {
+			for _, name := range names {
+				path := filepath.Join(sdir, name)
+				if err := os.WriteFile(path, oldLayoutSnapshot("BLSNAP01"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := shard.ReadSnapshotFile(path); !errors.Is(err, shard.ErrSnapshotVersion) {
+					t.Fatalf("old-layout file: %v, want ErrSnapshotVersion", err)
+				}
+			}
+		}},
 	}
 	for _, tc := range mutate {
 		t.Run(tc.name, func(t *testing.T) {
@@ -335,6 +353,13 @@ func TestDurableSnapshotFallback(t *testing.T) {
 			}
 		})
 	}
+}
+
+// oldLayoutSnapshot is a checksum-valid snapshot file of a retired
+// layout: the magic, a stub of a body, the CRC-32C of both.
+func oldLayoutSnapshot(magic string) []byte {
+	buf := append([]byte(magic), 1, 0, 2, 1, 1)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)))
 }
 
 // TestDurableManifestMismatch pins the fail-closed contract of the

@@ -8,9 +8,18 @@ package blast
 // pipeline — Candidates answers "who should profile i be compared
 // against?" in O(degree(i)) without touching any other node's state.
 //
+// What pruning keeps is a sliver of the blocking graph (a third of a
+// percent of the edges under BLAST's defaults), and no read ever needs
+// a pruned entry, so the frozen form of an index is the retained rows
+// and nothing else: a shard.Snapshot, collected where the pruning pass
+// makes its decisions. The blocking graph itself — resident or spilled
+// to segment files — lives only as long as the build.
+//
 // Incremental meta-blocking builds on exactly that node-locality: a new
 // profile only dirties the adjacency runs of its co-blocked neighbors,
-// so Insert tokenizes the profile against the frozen schema, appends it
+// so the first Insert re-derives the full weighted graph once (the
+// writer's form) and from then on Insert tokenizes the profile against
+// the frozen schema, appends it
 // to the live block collection, splices its adjacency run into a
 // copy-on-write overlay over the CSR, reweighs only the edges whose
 // weight inputs changed, re-reduces theta_i for exactly the touched
@@ -31,6 +40,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -41,7 +51,6 @@ import (
 	"blast/internal/model"
 	"blast/internal/prune"
 	"blast/internal/shard"
-	"blast/internal/store"
 )
 
 // ErrPartialInsert reports that InsertAll failed after admitting a
@@ -83,32 +92,44 @@ type IndexStats struct {
 	PendingKeys int
 }
 
-// Index is the queryable form of a completed pipeline run: the cleaned
-// block collection, the CSR adjacency with final edge weights, the
-// per-node pruning thresholds, and the per-entry retention decision.
-// It is safe for concurrent queries; Insert, InsertAll and Compact
-// mutate it under an internal lock (readers see either the state before
-// or after a whole insert batch, never a partial one).
+// Index is the queryable form of a completed pipeline run. Built by
+// IndexBlocks or BuildIndex it is frozen: the cleaned block collection
+// plus the rows of what pruning retained — per profile, the co-candidate
+// ids and the weights that retained them, and the per-node thresholds —
+// at 24 bytes a retained pair and 16 a profile, whatever the size of the
+// blocking graph they were pruned from. The first Insert turns it into a
+// writer, which holds the whole weighted graph (see Insert). It is safe
+// for concurrent queries; Insert, InsertAll and Compact mutate it under
+// an internal lock (readers see either the state before or after a whole
+// insert batch, never a partial one).
 type Index struct {
 	mu         sync.RWMutex
 	kind       model.Kind
 	collection *blocking.Collection
 	schema     *Schema
 	opt        Options
-	csr        *graph.CSR
-	retained   []bool
-	theta      []float64
-	pairs      []model.IDPair
-	pairsValid bool
-	// retainedEntries counts marked adjacency entries (2 per retained
-	// pair), so NumRetained stays O(1) while the pair list is lazily
-	// invalidated by inserts.
-	retainedEntries int64
-	buildTime       time.Duration
+	buildTime  time.Duration
+	// spillBytes and pageLoads are what a StorageFile build wrote to its
+	// segment files and read back before deleting them.
+	spillBytes, pageLoads int64
 
-	// Mutable state, nil until the first Insert.
+	// rows is the frozen form: everything a query-only index serves
+	// from. nil on a writer.
+	rows *shard.Snapshot
+
+	// The writer's form, nil while frozen: the copy-on-write overlay
+	// every read and insert goes through, over the full CSR with its
+	// co-occurrence statistics (ov.Base) and the per-entry retention mask
+	// (the overlay writes through it; kept here for cloneForServing).
+	retained []bool
+	theta    []float64
+	// retainedEntries counts marked adjacency entries (2 per retained
+	// pair), so NumRetained stays O(1) under inserts.
+	retainedEntries int64
+	ov              *graph.Overlay
+	// app appends to the collection; nil until the first Insert, while
+	// the collection is still the Blocks artifact's.
 	app   *blocking.Appender
-	ov    *graph.Overlay
 	stats IndexStats
 
 	// insertFail, when non-nil, is consulted before each profile of an
@@ -134,76 +155,107 @@ func (p *Pipeline) BuildIndex(ctx context.Context, ds *model.Dataset) (*Index, e
 
 // IndexBlocks freezes a Blocks artifact into an Index: the CSR blocking
 // graph is built and weighted exactly as MetaBlock does it
-// (metablocking.BuildWeighted), the configured pruning decides
-// retention, and the per-entry decisions are kept alongside the weights
-// for per-profile lookup; Pairs is byte-identical to MetaBlock's. A
-// resident build never makes the co-occurrence statistics — the graph's
-// fill pass weighs each entry as it emits it — and a spilled one
-// releases them after weighting (a query-only index stays at its
-// serving footprint); the first Insert re-derives them with one graph
-// pass over the retained collection.
+// (metablocking.BuildWeighted), and the configured pruning's retention
+// pass collects each retained comparison with its weight into the rows
+// the index serves from (metablocking.FreezeCSR) — the same pass
+// MetaBlock runs, so Pairs is byte-identical to MetaBlock's. The graph
+// ends with the build: a resident one is garbage on return, a spilled
+// one (Options.Storage = StorageFile) has had its segment files
+// deleted. The first Insert re-derives it from the retained collection.
 func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, error) {
 	return p.indexBlocks(ctx, blocks, false)
 }
 
-// indexBlocks is IndexBlocks with control over the co-occurrence
-// statistics: keepStats retains them on the frozen CSR so that serving
-// replicas (which will certainly mutate) skip the one-off graph rebuild
-// their first Insert would otherwise pay.
-func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, keepStats bool) (*Index, error) {
+// indexBlocks is IndexBlocks with control over the form: writer builds
+// the index as the writer its first Insert would otherwise re-derive,
+// for serving replicas, which will certainly mutate.
+func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, writer bool) (*Index, error) {
 	if blocks == nil || blocks.Collection == nil {
 		return nil, errors.New("blast: IndexBlocks requires a non-nil Blocks artifact")
 	}
 	t0 := time.Now()
 	c := blocks.Collection
-	csr, _, err := metablocking.BuildWeighted(ctx, c, metaConfigFromOptions(p.opt), keepStats)
+	ix := &Index{kind: c.Kind, collection: c, schema: blocks.Schema, opt: p.opt}
+	var err error
+	if writer {
+		err = ix.thaw(ctx, c)
+	} else {
+		err = ix.freeze(ctx)
+	}
 	if err != nil {
 		return nil, err
 	}
-
-	pairs, retained, theta, err := freezeDecisions(ctx, csr, p.opt)
-	if err != nil {
-		// A spilled build owns temporary segment files; no Index will
-		// carry them, so delete them on this exit too.
-		return nil, csr.CloseAfter(err)
-	}
-	if !keepStats {
-		// The pruning dispatch above was the last reader of the per-node
-		// block counts (the CEP/CNP budgets); a query-only index serves
-		// Candidates/Threshold/Pairs without them. The first Insert
-		// re-derives them together with the co-occurrence statistics.
-		csr.ReleaseBlockCounts()
-	}
-
-	ix := &Index{
-		kind:            c.Kind,
-		collection:      c,
-		schema:          blocks.Schema,
-		opt:             p.opt,
-		csr:             csr,
-		retained:        retained,
-		theta:           theta,
-		pairs:           pairs,
-		pairsValid:      true,
-		retainedEntries: 2 * int64(len(pairs)),
-		buildTime:       time.Since(t0),
-	}
+	ix.buildTime = time.Since(t0)
 	p.opt.progress("index", ix.buildTime)
 	return ix, nil
 }
 
-// freezeDecisions derives the pruning outcome of a weighted CSR: the
-// retained pairs in canonical order, the per-entry retention mask, and
-// the per-node thresholds. It is the shared tail of a cold IndexBlocks
-// and of the incremental path's global re-derivation, which is what
-// makes the two byte-identical by construction. Over a spilled CSR each
-// of its three passes fails closed on the graph's sticky read error —
-// at entry and for pages that fail under it — so no decision is ever
-// adopted from zeroed runs.
-func freezeDecisions(ctx context.Context, csr *graph.CSR, opt Options) ([]model.IDPair, []bool, []float64, error) {
-	pairs, err := metablocking.PruneCSR(ctx, csr, metaConfigFromOptions(opt))
+// freeze builds the frozen form over the index's collection. Over a
+// spilled graph every pass reads through page cursors and fails closed
+// on the graph's sticky read error, so no row is ever collected from a
+// zeroed run; whatever the outcome, the segment files end here.
+func (ix *Index) freeze(ctx context.Context) error {
+	cfg := metaConfigFromOptions(ix.opt)
+	csr, _, err := metablocking.BuildWeighted(ctx, ix.collection, cfg, false)
 	if err != nil {
-		return nil, nil, nil, err
+		return err
+	}
+	rows, err := metablocking.FreezeCSR(ctx, csr, cfg)
+	ix.spillBytes, ix.pageLoads = csr.SpillBytes(), csr.PageLoads()
+	if err := csr.CloseAfter(err); err != nil {
+		return err
+	}
+	ix.rows = &shard.Snapshot{
+		NumProfiles:   csr.NumProfiles,
+		NumEdges:      csr.NumEdges(),
+		RetainedPairs: len(rows.Neighbors) / 2,
+		Offsets:       rows.Offsets,
+		Neighbors:     rows.Neighbors,
+		Weights:       rows.Weights,
+		Theta:         rows.Theta,
+	}
+	return nil
+}
+
+// thaw builds the writer's form over c, the collection the index holds
+// or is about to: the resident graph with its co-occurrence statistics
+// (inserts re-weigh from them, and the overlay indexes resident arrays,
+// so Options.Storage does not apply), weighed by the kernel, with the
+// decisions of freezeDecisions. On error the index is unchanged.
+func (ix *Index) thaw(ctx context.Context, c *blocking.Collection) error {
+	cfg := metaConfigFromOptions(ix.opt)
+	cfg.Spill = nil
+	csr, _, err := metablocking.BuildWeighted(ctx, c, cfg, true)
+	if err != nil {
+		return err
+	}
+	return ix.adoptDecisions(ctx, csr)
+}
+
+// adoptDecisions installs a weighted, statistics-bearing graph and the
+// pruning decisions derived from it as the writer's state.
+func (ix *Index) adoptDecisions(ctx context.Context, csr *graph.CSR) error {
+	retained, theta, entries, err := freezeDecisions(ctx, csr, ix.opt)
+	if err != nil {
+		return err
+	}
+	ix.rows = nil
+	ix.retained, ix.theta, ix.retainedEntries = retained, theta, entries
+	ix.ov = graph.NewOverlay(csr, retained)
+	return nil
+}
+
+// freezeDecisions derives the writer's pruning state from a weighted
+// resident CSR: the per-entry retention mask, the per-node thresholds
+// (the ones the pruning pass reduced and decided by; nil for global and
+// cardinality schemes) and the number of marked entries. It is the
+// shared tail of a writer's build and of the incremental path's global
+// re-derivation, and the shape the frozen form's collected rows are
+// tested against (the mask filters the graph to exactly those rows).
+func freezeDecisions(ctx context.Context, csr *graph.CSR, opt Options) ([]bool, []float64, int64, error) {
+	pairs, theta, err := metablocking.PruneCSRTheta(ctx, csr, metaConfigFromOptions(opt))
+	if err != nil {
+		return nil, nil, 0, err
 	}
 	// Mark both entries of every retained edge. The pruning schemes emit
 	// pairs in canonical order — the exact order CanonicalMirrorCtx
@@ -218,30 +270,9 @@ func freezeDecisions(ctx context.Context, csr *graph.CSR, opt Options) ([]model.
 		}
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, 0, err
 	}
-	theta, err := nodeThresholds(ctx, csr, opt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return pairs, retained, theta, nil
-}
-
-// nodeThresholds materializes the per-node pruning thresholds theta_i
-// for the threshold-based schemes through the same prune reducers the
-// retention decision used (one extra O(E) pass over the adjacency
-// weights — small next to the graph build), parallelized over
-// Options.Workers like the pruning itself. Global and cardinality
-// schemes have no per-node threshold and yield nil.
-func nodeThresholds(ctx context.Context, csr *graph.CSR, opt Options) ([]float64, error) {
-	switch opt.Pruning {
-	case metablocking.BlastWNP:
-		return prune.BlastThresholds(ctx, csr, opt.C, opt.Workers)
-	case metablocking.WNP1, metablocking.WNP2:
-		return prune.MeanThresholds(ctx, csr, opt.Workers)
-	default:
-		return nil, nil
-	}
+	return retained, theta, 2 * int64(len(pairs)), nil
 }
 
 // NumProfiles returns the number of profiles the index covers, including
@@ -253,10 +284,10 @@ func (ix *Index) NumProfiles() int {
 }
 
 func (ix *Index) numProfilesLocked() int {
-	if ix.ov != nil {
-		return ix.ov.NumProfiles()
+	if ix.rows != nil {
+		return ix.rows.NumProfiles
 	}
-	return ix.csr.NumProfiles
+	return ix.ov.NumProfiles()
 }
 
 // NumEdges returns the number of distinct comparisons of the underlying
@@ -264,10 +295,10 @@ func (ix *Index) numProfilesLocked() int {
 func (ix *Index) NumEdges() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.ov != nil {
-		return ix.ov.NumEdges()
+	if ix.rows != nil {
+		return ix.rows.NumEdges
 	}
-	return ix.csr.NumEdges()
+	return ix.ov.NumEdges()
 }
 
 // NumRetained returns the number of comparisons the pruning retained —
@@ -275,6 +306,9 @@ func (ix *Index) NumEdges() int {
 func (ix *Index) NumRetained() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	if ix.rows != nil {
+		return ix.rows.RetainedPairs
+	}
 	return int(ix.retainedEntries / 2)
 }
 
@@ -297,7 +331,7 @@ func (ix *Index) Blocks() *blocking.Collection {
 }
 
 // BuildTime returns the wall-clock time IndexBlocks spent freezing the
-// index (graph, weighting, pruning and retention marks).
+// index (graph, weighting, pruning and row collection).
 func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // Stats returns the incremental-update counters of the index.
@@ -305,7 +339,7 @@ func (ix *Index) Stats() IndexStats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	st := ix.stats
-	if ix.ov != nil {
+	if ix.rows == nil {
 		st.OverlayEntries = ix.ov.OverlayEntries()
 		st.OverlayLoad = ix.ov.OverlayLoad()
 	}
@@ -323,6 +357,9 @@ func (ix *Index) Stats() IndexStats {
 func (ix *Index) Threshold(profile int) float64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	if ix.rows != nil {
+		return ix.rows.Threshold(profile)
+	}
 	if ix.theta == nil || profile < 0 || profile >= len(ix.theta) {
 		return 0
 	}
@@ -342,34 +379,26 @@ func (ix *Index) Candidates(profile int) []Candidate {
 // AppendCandidates appends the retained candidate comparisons of one
 // profile to buf and returns the extended slice, ordering the appended
 // portion by descending weight (ties by ascending id). Out-of-range
-// profiles append nothing. Cost is O(degree) plus the sort of the
-// retained run; no allocation occurs when buf has capacity.
+// profiles append nothing. A frozen index copies the profile's row and
+// sorts it — O(candidates); a writer filters the live adjacency run,
+// O(degree). No allocation occurs when buf has capacity.
 func (ix *Index) AppendCandidates(buf []Candidate, profile int) []Candidate {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if profile < 0 || profile >= ix.numProfilesLocked() {
+	if ix.rows != nil {
+		return ix.rows.AppendCandidates(buf, profile)
+	}
+	if profile < 0 || profile >= ix.ov.NumProfiles() {
 		return buf
 	}
 	start := len(buf)
-	if ix.ov != nil {
-		run := ix.ov.Run(int32(profile))
-		for i, v := range run.Neighbors {
-			if run.Retained[i] {
-				buf = append(buf, Candidate{ID: v, Weight: run.Weights[i]})
-			}
-		}
-	} else if lo, hi := ix.csr.Offsets[profile], ix.csr.Offsets[profile+1]; lo < hi {
-		// Through the run accessor, so a spilled index serves out of its
-		// page cache with the same loop.
-		nbr, wts := ix.csr.Run(profile)
-		for p := lo; p < hi; p++ {
-			if ix.retained[p] {
-				buf = append(buf, Candidate{ID: nbr[p-lo], Weight: wts[p-lo]})
-			}
+	run := ix.ov.Run(int32(profile))
+	for i, v := range run.Neighbors {
+		if run.Retained[i] {
+			buf = append(buf, Candidate{ID: v, Weight: run.Weights[i]})
 		}
 	}
-	// shard.CompareCandidates is the one canonical serving order; using
-	// it here keeps Index and Snapshot lookups byte-identical.
+	// shard.CompareCandidates is the one canonical serving order.
 	slices.SortFunc(buf[start:], shard.CompareCandidates)
 	return buf
 }
@@ -378,33 +407,24 @@ func (ix *Index) AppendCandidates(buf []Candidate, profile int) []Candidate {
 // comparison in canonical order, byte-identical to the Pairs of the
 // staged pipeline and of legacy Run under the same options (and, after
 // inserts, to a cold IndexBlocks over the live collection). The slice is
-// freshly allocated and owned by the caller. After inserts the pair list
-// is rematerialized lazily on the first call.
+// freshly allocated and owned by the caller: one canonical walk of the
+// frozen rows, or of a writer's live adjacency.
 func (ix *Index) Pairs() []model.IDPair {
 	ix.mu.RLock()
-	if ix.pairsValid {
-		out := append([]model.IDPair(nil), ix.pairs...)
-		ix.mu.RUnlock()
-		return out
+	defer ix.mu.RUnlock()
+	// The walks only fail on cancellation, which Background never does.
+	ctx := context.Background()
+	if ix.rows != nil {
+		pairs, _ := ix.rows.AppendOwnedPairs(ctx, make([]model.IDPair, 0, ix.rows.RetainedPairs), ix.rows.Owns)
+		return pairs
 	}
-	ix.mu.RUnlock()
-
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if !ix.pairsValid {
-		pairs := make([]model.IDPair, 0, ix.retainedEntries/2)
-		// The overlay exists whenever pairs are invalidated; iterate the
-		// live adjacency in canonical order, the exact order every
-		// streaming pruning scheme emits.
-		_ = ix.ov.ForEachCanonical(context.Background(), func(u, v int32, _ float64, retained bool) {
-			if retained {
-				pairs = append(pairs, model.IDPair{U: u, V: v})
-			}
-		})
-		ix.pairs = pairs
-		ix.pairsValid = true
-	}
-	return append([]model.IDPair(nil), ix.pairs...)
+	pairs := make([]model.IDPair, 0, ix.retainedEntries/2)
+	_ = ix.ov.ForEachCanonical(ctx, func(u, v int32, _ float64, retained bool) {
+		if retained {
+			pairs = append(pairs, model.IDPair{U: u, V: v})
+		}
+	})
+	return pairs
 }
 
 // Insert adds one profile to the index and returns its assigned global
@@ -412,7 +432,10 @@ func (ix *Index) Pairs() []model.IDPair {
 // unknown to the schema are not indexed), appended to the live block
 // collection, and folded into the weighted, pruned blocking graph
 // incrementally; afterwards the index is byte-identical to a cold
-// IndexBlocks over the live collection. For clean-clean indexes the
+// IndexBlocks over the live collection. The first Insert into a frozen
+// index pays for that graph once: it is rebuilt, weighted and pruned
+// from the collection, and stays resident (33 bytes an adjacency entry)
+// from then on. For clean-clean indexes the
 // profile joins E2 — streaming new entities against a fixed reference
 // collection; dirty indexes have a single source. The caller's original
 // Dataset and Blocks artifacts are never mutated (the first Insert
@@ -452,9 +475,10 @@ func (ix *Index) InsertAll(ctx context.Context, profiles []model.Profile) ([]int
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := ix.ensureMutableLocked(); err != nil {
-		// The index is unchanged: nothing was admitted.
-		return nil, partialInsertError(0, len(profiles), err)
+	if err := ix.ensureMutableLocked(ctx); err != nil {
+		// Cancelled while re-deriving the writer: the index is unchanged,
+		// nothing was admitted.
+		return nil, err
 	}
 
 	// Validate-then-apply: all per-profile input processing (transform,
@@ -526,106 +550,36 @@ func (ix *Index) Compact(ctx context.Context) error {
 }
 
 // ensureMutableLocked prepares the index for its first insert: the
-// collection is cloned (the Blocks artifact stays frozen), an appender
-// is indexed over the clone, the per-entry co-occurrence statistics —
-// released after the cold build so query-only indexes stay at their
-// serving footprint — are re-derived with one graph pass, and the CSR
-// is wrapped in a copy-on-write overlay that takes ownership of the
-// retention mask. A non-nil error means the index was left unchanged
-// (it can only arise from reading a spilled graph's weights back).
-func (ix *Index) ensureMutableLocked() error {
-	if ix.ov != nil {
+// collection is cloned (the Blocks artifact stays frozen), a frozen
+// index re-derives the writer's form over the clone — structurally and
+// bit for bit the graph its rows were pruned from, the builders being
+// deterministic — and an appender is indexed over it. A non-nil error
+// (cancellation) means the index was left unchanged.
+func (ix *Index) ensureMutableLocked(ctx context.Context) error {
+	if ix.app != nil {
 		return nil
 	}
-	collection := ix.collection.Clone()
-	if err := ix.ensureResidentLocked(); err != nil {
-		return err
-	}
-	ix.collection = collection
-	ix.app = blocking.NewAppender(ix.collection)
-	if (ix.csr.Common == nil && ix.csr.NumEntries() > 0) || ix.csr.BlockCounts == nil {
-		// The rebuild is structurally byte-identical to the frozen CSR
-		// (same collection, deterministic builder), so the computed
-		// weights carry over entry for entry. It also restores the
-		// per-node block counts a query-only index released.
-		rebuilt, err := graph.BuildCSRParallelCtx(context.Background(), ix.collection, ix.opt.Workers)
-		if err != nil {
-			panic(err) // background context never cancels
+	c := ix.collection.Clone()
+	if ix.rows != nil {
+		if err := ix.thaw(ctx, c); err != nil {
+			return err
 		}
-		rebuilt.Weights = ix.csr.Weights
-		ix.csr = rebuilt
 	}
-	ix.ov = graph.NewOverlay(ix.csr, ix.retained)
+	ix.collection = c
+	ix.app = blocking.NewAppender(c)
 	return nil
 }
 
-// ensureResidentLocked replaces a spilled CSR with a resident rebuild:
-// the adjacency and statistics are rebuilt from the live collection
-// (structurally byte-identical, the same determinism the mutable
-// rebuild above relies on), the frozen weights are read back from the
-// spill's weight segments, and the segment files are deleted. Mutation
-// and snapshot export — everything beyond pure candidate serving —
-// funnel through here: the overlay and the exported snapshot index
-// resident arrays directly. No-op on a resident index.
-func (ix *Index) ensureResidentLocked() error {
-	old := ix.csr
-	if !old.Spilled() {
-		return nil
-	}
-	weights, err := old.MaterializeWeights()
-	if err != nil {
-		return err
-	}
-	rebuilt, err := graph.BuildCSRParallelCtx(context.Background(), ix.collection, ix.opt.Workers)
-	if err != nil {
-		panic(err) // background context never cancels
-	}
-	rebuilt.Weights = weights
-	ix.csr = rebuilt
-	return old.Close()
-}
-
-// ensureResident is the locked wrapper over ensureResidentLocked, for
-// callers that need a resident index before cloning it (the durable
-// replicated recovery clones the master per shard before any snapshot
-// export would materialize it).
-func (ix *Index) ensureResident() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.ensureResidentLocked()
-}
-
-// Spilled reports whether the index currently serves its adjacency from
-// spilled segment files (Options.Storage = StorageFile and the build
-// exceeded MemoryBudget). A spilled index materializes transparently on
-// the first Insert or snapshot export.
-func (ix *Index) Spilled() bool {
+// StorageStats reports what the build that froze the index did with its
+// graph storage: the bytes of spill segment data it had on disk when
+// the rows were collected, and the segment frames it read back. Both
+// are zero for a build that stayed resident (Options.Storage =
+// StorageMemory, or a graph under MemoryBudget) and for an index built
+// as a writer.
+func (ix *Index) StorageStats() (spillBytes, pageLoads int64) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.csr.Spilled()
-}
-
-// StorageStats reports the residency counters of the index's graph
-// storage: bytes of spill segment data on disk, the page-cache
-// statistics accumulated by candidate serving (the build's sequential
-// passes read through private page cursors and never touch the cache),
-// and the segment frames read back so far by any path. All are zero for
-// a resident index (including a spilled one already materialized by an
-// Insert or a snapshot export).
-func (ix *Index) StorageStats() (spillBytes int64, cache store.CacheStats, pageLoads int64) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.csr.SpillBytes(), ix.csr.CacheStats(), ix.csr.PageLoads()
-}
-
-// Close releases the index's spilled segment files, if any. A resident
-// index needs no Close (it is a no-op there); a spilled one leaks its
-// spill directory until Close, Insert or a snapshot export reclaims it.
-// The index must not be used after Close.
-func (ix *Index) Close() error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.csr.Close()
+	return ix.spillBytes, ix.pageLoads
 }
 
 // insertState accumulates, across one InsertAll batch, everything the
@@ -812,7 +766,6 @@ func (ix *Index) finalizeLocked(st *insertState) error {
 	if len(st.newIDs) == 0 {
 		return nil
 	}
-	ix.pairs, ix.pairsValid = nil, false
 
 	// Fix co-occurrence accumulators first: under an ARCS-consuming
 	// scheme every pair inside a grown block carries a changed 1/||b||
@@ -1034,9 +987,9 @@ func (ix *Index) keepEdge(w, thU, thV float64) bool {
 // rebuildDecisionsLocked is the global fallback: compact the spliced
 // adjacency into a flat CSR, reapply the weighting scheme to every edge
 // from the retained co-occurrence statistics, and re-derive pruning,
-// retention marks and thresholds through the same code path a cold
-// IndexBlocks uses. This skips only — but exactly — the dominant cost of
-// a cold build: re-scanning the block collection into a graph.
+// retention marks and thresholds through the same code path a writer's
+// build uses. This skips only — but exactly — the dominant cost of a
+// cold build: re-scanning the block collection into a graph.
 func (ix *Index) rebuildDecisionsLocked() error {
 	// Background context: the update is committed structurally, so it
 	// must run to completion (see InsertAll's cancellation contract).
@@ -1050,22 +1003,11 @@ func (ix *Index) rebuildDecisionsLocked() error {
 	if err := ix.opt.Scheme.ApplyCSRCtx(ctx, csr, ix.opt.Workers); err != nil {
 		return err // background context never cancels
 	}
-	pairs, retained, theta, err := freezeDecisions(ctx, csr, ix.opt)
-	if err != nil {
-		return err
-	}
-	ix.csr = csr
-	ix.retained = retained
-	ix.theta = theta
-	ix.pairs = pairs
-	ix.pairsValid = true
-	ix.retainedEntries = 2 * int64(len(pairs))
-	ix.ov = graph.NewOverlay(csr, retained)
-	return nil
+	return ix.adoptDecisions(ctx, csr)
 }
 
 // cloneForServing returns an independent writable replica of a freshly
-// built (never-inserted) index, for the sharded server's
+// built (never-inserted) writer, for the sharded server's
 // one-replica-per-shard layout. The replica shares everything that is
 // immutable from here on — the block collection (cloned lazily by the
 // replica's own first Insert), the schema, and the CSR's structural and
@@ -1076,44 +1018,36 @@ func (ix *Index) rebuildDecisionsLocked() error {
 func (ix *Index) cloneForServing() *Index {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if ix.ov != nil {
-		panic("blast: cloneForServing on an index that has absorbed inserts")
+	if ix.rows != nil || ix.app != nil {
+		panic("blast: cloneForServing needs a writer that has absorbed no inserts")
 	}
-	if ix.csr.Spilled() {
-		// Replicas share the master's arrays; a spilled master has none
-		// to share. The server materializes before cloning.
-		panic("blast: cloneForServing on a spilled index")
-	}
-	csr := *ix.csr
-	csr.Weights = slices.Clone(ix.csr.Weights)
+	csr := *ix.ov.Base()
+	csr.Weights = slices.Clone(csr.Weights)
+	retained := slices.Clone(ix.retained)
 	return &Index{
 		kind:            ix.kind,
 		collection:      ix.collection,
 		schema:          ix.schema,
 		opt:             ix.opt,
-		csr:             &csr,
-		retained:        slices.Clone(ix.retained),
-		theta:           slices.Clone(ix.theta),
-		pairs:           ix.pairs, // replaced, never mutated in place
-		pairsValid:      ix.pairsValid,
-		retainedEntries: ix.retainedEntries,
 		buildTime:       ix.buildTime,
+		retained:        retained,
+		theta:           slices.Clone(ix.theta),
+		retainedEntries: ix.retainedEntries,
+		ov:              graph.NewOverlay(&csr, retained),
 	}
 }
 
-// restoreIndex reconstructs a writable serving replica from a persisted
-// snapshot plus the admitted insert batches the snapshot covers — the
-// inverse of exportSnapshot, and the core of crash recovery. The
-// expensive decision state (weights, retention, thresholds) comes from
-// the snapshot; only the cheap structural state is recomputed: the
-// batches are re-tokenized and re-appended to a clone of the seed
-// collection (so the appender's block indexes and pending keys match a
-// never-crashed replica exactly) and the CSR is rebuilt from that
-// collection. The rebuild is structurally byte-identical to the CSR the
-// snapshot was compacted from — the same determinism ensureMutableLocked
-// already relies on — which is verified entry for entry before the
-// snapshot's decision arrays are adopted; any drift (a foreign snapshot,
-// a schema change, undetected corruption) fails closed.
+// restoreIndex reconstructs a writable serving replica at the position
+// of a persisted snapshot — the inverse of exportSnapshot, and the core
+// of replicated crash recovery. A snapshot holds the retained rows, not
+// the graph a writer needs, so the replica is re-derived: the admitted
+// insert batches the snapshot covers are re-tokenized and re-appended to
+// a clone of the seed collection (so the appender's block indexes and
+// pending keys match a never-crashed replica exactly), and the writer's
+// form is built over that collection. The snapshot is the check: it is
+// adopted as the replica's position only if the re-derived rows compare
+// equal to it entry for entry, bit for bit; any drift (a foreign
+// snapshot, a schema change, undetected corruption) fails closed.
 func (p *Pipeline) restoreIndex(ctx context.Context, blocks *Blocks, snap *shard.Snapshot, prefix [][]model.Profile) (*Index, error) {
 	if blocks == nil || blocks.Collection == nil {
 		return nil, errors.New("blast: restoreIndex requires a non-nil Blocks artifact")
@@ -1133,59 +1067,86 @@ func (p *Pipeline) restoreIndex(ctx context.Context, blocks *Blocks, snap *shard
 			ix.stats.Inserts++
 		}
 	}
-	csr, err := graph.BuildCSRParallelCtx(ctx, c, p.opt.Workers)
+	if err := ix.thaw(ctx, c); err != nil {
+		return nil, err
+	}
+	rows, err := ix.rowsLocked(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if csr.NumProfiles != snap.NumProfiles ||
-		!slices.Equal(csr.Offsets, snap.Offsets) ||
-		!slices.Equal(csr.Neighbors, snap.Neighbors) {
-		return nil, errors.New("blast: snapshot does not match the adjacency rebuilt from its collection and batches")
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if rows.NumProfiles != snap.NumProfiles || rows.NumEdges != snap.NumEdges ||
+		!slices.Equal(rows.Offsets, snap.Offsets) ||
+		!slices.Equal(rows.Neighbors, snap.Neighbors) ||
+		!slices.EqualFunc(rows.Weights, snap.Weights, sameBits) ||
+		!slices.EqualFunc(rows.Theta, snap.Theta, sameBits) {
+		return nil, errors.New("blast: snapshot does not match the rows re-derived from its collection and batches")
 	}
-	csr.Weights = slices.Clone(snap.Weights)
-	ix.csr = csr
-	ix.retained = slices.Clone(snap.Retained)
-	ix.theta = slices.Clone(snap.Theta)
-	ix.retainedEntries = 2 * int64(snap.RetainedPairs)
-	ix.ov = graph.NewOverlay(csr, ix.retained)
 	ix.buildTime = time.Since(t0)
 	return ix, nil
 }
 
-// exportSnapshot compacts any pending overlay state and publishes an
-// immutable serving view of the index — the snapshot a shard swaps in.
-// The structural arrays (Offsets, Neighbors) are shared with the now
-// flat base CSR: later inserts only ever write base arrays through the
-// overlay's write-through on Weights and the retention mask, both of
-// which are copied here, and every compaction installs fresh arrays
-// rather than mutating the old ones. On cancellation the index is left
-// unchanged (a completed fold is kept; it is observationally neutral).
+// exportSnapshot publishes an immutable serving view of the index — the
+// snapshot a shard swaps in. A frozen index is one already. A writer
+// compacts any pending overlay state (for a serving replica, publishing
+// and folding the overlay are one event) and filters its live adjacency
+// down to the retained rows; the snapshot shares nothing with it. On
+// cancellation the index is left unchanged (a completed fold is kept; it
+// is observationally neutral).
 func (ix *Index) exportSnapshot(ctx context.Context) (*shard.Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	// A snapshot shares the structural arrays with the base CSR; a
-	// spilled index materializes them (and its weights) first.
-	if err := ix.ensureResidentLocked(); err != nil {
-		return nil, err
+	if ix.rows != nil {
+		snap := *ix.rows
+		return &snap, nil
 	}
 	// Edge-less inserted profiles leave the overlay empty while still
 	// growing the profile count, so staleness is judged on both.
-	if ix.ov != nil && (ix.ov.OverlayEntries() > 0 || ix.ov.NumProfiles() != ix.csr.NumProfiles) {
+	if ix.ov.OverlayEntries() > 0 || ix.ov.NumProfiles() != ix.ov.Base().NumProfiles {
 		if err := ix.compactLocked(ctx); err != nil {
 			return nil, err
 		}
 	}
+	return ix.rowsLocked(ctx)
+}
+
+// rowsPollEntries bounds the entries rowsLocked scans between
+// cancellation polls.
+const rowsPollEntries = 8192
+
+// rowsLocked filters a writer's live adjacency down to the rows of its
+// retained entries: the frozen form of its current state.
+func (ix *Index) rowsLocked(ctx context.Context) (*shard.Snapshot, error) {
+	np := ix.ov.NumProfiles()
+	offsets := make([]int64, np+1)
+	neighbors := make([]int32, 0, ix.retainedEntries)
+	weights := make([]float64, 0, ix.retainedEntries)
+	for u := 0; u < np; u++ {
+		run := ix.ov.Run(int32(u))
+		for i := 0; i < len(run.Neighbors); {
+			stop := min(len(run.Neighbors), i+rowsPollEntries)
+			for ; i < stop; i++ {
+				if run.Retained[i] {
+					neighbors = append(neighbors, run.Neighbors[i])
+					weights = append(weights, run.Weights[i])
+				}
+			}
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		offsets[u+1] = int64(len(neighbors))
+	}
 	return &shard.Snapshot{
-		NumProfiles:   ix.csr.NumProfiles,
-		NumEdges:      ix.csr.NumEdges(),
+		NumProfiles:   np,
+		NumEdges:      ix.ov.NumEdges(),
 		RetainedPairs: int(ix.retainedEntries / 2),
-		Offsets:       ix.csr.Offsets,
-		Neighbors:     ix.csr.Neighbors,
-		Weights:       slices.Clone(ix.csr.Weights),
-		Retained:      slices.Clone(ix.retained),
+		Offsets:       offsets,
+		Neighbors:     neighbors,
+		Weights:       weights,
 		Theta:         slices.Clone(ix.theta),
 	}, nil
 }
@@ -1198,7 +1159,6 @@ func (ix *Index) compactLocked(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	ix.csr = csr
 	ix.retained = retained
 	ix.ov = graph.NewOverlay(csr, retained)
 	ix.stats.Compactions++

@@ -103,10 +103,10 @@ func (g *CSR) Degrees() []int32 {
 // the entry arrays. The slices alias the graph's backing store — a
 // resident sub-slice or a cached page — and must not be mutated or
 // retained across other graph operations. Run is the random-access
-// read (a serving lookup of one row): on a spilled graph it goes
-// through the shared page cache. Passes that sweep runs in order read
-// through a cursor of their own instead (Reader), which serves the
-// identical bytes without the cache.
+// read of one row: on a spilled graph it goes through the shared page
+// cache. Passes that sweep runs in order — everything the product does
+// with a spilled graph — read through a cursor of their own instead
+// (Reader), which serves the identical bytes without the cache.
 func (g *CSR) Run(u int) (nbr []int32, wts []float64) {
 	lo, hi := g.Offsets[u], g.Offsets[u+1]
 	if g.pages != nil {
@@ -130,14 +130,6 @@ func (g *CSR) ReleaseStats() {
 		g.pages.releaseStats()
 	}
 }
-
-// ReleaseBlockCounts drops the per-profile block counts. They are
-// weighting/budget inputs only — every serving read (Candidates,
-// Pairs, thresholds) works without them — so a frozen query-only index
-// releases them after its decisions are final; like the released
-// co-occurrence stats, the first mutation re-derives them with a graph
-// rebuild.
-func (g *CSR) ReleaseBlockCounts() { g.BlockCounts = nil }
 
 // csrCancelCheckEvery is the granularity at which the CSR builders and
 // ctx-aware iterators poll for cancellation: every so many nodes on the

@@ -503,7 +503,7 @@ func TestWeighEntriesCancellation(t *testing.T) {
 			if err := tc.g.Err(); err != nil {
 				t.Fatalf("%s: cancellation at poll %d stuck on the graph: %v", tc.name, after, err)
 			}
-			got, err := tc.g.MaterializeWeights()
+			got, err := readWeights(tc.g)
 			if err != nil {
 				t.Fatal(err)
 			}

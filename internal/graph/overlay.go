@@ -103,8 +103,8 @@ type Overlay struct {
 func NewOverlay(base *CSR, retained []bool) *Overlay {
 	if base.Spilled() {
 		// The overlay's splice/write-through paths index the resident
-		// arrays directly; a spilled base must be materialized first
-		// (the index's mutation path does exactly that).
+		// arrays directly (an index builds its writer's graph resident
+		// whatever its storage option says).
 		panic("graph: NewOverlay over a spilled CSR")
 	}
 	return &Overlay{

@@ -14,15 +14,17 @@ package graph
 //
 //   - Sequential readers — the pruning passes (ascending node sweeps
 //     over contiguous node ranges), the canonical sweeps, the weighting
-//     kernel, MaterializeWeights — each hold a private cursor
+//     kernel — each hold a private cursor
 //     (RunReader, weighBufs): one reusable decoded page per stream read
 //     plus one read buffer, so crossing a page boundary costs one frame
 //     load and one decode and nothing else. A pass holds workers x one
 //     page per stream, for as long as it runs.
-//   - Random row reads (CSR.Run, a spilled index's candidate lookups)
-//     go through the bounded LRU cache, which decodes a whole page per
-//     miss and serializes loads: fine for the occasional row, and what
-//     the sequential passes used to pay per page.
+//   - Random row reads (CSR.Run) go through the bounded LRU cache,
+//     which decodes a whole page per miss and serializes loads: fine
+//     for the occasional row, and what the sequential passes used to
+//     pay per page. No product path reads this way any more — an index
+//     serves from resident rows frozen out of the graph — and the cache
+//     goes with the benchmark probe that still times it.
 //
 // Both go through loadPage, so every page handed out was CRC-checked on
 // that load. Read failures are sticky: a page that fails validation (a
@@ -437,7 +439,7 @@ func (g *CSR) CacheStats() store.CacheStats {
 
 // PageLoads returns how many segment frames a spilled graph has read
 // back so far, by any path — cursors, cache misses, the weighting
-// kernel, MaterializeWeights (0 for resident graphs).
+// kernel (0 for resident graphs).
 func (g *CSR) PageLoads() int64 {
 	if g.pages == nil {
 		return 0
@@ -461,31 +463,6 @@ func (g *CSR) SpillBytes() int64 {
 		}
 	}
 	return total
-}
-
-// MaterializeWeights returns the full per-entry weight array, reading
-// every weights page of a spilled graph (for resident graphs it is
-// simply Weights). It is the bridge back to residency: the first
-// mutation of a spilled index rebuilds a resident CSR and carries the
-// weights over through this call.
-func (g *CSR) MaterializeWeights() ([]float64, error) {
-	pg := g.pages
-	if pg == nil {
-		return g.Weights, nil
-	}
-	if pg.arenas[streamWts] == nil {
-		return nil, errors.New("graph: spilled CSR has no weights stream")
-	}
-	out := make([]float64, g.NumEntries())
-	var raw []byte
-	for p := 0; p < pg.pages(); p++ {
-		// Each page decodes straight into its slot of the output.
-		var err error
-		if _, raw, err = loadPage(pg, streamWts, p, out[pg.startEntry[p]:pg.startEntry[p]:pg.startEntry[p+1]], raw); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // weighBufs is one weighting worker's page of every stream it reads,

@@ -191,28 +191,58 @@ func (r *Result) PairSet() map[uint64]struct{} {
 
 // PruneCSR dispatches the configured pruning over a weighted CSR graph,
 // emitting the retained pairs directly in canonical order. It is
-// exported for consumers (the candidate-serving index) that weight a CSR
-// themselves and only need the retention decision. Cfg.Workers selects
-// the pruning parallelism (0 = GOMAXPROCS, 1 = serial); the retained
-// pairs are byte-identical at every worker count. Cancellation is
-// observed at the edge-segment granularity of the streaming schemes.
+// exported for consumers that weight a CSR themselves and only need the
+// retention decision. Cfg.Workers selects the pruning parallelism (0 =
+// GOMAXPROCS, 1 = serial); the retained pairs are byte-identical at
+// every worker count. Cancellation is observed at the edge-segment
+// granularity of the streaming schemes.
 func PruneCSR(ctx context.Context, g *graph.CSR, cfg Config) ([]model.IDPair, error) {
+	pairs, _, err := PruneCSRTheta(ctx, g, cfg)
+	return pairs, err
+}
+
+// PruneCSRTheta is PruneCSR that also hands on the per-node thresholds
+// the scheme decided by (nil for the schemes without any), so a caller
+// that serves them need not reduce them a second time.
+func PruneCSRTheta(ctx context.Context, g *graph.CSR, cfg Config) ([]model.IDPair, []float64, error) {
+	var s prune.Sink
+	if err := cfg.pruneInto(ctx, g, &s); err != nil {
+		return nil, nil, err
+	}
+	return s.Pairs(), s.Theta, nil
+}
+
+// FreezeCSR is PruneCSR for the candidate-serving index: the same pass
+// — it runs nothing PruneCSR does not — whose retention loop also keeps
+// each retained edge's weight, scattered into the rows an index serves
+// from together with the thresholds the pass reduced. The canonical
+// walk of the rows is PruneCSR's pair list.
+func FreezeCSR(ctx context.Context, g *graph.CSR, cfg Config) (*prune.Rows, error) {
+	s := prune.Sink{Weights: true}
+	if err := cfg.pruneInto(ctx, g, &s); err != nil {
+		return nil, err
+	}
+	return s.Rows(ctx, g.NumProfiles)
+}
+
+// pruneInto runs the configured streaming scheme into a sink.
+func (cfg Config) pruneInto(ctx context.Context, g *graph.CSR, s *prune.Sink) error {
 	workers := cfg.Workers
 	switch cfg.Pruning {
 	case WEP:
-		return prune.WEPStream(ctx, g, workers)
+		return s.WEP(ctx, g, workers)
 	case CEP:
-		return prune.CEPStream(ctx, g, cfg.K, workers)
+		return s.CEP(ctx, g, cfg.K, workers)
 	case WNP1:
-		return prune.WNPStream(ctx, g, prune.Redefined, workers)
+		return s.WNP(ctx, g, prune.Redefined, workers)
 	case WNP2:
-		return prune.WNPStream(ctx, g, prune.Reciprocal, workers)
+		return s.WNP(ctx, g, prune.Reciprocal, workers)
 	case CNP1:
-		return prune.CNPStream(ctx, g, cfg.K, prune.Redefined, workers)
+		return s.CNP(ctx, g, cfg.K, prune.Redefined, workers)
 	case CNP2:
-		return prune.CNPStream(ctx, g, cfg.K, prune.Reciprocal, workers)
+		return s.CNP(ctx, g, cfg.K, prune.Reciprocal, workers)
 	case BlastWNP:
-		return prune.BlastWNPStream(ctx, g, cfg.C, cfg.D, workers)
+		return s.BlastWNP(ctx, g, cfg.C, cfg.D, workers)
 	default:
 		panic(fmt.Sprintf("metablocking: unknown pruning %d", int(cfg.Pruning)))
 	}

@@ -215,26 +215,66 @@ func forChunkCanonical(g *graph.CSR, w *pruneWorker, chunk int, fn func(u, v int
 	return nil
 }
 
-// emitChunked runs a chunked retention pass: keep decides each positive-
-// weight canonical edge, per-chunk buffers collect the retained pairs,
-// and the buffers are stitched in chunk order (= canonical order).
-func emitChunked(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, wt float64) bool) ([]model.IDPair, error) {
-	nch := numChunks(g.NumProfiles)
-	bufs := make([][]model.IDPair, nch)
-	err := runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
-		var out []model.IDPair
+// Sink receives what a streaming scheme retains. Every scheme is a
+// method on it: the reduce passes run as they always did, and the
+// retention pass leaves the retained canonical pairs here, per chunk in
+// canonical order, together with the per-node thresholds the scheme
+// reduced on the way (Theta). With Weights set the pass also keeps each
+// retained edge's weight — it has it in hand — which is all Rows needs
+// to freeze the outcome without another pass over the graph; without,
+// a pass pays for the pairs alone. A Sink takes one pass.
+type Sink struct {
+	// Weights asks the retention pass to record each retained edge's
+	// weight beside its pair. Set before the pass.
+	Weights bool
+	// Theta is the per-node threshold vector of the schemes that have
+	// one (WNP, BlastWNP) — the very values retention was decided by —
+	// and nil for the others.
+	Theta []float64
+
+	chunks []kept
+}
+
+// kept is one chunk's retained edges, in canonical order. A retention
+// pass fills a local one and files it when the chunk is done, so
+// workers on neighboring chunks never write to one cache line.
+type kept struct {
+	pairs []model.IDPair
+	wts   []float64
+}
+
+func (k *kept) add(u, v int32, wt float64, weights bool) {
+	k.pairs = append(k.pairs, model.IDPair{U: u, V: v})
+	if weights {
+		k.wts = append(k.wts, wt)
+	}
+}
+
+// emit runs the chunked retention pass: keep decides each positive-
+// weight canonical edge, and the retained ones land in the sink's
+// per-chunk buffers, whose chunk order is canonical order.
+func (s *Sink) emit(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, wt float64) bool) error {
+	s.chunks = make([]kept, numChunks(g.NumProfiles))
+	weights := s.Weights
+	return runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
+		var out kept
 		err := forChunkCanonical(g, w, chunk, func(u, v int32, wt float64) {
 			if wt > 0 && keep(u, v, wt) {
-				out = append(out, model.IDPair{U: u, V: v})
+				out.add(u, v, wt, weights)
 			}
 		})
-		bufs[chunk] = out
+		s.chunks[chunk] = out
 		return err
 	})
-	if err != nil {
-		return nil, err
+}
+
+// Pairs returns the retained pairs in canonical order.
+func (s *Sink) Pairs() []model.IDPair {
+	bufs := make([][]model.IDPair, len(s.chunks))
+	for i := range s.chunks {
+		bufs[i] = s.chunks[i].pairs
 	}
-	return stitchPairs(bufs), nil
+	return stitchPairs(bufs)
 }
 
 // stitchPairs concatenates per-chunk pair buffers in chunk order into an

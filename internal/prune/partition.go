@@ -6,7 +6,7 @@
 // resolved by exchanging the compact per-row aggregates below in
 // deterministic shard order and refolding them with the exact reduction
 // shapes of the whole-graph schemes, so the union of every shard's
-// retention marks is byte-identical to the single-graph streaming
+// retained rows is byte-identical to the single-graph streaming
 // scheme:
 //
 //   - WEP:  per-row weight sums + counts (RowWeightSums), refolded row-
@@ -24,10 +24,10 @@
 //   - CNP:  per-node selection cuts are row-local for the same reason,
 //     so shards exchange their owned rows of the (cut, tie) vectors
 //     (TopKCuts) and mark against the merged ones with InTopK — the
-//     very test CNPStream retains by.
+//     very test Sink.CNP retains by.
 //
-// The final retention mask is produced by MarkOwned: every entry of an
-// owned row — both orientations, so a row's served candidates are
+// The retained rows are produced by CollectOwned (rows.go): every entry
+// of an owned row — both orientations, so a row's served candidates are
 // complete — is decided by a keep predicate closed over the globally
 // merged aggregates. Because each row's run is its node's full
 // adjacency, each owner can decide every entry it holds locally once
@@ -95,7 +95,7 @@ func FoldRowSums(sums []float64, counts []int64) (total float64, edges int64) {
 
 // RowTieCounts computes, per row, how many of the row's canonical
 // entries carry exactly the cut weight — the per-row decomposition of
-// CEPStream's per-chunk tie counts. Prefix sums over the merged whole-
+// Sink.CEP's per-chunk tie counts. Prefix sums over the merged whole-
 // graph vector assign every tie its global canonical ordinal.
 func RowTieCounts(ctx context.Context, g *graph.CSR, workers int, cut float64) ([]int64, error) {
 	ties := make([]int64, g.NumProfiles)
@@ -117,10 +117,10 @@ func RowTieCounts(ctx context.Context, g *graph.CSR, workers int, cut float64) (
 // in global canonical tie order. The order is resolved through tieBase
 // — per row, the ordinal of the row's first tie among all the graph's
 // ties (the prefix sum of the merged RowTieCounts) — so on the whole
-// graph this reproduces CEPStream's partial tie pass exactly: a chunk's
+// graph this reproduces Sink.CEP's partial tie pass exactly: a chunk's
 // starting ordinal is its first row's. Ties are collected regardless of
 // weight sign (ordinals count every tying entry, exactly as the stream
-// does; the positive-weight gate lives in the retention mark pass), and
+// does; the positive-weight gate lives in the retention pass), and
 // the per-shard slices are disjoint and canonically sorted, so merging
 // them in any order yields THE global taken-tie set. Callers with
 // rem >= ties or rem <= 0 need no tie set at all — the cut alone
@@ -150,55 +150,4 @@ func CEPTakenTies(ctx context.Context, g *graph.CSR, workers int, cut float64, r
 		return nil, err
 	}
 	return stitchPairs(bufs), nil
-}
-
-// MarkOwned runs the retention mark pass over every entry of the
-// graph's populated rows: each positive-weight entry (u, v) — u the row,
-// v the neighbor, in BOTH orientations of every edge the row holds — is
-// decided by keep, and marks counts the entries marked. Over an
-// owned-rows CSR the populated rows are exactly the owned ones, and
-// since each shard's rows are disjoint, summing the per-shard marks
-// counts every retained edge exactly twice (once per endpoint, whoever
-// owns it): the global RetainedPairs is the exchanged sum over two.
-// keep must be a pure function of its arguments and globally merged
-// state, so both owners of an edge decide it identically.
-func MarkOwned(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, w float64) bool) (retained []bool, marks int64, err error) {
-	retained = make([]bool, g.NumEntries())
-	nch := numChunks(g.NumProfiles)
-	perChunk := make([]int64, nch)
-	err = runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
-		lo, hi := chunkBounds(chunk, g.NumProfiles)
-		n := int64(0)
-		for u := lo; u < hi; u++ {
-			base, end := g.Offsets[u], g.Offsets[u+1]
-			if base == end {
-				continue
-			}
-			nbr, wts := w.runs.Run(u)
-			for p := base; p < end; {
-				seg := end - p
-				if seg > streamCancelCheckEdges {
-					seg = streamCancelCheckEdges
-				}
-				for stop := p + seg; p < stop; p++ {
-					if wt := wts[p-base]; wt > 0 && keep(int32(u), nbr[p-base], wt) {
-						retained[p] = true
-						n++
-					}
-				}
-				if err := w.tick(int(seg)); err != nil {
-					return err
-				}
-			}
-		}
-		perChunk[chunk] = n
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, n := range perChunk {
-		marks += n
-	}
-	return retained, marks, nil
 }

@@ -1,6 +1,6 @@
 // Histogram-cut selection for CEP: find the k-th largest edge weight
 // (the cut) and the count of edges strictly above it without ever
-// materializing the O(|E|) weight array the old CEPStream sorted.
+// materializing the O(|E|) weight array a sort-based CEP would hold.
 //
 // Weights are mapped onto order-preserving 64-bit keys and the cut key
 // is located by MSB-first 16-bit histogram passes: a pass counts the
@@ -223,9 +223,9 @@ func (cs *CutScan) Cut() (cut float64, greater, ties int) {
 
 // selectCut returns the k-th largest canonical edge weight of the graph
 // (callers guarantee 1 <= k <= NumEdges), the number of edges whose
-// weight is strictly greater — exactly the cut and `greater` the
-// sort-based CEPStream derived from its flat weight array — and the
-// total number of edges tying exactly at the cut (the final cut
+// weight is strictly greater — exactly the cut and `greater` a
+// sort-based CEP derives from its flat weight array — and the total
+// number of edges tying exactly at the cut (the final cut
 // bucket's population, free from the selection's own bookkeeping; the
 // caller uses it to skip tie-ordinal accounting when every tie or no
 // tie fits the budget).

@@ -1,8 +1,9 @@
 // Streaming (node-centric) implementations of the pruning schemes over
-// the CSR blocking graph: they consume graph.CSR — no edge list exists —
-// and emit the retained pairs directly, in canonical (u, v) order. For
-// every scheme the retained pairs are identical to those of its
-// sort-based counterpart in the test-only reference (internal/edgelist).
+// the CSR blocking graph, one method of Sink each: they consume
+// graph.CSR — no edge list exists — and emit the retained pairs
+// directly into the sink, in canonical (u, v) order. For every scheme
+// the retained pairs are identical to those of its sort-based
+// counterpart in the test-only reference (internal/edgelist).
 //
 // Every streaming scheme runs its passes — per-node thresholds, top-k
 // selection cuts, histogram counting, retention emission — over the
@@ -34,36 +35,35 @@ import (
 	"math"
 
 	"blast/internal/graph"
-	"blast/internal/model"
 )
 
-// WEPStream is WEP over the CSR graph: discard every edge whose weight
-// is below the mean edge weight. The mean's numerator is the chunked
+// WEP is WEP over the CSR graph: discard every edge whose weight is
+// below the mean edge weight. The mean's numerator is the chunked
 // canonical weight sum (combined in chunk order; see chunkPartialSums).
-func WEPStream(ctx context.Context, g *graph.CSR, workers int) ([]model.IDPair, error) {
+func (s *Sink) WEP(ctx context.Context, g *graph.CSR, workers int) error {
 	if g.NumEdges() == 0 {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	sums, counts, err := chunkPartialSums(ctx, g, workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	theta := combinePartials(sums, counts) / float64(g.NumEdges())
-	return emitChunked(ctx, g, workers, func(_, _ int32, wt float64) bool {
+	return s.emit(ctx, g, workers, func(_, _ int32, wt float64) bool {
 		return wt >= theta
 	})
 }
 
-// CEPStream is CEP over the CSR graph: retain the globally top-k edges
-// by weight (k <= 0 uses the block-membership budget), breaking ties at
+// CEP is CEP over the CSR graph: retain the globally top-k edges by
+// weight (k <= 0 uses the block-membership budget), breaking ties at
 // the cut in favor of canonically smaller pairs — the tie rule of a
 // stable descending sort of the canonical edges. The cut is located by
 // the bounded histogram selection of select.go; no O(|E|) weight scratch
 // is ever allocated.
-func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPair, error) {
+func (s *Sink) CEP(ctx context.Context, g *graph.CSR, k, workers int) error {
 	ne := g.NumEdges()
 	if ne == 0 {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	if k <= 0 {
 		k = CEPBudget(g.BlockCounts)
@@ -72,11 +72,11 @@ func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPai
 		k = ne
 	}
 	if k <= 0 {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	cut, greater, ties, err := selectCut(ctx, g, workers, k)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// How many budget slots remain for edges that tie with the cut;
 	// edges strictly above it are always in. Ties consume their slots in
@@ -86,12 +86,12 @@ func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPai
 	// per-edge tie ordinal is needed and one emission pass suffices.
 	rem := int64(k - greater)
 	if rem >= int64(ties) {
-		return emitChunked(ctx, g, workers, func(_, _ int32, wt float64) bool {
+		return s.emit(ctx, g, workers, func(_, _ int32, wt float64) bool {
 			return wt >= cut
 		})
 	}
 	if rem <= 0 {
-		return emitChunked(ctx, g, workers, func(_, _ int32, wt float64) bool {
+		return s.emit(ctx, g, workers, func(_, _ int32, wt float64) bool {
 			return wt > cut
 		})
 	}
@@ -111,7 +111,7 @@ func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPai
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tieBase := make([]int64, nch)
 	base := int64(0)
@@ -119,10 +119,11 @@ func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPai
 		tieBase[i] = base
 		base += n
 	}
-	bufs := make([][]model.IDPair, nch)
-	err = runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
+	s.chunks = make([]kept, nch)
+	weights := s.Weights
+	return runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		tie := tieBase[chunk]
-		var out []model.IDPair
+		var out kept
 		err := forChunkCanonical(g, w, chunk, func(u, v int32, wt float64) {
 			take := wt > cut
 			if !take && wt == cut {
@@ -130,16 +131,12 @@ func CEPStream(ctx context.Context, g *graph.CSR, k, workers int) ([]model.IDPai
 				tie++
 			}
 			if take && wt > 0 {
-				out = append(out, model.IDPair{U: u, V: v})
+				out.add(u, v, wt, weights)
 			}
 		})
-		bufs[chunk] = out
+		s.chunks[chunk] = out
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return stitchPairs(bufs), nil
 }
 
 // runReducer reduces one adjacency run to a per-node threshold, polling
@@ -269,7 +266,7 @@ func BlastThresholdOf(ws []float64, c float64) float64 {
 
 // MeanThresholds returns WNP's per-node thresholds over the CSR graph:
 // the mean adjacent weight of every node (0 for edgeless nodes). It is
-// the exact reducer WNPStream prunes with, exported so index consumers
+// the exact reducer Sink.WNP prunes with, exported so index consumers
 // expose the same values the retention decision used. workers selects
 // the goroutine count (0 = GOMAXPROCS); the values are identical either
 // way.
@@ -279,7 +276,7 @@ func MeanThresholds(ctx context.Context, g *graph.CSR, workers int) ([]float64, 
 
 // BlastThresholds returns BLAST's per-node thresholds theta_i = M_i/c
 // over the CSR graph (0 for edgeless nodes; c <= 0 defaults to 2). It is
-// the exact reducer BlastWNPStream prunes with, exported so index
+// the exact reducer Sink.BlastWNP prunes with, exported so index
 // consumers expose the same values the retention decision used. workers
 // selects the goroutine count (0 = GOMAXPROCS); the values are identical
 // either way.
@@ -287,44 +284,38 @@ func BlastThresholds(ctx context.Context, g *graph.CSR, c float64, workers int) 
 	return nodeThresholdsCSR(ctx, g, workers, blastReducer(c))
 }
 
-// WNPStream is WNP over the CSR graph: per-node mean-weight thresholds,
-// resolved per edge according to mode.
-func WNPStream(ctx context.Context, g *graph.CSR, mode Mode, workers int) ([]model.IDPair, error) {
+// WNP is WNP over the CSR graph: per-node mean-weight thresholds, every
+// positive-weight canonical edge tested against its endpoints' two
+// according to mode.
+func (s *Sink) WNP(ctx context.Context, g *graph.CSR, mode Mode, workers int) error {
 	th, err := MeanThresholds(ctx, g, workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return emitByThreshold(ctx, g, workers, func(w, thU, thV float64) bool {
-		overU := w >= thU
-		overV := w >= thV
+	s.Theta = th
+	return s.emit(ctx, g, workers, func(u, v int32, wt float64) bool {
+		overU := wt >= th[u]
+		overV := wt >= th[v]
 		if mode == Redefined {
 			return overU || overV
 		}
 		return overU && overV
-	}, th)
+	})
 }
 
-// BlastWNPStream is BLAST's pruning (Section 3.3.2) over the CSR graph:
+// BlastWNP is BLAST's pruning (Section 3.3.2) over the CSR graph:
 // theta_i = M_i / c per node, retain iff w >= (theta_u + theta_v) / d.
-func BlastWNPStream(ctx context.Context, g *graph.CSR, c, d float64, workers int) ([]model.IDPair, error) {
+func (s *Sink) BlastWNP(ctx context.Context, g *graph.CSR, c, d float64, workers int) error {
 	if d <= 0 {
 		d = 2
 	}
 	th, err := BlastThresholds(ctx, g, c, workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return emitByThreshold(ctx, g, workers, func(w, thU, thV float64) bool {
-		return w >= (thU+thV)/d
-	}, th)
-}
-
-// emitByThreshold runs the retention pass shared by the weight-based
-// node-centric schemes: every positive-weight canonical edge is tested
-// against its endpoints' thresholds.
-func emitByThreshold(ctx context.Context, g *graph.CSR, workers int, keep func(w, thU, thV float64) bool, th []float64) ([]model.IDPair, error) {
-	return emitChunked(ctx, g, workers, func(u, v int32, wt float64) bool {
-		return keep(wt, th[u], th[v])
+	s.Theta = th
+	return s.emit(ctx, g, workers, func(u, v int32, wt float64) bool {
+		return wt >= (th[u]+th[v])/d
 	})
 }
 
@@ -430,28 +421,28 @@ func TopKCuts(ctx context.Context, g *graph.CSR, k, workers int) (cut []float64,
 	return cut, tie, nil
 }
 
-// CNPStream is CNP over the CSR graph: each node marks its top-k
-// adjacent edges by weight (ties broken by adjacency order, as a stable
-// sort would), and an edge is retained if the marks of its endpoints
-// satisfy the mode. The marks are never materialized: one pass reduces
-// every run to its selection cut, and retention tests each canonical
-// edge against both endpoints' cuts — the same shape as WNP, with
-// strictly sequential run access.
-func CNPStream(ctx context.Context, g *graph.CSR, k int, mode Mode, workers int) ([]model.IDPair, error) {
+// CNP is CNP over the CSR graph: each node marks its top-k adjacent
+// edges by weight (ties broken by adjacency order, as a stable sort
+// would), and an edge is retained if the marks of its endpoints satisfy
+// the mode. The marks are never materialized: one pass reduces every
+// run to its selection cut, and retention tests each canonical edge
+// against both endpoints' cuts — the same shape as WNP, with strictly
+// sequential run access.
+func (s *Sink) CNP(ctx context.Context, g *graph.CSR, k int, mode Mode, workers int) error {
 	if g.NumEdges() == 0 {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	if k <= 0 {
 		k = CNPBudget(g.BlockCounts)
 		if k == 0 {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	cut, tie, err := TopKCuts(ctx, g, k, workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return emitChunked(ctx, g, workers, func(u, v int32, wt float64) bool {
+	return s.emit(ctx, g, workers, func(u, v int32, wt float64) bool {
 		if mode == Reciprocal {
 			return InTopK(wt, v, cut[u], tie[u]) && InTopK(wt, u, cut[v], tie[v])
 		}

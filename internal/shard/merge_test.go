@@ -172,16 +172,15 @@ func TestMergePairsDoesNotAliasSingleInput(t *testing.T) {
 }
 
 func TestSnapshotLookups(t *testing.T) {
-	// Graph over 3 profiles: 0-1 (w 2.0, retained), 0-2 (w 1.0, pruned),
-	// 1-2 (w 3.0, retained).
+	// Graph over 3 profiles: 0-1 (w 2.0, retained), 0-2 (w 1.0, pruned —
+	// so in no row), 1-2 (w 3.0, retained).
 	s := &Snapshot{
 		NumProfiles:   3,
 		NumEdges:      3,
 		RetainedPairs: 2,
-		Offsets:       []int64{0, 2, 4, 6},
-		Neighbors:     []int32{1, 2, 0, 2, 0, 1},
-		Weights:       []float64{2, 1, 2, 3, 1, 3},
-		Retained:      []bool{true, false, true, true, false, true},
+		Offsets:       []int64{0, 1, 3, 4},
+		Neighbors:     []int32{1, 0, 2, 1},
+		Weights:       []float64{2, 2, 3, 3},
 		Theta:         []float64{0.5, 1.5, 2.5},
 	}
 	if got := s.AppendCandidates(nil, 1); len(got) != 2 || got[0].ID != 2 || got[1].ID != 0 {

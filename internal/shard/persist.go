@@ -3,22 +3,30 @@ package shard
 // On-disk snapshot persistence. A published Snapshot is already the
 // natural durable unit — immutable flat arrays, tagged with its epoch
 // and its position in the insert sequence — so serialization is a plain
-// deterministic layout with one trailing checksum:
+// deterministic layout with one trailing checksum, the same for a full
+// replica and a partitioned shard:
 //
-//	[8]  magic "BLSNAP01" (full replica) or "BLSNAP02" (partitioned)
+//	[8]  magic "BLSNAP03"
 //	uvarint Epoch, Batches, NumProfiles, NumEdges, RetainedPairs
-//	uvarint PartShards, PartShard            (BLSNAP02 only)
+//	uvarint PartShards, PartShard            (0, 0 = full replica)
 //	uvarint len(Offsets), uvarint delta-encoded Offsets
 //	uvarint len(Neighbors), [4]xN little-endian Neighbors
 //	uvarint len(Weights),   [8]xN little-endian float64 bits
-//	uvarint len(Retained),  bitset (LSB-first)
 //	[1] Theta presence, then uvarint len + [8]xN float64 bits if present
 //	[4] little-endian CRC-32C of everything above
+//
+// The entry arrays hold the retained rows only, so a file is a few
+// hundred kilobytes where the blocking graph it was pruned from runs to
+// tens of megabytes. Files of the earlier layouts (BLSNAP01, BLSNAP02:
+// every entry of the graph plus a retention bitset) are refused by name
+// (ErrSnapshotVersion); recovery then takes its ordinary fallback to
+// older files and WAL replay.
 //
 // Decoding fails closed: the checksum is verified first, every length is
 // bounds-checked against the remaining bytes before allocation, and the
 // structural invariants a Snapshot's readers rely on (offset monotonicity,
-// array-length agreement, neighbor ranges, retained-mark count) are
+// array-length agreement, strictly ascending in-range rows, positive
+// finite weights, the entry count the retained pairs entail) are
 // re-validated — a corrupted or torn snapshot file is an error, never a
 // partially-trusted state. Files are written to a temporary name and
 // renamed into place so a crash mid-write can never clobber the previous
@@ -34,37 +42,23 @@ import (
 	"path/filepath"
 )
 
-var (
-	snapMagic = [8]byte{'B', 'L', 'S', 'N', 'A', 'P', '0', '1'}
-	// snapMagic2 tags partitioned (owned-rows) snapshots, which carry two
-	// extra header fields. A distinct magic — rather than a flag inside
-	// the v1 layout — keeps v1 files byte-identical to what earlier
-	// builds wrote and makes a replicated reader reject a partitioned
-	// file loudly instead of misreading its header.
-	snapMagic2 = [8]byte{'B', 'L', 'S', 'N', 'A', 'P', '0', '2'}
-)
+var snapMagic = [8]byte{'B', 'L', 'S', 'N', 'A', 'P', '0', '3'}
 
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodeSnapshot serializes a snapshot into a self-checking byte blob.
 func EncodeSnapshot(s *Snapshot) []byte {
-	n := 8 + 5*10 + 10 + len(s.Offsets)*5 + 10 + len(s.Neighbors)*4 +
-		10 + len(s.Weights)*8 + 10 + (len(s.Retained)+7)/8 + 11 + len(s.Theta)*8 + 4
+	n := 8 + 7*10 + 10 + len(s.Offsets)*5 + 10 + len(s.Neighbors)*4 +
+		10 + len(s.Weights)*8 + 11 + len(s.Theta)*8 + 4
 	buf := make([]byte, 0, n)
-	if s.PartShards > 0 {
-		buf = append(buf, snapMagic2[:]...)
-	} else {
-		buf = append(buf, snapMagic[:]...)
-	}
+	buf = append(buf, snapMagic[:]...)
 	buf = binary.AppendUvarint(buf, s.Epoch)
 	buf = binary.AppendUvarint(buf, uint64(s.Batches))
 	buf = binary.AppendUvarint(buf, uint64(s.NumProfiles))
 	buf = binary.AppendUvarint(buf, uint64(s.NumEdges))
 	buf = binary.AppendUvarint(buf, uint64(s.RetainedPairs))
-	if s.PartShards > 0 {
-		buf = binary.AppendUvarint(buf, uint64(s.PartShards))
-		buf = binary.AppendUvarint(buf, uint64(s.PartShard))
-	}
+	buf = binary.AppendUvarint(buf, uint64(s.PartShards))
+	buf = binary.AppendUvarint(buf, uint64(s.PartShard))
 	buf = binary.AppendUvarint(buf, uint64(len(s.Offsets)))
 	prev := int64(0)
 	for _, o := range s.Offsets {
@@ -78,20 +72,6 @@ func EncodeSnapshot(s *Snapshot) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s.Weights)))
 	for _, w := range s.Weights {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(s.Retained)))
-	var acc byte
-	for i, r := range s.Retained {
-		if r {
-			acc |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			buf = append(buf, acc)
-			acc = 0
-		}
-	}
-	if len(s.Retained)%8 != 0 {
-		buf = append(buf, acc)
 	}
 	if s.Theta == nil {
 		buf = append(buf, 0)
@@ -107,6 +87,10 @@ func EncodeSnapshot(s *Snapshot) []byte {
 
 var errSnapCorrupt = errors.New("shard: corrupt snapshot")
 
+// ErrSnapshotVersion reports a well-formed snapshot file of a layout
+// this build no longer reads.
+var ErrSnapshotVersion = errors.New("shard: unsupported snapshot version")
+
 // DecodeSnapshot deserializes and validates a snapshot blob.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < len(snapMagic)+4 {
@@ -116,9 +100,12 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if crc32.Checksum(body, snapCRC) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("%w: checksum mismatch", errSnapCorrupt)
 	}
-	magic := [8]byte(body[:8])
-	if magic != snapMagic && magic != snapMagic2 {
-		return nil, fmt.Errorf("shard: bad snapshot magic %q", body[:8])
+	switch magic := string(body[:8]); magic {
+	case string(snapMagic[:]):
+	case "BLSNAP01", "BLSNAP02":
+		return nil, fmt.Errorf("%w %q", ErrSnapshotVersion, magic)
+	default:
+		return nil, fmt.Errorf("shard: bad snapshot magic %q", magic)
 	}
 	d := &snapDecoder{data: body[8:]}
 	s := &Snapshot{
@@ -127,10 +114,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		NumProfiles:   int(d.uvarint()),
 		NumEdges:      int(d.uvarint()),
 		RetainedPairs: int(d.uvarint()),
-	}
-	if magic == snapMagic2 {
-		s.PartShards = int(d.uvarint())
-		s.PartShard = int(d.uvarint())
+		PartShards:    int(d.uvarint()),
+		PartShard:     int(d.uvarint()),
 	}
 	no := d.count(1) // at most one uvarint byte per offset delta
 	s.Offsets = make([]int64, 0, no)
@@ -149,23 +134,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	for i := range s.Weights {
 		s.Weights[i] = math.Float64frombits(d.u64())
 	}
-	// The retained mask is a bitset: its count is in elements (8 per
-	// byte), so bound it against the remaining bits rather than bytes.
-	nrU := d.uvarint()
-	if d.err == nil && nrU > uint64(len(d.data))*8 {
-		d.err = fmt.Errorf("%w: bitset of %d bits in %d bytes", errSnapCorrupt, nrU, len(d.data))
-	}
-	nr := int(nrU)
-	if d.err == nil && len(d.data) < (nr+7)/8 {
-		d.err = errSnapCorrupt
-	}
-	if d.err == nil {
-		s.Retained = make([]bool, nr)
-		for i := range s.Retained {
-			s.Retained[i] = d.data[i/8]&(1<<(i%8)) != 0
-		}
-		d.data = d.data[(nr+7)/8:]
-	}
 	if d.byte() == 1 {
 		nt := d.count(8)
 		s.Theta = make([]float64, nt)
@@ -179,8 +147,10 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(d.data) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", errSnapCorrupt, len(d.data))
 	}
-	err := validateSnapshot(s)
-	if err == nil && s.PartShards > 0 {
+	if err := validateSnapshot(s); err != nil {
+		return nil, err
+	}
+	if s.PartShards > 0 {
 		// Owned is derived, not encoded: the decoder is one of the makers
 		// of partitioned snapshots and counts it before anyone holds s.
 		for u := 0; u < s.NumProfiles; u++ {
@@ -189,15 +159,15 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			}
 		}
 	}
-	return s, err
+	return s, nil
 }
 
 // validateSnapshot re-checks the structural invariants snapshot readers
 // assume, so a decoded snapshot is safe to serve from without bounds
 // checks beyond the ones the live export already guarantees.
 func validateSnapshot(s *Snapshot) error {
-	if s.Batches < 0 || s.NumProfiles < 0 {
-		return fmt.Errorf("%w: negative counters", errSnapCorrupt)
+	if s.Batches < 0 || s.NumProfiles < 0 || s.NumEdges < 0 || s.RetainedPairs < 0 || s.RetainedPairs > s.NumEdges {
+		return fmt.Errorf("%w: counters out of range", errSnapCorrupt)
 	}
 	if len(s.Offsets) != s.NumProfiles+1 {
 		return fmt.Errorf("%w: %d offsets for %d profiles", errSnapCorrupt, len(s.Offsets), s.NumProfiles)
@@ -205,57 +175,42 @@ func validateSnapshot(s *Snapshot) error {
 	if s.Offsets[0] != 0 || s.Offsets[s.NumProfiles] != int64(len(s.Neighbors)) {
 		return fmt.Errorf("%w: offset bounds", errSnapCorrupt)
 	}
-	for i := 1; i < len(s.Offsets); i++ {
-		// Delta decoding makes offsets nondecreasing except under int64
-		// overflow from a forged delta; reject that explicitly.
-		if s.Offsets[i] < s.Offsets[i-1] {
-			return fmt.Errorf("%w: offsets not monotone", errSnapCorrupt)
-		}
-	}
-	if len(s.Weights) != len(s.Neighbors) || len(s.Retained) != len(s.Neighbors) {
+	if len(s.Weights) != len(s.Neighbors) {
 		return fmt.Errorf("%w: entry array lengths disagree", errSnapCorrupt)
 	}
-	if s.PartShards == 0 {
-		// A full replica holds both orientations of every edge.
-		if 2*s.NumEdges != len(s.Neighbors) {
-			return fmt.Errorf("%w: %d edges for %d entries", errSnapCorrupt, s.NumEdges, len(s.Neighbors))
-		}
-	} else {
-		// A partitioned snapshot holds a subset of the orientations —
-		// NumEdges and RetainedPairs are GLOBAL counters — so only the
-		// upper bounds and the ownership shape are checkable locally.
-		if s.PartShard < 0 || s.PartShard >= s.PartShards {
-			return fmt.Errorf("%w: shard %d of %d", errSnapCorrupt, s.PartShard, s.PartShards)
-		}
-		if len(s.Neighbors) > 2*s.NumEdges {
-			return fmt.Errorf("%w: %d entries for %d edges", errSnapCorrupt, len(s.Neighbors), s.NumEdges)
-		}
-		for u := 0; u < s.NumProfiles; u++ {
-			if s.Offsets[u+1] != s.Offsets[u] && !s.Owns(int32(u)) {
-				return fmt.Errorf("%w: unowned row %d populated", errSnapCorrupt, u)
-			}
-		}
+	if s.PartShards < 0 || s.PartShard < 0 || s.PartShard >= max(s.PartShards, 1) {
+		return fmt.Errorf("%w: shard %d of %d", errSnapCorrupt, s.PartShard, s.PartShards)
+	}
+	// Every retained pair sits once in each endpoint's row: a full
+	// replica holds exactly two entries a pair, a partitioned shard the
+	// share that falls in its owned rows (the set is checked against the
+	// total where it is adopted).
+	if n := len(s.Neighbors); n > 2*s.RetainedPairs || (s.PartShards == 0 && n != 2*s.RetainedPairs) {
+		return fmt.Errorf("%w: %d entries for %d retained pairs", errSnapCorrupt, n, s.RetainedPairs)
 	}
 	if s.Theta != nil && len(s.Theta) != s.NumProfiles {
 		return fmt.Errorf("%w: %d thresholds for %d profiles", errSnapCorrupt, len(s.Theta), s.NumProfiles)
 	}
-	for _, v := range s.Neighbors {
-		if v < 0 || int(v) >= s.NumProfiles {
-			return fmt.Errorf("%w: neighbor %d of %d profiles", errSnapCorrupt, v, s.NumProfiles)
+	for u := 0; u < s.NumProfiles; u++ {
+		lo, hi := s.Offsets[u], s.Offsets[u+1]
+		// Delta decoding makes offsets nondecreasing except under int64
+		// overflow from a forged delta; reject that explicitly.
+		if hi < lo || hi > int64(len(s.Neighbors)) {
+			return fmt.Errorf("%w: offsets not monotone", errSnapCorrupt)
 		}
-	}
-	marks := 0
-	for _, r := range s.Retained {
-		if r {
-			marks++
+		if lo != hi && !s.Owns(int32(u)) {
+			return fmt.Errorf("%w: unowned row %d populated", errSnapCorrupt, u)
 		}
-	}
-	if s.PartShards == 0 {
-		if marks != 2*s.RetainedPairs {
-			return fmt.Errorf("%w: %d retained marks for %d pairs", errSnapCorrupt, marks, s.RetainedPairs)
+		for p := lo; p < hi; p++ {
+			v := s.Neighbors[p]
+			if v < 0 || int(v) >= s.NumProfiles || int(v) == u || (p > lo && v <= s.Neighbors[p-1]) {
+				return fmt.Errorf("%w: row %d is not a strictly ascending run of other profiles", errSnapCorrupt, u)
+			}
+			// Every scheme retains positive weights only.
+			if w := s.Weights[p]; !(w > 0) || math.IsInf(w, 1) {
+				return fmt.Errorf("%w: row %d carries weight %v", errSnapCorrupt, u, w)
+			}
 		}
-	} else if marks > 2*s.RetainedPairs {
-		return fmt.Errorf("%w: %d retained marks for %d pairs", errSnapCorrupt, marks, s.RetainedPairs)
 	}
 	return nil
 }

@@ -1,13 +1,18 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 )
 
+// sampleSnapshot is the frozen form of a 4-profile graph of 3 edges of
+// which pruning kept 0-1 (w 1.5) and 1-3 (w 2.75).
 func sampleSnapshot(theta bool) *Snapshot {
 	s := &Snapshot{
 		Epoch:         7,
@@ -15,10 +20,9 @@ func sampleSnapshot(theta bool) *Snapshot {
 		NumProfiles:   4,
 		NumEdges:      3,
 		RetainedPairs: 2,
-		Offsets:       []int64{0, 2, 4, 5, 6},
-		Neighbors:     []int32{1, 2, 0, 3, 0, 1},
-		Weights:       []float64{1.5, 0.25, 1.5, 2.75, 0.25, 2.75},
-		Retained:      []bool{true, false, true, true, false, true},
+		Offsets:       []int64{0, 1, 3, 3, 4},
+		Neighbors:     []int32{1, 0, 3, 1},
+		Weights:       []float64{1.5, 1.5, 2.75, 2.75},
 	}
 	if theta {
 		s.Theta = []float64{0.75, 1.375, 0.125, 1.375}
@@ -30,10 +34,10 @@ func equalSnapshots(a, b *Snapshot) bool {
 	return a.Epoch == b.Epoch && a.Batches == b.Batches &&
 		a.NumProfiles == b.NumProfiles && a.NumEdges == b.NumEdges &&
 		a.RetainedPairs == b.RetainedPairs &&
+		a.PartShards == b.PartShards && a.PartShard == b.PartShard &&
 		slices.Equal(a.Offsets, b.Offsets) &&
 		slices.Equal(a.Neighbors, b.Neighbors) &&
 		slices.Equal(a.Weights, b.Weights) &&
-		slices.Equal(a.Retained, b.Retained) &&
 		slices.Equal(a.Theta, b.Theta) &&
 		(a.Theta == nil) == (b.Theta == nil)
 }
@@ -80,20 +84,85 @@ func TestSnapshotCodecFlipEveryByte(t *testing.T) {
 
 func TestSnapshotValidationFailsClosed(t *testing.T) {
 	cases := map[string]func(*Snapshot){
-		"neighbor out of range": func(s *Snapshot) { s.Neighbors[0] = 99 },
-		"offset bounds":         func(s *Snapshot) { s.Offsets[4] = 5 },
-		"edge count":            func(s *Snapshot) { s.NumEdges = 2 },
+		"neighbor out of range": func(s *Snapshot) { s.Neighbors[3] = 99 },
+		"offset bounds":         func(s *Snapshot) { s.Offsets[4] = 3 },
+		"offsets not monotone":  func(s *Snapshot) { s.Offsets[2] = 0 },
+		"entry arrays disagree": func(s *Snapshot) { s.Weights = s.Weights[:3] },
 		"retained count":        func(s *Snapshot) { s.RetainedPairs = 3 },
+		"more pairs than edges": func(s *Snapshot) { s.NumEdges = 1 },
 		"theta length":          func(s *Snapshot) { s.Theta = s.Theta[:2] },
+		"row not ascending":     func(s *Snapshot) { s.Neighbors[1], s.Neighbors[2] = 3, 0 },
+		"duplicate neighbor":    func(s *Snapshot) { s.Neighbors[2] = 0 },
+		"self entry":            func(s *Snapshot) { s.Neighbors[0] = 0 },
+		"zero weight":           func(s *Snapshot) { s.Weights[0] = 0 },
+		"negative weight":       func(s *Snapshot) { s.Weights[1] = -1.5 },
+		"NaN weight":            func(s *Snapshot) { s.Weights[2] = math.NaN() },
+		"infinite weight":       func(s *Snapshot) { s.Weights[3] = math.Inf(1) },
+		"shard without a count": func(s *Snapshot) { s.PartShard = 1 },
+		"shard past the count":  func(s *Snapshot) { s.PartShards, s.PartShard = 2, 2 },
+		// Valid as a full replica, but under a 2-way partition shard 0
+		// owns only some of these rows.
+		"unowned row populated": func(s *Snapshot) { s.PartShards = 2 },
 	}
 	for name, mutate := range cases {
 		s := sampleSnapshot(true)
 		mutate(s)
 		// Encode accepts anything; the decoder must reject the structure
 		// even though the checksum is valid.
-		if _, err := DecodeSnapshot(EncodeSnapshot(s)); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := DecodeSnapshot(EncodeSnapshot(s)); !errors.Is(err, errSnapCorrupt) {
+			t.Errorf("%s: %v, want the corrupt-snapshot error", name, err)
 		}
+	}
+	// A partitioned shard holds its share of the entries; more than the
+	// retained pairs entail is corrupt wherever they sit.
+	part := SliceOwned(sampleSnapshot(true), 0, 2)
+	part.RetainedPairs = len(part.Neighbors)/2 - 1
+	if len(part.Neighbors) >= 2 {
+		if _, err := DecodeSnapshot(EncodeSnapshot(part)); !errors.Is(err, errSnapCorrupt) {
+			t.Errorf("partitioned entry count over the retained pairs: %v", err)
+		}
+	}
+}
+
+// snapBlob frames a hand-written payload the way EncodeSnapshot does:
+// magic, body, CRC-32C of both.
+func snapBlob(magic string, body ...byte) []byte {
+	buf := append([]byte(magic), body...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, snapCRC))
+}
+
+// oldLayoutBlobs are well-formed files of the two layouts this build no
+// longer reads — every entry of the graph plus a retention bitset —
+// written out by hand: a 2-profile graph with its one edge retained.
+func oldLayoutBlobs() (v1, v2 []byte) {
+	entries := []byte{
+		3, 0, 1, 1, // 3 offsets, delta-encoded: 0 1 2
+		2, 1, 0, 0, 0, 0, 0, 0, 0, // 2 neighbors: 1, 0
+		2, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // 2 weights: 1.5, 1.5
+		2, 0b11, // 2 retention bits, both set
+		0, // no theta
+	}
+	header := []byte{1, 0, 2, 1, 1} // epoch 1, 0 batches, 2 profiles, 1 edge, 1 retained pair
+	v1 = snapBlob("BLSNAP01", append(slices.Clone(header), entries...)...)
+	// The partitioned layout carried PartShards, PartShard after the
+	// counters: shard 0 of 1 owns both rows.
+	v2 = snapBlob("BLSNAP02", append(append(slices.Clone(header), 1, 0), entries...)...)
+	return v1, v2
+}
+
+// TestSnapshotOldLayoutsRefusedByName: a checksum-valid file of an
+// earlier layout is a version error — the one recovery's ladder falls
+// back on — not corruption, a panic or a partial snapshot.
+func TestSnapshotOldLayoutsRefusedByName(t *testing.T) {
+	v1, v2 := oldLayoutBlobs()
+	for _, blob := range [][]byte{v1, v2} {
+		s, err := DecodeSnapshot(blob)
+		if !errors.Is(err, ErrSnapshotVersion) || s != nil {
+			t.Errorf("%s: (%v, %v), want no snapshot and ErrSnapshotVersion", blob[:8], s, err)
+		}
+	}
+	if _, err := DecodeSnapshot(snapBlob("BLSNAP99", 0)); err == nil || errors.Is(err, ErrSnapshotVersion) {
+		t.Errorf("unknown magic: %v, want a bad-magic error", err)
 	}
 }
 
@@ -135,15 +204,28 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 
 // FuzzSnapshotDecode: arbitrary bytes must decode to a valid snapshot
 // or fail, never panic; whatever decodes must re-encode canonically.
+// The seeds cover the layout's shapes — with and without thresholds,
+// empty, partitioned — and the two retired layouts, which must keep
+// failing by name however the fuzzer mutates around them.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(EncodeSnapshot(sampleSnapshot(true)))
 	f.Add(EncodeSnapshot(sampleSnapshot(false)))
 	f.Add(EncodeSnapshot(&Snapshot{NumProfiles: 0, Offsets: []int64{0}}))
-	f.Add([]byte("BLSNAP01garbage"))
+	f.Add([]byte("BLSNAP03garbage"))
+	f.Add(EncodeSnapshot(SliceOwned(sampleSnapshot(true), 1, 2)))
+	v1, v2 := oldLayoutBlobs()
+	f.Add(v1)
+	f.Add(v2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)
 		if err != nil {
+			if s != nil {
+				t.Fatalf("a snapshot came back beside the error %v", err)
+			}
 			return
+		}
+		if len(data) >= 8 && string(data[:8]) != string(snapMagic[:]) {
+			t.Fatalf("a %q file decoded", data[:8])
 		}
 		if err := validateSnapshot(s); err != nil {
 			t.Fatalf("decoded snapshot fails validation: %v", err)

@@ -98,9 +98,9 @@ type Stats struct {
 	// snapshot: every row on a replicated shard, only the hash-owned ones
 	// on a partitioned shard.
 	OwnedRows int
-	// ResidentBytes approximates the heap footprint of the published
-	// snapshot's arrays — the per-shard memory the partitioned topology
-	// divides across shards.
+	// ResidentBytes is the heap footprint of the published snapshot's
+	// arrays: the retained rows, which the partitioned topology divides
+	// across shards, plus 16 bytes a profile, which it does not.
 	ResidentBytes int64
 }
 

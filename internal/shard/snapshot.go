@@ -6,9 +6,9 @@
 //
 // The package is deliberately ignorant of BLAST itself. The writable
 // side of a shard is any Writer (blast.Index in production, a fake in
-// tests); a Snapshot is just the flat per-profile serving arrays a
-// compaction yields. The blast.Server composes shards into the public
-// serving API.
+// tests); a Snapshot is just the flat per-profile rows of what pruning
+// retained. The blast.Server composes shards into the public serving
+// API.
 //
 // Concurrency model: one worker goroutine per shard owns all mutation of
 // its Writer; readers only ever touch the shard's current Snapshot,
@@ -55,12 +55,14 @@ func CompareCandidates(a, b Candidate) int {
 }
 
 // Snapshot is an immutable serving view of a weighted, pruned blocking
-// graph: the flat CSR adjacency with per-entry weights and retention
-// marks, plus the per-node pruning thresholds. The structural arrays
-// (Offsets, Neighbors) may be shared with the live index that exported
-// the snapshot — they are never mutated in place after a compaction —
-// while the value arrays are private copies. Everything here is
-// read-only after publication; no method mutates the snapshot.
+// graph — the frozen form of an index: the rows of what pruning
+// retained and nothing else. Row u lists (neighbor, weight) for every
+// retained comparison of profile u, ascending by neighbor, so each
+// retained pair sits once in each endpoint's row; the per-node pruning
+// thresholds ride along. The pruned entries of the blocking graph are
+// not here: no read needs them, and they are all but a fraction of a
+// percent of it under BLAST's pruning. Everything is read-only after
+// publication; no method mutates the snapshot.
 type Snapshot struct {
 	// Epoch tags the publication: the initial snapshot of a shard is
 	// epoch 0 and every swap increments it. Within one shard, a higher
@@ -78,24 +80,24 @@ type Snapshot struct {
 	// NumProfiles is the number of profiles the snapshot covers.
 	NumProfiles int
 	// NumEdges is the number of distinct comparisons of the blocking
-	// graph (before pruning).
+	// graph before pruning — a plain counter; the rows hold only what
+	// was retained.
 	NumEdges int
 	// RetainedPairs is the number of comparisons the pruning retained.
 	RetainedPairs int
-	// Offsets and Neighbors are the CSR adjacency: node i's run occupies
-	// positions [Offsets[i], Offsets[i+1]) of the entry arrays.
+	// Offsets and Neighbors are the retained rows in CSR form: row i
+	// occupies positions [Offsets[i], Offsets[i+1]) of the entry arrays,
+	// ascending by neighbor.
 	Offsets   []int64
 	Neighbors []int32
-	// Weights holds the final edge weight of every entry.
+	// Weights holds the edge weight that retained every entry.
 	Weights []float64
-	// Retained holds the pruning decision of every entry.
-	Retained []bool
 	// Theta holds the node-local pruning threshold theta_i per profile;
 	// nil for pruning schemes without per-node thresholds.
 	Theta []float64
 	// PartShards is the shard count of a partitioned snapshot: one whose
-	// adjacency runs are populated only for the rows Owner hashes onto
-	// PartShard, every other row being an empty run. 0 (the zero value)
+	// rows are populated only for the profiles Owner hashes onto
+	// PartShard, every other row being empty. 0 (the zero value)
 	// marks a full replica — every row resident. NumProfiles, NumEdges
 	// and RetainedPairs stay GLOBAL under partitioning: a partitioned
 	// snapshot answers point reads for its owned rows with whole-graph
@@ -128,19 +130,18 @@ func (s *Snapshot) OwnedRows() int {
 	return s.Owned
 }
 
-// ResidentBytes approximates the heap footprint of the snapshot's
-// arrays — the quantity the partitioned topology divides across shards
-// (Offsets and Theta stay full-length; the entry arrays shrink with
-// ownership).
+// ResidentBytes is the heap footprint of the snapshot's arrays: 12
+// bytes a retained entry, plus the full-length Offsets and Theta at 16
+// bytes a profile, which the partitioned topology does not divide.
 func (s *Snapshot) ResidentBytes() int64 {
 	return int64(len(s.Offsets))*8 + int64(len(s.Neighbors))*4 +
-		int64(len(s.Weights))*8 + int64(len(s.Retained)) + int64(len(s.Theta))*8
+		int64(len(s.Weights))*8 + int64(len(s.Theta))*8
 }
 
 // SliceOwned carves shard part's partitioned snapshot out of a full
-// replica snapshot: full-length Offsets with runs copied only for the
-// owned rows, global header counters carried over, Theta shared (it is
-// full-length and immutable under both topologies). It is how a
+// replica snapshot: full-length Offsets with rows copied only for the
+// owned profiles, global header counters carried over, Theta shared (it
+// is full-length and immutable under both topologies). It is how a
 // partitioned server derives its shards' initial snapshots from the
 // master build — each slice is byte-identical, row for owned row, to
 // what the shard's own exchange-driven export would produce over the
@@ -157,15 +158,13 @@ func SliceOwned(s *Snapshot, part, nparts int) *Snapshot {
 	}
 	neighbors := make([]int32, 0, total)
 	weights := make([]float64, 0, total)
-	retained := make([]bool, 0, total)
 	for u := 0; u < s.NumProfiles; u++ {
-		if Owner(int32(u), nparts) != part {
+		if offsets[u+1] == offsets[u] {
 			continue
 		}
 		lo, hi := s.Offsets[u], s.Offsets[u+1]
 		neighbors = append(neighbors, s.Neighbors[lo:hi]...)
 		weights = append(weights, s.Weights[lo:hi]...)
-		retained = append(retained, s.Retained[lo:hi]...)
 	}
 	return &Snapshot{
 		Epoch:         s.Epoch,
@@ -176,7 +175,6 @@ func SliceOwned(s *Snapshot, part, nparts int) *Snapshot {
 		Offsets:       offsets,
 		Neighbors:     neighbors,
 		Weights:       weights,
-		Retained:      retained,
 		Theta:         s.Theta,
 		PartShards:    nparts,
 		PartShard:     part,
@@ -194,20 +192,18 @@ func (s *Snapshot) Threshold(profile int) float64 {
 }
 
 // AppendCandidates appends the retained candidate comparisons of one
-// profile to buf and returns the extended slice, ordering the appended
-// portion by descending weight (ties by ascending id) — byte-identical
-// to blast.Index.AppendCandidates over the same state. Out-of-range
-// profiles append nothing.
+// profile — its row — to buf and returns the extended slice, ordering
+// the appended portion by descending weight (ties by ascending id). It
+// is THE frozen lookup: a query-only blast.Index and every server read
+// end here. Out-of-range profiles append nothing; no allocation occurs
+// when buf has capacity.
 func (s *Snapshot) AppendCandidates(buf []Candidate, profile int) []Candidate {
 	if profile < 0 || profile >= s.NumProfiles {
 		return buf
 	}
 	start := len(buf)
-	lo, hi := s.Offsets[profile], s.Offsets[profile+1]
-	for p := lo; p < hi; p++ {
-		if s.Retained[p] {
-			buf = append(buf, Candidate{ID: s.Neighbors[p], Weight: s.Weights[p]})
-		}
+	for p, end := s.Offsets[profile], s.Offsets[profile+1]; p < end; p++ {
+		buf = append(buf, Candidate{ID: s.Neighbors[p], Weight: s.Weights[p]})
 	}
 	slices.SortFunc(buf[start:], CompareCandidates)
 	return buf
@@ -223,7 +219,8 @@ const (
 
 // AppendOwnedPairs appends every retained canonical pair (u < v) whose
 // smaller endpoint u the caller owns, in ascending (u, v) order — the
-// canonical pair order of the batch pipeline restricted to owned rows.
+// larger-neighbor entries of the owned rows, which is the canonical
+// pair order of the batch pipeline restricted to them.
 // Partitioning pair emission by the owner of u makes the per-shard
 // streams disjoint, so merging them restores exactly the global
 // canonical pair list. Polls ctx at row-chunk and edge-segment
@@ -245,7 +242,7 @@ func (s *Snapshot) AppendOwnedPairs(ctx context.Context, dst []model.IDPair, own
 				seg = snapshotCancelCheckEdges
 			}
 			for stop := p + seg; p < stop; p++ {
-				if v := s.Neighbors[p]; int(v) > u && s.Retained[p] {
+				if v := s.Neighbors[p]; int(v) > u {
 					dst = append(dst, model.IDPair{U: int32(u), V: v})
 				}
 			}

@@ -6,9 +6,10 @@ package blast
 // only the rows that hash onto its shard: it holds the (compact, fully
 // replicated) block collection plus an appender, and materializes
 // nothing else between exports. An export builds the owned-rows CSR
-// from the collection and resolves every graph-global pruning input by
-// an all-gather of compact per-shard aggregates over the server's
-// shard.Exchange:
+// from the collection, resolves every graph-global pruning input by an
+// all-gather of compact per-shard aggregates over the server's
+// shard.Exchange, and publishes the owned rows of what pruning retained
+// — the CSR itself does not outlive the export:
 //
 //	agreement  received batch counts     → the batch to publish at
 //	           (shard.Exchange.AgreeMin; once per due publication,
@@ -22,7 +23,7 @@ package blast
 //	            the budget splits a tie group)
 //	WNP/Blast  owned threshold rows      → the global theta vector
 //	CNP        owned (cut, tie) rows     → the global selection cuts
-//	final      owned mark counts        → the global retained count
+//	final      owned entry counts       → the global retained count
 //
 // Every aggregate merges either by ownership scatter (per-row values:
 // each row has exactly one owner, so merged[u] = frames[owner(u)][u] —
@@ -41,8 +42,8 @@ package blast
 // every shard, or by the final drain of Close.
 //
 // The correctness contract matches the replicated one bit for bit: a
-// row's run in a partitioned snapshot is byte-identical to the same row
-// of a replicated export at the same batch count, because the refolds
+// row of a partitioned snapshot is byte-identical to the same row of a
+// replicated export at the same batch count, because the refolds
 // above reproduce the exact reduction shapes (chunk order, row order,
 // adjacency order) of the single-graph streaming schemes.
 
@@ -173,23 +174,21 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 		return nil, err
 	}
 
-	var retained []bool
-	marks := int64(0)
-	if keep == nil {
-		retained = make([]bool, len(g.Neighbors))
-	} else {
-		retained, marks, err = prune.MarkOwned(ctx, g, px.opt.Workers, keep)
-		if err != nil {
+	// The retention pass collects what it keeps: the owned CSR and its
+	// weights die with this export, the rows are all that is published.
+	rows := &prune.Rows{Offsets: make([]int64, np+1)}
+	if keep != nil {
+		if rows, err = prune.CollectOwned(ctx, g, px.opt.Workers, keep); err != nil {
 			return nil, err
 		}
 	}
 
-	// Final round: owned mark counts. Each retained edge is marked once
-	// by the owner of each endpoint — twice in the global sum, whoever
-	// the owners are — so the exchanged total over two is the global
+	// Final round: owned entry counts. Each retained edge sits once in
+	// the row of each endpoint — twice in the global sum, whoever the
+	// owners are — so the exchanged total over two is the global
 	// retained-pair count.
 	var mw shard.FrameWriter
-	mw.Int64s([]int64{marks})
+	mw.Int64s([]int64{int64(len(rows.Neighbors))})
 	mfs, err := px.gather(&mw)
 	if err != nil {
 		return nil, err
@@ -201,7 +200,7 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 			return nil, err
 		}
 		if len(v) != 1 {
-			return nil, fmt.Errorf("blast: malformed marks frame (%d values)", len(v))
+			return nil, fmt.Errorf("blast: malformed entry-count frame (%d values)", len(v))
 		}
 		total += v[0]
 	}
@@ -210,10 +209,9 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 		NumProfiles:   np,
 		NumEdges:      numEdges,
 		RetainedPairs: int(total / 2),
-		Offsets:       g.Offsets,
-		Neighbors:     g.Neighbors,
-		Weights:       g.Weights,
-		Retained:      retained,
+		Offsets:       rows.Offsets,
+		Neighbors:     rows.Neighbors,
+		Weights:       rows.Weights,
 		Theta:         theta,
 		PartShards:    px.nparts,
 		PartShard:     px.part,

@@ -1,11 +1,11 @@
 package blast
 
-// Regression tests for the serving-footprint contract of a query-only
-// index: the cold build releases both the per-entry co-occurrence
-// statistics (ReleaseStats, long-standing) and the per-profile block
-// counts (ReleaseBlockCounts — BlockCounts used to stay live behind
-// ReleaseStats), while Insert transparently re-derives everything the
-// mutation path needs.
+// Regression tests for the footprint contract of the frozen form: a
+// query-only index, a partitioned shard's export and a decoded snapshot
+// hold the rows of what pruning retained and nothing of the blocking
+// graph they were pruned from, while Insert transparently re-derives
+// everything the mutation path needs. The layout is pinned by what it
+// weighs and what it allocates, not by which fields are set.
 
 import (
 	"context"
@@ -18,38 +18,120 @@ import (
 	"blast/internal/stats"
 )
 
-// TestIndexReleasesServingOnlyArrays pins which graph arrays a cold
-// query-only index retains: the serving reads (Offsets, Neighbors,
-// Weights, retention mask) stay, the build-only inputs (Common, ARCS,
-// EntropySum, BlockCounts) must be gone.
+// liveHeapOf returns what build made and the live heap it holds: the
+// heap in use after a collection with the result reachable, over the
+// same reading before build ran. Whatever build's inputs keep alive is
+// in both readings and cancels out.
+func liveHeapOf[T any](build func() T) (T, int64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	v := build()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return v, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// footprintCorpus is a Blocks artifact dense enough that the blocking
+// graph outweighs every per-profile array a hundred times.
+func footprintCorpus(t *testing.T, p *Pipeline) *Blocks {
+	t.Helper()
+	ctx := context.Background()
+	ds := synthDirty(stats.NewRNG(0xA110C), 1200)
+	sch, err := p.InduceSchema(ctx, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := p.Block(ctx, ds, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blocks
+}
+
+// TestIndexReleasesServingOnlyArrays pins the frozen footprint: beside
+// its collection, a query-only index holds 12 bytes a retained entry and
+// 16 a profile — bounded here at 16 and 24 — however large the graph
+// was; so does a partitioned shard's export and a snapshot decoded from
+// disk. Lookups on it allocate nothing into a sized buffer.
 func TestIndexReleasesServingOnlyArrays(t *testing.T) {
 	ctx := context.Background()
-	p, err := NewPipeline(DefaultOptions())
+	opt := DefaultOptions()
+	opt.Workers = 1
+	p, err := NewPipeline(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := p.BuildIndex(ctx, synthDirty(stats.NewRNG(0xB10C), 50))
-	if err != nil {
-		t.Fatal(err)
+	blocks := footprintCorpus(t, p)
+	bound := func(entries, profiles int) int64 { return 16*int64(entries) + 24*int64(profiles) }
+
+	ix, held := liveHeapOf(func() *Index {
+		ix, err := p.IndexBlocks(ctx, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	})
+	entries, np := 2*ix.NumRetained(), ix.NumProfiles()
+	if ix.NumRetained() == 0 || ix.NumEdges() < 50*np {
+		t.Fatalf("precondition: %d pairs retained of %d edges over %d profiles", ix.NumRetained(), ix.NumEdges(), np)
 	}
-	if ix.csr.Common != nil || ix.csr.ARCS != nil || ix.csr.EntropySum != nil {
-		t.Error("co-occurrence statistics live on a query-only index")
+	if held > bound(entries, np) {
+		t.Errorf("frozen index holds %d bytes beside its collection; %d retained entries over %d profiles allow %d (the graph had %d entries)",
+			held, entries, np, bound(entries, np), 2*ix.NumEdges())
 	}
-	if ix.csr.BlockCounts != nil {
-		t.Error("BlockCounts live on a query-only index")
+
+	px := newPartIndex(blocks.Collection.Clone(), blocks.Schema, p.opt, 0, 1, shard.NewExchange(1))
+	snap, held := liveHeapOf(func() *shard.Snapshot {
+		snap, err := px.Export(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	})
+	if len(snap.Neighbors) != entries {
+		t.Fatalf("export holds %d entries, frozen index %d", len(snap.Neighbors), entries)
 	}
-	if ix.csr.Weights == nil || ix.csr.Offsets == nil {
-		t.Error("serving arrays missing")
+	if held > bound(entries, np) {
+		t.Errorf("partIndex.Export result holds %d bytes, want at most %d", held, bound(entries, np))
 	}
-	// Candidate serving needs none of the released arrays.
-	if ix.AppendCandidates(nil, 0) == nil && ix.Threshold(0) != 0 {
-		t.Error("no candidates for profile 0 but a live threshold")
+
+	blob := shard.EncodeSnapshot(snap)
+	decoded, held := liveHeapOf(func() *shard.Snapshot {
+		s, err := shard.DecodeSnapshot(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	})
+	if held > bound(entries, np) {
+		t.Errorf("decoded snapshot holds %d bytes, want at most %d", held, bound(entries, np))
+	}
+	runtime.KeepAlive(blob)
+
+	busiest := 0
+	for u := 0; u < np; u++ {
+		if len(ix.Candidates(u)) > len(ix.Candidates(busiest)) {
+			busiest = u
+		}
+	}
+	buf := make([]Candidate, 0, len(ix.Candidates(busiest)))
+	for name, lookup := range map[string]func(){
+		"Index":    func() { buf = ix.AppendCandidates(buf[:0], busiest) },
+		"Snapshot": func() { buf = decoded.AppendCandidates(buf[:0], busiest) },
+	} {
+		if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
+			t.Errorf("%s.AppendCandidates allocates %.0f times a lookup into a sized buffer", name, allocs)
+		}
 	}
 }
 
 // TestInsertAfterBlockCountRelease pins the re-derivation seam: an
-// index whose BlockCounts were released serves the exact same
-// incremental state as one built with statistics kept end to end.
+// index frozen to its rows serves, from its first Insert on, the exact
+// incremental state of one built as a writer — with the whole weighted
+// graph and its statistics — end to end.
 func TestInsertAfterBlockCountRelease(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(0x5EED)
@@ -61,9 +143,6 @@ func TestInsertAfterBlockCountRelease(t *testing.T) {
 	released, err := p.BuildIndex(ctx, ds)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if released.csr.BlockCounts != nil {
-		t.Fatal("precondition: cold index should have released BlockCounts")
 	}
 	sch, err := p.InduceSchema(ctx, ds)
 	if err != nil {
@@ -77,9 +156,7 @@ func TestInsertAfterBlockCountRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept.csr.BlockCounts == nil {
-		t.Fatal("precondition: keepStats index should retain BlockCounts")
-	}
+	assertSameIndex(t, "frozen vs writer, before any insert", kept, released)
 
 	profs := make([]model.Profile, 8)
 	for i := range profs {
@@ -93,8 +170,13 @@ func TestInsertAfterBlockCountRelease(t *testing.T) {
 		if _, err := kept.Insert(ctx, &b); err != nil {
 			t.Fatalf("kept Insert(%d): %v", i, err)
 		}
+		assertSameIndex(t, fmt.Sprintf("frozen vs writer, insert %d", i), kept, released)
 	}
-	assertSameIndex(t, "released vs kept", kept, released)
+	var buf []Candidate
+	buf = released.AppendCandidates(buf, 0)
+	if allocs := testing.AllocsPerRun(100, func() { buf = released.AppendCandidates(buf[:0], 0) }); allocs != 0 {
+		t.Errorf("AppendCandidates after Insert allocates %.0f times a lookup into a sized buffer", allocs)
+	}
 }
 
 // allocatedBy returns the bytes fn allocated (cumulative, so unaffected
@@ -110,11 +192,12 @@ func allocatedBy(fn func()) uint64 {
 // TestColdPathsNeverMakeStatisticsArrays: the builds whose caller reads
 // no co-occurrence statistics after the weights — a cold MetaBlock, a
 // cold IndexBlocks, a partitioned shard's Export — weigh as they fill
-// and never allocate Common/ARCS/EntropySum. A statistics-keeping fill
-// alone allocates 32 bytes an entry (five arrays); these paths must stay
-// under 20 with everything they make besides Neighbors + Weights (12),
-// and the statistics-keeping index build must cost at least the 20 bytes
-// an entry of the three arrays more than the cold one.
+// and never allocate Common/ARCS/EntropySum, nor a per-entry retention
+// mask. A statistics-keeping fill alone allocates 32 bytes an entry
+// (five arrays); these paths must stay under 20 with everything they
+// make besides Neighbors + Weights (12), and the writer's build must
+// cost at least the 20 bytes an entry of the three arrays more than the
+// cold one.
 func TestColdPathsNeverMakeStatisticsArrays(t *testing.T) {
 	ctx := context.Background()
 	opt := DefaultOptions()
@@ -123,30 +206,19 @@ func TestColdPathsNeverMakeStatisticsArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := synthDirty(stats.NewRNG(0xA110C), 1200)
-	sch, err := p.InduceSchema(ctx, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, err := p.Block(ctx, ds, sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cold, kept *Index
+	blocks := footprintCorpus(t, p)
+	var cold *Index
 	coldBytes := allocatedBy(func() { cold, err = p.IndexBlocks(ctx, blocks) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := uint64(cold.csr.NumEntries())
+	entries := 2 * uint64(cold.NumEdges())
 	if entries < 100*uint64(cold.NumProfiles()) {
 		t.Fatalf("precondition: %d entries over %d profiles — per-profile arrays would drown the per-entry ones", entries, cold.NumProfiles())
 	}
-	keptBytes := allocatedBy(func() { kept, err = p.indexBlocks(ctx, blocks, true) })
+	keptBytes := allocatedBy(func() { _, err = p.indexBlocks(ctx, blocks, true) })
 	if err != nil {
 		t.Fatal(err)
-	}
-	if kept.csr.Common == nil {
-		t.Fatal("precondition: keepStats index should retain the statistics")
 	}
 	runBytes := allocatedBy(func() { _, err = p.MetaBlock(ctx, blocks) })
 	if err != nil {
@@ -158,8 +230,8 @@ func TestColdPathsNeverMakeStatisticsArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(len(snap.Neighbors)) != entries {
-		t.Fatalf("export holds %d entries, cold index %d", len(snap.Neighbors), entries)
+	if 2*uint64(snap.NumEdges) != entries {
+		t.Fatalf("export weighed %d entries, cold index %d", 2*snap.NumEdges, entries)
 	}
 	for name, bytes := range map[string]uint64{"IndexBlocks": coldBytes, "MetaBlock": runBytes, "partIndex.Export": exportBytes} {
 		if bytes >= 20*entries {
@@ -167,6 +239,6 @@ func TestColdPathsNeverMakeStatisticsArrays(t *testing.T) {
 		}
 	}
 	if keptBytes < coldBytes+20*entries {
-		t.Errorf("statistics-keeping build allocated %d bytes, cold build %d: less than 20 an entry (%d entries) apart", keptBytes, coldBytes, entries)
+		t.Errorf("writer's build allocated %d bytes, cold build %d: less than 20 an entry (%d entries) apart", keptBytes, coldBytes, entries)
 	}
 }

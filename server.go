@@ -11,10 +11,11 @@ package blast
 //     any profile and the quiesced server match a cold IndexBlocks over
 //     the union collection exactly.
 //   - Reads never touch a writable index. Each shard publishes an
-//     immutable, epoch-tagged snapshot (the flat CSR + retention mask +
-//     thresholds that Index.Compact yields) and swaps it atomically on
-//     a compaction policy; point reads are hash-routed by profile id to
-//     the owning shard and served wait-free from its snapshot, while
+//     immutable, epoch-tagged snapshot — the rows of what pruning
+//     retained, plus the thresholds; the frozen form of an index, and
+//     nothing of the graph it was pruned from — and swaps it atomically
+//     on a compaction policy; point reads are hash-routed by profile id
+//     to the owning shard and served wait-free from its snapshot, while
 //     Pairs fans out over all shards — each enumerating only the rows
 //     it owns — and merges the ordered streams.
 //
@@ -100,17 +101,17 @@ func (p *Pipeline) Serve(ctx context.Context, ds *model.Dataset, sopt ServerOpti
 	return p.ServeBlocks(ctx, blocks, sopt)
 }
 
-// ServeBlocks freezes a Blocks artifact into one writable Index per
+// ServeBlocks builds a Blocks artifact into one writable Index per
 // shard (one build plus O(E) clones) and starts the shard workers, each
-// serving reads from an initial epoch-0 snapshot of the build. The
-// artifact itself is never mutated. Replicas swap snapshots over
-// compaction — their internal auto-compaction is disabled and the
-// Options.Compaction knobs instead drive the shard-level overlay swap
-// trigger, so folding the overlay and publishing the result are one
-// event. Options.Workers reaches every replica: the initial build and
-// each replica's pruning re-derivations run on that many goroutines,
-// and because the parallel pruning is byte-deterministic the replicas
-// stay identical at any worker count.
+// serving reads from an initial epoch-0 snapshot of the build — its
+// retained rows. The artifact itself is never mutated. Replicas swap
+// snapshots over compaction — their internal auto-compaction is
+// disabled and the Options.Compaction knobs instead drive the
+// shard-level overlay swap trigger, so folding the overlay and
+// publishing the result are one event. Options.Workers reaches every
+// replica: the initial build and each replica's pruning re-derivations
+// run on that many goroutines, and because the parallel pruning is
+// byte-deterministic the replicas stay identical at any worker count.
 //
 // With ServerOptions.Dir set the server is durable: admitted batches
 // are journaled to per-shard write-ahead logs before ids are returned,
@@ -158,13 +159,14 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 }
 
 // servePartitioned starts the partitioned topology over a Blocks
-// artifact: one full master build (discarded after its snapshot is
-// sliced), then one partIndex per shard holding a clone of the block
-// collection and an owned-rows slice of the build as its initial
-// snapshot. The shards share one aggregate Exchange; a failing shard
-// poisons it, failing its peers' exports too — under partitioning no
-// healthy subset of shards can serve (each shard's rows exist nowhere
-// else), so the server surfaces the failure instead of degrading.
+// artifact: one frozen master build (honoring Options.Storage;
+// discarded once its rows are sliced), then one partIndex per shard
+// holding a clone of the block collection and the owned rows of the
+// build as its initial snapshot. The shards share one aggregate
+// Exchange; a failing shard poisons it, failing its peers' exports too
+// — under partitioning no healthy subset of shards can serve (each
+// shard's rows exist nowhere else), so the server surfaces the failure
+// instead of degrading.
 func (p *Pipeline) servePartitioned(ctx context.Context, blocks *Blocks, sopt ServerOptions) (*Server, error) {
 	master, err := p.indexBlocks(ctx, blocks, false)
 	if err != nil {
@@ -227,11 +229,11 @@ func (s *Server) Kind() model.Kind { return s.kind }
 // Topology returns the shard topology the server was started with.
 func (s *Server) Topology() Topology { return s.topology }
 
-// Storage returns the graph storage mode (Options.Storage) the server's
-// index builds run under. Spilled builds are transient — serving state
-// is materialized at publish time — so this reports configuration, not
-// a point-in-time residency; the per-shard ResidentBytes in Stats
-// reports the latter.
+// Storage returns the graph storage mode (Options.Storage) the server
+// was configured with. It governs frozen builds only — the initial
+// build of a partitioned server — and is never a point-in-time
+// residency: every published snapshot is resident rows, whose size the
+// per-shard ResidentBytes in Stats reports.
 func (s *Server) Storage() Storage { return s.storage }
 
 // Admitted returns the number of profiles the server has accepted:

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -656,6 +657,97 @@ func TestPartitionedOwnedRowsServedFromTheSnapshot(t *testing.T) {
 		}
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// assertSameSnapshot compares two snapshots field for field: counters
+// and geometry, rows entry for entry, weights and thresholds bit for bit.
+func assertSameSnapshot(t *testing.T, label string, want, got *shard.Snapshot) {
+	t.Helper()
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	switch {
+	case got.NumProfiles != want.NumProfiles || got.NumEdges != want.NumEdges || got.RetainedPairs != want.RetainedPairs:
+		t.Fatalf("%s: %d profiles, %d edges, %d retained pairs; want %d, %d, %d", label,
+			got.NumProfiles, got.NumEdges, got.RetainedPairs, want.NumProfiles, want.NumEdges, want.RetainedPairs)
+	case got.PartShards != want.PartShards || got.PartShard != want.PartShard || got.Owned != want.Owned:
+		t.Fatalf("%s: shard %d of %d owning %d rows, want %d of %d owning %d", label,
+			got.PartShard, got.PartShards, got.Owned, want.PartShard, want.PartShards, want.Owned)
+	case !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Neighbors, want.Neighbors):
+		t.Fatalf("%s: rows differ in shape (%d entries, want %d)", label, len(got.Neighbors), len(want.Neighbors))
+	case !slices.EqualFunc(got.Weights, want.Weights, sameBits):
+		t.Fatalf("%s: weights differ", label)
+	case (got.Theta == nil) != (want.Theta == nil) || !slices.EqualFunc(got.Theta, want.Theta, sameBits):
+		t.Fatalf("%s: thresholds differ", label)
+	}
+}
+
+// TestSliceOwnedMatchesOwnExport pins the three makers of a frozen form
+// to one another for every pruning under three weightings: the rows a
+// cold IndexBlocks collects in its retention loop equal the rows a
+// writer filters out of its full graph through its retention mask, and
+// shard i's slice of them (SliceOwned, how a partitioned server seeds
+// its shards) equals, row for row and counter for counter, what shard i
+// collects and exchanges for itself in a 1-, 2- and 3-way export.
+func TestSliceOwnedMatchesOwnExport(t *testing.T) {
+	ctx := context.Background()
+	schemes := []weights.Scheme{{Kind: weights.ChiSquared, Entropy: true}, {Kind: weights.CBS}, {Kind: weights.EJS}}
+	prunings := []metablocking.Pruning{
+		metablocking.WEP, metablocking.CEP, metablocking.WNP1, metablocking.WNP2,
+		metablocking.CNP1, metablocking.CNP2, metablocking.BlastWNP,
+	}
+	for si, scheme := range schemes {
+		for _, pruning := range prunings {
+			label := fmt.Sprintf("%s/%v", scheme.Name(), pruning)
+			opt := DefaultOptions()
+			opt.Scheme, opt.Pruning = scheme, pruning
+			p, err := NewPipeline(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := synthDirty(stats.NewRNG(uint64(si)*7919+uint64(pruning)+11), 60)
+			sch, err := p.InduceSchema(ctx, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks, err := p.Block(ctx, ds, sch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var full [2]*shard.Snapshot
+			for k, writer := range []bool{false, true} {
+				ix, err := p.indexBlocks(ctx, blocks, writer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full[k], err = ix.exportSnapshot(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertSameSnapshot(t, label+" writer's masked graph vs frozen rows", full[0], full[1])
+
+			for n := 1; n <= 3; n++ {
+				ex := shard.NewExchange(n)
+				exports := make([]*shard.Snapshot, n)
+				errs := make([]error, n)
+				var wg sync.WaitGroup
+				for i := 0; i < n; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						px := newPartIndex(blocks.Collection.Clone(), blocks.Schema, p.opt, i, n, ex)
+						exports[i], errs[i] = px.Export(ctx)
+					}(i)
+				}
+				wg.Wait()
+				for i := 0; i < n; i++ {
+					if errs[i] != nil {
+						t.Fatalf("%s: export %d/%d: %v", label, i, n, errs[i])
+					}
+					assertSameSnapshot(t, fmt.Sprintf("%s shard %d/%d own export vs slice", label, i, n),
+						shard.SliceOwned(full[0], i, n), exports[i])
+				}
+			}
 		}
 	}
 }

@@ -5,11 +5,13 @@ package blast
 // thresholds and candidates, quiesced Server state under both
 // topologies, durable recovery — must be byte-identical to the
 // resident StorageMemory build. Plus the spill-specific lifecycle
-// contracts: segment cleanup on Close, materialization on first
-// mutation, and the manifest storage pin.
+// contracts: the segments end with the build that wrote them (frozen,
+// cancelled or failed on a read), the first mutation re-derives the
+// graph resident, and the manifest storage pin.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -23,6 +25,7 @@ import (
 	"blast/internal/metablocking"
 	"blast/internal/model"
 	"blast/internal/stats"
+	"blast/internal/store"
 	"blast/internal/weights"
 )
 
@@ -115,24 +118,16 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: file BuildIndex: %v", label, err)
 			}
-			if !fileIx.Spilled() {
-				t.Fatalf("%s: file-backed index did not spill under MemoryBudget=1", label)
+			// The file-backed build went through segment files and read
+			// them back; the resident one never touched the disk. Neither
+			// holds anything but rows now.
+			if spill, loads := fileIx.StorageStats(); spill == 0 || loads == 0 {
+				t.Fatalf("%s: file-backed build under MemoryBudget=1 reports %d spill bytes, %d page loads", label, spill, loads)
 			}
-			if memIx.Spilled() {
-				t.Fatalf("%s: resident index reports spilled", label)
-			}
-			// The cold build read its pages through private cursors: the
-			// page cache is untouched until the first lookup fills it.
-			if _, cs, loads := fileIx.StorageStats(); cs.Bytes != 0 || cs.Hits+cs.Misses != 0 || loads == 0 {
-				t.Fatalf("%s: after a cold build the cache holds %+v and %d frames were loaded; want an empty cache and some loads", label, cs, loads)
+			if spill, loads := memIx.StorageStats(); spill != 0 || loads != 0 {
+				t.Fatalf("%s: resident build reports %d spill bytes, %d page loads", label, spill, loads)
 			}
 			assertSameIndex(t, label, memIx, fileIx)
-			if _, cs, _ := fileIx.StorageStats(); cs.Misses == 0 || cs.Bytes == 0 {
-				t.Fatalf("%s: lookups did not go through the page cache: %+v", label, cs)
-			}
-			if err := fileIx.Close(); err != nil {
-				t.Fatalf("%s: Close: %v", label, err)
-			}
 		}
 	}
 }
@@ -186,9 +181,10 @@ func TestStorageServerEquivalence(t *testing.T) {
 }
 
 // TestStorageInsertMaterializes pins the mutation seam: the first
-// Insert into a spilled index materializes it back to resident storage
-// and the incremental state stays byte-identical to a resident index
-// fed the same sequence.
+// Insert into an index frozen by a spilled build re-derives the graph
+// resident — nothing of the build's storage is left to read back — and
+// the incremental state stays byte-identical to a resident index fed
+// the same sequence.
 func TestStorageInsertMaterializes(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(0xFEED)
@@ -210,15 +206,13 @@ func TestStorageInsertMaterializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fileIx.Spilled() {
-		t.Fatal("file-backed index did not spill")
+	if spill, _ := fileIx.StorageStats(); spill == 0 {
+		t.Fatal("file-backed build did not spill")
 	}
 	profs := make([]model.Profile, 9)
 	for i := range profs {
 		profs[i] = synthProfile(rng, fmt.Sprintf("ins-%d", i))
 	}
-	insRNG := stats.NewRNG(0xFEED) // regenerate the same profiles for the mem twin
-	_ = insRNG
 	for i := range profs {
 		p := profs[i]
 		if _, err := memIx.Insert(ctx, &p); err != nil {
@@ -229,17 +223,13 @@ func TestStorageInsertMaterializes(t *testing.T) {
 			t.Fatalf("file Insert(%d): %v", i, err)
 		}
 	}
-	if fileIx.Spilled() {
-		t.Fatal("index still spilled after Insert: the mutation seam must materialize")
-	}
 	assertSameIndex(t, "post-insert", memIx, fileIx)
-	if err := fileIx.Close(); err != nil {
-		t.Fatalf("Close after materialization: %v", err)
-	}
 }
 
-// TestStorageSpillDirLifecycle checks segment hygiene: a spilled index
-// creates its segments under SpillDir and Close removes them.
+// TestStorageSpillDirLifecycle checks segment hygiene: a spilled build
+// creates its segments under SpillDir — one that does not exist fails
+// the build — and has removed them by the time IndexBlocks returns: the
+// frozen index serves from resident rows.
 func TestStorageSpillDirLifecycle(t *testing.T) {
 	ctx := context.Background()
 	spill := t.TempDir()
@@ -249,29 +239,28 @@ func TestStorageSpillDirLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := p.BuildIndex(ctx, synthDirty(stats.NewRNG(0xABCD), 50))
+	ds := synthDirty(stats.NewRNG(0xABCD), 50)
+	ix, err := p.BuildIndex(ctx, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ix.Spilled() {
-		t.Fatal("index did not spill")
+	if spillBytes, _ := ix.StorageStats(); spillBytes == 0 {
+		t.Fatal("index build did not spill")
 	}
 	entries, err := os.ReadDir(spill)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
-		t.Fatal("no spill subdirectory created under SpillDir")
+	if len(entries) != 0 {
+		t.Fatalf("spill segments outlived the build that wrote them: %v", entries)
 	}
-	if err := ix.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	entries, err = os.ReadDir(spill)
-	if err != nil {
+
+	opt.SpillDir = filepath.Join(spill, "absent")
+	if p, err = NewPipeline(opt); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Fatalf("spill segments leaked after Close: %v", entries)
+	if _, err := p.BuildIndex(ctx, ds); err == nil {
+		t.Fatal("build spilled somewhere other than the SpillDir it was given")
 	}
 }
 
@@ -289,6 +278,38 @@ func (c *tripCtx) Err() error {
 	return nil
 }
 
+// faultCtx never cancels: its after-th poll flips one payload byte in
+// the first frame of every segment file then under dir, so a build
+// driven by it meets a page that fails its checksum wherever it next
+// reads one back.
+type faultCtx struct {
+	context.Context
+	dir   string
+	after int64
+	polls atomic.Int64
+}
+
+func (c *faultCtx) Err() error {
+	if c.polls.Add(1) != c.after {
+		return nil
+	}
+	segs, _ := filepath.Glob(filepath.Join(c.dir, "*", "*.seg"))
+	for _, seg := range segs {
+		f, err := os.OpenFile(seg, os.O_RDWR, 0)
+		if err != nil {
+			continue // already deleted by the build
+		}
+		var b [1]byte
+		off := int64(len(store.Magic) + store.FrameHeaderSize + 8)
+		if _, err := f.ReadAt(b[:], off); err == nil {
+			b[0] ^= 0xff
+			f.WriteAt(b[:], off)
+		}
+		f.Close()
+	}
+	return nil
+}
+
 // TestStorageCancelledBuildLeavesNoSegments trips every cancellation
 // poll of a file-backed IndexBlocks and MetaBlock in turn — the spill
 // build, the paged weighting kernel, every pruning pass, the freeze —
@@ -296,7 +317,10 @@ func (c *tripCtx) Err() error {
 // exits that close the spilled graph: no segment file, spill directory
 // or goroutine is left behind. MetaBlock under DefaultOptions goes
 // through the same sweep: the default pipeline is cancellable inside
-// Phase 3, at the granularity of the entries it weighs and prunes.
+// Phase 3, at the granularity of the entries it weighs and prunes. The
+// same sweep then corrupts the segments at every poll instead: a freeze
+// that reads a bad page back fails closed on the graph's sticky read
+// error — named, no index — and deletes its segments all the same.
 func TestStorageCancelledBuildLeavesNoSegments(t *testing.T) {
 	spill := t.TempDir()
 	opt := fileStorageOptions(DefaultOptions())
@@ -323,11 +347,8 @@ func TestStorageCancelledBuildLeavesNoSegments(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for name, run := range map[string]func(ctx context.Context) error{
 		"IndexBlocks": func(ctx context.Context) error {
-			ix, err := p.IndexBlocks(ctx, blocks)
-			if err != nil {
-				return err
-			}
-			return ix.Close()
+			_, err := p.IndexBlocks(ctx, blocks)
+			return err
 		},
 		"MetaBlock": func(ctx context.Context) error {
 			_, err := p.MetaBlock(ctx, blocks)
@@ -353,6 +374,33 @@ func TestStorageCancelledBuildLeavesNoSegments(t *testing.T) {
 			if left, err := os.ReadDir(spill); err != nil || len(left) != 0 {
 				t.Fatalf("%s cancelled at poll %d left %d entries in the spill directory (%v)", name, after, len(left), err)
 			}
+		}
+		if name != "IndexBlocks" {
+			continue
+		}
+		clean, err := p.IndexBlocks(bg, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := 0
+		for after := int64(1); after <= polls; after++ {
+			ix, err := p.IndexBlocks(&faultCtx{Context: bg, dir: spill, after: after}, blocks)
+			switch {
+			case err == nil:
+				// The flip landed where no pass read it back: every page
+				// that was read checked out, so the index is the clean one.
+				assertSameIndex(t, fmt.Sprintf("segments corrupted at poll %d, unread", after), clean, ix)
+			case errors.Is(err, store.ErrCorruptSegment) && ix == nil:
+				failed++
+			default:
+				t.Fatalf("IndexBlocks over segments corrupted at poll %d of %d: %v, want ErrCorruptSegment or success", after, polls, err)
+			}
+			if left, err := os.ReadDir(spill); err != nil || len(left) != 0 {
+				t.Fatalf("IndexBlocks over segments corrupted at poll %d left %d entries in the spill directory (%v)", after, len(left), err)
+			}
+		}
+		if failed == 0 {
+			t.Fatalf("no corruption in %d polls reached a page the freeze read back", polls)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
