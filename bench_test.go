@@ -436,13 +436,14 @@ func BenchmarkEngine_MetaBlocking(b *testing.B) {
 func BenchmarkEngine_CSRBuild(b *testing.B) {
 	dense := blocking.CleanWorkflow(blocking.TokenBlocking(datasets.AR1(0.4, 42)), 0.5, 0.8)
 	rng := stats.NewRNG(42)
-	sparse := &blocking.Collection{Kind: model.Dirty, NumProfiles: 400_000}
+	var pairs []blocking.Block
 	for i := 0; i < 300_000; i++ {
-		u, v := int32(rng.Intn(sparse.NumProfiles)), int32(rng.Intn(sparse.NumProfiles))
+		u, v := int32(rng.Intn(400_000)), int32(rng.Intn(400_000))
 		if u != v {
-			sparse.Blocks = append(sparse.Blocks, blocking.Block{P1: []int32{u, v}, Entropy: 1})
+			pairs = append(pairs, blocking.Block{P1: []int32{u, v}, Entropy: 1})
 		}
 	}
+	sparse := blocking.FromBlocks(model.Dirty, 400_000, 0, pairs)
 	ctx := context.Background()
 	for _, shape := range []struct {
 		name   string
@@ -811,6 +812,104 @@ func BenchmarkIndex_Freeze(b *testing.B) {
 	b.ReportMetric((with-liveHeap())/float64(2*retained), "live-B/retained-entry")
 	b.ReportMetric(float64(retained)/float64(edges), "retained-share")
 	runtime.KeepAlive(blocks) // the collection is not the index's to count
+}
+
+// phase2Corpus returns a corpus and the loosely schema-aware key
+// function of its default-options schema: build-cc's DBP clean-clean
+// corpus ("dbp") or serve-stream's 10 000-profile base stream ("stream").
+func phase2Corpus(b *testing.B, name string) (*model.Dataset, blocking.KeyFunc) {
+	b.Helper()
+	ds := datasets.DBP(0.25, 1)
+	if name == "stream" {
+		ds = datasets.NewStream(10_000, 1).Dataset()
+	}
+	p, err := blast.NewPipeline(blast.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema, err := p.InduceSchema(context.Background(), ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds, schema.Partitioning.KeyFunc()
+}
+
+// BenchmarkBlocking_Phase2 is Phase 2 alone as bench/e2e's decomposed
+// build calls it — BuildCtx, then CleanWorkflow under the default ratios.
+// Run with -benchmem: B/op is what one pass allocates, live-B/membership
+// what the cleaned collection keeps (4 bytes a membership, ≈ 20 plus the
+// key a block).
+func BenchmarkBlocking_Phase2(b *testing.B) {
+	ctx := context.Background()
+	o := blast.DefaultOptions()
+	for _, name := range []string{"dbp", "stream"} {
+		b.Run(name, func(b *testing.B) {
+			ds, key := phase2Corpus(b, name)
+			var c *blocking.Collection
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				raw, err := blocking.BuildCtx(ctx, ds, o.Transform, key)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c = blocking.CleanWorkflow(raw, o.PurgeRatio, o.FilterRatio)
+			}
+			b.StopTimer()
+			memberships := 0
+			for _, n := range c.ProfileBlockCounts() {
+				memberships += int(n)
+			}
+			with := liveHeap()
+			runtime.KeepAlive(c)
+			c = nil
+			b.ReportMetric((with-liveHeap())/float64(memberships), "live-B/membership")
+			b.ReportMetric(float64(memberships), "memberships")
+		})
+	}
+}
+
+// BenchmarkBlocking_Clone is what a shard or a thawed index pays for its
+// own copy of a collection: "base" clones the cleaned stream collection
+// (the arrays are shared, so O(1)), "tail" one whose writer appended the
+// 1024 profiles serve-stream streams in (a copy of the appended members
+// and materialised blocks only).
+func BenchmarkBlocking_Clone(b *testing.B) {
+	ctx := context.Background()
+	o := blast.DefaultOptions()
+	ds, key := phase2Corpus(b, "stream")
+	raw, err := blocking.BuildCtx(ctx, ds, o.Transform, key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := blocking.CleanWorkflow(raw, o.PurgeRatio, o.FilterRatio)
+	writer := base.Clone()
+	app := blocking.NewAppender(writer)
+	for _, p := range datasets.NewStream(11_024, 1).Profiles(10_000, 11_024) {
+		var keys []blocking.KeyEntropy
+		for _, pair := range p.Pairs {
+			for _, tok := range o.Transform.Terms(pair.Value) {
+				if k, h, ok := key(0, pair.Name, tok); ok {
+					keys = append(keys, blocking.KeyEntropy{Key: k, Entropy: h})
+				}
+			}
+		}
+		app.Append(keys)
+	}
+	for _, c := range []struct {
+		name string
+		c    *blocking.Collection
+	}{{"base", base}, {"tail", writer}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if cl := c.c.Clone(); cl.Len() != c.c.Len() {
+					b.Fatal("clone lost blocks")
+				}
+			}
+			b.ReportMetric(float64(c.c.Len()), "blocks")
+		})
+	}
 }
 
 // BenchmarkIndex_Lookup measures the online serving path, one

@@ -409,16 +409,18 @@ type Options struct {
 	// Seed drives the deterministic randomness (LSH).
 	Seed uint64
 	// Workers parallelizes attribute-match induction (the exhaustive
-	// row kernel; attribute rows are independent), blocking-graph
-	// construction, weighting AND the streaming pruning passes
-	// (thresholds, top-k cuts, retention — everywhere a CSR is pruned:
-	// batch runs, IndexBlocks, the incremental index's re-derivations,
-	// the sharded server's replicas): 0 uses one worker per CPU, 1 forces
-	// serial execution, >1 uses exactly that many goroutines. Results are
-	// byte-identical at every count — induction, graph construction and
-	// weighting compute each row or entry on one worker, and pruning runs
-	// over fixed node chunks with float partials combined in chunk order,
-	// so parallelism never moves a ulp.
+	// row kernel; attribute rows are independent), Phase 2 block
+	// building (contiguous profile ranges, merged in key order),
+	// blocking-graph construction, weighting AND the streaming pruning
+	// passes (thresholds, top-k cuts, retention — everywhere a CSR is
+	// pruned: batch runs, IndexBlocks, the incremental index's
+	// re-derivations, the sharded server's replicas): 0 uses one worker
+	// per CPU, 1 forces serial execution, >1 uses exactly that many
+	// goroutines. Results are byte-identical at every count — induction,
+	// block building, graph construction and weighting compute each row,
+	// profile or entry on one worker, and pruning runs over fixed node
+	// chunks with float partials combined in chunk order, so parallelism
+	// never moves a ulp.
 	Workers int
 
 	// Storage selects where the blocking graph's adjacency lives during
@@ -588,23 +590,15 @@ func (r *Result) Overhead() time.Duration {
 // "each pair of nodes connected by an edge forms a new block"). Useful
 // for feeding downstream tools that consume block collections.
 func (r *Result) RestructuredBlocks() *blocking.Collection {
-	out := &blocking.Collection{
-		Kind:        r.Blocks.Kind,
-		NumProfiles: r.Blocks.NumProfiles,
-		Split:       r.Blocks.Split,
-	}
-	out.Blocks = make([]blocking.Block, 0, len(r.Pairs))
+	blocks := make([]blocking.Block, 0, len(r.Pairs))
 	for i, p := range r.Pairs {
-		b := blocking.Block{Key: mbKey(i), Entropy: 1}
-		if out.Kind == model.CleanClean {
-			b.P1 = []int32{p.U}
-			b.P2 = []int32{p.V}
-		} else {
-			b.P1 = []int32{p.U, p.V}
+		b := blocking.Block{Key: mbKey(i), Entropy: 1, P1: []int32{p.U, p.V}}
+		if r.Blocks.Kind == model.CleanClean {
+			b.P1, b.P2 = b.P1[:1], b.P1[1:]
 		}
-		out.Blocks = append(out.Blocks, b)
+		blocks = append(blocks, b)
 	}
-	return out
+	return blocking.FromBlocks(r.Blocks.Kind, r.Blocks.NumProfiles, r.Blocks.Split, blocks)
 }
 
 // mbKey renders the restructured-block key "mb-%08d" without going

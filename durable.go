@@ -150,9 +150,9 @@ func collectionFingerprint(c *blocking.Collection) uint64 {
 	u64(uint64(c.Kind))
 	u64(uint64(c.NumProfiles))
 	u64(uint64(c.Split))
-	u64(uint64(len(c.Blocks)))
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
+	u64(uint64(c.Len()))
+	for i := 0; i < c.Len(); i++ {
+		b := c.Block(i)
 		h.Write([]byte(b.Key))
 		u64(math.Float64bits(b.Entropy))
 		u64(uint64(len(b.P1)))

@@ -17,6 +17,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"blast/internal/blocking"
+	"blast/internal/datasets"
 	"blast/internal/model"
 	"blast/internal/shard"
 	"blast/internal/stats"
@@ -385,6 +387,46 @@ func TestDurableManifestMismatch(t *testing.T) {
 	}
 	if _, err := durOpen(t, p, dir, 2, -1); err == nil {
 		t.Error("corrupt manifest accepted")
+	}
+}
+
+// TestCollectionFingerprintPinned holds the manifest's seed fingerprint
+// to the values written by durable directories of earlier releases — the
+// paper example's Token Blocking (dirty) and the default pipeline's
+// cleaned DBP ×0.02 (clean-clean) — so those directories still reopen,
+// and checks that a clone carrying appends digests like the same blocks
+// laid out flat.
+func TestCollectionFingerprintPinned(t *testing.T) {
+	if got := collectionFingerprint(blocking.TokenBlocking(datasets.PaperExample())); got != 0x83153e704e5a161a {
+		t.Errorf("paper example fingerprint %#x, want 0x83153e704e5a161a", got)
+	}
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := datasets.DBP(0.02, 1)
+	sch, err := p.InduceSchema(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.Block(context.Background(), ds, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collectionFingerprint(b.Collection); got != 0x59f987a0b3d76bdc {
+		t.Errorf("DBP fingerprint %#x, want 0x59f987a0b3d76bdc", got)
+	}
+	grown := b.Collection.Clone()
+	app := blocking.NewAppender(grown)
+	for i := 0; i < 5; i++ {
+		app.Append([]blocking.KeyEntropy{{Key: grown.Key(i), Entropy: 1}, {Key: grown.Key(2 * i), Entropy: 1}})
+	}
+	flat := make([]blocking.Block, grown.Len())
+	for i := range flat {
+		flat[i] = grown.Block(i)
+	}
+	if got, want := collectionFingerprint(grown), collectionFingerprint(blocking.FromBlocks(grown.Kind, grown.NumProfiles, grown.Split, flat)); got != want {
+		t.Errorf("grown collection fingerprint %#x, flat layout %#x", got, want)
 	}
 }
 

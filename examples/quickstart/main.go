@@ -120,8 +120,8 @@ func run() error {
 }
 
 func printBlocks(c *blocking.Collection) {
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
+	for i := 0; i < c.Len(); i++ {
+		b := c.Block(i)
 		var members []string
 		for _, p := range b.P1 {
 			members = append(members, fmt.Sprintf("p%d", p+1))

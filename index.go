@@ -620,7 +620,7 @@ func (ix *Index) appendOneLocked(keys []blocking.KeyEntropy, st *insertState) (i
 		st.reweighRuns[m] = struct{}{}
 	}
 
-	neighbors, common, arcs, entropy := ix.accumulateRun(res.ID)
+	neighbors, common, arcs, entropy := ix.accumulateRun(res.ID, res.Joined)
 	row := &graph.Row{
 		Neighbors:  neighbors,
 		Common:     common,
@@ -700,10 +700,11 @@ func tokenizeProfile(schema *Schema, kind model.Kind, opt *Options, p *model.Pro
 }
 
 // accumulateRun computes a node's adjacency run (neighbors ascending,
-// with co-occurrence accumulators) from its live block memberships,
-// visiting blocks in ascending index order so every floating-point sum
-// is bit-identical to a cold BuildCSR over the same collection.
-func (ix *Index) accumulateRun(n int32) (neighbors, common []int32, arcs, entropy []float64) {
+// with co-occurrence accumulators) from its live block memberships
+// (blocks, ascending), visiting blocks in ascending index order so every
+// floating-point sum is bit-identical to a cold BuildCSR over the same
+// collection.
+func (ix *Index) accumulateRun(n int32, blocks []int32) (neighbors, common []int32, arcs, entropy []float64) {
 	type acc struct {
 		common  int32
 		arcs    float64
@@ -722,26 +723,20 @@ func (ix *Index) accumulateRun(n int32) (neighbors, common []int32, arcs, entrop
 		a.arcs += inv
 		a.entropy += h
 	}
-	for _, bi := range ix.app.BlocksOf(n) {
-		b := &c.Blocks[bi]
-		cmp := b.Comparisons()
+	side := 0 // the other side of a clean-clean block, all of a dirty one
+	if c.Kind == model.CleanClean && int(n) < c.Split {
+		side = 1
+	}
+	for _, bi := range blocks {
+		cmp := c.Comparisons(int(bi))
 		if cmp == 0 {
 			continue
 		}
-		inv := 1 / float64(cmp)
-		if b.P2 != nil {
-			others := b.P2
-			if int(n) >= c.Split {
-				others = b.P1
-			}
-			for _, j := range others {
-				add(j, inv, b.Entropy)
-			}
-			continue
-		}
-		for _, j := range b.P1 {
+		inv, h := 1/float64(cmp), c.Entropy(int(bi))
+		run, appended := c.Members(int(bi), side)
+		for _, j := range append(run, appended...) {
 			if j != n {
-				add(j, inv, b.Entropy)
+				add(j, inv, h)
 			}
 		}
 	}
@@ -772,8 +767,9 @@ func (ix *Index) finalizeLocked(st *insertState) error {
 	// mass, so the member runs are re-accumulated from the live
 	// collection (bit-identical to a cold build) before any weighting.
 	if ix.opt.Scheme.UsesARCS() && len(st.arcsBlocks) > 0 {
+		inv := blocking.NewInverse(ix.collection)
 		for _, n := range ix.membersOf(st.arcsBlocks) {
-			_, common, arcs, entropy := ix.accumulateRun(n)
+			_, common, arcs, entropy := ix.accumulateRun(n, inv.Of(n))
 			if err := ix.ov.ReplaceStats(n, common, arcs, entropy); err != nil {
 				// The spliced run always matches a fresh accumulation of
 				// the live collection; a mismatch is a broken invariant.
@@ -814,7 +810,7 @@ func (ix *Index) membersOf(blocks map[int32]struct{}) []int32 {
 	seen := make(map[int32]struct{})
 	var out []int32
 	for bi := range blocks {
-		b := &ix.collection.Blocks[bi]
+		b := ix.collection.Block(int(bi))
 		for _, m := range b.P1 {
 			seen[m] = struct{}{}
 		}

@@ -304,10 +304,9 @@ func TestLMIPaperExampleDisambiguatesAbram(t *testing.T) {
 	// The split blocks of Figure 2a.
 	c := blocking.Build(ds, text.NewTokenizer(), part.KeyFunc())
 	var abramBlocks [][]int32
-	for i := range c.Blocks {
-		key := c.Blocks[i].Key
-		if len(key) >= 5 && key[:5] == "abram" {
-			abramBlocks = append(abramBlocks, c.Blocks[i].P1)
+	for i := 0; i < c.Len(); i++ {
+		if key := c.Key(i); len(key) >= 5 && key[:5] == "abram" {
+			abramBlocks = append(abramBlocks, c.Block(i).P1)
 		}
 	}
 	if len(abramBlocks) != 2 {

@@ -4,11 +4,13 @@ package blocking
 // meta-blocking. A batch run freezes the cleaned collection once;
 // append-heavy streams (the open scaling case of the blocking surveys)
 // then need new profiles folded into that frozen collection without
-// re-running blocking. An Appender maintains the inverted structures a
-// cold build derives from scratch — key -> block, profile -> blocks,
-// per-profile block counts, the aggregate cardinality — and keeps them
-// consistent with the collection under profile appends, so graph-level
-// consumers can splice instead of rebuilding.
+// re-running blocking. An Appender folds profiles into a collection's
+// tail: a new member of an existing block is recorded beside the block,
+// a key's first valid comparison materialises a block after the base
+// ones, and the base arrays are never written — which is what lets every
+// shard and every thawed index Clone one base instead of copying it. Key
+// lookup is a binary search over the base's ascending keys plus a map of
+// the tail's; profile → blocks is an Inverse built by whoever needs it.
 //
 // Append semantics are deliberately "cleaning-frozen": Block Purging and
 // Block Filtering decisions made when the collection was built are never
@@ -68,35 +70,17 @@ type pendingKey struct {
 // lock).
 type Appender struct {
 	c       *Collection
-	byKey   map[string]int32
 	pending map[string]*pendingKey
-	perProf [][]int32 // profile -> ascending block indexes
 }
 
-// NewAppender indexes a collection for appends: key -> block and
-// profile -> blocks. Cost is one pass over the block memberships.
+// NewAppender wraps a collection for appends. It indexes nothing: keys
+// are looked up in the collection itself.
 func NewAppender(c *Collection) *Appender {
-	a := &Appender{
-		c:       c,
-		byKey:   make(map[string]int32, len(c.Blocks)),
-		pending: make(map[string]*pendingKey),
-		perProf: c.BlocksOfProfiles(),
-	}
-	for i := range c.Blocks {
-		a.byKey[c.Blocks[i].Key] = int32(i)
-	}
-	return a
+	return &Appender{c: c, pending: make(map[string]*pendingKey)}
 }
 
 // Collection returns the live collection the appender maintains.
 func (a *Appender) Collection() *Collection { return a.c }
-
-// BlocksOf returns the ascending block indexes of a profile. The slice
-// is owned by the appender and must not be modified.
-func (a *Appender) BlocksOf(p int32) []int32 { return a.perProf[p] }
-
-// BlockCount returns |B_p| under the live collection.
-func (a *Appender) BlockCount(p int32) int32 { return int32(len(a.perProf[p])) }
 
 // PendingKeys returns the number of keys waiting for their first valid
 // comparison before materializing into blocks.
@@ -114,6 +98,10 @@ func (a *Appender) Append(keys []KeyEntropy) AppendResult {
 	c := a.c
 	id := int32(c.NumProfiles)
 	res := AppendResult{ID: id}
+	if c.tail == nil {
+		c.tail = &tail{grown: make(map[int32][]int32), index: make(map[string]int32)}
+	}
+	t := c.tail
 
 	// Deterministic key order: sort, then drop duplicates (first wins).
 	ks := append([]KeyEntropy(nil), keys...)
@@ -122,15 +110,16 @@ func (a *Appender) Append(keys []KeyEntropy) AppendResult {
 		if i > 0 && ke.Key == ks[i-1].Key {
 			continue
 		}
-		if bi, ok := a.byKey[ke.Key]; ok {
-			b := &c.Blocks[bi]
-			old := b.Comparisons()
-			if c.Kind == model.CleanClean {
+		if bi, ok := c.lookup(ke.Key); ok {
+			old := c.Comparisons(int(bi))
+			if nb := int32(len(c.mid)); bi < nb {
+				t.grown[bi] = append(t.grown[bi], id)
+			} else if b := &t.blocks[bi-nb]; c.Kind == model.CleanClean {
 				b.P2 = append(b.P2, id)
 			} else {
 				b.P1 = append(b.P1, id)
 			}
-			res.ComparisonsDelta += b.Comparisons() - old
+			res.ComparisonsDelta += c.Comparisons(int(bi)) - old
 			res.Joined = append(res.Joined, bi)
 			continue
 		}
@@ -151,26 +140,21 @@ func (a *Appender) Append(keys []KeyEntropy) AppendResult {
 			continue // still pending
 		}
 		// Materialize: the key's members finally entail a comparison.
-		bi := int32(len(c.Blocks))
-		c.Blocks = append(c.Blocks, nb)
-		a.byKey[ke.Key] = bi
+		bi := int32(c.Len())
+		t.blocks = append(t.blocks, nb)
+		t.index[ke.Key] = bi
 		delete(a.pending, ke.Key)
 		res.ComparisonsDelta += nb.Comparisons()
 		res.Joined = append(res.Joined, bi)
 		res.Created = append(res.Created, bi)
 		for _, m := range nb.P1 {
-			if m == id {
-				continue
+			if m != id {
+				res.CountChanged = append(res.CountChanged, m)
 			}
-			// A new block index is always the largest, so appending keeps
-			// the member's block list ascending.
-			a.perProf[m] = append(a.perProf[m], bi)
-			res.CountChanged = append(res.CountChanged, m)
 		}
 	}
 	c.NumProfiles++
 	sort.Slice(res.Joined, func(i, j int) bool { return res.Joined[i] < res.Joined[j] })
-	a.perProf = append(a.perProf, append([]int32(nil), res.Joined...))
 	sort.Slice(res.CountChanged, func(i, j int) bool { return res.CountChanged[i] < res.CountChanged[j] })
 	return res
 }

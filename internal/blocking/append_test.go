@@ -1,15 +1,16 @@
 package blocking
 
 // Tests of the appendable-Collection invariants: after any sequence of
-// appends, the appender-maintained structures (key index, per-profile
-// block lists, cardinality deltas) must agree with a fresh recomputation
-// over the collection, the collection must stay Validate-clean, and
-// pending keys must materialize exactly when they first entail a
-// comparison.
+// appends, what the AppendResults reported (joined and created blocks,
+// count changes, cardinality deltas) must agree with a fresh
+// recomputation over the collection, the collection must stay
+// Validate-clean, and pending keys must materialize exactly when they
+// first entail a comparison.
 
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"blast/internal/model"
@@ -35,9 +36,42 @@ func randomKeys(rng *stats.RNG, existing []string) []KeyEntropy {
 	return out
 }
 
-// checkAppenderInvariants compares every appender-maintained statistic
+// tracker replays AppendResults onto the profile → blocks lists of the
+// collection the appends started from.
+type tracker struct{ perProf [][]int32 }
+
+func newTracker(c *Collection) *tracker {
+	inv := NewInverse(c)
+	tr := &tracker{perProf: make([][]int32, c.NumProfiles)}
+	for p := range tr.perProf {
+		tr.perProf[p] = append([]int32(nil), inv.Of(int32(p))...)
+	}
+	return tr
+}
+
+// record folds one append in: the new profile's Joined list, and every
+// block it materialised for the block's earlier members.
+func (tr *tracker) record(t *testing.T, c *Collection, res AppendResult) {
+	t.Helper()
+	tr.perProf = append(tr.perProf, append([]int32(nil), res.Joined...))
+	var changed []int32
+	for _, bi := range res.Created {
+		for _, m := range c.Block(int(bi)).P1 {
+			if m != res.ID {
+				tr.perProf[m] = append(tr.perProf[m], bi)
+				changed = append(changed, m)
+			}
+		}
+	}
+	slices.Sort(changed)
+	if !slices.Equal(changed, res.CountChanged) && len(changed)+len(res.CountChanged) > 0 {
+		t.Fatalf("CountChanged %v, created blocks hold %v", res.CountChanged, changed)
+	}
+}
+
+// checkAppenderInvariants compares everything the appends reported
 // against a fresh recomputation over the live collection.
-func checkAppenderInvariants(t *testing.T, a *Appender, wantComparisons int64) {
+func checkAppenderInvariants(t *testing.T, a *Appender, tr *tracker, wantComparisons int64) {
 	t.Helper()
 	c := a.Collection()
 	if err := c.Validate(); err != nil {
@@ -46,32 +80,20 @@ func checkAppenderInvariants(t *testing.T, a *Appender, wantComparisons int64) {
 	if got := c.AggregateCardinality(); got != wantComparisons {
 		t.Fatalf("||B|| = %d, tracked deltas say %d", got, wantComparisons)
 	}
-	counts := c.ProfileBlockCounts()
-	perProf := c.BlocksOfProfiles()
+	inv := NewInverse(c)
 	for p := 0; p < c.NumProfiles; p++ {
-		if a.BlockCount(int32(p)) != counts[p] {
-			t.Fatalf("profile %d: appender |B_i| = %d, recomputed %d", p, a.BlockCount(int32(p)), counts[p])
-		}
-		got := a.BlocksOf(int32(p))
-		if len(got) != len(perProf[p]) {
-			t.Fatalf("profile %d: appender lists %d blocks, recomputed %d", p, len(got), len(perProf[p]))
-		}
-		for i := range got {
-			if got[i] != perProf[p][i] {
-				t.Fatalf("profile %d: block list diverges at %d: %d vs %d", p, i, got[i], perProf[p][i])
-			}
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i] <= got[i-1] {
-				t.Fatalf("profile %d: block list not ascending", p)
-			}
+		if got := inv.Of(int32(p)); !slices.Equal(got, tr.perProf[p]) {
+			t.Fatalf("profile %d: blocks %v, appends reported %v", p, got, tr.perProf[p])
 		}
 	}
 	// No materialized block may be comparison-free, and every block key
 	// must be unique and indexed.
 	seen := make(map[string]bool)
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
+	for i := 0; i < c.Len(); i++ {
+		b := c.Block(i)
+		if bi, ok := c.lookup(b.Key); !ok || int(bi) != i {
+			t.Fatalf("block %q not indexed at %d", b.Key, i)
+		}
 		if b.Comparisons() == 0 {
 			t.Fatalf("block %q entails no comparisons", b.Key)
 		}
@@ -94,11 +116,12 @@ func TestAppenderRandomizedInvariants(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		rng := stats.NewRNG(seed * 7919)
 		c := baseCollection(rng, 20+rng.Intn(30), 15+rng.Intn(30))
-		existing := make([]string, 0, len(c.Blocks))
-		for i := range c.Blocks {
-			existing = append(existing, c.Blocks[i].Key)
+		existing := make([]string, 0, c.Len())
+		for i := 0; i < c.Len(); i++ {
+			existing = append(existing, c.Key(i))
 		}
 		a := NewAppender(c)
+		tr := newTracker(c)
 		comparisons := c.AggregateCardinality()
 		for step := 0; step < 25; step++ {
 			before := c.NumProfiles
@@ -107,9 +130,7 @@ func TestAppenderRandomizedInvariants(t *testing.T) {
 				t.Fatalf("seed %d step %d: id %d, profiles %d -> %d", seed, step, res.ID, before, c.NumProfiles)
 			}
 			comparisons += res.ComparisonsDelta
-			if len(res.Joined) != len(a.BlocksOf(res.ID)) {
-				t.Fatalf("seed %d step %d: Joined %d vs recorded %d", seed, step, len(res.Joined), len(a.BlocksOf(res.ID)))
-			}
+			tr.record(t, c, res)
 			for _, bi := range res.Created {
 				found := false
 				for _, ji := range res.Joined {
@@ -122,7 +143,7 @@ func TestAppenderRandomizedInvariants(t *testing.T) {
 				}
 			}
 		}
-		checkAppenderInvariants(t, a, comparisons)
+		checkAppenderInvariants(t, a, tr, comparisons)
 	}
 }
 
@@ -130,26 +151,31 @@ func TestAppenderPendingMaterialization(t *testing.T) {
 	rng := stats.NewRNG(3)
 	c := baseCollection(rng, 12, 10)
 	a := NewAppender(c)
+	tr := newTracker(c)
 	comparisons := c.AggregateCardinality()
 	blocksBefore := c.Len()
+	appendKeys := func(keys []KeyEntropy) AppendResult {
+		res := a.Append(keys)
+		tr.record(t, c, res)
+		comparisons += res.ComparisonsDelta
+		return res
+	}
 
 	// First carrier of a fresh key: pending, no block, |B_i| excludes it.
-	r1 := a.Append([]KeyEntropy{{Key: "unique-xyz", Entropy: 2}})
-	comparisons += r1.ComparisonsDelta
+	r1 := appendKeys([]KeyEntropy{{Key: "unique-xyz", Entropy: 2}})
 	if len(r1.Joined) != 0 || len(r1.Created) != 0 || r1.ComparisonsDelta != 0 {
 		t.Fatalf("first carrier joined %v created %v", r1.Joined, r1.Created)
 	}
 	if a.PendingKeys() != 1 || c.Len() != blocksBefore {
 		t.Fatalf("pending %d, blocks %d -> %d", a.PendingKeys(), blocksBefore, c.Len())
 	}
-	if a.BlockCount(r1.ID) != 0 {
-		t.Fatalf("pending key counted in |B_i| = %d", a.BlockCount(r1.ID))
+	if n := len(NewInverse(c).Of(r1.ID)); n != 0 {
+		t.Fatalf("pending key counted in |B_i| = %d", n)
 	}
 
 	// Second carrier: the key materializes into a two-member block, and
 	// the first carrier's block count grows (reported via CountChanged).
-	r2 := a.Append([]KeyEntropy{{Key: "unique-xyz", Entropy: 2}})
-	comparisons += r2.ComparisonsDelta
+	r2 := appendKeys([]KeyEntropy{{Key: "unique-xyz", Entropy: 2}})
 	if len(r2.Created) != 1 || r2.ComparisonsDelta != 1 {
 		t.Fatalf("second carrier created %v delta %d", r2.Created, r2.ComparisonsDelta)
 	}
@@ -159,43 +185,43 @@ func TestAppenderPendingMaterialization(t *testing.T) {
 	if len(r2.CountChanged) != 1 || r2.CountChanged[0] != r1.ID {
 		t.Fatalf("CountChanged = %v, want [%d]", r2.CountChanged, r1.ID)
 	}
-	nb := &c.Blocks[r2.Created[0]]
+	nb := c.Block(int(r2.Created[0]))
 	if nb.Entropy != 2 || len(nb.P1) != 2 {
 		t.Fatalf("materialized block %+v", nb)
 	}
 
 	// A profile joining several pending keys at once: CountChanged lists
 	// the earlier member once per materialized block.
-	r3 := a.Append([]KeyEntropy{{Key: "pair-a", Entropy: 1}, {Key: "pair-b", Entropy: 1}})
-	comparisons += r3.ComparisonsDelta
-	r4 := a.Append([]KeyEntropy{{Key: "pair-a", Entropy: 1}, {Key: "pair-b", Entropy: 1}})
-	comparisons += r4.ComparisonsDelta
+	r3 := appendKeys([]KeyEntropy{{Key: "pair-a", Entropy: 1}, {Key: "pair-b", Entropy: 1}})
+	r4 := appendKeys([]KeyEntropy{{Key: "pair-a", Entropy: 1}, {Key: "pair-b", Entropy: 1}})
 	if len(r4.Created) != 2 || len(r4.CountChanged) != 2 {
 		t.Fatalf("double materialization: created %v countChanged %v", r4.Created, r4.CountChanged)
 	}
 	if r4.CountChanged[0] != r3.ID || r4.CountChanged[1] != r3.ID {
 		t.Fatalf("CountChanged = %v, want [%d %d]", r4.CountChanged, r3.ID, r3.ID)
 	}
-	checkAppenderInvariants(t, a, comparisons)
+	checkAppenderInvariants(t, a, tr, comparisons)
 }
 
 func TestAppenderCleanClean(t *testing.T) {
 	rng := stats.NewRNG(5)
 	c := RandomCollection(rng, model.CleanClean, 20, 16)
 	a := NewAppender(c)
+	tr := newTracker(c)
 	comparisons := c.AggregateCardinality()
-	existing := []string{c.Blocks[0].Key, c.Blocks[1].Key}
+	existing := []string{c.Key(0), c.Key(1)}
 	split := c.Split
 
 	for i := 0; i < 10; i++ {
 		res := a.Append(randomKeys(rng, existing))
+		tr.record(t, c, res)
 		comparisons += res.ComparisonsDelta
 		if int(res.ID) < split {
 			t.Fatalf("appended profile %d below split %d", res.ID, split)
 		}
 		// Appended profiles are E2-side: they must land in P2 only.
 		for _, bi := range res.Joined {
-			b := &c.Blocks[bi]
+			b := c.Block(int(bi))
 			for _, p := range b.P1 {
 				if p == res.ID {
 					t.Fatalf("appended profile %d on E1 side of block %q", res.ID, b.Key)
@@ -208,7 +234,7 @@ func TestAppenderCleanClean(t *testing.T) {
 	if c.Split != split {
 		t.Fatalf("split moved: %d -> %d", c.Split, split)
 	}
-	checkAppenderInvariants(t, a, comparisons)
+	checkAppenderInvariants(t, a, tr, comparisons)
 }
 
 func TestAppenderDeterminism(t *testing.T) {
@@ -217,7 +243,7 @@ func TestAppenderDeterminism(t *testing.T) {
 		c := baseCollection(rng, 18, 14)
 		a := NewAppender(c)
 		for i := 0; i < 12; i++ {
-			a.Append(randomKeys(rng, []string{c.Blocks[0].Key, c.Blocks[2].Key}))
+			a.Append(randomKeys(rng, []string{c.Key(0), c.Key(2)}))
 		}
 		return c
 	}

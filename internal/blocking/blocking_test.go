@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -13,12 +14,12 @@ import (
 // blockByKey finds a block by key.
 func blockByKey(t *testing.T, c *Collection, key string) *Block {
 	t.Helper()
-	for i := range c.Blocks {
-		if c.Blocks[i].Key == key {
-			return &c.Blocks[i]
+	for i := 0; i < c.Len(); i++ {
+		if b := c.Block(i); b.Key == key {
+			return &b
 		}
 	}
-	t.Fatalf("block %q not found; have %d blocks", key, len(c.Blocks))
+	t.Fatalf("block %q not found; have %d blocks", key, c.Len())
 	return nil
 }
 
@@ -65,8 +66,8 @@ func TestTokenBlockingPaperFigure1(t *testing.T) {
 	}
 	if got := c.Len(); got != len(want) {
 		keys := make([]string, 0, c.Len())
-		for i := range c.Blocks {
-			keys = append(keys, c.Blocks[i].Key)
+		for i := 0; i < c.Len(); i++ {
+			keys = append(keys, c.Key(i))
 		}
 		t.Fatalf("got %d blocks %v, want %d", got, keys, len(want))
 	}
@@ -146,10 +147,8 @@ func TestTokenBlockingCleanClean(t *testing.T) {
 	// "deep" and "learning" bridge a0-b0; "systems" bridges a1-b1.
 	// "database", "methods", "graph" are one-sided and must be dropped.
 	for _, key := range []string{"database", "methods", "graph"} {
-		for i := range c.Blocks {
-			if c.Blocks[i].Key == key {
-				t.Errorf("one-sided block %q survived", key)
-			}
+		if _, ok := c.lookup(key); ok {
+			t.Errorf("one-sided block %q survived", key)
 		}
 	}
 	deep := blockByKey(t, c, "deep")
@@ -190,10 +189,8 @@ func TestSchemaKeyStandardBlocking(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	// Same pairs as token blocking here, but keys carry the alignment id.
-	for i := range c.Blocks {
-		if c.Blocks[i].Key == "deep" {
-			t.Error("SchemaKey should qualify keys, found bare token")
-		}
+	if _, ok := c.lookup("deep"); ok {
+		t.Error("SchemaKey should qualify keys, found bare token")
 	}
 	b := blockByKey(t, c, "deep\x1ft")
 	if b.Comparisons() != 1 {
@@ -233,10 +230,8 @@ func TestPurgeDropsHugeBlocks(t *testing.T) {
 	c := TokenBlocking(ds)
 	// abram contains all 4 profiles = 100% > 50%.
 	p := Purge(c, 0.5)
-	for i := range p.Blocks {
-		if p.Blocks[i].Key == "abram" {
-			t.Error("Purge kept the abram block (4/4 profiles)")
-		}
+	if _, ok := p.lookup("abram"); ok {
+		t.Error("Purge kept the abram block (4/4 profiles)")
 	}
 	if p.Len() != c.Len()-1 {
 		t.Errorf("Purge dropped %d blocks, want 1", c.Len()-p.Len())
@@ -252,20 +247,6 @@ func TestPurgeDefaultRatio(t *testing.T) {
 	c := TokenBlocking(ds)
 	if got, want := Purge(c, 0).Len(), Purge(c, 0.5).Len(); got != want {
 		t.Errorf("default ratio mismatch: %d vs %d", got, want)
-	}
-}
-
-func TestPurgeByCardinality(t *testing.T) {
-	ds := datasets.PaperExample()
-	c := TokenBlocking(ds)
-	p := PurgeByCardinality(c, 1)
-	for i := range p.Blocks {
-		if p.Blocks[i].Comparisons() > 1 {
-			t.Errorf("block %q with %d comparisons survived", p.Blocks[i].Key, p.Blocks[i].Comparisons())
-		}
-	}
-	if got := PurgeByCardinality(c, 0).Len(); got != c.Len() {
-		t.Errorf("non-positive limit should clone, got %d blocks", got)
 	}
 }
 
@@ -299,9 +280,8 @@ func TestFilterRemovesLeastImportantBlocks(t *testing.T) {
 	c := TokenBlocking(ds)
 	f := Filter(c, 0.5)
 	// p0 and p1 keep only their smallest block: "rare".
-	for i := range f.Blocks {
-		b := &f.Blocks[i]
-		if b.Key == "shared" {
+	for i := 0; i < f.Len(); i++ {
+		if b := f.Block(i); b.Key == "shared" {
 			for _, p := range b.P1 {
 				if p == 0 || p == 1 {
 					t.Errorf("profile %d kept its least-important membership", p)
@@ -347,49 +327,86 @@ func TestCleanWorkflow(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence: clones share the base arrays and nothing else —
+// appends to either side of a Clone (base blocks grown, pending keys
+// materialised) never show in the other, and neither writes the base.
 func TestCloneIndependence(t *testing.T) {
 	ds := datasets.PaperExample()
 	c := TokenBlocking(ds)
+	base := append([]int32(nil), c.members...)
+	want := func(c *Collection) []Block {
+		out := make([]Block, c.Len())
+		for i := range out {
+			out[i] = c.Block(i)
+		}
+		return out
+	}
+	before := want(c)
 	cl := c.Clone()
-	cl.Blocks[0].P1[0] = 99
-	cl.Blocks[0].Key = "mutated"
-	if c.Blocks[0].Key == "mutated" || c.Blocks[0].P1[0] == 99 {
-		t.Error("Clone shares state with the original")
+	if &cl.members[0] != &c.members[0] {
+		t.Fatal("Clone copied the base arrays")
+	}
+	a := NewAppender(cl)
+	a.Append([]KeyEntropy{{Key: "abram", Entropy: 1}, {Key: "fresh", Entropy: 1}})
+	a.Append([]KeyEntropy{{Key: "fresh", Entropy: 1}})
+	if cl.Len() != c.Len()+1 || cl.NumProfiles != c.NumProfiles+2 {
+		t.Fatalf("clone: %d blocks %d profiles", cl.Len(), cl.NumProfiles)
+	}
+	if !reflect.DeepEqual(want(c), before) || !reflect.DeepEqual(c.members, base) {
+		t.Fatal("appends to a clone reached the original")
+	}
+	grown := want(cl)
+	cl2 := cl.Clone()
+	NewAppender(cl2).Append([]KeyEntropy{{Key: "abram", Entropy: 1}, {Key: "fresh", Entropy: 1}})
+	if !reflect.DeepEqual(want(cl), grown) {
+		t.Fatal("appends to a clone of a clone reached its tail")
+	}
+	if err := cl2.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	ds := datasets.PaperExample()
-	c := TokenBlocking(ds)
-	c.Blocks[0].P1 = append(c.Blocks[0].P1, 999)
-	if err := c.Validate(); err == nil {
-		t.Error("Validate accepted out-of-range id")
-	}
-
-	c2 := TokenBlocking(ds)
-	c2.Blocks[0].P1 = append(c2.Blocks[0].P1, c2.Blocks[0].P1[0])
-	if err := c2.Validate(); err == nil {
-		t.Error("Validate accepted duplicate id in block")
-	}
-
-	c3 := TokenBlocking(ds)
-	c3.Blocks[0].P2 = []int32{1}
-	if err := c3.Validate(); err == nil {
-		t.Error("Validate accepted P2 on dirty block")
+	for name, corrupt := range map[string]func(c *Collection){
+		"out-of-range id":         func(c *Collection) { c.members[1] = 999 },
+		"duplicate id in block":   func(c *Collection) { c.members[1] = c.members[0] },
+		"descending ids":          func(c *Collection) { c.members[0], c.members[1] = c.members[1], c.members[0] },
+		"P2 on dirty block":       func(c *Collection) { c.mid[0]-- },
+		"keys out of order":       func(c *Collection) { c.keys = "z" + c.keys[1:] },
+		"non-monotone offsets":    func(c *Collection) { c.start[1], c.mid[0] = c.start[2]+1, c.start[2]+1 },
+		"truncated members":       func(c *Collection) { c.members = c.members[:len(c.members)-1] },
+		"appended block shadowed": func(c *Collection) { c.tail = &tail{blocks: []Block{{Key: c.Key(0), P1: []int32{0, 1}}}} },
+	} {
+		c := TokenBlocking(ds)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: fresh collection invalid: %v", name, err)
+		}
+		corrupt(c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("Validate accepted %s", name)
+		}
 	}
 }
 
-func TestBlocksOfProfilesConsistent(t *testing.T) {
+func TestInverseConsistent(t *testing.T) {
 	ds := datasets.PaperExample()
 	c := TokenBlocking(ds)
-	per := c.BlocksOfProfiles()
+	inv := NewInverse(c)
 	counts := c.ProfileBlockCounts()
-	for p := range per {
-		if len(per[p]) != int(counts[p]) {
-			t.Errorf("profile %d: lists %d blocks, counts %d", p, len(per[p]), counts[p])
+	if len(inv.Blocks) != int(inv.Offsets[c.NumProfiles]) || cap(inv.Blocks) != len(inv.Blocks) {
+		t.Fatalf("inverse holds %d ids for %d memberships", len(inv.Blocks), inv.Offsets[c.NumProfiles])
+	}
+	for p := 0; p < c.NumProfiles; p++ {
+		per := inv.Of(int32(p))
+		if len(per) != int(counts[p]) {
+			t.Errorf("profile %d: lists %d blocks, counts %d", p, len(per), counts[p])
 		}
-		for _, bid := range per[p] {
-			b := &c.Blocks[bid]
+		if !sort.SliceIsSorted(per, func(i, j int) bool { return per[i] < per[j] }) {
+			t.Errorf("profile %d: blocks %v not ascending", p, per)
+		}
+		for _, bid := range per {
+			b := c.Block(int(bid))
 			found := false
 			for _, q := range b.P1 {
 				if int(q) == p {
@@ -444,13 +461,13 @@ func TestBuildSortedDeterministic(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatal("nondeterministic block count")
 	}
-	for i := range a.Blocks {
-		if a.Blocks[i].Key != b.Blocks[i].Key {
+	for i := 0; i < a.Len(); i++ {
+		if a.Key(i) != b.Key(i) {
 			t.Fatal("nondeterministic block order")
 		}
 	}
 	for i := 1; i < a.Len(); i++ {
-		if a.Blocks[i-1].Key >= a.Blocks[i].Key {
+		if a.Key(i-1) >= a.Key(i) {
 			t.Fatal("blocks not sorted by key")
 		}
 	}

@@ -60,7 +60,7 @@ func Canopy(ds *model.Dataset, tr text.Transform, loose, tight float64, seed uin
 		inPool[i] = true
 	}
 
-	c := &Collection{Kind: ds.Kind, NumProfiles: n, Split: ds.Split()}
+	var blocks []Block
 	overlap := make(map[int32]int, 64)
 	blockID := 0
 	for _, seedIdx := range order {
@@ -102,7 +102,7 @@ func Canopy(ds *model.Dataset, tr text.Transform, loose, tight float64, seed uin
 		if ds.Kind == model.CleanClean {
 			b.P2 = []int32{}
 			for _, m := range members {
-				if int(m) < c.Split {
+				if int(m) < ds.Split() {
 					b.P1 = append(b.P1, m)
 				} else {
 					b.P2 = append(b.P2, m)
@@ -115,10 +115,10 @@ func Canopy(ds *model.Dataset, tr text.Transform, loose, tight float64, seed uin
 			continue
 		}
 		b.Entropy = 1
-		c.Blocks = append(c.Blocks, b)
+		blocks = append(blocks, b)
 	}
-	c.sortBlocks()
-	return c, nil
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Key < blocks[j].Key })
+	return FromBlocks(ds.Kind, n, ds.Split(), blocks), nil
 }
 
 // QGramBlocking builds blocks with overlapping character q-grams as

@@ -113,8 +113,8 @@ func TestCanopyDeterministicForSeed(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("nondeterministic canopy count: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a.Blocks {
-		if a.Blocks[i].Key != b.Blocks[i].Key || a.Blocks[i].Size() != b.Blocks[i].Size() {
+	for i := 0; i < a.Len(); i++ {
+		if ba, bb := a.Block(i), b.Block(i); ba.Key != bb.Key || ba.Size() != bb.Size() {
 			t.Fatal("nondeterministic canopy content")
 		}
 	}
@@ -157,8 +157,8 @@ func TestSuffixBlockingRecallUnderTypos(t *testing.T) {
 		t.Fatal("suffix blocking should pair them via shared suffixes (eller, ller, ...)")
 	}
 	found := false
-	for i := range sf.Blocks {
-		if sf.Blocks[i].Key == "eller" {
+	for i := 0; i < sf.Len(); i++ {
+		if sf.Key(i) == "eller" {
 			found = true
 		}
 	}

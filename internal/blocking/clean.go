@@ -1,51 +1,37 @@
 package blocking
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
+
+// purgeLimit is the largest block size Block Purging keeps: maxRatio
+// (default 0.5) of the dataset's profiles.
+func purgeLimit(numProfiles int, maxRatio float64) float64 {
+	if maxRatio <= 0 {
+		maxRatio = 0.5
+	}
+	return maxRatio * float64(numProfiles)
+}
 
 // Purge implements Block Purging as described in Section 4.1 of the BLAST
 // paper: it discards every block that contains more than maxRatio of the
 // entity profiles of the dataset (default 0.5 — "more than half"),
 // removing the blocks that correspond to highly frequent, stop-word-like
 // blocking keys. It returns a new collection; the input is not modified.
+// Like Filter it cleans a built collection, not one carrying appends.
 func Purge(c *Collection, maxRatio float64) *Collection {
-	if maxRatio <= 0 {
-		maxRatio = 0.5
-	}
-	limit := maxRatio * float64(c.NumProfiles)
-	out := &Collection{Kind: c.Kind, NumProfiles: c.NumProfiles, Split: c.Split}
-	for i := range c.Blocks {
-		b := c.Blocks[i]
-		if float64(b.Size()) > limit {
-			continue
+	limit := purgeLimit(c.NumProfiles, maxRatio)
+	keep := make([]uint64, (len(c.members)+63)/64)
+	for i := range c.mid {
+		if float64(c.start[i+1]-c.start[i]) <= limit {
+			for j := c.start[i]; j < c.start[i+1]; j++ {
+				keep[j>>6] |= 1 << (j & 63)
+			}
 		}
-		out.Blocks = append(out.Blocks, b)
 	}
-	return out
-}
-
-// PurgeByCardinality is the comparison-cardinality-driven Block Purging of
-// Papadakis et al. (TKDE'13): blocks are processed in order of decreasing
-// ||b|| and a cutoff is chosen where the marginal gain in comparison count
-// stops paying for itself — concretely, it finds the smallest cardinality
-// limit such that dropping all blocks with ||b|| above it loses no block
-// whose ||b|| is below maxPairsPerBlock. It is provided as an extension
-// point; the BLAST evaluation uses the size-ratio Purge above.
-func PurgeByCardinality(c *Collection, maxPairsPerBlock int64) *Collection {
-	if maxPairsPerBlock <= 0 {
-		return c.Clone()
-	}
-	out := &Collection{Kind: c.Kind, NumProfiles: c.NumProfiles, Split: c.Split}
-	for i := range c.Blocks {
-		b := c.Blocks[i]
-		if b.Comparisons() > maxPairsPerBlock {
-			continue
-		}
-		out.Blocks = append(out.Blocks, b)
-	}
-	return out
+	return c.compact(keep)
 }
 
 // Filter implements Block Filtering (Papadakis et al., EDBT'16; used by
@@ -54,78 +40,103 @@ func PurgeByCardinality(c *Collection, maxPairsPerBlock int64) *Collection {
 // i.e. smaller blocks are more significant — and is removed from the
 // rest. Blocks left with no valid comparison are dropped. It returns a
 // new collection; the input is not modified.
+//
+// Blocks are ranked once by (||b||, index); a profile in n blocks keeps
+// those whose rank is among its ceil(keepRatio*n) smallest, a cut read
+// off its list in the profile → blocks Inverse. Kept memberships are
+// marked in a bitmap and the collection is compacted once.
 func Filter(c *Collection, keepRatio float64) *Collection {
 	if keepRatio <= 0 || keepRatio > 1 {
 		keepRatio = 0.8
 	}
-	// Rank blocks by ascending comparison cardinality; ties by key order
-	// (block index) for determinism.
-	order := make([]int32, len(c.Blocks))
+	nb := c.Len()
+	cost := make([]int64, nb)
+	order := make([]int32, nb)
 	for i := range order {
-		order[i] = int32(i)
+		cost[i], order[i] = c.Comparisons(i), int32(i)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		bi, bj := &c.Blocks[order[i]], &c.Blocks[order[j]]
-		ci, cj := bi.Comparisons(), bj.Comparisons()
-		if ci != cj {
-			return ci < cj
+	slices.SortFunc(order, func(a, b int32) int {
+		if d := cmp.Compare(cost[a], cost[b]); d != 0 {
+			return d
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
-	rank := make([]int32, len(c.Blocks))
-	for r, id := range order {
-		rank[id] = int32(r)
+	rank := make([]int32, nb)
+	for r, b := range order {
+		rank[b] = int32(r)
 	}
 
-	// For every profile, sort its block list by the global rank and keep
-	// the first ceil(keepRatio * |B_i|).
-	perProfile := c.BlocksOfProfiles()
-	keep := make(map[int64]struct{}) // (blockID<<32 | profileID) memberships kept
-	for p, blocks := range perProfile {
-		if len(blocks) == 0 {
-			continue
+	inv := NewInverse(c)
+	cut := make([]int32, c.NumProfiles) // the largest rank profile p keeps
+	var ranks []int32
+	for p := range cut {
+		blocks := inv.Of(int32(p))
+		k := min(max(int(math.Ceil(keepRatio*float64(len(blocks)))), 1), len(blocks))
+		ranks = ranks[:0]
+		for _, b := range blocks {
+			ranks = append(ranks, rank[b])
 		}
-		sort.Slice(blocks, func(i, j int) bool { return rank[blocks[i]] < rank[blocks[j]] })
-		k := int(math.Ceil(keepRatio * float64(len(blocks))))
-		if k < 1 {
-			k = 1
-		}
-		if k > len(blocks) {
-			k = len(blocks)
-		}
-		for _, bid := range blocks[:k] {
-			keep[int64(bid)<<32|int64(p)] = struct{}{}
+		slices.Sort(ranks)
+		if k > 0 {
+			cut[p] = ranks[k-1]
 		}
 	}
 
-	out := &Collection{Kind: c.Kind, NumProfiles: c.NumProfiles, Split: c.Split}
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
-		nb := Block{Key: b.Key, Entropy: b.Entropy}
-		for _, p := range b.P1 {
-			if _, ok := keep[int64(i)<<32|int64(p)]; ok {
-				nb.P1 = append(nb.P1, p)
+	keep := make([]uint64, (len(c.members)+63)/64)
+	for b := range c.mid {
+		for j := c.start[b]; j < c.start[b+1]; j++ {
+			if rank[b] <= cut[c.members[j]] {
+				keep[j>>6] |= 1 << (j & 63)
 			}
 		}
-		if b.P2 != nil {
-			nb.P2 = []int32{}
-			for _, p := range b.P2 {
-				if _, ok := keep[int64(i)<<32|int64(p)]; ok {
-					nb.P2 = append(nb.P2, p)
-				}
-			}
+	}
+	return c.compact(keep)
+}
+
+// compact lays out the blocks of c restricted to the memberships keep
+// marks (bit j for c.members[j]), dropping every block left without a
+// comparison, into exactly-sized arrays. Cleaning reads the base only, so
+// a collection carrying appends is refused.
+func (c *Collection) compact(keep []uint64) *Collection {
+	if c.tail != nil {
+		panic("blocking: cleaning a collection that carries appends")
+	}
+	kept := func(lo, hi int32) (n int) {
+		for j := lo; j < hi; j++ {
+			n += int(keep[j>>6] >> (j & 63) & 1)
 		}
-		if nb.Comparisons() == 0 {
+		return n
+	}
+	nb := len(c.mid)
+	survives := make([]bool, nb)
+	m, t, k := 0, 0, 0
+	for i := 0; i < nb; i++ {
+		n1, n2 := kept(c.start[i], c.mid[i]), kept(c.mid[i], c.start[i+1])
+		if survives[i] = comparisons(c.Kind, n1, n2) > 0; survives[i] {
+			m, t, k = m+1, t+n1+n2, k+int(c.keyOff[i+1]-c.keyOff[i])
+		}
+	}
+	l := newLayout(c.Kind, c.NumProfiles, c.Split, m, t, k)
+	for i := 0; i < nb; i++ {
+		if !survives[i] {
 			continue
 		}
-		out.Blocks = append(out.Blocks, nb)
+		at := l.add(c.Key(i), c.entropy[i], kept(c.start[i], c.mid[i]), kept(c.mid[i], c.start[i+1]))
+		for j := c.start[i]; j < c.start[i+1]; j++ {
+			if keep[j>>6]>>(j&63)&1 != 0 {
+				l.c.members[at] = c.members[j]
+				at++
+			}
+		}
 	}
-	return out
+	return l.done()
 }
 
 // CleanWorkflow applies the paper's preprocessing pipeline to a freshly
 // built block collection: Block Purging (ratio purgeRatio, default 0.5)
 // followed by Block Filtering (ratio filterRatio, default 0.8).
+// Pipeline.Block runs the same workflow with the purge fused into the
+// build (BuildPurgedCtx).
 func CleanWorkflow(c *Collection, purgeRatio, filterRatio float64) *Collection {
 	return Filter(Purge(c, purgeRatio), filterRatio)
 }

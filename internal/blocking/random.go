@@ -2,6 +2,7 @@ package blocking
 
 import (
 	"fmt"
+	"slices"
 
 	"blast/internal/model"
 	"blast/internal/stats"
@@ -19,9 +20,9 @@ import (
 // below the split belong to E1, the rest to E2, and every block gets at
 // least one profile from each side.
 func RandomCollection(rng *stats.RNG, kind model.Kind, profiles, blocks int) *Collection {
-	c := &Collection{Kind: kind, NumProfiles: profiles}
+	split := 0
 	if kind == model.CleanClean {
-		c.Split = profiles / 2
+		split = profiles / 2
 	}
 	// sample draws n distinct ids from [lo, hi).
 	sample := func(lo, hi, n int) []int32 {
@@ -37,8 +38,10 @@ func RandomCollection(rng *stats.RNG, kind model.Kind, profiles, blocks int) *Co
 				out = append(out, id)
 			}
 		}
+		slices.Sort(out)
 		return out
 	}
+	out := make([]Block, 0, blocks)
 	for b := 0; b < blocks; b++ {
 		// Entropy 0 every few blocks exercises the EntropySum == 0 path
 		// of the entropy-scaled weighting schemes.
@@ -48,12 +51,12 @@ func RandomCollection(rng *stats.RNG, kind model.Kind, profiles, blocks int) *Co
 		}
 		blk := Block{Key: fmt.Sprintf("b%05d", b), Entropy: entropy}
 		if kind == model.CleanClean {
-			blk.P1 = sample(0, c.Split, 1+rng.Intn(5))
-			blk.P2 = sample(c.Split, profiles, 1+rng.Intn(5))
+			blk.P1 = sample(0, split, 1+rng.Intn(5))
+			blk.P2 = sample(split, profiles, 1+rng.Intn(5))
 		} else {
 			blk.P1 = sample(0, profiles, 2+rng.Intn(6))
 		}
-		c.Blocks = append(c.Blocks, blk)
+		out = append(out, blk)
 	}
-	return c
+	return FromBlocks(kind, profiles, split, out)
 }

@@ -2,6 +2,7 @@ package blocking
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -79,29 +80,23 @@ func sortedNeighborhoodByKey(ds *model.Dataset, window int, key func(p *model.Pr
 		return entries[a].id < entries[b].id
 	})
 
-	c := &Collection{Kind: ds.Kind, NumProfiles: n, Split: ds.Split()}
+	var blocks []Block
 	for start := 0; start+window <= len(entries); start++ {
 		members := entries[start : start+window]
-		b := Block{Key: fmt.Sprintf("sn-%06d", start), Entropy: 1}
+		ids := make([]int32, 0, window)
+		for _, e := range members {
+			ids = append(ids, e.id)
+		}
+		slices.Sort(ids)
+		b := Block{Key: fmt.Sprintf("sn-%06d", start), P1: ids, Entropy: 1}
 		if ds.Kind == model.CleanClean {
-			b.P2 = []int32{}
-			for _, e := range members {
-				if int(e.id) < c.Split {
-					b.P1 = append(b.P1, e.id)
-				} else {
-					b.P2 = append(b.P2, e.id)
-				}
-			}
-		} else {
-			for _, e := range members {
-				b.P1 = append(b.P1, e.id)
-			}
-			sort.Slice(b.P1, func(x, y int) bool { return b.P1[x] < b.P1[y] })
+			cut, _ := slices.BinarySearch(ids, int32(ds.Split()))
+			b.P1, b.P2 = ids[:cut], ids[cut:]
 		}
 		if b.Comparisons() == 0 {
 			continue
 		}
-		c.Blocks = append(c.Blocks, b)
+		blocks = append(blocks, b)
 	}
-	return c, nil
+	return FromBlocks(ds.Kind, n, ds.Split(), blocks), nil
 }

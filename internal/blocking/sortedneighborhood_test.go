@@ -66,8 +66,8 @@ func TestSortedNeighborhoodCleanClean(t *testing.T) {
 	}
 	// Clean-clean windows containing a single side entail no comparison
 	// and must have been dropped.
-	for i := range c.Blocks {
-		if c.Blocks[i].Comparisons() == 0 {
+	for i := 0; i < c.Len(); i++ {
+		if c.Comparisons(i) == 0 {
 			t.Fatal("zero-comparison window survived")
 		}
 	}
@@ -115,8 +115,8 @@ func TestSortedNeighborhoodSkipsEmptyKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range c.Blocks {
-		for _, id := range c.Blocks[i].P1 {
+	for i := 0; i < c.Len(); i++ {
+		for _, id := range c.Block(i).P1 {
 			if id == 0 {
 				t.Error("keyless profile entered a window")
 			}

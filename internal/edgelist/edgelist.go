@@ -61,8 +61,8 @@ type Graph struct {
 // floating-point sums), and the edges are sorted by (U, V).
 func Build(c *blocking.Collection) *Graph {
 	edges := make(map[uint64]*Edge)
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
+	for i := 0; i < c.Len(); i++ {
+		b := c.Block(i)
 		cmp := b.Comparisons()
 		if cmp == 0 {
 			continue

@@ -13,9 +13,10 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"sync"
 
 	"blast/internal/blocking"
+	"blast/internal/model"
+	"blast/internal/par"
 )
 
 // CSR is the node-centric (compressed sparse row) representation of the
@@ -277,7 +278,7 @@ func (g *CSR) WeighEntries(ctx context.Context, workers int, fn EntryWeight) err
 		return errors.New("graph: weighting a CSR whose statistics were released")
 	}
 	bounds := cutRanges(g.Offsets, workers)
-	return fanOut(workers, func(w int) error {
+	return par.Do(workers, func(w int) error {
 		return g.weighRows(ctx, bounds[w], bounds[w+1], 0, g.Neighbors, g.Common, g.ARCS, g.EntropySum, g.Weights, fn)
 	})
 }
@@ -305,87 +306,32 @@ func (g *CSR) weighRows(ctx context.Context, lo, hi int, base int64, nbr, common
 	return nil
 }
 
-// fanOut runs fn(0) … fn(n-1) concurrently (inline when n is 1), waits
-// for all of them and returns the first error in index order.
-func fanOut(n int, fn func(i int) error) error {
-	if n == 1 {
-		return fn(0)
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // newCSRHeader fills in the collection-level statistics shared by the
-// serial and parallel builders.
-func newCSRHeader(c *blocking.Collection) *CSR {
-	return &CSR{
+// builders; |B_i| is read off the profile → blocks index they walk.
+func newCSRHeader(c *blocking.Collection, ix *blocking.Inverse) *CSR {
+	g := &CSR{
 		NumProfiles:      c.NumProfiles,
 		Offsets:          make([]int64, c.NumProfiles+1),
-		BlockCounts:      c.ProfileBlockCounts(),
+		BlockCounts:      make([]int32, c.NumProfiles),
 		TotalBlocks:      c.Len(),
 		TotalComparisons: c.AggregateCardinality(),
 	}
+	for p := range g.BlockCounts {
+		g.BlockCounts[p] = int32(len(ix.Of(int32(p))))
+	}
+	return g
 }
 
 // blockInverses precomputes 1/||b|| per block (0 for blocks that entail
 // no comparisons, which accumulation then skips).
 func blockInverses(c *blocking.Collection) []float64 {
-	inv := make([]float64, len(c.Blocks))
-	for i := range c.Blocks {
-		if cmp := c.Blocks[i].Comparisons(); cmp > 0 {
+	inv := make([]float64, c.Len())
+	for i := range inv {
+		if cmp := c.Comparisons(i); cmp > 0 {
 			inv[i] = 1 / float64(cmp)
 		}
 	}
 	return inv
-}
-
-// blockIndex is the exact-sized flat inverted index profile -> block ids
-// (ascending): node i's blocks occupy blocks[offsets[i]:offsets[i+1]].
-// Equivalent to Collection.BlocksOfProfiles but allocation-exact — two
-// flat arrays instead of per-profile slices — because the node-centric
-// builder exists to keep peak allocation tight.
-type blockIndex struct {
-	offsets []int64
-	blocks  []int32
-}
-
-func (ix *blockIndex) of(node int32) []int32 {
-	return ix.blocks[ix.offsets[node]:ix.offsets[node+1]]
-}
-
-func buildBlockIndex(c *blocking.Collection, counts []int32) blockIndex {
-	n := len(counts)
-	offsets := make([]int64, n+1)
-	for i, ct := range counts {
-		offsets[i+1] = offsets[i] + int64(ct)
-	}
-	blocks := make([]int32, offsets[n])
-	cursor := make([]int64, n)
-	add := func(ids []int32, bi int32) {
-		for _, p := range ids {
-			blocks[offsets[p]+cursor[p]] = bi
-			cursor[p]++
-		}
-	}
-	for i := range c.Blocks {
-		add(c.Blocks[i].P1, int32(i))
-		add(c.Blocks[i].P2, int32(i))
-	}
-	return blockIndex{offsets: offsets, blocks: blocks}
 }
 
 // rowAcc is the reusable sparse accumulator of one node's adjacency:
@@ -422,32 +368,36 @@ func newRowAcc(n int) *rowAcc {
 // node's degree). It always marks the neighbors met; with stats it also
 // accumulates their co-occurrence statistics, each per-edge
 // floating-point sum in ascending block order — the order the edge-list
-// reference adds in, which is what makes the two bit-identical.
-func (a *rowAcc) walk(c *blocking.Collection, inv []float64, ix *blockIndex, node int32, stats bool) (visited int) {
-	for _, bi := range ix.of(node) {
+// reference adds in, which is what makes the two bit-identical. A
+// block's members are the shared base's run plus a writer's appended run.
+func (a *rowAcc) walk(c *blocking.Collection, inv []float64, ix *blocking.Inverse, node int32, stats bool) (visited int) {
+	// Clean-clean: only cross-source comparisons are valid. Dirty:
+	// everyone else in the block.
+	side := 0
+	if c.Kind == model.CleanClean && int(node) < c.Split {
+		side = 1
+	}
+	for _, bi := range ix.Of(node) {
 		w := inv[bi]
 		if w == 0 {
 			continue
 		}
-		b := &c.Blocks[bi]
-		// Clean-clean: only cross-source comparisons are valid. Dirty:
-		// everyone else in the block.
-		others := b.P1
-		if b.P2 != nil && int(node) < c.Split {
-			others = b.P2
-		}
-		visited += len(others)
-		for _, j := range others {
-			if j == node {
-				continue
-			}
-			a.met[0][j>>6] |= 1 << (j & 63)
-			a.met[1][j>>12] |= 1 << (j >> 6 & 63)
-			a.met[2][j>>18] |= 1 << (j >> 12 & 63)
-			if stats {
-				a.common[j]++
-				a.arcs[j] += w
-				a.entropy[j] += b.Entropy
+		h := c.Entropy(int(bi))
+		run, appended := c.Members(int(bi), side)
+		for _, others := range [2][]int32{run, appended} {
+			visited += len(others)
+			for _, j := range others {
+				if j == node {
+					continue
+				}
+				a.met[0][j>>6] |= 1 << (j & 63)
+				a.met[1][j>>12] |= 1 << (j >> 6 & 63)
+				a.met[2][j>>18] |= 1 << (j >> 12 & 63)
+				if stats {
+					a.common[j]++
+					a.arcs[j] += w
+					a.entropy[j] += h
+				}
 			}
 		}
 	}
@@ -549,7 +499,7 @@ type OwnedBuild struct {
 	owns    func(int32) bool
 	workers int
 	g       *CSR
-	ix      blockIndex
+	ix      *blocking.Inverse
 	inv     []float64
 	bounds  []int
 	accs    []*rowAcc
@@ -564,13 +514,13 @@ func StartOwnedCSR(ctx context.Context, c *blocking.Collection, owns func(int32)
 	if c.NumProfiles < 2*workers {
 		workers = 1
 	}
-	b := &OwnedBuild{c: c, owns: owns, workers: workers, g: newCSRHeader(c), inv: blockInverses(c)}
-	b.ix = buildBlockIndex(c, b.g.BlockCounts)
-	b.bounds = cutRanges(b.ix.offsets, workers)
+	ix := blocking.NewInverse(c)
+	b := &OwnedBuild{c: c, owns: owns, workers: workers, g: newCSRHeader(c, ix), ix: ix, inv: blockInverses(c)}
+	b.bounds = cutRanges(ix.Offsets, workers)
 	b.accs = make([]*rowAcc, workers)
 	offsets := b.g.Offsets
 	err := b.pass(ctx, func(acc *rowAcc, n int32) int {
-		visited := acc.walk(c, b.inv, &b.ix, n, false)
+		visited := acc.walk(c, b.inv, b.ix, n, false)
 		offsets[n+1] = int64(acc.degree())
 		return visited
 	})
@@ -585,7 +535,7 @@ func StartOwnedCSR(ctx context.Context, c *blocking.Collection, owns func(int32)
 
 // pass runs visit over every owned node, each worker on its range.
 func (b *OwnedBuild) pass(ctx context.Context, visit func(acc *rowAcc, n int32) (visited int)) error {
-	_ = fanOut(b.workers, func(w int) error {
+	_ = par.Do(b.workers, func(w int) error {
 		if b.accs[w] == nil {
 			b.accs[w] = newRowAcc(b.c.NumProfiles)
 		}
@@ -628,7 +578,7 @@ func (b *OwnedBuild) Fill(ctx context.Context, weigh EntryWeight) (*CSR, error) 
 		g.EntropySum = make([]float64, entries)
 	}
 	err := b.pass(ctx, func(acc *rowAcc, n int32) int {
-		visited := acc.walk(c, b.inv, &b.ix, n, true)
+		visited := acc.walk(c, b.inv, b.ix, n, true)
 		lo, hi := g.Offsets[n], g.Offsets[n+1]
 		if weigh == nil {
 			acc.emit(g.Neighbors[lo:hi], g.Common[lo:hi], g.ARCS[lo:hi], g.EntropySum[lo:hi])

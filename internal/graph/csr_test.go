@@ -300,37 +300,39 @@ func TestBuildCSRShapes(t *testing.T) {
 	// A hub adjacent to every profile, over a random background: its run
 	// sets every word of the neighbor bitmap.
 	hubDirty := blocking.RandomCollection(rng, model.Dirty, 300, 80)
+	var hubs []blocking.Block
 	for i := int32(1); i < 300; i++ {
-		hubDirty.Blocks = append(hubDirty.Blocks, blocking.Block{Key: fmt.Sprintf("hub%03d", i), P1: []int32{0, i}, Entropy: 0.5})
+		hubs = append(hubs, blocking.Block{Key: fmt.Sprintf("hub%03d", i), P1: []int32{0, i}, Entropy: 0.5})
 	}
+	hubDirty = withBlocks(hubDirty, hubs...)
 	hubClean := blocking.RandomCollection(rng, model.CleanClean, 300, 80)
 	e2 := make([]int32, 0, 150)
 	for j := int32(hubClean.Split); j < 300; j++ {
 		e2 = append(e2, j)
 	}
-	hubClean.Blocks = append(hubClean.Blocks, blocking.Block{Key: "hub", P1: []int32{3}, P2: e2, Entropy: 1.5})
+	hubClean = withBlocks(hubClean, blocking.Block{Key: "hub", P1: []int32{3}, P2: e2, Entropy: 1.5})
 
 	// N far above the mean degree: most summary words stay zero and a
 	// run's neighbors sit in words far apart.
-	sparse := &blocking.Collection{Kind: model.Dirty, NumProfiles: 100_000}
+	var sparseBlocks []blocking.Block
 	for b := 0; b < 1500; b++ {
 		blk := blocking.Block{Key: fmt.Sprintf("s%04d", b), Entropy: rng.Float64()}
 		for len(blk.P1) < 2+b%2 {
-			if id := int32(rng.Intn(sparse.NumProfiles)); !slices.Contains(blk.P1, id) {
+			if id := int32(rng.Intn(100_000)); !slices.Contains(blk.P1, id) {
 				blk.P1 = append(blk.P1, id)
 			}
 		}
-		sparse.Blocks = append(sparse.Blocks, blk)
+		sparseBlocks = append(sparseBlocks, blk)
 	}
+	sparse := blocking.FromBlocks(model.Dirty, 100_000, 0, sparseBlocks)
 
 	// Blocks that entail no comparison, between blocks that do.
-	free := &blocking.Collection{Kind: model.CleanClean, NumProfiles: 12, Split: 6}
-	free.Blocks = []blocking.Block{
+	free := blocking.FromBlocks(model.CleanClean, 12, 6, []blocking.Block{
 		{Key: "a", P1: []int32{0, 1}, P2: []int32{}, Entropy: 1},
 		{Key: "b", P1: []int32{1}, P2: []int32{7, 8}, Entropy: 0.3},
 		{Key: "c", P1: []int32{}, P2: []int32{9}, Entropy: 1},
 		{Key: "d", P1: []int32{1, 2}, P2: []int32{8}, Entropy: 0},
-	}
+	})
 
 	// Profiles past the last block member: trailing empty runs.
 	tail := blocking.RandomCollection(rng, model.Dirty, 90, 40)
@@ -439,12 +441,11 @@ func TestBuildCSRCancellation(t *testing.T) {
 	// One block holding all 1500 profiles makes every node visit 1500
 	// comparisons, so the entry budget must trigger polls well inside
 	// the first csrCancelCheckEvery nodes.
-	hubs := &blocking.Collection{Kind: model.Dirty, NumProfiles: 1500}
-	all := make([]int32, hubs.NumProfiles)
+	all := make([]int32, 1500)
 	for i := range all {
 		all[i] = int32(i)
 	}
-	hubs.Blocks = []blocking.Block{{Key: "all", P1: all, Entropy: 1}}
+	hubs := blocking.FromBlocks(model.Dirty, len(all), 0, []blocking.Block{{Key: "all", P1: all, Entropy: 1}})
 	counter := &tripCtx{Context: context.Background(), after: math.MaxInt64}
 	if _, err := BuildCSRCtx(counter, hubs); err != nil {
 		t.Fatal(err)
@@ -523,12 +524,11 @@ func TestWeighEntriesCancellation(t *testing.T) {
 }
 
 func TestBuildCSRSkipsComparisonFreeBlocks(t *testing.T) {
-	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: 4}
-	c.Blocks = []blocking.Block{
+	c := blocking.FromBlocks(model.Dirty, 4, 0, []blocking.Block{
 		{Key: "single", P1: []int32{2}, Entropy: 1},   // no comparisons
 		{Key: "pair", P1: []int32{0, 1}, Entropy: 1},  // one comparison
 		{Key: "lonely", P1: []int32{3}, Entropy: 0.5}, // no comparisons
-	}
+	})
 	g := BuildCSR(c)
 	if g.NumEdges() != 1 {
 		t.Fatalf("edges = %d, want 1", g.NumEdges())
@@ -607,4 +607,13 @@ func TestCanonicalMirrorPointsBack(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withBlocks returns c with extra blocks laid out after its own.
+func withBlocks(c *blocking.Collection, extra ...blocking.Block) *blocking.Collection {
+	blocks := make([]blocking.Block, 0, c.Len()+len(extra))
+	for i := 0; i < c.Len(); i++ {
+		blocks = append(blocks, c.Block(i))
+	}
+	return blocking.FromBlocks(c.Kind, c.NumProfiles, c.Split, append(blocks, extra...))
 }

@@ -163,14 +163,10 @@ func TestEntropyMeanDefaultBlocks(t *testing.T) {
 func TestEntropyMeanWithClusterEntropy(t *testing.T) {
 	// Hand-built collection: two blocks with different entropies sharing
 	// the pair (0,1).
-	c := &blocking.Collection{
-		Kind:        model.Dirty,
-		NumProfiles: 2,
-		Blocks: []blocking.Block{
-			{Key: "a", P1: []int32{0, 1}, Entropy: 3.5},
-			{Key: "b", P1: []int32{0, 1}, Entropy: 2.0},
-		},
-	}
+	c := blocking.FromBlocks(model.Dirty, 2, 0, []blocking.Block{
+		{Key: "a", P1: []int32{0, 1}, Entropy: 3.5},
+		{Key: "b", P1: []int32{0, 1}, Entropy: 2.0},
+	})
 	forBoth(t, bothGraphs(c), func(t *testing.T, g *edgelist.Graph) {
 		e := g.EdgeBetween(0, 1)
 		if e == nil {
@@ -188,9 +184,9 @@ func TestEdgeBetweenMissing(t *testing.T) {
 			t.Error("self edge should not exist")
 		}
 	})
-	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: 5, Blocks: []blocking.Block{
+	c := blocking.FromBlocks(model.Dirty, 5, 0, []blocking.Block{
 		{Key: "k", P1: []int32{0, 1}},
-	}}
+	})
 	forBoth(t, bothGraphs(c), func(t *testing.T, g *edgelist.Graph) {
 		if g.EdgeBetween(2, 3) != nil {
 			t.Error("absent edge should be nil")

@@ -47,6 +47,7 @@ import (
 	"sync/atomic"
 
 	"blast/internal/blocking"
+	"blast/internal/par"
 	"blast/internal/store"
 )
 
@@ -548,7 +549,7 @@ func (g *CSR) weighPages(ctx context.Context, wts *store.FileArena, workers int,
 			return err
 		}
 		n := min(len(bufs), pages-base)
-		if err := fanOut(n, func(i int) error { return g.weighPage(ctx, &bufs[i], base+i, fn) }); err != nil {
+		if err := par.Do(n, func(i int) error { return g.weighPage(ctx, &bufs[i], base+i, fn) }); err != nil {
 			return err
 		}
 		for i := range bufs[:n] {
@@ -708,8 +709,8 @@ func BuildCSRSpill(c *blocking.Collection, opt SpillOptions) (*CSR, error) {
 // per-entry arrays page in through a bounded cache (see SpillOptions).
 // Spilled graphs must be Closed to release their segment files.
 func BuildCSRSpillCtx(ctx context.Context, c *blocking.Collection, opt SpillOptions) (*CSR, error) {
-	g := newCSRHeader(c)
-	ix := buildBlockIndex(c, g.BlockCounts)
+	ix := blocking.NewInverse(c)
+	g := newCSRHeader(c, ix)
 	inv := blockInverses(c)
 	acc := newRowAcc(c.NumProfiles)
 	sb := &spillBuilder{
@@ -733,7 +734,7 @@ func BuildCSRSpillCtx(ctx context.Context, c *blocking.Collection, opt SpillOpti
 			}
 			budget = buildPollBudget
 		}
-		visited := acc.walk(c, inv, &ix, int32(n), true)
+		visited := acc.walk(c, inv, ix, int32(n), true)
 		budget -= buildPollBudget/csrCancelCheckEvery + visited
 		sb.appendRun(acc, visited)
 		g.Offsets[n+1] = sb.entries

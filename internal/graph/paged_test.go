@@ -345,8 +345,7 @@ func TestSpillFaultInjection(t *testing.T) {
 
 func TestSpillEmptyAndEdgelessTails(t *testing.T) {
 	// A collection whose blocks entail no comparisons: zero entries.
-	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: 6}
-	c.Blocks = []blocking.Block{{P1: []int32{2}}}
+	c := blocking.FromBlocks(model.Dirty, 6, 0, []blocking.Block{{P1: []int32{2}}})
 	opt := tinySpill
 	opt.Dir = t.TempDir()
 	g, err := BuildCSRSpillCtx(context.Background(), c, opt)

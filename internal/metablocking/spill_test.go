@@ -70,25 +70,39 @@ func TestSpilledReweigh(t *testing.T) {
 // two pruning chunks with page boundaries inside them, a hub whose
 // run fills a page of its own, whole chunks of edgeless nodes before
 // and after the edges, clean-clean, and graphs without an entry.
+// allBlocks returns every block of c in the exported form.
+func allBlocks(c *blocking.Collection) []blocking.Block {
+	out := make([]blocking.Block, c.Len())
+	for i := range out {
+		out[i] = c.Block(i)
+	}
+	return out
+}
+
 func spilledShapes() map[string]*blocking.Collection {
 	rng := stats.NewRNG(808)
 	chunks := blocking.RandomCollection(rng, model.Dirty, 2048+300, 1200)
 
 	hub := blocking.RandomCollection(rng, model.Dirty, 600, 300)
+	hubBlocks := allBlocks(hub)
 	for i := int32(0); i < 600; i++ {
 		if i != 7 {
-			hub.Blocks = append(hub.Blocks, blocking.Block{Key: fmt.Sprintf("hub%03d", i), P1: []int32{7, i}, Entropy: 0.5})
+			hubBlocks = append(hubBlocks, blocking.Block{Key: fmt.Sprintf("hub%03d", i), P1: []int32{7, i}, Entropy: 0.5})
 		}
 	}
+	hub = blocking.FromBlocks(hub.Kind, hub.NumProfiles, hub.Split, hubBlocks)
 
 	const pad = 2100 // more than one pruning chunk of edgeless nodes
-	padded := blocking.RandomCollection(rng, model.Dirty, 400, 300)
-	for i := range padded.Blocks {
-		for j := range padded.Blocks[i].P1 {
-			padded.Blocks[i].P1[j] += pad
+	inner := blocking.RandomCollection(rng, model.Dirty, 400, 300)
+	paddedBlocks := allBlocks(inner)
+	for i := range paddedBlocks {
+		p1 := append([]int32(nil), paddedBlocks[i].P1...)
+		for j := range p1 {
+			p1[j] += pad
 		}
+		paddedBlocks[i].P1 = p1
 	}
-	padded.NumProfiles += 2 * pad
+	padded := blocking.FromBlocks(model.Dirty, inner.NumProfiles+2*pad, 0, paddedBlocks)
 
 	return map[string]*blocking.Collection{
 		"chunks": chunks, "hub": hub, "edgeless head and tail": padded,

@@ -42,25 +42,23 @@ func f1(pc, pq float64) float64 {
 }
 
 // EvaluateBlocks measures a block collection against the ground truth.
-// |D_B| counts ground-truth pairs co-occurring in at least one block;
-// ||B|| is the aggregate cardinality (comparisons counted per block, so
-// redundant comparisons depress PQ, as in the paper).
+// |D_B| counts ground-truth pairs co-occurring in at least one block —
+// a pair the collection compares (distinct profiles, cross-source for
+// clean-clean ER) whose two block lists intersect, found by a sorted
+// merge over the profile → blocks Inverse; ||B|| is the aggregate
+// cardinality (comparisons counted per block, so redundant comparisons
+// depress PQ, as in the paper).
 func EvaluateBlocks(c *blocking.Collection, truth *model.GroundTruth) Quality {
 	detected := 0
 	if truth.Size() > 0 {
-		seen := make(map[uint64]struct{})
-		for i := range c.Blocks {
-			c.Blocks[i].ForEachPair(func(u, v int32) {
-				k := model.MakePair(int(u), int(v)).Key()
-				if _, dup := seen[k]; dup {
-					return
-				}
-				if truth.Contains(int(u), int(v)) {
-					seen[k] = struct{}{}
-				}
-			})
-		}
-		detected = len(seen)
+		inv := blocking.NewInverse(c)
+		truth.ForEach(func(p model.IDPair) bool {
+			if p.V < int32(c.NumProfiles) && (c.Kind == model.Dirty || (int(p.U) < c.Split && int(p.V) >= c.Split)) &&
+				intersect(inv.Of(p.U), inv.Of(p.V)) {
+				detected++
+			}
+			return true
+		})
 	}
 	comparisons := c.AggregateCardinality()
 	q := Quality{Detected: detected, Comparisons: comparisons}
@@ -72,6 +70,21 @@ func EvaluateBlocks(c *blocking.Collection, truth *model.GroundTruth) Quality {
 	}
 	q.F1 = f1(q.PC, q.PQ)
 	return q
+}
+
+// intersect reports whether two ascending lists share an element.
+func intersect(a, b []int32) bool {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // EvaluatePairs measures a deduplicated comparison list (e.g. the output

@@ -33,11 +33,11 @@ func TestEvaluateBlocksPaperExample(t *testing.T) {
 func TestEvaluateBlocksCountsDistinctMatches(t *testing.T) {
 	// A match co-occurring in many blocks counts once in |D_B| but its
 	// comparisons inflate ||B||.
-	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: 2, Blocks: []blocking.Block{
+	c := blocking.FromBlocks(model.Dirty, 2, 0, []blocking.Block{
 		{Key: "a", P1: []int32{0, 1}},
 		{Key: "b", P1: []int32{0, 1}},
 		{Key: "c", P1: []int32{0, 1}},
-	}}
+	})
 	truth := model.NewGroundTruth()
 	truth.Add(0, 1)
 	q := EvaluateBlocks(c, truth)
@@ -88,9 +88,9 @@ func TestEvaluateEmptyTruth(t *testing.T) {
 	if q.PC != 0 {
 		t.Errorf("PC with empty truth = %v", q.PC)
 	}
-	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: 2, Blocks: []blocking.Block{
+	c := blocking.FromBlocks(model.Dirty, 2, 0, []blocking.Block{
 		{Key: "a", P1: []int32{0, 1}},
-	}}
+	})
 	qb := EvaluateBlocks(c, truth)
 	if qb.PC != 0 || qb.PQ != 0 {
 		t.Errorf("block eval with empty truth = %+v", qb)

@@ -155,17 +155,19 @@ func TestBlastWNPWithBlastWeighting(t *testing.T) {
 // while BLAST's max-based threshold does not.
 func TestBlastWNPThresholdIndependence(t *testing.T) {
 	// Node 0 with edges of weight 4 (to 1), 2 (to 2), 1 (to 3).
-	base := &blocking.Collection{Kind: model.Dirty, NumProfiles: 8}
-	addPairBlocks := func(c *blocking.Collection, u, v int32, n int, key string) {
+	var baseBlocks []blocking.Block
+	addPairBlocks := func(blocks []blocking.Block, u, v int32, n int, key string) []blocking.Block {
 		for i := 0; i < n; i++ {
-			c.Blocks = append(c.Blocks, blocking.Block{
+			blocks = append(blocks, blocking.Block{
 				Key: key + string(rune('a'+i)), P1: []int32{u, v}, Entropy: 1,
 			})
 		}
+		return blocks
 	}
-	addPairBlocks(base, 0, 1, 4, "x")
-	addPairBlocks(base, 0, 2, 2, "y")
-	addPairBlocks(base, 0, 3, 1, "z")
+	baseBlocks = addPairBlocks(baseBlocks, 0, 1, 4, "x")
+	baseBlocks = addPairBlocks(baseBlocks, 0, 2, 2, "y")
+	baseBlocks = addPairBlocks(baseBlocks, 0, 3, 1, "z")
+	base := blocking.FromBlocks(model.Dirty, 8, 0, baseBlocks)
 
 	decide := func(c *blocking.Collection, prune func(*edgelist.Graph) []int) map[model.IDPair]bool {
 		g := edgelist.Build(c)
@@ -179,9 +181,9 @@ func TestBlastWNPThresholdIndependence(t *testing.T) {
 	wnpBefore := decide(base, func(g *edgelist.Graph) []int { return refWNP(g, Reciprocal) })
 
 	// Add two more weight-1 neighbors (the p5, p6 of Figure 6a).
-	extended := base.Clone()
-	addPairBlocks(extended, 0, 4, 1, "w")
-	addPairBlocks(extended, 0, 5, 1, "v")
+	extendedBlocks := addPairBlocks(append([]blocking.Block(nil), baseBlocks...), 0, 4, 1, "w")
+	extendedBlocks = addPairBlocks(extendedBlocks, 0, 5, 1, "v")
+	extended := blocking.FromBlocks(model.Dirty, 8, 0, extendedBlocks)
 
 	blastAfter := decide(extended, func(g *edgelist.Graph) []int { return edgelist.BlastWNP(g, 2, 2) })
 	wnpAfter := decide(extended, func(g *edgelist.Graph) []int { return refWNP(g, Reciprocal) })
@@ -312,7 +314,7 @@ func TestModeString(t *testing.T) {
 // randomGraph builds a random weighted blocking graph for property tests.
 func randomGraph(seed uint64, nodes, blocks int) *edgelist.Graph {
 	rng := stats.NewRNG(seed)
-	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: nodes}
+	var bs []blocking.Block
 	for b := 0; b < blocks; b++ {
 		size := 2 + rng.Intn(4)
 		seen := make(map[int32]bool)
@@ -324,11 +326,11 @@ func randomGraph(seed uint64, nodes, blocks int) *edgelist.Graph {
 				members = append(members, id)
 			}
 		}
-		c.Blocks = append(c.Blocks, blocking.Block{
+		bs = append(bs, blocking.Block{
 			Key: fmt.Sprintf("b%04d", b), P1: members, Entropy: 1,
 		})
 	}
-	g := edgelist.Build(c)
+	g := edgelist.Build(blocking.FromBlocks(model.Dirty, nodes, 0, bs))
 	applyRef(weights.Scheme{Kind: weights.CBS}, g)
 	return g
 }

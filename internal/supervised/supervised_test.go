@@ -117,24 +117,24 @@ func TestFeaturesPaperExample(t *testing.T) {
 // (5 private blocks each) and `n` superfluous pairs (1 shared block
 // each), returning the collection and truth.
 func syntheticBlocks(n int) (*blocking.Collection, *model.GroundTruth) {
-	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: 4 * n}
+	var blocks []blocking.Block
 	truth := model.NewGroundTruth()
 	for i := 0; i < n; i++ {
 		u, v := int32(2*i), int32(2*i+1)
 		truth.Add(int(u), int(v))
 		for b := 0; b < 5; b++ {
-			c.Blocks = append(c.Blocks, blocking.Block{
+			blocks = append(blocks, blocking.Block{
 				Key: fmt.Sprintf("m%03d_%d", i, b), P1: []int32{u, v}, Entropy: 1,
 			})
 		}
 	}
 	for i := 0; i < n; i++ {
 		u, v := int32(2*n+2*i), int32(2*n+2*i+1)
-		c.Blocks = append(c.Blocks, blocking.Block{
+		blocks = append(blocks, blocking.Block{
 			Key: fmt.Sprintf("s%03d", i), P1: []int32{u, v}, Entropy: 1,
 		})
 	}
-	return c, truth
+	return blocking.FromBlocks(model.Dirty, 4*n, 0, blocks), truth
 }
 
 // syntheticGraph is the CSR of syntheticBlocks.
@@ -175,9 +175,9 @@ func TestRunDegenerateNoPositives(t *testing.T) {
 }
 
 func TestRunDegenerateAllPositives(t *testing.T) {
-	c := &blocking.Collection{Kind: model.Dirty, NumProfiles: 4, Blocks: []blocking.Block{
+	c := blocking.FromBlocks(model.Dirty, 4, 0, []blocking.Block{
 		{Key: "a", P1: []int32{0, 1}}, {Key: "b", P1: []int32{2, 3}},
-	}}
+	})
 	g := graph.BuildCSR(c)
 	truth := model.NewGroundTruth()
 	truth.Add(0, 1)
@@ -331,9 +331,9 @@ func TestRunMatchesEdgeListReference(t *testing.T) {
 	if res.Model != nil || len(res.Pairs) != 120 {
 		t.Errorf("no positives: model %v, %d pairs, want no model and all 120 edges", res.Model != nil, len(res.Pairs))
 	}
-	allPos := &blocking.Collection{Kind: model.Dirty, NumProfiles: 4, Blocks: []blocking.Block{
+	allPos := blocking.FromBlocks(model.Dirty, 4, 0, []blocking.Block{
 		{Key: "a", P1: []int32{0, 1}}, {Key: "b", P1: []int32{2, 3}},
-	}}
+	})
 	allTruth := model.NewGroundTruth()
 	allTruth.Add(0, 1)
 	allTruth.Add(2, 3)

@@ -47,6 +47,12 @@ func (t *Tokenizer) Terms(value string) []string {
 	return t.appendTokens(nil, value)
 }
 
+// AppendTerms appends the terms Terms returns to dst, so a caller can
+// reuse one slice across values.
+func (t *Tokenizer) AppendTerms(dst []string, value string) []string {
+	return t.appendTokens(dst, value)
+}
+
 // appendTokens tokenizes value into dst and returns the extended slice.
 func (t *Tokenizer) appendTokens(dst []string, value string) []string {
 	start := -1

@@ -94,10 +94,11 @@ func TestKernelMatchesMirrorWalk(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(77)
 	for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
-		c := blocking.RandomCollection(rng, kind, 160, 110)
+		rc := blocking.RandomCollection(rng, kind, 160, 110)
+		blocks := make([]blocking.Block, rc.Len())
 		hubA, hubB := int32(0), int32(1)
 		if kind == model.CleanClean {
-			hubB = int32(c.Split)
+			hubB = int32(rc.Split)
 		}
 		join := func(ids []int32, id int32) []int32 {
 			if slices.Contains(ids, id) {
@@ -105,8 +106,9 @@ func TestKernelMatchesMirrorWalk(t *testing.T) {
 			}
 			return append(ids, id)
 		}
-		for i := range c.Blocks {
-			b := &c.Blocks[i]
+		for i := range blocks {
+			blocks[i] = rc.Block(i)
+			b := &blocks[i]
 			switch i % 7 {
 			case 2:
 				b.Entropy = math.Copysign(0, -1)
@@ -130,6 +132,7 @@ func TestKernelMatchesMirrorWalk(t *testing.T) {
 				b.Entropy = -1
 			}
 		}
+		c := blocking.FromBlocks(kind, rc.NumProfiles, rc.Split, blocks)
 		full := graph.BuildCSR(c)
 		degrees := make([]int32, full.NumProfiles)
 		for u := range degrees {

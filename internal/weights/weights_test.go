@@ -125,15 +125,11 @@ func TestChiSquaredRanksMatchesAboveNonMatches(t *testing.T) {
 
 func TestEntropyScaling(t *testing.T) {
 	// Hand-built two-block collection with distinct entropies.
-	c := &blocking.Collection{
-		Kind:        model.Dirty,
-		NumProfiles: 4,
-		Blocks: []blocking.Block{
-			{Key: "a", P1: []int32{0, 1}, Entropy: 3.0},
-			{Key: "b", P1: []int32{2, 3}, Entropy: 0.5},
-			{Key: "c", P1: []int32{0, 1, 2}, Entropy: 1.0},
-		},
-	}
+	c := blocking.FromBlocks(model.Dirty, 4, 0, []blocking.Block{
+		{Key: "a", P1: []int32{0, 1}, Entropy: 3.0},
+		{Key: "b", P1: []int32{2, 3}, Entropy: 0.5},
+		{Key: "c", P1: []int32{0, 1, 2}, Entropy: 1.0},
+	})
 	g := edgelist.Build(c)
 	apply(Scheme{Kind: CBS}, g)
 	base01 := g.EdgeBetween(0, 1).Weight

@@ -140,8 +140,9 @@ func (p *Pipeline) InduceSchema(ctx context.Context, ds *model.Dataset) (*Schema
 }
 
 // Block runs Phase 2 (loosely schema-aware blocking) on the dataset
-// under a schema: Token Blocking with schema-disambiguated keys,
-// followed by Block Purging and Block Filtering. schema may come from
+// under a schema: Token Blocking with schema-disambiguated keys, with
+// Block Purging fused into the build, followed by Block Filtering — one
+// pass over Options.Workers goroutines, a compact array collection. schema may come from
 // any pipeline (that is the point of artifact reuse) or be nil for a
 // schema-agnostic run; the schema, not this pipeline's Induction
 // setting, decides the keys.
@@ -150,14 +151,14 @@ func (p *Pipeline) Block(ctx context.Context, ds *model.Dataset, schema *Schema)
 		return nil, err
 	}
 	t0 := time.Now()
-	raw, err := blocking.BuildCtx(ctx, ds, p.opt.Transform, schema.keyFunc())
+	purged, err := blocking.BuildPurgedCtx(ctx, ds, p.opt.Transform, schema.keyFunc(), p.opt.Workers, p.opt.PurgeRatio)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cleaned := blocking.CleanWorkflow(raw, p.opt.PurgeRatio, p.opt.FilterRatio)
+	cleaned := blocking.Filter(purged, p.opt.FilterRatio)
 	b := &Blocks{
 		Collection: cleaned,
 		Schema:     schema,
