@@ -150,7 +150,7 @@ func (s Storage) String() string {
 }
 
 // ParseStorage maps a storage name ("memory", "file" — the String()
-// forms) back to the enum value, mirroring ParseTopology.
+// forms) back to the enum value.
 func ParseStorage(s string) (Storage, error) {
 	for _, st := range []Storage{StorageMemory, StorageFile} {
 		if s == st.String() {
@@ -171,75 +171,40 @@ func (s Storage) Validate() error {
 	}
 }
 
-// Topology selects how a Server's shards divide the index state.
+// Topology names how a Server's shards divide the index state. There is
+// one: TopologyPartitioned, the zero value. The replicated topology —
+// a full writable index per shard — was removed; the field remains so
+// that existing callers setting TopologyPartitioned keep compiling.
 type Topology int
 
-const (
-	// TopologyReplicated (the zero value) gives every shard a full
-	// writable index replica: write work and memory grow with the shard
-	// count in exchange for read-side parallelism. This is the original
-	// Server behavior and the right trade for read-heavy serving.
-	TopologyReplicated Topology = iota
-	// TopologyPartitioned has each shard build only the adjacency of the
-	// rows hash-owned by it, and serve only their retained entries.
-	// Cross-shard edge
-	// state (degree vectors, weight-sum partials, histogram cuts, top-k
-	// marks) is resolved at publish time by exchanging compact per-shard
-	// aggregates in deterministic shard order, so a quiesced partitioned
-	// server stays byte-identical to the replicated one. Per-shard
-	// graph memory shrinks with the shard count.
-	TopologyPartitioned
-)
+// TopologyPartitioned has each shard own the rows hash-owned by it:
+// every shard appends every batch to its clone of the block collection,
+// builds only its owned rows' adjacency, and serves only their retained
+// entries. Graph-global pruning state (degree vectors, weight sums,
+// histogram cuts, top-k marks) is resolved at publish time by
+// exchanging compact per-shard aggregates in deterministic shard order,
+// so a quiesced server is byte-identical to a cold IndexBlocks.
+const TopologyPartitioned Topology = 0
 
-// String implements fmt.Stringer.
-func (t Topology) String() string {
-	switch t {
-	case TopologyReplicated:
-		return "replicated"
-	case TopologyPartitioned:
-		return "partitioned"
-	default:
-		return fmt.Sprintf("Topology(%d)", int(t))
-	}
-}
-
-// ParseTopology maps a topology name ("replicated", "partitioned" —
-// the String() forms) back to the enum value. The flag-parsing
-// counterpart of String for cmd/blastserve and friends.
-func ParseTopology(s string) (Topology, error) {
-	for _, t := range []Topology{TopologyReplicated, TopologyPartitioned} {
-		if s == t.String() {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("blast: unknown topology %q: valid names are %q and %q",
-		s, TopologyReplicated, TopologyPartitioned)
-}
-
-// Validate rejects unknown topology values with a descriptive error.
+// Validate rejects every topology but TopologyPartitioned.
 func (t Topology) Validate() error {
-	switch t {
-	case TopologyReplicated, TopologyPartitioned:
-		return nil
-	default:
-		return fmt.Errorf("blast: unknown %v: valid topologies are TopologyReplicated (0, full replica per shard) and TopologyPartitioned (1, per-shard row ownership)", t)
+	if t != TopologyPartitioned {
+		return fmt.Errorf("blast: Topology(%d): the replicated topology was removed; TopologyPartitioned (the zero value) is the only one", int(t))
 	}
+	return nil
 }
 
 // ServerOptions configures a sharded snapshot-swap Server (see
-// Pipeline.Serve). The zero value is valid: one replicated shard,
-// default swap cadence.
+// Pipeline.Serve). The zero value is valid: one shard, default swap
+// cadence.
 type ServerOptions struct {
-	// Shards is the number of shard workers. Under TopologyReplicated
-	// each shard owns a writable Index replica on its write path and
-	// serves reads for the profiles hash-sharded to it from an immutable
-	// published snapshot; 0 selects 1. Under TopologyPartitioned each
-	// shard owns only its rows' graph state. Replication multiplies
-	// write work and memory by the shard count in exchange for read-side
-	// parallelism; partitioning divides graph memory across shards
-	// instead.
+	// Shards is the number of shard workers; 0 selects 1. Each shard
+	// owns the rows of the profiles hash-sharded to it: it builds their
+	// graph state on its write path and serves their reads from an
+	// immutable published snapshot, so graph memory divides across the
+	// shards.
 	Shards int
-	// Topology selects replicated (zero value) or partitioned shards.
+	// Topology must be TopologyPartitioned, the zero value.
 	Topology Topology
 	// SwapOps makes a fresh read snapshot fall due once this many
 	// streamed profiles have been applied on a shard since its last
@@ -251,17 +216,16 @@ type ServerOptions struct {
 	// the shards. The position is fixed when the publication falls due,
 	// so a writer that never pauses cannot postpone it, and Quiesce or
 	// Close publish at the latest. 0 selects 256; negative disables the
-	// op-count trigger, leaving publication to the overlay trigger
-	// (Options.Compaction) and Quiesce.
+	// op-count trigger, leaving publication to Quiesce and Close.
 	SwapOps int
 
 	// Dir, when non-empty, makes the server durable: every admitted
 	// InsertAll batch is appended to a per-shard write-ahead log under
 	// Dir before ids are returned, published snapshots are persisted on
 	// the SnapshotEvery policy, and ServeBlocks on an existing Dir
-	// recovers — newest valid snapshot per shard, WAL suffix replayed,
-	// torn tails truncated — to a state byte-identical to a cold
-	// IndexBlocks over seed + replayed inserts. The seed Blocks artifact
+	// recovers — torn tails truncated, every journaled batch replayed,
+	// the snapshots at the WAL cut adopted or rebuilt — to a state
+	// byte-identical to a cold IndexBlocks over seed + replayed inserts. The seed Blocks artifact
 	// is NOT persisted; reopening requires the same artifact (a manifest
 	// records its fingerprint and fails closed on mismatch). Empty
 	// disables durability entirely.
@@ -273,21 +237,23 @@ type ServerOptions struct {
 	// throughput; negative never fsyncs explicitly. Requires Dir.
 	SyncEvery int
 	// SnapshotEvery persists a published snapshot once at least this
-	// many batches were admitted since the last persisted one, bounding
-	// recovery replay. 0 selects 64; negative disables snapshot
-	// persistence (recovery replays the whole WAL). Requires Dir.
+	// many batches were admitted since the last persisted one. A reopen
+	// adopts the snapshots at the WAL cut and skips the rebuild. 0
+	// selects 64; negative disables snapshot persistence (recovery
+	// always rebuilds). Requires Dir.
 	SnapshotEvery int
 }
 
-// maxServerShards bounds the shard count: each shard is a full index
-// replica, so triple-digit counts are a configuration error long before
-// they are a scaling strategy.
+// maxServerShards bounds the shard count: shard owners are hashed into
+// a byte, and every shard holds a clone of the block collection, so
+// triple-digit counts are a configuration error long before they are a
+// scaling strategy.
 const maxServerShards = 256
 
 // Validate checks the server options, mirroring Options.Validate.
 func (so ServerOptions) Validate() error {
 	if so.Shards < 0 || so.Shards > maxServerShards {
-		return fmt.Errorf("blast: Shards = %d outside [0, %d] (0 selects 1; each shard is a full replica)", so.Shards, maxServerShards)
+		return fmt.Errorf("blast: Shards = %d outside [0, %d] (0 selects 1)", so.Shards, maxServerShards)
 	}
 	if err := so.Topology.Validate(); err != nil {
 		return err
@@ -414,7 +380,7 @@ type Options struct {
 	// blocking-graph construction, weighting AND the streaming pruning
 	// passes (thresholds, top-k cuts, retention — everywhere a CSR is
 	// pruned: batch runs, IndexBlocks, the incremental index's
-	// re-derivations, the sharded server's replicas): 0 uses one worker
+	// re-derivations, the sharded server's exports): 0 uses one worker
 	// per CPU, 1 forces serial execution, >1 uses exactly that many
 	// goroutines. Results are byte-identical at every count — induction,
 	// block building, graph construction and weighting compute each row,
@@ -424,13 +390,12 @@ type Options struct {
 	Workers int
 
 	// Storage selects where the blocking graph's adjacency lives during
-	// meta-blocking and index builds (MetaBlock, IndexBlocks, the initial
-	// build of a partitioned Server): StorageMemory (default) keeps it
+	// meta-blocking and index builds (MetaBlock, IndexBlocks, the build
+	// that seeds a Server's shards): StorageMemory (default) keeps it
 	// resident, StorageFile spills it to segment files past MemoryBudget
 	// and streams them back page by page. Byte-identical output either
 	// way. It does not reach a writer — an Index after its first Insert,
-	// a replicated Server's replicas, a shard's export — whose graph is
-	// resident by construction.
+	// a shard's export — whose graph is resident by construction.
 	Storage Storage
 	// MemoryBudget bounds (in bytes) the resident footprint of the
 	// adjacency entries a StorageFile build may accumulate before
@@ -451,8 +416,9 @@ type Options struct {
 	SpillDir string
 
 	// Compaction tunes the overlay-compaction policy of a mutable Index
-	// (see Index.Insert). The zero value selects the defaults; it is
-	// ignored by the batch pipeline.
+	// (see Index.Insert). The zero value selects the defaults. It is
+	// ignored by the batch pipeline and by a Server, whose shards hold no
+	// overlay and publish on ServerOptions.SwapOps.
 	Compaction Compaction
 
 	// Progress, when non-nil, observes pipeline execution: it is invoked

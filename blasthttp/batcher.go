@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"blast"
 	"blast/internal/model"
@@ -64,11 +63,12 @@ type BatcherStats struct {
 }
 
 // batcher coalesces concurrent insert requests into one admitted
-// InsertAll batch. A single committer goroutine drains the queue: it
-// waits a short coalescing window after the first request arrives
-// (unless a full batch is already pending), concatenates the queued
-// profiles, commits them with one Server.InsertAll call, and fans the
-// assigned ids back out to the waiters. Admission is bounded — at most
+// InsertAll batch by group commit. A single committer goroutine drains
+// the queue: it commits whatever is queued at once, concatenated into
+// one Server.InsertAll call, and fans the assigned ids back out to the
+// waiters; requests that arrive while a commit is in flight queue up
+// behind it and go into the next batch together. A lone writer pays no
+// timer, and a burst costs one admission per commit, not per request. Admission is bounded — at most
 // maxPendingReqs requests and maxPendingBytes encoded bytes may be in
 // flight (queued or committing) at once; requests beyond the bound are
 // rejected immediately with ErrBackpressure, so memory under saturation
@@ -76,10 +76,9 @@ type BatcherStats struct {
 type batcher struct {
 	srv *blast.Server
 
-	maxBatch        int           // profiles per InsertAll call
-	maxPendingReqs  int           // in-flight request bound
-	maxPendingBytes int64         // in-flight encoded-bytes bound
-	flushDelay      time.Duration // coalescing window
+	maxBatch        int   // profiles per InsertAll call
+	maxPendingReqs  int   // in-flight request bound
+	maxPendingBytes int64 // in-flight encoded-bytes bound
 
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -89,6 +88,10 @@ type batcher struct {
 	draining     bool
 	closed       bool
 	stopped      chan struct{}
+	// gate, when non-nil, holds the committer before every flush until
+	// it can receive from the channel — a test seam that lets a queue
+	// fill deterministically. Always nil in production.
+	gate chan struct{}
 
 	batches   atomic.Int64
 	admitted  atomic.Int64
@@ -103,7 +106,6 @@ func newBatcher(srv *blast.Server, opt Options) *batcher {
 		maxBatch:        opt.maxBatch(),
 		maxPendingReqs:  opt.maxPendingRequests(),
 		maxPendingBytes: opt.maxPendingBytes(),
-		flushDelay:      opt.flushDelay(),
 		stopped:         make(chan struct{}),
 	}
 	b.cond = sync.NewCond(&b.mu)
@@ -156,9 +158,7 @@ func (b *batcher) submit(ctx context.Context, profiles []model.Profile, nbytes i
 	}
 }
 
-// loop is the committer: wait for work, linger one coalescing window so
-// concurrent small inserts pile into the same batch, then flush
-// everything queued.
+// loop is the committer: wait for work, then flush everything queued.
 func (b *batcher) loop() {
 	defer close(b.stopped)
 	for {
@@ -170,23 +170,13 @@ func (b *batcher) loop() {
 			b.mu.Unlock()
 			return
 		}
-		full := b.queuedProfilesLocked() >= b.maxBatch
+		gate := b.gate
 		b.mu.Unlock()
-		if !full && b.flushDelay > 0 {
-			time.Sleep(b.flushDelay)
+		if gate != nil {
+			<-gate
 		}
 		b.flush()
 	}
-}
-
-// queuedProfilesLocked counts the profiles currently queued (not yet
-// taken by a flush). Caller holds b.mu.
-func (b *batcher) queuedProfilesLocked() int {
-	n := 0
-	for _, r := range b.queue {
-		n += len(r.profiles)
-	}
-	return n
 }
 
 // flush drains the queue through InsertAll calls of at most maxBatch

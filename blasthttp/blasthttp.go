@@ -10,10 +10,11 @@
 //	GET  /healthz        liveness (503 once the serving machinery failed)
 //	GET  /statsz         shard + write-path statistics
 //
-// Write path. Concurrent insert requests are coalesced: a committer
-// goroutine gathers everything queued within a short window and admits
-// it as one Server.InsertAll batch, so N small concurrent PUTs cost one
-// globally sequenced admission instead of N. The response ids carry the
+// Write path. Concurrent insert requests are coalesced by group commit:
+// a committer goroutine admits everything queued as one
+// Server.InsertAll batch at once, and requests arriving meanwhile form
+// the next batch, so N small concurrent PUTs cost a few globally
+// sequenced admissions instead of N and a lone writer waits on no timer. The response ids carry the
 // same durability-receipt contract as the in-process call: on a durable
 // server they are returned only after the batch reached every shard's
 // write-ahead log. Admission is explicitly bounded — at most
@@ -59,11 +60,6 @@ type Options struct {
 	// MaxPendingBytes bounds the total encoded request bytes in flight;
 	// requests beyond it are shed with 429. 0 selects 16 MiB.
 	MaxPendingBytes int64
-	// FlushInterval is the coalescing window: how long the committer
-	// lingers after the first queued request so concurrent inserts pile
-	// into the same batch. 0 selects 500µs; negative commits
-	// immediately (no coalescing window).
-	FlushInterval time.Duration
 	// MaxBodyBytes bounds one insert request body (413 beyond it).
 	// 0 selects 8 MiB.
 	MaxBodyBytes int64
@@ -92,17 +88,6 @@ func (o Options) maxPendingBytes() int64 {
 		return 16 << 20
 	}
 	return o.MaxPendingBytes
-}
-
-func (o Options) flushDelay() time.Duration {
-	switch {
-	case o.FlushInterval == 0:
-		return 500 * time.Microsecond
-	case o.FlushInterval < 0:
-		return 0
-	default:
-		return o.FlushInterval
-	}
 }
 
 func (o Options) maxBodyBytes() int64 {
@@ -240,12 +225,11 @@ type QuiesceResponse struct {
 	Published int `json:"published"`
 }
 
-// StatszResponse is the body of GET /statsz. Topology names the shard
-// topology and Storage the graph storage mode builds run under; the
-// per-shard entries carry the owned-rows and resident-bytes counters
-// that make the partitioned memory claim observable per process.
+// StatszResponse is the body of GET /statsz. Storage names the graph
+// storage mode builds run under; the per-shard entries carry the
+// owned-rows and resident-bytes counters that make the partitioned
+// memory claim observable per process.
 type StatszResponse struct {
-	Topology  string        `json:"topology"`
 	Storage   string        `json:"storage"`
 	Admitted  int           `json:"admitted"`
 	Published int           `json:"published"`
@@ -504,7 +488,6 @@ func (h *Handler) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (h *Handler) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	h.writeValue(w, StatszResponse{
-		Topology:  h.srv.Topology().String(),
 		Storage:   h.srv.Storage().String(),
 		Admitted:  h.srv.Admitted(),
 		Published: h.srv.NumProfiles(),

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -275,13 +276,38 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestCoalescing fires many concurrent single-profile inserts and
-// checks they were admitted in fewer InsertAll batches, with every id
+// gateCommits holds the handler's committer before every flush until
+// the returned channel is closed, so a queue can fill deterministically.
+func gateCommits(h *Handler) chan struct{} {
+	gate := make(chan struct{})
+	h.bat.mu.Lock()
+	h.bat.gate = gate
+	h.bat.mu.Unlock()
+	return gate
+}
+
+// waitInFlight polls until the handler has exactly n insert requests in
+// flight (queued or committing).
+func waitInFlight(t *testing.T, h *Handler, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for h.Stats().PendingRequests != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests in flight, want %d", h.Stats().PendingRequests, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCoalescing fires many concurrent single-profile inserts while a
+// commit is held in flight and checks group commit: everything that
+// queued behind it is admitted as one InsertAll batch, with every id
 // assigned exactly once.
 func TestCoalescing(t *testing.T) {
 	srv := newTestServer(t, 2)
-	h := NewHandler(srv, Options{FlushInterval: 2 * time.Millisecond})
+	h := NewHandler(srv, Options{})
 	defer h.Close()
+	gate := gateCommits(h)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	client := ts.Client()
@@ -307,6 +333,8 @@ func TestCoalescing(t *testing.T) {
 			ids <- ins.IDs[0]
 		}(i)
 	}
+	waitInFlight(t, h, n)
+	close(gate)
 	wg.Wait()
 	close(ids)
 	seen := make(map[int]bool)
@@ -328,16 +356,14 @@ func TestCoalescing(t *testing.T) {
 	if st.AdmittedProfiles != n {
 		t.Errorf("admitted %d profiles, want %d", st.AdmittedProfiles, n)
 	}
-	if st.Batches >= n {
-		t.Errorf("no coalescing: %d batches for %d requests", st.Batches, n)
-	}
-	if st.CoalescedRequests == 0 {
-		t.Error("no request ever shared a batch")
+	if st.Batches != 1 || st.CoalescedRequests != n {
+		t.Errorf("%d requests queued behind one commit made %d batches (%d coalesced), want 1 (%d)",
+			n, st.Batches, st.CoalescedRequests, n)
 	}
 }
 
 // TestBackpressure saturates a handler with tiny in-flight bounds and a
-// slow committer: the overflow must be shed as 429 with a Retry-After
+// held committer: the overflow must be shed as 429 with a Retry-After
 // header while the in-flight level stays within the bounds, and the
 // server must stay healthy throughout.
 func TestBackpressure(t *testing.T) {
@@ -345,10 +371,10 @@ func TestBackpressure(t *testing.T) {
 	opt := Options{
 		MaxPendingRequests: 4,
 		MaxPendingBytes:    1 << 20,
-		FlushInterval:      20 * time.Millisecond, // slow the committer so the queue actually fills
 	}
 	h := NewHandler(srv, opt)
 	defer h.Close()
+	gate := gateCommits(h)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	client := ts.Client()
@@ -384,12 +410,16 @@ func TestBackpressure(t *testing.T) {
 			}
 		}(i)
 	}
-	wg.Wait()
-	if shed.Load() == 0 {
-		t.Error("saturation produced no 429s (bounds never engaged)")
+	// The held commit fills the bound; everything beyond it is shed.
+	deadline := time.Now().Add(10 * time.Second)
+	for shed.Load() != n-int64(opt.MaxPendingRequests) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	if ok.Load() == 0 {
-		t.Error("no insert succeeded under saturation")
+	waitInFlight(t, h, opt.MaxPendingRequests)
+	close(gate)
+	wg.Wait()
+	if got, want := ok.Load(), int64(opt.MaxPendingRequests); got != want || shed.Load() != n-want {
+		t.Errorf("%d admitted and %d shed, want %d and %d", got, shed.Load(), want, n-want)
 	}
 	if got := h.Stats().Rejected; got != shed.Load() {
 		t.Errorf("stats.Rejected = %d, want %d", got, shed.Load())
@@ -412,18 +442,25 @@ func TestBackpressure(t *testing.T) {
 // admitted.
 func TestCancellation(t *testing.T) {
 	srv := newTestServer(t, 1)
-	h := NewHandler(srv, Options{FlushInterval: 30 * time.Millisecond})
+	h := NewHandler(srv, Options{})
 	defer h.Close()
+	gate := gateCommits(h)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	rng := stats.NewRNG(9)
-	_, err := h.bat.submit(ctx, []model.Profile{testProfile(rng, "x")}, 64)
-	if err == nil {
-		t.Fatal("canceled submit succeeded")
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := h.bat.submit(ctx, []model.Profile{testProfile(rng, "x")}, 64)
+		submitted <- err
+	}()
+	waitInFlight(t, h, 1)
+	cancel()
+	if err := <-submitted; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled submit = %v, want context.Canceled", err)
 	}
-	// Give the committer a window to (incorrectly) admit it anyway.
-	time.Sleep(60 * time.Millisecond)
+	// Release the committer: it must drop the request, not admit it.
+	close(gate)
+	waitInFlight(t, h, 0)
 	if err := srv.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +477,7 @@ func TestCancellation(t *testing.T) {
 // admitted profile is published.
 func TestDrain(t *testing.T) {
 	srv := newTestServer(t, 2)
-	h := NewHandler(srv, Options{FlushInterval: time.Millisecond})
+	h := NewHandler(srv, Options{})
 	defer h.Close()
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -524,59 +561,49 @@ func TestGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestStatszTopology: /statsz names the serving topology and carries
-// the per-shard residency counters — under partitioning the owned rows
-// must partition the profile space instead of replicating it.
+// TestStatszTopology: /statsz carries the per-shard residency counters
+// of a partitioned server — the owned rows partition the profile space
+// instead of replicating it — and the body names no topology, as there
+// is only one.
 func TestStatszTopology(t *testing.T) {
-	for _, topo := range []blast.Topology{blast.TopologyReplicated, blast.TopologyPartitioned} {
-		t.Run(topo.String(), func(t *testing.T) {
-			p, err := blast.NewPipeline(blast.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
+	t.Run("partitioned", func(t *testing.T) {
+		srv := newTestServer(t, 2)
+		h := NewHandler(srv, Options{})
+		defer h.Close()
+		ts := httptest.NewServer(h)
+		defer ts.Close()
+		resp, body := getBody(t, ts.Client(), ts.URL+"/statsz")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("statsz status %d", resp.StatusCode)
+		}
+		var st StatszResponse
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatalf("statsz body: %v", err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatalf("statsz body: %v", err)
+		}
+		if _, ok := fields["topology"]; ok {
+			t.Fatalf("statsz still names a topology: %s", body)
+		}
+		if st.Storage != blast.StorageMemory.String() {
+			t.Fatalf("statsz storage %q, want %q", st.Storage, blast.StorageMemory)
+		}
+		if len(st.Shards) != 2 {
+			t.Fatalf("statsz reports %d shards", len(st.Shards))
+		}
+		owned := 0
+		for _, sh := range st.Shards {
+			if sh.ResidentBytes <= 0 {
+				t.Fatalf("shard %d reports %d resident bytes", sh.ID, sh.ResidentBytes)
 			}
-			srv, err := p.Serve(context.Background(), testDataset(stats.NewRNG(7), 40),
-				blast.ServerOptions{Shards: 2, Topology: topo, SwapOps: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			h := NewHandler(srv, Options{})
-			defer h.Close()
-			ts := httptest.NewServer(h)
-			defer ts.Close()
-			resp, body := getBody(t, ts.Client(), ts.URL+"/statsz")
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("statsz status %d", resp.StatusCode)
-			}
-			var st StatszResponse
-			if err := json.Unmarshal(body, &st); err != nil {
-				t.Fatalf("statsz body: %v", err)
-			}
-			if st.Topology != topo.String() {
-				t.Fatalf("statsz topology %q, want %q", st.Topology, topo)
-			}
-			if st.Storage != blast.StorageMemory.String() {
-				t.Fatalf("statsz storage %q, want %q", st.Storage, blast.StorageMemory)
-			}
-			if len(st.Shards) != 2 {
-				t.Fatalf("statsz reports %d shards", len(st.Shards))
-			}
-			owned := 0
-			for _, sh := range st.Shards {
-				if sh.ResidentBytes <= 0 {
-					t.Fatalf("shard %d reports %d resident bytes", sh.ID, sh.ResidentBytes)
-				}
-				owned += sh.OwnedRows
-			}
-			want := 2 * 40
-			if topo == blast.TopologyPartitioned {
-				want = 40
-			}
-			if owned != want {
-				t.Fatalf("%v: owned rows sum to %d, want %d", topo, owned, want)
-			}
-		})
-	}
+			owned += sh.OwnedRows
+		}
+		if owned != 40 {
+			t.Fatalf("owned rows sum to %d, want 40", owned)
+		}
+	})
 }
 
 // TestStatszStorage: /statsz names the graph storage mode the server's

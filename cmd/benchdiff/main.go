@@ -42,12 +42,11 @@
 //     resident one is not actually building beyond RAM. (Both twins
 //     serve from the same resident rows, so there is no serving-side
 //     comparison.)
-//   - partition: per-cell (dataset/topology/shards) write throughput
-//     must not shrink more than threshold; every current row must
-//     report PairsMatch=true; and the partitioned topology's per-shard
-//     resident memory at the largest shard count must come in at or
-//     under -max-partition-mem (default 0.6) of its 1-shard row —
-//     partitioned shards own disjoint row slices, so flat per-shard
+//   - partition: per-cell (dataset/shards) write throughput must not
+//     shrink more than threshold; every current row must report
+//     PairsMatch=true; and the per-shard resident memory at the largest
+//     shard count must come in at or under -max-partition-mem (default
+//     0.6) of its 1-shard row — shards own disjoint row slices, so flat per-shard
 //     memory means the partitioning is not actually partitioning. (A
 //     shard holds its owned rows of what pruning retained plus the
 //     full-length offsets and thresholds, 16 bytes a profile, which no
@@ -479,10 +478,10 @@ func run(w io.Writer, baseDir, curDir string, threshold, minScaling, minPrune, m
 	}
 
 	// partition: per-cell write throughput vs baseline, the differential
-	// flag, and the partitioned per-shard memory ceiling over the
-	// current run alone — a partitioned topology whose per-shard memory
-	// does not shrink with the shard count is replicating, not
-	// partitioning, and fails by name even when no baseline exists yet.
+	// flag, and the per-shard memory ceiling over the current run alone —
+	// shards whose per-shard memory does not shrink with the shard count
+	// are replicating, not partitioning, and fail by name even when no
+	// baseline exists yet.
 	basePT, err := loadJSON[experiments.PartitionRow](baseDir, "BENCH_partition.json")
 	if err != nil {
 		return 0, err
@@ -498,7 +497,7 @@ func run(w io.Writer, baseDir, curDir string, threshold, minScaling, minPrune, m
 			return 0, fmt.Errorf("missing current BENCH_partition.json (baseline exists)")
 		}
 		key := func(r experiments.PartitionRow) string {
-			return fmt.Sprintf("%s/%s/shards=%d", r.Dataset, r.Topology, r.Shards)
+			return fmt.Sprintf("%s/shards=%d", r.Dataset, r.Shards)
 		}
 		cur := make(map[string]experiments.PartitionRow, len(curPT))
 		for _, r := range curPT {
@@ -519,18 +518,18 @@ func run(w io.Writer, baseDir, curDir string, threshold, minScaling, minPrune, m
 			r := &curPT[i]
 			if !r.PairsMatch {
 				add(check{
-					metric: fmt.Sprintf("partition/%s/%s/shards=%d match", r.Dataset, r.Topology, r.Shards),
+					metric: fmt.Sprintf("partition/%s/shards=%d match", r.Dataset, r.Shards),
 					ok:     false,
 					note:   "server diverged from the cold rebuild",
 				})
 			}
-			if r.Topology == "partitioned" && (top == nil || r.Shards > top.Shards) {
+			if top == nil || r.Shards > top.Shards {
 				top = r
 			}
 		}
 		switch {
 		case top == nil || top.Shards <= 1:
-			fmt.Fprintln(w, "partition: no multi-shard partitioned row, memory ceiling skipped")
+			fmt.Fprintln(w, "partition: no multi-shard row, memory ceiling skipped")
 		case top.GOMAXPROCS < minProcs:
 			fmt.Fprintf(w, "partition: memory ceiling skipped (GOMAXPROCS %d < %d; gated on the CI runner class)\n", top.GOMAXPROCS, minProcs)
 		default:

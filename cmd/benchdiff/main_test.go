@@ -431,26 +431,23 @@ func TestGateLoad(t *testing.T) {
 	}
 }
 
-func partitionRow(topo string, shards, procs int, inserts, memVs1 float64, match bool) experiments.PartitionRow {
-	return experiments.PartitionRow{Dataset: "dbp", Topology: topo, Shards: shards, GOMAXPROCS: procs,
+func partitionRow(shards, procs int, inserts, memVs1 float64, match bool) experiments.PartitionRow {
+	return experiments.PartitionRow{Dataset: "dbp", Shards: shards, GOMAXPROCS: procs,
 		InsertThroughput: inserts, MaxResidentBytes: 1 << 20, MemVs1: memVs1, PairsMatch: match}
 }
 
-// TestGatePartition covers the topology artifact: per-cell write
+// TestGatePartition covers the shard-count artifact: per-cell write
 // throughput regression, the differential flag (gated even with no
-// baseline), and the partitioned per-shard memory ceiling with its
-// small-host skip.
+// baseline), and the per-shard memory ceiling with its small-host skip.
 func TestGatePartition(t *testing.T) {
 	base, cur := t.TempDir(), t.TempDir()
 	writeJSON(t, base, "BENCH_partition.json", []experiments.PartitionRow{
-		partitionRow("replicated", 1, 8, 5000, 1, true),
-		partitionRow("partitioned", 1, 8, 5000, 1, true),
-		partitionRow("partitioned", 4, 8, 6000, 0.3, true),
+		partitionRow(1, 8, 5000, 1, true),
+		partitionRow(4, 8, 6000, 0.3, true),
 	})
 	writeJSON(t, cur, "BENCH_partition.json", []experiments.PartitionRow{
-		partitionRow("replicated", 1, 8, 4600, 1, true), // -8% < 25%
-		partitionRow("partitioned", 1, 8, 5100, 1, true),
-		partitionRow("partitioned", 4, 8, 5900, 0.32, true), // ceiling 0.6 holds
+		partitionRow(1, 8, 4600, 1, true),    // -8% < 25%
+		partitionRow(4, 8, 5900, 0.32, true), // ceiling 0.6 holds
 	})
 	var out strings.Builder
 	failures, err := run(&out, base, cur, 0.25, 2.0, 2.0, 0.6, 0.5, 4)
@@ -461,12 +458,11 @@ func TestGatePartition(t *testing.T) {
 		t.Fatalf("failures = %d within threshold\n%s", failures, out.String())
 	}
 
-	// Collapsed write throughput, a diverged topology, and flat per-shard
-	// memory at 4 partitioned shards: three named failures.
+	// Collapsed write throughput, a diverged row, and flat per-shard
+	// memory at 4 shards: three named failures.
 	writeJSON(t, cur, "BENCH_partition.json", []experiments.PartitionRow{
-		partitionRow("replicated", 1, 8, 1000, 1, true), // -80%
-		partitionRow("partitioned", 1, 8, 5000, 1, true),
-		partitionRow("partitioned", 4, 8, 6000, 0.95, false), // flat memory AND diverged
+		partitionRow(1, 8, 1000, 1, true),     // -80%
+		partitionRow(4, 8, 6000, 0.95, false), // flat memory AND diverged
 	})
 	out.Reset()
 	failures, err = run(&out, base, cur, 0.25, 2.0, 2.0, 0.6, 0.5, 4)
@@ -485,8 +481,8 @@ func TestGatePartition(t *testing.T) {
 	// other structural floors).
 	os.Remove(filepath.Join(base, "BENCH_partition.json"))
 	writeJSON(t, cur, "BENCH_partition.json", []experiments.PartitionRow{
-		partitionRow("partitioned", 1, 1, 5000, 1, true),
-		partitionRow("partitioned", 4, 1, 6000, 0.95, false), // diverged; ceiling skipped on 1 CPU
+		partitionRow(1, 1, 5000, 1, true),
+		partitionRow(4, 1, 6000, 0.95, false), // diverged; ceiling skipped on 1 CPU
 	})
 	out.Reset()
 	failures, err = run(&out, base, cur, 0.25, 2.0, 2.0, 0.6, 0.5, 4)
@@ -502,10 +498,10 @@ func TestGatePartition(t *testing.T) {
 
 	// A baseline cell missing from the current run is a regression.
 	writeJSON(t, base, "BENCH_partition.json", []experiments.PartitionRow{
-		partitionRow("replicated", 2, 8, 5000, 1, true),
+		partitionRow(2, 8, 5000, 1, true),
 	})
 	writeJSON(t, cur, "BENCH_partition.json", []experiments.PartitionRow{
-		partitionRow("replicated", 1, 8, 5000, 1, true),
+		partitionRow(1, 8, 5000, 1, true),
 	})
 	out.Reset()
 	failures, err = run(&out, base, cur, 0.25, 2.0, 2.0, 0.6, 0.5, 4)

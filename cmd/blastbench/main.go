@@ -25,10 +25,9 @@
 // front end over loopback, reporting insert throughput, read latency
 // under churn, and a differential check that HTTP responses are
 // byte-identical to in-process Server calls; the partition experiment
-// compares the replicated and partitioned topologies across shard
-// counts, reporting write throughput and per-shard state residency
-// (partitioned shards own disjoint row slices, so per-shard memory
-// must shrink as shards are added); the spill experiment compares the
+// runs the server across shard counts, reporting write throughput and
+// per-shard state residency (shards own disjoint row slices, so
+// per-shard memory must shrink as shards are added); the spill experiment compares the
 // file-backed (beyond-RAM) storage mode against the resident build on
 // datagen-streamed corpora exceeding the memory budget, reporting
 // serving-heap ratio, on-disk segment footprint, page-cache hit rate
@@ -434,7 +433,7 @@ func runPartition(cfg experiments.Config, dataset string, jsonOut bool) error {
 		fmt.Println(string(js))
 		return nil
 	}
-	fmt.Println("== Partition: replicated vs partitioned topology across shard counts ==")
+	fmt.Println("== Partition: row ownership across shard counts ==")
 	fmt.Print(experiments.RenderPartition(rows))
 	return nil
 }

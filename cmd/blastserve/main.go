@@ -41,13 +41,12 @@ import (
 
 // config is the parsed command line.
 type config struct {
-	addr     string
-	dataset  string
-	scale    float64
-	seed     uint64
-	shards   int
-	swapOps  int
-	topology blast.Topology
+	addr    string
+	dataset string
+	scale   float64
+	seed    uint64
+	shards  int
+	swapOps int
 
 	dir           string
 	syncEvery     int
@@ -56,7 +55,6 @@ type config struct {
 	maxBatch        int
 	maxPending      int
 	maxPendingBytes int64
-	flushInterval   time.Duration
 	maxBodyBytes    int64
 
 	drainTimeout time.Duration
@@ -73,16 +71,14 @@ func parseFlags(args []string, w io.Writer) (config, error) {
 	fs.StringVar(&cfg.dataset, "dataset", "census", "bootstrap dataset: ar1 ar2 prd mov dbp census cora cddb paper-fig1")
 	fs.Float64Var(&cfg.scale, "scale", 0.1, "fraction of paper-scale size for the bootstrap dataset")
 	fs.Uint64Var(&cfg.seed, "seed", 42, "random seed for the bootstrap dataset")
-	fs.IntVar(&cfg.shards, "shards", 2, "shard workers (full replicas, or row-owning partitions under -topology partitioned)")
+	fs.IntVar(&cfg.shards, "shards", 2, "shard workers, each owning the rows hashed onto it")
 	fs.IntVar(&cfg.swapOps, "swap-ops", 0, "a snapshot falls due every N applied profiles and is published once the backlog the shards held by then is applied (0 = default)")
-	topology := fs.String("topology", blast.TopologyReplicated.String(), "shard topology: replicated or partitioned")
 	fs.StringVar(&cfg.dir, "dir", "", "durable directory (empty = in-memory only)")
 	fs.IntVar(&cfg.syncEvery, "sync-every", 0, "fsync the WALs every N admitted batches (0 = every batch)")
 	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 0, "persist a snapshot every N admitted batches (0 = default)")
 	fs.IntVar(&cfg.maxBatch, "max-batch", 0, "profiles coalesced into one admitted batch (0 = default)")
 	fs.IntVar(&cfg.maxPending, "max-pending", 0, "insert requests in flight before 429 (0 = default)")
 	fs.Int64Var(&cfg.maxPendingBytes, "max-pending-bytes", 0, "insert bytes in flight before 429 (0 = default)")
-	fs.DurationVar(&cfg.flushInterval, "flush-interval", 0, "write coalescing window (0 = default)")
 	fs.Int64Var(&cfg.maxBodyBytes, "max-body-bytes", 0, "largest accepted insert body (0 = default)")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "bound on the graceful drain")
 	if err := fs.Parse(args); err != nil {
@@ -106,11 +102,6 @@ func parseFlags(args []string, w io.Writer) (config, error) {
 	if cfg.shards < 1 {
 		return fail("-shards must be at least 1, got %d", cfg.shards)
 	}
-	topo, err := blast.ParseTopology(*topology)
-	if err != nil {
-		return fail("-topology: %v", err)
-	}
-	cfg.topology = topo
 	if cfg.drainTimeout <= 0 {
 		return fail("-drain-timeout must be positive, got %v", cfg.drainTimeout)
 	}
@@ -149,7 +140,6 @@ func run(ctx context.Context, cfg config, out io.Writer, ready chan<- string) er
 	}
 	srv, err := p.Serve(ctx, ds, blast.ServerOptions{
 		Shards:        cfg.shards,
-		Topology:      cfg.topology,
 		SwapOps:       cfg.swapOps,
 		Dir:           cfg.dir,
 		SyncEvery:     cfg.syncEvery,
@@ -162,7 +152,6 @@ func run(ctx context.Context, cfg config, out io.Writer, ready chan<- string) er
 		MaxBatch:           cfg.maxBatch,
 		MaxPendingRequests: cfg.maxPending,
 		MaxPendingBytes:    cfg.maxPendingBytes,
-		FlushInterval:      cfg.flushInterval,
 		MaxBodyBytes:       cfg.maxBodyBytes,
 	})
 
@@ -174,8 +163,8 @@ func run(ctx context.Context, cfg config, out io.Writer, ready chan<- string) er
 	if cfg.dir != "" {
 		durable = ", durable " + cfg.dir
 	}
-	fmt.Fprintf(out, "blastserve: %s scale %g seed %d: %d profiles, %d %s shards%s\n",
-		cfg.dataset, cfg.scale, cfg.seed, srv.NumProfiles(), cfg.shards, cfg.topology, durable)
+	fmt.Fprintf(out, "blastserve: %s scale %g seed %d: %d profiles, %d shards%s\n",
+		cfg.dataset, cfg.scale, cfg.seed, srv.NumProfiles(), cfg.shards, durable)
 	fmt.Fprintf(out, "blastserve: serving on http://%s\n", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()

@@ -48,7 +48,8 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"zero shards", []string{"-shards", "0"}},
 		{"empty addr", []string{"-addr", ""}},
 		{"bad drain timeout", []string{"-drain-timeout", "0s"}},
-		{"unknown topology", []string{"-topology", "mirrored"}},
+		{"removed topology flag", []string{"-topology", "partitioned"}},
+		{"removed flush-interval flag", []string{"-flush-interval", "1ms"}},
 		{"unknown flag", []string{"-nope"}},
 	}
 	for _, tc := range cases {
@@ -62,11 +63,11 @@ func TestParseFlagsValidation(t *testing.T) {
 	if _, err := parseFlags([]string{"-dataset", "census", "-scale", "0.02"}, io.Discard); err != nil {
 		t.Errorf("valid flags rejected: %v", err)
 	}
-	cfg, err := parseFlags([]string{"-topology", "partitioned", "-shards", "4"}, io.Discard)
+	cfg, err := parseFlags([]string{"-shards", "4"}, io.Discard)
 	if err != nil {
-		t.Errorf("partitioned topology rejected: %v", err)
-	} else if cfg.topology.String() != "partitioned" || cfg.shards != 4 {
-		t.Errorf("parsed topology %v shards %d, want partitioned/4", cfg.topology, cfg.shards)
+		t.Errorf("-shards 4 rejected: %v", err)
+	} else if cfg.shards != 4 {
+		t.Errorf("parsed shards %d, want 4", cfg.shards)
 	}
 }
 
@@ -82,7 +83,6 @@ func TestSIGTERMGracefulDrain(t *testing.T) {
 		"-shards", "2",
 		"-dir", dir,
 		"-snapshot-every", "1",
-		"-flush-interval", "1ms",
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)

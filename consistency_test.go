@@ -144,11 +144,11 @@ func TestServerQuiesceCloseSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		boom := errors.New("replica wedged")
-		// Poison one replica's insert path: the next applied batch fails
-		// on that shard's worker, which goes sticky. The happens-before is
-		// the batch enqueue below.
-		srv.replicas[1].insertFail = func(int) error { return boom }
+		boom := errors.New("shard wedged")
+		// Poison the shards' aggregate exchange, as a failing shard's
+		// OnFail hook does: the next publication fails on every worker,
+		// which goes sticky.
+		srv.parts[1].ex.Poison(boom)
 		if _, err := srv.InsertAll(ctx, durBatchFor(0)); err != nil {
 			t.Fatalf("admission must succeed (failure is async): %v", err)
 		}

@@ -7,61 +7,45 @@ package blast
 //	Dir/wal/shard-NNN.wal      per-shard write-ahead log (internal/wal)
 //	Dir/snap/shard-NNN/        epoch-named snapshot files (internal/shard)
 //
-// Write path. Server.InsertAll encodes the admitted batch once and
-// appends the record to EVERY shard's WAL before ids are returned —
-// the logs mirror the in-memory broadcast, so each is independently a
-// complete journal of the global insert sequence. Should an append fail
-// on some log after succeeding on another, the batch is rolled back off
-// the logs that took it; if even the rollback fails the server poisons
-// itself (sticky error, no further admissions) rather than let logs
-// diverge mid-sequence. Snapshot persistence piggybacks on the shard
-// publish hook: every SnapshotEvery admitted batches, the freshly
-// published snapshot is written (atomically, via temp file + rename)
+// Write path. Server.InsertAll journals the admitted batch on EVERY
+// shard's WAL before ids are returned; shard i's record carries just
+// the profiles whose assigned ids hash to i (wal.AppendOwnedBatch), so
+// between them the logs hold the batch once and every log holds one
+// record per batch. Should an append fail on some log after succeeding
+// on another, the batch is rolled back off the logs that took it; if
+// even the rollback fails the server poisons itself (sticky error, no
+// further admissions) rather than let logs diverge mid-sequence.
+// Snapshot persistence piggybacks on the shard publish hook: every
+// SnapshotEvery admitted batches, the freshly published owned-rows
+// snapshot is written (atomically, via temp file + fsync + rename)
 // under the shard's snapshot directory and old files are pruned.
 //
 // Recovery. ServeBlocks over an existing Dir rebuilds the pre-crash
 // state from the seed Blocks artifact plus the disk state:
 //
-//	1. Every WAL is opened, its torn tail truncated (internal/wal), and
-//	   the common cut — the minimum record count — taken: a batch was
-//	   admitted only if its record landed on every log, and since
-//	   appends run in shard order the counts are non-increasing across
-//	   shards at any crash instant. Logs past the cut are truncated
-//	   back, and the per-record bytes are cross-checked across shards
-//	   (they are encodings of one batch sequence and must be identical);
-//	   any disagreement or undecodable record inside the cut fails
-//	   closed — recovery never invents or reorders admitted data.
-//	2. Per shard, the newest snapshot file that decodes, validates, and
-//	   covers at most the cut fixes the replica's starting position
-//	   (Index.restoreIndex: the writer is re-derived over seed + that
-//	   batch prefix and must reproduce the snapshot's rows bit for bit);
-//	   unusable snapshots — files of an older layout among them — fall
-//	   back to older ones, then to a cold build replaying the whole WAL.
-//	3. The WAL records past each shard's snapshot position are replayed
-//	   through the ordinary InsertAll path, after which every replica
-//	   sits exactly where a never-crashed server's replicas would.
+//  1. The manifest is checked against the seed collection — no build
+//     is needed for that — and a mismatch fails closed.
+//  2. Every WAL is opened, its torn tail truncated (internal/wal), and
+//     the common cut — the minimum record count — taken: a batch was
+//     admitted only if its record landed on every log, and since
+//     appends run in shard order the counts are non-increasing across
+//     shards at any crash instant. Logs past the cut are truncated back
+//     and the admitted batches reassembled from the owned subsets; any
+//     gap, overlap or undecodable record inside the cut fails closed —
+//     recovery never invents or reorders admitted data.
+//  3. Every shard appends every batch to its clone of the seed
+//     collection, exactly as it did before the crash.
+//  4. The published snapshots are adopted from disk when every shard
+//     has one at exactly the cut and the files are one set (the state a
+//     drained Close leaves). Otherwise one frozen IndexBlocks build over
+//     the recovered union collection is sliced into the owned rows.
 //
 // The recovered server then serves Pairs/Candidates/Threshold
 // byte-identical to a cold IndexBlocks over seed + replayed inserts —
 // the same contract Quiesce establishes, enforced by the differential
 // matrix in durable_test.go and the SIGKILL harness in crash_test.go.
-//
-// Partitioned topology. Under ServerOptions.Topology ==
-// TopologyPartitioned the layout is the same but both artifact kinds
-// hold only owned state: shard i's WAL records carry just the profiles
-// whose assigned ids hash to i (wal.AppendOwnedBatch — every shard
-// still journals every batch, so the common-cut rule is unchanged), and
-// its snapshot files hold its owned rows only. Recovery
-// reassembles the full batch sequence from the per-shard subsets with
-// fail-closed coverage checks, replays it into every shard's appender,
-// and restores the published snapshots either by adopting a complete,
-// cross-checked at-cut set from disk (the replay-free path a drained
-// Close leaves) or by slicing a cold master rebuild. See
-// finishDurablePartitioned.
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -91,17 +75,16 @@ type durManifest struct {
 	Kind         string `json:"kind"`
 	SeedProfiles int    `json:"seed_profiles"`
 	SeedBlocks   uint64 `json:"seed_blocks_fnv"`
-	// Topology records the shard topology the directory journals for.
-	// The empty string means replicated — the only topology that existed
-	// before the field did, so directories from older versions reopen
-	// cleanly — and the WAL record format depends on it: replicated logs
-	// hold full batches, partitioned logs hold per-shard owned subsets.
+	// Topology pins the WAL record format: "partitioned" logs hold
+	// per-shard owned subsets. Directories of the removed replicated
+	// topology, whose logs hold full batches, recorded no topology and so
+	// fail the check.
 	Topology string `json:"topology,omitempty"`
 	// Storage records the graph storage mode (Options.Storage) the
-	// directory was created under, with the same empty-means-zero-value
-	// back-compat convention as Topology (empty = memory). Pinning it
-	// keeps a reopen from silently flipping the build's memory/spill
-	// behavior out from under an operator's capacity planning.
+	// directory was created under; empty means memory, the zero value.
+	// Pinning it keeps a reopen from silently flipping the build's
+	// memory/spill behavior out from under an operator's capacity
+	// planning.
 	Storage string `json:"storage,omitempty"`
 }
 
@@ -112,15 +95,6 @@ func manifestStorage(s Storage) string {
 		return ""
 	}
 	return s.String()
-}
-
-// manifestTopology renders a Topology for the manifest, mapping the
-// replicated zero value onto the field's backward-compatible zero.
-func manifestTopology(t Topology) string {
-	if t == TopologyReplicated {
-		return ""
-	}
-	return t.String()
 }
 
 func durWalPath(dir string, id int) string {
@@ -177,11 +151,7 @@ func checkManifest(dir string, want durManifest) error {
 		if err != nil {
 			return err
 		}
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		return os.Rename(tmp, path)
+		return shard.WriteFileAtomic(path, append(buf, '\n'))
 	}
 	if err != nil {
 		return err
@@ -204,13 +174,10 @@ type durability struct {
 	wals    []*wal.Log
 	scratch []byte
 	sticky  error
-	// parts > 0 selects partitioned journaling: shard i's log takes only
-	// the profiles it owns of each batch (by assigned id), every shard
-	// still journaling every batch so record counts stay aligned. base is
-	// the id the next batch's first profile will be assigned; appendBatch
-	// runs under the server's admission lock, so it tracks nextID exactly.
-	parts int
-	base  int
+	// base is the id the next batch's first profile will be assigned;
+	// appendBatch runs under the server's admission lock, so it tracks
+	// nextID exactly.
+	base int
 }
 
 func (d *durability) err() error {
@@ -219,27 +186,23 @@ func (d *durability) err() error {
 	return d.sticky
 }
 
-// appendBatch journals one admitted batch on every shard's WAL. On a
-// partial failure the batch is rolled back off the logs that took it;
-// an unrollbackable partial append poisons the server, because logs
-// that disagree mid-sequence would make the next recovery fail closed.
+// appendBatch journals one admitted batch: shard i's log takes the
+// profiles it owns (by assigned id), and every log takes a record, so
+// record counts stay aligned. On a partial failure the batch is rolled
+// back off the logs that took it; an unrollbackable partial append
+// poisons the server, because logs that disagree mid-sequence would make
+// the next recovery fail closed.
 func (d *durability) appendBatch(batch []model.Profile) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.sticky != nil {
 		return d.sticky
 	}
+	n := len(d.wals)
 	for i, l := range d.wals {
-		if d.parts > 0 {
-			base := d.base
-			d.scratch = wal.AppendOwnedBatch(d.scratch[:0], batch, func(k int) bool {
-				return shard.Owner(int32(base+k), d.parts) == i
-			})
-		} else if i == 0 {
-			// Replicated logs all take the identical full-batch encoding;
-			// encode it once.
-			d.scratch = wal.AppendBatch(d.scratch[:0], batch)
-		}
+		d.scratch = wal.AppendOwnedBatch(d.scratch[:0], batch, func(k int) bool {
+			return shard.Owner(int32(d.base+k), n) == i
+		})
 		if err := l.Append(d.scratch); err != nil {
 			for j := 0; j < i; j++ {
 				if rbErr := d.wals[j].Truncate(d.wals[j].Records() - 1); rbErr != nil {
@@ -330,18 +293,38 @@ func snapFileEpoch(name string) uint64 {
 	return epoch
 }
 
-// serveDurable is ServeBlocks' durable construction path: recover the
-// on-disk state (if any), replay, and start shards wired to the WALs
-// and the snapshot persisters.
-func (p *Pipeline) serveDurable(ctx context.Context, blocks *Blocks, sopt ServerOptions) (*Server, error) {
-	n := sopt.shards()
-	dir := sopt.Dir
+// recovery is what a durable open found on disk: the WALs, open and
+// cut back to their common prefix, and the admitted batches reassembled
+// from them.
+type recovery struct {
+	logs    []*wal.Log
+	batches [][]model.Profile
+}
+
+// closeLogs releases the WALs of a recovery that is failing.
+func (r *recovery) closeLogs() {
+	for _, l := range r.logs {
+		if l != nil {
+			//blast:allow syncerr -- recovery is already failing with a primary error; this close is a best-effort descriptor release and must not mask it (nothing was admitted on these logs)
+			l.Close()
+		}
+	}
+}
+
+// openDurable prepares ServerOptions.Dir for ServeBlocks over the seed
+// collection c: it makes the directories, checks (or, on first open,
+// records) the manifest, opens the WALs, cuts them to their common
+// prefix and reassembles the admitted batches, failing closed on any
+// disagreement. The returned pipeline is p, or a copy whose StorageFile
+// builds spill under Dir when Options.SpillDir is empty.
+func (p *Pipeline) openDurable(c *blocking.Collection, sopt ServerOptions) (*Pipeline, *recovery, error) {
+	n, dir := sopt.shards(), sopt.Dir
 	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i := 0; i < n; i++ {
 		if err := os.MkdirAll(durSnapDir(dir, i), 0o755); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if p.opt.Storage == StorageFile && p.opt.SpillDir == "" {
@@ -352,286 +335,52 @@ func (p *Pipeline) serveDurable(ctx context.Context, blocks *Blocks, sopt Server
 		// once its rows are frozen.)
 		spill := filepath.Join(dir, "spill")
 		if err := os.MkdirAll(spill, 0o755); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		pp := *p
 		pp.opt.SpillDir = spill
 		p = &pp
 	}
-	// A replicated master becomes a replica, a writer from the start. A
-	// partitioned one is only exported and sliced, which its frozen form
-	// serves; should a WAL suffix need replaying through it, its first
-	// InsertAll thaws it like any frozen index.
-	master, err := p.indexBlocks(ctx, blocks, sopt.Topology != TopologyPartitioned)
-	if err != nil {
-		return nil, err
-	}
 	if err := checkManifest(dir, durManifest{
 		Version:      durManifestVersion,
 		Shards:       n,
-		Kind:         master.Kind().String(),
-		SeedProfiles: master.NumProfiles(),
-		SeedBlocks:   collectionFingerprint(blocks.Collection),
-		Topology:     manifestTopology(sopt.Topology),
+		Kind:         c.Kind.String(),
+		SeedProfiles: c.NumProfiles,
+		SeedBlocks:   collectionFingerprint(c),
+		Topology:     "partitioned",
 		Storage:      manifestStorage(p.opt.Storage),
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	// Open the WALs, truncate to the common cut, decode the batches.
-	logs := make([]*wal.Log, n)
+	rec := &recovery{logs: make([]*wal.Log, n)}
 	recs := make([][][]byte, n)
-	closeLogs := func() {
-		for _, l := range logs {
-			if l != nil {
-				//blast:allow syncerr -- recovery is already failing with a primary error; this close is a best-effort descriptor release and must not mask it (nothing was admitted on these logs)
-				l.Close()
-			}
-		}
-	}
-	for i := range logs {
+	for i := range rec.logs {
 		l, payloads, err := wal.Open(durWalPath(dir, i), sopt.walSyncEvery())
 		if err != nil {
-			closeLogs()
-			return nil, err
+			rec.closeLogs()
+			return nil, nil, err
 		}
-		logs[i] = l
-		recs[i] = payloads
+		rec.logs[i], recs[i] = l, payloads
 	}
 	cut := len(recs[0])
 	for _, r := range recs[1:] {
 		cut = min(cut, len(r))
 	}
-	for i := range logs {
-		if err := logs[i].Truncate(cut); err != nil {
-			closeLogs()
-			return nil, err
+	var err error
+	for _, l := range rec.logs {
+		if err = l.Truncate(cut); err != nil {
+			break
 		}
 	}
-	if sopt.Topology == TopologyPartitioned {
-		return p.finishDurablePartitioned(ctx, blocks, master, sopt, dir, logs, recs, cut, closeLogs)
+	if err == nil {
+		rec.batches, err = reassembleOwnedBatches(recs, cut, c.NumProfiles, n)
 	}
-	batches := make([][]model.Profile, cut)
-	for k := 0; k < cut; k++ {
-		for i := 1; i < n; i++ {
-			if !bytes.Equal(recs[0][k], recs[i][k]) {
-				closeLogs()
-				return nil, fmt.Errorf("blast: wal record %d differs between shards 0 and %d; refusing to replay", k, i)
-			}
-		}
-		b, err := wal.DecodeBatch(recs[0][k])
-		if err != nil {
-			closeLogs()
-			return nil, fmt.Errorf("blast: wal record %d: %w", k, err)
-		}
-		batches[k] = b
-	}
-
-	// Phase 1 — pick each shard's recovery source. Cold fallbacks clone
-	// the master NOW, before any replay mutates it.
-	reps := make([]*Index, n)
-	replayFrom := make([]int, n)
-	epochs := make([]uint64, n)
-	masterUsed := false
-	for i := 0; i < n; i++ {
-		ix, from, maxEpoch := p.recoverReplica(ctx, blocks, durSnapDir(dir, i), batches)
-		if ix == nil {
-			if masterUsed {
-				ix = master.cloneForServing()
-			} else {
-				ix = master
-				masterUsed = true
-			}
-			from = 0
-		}
-		reps[i] = ix
-		replayFrom[i] = from
-		if maxEpoch > 0 || cut > 0 {
-			// Something was on disk (or must now be replayed): publish
-			// strictly above every persisted epoch so the recovered
-			// initial snapshot can itself be persisted without clobbering
-			// a file recovery might still need.
-			epochs[i] = maxEpoch + 1
-		}
-	}
-
-	// Phase 2 — replay the WAL suffix through the ordinary insert path
-	// and start the shards.
-	shOpt := p.shardOptions(sopt)
-	srv := &Server{
-		kind:     master.Kind(),
-		storage:  p.opt.Storage,
-		shards:   make([]*shard.Shard, n),
-		replicas: make([]*Index, n),
-		pers:     make([]*snapPersister, n),
-		nextID:   master.NumProfiles(),
-	}
-	for _, b := range batches {
-		srv.nextID += len(b)
-	}
-	var fresh *shard.Snapshot
-	for i := 0; i < n; i++ {
-		rep := reps[i]
-		rep.opt.Compaction = Compaction{MaxOverlayFraction: -1}
-		for k, b := range batches[replayFrom[i]:] {
-			if _, err := rep.InsertAll(context.Background(), b); err != nil {
-				closeLogs()
-				return nil, fmt.Errorf("blast: wal replay, batch %d on shard %d: %w", replayFrom[i]+k, i, err)
-			}
-		}
-		var snap *shard.Snapshot
-		if epochs[i] == 0 {
-			// Fresh directory: identical to the in-memory path, one
-			// shared epoch-0 snapshot of the pristine build.
-			if fresh == nil {
-				if fresh, err = master.exportSnapshot(ctx); err != nil {
-					closeLogs()
-					return nil, err
-				}
-			}
-			snap = fresh
-		} else {
-			es, err := rep.exportSnapshot(ctx)
-			if err != nil {
-				closeLogs()
-				return nil, err
-			}
-			//blast:allow snapshotmut -- pre-publication tag of a freshly exported private snapshot; no reader can hold it before shard.New
-			es.Epoch = epochs[i]
-			//blast:allow snapshotmut -- pre-publication tag of a freshly exported private snapshot; no reader can hold it before shard.New
-			es.Batches = int64(cut)
-			snap = es
-		}
-		shOptI := shOpt
-		if every := sopt.snapshotEvery(); every > 0 {
-			sp := &snapPersister{dir: durSnapDir(dir, i), every: every, keep: 2, last: int64(cut)}
-			if epochs[i] > 0 {
-				// Persist the recovered state immediately: the next crash
-				// then replays only the batches admitted after this open.
-				if err := sp.persistNow(snap); err != nil {
-					closeLogs()
-					return nil, err
-				}
-			}
-			shOptI.Persist = sp.persist
-			srv.pers[i] = sp
-		}
-		srv.replicas[i] = rep
-		srv.shards[i] = shard.New(i, indexWriter{rep}, snap, shOptI)
-	}
-	srv.dur = &durability{wals: logs}
-	return srv, nil
-}
-
-// finishDurablePartitioned is serveDurable's tail for the partitioned
-// topology, entered with the logs already open and truncated to the
-// common cut. Partitioned logs hold per-shard owned subsets, so
-// recovery first reassembles the admitted batch sequence: per record,
-// every shard's subset must decode, the batch lengths must agree, each
-// profile must come from exactly the shard owning its assigned id, and
-// every position must be covered — any gap or overlap fails closed.
-//
-// The writable side needs no snapshot-based restore: a partIndex holds
-// no decision state between exports (Export rebuilds the owned CSR from
-// the collection), so every shard simply replays all batches through
-// the ordinary append path. The initial published snapshots come from
-// the persisted owned snapshots when every shard has a usable one at
-// exactly the cut — the state a drained Close leaves behind, making the
-// common restart replay-free — and otherwise from slicing a full master
-// rebuild over seed plus replayed batches, byte-identical to what the
-// shards' own exchange-driven exports would produce.
-func (p *Pipeline) finishDurablePartitioned(ctx context.Context, blocks *Blocks, master *Index, sopt ServerOptions, dir string, logs []*wal.Log, recs [][][]byte, cut int, closeLogs func()) (*Server, error) {
-	n := sopt.shards()
-	batches, err := reassembleOwnedBatches(recs, cut, master.NumProfiles(), n)
 	if err != nil {
-		closeLogs()
-		return nil, err
+		rec.closeLogs()
+		return nil, nil, err
 	}
-	expected := master.NumProfiles()
-	for _, b := range batches {
-		expected += len(b)
-	}
-
-	snaps := adoptOwnedSnapshots(dir, n, cut, expected)
-	if snaps == nil {
-		// No adoptable at-cut snapshot set: rebuild the union state cold
-		// and slice it. The master replay runs the ordinary insert path,
-		// so the sliced rows match the shards' own exports bit for bit.
-		for k, b := range batches {
-			if _, err := master.InsertAll(ctx, b); err != nil {
-				closeLogs()
-				return nil, fmt.Errorf("blast: wal replay, batch %d on master: %w", k, err)
-			}
-		}
-		full, err := master.exportSnapshot(ctx)
-		if err != nil {
-			closeLogs()
-			return nil, err
-		}
-		snaps = make([]*shard.Snapshot, n)
-		for i := 0; i < n; i++ {
-			snap := shard.SliceOwned(full, i, n)
-			maxEpoch := uint64(0)
-			for _, name := range snapFileNames(durSnapDir(dir, i)) {
-				maxEpoch = max(maxEpoch, snapFileEpoch(name))
-			}
-			if maxEpoch > 0 || cut > 0 {
-				// Same epoch discipline as the replicated recovery: publish
-				// strictly above every file on disk, at the WAL cut.
-				//blast:allow snapshotmut -- pre-publication tag of a freshly sliced private snapshot; no reader can hold it before shard.New
-				snap.Epoch = maxEpoch + 1
-				//blast:allow snapshotmut -- pre-publication tag of a freshly sliced private snapshot; no reader can hold it before shard.New
-				snap.Batches = int64(cut)
-			}
-			snaps[i] = snap
-		}
-	}
-
-	shOpt := p.shardOptions(sopt)
-	// Only the deterministic SwapOps count may make an export fall due —
-	// see servePartitioned.
-	shOpt.MaxOverlayFraction = 0
-	ex := shard.NewExchange(n)
-	shOpt.OnFail = func(err error) { ex.Poison(err) }
-	srv := &Server{
-		kind:     master.Kind(),
-		topology: TopologyPartitioned,
-		storage:  p.opt.Storage,
-		shards:   make([]*shard.Shard, n),
-		parts:    make([]*partIndex, n),
-		pers:     make([]*snapPersister, n),
-		schema:   blocks.Schema,
-		nextID:   expected,
-	}
-	for i := 0; i < n; i++ {
-		px := newPartIndex(blocks.Collection.Clone(), blocks.Schema, p.opt, i, n, ex)
-		for k, b := range batches {
-			if _, err := px.InsertAll(ctx, b); err != nil {
-				closeLogs()
-				return nil, fmt.Errorf("blast: wal replay, batch %d on shard %d: %w", k, i, err)
-			}
-		}
-		shOptI := shOpt
-		if every := sopt.snapshotEvery(); every > 0 {
-			sp := &snapPersister{dir: durSnapDir(dir, i), every: every, keep: 2, last: int64(cut)}
-			if snaps[i].Epoch > 0 && snaps[i].Batches == int64(cut) {
-				// Rebuilt over a non-fresh directory: persist the recovered
-				// state so the next open can adopt it without replay. An
-				// adopted snapshot is already on disk; persistNow rewrites
-				// the same bytes, which is harmless and keeps one rule.
-				if err := sp.persistNow(snaps[i]); err != nil {
-					closeLogs()
-					return nil, err
-				}
-			}
-			shOptI.Persist = sp.persist
-			srv.pers[i] = sp
-		}
-		srv.parts[i] = px
-		srv.shards[i] = shard.New(i, px, snaps[i], shOptI)
-	}
-	srv.dur = &durability{wals: logs, parts: n, base: expected}
-	return srv, nil
+	return p, rec, nil
 }
 
 // reassembleOwnedBatches rebuilds the admitted batch sequence from the
@@ -719,32 +468,4 @@ func adoptOwnedSnapshots(dir string, n, cut, numProfiles int) []*shard.Snapshot 
 		return nil
 	}
 	return snaps
-}
-
-// recoverReplica restores one shard's writable replica from its newest
-// usable snapshot file: one that decodes and validates, covers no more
-// than the WAL cut, and matches the structure rebuilt from the seed and
-// its batch prefix. Unusable files fall back to older ones; a nil index
-// means no snapshot was usable and the caller replays from a cold
-// build. maxEpoch reports the highest epoch among the files present
-// (usable or not), so new publications stay strictly above them.
-func (p *Pipeline) recoverReplica(ctx context.Context, blocks *Blocks, sdir string, batches [][]model.Profile) (ix *Index, from int, maxEpoch uint64) {
-	names := snapFileNames(sdir)
-	for _, name := range names {
-		maxEpoch = max(maxEpoch, snapFileEpoch(name))
-	}
-	for k := len(names) - 1; k >= 0; k-- {
-		snap, err := shard.ReadSnapshotFile(filepath.Join(sdir, names[k]))
-		if err != nil || snap.Batches > int64(len(batches)) {
-			// Corrupt, torn, or ahead of the WAL cut (its batches are not
-			// all in the admitted sequence): fail closed to older state.
-			continue
-		}
-		rep, err := p.restoreIndex(ctx, blocks, snap, batches[:snap.Batches])
-		if err != nil {
-			continue
-		}
-		return rep, int(snap.Batches), maxEpoch
-	}
-	return nil, 0, maxEpoch
 }

@@ -1,10 +1,9 @@
 package blast
 
-// Durable serving under the partitioned topology: per-shard WALs hold
-// only owned subsets and snapshots only owned rows, yet recovery must
-// land on exactly the state a never-crashed replicated server (and a
-// cold rebuild) would serve, and every reassembly disagreement must
-// fail closed.
+// Durable serving over owned state: per-shard WALs hold only owned
+// subsets and snapshots only owned rows, so recovery adopts snapshot
+// files only as one complete set and every reassembly disagreement
+// must fail closed.
 
 import (
 	"context"
@@ -13,99 +12,39 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
+	"blast/internal/metablocking"
 	"blast/internal/model"
 	"blast/internal/shard"
 	"blast/internal/stats"
 	"blast/internal/wal"
+	"blast/internal/weights"
 )
 
-// durOpenPart opens a durable partitioned server over dir.
-func durOpenPart(t *testing.T, p *Pipeline, dir string, shards, snapEvery int) (*Server, error) {
-	t.Helper()
-	return p.Serve(context.Background(), durDataset(), ServerOptions{
-		Shards: shards, Topology: TopologyPartitioned, SwapOps: 2,
-		Dir: dir, SnapshotEvery: snapEvery, SyncEvery: 1,
+// TestDurablePartitionedReopenMatrix runs the reopen matrix with the
+// weighting scheme and pruning algorithm changing from case to case, so
+// the owned rows a shard journals and snapshots come from a different
+// exchange each time (χ² thresholds, CNP cuts, edge-centric bounds) —
+// adopted or rebuilt, every reopen must still land on the cold state.
+func TestDurablePartitionedReopenMatrix(t *testing.T) {
+	with := func(scheme weights.Scheme, pruning metablocking.Pruning) func(*Options) {
+		return func(o *Options) { o.Scheme, o.Pruning = scheme, pruning }
+	}
+	runReopenMatrix(t, "part/", []reopenCase{
+		{1, 1, 1, with(weights.Scheme{Kind: weights.ChiSquared, Entropy: true}, metablocking.BlastWNP)},
+		{2, -1, 1, with(weights.Scheme{Kind: weights.ARCS, Entropy: true}, metablocking.CNP1)},
+		{3, 1, -1, with(weights.Scheme{Kind: weights.ECBS}, metablocking.WEP)},
+		{2, 0, 0, with(weights.Scheme{Kind: weights.JS}, metablocking.CEP)},
+		{4, 1, 1, with(weights.Scheme{Kind: weights.EJS}, metablocking.CNP2)},
 	})
 }
 
-// TestDurablePartitionedReopenMatrix is the partitioned mirror of
-// TestDurableReopenMatrix: open → stream → close → reopen, two
-// generations deep, across shard counts and snapshot policies.
-// SnapshotEvery 1 lands reopens on the adoption path (a drained Close
-// leaves every shard an at-cut owned snapshot); -1 forces the cold
-// master-rebuild path. The reference pairs come from an independent
-// replicated server, so every checkpoint is also a cross-topology
-// equivalence check.
-func TestDurablePartitionedReopenMatrix(t *testing.T) {
-	ctx := context.Background()
-	cases := []struct {
-		shards, snapEvery, syncEvery int
-	}{
-		{1, 1, 1},
-		{2, -1, 1},
-		{3, 1, -1},
-		{2, 0, 0},
-		{4, 1, 1},
-	}
-	for _, tc := range cases {
-		label := fmt.Sprintf("part/shards=%d/snap=%d/sync=%d", tc.shards, tc.snapEvery, tc.syncEvery)
-		t.Run(label, func(t *testing.T) {
-			dir := t.TempDir()
-			p, err := NewPipeline(DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sopt := ServerOptions{
-				Shards: tc.shards, Topology: TopologyPartitioned, SwapOps: 2,
-				Dir: dir, SnapshotEvery: tc.snapEvery, SyncEvery: tc.syncEvery,
-			}
-			srv, err := p.Serve(ctx, durDataset(), sopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkRecovered(t, label+"/fresh", p, srv, 0)
-			durInsert(t, srv, 0, 3)
-			checkServerEquivalence(t, label+"/streamed", p, srv)
-			if err := srv.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			if _, err := srv.Pairs(ctx); err != nil {
-				t.Fatalf("Pairs after Close: %v", err)
-			}
-
-			srv2, err := p.Serve(ctx, durDataset(), sopt)
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			if got := srv2.Topology(); got != TopologyPartitioned {
-				t.Fatalf("recovered topology %v", got)
-			}
-			checkRecovered(t, label+"/gen1", p, srv2, 3)
-			durInsert(t, srv2, 3, 5)
-			checkServerEquivalence(t, label+"/gen1-streamed", p, srv2)
-			if err := srv2.Close(); err != nil {
-				t.Fatalf("close gen1: %v", err)
-			}
-
-			srv3, err := p.Serve(ctx, durDataset(), sopt)
-			if err != nil {
-				t.Fatalf("reopen gen2: %v", err)
-			}
-			checkRecovered(t, label+"/gen2", p, srv3, 5)
-			if err := srv3.Close(); err != nil {
-				t.Fatalf("close gen2: %v", err)
-			}
-		})
-	}
-}
-
-// TestDurablePartitionedTornWAL tears one shard's log tail: the common
-// cut must pull every shard back to the surviving prefix, exactly as in
-// the replicated torn-WAL contract — under partitioning a lost owned
-// subset makes the whole batch unrecoverable, never a partial one.
+// TestDurablePartitionedTornWAL tears the last byte off one shard's log
+// in a directory whose drained Close left every shard an at-cut
+// snapshot. The common cut then falls one batch below the newest
+// snapshot set, which must not be adopted: recovery serves exactly the
+// surviving prefix, whether from an older set or by the rebuild.
 func TestDurablePartitionedTornWAL(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
@@ -114,15 +53,7 @@ func TestDurablePartitionedTornWAL(t *testing.T) {
 	const shards, batches = 2, 4
 	for _, damaged := range []int{0, shards - 1} {
 		t.Run(fmt.Sprintf("shard%d", damaged), func(t *testing.T) {
-			dir := t.TempDir()
-			srv, err := durOpenPart(t, p, dir, shards, -1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			durInsert(t, srv, 0, batches)
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
+			dir := durSeedDir(t, p, shards, 1, batches)
 			path := filepath.Join(dir, "wal", fmt.Sprintf("shard-%03d.wal", damaged))
 			raw, err := os.ReadFile(path)
 			if err != nil {
@@ -131,12 +62,12 @@ func TestDurablePartitionedTornWAL(t *testing.T) {
 			if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			srv2, err := durOpenPart(t, p, dir, shards, -1)
+			srv, err := durOpen(t, p, dir, shards, 1)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
-			checkRecovered(t, "torn", p, srv2, batches-1)
-			if err := srv2.Close(); err != nil {
+			checkRecovered(t, "torn", p, srv, batches-1)
+			if err := srv.Close(); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -165,7 +96,7 @@ func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
 	// and closes it, leaving every shard a snapshot at the cut.
 	seedDir := func(first int) string {
 		dir := t.TempDir()
-		srv, err := durOpenPart(t, p, dir, shards, 1)
+		srv, err := durOpen(t, p, dir, shards, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +184,7 @@ func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
 			path := newest(dir)
 			persisted := snapFileEpoch(filepath.Base(path))
 			damage(path)
-			srv, err := durOpenPart(t, p, dir, shards, 1)
+			srv, err := durOpen(t, p, dir, shards, 1)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -266,34 +197,6 @@ func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestDurableTopologyMismatch: a directory journals for exactly one
-// topology (the WAL record formats are incompatible), so reopening
-// under the other must be refused by the manifest, in both directions.
-func TestDurableTopologyMismatch(t *testing.T) {
-	p, err := NewPipeline(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	repDir := durSeedDir(t, p, 2, -1, 1)
-	if _, err := durOpenPart(t, p, repDir, 2, -1); err == nil ||
-		!strings.Contains(err.Error(), "created as") {
-		t.Errorf("replicated dir reopened as partitioned: %v", err)
-	}
-	partDir := t.TempDir()
-	srv, err := durOpenPart(t, p, partDir, 2, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	durInsert(t, srv, 0, 1)
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := durOpen(t, p, partDir, 2, -1); err == nil ||
-		!strings.Contains(err.Error(), "created as") {
-		t.Errorf("partitioned dir reopened as replicated: %v", err)
 	}
 }
 

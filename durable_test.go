@@ -10,12 +10,15 @@ package blast
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
@@ -99,27 +102,26 @@ func checkRecovered(t *testing.T, label string, p *Pipeline, srv *Server, wantBa
 	assertSamePairs(t, label+" vs reference", durReferencePairs(t, p, wantBatches), got)
 }
 
-// TestDurableReopenMatrix runs open → stream → close → reopen across
-// shard counts and snapshot/sync policies, two generations deep, and
-// checks the recovery contract at every step. SnapshotEvery 1 recovers
-// from snapshot + WAL suffix; -1 forces pure WAL replay; 0 (default
-// cadence 64) recovers cold with an immediate snapshot of nothing —
-// all three must land on the identical state.
-func TestDurableReopenMatrix(t *testing.T) {
+// reopenCase is one row of a durable reopen matrix; opt, when set,
+// adjusts the pipeline options the case serves under.
+type reopenCase struct {
+	shards, snapEvery, syncEvery int
+	opt                          func(*Options)
+}
+
+// runReopenMatrix runs open → stream → close → reopen, two generations
+// deep, for every case, and checks the recovery contract at every step.
+func runReopenMatrix(t *testing.T, prefix string, cases []reopenCase) {
 	ctx := context.Background()
-	cases := []struct {
-		shards, snapEvery, syncEvery int
-	}{
-		{1, 1, 1},
-		{2, -1, 1},
-		{3, 1, -1},
-		{2, 0, 0},
-	}
 	for _, tc := range cases {
-		label := fmt.Sprintf("shards=%d/snap=%d/sync=%d", tc.shards, tc.snapEvery, tc.syncEvery)
+		label := fmt.Sprintf("%sshards=%d/snap=%d/sync=%d", prefix, tc.shards, tc.snapEvery, tc.syncEvery)
 		t.Run(label, func(t *testing.T) {
 			dir := t.TempDir()
-			p, err := NewPipeline(DefaultOptions())
+			opt := DefaultOptions()
+			if tc.opt != nil {
+				tc.opt(&opt)
+			}
+			p, err := NewPipeline(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,6 +165,81 @@ func TestDurableReopenMatrix(t *testing.T) {
 			checkRecovered(t, label+"/gen2", p, srv3, 5)
 			if err := srv3.Close(); err != nil {
 				t.Fatalf("close gen2: %v", err)
+			}
+		})
+	}
+}
+
+// TestDurableReopenMatrix runs the reopen matrix under the default
+// pipeline across shard counts and snapshot/sync policies. SnapshotEvery
+// 1 lands reopens on the adoption path (a drained Close leaves every
+// shard an at-cut snapshot); -1 forces the rebuild over the replayed
+// WAL; 0 (default cadence 64) adopts what Close persisted — all must
+// land on the identical state.
+func TestDurableReopenMatrix(t *testing.T) {
+	runReopenMatrix(t, "", []reopenCase{
+		{shards: 1, snapEvery: 1, syncEvery: 1},
+		{shards: 2, snapEvery: -1, syncEvery: 1},
+		{shards: 3, snapEvery: 1, syncEvery: -1},
+		{shards: 2, snapEvery: 0, syncEvery: 0},
+	})
+}
+
+// TestDurableReopenBuildCount counts the index builds a reopen makes
+// (Options.Progress "index" events) and every other stage it reports:
+// adopting an at-cut snapshot set builds nothing, and a WAL-only image
+// is rebuilt by exactly one frozen build over the recovered union
+// collection. Recovery drives no writer Index through the log, so no
+// overlay is folded or re-derived along the way, and the recovered
+// server still equals the cold rebuild.
+func TestDurableReopenBuildCount(t *testing.T) {
+	ctx := context.Background()
+	events := map[string]int{}
+	opt := DefaultOptions()
+	opt.Progress = func(phase string, _ time.Duration) { events[phase]++ }
+	p, err := NewPipeline(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := durDataset()
+	sch, err := p.InduceSchema(ctx, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := p.Block(ctx, ds, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 4
+	for _, tc := range []struct {
+		name      string
+		snapEvery int
+		builds    int
+	}{
+		{"adopt", 1, 0},
+		{"wal-only", -1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sopt := ServerOptions{Shards: 2, SwapOps: 2, Dir: t.TempDir(), SnapshotEvery: tc.snapEvery, SyncEvery: 1}
+			srv, err := p.ServeBlocks(ctx, blocks, sopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			durInsert(t, srv, 0, batches)
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			clear(events)
+			srv, err = p.ServeBlocks(ctx, blocks, sopt)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if got := events["index"]; got != tc.builds || len(events) > min(tc.builds, 1) {
+				t.Errorf("reopen reported stages %v, want %d index build(s) and nothing else", events, tc.builds)
+			}
+			checkRecovered(t, tc.name, p, srv, batches)
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -243,8 +320,9 @@ func TestDurableTornWAL(t *testing.T) {
 }
 
 // TestDurableWALDivergenceFailsClosed forges a same-position record that
-// differs between two shards' logs: recovery must refuse to serve
-// rather than guess which history is real.
+// disagrees with the other shard's log on the batch it journals:
+// recovery must refuse to serve rather than guess which history is
+// real.
 func TestDurableWALDivergenceFailsClosed(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
@@ -259,7 +337,8 @@ func TestDurableWALDivergenceFailsClosed(t *testing.T) {
 	if err := l.Truncate(l.Records() - 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(wal.AppendBatch(nil, durBatchFor(99))); err != nil {
+	longer := append(durBatchFor(99), durBatchFor(98)...)
+	if err := l.Append(wal.AppendOwnedBatch(nil, longer, func(int) bool { return false })); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -271,8 +350,10 @@ func TestDurableWALDivergenceFailsClosed(t *testing.T) {
 }
 
 // TestDurableSnapshotFallback damages persisted snapshots and checks
-// the fallback ladder: older snapshot, then cold rebuild — never a
-// corrupted state, and never losing WAL-journaled batches.
+// the adopt-or-rebuild rule: a set with an unusable at-cut file is not
+// adopted — an older file cannot be rolled forward either — so the
+// reopen rebuilds over the WAL: never a corrupted state, never a
+// journaled batch lost.
 func TestDurableSnapshotFallback(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
@@ -329,20 +410,20 @@ func TestDurableSnapshotFallback(t *testing.T) {
 	for _, tc := range mutate {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := durSeedDir(t, p, shards, 1, batches)
-			for i := 0; i < shards; i++ {
-				sdir := filepath.Join(dir, "snap", fmt.Sprintf("shard-%03d", i))
-				entries, err := os.ReadDir(sdir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				names := make([]string, 0, len(entries))
-				for _, e := range entries {
-					names = append(names, e.Name())
-				}
+			// A rebuild publishes strictly above every file left on disk;
+			// an adopted snapshot keeps the epoch it was persisted under.
+			rebuiltEpoch := make([]uint64, shards)
+			for i := range rebuiltEpoch {
+				sdir := durSnapDir(dir, i)
+				names := snapFileNames(sdir)
 				if len(names) == 0 {
 					t.Fatalf("shard %d persisted no snapshots", i)
 				}
 				tc.damage(t, sdir, names)
+				rebuiltEpoch[i] = 1
+				if left := snapFileNames(sdir); len(left) > 0 {
+					rebuiltEpoch[i] = snapFileEpoch(left[len(left)-1]) + 1
+				}
 			}
 			srv, err := durOpen(t, p, dir, shards, 1)
 			if err != nil {
@@ -350,6 +431,11 @@ func TestDurableSnapshotFallback(t *testing.T) {
 			}
 			// The WAL holds every batch regardless of snapshot damage.
 			checkRecovered(t, tc.name, p, srv, batches)
+			for i, st := range srv.Stats() {
+				if st.Epoch != rebuiltEpoch[i] {
+					t.Errorf("shard %d published epoch %d, want the rebuild's %d", i, st.Epoch, rebuiltEpoch[i])
+				}
+			}
 			if err := srv.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -366,7 +452,7 @@ func oldLayoutSnapshot(magic string) []byte {
 
 // TestDurableManifestMismatch pins the fail-closed contract of the
 // manifest: a durable directory only reopens under the layout and seed
-// artifact it was created with.
+// artifact it was created with, and a corrupt manifest opens nothing.
 func TestDurableManifestMismatch(t *testing.T) {
 	ctx := context.Background()
 	p, err := NewPipeline(DefaultOptions())
@@ -387,6 +473,49 @@ func TestDurableManifestMismatch(t *testing.T) {
 	}
 	if _, err := durOpen(t, p, dir, 2, -1); err == nil {
 		t.Error("corrupt manifest accepted")
+	}
+}
+
+// TestDurableTopologyMismatch: a directory journals for exactly one
+// record format, and its manifest pins it as the partitioned topology.
+// A directory of the removed replicated topology — its manifest records
+// no topology, its logs full batches — is refused by the manifest with
+// the "created as" error, before any log is read; so is one naming any
+// other topology.
+func TestDurableTopologyMismatch(t *testing.T) {
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := durSeedDir(t, p, 2, -1, 1)
+	manifest := filepath.Join(dir, "MANIFEST.json")
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if fields["topology"] != "partitioned" {
+		t.Fatalf("manifest pins topology %v, want partitioned", fields["topology"])
+	}
+	for _, topo := range []any{nil, "replicated"} {
+		if topo == nil {
+			delete(fields, "topology")
+		} else {
+			fields["topology"] = topo
+		}
+		forged, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(manifest, forged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := durOpen(t, p, dir, 2, -1); err == nil || !strings.Contains(err.Error(), "created as") {
+			t.Errorf("directory created as topology %v reopened: %v", topo, err)
+		}
 	}
 }
 

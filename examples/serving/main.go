@@ -1,5 +1,5 @@
 // Serving demonstrates the sharded snapshot-swap Server: a product
-// catalog is frozen into two shard replicas, new products stream in
+// catalog is split across two row-owning shards, new products stream in
 // while candidate queries are served wait-free from published
 // snapshots, and a quiesce pins the server to exactly the state a cold
 // rebuild over everything would produce.
@@ -49,7 +49,7 @@ func run() error {
 	}
 	ds := &model.Dataset{Name: "serving", Kind: model.Dirty, E1: catalog, Truth: model.NewGroundTruth()}
 
-	// Two shard workers: each owns a writable Index replica; reads are
+	// Two shard workers: each owns the rows hashed onto it; reads are
 	// hash-routed to the owner's published snapshot. SwapOps: 2 keeps
 	// the walkthrough's snapshots visibly fresh; production cadences are
 	// hundreds of inserts per swap.
@@ -65,8 +65,8 @@ func run() error {
 	fmt.Printf("server: %d shards over %d catalog products\n", srv.NumShards(), srv.NumProfiles())
 
 	// New products arrive while the catalog serves queries. Ids are
-	// admitted immediately; each shard folds the inserts into its
-	// replica and publishes a fresh snapshot at the swap cadence.
+	// admitted immediately; each shard appends them to its block
+	// collection and publishes fresh owned rows at the swap cadence.
 	arrivals := []model.Profile{
 		product("n1", "Panasonic Lumix TZ5-S", "9 megapixel compact camera 10x zoom silver", "Panasonic"),
 		product("n2", "Sony NWZ-A818 8GB Walkman", "mp3 player bluetooth 8gb black", "Sony"),

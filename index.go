@@ -40,7 +40,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -119,10 +118,8 @@ type Index struct {
 
 	// The writer's form, nil while frozen: the copy-on-write overlay
 	// every read and insert goes through, over the full CSR with its
-	// co-occurrence statistics (ov.Base) and the per-entry retention mask
-	// (the overlay writes through it; kept here for cloneForServing).
-	retained []bool
-	theta    []float64
+	// co-occurrence statistics and the per-entry retention mask.
+	theta []float64
 	// retainedEntries counts marked adjacency entries (2 per retained
 	// pair), so NumRetained stays O(1) under inserts.
 	retainedEntries int64
@@ -163,26 +160,13 @@ func (p *Pipeline) BuildIndex(ctx context.Context, ds *model.Dataset) (*Index, e
 // one (Options.Storage = StorageFile) has had its segment files
 // deleted. The first Insert re-derives it from the retained collection.
 func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, error) {
-	return p.indexBlocks(ctx, blocks, false)
-}
-
-// indexBlocks is IndexBlocks with control over the form: writer builds
-// the index as the writer its first Insert would otherwise re-derive,
-// for serving replicas, which will certainly mutate.
-func (p *Pipeline) indexBlocks(ctx context.Context, blocks *Blocks, writer bool) (*Index, error) {
 	if blocks == nil || blocks.Collection == nil {
 		return nil, errors.New("blast: IndexBlocks requires a non-nil Blocks artifact")
 	}
 	t0 := time.Now()
 	c := blocks.Collection
 	ix := &Index{kind: c.Kind, collection: c, schema: blocks.Schema, opt: p.opt}
-	var err error
-	if writer {
-		err = ix.thaw(ctx, c)
-	} else {
-		err = ix.freeze(ctx)
-	}
-	if err != nil {
+	if err := ix.freeze(ctx); err != nil {
 		return nil, err
 	}
 	ix.buildTime = time.Since(t0)
@@ -240,7 +224,7 @@ func (ix *Index) adoptDecisions(ctx context.Context, csr *graph.CSR) error {
 		return err
 	}
 	ix.rows = nil
-	ix.retained, ix.theta, ix.retainedEntries = retained, theta, entries
+	ix.theta, ix.retainedEntries = theta, entries
 	ix.ov = graph.NewOverlay(csr, retained)
 	return nil
 }
@@ -675,9 +659,8 @@ func (ix *Index) profileKeys(p *model.Profile) []blocking.KeyEntropy {
 }
 
 // tokenizeProfile is the schema tokenization shared by every streaming
-// writer (replicated Index, partitioned partIndex): one implementation
-// so the two topologies assign identical block keys to identical
-// profiles.
+// writer (Index, the Server's partIndex): one implementation so both
+// assign identical block keys to identical profiles.
 func tokenizeProfile(schema *Schema, kind model.Kind, opt *Options, p *model.Profile) []blocking.KeyEntropy {
 	key := schema.keyFunc()
 	source := 0
@@ -1002,151 +985,6 @@ func (ix *Index) rebuildDecisionsLocked() error {
 	return ix.adoptDecisions(ctx, csr)
 }
 
-// cloneForServing returns an independent writable replica of a freshly
-// built (never-inserted) writer, for the sharded server's
-// one-replica-per-shard layout. The replica shares everything that is
-// immutable from here on — the block collection (cloned lazily by the
-// replica's own first Insert), the schema, and the CSR's structural and
-// co-occurrence arrays, which no code path ever mutates in place — and
-// copies the arrays the insert path writes through the overlay: edge
-// weights, retention marks and thresholds. Cost is O(E), far below a
-// rebuild.
-func (ix *Index) cloneForServing() *Index {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.rows != nil || ix.app != nil {
-		panic("blast: cloneForServing needs a writer that has absorbed no inserts")
-	}
-	csr := *ix.ov.Base()
-	csr.Weights = slices.Clone(csr.Weights)
-	retained := slices.Clone(ix.retained)
-	return &Index{
-		kind:            ix.kind,
-		collection:      ix.collection,
-		schema:          ix.schema,
-		opt:             ix.opt,
-		buildTime:       ix.buildTime,
-		retained:        retained,
-		theta:           slices.Clone(ix.theta),
-		retainedEntries: ix.retainedEntries,
-		ov:              graph.NewOverlay(&csr, retained),
-	}
-}
-
-// restoreIndex reconstructs a writable serving replica at the position
-// of a persisted snapshot — the inverse of exportSnapshot, and the core
-// of replicated crash recovery. A snapshot holds the retained rows, not
-// the graph a writer needs, so the replica is re-derived: the admitted
-// insert batches the snapshot covers are re-tokenized and re-appended to
-// a clone of the seed collection (so the appender's block indexes and
-// pending keys match a never-crashed replica exactly), and the writer's
-// form is built over that collection. The snapshot is the check: it is
-// adopted as the replica's position only if the re-derived rows compare
-// equal to it entry for entry, bit for bit; any drift (a foreign
-// snapshot, a schema change, undetected corruption) fails closed.
-func (p *Pipeline) restoreIndex(ctx context.Context, blocks *Blocks, snap *shard.Snapshot, prefix [][]model.Profile) (*Index, error) {
-	if blocks == nil || blocks.Collection == nil {
-		return nil, errors.New("blast: restoreIndex requires a non-nil Blocks artifact")
-	}
-	t0 := time.Now()
-	c := blocks.Collection.Clone()
-	ix := &Index{
-		kind:       c.Kind,
-		collection: c,
-		schema:     blocks.Schema,
-		opt:        p.opt,
-	}
-	ix.app = blocking.NewAppender(c)
-	for _, batch := range prefix {
-		for i := range batch {
-			ix.app.Append(ix.profileKeys(&batch[i]))
-			ix.stats.Inserts++
-		}
-	}
-	if err := ix.thaw(ctx, c); err != nil {
-		return nil, err
-	}
-	rows, err := ix.rowsLocked(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	if rows.NumProfiles != snap.NumProfiles || rows.NumEdges != snap.NumEdges ||
-		!slices.Equal(rows.Offsets, snap.Offsets) ||
-		!slices.Equal(rows.Neighbors, snap.Neighbors) ||
-		!slices.EqualFunc(rows.Weights, snap.Weights, sameBits) ||
-		!slices.EqualFunc(rows.Theta, snap.Theta, sameBits) {
-		return nil, errors.New("blast: snapshot does not match the rows re-derived from its collection and batches")
-	}
-	ix.buildTime = time.Since(t0)
-	return ix, nil
-}
-
-// exportSnapshot publishes an immutable serving view of the index — the
-// snapshot a shard swaps in. A frozen index is one already. A writer
-// compacts any pending overlay state (for a serving replica, publishing
-// and folding the overlay are one event) and filters its live adjacency
-// down to the retained rows; the snapshot shares nothing with it. On
-// cancellation the index is left unchanged (a completed fold is kept; it
-// is observationally neutral).
-func (ix *Index) exportSnapshot(ctx context.Context) (*shard.Snapshot, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.rows != nil {
-		snap := *ix.rows
-		return &snap, nil
-	}
-	// Edge-less inserted profiles leave the overlay empty while still
-	// growing the profile count, so staleness is judged on both.
-	if ix.ov.OverlayEntries() > 0 || ix.ov.NumProfiles() != ix.ov.Base().NumProfiles {
-		if err := ix.compactLocked(ctx); err != nil {
-			return nil, err
-		}
-	}
-	return ix.rowsLocked(ctx)
-}
-
-// rowsPollEntries bounds the entries rowsLocked scans between
-// cancellation polls.
-const rowsPollEntries = 8192
-
-// rowsLocked filters a writer's live adjacency down to the rows of its
-// retained entries: the frozen form of its current state.
-func (ix *Index) rowsLocked(ctx context.Context) (*shard.Snapshot, error) {
-	np := ix.ov.NumProfiles()
-	offsets := make([]int64, np+1)
-	neighbors := make([]int32, 0, ix.retainedEntries)
-	weights := make([]float64, 0, ix.retainedEntries)
-	for u := 0; u < np; u++ {
-		run := ix.ov.Run(int32(u))
-		for i := 0; i < len(run.Neighbors); {
-			stop := min(len(run.Neighbors), i+rowsPollEntries)
-			for ; i < stop; i++ {
-				if run.Retained[i] {
-					neighbors = append(neighbors, run.Neighbors[i])
-					weights = append(weights, run.Weights[i])
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		offsets[u+1] = int64(len(neighbors))
-	}
-	return &shard.Snapshot{
-		NumProfiles:   np,
-		NumEdges:      ix.ov.NumEdges(),
-		RetainedPairs: int(ix.retainedEntries / 2),
-		Offsets:       offsets,
-		Neighbors:     neighbors,
-		Weights:       weights,
-		Theta:         slices.Clone(ix.theta),
-	}, nil
-}
-
 // compactLocked folds the overlay into a fresh flat base, preserving
 // weights, retention marks and thresholds (no re-weighting). On error
 // (cancellation) the overlay is left untouched.
@@ -1155,7 +993,6 @@ func (ix *Index) compactLocked(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	ix.retained = retained
 	ix.ov = graph.NewOverlay(csr, retained)
 	ix.stats.Compactions++
 	return nil

@@ -1,13 +1,9 @@
 package blast
 
-// Tests of the Index invariant machinery introduced with durable
-// serving: the validate-then-apply InsertAll contract (a mid-batch
-// internal failure finalizes and reports the admitted prefix via
-// ErrPartialInsert, never a half-finalized state), and the
-// exportSnapshot/restoreIndex round trip crash recovery is built on —
-// including the heavy localized-finalize workloads (ARCS re-accumulation,
-// pending-key materialization) whose mirror-entry invariants used to be
-// panics and are now errors on this path.
+// Tests of the Index invariant machinery: the validate-then-apply
+// InsertAll contract — a mid-batch internal failure finalizes and
+// reports the admitted prefix via ErrPartialInsert, never a
+// half-finalized state.
 
 import (
 	"context"
@@ -17,7 +13,6 @@ import (
 
 	"blast/internal/model"
 	"blast/internal/stats"
-	"blast/internal/weights"
 )
 
 // TestInsertAllFailpointPartialAdmission drives InsertAll into a
@@ -110,81 +105,4 @@ func TestInsertAllFailpointFirstProfile(t *testing.T) {
 	}
 	ix.insertFail = nil
 	checkIndexEquivalence(t, "after rejection", p, ix)
-}
-
-// TestExportRestoreRoundTrip pins the recovery primitive under the
-// workloads that stress the localized finalize machinery hardest: an
-// ARCS-consuming scheme (whole-run re-accumulation on every grown
-// block) and the default scheme, over several insert/export cycles. At
-// every cycle the restored index must be equivalent to a cold rebuild
-// AND remain writable in lockstep with the original.
-func TestExportRestoreRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	schemes := []weights.Scheme{
-		{Kind: weights.ChiSquared, Entropy: true},
-		{Kind: weights.ARCS, Entropy: true},
-		{Kind: weights.ECBS},
-	}
-	for si, scheme := range schemes {
-		t.Run(scheme.Name(), func(t *testing.T) {
-			rng := stats.NewRNG(uint64(si)*104729 + 0xE5704E)
-			ds := synthDirty(rng, 35)
-			opt := DefaultOptions()
-			opt.Scheme = scheme
-			p, err := NewPipeline(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sch, err := p.InduceSchema(ctx, ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blocks, err := p.Block(ctx, ds, sch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix, err := p.IndexBlocks(ctx, blocks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var history [][]model.Profile
-			for cycle := 0; cycle < 3; cycle++ {
-				batch := make([]model.Profile, 4)
-				for i := range batch {
-					batch[i] = synthProfile(rng, fmt.Sprintf("c%d-%d", cycle, i))
-				}
-				if _, err := ix.InsertAll(ctx, batch); err != nil {
-					t.Fatalf("cycle %d: %v", cycle, err)
-				}
-				history = append(history, batch)
-
-				snap, err := ix.exportSnapshot(ctx)
-				if err != nil {
-					t.Fatalf("cycle %d: export: %v", cycle, err)
-				}
-				restored, err := p.restoreIndex(ctx, blocks, snap, history)
-				if err != nil {
-					t.Fatalf("cycle %d: restore: %v", cycle, err)
-				}
-				checkIndexEquivalence(t, fmt.Sprintf("cycle %d restored", cycle), p, restored)
-				// The restored replica must continue the stream exactly as
-				// the original does.
-				next := []model.Profile{synthProfile(stats.NewRNG(uint64(cycle)+99), fmt.Sprintf("n%d", cycle))}
-				if _, err := restored.InsertAll(ctx, next); err != nil {
-					t.Fatalf("cycle %d: insert into restored: %v", cycle, err)
-				}
-				checkIndexEquivalence(t, fmt.Sprintf("cycle %d restored+insert", cycle), p, restored)
-			}
-
-			// A snapshot from a foreign prefix must fail closed, not restore
-			// a wrong state.
-			snap, err := ix.exportSnapshot(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.restoreIndex(ctx, blocks, snap, history[:1]); err == nil {
-				t.Fatal("restore with a truncated batch prefix succeeded")
-			}
-		})
-	}
 }

@@ -13,18 +13,14 @@ import (
 	"blast/internal/model"
 )
 
-// PartitionRow summarizes one Topology x shard-count configuration of
-// blast.Server under a pure write stream on one registry dataset: the
-// write throughput (stream admitted, applied and published on every
-// shard), and the per-shard state residency afterward. Under the
-// replicated topology every shard holds the full index, so per-shard
-// residency is flat in the shard count; under the partitioned topology
-// each shard holds only its owned rows' slice, so the per-shard maximum
-// must shrink as shards are added — that shrinking series is what the
-// CI gate checks.
+// PartitionRow summarizes one shard-count configuration of blast.Server
+// under a pure write stream on one registry dataset: the write
+// throughput (stream admitted, applied and published on every shard),
+// and the per-shard state residency afterward. Each shard holds only its
+// owned rows' slice, so the per-shard maximum must shrink as shards are
+// added — that shrinking series is what the CI gate checks.
 type PartitionRow struct {
 	Dataset      string `json:"dataset"`
-	Topology     string `json:"topology"` // "replicated" or "partitioned"
 	Shards       int    `json:"shards"`
 	GOMAXPROCS   int    `json:"gomaxprocs"`
 	BaseProfiles int    `json:"base_profiles"`
@@ -37,34 +33,31 @@ type PartitionRow struct {
 
 	// MaxOwnedRows and MaxResidentBytes are the maximum over the shards
 	// of the published snapshot's row count and approximate heap
-	// footprint. TotalResidentBytes sums the per-shard footprints: flat
-	// for partitioned (the rows are divided, not copied), linear in the
-	// shard count for replicated.
+	// footprint. TotalResidentBytes sums the per-shard footprints, flat in
+	// the shard count (the rows are divided, not copied).
 	MaxOwnedRows       int   `json:"max_owned_rows"`
 	MaxResidentBytes   int64 `json:"max_resident_bytes"`
 	TotalResidentBytes int64 `json:"total_resident_bytes"`
 
-	// MemVs1 is MaxResidentBytes over the same topology's 1-shard row
-	// (1 for that row itself) — the per-shard memory scaling series.
+	// MemVs1 is MaxResidentBytes over the 1-shard row (1 for that row
+	// itself) — the per-shard memory scaling series.
 	MemVs1 float64 `json:"mem_vs_1shard"`
 
 	// PairsMatch records the differential check against a cold
 	// IndexBlocks over the union collection (true where not run; it runs
-	// on the largest shard count of each topology and a divergence fails
-	// the experiment).
+	// on the largest shard count and a divergence fails the experiment).
 	PairsMatch bool `json:"pairs_match"`
 }
 
 // partitionSwapOps keeps publication churn high enough that the
-// partitioned aggregate exchange runs many rounds per configuration.
+// aggregate exchange runs many rounds per configuration.
 const partitionSwapOps = 64
 
 // Partition measures write throughput and per-shard state residency of
-// the replicated and partitioned topologies on one registry dataset
-// (default: dbp, the largest) across shard counts (default 1, 2, 4).
-// The largest configuration of each topology is differentially checked
-// against a cold rebuild over the union collection; a divergence fails
-// the run.
+// the server on one registry dataset (default: dbp, the largest) across
+// shard counts (default 1, 2, 4). The largest configuration is
+// differentially checked against a cold rebuild over the union
+// collection; a divergence fails the run.
 func Partition(cfg Config, name string, shardCounts []int) ([]PartitionRow, error) {
 	if name == "" {
 		name = "dbp"
@@ -92,45 +85,32 @@ func Partition(cfg Config, name string, shardCounts []int) ([]PartitionRow, erro
 	}
 
 	maxShards := slices.Max(shardCounts)
-	rows := make([]PartitionRow, 0, 2*len(shardCounts))
-	for _, topo := range []blast.Topology{blast.TopologyReplicated, blast.TopologyPartitioned} {
-		for _, sc := range shardCounts {
-			row, err := partitionOne(p, blocks, base, stream, topo, sc, sc == maxShards)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s shards=%d: %w", name, topo, sc, err)
-			}
-			row.Dataset = name
-			rows = append(rows, row)
+	rows := make([]PartitionRow, 0, len(shardCounts))
+	var m1 int64
+	for _, sc := range shardCounts {
+		row, err := partitionOne(p, blocks, base, stream, sc, sc == maxShards)
+		if err != nil {
+			return nil, fmt.Errorf("%s shards=%d: %w", name, sc, err)
 		}
+		row.Dataset = name
+		if sc == 1 {
+			m1 = row.MaxResidentBytes
+		}
+		rows = append(rows, row)
 	}
-	// Per-topology memory scaling vs the 1-shard row.
-	for _, topo := range []blast.Topology{blast.TopologyReplicated, blast.TopologyPartitioned} {
-		var m1 int64
-		for _, r := range rows {
-			if r.Topology == topo.String() && r.Shards == 1 {
-				m1 = r.MaxResidentBytes
-			}
-		}
-		if m1 <= 0 {
-			continue
-		}
+	// Memory scaling vs the 1-shard row.
+	if m1 > 0 {
 		for i := range rows {
-			if rows[i].Topology == topo.String() {
-				rows[i].MemVs1 = float64(rows[i].MaxResidentBytes) / float64(m1)
-			}
+			rows[i].MemVs1 = float64(rows[i].MaxResidentBytes) / float64(m1)
 		}
 	}
 	return rows, nil
 }
 
-// partitionOne measures one Topology x shard-count configuration.
-func partitionOne(p *blast.Pipeline, blocks *blast.Blocks, base *model.Dataset, stream []model.Profile, topo blast.Topology, shards int, verify bool) (PartitionRow, error) {
+// partitionOne measures one shard-count configuration.
+func partitionOne(p *blast.Pipeline, blocks *blast.Blocks, base *model.Dataset, stream []model.Profile, shards int, verify bool) (PartitionRow, error) {
 	ctx := context.Background()
-	srv, err := p.ServeBlocks(ctx, blocks, blast.ServerOptions{
-		Shards:   shards,
-		Topology: topo,
-		SwapOps:  partitionSwapOps,
-	})
+	srv, err := p.ServeBlocks(ctx, blocks, blast.ServerOptions{Shards: shards, SwapOps: partitionSwapOps})
 	if err != nil {
 		return PartitionRow{}, err
 	}
@@ -149,7 +129,6 @@ func partitionOne(p *blast.Pipeline, blocks *blast.Blocks, base *model.Dataset, 
 	elapsed := time.Since(t0)
 
 	row := PartitionRow{
-		Topology:     topo.String(),
 		Shards:       shards,
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		BaseProfiles: base.NumProfiles(),
@@ -181,26 +160,26 @@ func partitionOne(p *blast.Pipeline, blocks *blast.Blocks, base *model.Dataset, 
 		if !row.PairsMatch {
 			// The experiment doubles as a real-dataset differential check;
 			// a divergence must fail the run (and CI), not annotate a row.
-			return PartitionRow{}, fmt.Errorf("%s server diverged from the cold rebuild (%d vs %d pairs)",
-				topo, len(got), cold.NumRetained())
+			return PartitionRow{}, fmt.Errorf("server diverged from the cold rebuild (%d vs %d pairs)",
+				len(got), cold.NumRetained())
 		}
 	}
 	return row, nil
 }
 
-// RenderPartition formats the topology series.
+// RenderPartition formats the shard-count series.
 func RenderPartition(rows []PartitionRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "topology comparison: replicated shards vs partitioned row ownership (write stream)\n")
-	fmt.Fprintf(&b, "%-8s %-12s %7s %8s %10s %10s %12s %12s %8s %7s\n",
-		"dataset", "topology", "shards", "streamed", "ins/s", "max rows", "max bytes", "total bytes", "mem/1shd", "match")
+	fmt.Fprintf(&b, "partitioned row ownership across shard counts (write stream)\n")
+	fmt.Fprintf(&b, "%-8s %7s %8s %10s %10s %12s %12s %8s %7s\n",
+		"dataset", "shards", "streamed", "ins/s", "max rows", "max bytes", "total bytes", "mem/1shd", "match")
 	for _, r := range rows {
 		mem := "-"
 		if r.MemVs1 > 0 {
 			mem = fmt.Sprintf("%.2fx", r.MemVs1)
 		}
-		fmt.Fprintf(&b, "%-8s %-12s %7d %8d %10.0f %10d %12d %12d %8s %7v\n",
-			r.Dataset, r.Topology, r.Shards, r.Streamed, r.InsertThroughput,
+		fmt.Fprintf(&b, "%-8s %7d %8d %10.0f %10d %12d %12d %8s %7v\n",
+			r.Dataset, r.Shards, r.Streamed, r.InsertThroughput,
 			r.MaxOwnedRows, r.MaxResidentBytes, r.TotalResidentBytes, mem, r.PairsMatch)
 	}
 	return b.String()

@@ -11,14 +11,13 @@ func TestPartitionShapesAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One row per topology x shard count.
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
+	// One row per shard count.
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rows))
 	}
-	byKey := map[string]PartitionRow{}
 	for _, r := range rows {
 		if !r.PairsMatch {
-			t.Errorf("%s shards=%d diverged", r.Topology, r.Shards)
+			t.Errorf("shards=%d diverged", r.Shards)
 		}
 		if r.InsertThroughput <= 0 || r.MaxOwnedRows <= 0 || r.MaxResidentBytes <= 0 {
 			t.Errorf("row shape: %+v", r)
@@ -26,30 +25,26 @@ func TestPartitionShapesAndRender(t *testing.T) {
 		if r.GOMAXPROCS < 1 || r.Streamed == 0 || r.BaseProfiles == 0 {
 			t.Errorf("row shape: %+v", r)
 		}
-		byKey[r.Topology+"/"+string(rune('0'+r.Shards))] = r
 	}
-	rep1, rep2 := byKey["replicated/1"], byKey["replicated/2"]
-	par1, par2 := byKey["partitioned/1"], byKey["partitioned/2"]
-	// Replicated shards each hold the full index; partitioned shards
-	// split it, so the 2-shard per-shard residency must come in under
-	// the 1-shard row's.
-	total := rep1.BaseProfiles + rep1.Streamed
-	if rep2.MaxOwnedRows != total || par1.MaxOwnedRows != total {
-		t.Errorf("full-residency rows: replicated/2 owns %d, partitioned/1 owns %d, want %d",
-			rep2.MaxOwnedRows, par1.MaxOwnedRows, total)
+	// One shard holds every row; two split them, so the 2-shard
+	// per-shard residency must come in under the 1-shard row's.
+	par1, par2 := rows[0], rows[1]
+	total := par1.BaseProfiles + par1.Streamed
+	if par1.MaxOwnedRows != total {
+		t.Errorf("1 shard owns %d rows, want %d", par1.MaxOwnedRows, total)
 	}
 	if par2.MaxOwnedRows >= total {
-		t.Errorf("partitioned/2 owns %d rows, want < %d", par2.MaxOwnedRows, total)
+		t.Errorf("2 shards: the largest owns %d rows, want < %d", par2.MaxOwnedRows, total)
 	}
 	if par2.MaxResidentBytes >= par1.MaxResidentBytes {
-		t.Errorf("partitioned per-shard memory did not shrink: 1 shard %d, 2 shards %d",
+		t.Errorf("per-shard memory did not shrink: 1 shard %d, 2 shards %d",
 			par1.MaxResidentBytes, par2.MaxResidentBytes)
 	}
 	if par1.MemVs1 != 1 || par2.MemVs1 <= 0 || par2.MemVs1 >= 1 {
 		t.Errorf("memory scaling series: 1-shard %v, 2-shard %v", par1.MemVs1, par2.MemVs1)
 	}
 	out := RenderPartition(rows)
-	for _, want := range []string{"ar1", "replicated", "partitioned", "mem/1shd"} {
+	for _, want := range []string{"ar1", "shards", "mem/1shd"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

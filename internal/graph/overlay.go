@@ -119,9 +119,6 @@ func NewOverlay(base *CSR, retained []bool) *Overlay {
 	}
 }
 
-// Base returns the frozen base CSR.
-func (o *Overlay) Base() *CSR { return o.base }
-
 // NumProfiles returns the live node count (base plus appended rows).
 func (o *Overlay) NumProfiles() int { return o.numProfiles }
 

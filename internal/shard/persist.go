@@ -4,11 +4,11 @@ package shard
 // natural durable unit — immutable flat arrays, tagged with its epoch
 // and its position in the insert sequence — so serialization is a plain
 // deterministic layout with one trailing checksum, the same for a full
-// replica and a partitioned shard:
+// snapshot and a partitioned shard:
 //
 //	[8]  magic "BLSNAP03"
 //	uvarint Epoch, Batches, NumProfiles, NumEdges, RetainedPairs
-//	uvarint PartShards, PartShard            (0, 0 = full replica)
+//	uvarint PartShards, PartShard            (0, 0 = full snapshot)
 //	uvarint len(Offsets), uvarint delta-encoded Offsets
 //	uvarint len(Neighbors), [4]xN little-endian Neighbors
 //	uvarint len(Weights),   [8]xN little-endian float64 bits
@@ -28,9 +28,8 @@ package shard
 // array-length agreement, strictly ascending in-range rows, positive
 // finite weights, the entry count the retained pairs entail) are
 // re-validated — a corrupted or torn snapshot file is an error, never a
-// partially-trusted state. Files are written to a temporary name and
-// renamed into place so a crash mid-write can never clobber the previous
-// valid snapshot.
+// partially-trusted state. Files are written through WriteFileAtomic so a
+// crash mid-write can never clobber the previous valid snapshot.
 
 import (
 	"encoding/binary"
@@ -182,7 +181,7 @@ func validateSnapshot(s *Snapshot) error {
 		return fmt.Errorf("%w: shard %d of %d", errSnapCorrupt, s.PartShard, s.PartShards)
 	}
 	// Every retained pair sits once in each endpoint's row: a full
-	// replica holds exactly two entries a pair, a partitioned shard the
+	// snapshot holds exactly two entries a pair, a partitioned shard the
 	// share that falls in its owned rows (the set is checked against the
 	// total where it is adopted).
 	if n := len(s.Neighbors); n > 2*s.RetainedPairs || (s.PartShards == 0 && n != 2*s.RetainedPairs) {
@@ -281,17 +280,25 @@ func (d *snapDecoder) u64() uint64 {
 	return v
 }
 
-// WriteSnapshotFile atomically persists a snapshot: the blob is written
-// to a temporary file, synced, renamed over the target, and the
-// directory synced, so the target path never holds a torn snapshot.
+// WriteSnapshotFile atomically persists a snapshot (see WriteFileAtomic),
+// so the target path never holds a torn snapshot.
 func WriteSnapshotFile(path string, s *Snapshot) error {
+	return WriteFileAtomic(path, EncodeSnapshot(s))
+}
+
+// WriteFileAtomic replaces the file at path with data durably: the bytes
+// are written to a temporary file, synced, renamed over the target, and
+// the directory synced. A crash at any point leaves either the old file
+// or the new one, never a torn or empty one; on error the temporary file
+// is removed and the old target is untouched.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	// fail abandons the temp file, joining the close error with the
-	// primary one: both describe why the snapshot is not on disk.
+	// primary one: both describe why the data is not on disk.
 	fail := func(err error) error {
 		if cerr := f.Close(); cerr != nil {
 			err = errors.Join(err, cerr)
@@ -299,7 +306,7 @@ func WriteSnapshotFile(path string, s *Snapshot) error {
 		os.Remove(tmp)
 		return err
 	}
-	if _, err := f.Write(EncodeSnapshot(s)); err != nil {
+	if _, err := f.Write(data); err != nil {
 		return fail(err)
 	}
 	if err := f.Sync(); err != nil {

@@ -100,7 +100,7 @@ func TestSnapshotValidationFailsClosed(t *testing.T) {
 		"infinite weight":       func(s *Snapshot) { s.Weights[3] = math.Inf(1) },
 		"shard without a count": func(s *Snapshot) { s.PartShard = 1 },
 		"shard past the count":  func(s *Snapshot) { s.PartShards, s.PartShard = 2, 2 },
-		// Valid as a full replica, but under a 2-way partition shard 0
+		// Valid as a full snapshot, but under a 2-way partition shard 0
 		// owns only some of these rows.
 		"unowned row populated": func(s *Snapshot) { s.PartShards = 2 },
 	}
@@ -202,6 +202,52 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomic: the content round-trips and replaces the old
+// file, no temporary file is left behind, and a failing rename (here: a
+// directory in the target's place) leaves the old target untouched and
+// the temporary file removed.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "MANIFEST.json")
+	for _, content := range []string{"first\n", "second, longer\n"} {
+		if err := WriteFileAtomic(path, []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != content {
+			t.Fatalf("read back %q, want %q", got, content)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("%d directory entries after write, want 1", len(entries))
+		}
+	}
+
+	blocked := filepath.Join(dir, "blocked")
+	kept := filepath.Join(blocked, "kept")
+	if err := os.MkdirAll(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(kept, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(blocked, []byte("new")); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	if got, err := os.ReadFile(kept); err != nil || string(got) != "old" {
+		t.Fatalf("old target disturbed: %q, %v", got, err)
+	}
+	if _, err := os.Stat(blocked + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temporary file left behind: %v", err)
+	}
+}
+
 // FuzzSnapshotDecode: arbitrary bytes must decode to a valid snapshot
 // or fail, never panic; whatever decodes must re-encode canonically.
 // The seeds cover the layout's shapes — with and without thresholds,
@@ -244,11 +290,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 // where a partitioned snapshot is made — here SliceOwned and the
 // decoder (the field is derived, not encoded) — and equals the hashed
 // count it used to recompute on every call, for every geometry; a full
-// replica owns every row.
+// snapshot owns every row.
 func TestOwnedRowsCountedWhereMade(t *testing.T) {
 	full := sampleSnapshot(true)
 	if got := full.OwnedRows(); got != full.NumProfiles {
-		t.Fatalf("full replica owns %d rows, want all %d", got, full.NumProfiles)
+		t.Fatalf("full snapshot owns %d rows, want all %d", got, full.NumProfiles)
 	}
 	for nparts := 1; nparts <= 4; nparts++ {
 		total := 0

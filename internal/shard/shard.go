@@ -13,7 +13,7 @@ import (
 
 // Writer is the mutable side of a shard: a writable index that absorbs
 // insert batches and can export an immutable serving snapshot of its
-// current state (compacting its overlay in the process). Only the
+// current state. Only the
 // shard's worker goroutine ever calls these methods, so implementations
 // need no locking beyond their own invariants.
 type Writer interface {
@@ -31,19 +31,14 @@ type Writer interface {
 	// hold. The result lies between the shard's current position and
 	// received, so the shard never waits for input to reach it.
 	Agree(received int64) (int64, error)
-	// Export compacts pending overlay state and returns an immutable
-	// snapshot of the index. The returned snapshot's Epoch is assigned
-	// by the shard.
+	// Export returns an immutable snapshot of the index. The returned
+	// snapshot's Epoch is assigned by the shard.
 	Export(ctx context.Context) (*Snapshot, error)
-	// OverlayStats reports the entries currently held in the writable
-	// index's copy-on-write overlay and their load relative to the flat
-	// base — the inputs of the overlay-size swap trigger.
-	OverlayStats() (entries int, load float64)
 }
 
 // Options tunes a shard's snapshot-swap policy. A publication falls due
-// once SwapOps profiles have been applied since the last one (or the
-// overlay trigger fires); it is published at the batch position
+// once SwapOps profiles have been applied since the last one; it is
+// published at the batch position
 // Writer.Agree returns at that moment — the newest state every shard of
 // the server already held — and at the latest at the next barrier or
 // Close, whichever the worker meets first.
@@ -52,13 +47,6 @@ type Options struct {
 	// been applied since the last one. <= 0 disables the op-count
 	// trigger.
 	SwapOps int
-	// MaxOverlayFraction makes a publication (and thereby a compaction)
-	// fall due once the writer's overlay load exceeds this fraction and
-	// MinOverlayEntries is reached. <= 0 disables the overlay trigger.
-	MaxOverlayFraction float64
-	// MinOverlayEntries suppresses the overlay trigger below this many
-	// overlay entries.
-	MinOverlayEntries int
 	// Persist, when non-nil, observes every published snapshot from the
 	// worker goroutine, after the swap — the durability hook. A persist
 	// error is sticky: readers keep the (already swapped) snapshot, but
@@ -95,8 +83,8 @@ type Stats struct {
 	// batches (excluding snapshot export).
 	ApplyTime time.Duration
 	// OwnedRows is the number of profile rows resident in the published
-	// snapshot: every row on a replicated shard, only the hash-owned ones
-	// on a partitioned shard.
+	// snapshot: the hash-owned ones on a partitioned shard, every row on
+	// a full snapshot.
 	OwnedRows int
 	// ResidentBytes is the heap footprint of the published snapshot's
 	// arrays: the retained rows, which the partitioned topology divides
@@ -129,7 +117,7 @@ type op struct {
 // it; a barrier or the Close drain met on the way publishes on the spot.
 // Mailbox enqueues are non-blocking (the queue is unbounded); writes are
 // therefore all-or-nothing across the shards of a server, which is what
-// keeps replicas convergent.
+// keeps their insert sequences aligned.
 type Shard struct {
 	id  int
 	w   Writer
@@ -303,7 +291,7 @@ func (s *Shard) next() (op, bool) {
 // loop is the shard worker: apply, check the swap policy, honor
 // barriers. Application runs under the background context — once a
 // batch is enqueued on every shard it must be applied on every shard,
-// or replicas would diverge; cancellation governs only the enqueue and
+// or the shards would diverge; cancellation governs only the enqueue and
 // wait paths.
 func (s *Shard) loop() {
 	defer close(s.stopped)
@@ -375,16 +363,9 @@ func (s *Shard) apply(profiles []model.Profile) {
 }
 
 // due reports whether a publication falls due: enough profiles applied
-// since the last one, or the writer's overlay past its load limit.
+// since the last one.
 func (s *Shard) due() bool {
-	if s.opt.SwapOps > 0 && s.sinceSwap >= s.opt.SwapOps {
-		return true
-	}
-	if s.opt.MaxOverlayFraction > 0 {
-		entries, load := s.w.OverlayStats()
-		return entries >= s.opt.MinOverlayEntries && load > s.opt.MaxOverlayFraction
-	}
-	return false
+	return s.opt.SwapOps > 0 && s.sinceSwap >= s.opt.SwapOps
 }
 
 // publishIfBehind publishes only when unpublished applications exist —

@@ -18,7 +18,7 @@ import (
 // and exports snapshots whose NumProfiles reflects the applied count,
 // with a tiny one-node graph so the lookup paths have something to walk.
 //
-// agree, when set, answers Writer.Agree (the default is the replicated
+// agree, when set, answers Writer.Agree (the default is the unpartitioned
 // answer, received itself); every call is logged as {received, target}.
 // gate, when set, makes every Export announce itself on entered and then
 // block until the test sends on gate — the way a test holds the worker
@@ -27,8 +27,6 @@ type fakeWriter struct {
 	mu        sync.Mutex
 	applied   []model.Profile
 	exports   int
-	overlay   int
-	load      float64
 	applyErr  error
 	exportErr error
 	slow      time.Duration
@@ -108,12 +106,6 @@ func (f *fakeWriter) Export(ctx context.Context) (*Snapshot, error) {
 		NumProfiles: len(f.applied),
 		Offsets:     []int64{0, 0},
 	}, nil
-}
-
-func (f *fakeWriter) OverlayStats() (int, float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.overlay, f.load
 }
 
 func (f *fakeWriter) appliedCount() int {
@@ -530,22 +522,6 @@ func TestShardFailedPeerTakesNoAgreementRound(t *testing.T) {
 	}
 	if f0, f1 := fails[0].Load(), fails[1].Load(); f0 != 1 || f1 != 1 {
 		t.Fatalf("OnFail fired %d and %d times, want once each", f0, f1)
-	}
-}
-
-func TestShardOverlayTrigger(t *testing.T) {
-	w := &fakeWriter{overlay: 100, load: 0.9}
-	s := New(0, w, &Snapshot{}, Options{MaxOverlayFraction: 0.5, MinOverlayEntries: 10})
-	defer s.Close()
-	if err := s.Enqueue(profiles(1)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && s.Snapshot().Epoch == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if s.Snapshot().Epoch == 0 {
-		t.Fatal("overlay trigger never published")
 	}
 }
 

@@ -72,10 +72,10 @@ type Snapshot struct {
 	// insert stream: the number of admitted insert batches it covers.
 	// Every shard of a server applies the same batch sequence in the
 	// same order, so two snapshots from different shards with equal
-	// Batches were derived from identical replica states — the
+	// Batches were derived from identical collection states — the
 	// cross-shard consistency token of multi-shard reads — and on disk
-	// it is the WAL replay cursor: recovery restores the snapshot and
-	// replays exactly the records past this count.
+	// it is the WAL position: recovery adopts a snapshot only at the
+	// WAL cut.
 	Batches int64
 	// NumProfiles is the number of profiles the snapshot covers.
 	NumProfiles int
@@ -98,31 +98,31 @@ type Snapshot struct {
 	// PartShards is the shard count of a partitioned snapshot: one whose
 	// rows are populated only for the profiles Owner hashes onto
 	// PartShard, every other row being empty. 0 (the zero value)
-	// marks a full replica — every row resident. NumProfiles, NumEdges
+	// marks a full snapshot — every row resident. NumProfiles, NumEdges
 	// and RetainedPairs stay GLOBAL under partitioning: a partitioned
 	// snapshot answers point reads for its owned rows with whole-graph
 	// semantics, its owners having resolved the cross-shard aggregates at
 	// export time.
 	PartShards int
 	// PartShard is this snapshot's shard index in [0, PartShards); 0 for
-	// a full replica.
+	// a full snapshot.
 	PartShard int
 	// Owned is the number of rows Owner hashes onto PartShard, counted
 	// once where a partitioned snapshot is made (the exporter's owner
 	// table, SliceOwned's row walk, the decoder's shape check) so that
 	// OwnedRows — which every Stats call reads — is O(1). Derived, never
-	// encoded; unused (0) on a full replica.
+	// encoded; unused (0) on a full snapshot.
 	Owned int
 }
 
 // Owns reports whether a profile's row is resident in this snapshot:
-// always, for a full replica; by ownership hash, for a partitioned one.
+// always, for a full snapshot; by ownership hash, for a partitioned one.
 func (s *Snapshot) Owns(profile int32) bool {
 	return s.PartShards == 0 || Owner(profile, s.PartShards) == s.PartShard
 }
 
 // OwnedRows returns the number of resident rows: NumProfiles for a full
-// replica, the hash-owned subset (Owned) for a partitioned snapshot.
+// snapshot, the hash-owned subset (Owned) for a partitioned snapshot.
 func (s *Snapshot) OwnedRows() int {
 	if s.PartShards == 0 {
 		return s.NumProfiles
@@ -132,18 +132,17 @@ func (s *Snapshot) OwnedRows() int {
 
 // ResidentBytes is the heap footprint of the snapshot's arrays: 12
 // bytes a retained entry, plus the full-length Offsets and Theta at 16
-// bytes a profile, which the partitioned topology does not divide.
+// bytes a profile, which partitioning does not divide.
 func (s *Snapshot) ResidentBytes() int64 {
 	return int64(len(s.Offsets))*8 + int64(len(s.Neighbors))*4 +
 		int64(len(s.Weights))*8 + int64(len(s.Theta))*8
 }
 
 // SliceOwned carves shard part's partitioned snapshot out of a full
-// replica snapshot: full-length Offsets with rows copied only for the
+// snapshot: full-length Offsets with rows copied only for the
 // owned profiles, global header counters carried over, Theta shared (it
-// is full-length and immutable under both topologies). It is how a
-// partitioned server derives its shards' initial snapshots from the
-// master build — each slice is byte-identical, row for owned row, to
+// is full-length and immutable). It is how a server derives its shards'
+// initial snapshots from one frozen build — each slice is byte-identical, row for owned row, to
 // what the shard's own exchange-driven export would produce over the
 // same collection.
 func SliceOwned(s *Snapshot, part, nparts int) *Snapshot {

@@ -1,9 +1,7 @@
 package blast
 
-// The partitioned topology's shard writer. Where the replicated
-// topology gives every shard a full Index — the whole adjacency,
-// rebuilt decision state, O(replicas × graph) memory — a partIndex owns
-// only the rows that hash onto its shard: it holds the (compact, fully
+// The shard writer of a Server. A partIndex owns only the rows that
+// hash onto its shard: it holds its clone of the (compact, fully
 // replicated) block collection plus an appender, and materializes
 // nothing else between exports. An export builds the owned-rows CSR
 // from the collection, resolves every graph-global pruning input by an
@@ -41,11 +39,11 @@ package blast
 // previous agreement, by a barrier the server placed at one position on
 // every shard, or by the final drain of Close.
 //
-// The correctness contract matches the replicated one bit for bit: a
-// row of a partitioned snapshot is byte-identical to the same row of a
-// replicated export at the same batch count, because the refolds
-// above reproduce the exact reduction shapes (chunk order, row order,
-// adjacency order) of the single-graph streaming schemes.
+// The correctness contract is bit for bit: a row of a shard's snapshot
+// is byte-identical to the same row of a cold IndexBlocks over the same
+// collection, because the refolds above reproduce the exact reduction
+// shapes (chunk order, row order, adjacency order) of the single-graph
+// streaming schemes.
 
 import (
 	"context"
@@ -60,7 +58,7 @@ import (
 	"blast/internal/shard"
 )
 
-// partIndex is the Writer behind one shard of a partitioned Server.
+// partIndex is the Writer behind one shard of a Server.
 // The shard worker serializes all calls, so it needs no lock of its
 // own.
 type partIndex struct {
@@ -108,12 +106,6 @@ func (px *partIndex) InsertAll(ctx context.Context, profiles []model.Profile) ([
 	}
 	return ids, nil
 }
-
-// OverlayStats reports no overlay: a partIndex carries no incremental
-// graph state, so the server's overlay-triggered swap policy never
-// fires for partitioned shards (their publications fall due by SwapOps
-// alone, at the same batch on every shard).
-func (px *partIndex) OverlayStats() (int, float64) { return 0, 0 }
 
 // Agree resolves a due publication to the newest batch position every
 // shard of the server has received: partitioned exports exchange

@@ -17,7 +17,7 @@ package blast
 // candidate-serving structure that additionally accepts incremental
 // profile insertions (Index.Insert) without a rebuild. ServeBlocks (the
 // blocks-level hook behind Serve, in server.go) lifts one *Blocks
-// artifact into hash-sharded snapshot-swap replicas for read-heavy
+// artifact into hash-partitioned snapshot-swap shards for read-heavy
 // traffic. Every phase honors context cancellation at phase and
 // worker-chunk granularity and reports completion to the optional
 // Options.Progress observer.

@@ -152,7 +152,7 @@ func TestInsertAfterBlockCountRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, err := p.indexBlocks(ctx, blocks, true)
+	kept, err := writerIndex(ctx, p, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +177,15 @@ func TestInsertAfterBlockCountRelease(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { buf = released.AppendCandidates(buf[:0], 0) }); allocs != 0 {
 		t.Errorf("AppendCandidates after Insert allocates %.0f times a lookup into a sized buffer", allocs)
 	}
+}
+
+// writerIndex builds blocks straight into the writer's form — the whole
+// weighted graph with its statistics and retention mask — which an
+// IndexBlocks index re-derives on its first Insert.
+func writerIndex(ctx context.Context, p *Pipeline, blocks *Blocks) (*Index, error) {
+	c := blocks.Collection
+	ix := &Index{kind: c.Kind, collection: c, schema: blocks.Schema, opt: p.opt}
+	return ix, ix.thaw(ctx, c)
 }
 
 // allocatedBy returns the bytes fn allocated (cumulative, so unaffected
@@ -216,7 +225,7 @@ func TestColdPathsNeverMakeStatisticsArrays(t *testing.T) {
 	if entries < 100*uint64(cold.NumProfiles()) {
 		t.Fatalf("precondition: %d entries over %d profiles — per-profile arrays would drown the per-entry ones", entries, cold.NumProfiles())
 	}
-	keptBytes := allocatedBy(func() { _, err = p.indexBlocks(ctx, blocks, true) })
+	keptBytes := allocatedBy(func() { _, err = writerIndex(ctx, p, blocks) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,35 +1,36 @@
 package blast
 
-// Sharded snapshot-swap Index serving. A Server scales the mutable
-// Index of incremental meta-blocking (PR 3) to heavy read traffic by
-// separating the write and read paths completely:
+// Sharded snapshot-swap serving. A Server scales the candidate-serving
+// Index to heavy read traffic by separating the write and read paths
+// completely:
 //
-//   - Writes are globally sequenced and broadcast to N shard workers,
-//     each of which owns a writable Index replica and applies every
-//     batch in the same order. Determinism of the insert path makes the
-//     replicas byte-identical, which is what lets ANY shard answer for
-//     any profile and the quiesced server match a cold IndexBlocks over
-//     the union collection exactly.
-//   - Reads never touch a writable index. Each shard publishes an
-//     immutable, epoch-tagged snapshot — the rows of what pruning
-//     retained, plus the thresholds; the frozen form of an index, and
-//     nothing of the graph it was pruned from — and swaps it atomically
-//     on a compaction policy; point reads are hash-routed by profile id
+//   - Writes are globally sequenced and broadcast to N shard workers.
+//     Every shard appends every batch to its own clone of the (compact)
+//     block collection, but owns only the rows whose profile ids hash
+//     onto it: at a publication it builds, weighs and prunes the owned
+//     rows alone, resolving the graph-global pruning inputs (degrees,
+//     |E|, weight sums, cuts, thresholds) by exchanging compact
+//     per-shard aggregates (partition.go).
+//   - Reads never touch a writer. Each shard publishes an immutable,
+//     epoch-tagged snapshot — the owned rows of what pruning retained,
+//     plus the thresholds; nothing of the graph they were pruned from —
+//     and swaps it atomically; point reads are hash-routed by profile id
 //     to the owning shard and served wait-free from its snapshot, while
-//     Pairs fans out over all shards — each enumerating only the rows
-//     it owns — and merges the ordered streams.
+//     Pairs fans out over all shards — each enumerating the rows it owns
+//     — and merges the ordered streams.
 //
-// Consistency contract: a read observes a prefix of each shard's insert
-// sequence (the one its owner had published when the snapshot was
-// swapped in). Quiesce establishes the strongest state — every admitted
-// profile applied, compacted and published on every shard — after which
-// the server's Pairs/Candidates/Threshold are byte-identical to a cold
-// IndexBlocks over the union collection (enforced by the randomized
-// differential tests in server_test.go).
+// Consistency contract: a read observes a prefix of the insert sequence
+// (the one the owning shard had published when the snapshot was swapped
+// in). Quiesce establishes the strongest state — every admitted profile
+// applied and published on every shard — after which the server's
+// Pairs/Candidates/Threshold are byte-identical to a cold IndexBlocks
+// over the union collection (enforced by the randomized differential
+// tests in server_test.go).
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -38,48 +39,19 @@ import (
 	"blast/internal/shard"
 )
 
-// indexWriter adapts a writable Index to the shard.Writer interface.
-type indexWriter struct{ ix *Index }
-
-func (w indexWriter) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
-	return w.ix.InsertAll(ctx, profiles)
-}
-
-func (w indexWriter) Export(ctx context.Context) (*shard.Snapshot, error) {
-	return w.ix.exportSnapshot(ctx)
-}
-
-// Agree publishes a due snapshot once the shard's own backlog is in:
-// replicas export independently, so there is nobody to line up with.
-func (w indexWriter) Agree(received int64) (int64, error) { return received, nil }
-
-func (w indexWriter) OverlayStats() (int, float64) {
-	st := w.ix.Stats()
-	return st.OverlayEntries, st.OverlayLoad
-}
-
-// Server serves candidate queries from hash-sharded snapshot-swap
+// Server serves candidate queries from hash-partitioned snapshot-swap
 // shards while absorbing streamed profile inserts. Construct with
 // Pipeline.Serve or Pipeline.ServeBlocks; always Close a server when
 // done (Close stops the shard workers; reads stay valid afterwards).
 // All methods are safe for concurrent use.
-//
-// The shard state behind the API is selected by ServerOptions.Topology:
-// replicated shards each hold a full writable Index (any shard can
-// answer for any profile), partitioned shards each own only their rows'
-// adjacency and resolve graph-global pruning state through the
-// aggregate exchange (see partition.go). The read API and consistency
-// contract are identical under both.
 type Server struct {
-	kind     model.Kind
-	topology Topology
-	storage  Storage
-	shards   []*shard.Shard
-	replicas []*Index         // replicated topology; nil when partitioned
-	parts    []*partIndex     // partitioned topology; nil when replicated
-	schema   *Schema          // partitioned only (replicas carry their own)
-	dur      *durability      // nil unless ServerOptions.Dir was set
-	pers     []*snapPersister // per-shard, nil entries where persistence is off
+	kind    model.Kind
+	storage Storage
+	shards  []*shard.Shard
+	parts   []*partIndex
+	schema  *Schema
+	dur     *durability      // nil unless ServerOptions.Dir was set
+	pers    []*snapPersister // per-shard, nil entries where persistence is off
 
 	mu     sync.Mutex
 	nextID int
@@ -101,123 +73,126 @@ func (p *Pipeline) Serve(ctx context.Context, ds *model.Dataset, sopt ServerOpti
 	return p.ServeBlocks(ctx, blocks, sopt)
 }
 
-// ServeBlocks builds a Blocks artifact into one writable Index per
-// shard (one build plus O(E) clones) and starts the shard workers, each
-// serving reads from an initial epoch-0 snapshot of the build — its
-// retained rows. The artifact itself is never mutated. Replicas swap
-// snapshots over compaction — their internal auto-compaction is
-// disabled and the Options.Compaction knobs instead drive the
-// shard-level overlay swap trigger, so folding the overlay and
-// publishing the result are one event. Options.Workers reaches every
-// replica: the initial build and each replica's pruning re-derivations
-// run on that many goroutines, and because the parallel pruning is
-// byte-deterministic the replicas stay identical at any worker count.
+// ServeBlocks starts a server over a Blocks artifact, which is never
+// mutated: one shard writer per shard over its own clone of the block
+// collection, each serving reads from the owned rows of one frozen
+// IndexBlocks build (honoring Options.Storage; discarded once sliced).
+// Options.Workers reaches every build and export, whose output is
+// byte-identical at any worker count. The shards share one aggregate
+// exchange; a failing shard poisons it, failing its peers' exports too —
+// each shard's rows exist nowhere else, so no healthy subset of shards
+// can serve and the server surfaces the failure instead of degrading.
 //
 // With ServerOptions.Dir set the server is durable: admitted batches
 // are journaled to per-shard write-ahead logs before ids are returned,
 // published snapshots are persisted on the SnapshotEvery cadence, and
-// ServeBlocks over an existing directory recovers the pre-crash state
-// (newest usable snapshot per shard plus WAL suffix replay) instead of
-// starting empty. See durable.go for the layout and recovery rules.
-func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerOptions) (*Server, error) {
+// ServeBlocks over an existing directory recovers the pre-crash state:
+// every journaled batch is appended to every shard, and the published
+// snapshots are either adopted from disk — a complete set at the WAL
+// cut, which is what a drained Close leaves — or sliced from the one
+// frozen build over the recovered union collection. See durable.go for
+// the layout and the fail-closed rules.
+func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerOptions) (srv *Server, err error) {
 	if err := sopt.Validate(); err != nil {
 		return nil, err
 	}
+	if blocks == nil || blocks.Collection == nil {
+		return nil, errors.New("blast: ServeBlocks requires a non-nil Blocks artifact")
+	}
+	c, n := blocks.Collection, sopt.shards()
+	var rec *recovery
 	if sopt.Dir != "" {
-		return p.serveDurable(ctx, blocks, sopt)
-	}
-	if sopt.Topology == TopologyPartitioned {
-		return p.servePartitioned(ctx, blocks, sopt)
-	}
-	master, err := p.indexBlocks(ctx, blocks, true)
-	if err != nil {
-		return nil, err
-	}
-	initial, err := master.exportSnapshot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n := sopt.shards()
-	shOpt := p.shardOptions(sopt)
-	srv := &Server{
-		kind:     master.Kind(),
-		storage:  p.opt.Storage,
-		shards:   make([]*shard.Shard, n),
-		replicas: make([]*Index, n),
-		nextID:   master.NumProfiles(),
-	}
-	for i := 0; i < n; i++ {
-		rep := master
-		if i > 0 {
-			rep = master.cloneForServing()
+		if p, rec, err = p.openDurable(c, sopt); err != nil {
+			return nil, err
 		}
-		rep.opt.Compaction = Compaction{MaxOverlayFraction: -1}
-		srv.replicas[i] = rep
-		srv.shards[i] = shard.New(i, indexWriter{rep}, initial, shOpt)
+		defer func() {
+			if err != nil {
+				rec.closeLogs()
+			}
+		}()
 	}
-	return srv, nil
-}
 
-// servePartitioned starts the partitioned topology over a Blocks
-// artifact: one frozen master build (honoring Options.Storage;
-// discarded once its rows are sliced), then one partIndex per shard
-// holding a clone of the block collection and the owned rows of the
-// build as its initial snapshot. The shards share one aggregate
-// Exchange; a failing shard poisons it, failing its peers' exports too
-// — under partitioning no healthy subset of shards can serve (each
-// shard's rows exist nowhere else), so the server surfaces the failure
-// instead of degrading.
-func (p *Pipeline) servePartitioned(ctx context.Context, blocks *Blocks, sopt ServerOptions) (*Server, error) {
-	master, err := p.indexBlocks(ctx, blocks, false)
-	if err != nil {
-		return nil, err
-	}
-	full, err := master.exportSnapshot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n := sopt.shards()
-	shOpt := p.shardOptions(sopt)
-	// The overlay-fraction swap trigger consults per-shard overlay load,
-	// which could make shards' publications fall due at different stream
-	// positions; partitioned exports must stay position-aligned (they
-	// exchange aggregates), so only the deterministic SwapOps count may
-	// make one due — where it is published the shards then agree on
-	// (partIndex.Agree).
-	shOpt.MaxOverlayFraction = 0
 	ex := shard.NewExchange(n)
-	shOpt.OnFail = func(err error) { ex.Poison(err) }
-	srv := &Server{
-		kind:     master.Kind(),
-		topology: TopologyPartitioned,
-		storage:  p.opt.Storage,
-		shards:   make([]*shard.Shard, n),
-		parts:    make([]*partIndex, n),
-		schema:   blocks.Schema,
-		nextID:   master.NumProfiles(),
+	srv = &Server{
+		kind:    c.Kind,
+		storage: p.opt.Storage,
+		shards:  make([]*shard.Shard, n),
+		parts:   make([]*partIndex, n),
+		pers:    make([]*snapPersister, n),
+		schema:  blocks.Schema,
+		nextID:  c.NumProfiles,
 	}
-	for i := 0; i < n; i++ {
-		px := newPartIndex(blocks.Collection.Clone(), blocks.Schema, p.opt, i, n, ex)
-		srv.parts[i] = px
-		srv.shards[i] = shard.New(i, px, shard.SliceOwned(full, i, n), shOpt)
+	for i := range srv.parts {
+		srv.parts[i] = newPartIndex(c.Clone(), blocks.Schema, p.opt, i, n, ex)
+	}
+	cut := 0
+	var snaps []*shard.Snapshot
+	if rec != nil {
+		cut = len(rec.batches)
+		for k, b := range rec.batches {
+			for i, px := range srv.parts {
+				if _, err := px.InsertAll(ctx, b); err != nil {
+					return nil, fmt.Errorf("blast: wal replay, batch %d on shard %d: %w", k, i, err)
+				}
+			}
+			srv.nextID += len(b)
+		}
+		snaps = adoptOwnedSnapshots(sopt.Dir, n, cut, srv.nextID)
+	}
+	if snaps == nil {
+		// Nothing adoptable: one frozen build over the union collection,
+		// sliced into the shards' owned rows — byte-identical to what
+		// their own exchange-driven exports would publish.
+		union := &Blocks{Collection: srv.parts[0].app.Collection(), Schema: blocks.Schema}
+		ix, err := p.IndexBlocks(ctx, union)
+		if err != nil {
+			return nil, err
+		}
+		snaps = make([]*shard.Snapshot, n)
+		for i := range snaps {
+			snap := shard.SliceOwned(ix.rows, i, n)
+			if rec != nil {
+				maxEpoch := uint64(0)
+				for _, name := range snapFileNames(durSnapDir(sopt.Dir, i)) {
+					maxEpoch = max(maxEpoch, snapFileEpoch(name))
+				}
+				if maxEpoch > 0 || cut > 0 {
+					// Publish strictly above every file on disk, at the WAL
+					// cut, so persisting the recovered state clobbers no file
+					// a later recovery might still need.
+					//blast:allow snapshotmut -- pre-publication tag of a freshly sliced private snapshot; no reader can hold it before shard.New
+					snap.Epoch, snap.Batches = maxEpoch+1, int64(cut)
+				}
+			}
+			snaps[i] = snap
+		}
+	}
+
+	if every := sopt.snapshotEvery(); rec != nil && every > 0 {
+		for i, snap := range snaps {
+			sp := &snapPersister{dir: durSnapDir(sopt.Dir, i), every: every, keep: 2, last: int64(cut)}
+			if snap.Epoch > 0 {
+				// A recovered state is persisted at once, so the next open
+				// adopts it without a rebuild. An adopted snapshot is on
+				// disk already; rewriting the same bytes keeps one rule.
+				if err := sp.persistNow(snap); err != nil {
+					return nil, err
+				}
+			}
+			srv.pers[i] = sp
+		}
+	}
+	for i, px := range srv.parts {
+		shOpt := shard.Options{SwapOps: sopt.swapOps(), OnFail: ex.Poison}
+		if sp := srv.pers[i]; sp != nil {
+			shOpt.Persist = sp.persist
+		}
+		srv.shards[i] = shard.New(i, px, snaps[i], shOpt)
+	}
+	if rec != nil {
+		srv.dur = &durability{wals: rec.logs, base: srv.nextID}
 	}
 	return srv, nil
-}
-
-// shardOptions derives the shard worker knobs shared by the in-memory
-// and durable construction paths: the pipeline's Compaction settings
-// drive the shard-level swap trigger, with replica auto-compaction
-// disabled separately by the caller.
-func (p *Pipeline) shardOptions(sopt ServerOptions) shard.Options {
-	shOpt := shard.Options{
-		SwapOps:            sopt.swapOps(),
-		MaxOverlayFraction: p.opt.Compaction.maxFraction(),
-		MinOverlayEntries:  p.opt.Compaction.minEntries(),
-	}
-	if p.opt.Compaction.disabled() {
-		shOpt.MaxOverlayFraction = 0
-	}
-	return shOpt
 }
 
 // NumShards returns the number of shard workers.
@@ -226,12 +201,9 @@ func (s *Server) NumShards() int { return len(s.shards) }
 // Kind returns the ER setting of the served dataset.
 func (s *Server) Kind() model.Kind { return s.kind }
 
-// Topology returns the shard topology the server was started with.
-func (s *Server) Topology() Topology { return s.topology }
-
 // Storage returns the graph storage mode (Options.Storage) the server
-// was configured with. It governs frozen builds only — the initial
-// build of a partitioned server — and is never a point-in-time
+// was configured with. It governs frozen builds only — the build that
+// seeds the shards' initial snapshots — and is never a point-in-time
 // residency: every published snapshot is resident rows, whose size the
 // per-shard ResidentBytes in Stats reports.
 func (s *Server) Storage() Storage { return s.storage }
@@ -302,8 +274,8 @@ func (s *Server) Insert(ctx context.Context, p *model.Profile) (int, error) {
 
 // InsertAll admits a batch of profiles, assigns their global ids in
 // admission order, and broadcasts the batch to every shard worker. The
-// broadcast is all-or-nothing — enqueues never block — so replicas
-// always converge on the same insert sequence; ctx guards only
+// broadcast is all-or-nothing — enqueues never block — so every shard
+// appends the same insert sequence; ctx guards only
 // admission. Ids are returned immediately; application and publication
 // are asynchronous: reads observe the batch once the owning shard next
 // publishes (due after ServerOptions.SwapOps applied profiles, published
@@ -402,8 +374,7 @@ func (s *Server) Epoch(profile int) uint64 {
 
 // consistentSnapshots captures one published snapshot per shard such
 // that all sit at the same position of the global insert sequence
-// (equal Snapshot.Batches — replica determinism then makes them views
-// of one state). A plain per-shard capture does not guarantee this:
+// (equal Snapshot.Batches — the owned rows of one state). A plain per-shard capture does not guarantee this:
 // shards publish independently, so a pair of loads can observe shard 0
 // before batch k and shard 1 after it. The capture is retried
 // optimistically a few times (publications are rare relative to reads);
@@ -595,10 +566,9 @@ func (s *Server) Quiesce(ctx context.Context) error {
 // all, reporting the most meaningful failure (see firstError). The
 // caller must hold s.mu across the call: holding the admission lock
 // through the enqueue phase places every shard's barrier at the SAME
-// position of the global insert sequence — the partitioned topology
-// depends on it (barrier-forced exports run the aggregate exchange, so
-// all shards must export the same collection state), and it is what
-// makes the post-barrier captures of consistentSnapshots land on one
+// position of the global insert sequence — the shards depend on it
+// (barrier-forced exports run the aggregate exchange, so all shards
+// must export the same collection state), and it is what makes the post-barrier captures of consistentSnapshots land on one
 // cursor. The waits necessarily also run under the lock; barriers are
 // bounded by shard progress, not by future admissions, so this cannot
 // deadlock.
@@ -649,25 +619,14 @@ func firstError(errs []error) error {
 
 // Blocks returns the live block collection of the first shard — on a
 // quiesced server, the union collection every shard agrees on. The
-// returned collection must not be modified. On a partitioned server
-// call only after Quiesce (or Close): partitioned writers append to
-// their collections without a read lock, so the caller must not race
-// in-flight batches.
-func (s *Server) Blocks() *blocking.Collection {
-	if s.parts != nil {
-		return s.parts[0].app.Collection()
-	}
-	return s.replicas[0].Blocks()
-}
+// returned collection must not be modified. Call it only after Quiesce
+// (or Close): shard writers append to their collections without a read
+// lock, so the caller must not race in-flight batches.
+func (s *Server) Blocks() *blocking.Collection { return s.parts[0].app.Collection() }
 
-// Schema returns the Phase 1 artifact the server's indexes were blocked
+// Schema returns the Phase 1 artifact the server's shards were blocked
 // under (nil for a schema-agnostic run).
-func (s *Server) Schema() *Schema {
-	if s.parts != nil {
-		return s.schema
-	}
-	return s.replicas[0].Schema()
-}
+func (s *Server) Schema() *Schema { return s.schema }
 
 // Close stops the shard workers after they drain every admitted batch,
 // syncs and releases the write-ahead logs of a durable server, and

@@ -1,11 +1,9 @@
 package blast
 
-// Differential tests of the partitioned topology: a quiesced
-// partitioned server must be byte-identical to a replicated server over
-// the same insert sequence AND to a cold IndexBlocks over the union
-// collection, across Scheme x Pruning x shard counts — the partitioned
-// aggregate exchange may not move a single bit. Plus ownership-hash
-// skew, boundary-id churn and View consistency contracts.
+// Tests of row ownership: the CNP cut exchange where ties cross shards,
+// ownership-hash skew, View consistency, group publication under
+// backlog, owned-row accounting, and the slicing that seeds a server's
+// shards from one frozen build.
 
 import (
 	"context"
@@ -28,8 +26,9 @@ import (
 )
 
 // TestPartitionedEquivalenceMatrix runs the cold-rebuild contract over
-// Scheme x Pruning with the shard and worker counts cycling, all under
-// the partitioned topology.
+// Scheme x Pruning on clean-clean data, with the shard and worker counts
+// cycling: streamed profiles join E2, so every exchanged aggregate must
+// also respect the E1/E2 split — and may not move a single bit.
 func TestPartitionedEquivalenceMatrix(t *testing.T) {
 	ctx := context.Background()
 	schemes := []weights.Scheme{
@@ -55,7 +54,14 @@ func TestPartitionedEquivalenceMatrix(t *testing.T) {
 			cfg++
 			label := fmt.Sprintf("part/%s/%v/shards=%d/workers=%d", scheme.Name(), pruning, shards, workers)
 			rng := stats.NewRNG(uint64(cfg)*9176168613 + 3)
-			ds := synthDirty(rng, 50)
+			e1, e2 := model.NewCollection("ref"), model.NewCollection("live")
+			for i := 0; i < 30; i++ {
+				e1.Append(synthProfile(rng, fmt.Sprintf("a%d", i)))
+			}
+			for i := 0; i < 20; i++ {
+				e2.Append(synthProfile(rng, fmt.Sprintf("b%d", i)))
+			}
+			ds := &model.Dataset{Name: "cc", Kind: model.CleanClean, E1: e1, E2: e2, Truth: model.NewGroundTruth()}
 			opt := DefaultOptions()
 			opt.Scheme = scheme
 			opt.Pruning = pruning
@@ -64,14 +70,9 @@ func TestPartitionedEquivalenceMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := p.Serve(ctx, ds, ServerOptions{
-				Shards: shards, Topology: TopologyPartitioned, SwapOps: 8,
-			})
+			srv, err := p.Serve(ctx, ds, ServerOptions{Shards: shards, SwapOps: 8})
 			if err != nil {
 				t.Fatalf("%s: Serve: %v", label, err)
-			}
-			if got := srv.Topology(); got != TopologyPartitioned {
-				t.Fatalf("%s: Topology = %v", label, got)
 			}
 			streamed := 0
 			for batch := 0; batch < 2; batch++ {
@@ -119,7 +120,7 @@ func TestPartitionedCNPCutExchange(t *testing.T) {
 					t.Fatal(err)
 				}
 				srv, err := p.Serve(ctx, synthDirty(rng, 60), ServerOptions{
-					Shards: shards, Topology: TopologyPartitioned, SwapOps: 4,
+					Shards: shards, SwapOps: 4,
 				})
 				if err != nil {
 					t.Fatalf("%s: Serve: %v", label, err)
@@ -136,106 +137,6 @@ func TestPartitionedCNPCutExchange(t *testing.T) {
 					t.Fatalf("%s: Close: %v", label, err)
 				}
 			}
-		}
-	}
-}
-
-// TestPartitionedMatchesReplicated runs the same insert sequence
-// through both topologies and compares every observable directly —
-// pairs, per-profile candidates, thresholds, epoch-independent global
-// counters — plus the partitioned residency accounting.
-func TestPartitionedMatchesReplicated(t *testing.T) {
-	ctx := context.Background()
-	for _, shards := range []int{1, 2, 4} {
-		rng := stats.NewRNG(uint64(shards)*104729 + 1)
-		ds := synthDirty(rng, 45)
-		p, err := NewPipeline(DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := func(topo Topology) *Server {
-			t.Helper()
-			srv, err := p.Serve(ctx, ds, ServerOptions{Shards: shards, Topology: topo, SwapOps: 4})
-			if err != nil {
-				t.Fatalf("shards=%d %v: Serve: %v", shards, topo, err)
-			}
-			srng := stats.NewRNG(uint64(shards)*31 + 5)
-			for b := 0; b < 3; b++ {
-				profs := make([]model.Profile, 1+srng.Intn(5))
-				for i := range profs {
-					profs[i] = synthProfile(srng, fmt.Sprintf("b%d-%d", b, i))
-				}
-				if _, err := srv.InsertAll(ctx, profs); err != nil {
-					t.Fatalf("shards=%d %v: InsertAll: %v", shards, topo, err)
-				}
-			}
-			if err := srv.Quiesce(ctx); err != nil {
-				t.Fatalf("shards=%d %v: Quiesce: %v", shards, topo, err)
-			}
-			return srv
-		}
-		rep := run(TopologyReplicated)
-		part := run(TopologyPartitioned)
-
-		label := fmt.Sprintf("shards=%d", shards)
-		rp, err := rep.Pairs(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp, err := part.Pairs(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSamePairs(t, label+" pairs", rp, pp)
-		if got, want := part.NumProfiles(), rep.NumProfiles(); got != want {
-			t.Fatalf("%s: NumProfiles = %d, want %d", label, got, want)
-		}
-		var rc, pc []Candidate
-		for i := 0; i < rep.NumProfiles(); i++ {
-			if rt, pt := rep.Threshold(i), part.Threshold(i); rt != pt {
-				t.Fatalf("%s: Threshold(%d) = %v, want %v", label, i, pt, rt)
-			}
-			rc = rep.AppendCandidates(rc[:0], i)
-			pc = part.AppendCandidates(pc[:0], i)
-			if len(rc) != len(pc) {
-				t.Fatalf("%s: Candidates(%d): %d, want %d", label, i, len(pc), len(rc))
-			}
-			for k := range rc {
-				if rc[k] != pc[k] {
-					t.Fatalf("%s: Candidates(%d)[%d] = %+v, want %+v", label, i, k, pc[k], rc[k])
-				}
-			}
-		}
-
-		// Residency: every profile owned exactly once, global counters
-		// shared, per-shard entries strictly partial when sharded.
-		pst := part.Stats()
-		rst := rep.Stats()
-		ownedTotal := 0
-		for _, st := range pst {
-			ownedTotal += st.OwnedRows
-		}
-		if want := part.NumProfiles(); ownedTotal != want {
-			t.Fatalf("%s: owned rows sum to %d, want %d", label, ownedTotal, want)
-		}
-		for i, st := range rst {
-			if st.OwnedRows != rep.NumProfiles() {
-				t.Fatalf("%s: replicated shard %d owns %d rows, want all %d", label, i, st.OwnedRows, rep.NumProfiles())
-			}
-		}
-		if shards > 1 {
-			for i, st := range pst {
-				if st.ResidentBytes >= rst[0].ResidentBytes {
-					t.Fatalf("%s: partitioned shard %d resident %d bytes, not below replicated %d",
-						label, i, st.ResidentBytes, rst[0].ResidentBytes)
-				}
-			}
-		}
-		if err := rep.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := part.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -261,8 +162,8 @@ func TestOwnerSkew(t *testing.T) {
 }
 
 // TestPartitionedBoundaryIDsUnderChurn hammers point reads at and past
-// the admitted-id frontier of a partitioned server while writers
-// stream batches: reads must never panic, and candidates for ids beyond
+// the admitted-id frontier while a writer streams single profiles at
+// SwapOps 2: reads must never panic, and candidates for ids beyond
 // every published snapshot must come back empty, not fabricated.
 func TestPartitionedBoundaryIDsUnderChurn(t *testing.T) {
 	ctx := context.Background()
@@ -272,7 +173,7 @@ func TestPartitionedBoundaryIDsUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 3, Topology: TopologyPartitioned, SwapOps: 2})
+	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 3, SwapOps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +184,8 @@ func TestPartitionedBoundaryIDsUnderChurn(t *testing.T) {
 		// The stream is bounded: with SwapOps 2 nearly every applied
 		// profile re-exports O(index) owned state on its shard, so an
 		// unbounded writer makes the final quiesce quadratic in the
-		// admitted backlog (it timed out under -race). 250 singles still
-		// drive >100 publishes per shard across the probe loop.
+		// admitted backlog. 250 singles still drive >100 publishes per
+		// shard across the probe loop.
 		for i := 0; i < 250; i++ {
 			select {
 			case <-stop:
@@ -335,58 +236,56 @@ func TestViewConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, topo := range []Topology{TopologyReplicated, TopologyPartitioned} {
-		srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 3, Topology: topo, SwapOps: 2})
-		if err != nil {
-			t.Fatalf("%v: Serve: %v", topo, err)
+	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 3, SwapOps: 2})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	v, err := srv.View(ctx)
+	if err != nil {
+		t.Fatalf("View: %v", err)
+	}
+	before := make([][]Candidate, v.NumProfiles())
+	for i := range before {
+		before[i] = v.Candidates(i)
+	}
+	batchesBefore := v.Batches()
+	// Publish past the view.
+	for b := 0; b < 4; b++ {
+		profs := []model.Profile{synthProfile(rng, fmt.Sprintf("v%d", b))}
+		if _, err := srv.InsertAll(ctx, profs); err != nil {
+			t.Fatalf("InsertAll: %v", err)
 		}
-		v, err := srv.View(ctx)
-		if err != nil {
-			t.Fatalf("%v: View: %v", topo, err)
+	}
+	if err := srv.Quiesce(ctx); err != nil {
+		t.Fatalf("Quiesce: %v", err)
+	}
+	if got := v.Batches(); got != batchesBefore {
+		t.Fatalf("view cursor moved: %d -> %d", batchesBefore, got)
+	}
+	for i := range before {
+		after := v.Candidates(i)
+		if len(after) != len(before[i]) {
+			t.Fatalf("view read of %d changed after publication", i)
 		}
-		before := make([][]Candidate, v.NumProfiles())
-		for i := range before {
-			before[i] = v.Candidates(i)
-		}
-		batchesBefore := v.Batches()
-		// Publish past the view.
-		for b := 0; b < 4; b++ {
-			profs := []model.Profile{synthProfile(rng, fmt.Sprintf("v%d", b))}
-			if _, err := srv.InsertAll(ctx, profs); err != nil {
-				t.Fatalf("%v: InsertAll: %v", topo, err)
+		for k := range after {
+			if after[k] != before[i][k] {
+				t.Fatalf("view read of %d changed after publication", i)
 			}
 		}
-		if err := srv.Quiesce(ctx); err != nil {
-			t.Fatalf("%v: Quiesce: %v", topo, err)
-		}
-		if got := v.Batches(); got != batchesBefore {
-			t.Fatalf("%v: view cursor moved: %d -> %d", topo, batchesBefore, got)
-		}
-		for i := range before {
-			after := v.Candidates(i)
-			if len(after) != len(before[i]) {
-				t.Fatalf("%v: view read of %d changed after publication", topo, i)
-			}
-			for k := range after {
-				if after[k] != before[i][k] {
-					t.Fatalf("%v: view read of %d changed after publication", topo, i)
-				}
-			}
-		}
-		// A fresh view observes the later state.
-		v2, err := srv.View(ctx)
-		if err != nil {
-			t.Fatalf("%v: second View: %v", topo, err)
-		}
-		if v2.Batches() <= batchesBefore {
-			t.Fatalf("%v: second view did not advance (%d <= %d)", topo, v2.Batches(), batchesBefore)
-		}
-		if got, want := v2.NumProfiles(), srv.Admitted(); got != want {
-			t.Fatalf("%v: second view covers %d profiles, want %d", topo, got, want)
-		}
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	// A fresh view observes the later state.
+	v2, err := srv.View(ctx)
+	if err != nil {
+		t.Fatalf("second View: %v", err)
+	}
+	if v2.Batches() <= batchesBefore {
+		t.Fatalf("second view did not advance (%d <= %d)", v2.Batches(), batchesBefore)
+	}
+	if got, want := v2.NumProfiles(), srv.Admitted(); got != want {
+		t.Fatalf("second view covers %d profiles, want %d", got, want)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -505,7 +404,7 @@ func TestPartitionedAlignmentUnderBacklog(t *testing.T) {
 					defer watchdog.Stop()
 					rng := stats.NewRNG(seed)
 					ds := synthDirty(rng, base)
-					sopt := ServerOptions{Shards: shards, Topology: TopologyPartitioned, SwapOps: swapOps}
+					sopt := ServerOptions{Shards: shards, SwapOps: swapOps}
 					if durable {
 						sopt.Dir, sopt.SnapshotEvery, sopt.SyncEvery = t.TempDir(), 1, 1
 					}
@@ -621,7 +520,7 @@ func TestPartitionedOwnedRowsServedFromTheSnapshot(t *testing.T) {
 	}
 	for shards := 1; shards <= 4; shards++ {
 		rng := stats.NewRNG(uint64(shards) * 65537)
-		srv, err := p.Serve(ctx, synthDirty(rng, 37), ServerOptions{Shards: shards, Topology: TopologyPartitioned, SwapOps: 4})
+		srv, err := p.Serve(ctx, synthDirty(rng, 37), ServerOptions{Shards: shards, SwapOps: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -682,13 +581,13 @@ func assertSameSnapshot(t *testing.T, label string, want, got *shard.Snapshot) {
 	}
 }
 
-// TestSliceOwnedMatchesOwnExport pins the three makers of a frozen form
-// to one another for every pruning under three weightings: the rows a
-// cold IndexBlocks collects in its retention loop equal the rows a
-// writer filters out of its full graph through its retention mask, and
-// shard i's slice of them (SliceOwned, how a partitioned server seeds
-// its shards) equals, row for row and counter for counter, what shard i
-// collects and exchanges for itself in a 1-, 2- and 3-way export.
+// TestSliceOwnedMatchesOwnExport pins the rule a server seeds and
+// rebuilds its shards by, for every pruning under three weightings: shard
+// i's slice (SliceOwned) of the rows one frozen IndexBlocks build
+// collects over the shards' union collection equals, row for row and
+// counter for counter, what shard i collects and exchanges for itself in
+// a 1-, 2- and 3-way export — over the seed collection, and again after
+// a batch every shard appended, which is the recovery rebuild's case.
 func TestSliceOwnedMatchesOwnExport(t *testing.T) {
 	ctx := context.Background()
 	schemes := []weights.Scheme{{Kind: weights.ChiSquared, Entropy: true}, {Kind: weights.CBS}, {Kind: weights.EJS}}
@@ -705,7 +604,8 @@ func TestSliceOwnedMatchesOwnExport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ds := synthDirty(stats.NewRNG(uint64(si)*7919+uint64(pruning)+11), 60)
+			rng := stats.NewRNG(uint64(si)*7919 + uint64(pruning) + 11)
+			ds := synthDirty(rng, 60)
 			sch, err := p.InduceSchema(ctx, ds)
 			if err != nil {
 				t.Fatal(err)
@@ -714,38 +614,47 @@ func TestSliceOwnedMatchesOwnExport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var full [2]*shard.Snapshot
-			for k, writer := range []bool{false, true} {
-				ix, err := p.indexBlocks(ctx, blocks, writer)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if full[k], err = ix.exportSnapshot(ctx); err != nil {
-					t.Fatal(err)
-				}
+			batch := make([]model.Profile, 6)
+			for i := range batch {
+				batch[i] = synthProfile(rng, fmt.Sprintf("sl%d", i))
 			}
-			assertSameSnapshot(t, label+" writer's masked graph vs frozen rows", full[0], full[1])
 
 			for n := 1; n <= 3; n++ {
 				ex := shard.NewExchange(n)
-				exports := make([]*shard.Snapshot, n)
-				errs := make([]error, n)
-				var wg sync.WaitGroup
-				for i := 0; i < n; i++ {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						px := newPartIndex(blocks.Collection.Clone(), blocks.Schema, p.opt, i, n, ex)
-						exports[i], errs[i] = px.Export(ctx)
-					}(i)
+				parts := make([]*partIndex, n)
+				for i := range parts {
+					parts[i] = newPartIndex(blocks.Collection.Clone(), blocks.Schema, p.opt, i, n, ex)
 				}
-				wg.Wait()
-				for i := 0; i < n; i++ {
-					if errs[i] != nil {
-						t.Fatalf("%s: export %d/%d: %v", label, i, n, errs[i])
+				for stage, appended := range []bool{false, true} {
+					if appended {
+						for _, px := range parts {
+							if _, err := px.InsertAll(ctx, batch); err != nil {
+								t.Fatal(err)
+							}
+						}
 					}
-					assertSameSnapshot(t, fmt.Sprintf("%s shard %d/%d own export vs slice", label, i, n),
-						shard.SliceOwned(full[0], i, n), exports[i])
+					frozen, err := p.IndexBlocks(ctx, &Blocks{Collection: parts[0].app.Collection(), Schema: blocks.Schema})
+					if err != nil {
+						t.Fatal(err)
+					}
+					exports := make([]*shard.Snapshot, n)
+					errs := make([]error, n)
+					var wg sync.WaitGroup
+					for i, px := range parts {
+						wg.Add(1)
+						go func(i int, px *partIndex) {
+							defer wg.Done()
+							exports[i], errs[i] = px.Export(ctx)
+						}(i, px)
+					}
+					wg.Wait()
+					for i := 0; i < n; i++ {
+						if errs[i] != nil {
+							t.Fatalf("%s: stage %d export %d/%d: %v", label, stage, i, n, errs[i])
+						}
+						assertSameSnapshot(t, fmt.Sprintf("%s stage %d shard %d/%d own export vs slice", label, stage, i, n),
+							shard.SliceOwned(frozen.rows, i, n), exports[i])
+					}
 				}
 			}
 		}

@@ -66,7 +66,8 @@ func checkServerEquivalence(t *testing.T, label string, p *Pipeline, srv *Server
 
 // TestServerEquivalenceMatrix interleaves insert batches and quiesces
 // across Scheme x Pruning, cycling the shard count through the axis, and
-// checks the cold-rebuild contract after every quiesce point.
+// checks the cold-rebuild contract after every quiesce point — the
+// aggregate exchange may not move a single bit.
 func TestServerEquivalenceMatrix(t *testing.T) {
 	ctx := context.Background()
 	schemes := []weights.Scheme{
@@ -75,6 +76,7 @@ func TestServerEquivalenceMatrix(t *testing.T) {
 		{Kind: weights.JS},
 		{Kind: weights.ARCS, Entropy: true},
 		{Kind: weights.ECBS},
+		{Kind: weights.EJS},
 	}
 	prunings := []metablocking.Pruning{
 		metablocking.WEP, metablocking.CEP, metablocking.WNP1,
@@ -83,8 +85,8 @@ func TestServerEquivalenceMatrix(t *testing.T) {
 	}
 	shardCounts := []int{1, 2, 4}
 	// Pruning workers cycle through the determinism axis alongside the
-	// shard count: replicas must stay byte-identical (and equal to the
-	// cold rebuild) at every parallelism level.
+	// shard count: the exchanged exports must equal the cold rebuild at
+	// every parallelism level.
 	workersAxis := []int{0, 1, 2, 4}
 	cfg := 0
 	for _, scheme := range schemes {
@@ -338,7 +340,8 @@ func TestServerConcurrentSnapshotSwap(t *testing.T) {
 // a non-zero threshold for an id that is still beyond every published
 // epoch, and that per-shard epochs observed through boundary ids stay
 // monotone. Ids beyond the final admission ceiling must read as empty
-// throughout, no matter how the race interleaves.
+// throughout, no matter how the race interleaves, and the quiesced
+// server must still equal the cold rebuild.
 func TestServerBoundaryIDsUnderChurn(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(71)
@@ -457,6 +460,7 @@ func TestServerBoundaryIDsUnderChurn(t *testing.T) {
 	if c := srv.Candidates(ceiling); c == nil || len(c) != 0 {
 		t.Errorf("Candidates(ceiling) = %v, want empty non-nil", c)
 	}
+	checkServerEquivalence(t, "boundary churn", p, srv)
 }
 
 // TestServerLifecycleAndBoundaries covers the non-happy paths: closed

@@ -132,10 +132,10 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestStorageServerEquivalence runs the serving contract across
-// Topology x shard count under file storage: the quiesced server must
-// match a cold *resident* IndexBlocks over the union collection —
-// cross-storage byte-equality on the full serving path.
+// TestStorageServerEquivalence runs the serving contract across shard
+// counts under file storage: the quiesced server must match a cold
+// *resident* IndexBlocks over the union collection — cross-storage
+// byte-equality on the full serving path.
 func TestStorageServerEquivalence(t *testing.T) {
 	ctx := context.Background()
 	memOpt := DefaultOptions()
@@ -147,35 +147,31 @@ func TestStorageServerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, topo := range []Topology{TopologyReplicated, TopologyPartitioned} {
-		for _, shards := range []int{1, 2, 4} {
-			label := fmt.Sprintf("%v/shards=%d", topo, shards)
-			rng := stats.NewRNG(uint64(shards)*0xC0FFEE + uint64(topo))
-			ds := synthDirty(rng, 50)
-			srv, err := pFile.Serve(ctx, ds, ServerOptions{
-				Shards: shards, SwapOps: 4, Topology: topo,
-			})
-			if err != nil {
-				t.Fatalf("%s: Serve: %v", label, err)
+	for _, shards := range []int{1, 2, 4} {
+		label := fmt.Sprintf("shards=%d", shards)
+		rng := stats.NewRNG(uint64(shards)*0xC0FFEE + 1)
+		ds := synthDirty(rng, 50)
+		srv, err := pFile.Serve(ctx, ds, ServerOptions{Shards: shards, SwapOps: 4})
+		if err != nil {
+			t.Fatalf("%s: Serve: %v", label, err)
+		}
+		if got := srv.Storage(); got != StorageFile {
+			t.Fatalf("%s: Storage() = %v, want %v", label, got, StorageFile)
+		}
+		for batch := 0; batch < 2; batch++ {
+			profs := make([]model.Profile, 6)
+			for i := range profs {
+				profs[i] = synthProfile(rng, fmt.Sprintf("sp%d-%d", batch, i))
 			}
-			if got := srv.Storage(); got != StorageFile {
-				t.Fatalf("%s: Storage() = %v, want %v", label, got, StorageFile)
+			if _, err := srv.InsertAll(ctx, profs); err != nil {
+				t.Fatalf("%s: InsertAll: %v", label, err)
 			}
-			for batch := 0; batch < 2; batch++ {
-				profs := make([]model.Profile, 6)
-				for i := range profs {
-					profs[i] = synthProfile(rng, fmt.Sprintf("sp%d-%d", batch, i))
-				}
-				if _, err := srv.InsertAll(ctx, profs); err != nil {
-					t.Fatalf("%s: InsertAll: %v", label, err)
-				}
-				// The cold reference build is resident: the equivalence check
-				// crosses the storage axis, not just the serving machinery.
-				checkServerEquivalence(t, fmt.Sprintf("%s batch %d", label, batch), pMem, srv)
-			}
-			if err := srv.Close(); err != nil {
-				t.Fatalf("%s: Close: %v", label, err)
-			}
+			// The cold reference build is resident: the equivalence check
+			// crosses the storage axis, not just the serving machinery.
+			checkServerEquivalence(t, fmt.Sprintf("%s batch %d", label, batch), pMem, srv)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", label, err)
 		}
 	}
 }
