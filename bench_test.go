@@ -525,34 +525,25 @@ func BenchmarkEngine_ApplyCSR(b *testing.B) {
 	}
 }
 
-// BenchmarkEngine_BuildWeighted is the first half of a cold run both
-// ways: "stats" fills the five entry arrays and then runs the weighting
-// kernel over them (what a mutable index, which re-weighs, needs),
-// "fused" weighs each entry as the fill pass emits it and makes only
-// Neighbors + Weights (what RunCtx, IndexBlocks and a partitioned
-// shard's export take). Run with -benchmem: B/op roughly halves (32 vs
-// 12 bytes an entry plus the per-profile arrays).
+// BenchmarkEngine_BuildWeighted is the first half of a cold run: the
+// fill pass weighs each entry as it emits it and makes only Neighbors +
+// Weights (what RunCtx, IndexBlocks and a partitioned shard's export
+// take). Run with -benchmem: B/op is about 12 bytes an entry plus the
+// per-profile arrays.
 func BenchmarkEngine_BuildWeighted(b *testing.B) {
 	ctx := context.Background()
 	blocks := streamBlocks(b, 5000)
 	cfg := metablocking.DefaultConfig()
-	for _, mode := range []struct {
-		name      string
-		keepStats bool
-	}{{"stats", true}, {"fused", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var edges int
-			for i := 0; i < b.N; i++ {
-				g, _, err := metablocking.BuildWeighted(ctx, blocks, cfg, mode.keepStats)
-				if err != nil {
-					b.Fatal(err)
-				}
-				edges = g.NumEdges()
-			}
-			b.ReportMetric(float64(edges), "edges")
-		})
+	b.ReportAllocs()
+	var edges int
+	for i := 0; i < b.N; i++ {
+		g, _, err := metablocking.BuildWeighted(ctx, blocks, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		edges = g.NumEdges()
 	}
+	b.ReportMetric(float64(edges), "edges")
 }
 
 // BenchmarkServer_StreamPublish streams 1024 profiles in batches of 16
@@ -749,12 +740,12 @@ func BenchmarkRestructuredBlocks(b *testing.B) {
 // indexCorpus blocks the first base profiles of a seeded stream — the
 // shape of bench/e2e's serving workloads at half their size: mean degree
 // in the hundreds, a fraction of a percent of it retained — and returns
-// the next 16 profiles as an insert batch.
-func indexCorpus(b *testing.B) (*blast.Pipeline, *blast.Blocks, []model.Profile) {
+// the next streamed profiles of the stream for inserts.
+func indexCorpus(b *testing.B, streamed int) (*blast.Pipeline, *blast.Blocks, []model.Profile) {
 	b.Helper()
 	ctx := context.Background()
-	const base, batch = 5000, 16
-	st := datasets.NewStream(base+batch, 1)
+	const base = 5000
+	st := datasets.NewStream(base+streamed, 1)
 	e := model.NewCollection("stream")
 	for i := 0; i < base; i++ {
 		e.Append(st.Profile(i))
@@ -772,7 +763,7 @@ func indexCorpus(b *testing.B) (*blast.Pipeline, *blast.Blocks, []model.Profile)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p, blocks, st.Profiles(base, base+batch)
+	return p, blocks, st.Profiles(base, base+streamed)
 }
 
 // liveHeap is the heap in use after a full collection (two cycles, so
@@ -794,7 +785,7 @@ func liveHeap() float64 {
 // plus 16 a profile, over the entries of the retained pairs.
 func BenchmarkIndex_Freeze(b *testing.B) {
 	ctx := context.Background()
-	p, blocks, _ := indexCorpus(b)
+	p, blocks, _ := indexCorpus(b, 0)
 	var ix *blast.Index
 	var err error
 	b.ReportAllocs()
@@ -869,7 +860,7 @@ func BenchmarkBlocking_Phase2(b *testing.B) {
 	}
 }
 
-// BenchmarkBlocking_Clone is what a shard or a thawed index pays for its
+// BenchmarkBlocking_Clone is what a shard or an inserting index pays for its
 // own copy of a collection: "base" clones the cleaned stream collection
 // (the arrays are shared, so O(1)), "tail" one whose writer appended the
 // 1024 profiles serve-stream streams in (a copy of the appended members
@@ -913,22 +904,21 @@ func BenchmarkBlocking_Clone(b *testing.B) {
 }
 
 // BenchmarkIndex_Lookup measures the online serving path, one
-// per-profile candidate lookup into a reused buffer (0 allocs/op), on
-// the two forms of an index: frozen — a copy and a sort of the two or
-// three entries of the profile's row — and after an insert batch has
-// made it a writer, which filters the profile's whole adjacency run (the
-// -exp query experiment measures the frozen path across the registry
-// datasets).
+// per-profile candidate lookup into a reused buffer (0 allocs/op): a
+// copy and a sort of the two or three entries of the profile's row, on
+// a fresh index and on one an insert batch grew (the batch is folded in
+// before the timer starts; the -exp query experiment measures the path
+// across the registry datasets).
 func BenchmarkIndex_Lookup(b *testing.B) {
 	ctx := context.Background()
-	p, blocks, batch := indexCorpus(b)
+	p, blocks, batch := indexCorpus(b, 16)
 	ix, err := p.IndexBlocks(ctx, blocks)
 	if err != nil {
 		b.Fatal(err)
 	}
 	lookups := func(b *testing.B) {
 		var buf []blast.Candidate
-		np := ix.NumProfiles()
+		np := ix.NumProfiles() // folds pending inserts in
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -940,6 +930,43 @@ func BenchmarkIndex_Lookup(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("after-insert", lookups)
+}
+
+// BenchmarkIndex_Insert streams 256 profiles into a fresh index in
+// batches of 16 and reads Pairs: "batch-then-read" appends every batch
+// and reads once (one re-freeze), "read-every-batch" reads after each
+// batch (one re-freeze a batch). An op is one stream; profiles/s is
+// streamed profiles over the timed part, the index's build excluded.
+func BenchmarkIndex_Insert(b *testing.B) {
+	ctx := context.Background()
+	const streamed, batch = 256, 16
+	p, blocks, stream := indexCorpus(b, streamed)
+	for _, c := range []struct {
+		name  string
+		every bool
+	}{{"batch-then-read", false}, {"read-every-batch", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ix, err := p.IndexBlocks(ctx, blocks)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for off := 0; off < streamed; off += batch {
+					if _, err := ix.InsertAll(ctx, stream[off:off+batch]); err != nil {
+						b.Fatal(err)
+					}
+					if c.every {
+						ix.Pairs()
+					}
+				}
+				ix.Pairs()
+			}
+			b.ReportMetric(float64(b.N*streamed)/b.Elapsed().Seconds(), "profiles/s")
+		})
+	}
 }
 
 // BenchmarkExtension_Baselines compares the blocking substrates feeding

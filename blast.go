@@ -78,42 +78,6 @@ func (i Induction) String() string {
 	}
 }
 
-// Compaction tunes when a mutable Index (one that has served Insert
-// calls) folds its copy-on-write adjacency overlay back into a flat base
-// CSR. Compaction restores pure-array locality for the serving path; the
-// overlay amortizes it across many inserts. The zero value selects the
-// defaults.
-type Compaction struct {
-	// MaxOverlayFraction triggers a compaction when the entries held in
-	// materialized overlay rows exceed this fraction of the base CSR's
-	// entries. 0 selects the default 0.25; a negative value disables
-	// automatic compaction entirely (Index.Compact remains available).
-	MaxOverlayFraction float64
-	// MinOverlayEntries suppresses automatic compaction below this many
-	// overlay entries, so small indexes do not compact on every insert.
-	// 0 selects the default 4096.
-	MinOverlayEntries int
-}
-
-// maxFraction resolves the overlay-fraction trigger (0 -> 0.25).
-func (c Compaction) maxFraction() float64 {
-	if c.MaxOverlayFraction == 0 {
-		return 0.25
-	}
-	return c.MaxOverlayFraction
-}
-
-// minEntries resolves the minimum-entry floor (0 -> 4096).
-func (c Compaction) minEntries() int {
-	if c.MinOverlayEntries == 0 {
-		return 4096
-	}
-	return c.MinOverlayEntries
-}
-
-// disabled reports whether automatic compaction is switched off.
-func (c Compaction) disabled() bool { return c.MaxOverlayFraction < 0 }
-
 // Storage selects where the blocking graph's adjacency entries live
 // while a run or index build is in flight. It is a build-time choice
 // and nothing more: a run returns pairs, an index build freezes the
@@ -379,8 +343,8 @@ type Options struct {
 	// building (contiguous profile ranges, merged in key order),
 	// blocking-graph construction, weighting AND the streaming pruning
 	// passes (thresholds, top-k cuts, retention — everywhere a CSR is
-	// pruned: batch runs, IndexBlocks, the incremental index's
-	// re-derivations, the sharded server's exports): 0 uses one worker
+	// pruned: batch runs, IndexBlocks, an index's re-freeze after
+	// inserts, the sharded server's exports): 0 uses one worker
 	// per CPU, 1 forces serial execution, >1 uses exactly that many
 	// goroutines. Results are byte-identical at every count — induction,
 	// block building, graph construction and weighting compute each row,
@@ -394,8 +358,8 @@ type Options struct {
 	// that seeds a Server's shards): StorageMemory (default) keeps it
 	// resident, StorageFile spills it to segment files past MemoryBudget
 	// and streams them back page by page. Byte-identical output either
-	// way. It does not reach a writer — an Index after its first Insert,
-	// a shard's export — whose graph is resident by construction.
+	// way. It does not reach an Index's re-freeze after inserts or a
+	// shard's export, which build their graph resident.
 	Storage Storage
 	// MemoryBudget bounds (in bytes) the resident footprint of the
 	// adjacency entries a StorageFile build may accumulate before
@@ -414,12 +378,6 @@ type Options struct {
 	// a "spill" directory next to the WAL so segments live on the same
 	// filesystem as the rest of the state. Ignored under StorageMemory.
 	SpillDir string
-
-	// Compaction tunes the overlay-compaction policy of a mutable Index
-	// (see Index.Insert). The zero value selects the defaults. It is
-	// ignored by the batch pipeline and by a Server, whose shards hold no
-	// overlay and publish on ServerOptions.SwapOps.
-	Compaction Compaction
 
 	// Progress, when non-nil, observes pipeline execution: it is invoked
 	// synchronously as each phase or sub-stage completes ("induce",
@@ -444,17 +402,18 @@ func (o Options) Validate() error {
 	if o.Induction != NoInduction {
 		// Alpha and LSH only drive attribute-match induction; they are
 		// checked only when used.
-		if o.Alpha <= 0 || o.Alpha > 1 {
+		if !(o.Alpha > 0 && o.Alpha <= 1) {
 			return fmt.Errorf("blast: Alpha = %v outside (0, 1]: the LMI candidate factor is a fraction of the per-attribute best similarity", o.Alpha)
 		}
 		if o.LSH != nil && (o.LSH.Rows < 1 || o.LSH.Bands < 1) {
 			return fmt.Errorf("blast: LSH rows/bands = %d/%d: both must be >= 1", o.LSH.Rows, o.LSH.Bands)
 		}
 	}
-	if o.PurgeRatio <= 0 || o.PurgeRatio > 1 {
+	// The range checks are written so that NaN fails them too.
+	if !(o.PurgeRatio > 0 && o.PurgeRatio <= 1) {
 		return fmt.Errorf("blast: PurgeRatio = %v outside (0, 1]: it is the maximum fraction of all profiles a block may hold (1 disables purging)", o.PurgeRatio)
 	}
-	if o.FilterRatio <= 0 || o.FilterRatio > 1 {
+	if !(o.FilterRatio > 0 && o.FilterRatio <= 1) {
 		return fmt.Errorf("blast: FilterRatio = %v outside (0, 1]: it is the fraction of each profile's blocks to keep (1 disables filtering)", o.FilterRatio)
 	}
 	switch o.Pruning {
@@ -463,11 +422,11 @@ func (o Options) Validate() error {
 	default:
 		return fmt.Errorf("blast: unknown pruning %d", int(o.Pruning))
 	}
-	if o.C <= 0 {
-		return fmt.Errorf("blast: C = %v must be > 0: it divides the per-node maximum weight (theta_i = M_i/C)", o.C)
+	if !(o.C > 0) || math.IsInf(o.C, 1) {
+		return fmt.Errorf("blast: C = %v must be finite and > 0: it divides the per-node maximum weight (theta_i = M_i/C)", o.C)
 	}
-	if o.D <= 0 {
-		return fmt.Errorf("blast: D = %v must be > 0: it divides the combined threshold (theta_u+theta_v)/D", o.D)
+	if !(o.D > 0) || math.IsInf(o.D, 1) {
+		return fmt.Errorf("blast: D = %v must be finite and > 0: it divides the combined threshold (theta_u+theta_v)/D", o.D)
 	}
 	if o.K < -1 {
 		return fmt.Errorf("blast: K = %d must be >= -1 (<= 0 selects the scheme defaults)", o.K)
@@ -480,12 +439,6 @@ func (o Options) Validate() error {
 	}
 	if o.Storage != StorageFile && (o.MemoryBudget != 0 || o.SpillDir != "") {
 		return fmt.Errorf("blast: MemoryBudget/SpillDir = %d/%q without StorageFile: the spill knobs need file storage", o.MemoryBudget, o.SpillDir)
-	}
-	if math.IsNaN(o.Compaction.MaxOverlayFraction) || math.IsInf(o.Compaction.MaxOverlayFraction, 0) {
-		return fmt.Errorf("blast: Compaction.MaxOverlayFraction = %v must be finite (0 selects the default, negative disables)", o.Compaction.MaxOverlayFraction)
-	}
-	if o.Compaction.MinOverlayEntries < 0 {
-		return fmt.Errorf("blast: Compaction.MinOverlayEntries = %d must be >= 0 (0 selects the default)", o.Compaction.MinOverlayEntries)
 	}
 	return nil
 }

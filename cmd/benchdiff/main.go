@@ -1,15 +1,14 @@
 // Command benchdiff is the CI benchmark-regression gate: it compares
 // the benchmark artifacts of the current run (BENCH_query.json,
-// BENCH_incremental.json, BENCH_serve.json, BENCH_prune.json,
-// BENCH_recover.json, BENCH_load.json) against committed baselines and
-// fails when a gated metric regresses beyond the threshold.
+// BENCH_serve.json, BENCH_prune.json, BENCH_recover.json,
+// BENCH_load.json, BENCH_partition.json, BENCH_spill.json) against
+// committed baselines and fails when a gated metric regresses beyond
+// the threshold.
 //
 // Gated metrics:
 //
 //   - query: per-dataset Candidates p50 latency must not grow more than
 //     threshold (default 25%) over the baseline.
-//   - incremental: per-dataset amortized insert speedup over a cold
-//     rebuild must not shrink more than threshold.
 //   - serve: per-configuration read throughput must not shrink more
 //     than threshold, and the read-throughput scaling of the largest
 //     shard count over one shard must reach -min-serve-scaling
@@ -68,7 +67,6 @@
 // that executes CI whenever a deliberate performance change lands:
 //
 //	go run ./cmd/blastbench -exp query -scale 0.5 -json > bench/baselines/BENCH_query.json
-//	go run ./cmd/blastbench -exp incremental -scale 0.5 -json > bench/baselines/BENCH_incremental.json
 //	go run ./cmd/blastbench -exp serve -scale 0.5 -json > bench/baselines/BENCH_serve.json
 //	go run ./cmd/blastbench -exp prune -scale 0.5 -json > bench/baselines/BENCH_prune.json
 //	go run ./cmd/blastbench -exp recover -scale 0.5 -json > bench/baselines/BENCH_recover.json
@@ -239,35 +237,6 @@ func run(w io.Writer, baseDir, curDir string, threshold, minScaling, minPrune, m
 				continue
 			}
 			add(gated("query/"+b.Dataset+" p50 ns", float64(b.P50), float64(c.P50), threshold, true))
-		}
-	}
-
-	// incremental: amortized speedup must not shrink beyond (1-threshold)x.
-	baseI, err := loadJSON[experiments.IncrementalRow](baseDir, "BENCH_incremental.json")
-	if err != nil {
-		return 0, err
-	}
-	if baseI == nil {
-		fmt.Fprintln(w, "incremental: no baseline, skipped")
-	} else {
-		curI, err := loadJSON[experiments.IncrementalRow](curDir, "BENCH_incremental.json")
-		if err != nil {
-			return 0, err
-		}
-		if curI == nil {
-			return 0, fmt.Errorf("missing current BENCH_incremental.json (baseline exists)")
-		}
-		cur := make(map[string]experiments.IncrementalRow, len(curI))
-		for _, r := range curI {
-			cur[r.Dataset] = r
-		}
-		for _, b := range baseI {
-			c, found := cur[b.Dataset]
-			if !found {
-				add(check{metric: "incremental/" + b.Dataset + " speedup", baseline: b.AmortizedSpeedup, ok: false, note: "dataset missing from current run"})
-				continue
-			}
-			add(gated("incremental/"+b.Dataset+" speedup", b.AmortizedSpeedup, c.AmortizedSpeedup, threshold, false))
 		}
 	}
 

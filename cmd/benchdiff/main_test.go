@@ -28,10 +28,6 @@ func queryRow(ds string, p50 time.Duration) experiments.QueryRow {
 	return experiments.QueryRow{Dataset: ds, P50: p50}
 }
 
-func incRow(ds string, speedup float64) experiments.IncrementalRow {
-	return experiments.IncrementalRow{Dataset: ds, AmortizedSpeedup: speedup}
-}
-
 func serveRow(ds, mode string, shards, procs int, reads, scaling float64) experiments.ServeRow {
 	return experiments.ServeRow{Dataset: ds, Mode: mode, Shards: shards, GOMAXPROCS: procs,
 		ReadThroughput: reads, ScalingVs1: scaling, PairsMatch: true}
@@ -41,8 +37,6 @@ func TestGatePassesWithinThreshold(t *testing.T) {
 	base, cur := t.TempDir(), t.TempDir()
 	writeJSON(t, base, "BENCH_query.json", []experiments.QueryRow{queryRow("ar1", 100)})
 	writeJSON(t, cur, "BENCH_query.json", []experiments.QueryRow{queryRow("ar1", 120)}) // +20% < 25%
-	writeJSON(t, base, "BENCH_incremental.json", []experiments.IncrementalRow{incRow("ar1", 30)})
-	writeJSON(t, cur, "BENCH_incremental.json", []experiments.IncrementalRow{incRow("ar1", 25)}) // -17% > -25%
 	writeJSON(t, base, "BENCH_serve.json", []experiments.ServeRow{
 		serveRow("dbp", "server", 1, 8, 1e6, 1),
 		serveRow("dbp", "server", 4, 8, 2.6e6, 2.6),
@@ -65,8 +59,6 @@ func TestGateCatchesRegressions(t *testing.T) {
 	base, cur := t.TempDir(), t.TempDir()
 	writeJSON(t, base, "BENCH_query.json", []experiments.QueryRow{queryRow("ar1", 100), queryRow("dbp", 200)})
 	writeJSON(t, cur, "BENCH_query.json", []experiments.QueryRow{queryRow("ar1", 200), queryRow("dbp", 200)}) // ar1 +100%
-	writeJSON(t, base, "BENCH_incremental.json", []experiments.IncrementalRow{incRow("ar1", 30)})
-	writeJSON(t, cur, "BENCH_incremental.json", []experiments.IncrementalRow{incRow("ar1", 10)}) // -67%
 	writeJSON(t, base, "BENCH_serve.json", []experiments.ServeRow{serveRow("dbp", "server", 4, 8, 2e6, 2.5)})
 	writeJSON(t, cur, "BENCH_serve.json", []experiments.ServeRow{serveRow("dbp", "server", 4, 8, 1e6, 1.2)}) // -50% and scaling < 2
 	var out strings.Builder
@@ -74,8 +66,8 @@ func TestGateCatchesRegressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failures != 4 {
-		t.Fatalf("failures = %d, want 4 (query p50, incremental speedup, serve throughput, serve scaling)\n%s", failures, out.String())
+	if failures != 3 {
+		t.Fatalf("failures = %d, want 3 (query p50, serve throughput, serve scaling)\n%s", failures, out.String())
 	}
 	if !strings.Contains(out.String(), "REGRESSED") {
 		t.Error("report lacks REGRESSED markers")
@@ -111,7 +103,7 @@ func TestGateMissingFiles(t *testing.T) {
 	if failures != 0 {
 		t.Fatalf("failures = %d with no baselines", failures)
 	}
-	for _, want := range []string{"query: no baseline", "incremental: no baseline", "serve: no baseline"} {
+	for _, want := range []string{"query: no baseline", "serve: no baseline"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("missing %q in:\n%s", want, out.String())
 		}
@@ -139,7 +131,7 @@ func pruneRow(ds, pruning string, workers, procs int, ns time.Duration, speedup 
 }
 
 // TestGateDegenerateBaseline: degenerate metrics in the BASELINE must
-// produce named failures — a zero baseline p50 or speedup would
+// produce named failures — a zero baseline p50 or throughput would
 // otherwise make every current value pass the ratio vacuously. (JSON
 // cannot carry NaN/Inf, so zero and negative values are the degenerate
 // shapes a real artifact can take; the NaN/Inf classification is still
@@ -148,8 +140,6 @@ func TestGateDegenerateBaseline(t *testing.T) {
 	base, cur := t.TempDir(), t.TempDir()
 	writeJSON(t, base, "BENCH_query.json", []experiments.QueryRow{queryRow("ar1", 0)}) // zero p50
 	writeJSON(t, cur, "BENCH_query.json", []experiments.QueryRow{queryRow("ar1", 100)})
-	writeJSON(t, base, "BENCH_incremental.json", []experiments.IncrementalRow{incRow("ar1", 0)})
-	writeJSON(t, cur, "BENCH_incremental.json", []experiments.IncrementalRow{incRow("ar1", 30)})
 	writeJSON(t, base, "BENCH_serve.json", []experiments.ServeRow{serveRow("dbp", "server", 1, 8, -1, 1)})
 	writeJSON(t, cur, "BENCH_serve.json", []experiments.ServeRow{serveRow("dbp", "server", 1, 8, 1e6, 1)})
 	var out strings.Builder
@@ -157,11 +147,11 @@ func TestGateDegenerateBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failures != 3 {
-		t.Fatalf("failures = %d, want 3 named degenerate-baseline failures\n%s", failures, out.String())
+	if failures != 2 {
+		t.Fatalf("failures = %d, want 2 named degenerate-baseline failures\n%s", failures, out.String())
 	}
-	if got := strings.Count(out.String(), "degenerate baseline (non-positive)"); got != 3 {
-		t.Errorf("want 3 named degenerate-baseline notes, got %d in:\n%s", got, out.String())
+	if got := strings.Count(out.String(), "degenerate baseline (non-positive)"); got != 2 {
+		t.Errorf("want 2 named degenerate-baseline notes, got %d in:\n%s", got, out.String())
 	}
 }
 
@@ -186,15 +176,13 @@ func TestDegenerateNote(t *testing.T) {
 }
 
 // TestGateDegenerateCurrent is the other direction: a broken CURRENT
-// artifact (zero p50, negative speedup, zero throughput and scaling)
+// artifact (zero p50, zero throughput and scaling)
 // must fail by name — a zero p50 "faster than baseline" or a zero
 // throughput with a vacuous ratio must never slip through the gate.
 func TestGateDegenerateCurrent(t *testing.T) {
 	base, cur := t.TempDir(), t.TempDir()
 	writeJSON(t, base, "BENCH_query.json", []experiments.QueryRow{queryRow("ar1", 100)})
 	writeJSON(t, cur, "BENCH_query.json", []experiments.QueryRow{queryRow("ar1", 0)}) // "faster than baseline", but broken
-	writeJSON(t, base, "BENCH_incremental.json", []experiments.IncrementalRow{incRow("ar1", 30)})
-	writeJSON(t, cur, "BENCH_incremental.json", []experiments.IncrementalRow{incRow("ar1", -2)})
 	writeJSON(t, base, "BENCH_serve.json", []experiments.ServeRow{serveRow("dbp", "server", 4, 8, 1e6, 2.5)})
 	writeJSON(t, cur, "BENCH_serve.json", []experiments.ServeRow{serveRow("dbp", "server", 4, 8, 0, 0)})
 	var out strings.Builder
@@ -202,12 +190,12 @@ func TestGateDegenerateCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// query p50, incremental speedup, serve throughput, serve scaling.
-	if failures != 4 {
-		t.Fatalf("failures = %d, want 4 named degenerate-current failures\n%s", failures, out.String())
+	// query p50, serve throughput, serve scaling.
+	if failures != 3 {
+		t.Fatalf("failures = %d, want 3 named degenerate-current failures\n%s", failures, out.String())
 	}
-	if got := strings.Count(out.String(), "degenerate current (non-positive)"); got != 4 {
-		t.Errorf("want 4 named degenerate-current notes, got %d in:\n%s", got, out.String())
+	if got := strings.Count(out.String(), "degenerate current (non-positive)"); got != 3 {
+		t.Errorf("want 3 named degenerate-current notes, got %d in:\n%s", got, out.String())
 	}
 }
 

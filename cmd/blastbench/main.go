@@ -12,10 +12,7 @@
 // per-dataset default sizes (see internal/experiments); absolute
 // metrics depend on it, comparative structure does not. The query
 // experiment measures single-profile Index.Candidates latency and
-// throughput on the registry datasets; the incremental experiment
-// streams each
-// dataset's tail through Index.Insert and reports per-insert latency
-// and the amortized speedup over a cold rebuild; the serve experiment
+// throughput on the registry datasets; the serve experiment
 // drives a mixed read/write load against the sharded snapshot-swap
 // Server across shard counts and against the single-Index baseline;
 // the recover experiment measures durable serving (WAL + snapshot
@@ -75,7 +72,6 @@ var experimentTable = []experimentSpec{
 	{id: "endtoend", run: runEndToEnd},
 	{id: "scalability", run: runScalability},
 	{id: "query", json: true, run: runQuery},
-	{id: "incremental", json: true, run: runIncremental},
 	{id: "prune", json: true, run: runPrune},
 	{id: "serve", json: true, run: runServe},
 	{id: "recover", json: true, run: runRecover},
@@ -109,7 +105,7 @@ func jsonUsage() string {
 
 func main() {
 	exp := flag.String("exp", "all", expUsage())
-	dataset := flag.String("dataset", "", "dataset for table4/table7/endtoend/query/incremental/prune/recover (default: every applicable)")
+	dataset := flag.String("dataset", "", "dataset for table4/table7/endtoend/query/prune/recover (default: every applicable)")
 	scale := flag.Float64("scale", 1, "scale multiplier over per-dataset defaults")
 	seed := flag.Uint64("seed", 42, "random seed")
 	jsonOut := flag.Bool("json", false, jsonUsage())
@@ -298,28 +294,6 @@ func runQuery(cfg experiments.Config, dataset string, jsonOut bool) error {
 	}
 	fmt.Println("== Query: online candidate serving via Index.Candidates ==")
 	fmt.Print(experiments.RenderQuery(rows))
-	return nil
-}
-
-func runIncremental(cfg experiments.Config, dataset string, jsonOut bool) error {
-	var names []string
-	if dataset != "" {
-		names = []string{dataset}
-	}
-	rows, err := experiments.Incremental(cfg, names)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		js, err := experiments.IncrementalJSON(rows)
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(js))
-		return nil
-	}
-	fmt.Println("== Incremental: Index.Insert streaming vs cold rebuild ==")
-	fmt.Print(experiments.RenderIncremental(rows))
 	return nil
 }
 

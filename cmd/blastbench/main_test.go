@@ -39,15 +39,6 @@ func TestRunQueryExperiment(t *testing.T) {
 	}
 }
 
-func TestRunIncrementalExperiment(t *testing.T) {
-	if err := run(tinyCfg(), "incremental", "ar1", false); err != nil {
-		t.Errorf("incremental text: %v", err)
-	}
-	if err := run(tinyCfg(), "incremental", "census", true); err != nil {
-		t.Errorf("incremental json: %v", err)
-	}
-}
-
 func TestRunServeExperiment(t *testing.T) {
 	if err := run(tinyCfg(), "serve", "ar1", false); err != nil {
 		t.Errorf("serve text: %v", err)

@@ -189,9 +189,9 @@ func TestDurableReopenMatrix(t *testing.T) {
 // (Options.Progress "index" events) and every other stage it reports:
 // adopting an at-cut snapshot set builds nothing, and a WAL-only image
 // is rebuilt by exactly one frozen build over the recovered union
-// collection. Recovery drives no writer Index through the log, so no
-// overlay is folded or re-derived along the way, and the recovered
-// server still equals the cold rebuild.
+// collection. Recovery drives no Index through the log, so nothing is
+// re-frozen along the way, and the recovered server still equals the
+// cold rebuild.
 func TestDurableReopenBuildCount(t *testing.T) {
 	ctx := context.Background()
 	events := map[string]int{}

@@ -78,7 +78,7 @@ func run() error {
 	}
 	fmt.Printf("admitted %d arrivals as ids %v\n", len(ids), ids)
 
-	// Quiesce: every shard applies the stream, compacts its overlay and
+	// Quiesce: every shard applies the stream, exports its owned rows and
 	// swaps the result in. From here the server answers exactly like a
 	// cold rebuild over catalog+arrivals.
 	if err := srv.Quiesce(ctx); err != nil {

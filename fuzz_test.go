@@ -2,11 +2,10 @@ package blast
 
 // Fuzzing the sharded snapshot-swap server: the fuzz input drives a
 // randomized sequence of insert / quiesce(compact+swap) / read
-// operations against a Server, with a single mutable Index fed the
-// identical stream as the model (the Index itself is held to the
-// cold-rebuild contract by the PR 3 differential harness, so agreement
-// with it transitively pins the server to a cold IndexBlocks over the
-// union collection). Registered in CI's fuzz smoke matrix.
+// operations against a Server, with a single Index fed the identical
+// stream as the model (an Index re-freezes over its live collection on
+// the read after an insert, so it is a cold IndexBlocks over the union
+// collection by construction). Registered in CI's fuzz smoke matrix.
 
 import (
 	"context"
@@ -35,8 +34,8 @@ func FuzzSnapshotSwap(f *testing.F) {
 		rng := stats.NewRNG(seed | 1)
 		shards := 1 + int(data[0])%4
 		// [-1, 6]: -1 disables the op-count trigger (swaps then happen
-		// only through Quiesce and the overlay trigger), the rest are
-		// aggressive cadences that churn snapshots mid-sequence.
+		// only through Quiesce), the rest are aggressive cadences that
+		// churn snapshots mid-sequence.
 		swapOps := int(data[len(data)-1])%8 - 1
 
 		ds := synthDirty(rng, 16+rng.Intn(16))

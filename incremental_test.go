@@ -1,18 +1,20 @@
 package blast
 
-// Differential tests of incremental meta-blocking: after any sequence of
-// Insert/InsertAll/Compact calls, the mutable Index must be
+// Differential tests of inserts into an Index: after any sequence of
+// Insert/InsertAll/Compact calls and reads, the Index must be
 // byte-identical — Pairs(), Candidates(i), Threshold(i) — to a cold
 // IndexBlocks over its own live (appended) collection, across the
 // Induction x Scheme x Pruning configuration axes and against the batch
-// run. Plus the boundary, cancellation and concurrency contracts of the
-// mutable index.
+// run. Plus the boundary, cancellation and concurrency contracts of
+// appends and the re-freeze the next read runs.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,9 +170,9 @@ func TestIncrementalEquivalenceMatrix(t *testing.T) {
 
 // TestIncrementalEquivalenceRandom is the randomized differential
 // harness: seeded random profile streams with interleaved Insert,
-// InsertAll and explicit/automatic compaction triggers over randomized
-// configuration axes, asserting the cold-rebuild contract at random
-// checkpoints and at the end.
+// InsertAll and explicit Compact calls over randomized configuration
+// axes, asserting the cold-rebuild contract at random checkpoints and at
+// the end.
 func TestIncrementalEquivalenceRandom(t *testing.T) {
 	ctx := context.Background()
 	schemes := []weights.Kind{
@@ -188,13 +190,6 @@ func TestIncrementalEquivalenceRandom(t *testing.T) {
 		opt.Pruning = prunings[rng.Intn(len(prunings))]
 		opt.C = []float64{1, 2, 4}[rng.Intn(3)]
 		opt.Workers = []int{0, 1, 2, 4}[rng.Intn(4)]
-		switch rng.Intn(3) {
-		case 0:
-			// Aggressive compaction: overlay folded almost every batch.
-			opt.Compaction = Compaction{MaxOverlayFraction: 0.01, MinOverlayEntries: 1}
-		case 1:
-			opt.Compaction = Compaction{MaxOverlayFraction: -1} // disabled
-		}
 		label := fmt.Sprintf("seed %d (%v/%s/%v)", seed, opt.Induction, opt.Scheme.Name(), opt.Pruning)
 		p, err := NewPipeline(opt)
 		if err != nil {
@@ -283,17 +278,16 @@ func TestIncrementalCleanClean(t *testing.T) {
 	}
 }
 
-// TestIncrementalLocalizedPath pins the fast path: under a weighting
-// with no graph-global inputs (JS) and BLAST's node-local pruning, every
-// batch must finalize on the localized path — and still match a cold
-// rebuild.
-func TestIncrementalLocalizedPath(t *testing.T) {
+// TestIncrementalCompactionPreservesState: Compact is the explicit fold
+// of pending inserts. A fold cancelled part-way leaves the index pending
+// and unchanged; a completed one counts the batches it folded, reads
+// after it equal a cold rebuild without folding again, and a second
+// Compact is a no-op.
+func TestIncrementalCompactionPreservesState(t *testing.T) {
 	ctx := context.Background()
-	rng := stats.NewRNG(99)
-	ds := synthDirty(rng, 80)
-	opt := DefaultOptions()
-	opt.Scheme = weights.Scheme{Kind: weights.JS}
-	p, err := NewPipeline(opt)
+	rng := stats.NewRNG(7)
+	ds := synthDirty(rng, 50)
+	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,98 +295,51 @@ func TestIncrementalLocalizedPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := 5
-	for b := 0; b < batches; b++ {
-		profs := make([]model.Profile, 4)
+	for b := 0; b < 2; b++ {
+		profs := make([]model.Profile, 5)
 		for i := range profs {
-			profs[i] = synthProfile(rng, fmt.Sprintf("l%d-%d", b, i))
+			profs[i] = synthProfile(rng, fmt.Sprintf("c%d-%d", b, i))
 		}
 		if _, err := ix.InsertAll(ctx, profs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := ix.Stats()
-	if st.LocalizedBatches != batches || st.RebuiltBatches != 0 {
-		t.Errorf("JS/BlastWNP batches: localized %d rebuilt %d, want %d localized",
-			st.LocalizedBatches, st.RebuiltBatches, batches)
+	// The first poll passes Compact's entry check; the build trips on the
+	// next one.
+	if err := ix.Compact(&cancelAfter{Context: ctx, left: 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Compact under a context cancelled mid-fold: err = %v", err)
 	}
-	checkIndexEquivalence(t, "localized", p, ix)
-
-	// Duplicating an existing profile introduces no new tokens, so even
-	// the default chi-squared weighting stays on the localized path.
-	opt2 := DefaultOptions()
-	p2, err := NewPipeline(opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := p2.BuildIndex(ctx, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup := ds.E1.Profiles[3]
-	dup.ID = "dup3"
-	if _, err := ix2.Insert(ctx, &dup); err != nil {
-		t.Fatal(err)
-	}
-	if st2 := ix2.Stats(); st2.PendingKeys == 0 && st2.LocalizedBatches != 1 {
-		t.Errorf("duplicate insert: localized %d rebuilt %d (pending %d)",
-			st2.LocalizedBatches, st2.RebuiltBatches, st2.PendingKeys)
-	}
-	checkIndexEquivalence(t, "duplicate insert", p2, ix2)
-}
-
-// TestIncrementalCompactionPreservesState: an explicit compaction must
-// not change any observable, and must reset the overlay.
-func TestIncrementalCompactionPreservesState(t *testing.T) {
-	ctx := context.Background()
-	rng := stats.NewRNG(7)
-	ds := synthDirty(rng, 50)
-	opt := DefaultOptions()
-	// JS has no graph-global weight inputs, so inserts stay on the
-	// localized path and the overlay persists until compacted.
-	opt.Scheme = weights.Scheme{Kind: weights.JS}
-	opt.Compaction = Compaction{MaxOverlayFraction: -1} // manual only
-	p, err := NewPipeline(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := p.BuildIndex(ctx, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profs := make([]model.Profile, 10)
-	for i := range profs {
-		profs[i] = synthProfile(rng, fmt.Sprintf("c%d", i))
-	}
-	if _, err := ix.InsertAll(ctx, profs); err != nil {
-		t.Fatal(err)
-	}
-	before := ix.Pairs()
-	th := make([]float64, ix.NumProfiles())
-	for i := range th {
-		th[i] = ix.Threshold(i)
+	if st := ix.Stats(); st.Compactions != 0 || st.RebuiltBatches != 0 || st.Inserts != 10 {
+		t.Fatalf("cancelled Compact folded: %+v", st)
 	}
 	if err := ix.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st := ix.Stats()
-	if st.Compactions != 1 || st.OverlayEntries != 0 {
-		t.Errorf("after Compact: %+v", st)
-	}
-	assertSamePairs(t, "compaction pairs", before, ix.Pairs())
-	for i := range th {
-		if got := ix.Threshold(i); got != th[i] {
-			t.Fatalf("Threshold(%d) changed across compaction: %v -> %v", i, th[i], got)
-		}
+	if st := ix.Stats(); st.Compactions != 1 || st.RebuiltBatches != 2 {
+		t.Fatalf("after Compact: %+v, want one re-freeze folding two batches", st)
 	}
 	checkIndexEquivalence(t, "post-compaction", p, ix)
-	// Compacting again is a no-op.
 	if err := ix.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := ix.Stats(); st.Compactions != 1 {
-		t.Errorf("no-op Compact incremented counter: %+v", st)
+	if st := ix.Stats(); st.Compactions != 1 || st.LocalizedBatches != 0 {
+		t.Errorf("reads or a second Compact re-froze: %+v", st)
 	}
+}
+
+// cancelAfter is a context whose Err reports cancellation once it has
+// been polled left times.
+type cancelAfter struct {
+	context.Context
+	left int64
+	n    atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(1) > c.left {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestIndexCandidatesBoundary is the boundary-id table test: before and
@@ -452,9 +399,9 @@ func TestIndexCandidatesBoundary(t *testing.T) {
 }
 
 // TestInsertCancellation: a pre-cancelled context mutates nothing; a
-// context cancelled mid-batch finalizes the appended prefix, leaving a
-// consistent index; and cancelled inserts leak no goroutines (run with
-// -race this also exercises the locking).
+// context cancelled while a batch is in flight admits all of it or none
+// of it, leaving a consistent index; and cancelled inserts leak no
+// goroutines (run with -race this also exercises the locking).
 func TestInsertCancellation(t *testing.T) {
 	rng := stats.NewRNG(21)
 	ds := synthDirty(rng, 40)
@@ -485,7 +432,7 @@ func TestInsertCancellation(t *testing.T) {
 		t.Fatalf("cancelled insert mutated the index: %d -> %d profiles", before, ix.NumProfiles())
 	}
 
-	// Race a mid-batch cancellation: whatever prefix lands must leave the
+	// Race a cancellation against the batch: whatever lands must leave the
 	// index equivalent to a cold rebuild over its own collection.
 	for _, delay := range []time.Duration{0, 50 * time.Microsecond, time.Millisecond} {
 		ctx, cancelMid := context.WithCancel(context.Background())
@@ -510,8 +457,8 @@ func TestInsertCancellation(t *testing.T) {
 		if res.err != nil && res.err != context.Canceled {
 			t.Fatalf("delay %v: err = %v", delay, res.err)
 		}
-		if res.err == context.Canceled && res.n == len(profs) {
-			t.Errorf("delay %v: cancelled batch reported all %d profiles", delay, res.n)
+		if (res.err == nil) != (res.n == len(profs)) {
+			t.Errorf("delay %v: batch of %d admitted %d with err %v", delay, len(profs), res.n, res.err)
 		}
 	}
 	checkIndexEquivalence(t, "post-cancellation", p, ix)
@@ -526,7 +473,9 @@ func TestInsertCancellation(t *testing.T) {
 }
 
 // TestInsertConcurrentReads serves candidate queries from other
-// goroutines while inserting — the snapshot contract under -race.
+// goroutines while inserting: every batch leaves the rows stale, and
+// the readers race one another to fold it — the snapshot contract and
+// the read path's lock upgrade under -race.
 func TestInsertConcurrentReads(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(31)
@@ -556,6 +505,7 @@ func TestInsertConcurrentReads(t *testing.T) {
 				ix.Threshold(i % (n + 2))
 				if i%50 == 0 {
 					ix.Pairs()
+					ix.Stats()
 				}
 			}
 		}(r)

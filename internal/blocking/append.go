@@ -8,7 +8,7 @@ package blocking
 // tail: a new member of an existing block is recorded beside the block,
 // a key's first valid comparison materialises a block after the base
 // ones, and the base arrays are never written — which is what lets every
-// shard and every thawed index Clone one base instead of copying it. Key
+// shard and every inserting index Clone one base instead of copying it. Key
 // lookup is a binary search over the base's ascending keys plus a map of
 // the tail's; profile → blocks is an Inverse built by whoever needs it.
 //
@@ -29,26 +29,6 @@ import (
 type KeyEntropy struct {
 	Key     string
 	Entropy float64
-}
-
-// AppendResult describes how one Append changed the collection.
-type AppendResult struct {
-	// ID is the global id assigned to the appended profile.
-	ID int32
-	// Joined lists the indexes of the blocks the profile became a member
-	// of, ascending. It includes Created and equals the profile's |B_i|.
-	Joined []int32
-	// Created is the subset of Joined that are new blocks, materialized
-	// from pending keys that reached their first valid comparison.
-	Created []int32
-	// CountChanged lists previously existing profiles whose block count
-	// |B_i| grew — members of pending keys that materialized into a
-	// block alongside the new profile. One entry per newly joined block,
-	// so a profile appears once per unit of |B_i| increase. Ascending.
-	CountChanged []int32
-	// ComparisonsDelta is the change in the collection's aggregate
-	// cardinality ||B||.
-	ComparisonsDelta int64
 }
 
 // pendingKey accumulates the members of a key that does not (yet) form a
@@ -87,17 +67,16 @@ func (a *Appender) Collection() *Collection { return a.c }
 func (a *Appender) PendingKeys() int { return len(a.pending) }
 
 // Append adds a profile with the given blocking keys to the collection
-// and returns the assigned global id together with the structural
-// changes. Keys are deduplicated and processed in sorted order, so a
-// given (collection state, key set) always yields the same collection.
+// and returns its assigned global id. Keys are deduplicated and
+// processed in sorted order, so a given (collection state, key set)
+// always yields the same collection.
 //
 // For clean-clean collections the profile joins E2 (ids at the end of
 // the global id space); appending to E1 would shift every E2 id and is
 // not supported. For dirty collections there is only one source.
-func (a *Appender) Append(keys []KeyEntropy) AppendResult {
+func (a *Appender) Append(keys []KeyEntropy) int32 {
 	c := a.c
 	id := int32(c.NumProfiles)
-	res := AppendResult{ID: id}
 	if c.tail == nil {
 		c.tail = &tail{grown: make(map[int32][]int32), index: make(map[string]int32)}
 	}
@@ -111,7 +90,6 @@ func (a *Appender) Append(keys []KeyEntropy) AppendResult {
 			continue
 		}
 		if bi, ok := c.lookup(ke.Key); ok {
-			old := c.Comparisons(int(bi))
 			if nb := int32(len(c.mid)); bi < nb {
 				t.grown[bi] = append(t.grown[bi], id)
 			} else if b := &t.blocks[bi-nb]; c.Kind == model.CleanClean {
@@ -119,8 +97,6 @@ func (a *Appender) Append(keys []KeyEntropy) AppendResult {
 			} else {
 				b.P1 = append(b.P1, id)
 			}
-			res.ComparisonsDelta += c.Comparisons(int(bi)) - old
-			res.Joined = append(res.Joined, bi)
 			continue
 		}
 		if c.Kind == model.CleanClean {
@@ -140,21 +116,10 @@ func (a *Appender) Append(keys []KeyEntropy) AppendResult {
 			continue // still pending
 		}
 		// Materialize: the key's members finally entail a comparison.
-		bi := int32(c.Len())
+		t.index[ke.Key] = int32(c.Len())
 		t.blocks = append(t.blocks, nb)
-		t.index[ke.Key] = bi
 		delete(a.pending, ke.Key)
-		res.ComparisonsDelta += nb.Comparisons()
-		res.Joined = append(res.Joined, bi)
-		res.Created = append(res.Created, bi)
-		for _, m := range nb.P1 {
-			if m != id {
-				res.CountChanged = append(res.CountChanged, m)
-			}
-		}
 	}
 	c.NumProfiles++
-	sort.Slice(res.Joined, func(i, j int) bool { return res.Joined[i] < res.Joined[j] })
-	sort.Slice(res.CountChanged, func(i, j int) bool { return res.CountChanged[i] < res.CountChanged[j] })
-	return res
+	return id
 }

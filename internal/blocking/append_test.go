@@ -1,9 +1,8 @@
 package blocking
 
 // Tests of the appendable-Collection invariants: after any sequence of
-// appends, what the AppendResults reported (joined and created blocks,
-// count changes, cardinality deltas) must agree with a fresh
-// recomputation over the collection, the collection must stay
+// appends, every profile's block memberships must be what its keys
+// imply over the grown collection, the collection must stay
 // Validate-clean, and pending keys must materialize exactly when they
 // first entail a comparison.
 
@@ -36,54 +35,57 @@ func randomKeys(rng *stats.RNG, existing []string) []KeyEntropy {
 	return out
 }
 
-// tracker replays AppendResults onto the profile → blocks lists of the
-// collection the appends started from.
-type tracker struct{ perProf [][]int32 }
+// tracker records the key set of every appended profile beside the
+// memberships the base profiles started with, which appends never
+// change.
+type tracker struct {
+	base [][]int32
+	keys [][]KeyEntropy
+}
 
 func newTracker(c *Collection) *tracker {
 	inv := NewInverse(c)
-	tr := &tracker{perProf: make([][]int32, c.NumProfiles)}
-	for p := range tr.perProf {
-		tr.perProf[p] = append([]int32(nil), inv.Of(int32(p))...)
+	tr := &tracker{base: make([][]int32, c.NumProfiles)}
+	for p := range tr.base {
+		tr.base[p] = append([]int32(nil), inv.Of(int32(p))...)
 	}
 	return tr
 }
 
-// record folds one append in: the new profile's Joined list, and every
-// block it materialised for the block's earlier members.
-func (tr *tracker) record(t *testing.T, c *Collection, res AppendResult) {
-	t.Helper()
-	tr.perProf = append(tr.perProf, append([]int32(nil), res.Joined...))
-	var changed []int32
-	for _, bi := range res.Created {
-		for _, m := range c.Block(int(bi)).P1 {
-			if m != res.ID {
-				tr.perProf[m] = append(tr.perProf[m], bi)
-				changed = append(changed, m)
-			}
-		}
-	}
-	slices.Sort(changed)
-	if !slices.Equal(changed, res.CountChanged) && len(changed)+len(res.CountChanged) > 0 {
-		t.Fatalf("CountChanged %v, created blocks hold %v", res.CountChanged, changed)
-	}
+// appendKeys appends one profile and records its keys.
+func (tr *tracker) appendKeys(a *Appender, keys []KeyEntropy) int32 {
+	tr.keys = append(tr.keys, keys)
+	return a.Append(keys)
 }
 
-// checkAppenderInvariants compares everything the appends reported
-// against a fresh recomputation over the live collection.
-func checkAppenderInvariants(t *testing.T, a *Appender, tr *tracker, wantComparisons int64) {
+// checkAppenderInvariants recomputes every membership over the live
+// collection: an appended profile is a member of exactly the blocks its
+// keys name now — a key that was pending when it arrived and has
+// materialized since included.
+func checkAppenderInvariants(t *testing.T, a *Appender, tr *tracker) {
 	t.Helper()
 	c := a.Collection()
 	if err := c.Validate(); err != nil {
 		t.Fatalf("collection invalid after appends: %v", err)
 	}
-	if got := c.AggregateCardinality(); got != wantComparisons {
-		t.Fatalf("||B|| = %d, tracked deltas say %d", got, wantComparisons)
+	if c.NumProfiles != len(tr.base)+len(tr.keys) {
+		t.Fatalf("%d profiles, %d base + %d appended", c.NumProfiles, len(tr.base), len(tr.keys))
 	}
 	inv := NewInverse(c)
 	for p := 0; p < c.NumProfiles; p++ {
-		if got := inv.Of(int32(p)); !slices.Equal(got, tr.perProf[p]) {
-			t.Fatalf("profile %d: blocks %v, appends reported %v", p, got, tr.perProf[p])
+		var want []int32
+		if p < len(tr.base) {
+			want = tr.base[p]
+		} else {
+			for _, ke := range tr.keys[p-len(tr.base)] {
+				if bi, ok := c.lookup(ke.Key); ok && !slices.Contains(want, bi) {
+					want = append(want, bi)
+				}
+			}
+			slices.Sort(want)
+		}
+		if got := inv.Of(int32(p)); !slices.Equal(got, want) {
+			t.Fatalf("profile %d: blocks %v, its keys name %v", p, got, want)
 		}
 	}
 	// No materialized block may be comparison-free, and every block key
@@ -122,28 +124,13 @@ func TestAppenderRandomizedInvariants(t *testing.T) {
 		}
 		a := NewAppender(c)
 		tr := newTracker(c)
-		comparisons := c.AggregateCardinality()
 		for step := 0; step < 25; step++ {
 			before := c.NumProfiles
-			res := a.Append(randomKeys(rng, existing))
-			if int(res.ID) != before || c.NumProfiles != before+1 {
-				t.Fatalf("seed %d step %d: id %d, profiles %d -> %d", seed, step, res.ID, before, c.NumProfiles)
-			}
-			comparisons += res.ComparisonsDelta
-			tr.record(t, c, res)
-			for _, bi := range res.Created {
-				found := false
-				for _, ji := range res.Joined {
-					if ji == bi {
-						found = true
-					}
-				}
-				if !found {
-					t.Fatalf("seed %d step %d: created block %d not in Joined", seed, step, bi)
-				}
+			if id := tr.appendKeys(a, randomKeys(rng, existing)); int(id) != before || c.NumProfiles != before+1 {
+				t.Fatalf("seed %d step %d: id %d, profiles %d -> %d", seed, step, id, before, c.NumProfiles)
 			}
 		}
-		checkAppenderInvariants(t, a, tr, comparisons)
+		checkAppenderInvariants(t, a, tr)
 	}
 }
 
@@ -152,55 +139,44 @@ func TestAppenderPendingMaterialization(t *testing.T) {
 	c := baseCollection(rng, 12, 10)
 	a := NewAppender(c)
 	tr := newTracker(c)
-	comparisons := c.AggregateCardinality()
 	blocksBefore := c.Len()
-	appendKeys := func(keys []KeyEntropy) AppendResult {
-		res := a.Append(keys)
-		tr.record(t, c, res)
-		comparisons += res.ComparisonsDelta
-		return res
-	}
+	comparisons := c.AggregateCardinality()
+	blocksOf := func(id int32) int { return len(NewInverse(c).Of(id)) }
 
 	// First carrier of a fresh key: pending, no block, |B_i| excludes it.
-	r1 := appendKeys([]KeyEntropy{{Key: "unique-xyz", Entropy: 2}})
-	if len(r1.Joined) != 0 || len(r1.Created) != 0 || r1.ComparisonsDelta != 0 {
-		t.Fatalf("first carrier joined %v created %v", r1.Joined, r1.Created)
-	}
-	if a.PendingKeys() != 1 || c.Len() != blocksBefore {
+	r1 := tr.appendKeys(a, []KeyEntropy{{Key: "unique-xyz", Entropy: 2}})
+	if a.PendingKeys() != 1 || c.Len() != blocksBefore || c.AggregateCardinality() != comparisons {
 		t.Fatalf("pending %d, blocks %d -> %d", a.PendingKeys(), blocksBefore, c.Len())
 	}
-	if n := len(NewInverse(c).Of(r1.ID)); n != 0 {
+	if n := blocksOf(r1); n != 0 {
 		t.Fatalf("pending key counted in |B_i| = %d", n)
 	}
 
 	// Second carrier: the key materializes into a two-member block, and
-	// the first carrier's block count grows (reported via CountChanged).
-	r2 := appendKeys([]KeyEntropy{{Key: "unique-xyz", Entropy: 2}})
-	if len(r2.Created) != 1 || r2.ComparisonsDelta != 1 {
-		t.Fatalf("second carrier created %v delta %d", r2.Created, r2.ComparisonsDelta)
+	// the first carrier's block count grows with it.
+	r2 := tr.appendKeys(a, []KeyEntropy{{Key: "unique-xyz", Entropy: 2}})
+	if c.Len() != blocksBefore+1 || c.AggregateCardinality() != comparisons+1 {
+		t.Fatalf("second carrier: blocks %d -> %d, ||B|| %d -> %d", blocksBefore, c.Len(), comparisons, c.AggregateCardinality())
 	}
 	if a.PendingKeys() != 0 {
 		t.Fatalf("pending keys left: %d", a.PendingKeys())
 	}
-	if len(r2.CountChanged) != 1 || r2.CountChanged[0] != r1.ID {
-		t.Fatalf("CountChanged = %v, want [%d]", r2.CountChanged, r1.ID)
+	if blocksOf(r1) != 1 || blocksOf(r2) != 1 {
+		t.Fatalf("|B_i| of the carriers = %d, %d, want 1, 1", blocksOf(r1), blocksOf(r2))
 	}
-	nb := c.Block(int(r2.Created[0]))
+	nb := c.Block(blocksBefore)
 	if nb.Entropy != 2 || len(nb.P1) != 2 {
 		t.Fatalf("materialized block %+v", nb)
 	}
 
-	// A profile joining several pending keys at once: CountChanged lists
-	// the earlier member once per materialized block.
-	r3 := appendKeys([]KeyEntropy{{Key: "pair-a", Entropy: 1}, {Key: "pair-b", Entropy: 1}})
-	r4 := appendKeys([]KeyEntropy{{Key: "pair-a", Entropy: 1}, {Key: "pair-b", Entropy: 1}})
-	if len(r4.Created) != 2 || len(r4.CountChanged) != 2 {
-		t.Fatalf("double materialization: created %v countChanged %v", r4.Created, r4.CountChanged)
+	// A profile joining several pending keys at once materializes a block
+	// for each, and the earlier carrier joins both.
+	r3 := tr.appendKeys(a, []KeyEntropy{{Key: "pair-a", Entropy: 1}, {Key: "pair-b", Entropy: 1}})
+	tr.appendKeys(a, []KeyEntropy{{Key: "pair-a", Entropy: 1}, {Key: "pair-b", Entropy: 1}})
+	if c.Len() != blocksBefore+3 || blocksOf(r3) != 2 {
+		t.Fatalf("double materialization: blocks %d -> %d, |B_i| of the first carrier %d", blocksBefore, c.Len(), blocksOf(r3))
 	}
-	if r4.CountChanged[0] != r3.ID || r4.CountChanged[1] != r3.ID {
-		t.Fatalf("CountChanged = %v, want [%d %d]", r4.CountChanged, r3.ID, r3.ID)
-	}
-	checkAppenderInvariants(t, a, tr, comparisons)
+	checkAppenderInvariants(t, a, tr)
 }
 
 func TestAppenderCleanClean(t *testing.T) {
@@ -208,24 +184,19 @@ func TestAppenderCleanClean(t *testing.T) {
 	c := RandomCollection(rng, model.CleanClean, 20, 16)
 	a := NewAppender(c)
 	tr := newTracker(c)
-	comparisons := c.AggregateCardinality()
 	existing := []string{c.Key(0), c.Key(1)}
 	split := c.Split
 
 	for i := 0; i < 10; i++ {
-		res := a.Append(randomKeys(rng, existing))
-		tr.record(t, c, res)
-		comparisons += res.ComparisonsDelta
-		if int(res.ID) < split {
-			t.Fatalf("appended profile %d below split %d", res.ID, split)
+		id := tr.appendKeys(a, randomKeys(rng, existing))
+		if int(id) < split {
+			t.Fatalf("appended profile %d below split %d", id, split)
 		}
 		// Appended profiles are E2-side: they must land in P2 only.
-		for _, bi := range res.Joined {
+		for _, bi := range NewInverse(c).Of(id) {
 			b := c.Block(int(bi))
-			for _, p := range b.P1 {
-				if p == res.ID {
-					t.Fatalf("appended profile %d on E1 side of block %q", res.ID, b.Key)
-				}
+			if slices.Contains(b.P1, id) {
+				t.Fatalf("appended profile %d on E1 side of block %q", id, b.Key)
 			}
 		}
 	}
@@ -234,7 +205,7 @@ func TestAppenderCleanClean(t *testing.T) {
 	if c.Split != split {
 		t.Fatalf("split moved: %d -> %d", c.Split, split)
 	}
-	checkAppenderInvariants(t, a, tr, comparisons)
+	checkAppenderInvariants(t, a, tr)
 }
 
 func TestAppenderDeterminism(t *testing.T) {

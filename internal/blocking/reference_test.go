@@ -166,29 +166,27 @@ func refFilter(c *refCollection, keepRatio float64) *refCollection {
 	return out
 }
 
-// refAppender grows a refCollection in place through a key -> block map,
-// per-profile block lists and pending keys.
+// refAppender grows a refCollection in place through a key -> block map
+// and pending keys.
 type refAppender struct {
 	c       *refCollection
 	byKey   map[string]int32
 	pending map[string][]int32
 	entropy map[string]float64
-	perProf [][]int32
 }
 
 func newRefAppender(c *refCollection) *refAppender {
 	a := &refAppender{c: c, byKey: make(map[string]int32), pending: make(map[string][]int32),
-		entropy: make(map[string]float64), perProf: refBlocksOfProfiles(c)}
+		entropy: make(map[string]float64)}
 	for i := range c.Blocks {
 		a.byKey[c.Blocks[i].Key] = int32(i)
 	}
 	return a
 }
 
-func (a *refAppender) Append(keys []blocking.KeyEntropy) blocking.AppendResult {
+func (a *refAppender) Append(keys []blocking.KeyEntropy) int32 {
 	c := a.c
 	id := int32(c.NumProfiles)
-	res := blocking.AppendResult{ID: id}
 	ks := append([]blocking.KeyEntropy(nil), keys...)
 	sort.Slice(ks, func(i, j int) bool { return ks[i].Key < ks[j].Key })
 	for i, ke := range ks {
@@ -197,14 +195,11 @@ func (a *refAppender) Append(keys []blocking.KeyEntropy) blocking.AppendResult {
 		}
 		if bi, ok := a.byKey[ke.Key]; ok {
 			b := &c.Blocks[bi]
-			old := b.Comparisons()
 			if c.Kind == model.CleanClean {
 				b.P2 = append(b.P2, id)
 			} else {
 				b.P1 = append(b.P1, id)
 			}
-			res.ComparisonsDelta += b.Comparisons() - old
-			res.Joined = append(res.Joined, bi)
 			continue
 		}
 		if c.Kind == model.CleanClean {
@@ -218,23 +213,10 @@ func (a *refAppender) Append(keys []blocking.KeyEntropy) blocking.AppendResult {
 		if nb.Comparisons() == 0 {
 			continue
 		}
-		bi := int32(len(c.Blocks))
+		a.byKey[ke.Key] = int32(len(c.Blocks))
 		c.Blocks = append(c.Blocks, nb)
-		a.byKey[ke.Key] = bi
 		delete(a.pending, ke.Key)
-		res.ComparisonsDelta += nb.Comparisons()
-		res.Joined = append(res.Joined, bi)
-		res.Created = append(res.Created, bi)
-		for _, m := range nb.P1 {
-			if m != id {
-				a.perProf[m] = append(a.perProf[m], bi)
-				res.CountChanged = append(res.CountChanged, m)
-			}
-		}
 	}
 	c.NumProfiles++
-	sort.Slice(res.Joined, func(i, j int) bool { return res.Joined[i] < res.Joined[j] })
-	a.perProf = append(a.perProf, append([]int32(nil), res.Joined...))
-	sort.Slice(res.CountChanged, func(i, j int) bool { return res.CountChanged[i] < res.CountChanged[j] })
-	return res
+	return id
 }

@@ -353,3 +353,46 @@ func RenderServe(rows []ServeRow) string {
 func ServeJSON(rows []ServeRow) ([]byte, error) {
 	return json.MarshalIndent(rows, "", "  ")
 }
+
+// incrementalHoldout picks how many profiles of the streamed source to
+// hold out: a tenth, clamped to [16, 400].
+func incrementalHoldout(sourceLen int) int {
+	h := sourceLen / 10
+	if h < 16 {
+		h = 16
+	}
+	if h > 400 {
+		h = 400
+	}
+	if h >= sourceLen {
+		h = sourceLen / 2
+	}
+	return h
+}
+
+// splitStream cuts a holdout tail off a dataset for streaming-insert
+// experiments: for dirty datasets the tail of E1, for clean-clean the
+// tail of E2 (new entities arriving against a fixed reference
+// collection). Returns the truncated base dataset and the held-out
+// profiles in arrival order.
+func splitStream(full *model.Dataset) (*model.Dataset, []model.Profile) {
+	if full.Kind == model.CleanClean {
+		h := incrementalHoldout(full.E2.Len())
+		cut := full.E2.Len() - h
+		base := &model.Dataset{
+			Name: full.Name, Kind: model.CleanClean,
+			E1:    full.E1,
+			E2:    &model.Collection{Name: full.E2.Name, Profiles: full.E2.Profiles[:cut]},
+			Truth: model.NewGroundTruth(),
+		}
+		return base, full.E2.Profiles[cut:]
+	}
+	h := incrementalHoldout(full.E1.Len())
+	cut := full.E1.Len() - h
+	base := &model.Dataset{
+		Name: full.Name, Kind: model.Dirty,
+		E1:    &model.Collection{Name: full.E1.Name, Profiles: full.E1.Profiles[:cut]},
+		Truth: model.NewGroundTruth(),
+	}
+	return base, full.E1.Profiles[cut:]
+}

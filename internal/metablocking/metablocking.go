@@ -72,22 +72,6 @@ func (p Pruning) String() string {
 	}
 }
 
-// NodeLocal reports whether the scheme's retention decision for an edge
-// depends only on the edge's weight and its two endpoints' node-local
-// thresholds (theta_i), with no collection-size-derived budget: BlastWNP
-// and the two WNP variants. For these schemes an insertion re-evaluates
-// only the runs whose weights or thresholds actually changed; the global
-// and cardinality schemes (WEP, CEP, CNP — whose default budgets shift
-// with every profile) require a full re-evaluation instead.
-func (p Pruning) NodeLocal() bool {
-	switch p {
-	case WNP1, WNP2, BlastWNP:
-		return true
-	default:
-		return false
-	}
-}
-
 // Config selects the weighting scheme and pruning algorithm.
 type Config struct {
 	// Scheme is the edge weighting (default: BLAST chi2*h).
@@ -160,11 +144,10 @@ type Result struct {
 	// shard; RunOnCSR, which builds no graph, leaves it 0.
 	Workers int
 	// GraphTime, WeightTime and PruneTime decompose the overhead time to.
-	// A run that keeps no statistics (RunCtx, a resident BuildWeighted
-	// with keepStats false) weighs as it fills: GraphTime is then the
-	// builder's degree pass alone and WeightTime its fill-and-weigh pass;
-	// otherwise GraphTime is the whole build and WeightTime the kernel's
-	// pass over it.
+	// A resident BuildWeighted (and so RunCtx) weighs as it fills:
+	// GraphTime is then the builder's degree pass alone and WeightTime
+	// its fill-and-weigh pass; otherwise GraphTime is the whole build and
+	// WeightTime the kernel's pass over it.
 	GraphTime  time.Duration
 	WeightTime time.Duration
 	PruneTime  time.Duration
@@ -266,7 +249,7 @@ func Run(c *blocking.Collection, cfg Config) *Result {
 // every worker joined and a spilled graph's segments deleted. The
 // retained pairs are identical to Run's.
 func RunCtx(ctx context.Context, c *blocking.Collection, cfg Config) (*Result, error) {
-	g, res, err := BuildWeighted(ctx, c, cfg, false)
+	g, res, err := BuildWeighted(ctx, c, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -282,20 +265,19 @@ func RunCtx(ctx context.Context, c *blocking.Collection, cfg Config) (*Result, e
 // for the candidate-serving index (blast.IndexBlocks): it builds the
 // blocking graph of c — resident on cfg.Workers goroutines, or spilled
 // under cfg.Spill — weighed under cfg.Scheme, reporting the "graph" and
-// "weight" stages. keepStats says whether the caller will weigh the
-// graph again (a mutable index re-weighs on insert): with it the graph
-// is built with its co-occurrence statistics and the kernel weighs it;
-// without it the graph comes back as after ReleaseStats, and a resident
-// build never makes the statistics arrays at all — the degree pass is
-// the "graph" stage, the fill pass weighs each entry as it emits it and
-// is the "weight" stage (graph.OwnedBuild), bit-identical to the kernel.
-// The graph is the caller's to Close; res carries the two stage timings
-// and the resolved worker count. When weighting fails the graph is
-// closed here — a spilled build owns segment files nobody else will
-// delete — and its error joined.
-func BuildWeighted(ctx context.Context, c *blocking.Collection, cfg Config, keepStats bool) (g *graph.CSR, res *Result, err error) {
+// "weight" stages. No caller reads the co-occurrence statistics after
+// the weights, so the graph comes back as after ReleaseStats: a
+// resident build never makes the statistics arrays at all — the degree
+// pass is the "graph" stage, the fill pass weighs each entry as it
+// emits it and is the "weight" stage (graph.OwnedBuild), bit-identical
+// to the kernel — and a spilled one drops them once the kernel has
+// weighed it. The graph is the caller's to Close; res carries the two
+// stage timings and the resolved worker count. When weighting fails the
+// graph is closed here — a spilled build owns segment files nobody else
+// will delete — and its error joined.
+func BuildWeighted(ctx context.Context, c *blocking.Collection, cfg Config) (g *graph.CSR, res *Result, err error) {
 	res = &Result{Workers: resolveWorkers(cfg.Workers)}
-	if cfg.Spill == nil && !keepStats {
+	if cfg.Spill == nil {
 		var b *graph.OwnedBuild
 		if res.GraphTime, err = cfg.timed("graph", func() (err error) {
 			b, err = graph.StartOwnedCSR(ctx, c, nil, res.Workers)
@@ -313,11 +295,7 @@ func BuildWeighted(ctx context.Context, c *blocking.Collection, cfg Config, keep
 		return g, res, nil
 	}
 	res.GraphTime, err = cfg.timed("graph", func() (err error) {
-		if cfg.Spill != nil {
-			g, err = graph.BuildCSRSpillCtx(ctx, c, *cfg.Spill)
-		} else {
-			g, err = graph.BuildCSRParallelCtx(ctx, c, res.Workers)
-		}
+		g, err = graph.BuildCSRSpillCtx(ctx, c, *cfg.Spill)
 		return err
 	})
 	if err != nil {
@@ -326,9 +304,7 @@ func BuildWeighted(ctx context.Context, c *blocking.Collection, cfg Config, keep
 	if err := res.weigh(ctx, g, cfg); err != nil {
 		return nil, nil, g.CloseAfter(err)
 	}
-	if !keepStats {
-		g.ReleaseStats()
-	}
+	g.ReleaseStats()
 	return g, res, nil
 }
 

@@ -17,11 +17,10 @@ import (
 	"blast/internal/weights"
 )
 
-// maskedRows is the rows oracle: the way a writer derives its decisions
-// (blast.freezeDecisions) — prune for the pairs, resolve each pair to
-// its two entries by the canonical mirror walk, reduce the thresholds
-// in a pass of their own — followed by a filter of the full weighted
-// graph through the mask. Three passes and a per-entry mask where
+// maskedRows is the rows oracle: prune for the pairs, resolve each pair
+// to its two entries by the canonical mirror walk, reduce the thresholds
+// in a pass of their own, then filter the full weighted graph through
+// the mask. Three passes and a per-entry mask where
 // FreezeCSR collects in the retention loop; they must agree to the bit.
 func maskedRows(t *testing.T, g *graph.CSR, cfg Config) (*prune.Rows, []model.IDPair) {
 	t.Helper()

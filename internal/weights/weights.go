@@ -73,25 +73,6 @@ type Scheme struct {
 // Blast returns the paper's weighting: chi-squared scaled by entropy.
 func Blast() Scheme { return Scheme{Kind: ChiSquared, Entropy: true} }
 
-// The incremental reweighting path (blast.Index.Insert) recomputes only
-// the edges whose weight inputs changed; these predicates declare which
-// graph-global inputs each scheme consumes, i.e. which collection-level
-// changes invalidate every edge at once.
-
-// UsesTotalBlocks reports whether the scheme's per-edge weight depends on
-// |B|, the collection's block count: a changed |B| (new blocks) changes
-// every edge weight.
-func (s Scheme) UsesTotalBlocks() bool { return s.Kind == ECBS || s.Kind == ChiSquared }
-
-// UsesEdgeCount reports whether the scheme's per-edge weight depends on
-// |E|, the blocking graph's edge count: any structural change then
-// changes every edge weight.
-func (s Scheme) UsesEdgeCount() bool { return s.Kind == EJS }
-
-// UsesARCS reports whether the scheme consumes the per-edge ARCS mass,
-// which shifts for every pair inside a block that grew (1/||b|| changed).
-func (s Scheme) UsesARCS() bool { return s.Kind == ARCS }
-
 // Name renders e.g. "chi2*h" or "JS".
 func (s Scheme) Name() string {
 	if s.Entropy {
@@ -102,9 +83,9 @@ func (s Scheme) Name() string {
 
 // Weigher computes single-edge weights for a scheme over fixed
 // graph-level totals. It is the one per-edge formula: the CSR kernel
-// and the weighing fill pass (both through Scheme.EntryWeight), the
-// incremental index's localized reweigh and the edge-list reference the
-// kernels are tested against all funnel every edge through it.
+// and the weighing fill pass (both through Scheme.EntryWeight) and the
+// edge-list reference the kernels are tested against all funnel every
+// edge through it.
 type Weigher struct {
 	scheme         Scheme
 	numEdges       float64

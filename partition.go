@@ -85,26 +85,16 @@ func newPartIndex(c *blocking.Collection, schema *Schema, opt Options, part, npa
 	}
 }
 
-// InsertAll tokenizes and appends a batch to the shard's collection.
-// Unlike Index.InsertAll there is no decision state to fold the batch
-// into — ownership resolution happens wholesale at the next Export —
-// so admission cannot fail mid-batch: tokenization is total and the
-// append is unconditional. Every shard of the server admits every
-// batch (the collection is replicated; only adjacency is partitioned),
-// which is what keeps the appenders' id assignment aligned.
+// InsertAll tokenizes and appends a batch to the shard's collection;
+// ownership resolution happens wholesale at the next Export. Every
+// shard of the server admits every batch (the collection is replicated;
+// only adjacency is partitioned), which is what keeps the appenders' id
+// assignment aligned.
 func (px *partIndex) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	keys := make([][]blocking.KeyEntropy, len(profiles))
-	for i := range profiles {
-		keys[i] = tokenizeProfile(px.schema, px.kind, &px.opt, &profiles[i])
-	}
-	ids := make([]int, len(profiles))
-	for i := range keys {
-		ids[i] = int(px.app.Append(keys[i]).ID)
-	}
-	return ids, nil
+	return appendBatch(px.app, px.schema, px.kind, &px.opt, profiles), nil
 }
 
 // Agree resolves a due publication to the newest batch position every

@@ -8,7 +8,9 @@ package blast
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -56,6 +58,33 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if _, err := NewPipeline(bad); err == nil {
 		t.Error("NewPipeline accepted invalid options")
+	}
+}
+
+// TestOptionsValidateRejectsNonFinite: every range check on a float
+// option rejects NaN and ±Inf and names the field — NaN compares false
+// against any bound, so a check written as "x <= 0" lets it through (a
+// NaN C once retained no edge at all).
+func TestOptionsValidateRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Options, float64){
+		"Alpha":       func(o *Options, v float64) { o.Alpha = v },
+		"PurgeRatio":  func(o *Options, v float64) { o.PurgeRatio = v },
+		"FilterRatio": func(o *Options, v float64) { o.FilterRatio = v },
+		"C":           func(o *Options, v float64) { o.C = v },
+		"D":           func(o *Options, v float64) { o.D = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			opt := DefaultOptions()
+			set(&opt, v)
+			err := opt.Validate()
+			if err == nil || !strings.Contains(err.Error(), "blast: "+name+" = ") {
+				t.Errorf("%s = %v: Validate = %v, want an error naming %s", name, v, err, name)
+			}
+			if _, err := NewPipeline(opt); err == nil {
+				t.Errorf("%s = %v: NewPipeline accepted it", name, v)
+			}
+		}
 	}
 }
 

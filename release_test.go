@@ -1,11 +1,11 @@
 package blast
 
-// Regression tests for the footprint contract of the frozen form: a
-// query-only index, a partitioned shard's export and a decoded snapshot
-// hold the rows of what pruning retained and nothing of the blocking
-// graph they were pruned from, while Insert transparently re-derives
-// everything the mutation path needs. The layout is pinned by what it
-// weighs and what it allocates, not by which fields are set.
+// Regression tests for the footprint contract of the frozen form: an
+// index — fresh, or re-frozen after inserts — a partitioned shard's
+// export and a decoded snapshot hold the rows of what pruning retained
+// and nothing of the blocking graph they were pruned from. The layout
+// is pinned by what it weighs and what it allocates, not by which fields
+// are set.
 
 import (
 	"context"
@@ -23,15 +23,19 @@ import (
 // same reading before build ran. Whatever build's inputs keep alive is
 // in both readings and cancels out.
 func liveHeapOf[T any](build func() T) (T, int64) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := liveHeap()
 	v := build()
+	return v, liveHeap() - before
+}
+
+// liveHeap is the heap in use after a full collection (two cycles, so
+// that what the first one's finalizers and pools released is gone too).
+func liveHeap() int64 {
+	var ms runtime.MemStats
 	runtime.GC()
 	runtime.GC()
-	runtime.ReadMemStats(&after)
-	return v, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // footprintCorpus is a Blocks artifact dense enough that the blocking
@@ -128,64 +132,51 @@ func TestIndexReleasesServingOnlyArrays(t *testing.T) {
 	}
 }
 
-// TestInsertAfterBlockCountRelease pins the re-derivation seam: an
-// index frozen to its rows serves, from its first Insert on, the exact
-// incremental state of one built as a writer — with the whole weighted
-// graph and its statistics — end to end.
+// TestInsertAfterBlockCountRelease pins the index an insert batch
+// leaves behind: after InsertAll and one read it is its rows again —
+// beside what the batch added to its collection it holds no more than a
+// frozen index, 16 bytes a retained entry and 24 a profile — and a lookup
+// into a sized buffer allocates nothing.
 func TestInsertAfterBlockCountRelease(t *testing.T) {
 	ctx := context.Background()
+	opt := DefaultOptions()
+	opt.Workers = 1
+	p, err := NewPipeline(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := footprintCorpus(t, p)
 	rng := stats.NewRNG(0x5EED)
-	ds := synthDirty(rng, 50)
-	p, err := NewPipeline(DefaultOptions())
+	batch := make([]model.Profile, 16)
+	for i := range batch {
+		batch[i] = synthProfile(rng, fmt.Sprintf("rel-%d", i))
+	}
+	ix, err := p.IndexBlocks(ctx, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	released, err := p.BuildIndex(ctx, ds)
-	if err != nil {
+	if _, err := ix.InsertAll(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
-	sch, err := p.InduceSchema(ctx, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, err := p.Block(ctx, ds, sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, err := writerIndex(ctx, p, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameIndex(t, "frozen vs writer, before any insert", kept, released)
-
-	profs := make([]model.Profile, 8)
-	for i := range profs {
-		profs[i] = synthProfile(rng, fmt.Sprintf("rel-%d", i))
-	}
-	for i := range profs {
-		a, b := profs[i], profs[i]
-		if _, err := released.Insert(ctx, &a); err != nil {
-			t.Fatalf("released Insert(%d): %v", i, err)
+	entries, np := 2*ix.NumRetained(), ix.NumProfiles() // the read folds the batch in
+	buf := make([]Candidate, 0, np)
+	for _, u := range []int{0, np - 1} {
+		if allocs := testing.AllocsPerRun(100, func() { buf = ix.AppendCandidates(buf[:0], u) }); allocs != 0 {
+			t.Errorf("AppendCandidates(%d) after an insert allocates %.0f times a lookup into a sized buffer", u, allocs)
 		}
-		if _, err := kept.Insert(ctx, &b); err != nil {
-			t.Fatalf("kept Insert(%d): %v", i, err)
-		}
-		assertSameIndex(t, fmt.Sprintf("frozen vs writer, insert %d", i), kept, released)
 	}
-	var buf []Candidate
-	buf = released.AppendCandidates(buf, 0)
-	if allocs := testing.AllocsPerRun(100, func() { buf = released.AppendCandidates(buf[:0], 0) }); allocs != 0 {
-		t.Errorf("AppendCandidates after Insert allocates %.0f times a lookup into a sized buffer", allocs)
+	// What the index holds beside its grown collection: the live heap
+	// with the index, less the live heap with its collection alone.
+	c := ix.Blocks()
+	with := liveHeap()
+	edges := ix.NumEdges()
+	runtime.KeepAlive(ix)
+	held := with - liveHeap()
+	runtime.KeepAlive(c)
+	if bound := 16*int64(entries) + 24*int64(np); held > bound {
+		t.Errorf("index after an insert batch and a read holds %d bytes beside its collection; %d retained entries over %d profiles allow %d (the graph had %d entries)",
+			held, entries, np, bound, 2*edges)
 	}
-}
-
-// writerIndex builds blocks straight into the writer's form — the whole
-// weighted graph with its statistics and retention mask — which an
-// IndexBlocks index re-derives on its first Insert.
-func writerIndex(ctx context.Context, p *Pipeline, blocks *Blocks) (*Index, error) {
-	c := blocks.Collection
-	ix := &Index{kind: c.Kind, collection: c, schema: blocks.Schema, opt: p.opt}
-	return ix, ix.thaw(ctx, c)
 }
 
 // allocatedBy returns the bytes fn allocated (cumulative, so unaffected
@@ -204,9 +195,7 @@ func allocatedBy(fn func()) uint64 {
 // and never allocate Common/ARCS/EntropySum, nor a per-entry retention
 // mask. A statistics-keeping fill alone allocates 32 bytes an entry
 // (five arrays); these paths must stay under 20 with everything they
-// make besides Neighbors + Weights (12), and the writer's build must
-// cost at least the 20 bytes an entry of the three arrays more than the
-// cold one.
+// make besides Neighbors + Weights (12).
 func TestColdPathsNeverMakeStatisticsArrays(t *testing.T) {
 	ctx := context.Background()
 	opt := DefaultOptions()
@@ -225,10 +214,6 @@ func TestColdPathsNeverMakeStatisticsArrays(t *testing.T) {
 	if entries < 100*uint64(cold.NumProfiles()) {
 		t.Fatalf("precondition: %d entries over %d profiles — per-profile arrays would drown the per-entry ones", entries, cold.NumProfiles())
 	}
-	keptBytes := allocatedBy(func() { _, err = writerIndex(ctx, p, blocks) })
-	if err != nil {
-		t.Fatal(err)
-	}
 	runBytes := allocatedBy(func() { _, err = p.MetaBlock(ctx, blocks) })
 	if err != nil {
 		t.Fatal(err)
@@ -246,8 +231,5 @@ func TestColdPathsNeverMakeStatisticsArrays(t *testing.T) {
 		if bytes >= 20*entries {
 			t.Errorf("%s allocated %d bytes for %d entries (%.1f an entry), want under 20", name, bytes, entries, float64(bytes)/float64(entries))
 		}
-	}
-	if keptBytes < coldBytes+20*entries {
-		t.Errorf("writer's build allocated %d bytes, cold build %d: less than 20 an entry (%d entries) apart", keptBytes, coldBytes, entries)
 	}
 }

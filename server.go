@@ -545,7 +545,7 @@ func (v *View) Epoch(profile int) uint64 {
 }
 
 // Quiesce drives every shard to the strongest consistent state: all
-// admitted batches applied, overlays compacted, snapshots swapped. When
+// admitted batches applied, snapshots published and swapped. When
 // it returns nil, every read (on any shard) observes every insert
 // admitted before the call. Barriers are placed on all shards at one
 // position of the insert sequence and awaited concurrently; ctx bounds

@@ -6,8 +6,8 @@ package blast
 // topologies, durable recovery — must be byte-identical to the
 // resident StorageMemory build. Plus the spill-specific lifecycle
 // contracts: the segments end with the build that wrote them (frozen,
-// cancelled or failed on a read), the first mutation re-derives the
-// graph resident, and the manifest storage pin.
+// cancelled or failed on a read), the re-freeze after an insert builds
+// resident, and the manifest storage pin.
 
 import (
 	"context"
@@ -176,11 +176,10 @@ func TestStorageServerEquivalence(t *testing.T) {
 	}
 }
 
-// TestStorageInsertMaterializes pins the mutation seam: the first
-// Insert into an index frozen by a spilled build re-derives the graph
-// resident — nothing of the build's storage is left to read back — and
-// the incremental state stays byte-identical to a resident index fed
-// the same sequence.
+// TestStorageInsertMaterializes pins the mutation seam: an index frozen
+// by a spilled build re-freezes resident after an insert — nothing of
+// the build's storage is left to read back, and StorageStats says so —
+// and stays byte-identical to a resident index fed the same sequence.
 func TestStorageInsertMaterializes(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(0xFEED)
@@ -220,6 +219,9 @@ func TestStorageInsertMaterializes(t *testing.T) {
 		}
 	}
 	assertSameIndex(t, "post-insert", memIx, fileIx)
+	if spill, loads := fileIx.StorageStats(); spill != 0 || loads != 0 {
+		t.Errorf("re-freeze after inserts spilled: %d bytes, %d page loads", spill, loads)
+	}
 }
 
 // TestStorageSpillDirLifecycle checks segment hygiene: a spilled build
