@@ -907,8 +907,8 @@ func BenchmarkBlocking_Clone(b *testing.B) {
 // per-profile candidate lookup into a reused buffer (0 allocs/op): a
 // copy and a sort of the two or three entries of the profile's row, on
 // a fresh index and on one an insert batch grew (the batch is folded in
-// before the timer starts; the -exp query experiment measures the path
-// across the registry datasets).
+// before the timer starts; bench/e2e's index.lookup_ns measures the path
+// on build-cc's corpus).
 func BenchmarkIndex_Lookup(b *testing.B) {
 	ctx := context.Background()
 	p, blocks, batch := indexCorpus(b, 16)

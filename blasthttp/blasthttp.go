@@ -30,7 +30,7 @@
 // errors. Every response body is produced by the exported *Body
 // helpers, so a byte-compare of an HTTP response against the helper
 // applied to the in-process Server is exact — the differential check
-// blastbench -exp load gates in CI.
+// TestEndpointsAndDifferential runs, boundary ids included.
 package blasthttp
 
 import (

@@ -6,8 +6,9 @@
 // Absolute numbers differ from the paper — the workloads are synthetic
 // reproductions of the benchmark shapes and the scale is configurable —
 // but the comparative structure (who wins, by roughly what factor, where
-// the crossovers fall) is the reproduction target. EXPERIMENTS.md records
-// paper-vs-measured for every experiment.
+// the crossovers fall) is the reproduction target. testdata/paper.golden
+// pins the non-time columns of the paper's tables and figures at
+// Config{Scale: 0.2, Seed: 42}.
 package experiments
 
 import (

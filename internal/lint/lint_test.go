@@ -51,7 +51,7 @@ func TestScopeTable(t *testing.T) {
 		{SyncErr, "blast/blasthttp", "blasthttp.go", true},
 		{SyncErr, "blast/cmd/datagen", "main.go", true},
 		{SyncErr, "blast/cmd/blastserve", "main.go", true},
-		{SyncErr, "blast/internal/experiments", "load.go", false},
+		{SyncErr, "blast/internal/experiments", "endtoend.go", false},
 		{SnapshotMut, "blast/internal/shard", "shard.go", true},
 		{SnapshotMut, "blast/internal/shard", "persist.go", false},
 		{SnapshotMut, "blast", "durable.go", true},

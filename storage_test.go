@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"blast/internal/datasets"
 	"blast/internal/metablocking"
 	"blast/internal/model"
 	"blast/internal/stats"
@@ -130,6 +131,31 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 			assertSameIndex(t, label, memIx, fileIx)
 		}
 	}
+
+	// The synthetic corpora above spill a few kilobytes, inside one page
+	// of 64Ki entries at 12 B an entry; a datagen stream of 3000 profiles
+	// spills megabytes, so every pass pages frames in and out.
+	ds := datasets.NewStream(3000, 1).Dataset()
+	pMem, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pFile, err := NewPipeline(fileStorageOptions(DefaultOptions()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	memIx, err := pMem.BuildIndex(ctx, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileIx, err := pFile.BuildIndex(ctx, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spill, loads := fileIx.StorageStats(); spill <= 12<<16 || loads <= 1 {
+		t.Fatalf("stream of 3000 profiles: file-backed build reports %d spill bytes, %d page loads; want more than one page", spill, loads)
+	}
+	assertSameIndex(t, "stream of 3000 profiles", memIx, fileIx)
 }
 
 // TestStorageServerEquivalence runs the serving contract across shard
