@@ -165,8 +165,10 @@ type ServerOptions struct {
 	// Shards is the number of shard workers; 0 selects 1. Each shard
 	// owns the rows of the profiles hash-sharded to it: it builds their
 	// graph state on its write path and serves their reads from an
-	// immutable published snapshot, so graph memory divides across the
-	// shards.
+	// immutable published snapshot. Memory does not divide across the
+	// shards: every shard clones the block collection and holds
+	// full-length per-profile arrays (row offsets, thresholds), so more
+	// shards cost more resident memory, not less.
 	Shards int
 	// Topology must be TopologyPartitioned, the zero value.
 	Topology Topology
@@ -184,25 +186,30 @@ type ServerOptions struct {
 	SwapOps int
 
 	// Dir, when non-empty, makes the server durable: every admitted
-	// InsertAll batch is appended to a per-shard write-ahead log under
-	// Dir before ids are returned, published snapshots are persisted on
-	// the SnapshotEvery policy, and ServeBlocks on an existing Dir
-	// recovers — torn tails truncated, every journaled batch replayed,
-	// the snapshots at the WAL cut adopted or rebuilt — to a state
-	// byte-identical to a cold IndexBlocks over seed + replayed inserts. The seed Blocks artifact
-	// is NOT persisted; reopening requires the same artifact (a manifest
-	// records its fingerprint and fails closed on mismatch). Empty
-	// disables durability entirely.
+	// InsertAll batch is appended as one record to the server's one
+	// write-ahead log, Dir/wal/batches.wal, before ids are returned,
+	// whatever the shard count. Published snapshots are persisted on the
+	// SnapshotEvery policy, and ServeBlocks on an existing Dir recovers —
+	// a torn tail truncated, every journaled batch replayed onto every
+	// shard, the snapshots at the log's last record adopted or rebuilt —
+	// to a state byte-identical to a cold IndexBlocks over seed +
+	// replayed inserts. The seed Blocks artifact is NOT persisted;
+	// reopening requires the same artifact (a manifest records its
+	// fingerprint and fails closed on mismatch). A directory of the
+	// manifest's version 1, which kept one log per shard, fails closed
+	// too: recreate it from the seed artifact. Empty disables durability
+	// entirely.
 	Dir string
-	// SyncEvery batches WAL fsyncs: one fsync per SyncEvery admitted
-	// batches. 0 selects 1 — every admitted batch is on stable storage
-	// before its ids are returned; n > 1 trades the tail of a machine
+	// SyncEvery batches the log's fsyncs: one fsync per SyncEvery
+	// admitted batches, whatever the shard count. 0 selects 1 — every
+	// admitted batch is on stable storage before its ids are returned; n > 1 trades the tail of a machine
 	// crash (not a process crash: writes are unbuffered) for admission
 	// throughput; negative never fsyncs explicitly. Requires Dir.
 	SyncEvery int
 	// SnapshotEvery persists a published snapshot once at least this
 	// many batches were admitted since the last persisted one. A reopen
-	// adopts the snapshots at the WAL cut and skips the rebuild. 0
+	// adopts the snapshots at the log's last record and skips the
+	// rebuild. 0
 	// selects 64; negative disables snapshot persistence (recovery
 	// always rebuilds). Requires Dir.
 	SnapshotEvery int
@@ -415,6 +422,11 @@ func (o Options) Validate() error {
 	}
 	if !(o.FilterRatio > 0 && o.FilterRatio <= 1) {
 		return fmt.Errorf("blast: FilterRatio = %v outside (0, 1]: it is the fraction of each profile's blocks to keep (1 disables filtering)", o.FilterRatio)
+	}
+	switch o.Scheme.Kind {
+	case weights.CBS, weights.ECBS, weights.ARCS, weights.JS, weights.EJS, weights.ChiSquared:
+	default:
+		return fmt.Errorf("blast: Scheme.Kind = %d: unknown weighting scheme (CBS, ECBS, ARCS, JS, EJS or ChiSquared)", int(o.Scheme.Kind))
 	}
 	switch o.Pruning {
 	case metablocking.WEP, metablocking.CEP, metablocking.WNP1, metablocking.WNP2,

@@ -186,7 +186,7 @@ type InsertRequest struct {
 
 // InsertResponse is the body of a successful insert: the assigned
 // global ids, in request order. On a durable server the ids are a
-// durability receipt — the batch reached every write-ahead log before
+// durability receipt — the batch reached the write-ahead log before
 // they were assigned.
 type InsertResponse struct {
 	IDs []int `json:"ids"`

@@ -74,7 +74,7 @@ func parseFlags(args []string, w io.Writer) (config, error) {
 	fs.IntVar(&cfg.shards, "shards", 2, "shard workers, each owning the rows hashed onto it")
 	fs.IntVar(&cfg.swapOps, "swap-ops", 0, "a snapshot falls due every N applied profiles and is published once the backlog the shards held by then is applied (0 = default)")
 	fs.StringVar(&cfg.dir, "dir", "", "durable directory (empty = in-memory only)")
-	fs.IntVar(&cfg.syncEvery, "sync-every", 0, "fsync the WALs every N admitted batches (0 = every batch)")
+	fs.IntVar(&cfg.syncEvery, "sync-every", 0, "fsync the write-ahead log every N admitted batches (0 = every batch)")
 	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 0, "persist a snapshot every N admitted batches (0 = default)")
 	fs.IntVar(&cfg.maxBatch, "max-batch", 0, "profiles coalesced into one admitted batch (0 = default)")
 	fs.IntVar(&cfg.maxPending, "max-pending", 0, "insert requests in flight before 429 (0 = default)")

@@ -190,14 +190,17 @@ func TestServerQuiesceCloseSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		durInsert(t, srv, 0, 2)
-		// Kill shard 1's WAL out from under the server: the next append
-		// fails mid-broadcast and must roll the batch off shard 0's log —
-		// the batch is not admitted, and the logs stay in agreement.
-		if err := srv.dur.wals[1].Close(); err != nil {
+		// Close the log out from under the server: the next append fails,
+		// so the batch is not admitted — and since nothing was left on the
+		// log, the server is not broken either.
+		if err := srv.log.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := srv.InsertAll(ctx, durBatchFor(2)); err == nil {
 			t.Fatal("InsertAll succeeded with a dead WAL")
+		}
+		if err := srv.Err(); err != nil {
+			t.Fatalf("a failed append that left no record broke the server: %v", err)
 		}
 		if got := srv.Admitted(); got != 40+2*durBatchSize {
 			t.Fatalf("failed journaling admitted profiles: %d", got)

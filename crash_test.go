@@ -121,9 +121,9 @@ func TestCrashRecovery(t *testing.T) {
 			}
 			t.Logf("recovered in %v", time.Since(start))
 			// Every admission whose ids were returned was fsynced first, so
-			// none may be lost; batches in flight at the kill may or may not
-			// have landed on every log — either way the recovered prefix
-			// must be a consistent, reference-identical state.
+			// none may be lost; a batch in flight at the kill may or may not
+			// have landed on the log — either way the recovered prefix must
+			// be a consistent, reference-identical state.
 			recovered := (srv.Admitted() - 40) / durBatchSize
 			if recovered < admitted {
 				t.Fatalf("recovered %d batches, child had admitted at least %d", recovered, admitted)

@@ -4,41 +4,36 @@ package blast
 // snapshot-swap Server. Enabled by ServerOptions.Dir, which lays out:
 //
 //	Dir/MANIFEST.json          layout + seed fingerprint, written once
-//	Dir/wal/shard-NNN.wal      per-shard write-ahead log (internal/wal)
+//	Dir/wal/batches.wal        the write-ahead log, one record per admitted batch (internal/wal)
 //	Dir/snap/shard-NNN/        epoch-named snapshot files (internal/shard)
 //
-// Write path. Server.InsertAll journals the admitted batch on EVERY
-// shard's WAL before ids are returned; shard i's record carries just
-// the profiles whose assigned ids hash to i (wal.AppendOwnedBatch), so
-// between them the logs hold the batch once and every log holds one
-// record per batch. Should an append fail on some log after succeeding
-// on another, the batch is rolled back off the logs that took it; if
-// even the rollback fails the server poisons itself (sticky error, no
-// further admissions) rather than let logs diverge mid-sequence.
-// Snapshot persistence piggybacks on the shard publish hook: every
-// SnapshotEvery admitted batches, the freshly published owned-rows
-// snapshot is written (atomically, via temp file + fsync + rename)
-// under the shard's snapshot directory and old files are pruned.
+// Write path. Server.InsertAll journals each admitted batch as one
+// record (wal.AppendBatch) of the one log before ids are returned,
+// whatever the shard count. An append that fails leaves no record and
+// admits nothing; one whose failure could not be undone breaks the log,
+// and the server with it (Server.Err). Snapshot persistence piggybacks
+// on the shard publish hook: every SnapshotEvery admitted batches, the
+// freshly published owned-rows snapshot is written (atomically, via
+// temp file + fsync + rename) under the shard's snapshot directory and
+// old files are pruned.
 //
 // Recovery. ServeBlocks over an existing Dir rebuilds the pre-crash
 // state from the seed Blocks artifact plus the disk state:
 //
 //  1. The manifest is checked against the seed collection — no build
 //     is needed for that — and a mismatch fails closed.
-//  2. Every WAL is opened, its torn tail truncated (internal/wal), and
-//     the common cut — the minimum record count — taken: a batch was
-//     admitted only if its record landed on every log, and since
-//     appends run in shard order the counts are non-increasing across
-//     shards at any crash instant. Logs past the cut are truncated back
-//     and the admitted batches reassembled from the owned subsets; any
-//     gap, overlap or undecodable record inside the cut fails closed —
-//     recovery never invents or reorders admitted data.
+//  2. The log is opened, its torn tail truncated (internal/wal), and
+//     its records decoded in order: record k is the k-th admitted
+//     batch. A record that passes its checksum but does not decode
+//     fails closed — recovery never invents, skips or reorders admitted
+//     data.
 //  3. Every shard appends every batch to its clone of the seed
 //     collection, exactly as it did before the crash.
 //  4. The published snapshots are adopted from disk when every shard
-//     has one at exactly the cut and the files are one set (the state a
-//     drained Close leaves). Otherwise one frozen IndexBlocks build over
-//     the recovered union collection is sliced into the owned rows.
+//     has one at exactly the log's record count and the files are one
+//     set (the state a drained Close leaves). Otherwise one frozen
+//     IndexBlocks build over the recovered union collection is sliced
+//     into the owned rows.
 //
 // The recovered server then serves Pairs/Candidates/Threshold
 // byte-identical to a cold IndexBlocks over seed + replayed inserts —
@@ -56,7 +51,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"blast/internal/blocking"
 	"blast/internal/model"
@@ -64,22 +58,20 @@ import (
 	"blast/internal/wal"
 )
 
-const durManifestVersion = 1
+// durManifestVersion 2 journals into one log. Version 1 kept one log
+// per shard, each holding that shard's owned subset of every batch; it
+// is not read.
+const durManifestVersion = 2
 
 // durManifest pins the parameters a durable directory was created with.
 // Reopening with a different layout or seed artifact would replay the
-// logs against the wrong base state, so any mismatch fails closed.
+// log against the wrong base state, so any mismatch fails closed.
 type durManifest struct {
 	Version      int    `json:"version"`
 	Shards       int    `json:"shards"`
 	Kind         string `json:"kind"`
 	SeedProfiles int    `json:"seed_profiles"`
 	SeedBlocks   uint64 `json:"seed_blocks_fnv"`
-	// Topology pins the WAL record format: "partitioned" logs hold
-	// per-shard owned subsets. Directories of the removed replicated
-	// topology, whose logs hold full batches, recorded no topology and so
-	// fail the check.
-	Topology string `json:"topology,omitempty"`
 	// Storage records the graph storage mode (Options.Storage) the
 	// directory was created under; empty means memory, the zero value.
 	// Pinning it keeps a reopen from silently flipping the build's
@@ -97,8 +89,8 @@ func manifestStorage(s Storage) string {
 	return s.String()
 }
 
-func durWalPath(dir string, id int) string {
-	return filepath.Join(dir, "wal", fmt.Sprintf("shard-%03d.wal", id))
+func durWalPath(dir string) string {
+	return filepath.Join(dir, "wal", "batches.wal")
 }
 
 func durSnapDir(dir string, id int) string {
@@ -160,74 +152,13 @@ func checkManifest(dir string, want durManifest) error {
 	if err := json.Unmarshal(data, &got); err != nil {
 		return fmt.Errorf("blast: corrupt manifest %s: %w", path, err)
 	}
+	if got.Version != want.Version {
+		return fmt.Errorf("blast: durable dir %s has manifest version %d; this build reads version %d only, whose write-ahead log is one file rather than one per shard. Recreate the directory from the seed artifact (serve it into an empty Dir) and re-admit its inserts", dir, got.Version, want.Version)
+	}
 	if got != want {
 		return fmt.Errorf("blast: durable dir %s was created as %+v; reopened as %+v", dir, got, want)
 	}
 	return nil
-}
-
-// durability is the write-side durable state of a Server: the open WALs
-// and the sticky error that poisons admission when the logs can no
-// longer be kept in agreement.
-type durability struct {
-	mu      sync.Mutex
-	wals    []*wal.Log
-	scratch []byte
-	sticky  error
-	// base is the id the next batch's first profile will be assigned;
-	// appendBatch runs under the server's admission lock, so it tracks
-	// nextID exactly.
-	base int
-}
-
-func (d *durability) err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sticky
-}
-
-// appendBatch journals one admitted batch: shard i's log takes the
-// profiles it owns (by assigned id), and every log takes a record, so
-// record counts stay aligned. On a partial failure the batch is rolled
-// back off the logs that took it; an unrollbackable partial append
-// poisons the server, because logs that disagree mid-sequence would make
-// the next recovery fail closed.
-func (d *durability) appendBatch(batch []model.Profile) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.sticky != nil {
-		return d.sticky
-	}
-	n := len(d.wals)
-	for i, l := range d.wals {
-		d.scratch = wal.AppendOwnedBatch(d.scratch[:0], batch, func(k int) bool {
-			return shard.Owner(int32(d.base+k), n) == i
-		})
-		if err := l.Append(d.scratch); err != nil {
-			for j := 0; j < i; j++ {
-				if rbErr := d.wals[j].Truncate(d.wals[j].Records() - 1); rbErr != nil {
-					d.sticky = fmt.Errorf("blast: wal rollback after append failure (%v): %w", err, rbErr)
-					return d.sticky
-				}
-			}
-			return fmt.Errorf("blast: wal append (shard %d): %w", i, err)
-		}
-	}
-	d.base += len(batch)
-	return nil
-}
-
-// close syncs and releases every WAL, reporting the first failure.
-func (d *durability) close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var first error
-	for _, l := range d.wals {
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // snapPersister persists published snapshots for one shard on the
@@ -293,38 +224,20 @@ func snapFileEpoch(name string) uint64 {
 	return epoch
 }
 
-// recovery is what a durable open found on disk: the WALs, open and
-// cut back to their common prefix, and the admitted batches reassembled
-// from them.
-type recovery struct {
-	logs    []*wal.Log
-	batches [][]model.Profile
-}
-
-// closeLogs releases the WALs of a recovery that is failing.
-func (r *recovery) closeLogs() {
-	for _, l := range r.logs {
-		if l != nil {
-			//blast:allow syncerr -- recovery is already failing with a primary error; this close is a best-effort descriptor release and must not mask it (nothing was admitted on these logs)
-			l.Close()
-		}
-	}
-}
-
 // openDurable prepares ServerOptions.Dir for ServeBlocks over the seed
 // collection c: it makes the directories, checks (or, on first open,
-// records) the manifest, opens the WALs, cuts them to their common
-// prefix and reassembles the admitted batches, failing closed on any
-// disagreement. The returned pipeline is p, or a copy whose StorageFile
-// builds spill under Dir when Options.SpillDir is empty.
-func (p *Pipeline) openDurable(c *blocking.Collection, sopt ServerOptions) (*Pipeline, *recovery, error) {
+// records) the manifest, opens the log and decodes the admitted batches
+// it holds, failing closed on a record that does not decode. The
+// returned pipeline is p, or a copy whose StorageFile builds spill
+// under Dir when Options.SpillDir is empty.
+func (p *Pipeline) openDurable(c *blocking.Collection, sopt ServerOptions) (*Pipeline, *wal.Log, [][]model.Profile, error) {
 	n, dir := sopt.shards(), sopt.Dir
 	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	for i := 0; i < n; i++ {
 		if err := os.MkdirAll(durSnapDir(dir, i), 0o755); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	if p.opt.Storage == StorageFile && p.opt.SpillDir == "" {
@@ -335,7 +248,7 @@ func (p *Pipeline) openDurable(c *blocking.Collection, sopt ServerOptions) (*Pip
 		// once its rows are frozen.)
 		spill := filepath.Join(dir, "spill")
 		if err := os.MkdirAll(spill, 0o755); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		pp := *p
 		pp.opt.SpillDir = spill
@@ -347,98 +260,32 @@ func (p *Pipeline) openDurable(c *blocking.Collection, sopt ServerOptions) (*Pip
 		Kind:         c.Kind.String(),
 		SeedProfiles: c.NumProfiles,
 		SeedBlocks:   collectionFingerprint(c),
-		Topology:     "partitioned",
 		Storage:      manifestStorage(p.opt.Storage),
 	}); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-
-	rec := &recovery{logs: make([]*wal.Log, n)}
-	recs := make([][][]byte, n)
-	for i := range rec.logs {
-		l, payloads, err := wal.Open(durWalPath(dir, i), sopt.walSyncEvery())
-		if err != nil {
-			rec.closeLogs()
-			return nil, nil, err
-		}
-		rec.logs[i], recs[i] = l, payloads
-	}
-	cut := len(recs[0])
-	for _, r := range recs[1:] {
-		cut = min(cut, len(r))
-	}
-	var err error
-	for _, l := range rec.logs {
-		if err = l.Truncate(cut); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		rec.batches, err = reassembleOwnedBatches(recs, cut, c.NumProfiles, n)
-	}
+	log, payloads, err := wal.Open(durWalPath(dir), sopt.walSyncEvery())
 	if err != nil {
-		rec.closeLogs()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return p, rec, nil
-}
-
-// reassembleOwnedBatches rebuilds the admitted batch sequence from the
-// per-shard owned-subset records, failing closed on any disagreement:
-// diverging batch lengths, a profile journaled by a shard that does not
-// own its assigned id, or a position no shard covers. seed is the
-// profile count ids start from; within one shard the decoder already
-// rejects duplicate positions, and ownership makes cross-shard overlap
-// impossible, so covering every position exactly once reduces to a
-// count check.
-func reassembleOwnedBatches(recs [][][]byte, cut, seed, n int) ([][]model.Profile, error) {
-	batches := make([][]model.Profile, cut)
-	base := seed
-	for k := 0; k < cut; k++ {
-		var batch []model.Profile
-		var have []bool
-		blen, filled := -1, 0
-		for i := 0; i < n; i++ {
-			bl, entries, err := wal.DecodeOwnedBatch(recs[i][k])
-			if err != nil {
-				return nil, fmt.Errorf("blast: wal record %d (shard %d): %w", k, i, err)
-			}
-			if blen < 0 {
-				blen = bl
-				batch = make([]model.Profile, bl)
-				have = make([]bool, bl)
-			} else if bl != blen {
-				return nil, fmt.Errorf("blast: wal record %d: batch length differs between shards 0 (%d) and %d (%d); refusing to replay", k, blen, i, bl)
-			}
-			for _, e := range entries {
-				if shard.Owner(int32(base+e.Index), n) != i {
-					return nil, fmt.Errorf("blast: wal record %d: shard %d journaled profile %d it does not own; refusing to replay", k, i, e.Index)
-				}
-				batch[e.Index] = e.Profile
-				have[e.Index] = true
-				filled++
-			}
+	batches := make([][]model.Profile, len(payloads))
+	for k, payload := range payloads {
+		if batches[k], err = wal.DecodeBatch(payload); err != nil {
+			err = fmt.Errorf("blast: wal record %d: %w; refusing to replay", k, err)
+			return nil, nil, nil, errors.Join(err, log.Close())
 		}
-		if filled != blen {
-			for j, ok := range have {
-				if !ok {
-					return nil, fmt.Errorf("blast: wal record %d: no shard journaled profile %d of %d; refusing to replay", k, j, blen)
-				}
-			}
-		}
-		batches[k] = batch
-		base += blen
 	}
-	return batches, nil
+	return p, log, batches, nil
 }
 
 // adoptOwnedSnapshots tries to restore the initial published snapshots
 // directly from disk: usable only when EVERY shard has a snapshot file
-// that decodes, validates, and sits at exactly the WAL cut with the
-// right partition geometry and profile count — and the files are one
-// set: they agree on the global counters, and between them hold each
-// retained pair exactly twice, once in each endpoint's row (a file of
-// another stream at the same cut passes every check of its own).
+// that decodes, validates, and sits at exactly the log's record count
+// (cut) with the right partition geometry and profile count — and the
+// files are one set: they agree on the global counters, and between
+// them hold each retained pair exactly twice, once in each endpoint's
+// row (a file of another stream at the same cut passes every check of
+// its own).
 // Partitioned snapshots cannot be rolled forward (the writable side
 // holds no decision state), so a stale, missing or foreign file on any
 // one shard forces the whole set onto the cold rebuild path — adopting a

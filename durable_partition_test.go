@@ -1,9 +1,7 @@
 package blast
 
-// Durable serving over owned state: per-shard WALs hold only owned
-// subsets and snapshots only owned rows, so recovery adopts snapshot
-// files only as one complete set and every reassembly disagreement
-// must fail closed.
+// Durable serving over owned state: snapshots hold only owned rows, so
+// recovery adopts snapshot files only as one complete set.
 
 import (
 	"context"
@@ -15,10 +13,7 @@ import (
 	"testing"
 
 	"blast/internal/metablocking"
-	"blast/internal/model"
 	"blast/internal/shard"
-	"blast/internal/stats"
-	"blast/internal/wal"
 	"blast/internal/weights"
 )
 
@@ -40,37 +35,40 @@ func TestDurablePartitionedReopenMatrix(t *testing.T) {
 	})
 }
 
-// TestDurablePartitionedTornWAL tears the last byte off one shard's log
-// in a directory whose drained Close left every shard an at-cut
-// snapshot. The common cut then falls one batch below the newest
-// snapshot set, which must not be adopted: recovery serves exactly the
-// surviving prefix, whether from an older set or by the rebuild.
+// TestDurablePartitionedTornWAL tears the last byte off the log of a
+// directory whose drained Close left every shard an at-cut snapshot.
+// The log then holds one batch less than the newest snapshot set, which
+// must not be adopted: recovery serves exactly the surviving prefix,
+// whether from an older set or by the rebuild, and a subtest per shard
+// checks that shard was cut back to the prefix too.
 func TestDurablePartitionedTornWAL(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shards, batches = 2, 4
-	for _, damaged := range []int{0, shards - 1} {
-		t.Run(fmt.Sprintf("shard%d", damaged), func(t *testing.T) {
-			dir := durSeedDir(t, p, shards, 1, batches)
-			path := filepath.Join(dir, "wal", fmt.Sprintf("shard-%03d.wal", damaged))
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			srv, err := durOpen(t, p, dir, shards, 1)
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			checkRecovered(t, "torn", p, srv, batches-1)
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	const batches = 4
+	for _, shards := range []int{2, 3} {
+		label := fmt.Sprintf("torn/shards=%d", shards)
+		dir := durSeedDir(t, p, shards, 1, batches)
+		path := durWalPath(dir)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw[:len(raw)-1], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := durOpen(t, p, dir, shards, 1)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", label, err)
+		}
+		checkRecovered(t, label, p, srv, batches-1)
+		if shards == 2 {
+			checkEveryShard(t, srv, batches-1)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -197,57 +195,5 @@ func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestReassembleOwnedBatches pins the fail-closed reassembly rules on
-// hand-crafted per-shard records.
-func TestReassembleOwnedBatches(t *testing.T) {
-	const n, seed = 2, 0
-	rng := stats.NewRNG(7)
-	batch := make([]model.Profile, 4)
-	for i := range batch {
-		batch[i] = synthProfile(rng, fmt.Sprintf("r%d", i))
-	}
-	encode := func(owns func(int) bool) []byte {
-		return wal.AppendOwnedBatch(nil, batch, owns)
-	}
-	ownedBy := func(sh int) func(int) bool {
-		return func(i int) bool { return shard.Owner(int32(seed+i), n) == sh }
-	}
-	good := [][][]byte{
-		{encode(ownedBy(0))},
-		{encode(ownedBy(1))},
-	}
-	out, err := reassembleOwnedBatches(good, 1, seed, n)
-	if err != nil {
-		t.Fatalf("valid records rejected: %v", err)
-	}
-	if len(out) != 1 || len(out[0]) != len(batch) {
-		t.Fatalf("reassembled %d batches / %d profiles", len(out), len(out[0]))
-	}
-	for i := range batch {
-		if out[0][i].ID != batch[i].ID {
-			t.Fatalf("profile %d reassembled as %q, want %q", i, out[0][i].ID, batch[i].ID)
-		}
-	}
-
-	// Swapped shards: every journaled profile fails the ownership check.
-	swapped := [][][]byte{good[1], good[0]}
-	if _, err := reassembleOwnedBatches(swapped, 1, seed, n); err == nil {
-		t.Error("ownership violation replayed")
-	}
-	// A shard journaling nothing it owns leaves positions uncovered.
-	missing := [][][]byte{
-		{encode(ownedBy(0))},
-		{encode(func(int) bool { return false })},
-	}
-	if _, err := reassembleOwnedBatches(missing, 1, seed, n); err == nil {
-		t.Error("uncovered batch positions replayed")
-	}
-	// Disagreeing batch lengths.
-	short := wal.AppendOwnedBatch(nil, batch[:3], func(i int) bool { return shard.Owner(int32(seed+i), n) == 1 })
-	if _, err := reassembleOwnedBatches([][][]byte{good[0], {short}}, 1, seed, n); err == nil {
-		t.Error("diverging batch lengths replayed")
 	}
 }

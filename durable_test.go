@@ -102,6 +102,28 @@ func checkRecovered(t *testing.T, label string, p *Pipeline, srv *Server, wantBa
 	assertSamePairs(t, label+" vs reference", durReferencePairs(t, p, wantBatches), got)
 }
 
+// checkEveryShard runs one subtest per shard, named shard<i>, asserting
+// the reopened shard was cut back to the same surviving prefix: its
+// published snapshot sits at wantBatches of the insert stream and covers
+// exactly the profiles those batches admitted, with no error latched.
+func checkEveryShard(t *testing.T, srv *Server, wantBatches int) {
+	t.Helper()
+	for i, sh := range srv.shards {
+		t.Run(fmt.Sprintf("shard%d", i), func(t *testing.T) {
+			if err := sh.Err(); err != nil {
+				t.Fatalf("shard %d: %v", i, err)
+			}
+			snap := sh.Snapshot()
+			if snap.Batches != int64(wantBatches) {
+				t.Fatalf("shard %d published at batch %d, want %d", i, snap.Batches, wantBatches)
+			}
+			if got, want := snap.NumProfiles, 40+wantBatches*durBatchSize; got != want {
+				t.Fatalf("shard %d published %d profiles, want %d", i, got, want)
+			}
+		})
+	}
+}
+
 // reopenCase is one row of a durable reopen matrix; opt, when set,
 // adjusts the pipeline options the case serves under.
 type reopenCase struct {
@@ -269,19 +291,20 @@ func durSeedDir(t *testing.T, p *Pipeline, shards, snapEvery, nBatches int) stri
 	return dir
 }
 
-// TestDurableTornWAL damages the WAL tails at the byte level — partial
+// TestDurableTornWAL damages the log's tail at the byte level — partial
 // final records, flipped bytes, wholesale truncation — and checks that
 // recovery serves exactly the surviving batch prefix, never a torn or
-// invented state.
+// invented state, at one shard and at two, where a subtest per shard
+// checks that shard was cut back to the prefix too.
 func TestDurableTornWAL(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shards, batches = 2, 4
+	const batches = 4
 	corruptions := []struct {
 		name string
-		// damage mutates the raw WAL bytes of one shard's log.
+		// damage mutates the raw bytes of the log.
 		damage func([]byte) []byte
 		want   int // surviving batches
 	}{
@@ -293,10 +316,11 @@ func TestDurableTornWAL(t *testing.T) {
 		{"header-only", func(b []byte) []byte { return b[:8] }, 0},
 	}
 	for _, tc := range corruptions {
-		for _, damaged := range []int{0, shards - 1} {
-			t.Run(fmt.Sprintf("%s/shard%d", tc.name, damaged), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, shards := range []int{1, 2} {
+				label := fmt.Sprintf("%s/shards=%d", tc.name, shards)
 				dir := durSeedDir(t, p, shards, -1, batches)
-				path := filepath.Join(dir, "wal", fmt.Sprintf("shard-%03d.wal", damaged))
+				path := durWalPath(dir)
 				raw, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -304,48 +328,90 @@ func TestDurableTornWAL(t *testing.T) {
 				if err := os.WriteFile(path, tc.damage(raw), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				// Damaging ONE log must cut BOTH shards back to the common
-				// prefix: a batch counts as admitted only if it is on every log.
 				srv, err := durOpen(t, p, dir, shards, -1)
 				if err != nil {
-					t.Fatalf("reopen after %s: %v", tc.name, err)
+					t.Fatalf("%s: reopen: %v", label, err)
 				}
-				checkRecovered(t, tc.name, p, srv, tc.want)
+				checkRecovered(t, label, p, srv, tc.want)
+				if shards > 1 {
+					checkEveryShard(t, srv, tc.want)
+				}
 				if err := srv.Close(); err != nil {
 					t.Fatal(err)
 				}
-			})
+			}
+		})
+	}
+}
+
+// TestDurableOneLog: a durable server journals into exactly one log
+// whatever its shard count, one record per admitted batch, each record
+// the whole batch in admission order.
+func TestDurableOneLog(t *testing.T) {
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 5
+	for _, shards := range []int{1, 2, 4} {
+		dir := durSeedDir(t, p, shards, -1, batches)
+		entries, err := os.ReadDir(filepath.Join(dir, "wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != filepath.Base(durWalPath(dir)) {
+			t.Fatalf("shards=%d: wal/ holds %v, want the one log", shards, entries)
+		}
+		raw, err := os.ReadFile(durWalPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads, _, err := wal.Scan(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payloads) != batches {
+			t.Fatalf("shards=%d: the log holds %d records for %d admitted batches", shards, len(payloads), batches)
+		}
+		for k, payload := range payloads {
+			batch, err := wal.DecodeBatch(payload)
+			if err != nil {
+				t.Fatalf("shards=%d: record %d: %v", shards, k, err)
+			}
+			want := durBatchFor(k)
+			if len(batch) != len(want) {
+				t.Fatalf("shards=%d: record %d holds %d profiles, batch %d has %d", shards, k, len(batch), k, len(want))
+			}
+			for i := range want {
+				if batch[i].ID != want[i].ID {
+					t.Fatalf("shards=%d: record %d profile %d is %q, want %q", shards, k, i, batch[i].ID, want[i].ID)
+				}
+			}
 		}
 	}
 }
 
-// TestDurableWALDivergenceFailsClosed forges a same-position record that
-// disagrees with the other shard's log on the batch it journals:
-// recovery must refuse to serve rather than guess which history is
-// real.
-func TestDurableWALDivergenceFailsClosed(t *testing.T) {
+// TestDurableUndecodableRecordFailsClosed appends a record that passes
+// its checksum but does not decode as a batch: recovery must refuse to
+// serve rather than skip it, which would shift every later batch's ids.
+func TestDurableUndecodableRecordFailsClosed(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := durSeedDir(t, p, 2, -1, 3)
-	path := filepath.Join(dir, "wal", "shard-000.wal")
-	l, _, err := wal.Open(path, 1)
+	l, _, err := wal.Open(durWalPath(dir), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Truncate(l.Records() - 1); err != nil {
-		t.Fatal(err)
-	}
-	longer := append(durBatchFor(99), durBatchFor(98)...)
-	if err := l.Append(wal.AppendOwnedBatch(nil, longer, func(int) bool { return false })); err != nil {
+	if err := l.Append([]byte{0xff}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := durOpen(t, p, dir, 2, -1); err == nil {
-		t.Fatal("diverged WALs were silently replayed")
+	if _, err := durOpen(t, p, dir, 2, -1); err == nil || !strings.Contains(err.Error(), "wal record 3") {
+		t.Fatalf("reopen over an undecodable record = %v, want a fail-closed error naming record 3", err)
 	}
 }
 
@@ -476,13 +542,12 @@ func TestDurableManifestMismatch(t *testing.T) {
 	}
 }
 
-// TestDurableTopologyMismatch: a directory journals for exactly one
-// record format, and its manifest pins it as the partitioned topology.
-// A directory of the removed replicated topology — its manifest records
-// no topology, its logs full batches — is refused by the manifest with
-// the "created as" error, before any log is read; so is one naming any
-// other topology.
-func TestDurableTopologyMismatch(t *testing.T) {
+// TestDurableManifestVersion1FailsClosed: a version-1 directory kept
+// one log per shard, and this build does not read it. Whether or not
+// its manifest carries the topology field version 1 wrote, the reopen
+// fails before any log is read, with an error that names the version
+// and the remedy.
+func TestDurableManifestVersion1FailsClosed(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -497,10 +562,11 @@ func TestDurableTopologyMismatch(t *testing.T) {
 	if err := json.Unmarshal(raw, &fields); err != nil {
 		t.Fatal(err)
 	}
-	if fields["topology"] != "partitioned" {
-		t.Fatalf("manifest pins topology %v, want partitioned", fields["topology"])
+	if fields["version"] != float64(durManifestVersion) || fields["topology"] != nil {
+		t.Fatalf("manifest %s, want version %d and no topology", raw, durManifestVersion)
 	}
-	for _, topo := range []any{nil, "replicated"} {
+	fields["version"] = 1
+	for _, topo := range []any{nil, "partitioned"} {
 		if topo == nil {
 			delete(fields, "topology")
 		} else {
@@ -513,8 +579,9 @@ func TestDurableTopologyMismatch(t *testing.T) {
 		if err := os.WriteFile(manifest, forged, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := durOpen(t, p, dir, 2, -1); err == nil || !strings.Contains(err.Error(), "created as") {
-			t.Errorf("directory created as topology %v reopened: %v", topo, err)
+		_, err = durOpen(t, p, dir, 2, -1)
+		if err == nil || !strings.Contains(err.Error(), "manifest version 1") || !strings.Contains(err.Error(), "seed artifact") {
+			t.Errorf("version-1 directory (topology %v) reopened: %v", topo, err)
 		}
 	}
 }

@@ -17,8 +17,9 @@ var update = flag.Bool("update", false, "rewrite testdata/paper.golden from the 
 // experiment below runs in about a second on two cores.
 var goldenConfig = Config{Scale: 0.2, Seed: 42}
 
-// paperRun holds the typed rows of the ten pinned experiments, with
-// every time.Duration field zeroed so the rendering is deterministic.
+// paperRun holds the typed rows of the fourteen pinned experiments,
+// with every time.Duration field zeroed so the rendering is
+// deterministic.
 type paperRun struct {
 	table3      []Table3Row
 	table4      map[string][]CompareRow
@@ -30,6 +31,11 @@ type paperRun struct {
 	scalability []ScalabilityRow
 	baselines   []BaselineRow
 	endToEnd    *EndToEndResult
+	table2      []datasets.Stats
+	table6      []Table6Row
+	fig5        []SeriesPoint
+	fig5Thresh  float64
+	fig10       []Figure10Row
 }
 
 var table4Names = []string{"ar1", "ar2", "prd", "mov"}
@@ -78,6 +84,16 @@ func runPaper(t *testing.T, cfg Config) *paperRun {
 	r.endToEnd, err = EndToEnd(cfg, "ar1", 0.3)
 	must(err)
 	r.endToEnd.OriginalTime, r.endToEnd.BlastOverhead, r.endToEnd.BlastTime = 0, 0, 0
+	r.table2, err = Table2(cfg)
+	must(err)
+	r.table6, err = Table6(cfg)
+	must(err)
+	for i := range r.table6 {
+		r.table6[i].Duration = 0
+	}
+	r.fig5, r.fig5Thresh = Figure5()
+	r.fig10, err = Figure10(cfg)
+	must(err)
 	return r
 }
 
@@ -107,11 +123,15 @@ func (r *paperRun) render() string {
 	section("Scalability", RenderScalability("ar1", r.scalability))
 	section("Baselines", RenderBaselines("ar1", r.baselines))
 	section("End to end", r.endToEnd.Render())
+	section("Table 2", RenderTable2(r.table2))
+	section("Table 6", RenderTable6(r.table6))
+	section("Figure 5", RenderFigure5(r.fig5, r.fig5Thresh))
+	section("Figure 10", RenderFigure10(r.fig10))
 	return b.String()
 }
 
 // TestPaperReproductionGolden pins the non-time columns of the paper's
-// Tables 3, 4, 5 and 7, Figures 8 and 9, the Standard Blocking
+// Tables 2 to 7 and Figures 5, 8, 9 and 10, the Standard Blocking
 // comparison, the scalability series, the blocking baselines and the
 // end-to-end run against testdata/paper.golden, and asserts the paper's
 // headline orderings that hold at this scale on the typed rows. After an
@@ -172,6 +192,10 @@ func TestPaperReproductionGolden(t *testing.T) {
 		if bch, wnp := pq[name]["bch"], pq[name]["wnp"]; bch <= wnp {
 			t.Errorf("Figure 8 %s: bch PQ %v <= wnp PQ %v", name, bch, wnp)
 		}
+	}
+	// Figure 10: PC never rises as the LSH threshold does.
+	if !Monotone(r.fig10, 0) {
+		t.Errorf("Figure 10: PC rises with the LSH threshold:\n%s", RenderFigure10(r.fig10))
 	}
 	// Section 4.1: on the fully mappable datasets LMI reproduces the
 	// manual alignment, so Standard Blocking matches it exactly.

@@ -74,8 +74,8 @@ type Snapshot struct {
 	// same order, so two snapshots from different shards with equal
 	// Batches were derived from identical collection states — the
 	// cross-shard consistency token of multi-shard reads — and on disk
-	// it is the WAL position: recovery adopts a snapshot only at the
-	// WAL cut.
+	// it is the WAL position: recovery adopts a snapshot only when it
+	// sits at the log's record count.
 	Batches int64
 	// NumProfiles is the number of profiles the snapshot covers.
 	NumProfiles int

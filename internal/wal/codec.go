@@ -2,9 +2,8 @@ package wal
 
 // The WAL payload codec for insert batches. One record is one admitted
 // InsertAll batch; the encoding is a plain deterministic concatenation
-// (uvarint counts, length-prefixed strings) so identical batches encode
-// to identical bytes on every shard's log — recovery relies on that to
-// cross-check the per-shard logs record for record.
+// (uvarint counts, length-prefixed strings), so identical batches encode
+// to identical bytes.
 
 import (
 	"encoding/binary"
@@ -24,14 +23,13 @@ func AppendBatch(dst []byte, batch []model.Profile) []byte {
 	return dst
 }
 
-// AppendOwnedBatch encodes one shard's owned subset of an admitted
-// batch onto dst: the full batch length (so record counts and batch
-// boundaries stay aligned across shards even when a shard owns nothing
-// of a batch), then the owned profiles each prefixed with its position
-// in the batch, in batch order. Under the partitioned topology every
-// shard journals every batch through this encoding, and recovery
-// reassembles the full batch from the per-shard subsets (see
-// DecodeOwnedBatch).
+// AppendOwnedBatch encodes one shard's owned subset of a batch onto
+// dst: the full batch length, the owned count, then the owned profiles
+// each prefixed with its position in the batch, in batch order. No
+// server path journals through it or reads it back any more: it remains
+// only because the benchmark's standalone WAL probe (bench/e2e's
+// surface.go) encodes with it, and goes when that probe moves to
+// AppendBatch.
 func AppendOwnedBatch(dst []byte, batch []model.Profile, owns func(index int) bool) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
 	n := 0
@@ -93,59 +91,6 @@ func DecodeBatch(data []byte) ([]model.Profile, error) {
 		return nil, fmt.Errorf("wal: %d trailing bytes after batch", len(data))
 	}
 	return batch, nil
-}
-
-// OwnedEntry is one profile of an admitted batch as journaled by its
-// owning shard: the profile plus its position in the batch.
-type OwnedEntry struct {
-	Index   int
-	Profile model.Profile
-}
-
-// DecodeOwnedBatch decodes one owned-subset payload (AppendOwnedBatch):
-// the full batch length and the shard's owned entries. Indices must be
-// strictly increasing and inside the batch — the encoder emits them in
-// batch order, so anything else is corruption — and, as with
-// DecodeBatch, every length is bounds-checked and trailing bytes are an
-// error.
-func DecodeOwnedBatch(data []byte) (batchLen int, entries []OwnedEntry, err error) {
-	bl, data, err := decodeUvarint(data)
-	if err != nil {
-		return 0, nil, err
-	}
-	n, data, err := decodeUvarint(data)
-	if err != nil {
-		return 0, nil, err
-	}
-	if n > bl {
-		return 0, nil, fmt.Errorf("wal: owned batch claims %d of %d profiles", n, bl)
-	}
-	// An owned entry encodes to at least three bytes (index, empty id,
-	// zero pairs).
-	if n > uint64(len(data)/3)+1 {
-		return 0, nil, fmt.Errorf("wal: owned batch claims %d entries in %d bytes", n, len(data))
-	}
-	entries = make([]OwnedEntry, 0, n)
-	prev := -1
-	for i := uint64(0); i < n; i++ {
-		var idx uint64
-		if idx, data, err = decodeUvarint(data); err != nil {
-			return 0, nil, err
-		}
-		if idx >= bl || int(idx) <= prev {
-			return 0, nil, fmt.Errorf("wal: owned batch index %d out of order (batch of %d)", idx, bl)
-		}
-		prev = int(idx)
-		var p model.Profile
-		if p, data, err = decodeProfile(data); err != nil {
-			return 0, nil, err
-		}
-		entries = append(entries, OwnedEntry{Index: int(idx), Profile: p})
-	}
-	if len(data) != 0 {
-		return 0, nil, fmt.Errorf("wal: %d trailing bytes after owned batch", len(data))
-	}
-	return int(bl), entries, nil
 }
 
 func decodeProfile(data []byte) (model.Profile, []byte, error) {

@@ -1,6 +1,6 @@
-// Package wal implements the per-shard write-ahead log of durable
-// serving: an append-only file of length-prefixed, CRC-checksummed
-// records, one per admitted insert batch.
+// Package wal implements the write-ahead log of durable serving: one
+// append-only file of length-prefixed, CRC-checksummed records, one per
+// admitted insert batch.
 //
 // File layout:
 //
@@ -16,14 +16,14 @@
 // Opening a log truncates everything past that prefix — a torn append
 // (partial write at crash) or a corrupted tail is detected and dropped,
 // never silently replayed. Corruption in the middle of the valid prefix
-// also stops the scan there; callers that know more records should exist
-// (e.g. from a sibling shard's log) treat the shortfall as data loss and
-// fail closed.
+// also stops the scan there.
 //
 // Appends write the whole record with one write call on an unbuffered
 // descriptor, so the bytes the OS has at any crash instant are exactly
 // the bytes a recovery scan sees; fsync is batched under SyncEvery to
-// trade machine-crash durability against throughput.
+// trade machine-crash durability against throughput. An append that
+// fails is truncated back off the file, so the log holds only records
+// whose Append returned nil.
 package wal
 
 import (
@@ -33,6 +33,7 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"os"
+	"sync/atomic"
 )
 
 const (
@@ -94,15 +95,28 @@ func Scan(data []byte) (payloads [][]byte, ends []int64, err error) {
 	}
 }
 
+// file is the part of *os.File a Log writes through. Tests substitute
+// one that fails on demand.
+type file interface {
+	WriteAt(b []byte, off int64) (int, error)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
 // Log is an open write-ahead log positioned for appends. Not safe for
-// concurrent use; the server serializes appends under its write lock.
+// concurrent use, except Err; the server serializes appends under its
+// admission lock.
 type Log struct {
-	f         *os.File
-	size      int64   // bytes of valid content (header + records)
-	ends      []int64 // byte offset just past each record
-	syncEvery int     // fsync after this many appends; <= 0 never fsyncs
-	pending   int     // appends since the last fsync
+	f         file
+	size      int64 // bytes of valid content (header + records)
+	syncEvery int   // fsync after this many appends; <= 0 never fsyncs
+	pending   int   // appends since the last fsync
 	closed    bool
+	// broken is set when a failed append could not be truncated back
+	// off the file: the log may then hold a record that was never
+	// acknowledged, so it refuses every later append.
+	broken atomic.Pointer[error]
 }
 
 // Open opens (creating if absent) the log at path, scans it, truncates
@@ -122,8 +136,7 @@ func Open(path string, syncEvery int) (*Log, [][]byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &Log{f: f, syncEvery: syncEvery, ends: ends}
-	l.size = headerSize
+	l := &Log{f: f, syncEvery: syncEvery, size: headerSize}
 	if len(ends) > 0 {
 		l.size = ends[len(ends)-1]
 	}
@@ -159,28 +172,52 @@ func Open(path string, syncEvery int) (*Log, [][]byte, error) {
 	return l, payloads, nil
 }
 
-// Records returns the number of valid records currently in the log.
-func (l *Log) Records() int { return len(l.ends) }
-
-// Append writes one record. The write is a single unbuffered write call
-// at the end of the valid prefix; durability against machine crashes
-// additionally requires the fsync policy (or an explicit Sync).
+// Append writes one record, all or nothing. The write is a single
+// unbuffered write call at the end of the valid prefix, fsynced when
+// the SyncEvery policy falls due. Should the write or that fsync fail,
+// the file is truncated back to its previous size and the error
+// returned: the record is not in the log, and the next append takes
+// its place. Should the truncation fail too, the log is broken (see
+// Err) and refuses every later append.
 func (l *Log) Append(payload []byte) error {
 	if l.closed {
 		return ErrClosed
+	}
+	if err := l.Err(); err != nil {
+		return err
 	}
 	if int64(len(payload)) > MaxRecordSize {
 		return fmt.Errorf("wal: record of %d bytes exceeds the %d limit", len(payload), MaxRecordSize)
 	}
 	buf := appendRecord(make([]byte, 0, recordOverhead+len(payload)), payload)
-	if _, err := l.f.WriteAt(buf, l.size); err != nil {
+	_, err := l.f.WriteAt(buf, l.size)
+	due := l.syncEvery > 0 && l.pending+1 >= l.syncEvery
+	if err == nil && due {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		if terr := l.f.Truncate(l.size); terr != nil {
+			broken := fmt.Errorf("wal: append failed (%v) and truncating it back failed: %w", err, terr)
+			l.broken.Store(&broken)
+			return broken
+		}
 		return err
 	}
 	l.size += int64(len(buf))
-	l.ends = append(l.ends, l.size)
-	l.pending++
-	if l.syncEvery > 0 && l.pending >= l.syncEvery {
-		return l.Sync()
+	if due {
+		l.pending = 0
+	} else {
+		l.pending++
+	}
+	return nil
+}
+
+// Err reports why the log is broken, or nil. A broken log holds bytes
+// past its last acknowledged record that it could not remove. Err is
+// safe to call concurrently with Append.
+func (l *Log) Err() error {
+	if err := l.broken.Load(); err != nil {
+		return *err
 	}
 	return nil
 }
@@ -197,35 +234,6 @@ func (l *Log) Sync() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.pending = 0
-	return nil
-}
-
-// Truncate drops every record past the first n, synced. It is how a
-// multi-log caller enforces a common cut: a batch is admitted only if it
-// is present on every log, so logs that ran ahead are cut back.
-func (l *Log) Truncate(n int) error {
-	if l.closed {
-		return ErrClosed
-	}
-	if n < 0 || n > len(l.ends) {
-		return fmt.Errorf("wal: truncate to %d of %d records", n, len(l.ends))
-	}
-	if n == len(l.ends) {
-		return nil
-	}
-	size := int64(headerSize)
-	if n > 0 {
-		size = l.ends[n-1]
-	}
-	if err := l.f.Truncate(size); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.size = size
-	l.ends = l.ends[:n]
 	l.pending = 0
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"blast/internal/model"
@@ -35,11 +36,14 @@ func writeLog(t *testing.T, path string, payloads [][]byte) ([]byte, []int64) {
 			t.Fatal(err)
 		}
 	}
-	ends := append([]int64(nil), l.ends...)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ends, err := Scan(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +67,6 @@ func TestLogRoundTrip(t *testing.T) {
 		if !bytes.Equal(recovered[i], payloads[i]) {
 			t.Fatalf("record %d = %q, want %q", i, recovered[i], payloads[i])
 		}
-	}
-	if l.Records() != 5 {
-		t.Fatalf("Records = %d, want 5", l.Records())
 	}
 	// Appends continue the sequence across reopen.
 	if err := l.Append([]byte("late")); err != nil {
@@ -187,46 +188,6 @@ func TestForeignFileFailsClosed(t *testing.T) {
 	}
 }
 
-func TestTruncateRecords(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.wal")
-	payloads := testPayloads(6)
-	l, _, err := Open(path, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range payloads {
-		if err := l.Append(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Truncate(7); err == nil {
-		t.Fatal("truncate past the end accepted")
-	}
-	if err := l.Truncate(2); err != nil {
-		t.Fatal(err)
-	}
-	if l.Records() != 2 {
-		t.Fatalf("Records = %d after truncate", l.Records())
-	}
-	// The log stays appendable at the cut.
-	if err := l.Append([]byte("after-cut")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, recovered, err := openScan(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recovered) != 3 || !bytes.Equal(recovered[2], []byte("after-cut")) {
-		t.Fatalf("after truncate+append: %d records", len(recovered))
-	}
-	if !bytes.Equal(recovered[0], payloads[0]) || !bytes.Equal(recovered[1], payloads[1]) {
-		t.Fatal("records before the cut changed")
-	}
-}
-
 func TestSyncBatching(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	l, _, err := Open(path, 3)
@@ -265,8 +226,109 @@ func TestClosedLogFails(t *testing.T) {
 	if err := l.Append([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close = %v", err)
 	}
-	if err := l.Truncate(0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Truncate after Close = %v", err)
+}
+
+// faultyFile fails the calls it is told to, passing the rest through.
+// A failed write lands half its bytes first, as a short write would.
+type faultyFile struct {
+	file
+	write, sync, truncate bool
+}
+
+var errInjected = errors.New("injected fault")
+
+func (f *faultyFile) WriteAt(b []byte, off int64) (int, error) {
+	if f.write {
+		n, _ := f.file.WriteAt(b[:len(b)/2], off)
+		return n, errInjected
+	}
+	return f.file.WriteAt(b, off)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.sync {
+		return errInjected
+	}
+	return f.file.Sync()
+}
+
+func (f *faultyFile) Truncate(size int64) error {
+	if f.truncate {
+		return errInjected
+	}
+	return f.file.Truncate(size)
+}
+
+// TestAppendFailureLeavesNoRecord: an Append that fails in its write or
+// its fsync leaves nothing behind — the next append takes its place,
+// and a reopen reads exactly the acknowledged records. When the
+// truncation that undoes it fails too, the log is broken: Err reports
+// it and every later Append fails.
+func TestAppendFailureLeavesNoRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults faultyFile
+		broken bool
+	}{
+		{"write", faultyFile{write: true}, false},
+		{"fsync", faultyFile{sync: true}, false},
+		{"fsync-then-truncate", faultyFile{sync: true, truncate: true}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "t.wal")
+			acked := testPayloads(2)
+			writeLog(t, path, acked)
+			l, _, err := Open(path, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faults := tc.faults
+			faults.file = l.f
+			l.f = &faults
+			// A health check reads Err beside the writer.
+			checked := make(chan struct{})
+			go func() {
+				defer close(checked)
+				for i := 0; i < 1000 && l.Err() == nil; i++ {
+					runtime.Gosched()
+				}
+			}()
+			err = l.Append([]byte("doomed"))
+			<-checked
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("Append under fault = %v, want the injected error", err)
+			}
+			faults = faultyFile{file: faults.file}
+			err = l.Append([]byte("next"))
+			if tc.broken {
+				if l.Err() == nil || err == nil || err.Error() != l.Err().Error() {
+					t.Fatalf("after a failed rollback: Append = %v, Err = %v; want both to report the broken log", err, l.Err())
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err != nil || l.Err() != nil {
+				t.Fatalf("Append after a clean rollback = %v (Err %v)", err, l.Err())
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, recovered, err := openScan(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(acked, []byte("next"))
+			if len(recovered) != len(want) {
+				t.Fatalf("reopen read %d records, want %d", len(recovered), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(recovered[i], want[i]) {
+					t.Fatalf("record %d = %q, want %q", i, recovered[i], want[i])
+				}
+			}
+		})
 	}
 }
 

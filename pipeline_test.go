@@ -41,6 +41,7 @@ func TestOptionsValidate(t *testing.T) {
 		"negative workers":  func(o *Options) { o.Workers = -3 },
 		"unknown induction": func(o *Options) { o.Induction = Induction(42) },
 		"unknown pruning":   func(o *Options) { o.Pruning = metablocking.Pruning(42) },
+		"unknown scheme":    func(o *Options) { o.Scheme = weights.Scheme{Kind: 99} },
 		"lsh zero rows":     func(o *Options) { o.LSH = &LSHOptions{Rows: 0, Bands: 10} },
 	}
 	for name, mutate := range mutations {
@@ -49,6 +50,13 @@ func TestOptionsValidate(t *testing.T) {
 		if err := opt.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid options", name)
 		}
+	}
+	// An unknown weighting kind once passed Validate and panicked in a
+	// graph worker at the first build.
+	unknown := DefaultOptions()
+	unknown.Scheme = weights.Scheme{Kind: 99}
+	if err := unknown.Validate(); err == nil || !strings.Contains(err.Error(), "Scheme.Kind") {
+		t.Errorf("Scheme.Kind 99: Validate = %v, want an error naming Scheme.Kind", err)
 	}
 	// Run and NewPipeline must reject what Validate rejects.
 	bad := DefaultOptions()

@@ -37,6 +37,7 @@ import (
 	"blast/internal/blocking"
 	"blast/internal/model"
 	"blast/internal/shard"
+	"blast/internal/wal"
 )
 
 // Server serves candidate queries from hash-partitioned snapshot-swap
@@ -50,7 +51,7 @@ type Server struct {
 	shards  []*shard.Shard
 	parts   []*partIndex
 	schema  *Schema
-	dur     *durability      // nil unless ServerOptions.Dir was set
+	log     *wal.Log         // nil unless ServerOptions.Dir was set
 	pers    []*snapPersister // per-shard, nil entries where persistence is off
 
 	mu     sync.Mutex
@@ -83,14 +84,15 @@ func (p *Pipeline) Serve(ctx context.Context, ds *model.Dataset, sopt ServerOpti
 // each shard's rows exist nowhere else, so no healthy subset of shards
 // can serve and the server surfaces the failure instead of degrading.
 //
-// With ServerOptions.Dir set the server is durable: admitted batches
-// are journaled to per-shard write-ahead logs before ids are returned,
-// published snapshots are persisted on the SnapshotEvery cadence, and
-// ServeBlocks over an existing directory recovers the pre-crash state:
-// every journaled batch is appended to every shard, and the published
-// snapshots are either adopted from disk — a complete set at the WAL
-// cut, which is what a drained Close leaves — or sliced from the one
-// frozen build over the recovered union collection. See durable.go for
+// With ServerOptions.Dir set the server is durable: each admitted batch
+// is journaled as one record of one write-ahead log before ids are
+// returned, published snapshots are persisted on the SnapshotEvery
+// cadence, and ServeBlocks over an existing directory recovers the
+// pre-crash state: every journaled batch is appended to every shard,
+// and the published snapshots are either adopted from disk — a complete
+// set at the log's last record, which is what a drained Close leaves —
+// or sliced from the one frozen build over the recovered union
+// collection. See durable.go for
 // the layout and the fail-closed rules.
 func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerOptions) (srv *Server, err error) {
 	if err := sopt.Validate(); err != nil {
@@ -100,14 +102,15 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		return nil, errors.New("blast: ServeBlocks requires a non-nil Blocks artifact")
 	}
 	c, n := blocks.Collection, sopt.shards()
-	var rec *recovery
+	var log *wal.Log
+	var replay [][]model.Profile
 	if sopt.Dir != "" {
-		if p, rec, err = p.openDurable(c, sopt); err != nil {
+		if p, log, replay, err = p.openDurable(c, sopt); err != nil {
 			return nil, err
 		}
 		defer func() {
 			if err != nil {
-				rec.closeLogs()
+				err = errors.Join(err, log.Close())
 			}
 		}()
 	}
@@ -125,11 +128,10 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 	for i := range srv.parts {
 		srv.parts[i] = newPartIndex(c.Clone(), blocks.Schema, p.opt, i, n, ex)
 	}
-	cut := 0
+	cut := len(replay)
 	var snaps []*shard.Snapshot
-	if rec != nil {
-		cut = len(rec.batches)
-		for k, b := range rec.batches {
+	if log != nil {
+		for k, b := range replay {
 			for i, px := range srv.parts {
 				if _, err := px.InsertAll(ctx, b); err != nil {
 					return nil, fmt.Errorf("blast: wal replay, batch %d on shard %d: %w", k, i, err)
@@ -151,14 +153,14 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		snaps = make([]*shard.Snapshot, n)
 		for i := range snaps {
 			snap := shard.SliceOwned(ix.rows, i, n)
-			if rec != nil {
+			if log != nil {
 				maxEpoch := uint64(0)
 				for _, name := range snapFileNames(durSnapDir(sopt.Dir, i)) {
 					maxEpoch = max(maxEpoch, snapFileEpoch(name))
 				}
 				if maxEpoch > 0 || cut > 0 {
-					// Publish strictly above every file on disk, at the WAL
-					// cut, so persisting the recovered state clobbers no file
+					// Publish strictly above every file on disk, at the log's
+					// record count, so persisting the recovered state clobbers no file
 					// a later recovery might still need.
 					//blast:allow snapshotmut -- pre-publication tag of a freshly sliced private snapshot; no reader can hold it before shard.New
 					snap.Epoch, snap.Batches = maxEpoch+1, int64(cut)
@@ -168,7 +170,7 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		}
 	}
 
-	if every := sopt.snapshotEvery(); rec != nil && every > 0 {
+	if every := sopt.snapshotEvery(); log != nil && every > 0 {
 		for i, snap := range snaps {
 			sp := &snapPersister{dir: durSnapDir(sopt.Dir, i), every: every, keep: 2, last: int64(cut)}
 			if snap.Epoch > 0 {
@@ -189,9 +191,7 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		}
 		srv.shards[i] = shard.New(i, px, snaps[i], shOpt)
 	}
-	if rec != nil {
-		srv.dur = &durability{wals: rec.logs, base: srv.nextID}
-	}
+	srv.log = log
 	return srv, nil
 }
 
@@ -240,11 +240,12 @@ func (s *Server) Stats() []shard.Stats {
 }
 
 // Err returns the first error the serving machinery encountered, if
-// any: a poisoned durability layer (WAL divergence) or a failed shard
-// worker. A non-nil result is sticky and fails all further admissions.
+// any: a broken write-ahead log (an append whose failure could not be
+// undone) or a failed shard worker. A non-nil result is sticky and
+// fails all further admissions.
 func (s *Server) Err() error {
-	if s.dur != nil {
-		if err := s.dur.err(); err != nil {
+	if s.log != nil {
+		if err := s.log.Err(); err != nil {
 			return err
 		}
 	}
@@ -309,9 +310,9 @@ func (s *Server) InsertAll(ctx context.Context, profiles []model.Profile) ([]int
 	// Durable servers journal the batch before admitting it: once ids
 	// are returned the batch survives a crash (to the fsync policy), and
 	// a batch that could not be journaled is not admitted at all.
-	if s.dur != nil {
-		if err := s.dur.appendBatch(batch); err != nil {
-			return nil, err
+	if s.log != nil {
+		if err := s.log.Append(wal.AppendBatch(nil, batch)); err != nil {
+			return nil, fmt.Errorf("blast: wal append: %w", err)
 		}
 	}
 	// Enqueues cannot fail here — the server lock excludes Close, and a
@@ -629,10 +630,10 @@ func (s *Server) Blocks() *blocking.Collection { return s.parts[0].app.Collectio
 func (s *Server) Schema() *Schema { return s.schema }
 
 // Close stops the shard workers after they drain every admitted batch,
-// syncs and releases the write-ahead logs of a durable server, and
+// syncs and releases the write-ahead log of a durable server, and
 // returns the first error encountered. Every resource is released even
 // when a shard reports a failure — a dead worker must not leak the
-// others or the logs. Reads remain valid on the last published
+// others or the log. Reads remain valid on the last published
 // snapshots; Insert, InsertAll and Quiesce fail after Close. Close is
 // idempotent.
 func (s *Server) Close() error {
@@ -668,8 +669,8 @@ func (s *Server) Close() error {
 			errs = append(errs, sp.persistNow(snap))
 		}
 	}
-	if s.dur != nil {
-		errs = append(errs, s.dur.close())
+	if s.log != nil {
+		errs = append(errs, s.log.Close())
 	}
 	return firstError(errs)
 }

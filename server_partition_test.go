@@ -378,7 +378,7 @@ func copyTree(t *testing.T, src, dst string) {
 // visible after Quiesce, and Pairs/Candidates/Threshold equal a cold
 // IndexBlocks over the served collection. The durable cells then reopen
 // a kill image of the quiesced directory: it must adopt the snapshots
-// published at the WAL cut (no rebuild) and serve equal pairs.
+// published at the log's last record (no rebuild) and serve equal pairs.
 func TestPartitionedAlignmentUnderBacklog(t *testing.T) {
 	ctx := context.Background()
 	p, err := NewPipeline(DefaultOptions())
