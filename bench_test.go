@@ -13,7 +13,10 @@ package blast_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 
 	"blast"
@@ -30,6 +33,7 @@ import (
 	"blast/internal/prune"
 	"blast/internal/stats"
 	"blast/internal/text"
+	"blast/internal/wal"
 	"blast/internal/weights"
 )
 
@@ -608,6 +612,77 @@ func BenchmarkServer_StreamPublish(b *testing.B) {
 	}
 	b.ReportMetric(float64(swaps)/float64(b.N), "swaps/op")
 	b.ReportMetric(float64(streamed)*float64(b.N)/b.Elapsed().Seconds(), "profiles/s")
+}
+
+// BenchmarkServer_ConcurrentInsert runs 1, 2 and 8 in-process writers
+// against a durable two-shard server fsyncing every log record
+// (SyncEvery 1). An op is one burst: every writer makes 32
+// single-profile InsertAll calls. records/profile is the write-ahead-log
+// records — one fsync each — the server wrote per admitted profile.
+// Group commit makes it fall as writers rise: calls that queue behind
+// a commit share the next record. The count depends on timing, not on a
+// fixed window.
+func BenchmarkServer_ConcurrentInsert(b *testing.B) {
+	ctx := context.Background()
+	const base, calls = 1000, 32
+	st := datasets.NewStream(base+8*calls, 1)
+	e := model.NewCollection("stream")
+	for i := 0; i < base; i++ {
+		e.Append(st.Profile(i))
+	}
+	ds := &model.Dataset{Name: "stream", Kind: model.Dirty, E1: e, Truth: model.NewGroundTruth()}
+	stream := st.Profiles(base, base+8*calls)
+	p, err := blast.NewPipeline(blast.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema, err := p.InduceSchema(ctx, ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks, err := p.Block(ctx, ds, schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, writers := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("writers-%d", writers), func(b *testing.B) {
+			dir := b.TempDir()
+			srv, err := p.ServeBlocks(ctx, blocks, blast.ServerOptions{Shards: 2, Dir: dir, SyncEvery: 1, SnapshotEvery: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for c := 0; c < calls; c++ {
+							if _, err := srv.InsertAll(ctx, stream[w*calls+c:w*calls+c+1]); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+			}
+			b.StopTimer()
+			if err := srv.Close(); err != nil {
+				b.Fatal(err)
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, "wal", "batches.wal"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			records, _, err := wal.Scan(raw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(len(records))/float64(b.N*writers*calls), "records/profile")
+		})
+	}
 }
 
 // BenchmarkEngine_SpilledSweep runs one Phase-3 sweep — chi2*h, then

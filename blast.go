@@ -200,11 +200,13 @@ type ServerOptions struct {
 	// too: recreate it from the seed artifact. Empty disables durability
 	// entirely.
 	Dir string
-	// SyncEvery batches the log's fsyncs: one fsync per SyncEvery
-	// admitted batches, whatever the shard count. 0 selects 1 — every
-	// admitted batch is on stable storage before its ids are returned; n > 1 trades the tail of a machine
-	// crash (not a process crash: writes are unbuffered) for admission
-	// throughput; negative never fsyncs explicitly. Requires Dir.
+	// SyncEvery batches the log's fsyncs: one fsync per SyncEvery log
+	// records, whatever the shard count. A record is one group: every
+	// InsertAll call committed together (see Server.InsertAll). 0
+	// selects 1 — every admitted batch is on stable storage before its
+	// ids are returned; n > 1 trades the tail of a machine crash (not a
+	// process crash: writes are unbuffered) for admission throughput;
+	// negative never fsyncs explicitly. Requires Dir.
 	SyncEvery int
 	// SnapshotEvery persists a published snapshot once at least this
 	// many batches were admitted since the last persisted one. A reopen
@@ -213,6 +215,16 @@ type ServerOptions struct {
 	// selects 64; negative disables snapshot persistence (recovery
 	// always rebuilds). Requires Dir.
 	SnapshotEvery int
+
+	// MaxPendingRequests bounds the InsertAll calls in the write queue,
+	// queued or committing; a call beyond it fails at once with
+	// ErrOverloaded. 0 selects 256.
+	MaxPendingRequests int
+	// MaxPendingBytes bounds the estimated in-memory size of the
+	// profiles in the write queue, queued or committing; a call beyond
+	// it fails at once with ErrOverloaded, so a single call larger than
+	// the bound is never admitted. 0 selects 16 MiB.
+	MaxPendingBytes int64
 }
 
 // maxServerShards bounds the shard count: shard owners are hashed into
@@ -229,6 +241,9 @@ func (so ServerOptions) Validate() error {
 	if err := so.Topology.Validate(); err != nil {
 		return err
 	}
+	if so.MaxPendingRequests < 0 || so.MaxPendingBytes < 0 {
+		return fmt.Errorf("blast: MaxPendingRequests/MaxPendingBytes = %d/%d: write-queue bounds must not be negative (0 selects the default)", so.MaxPendingRequests, so.MaxPendingBytes)
+	}
 	if so.Dir == "" && (so.SyncEvery != 0 || so.SnapshotEvery != 0) {
 		return fmt.Errorf("blast: SyncEvery/SnapshotEvery = %d/%d without Dir: durability knobs need a durable directory", so.SyncEvery, so.SnapshotEvery)
 	}
@@ -240,7 +255,8 @@ func (so ServerOptions) Validate() error {
 // tests, docs) read the policy the Server will actually run instead of
 // re-deriving the zero-value mappings. Resolution: Shards 0 -> 1;
 // SwapOps 0 -> 256; SyncEvery 0 -> 1 and SnapshotEvery 0 -> 64 when Dir
-// is set (they are unused otherwise and left alone). Any negative knob
+// is set (they are unused otherwise and left alone); MaxPendingRequests
+// 0 -> 256 and MaxPendingBytes 0 -> 16 MiB. Any other negative knob
 // means "disabled" and normalizes to -1. WithDefaults is idempotent and
 // is the single place the defaulting lives; Validate accepts its
 // output whenever it accepts the input.
@@ -259,6 +275,12 @@ func (so ServerOptions) WithDefaults() ServerOptions {
 		}
 	}
 	so.SwapOps = norm(so.SwapOps, 256)
+	if so.MaxPendingRequests == 0 {
+		so.MaxPendingRequests = 256
+	}
+	if so.MaxPendingBytes == 0 {
+		so.MaxPendingBytes = 16 << 20
+	}
 	if so.Dir != "" {
 		so.SyncEvery = norm(so.SyncEvery, 1)
 		so.SnapshotEvery = norm(so.SnapshotEvery, 64)

@@ -10,19 +10,17 @@
 //	GET  /healthz        liveness (503 once the serving machinery failed)
 //	GET  /statsz         shard + write-path statistics
 //
-// Write path. Concurrent insert requests are coalesced by group commit:
-// a committer goroutine admits everything queued as one
-// Server.InsertAll batch at once, and requests arriving meanwhile form
-// the next batch, so N small concurrent PUTs cost a few globally
-// sequenced admissions instead of N and a lone writer waits on no timer. The response ids carry the
-// same durability-receipt contract as the in-process call: on a durable
-// server they are returned only after the batch reached every shard's
-// write-ahead log. Admission is explicitly bounded — at most
-// MaxPendingRequests requests and MaxPendingBytes request bytes may be
-// in flight at once; beyond that the server answers 429 Too Many
-// Requests with a Retry-After header instead of queueing unboundedly,
-// so memory under saturation is capped by configuration, not by offered
-// load.
+// Write path. POST /v1/insert calls Server.InsertAll directly, whose
+// write queue commits concurrent requests together by group commit: one
+// write-ahead-log record and one fsync for everything queued behind the
+// previous commit, with no timer for a lone writer. The response ids
+// carry the in-process durability receipt: on a durable server they are
+// returned only after the batch reached the write-ahead log. The queue
+// is bounded by ServerOptions.MaxPendingRequests and MaxPendingBytes;
+// beyond either the server answers 429 Too Many Requests with a
+// Retry-After header instead of queueing without limit. Draining is the
+// Server's: shut the http.Server down, which waits for every in-flight
+// request, then Close the Server.
 //
 // Read path. Candidate and threshold reads are wait-free (they serve
 // from the owning shard's published snapshot) and honor the in-process
@@ -48,18 +46,9 @@ import (
 )
 
 // Options tunes the handler. The zero value is valid: every knob
-// resolves to the documented default.
+// resolves to the documented default. The write-queue bounds are the
+// Server's (ServerOptions.MaxPendingRequests and MaxPendingBytes).
 type Options struct {
-	// MaxBatch bounds the profiles coalesced into one InsertAll call.
-	// 0 selects 512.
-	MaxBatch int
-	// MaxPendingRequests bounds the insert requests in flight (queued
-	// or committing); requests beyond it are shed with 429. 0 selects
-	// 256.
-	MaxPendingRequests int
-	// MaxPendingBytes bounds the total encoded request bytes in flight;
-	// requests beyond it are shed with 429. 0 selects 16 MiB.
-	MaxPendingBytes int64
 	// MaxBodyBytes bounds one insert request body (413 beyond it).
 	// 0 selects 8 MiB.
 	MaxBodyBytes int64
@@ -67,27 +56,6 @@ type Options struct {
 	// 0 selects 1 second (the Retry-After header has whole-second
 	// granularity).
 	RetryAfter time.Duration
-}
-
-func (o Options) maxBatch() int {
-	if o.MaxBatch <= 0 {
-		return 512
-	}
-	return o.MaxBatch
-}
-
-func (o Options) maxPendingRequests() int {
-	if o.MaxPendingRequests <= 0 {
-		return 256
-	}
-	return o.MaxPendingRequests
-}
-
-func (o Options) maxPendingBytes() int64 {
-	if o.MaxPendingBytes <= 0 {
-		return 16 << 20
-	}
-	return o.MaxPendingBytes
 }
 
 func (o Options) maxBodyBytes() int64 {
@@ -109,19 +77,21 @@ func (o Options) retryAfterSeconds() int {
 }
 
 // Handler serves the blasthttp API over one blast.Server. Construct
-// with NewHandler; always Close it when done (Close stops the write
-// committer; the underlying Server is NOT closed — its lifecycle
-// belongs to the caller).
+// with NewHandler. The handler holds nothing of its own to release; the
+// underlying Server's lifecycle belongs to the caller.
 type Handler struct {
 	srv *blast.Server
 	opt Options
-	bat *batcher
 	mux *http.ServeMux
 }
 
-// NewHandler starts the write committer and returns the handler.
+// BatcherStats is the Server's write-queue summary as /statsz serves
+// it.
+type BatcherStats = blast.WriteStats
+
+// NewHandler returns the handler.
 func NewHandler(srv *blast.Server, opt Options) *Handler {
-	h := &Handler{srv: srv, opt: opt, bat: newBatcher(srv, opt)}
+	h := &Handler{srv: srv, opt: opt}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/insert", h.handleInsert)
 	mux.HandleFunc("GET /v1/candidates", h.handleCandidates)
@@ -139,27 +109,12 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// Stats snapshots the write-path counters.
-func (h *Handler) Stats() BatcherStats { return h.bat.stats() }
+// Stats snapshots the Server's write-queue counters.
+func (h *Handler) Stats() BatcherStats { return h.srv.WriteStats() }
 
-// Drain gracefully stops the write path: new inserts are refused with
-// 503, every in-flight insert commits, and the server is quiesced so
-// all admitted profiles are applied and published on every shard. ctx
-// bounds the wait. Reads keep working during and after a drain. Part of
-// the SIGTERM sequence of cmd/blastserve (drain, final snapshot, exit).
-func (h *Handler) Drain(ctx context.Context) error {
-	if err := h.bat.drain(ctx); err != nil {
-		return err
-	}
-	return h.srv.Quiesce(ctx)
-}
-
-// Close stops the write committer after it drains its queue. It does
-// not close the underlying Server. Idempotent.
-func (h *Handler) Close() error {
-	h.bat.close()
-	return nil
-}
+// Close releases the handler. It owns no goroutine and does not close
+// the underlying Server, so it always returns nil.
+func (h *Handler) Close() error { return nil }
 
 // ---- JSON wire types ----
 //
@@ -349,19 +304,6 @@ func (h *Handler) writeValue(w http.ResponseWriter, v any) {
 	h.writeJSON(w, http.StatusOK, body)
 }
 
-// profilesBytes approximates the in-memory size of a decoded batch, the
-// backpressure unit for requests without a Content-Length.
-func profilesBytes(profiles []model.Profile) int64 {
-	n := int64(0)
-	for i := range profiles {
-		n += int64(len(profiles[i].ID)) + 16
-		for _, pr := range profiles[i].Pairs {
-			n += int64(len(pr.Name)+len(pr.Value)) + 32
-		}
-	}
-	return n
-}
-
 // profileParam parses the required ?profile=N query parameter.
 func profileParam(r *http.Request) (int, error) {
 	raw := r.URL.Query().Get("profile")
@@ -375,16 +317,36 @@ func profileParam(r *http.Request) (int, error) {
 	return p, nil
 }
 
+// fail answers a failed call with the status its error maps to, the one
+// mapping every handler shares: a full write queue is 429 with a
+// Retry-After hint, an oversized body 413, an ended request context 408
+// (499-style: the client went away, so the status is best-effort), a
+// closed server 503, and anything else 500.
+func (h *Handler) fail(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, blast.ErrOverloaded):
+		status = http.StatusTooManyRequests
+		w.Header().Set("Retry-After", strconv.Itoa(h.opt.retryAfterSeconds()))
+	case errors.As(err, &tooBig):
+		status = http.StatusRequestEntityTooLarge
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusRequestTimeout
+	case errors.Is(err, shard.ErrClosed):
+		status = http.StatusServiceUnavailable
+	}
+	h.writeError(w, status, err)
+}
+
 func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, h.opt.maxBodyBytes())
 	var req InsertRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			h.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body over %d bytes", tooBig.Limit))
+		if errors.As(err, new(*http.MaxBytesError)) {
+			h.fail(w, err)
 			return
 		}
 		h.writeError(w, http.StatusBadRequest, fmt.Errorf("bad insert body: %w", err))
@@ -398,25 +360,9 @@ func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 	for i, p := range req.Profiles {
 		profiles[i] = p.ToProfile()
 	}
-	nbytes := r.ContentLength
-	if nbytes < 0 {
-		// Chunked request: charge the decoded payload instead.
-		nbytes = profilesBytes(profiles)
-	}
-	ids, err := h.bat.submit(r.Context(), profiles, nbytes)
+	ids, err := h.srv.InsertAll(r.Context(), profiles)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrBackpressure):
-			w.Header().Set("Retry-After", strconv.Itoa(h.opt.retryAfterSeconds()))
-			h.writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, ErrDraining), errors.Is(err, ErrClosed), errors.Is(err, shard.ErrClosed):
-			h.writeError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			// 499-style: the client went away; the status is best-effort.
-			h.writeError(w, http.StatusRequestTimeout, err)
-		default:
-			h.writeError(w, http.StatusInternalServerError, err)
-		}
+		h.fail(w, err)
 		return
 	}
 	h.writeValue(w, InsertResponse{IDs: ids})
@@ -430,7 +376,7 @@ func (h *Handler) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := CandidatesBody(r.Context(), h.srv, p)
 	if err != nil {
-		h.writeError(w, http.StatusInternalServerError, err)
+		h.fail(w, err)
 		return
 	}
 	h.writeJSON(w, http.StatusOK, body)
@@ -444,7 +390,7 @@ func (h *Handler) handleThreshold(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := ThresholdBody(r.Context(), h.srv, p)
 	if err != nil {
-		h.writeError(w, http.StatusInternalServerError, err)
+		h.fail(w, err)
 		return
 	}
 	h.writeJSON(w, http.StatusOK, body)
@@ -453,11 +399,7 @@ func (h *Handler) handleThreshold(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handlePairs(w http.ResponseWriter, r *http.Request) {
 	body, err := PairsBody(r.Context(), h.srv)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status = http.StatusRequestTimeout
-		}
-		h.writeError(w, status, err)
+		h.fail(w, err)
 		return
 	}
 	h.writeJSON(w, http.StatusOK, body)
@@ -465,14 +407,7 @@ func (h *Handler) handlePairs(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) handleQuiesce(w http.ResponseWriter, r *http.Request) {
 	if err := h.srv.Quiesce(r.Context()); err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, shard.ErrClosed):
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusRequestTimeout
-		}
-		h.writeError(w, status, err)
+		h.fail(w, err)
 		return
 	}
 	h.writeValue(w, QuiesceResponse{Admitted: h.srv.Admitted(), Published: h.srv.NumProfiles()})
@@ -492,6 +427,6 @@ func (h *Handler) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		Admitted:  h.srv.Admitted(),
 		Published: h.srv.NumProfiles(),
 		Shards:    h.srv.Stats(),
-		Writes:    h.bat.stats(),
+		Writes:    h.srv.WriteStats(),
 	})
 }

@@ -1,10 +1,11 @@
 package blasthttp
 
 // Tests of the HTTP serving surface: endpoint semantics and error
-// codes, the HTTP-vs-in-process byte differential, write coalescing,
-// bounded-backpressure 429s under saturation, cancellation, graceful
-// drain, and goroutine-leak checks — the network-facing half of the
-// serving-tier contract (the in-process half lives in server_test.go).
+// codes, the HTTP-vs-in-process byte differential, graceful drain, and
+// goroutine-leak checks — the network-facing half of the serving-tier
+// contract. The write queue behind /v1/insert (group commit,
+// backpressure, cancellation) is tested at the Server, in
+// admission_test.go of package blast.
 
 import (
 	"bytes"
@@ -24,6 +25,7 @@ import (
 
 	"blast"
 	"blast/internal/model"
+	"blast/internal/shard"
 	"blast/internal/stats"
 )
 
@@ -276,220 +278,58 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// gateCommits holds the handler's committer before every flush until
-// the returned channel is closed, so a queue can fill deterministically.
-func gateCommits(h *Handler) chan struct{} {
-	gate := make(chan struct{})
-	h.bat.mu.Lock()
-	h.bat.gate = gate
-	h.bat.mu.Unlock()
-	return gate
-}
-
-// waitInFlight polls until the handler has exactly n insert requests in
-// flight (queued or committing).
-func waitInFlight(t *testing.T, h *Handler, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for h.Stats().PendingRequests != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d requests in flight, want %d", h.Stats().PendingRequests, n)
+// TestErrorStatus holds the one error-to-status mapping every handler
+// shares, the 429's Retry-After hint included.
+func TestErrorStatus(t *testing.T) {
+	h := NewHandler(nil, Options{RetryAfter: 2500 * time.Millisecond})
+	cases := []struct {
+		err        error
+		status     int
+		retryAfter string
+	}{
+		{blast.ErrOverloaded, http.StatusTooManyRequests, "3"},
+		{fmt.Errorf("admit: %w", blast.ErrOverloaded), http.StatusTooManyRequests, "3"},
+		{&http.MaxBytesError{Limit: 512}, http.StatusRequestEntityTooLarge, ""},
+		{context.Canceled, http.StatusRequestTimeout, ""},
+		{fmt.Errorf("barrier: %w", context.DeadlineExceeded), http.StatusRequestTimeout, ""},
+		{shard.ErrClosed, http.StatusServiceUnavailable, ""},
+		{errors.New("shard wedged"), http.StatusInternalServerError, ""},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		h.fail(rec, tc.err)
+		if rec.Code != tc.status {
+			t.Errorf("%v: status %d, want %d", tc.err, rec.Code, tc.status)
 		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestCoalescing fires many concurrent single-profile inserts while a
-// commit is held in flight and checks group commit: everything that
-// queued behind it is admitted as one InsertAll batch, with every id
-// assigned exactly once.
-func TestCoalescing(t *testing.T) {
-	srv := newTestServer(t, 2)
-	h := NewHandler(srv, Options{})
-	defer h.Close()
-	gate := gateCommits(h)
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	client := ts.Client()
-
-	const n = 60
-	ids := make(chan int, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rng := stats.NewRNG(uint64(i) + 100)
-			resp, body := postJSON(t, client, ts.URL+"/v1/insert", insertBody(testProfile(rng, fmt.Sprintf("c%d", i))))
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("insert %d: status %d: %s", i, resp.StatusCode, body)
-				return
-			}
-			var ins InsertResponse
-			if err := json.Unmarshal(body, &ins); err != nil || len(ins.IDs) != 1 {
-				t.Errorf("insert %d: bad response %s", i, body)
-				return
-			}
-			ids <- ins.IDs[0]
-		}(i)
-	}
-	waitInFlight(t, h, n)
-	close(gate)
-	wg.Wait()
-	close(ids)
-	seen := make(map[int]bool)
-	for id := range ids {
-		if seen[id] {
-			t.Fatalf("id %d assigned twice", id)
+		if got := rec.Header().Get("Retry-After"); got != tc.retryAfter {
+			t.Errorf("%v: Retry-After %q, want %q", tc.err, got, tc.retryAfter)
 		}
-		seen[id] = true
-	}
-	if len(seen) != n {
-		t.Fatalf("%d ids assigned, want %d", len(seen), n)
-	}
-	for id := range seen {
-		if id < 40 || id >= 40+n {
-			t.Fatalf("id %d outside the admitted range [40, %d)", id, 40+n)
+		var body errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error != tc.err.Error() {
+			t.Errorf("%v: error body %q (%v)", tc.err, rec.Body.Bytes(), err)
 		}
 	}
-	st := h.Stats()
-	if st.AdmittedProfiles != n {
-		t.Errorf("admitted %d profiles, want %d", st.AdmittedProfiles, n)
-	}
-	if st.Batches != 1 || st.CoalescedRequests != n {
-		t.Errorf("%d requests queued behind one commit made %d batches (%d coalesced), want 1 (%d)",
-			n, st.Batches, st.CoalescedRequests, n)
-	}
 }
 
-// TestBackpressure saturates a handler with tiny in-flight bounds and a
-// held committer: the overflow must be shed as 429 with a Retry-After
-// header while the in-flight level stays within the bounds, and the
-// server must stay healthy throughout.
-func TestBackpressure(t *testing.T) {
-	srv := newTestServer(t, 1)
-	opt := Options{
-		MaxPendingRequests: 4,
-		MaxPendingBytes:    1 << 20,
-	}
-	h := NewHandler(srv, opt)
-	defer h.Close()
-	gate := gateCommits(h)
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	client := ts.Client()
-
-	const n = 64
-	var ok, shed atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rng := stats.NewRNG(uint64(i) + 500)
-			body := insertBody(testProfile(rng, fmt.Sprintf("bp%d", i)))
-			resp, _ := postJSON(t, client, ts.URL+"/v1/insert", body)
-			switch resp.StatusCode {
-			case http.StatusOK:
-				ok.Add(1)
-			case http.StatusTooManyRequests:
-				if resp.Header.Get("Retry-After") == "" {
-					t.Error("429 without Retry-After")
-				}
-				shed.Add(1)
-			default:
-				t.Errorf("insert %d: unexpected status %d", i, resp.StatusCode)
-			}
-			// The in-flight level must never exceed the configured bounds.
-			st := h.Stats()
-			if st.PendingRequests > opt.MaxPendingRequests {
-				t.Errorf("pending requests %d over bound %d", st.PendingRequests, opt.MaxPendingRequests)
-			}
-			if st.PendingBytes > opt.MaxPendingBytes {
-				t.Errorf("pending bytes %d over bound %d", st.PendingBytes, opt.MaxPendingBytes)
-			}
-		}(i)
-	}
-	// The held commit fills the bound; everything beyond it is shed.
-	deadline := time.Now().Add(10 * time.Second)
-	for shed.Load() != n-int64(opt.MaxPendingRequests) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	waitInFlight(t, h, opt.MaxPendingRequests)
-	close(gate)
-	wg.Wait()
-	if got, want := ok.Load(), int64(opt.MaxPendingRequests); got != want || shed.Load() != n-want {
-		t.Errorf("%d admitted and %d shed, want %d and %d", got, shed.Load(), want, n-want)
-	}
-	if got := h.Stats().Rejected; got != shed.Load() {
-		t.Errorf("stats.Rejected = %d, want %d", got, shed.Load())
-	}
-	// The server survived: health is green and the admitted profiles
-	// are exactly the 200s.
-	resp, _ := getBody(t, client, ts.URL+"/healthz")
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz %d after saturation", resp.StatusCode)
-	}
-	if err := srv.Quiesce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := srv.Admitted(), 40+int(ok.Load()); got != want {
-		t.Errorf("admitted %d profiles, want %d", got, want)
-	}
-}
-
-// TestCancellation: a request whose context dies while queued is never
-// admitted.
-func TestCancellation(t *testing.T) {
-	srv := newTestServer(t, 1)
-	h := NewHandler(srv, Options{})
-	defer h.Close()
-	gate := gateCommits(h)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	rng := stats.NewRNG(9)
-	submitted := make(chan error, 1)
-	go func() {
-		_, err := h.bat.submit(ctx, []model.Profile{testProfile(rng, "x")}, 64)
-		submitted <- err
-	}()
-	waitInFlight(t, h, 1)
-	cancel()
-	if err := <-submitted; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled submit = %v, want context.Canceled", err)
-	}
-	// Release the committer: it must drop the request, not admit it.
-	close(gate)
-	waitInFlight(t, h, 0)
-	if err := srv.Quiesce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Admitted(); got != 40 {
-		t.Errorf("canceled insert was admitted: %d profiles, want 40", got)
-	}
-	if h.Stats().Canceled == 0 {
-		t.Error("cancellation not counted")
-	}
-}
-
-// TestDrain: inserts racing a drain either commit fully or are refused;
-// after Drain the handler serves reads but refuses writes, and every
-// admitted profile is published.
+// TestDrain: inserts racing Server.Close either commit fully or are
+// refused with 503; after Close the handler serves reads but refuses
+// writes, and every admitted profile is published.
 func TestDrain(t *testing.T) {
 	srv := newTestServer(t, 2)
 	h := NewHandler(srv, Options{})
-	defer h.Close()
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	client := ts.Client()
 
 	var wg sync.WaitGroup
 	var ok atomic.Int64
+	started := make(chan struct{}, 16)
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			rng := stats.NewRNG(uint64(i) + 900)
+			started <- struct{}{}
 			resp, _ := postJSON(t, client, ts.URL+"/v1/insert", insertBody(testProfile(rng, fmt.Sprintf("d%d", i))))
 			if resp.StatusCode == http.StatusOK {
 				ok.Add(1)
@@ -498,27 +338,29 @@ func TestDrain(t *testing.T) {
 			}
 		}(i)
 	}
-	time.Sleep(2 * time.Millisecond)
-	if err := h.Drain(context.Background()); err != nil {
-		t.Fatalf("Drain: %v", err)
+	for i := 0; i < 8; i++ {
+		<-started
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	wg.Wait()
 
-	// Post-drain: writes refused, reads fine, everything published.
+	// After Close: writes refused, reads fine, everything published.
 	rng := stats.NewRNG(1)
 	resp, _ := postJSON(t, client, ts.URL+"/v1/insert", insertBody(testProfile(rng, "late")))
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("post-drain insert: status %d, want 503", resp.StatusCode)
+		t.Errorf("insert after Close: status %d, want 503", resp.StatusCode)
 	}
 	resp, _ = getBody(t, client, ts.URL+"/v1/candidates?profile=0")
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("post-drain read: status %d", resp.StatusCode)
+		t.Errorf("read after Close: status %d", resp.StatusCode)
 	}
 	if got, want := srv.NumProfiles(), 40+int(ok.Load()); got != want {
-		t.Errorf("published %d profiles after drain, want %d", got, want)
+		t.Errorf("published %d profiles after Close, want %d", got, want)
 	}
 	if got, want := srv.Admitted(), srv.NumProfiles(); got != want {
-		t.Errorf("drain left %d admitted vs %d published", got, want)
+		t.Errorf("Close left %d admitted vs %d published", got, want)
 	}
 }
 

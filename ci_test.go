@@ -1,9 +1,10 @@
 package blast
 
-// A `go test -run` pattern that matches no test still passes, so a CI
-// step that names tests by pattern goes stale silently when a test is
-// renamed or deleted. This test holds every -run alternative and every
-// fuzz-smoke target of the CI workflow to the test functions that exist.
+// A `go test -run` or `-bench` pattern that matches nothing still
+// passes, so a CI step that names tests or benchmarks by pattern goes
+// stale silently when one is renamed or deleted. This test holds every
+// -run and -bench alternative and every fuzz-smoke target of the CI
+// workflow to the functions that exist.
 
 import (
 	"go/ast"
@@ -19,8 +20,8 @@ import (
 
 const ciWorkflow = ".github/workflows/ci.yml"
 
-// testFuncs returns the names of the Test and Fuzz functions declared in
-// the _test.go files of one package directory.
+// testFuncs returns the names of the Test, Fuzz and Benchmark functions
+// declared in the _test.go files of one package directory.
 func testFuncs(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -39,7 +40,7 @@ func testFuncs(t *testing.T, dir string) []string {
 		}
 		for _, d := range f.Decls {
 			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil &&
-				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz") || strings.HasPrefix(fn.Name.Name, "Benchmark")) {
 				names = append(names, fn.Name.Name)
 			}
 		}
@@ -104,8 +105,8 @@ func shellWords(line string) []string {
 
 // TestCIRunFiltersMatchTests fails when a -run alternative of a CI
 // go test command matches no Test or Fuzz function in the packages the
-// command names, or when a fuzz-smoke target is missing from its
-// package.
+// command names, a -bench alternative no Benchmark function, or when a
+// fuzz-smoke target is missing from its package.
 func TestCIRunFiltersMatchTests(t *testing.T) {
 	raw, err := os.ReadFile(ciWorkflow)
 	if err != nil {
@@ -149,19 +150,25 @@ func TestCIRunFiltersMatchTests(t *testing.T) {
 			continue
 		}
 		words := shellWords(trimmed[i:])
-		var pattern string
+		var run, bench string
 		var pkgs []string
 		for k := 2; k < len(words); k++ {
 			w := words[k]
 			switch {
-			case w == "-run" && k+1 < len(words):
-				pattern = words[k+1]
+			case (w == "-run" || w == "-bench") && k+1 < len(words):
+				if w == "-run" {
+					run = words[k+1]
+				} else {
+					bench = words[k+1]
+				}
 				k++
 			case strings.HasPrefix(w, "-run="):
-				pattern = strings.TrimPrefix(w, "-run=")
+				run = strings.TrimPrefix(w, "-run=")
+			case strings.HasPrefix(w, "-bench="):
+				bench = strings.TrimPrefix(w, "-bench=")
 			case strings.HasPrefix(w, "-"):
 				// Flags that take a separate value.
-				if !strings.Contains(w, "=") && (w == "-bench" || w == "-cpu" || w == "-fuzz" || w == "-fuzztime" ||
+				if !strings.Contains(w, "=") && (w == "-cpu" || w == "-fuzz" || w == "-fuzztime" ||
 					w == "-benchtime" || w == "-covermode" || w == "-coverprofile" || w == "-timeout" || w == "-count") {
 					k++
 				}
@@ -169,33 +176,40 @@ func TestCIRunFiltersMatchTests(t *testing.T) {
 				pkgs = append(pkgs, w)
 			}
 		}
-		if pattern == "" || pattern == "^$" {
-			continue
-		}
-		commands++
-		if len(pkgs) == 0 {
-			t.Errorf("%s:%d: go test -run %q names no package", ciWorkflow, n+1, pattern)
-			continue
-		}
-		var names []string
-		for _, p := range pkgs {
-			for _, dir := range packageDirs(t, p) {
-				names = append(names, funcsIn(dir)...)
-			}
-		}
-		top, _, _ := strings.Cut(pattern, "/")
-		for _, alt := range strings.Split(top, "|") {
-			re, err := regexp.Compile(alt)
-			if err != nil {
-				t.Errorf("%s:%d: -run alternative %q: %v", ciWorkflow, n+1, alt, err)
+		for _, filter := range []struct{ flag, pattern string }{{"-run", run}, {"-bench", bench}} {
+			if filter.pattern == "" || filter.pattern == "^$" {
 				continue
 			}
-			matched := false
-			for _, name := range names {
-				matched = matched || re.MatchString(name)
+			commands++
+			if len(pkgs) == 0 {
+				t.Errorf("%s:%d: go test %s %q names no package", ciWorkflow, n+1, filter.flag, filter.pattern)
+				continue
 			}
-			if !matched {
-				t.Errorf("%s:%d: -run alternative %q matches no test in %v", ciWorkflow, n+1, alt, pkgs)
+			// -bench selects Benchmark functions; -run the others.
+			var names []string
+			for _, p := range pkgs {
+				for _, dir := range packageDirs(t, p) {
+					for _, name := range funcsIn(dir) {
+						if strings.HasPrefix(name, "Benchmark") == (filter.flag == "-bench") {
+							names = append(names, name)
+						}
+					}
+				}
+			}
+			top, _, _ := strings.Cut(filter.pattern, "/")
+			for _, alt := range strings.Split(top, "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s:%d: %s alternative %q: %v", ciWorkflow, n+1, filter.flag, alt, err)
+					continue
+				}
+				matched := false
+				for _, name := range names {
+					matched = matched || re.MatchString(name)
+				}
+				if !matched {
+					t.Errorf("%s:%d: %s alternative %q matches nothing in %v", ciWorkflow, n+1, filter.flag, alt, pkgs)
+				}
 			}
 		}
 	}

@@ -1,5 +1,5 @@
 // Command blastserve runs the blasthttp front end over a blast.Server:
-// a network-facing candidate-serving daemon with batched writes,
+// a network-facing candidate-serving daemon with group-committed writes,
 // explicit backpressure, and graceful drain.
 //
 // Usage:
@@ -11,13 +11,15 @@
 // registry datagen and blastbench use), runs the BLAST pipeline on it,
 // and serves the blasthttp API. With -dir it is durable: admitted
 // batches are journaled before ids are returned, and an existing
-// directory is recovered on startup.
+// directory is recovered on startup. Invalid flag combinations, such as
+// -sync-every without -dir, are usage errors (exit 2) caught before the
+// dataset is generated.
 //
 // On SIGTERM or SIGINT the server drains gracefully: the listener
-// stops accepting, in-flight requests finish, the write path quiesces
-// (every admitted profile applied and published on every shard), a
-// final snapshot is persisted (durable servers), and the process
-// exits 0.
+// stops accepting, in-flight requests finish (every queued insert
+// commits or fails), the server closes — every admitted profile applied
+// and published on every shard, and on a durable server a final
+// snapshot persisted — and the process exits 0.
 package main
 
 import (
@@ -45,17 +47,9 @@ type config struct {
 	dataset string
 	scale   float64
 	seed    uint64
-	shards  int
-	swapOps int
 
-	dir           string
-	syncEvery     int
-	snapshotEvery int
-
-	maxBatch        int
-	maxPending      int
-	maxPendingBytes int64
-	maxBodyBytes    int64
+	server       blast.ServerOptions
+	maxBodyBytes int64
 
 	drainTimeout time.Duration
 }
@@ -71,16 +65,16 @@ func parseFlags(args []string, w io.Writer) (config, error) {
 	fs.StringVar(&cfg.dataset, "dataset", "census", "bootstrap dataset: ar1 ar2 prd mov dbp census cora cddb paper-fig1")
 	fs.Float64Var(&cfg.scale, "scale", 0.1, "fraction of paper-scale size for the bootstrap dataset")
 	fs.Uint64Var(&cfg.seed, "seed", 42, "random seed for the bootstrap dataset")
-	fs.IntVar(&cfg.shards, "shards", 2, "shard workers, each owning the rows hashed onto it")
-	fs.IntVar(&cfg.swapOps, "swap-ops", 0, "a snapshot falls due every N applied profiles and is published once the backlog the shards held by then is applied (0 = default)")
-	fs.StringVar(&cfg.dir, "dir", "", "durable directory (empty = in-memory only)")
-	fs.IntVar(&cfg.syncEvery, "sync-every", 0, "fsync the write-ahead log every N admitted batches (0 = every batch)")
-	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 0, "persist a snapshot every N admitted batches (0 = default)")
-	fs.IntVar(&cfg.maxBatch, "max-batch", 0, "profiles coalesced into one admitted batch (0 = default)")
-	fs.IntVar(&cfg.maxPending, "max-pending", 0, "insert requests in flight before 429 (0 = default)")
-	fs.Int64Var(&cfg.maxPendingBytes, "max-pending-bytes", 0, "insert bytes in flight before 429 (0 = default)")
+	so := &cfg.server
+	fs.IntVar(&so.Shards, "shards", 2, "shard workers, each owning the rows hashed onto it")
+	fs.IntVar(&so.SwapOps, "swap-ops", 0, "a snapshot falls due every N applied profiles and is published once the backlog the shards held by then is applied (0 = default)")
+	fs.StringVar(&so.Dir, "dir", "", "durable directory (empty = in-memory only)")
+	fs.IntVar(&so.SyncEvery, "sync-every", 0, "fsync the write-ahead log every N records, one record per group of inserts committed together (0 = every record; requires -dir)")
+	fs.IntVar(&so.SnapshotEvery, "snapshot-every", 0, "persist a snapshot every N log records (0 = default; requires -dir)")
+	fs.IntVar(&so.MaxPendingRequests, "max-pending", 0, "insert requests queued or committing before 429 (0 = default)")
+	fs.Int64Var(&so.MaxPendingBytes, "max-pending-bytes", 0, "estimated insert bytes queued or committing before 429 (0 = default)")
 	fs.Int64Var(&cfg.maxBodyBytes, "max-body-bytes", 0, "largest accepted insert body (0 = default)")
-	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "bound on the graceful drain")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "bound on waiting for in-flight requests when draining")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -99,8 +93,11 @@ func parseFlags(args []string, w io.Writer) (config, error) {
 	if !(cfg.scale > 0) || math.IsInf(cfg.scale, 0) { // rejects NaN, 0, negative
 		return fail("-scale must be a positive finite number, got %v", cfg.scale)
 	}
-	if cfg.shards < 1 {
-		return fail("-shards must be at least 1, got %d", cfg.shards)
+	if so.Shards < 1 {
+		return fail("-shards must be at least 1, got %d", so.Shards)
+	}
+	if err := so.Validate(); err != nil {
+		return fail("%v", err)
 	}
 	if cfg.drainTimeout <= 0 {
 		return fail("-drain-timeout must be positive, got %v", cfg.drainTimeout)
@@ -114,8 +111,7 @@ func main() {
 		os.Exit(2)
 	}
 	// SIGTERM/SIGINT cancel ctx; run then drains and exits cleanly. The
-	// drain itself is bounded by -drain-timeout, so a wedged shard
-	// cannot hold the process hostage.
+	// wait for in-flight requests is bounded by -drain-timeout.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
 	if err := run(ctx, cfg, os.Stdout, nil); err != nil {
@@ -138,33 +134,22 @@ func run(ctx context.Context, cfg config, out io.Writer, ready chan<- string) er
 	if err != nil {
 		return err
 	}
-	srv, err := p.Serve(ctx, ds, blast.ServerOptions{
-		Shards:        cfg.shards,
-		SwapOps:       cfg.swapOps,
-		Dir:           cfg.dir,
-		SyncEvery:     cfg.syncEvery,
-		SnapshotEvery: cfg.snapshotEvery,
-	})
+	srv, err := p.Serve(ctx, ds, cfg.server)
 	if err != nil {
 		return err
 	}
-	h := blasthttp.NewHandler(srv, blasthttp.Options{
-		MaxBatch:           cfg.maxBatch,
-		MaxPendingRequests: cfg.maxPending,
-		MaxPendingBytes:    cfg.maxPendingBytes,
-		MaxBodyBytes:       cfg.maxBodyBytes,
-	})
+	h := blasthttp.NewHandler(srv, blasthttp.Options{MaxBodyBytes: cfg.maxBodyBytes})
 
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
-		return errors.Join(err, h.Close(), srv.Close())
+		return errors.Join(err, srv.Close())
 	}
 	durable := ""
-	if cfg.dir != "" {
-		durable = ", durable " + cfg.dir
+	if cfg.server.Dir != "" {
+		durable = ", durable " + cfg.server.Dir
 	}
 	fmt.Fprintf(out, "blastserve: %s scale %g seed %d: %d profiles, %d shards%s\n",
-		cfg.dataset, cfg.scale, cfg.seed, srv.NumProfiles(), cfg.shards, durable)
+		cfg.dataset, cfg.scale, cfg.seed, srv.NumProfiles(), srv.NumShards(), durable)
 	fmt.Fprintf(out, "blastserve: serving on http://%s\n", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
@@ -179,13 +164,14 @@ func run(ctx context.Context, cfg config, out io.Writer, ready chan<- string) er
 
 	select {
 	case err := <-serveErr:
-		return errors.Join(err, h.Close(), srv.Close())
+		return errors.Join(err, srv.Close())
 	case <-ctx.Done():
 	}
 
-	// Graceful drain: stop accepting and finish in-flight requests,
-	// commit + publish every admitted write, then close the server —
-	// which, on a durable server, persists a final snapshot at the
+	// Graceful drain: stop accepting and wait for every in-flight
+	// request, so every queued insert has committed or failed; then
+	// close the server, which applies and publishes every admitted
+	// write and, on a durable server, persists a final snapshot at the
 	// drained position so the next open restores without replay.
 	fmt.Fprintln(out, "blastserve: draining")
 	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
@@ -194,16 +180,10 @@ func run(ctx context.Context, cfg config, out io.Writer, ready chan<- string) er
 	if err := hs.Shutdown(drainCtx); err != nil {
 		errs = append(errs, fmt.Errorf("http shutdown: %w", err))
 	}
-	if err := h.Drain(drainCtx); err != nil {
-		errs = append(errs, fmt.Errorf("drain: %w", err))
-	}
-	if err := h.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	published := srv.NumProfiles()
 	if err := srv.Close(); err != nil {
 		errs = append(errs, fmt.Errorf("server close: %w", err))
 	}
+	published := srv.NumProfiles()
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}

@@ -50,6 +50,10 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"bad drain timeout", []string{"-drain-timeout", "0s"}},
 		{"removed topology flag", []string{"-topology", "partitioned"}},
 		{"removed flush-interval flag", []string{"-flush-interval", "1ms"}},
+		{"removed max-batch flag", []string{"-max-batch", "512"}},
+		{"sync-every without dir", []string{"-sync-every", "4"}},
+		{"too many shards", []string{"-shards", "300"}},
+		{"negative max-pending", []string{"-max-pending", "-1"}},
 		{"unknown flag", []string{"-nope"}},
 	}
 	for _, tc := range cases {
@@ -66,8 +70,8 @@ func TestParseFlagsValidation(t *testing.T) {
 	cfg, err := parseFlags([]string{"-shards", "4"}, io.Discard)
 	if err != nil {
 		t.Errorf("-shards 4 rejected: %v", err)
-	} else if cfg.shards != 4 {
-		t.Errorf("parsed shards %d, want 4", cfg.shards)
+	} else if cfg.server.Shards != 4 {
+		t.Errorf("parsed shards %d, want 4", cfg.server.Shards)
 	}
 }
 

@@ -4,11 +4,12 @@ package blast
 // snapshot-swap Server. Enabled by ServerOptions.Dir, which lays out:
 //
 //	Dir/MANIFEST.json          layout + seed fingerprint, written once
-//	Dir/wal/batches.wal        the write-ahead log, one record per admitted batch (internal/wal)
+//	Dir/wal/batches.wal        the write-ahead log, one record per committed group (internal/wal)
 //	Dir/snap/shard-NNN/        epoch-named snapshot files (internal/shard)
 //
-// Write path. Server.InsertAll journals each admitted batch as one
-// record (wal.AppendBatch) of the one log before ids are returned,
+// Write path. Server.InsertAll journals each committed group — the
+// InsertAll calls queued together, one batch (see admission.go) — as
+// one record (wal.AppendBatch) of the one log before ids are returned,
 // whatever the shard count. An append that fails leaves no record and
 // admits nothing; one whose failure could not be undone breaks the log,
 // and the server with it (Server.Err). Snapshot persistence piggybacks

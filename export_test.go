@@ -5,3 +5,13 @@ package blast
 
 // MBKeyForBench exposes mbKey to the benchmark suite.
 func MBKeyForBench(i int) string { return mbKey(i) }
+
+// holdCommits blocks every group commit of srv until release is called:
+// the call at the head of the write queue waits for the server lock, and
+// every later call queues behind it, so a test can fill the queue
+// deterministically. Admitted, Quiesce and View block while it is held;
+// WriteStats does not.
+func holdCommits(srv *Server) (release func()) {
+	srv.mu.Lock()
+	return srv.mu.Unlock
+}

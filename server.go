@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"blast/internal/blocking"
@@ -54,15 +53,20 @@ type Server struct {
 	log     *wal.Log         // nil unless ServerOptions.Dir was set
 	pers    []*snapPersister // per-shard, nil entries where persistence is off
 
-	mu     sync.Mutex
+	mu     sync.Mutex // admission: ids, shard enqueues, barriers
 	nextID int
 	closed bool
+
+	wq writeQueue // InsertAll's group commit (admission.go)
 }
 
 // Serve runs the full pipeline on the dataset and starts a sharded
 // snapshot-swap server over the outcome: InduceSchema, Block, then
-// ServeBlocks.
+// ServeBlocks. Invalid options are rejected before any of that work.
 func (p *Pipeline) Serve(ctx context.Context, ds *model.Dataset, sopt ServerOptions) (*Server, error) {
+	if err := sopt.Validate(); err != nil {
+		return nil, err
+	}
 	sch, err := p.InduceSchema(ctx, ds)
 	if err != nil {
 		return nil, err
@@ -125,6 +129,8 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		schema:  blocks.Schema,
 		nextID:  c.NumProfiles,
 	}
+	def := sopt.WithDefaults()
+	srv.wq.maxReqs, srv.wq.maxBytes = def.MaxPendingRequests, def.MaxPendingBytes
 	for i := range srv.parts {
 		srv.parts[i] = newPartIndex(c.Clone(), blocks.Schema, p.opt, i, n, ex)
 	}
@@ -271,65 +277,6 @@ func (s *Server) Insert(ctx context.Context, p *model.Profile) (int, error) {
 		return ids[0], err
 	}
 	return -1, err
-}
-
-// InsertAll admits a batch of profiles, assigns their global ids in
-// admission order, and broadcasts the batch to every shard worker. The
-// broadcast is all-or-nothing — enqueues never block — so every shard
-// appends the same insert sequence; ctx guards only
-// admission. Ids are returned immediately; application and publication
-// are asynchronous: reads observe the batch once the owning shard next
-// publishes (due after ServerOptions.SwapOps applied profiles, published
-// at the newest batch every shard held when it fell due, at the latest
-// on Quiesce or Close — see the consistency contract in the type docs).
-func (s *Server) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
-	if len(profiles) == 0 {
-		return nil, ctx.Err()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, shard.ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	// One shared deep copy: the workers read the batch asynchronously,
-	// so nothing may alias caller memory — copying the Profile structs
-	// alone would share the Pairs backing arrays and let a caller
-	// reusing its buffers race the appliers. The workers only read the
-	// copy, so one serves every shard.
-	batch := make([]model.Profile, len(profiles))
-	for i := range profiles {
-		batch[i] = profiles[i]
-		batch[i].Pairs = slices.Clone(profiles[i].Pairs)
-	}
-	// Durable servers journal the batch before admitting it: once ids
-	// are returned the batch survives a crash (to the fsync policy), and
-	// a batch that could not be journaled is not admitted at all.
-	if s.log != nil {
-		if err := s.log.Append(wal.AppendBatch(nil, batch)); err != nil {
-			return nil, fmt.Errorf("blast: wal append: %w", err)
-		}
-	}
-	// Enqueues cannot fail here — the server lock excludes Close, and a
-	// shard mailbox never rejects otherwise — so the broadcast is
-	// atomic: every shard receives the batch or (had Close won the
-	// lock) none does.
-	for _, sh := range s.shards {
-		if err := sh.Enqueue(batch); err != nil {
-			return nil, err
-		}
-	}
-	ids := make([]int, len(profiles))
-	for i := range ids {
-		ids[i] = s.nextID
-		s.nextID++
-	}
-	return ids, nil
 }
 
 // owner returns the shard serving a profile's point reads.
@@ -629,14 +576,17 @@ func (s *Server) Blocks() *blocking.Collection { return s.parts[0].app.Collectio
 // under (nil for a schema-agnostic run).
 func (s *Server) Schema() *Schema { return s.schema }
 
-// Close stops the shard workers after they drain every admitted batch,
-// syncs and releases the write-ahead log of a durable server, and
+// Close drains the server: InsertAll calls still queued fail with
+// shard.ErrClosed, the group being committed finishes, and the shard
+// workers stop after they apply and publish every admitted batch. Then
+// it syncs and releases the write-ahead log of a durable server, and
 // returns the first error encountered. Every resource is released even
 // when a shard reports a failure — a dead worker must not leak the
 // others or the log. Reads remain valid on the last published
-// snapshots; Insert, InsertAll and Quiesce fail after Close. Close is
-// idempotent.
+// snapshots, which cover every admitted profile; Insert, InsertAll and
+// Quiesce fail after Close. Close is idempotent.
 func (s *Server) Close() error {
+	s.wq.close()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

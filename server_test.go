@@ -476,11 +476,19 @@ func TestServerLifecycleAndBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := p.Serve(ctx, ds, ServerOptions{Shards: -1}); err == nil {
-		t.Error("negative shard count accepted")
-	}
-	if _, err := p.Serve(ctx, ds, ServerOptions{Shards: maxServerShards + 1}); err == nil {
-		t.Error("absurd shard count accepted")
+	// Invalid options fail before any work: with a nil dataset, the
+	// error must be the options' and not Phase 1's.
+	for _, sopt := range []ServerOptions{
+		{Shards: -1},
+		{Shards: maxServerShards + 1},
+		{SyncEvery: 4},
+		{MaxPendingRequests: -1},
+		{MaxPendingBytes: -1},
+	} {
+		want := sopt.Validate()
+		if _, err := p.Serve(ctx, nil, sopt); want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("Serve(nil dataset, %+v) = %v, want the options error %v", sopt, err, want)
+		}
 	}
 
 	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 2, SwapOps: -1})
