@@ -743,7 +743,7 @@ func BenchmarkEngine_SpilledSweep(b *testing.B) {
 }
 
 // BenchmarkCNPStream times CNP's selection-cut kernel alone — the cut
-// pass plus the retention pass of prune.Sink.CNP — over one resident,
+// pass of prune.CNP plus the canonical retention pass — over one resident,
 // weighted CSR of a streamed dirty corpus (the shape of bench/e2e's
 // sweep-dirty, a quarter of its size: mean degree in the hundreds
 // against a budget of tens). Run with -benchmem: scratch is O(k) per
@@ -759,11 +759,15 @@ func BenchmarkCNPStream(b *testing.B) {
 				b.ReportAllocs()
 				var pairs int
 				for i := 0; i < b.N; i++ {
-					var s prune.Sink
-					if err := s.CNP(ctx, csr, 0, mode, workers); err != nil {
+					d, err := prune.CNP(ctx, csr, 0, mode, workers, prune.Alone)
+					if err != nil {
 						b.Fatal(err)
 					}
-					pairs = len(s.Pairs())
+					kept, err := prune.CollectPairs(ctx, csr, workers, d.Keep)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pairs = len(kept)
 				}
 				b.ReportMetric(float64(csr.NumEdges()), "edges")
 				b.ReportMetric(float64(pairs), "pairs")

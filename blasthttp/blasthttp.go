@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -344,7 +345,17 @@ func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req InsertRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// One object and nothing after it: whatever follows would
+		// otherwise be dropped unread, a second batch included.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the request object")
+		}
+	}
+	if err != nil {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			h.fail(w, err)
 			return

@@ -230,6 +230,7 @@ func TestRequestValidation(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	client := ts.Client()
+	one := string(insertBody(testProfile(stats.NewRNG(11), "t0")))
 
 	cases := []struct {
 		name   string
@@ -244,6 +245,9 @@ func TestRequestValidation(t *testing.T) {
 		{"bad json", "POST", "/v1/insert", "{", http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/insert", `{"rows":[]}`, http.StatusBadRequest},
 		{"empty batch", "POST", "/v1/insert", `{"profiles":[]}`, http.StatusBadRequest},
+		// A body is one object: nothing after it is dropped unread.
+		{"two objects", "POST", "/v1/insert", one + one, http.StatusBadRequest},
+		{"trailing garbage", "POST", "/v1/insert", one + " garbage", http.StatusBadRequest},
 		{"method mismatch", "GET", "/v1/insert", "", http.StatusMethodNotAllowed},
 		{"insert on candidates", "POST", "/v1/candidates?profile=1", "{}", http.StatusMethodNotAllowed},
 		{"unknown route", "GET", "/v1/nope", "", http.StatusNotFound},
@@ -261,6 +265,12 @@ func TestRequestValidation(t *testing.T) {
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
+	}
+	if got := srv.Admitted(); got != 40 {
+		t.Errorf("rejected requests admitted profiles: Admitted %d, want 40", got)
+	}
+	if resp, out := postJSON(t, client, ts.URL+"/v1/insert", []byte(one+"\n")); resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing newline: status %d (%s), want 200", resp.StatusCode, out)
 	}
 
 	// Oversized body: 413.

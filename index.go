@@ -113,8 +113,8 @@ func (p *Pipeline) BuildIndex(ctx context.Context, ds *model.Dataset) (*Index, e
 // graph is built and weighted exactly as MetaBlock does it
 // (metablocking.BuildWeighted), and the configured pruning's retention
 // pass collects each retained comparison with its weight into the rows
-// the index serves from (metablocking.FreezeCSR) — the same pass
-// MetaBlock runs, so Pairs is byte-identical to MetaBlock's. The graph
+// the index serves from (metablocking.FreezeCSR) — by the same decision
+// MetaBlock prunes with, so Pairs is byte-identical to MetaBlock's. The graph
 // ends with the build: a resident one is garbage on return, a spilled
 // one (Options.Storage = StorageFile) has had its segment files
 // deleted.

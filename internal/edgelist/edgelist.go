@@ -168,8 +168,8 @@ func (g *Graph) retain(keep func(i int, e *Edge) bool) []int {
 
 // WEP (Weight Edge Pruning) discards every edge whose weight is below
 // the mean edge weight. A floating-point mean depends on the order of
-// its additions, and the streaming scheme fixes one the partitioned
-// server can refold from exchanged row sums: one partial per
+// its additions, and the pruning decision fixes one its parties can
+// fold from gathered row sums: one partial per
 // smaller-endpoint row, rows folded in ascending order into one partial
 // per chunk of chunkRows consecutive rows, chunk partials added in
 // chunk order. The reference sums in that same documented order

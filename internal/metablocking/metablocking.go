@@ -8,10 +8,13 @@
 // resident, or spilled to segment files), one per-entry weight
 // (weights.Scheme.EntryWeight) applied as the resident build emits its
 // runs or by the row-parallel kernel over a built graph, and the
-// streaming pruning schemes of package prune. No global edge map or
-// per-edge record is ever allocated, every stage polls its context, and
-// the retained pairs are byte-identical at every worker count and in
-// either residency. The edge-list formulation of the literature
+// pruning decisions of package prune behind one switch (Decide) — for a
+// whole graph, or for one shard's owned rows of a partitioned server's
+// graph — collected into pairs (PruneCSR) or into an index's rows
+// (FreezeCSR). No global edge map or per-edge record is ever allocated,
+// every stage polls its context, and the retained pairs are
+// byte-identical at every worker count, in either residency and for
+// every partition of the rows. The edge-list formulation of the literature
 // survives as the test-only reference (internal/edgelist) the engine is
 // held to.
 package metablocking
@@ -85,7 +88,7 @@ type Config struct {
 	// K overrides the cardinality of CEP/CNP; <= 0 uses their defaults.
 	K int
 	// Workers parallelizes blocking-graph construction, weighting and the
-	// streaming pruning passes (see PruneCSR): 0 uses one worker per CPU
+	// pruning passes (see Decide): 0 uses one worker per CPU
 	// (GOMAXPROCS), 1 runs serially, >1 uses exactly that many
 	// goroutines. Every stage partitions its work without duplication, so
 	// parallelism pays at any scale, and the output is byte-identical at
@@ -172,63 +175,64 @@ func (r *Result) PairSet() map[uint64]struct{} {
 	return set
 }
 
-// PruneCSR dispatches the configured pruning over a weighted CSR graph,
-// emitting the retained pairs directly in canonical order. It is
-// exported for consumers that weight a CSR themselves and only need the
-// retention decision. Cfg.Workers selects the pruning parallelism (0 =
-// GOMAXPROCS, 1 = serial); the retained pairs are byte-identical at
-// every worker count. Cancellation is observed at the edge-segment
-// granularity of the streaming schemes.
-func PruneCSR(ctx context.Context, g *graph.CSR, cfg Config) ([]model.IDPair, error) {
-	pairs, _, err := PruneCSRTheta(ctx, g, cfg)
-	return pairs, err
-}
-
-// PruneCSRTheta is PruneCSR that also hands on the per-node thresholds
-// the scheme decided by (nil for the schemes without any), so a caller
-// that serves them need not reduce them a second time.
-func PruneCSRTheta(ctx context.Context, g *graph.CSR, cfg Config) ([]model.IDPair, []float64, error) {
-	var s prune.Sink
-	if err := cfg.pruneInto(ctx, g, &s); err != nil {
-		return nil, nil, err
-	}
-	return s.Pairs(), s.Theta, nil
-}
-
-// FreezeCSR is PruneCSR for the candidate-serving index: the same pass
-// — it runs nothing PruneCSR does not — whose retention loop also keeps
-// each retained edge's weight, scattered into the rows an index serves
-// from together with the thresholds the pass reduced. The canonical
-// walk of the rows is PruneCSR's pair list.
-func FreezeCSR(ctx context.Context, g *graph.CSR, cfg Config) (*prune.Rows, error) {
-	s := prune.Sink{Weights: true}
-	if err := cfg.pruneInto(ctx, g, &s); err != nil {
-		return nil, err
-	}
-	return s.Rows(ctx, g.NumProfiles)
-}
-
-// pruneInto runs the configured streaming scheme into a sink.
-func (cfg Config) pruneInto(ctx context.Context, g *graph.CSR, s *prune.Sink) error {
+// Decide runs the configured pruning decision over a weighted CSR: the
+// whole graph with prune.Alone, or one party's owned rows of a graph the
+// parties hold between them, whose global inputs it resolves through
+// their rounds. It is the one switch over the schemes; PruneCSR,
+// FreezeCSR and a partitioned server's export all decide through it.
+// Cfg.Workers selects the parallelism of its passes (0 = GOMAXPROCS,
+// 1 = serial); the decision is byte-identical at every worker count.
+func Decide(ctx context.Context, g *graph.CSR, cfg Config, p prune.Parties) (prune.Decision, error) {
 	workers := cfg.Workers
 	switch cfg.Pruning {
 	case WEP:
-		return s.WEP(ctx, g, workers)
+		return prune.WEP(ctx, g, workers, p)
 	case CEP:
-		return s.CEP(ctx, g, cfg.K, workers)
+		return prune.CEP(ctx, g, cfg.K, workers, p)
 	case WNP1:
-		return s.WNP(ctx, g, prune.Redefined, workers)
+		return prune.WNP(ctx, g, prune.Redefined, workers, p)
 	case WNP2:
-		return s.WNP(ctx, g, prune.Reciprocal, workers)
+		return prune.WNP(ctx, g, prune.Reciprocal, workers, p)
 	case CNP1:
-		return s.CNP(ctx, g, cfg.K, prune.Redefined, workers)
+		return prune.CNP(ctx, g, cfg.K, prune.Redefined, workers, p)
 	case CNP2:
-		return s.CNP(ctx, g, cfg.K, prune.Reciprocal, workers)
+		return prune.CNP(ctx, g, cfg.K, prune.Reciprocal, workers, p)
 	case BlastWNP:
-		return s.BlastWNP(ctx, g, cfg.C, cfg.D, workers)
+		return prune.BlastWNP(ctx, g, cfg.C, cfg.D, workers, p)
 	default:
 		panic(fmt.Sprintf("metablocking: unknown pruning %d", int(cfg.Pruning)))
 	}
+}
+
+// PruneCSR decides the configured pruning over a weighted CSR graph and
+// collects the retained pairs in canonical order. It is exported for
+// consumers that weight a CSR themselves and only need the retained
+// pairs. Cancellation is observed at the edge-segment granularity of
+// the passes.
+func PruneCSR(ctx context.Context, g *graph.CSR, cfg Config) ([]model.IDPair, error) {
+	d, err := Decide(ctx, g, cfg, prune.Alone)
+	if err != nil {
+		return nil, err
+	}
+	return prune.CollectPairs(ctx, g, cfg.Workers, d.Keep)
+}
+
+// FreezeCSR is PruneCSR for the candidate-serving index: the same
+// decision, collected into the rows an index serves from — each retained
+// edge in both endpoints' rows, with its weight — together with the
+// thresholds the decision reduced. The canonical walk of the rows is
+// PruneCSR's pair list.
+func FreezeCSR(ctx context.Context, g *graph.CSR, cfg Config) (*prune.Rows, error) {
+	d, err := Decide(ctx, g, cfg, prune.Alone)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := prune.CollectOwned(ctx, g, cfg.Workers, d.Keep)
+	if err != nil {
+		return nil, err
+	}
+	rows.Theta = d.Theta
+	return rows, nil
 }
 
 // Run executes meta-blocking over the block collection.

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"blast/internal/blocking"
 	"blast/internal/graph"
 	"blast/internal/model"
 	"blast/internal/prune"
+	"blast/internal/shard"
 	"blast/internal/stats"
 	"blast/internal/store"
 	"blast/internal/weights"
@@ -108,13 +110,58 @@ func canonicalWalk(r *prune.Rows) []model.IDPair {
 	return pairs
 }
 
+// exParties are the parties of a partition whose row u party u%n
+// holds, over one in-process exchange.
+type exParties struct {
+	ex      *shard.Exchange
+	slot, n int
+}
+
+func (p exParties) Gather(v any) ([]any, error) { return p.ex.Gather(p.slot, v) }
+func (p exParties) Owner(u int32) int           { return int(u) % p.n }
+
+// decideParties runs the configured decision on every party of a
+// partition at once, each over its owned-rows graph, and returns the
+// rows each party collects, with the thresholds it decided by.
+func decideParties(t *testing.T, owned []*graph.CSR, cfg Config) []*prune.Rows {
+	t.Helper()
+	ex := shard.NewExchange(len(owned))
+	rows := make([]*prune.Rows, len(owned))
+	errs := make([]error, len(owned))
+	var wg sync.WaitGroup
+	for k, g := range owned {
+		wg.Add(1)
+		go func(k int, g *graph.CSR) {
+			defer wg.Done()
+			ctx := context.Background()
+			d, err := Decide(ctx, g, cfg, exParties{ex: ex, slot: k, n: len(owned)})
+			if err == nil {
+				rows[k], err = prune.CollectOwned(ctx, g, cfg.Workers, d.Keep)
+			}
+			if err != nil {
+				ex.Poison(err)
+				errs[k] = err
+				return
+			}
+			rows[k].Theta = d.Theta
+		}(k, g)
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("party %d of %d: %v", k, len(owned), err)
+		}
+	}
+	return rows
+}
+
 // TestFrozenRowsMatchMaskedGraph holds the two row collectors to the
 // oracle for every weighting kind with and without entropy, every
 // pruning and 1, 2 and 4 workers: FreezeCSR over the resident graph and
-// over a spilled one read a small page at a time, and CollectOwned over
-// the owned-rows graphs of a 2-way and a 3-way partition (weighed under
-// the full graph's degrees and deciding by the full graph's retention,
-// as a shard does once the exchange has merged the aggregates).
+// over a spilled one read a small page at a time, and the decision run
+// through the parties of a 2-way and a 3-way partition, each collecting
+// its owned-rows graph (weighed under the full graph's degrees, as a
+// shard does once the parties have gathered them).
 // Offsets and neighbors must be equal, weights and thresholds bit-equal,
 // and the canonical walk of the rows must be PruneCSR's pair list. The
 // thresholds come out of the one reduction the pruning pass runs: on the
@@ -184,13 +231,6 @@ func TestFrozenRowsMatchMaskedGraph(t *testing.T) {
 				for _, p := range allPrunings {
 					cfg := Config{Scheme: s, Pruning: p, C: 2, D: 2, Workers: 1}
 					want, pairs := maskedRows(t, resident, cfg)
-					retained := make(map[model.IDPair]bool, len(pairs))
-					for _, pair := range pairs {
-						retained[pair] = true
-					}
-					keep := func(u, v int32, _ float64) bool {
-						return retained[model.IDPair{U: min(u, v), V: max(u, v)}]
-					}
 					all := func(int32) bool { return true }
 					for _, workers := range []int{1, 2, 4} {
 						cfg.Workers = workers
@@ -219,13 +259,9 @@ func TestFrozenRowsMatchMaskedGraph(t *testing.T) {
 						}
 
 						for _, pt := range partitions {
-							for k, g := range pt.owned {
+							for k, got := range decideParties(t, pt.owned, cfg) {
 								owns := func(u int32) bool { return int(u)%pt.n == k }
-								got, err := prune.CollectOwned(ctx, g, workers, keep)
-								if err != nil {
-									t.Fatal(err)
-								}
-								sameRows(t, fmt.Sprintf("%s owned %d/%d", label, k, pt.n), want, got, owns, false)
+								sameRows(t, fmt.Sprintf("%s owned %d/%d", label, k, pt.n), want, got, owns, true)
 							}
 						}
 					}

@@ -1,11 +1,12 @@
 // Parallel execution substrate of the streaming pruning schemes.
 //
-// Every streaming scheme decomposes into passes over the CSR that are
-// node-local (per-node thresholds, per-node top-k cuts) or that emit
-// canonical edges grouped by their smaller endpoint (retention). Both
+// Every pruning decision and collector decomposes into passes over the
+// CSR that are node-local (per-node thresholds, per-node top-k cuts,
+// per-row sums and tie counts) or that visit canonical edges grouped by
+// their smaller endpoint (histograms, the canonical collector). Both
 // shapes parallelize over node ranges — but determinism, not speed, is
 // the contract here: the retained pairs must be byte-identical to the
-// serial scheme for every worker count and GOMAXPROCS. Three rules
+// serial pass for every worker count and GOMAXPROCS. Three rules
 // enforce it, designed in rather than bolted on (the PR 4 entropy
 // ordering bug is the precedent for what happens otherwise):
 //
@@ -13,9 +14,9 @@
 //     They never depend on the worker count, the weight distribution or
 //     load balancing, so every execution — serial included — reduces
 //     over exactly the same partition.
-//  2. Partial floating-point sums are produced per chunk and combined
-//     in ascending chunk order. Workers race only for *which* chunk
-//     they compute, never for the order results are folded.
+//  2. Partial floating-point sums are produced per row and folded in
+//     ascending row, then chunk, order. Workers race only for *which*
+//     chunk they compute, never for the order results are folded.
 //  3. Integer accumulators (histogram counts, tie counts) commute and
 //     may be merged in any worker order; min/max merges likewise.
 //
@@ -31,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"blast/internal/graph"
-	"blast/internal/model"
 )
 
 const (
@@ -213,136 +213,4 @@ func forChunkCanonical(g *graph.CSR, w *pruneWorker, chunk int, fn func(u, v int
 		}
 	}
 	return nil
-}
-
-// Sink receives what a streaming scheme retains. Every scheme is a
-// method on it: the reduce passes run as they always did, and the
-// retention pass leaves the retained canonical pairs here, per chunk in
-// canonical order, together with the per-node thresholds the scheme
-// reduced on the way (Theta). With Weights set the pass also keeps each
-// retained edge's weight — it has it in hand — which is all Rows needs
-// to freeze the outcome without another pass over the graph; without,
-// a pass pays for the pairs alone. A Sink takes one pass.
-type Sink struct {
-	// Weights asks the retention pass to record each retained edge's
-	// weight beside its pair. Set before the pass.
-	Weights bool
-	// Theta is the per-node threshold vector of the schemes that have
-	// one (WNP, BlastWNP) — the very values retention was decided by —
-	// and nil for the others.
-	Theta []float64
-
-	chunks []kept
-}
-
-// kept is one chunk's retained edges, in canonical order. A retention
-// pass fills a local one and files it when the chunk is done, so
-// workers on neighboring chunks never write to one cache line.
-type kept struct {
-	pairs []model.IDPair
-	wts   []float64
-}
-
-func (k *kept) add(u, v int32, wt float64, weights bool) {
-	k.pairs = append(k.pairs, model.IDPair{U: u, V: v})
-	if weights {
-		k.wts = append(k.wts, wt)
-	}
-}
-
-// emit runs the chunked retention pass: keep decides each positive-
-// weight canonical edge, and the retained ones land in the sink's
-// per-chunk buffers, whose chunk order is canonical order.
-func (s *Sink) emit(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, wt float64) bool) error {
-	s.chunks = make([]kept, numChunks(g.NumProfiles))
-	weights := s.Weights
-	return runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
-		var out kept
-		err := forChunkCanonical(g, w, chunk, func(u, v int32, wt float64) {
-			if wt > 0 && keep(u, v, wt) {
-				out.add(u, v, wt, weights)
-			}
-		})
-		s.chunks[chunk] = out
-		return err
-	})
-}
-
-// Pairs returns the retained pairs in canonical order.
-func (s *Sink) Pairs() []model.IDPair {
-	bufs := make([][]model.IDPair, len(s.chunks))
-	for i := range s.chunks {
-		bufs[i] = s.chunks[i].pairs
-	}
-	return stitchPairs(bufs)
-}
-
-// stitchPairs concatenates per-chunk pair buffers in chunk order into an
-// exactly sized slice (nil when nothing was retained, matching the
-// serial schemes).
-func stitchPairs(bufs [][]model.IDPair) []model.IDPair {
-	total := 0
-	for _, b := range bufs {
-		total += len(b)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]model.IDPair, 0, total)
-	for _, b := range bufs {
-		out = append(out, b...)
-	}
-	return out
-}
-
-// chunkPartialSums computes, per chunk, the sum of the canonical edge
-// weights owned by the chunk plus the number of canonical edges it
-// holds. The chunk sum is itself associated per row: each smaller-
-// endpoint row is summed left to right into its own partial, and the
-// row partials fold in ascending row order. Combined in chunk order by
-// combinePartials, the result is THE canonical edge-weight sum of the
-// graph — the edge-list reference adds its sorted edges in the same
-// documented order, and a partitioned server refolds the identical
-// total from exchanged per-row sums (see RowWeightSums).
-func chunkPartialSums(ctx context.Context, g *graph.CSR, workers int) (sums []float64, counts []int64, err error) {
-	nch := numChunks(g.NumProfiles)
-	sums = make([]float64, nch)
-	counts = make([]int64, nch)
-	err = runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
-		s, n := 0.0, int64(0)
-		rowSum, row := 0.0, int32(-1)
-		err := forChunkCanonical(g, w, chunk, func(u, _ int32, wt float64) {
-			if u != row {
-				if row >= 0 {
-					s += rowSum
-				}
-				rowSum, row = 0, u
-			}
-			rowSum += wt
-			n++
-		})
-		if row >= 0 {
-			s += rowSum
-		}
-		sums[chunk], counts[chunk] = s, n
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sums, counts, nil
-}
-
-// combinePartials folds per-chunk partial sums in ascending chunk order,
-// skipping chunks that hold no edges — the fixed reduction shape shared
-// with the edge-list reference and FoldRowSums, whose iteration over
-// the edges themselves never visits an empty chunk.
-func combinePartials(sums []float64, counts []int64) float64 {
-	total := 0.0
-	for i, s := range sums {
-		if counts[i] > 0 {
-			total += s
-		}
-	}
-	return total
 }

@@ -176,12 +176,12 @@ func TestSelectCutMatchesSort(t *testing.T) {
 					}
 				}
 				for _, workers := range []int{1, 3} {
-					cut, greater, ties, err := selectCut(ctx, csr, workers, k)
+					cut, greater, ties, err := cepCut(ctx, csr, workers, k, Alone)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if cut != wantCut || greater != wantGreater || ties != wantTies {
-						t.Fatalf("pool %d k=%d workers=%d: selectCut = (%v, %d, %d), want (%v, %d, %d)",
+						t.Fatalf("pool %d k=%d workers=%d: cepCut = (%v, %d, %d), want (%v, %d, %d)",
 							pi, k, workers, cut, greater, ties, wantCut, wantGreater, wantTies)
 					}
 				}
@@ -191,8 +191,10 @@ func TestSelectCutMatchesSort(t *testing.T) {
 }
 
 // TestCEPTieBoundaries is the tie-at-the-cut regression suite: the rem
-// budget accounting must stay byte-identical across the edge-list CEP,
-// the serial stream and every parallel worker count when many edges tie
+// budget accounting must stay byte-identical across the edge-list CEP
+// and the decision at several worker counts, over the whole graph and
+// split between 2 and 3 parties — the ownership rotated so the row of
+// the tie boundary is held by each party in turn — when many edges tie
 // exactly at the cut, when the ties sit at weight 0, and when k exceeds
 // the positive-weight edge count.
 func TestCEPTieBoundaries(t *testing.T) {
@@ -226,6 +228,16 @@ func TestCEPTieBoundaries(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				got := must(CEPStream(ctx, csr, k, workers))
 				comparePairs(t, fmt.Sprintf("%s k=%d workers=%d", tc.name, k, workers), want, got)
+			}
+			for n := 2; n <= 3; n++ {
+				for r := 0; r < n; r++ {
+					owner := func(u int32) int { return (int(u) + r) % n }
+					workers := 1 + r
+					got := partyPairs(t, csr, n, owner, workers, func(g *graph.CSR, p Parties) (Decision, error) {
+						return CEP(ctx, g, k, workers, p)
+					})
+					comparePairs(t, fmt.Sprintf("%s k=%d workers=%d parties=%d rotation=%d", tc.name, k, workers, n, r), want, got)
+				}
 			}
 		}
 	}

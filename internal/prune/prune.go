@@ -7,10 +7,14 @@
 // theta_i = M_i / c and unique per-edge threshold (theta_u + theta_v) / d
 // (Section 3.3.2).
 //
-// Every scheme streams over a weighted graph.CSR (weights already
-// applied; see stream.go) and emits the retained pairs in canonical
-// (u, v) order. Zero- and negative-weight edges are never retained: a
-// zero weight means the weighting scheme found no evidence for the pair.
+// Each scheme is written once, as a decision (stream.go): over a
+// weighted graph.CSR — a whole graph, or one party's owned rows of a
+// graph several parties hold (partition.go) — it returns the predicate
+// that decides every entry. The collectors (rows.go) run the predicate
+// over the graph into the retained pairs, in canonical (u, v) order, or
+// into the rows an index serves from. Zero- and negative-weight edges
+// are never retained: a zero weight means the weighting scheme found no
+// evidence for the pair.
 package prune
 
 // Mode selects how node-centric schemes resolve the two thresholds an
@@ -36,8 +40,8 @@ func (m Mode) String() string {
 
 // CEPBudget is CEP's default comparison budget (k <= 0): half the total
 // number of block memberships (sum |B_i| / 2), as in the meta-blocking
-// literature. Partitioned servers resolve it from the (globally
-// replicated) block counts before driving the distributed selection.
+// literature. Block counts are global even in an owned-rows graph, so
+// every party resolves the same budget.
 func CEPBudget(blockCounts []int32) int {
 	total := 0
 	for _, c := range blockCounts {
@@ -49,7 +53,7 @@ func CEPBudget(blockCounts []int32) int {
 // CNPBudget is CNP's default per-node budget (k <= 0): the average
 // number of blocks per profile, max(1, round(sum |B_i| / |V|)) over the
 // profiles that appear in at least one block. Returns 0 when no profile
-// does. TopKCuts takes the resolved budget.
+// does.
 func CNPBudget(blockCounts []int32) int {
 	total := 0
 	active := 0

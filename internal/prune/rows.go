@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"blast/internal/graph"
+	"blast/internal/model"
 )
 
 // Rows is the frozen outcome of a pruning pass: a CSR over every
@@ -23,65 +24,52 @@ type Rows struct {
 	Theta []float64
 }
 
-// Rows scatters what a pass with Weights set retained into the rows of
-// a graph of numProfiles nodes, by counting placement: the canonical
-// edges arrive sorted by (u, v), so row x first receives its smaller
-// neighbors in ascending order — the edges (u, x) — and then its larger
-// ones — the edges (x, v) — and comes out neighbor-sorted without a
-// sort. Polls ctx at edge-segment granularity; a cancelled scatter
-// returns ctx.Err() and no rows.
-func (s *Sink) Rows(ctx context.Context, numProfiles int) (*Rows, error) {
-	offsets := make([]int64, numProfiles+1)
-	for _, chunk := range s.chunks {
-		for _, p := range chunk.pairs {
-			offsets[p.U+1]++
-			offsets[p.V+1]++
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	for u := 0; u < numProfiles; u++ {
-		offsets[u+1] += offsets[u]
-	}
-	r := &Rows{
-		Offsets:   offsets,
-		Neighbors: make([]int32, offsets[numProfiles]),
-		Weights:   make([]float64, offsets[numProfiles]),
-		Theta:     s.Theta,
-	}
-	next := append([]int64(nil), offsets[:numProfiles]...)
-	for _, chunk := range s.chunks {
-		for pairs, wts := chunk.pairs, chunk.wts; len(pairs) > 0; {
-			seg := min(len(pairs), streamCancelCheckEdges)
-			for i, p := range pairs[:seg] {
-				r.Neighbors[next[p.U]], r.Weights[next[p.U]] = p.V, wts[i]
-				next[p.U]++
-				r.Neighbors[next[p.V]], r.Weights[next[p.V]] = p.U, wts[i]
-				next[p.V]++
+// CollectPairs runs the retention pass over the graph's canonical
+// entries and returns the pairs keep retains, in canonical (u, v) order
+// (nil when it retains none): the pair list of a meta-blocking run,
+// without the rows' second orientation and weights. Each chunk fills a
+// buffer of its own, stitched in chunk order.
+func CollectPairs(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, w float64) bool) ([]model.IDPair, error) {
+	bufs := make([][]model.IDPair, numChunks(g.NumProfiles))
+	err := runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
+		var out []model.IDPair
+		err := forChunkCanonical(g, w, chunk, func(u, v int32, wt float64) {
+			if wt > 0 && keep(u, v, wt) {
+				out = append(out, model.IDPair{U: u, V: v})
 			}
-			pairs, wts = pairs[seg:], wts[seg:]
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
+		})
+		bufs[chunk] = out
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return r, nil
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	pairs := make([]model.IDPair, 0, total)
+	for _, b := range bufs {
+		pairs = append(pairs, b...)
+	}
+	return pairs, nil
 }
 
 // CollectOwned runs the retention pass over every entry of the graph's
-// populated rows and returns the rows of what it kept (Theta nil): each
-// positive-weight entry (u, v) — u the row, v the neighbor, in BOTH
-// orientations of every edge the row holds, so a row's served
-// candidates are complete — is decided by keep. Over an owned-rows CSR
-// the populated rows are exactly the owned ones, and since each shard's
-// rows are disjoint, summing the shards' entry counts counts every
-// retained edge exactly twice (once per endpoint, whoever owns it): the
-// global number of retained pairs is the exchanged sum over two. keep
-// must be a pure function of its arguments and globally merged state,
-// so both owners of an edge decide it identically. Entries are kept in
-// the order they are read — row by row, neighbor-ascending — so the
-// rows need no placement, only stitching.
+// populated rows and returns the rows of what it kept (Theta nil; the
+// caller sets it from the Decision): each positive-weight entry (u, v)
+// — u the row, v the neighbor, in BOTH orientations of every edge the
+// row holds, so a row's served candidates are complete — is decided by
+// keep, a Decision's predicate. Over an owned-rows CSR the populated
+// rows are exactly the owned ones, and since the parties' rows are
+// disjoint, summing their entry counts counts every retained edge
+// exactly twice (once per endpoint, whoever owns it): the global number
+// of retained pairs is that sum over two. Entries are kept in the order
+// they are read — row by row, neighbor-ascending — so the rows need no
+// placement, only stitching.
 func CollectOwned(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, w float64) bool) (*Rows, error) {
 	nch := numChunks(g.NumProfiles)
 	nbrs := make([][]int32, nch)

@@ -1,33 +1,37 @@
-// Streaming (node-centric) implementations of the pruning schemes over
-// the CSR blocking graph, one method of Sink each: they consume
-// graph.CSR — no edge list exists — and emit the retained pairs
-// directly into the sink, in canonical (u, v) order. For every scheme
-// the retained pairs are identical to those of its sort-based
+// The pruning decisions, one function a scheme. A decision reads a
+// weighted graph.CSR — a whole graph, or the owned rows of one of the
+// parties that hold a graph between them (partition.go) — and returns
+// the predicate that decides every entry, with the per-node thresholds
+// it decided by. What is global to the graph — WEP's mean, CEP's cut,
+// the thresholds or selection cuts of a row another party holds — it
+// resolves through rounds of the Parties it is given; with Alone, the
+// one party of a whole graph, every round hands back its input. The
+// collectors of rows.go run the predicate over the graph. For every
+// scheme the retained pairs are identical to those of its sort-based
 // counterpart in the test-only reference (internal/edgelist).
 //
-// Every streaming scheme runs its passes — per-node thresholds, top-k
-// selection cuts, histogram counting, retention emission — over the
-// fixed node chunks of parallel.go on `workers` goroutines (0 selects
-// GOMAXPROCS), and the output is byte-identical for every worker count:
-// chunk boundaries are a pure function of the node count, per-chunk
-// float partials are combined in chunk order, and per-chunk output
-// buffers are stitched in canonical order. Even the global schemes
-// WEP/CEP now run in O(adjacency-run) scratch: WEP's mean is a chunked
-// sum and CEP's cut comes from the bounded histogram selection of
-// select.go instead of a flat O(|E|) weight sort.
+// Every pass of a decision runs over the fixed node chunks of
+// parallel.go on `workers` goroutines (0 selects GOMAXPROCS), and the
+// decision is byte-identical for every worker count and every
+// partition of the rows: chunk boundaries are a pure function of the
+// node count, a per-row value comes from the row's one owner, and float
+// sums fold in a fixed row and chunk order. Even the global schemes run
+// in O(adjacency-run) scratch plus per-row vectors: WEP's mean is a
+// refold of per-row sums and CEP's cut comes from the bounded histogram
+// selection of select.go instead of a flat O(|E|) weight sort.
 //
-// All three node-centric schemes share one shape: a reduce pass turns
-// every adjacency run into a few per-node scalars — WNP's mean, BLAST's
-// M_i/c, CNP's selection cut (cut, tie) — and the retention pass tests
-// each canonical edge against the resident per-node vectors of its two
-// endpoints. No pass holds per-entry state or looks up an edge's mirror
-// entry, so runs are only ever read sequentially — the access shape a
-// spilled CSR serves with O(1) page loads per page.
+// The node-centric schemes share one shape: a reduce pass turns every
+// adjacency run into a few per-node scalars — WNP's mean, BLAST's M_i/c,
+// CNP's selection cut (cut, tie) — and the predicate tests an entry
+// against the vectors of its two endpoints. An owned row is its node's
+// whole adjacency, so the scalars are row-local and the parties only
+// swap their owned rows of them. No pass holds per-entry state or looks
+// up an edge's mirror entry, so runs are only ever read sequentially —
+// the access shape a spilled CSR serves with O(1) page loads per page.
 //
-// Every streaming scheme takes a context and supports cooperative
-// cancellation: each pass polls ctx at edge-segment granularity — even
-// inside a single hub node's adjacency run — and returns ctx.Err() as
-// soon as cancellation is observed, discarding partial output.
+// Every pass polls ctx at edge-segment granularity — even inside a
+// single hub node's adjacency run — and returns ctx.Err() as soon as
+// cancellation is observed.
 package prune
 
 import (
@@ -37,106 +41,129 @@ import (
 	"blast/internal/graph"
 )
 
-// WEP is WEP over the CSR graph: discard every edge whose weight is
-// below the mean edge weight. The mean's numerator is the chunked
-// canonical weight sum (combined in chunk order; see chunkPartialSums).
-func (s *Sink) WEP(ctx context.Context, g *graph.CSR, workers int) error {
-	if g.NumEdges() == 0 {
-		return ctx.Err()
-	}
-	sums, counts, err := chunkPartialSums(ctx, g, workers)
-	if err != nil {
-		return err
-	}
-	theta := combinePartials(sums, counts) / float64(g.NumEdges())
-	return s.emit(ctx, g, workers, func(_, _ int32, wt float64) bool {
-		return wt >= theta
-	})
+// Decision is what a pruning scheme decided over a graph. Keep decides
+// an entry (u, v, w) — row u, neighbor v, in either orientation, always
+// with a positive weight (the collectors retain nothing else) — and is
+// a pure function of its arguments and of globally resolved values, so
+// the owners of an edge's two endpoints decide it alike. Theta is the
+// per-node threshold vector of the schemes that have one (WNP,
+// BlastWNP) — the very values Keep tests — and nil for the others.
+type Decision struct {
+	Keep  func(u, v int32, w float64) bool
+	Theta []float64
 }
 
-// CEP is CEP over the CSR graph: retain the globally top-k edges by
-// weight (k <= 0 uses the block-membership budget), breaking ties at
-// the cut in favor of canonically smaller pairs — the tie rule of a
-// stable descending sort of the canonical edges. The cut is located by
-// the bounded histogram selection of select.go; no O(|E|) weight scratch
-// is ever allocated.
-func (s *Sink) CEP(ctx context.Context, g *graph.CSR, k, workers int) error {
-	ne := g.NumEdges()
-	if ne == 0 {
-		return ctx.Err()
+// keepNone is the decision of a graph without edges.
+var keepNone = Decision{Keep: func(int32, int32, float64) bool { return false }}
+
+// WEP discards every edge whose weight is below the mean edge weight.
+// The mean's numerator is the canonical weight sum: per-row sums
+// gathered by owner and refolded in row-within-chunk, chunk order
+// (foldRowSums) — the order the edge-list reference adds its sorted
+// edges in.
+func WEP(ctx context.Context, g *graph.CSR, workers int, p Parties) (Decision, error) {
+	sums, counts, err := rowWeightSums(ctx, g, workers)
+	if err == nil {
+		sums, err = GatherRows(p, sums)
+	}
+	if err == nil {
+		counts, err = GatherRows(p, counts)
+	}
+	if err != nil {
+		return Decision{}, err
+	}
+	total, edges := foldRowSums(sums, counts)
+	if edges == 0 {
+		return keepNone, nil
+	}
+	theta := total / float64(edges)
+	return Decision{Keep: func(_, _ int32, w float64) bool { return w >= theta }}, nil
+}
+
+// CEP retains the globally top-k edges by weight (k <= 0 uses the
+// block-membership budget), breaking ties at the cut in favor of
+// canonically smaller pairs — the tie rule of a stable descending sort
+// of the canonical edges. The cut comes from the histogram selection of
+// select.go. When the budget splits the edges tying at the cut, the
+// ties it takes are the first rem in canonical order, which are exactly
+// the ties up to the rem-th one (tieBoundary): one pair comparison
+// decides any entry.
+func CEP(ctx context.Context, g *graph.CSR, k, workers int, p Parties) (Decision, error) {
+	entries, err := GatherSum(p, g.NumEntries())
+	if err != nil {
+		return Decision{}, err
 	}
 	if k <= 0 {
 		k = CEPBudget(g.BlockCounts)
 	}
-	if k > ne {
-		k = ne
+	if k = min(k, int(entries/2)); k <= 0 {
+		return keepNone, nil
 	}
-	if k <= 0 {
-		return ctx.Err()
-	}
-	cut, greater, ties, err := selectCut(ctx, g, workers, k)
+	cut, greater, ties, err := cepCut(ctx, g, workers, k, p)
 	if err != nil {
-		return err
+		return Decision{}, err
 	}
-	// How many budget slots remain for edges that tie with the cut;
-	// edges strictly above it are always in. Ties consume their slots in
-	// canonical order (and even when zero-filtered below). When the
-	// budget covers every tie — the common case of distinct weights,
-	// where the single tie IS the k-th edge — or covers none, no
-	// per-edge tie ordinal is needed and one emission pass suffices.
+	// Edges strictly above the cut are always in, and at least one tie
+	// is: the k-th edge itself. rem budget slots are left for the ties,
+	// which take them in canonical order, zero-weight ones included.
 	rem := int64(k - greater)
 	if rem >= int64(ties) {
-		return s.emit(ctx, g, workers, func(_, _ int32, wt float64) bool {
-			return wt >= cut
-		})
+		return Decision{Keep: func(_, _ int32, w float64) bool { return w >= cut }}, nil
 	}
-	if rem <= 0 {
-		return s.emit(ctx, g, workers, func(_, _ int32, wt float64) bool {
-			return wt > cut
-		})
-	}
-	// Partial tie budget: count ties per chunk, prefix-sum the counts in
-	// chunk order to give every chunk its starting tie ordinal, then
-	// emit.
-	nch := numChunks(g.NumProfiles)
-	tiesPerChunk := make([]int64, nch)
-	err = runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
-		n := int64(0)
-		err := forChunkCanonical(g, w, chunk, func(_, _ int32, wt float64) {
-			if wt == cut {
-				n++
-			}
-		})
-		tiesPerChunk[chunk] = n
-		return err
-	})
+	bu, bv, err := tieBoundary(ctx, g, workers, cut, rem, p)
 	if err != nil {
-		return err
+		return Decision{}, err
 	}
-	tieBase := make([]int64, nch)
-	base := int64(0)
-	for i, n := range tiesPerChunk {
-		tieBase[i] = base
-		base += n
+	return Decision{Keep: func(u, v int32, w float64) bool {
+		if w != cut {
+			return w > cut
+		}
+		lo, hi := min(u, v), max(u, v)
+		return lo < bu || (lo == bu && hi <= bv)
+	}}, nil
+}
+
+// tieBoundary returns the canonical pair (u, v) of the rem-th edge
+// tying at the cut, in canonical order (1 <= rem < the number of ties).
+// Per-row tie counts, gathered by owner, name the row it sits in; the
+// row's owner — the one party whose graph holds the row's run — walks
+// the run to it, and one round hands the pair to every party.
+func tieBoundary(ctx context.Context, g *graph.CSR, workers int, cut float64, rem int64, p Parties) (u, v int32, err error) {
+	ties, err := rowTieCounts(ctx, g, workers, cut)
+	if err == nil {
+		ties, err = GatherRows(p, ties)
 	}
-	s.chunks = make([]kept, nch)
-	weights := s.Weights
-	return runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
-		tie := tieBase[chunk]
-		var out kept
-		err := forChunkCanonical(g, w, chunk, func(u, v int32, wt float64) {
-			take := wt > cut
-			if !take && wt == cut {
-				take = tie < rem
-				tie++
+	if err != nil {
+		return 0, 0, err
+	}
+	for ; rem > ties[u]; u++ {
+		rem -= ties[u]
+	}
+	v = -1
+	if g.Degree(int(u)) > 0 {
+		nbr, ws := g.Reader().Run(int(u))
+		for i, x := range nbr {
+			if i%streamCancelCheckEdges == 0 {
+				if err := ctx.Err(); err != nil {
+					return 0, 0, err
+				}
 			}
-			if take && wt > 0 {
-				out.add(u, v, wt, weights)
+			if x > u && ws[i] == cut {
+				if rem--; rem == 0 {
+					v = x
+					break
+				}
 			}
-		})
-		s.chunks[chunk] = out
-		return err
-	})
+		}
+		if err := g.Err(); err != nil {
+			return 0, 0, err
+		}
+	}
+	vs, err := p.Gather(v)
+	if err != nil {
+		return 0, 0, err
+	}
+	return u, vs[p.Owner(u)].(int32), nil
 }
 
 // runReducer reduces one adjacency run to a per-node threshold, polling
@@ -265,58 +292,57 @@ func BlastThresholdOf(ws []float64, c float64) float64 {
 }
 
 // MeanThresholds returns WNP's per-node thresholds over the CSR graph:
-// the mean adjacent weight of every node (0 for edgeless nodes). It is
-// the exact reducer Sink.WNP prunes with, exported so index consumers
-// expose the same values the retention decision used. workers selects
-// the goroutine count (0 = GOMAXPROCS); the values are identical either
-// way.
+// the mean adjacent weight of every node (0 for edgeless nodes; over an
+// owned-rows graph, for every node whose row it does not hold). workers
+// selects the goroutine count (0 = GOMAXPROCS); the values are identical
+// either way.
 func MeanThresholds(ctx context.Context, g *graph.CSR, workers int) ([]float64, error) {
 	return nodeThresholdsCSR(ctx, g, workers, meanReducer)
 }
 
 // BlastThresholds returns BLAST's per-node thresholds theta_i = M_i/c
-// over the CSR graph (0 for edgeless nodes; c <= 0 defaults to 2). It is
-// the exact reducer Sink.BlastWNP prunes with, exported so index
-// consumers expose the same values the retention decision used. workers
-// selects the goroutine count (0 = GOMAXPROCS); the values are identical
-// either way.
+// over the CSR graph (0 for edgeless nodes; c <= 0 defaults to 2), like
+// MeanThresholds.
 func BlastThresholds(ctx context.Context, g *graph.CSR, c float64, workers int) ([]float64, error) {
 	return nodeThresholdsCSR(ctx, g, workers, blastReducer(c))
 }
 
-// WNP is WNP over the CSR graph: per-node mean-weight thresholds, every
-// positive-weight canonical edge tested against its endpoints' two
-// according to mode.
-func (s *Sink) WNP(ctx context.Context, g *graph.CSR, mode Mode, workers int) error {
+// WNP keeps an edge by its endpoints' mean adjacent weights (gathered
+// by owner), resolved according to mode.
+func WNP(ctx context.Context, g *graph.CSR, mode Mode, workers int, p Parties) (Decision, error) {
 	th, err := MeanThresholds(ctx, g, workers)
-	if err != nil {
-		return err
+	if err == nil {
+		th, err = GatherRows(p, th)
 	}
-	s.Theta = th
-	return s.emit(ctx, g, workers, func(u, v int32, wt float64) bool {
-		overU := wt >= th[u]
-		overV := wt >= th[v]
+	if err != nil {
+		return Decision{}, err
+	}
+	return Decision{Theta: th, Keep: func(u, v int32, w float64) bool {
+		overU := w >= th[u]
+		overV := w >= th[v]
 		if mode == Redefined {
 			return overU || overV
 		}
 		return overU && overV
-	})
+	}}, nil
 }
 
-// BlastWNP is BLAST's pruning (Section 3.3.2) over the CSR graph:
-// theta_i = M_i / c per node, retain iff w >= (theta_u + theta_v) / d.
-func (s *Sink) BlastWNP(ctx context.Context, g *graph.CSR, c, d float64, workers int) error {
+// BlastWNP is BLAST's pruning (Section 3.3.2): theta_i = M_i / c per
+// node (gathered by owner), retain iff w >= (theta_u + theta_v) / d.
+func BlastWNP(ctx context.Context, g *graph.CSR, c, d float64, workers int, p Parties) (Decision, error) {
 	if d <= 0 {
 		d = 2
 	}
 	th, err := BlastThresholds(ctx, g, c, workers)
-	if err != nil {
-		return err
+	if err == nil {
+		th, err = GatherRows(p, th)
 	}
-	s.Theta = th
-	return s.emit(ctx, g, workers, func(u, v int32, wt float64) bool {
-		return wt >= (th[u]+th[v])/d
-	})
+	if err != nil {
+		return Decision{}, err
+	}
+	return Decision{Theta: th, Keep: func(u, v int32, w float64) bool {
+		return w >= (th[u]+th[v])/d
+	}}, nil
 }
 
 // topEntry is one slot of the CNP selection heap: an entry's weight and
@@ -335,7 +361,7 @@ func (a topEntry) worse(b topEntry) bool {
 
 // topKCut reduces one adjacency run to CNP's selection cut (cut, tie):
 // node n marks its entry (n, x, w) iff w > cut || (w == cut && x <= tie)
-// (InTopK), which is exactly the first k entries of the run stably
+// (inTopK), which is exactly the first k entries of the run stably
 // sorted by descending weight. One pass keeps the k best entries seen
 // so far in a min-heap whose root is the worst of them; a later entry
 // displaces the root only with a strictly larger weight (on a tie it
@@ -396,19 +422,18 @@ func (w *pruneWorker) topKCut(nbr []int32, ws []float64, k int) (cut float64, ti
 	return h[0].w, h[0].x, nil
 }
 
-// InTopK reports whether a node whose selection cut is (cut, tie) marks
+// inTopK reports whether a node whose selection cut is (cut, tie) marks
 // its adjacent entry with neighbor x and weight w.
-func InTopK(w float64, x int32, cut float64, tie int32) bool {
+func inTopK(w float64, x int32, cut float64, tie int32) bool {
 	return w > cut || (w == cut && x <= tie)
 }
 
-// TopKCuts returns CNP's per-node selection cuts over the CSR graph for
+// topKCuts returns CNP's per-node selection cuts over the CSR graph for
 // a positive budget k (see topKCut); nodes without edges keep the zero
-// cut, which nothing ever consults. The two vectors are all a retention
-// pass needs to decide any edge from either endpoint, so partitioned
-// shards exchange their owned rows of them exactly like the WNP
-// thresholds. The values are per-node: identical for every worker count.
-func TopKCuts(ctx context.Context, g *graph.CSR, k, workers int) (cut []float64, tie []int32, err error) {
+// cut, which nothing ever consults. The two vectors are all CNP's
+// predicate needs to decide any edge from either endpoint. The values
+// are per-node: identical for every worker count.
+func topKCuts(ctx context.Context, g *graph.CSR, k, workers int) (cut []float64, tie []int32, err error) {
 	cut = make([]float64, g.NumProfiles)
 	tie = make([]int32, g.NumProfiles)
 	err = forEachRun(ctx, g, workers, func(w *pruneWorker, n int, nbr []int32, ws []float64) (err error) {
@@ -421,31 +446,33 @@ func TopKCuts(ctx context.Context, g *graph.CSR, k, workers int) (cut []float64,
 	return cut, tie, nil
 }
 
-// CNP is CNP over the CSR graph: each node marks its top-k adjacent
-// edges by weight (ties broken by adjacency order, as a stable sort
-// would), and an edge is retained if the marks of its endpoints satisfy
-// the mode. The marks are never materialized: one pass reduces every
-// run to its selection cut, and retention tests each canonical edge
-// against both endpoints' cuts — the same shape as WNP, with strictly
-// sequential run access.
-func (s *Sink) CNP(ctx context.Context, g *graph.CSR, k int, mode Mode, workers int) error {
-	if g.NumEdges() == 0 {
-		return ctx.Err()
-	}
+// CNP keeps an edge by its endpoints' top-k marks (ties broken by
+// adjacency order, as a stable sort would) according to mode. The marks
+// are never materialized: one pass reduces every run to its selection
+// cut, the parties swap their owned rows of the cuts, and the predicate
+// tests an entry against both endpoints' cuts — the same shape as WNP.
+func CNP(ctx context.Context, g *graph.CSR, k int, mode Mode, workers int, p Parties) (Decision, error) {
 	if k <= 0 {
-		k = CNPBudget(g.BlockCounts)
-		if k == 0 {
-			return ctx.Err()
+		if k = CNPBudget(g.BlockCounts); k == 0 {
+			return keepNone, nil
 		}
 	}
-	cut, tie, err := TopKCuts(ctx, g, k, workers)
+	cut, tie, err := topKCuts(ctx, g, k, workers)
+	if err == nil {
+		cut, err = GatherRows(p, cut)
+	}
+	if err == nil {
+		tie, err = GatherRows(p, tie)
+	}
 	if err != nil {
-		return err
+		return Decision{}, err
 	}
-	return s.emit(ctx, g, workers, func(u, v int32, wt float64) bool {
-		if mode == Reciprocal {
-			return InTopK(wt, v, cut[u], tie[u]) && InTopK(wt, u, cut[v], tie[v])
-		}
-		return InTopK(wt, v, cut[u], tie[u]) || InTopK(wt, u, cut[v], tie[v])
-	})
+	if mode == Reciprocal {
+		return Decision{Keep: func(u, v int32, w float64) bool {
+			return inTopK(w, v, cut[u], tie[u]) && inTopK(w, u, cut[v], tie[v])
+		}}, nil
+	}
+	return Decision{Keep: func(u, v int32, w float64) bool {
+		return inTopK(w, v, cut[u], tie[u]) || inTopK(w, u, cut[v], tie[v])
+	}}, nil
 }

@@ -56,7 +56,7 @@ func checkTopKCut(t *testing.T, label string, w *pruneWorker, ws []float64, k in
 	}
 	want := stableTopK(ws, k)
 	for i := range ws {
-		if got := InTopK(ws[i], nbr[i], cut, tie); got != want[i] {
+		if got := inTopK(ws[i], nbr[i], cut, tie); got != want[i] {
 			t.Fatalf("%s k=%d: entry %d (w=%v) marked=%v, stable sort says %v (cut=%v tie=%d)",
 				label, k, i, ws[i], got, want[i], cut, tie)
 		}

@@ -55,8 +55,8 @@ type Options struct {
 	// OnFail, when non-nil, is invoked exactly once, from the worker
 	// goroutine and outside the shard lock, at the moment the shard's
 	// sticky error is first set. It is the failure hook of partitioned
-	// serving: a dead partitioned shard can never again contribute its
-	// exchange frames, so the hook poisons the aggregate exchange and the
+	// serving: a dead partitioned shard can never again contribute to an
+	// exchange round, so the hook poisons the exchange and the
 	// sibling exports fail instead of waiting forever.
 	OnFail func(error)
 }
