@@ -102,10 +102,10 @@ type writeQueue struct {
 //
 // Ids are returned once the batch is journaled and enqueued;
 // application and publication are asynchronous: reads observe the batch
-// once the owning shard next publishes (due after ServerOptions.SwapOps
-// applied profiles, published at the newest batch every shard held when
-// it fell due, at the latest on Quiesce or Close — see the consistency
-// contract in the type docs).
+// once the shards next publish (due after ServerOptions.SwapOps applied
+// profiles, published at the newest batch every shard held when it fell
+// due, at the latest on Quiesce or Close — see the consistency contract
+// in server.go).
 func (s *Server) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
 	if len(profiles) == 0 {
 		return nil, ctx.Err()

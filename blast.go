@@ -164,11 +164,11 @@ func (t Topology) Validate() error {
 type ServerOptions struct {
 	// Shards is the number of shard workers; 0 selects 1. Each shard
 	// owns the rows of the profiles hash-sharded to it: it builds their
-	// graph state on its write path and serves their reads from an
-	// immutable published snapshot. Memory does not divide across the
-	// shards: every shard clones the block collection and holds
-	// full-length per-profile arrays (row offsets, thresholds), so more
-	// shards cost more resident memory, not less.
+	// graph state on its write path and exports them at a publication,
+	// and the server joins the exports into the one published state
+	// every read is served from. Memory does not divide across the
+	// shards: every shard clones the block collection, so more shards
+	// cost more resident memory, not less.
 	Shards int
 	// Topology must be TopologyPartitioned, the zero value.
 	Topology Topology
@@ -188,12 +188,12 @@ type ServerOptions struct {
 	// Dir, when non-empty, makes the server durable: every admitted
 	// InsertAll batch is appended as one record to the server's one
 	// write-ahead log, Dir/wal/batches.wal, before ids are returned,
-	// whatever the shard count. Published snapshots are persisted on the
-	// SnapshotEvery policy, and ServeBlocks on an existing Dir recovers —
-	// a torn tail truncated, every journaled batch replayed onto every
-	// shard, the snapshots at the log's last record adopted or rebuilt —
-	// to a state byte-identical to a cold IndexBlocks over seed +
-	// replayed inserts. The seed Blocks artifact is NOT persisted;
+	// whatever the shard count. Published states are persisted on the
+	// SnapshotEvery policy, one file each, and ServeBlocks on an existing
+	// Dir recovers — a torn tail truncated, every journaled batch
+	// replayed onto every shard, the snapshot at the log's last record
+	// adopted or rebuilt — to a state byte-identical to a cold
+	// IndexBlocks over seed + replayed inserts, at any shard count. The seed Blocks artifact is NOT persisted;
 	// reopening requires the same artifact (a manifest records its
 	// fingerprint and fails closed on mismatch). A directory of the
 	// manifest's version 1, which kept one log per shard, fails closed
@@ -208,10 +208,9 @@ type ServerOptions struct {
 	// process crash: writes are unbuffered) for admission throughput;
 	// negative never fsyncs explicitly. Requires Dir.
 	SyncEvery int
-	// SnapshotEvery persists a published snapshot once at least this
-	// many batches were admitted since the last persisted one. A reopen
-	// adopts the snapshots at the log's last record and skips the
-	// rebuild. 0
+	// SnapshotEvery persists a published state once at least this many
+	// batches were admitted since the last persisted one. A reopen adopts
+	// the snapshot at the log's last record and skips the rebuild. 0
 	// selects 64; negative disables snapshot persistence (recovery
 	// always rebuilds). Requires Dir.
 	SnapshotEvery int

@@ -23,7 +23,7 @@
 // request, then Close the Server.
 //
 // Read path. Candidate and threshold reads are wait-free (they serve
-// from the owning shard's published snapshot) and honor the in-process
+// from the server's published state) and honor the in-process
 // boundary semantics: out-of-range ids serve empty results, never
 // errors. Every response body is produced by the exported *Body
 // helpers, so a byte-compare of an HTTP response against the helper

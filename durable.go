@@ -5,7 +5,11 @@ package blast
 //
 //	Dir/MANIFEST.json          layout + seed fingerprint, written once
 //	Dir/wal/batches.wal        the write-ahead log, one record per committed group (internal/wal)
-//	Dir/snap/shard-NNN/        epoch-named snapshot files (internal/shard)
+//	Dir/snap/epoch-N.snap      one file per persisted state, every row (internal/shard)
+//
+// Nothing on disk depends on the shard count, so a directory reopens at
+// any. Per-shard snapshot directories (Dir/snap/shard-NNN/) of earlier
+// releases are never read; they are safe to delete.
 //
 // Write path. Server.InsertAll journals each committed group — the
 // InsertAll calls queued together, one batch (see admission.go) — as
@@ -13,16 +17,17 @@ package blast
 // whatever the shard count. An append that fails leaves no record and
 // admits nothing; one whose failure could not be undone breaks the log,
 // and the server with it (Server.Err). Snapshot persistence piggybacks
-// on the shard publish hook: every SnapshotEvery admitted batches, the
-// freshly published owned-rows snapshot is written (atomically, via
-// temp file + fsync + rename) under the shard's snapshot directory and
-// old files are pruned.
+// on publication: every SnapshotEvery admitted batches, the freshly
+// published state — the join of every shard's export — is written as
+// one file (atomically, via temp file + fsync + rename) and old files
+// are pruned.
 //
 // Recovery. ServeBlocks over an existing Dir rebuilds the pre-crash
 // state from the seed Blocks artifact plus the disk state:
 //
 //  1. The manifest is checked against the seed collection — no build
-//     is needed for that — and a mismatch fails closed.
+//     is needed for that — and a mismatch fails closed, as does a
+//     missing manifest beside a log record or a snapshot file.
 //  2. The log is opened, its torn tail truncated (internal/wal), and
 //     its records decoded in order: record k is the k-th admitted
 //     batch. A record that passes its checksum but does not decode
@@ -30,11 +35,10 @@ package blast
 //     data.
 //  3. Every shard appends every batch to its clone of the seed
 //     collection, exactly as it did before the crash.
-//  4. The published snapshots are adopted from disk when every shard
-//     has one at exactly the log's record count and the files are one
-//     set (the state a drained Close leaves). Otherwise one frozen
-//     IndexBlocks build over the recovered union collection is sliced
-//     into the owned rows.
+//  4. The start state is adopted from disk: the newest snapshot file
+//     that sits at exactly the log's record count over the recovered
+//     profile count (the state a drained Close leaves). Otherwise it is
+//     one frozen IndexBlocks build over the recovered union collection.
 //
 // The recovered server then serves Pairs/Candidates/Threshold
 // byte-identical to a cold IndexBlocks over seed + replayed inserts —
@@ -61,15 +65,19 @@ import (
 
 // durManifestVersion 2 journals into one log. Version 1 kept one log
 // per shard, each holding that shard's owned subset of every batch; it
-// is not read.
+// is not read. (Version 2 directories of earlier releases also recorded
+// their shard count; the field is ignored.)
 const durManifestVersion = 2
+
+// errNoManifest fails a durable directory that holds state but no
+// manifest: nothing pins the seed its log was admitted over.
+var errNoManifest = errors.New("blast: durable directory has no manifest")
 
 // durManifest pins the parameters a durable directory was created with.
 // Reopening with a different layout or seed artifact would replay the
 // log against the wrong base state, so any mismatch fails closed.
 type durManifest struct {
 	Version      int    `json:"version"`
-	Shards       int    `json:"shards"`
 	Kind         string `json:"kind"`
 	SeedProfiles int    `json:"seed_profiles"`
 	SeedBlocks   uint64 `json:"seed_blocks_fnv"`
@@ -94,8 +102,8 @@ func durWalPath(dir string) string {
 	return filepath.Join(dir, "wal", "batches.wal")
 }
 
-func durSnapDir(dir string, id int) string {
-	return filepath.Join(dir, "snap", fmt.Sprintf("shard-%03d", id))
+func durSnapDir(dir string) string {
+	return filepath.Join(dir, "snap")
 }
 
 func durSnapPath(sdir string, epoch uint64) string {
@@ -135,16 +143,21 @@ func collectionFingerprint(c *blocking.Collection) uint64 {
 }
 
 // checkManifest verifies (or, on first open, records) the layout of a
-// durable directory.
+// durable directory. A first open is one whose directory holds no log
+// record and no snapshot file: the manifest is written before either.
 func checkManifest(dir string, want durManifest) error {
 	path := filepath.Join(dir, "MANIFEST.json")
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
+		log, _ := os.ReadFile(durWalPath(dir))
+		if records, _, err := wal.Scan(log); err != nil || len(records) > 0 || len(snapFileNames(durSnapDir(dir))) > 0 {
+			return fmt.Errorf("%w: %s holds a write-ahead log or snapshots; restore its MANIFEST.json or serve the seed artifact into an empty Dir", errNoManifest, dir)
+		}
 		buf, err := json.MarshalIndent(want, "", "  ")
 		if err != nil {
 			return err
 		}
-		return shard.WriteFileAtomic(path, append(buf, '\n'))
+		return wal.WriteFileAtomic(path, append(buf, '\n'))
 	}
 	if err != nil {
 		return err
@@ -162,10 +175,11 @@ func checkManifest(dir string, want durManifest) error {
 	return nil
 }
 
-// snapPersister persists published snapshots for one shard on the
-// SnapshotEvery cadence and prunes old files. It runs on the shard's
-// worker goroutine only (plus once during recovery, before the worker
-// starts), so it needs no locking.
+// snapPersister persists published states on the SnapshotEvery cadence
+// and prunes old files. It runs on the worker goroutine of the shard
+// that completes a state (plus once during recovery, before the workers
+// start, and once in Close, after they exit); publications are
+// collective, so those calls never overlap and it needs no locking.
 type snapPersister struct {
 	dir   string
 	every int64
@@ -201,8 +215,8 @@ func (sp *snapPersister) prune() {
 	}
 }
 
-// snapFileNames lists a shard's snapshot files, oldest first. The
-// zero-padded decimal epoch makes lexical order numeric.
+// snapFileNames lists the snapshot files of a directory, oldest first.
+// The zero-padded decimal epoch makes lexical order numeric.
 func snapFileNames(sdir string) []string {
 	entries, err := os.ReadDir(sdir)
 	if err != nil {
@@ -232,12 +246,9 @@ func snapFileEpoch(name string) uint64 {
 // returned pipeline is p, or a copy whose StorageFile builds spill
 // under Dir when Options.SpillDir is empty.
 func (p *Pipeline) openDurable(c *blocking.Collection, sopt ServerOptions) (*Pipeline, *wal.Log, [][]model.Profile, error) {
-	n, dir := sopt.shards(), sopt.Dir
-	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
-		return nil, nil, nil, err
-	}
-	for i := 0; i < n; i++ {
-		if err := os.MkdirAll(durSnapDir(dir, i), 0o755); err != nil {
+	dir := sopt.Dir
+	for _, sub := range []string{filepath.Join(dir, "wal"), durSnapDir(dir)} {
+		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -257,7 +268,6 @@ func (p *Pipeline) openDurable(c *blocking.Collection, sopt ServerOptions) (*Pip
 	}
 	if err := checkManifest(dir, durManifest{
 		Version:      durManifestVersion,
-		Shards:       n,
 		Kind:         c.Kind.String(),
 		SeedProfiles: c.NumProfiles,
 		SeedBlocks:   collectionFingerprint(c),
@@ -279,41 +289,19 @@ func (p *Pipeline) openDurable(c *blocking.Collection, sopt ServerOptions) (*Pip
 	return p, log, batches, nil
 }
 
-// adoptOwnedSnapshots tries to restore the initial published snapshots
-// directly from disk: usable only when EVERY shard has a snapshot file
-// that decodes, validates, and sits at exactly the log's record count
-// (cut) with the right partition geometry and profile count — and the
-// files are one set: they agree on the global counters, and between
-// them hold each retained pair exactly twice, once in each endpoint's
-// row (a file of another stream at the same cut passes every check of
-// its own).
-// Partitioned snapshots cannot be rolled forward (the writable side
-// holds no decision state), so a stale, missing or foreign file on any
-// one shard forces the whole set onto the cold rebuild path — adopting a
-// mixed set would publish shards at different stream positions.
-func adoptOwnedSnapshots(dir string, n, cut, numProfiles int) []*shard.Snapshot {
-	snaps := make([]*shard.Snapshot, n)
-	entries := 0
-	for i := 0; i < n; i++ {
-		sdir := durSnapDir(dir, i)
-		names := snapFileNames(sdir)
-		for k := len(names) - 1; k >= 0; k-- {
-			snap, err := shard.ReadSnapshotFile(filepath.Join(sdir, names[k]))
-			if err != nil || snap.Batches != int64(cut) || snap.NumProfiles != numProfiles ||
-				snap.PartShards != n || snap.PartShard != i {
-				continue
-			}
-			snaps[i] = snap
-			break
+// adoptSnapshot returns the state to start from, read from the
+// snapshot directory: the newest file that decodes, validates and sits
+// at exactly the log's record count (cut) over the recovered profile
+// count — or nil, and the caller rebuilds. A file cannot be rolled
+// forward (the writable side holds no decision state), so an older one
+// is no use.
+func adoptSnapshot(sdir string, cut, numProfiles int) *shard.Snapshot {
+	names := snapFileNames(sdir)
+	for k := len(names) - 1; k >= 0; k-- {
+		snap, err := shard.ReadSnapshotFile(filepath.Join(sdir, names[k]))
+		if err == nil && snap.Batches == int64(cut) && snap.NumProfiles == numProfiles {
+			return snap
 		}
-		if snaps[i] == nil || snaps[i].NumEdges != snaps[0].NumEdges ||
-			snaps[i].RetainedPairs != snaps[0].RetainedPairs || len(snaps[i].Theta) != len(snaps[0].Theta) {
-			return nil
-		}
-		entries += len(snaps[i].Neighbors)
 	}
-	if entries != 2*snaps[0].RetainedPairs {
-		return nil
-	}
-	return snaps
+	return nil
 }

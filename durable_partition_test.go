@@ -1,7 +1,8 @@
 package blast
 
-// Durable serving over owned state: snapshots hold only owned rows, so
-// recovery adopts snapshot files only as one complete set.
+// Durable serving over owned state: the shards export owned rows, the
+// server persists the state they join into as one file, and recovery
+// adopts that file or rebuilds.
 
 import (
 	"context"
@@ -27,11 +28,11 @@ func TestDurablePartitionedReopenMatrix(t *testing.T) {
 		return func(o *Options) { o.Scheme, o.Pruning = scheme, pruning }
 	}
 	runReopenMatrix(t, "part/", []reopenCase{
-		{1, 1, 1, with(weights.Scheme{Kind: weights.ChiSquared, Entropy: true}, metablocking.BlastWNP)},
-		{2, -1, 1, with(weights.Scheme{Kind: weights.ARCS, Entropy: true}, metablocking.CNP1)},
-		{3, 1, -1, with(weights.Scheme{Kind: weights.ECBS}, metablocking.WEP)},
-		{2, 0, 0, with(weights.Scheme{Kind: weights.JS}, metablocking.CEP)},
-		{4, 1, 1, with(weights.Scheme{Kind: weights.EJS}, metablocking.CNP2)},
+		{shards: 1, snapEvery: 1, syncEvery: 1, opt: with(weights.Scheme{Kind: weights.ChiSquared, Entropy: true}, metablocking.BlastWNP)},
+		{shards: 2, snapEvery: -1, syncEvery: 1, opt: with(weights.Scheme{Kind: weights.ARCS, Entropy: true}, metablocking.CNP1)},
+		{shards: 3, snapEvery: 1, syncEvery: -1, opt: with(weights.Scheme{Kind: weights.ECBS}, metablocking.WEP)},
+		{shards: 2, snapEvery: 0, syncEvery: 0, opt: with(weights.Scheme{Kind: weights.JS}, metablocking.CEP)},
+		{shards: 4, snapEvery: 1, syncEvery: 1, opt: with(weights.Scheme{Kind: weights.EJS}, metablocking.CNP2)},
 	})
 }
 
@@ -72,33 +73,30 @@ func TestDurablePartitionedTornWAL(t *testing.T) {
 	}
 }
 
-// TestDurablePartitionedAdoptionCrossCheck: the at-cut snapshot files
-// of a partitioned directory are adopted as one set or not at all. Each
-// file alone can only be checked against its own header; what makes
-// them a set is that they agree on the global counters and between them
-// hold every retained pair exactly twice. A file of another stream at
-// the same cut, and a file short of one entry, pass every check of
-// their own — the reopen must fall back to the rebuild and serve what a
-// cold build serves; so must one over a shard whose files are all of the
-// retired layout. The intact set is the control: it is adopted
-// (recovery publishes it at the epoch it was persisted under, where a
-// rebuild publishes past every file on disk).
+// TestDurablePartitionedAdoptionCrossCheck: the at-cut snapshot file of
+// a partitioned directory is adopted whole or not at all. It holds every
+// row of the state, so a file short of one entry fails its own check,
+// and files of a retired layout are refused by name: either way the
+// reopen must fall back to the rebuild and serve what a cold build
+// serves. The intact file is the control: it is adopted (recovery
+// publishes it at the epoch it was persisted under, where a rebuild
+// publishes past every file on disk).
 func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
 	ctx := context.Background()
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shards, batches, victim = 2, 4, 1
-	// seedDir streams batches first..first+batches into a fresh directory
-	// and closes it, leaving every shard a snapshot at the cut.
-	seedDir := func(first int) string {
+	const shards, batches = 2, 4
+	// seedDir streams the batches into a fresh directory and closes it,
+	// leaving a snapshot at the cut.
+	seedDir := func() string {
 		dir := t.TempDir()
 		srv, err := durOpen(t, p, dir, shards, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := first; k < first+batches; k++ {
+		for k := 0; k < batches; k++ {
 			if _, err := srv.InsertAll(ctx, durBatchFor(k)); err != nil {
 				t.Fatal(err)
 			}
@@ -109,35 +107,14 @@ func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
 		return dir
 	}
 	newest := func(dir string) string {
-		sdir := durSnapDir(dir, victim)
-		names := snapFileNames(sdir)
+		names := snapFileNames(durSnapDir(dir))
 		if len(names) == 0 {
-			t.Fatalf("shard %d persisted no snapshot", victim)
+			t.Fatal("no snapshot persisted")
 		}
-		return filepath.Join(sdir, names[len(names)-1])
+		return filepath.Join(durSnapDir(dir), names[len(names)-1])
 	}
 	cases := map[string]func(path string){
 		"intact": func(string) {},
-		"foreign stream": func(path string) {
-			foreign, err := shard.ReadSnapshotFile(newest(seedDir(100)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			own, err := shard.ReadSnapshotFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if foreign.Batches != own.Batches || foreign.NumProfiles != own.NumProfiles {
-				t.Fatalf("precondition: the foreign file sits at batch %d over %d profiles, the set at %d over %d",
-					foreign.Batches, foreign.NumProfiles, own.Batches, own.NumProfiles)
-			}
-			if err := shard.WriteSnapshotFile(path, foreign); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := shard.ReadSnapshotFile(path); err != nil {
-				t.Fatalf("precondition: the foreign file must pass every check of its own: %v", err)
-			}
-		},
 		"entry missing": func(path string) {
 			own, err := shard.ReadSnapshotFile(path)
 			if err != nil {
@@ -145,7 +122,7 @@ func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
 			}
 			n := len(own.Neighbors)
 			if n == 0 {
-				t.Fatalf("precondition: shard %d retains nothing", victim)
+				t.Fatal("precondition: the state retains nothing")
 			}
 			offsets := slices.Clone(own.Offsets)
 			for u := range offsets {
@@ -155,13 +132,13 @@ func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
 				Epoch: own.Epoch, Batches: own.Batches, NumProfiles: own.NumProfiles,
 				NumEdges: own.NumEdges, RetainedPairs: own.RetainedPairs,
 				Offsets: offsets, Neighbors: own.Neighbors[:n-1], Weights: own.Weights[:n-1],
-				Theta: own.Theta, PartShards: own.PartShards, PartShard: own.PartShard,
+				Theta: own.Theta,
 			}
 			if err := shard.WriteSnapshotFile(path, short); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := shard.ReadSnapshotFile(path); err != nil {
-				t.Fatalf("precondition: the short file must pass every check of its own: %v", err)
+			if _, err := shard.ReadSnapshotFile(path); err == nil {
+				t.Fatal("a file an entry short of its retained pairs decoded")
 			}
 		},
 		"old layout": func(path string) {
@@ -178,7 +155,7 @@ func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
 	}
 	for name, damage := range cases {
 		t.Run(name, func(t *testing.T) {
-			dir := seedDir(0)
+			dir := seedDir()
 			path := newest(dir)
 			persisted := snapFileEpoch(filepath.Base(path))
 			damage(path)
@@ -187,7 +164,7 @@ func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			checkRecovered(t, name, p, srv, batches)
-			epoch := srv.Stats()[victim].Epoch
+			epoch := srv.Stats()[1].Epoch
 			if adopted := epoch == persisted; adopted != (name == "intact") {
 				t.Errorf("recovery published epoch %d over a file persisted at %d: adopted = %v", epoch, persisted, adopted)
 			}

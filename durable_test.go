@@ -103,9 +103,9 @@ func checkRecovered(t *testing.T, label string, p *Pipeline, srv *Server, wantBa
 }
 
 // checkEveryShard runs one subtest per shard, named shard<i>, asserting
-// the reopened shard was cut back to the same surviving prefix: its
-// published snapshot sits at wantBatches of the insert stream and covers
-// exactly the profiles those batches admitted, with no error latched.
+// the reopened shard was cut back to the same surviving prefix: it sits
+// at wantBatches of the insert stream, its state covers exactly the
+// profiles those batches admitted, and no error is latched.
 func checkEveryShard(t *testing.T, srv *Server, wantBatches int) {
 	t.Helper()
 	for i, sh := range srv.shards {
@@ -113,11 +113,11 @@ func checkEveryShard(t *testing.T, srv *Server, wantBatches int) {
 			if err := sh.Err(); err != nil {
 				t.Fatalf("shard %d: %v", i, err)
 			}
-			snap := sh.Snapshot()
-			if snap.Batches != int64(wantBatches) {
-				t.Fatalf("shard %d published at batch %d, want %d", i, snap.Batches, wantBatches)
+			st := sh.Stats()
+			if st.Batches != int64(wantBatches) {
+				t.Fatalf("shard %d sits at batch %d, want %d", i, st.Batches, wantBatches)
 			}
-			if got, want := snap.NumProfiles, 40+wantBatches*durBatchSize; got != want {
+			if got, want := st.Published, 40+wantBatches*durBatchSize; got != want {
 				t.Fatalf("shard %d published %d profiles, want %d", i, got, want)
 			}
 		})
@@ -125,10 +125,12 @@ func checkEveryShard(t *testing.T, srv *Server, wantBatches int) {
 }
 
 // reopenCase is one row of a durable reopen matrix; opt, when set,
-// adjusts the pipeline options the case serves under.
+// adjusts the pipeline options the case serves under, and reshard, when
+// set, is the shard count of the first and second reopen.
 type reopenCase struct {
 	shards, snapEvery, syncEvery int
 	opt                          func(*Options)
+	reshard                      [2]int
 }
 
 // runReopenMatrix runs open → stream → close → reopen, two generations
@@ -137,6 +139,9 @@ func runReopenMatrix(t *testing.T, prefix string, cases []reopenCase) {
 	ctx := context.Background()
 	for _, tc := range cases {
 		label := fmt.Sprintf("%sshards=%d/snap=%d/sync=%d", prefix, tc.shards, tc.snapEvery, tc.syncEvery)
+		if tc.reshard != [2]int{} {
+			label = fmt.Sprintf("%sshards=%d-%d-%d/snap=%d/sync=%d", prefix, tc.shards, tc.reshard[0], tc.reshard[1], tc.snapEvery, tc.syncEvery)
+		}
 		t.Run(label, func(t *testing.T) {
 			dir := t.TempDir()
 			opt := DefaultOptions()
@@ -167,6 +172,9 @@ func runReopenMatrix(t *testing.T, prefix string, cases []reopenCase) {
 				t.Fatalf("Pairs after Close: %v", err)
 			}
 
+			if tc.reshard != [2]int{} {
+				sopt.Shards = tc.reshard[0]
+			}
 			srv2, err := p.Serve(ctx, durDataset(), sopt)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
@@ -180,6 +188,9 @@ func runReopenMatrix(t *testing.T, prefix string, cases []reopenCase) {
 
 			// Second generation: recovery over a directory that was itself
 			// produced by a recovery (epoch continuation, snapshot pruning).
+			if tc.reshard != [2]int{} {
+				sopt.Shards = tc.reshard[1]
+			}
 			srv3, err := p.Serve(ctx, durDataset(), sopt)
 			if err != nil {
 				t.Fatalf("reopen gen2: %v", err)
@@ -194,16 +205,20 @@ func runReopenMatrix(t *testing.T, prefix string, cases []reopenCase) {
 
 // TestDurableReopenMatrix runs the reopen matrix under the default
 // pipeline across shard counts and snapshot/sync policies. SnapshotEvery
-// 1 lands reopens on the adoption path (a drained Close leaves every
-// shard an at-cut snapshot); -1 forces the rebuild over the replayed
-// WAL; 0 (default cadence 64) adopts what Close persisted — all must
-// land on the identical state.
+// 1 lands reopens on the adoption path (a drained Close leaves an at-cut
+// snapshot); -1 forces the rebuild over the replayed WAL; 0 (default
+// cadence 64) adopts what Close persisted — all must land on the
+// identical state. Nothing on disk depends on the shard count, so the
+// last two cells reopen at 1 and then 3 shards a directory written by 2,
+// adopting and rebuilding.
 func TestDurableReopenMatrix(t *testing.T) {
 	runReopenMatrix(t, "", []reopenCase{
 		{shards: 1, snapEvery: 1, syncEvery: 1},
 		{shards: 2, snapEvery: -1, syncEvery: 1},
 		{shards: 3, snapEvery: 1, syncEvery: -1},
 		{shards: 2, snapEvery: 0, syncEvery: 0},
+		{shards: 2, snapEvery: 1, syncEvery: 1, reshard: [2]int{1, 3}},
+		{shards: 2, snapEvery: -1, syncEvery: 1, reshard: [2]int{1, 3}},
 	})
 }
 
@@ -264,6 +279,118 @@ func TestDurableReopenBuildCount(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestDurableReopenKeepsStreamPosition: a reopened server's shards
+// continue the insert stream from the cut, not from 0. Three generations
+// deep at one and two shards, with a snapshot persisted every batch:
+// every drained reopen adopts what the Close before it persisted — no
+// index build — and after k more batches a quiesced View sits at the
+// cut plus k.
+func TestDurableReopenKeepsStreamPosition(t *testing.T) {
+	ctx := context.Background()
+	builds := 0
+	opt := DefaultOptions()
+	opt.Progress = func(phase string, _ time.Duration) {
+		if phase == "index" {
+			builds++
+		}
+	}
+	p, err := NewPipeline(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		dir := t.TempDir()
+		cut := 0
+		for gen := 0; gen < 3; gen++ {
+			builds = 0
+			srv, err := durOpen(t, p, dir, shards, 1)
+			if err != nil {
+				t.Fatalf("shards=%d gen %d: %v", shards, gen, err)
+			}
+			if gen > 0 && builds != 0 {
+				t.Errorf("shards=%d gen %d: the reopen at cut %d made %d index builds, want 0", shards, gen, cut, builds)
+			}
+			durInsert(t, srv, cut, cut+2)
+			if err := srv.Quiesce(ctx); err != nil {
+				t.Fatal(err)
+			}
+			v, err := srv.View(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := v.Batches(), int64(cut+2); got != want {
+				t.Errorf("shards=%d gen %d: quiesced view at batch %d, want %d", shards, gen, got, want)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cut += 2
+		}
+	}
+}
+
+// TestDurableMissingManifestFailsClosed: a directory that holds a log
+// record or a snapshot but lost its manifest pins no seed, so no reopen
+// is accepted — over the seed it was created with or any other — and
+// nothing is admitted. An empty directory, or one holding only a log
+// header, opens as a fresh one.
+func TestDurableMissingManifestFailsClosed(t *testing.T) {
+	ctx := context.Background()
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, snapEvery := range []int{-1, 1} {
+		dir := durSeedDir(t, p, 2, snapEvery, 3)
+		if err := os.Remove(filepath.Join(dir, "MANIFEST.json")); err != nil {
+			t.Fatal(err)
+		}
+		for name, seed := range map[string]*model.Dataset{
+			"own seed":   durDataset(),
+			"other seed": synthDirty(stats.NewRNG(0xBEEF), 40),
+		} {
+			srv, err := p.Serve(ctx, seed, ServerOptions{Shards: 2, Dir: dir, SyncEvery: 1, SnapshotEvery: snapEvery})
+			if !errors.Is(err, errNoManifest) {
+				t.Errorf("snap=%d %s: reopen without a manifest = %v, want errNoManifest", snapEvery, name, err)
+			}
+			if srv != nil {
+				t.Errorf("snap=%d %s: a server admitting %d profiles came back", snapEvery, name, srv.Admitted())
+				srv.Close()
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, "MANIFEST.json")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("snap=%d: a refused reopen wrote a manifest: %v", snapEvery, err)
+		}
+	}
+
+	for name, prepare := range map[string]func(dir string){
+		"empty dir": func(string) {},
+		"log header only": func(dir string) {
+			l, _, err := wal.Open(durWalPath(dir), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		prepare(dir)
+		srv, err := durOpen(t, p, dir, 2, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkRecovered(t, name, p, srv, 0)
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -416,10 +543,10 @@ func TestDurableUndecodableRecordFailsClosed(t *testing.T) {
 }
 
 // TestDurableSnapshotFallback damages persisted snapshots and checks
-// the adopt-or-rebuild rule: a set with an unusable at-cut file is not
-// adopted — an older file cannot be rolled forward either — so the
-// reopen rebuilds over the WAL: never a corrupted state, never a
-// journaled batch lost.
+// the adopt-or-rebuild rule: an unusable at-cut file is not adopted —
+// an older file cannot be rolled forward either — so the reopen
+// rebuilds over the WAL: never a corrupted state, never a journaled
+// batch lost.
 func TestDurableSnapshotFallback(t *testing.T) {
 	p, err := NewPipeline(DefaultOptions())
 	if err != nil {
@@ -478,18 +605,15 @@ func TestDurableSnapshotFallback(t *testing.T) {
 			dir := durSeedDir(t, p, shards, 1, batches)
 			// A rebuild publishes strictly above every file left on disk;
 			// an adopted snapshot keeps the epoch it was persisted under.
-			rebuiltEpoch := make([]uint64, shards)
-			for i := range rebuiltEpoch {
-				sdir := durSnapDir(dir, i)
-				names := snapFileNames(sdir)
-				if len(names) == 0 {
-					t.Fatalf("shard %d persisted no snapshots", i)
-				}
-				tc.damage(t, sdir, names)
-				rebuiltEpoch[i] = 1
-				if left := snapFileNames(sdir); len(left) > 0 {
-					rebuiltEpoch[i] = snapFileEpoch(left[len(left)-1]) + 1
-				}
+			sdir := durSnapDir(dir)
+			names := snapFileNames(sdir)
+			if len(names) == 0 {
+				t.Fatal("no snapshot persisted")
+			}
+			tc.damage(t, sdir, names)
+			rebuiltEpoch := uint64(1)
+			if left := snapFileNames(sdir); len(left) > 0 {
+				rebuiltEpoch = snapFileEpoch(left[len(left)-1]) + 1
 			}
 			srv, err := durOpen(t, p, dir, shards, 1)
 			if err != nil {
@@ -498,8 +622,8 @@ func TestDurableSnapshotFallback(t *testing.T) {
 			// The WAL holds every batch regardless of snapshot damage.
 			checkRecovered(t, tc.name, p, srv, batches)
 			for i, st := range srv.Stats() {
-				if st.Epoch != rebuiltEpoch[i] {
-					t.Errorf("shard %d published epoch %d, want the rebuild's %d", i, st.Epoch, rebuiltEpoch[i])
+				if st.Epoch != rebuiltEpoch {
+					t.Errorf("shard %d started at epoch %d, want the rebuild's %d", i, st.Epoch, rebuiltEpoch)
 				}
 			}
 			if err := srv.Close(); err != nil {
@@ -517,8 +641,10 @@ func oldLayoutSnapshot(magic string) []byte {
 }
 
 // TestDurableManifestMismatch pins the fail-closed contract of the
-// manifest: a durable directory only reopens under the layout and seed
-// artifact it was created with, and a corrupt manifest opens nothing.
+// manifest: a durable directory only reopens over the seed artifact it
+// was created with, and a corrupt manifest opens nothing. The shard
+// count is no part of the layout: a reopen at another one serves the
+// contract.
 func TestDurableManifestMismatch(t *testing.T) {
 	ctx := context.Background()
 	p, err := NewPipeline(DefaultOptions())
@@ -527,8 +653,13 @@ func TestDurableManifestMismatch(t *testing.T) {
 	}
 	dir := durSeedDir(t, p, 2, -1, 1)
 
-	if _, err := durOpen(t, p, dir, 3, -1); err == nil {
-		t.Error("reopen with a different shard count accepted")
+	srv, err := durOpen(t, p, dir, 3, -1)
+	if err != nil {
+		t.Fatalf("reopen with a different shard count: %v", err)
+	}
+	checkRecovered(t, "reshard", p, srv, 1)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 	otherSeed := synthDirty(stats.NewRNG(0xBEEF), 40)
 	if _, err := p.Serve(ctx, otherSeed, ServerOptions{Shards: 2, Dir: dir, SyncEvery: 1}); err == nil {

@@ -85,7 +85,7 @@ func run() error {
 		return err
 	}
 	for i, id := range ids {
-		fmt.Printf("%s (id %d, shard epoch %d):\n", arrivals[i].ID, id, srv.Epoch(id))
+		fmt.Printf("%s (id %d, epoch %d):\n", arrivals[i].ID, id, srv.Epoch(id))
 		for _, c := range srv.Candidates(id) {
 			fmt.Printf("  candidate id %d  weight %.3f  (theta_i %.3f)\n", c.ID, c.Weight, srv.Threshold(int(c.ID)))
 		}

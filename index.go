@@ -273,9 +273,8 @@ func (ix *Index) AppendCandidates(buf []Candidate, profile int) []Candidate {
 // freshly allocated and owned by the caller: one canonical walk of the
 // rows.
 func (ix *Index) Pairs() []model.IDPair {
-	rows := ix.frozen()
 	// The walk only fails on cancellation, which Background never does.
-	pairs, _ := rows.AppendOwnedPairs(context.Background(), make([]model.IDPair, 0, rows.RetainedPairs), rows.Owns)
+	pairs, _ := ix.frozen().Pairs(context.Background())
 	return pairs
 }
 

@@ -10,167 +10,6 @@ import (
 
 func pair(u, v int32) model.IDPair { return model.IDPair{U: u, V: v} }
 
-func TestMergePairs(t *testing.T) {
-	cases := []struct {
-		name  string
-		parts [][]model.IDPair
-		want  []model.IDPair
-	}{
-		{"empty", nil, nil},
-		{"all-empty", [][]model.IDPair{nil, {}}, nil},
-		{"single", [][]model.IDPair{{pair(0, 1), pair(2, 3)}}, []model.IDPair{pair(0, 1), pair(2, 3)}},
-		{
-			"interleave",
-			[][]model.IDPair{
-				{pair(0, 2), pair(3, 4)},
-				{pair(0, 1), pair(1, 2), pair(5, 6)},
-				{pair(0, 3)},
-			},
-			[]model.IDPair{pair(0, 1), pair(0, 2), pair(0, 3), pair(1, 2), pair(3, 4), pair(5, 6)},
-		},
-		{
-			"dedup",
-			[][]model.IDPair{
-				{pair(0, 1), pair(2, 3)},
-				{pair(0, 1), pair(2, 3)},
-			},
-			[]model.IDPair{pair(0, 1), pair(2, 3)},
-		},
-		{
-			"same-u-different-v",
-			[][]model.IDPair{
-				{pair(1, 5)},
-				{pair(1, 2), pair(1, 9)},
-			},
-			[]model.IDPair{pair(1, 2), pair(1, 5), pair(1, 9)},
-		},
-	}
-	for _, tc := range cases {
-		if got := MergePairs(tc.parts); !slices.Equal(got, tc.want) {
-			t.Errorf("%s: MergePairs = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestMergePairsDuplicateRunsAcrossShards exercises the misconfigured
-// fan-out path documented on MergePairs — overlapping (non-disjoint)
-// streams — with interleaved duplicate runs across more than two
-// shards, including cursors that exhaust mid-run while other shards
-// keep producing duplicates of the exhausted shard's tail.
-func TestMergePairsDuplicateRunsAcrossShards(t *testing.T) {
-	cases := []struct {
-		name  string
-		parts [][]model.IDPair
-		want  []model.IDPair
-	}{
-		{
-			// Three shards share a duplicate run 2..4; shard 0 exhausts
-			// exactly at the end of the run while the others continue.
-			"exhaust-at-run-end",
-			[][]model.IDPair{
-				{pair(0, 2), pair(0, 3), pair(0, 4)},
-				{pair(0, 2), pair(0, 3), pair(0, 4), pair(1, 2)},
-				{pair(0, 3), pair(0, 4), pair(1, 2), pair(1, 3)},
-			},
-			[]model.IDPair{pair(0, 2), pair(0, 3), pair(0, 4), pair(1, 2), pair(1, 3)},
-		},
-		{
-			// Four shards, duplicate runs interleaved with private pairs:
-			// every pop must pick the global minimum even while several
-			// cursors sit on identical heads.
-			"interleaved-runs-4-shards",
-			[][]model.IDPair{
-				{pair(0, 1), pair(2, 3), pair(2, 4), pair(9, 9)},
-				{pair(0, 1), pair(1, 2), pair(2, 4)},
-				{pair(1, 2), pair(2, 3), pair(2, 4), pair(5, 6)},
-				{pair(0, 1), pair(2, 4), pair(5, 6), pair(9, 9)},
-			},
-			[]model.IDPair{pair(0, 1), pair(1, 2), pair(2, 3), pair(2, 4), pair(5, 6), pair(9, 9)},
-		},
-		{
-			// A shard that is a strict prefix of another, twice over: its
-			// cursor exhausts first and must simply drop out of the scan.
-			"prefix-shards",
-			[][]model.IDPair{
-				{pair(1, 2)},
-				{pair(1, 2), pair(1, 3)},
-				{pair(1, 2), pair(1, 3), pair(1, 4)},
-			},
-			[]model.IDPair{pair(1, 2), pair(1, 3), pair(1, 4)},
-		},
-		{
-			// Identical streams on every shard: maximal duplication, the
-			// merge must collapse to one copy.
-			"all-identical",
-			[][]model.IDPair{
-				{pair(0, 1), pair(0, 2), pair(3, 4)},
-				{pair(0, 1), pair(0, 2), pair(3, 4)},
-				{pair(0, 1), pair(0, 2), pair(3, 4)},
-				{pair(0, 1), pair(0, 2), pair(3, 4)},
-			},
-			[]model.IDPair{pair(0, 1), pair(0, 2), pair(3, 4)},
-		},
-	}
-	for _, tc := range cases {
-		if got := MergePairs(tc.parts); !slices.Equal(got, tc.want) {
-			t.Errorf("%s: MergePairs = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestMergePairsRandomizedOverlap drives MergePairs against a naive
-// reference (concatenate, sort, dedup) on randomized overlapping shard
-// streams — each shard holds a sorted sample of a shared pair universe,
-// so duplicate runs and staggered exhaustion arise constantly.
-func TestMergePairsRandomizedOverlap(t *testing.T) {
-	rng := uint64(0x9E3779B97F4A7C15)
-	next := func(n int) int {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return int(rng % uint64(n))
-	}
-	for trial := 0; trial < 200; trial++ {
-		universe := make([]model.IDPair, 0, 24)
-		for u := 0; u < 6; u++ {
-			for v := u + 1; v < 6; v++ {
-				universe = append(universe, pair(int32(u), int32(v)))
-			}
-		}
-		shards := 3 + next(3) // 3..5, always > 2
-		parts := make([][]model.IDPair, shards)
-		for s := range parts {
-			for _, p := range universe {
-				if next(3) != 0 { // ~2/3 overlap between shards
-					parts[s] = append(parts[s], p)
-				}
-			}
-		}
-		seen := make(map[model.IDPair]bool)
-		var want []model.IDPair
-		for _, p := range universe { // universe is already canonical order
-			for _, part := range parts {
-				if slices.Contains(part, p) && !seen[p] {
-					seen[p] = true
-					want = append(want, p)
-				}
-			}
-		}
-		if got := MergePairs(parts); !slices.Equal(got, want) {
-			t.Fatalf("trial %d (%d shards): MergePairs = %v, want %v", trial, shards, got, want)
-		}
-	}
-}
-
-func TestMergePairsDoesNotAliasSingleInput(t *testing.T) {
-	in := []model.IDPair{pair(0, 1)}
-	out := MergePairs([][]model.IDPair{in})
-	out[0] = pair(9, 9)
-	if in[0] != pair(0, 1) {
-		t.Error("MergePairs aliased its single input")
-	}
-}
-
 func TestSnapshotLookups(t *testing.T) {
 	// Graph over 3 profiles: 0-1 (w 2.0, retained), 0-2 (w 1.0, pruned —
 	// so in no row), 1-2 (w 3.0, retained).
@@ -201,28 +40,82 @@ func TestSnapshotLookups(t *testing.T) {
 		t.Errorf("Threshold(2) = %v", got)
 	}
 
-	all, err := s.AppendOwnedPairs(context.Background(), nil, func(int32) bool { return true })
+	all, err := s.Pairs(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []model.IDPair{pair(0, 1), pair(1, 2)}; !slices.Equal(all, want) {
-		t.Fatalf("owned pairs = %v, want %v", all, want)
-	}
-	// Owner partitioning covers every pair exactly once after a merge.
-	parts := make([][]model.IDPair, 2)
-	for i := range parts {
-		parts[i], err = s.AppendOwnedPairs(context.Background(), nil, func(u int32) bool { return Owner(u, 2) == i })
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := MergePairs(parts); !slices.Equal(got, all) {
-		t.Fatalf("merged owner partition = %v, want %v", got, all)
+		t.Fatalf("pairs = %v, want %v", all, want)
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.AppendOwnedPairs(cancelled, nil, func(int32) bool { return true }); err != context.Canceled {
+	if _, err := s.Pairs(cancelled); err != context.Canceled {
 		t.Fatalf("cancelled enumeration err = %v", err)
+	}
+}
+
+// ownedExport is shard part's export of a full snapshot, the way a
+// partitioned writer makes it: the rows Owner hashes onto the part, every
+// other row empty, the counters and thresholds global.
+func ownedExport(s *Snapshot, part, n int) *Snapshot {
+	e := &Snapshot{
+		Epoch: s.Epoch, Batches: s.Batches, NumProfiles: s.NumProfiles, NumEdges: s.NumEdges,
+		RetainedPairs: s.RetainedPairs, Offsets: make([]int64, s.NumProfiles+1), Theta: s.Theta,
+	}
+	for u := 0; u < s.NumProfiles; u++ {
+		if lo, hi := s.Offsets[u], s.Offsets[u+1]; Owner(int32(u), n) == part {
+			e.Neighbors = append(e.Neighbors, s.Neighbors[lo:hi]...)
+			e.Weights = append(e.Weights, s.Weights[lo:hi]...)
+		}
+		e.Offsets[u+1] = int64(len(e.Neighbors))
+	}
+	return e
+}
+
+func ownedExports(s *Snapshot, n int) []*Snapshot {
+	parts := make([]*Snapshot, n)
+	for i := range parts {
+		parts[i] = ownedExport(s, i, n)
+	}
+	return parts
+}
+
+// TestJoinOwnedRefusesMismatchedParts: the exports of one state join
+// back into it at every shard count, and parts that are not one state's
+// — another epoch, batch position or global counter, or an export at
+// another shard's index — are refused, never joined.
+func TestJoinOwnedRefusesMismatchedParts(t *testing.T) {
+	full := sampleSnapshot(true)
+	for n := 1; n <= 4; n++ {
+		joined, err := JoinOwned(ownedExports(full, n))
+		if err != nil {
+			t.Fatalf("%d parts: %v", n, err)
+		}
+		if !equalSnapshots(full, joined) {
+			t.Fatalf("%d parts joined into %+v, want %+v", n, joined, full)
+		}
+	}
+	const n = 3
+	for name, mismatch := range map[string]func(parts []*Snapshot){
+		"epoch":          func(parts []*Snapshot) { parts[1].Epoch++ },
+		"batch position": func(parts []*Snapshot) { parts[2].Batches++ },
+		"edge count":     func(parts []*Snapshot) { parts[1].NumEdges++ },
+		"retained pairs": func(parts []*Snapshot) { parts[0].RetainedPairs-- },
+		"profile count":  func(parts []*Snapshot) { parts[2].NumProfiles-- },
+		"thresholds":     func(parts []*Snapshot) { parts[1].Theta = nil },
+		// Every part moves, so the entries of some part land in rows it
+		// does not own.
+		"shard index": func(parts []*Snapshot) { parts[0], parts[1], parts[2] = parts[1], parts[2], parts[0] },
+		"foreign entry": func(parts []*Snapshot) {
+			parts[0] = ownedExport(full, 0, n)
+			parts[0].Neighbors, parts[0].Weights = append(parts[0].Neighbors, 2), append(parts[0].Weights, 1)
+		},
+	} {
+		parts := ownedExports(full, n)
+		mismatch(parts)
+		if joined, err := JoinOwned(parts); err == nil {
+			t.Errorf("%s: mismatched parts joined into %+v", name, joined)
+		}
 	}
 }

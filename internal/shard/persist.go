@@ -3,12 +3,11 @@ package shard
 // On-disk snapshot persistence. A published Snapshot is already the
 // natural durable unit — immutable flat arrays, tagged with its epoch
 // and its position in the insert sequence — so serialization is a plain
-// deterministic layout with one trailing checksum, the same for a full
-// snapshot and a partitioned shard:
+// deterministic layout with one trailing checksum. A file holds one
+// whole published state, every row resident:
 //
-//	[8]  magic "BLSNAP03"
+//	[8]  magic "BLSNAP04"
 //	uvarint Epoch, Batches, NumProfiles, NumEdges, RetainedPairs
-//	uvarint PartShards, PartShard            (0, 0 = full snapshot)
 //	uvarint len(Offsets), uvarint delta-encoded Offsets
 //	uvarint len(Neighbors), [4]xN little-endian Neighbors
 //	uvarint len(Weights),   [8]xN little-endian float64 bits
@@ -18,9 +17,9 @@ package shard
 // The entry arrays hold the retained rows only, so a file is a few
 // hundred kilobytes where the blocking graph it was pruned from runs to
 // tens of megabytes. Files of the earlier layouts (BLSNAP01, BLSNAP02:
-// every entry of the graph plus a retention bitset) are refused by name
-// (ErrSnapshotVersion); recovery then takes its ordinary fallback to
-// older files and WAL replay.
+// every entry of the graph plus a retention bitset; BLSNAP03: one
+// shard's owned rows) are refused by name (ErrSnapshotVersion); recovery
+// then takes its ordinary fallback to older files and WAL replay.
 //
 // Decoding fails closed: the checksum is verified first, every length is
 // bounds-checked against the remaining bytes before allocation, and the
@@ -28,8 +27,8 @@ package shard
 // array-length agreement, strictly ascending in-range rows, positive
 // finite weights, the entry count the retained pairs entail) are
 // re-validated — a corrupted or torn snapshot file is an error, never a
-// partially-trusted state. Files are written through WriteFileAtomic so a
-// crash mid-write can never clobber the previous valid snapshot.
+// partially-trusted state. Files are written through wal.WriteFileAtomic
+// so a crash mid-write can never clobber the previous valid snapshot.
 
 import (
 	"encoding/binary"
@@ -38,16 +37,17 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
+
+	"blast/internal/wal"
 )
 
-var snapMagic = [8]byte{'B', 'L', 'S', 'N', 'A', 'P', '0', '3'}
+var snapMagic = [8]byte{'B', 'L', 'S', 'N', 'A', 'P', '0', '4'}
 
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodeSnapshot serializes a snapshot into a self-checking byte blob.
 func EncodeSnapshot(s *Snapshot) []byte {
-	n := 8 + 7*10 + 10 + len(s.Offsets)*5 + 10 + len(s.Neighbors)*4 +
+	n := 8 + 5*10 + 10 + len(s.Offsets)*5 + 10 + len(s.Neighbors)*4 +
 		10 + len(s.Weights)*8 + 11 + len(s.Theta)*8 + 4
 	buf := make([]byte, 0, n)
 	buf = append(buf, snapMagic[:]...)
@@ -56,8 +56,6 @@ func EncodeSnapshot(s *Snapshot) []byte {
 	buf = binary.AppendUvarint(buf, uint64(s.NumProfiles))
 	buf = binary.AppendUvarint(buf, uint64(s.NumEdges))
 	buf = binary.AppendUvarint(buf, uint64(s.RetainedPairs))
-	buf = binary.AppendUvarint(buf, uint64(s.PartShards))
-	buf = binary.AppendUvarint(buf, uint64(s.PartShard))
 	buf = binary.AppendUvarint(buf, uint64(len(s.Offsets)))
 	prev := int64(0)
 	for _, o := range s.Offsets {
@@ -101,7 +99,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 	switch magic := string(body[:8]); magic {
 	case string(snapMagic[:]):
-	case "BLSNAP01", "BLSNAP02":
+	case "BLSNAP01", "BLSNAP02", "BLSNAP03":
 		return nil, fmt.Errorf("%w %q", ErrSnapshotVersion, magic)
 	default:
 		return nil, fmt.Errorf("shard: bad snapshot magic %q", magic)
@@ -113,8 +111,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		NumProfiles:   int(d.uvarint()),
 		NumEdges:      int(d.uvarint()),
 		RetainedPairs: int(d.uvarint()),
-		PartShards:    int(d.uvarint()),
-		PartShard:     int(d.uvarint()),
 	}
 	no := d.count(1) // at most one uvarint byte per offset delta
 	s.Offsets = make([]int64, 0, no)
@@ -149,15 +145,6 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if err := validateSnapshot(s); err != nil {
 		return nil, err
 	}
-	if s.PartShards > 0 {
-		// Owned is derived, not encoded: the decoder is one of the makers
-		// of partitioned snapshots and counts it before anyone holds s.
-		for u := 0; u < s.NumProfiles; u++ {
-			if s.Owns(int32(u)) {
-				s.Owned++
-			}
-		}
-	}
 	return s, nil
 }
 
@@ -177,14 +164,8 @@ func validateSnapshot(s *Snapshot) error {
 	if len(s.Weights) != len(s.Neighbors) {
 		return fmt.Errorf("%w: entry array lengths disagree", errSnapCorrupt)
 	}
-	if s.PartShards < 0 || s.PartShard < 0 || s.PartShard >= max(s.PartShards, 1) {
-		return fmt.Errorf("%w: shard %d of %d", errSnapCorrupt, s.PartShard, s.PartShards)
-	}
-	// Every retained pair sits once in each endpoint's row: a full
-	// snapshot holds exactly two entries a pair, a partitioned shard the
-	// share that falls in its owned rows (the set is checked against the
-	// total where it is adopted).
-	if n := len(s.Neighbors); n > 2*s.RetainedPairs || (s.PartShards == 0 && n != 2*s.RetainedPairs) {
+	// Every retained pair sits once in each endpoint's row.
+	if n := len(s.Neighbors); n != 2*s.RetainedPairs {
 		return fmt.Errorf("%w: %d entries for %d retained pairs", errSnapCorrupt, n, s.RetainedPairs)
 	}
 	if s.Theta != nil && len(s.Theta) != s.NumProfiles {
@@ -196,9 +177,6 @@ func validateSnapshot(s *Snapshot) error {
 		// overflow from a forged delta; reject that explicitly.
 		if hi < lo || hi > int64(len(s.Neighbors)) {
 			return fmt.Errorf("%w: offsets not monotone", errSnapCorrupt)
-		}
-		if lo != hi && !s.Owns(int32(u)) {
-			return fmt.Errorf("%w: unowned row %d populated", errSnapCorrupt, u)
 		}
 		for p := lo; p < hi; p++ {
 			v := s.Neighbors[p]
@@ -280,47 +258,10 @@ func (d *snapDecoder) u64() uint64 {
 	return v
 }
 
-// WriteSnapshotFile atomically persists a snapshot (see WriteFileAtomic),
-// so the target path never holds a torn snapshot.
+// WriteSnapshotFile atomically persists a snapshot (see
+// wal.WriteFileAtomic), so the target path never holds a torn snapshot.
 func WriteSnapshotFile(path string, s *Snapshot) error {
-	return WriteFileAtomic(path, EncodeSnapshot(s))
-}
-
-// WriteFileAtomic replaces the file at path with data durably: the bytes
-// are written to a temporary file, synced, renamed over the target, and
-// the directory synced. A crash at any point leaves either the old file
-// or the new one, never a torn or empty one; on error the temporary file
-// is removed and the old target is untouched.
-func WriteFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	// fail abandons the temp file, joining the close error with the
-	// primary one: both describe why the data is not on disk.
-	fail := func(err error) error {
-		if cerr := f.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return wal.WriteFileAtomic(path, EncodeSnapshot(s))
 }
 
 // ReadSnapshotFile loads and validates a persisted snapshot.
@@ -334,17 +275,4 @@ func ReadSnapshotFile(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// syncDir fsyncs a directory so a preceding rename is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -34,7 +34,6 @@ func equalSnapshots(a, b *Snapshot) bool {
 	return a.Epoch == b.Epoch && a.Batches == b.Batches &&
 		a.NumProfiles == b.NumProfiles && a.NumEdges == b.NumEdges &&
 		a.RetainedPairs == b.RetainedPairs &&
-		a.PartShards == b.PartShards && a.PartShard == b.PartShard &&
 		slices.Equal(a.Offsets, b.Offsets) &&
 		slices.Equal(a.Neighbors, b.Neighbors) &&
 		slices.Equal(a.Weights, b.Weights) &&
@@ -98,11 +97,8 @@ func TestSnapshotValidationFailsClosed(t *testing.T) {
 		"negative weight":       func(s *Snapshot) { s.Weights[1] = -1.5 },
 		"NaN weight":            func(s *Snapshot) { s.Weights[2] = math.NaN() },
 		"infinite weight":       func(s *Snapshot) { s.Weights[3] = math.Inf(1) },
-		"shard without a count": func(s *Snapshot) { s.PartShard = 1 },
-		"shard past the count":  func(s *Snapshot) { s.PartShards, s.PartShard = 2, 2 },
-		// Valid as a full snapshot, but under a 2-way partition shard 0
-		// owns only some of these rows.
-		"unowned row populated": func(s *Snapshot) { s.PartShards = 2 },
+		// One shard's export: a file holds every row of a state.
+		"owned rows only": func(s *Snapshot) { *s = *ownedExport(s, 0, 2) },
 	}
 	for name, mutate := range cases {
 		s := sampleSnapshot(true)
@@ -111,15 +107,6 @@ func TestSnapshotValidationFailsClosed(t *testing.T) {
 		// even though the checksum is valid.
 		if _, err := DecodeSnapshot(EncodeSnapshot(s)); !errors.Is(err, errSnapCorrupt) {
 			t.Errorf("%s: %v, want the corrupt-snapshot error", name, err)
-		}
-	}
-	// A partitioned shard holds its share of the entries; more than the
-	// retained pairs entail is corrupt wherever they sit.
-	part := SliceOwned(sampleSnapshot(true), 0, 2)
-	part.RetainedPairs = len(part.Neighbors)/2 - 1
-	if len(part.Neighbors) >= 2 {
-		if _, err := DecodeSnapshot(EncodeSnapshot(part)); !errors.Is(err, errSnapCorrupt) {
-			t.Errorf("partitioned entry count over the retained pairs: %v", err)
 		}
 	}
 }
@@ -131,10 +118,11 @@ func snapBlob(magic string, body ...byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, snapCRC))
 }
 
-// oldLayoutBlobs are well-formed files of the two layouts this build no
-// longer reads — every entry of the graph plus a retention bitset —
-// written out by hand: a 2-profile graph with its one edge retained.
-func oldLayoutBlobs() (v1, v2 []byte) {
+// oldLayoutBlobs are well-formed files of the three layouts this build
+// no longer reads, written out by hand: a 2-profile graph with its one
+// edge retained. The first two hold every entry of the graph plus a
+// retention bitset, the third one shard's owned rows.
+func oldLayoutBlobs() (v1, v2, v3 []byte) {
 	entries := []byte{
 		3, 0, 1, 1, // 3 offsets, delta-encoded: 0 1 2
 		2, 1, 0, 0, 0, 0, 0, 0, 0, // 2 neighbors: 1, 0
@@ -147,15 +135,19 @@ func oldLayoutBlobs() (v1, v2 []byte) {
 	// The partitioned layout carried PartShards, PartShard after the
 	// counters: shard 0 of 1 owns both rows.
 	v2 = snapBlob("BLSNAP02", append(append(slices.Clone(header), 1, 0), entries...)...)
-	return v1, v2
+	// So did the owned-rows layout: shard 0 of 1, the retained rows.
+	v3 = snapBlob("BLSNAP03", append(append(slices.Clone(header), 1, 0),
+		3, 0, 1, 1, 2, 1, 0, 0, 0, 0, 0, 0, 0,
+		2, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, 0)...)
+	return v1, v2, v3
 }
 
 // TestSnapshotOldLayoutsRefusedByName: a checksum-valid file of an
 // earlier layout is a version error — the one recovery's ladder falls
 // back on — not corruption, a panic or a partial snapshot.
 func TestSnapshotOldLayoutsRefusedByName(t *testing.T) {
-	v1, v2 := oldLayoutBlobs()
-	for _, blob := range [][]byte{v1, v2} {
+	v1, v2, v3 := oldLayoutBlobs()
+	for _, blob := range [][]byte{v1, v2, v3} {
 		s, err := DecodeSnapshot(blob)
 		if !errors.Is(err, ErrSnapshotVersion) || s != nil {
 			t.Errorf("%s: (%v, %v), want no snapshot and ErrSnapshotVersion", blob[:8], s, err)
@@ -202,30 +194,25 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteFileAtomic: the content round-trips and replaces the old
-// file, no temporary file is left behind, and a failing rename (here: a
-// directory in the target's place) leaves the old target untouched and
-// the temporary file removed.
+// TestWriteFileAtomic: WriteSnapshotFile replaces the file at its path
+// through wal.WriteFileAtomic — a newer snapshot over an older one reads
+// back whole, no temporary file is left behind, and a failing rename
+// (here: a directory in the target's place) leaves the old target
+// untouched and the temporary file removed.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "MANIFEST.json")
-	for _, content := range []string{"first\n", "second, longer\n"} {
-		if err := WriteFileAtomic(path, []byte(content)); err != nil {
+	path := filepath.Join(dir, "epoch-0000000000000007.snap")
+	for _, theta := range []bool{true, false} {
+		want := sampleSnapshot(theta)
+		if err := WriteSnapshotFile(path, want); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		got, err := ReadSnapshotFile(path)
+		if err != nil || !equalSnapshots(want, got) {
+			t.Fatalf("theta=%v: read back %+v, %v", theta, got, err)
 		}
-		if string(got) != content {
-			t.Fatalf("read back %q, want %q", got, content)
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != 1 {
-			t.Fatalf("%d directory entries after write, want 1", len(entries))
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+			t.Fatalf("theta=%v: %d directory entries after write (%v), want 1", theta, len(entries), err)
 		}
 	}
 
@@ -237,7 +224,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err := os.WriteFile(kept, []byte("old"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(blocked, []byte("new")); err == nil {
+	if err := WriteSnapshotFile(blocked, sampleSnapshot(true)); err == nil {
 		t.Fatal("rename over a non-empty directory succeeded")
 	}
 	if got, err := os.ReadFile(kept); err != nil || string(got) != "old" {
@@ -251,17 +238,17 @@ func TestWriteFileAtomic(t *testing.T) {
 // FuzzSnapshotDecode: arbitrary bytes must decode to a valid snapshot
 // or fail, never panic; whatever decodes must re-encode canonically.
 // The seeds cover the layout's shapes — with and without thresholds,
-// empty, partitioned — and the two retired layouts, which must keep
-// failing by name however the fuzzer mutates around them.
+// empty — and the three retired layouts, which must keep failing by
+// name however the fuzzer mutates around them.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(EncodeSnapshot(sampleSnapshot(true)))
 	f.Add(EncodeSnapshot(sampleSnapshot(false)))
 	f.Add(EncodeSnapshot(&Snapshot{NumProfiles: 0, Offsets: []int64{0}}))
-	f.Add([]byte("BLSNAP03garbage"))
-	f.Add(EncodeSnapshot(SliceOwned(sampleSnapshot(true), 1, 2)))
-	v1, v2 := oldLayoutBlobs()
+	f.Add([]byte("BLSNAP04garbage"))
+	v1, v2, v3 := oldLayoutBlobs()
 	f.Add(v1)
 	f.Add(v2)
+	f.Add(v3)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)
 		if err != nil {
@@ -286,18 +273,16 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
-// TestOwnedRowsCountedWhereMade: OwnedRows is served from a count taken
-// where a partitioned snapshot is made — here SliceOwned and the
-// decoder (the field is derived, not encoded) — and equals the hashed
-// count it used to recompute on every call, for every geometry; a full
-// snapshot owns every row.
+// TestOwnedRowsCountedWhereMade: a shard's OwnedRows and ResidentBytes
+// are counted where its share is made — from the full start state, and
+// from each export — and the two counts agree: an export holds exactly
+// its share. Summed over the shards they are the state's own numbers,
+// for every geometry.
 func TestOwnedRowsCountedWhereMade(t *testing.T) {
 	full := sampleSnapshot(true)
-	if got := full.OwnedRows(); got != full.NumProfiles {
-		t.Fatalf("full snapshot owns %d rows, want all %d", got, full.NumProfiles)
-	}
+	stateBytes := 12*int64(len(full.Neighbors)) + 16*int64(full.NumProfiles)
 	for nparts := 1; nparts <= 4; nparts++ {
-		total := 0
+		rows, bytes := 0, int64(0)
 		for part := 0; part < nparts; part++ {
 			hashed := 0
 			for u := 0; u < full.NumProfiles; u++ {
@@ -305,21 +290,17 @@ func TestOwnedRowsCountedWhereMade(t *testing.T) {
 					hashed++
 				}
 			}
-			sliced := SliceOwned(full, part, nparts)
-			if got := sliced.OwnedRows(); got != hashed {
-				t.Fatalf("shard %d/%d: sliced snapshot owns %d rows, hashed count %d", part, nparts, got, hashed)
+			r, b := full.Share(part, nparts)
+			if r != hashed {
+				t.Fatalf("shard %d/%d: share of %d rows, hashed count %d", part, nparts, r, hashed)
 			}
-			decoded, err := DecodeSnapshot(EncodeSnapshot(sliced))
-			if err != nil {
-				t.Fatalf("shard %d/%d: %v", part, nparts, err)
+			if er, eb := ownedExport(full, part, nparts).Share(part, nparts); er != r || eb != b {
+				t.Fatalf("shard %d/%d: export's share (%d, %d), the state's (%d, %d)", part, nparts, er, eb, r, b)
 			}
-			if got := decoded.OwnedRows(); got != hashed {
-				t.Fatalf("shard %d/%d: decoded snapshot owns %d rows, hashed count %d", part, nparts, got, hashed)
-			}
-			total += hashed
+			rows, bytes = rows+r, bytes+b
 		}
-		if total != full.NumProfiles {
-			t.Fatalf("%d shards own %d rows between them, want %d", nparts, total, full.NumProfiles)
+		if rows != full.NumProfiles || bytes != stateBytes {
+			t.Fatalf("%d shards share (%d rows, %d bytes), want the state's (%d, %d)", nparts, rows, bytes, full.NumProfiles, stateBytes)
 		}
 	}
 }

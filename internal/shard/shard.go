@@ -5,17 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"blast/internal/model"
 )
 
 // Writer is the mutable side of a shard: a writable index that absorbs
-// insert batches and can export an immutable serving snapshot of its
-// current state. Only the
-// shard's worker goroutine ever calls these methods, so implementations
-// need no locking beyond their own invariants.
+// insert batches and exports the rows the shard owns at its current
+// state. Only the shard's worker goroutine ever calls these methods, so
+// implementations need no locking beyond their own invariants.
 type Writer interface {
 	// InsertAll appends a batch of profiles and folds them into the
 	// writable index.
@@ -31,8 +29,9 @@ type Writer interface {
 	// hold. The result lies between the shard's current position and
 	// received, so the shard never waits for input to reach it.
 	Agree(received int64) (int64, error)
-	// Export returns an immutable snapshot of the index. The returned
-	// snapshot's Epoch is assigned by the shard.
+	// Export returns the shard's export of the current state: its owned
+	// rows and the state's global counters and thresholds. The shard
+	// assigns Epoch and Batches.
 	Export(ctx context.Context) (*Snapshot, error)
 }
 
@@ -47,11 +46,11 @@ type Options struct {
 	// been applied since the last one. <= 0 disables the op-count
 	// trigger.
 	SwapOps int
-	// Persist, when non-nil, observes every published snapshot from the
-	// worker goroutine, after the swap — the durability hook. A persist
-	// error is sticky: readers keep the (already swapped) snapshot, but
-	// the shard reports the failure like an apply error.
-	Persist func(*Snapshot) error
+	// Publish, when non-nil, is handed every export from the worker
+	// goroutine, tagged with its epoch and batch position; the shard
+	// keeps none of its rows. An error is sticky: the shard reports it
+	// like an apply error.
+	Publish func(*Snapshot) error
 	// OnFail, when non-nil, is invoked exactly once, from the worker
 	// goroutine and outside the shard lock, at the moment the shard's
 	// sticky error is first set. It is the failure hook of partitioned
@@ -65,15 +64,16 @@ type Options struct {
 type Stats struct {
 	// ID is the shard's index within its server.
 	ID int
-	// Epoch is the epoch of the currently published snapshot.
+	// Epoch is the epoch of the shard's last publication (or of the
+	// server's start state before the first).
 	Epoch uint64
-	// Published is the profile count of the currently published snapshot.
+	// Published is the profile count of that state.
 	Published int
 	// Applied is the number of profiles the worker has applied to the
 	// writable index (published or not).
 	Applied int64
-	// Batches is the number of insert batches applied successfully —
-	// the shard's position in the globally sequenced insert stream.
+	// Batches is the shard's position in the globally sequenced insert
+	// stream: the start state's plus the batches applied successfully.
 	Batches int64
 	// Swaps counts snapshot publications after the initial one.
 	Swaps int64
@@ -82,13 +82,11 @@ type Stats struct {
 	// ApplyTime is the cumulative wall-clock time spent applying insert
 	// batches (excluding snapshot export).
 	ApplyTime time.Duration
-	// OwnedRows is the number of profile rows resident in the published
-	// snapshot: the hash-owned ones on a partitioned shard, every row on
-	// a full snapshot.
-	OwnedRows int
-	// ResidentBytes is the heap footprint of the published snapshot's
-	// arrays: the retained rows, which the partitioned topology divides
-	// across shards, plus 16 bytes a profile, which it does not.
+	// OwnedRows and ResidentBytes are the shard's share of the state
+	// Epoch names (Snapshot.Share): the rows Owner hashes onto it, and
+	// 12 bytes a retained entry of those rows plus 16 bytes a row. Summed
+	// over a server's shards they are the published state's.
+	OwnedRows     int
 	ResidentBytes int64
 }
 
@@ -104,37 +102,39 @@ type op struct {
 	barrier  chan error
 }
 
-// Shard is one snapshot-swap serving partition: a single worker
+// Shard is one partition of a snapshot-swap server: a single worker
 // goroutine drains a mailbox of insert batches into the writable index
-// and publishes immutable snapshots, while any number of readers load
-// the current snapshot wait-free. A publication falls due after
-// Options.SwapOps applied profiles; the worker then asks its Writer how
-// far the server's shards have all been fed (Writer.Agree), keeps
-// applying through that batch and exports there — one export for the
-// whole backlog instead of one per SwapOps window, each of which would
-// be stale before it was swapped in. The target is fixed when the
+// and hands its exports over to the Publish hook. A publication falls
+// due after Options.SwapOps applied profiles; the worker then asks its
+// Writer how far the server's shards have all been fed (Writer.Agree),
+// keeps applying through that batch and exports there — one export for
+// the whole backlog instead of one per SwapOps window, each of which
+// would be stale before it was swapped in. The target is fixed when the
 // publication falls due, so a writer that never pauses cannot postpone
 // it; a barrier or the Close drain met on the way publishes on the spot.
 // Mailbox enqueues are non-blocking (the queue is unbounded); writes are
 // therefore all-or-nothing across the shards of a server, which is what
 // keeps their insert sequences aligned.
 type Shard struct {
-	id  int
-	w   Writer
-	opt Options
-
-	snap atomic.Pointer[Snapshot]
+	id, n int // the shard's index and its server's shard count
+	w     Writer
+	opt   Options
 
 	mu        sync.Mutex
 	cond      *sync.Cond
 	queue     []op
 	closed    bool
 	err       error // first apply/agree/publish error; sticky
-	received  int64 // insert batches ever enqueued
+	received  int64 // stream position of the last batch enqueued
 	applied   int64
-	batches   int64 // insert batches applied successfully
+	batches   int64 // stream position of the last batch applied
 	swaps     int64
 	applyTime time.Duration
+	// The last publication's tag and the shard's share of it.
+	epoch     uint64
+	published int
+	ownedRows int
+	resident  int64
 
 	// sinceSwap counts profiles applied since the last publication;
 	// publishAt, when non-zero, is the batch position the due publication
@@ -145,28 +145,29 @@ type Shard struct {
 	stopped chan struct{}
 }
 
-// New starts a shard worker over a writable index, serving reads from
-// the given initial snapshot (conventionally epoch 0, exported from the
-// index's post-build state).
-func New(id int, w Writer, initial *Snapshot, opt Options) *Shard {
+// New starts worker id of a server's n shards over a writable index
+// that holds the server's start state: its epoch and batch position are
+// where the shard's publications and stream position continue from.
+func New(id, n int, w Writer, start *Snapshot, opt Options) *Shard {
 	s := &Shard{
-		id:      id,
-		w:       w,
-		opt:     opt,
-		stopped: make(chan struct{}),
+		id:        id,
+		n:         n,
+		w:         w,
+		opt:       opt,
+		received:  start.Batches,
+		batches:   start.Batches,
+		epoch:     start.Epoch,
+		published: start.NumProfiles,
+		stopped:   make(chan struct{}),
 	}
+	s.ownedRows, s.resident = start.Share(id, n)
 	s.cond = sync.NewCond(&s.mu)
-	s.snap.Store(initial)
 	go s.loop()
 	return s
 }
 
 // ID returns the shard's index within its server.
 func (s *Shard) ID() int { return s.id }
-
-// Snapshot returns the currently published snapshot. The result is
-// immutable and safe to use for any length of time.
-func (s *Shard) Snapshot() *Snapshot { return s.snap.Load() }
 
 // Err returns the first error the worker encountered, if any.
 func (s *Shard) Err() error {
@@ -177,20 +178,19 @@ func (s *Shard) Err() error {
 
 // Stats returns a point-in-time summary of the shard.
 func (s *Shard) Stats() Stats {
-	snap := s.snap.Load()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
 		ID:            s.id,
-		Epoch:         snap.Epoch,
-		Published:     snap.NumProfiles,
+		Epoch:         s.epoch,
+		Published:     s.published,
 		Applied:       s.applied,
 		Batches:       s.batches,
 		Swaps:         s.swaps,
 		Queued:        len(s.queue),
 		ApplyTime:     s.applyTime,
-		OwnedRows:     snap.OwnedRows(),
-		ResidentBytes: snap.ResidentBytes(),
+		OwnedRows:     s.ownedRows,
+		ResidentBytes: s.resident,
 	}
 }
 
@@ -219,8 +219,8 @@ func (s *Shard) Enqueue(profiles []model.Profile) error {
 }
 
 // Barrier enqueues a publication barrier and waits for it: when Barrier
-// returns nil, every batch enqueued before it has been applied and the
-// published snapshot covers them all (the shard is quiesced). On
+// returns nil, every batch enqueued before it has been applied and
+// handed over in an export (the shard is quiesced). On
 // context cancellation the barrier itself still completes eventually;
 // only the wait is abandoned.
 func (s *Shard) Barrier(ctx context.Context) error {
@@ -256,9 +256,9 @@ func (s *Shard) BarrierStart() (<-chan error, error) {
 }
 
 // Close stops the worker after draining every operation already in the
-// mailbox, waits for it to exit, and returns the shard's sticky error.
-// Reads remain valid after Close (the last snapshot stays published);
-// Enqueue and Barrier fail with ErrClosed.
+// mailbox and publishing what it applied, waits for it to exit, and
+// returns the shard's sticky error. Enqueue and Barrier fail with
+// ErrClosed afterwards.
 func (s *Shard) Close() error {
 	s.mu.Lock()
 	if !s.closed {
@@ -300,10 +300,9 @@ func (s *Shard) loop() {
 		if !ok {
 			// Final drain complete: publish anything applied since the
 			// last swap so post-Close reads observe the full admitted
-			// sequence on every shard — without this, shards whose last
-			// batches fell between swap points would serve different
-			// prefixes forever. The error (if any) is sticky and
-			// surfaces through Close/Err.
+			// sequence — every shard does the same at the same position,
+			// so the server's last state covers it. The error (if any)
+			// is sticky and surfaces through Close/Err.
 			_ = s.publishIfBehind()
 			return
 		}
@@ -381,30 +380,28 @@ func (s *Shard) publishIfBehind() error {
 	return s.publish()
 }
 
-// publish exports a snapshot from the writer and swaps it in, tagging
-// it with the next epoch and the insert-stream position it covers, then
-// hands it to the Persist hook. It settles any publication that was due:
-// whatever position it was agreed for, the state just published is newer
-// than the one that made it fall due.
+// publish exports the shard's rows from the writer, tags the export
+// with the next epoch and the insert-stream position it covers, counts
+// the shard's share of it and hands it to the Publish hook. It settles
+// any publication that was due: whatever position it was agreed for, the
+// state just published is newer than the one that made it fall due.
 func (s *Shard) publish() error {
 	snap, err := s.w.Export(context.Background())
 	if err != nil {
 		return s.setErr(fmt.Errorf("shard %d: export: %w", s.id, err))
 	}
-	//blast:allow snapshotmut -- tagging a freshly exported snapshot the writer just handed over; it becomes immutable at the Store below and no reader sees it before then
-	snap.Epoch = s.snap.Load().Epoch + 1
+	rows, bytes := snap.Share(s.id, s.n)
 	s.mu.Lock()
-	//blast:allow snapshotmut -- tagging a freshly exported snapshot the writer just handed over; it becomes immutable at the Store below and no reader sees it before then
-	snap.Batches = s.batches
-	s.mu.Unlock()
-	s.snap.Store(snap)
-	s.sinceSwap, s.publishAt = 0, 0
-	s.mu.Lock()
+	s.epoch++
 	s.swaps++
+	s.published, s.ownedRows, s.resident = snap.NumProfiles, rows, bytes
+	//blast:allow snapshotmut -- tagging a freshly exported snapshot the writer just handed over; no reader sees it before the hand-off below
+	snap.Epoch, snap.Batches = s.epoch, s.batches
 	s.mu.Unlock()
-	if s.opt.Persist != nil {
-		if err := s.opt.Persist(snap); err != nil {
-			return s.setErr(fmt.Errorf("shard %d: persist: %w", s.id, err))
+	s.sinceSwap, s.publishAt = 0, 0
+	if s.opt.Publish != nil {
+		if err := s.opt.Publish(snap); err != nil {
+			return s.setErr(fmt.Errorf("shard %d: publish: %w", s.id, err))
 		}
 	}
 	return nil

@@ -16,7 +16,7 @@ import (
 
 // fakeWriter is a model-backed Writer: it records every applied profile
 // and exports snapshots whose NumProfiles reflects the applied count,
-// with a tiny one-node graph so the lookup paths have something to walk.
+// every row empty.
 //
 // agree, when set, answers Writer.Agree (the default is the unpartitioned
 // answer, received itself); every call is logged as {received, target}.
@@ -104,7 +104,7 @@ func (f *fakeWriter) Export(ctx context.Context) (*Snapshot, error) {
 	f.exports++
 	return &Snapshot{
 		NumProfiles: len(f.applied),
-		Offsets:     []int64{0, 0},
+		Offsets:     make([]int64, len(f.applied)+1),
 	}, nil
 }
 
@@ -134,7 +134,7 @@ func profiles(n int) []model.Profile {
 
 func TestShardAppliesInOrderAndBarrierPublishes(t *testing.T) {
 	w := &fakeWriter{}
-	s := New(0, w, &Snapshot{}, Options{SwapOps: 0}) // no automatic swaps
+	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 0}) // no automatic swaps
 	defer s.Close()
 	for i := 0; i < 5; i++ {
 		if err := s.Enqueue(profiles(3)); err != nil {
@@ -147,31 +147,27 @@ func TestShardAppliesInOrderAndBarrierPublishes(t *testing.T) {
 	if got := w.appliedCount(); got != 15 {
 		t.Fatalf("applied = %d, want 15", got)
 	}
-	snap := s.Snapshot()
-	if snap.NumProfiles != 15 || snap.Epoch != 1 {
-		t.Fatalf("snapshot = {profiles %d, epoch %d}, want {15, 1}", snap.NumProfiles, snap.Epoch)
-	}
 	st := s.Stats()
-	if st.Applied != 15 || st.Swaps != 1 || st.Published != 15 {
-		t.Fatalf("stats = %+v", st)
+	if st.Applied != 15 || st.Swaps != 1 || st.Published != 15 || st.Epoch != 1 {
+		t.Fatalf("stats = %+v, want 15 profiles published at epoch 1", st)
 	}
 	// An idle barrier re-publishes nothing.
 	if err := s.Barrier(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Snapshot().Epoch; got != 1 {
+	if got := s.Stats().Epoch; got != 1 {
 		t.Fatalf("idle barrier bumped epoch to %d", got)
 	}
 }
 
-// cursorLog is a Persist hook recording the Batches cursor of every
-// publication.
+// cursorLog is a Publish hook recording the Batches cursor of every
+// export handed over.
 type cursorLog struct {
 	mu      sync.Mutex
 	cursors []int64
 }
 
-func (l *cursorLog) persist(sn *Snapshot) error {
+func (l *cursorLog) publish(sn *Snapshot) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.cursors = append(l.cursors, sn.Batches)
@@ -205,7 +201,7 @@ func waitBatches(t *testing.T, s *Shard, n int64) {
 func TestShardSwapOpsTrigger(t *testing.T) {
 	var log cursorLog
 	w := &fakeWriter{}
-	s := New(0, w, &Snapshot{}, Options{SwapOps: 4, Persist: log.persist})
+	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 4, Publish: log.publish})
 	defer s.Close()
 	// One batch at a time, each applied before the next is sent.
 	for i := int64(1); i <= 10; i++ {
@@ -255,7 +251,7 @@ func TestShardSwapOpsTrigger(t *testing.T) {
 func TestShardBurstPublishesOnceAtAgreedPosition(t *testing.T) {
 	var log cursorLog
 	w := gatedWriter()
-	s := New(0, w, &Snapshot{}, Options{SwapOps: 2, Persist: log.persist})
+	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
 	defer s.Close()
 	enqueueSingles(t, s, 2)
 	// The worker is now inside the export of position 2; ten more batches
@@ -287,7 +283,7 @@ func TestShardBurstPublishesOnceAtAgreedPosition(t *testing.T) {
 func TestShardContinuousStreamCannotPostpone(t *testing.T) {
 	var log cursorLog
 	w := &fakeWriter{}
-	s := New(0, w, &Snapshot{}, Options{SwapOps: 8, Persist: log.persist})
+	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 8, Publish: log.publish})
 	const total = 4000
 	for i := 0; i < total; i++ {
 		if err := s.Enqueue(profiles(1)); err != nil {
@@ -317,7 +313,7 @@ func TestShardContinuousStreamCannotPostpone(t *testing.T) {
 func TestShardBarrierInsideHoldPublishesThere(t *testing.T) {
 	var log cursorLog
 	w := gatedWriter()
-	s := New(0, w, &Snapshot{}, Options{SwapOps: 2, Persist: log.persist})
+	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
 	defer s.Close()
 	enqueueSingles(t, s, 2)
 	<-w.entered             // inside the export of position 2
@@ -364,7 +360,7 @@ func TestShardCloseDuringHold(t *testing.T) {
 			w = &fakeWriter{}
 		}
 		w.agree = func(received int64) (int64, error) { return received + overshoot, nil }
-		s := New(0, w, &Snapshot{}, Options{SwapOps: 2, Persist: log.persist})
+		s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
 		enqueueSingles(t, s, 2)
 		if overshoot == 0 {
 			<-w.entered // inside the export of position 2
@@ -391,8 +387,8 @@ func TestShardCloseDuringHold(t *testing.T) {
 		if got := log.get(); !slices.Equal(got, want) {
 			t.Fatalf("overshoot %d: published at %v, want %v", overshoot, got, want)
 		}
-		if snap := s.Snapshot(); snap.Batches != 7 || snap.NumProfiles != 7 {
-			t.Fatalf("overshoot %d: final snapshot = {batches %d, profiles %d}, want 7 of each", overshoot, snap.Batches, snap.NumProfiles)
+		if st := s.Stats(); st.Batches != 7 || st.Published != 7 {
+			t.Fatalf("overshoot %d: final state = {batches %d, profiles %d}, want 7 of each", overshoot, st.Batches, st.Published)
 		}
 	}
 }
@@ -410,7 +406,7 @@ func exchangePair(opts [2]Options) (shards [2]*Shard, writers [2]*fakeWriter, fa
 			fails[i].Add(1)
 			ex.Poison(err)
 		}
-		shards[i] = New(i, writers[i], &Snapshot{}, opts[i])
+		shards[i] = New(i, 2, writers[i], &Snapshot{}, opts[i])
 	}
 	return shards, writers, fails
 }
@@ -420,8 +416,8 @@ func exchangePair(opts [2]Options) (shards [2]*Shard, writers [2]*fakeWriter, fa
 func TestShardAgreementPicksTheSlowestMailbox(t *testing.T) {
 	var logs [2]cursorLog
 	shards, writers, _ := exchangePair([2]Options{
-		{SwapOps: 2, Persist: logs[0].persist},
-		{SwapOps: 2, Persist: logs[1].persist},
+		{SwapOps: 2, Publish: logs[0].publish},
+		{SwapOps: 2, Publish: logs[1].publish},
 	})
 	// Shard 0 holds 9 batches when its publication falls due; shard 1 is
 	// given only 5 before it can answer.
@@ -528,7 +524,7 @@ func TestShardFailedPeerTakesNoAgreementRound(t *testing.T) {
 func TestShardStickyApplyError(t *testing.T) {
 	boom := errors.New("boom")
 	w := &fakeWriter{applyErr: boom}
-	s := New(0, w, &Snapshot{}, Options{})
+	s := New(0, 1, w, &Snapshot{}, Options{})
 	defer s.Close()
 	if err := s.Enqueue(profiles(1)); err != nil {
 		t.Fatal(err)
@@ -556,7 +552,7 @@ func TestShardStickyApplyError(t *testing.T) {
 func TestShardExportError(t *testing.T) {
 	boom := errors.New("export boom")
 	w := &fakeWriter{exportErr: boom}
-	s := New(0, w, &Snapshot{}, Options{})
+	s := New(0, 1, w, &Snapshot{}, Options{})
 	defer s.Close()
 	if err := s.Enqueue(profiles(1)); err != nil {
 		t.Fatal(err)
@@ -569,7 +565,7 @@ func TestShardExportError(t *testing.T) {
 func TestShardCloseDrainsAndStops(t *testing.T) {
 	base := runtime.NumGoroutine()
 	w := &fakeWriter{slow: time.Millisecond}
-	s := New(0, w, &Snapshot{}, Options{})
+	s := New(0, 1, w, &Snapshot{}, Options{})
 	for i := 0; i < 8; i++ {
 		if err := s.Enqueue(profiles(2)); err != nil {
 			t.Fatal(err)
@@ -600,15 +596,15 @@ func TestShardCloseDrainsAndStops(t *testing.T) {
 	}
 }
 
-// TestShardBatchesAndPersistHook pins the durability contract of the
-// worker: published snapshots carry the batch cursor, the Persist hook
-// sees exactly the publications — the agreed one of a burst, not one per
-// SwapOps window —, a closing drain publishes the tail, and a persist
-// failure is sticky.
+// TestShardBatchesAndPersistHook pins the publication contract of the
+// worker: exports carry the batch cursor, the Publish hook sees exactly
+// the publications — the agreed one of a burst, not one per SwapOps
+// window —, a closing drain publishes the tail, and a hook failure is
+// sticky.
 func TestShardBatchesAndPersistHook(t *testing.T) {
 	var log cursorLog
 	w := gatedWriter()
-	s := New(0, w, &Snapshot{}, Options{SwapOps: 2, Persist: log.persist})
+	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
 	enqueueSingles(t, s, 2)
 	<-w.entered // inside the export of position 2
 	enqueueSingles(t, s, 3)
@@ -618,12 +614,8 @@ func TestShardBatchesAndPersistHook(t *testing.T) {
 	if err := s.Barrier(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.Snapshot()
-	if snap.Batches != 5 || snap.Epoch != 2 {
-		t.Fatalf("published {batches %d, epoch %d}, want {5, 2}", snap.Batches, snap.Epoch)
-	}
-	if st := s.Stats(); st.Batches != 5 || st.Swaps != 2 {
-		t.Fatalf("stats = %+v, want 5 batches in 2 swaps", st)
+	if st := s.Stats(); st.Batches != 5 || st.Swaps != 2 || st.Epoch != 2 {
+		t.Fatalf("stats = %+v, want 5 batches in 2 swaps, epoch 2", st)
 	}
 	if got, want := log.get(), []int64{2, 5}; !slices.Equal(got, want) {
 		t.Fatalf("persisted cursor sequence = %v, want %v", got, want)
@@ -636,8 +628,8 @@ func TestShardBatchesAndPersistHook(t *testing.T) {
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Snapshot().Batches; got != 6 {
-		t.Fatalf("post-Close Batches = %d, want 6 (close drain must publish)", got)
+	if got := s.Stats().Published; got != 6 {
+		t.Fatalf("post-Close published %d profiles, want 6 (close drain must publish)", got)
 	}
 	if got, want := log.get(), []int64{2, 5, 6}; !slices.Equal(got, want) {
 		t.Fatalf("persisted cursor sequence = %v, want %v", got, want)
@@ -647,7 +639,7 @@ func TestShardBatchesAndPersistHook(t *testing.T) {
 func TestShardPersistErrorSticky(t *testing.T) {
 	boom := errors.New("disk full")
 	w := &fakeWriter{}
-	s := New(0, w, &Snapshot{}, Options{Persist: func(*Snapshot) error { return boom }})
+	s := New(0, 1, w, &Snapshot{}, Options{Publish: func(*Snapshot) error { return boom }})
 	defer s.Close()
 	if err := s.Enqueue(profiles(1)); err != nil {
 		t.Fatal(err)
@@ -656,13 +648,38 @@ func TestShardPersistErrorSticky(t *testing.T) {
 		t.Fatalf("barrier err = %v, want %v", err, boom)
 	}
 	if err := s.Err(); !errors.Is(err, boom) {
-		t.Fatalf("Err() = %v, want sticky persist error", err)
+		t.Fatalf("Err() = %v, want sticky publish error", err)
+	}
+}
+
+// TestShardContinuesFromStartState: a shard started over a server's
+// start state — a recovered one, here at epoch 7 and batch 3 — counts
+// its stream position and its epochs on from there, and reports its
+// share of the start state before it has published anything.
+func TestShardContinuesFromStartState(t *testing.T) {
+	var log cursorLog
+	start := sampleSnapshot(true)
+	s := New(1, 2, &fakeWriter{}, start, Options{Publish: log.publish})
+	defer s.Close()
+	rows, bytes := start.Share(1, 2)
+	if st := s.Stats(); st.Epoch != 7 || st.Batches != 3 || st.Published != 4 || st.OwnedRows != rows || st.ResidentBytes != bytes {
+		t.Fatalf("stats before any publication = %+v, want epoch 7, batch 3, 4 profiles, share (%d, %d)", st, rows, bytes)
+	}
+	enqueueSingles(t, s, 2)
+	if err := s.Barrier(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := log.get(), []int64{5}; !slices.Equal(got, want) {
+		t.Fatalf("published at %v, want %v", got, want)
+	}
+	if st := s.Stats(); st.Epoch != 8 || st.Batches != 5 {
+		t.Fatalf("stats = %+v, want epoch 8 at batch 5", st)
 	}
 }
 
 func TestShardBarrierContext(t *testing.T) {
 	w := &fakeWriter{slow: 50 * time.Millisecond}
-	s := New(0, w, &Snapshot{}, Options{})
+	s := New(0, 1, w, &Snapshot{}, Options{})
 	defer s.Close()
 	if err := s.Enqueue(profiles(4)); err != nil {
 		t.Fatal(err)

@@ -1,25 +1,29 @@
-// Package shard is the machinery of sharded snapshot-swap Index serving:
-// immutable epoch-tagged read snapshots, single-writer shard workers that
-// absorb insert batches and publish fresh snapshots on a compaction
-// policy, hash-based read ownership, and the ordered merge of per-shard
-// candidate-pair streams.
+// Package shard is the machinery of sharded snapshot-swap serving:
+// immutable epoch-tagged snapshots of the retained rows, single-writer
+// shard workers that absorb insert batches and export the rows they own
+// on a publication policy, hash-based row ownership, and JoinOwned,
+// which joins the exports of one state into the full snapshot readers
+// are served from.
 //
 // The package is deliberately ignorant of BLAST itself. The writable
-// side of a shard is any Writer (blast.Index in production, a fake in
-// tests); a Snapshot is just the flat per-profile rows of what pruning
-// retained. The blast.Server composes shards into the public serving
-// API.
+// side of a shard is any Writer (the blast package's partitioned writer
+// in production, a fake in tests); a Snapshot is just the flat
+// per-profile rows of what pruning retained. The blast.Server composes
+// shards into the public serving API: it gathers every shard's export of
+// a state, joins them, and publishes the result behind one atomic
+// pointer.
 //
 // Concurrency model: one worker goroutine per shard owns all mutation of
-// its Writer; readers only ever touch the shard's current Snapshot,
-// obtained through an atomic pointer. A snapshot is immutable from the
-// moment it is published, so readers never block on writers and writers
-// never wait for readers — a swap simply retires the old snapshot to the
-// garbage collector once the last reader drops it.
+// its Writer and hands every export over through the Publish hook,
+// keeping only counters. A snapshot is immutable from the moment it is
+// handed over, so readers never block on writers and writers never wait
+// for readers — a swap simply retires the old state to the garbage
+// collector once the last reader drops it.
 package shard
 
 import (
 	"context"
+	"fmt"
 	"slices"
 
 	"blast/internal/model"
@@ -64,18 +68,17 @@ func CompareCandidates(a, b Candidate) int {
 // percent of it under BLAST's pruning. Everything is read-only after
 // publication; no method mutates the snapshot.
 type Snapshot struct {
-	// Epoch tags the publication: the initial snapshot of a shard is
-	// epoch 0 and every swap increments it. Within one shard, a higher
-	// epoch observes a superset (longer prefix) of the insert sequence.
+	// Epoch tags the publication: a server's start state keeps the epoch
+	// it was built or persisted under (0 for a fresh server) and every
+	// publication increments it.
 	Epoch uint64
 	// Batches is the snapshot's position in the globally sequenced
 	// insert stream: the number of admitted insert batches it covers.
 	// Every shard of a server applies the same batch sequence in the
-	// same order, so two snapshots from different shards with equal
-	// Batches were derived from identical collection states — the
-	// cross-shard consistency token of multi-shard reads — and on disk
-	// it is the WAL position: recovery adopts a snapshot only when it
-	// sits at the log's record count.
+	// same order, so exports with equal Batches were derived from
+	// identical collection states — JoinOwned joins only those — and on
+	// disk it is the WAL position: recovery adopts a snapshot only when
+	// it sits at the log's record count.
 	Batches int64
 	// NumProfiles is the number of profiles the snapshot covers.
 	NumProfiles int
@@ -87,7 +90,8 @@ type Snapshot struct {
 	RetainedPairs int
 	// Offsets and Neighbors are the retained rows in CSR form: row i
 	// occupies positions [Offsets[i], Offsets[i+1]) of the entry arrays,
-	// ascending by neighbor.
+	// ascending by neighbor. A shard's export populates only the rows it
+	// owns; its counters and Theta are global all the same.
 	Offsets   []int64
 	Neighbors []int32
 	// Weights holds the edge weight that retained every entry.
@@ -95,90 +99,69 @@ type Snapshot struct {
 	// Theta holds the node-local pruning threshold theta_i per profile;
 	// nil for pruning schemes without per-node thresholds.
 	Theta []float64
-	// PartShards is the shard count of a partitioned snapshot: one whose
-	// rows are populated only for the profiles Owner hashes onto
-	// PartShard, every other row being empty. 0 (the zero value)
-	// marks a full snapshot — every row resident. NumProfiles, NumEdges
-	// and RetainedPairs stay GLOBAL under partitioning: a partitioned
-	// snapshot answers point reads for its owned rows with whole-graph
-	// semantics, its owners having resolved the cross-shard aggregates at
-	// export time.
-	PartShards int
-	// PartShard is this snapshot's shard index in [0, PartShards); 0 for
-	// a full snapshot.
-	PartShard int
-	// Owned is the number of rows Owner hashes onto PartShard, counted
-	// once where a partitioned snapshot is made (the exporter's owner
-	// table, SliceOwned's row walk, the decoder's shape check) so that
-	// OwnedRows — which every Stats call reads — is O(1). Derived, never
-	// encoded; unused (0) on a full snapshot.
-	Owned int
 }
 
-// Owns reports whether a profile's row is resident in this snapshot:
-// always, for a full snapshot; by ownership hash, for a partitioned one.
-func (s *Snapshot) Owns(profile int32) bool {
-	return s.PartShards == 0 || Owner(profile, s.PartShards) == s.PartShard
-}
-
-// OwnedRows returns the number of resident rows: NumProfiles for a full
-// snapshot, the hash-owned subset (Owned) for a partitioned snapshot.
-func (s *Snapshot) OwnedRows() int {
-	if s.PartShards == 0 {
-		return s.NumProfiles
-	}
-	return s.Owned
-}
-
-// ResidentBytes is the heap footprint of the snapshot's arrays: 12
-// bytes a retained entry, plus the full-length Offsets and Theta at 16
-// bytes a profile, which partitioning does not divide.
-func (s *Snapshot) ResidentBytes() int64 {
-	return int64(len(s.Offsets))*8 + int64(len(s.Neighbors))*4 +
-		int64(len(s.Weights))*8 + int64(len(s.Theta))*8
-}
-
-// SliceOwned carves shard part's partitioned snapshot out of a full
-// snapshot: full-length Offsets with rows copied only for the
-// owned profiles, global header counters carried over, Theta shared (it
-// is full-length and immutable). It is how a server derives its shards'
-// initial snapshots from one frozen build — each slice is byte-identical, row for owned row, to
-// what the shard's own exchange-driven export would produce over the
-// same collection.
-func SliceOwned(s *Snapshot, part, nparts int) *Snapshot {
-	offsets := make([]int64, s.NumProfiles+1)
-	total, owned := int64(0), 0
+// Share returns what shard part of n holds of the snapshot: the rows
+// Owner hashes onto it and their footprint, 12 bytes a retained entry
+// plus 16 bytes a row (its offset and threshold). An export holds
+// exactly its share, so one count serves a shard's export and a full
+// state, and the shares of a state's shards sum to the state's own.
+func (s *Snapshot) Share(part, n int) (rows int, bytes int64) {
+	entries := int64(0)
 	for u := 0; u < s.NumProfiles; u++ {
-		if Owner(int32(u), nparts) == part {
-			total += s.Offsets[u+1] - s.Offsets[u]
-			owned++
+		if Owner(int32(u), n) == part {
+			rows++
+			entries += s.Offsets[u+1] - s.Offsets[u]
 		}
-		offsets[u+1] = total
 	}
-	neighbors := make([]int32, 0, total)
-	weights := make([]float64, 0, total)
-	for u := 0; u < s.NumProfiles; u++ {
-		if offsets[u+1] == offsets[u] {
-			continue
+	return rows, 12*entries + 16*int64(rows)
+}
+
+// JoinOwned joins the exports of one state into its full snapshot:
+// parts[i] is shard i's export, and every row is taken from the shard
+// Owner hashes it onto. The counters and Theta are global in every
+// export (the shards resolved them together), so they come from
+// parts[0]. It refuses parts of different states — another epoch, batch
+// position or global counter — and parts whose owned rows do not hold
+// every entry they carry, two a retained pair, which is what a part
+// joined at another shard's index holds.
+func JoinOwned(parts []*Snapshot) (*Snapshot, error) {
+	n, p0 := len(parts), parts[0]
+	np, entries := p0.NumProfiles, int64(0)
+	for i, p := range parts {
+		if p.Epoch != p0.Epoch || p.Batches != p0.Batches || p.NumProfiles != np || len(p.Offsets) != np+1 ||
+			p.NumEdges != p0.NumEdges || p.RetainedPairs != p0.RetainedPairs || len(p.Theta) != len(p0.Theta) {
+			return nil, fmt.Errorf("shard: export %d (epoch %d, batch %d, %d profiles) is not of the state of export 0 (epoch %d, batch %d, %d profiles)",
+				i, p.Epoch, p.Batches, p.NumProfiles, p0.Epoch, p0.Batches, np)
 		}
-		lo, hi := s.Offsets[u], s.Offsets[u+1]
-		neighbors = append(neighbors, s.Neighbors[lo:hi]...)
-		weights = append(weights, s.Weights[lo:hi]...)
+		entries += int64(len(p.Neighbors))
+	}
+	offsets := make([]int64, np+1)
+	for u := 0; u < np; u++ {
+		p := parts[Owner(int32(u), n)]
+		offsets[u+1] = offsets[u] + p.Offsets[u+1] - p.Offsets[u]
+	}
+	if offsets[np] != entries || entries != 2*int64(p0.RetainedPairs) {
+		return nil, fmt.Errorf("shard: owned rows hold %d of the %d entries exported for %d retained pairs", offsets[np], entries, p0.RetainedPairs)
+	}
+	neighbors, weights := make([]int32, entries), make([]float64, entries)
+	for u := 0; u < np; u++ {
+		p := parts[Owner(int32(u), n)]
+		lo, hi := p.Offsets[u], p.Offsets[u+1]
+		copy(neighbors[offsets[u]:], p.Neighbors[lo:hi])
+		copy(weights[offsets[u]:], p.Weights[lo:hi])
 	}
 	return &Snapshot{
-		Epoch:         s.Epoch,
-		Batches:       s.Batches,
-		NumProfiles:   s.NumProfiles,
-		NumEdges:      s.NumEdges,
-		RetainedPairs: s.RetainedPairs,
+		Epoch:         p0.Epoch,
+		Batches:       p0.Batches,
+		NumProfiles:   np,
+		NumEdges:      p0.NumEdges,
+		RetainedPairs: p0.RetainedPairs,
 		Offsets:       offsets,
 		Neighbors:     neighbors,
 		Weights:       weights,
-		Theta:         s.Theta,
-		PartShards:    nparts,
-		PartShard:     part,
-		Owned:         owned,
-	}
+		Theta:         p0.Theta,
+	}, nil
 }
 
 // Threshold returns theta_i for the threshold-based pruning schemes; 0
@@ -216,23 +199,18 @@ const (
 	snapshotCancelCheckEdges = 8192
 )
 
-// AppendOwnedPairs appends every retained canonical pair (u < v) whose
-// smaller endpoint u the caller owns, in ascending (u, v) order — the
-// larger-neighbor entries of the owned rows, which is the canonical
-// pair order of the batch pipeline restricted to them.
-// Partitioning pair emission by the owner of u makes the per-shard
-// streams disjoint, so merging them restores exactly the global
-// canonical pair list. Polls ctx at row-chunk and edge-segment
-// granularity; on cancellation the partial result is discarded.
-func (s *Snapshot) AppendOwnedPairs(ctx context.Context, dst []model.IDPair, owns func(profile int32) bool) ([]model.IDPair, error) {
+// Pairs returns every retained canonical pair (u < v) in ascending
+// (u, v) order — the larger-neighbor entries of every row, which is the
+// canonical pair order of the batch pipeline. Polls ctx at row-chunk and
+// edge-segment granularity; on cancellation the partial result is
+// discarded.
+func (s *Snapshot) Pairs(ctx context.Context) ([]model.IDPair, error) {
+	dst := make([]model.IDPair, 0, s.RetainedPairs)
 	for u := 0; u < s.NumProfiles; u++ {
 		if u%snapshotCancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-		}
-		if !owns(int32(u)) {
-			continue
 		}
 		end := s.Offsets[u+1]
 		for p := s.Offsets[u]; p < end; {

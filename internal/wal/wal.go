@@ -33,6 +33,7 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 )
 
@@ -122,7 +123,9 @@ type Log struct {
 // Open opens (creating if absent) the log at path, scans it, truncates
 // any invalid tail, and returns the log positioned for appends together
 // with the payloads of the valid records. syncEvery <= 0 disables
-// fsync; 1 syncs every append; n > 1 batches.
+// fsync; 1 syncs every append; n > 1 batches. A log Open creates (or
+// re-headers after a torn creation) has its directory synced too: the
+// file's own fsync does not make its directory entry durable.
 func Open(path string, syncEvery int) (*Log, [][]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -158,6 +161,9 @@ func Open(path string, syncEvery int) (*Log, [][]byte, error) {
 			return fail(err)
 		}
 		if err := f.Sync(); err != nil {
+			return fail(err)
+		}
+		if err := syncDir(filepath.Dir(path)); err != nil {
 			return fail(err)
 		}
 	} else if l.size < int64(len(data)) {
@@ -251,5 +257,56 @@ func (l *Log) Close() error {
 		err = cerr
 	}
 	l.closed = true
+	return err
+}
+
+// WriteFileAtomic replaces the file at path with data durably: the bytes
+// are written to a temporary file, synced, renamed over the target, and
+// the directory synced. A crash at any point leaves either the old file
+// or the new one, never a torn or empty one; on error the temporary file
+// is removed and the old target is untouched.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	// fail abandons the temp file, joining the close error with the
+	// primary one: both describe why the data is not on disk.
+	fail := func(err error) error {
+		if cerr := f.Close(); cerr != nil {
+			err = errors.Join(err, cerr)
+		}
+		os.Remove(tmp)
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		return fail(err)
+	}
+	if err := f.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory so a file created or renamed in it is
+// durable. Tests substitute it to count the syncs.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }

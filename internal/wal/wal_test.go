@@ -403,3 +403,94 @@ func TestDecodeBatchCorruption(t *testing.T) {
 		t.Fatal("absurd profile count accepted")
 	}
 }
+
+// TestWriteFileAtomic: the content round-trips and replaces the old
+// file, no temporary file is left behind, and a failing rename (here: a
+// directory in the target's place) leaves the old target untouched and
+// the temporary file removed.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "MANIFEST.json")
+	for _, content := range []string{"first\n", "second, longer\n"} {
+		if err := WriteFileAtomic(path, []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != content {
+			t.Fatalf("read back %q, want %q", got, content)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("%d directory entries after write, want 1", len(entries))
+		}
+	}
+
+	blocked := filepath.Join(dir, "blocked")
+	kept := filepath.Join(blocked, "kept")
+	if err := os.MkdirAll(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(kept, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(blocked, []byte("new")); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	if got, err := os.ReadFile(kept); err != nil || string(got) != "old" {
+		t.Fatalf("old target disturbed: %q, %v", got, err)
+	}
+	if _, err := os.Stat(blocked + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temporary file left behind: %v", err)
+	}
+}
+
+// TestOpenSyncsDirectory: the log's directory entry is made durable
+// when Open creates the file (or re-headers a torn creation) — the
+// file's own fsync does not cover it — and left alone when Open finds
+// an existing log.
+func TestOpenSyncsDirectory(t *testing.T) {
+	var synced []string
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return nil
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "batches.wal")
+	open := func(label string, want []string) {
+		t.Helper()
+		synced = nil
+		l, _, err := Open(path, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append([]byte(label)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(synced) != len(want) || (len(want) == 1 && synced[0] != want[0]) {
+			t.Fatalf("%s: directory syncs %v, want %v", label, synced, want)
+		}
+	}
+	open("new log", []string{dir})
+	open("existing log", nil)
+	if err := os.WriteFile(path, []byte("BLW"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open("torn creation", []string{dir})
+
+	synced = nil
+	boom := errors.New("dir sync failed")
+	syncDir = func(string) error { return boom }
+	if _, _, err := Open(filepath.Join(dir, "other.wal"), 1); !errors.Is(err, boom) {
+		t.Fatalf("Open over a failing directory sync = %v, want %v", err, boom)
+	}
+}

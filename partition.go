@@ -34,10 +34,11 @@ package blast
 // server placed at one position on every shard, or by the final drain
 // of Close.
 //
-// The correctness contract is bit for bit: a row of a shard's snapshot
+// The correctness contract is bit for bit: a row of a shard's export
 // is byte-identical to the same row of a cold IndexBlocks over the same
 // collection, because a whole graph is just the one-party case of the
-// same decision.
+// same decision; the server joins the exports into that build's rows
+// (shard.JoinOwned).
 
 import (
 	"context"
@@ -97,7 +98,7 @@ func (px *partIndex) Agree(received int64) (int64, error) {
 	return px.ex.AgreeMin(px.part, received)
 }
 
-// Export builds this shard's owned-rows snapshot at the current
+// Export builds this shard's export — its owned rows — at the current
 // collection state, running the rounds described in the file comment.
 // All participating shards must export concurrently from identical
 // collection states; the server guarantees both (batches are enqueued
@@ -108,12 +109,8 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 	c := px.app.Collection()
 	np := c.NumProfiles
 	parties := shardParties{ex: px.ex, part: px.part, owners: make([]uint8, np)}
-	owned := 0
 	for u := range parties.owners {
 		parties.owners[u] = uint8(shard.Owner(int32(u), px.nparts))
-		if int(parties.owners[u]) == px.part {
-			owned++
-		}
 	}
 	owns := func(u int32) bool { return parties.Owner(u) == px.part }
 	build, err := graph.StartOwnedCSR(ctx, c, owns, px.opt.Workers)
@@ -165,9 +162,6 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 		Neighbors:     rows.Neighbors,
 		Weights:       rows.Weights,
 		Theta:         d.Theta,
-		PartShards:    px.nparts,
-		PartShard:     px.part,
-		Owned:         owned,
 	}, nil
 }
 

@@ -11,27 +11,26 @@ package blast
 //     rows alone, resolving the graph-global pruning inputs (degrees,
 //     |E|, weight sums, cuts, thresholds) by exchanging compact
 //     per-shard aggregates (partition.go).
-//   - Reads never touch a writer. Each shard publishes an immutable,
-//     epoch-tagged snapshot — the owned rows of what pruning retained,
-//     plus the thresholds; nothing of the graph they were pruned from —
-//     and swaps it atomically; point reads are hash-routed by profile id
-//     to the owning shard and served wait-free from its snapshot, while
-//     Pairs fans out over all shards — each enumerating the rows it owns
-//     — and merges the ordered streams.
+//   - Reads never touch a writer. Once every shard has exported a state
+//     — its owned rows of what pruning retained, nothing of the graph
+//     they were pruned from — the server joins the exports into the
+//     state's full rows (shard.JoinOwned) and swaps them in behind one
+//     atomic pointer. Every read, View and Pairs is one load of it,
+//     served wait-free.
 //
-// Consistency contract: a read observes a prefix of the insert sequence
-// (the one the owning shard had published when the snapshot was swapped
-// in). Quiesce establishes the strongest state — every admitted profile
-// applied and published on every shard — after which the server's
-// Pairs/Candidates/Threshold are byte-identical to a cold IndexBlocks
-// over the union collection (enforced by the randomized differential
-// tests in server_test.go).
+// Consistency contract: every read observes the newest state all shards
+// have published, one position of the insert sequence. Quiesce
+// establishes the strongest state — every admitted profile applied and
+// published — after which the server's Pairs/Candidates/Threshold are
+// byte-identical to a cold IndexBlocks over the union collection
+// (enforced by the randomized differential tests in server_test.go).
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"blast/internal/blocking"
 	"blast/internal/model"
@@ -50,8 +49,16 @@ type Server struct {
 	shards  []*shard.Shard
 	parts   []*partIndex
 	schema  *Schema
-	log     *wal.Log         // nil unless ServerOptions.Dir was set
-	pers    []*snapPersister // per-shard, nil entries where persistence is off
+	log     *wal.Log       // nil unless ServerOptions.Dir was set
+	pers    *snapPersister // nil where persistence is off
+
+	state atomic.Pointer[View] // the newest state every shard published
+
+	// gathered holds the shards' exports of the state being published,
+	// one slot a shard; have counts the filled slots (see publish).
+	gatherMu sync.Mutex
+	gathered []*shard.Snapshot
+	have     int
 
 	mu     sync.Mutex // admission: ids, shard enqueues, barriers
 	nextID int
@@ -80,8 +87,8 @@ func (p *Pipeline) Serve(ctx context.Context, ds *model.Dataset, sopt ServerOpti
 
 // ServeBlocks starts a server over a Blocks artifact, which is never
 // mutated: one shard writer per shard over its own clone of the block
-// collection, each serving reads from the owned rows of one frozen
-// IndexBlocks build (honoring Options.Storage; discarded once sliced).
+// collection, and reads served from the rows of one frozen IndexBlocks
+// build (honoring Options.Storage) until the shards first publish.
 // Options.Workers reaches every build and export, whose output is
 // byte-identical at any worker count. The shards share one aggregate
 // exchange; a failing shard poisons it, failing its peers' exports too —
@@ -90,14 +97,14 @@ func (p *Pipeline) Serve(ctx context.Context, ds *model.Dataset, sopt ServerOpti
 //
 // With ServerOptions.Dir set the server is durable: each admitted batch
 // is journaled as one record of one write-ahead log before ids are
-// returned, published snapshots are persisted on the SnapshotEvery
-// cadence, and ServeBlocks over an existing directory recovers the
-// pre-crash state: every journaled batch is appended to every shard,
-// and the published snapshots are either adopted from disk — a complete
-// set at the log's last record, which is what a drained Close leaves —
-// or sliced from the one frozen build over the recovered union
-// collection. See durable.go for
-// the layout and the fail-closed rules.
+// returned, published states are persisted on the SnapshotEvery
+// cadence, one file each, and ServeBlocks over an existing directory
+// recovers the pre-crash state: every journaled batch is appended to
+// every shard, and the start state is either adopted from disk — the
+// newest file at the log's last record, which is what a drained Close
+// leaves — or the one frozen build over the recovered union collection.
+// Nothing on disk depends on the shard count. See durable.go for the
+// layout and the fail-closed rules.
 func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerOptions) (srv *Server, err error) {
 	if err := sopt.Validate(); err != nil {
 		return nil, err
@@ -121,13 +128,13 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 
 	ex := shard.NewExchange(n)
 	srv = &Server{
-		kind:    c.Kind,
-		storage: p.opt.Storage,
-		shards:  make([]*shard.Shard, n),
-		parts:   make([]*partIndex, n),
-		pers:    make([]*snapPersister, n),
-		schema:  blocks.Schema,
-		nextID:  c.NumProfiles,
+		kind:     c.Kind,
+		storage:  p.opt.Storage,
+		shards:   make([]*shard.Shard, n),
+		parts:    make([]*partIndex, n),
+		schema:   blocks.Schema,
+		nextID:   c.NumProfiles,
+		gathered: make([]*shard.Snapshot, n),
 	}
 	def := sopt.WithDefaults()
 	srv.wq.maxReqs, srv.wq.maxBytes = def.MaxPendingRequests, def.MaxPendingBytes
@@ -135,7 +142,7 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		srv.parts[i] = newPartIndex(c.Clone(), blocks.Schema, p.opt, i, n, ex)
 	}
 	cut := len(replay)
-	var snaps []*shard.Snapshot
+	var start *shard.Snapshot
 	if log != nil {
 		for k, b := range replay {
 			for i, px := range srv.parts {
@@ -145,57 +152,49 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 			}
 			srv.nextID += len(b)
 		}
-		snaps = adoptOwnedSnapshots(sopt.Dir, n, cut, srv.nextID)
+		start = adoptSnapshot(durSnapDir(sopt.Dir), cut, srv.nextID)
 	}
-	if snaps == nil {
-		// Nothing adoptable: one frozen build over the union collection,
-		// sliced into the shards' owned rows — byte-identical to what
-		// their own exchange-driven exports would publish.
+	if start == nil {
+		// Nothing adoptable: one frozen build over the union collection —
+		// byte-identical to the state the shards' exports would join into.
 		union := &Blocks{Collection: srv.parts[0].app.Collection(), Schema: blocks.Schema}
 		ix, err := p.IndexBlocks(ctx, union)
 		if err != nil {
 			return nil, err
 		}
-		snaps = make([]*shard.Snapshot, n)
-		for i := range snaps {
-			snap := shard.SliceOwned(ix.rows, i, n)
-			if log != nil {
-				maxEpoch := uint64(0)
-				for _, name := range snapFileNames(durSnapDir(sopt.Dir, i)) {
-					maxEpoch = max(maxEpoch, snapFileEpoch(name))
-				}
-				if maxEpoch > 0 || cut > 0 {
-					// Publish strictly above every file on disk, at the log's
-					// record count, so persisting the recovered state clobbers no file
-					// a later recovery might still need.
-					//blast:allow snapshotmut -- pre-publication tag of a freshly sliced private snapshot; no reader can hold it before shard.New
-					snap.Epoch, snap.Batches = maxEpoch+1, int64(cut)
-				}
+		start = ix.rows
+		if log != nil {
+			maxEpoch := uint64(0)
+			if names := snapFileNames(durSnapDir(sopt.Dir)); len(names) > 0 {
+				maxEpoch = snapFileEpoch(names[len(names)-1])
 			}
-			snaps[i] = snap
+			if maxEpoch > 0 || cut > 0 {
+				// Publish strictly above every file on disk, at the log's
+				// record count, so persisting the recovered state clobbers
+				// no file a later recovery might still need.
+				//blast:allow snapshotmut -- pre-publication tag of a private build's rows; no reader can hold them before the state is stored below
+				start.Epoch, start.Batches = maxEpoch+1, int64(cut)
+			}
 		}
 	}
-
 	if every := sopt.snapshotEvery(); log != nil && every > 0 {
-		for i, snap := range snaps {
-			sp := &snapPersister{dir: durSnapDir(sopt.Dir, i), every: every, keep: 2, last: int64(cut)}
-			if snap.Epoch > 0 {
-				// A recovered state is persisted at once, so the next open
-				// adopts it without a rebuild. An adopted snapshot is on
-				// disk already; rewriting the same bytes keeps one rule.
-				if err := sp.persistNow(snap); err != nil {
-					return nil, err
-				}
+		srv.pers = &snapPersister{dir: durSnapDir(sopt.Dir), every: every, keep: 2, last: int64(cut)}
+		if start.Epoch > 0 {
+			// A recovered state is persisted at once, so the next open
+			// adopts it without a rebuild. An adopted snapshot is on disk
+			// already; rewriting the same bytes keeps one rule.
+			if err := srv.pers.persistNow(start); err != nil {
+				return nil, err
 			}
-			srv.pers[i] = sp
 		}
 	}
+	srv.state.Store(&View{rows: start})
 	for i, px := range srv.parts {
-		shOpt := shard.Options{SwapOps: sopt.swapOps(), OnFail: ex.Poison}
-		if sp := srv.pers[i]; sp != nil {
-			shOpt.Persist = sp.persist
-		}
-		srv.shards[i] = shard.New(i, px, snaps[i], shOpt)
+		srv.shards[i] = shard.New(i, n, px, start, shard.Options{
+			SwapOps: sopt.swapOps(),
+			OnFail:  ex.Poison,
+			Publish: func(export *shard.Snapshot) error { return srv.publish(i, export) },
+		})
 	}
 	srv.log = log
 	return srv, nil
@@ -208,10 +207,10 @@ func (s *Server) NumShards() int { return len(s.shards) }
 func (s *Server) Kind() model.Kind { return s.kind }
 
 // Storage returns the graph storage mode (Options.Storage) the server
-// was configured with. It governs frozen builds only — the build that
-// seeds the shards' initial snapshots — and is never a point-in-time
-// residency: every published snapshot is resident rows, whose size the
-// per-shard ResidentBytes in Stats reports.
+// was configured with. It governs frozen builds only — the build of the
+// server's start state — and is never a point-in-time residency: every
+// published state is resident rows, whose size the shards'
+// ResidentBytes in Stats sum to.
 func (s *Server) Storage() Storage { return s.storage }
 
 // Admitted returns the number of profiles the server has accepted:
@@ -223,18 +222,9 @@ func (s *Server) Admitted() int {
 	return s.nextID
 }
 
-// NumProfiles returns the number of profiles every read is guaranteed
-// to observe: the smallest published profile count across the shards.
-// After Quiesce it equals Admitted.
-func (s *Server) NumProfiles() int {
-	n := -1
-	for _, sh := range s.shards {
-		if p := sh.Snapshot().NumProfiles; n < 0 || p < n {
-			n = p
-		}
-	}
-	return n
-}
+// NumProfiles returns the number of profiles the published state
+// covers. After Quiesce it equals Admitted.
+func (s *Server) NumProfiles() int { return s.state.Load().NumProfiles() }
 
 // Stats returns a point-in-time summary of every shard.
 func (s *Server) Stats() []shard.Stats {
@@ -265,9 +255,9 @@ func (s *Server) Err() error {
 
 // Insert admits one profile and returns its assigned global id. The
 // profile is applied asynchronously on every shard's write path; reads
-// observe it once the owning shard next publishes — a publication falls
-// due after ServerOptions.SwapOps applied profiles and covers everything
-// the shards had received by then — or at the latest on Quiesce.
+// observe it once the shards next publish — a publication falls due
+// after ServerOptions.SwapOps applied profiles and covers everything the
+// shards had all received by then — or at the latest on Quiesce.
 func (s *Server) Insert(ctx context.Context, p *model.Profile) (int, error) {
 	if p == nil {
 		return -1, errors.New("blast: Insert requires a non-nil profile")
@@ -279,217 +269,112 @@ func (s *Server) Insert(ctx context.Context, p *model.Profile) (int, error) {
 	return -1, err
 }
 
-// owner returns the shard serving a profile's point reads.
-func (s *Server) owner(profile int) *shard.Shard {
-	return s.shards[shard.Owner(int32(profile), len(s.shards))]
+// publish is every shard's Publish hook: it takes shard i's export of
+// the state being gathered and, on the shard that hands over the last
+// one, joins the exports into the state's full rows, swaps them in and
+// persists them when SnapshotEvery says so. Exports are collective — no
+// shard can finish exporting the next state before every shard handed
+// this one over, since the export's exchange rounds need them all — so
+// one state is gathered at a time, and states are swapped in in order.
+func (s *Server) publish(i int, export *shard.Snapshot) error {
+	s.gatherMu.Lock()
+	s.gathered[i] = export
+	if s.have++; s.have < len(s.gathered) {
+		s.gatherMu.Unlock()
+		return nil
+	}
+	parts := s.gathered
+	s.gathered, s.have = make([]*shard.Snapshot, len(parts)), 0
+	s.gatherMu.Unlock()
+	state, err := shard.JoinOwned(parts)
+	if err != nil {
+		return err
+	}
+	s.state.Store(&View{rows: state})
+	if s.pers != nil {
+		return s.pers.persist(state)
+	}
+	return nil
 }
 
 // Candidates returns the retained candidate comparisons of one profile
-// from the owning shard's published snapshot, ordered by descending
-// weight (ties by ascending id). Result semantics match Index.Candidates
-// (never nil; out-of-range ids yield an empty slice).
-func (s *Server) Candidates(profile int) []Candidate {
-	return s.AppendCandidates(make([]Candidate, 0, 4), profile)
-}
+// in the published state, ordered by descending weight (ties by
+// ascending id). Result semantics match Index.Candidates (never nil;
+// out-of-range ids yield an empty slice).
+func (s *Server) Candidates(profile int) []Candidate { return s.state.Load().Candidates(profile) }
 
 // AppendCandidates appends the retained candidate comparisons of one
-// profile to buf, serving wait-free from the owning shard's published
-// snapshot. Semantics match Index.AppendCandidates.
+// profile to buf, serving wait-free from the published state. Semantics
+// match Index.AppendCandidates.
 func (s *Server) AppendCandidates(buf []Candidate, profile int) []Candidate {
-	if profile < 0 {
-		return buf
-	}
-	return s.owner(profile).Snapshot().AppendCandidates(buf, profile)
+	return s.state.Load().AppendCandidates(buf, profile)
 }
 
-// Threshold returns theta_i of a profile from the owning shard's
-// published snapshot. Semantics match Index.Threshold.
-func (s *Server) Threshold(profile int) float64 {
-	if profile < 0 {
-		return 0
-	}
-	return s.owner(profile).Snapshot().Threshold(profile)
-}
+// Threshold returns theta_i of a profile in the published state.
+// Semantics match Index.Threshold.
+func (s *Server) Threshold(profile int) float64 { return s.state.Load().Threshold(profile) }
 
-// Epoch returns the publication epoch of the shard owning a profile —
-// the version tag of the state its reads are served from.
-func (s *Server) Epoch(profile int) uint64 {
-	if profile < 0 {
-		return 0
-	}
-	return s.owner(profile).Snapshot().Epoch
-}
+// Epoch returns the publication epoch of the published state — the
+// version tag of the state reads are served from — or 0 for a negative
+// id.
+func (s *Server) Epoch(profile int) uint64 { return s.state.Load().Epoch(profile) }
 
-// consistentSnapshots captures one published snapshot per shard such
-// that all sit at the same position of the global insert sequence
-// (equal Snapshot.Batches — the owned rows of one state). A plain per-shard capture does not guarantee this:
-// shards publish independently, so a pair of loads can observe shard 0
-// before batch k and shard 1 after it. The capture is retried
-// optimistically a few times (publications are rare relative to reads);
-// if writers keep moving the shards it falls back to holding the server
-// lock — excluding new admissions — and barriering every shard so all
-// publications land at the same final cursor.
-func (s *Server) consistentSnapshots(ctx context.Context) ([]*shard.Snapshot, error) {
-	capture := func() ([]*shard.Snapshot, bool) {
-		snaps := make([]*shard.Snapshot, len(s.shards))
-		for i, sh := range s.shards {
-			snaps[i] = sh.Snapshot()
-			if snaps[i].Batches != snaps[0].Batches {
-				return nil, false
-			}
-		}
-		return snaps, true
-	}
-	for attempt := 0; attempt < 3; attempt++ {
-		if snaps, ok := capture(); ok {
-			return snaps, nil
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		// Close stopped the workers; each drains fully on Close, so once
-		// every Close has returned the cursors agree. Re-closing is
-		// idempotent and waits for exactly that.
-		for _, sh := range s.shards {
-			_ = sh.Close()
-		}
-		if snaps, ok := capture(); ok {
-			return snaps, nil
-		}
-		if err := s.Err(); err != nil {
-			return nil, err
-		}
-		return nil, errors.New("blast: closed shards disagree on the insert sequence")
-	}
-	// No admissions can interleave while we hold the lock, so after the
-	// barriers every shard has published the full admitted sequence.
-	if err := s.barrierAllLocked(ctx); err != nil {
-		return nil, err
-	}
-	if snaps, ok := capture(); ok {
-		return snaps, nil
-	}
-	return nil, errors.New("blast: quiesced shards disagree on the insert sequence")
-}
-
-// Pairs returns every retained comparison in canonical order by fanning
-// the enumeration out across the shards — each walks only the rows it
-// owns in its published snapshot — and merging the ordered streams. The
-// per-shard snapshots are captured at one common position of the insert
-// sequence, so the result is always a consistent state the server
-// actually passed through (on a quiesced server, byte-identical to
-// Index.Pairs of a cold IndexBlocks over the union collection).
+// Pairs returns every retained comparison of the published state in
+// canonical order: one walk of its rows, the walk Index.Pairs takes (on
+// a quiesced server, byte-identical to Index.Pairs of a cold
+// IndexBlocks over the union collection).
 func (s *Server) Pairs(ctx context.Context) ([]model.IDPair, error) {
-	n := len(s.shards)
-	snaps, err := s.consistentSnapshots(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rows := 0
-	for i := range snaps {
-		if snaps[i].NumProfiles > rows {
-			rows = snaps[i].NumProfiles
-		}
-	}
-	// Hash each row's owner once, shared read-only by every goroutine,
-	// instead of n times (once per shard's own enumeration pass).
-	owners := make([]uint8, rows)
-	for u := range owners {
-		owners[u] = uint8(shard.Owner(int32(u), n))
-	}
-	parts := make([][]model.IDPair, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int, snap *shard.Snapshot) {
-			defer wg.Done()
-			owns := func(u int32) bool { return owners[u] == uint8(i) }
-			parts[i], errs[i] = snap.AppendOwnedPairs(ctx, nil, owns)
-		}(i, snaps[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return shard.MergePairs(parts), nil
+	return s.state.Load().rows.Pairs(ctx)
 }
 
-// A View is an epoch-consistent read handle over the server: one
-// published snapshot per shard, all captured at the same position of
-// the global insert sequence, pinned for the view's lifetime. Where the
-// Server's own point reads each load the owner's CURRENT snapshot — so
-// two reads can observe different states — every read through one View
-// observes the single state identified by Batches. Views are immutable
-// and safe for concurrent use; holding one only pins memory (the
-// snapshots are retained from the garbage collector), never blocks
-// writers.
+// A View is one published state of the server: the full retained rows
+// the shards' exports of one position of the insert sequence joined
+// into. Every read through one View observes that state, where the
+// Server's own reads each observe the newest state at the time of the
+// call. Views are immutable and safe for concurrent use; holding one
+// only pins memory (its rows are retained from the garbage collector),
+// never blocks writers.
 type View struct {
-	snaps []*shard.Snapshot
+	rows *shard.Snapshot
 }
 
-// View captures an epoch-consistent read handle. It is served from
-// published snapshots when the shards already agree, and otherwise
-// barriers them (excluding concurrent admissions for the duration, like
-// Quiesce); ctx bounds that wait.
-func (s *Server) View(ctx context.Context) (*View, error) {
-	snaps, err := s.consistentSnapshots(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &View{snaps: snaps}, nil
-}
-
-// owner returns the snapshot holding a profile's rows.
-func (v *View) owner(profile int) *shard.Snapshot {
-	return v.snaps[shard.Owner(int32(profile), len(v.snaps))]
-}
+// View returns the published state: one pointer load, which never
+// blocks and never waits for a writer, so ctx is unused and the error
+// always nil.
+func (s *Server) View(ctx context.Context) (*View, error) { return s.state.Load(), nil }
 
 // Batches identifies the state every read of this view observes: its
 // position in the globally sequenced insert stream. Two views with
 // equal Batches over the same server observe identical state.
-func (v *View) Batches() int64 { return v.snaps[0].Batches }
+func (v *View) Batches() int64 { return v.rows.Batches }
 
 // NumProfiles returns the number of profiles the view covers.
-func (v *View) NumProfiles() int { return v.snaps[0].NumProfiles }
+func (v *View) NumProfiles() int { return v.rows.NumProfiles }
 
 // Candidates returns the retained candidate comparisons of one profile
-// at the view's state. Semantics match Server.Candidates.
+// at the view's state. Semantics match Index.Candidates.
 func (v *View) Candidates(profile int) []Candidate {
 	return v.AppendCandidates(make([]Candidate, 0, 4), profile)
 }
 
 // AppendCandidates appends the retained candidate comparisons of one
 // profile to buf at the view's state. Semantics match
-// Server.AppendCandidates.
+// Index.AppendCandidates.
 func (v *View) AppendCandidates(buf []Candidate, profile int) []Candidate {
-	if profile < 0 {
-		return buf
-	}
-	return v.owner(profile).AppendCandidates(buf, profile)
+	return v.rows.AppendCandidates(buf, profile)
 }
 
 // Threshold returns theta_i of a profile at the view's state. Semantics
-// match Server.Threshold.
-func (v *View) Threshold(profile int) float64 {
-	if profile < 0 {
-		return 0
-	}
-	return v.owner(profile).Threshold(profile)
-}
+// match Index.Threshold.
+func (v *View) Threshold(profile int) float64 { return v.rows.Threshold(profile) }
 
-// Epoch returns the publication epoch of the snapshot serving a
-// profile's reads in this view. Unlike Batches it is a per-shard
-// counter: two profiles of one view may report different epochs, but
-// both observe the same state.
+// Epoch returns the publication epoch of the view's state, or 0 for a
+// negative id.
 func (v *View) Epoch(profile int) uint64 {
 	if profile < 0 {
 		return 0
 	}
-	return v.owner(profile).Epoch
+	return v.rows.Epoch
 }
 
 // Quiesce drives every shard to the strongest consistent state: all
@@ -516,8 +401,9 @@ func (s *Server) Quiesce(ctx context.Context) error {
 // through the enqueue phase places every shard's barrier at the SAME
 // position of the global insert sequence — the shards depend on it
 // (barrier-forced exports run the aggregate exchange, so all shards
-// must export the same collection state), and it is what makes the post-barrier captures of consistentSnapshots land on one
-// cursor. The waits necessarily also run under the lock; barriers are
+// must export the same collection state), and it is what makes the
+// state the last barrier's export completes cover every admission. The
+// waits necessarily also run under the lock; barriers are
 // bounded by shard progress, not by future admissions, so this cannot
 // deadlock.
 func (s *Server) barrierAllLocked(ctx context.Context) error {
@@ -582,9 +468,9 @@ func (s *Server) Schema() *Schema { return s.schema }
 // it syncs and releases the write-ahead log of a durable server, and
 // returns the first error encountered. Every resource is released even
 // when a shard reports a failure — a dead worker must not leak the
-// others or the log. Reads remain valid on the last published
-// snapshots, which cover every admitted profile; Insert, InsertAll and
-// Quiesce fail after Close. Close is idempotent.
+// others or the log. Reads remain valid on the last published state,
+// which covers every admitted profile; Insert, InsertAll and Quiesce
+// fail after Close. Close is idempotent.
 func (s *Server) Close() error {
 	s.wq.close()
 	s.mu.Lock()
@@ -606,18 +492,13 @@ func (s *Server) Close() error {
 	}
 	wg.Wait()
 	errs = append(errs, shErrs...)
-	// Final snapshot: with the workers joined, persist each shard's last
-	// published snapshot if it sits past the last file on disk. A drained
-	// shutdown then leaves snapshots at the final WAL position, so the
-	// next open restores without replay. Safe without locking — the
-	// persister is otherwise touched only by the (now exited) worker.
-	for i, sp := range s.pers {
-		if sp == nil || shErrs[i] != nil {
-			continue
-		}
-		if snap := s.shards[i].Snapshot(); snap.Batches > sp.last {
-			errs = append(errs, sp.persistNow(snap))
-		}
+	// Final snapshot: with the workers joined, persist the last published
+	// state if it sits past the last file on disk. A drained shutdown then
+	// leaves a snapshot at the final WAL position, so the next open
+	// restores without a rebuild. Safe without locking — the persister is
+	// otherwise touched only by the (now exited) workers.
+	if st := s.state.Load().rows; s.pers != nil && st.Batches > s.pers.last {
+		errs = append(errs, s.pers.persistNow(st))
 	}
 	if s.log != nil {
 		errs = append(errs, s.log.Close())

@@ -1,12 +1,13 @@
 package blast
 
 // Tests of row ownership: the CNP cut exchange where ties cross shards,
-// ownership-hash skew, View consistency, group publication under
-// backlog, owned-row accounting, and the slicing that seeds a server's
-// shards from one frozen build.
+// ownership-hash skew, reads that never block, View consistency, group
+// publication under backlog, owned-row accounting, and the join of the
+// shards' exports into the state a frozen build holds.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io/fs"
 	"math"
@@ -224,10 +225,56 @@ func TestPartitionedBoundaryIDsUnderChurn(t *testing.T) {
 	}
 }
 
+// TestReadsNeverBlock: every read is one load of the published state —
+// none takes the server lock or places a barrier — so reads, View and
+// Pairs answer while a group commit holds the lock, and out-of-range
+// ids keep their answers.
+func TestReadsNeverBlock(t *testing.T) {
+	ctx := context.Background()
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := p.Serve(ctx, durDataset(), ServerOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	release := holdCommits(srv)
+	defer release()
+	done := make(chan error, 1)
+	go func() {
+		v, err := srv.View(ctx)
+		if err != nil {
+			done <- err
+			return
+		}
+		pairs, err := srv.Pairs(ctx)
+		switch {
+		case err != nil:
+			done <- err
+		case v.NumProfiles() != 40 || srv.NumProfiles() != 40 || len(pairs) == 0:
+			done <- fmt.Errorf("view over %d profiles, server over %d, %d pairs", v.NumProfiles(), srv.NumProfiles(), len(pairs))
+		case srv.Epoch(-1) != 0 || v.Epoch(-1) != 0 || srv.Threshold(-1) != 0 || len(srv.Candidates(-1)) != 0 || len(srv.Candidates(1<<20)) != 0:
+			done <- errors.New("an out-of-range id changed its answer")
+		default:
+			done <- nil
+		}
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a read blocked on the server lock")
+	}
+}
+
 // TestViewConsistency takes Views while writers stream and checks each
-// view is internally consistent: every snapshot behind it sits at the
-// view's Batches cursor, and repeated reads through one view never
-// change even as the server publishes past it.
+// view is internally consistent: the state behind it sits at the view's
+// Batches cursor, and repeated reads through one view never change even
+// as the server publishes past it.
 func TestViewConsistency(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(77)
@@ -289,12 +336,13 @@ func TestViewConsistency(t *testing.T) {
 	}
 }
 
-// publicationLog samples the published snapshot of every shard and keeps,
-// per shard, the insert-stream position (Snapshot.Batches) of each
-// publication epoch it saw. Partitioned shards publish in lockstep — the
-// k-th publication of every shard covers the same batches, or their
-// exchange rounds would pair up states of different collections — so any
-// epoch seen on two shards must carry one position.
+// publicationLog samples the last publication of every shard and keeps,
+// per shard, the profile count (Stats.Published) of each publication
+// epoch it saw. Partitioned shards publish in lockstep — the k-th
+// publication of every shard covers the same batches, or their exchange
+// rounds would pair up states of different collections, and the server
+// could not join their exports — so any epoch seen on two shards must
+// carry one count.
 type publicationLog struct {
 	mu   sync.Mutex
 	seen []map[uint64]int64
@@ -309,9 +357,8 @@ func (l *publicationLog) sample(srv *Server) {
 			l.seen[i] = make(map[uint64]int64)
 		}
 	}
-	for i, sh := range srv.shards {
-		snap := sh.Snapshot()
-		l.seen[i][snap.Epoch] = snap.Batches
+	for i, st := range srv.Stats() {
+		l.seen[i][st.Epoch] = int64(st.Published)
 	}
 }
 
@@ -483,12 +530,10 @@ func TestPartitionedAlignmentUnderBacklog(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: reopen from the kill image: %v", label, err)
 						}
-						for i, sh := range srv2.shards {
-							// An adopted snapshot keeps its epoch; a rebuilt one
-							// is published above every file on disk.
-							if got, want := sh.Snapshot().Epoch, srv.shards[i].Snapshot().Epoch; got != want {
-								t.Errorf("%s: shard %d reopened at epoch %d, want the adopted %d", label, i, got, want)
-							}
+						// An adopted snapshot keeps its epoch; a rebuilt one is
+						// published above every file on disk.
+						if got, want := srv2.Epoch(0), srv.Epoch(0); got != want {
+							t.Errorf("%s: reopened at epoch %d, want the adopted %d", label, got, want)
 						}
 						got, err := srv2.Pairs(ctx)
 						if err != nil {
@@ -508,10 +553,12 @@ func TestPartitionedAlignmentUnderBacklog(t *testing.T) {
 	}
 }
 
-// TestPartitionedOwnedRowsServedFromTheSnapshot: Stats().OwnedRows is a
-// count carried by the published snapshot, not a re-hash of every
-// profile id per call, and equals the hashed count for every shard count
-// — on the sliced initial snapshots and on exported ones after inserts.
+// TestPartitionedOwnedRowsServedFromTheSnapshot: Stats().OwnedRows is
+// the shard's share of the published state, counted where the share is
+// made — once at start, then at every export — not a re-hash of every
+// profile id per call, and equals the hashed count for every shard count;
+// the shares' ResidentBytes sum to the state's 12 bytes a retained entry
+// plus 16 a profile.
 func TestPartitionedOwnedRowsServedFromTheSnapshot(t *testing.T) {
 	ctx := context.Background()
 	p, err := NewPipeline(DefaultOptions())
@@ -526,7 +573,7 @@ func TestPartitionedOwnedRowsServedFromTheSnapshot(t *testing.T) {
 		}
 		check := func(stage string) {
 			t.Helper()
-			np := srv.NumProfiles()
+			np, resident := srv.NumProfiles(), int64(0)
 			for i, st := range srv.Stats() {
 				hashed := 0
 				for u := 0; u < np; u++ {
@@ -538,6 +585,14 @@ func TestPartitionedOwnedRowsServedFromTheSnapshot(t *testing.T) {
 					t.Fatalf("shards=%d %s: shard %d reports %d owned rows of %d profiles, hashed count %d of %d",
 						shards, stage, i, st.OwnedRows, st.Published, hashed, np)
 				}
+				resident += st.ResidentBytes
+			}
+			pairs, err := srv.Pairs(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 24*int64(len(pairs)) + 16*int64(np); resident != want {
+				t.Fatalf("shards=%d %s: shards hold %d resident bytes between them, the state %d", shards, stage, resident, want)
 			}
 		}
 		check("initial")
@@ -569,9 +624,6 @@ func assertSameSnapshot(t *testing.T, label string, want, got *shard.Snapshot) {
 	case got.NumProfiles != want.NumProfiles || got.NumEdges != want.NumEdges || got.RetainedPairs != want.RetainedPairs:
 		t.Fatalf("%s: %d profiles, %d edges, %d retained pairs; want %d, %d, %d", label,
 			got.NumProfiles, got.NumEdges, got.RetainedPairs, want.NumProfiles, want.NumEdges, want.RetainedPairs)
-	case got.PartShards != want.PartShards || got.PartShard != want.PartShard || got.Owned != want.Owned:
-		t.Fatalf("%s: shard %d of %d owning %d rows, want %d of %d owning %d", label,
-			got.PartShard, got.PartShards, got.Owned, want.PartShard, want.PartShards, want.Owned)
 	case !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Neighbors, want.Neighbors):
 		t.Fatalf("%s: rows differ in shape (%d entries, want %d)", label, len(got.Neighbors), len(want.Neighbors))
 	case !slices.EqualFunc(got.Weights, want.Weights, sameBits):
@@ -581,14 +633,14 @@ func assertSameSnapshot(t *testing.T, label string, want, got *shard.Snapshot) {
 	}
 }
 
-// TestSliceOwnedMatchesOwnExport pins the rule a server seeds and
-// rebuilds its shards by, for every pruning under three weightings: shard
-// i's slice (SliceOwned) of the rows one frozen IndexBlocks build
-// collects over the shards' union collection equals, row for row and
-// counter for counter, what shard i collects and exchanges for itself in
-// a 1-, 2- and 3-way export — over the seed collection, and again after
-// a batch every shard appended, which is the recovery rebuild's case.
-func TestSliceOwnedMatchesOwnExport(t *testing.T) {
+// TestJoinOwnedMatchesFrozenRows pins the rule a server publishes by,
+// for every pruning under three weightings: the join (JoinOwned) of what
+// each shard of a 1-, 2- and 3-way partition collects and exchanges for
+// itself equals, row for row and counter for counter, the rows one
+// frozen IndexBlocks build collects over the shards' union collection —
+// over the seed collection, and again after a batch every shard
+// appended.
+func TestJoinOwnedMatchesFrozenRows(t *testing.T) {
 	ctx := context.Background()
 	schemes := []weights.Scheme{{Kind: weights.ChiSquared, Entropy: true}, {Kind: weights.CBS}, {Kind: weights.EJS}}
 	prunings := []metablocking.Pruning{
@@ -652,9 +704,12 @@ func TestSliceOwnedMatchesOwnExport(t *testing.T) {
 						if errs[i] != nil {
 							t.Fatalf("%s: stage %d export %d/%d: %v", label, stage, i, n, errs[i])
 						}
-						assertSameSnapshot(t, fmt.Sprintf("%s stage %d shard %d/%d own export vs slice", label, stage, i, n),
-							shard.SliceOwned(frozen.rows, i, n), exports[i])
 					}
+					joined, err := shard.JoinOwned(exports)
+					if err != nil {
+						t.Fatalf("%s: stage %d join of %d: %v", label, stage, n, err)
+					}
+					assertSameSnapshot(t, fmt.Sprintf("%s stage %d join of %d vs frozen", label, stage, n), frozen.rows, joined)
 				}
 			}
 		}
