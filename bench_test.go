@@ -376,15 +376,18 @@ func BenchmarkAblation_WeightingScheme(b *testing.B) {
 		b.Fatal(err)
 	}
 	blocks := res.Blocks
-	for _, s := range []weights.Scheme{
-		{Kind: weights.JS}, {Kind: weights.CBS},
-		{Kind: weights.ChiSquared}, {Kind: weights.ChiSquared, Entropy: true},
+	for _, sc := range []struct {
+		name string
+		s    weights.Scheme
+	}{
+		{"JS", weights.Scheme{Kind: weights.JS}}, {"CBS", weights.Scheme{Kind: weights.CBS}},
+		{"chi2", weights.Scheme{Kind: weights.ChiSquared}}, {"chi2*h", weights.Blast()},
 	} {
-		b.Run(s.Name(), func(b *testing.B) {
+		b.Run(sc.name, func(b *testing.B) {
 			var q metrics.Quality
 			for i := 0; i < b.N; i++ {
 				mb := metablocking.Run(blocks, metablocking.Config{
-					Scheme: s, Pruning: metablocking.BlastWNP, C: 2, D: 2,
+					Scheme: sc.s, Pruning: metablocking.BlastWNP, C: 2, D: 2,
 				})
 				q = metrics.EvaluatePairs(mb.Pairs, ds.Truth)
 			}
@@ -459,7 +462,7 @@ func BenchmarkEngine_CSRBuild(b *testing.B) {
 		}{
 			{"edge-list", func() int { return edgelist.Build(shape.blocks).NumEdges() }},
 			{"node-centric", func() int { return graph.BuildCSR(shape.blocks).NumEdges() }},
-			{"node-centric-parallel", func() int { return graph.BuildCSRParallel(shape.blocks, 4).NumEdges() }},
+			{"node-centric-parallel", func() int { return parallelCSR(b, shape.blocks, 4).NumEdges() }},
 			{"owned-half", func() int {
 				g, err := graph.BuildOwnedCSR(ctx, shape.blocks, func(n int32) bool { return n%2 == 0 }, 1)
 				if err != nil {
@@ -495,7 +498,7 @@ func streamBlocks(b *testing.B, n int) *blocking.Collection {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ds := datasets.NewStream(n, 1).Dataset()
+	ds := blast.StreamDataset(n, 1)
 	schema, err := p.InduceSchema(ctx, ds)
 	if err != nil {
 		b.Fatal(err)
@@ -513,13 +516,16 @@ func streamBlocks(b *testing.B, n int) *blocking.Collection {
 // with one worker per CPU.
 func BenchmarkEngine_ApplyCSR(b *testing.B) {
 	ctx := context.Background()
-	csr := graph.BuildCSRParallel(streamBlocks(b, 5000), 0)
-	for _, s := range []weights.Scheme{{Kind: weights.CBS}, weights.Blast()} {
+	csr := parallelCSR(b, streamBlocks(b, 5000), 0)
+	for _, sc := range []struct {
+		name string
+		s    weights.Scheme
+	}{{"CBS", weights.Scheme{Kind: weights.CBS}}, {"chi2*h", weights.Blast()}} {
 		for _, workers := range []int{1, 0} {
-			b.Run(fmt.Sprintf("%s/workers=%d", s.Name(), workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/workers=%d", sc.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := s.ApplyCSRCtx(ctx, csr, workers); err != nil {
+					if err := sc.s.ApplyCSRCtx(ctx, csr, workers); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -695,7 +701,7 @@ func BenchmarkServer_ConcurrentInsert(b *testing.B) {
 func BenchmarkEngine_SpilledSweep(b *testing.B) {
 	ctx := context.Background()
 	blocks := streamBlocks(b, 5000)
-	resident := graph.BuildCSRParallel(blocks, 0)
+	resident := parallelCSR(b, blocks, 0)
 	spilled, err := graph.BuildCSRSpillCtx(ctx, blocks, graph.SpillOptions{Dir: b.TempDir(), MemoryBudget: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
@@ -750,7 +756,7 @@ func BenchmarkEngine_SpilledSweep(b *testing.B) {
 // worker plus two per-node vectors, never per-entry.
 func BenchmarkCNPStream(b *testing.B) {
 	ctx := context.Background()
-	csr := graph.BuildCSRParallel(streamBlocks(b, 5000), 0)
+	csr := parallelCSR(b, streamBlocks(b, 5000), 0)
 	weights.Blast().ApplyCSR(csr)
 	csr.ReleaseStats()
 	for _, mode := range []prune.Mode{prune.Redefined, prune.Reciprocal} {
@@ -891,7 +897,7 @@ func phase2Corpus(b *testing.B, name string) (*model.Dataset, blocking.KeyFunc) 
 	b.Helper()
 	ds := datasets.DBP(0.25, 1)
 	if name == "stream" {
-		ds = datasets.NewStream(10_000, 1).Dataset()
+		ds = blast.StreamDataset(10_000, 1)
 	}
 	p, err := blast.NewPipeline(blast.DefaultOptions())
 	if err != nil {
@@ -1100,4 +1106,13 @@ func BenchmarkAblation_TFIDFRepresentation(b *testing.B) {
 			b.ReportMetric(q.PQ*100, "PQ%")
 		})
 	}
+}
+
+// parallelCSR builds the CSR of blocks on the given number of workers.
+func parallelCSR(b *testing.B, blocks *blocking.Collection, workers int) *graph.CSR {
+	g, err := graph.BuildCSRParallelCtx(context.Background(), blocks, workers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
 }

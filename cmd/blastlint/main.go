@@ -1,13 +1,14 @@
-// Command blastlint runs the project's static-analysis suite — five
+// Command blastlint runs the project's static-analysis suite — six
 // analyzers that machine-check the determinism and durability
-// invariants (see internal/lint and the README "Static analysis"
-// section):
+// invariants and that the module carries only code it runs (see
+// internal/lint and the README "Static analysis" section):
 //
 //	maporder     order-sensitive work inside for-range over a map
 //	syncerr      discarded errors on the durability path
 //	snapshotmut  writes to shard.Snapshot outside constructor/decode
 //	ctxpoll      adjacency loops with no cancellation poll
 //	wallclock    time.Now/time.Since/global rand in deterministic code
+//	deadapi      internal API and unexported declarations no non-test file uses
 //
 // Usage:
 //

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"blast/internal/datasets"
+	"blast/internal/model"
 )
 
 func TestRunWritesCleanCleanFiles(t *testing.T) {
@@ -90,13 +91,12 @@ func TestRunStreamingMode(t *testing.T) {
 		t.Errorf("streamed corpus has %d profiles, want 300", e1.Len())
 	}
 	// The truth file must reference ids present in E1.
-	s := datasets.NewStream(300, 5)
 	tf, err := os.Open(filepath.Join(dir, "stream-truth.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tf.Close()
-	truth, err := datasets.ReadTruth(tf, s.Dataset())
+	truth, err := datasets.ReadTruth(tf, &model.Dataset{Kind: model.Dirty, E1: e1})
 	if err != nil {
 		t.Fatalf("ReadTruth: %v", err)
 	}

@@ -1,5 +1,10 @@
 package blast
 
+import (
+	"blast/internal/datasets"
+	"blast/internal/model"
+)
+
 // Test-only exports bridging the external test package (blast_test) to
 // unexported internals.
 
@@ -14,4 +19,18 @@ func MBKeyForBench(i int) string { return mbKey(i) }
 func holdCommits(srv *Server) (release func()) {
 	srv.mu.Lock()
 	return srv.mu.Unlock
+}
+
+// StreamDataset materializes a datagen stream of n profiles as a dirty
+// dataset with its duplicate pairs as ground truth.
+func StreamDataset(n int, seed uint64) *model.Dataset {
+	s := datasets.NewStream(n, seed)
+	e, g := model.NewCollection("stream"), model.NewGroundTruth()
+	for i := 0; i < s.Len(); i++ {
+		e.Append(s.Profile(i))
+		if d, ok := s.Duplicate(i); ok {
+			g.Add(d, i)
+		}
+	}
+	return &model.Dataset{Name: "stream", Kind: model.Dirty, E1: e, Truth: g}
 }

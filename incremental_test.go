@@ -130,7 +130,7 @@ func TestIncrementalEquivalenceMatrix(t *testing.T) {
 			for _, pruning := range prunings {
 				workers := workersAxis[cfgN%len(workersAxis)]
 				cfgN++
-				label := fmt.Sprintf("%v/%s/%v/workers=%d", ind, scheme.Name(), pruning, workers)
+				label := fmt.Sprintf("%v/%v/%v/workers=%d", ind, scheme, pruning, workers)
 				rng := stats.NewRNG(uint64(len(label))*977 + 13)
 				ds := synthDirty(rng, 60)
 				opt := DefaultOptions()
@@ -190,7 +190,7 @@ func TestIncrementalEquivalenceRandom(t *testing.T) {
 		opt.Pruning = prunings[rng.Intn(len(prunings))]
 		opt.C = []float64{1, 2, 4}[rng.Intn(3)]
 		opt.Workers = []int{0, 1, 2, 4}[rng.Intn(4)]
-		label := fmt.Sprintf("seed %d (%v/%s/%v)", seed, opt.Induction, opt.Scheme.Name(), opt.Pruning)
+		label := fmt.Sprintf("seed %d (%v/%v/%v)", seed, opt.Induction, opt.Scheme, opt.Pruning)
 		p, err := NewPipeline(opt)
 		if err != nil {
 			t.Fatal(err)

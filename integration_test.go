@@ -30,7 +30,7 @@ func TestPipelineAllBenchmarks(t *testing.T) {
 		"ar1": 0.05, "ar2": 0.01, "prd": 0.1, "mov": 0.01, "dbp": 0.02,
 		"census": 0.2, "cora": 0.2, "cddb": 0.02,
 	}
-	for _, name := range datasets.AllNames() {
+	for _, name := range append(datasets.CleanCleanNames(), datasets.DirtyNames()...) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			gen, err := datasets.ByName(name)

@@ -362,6 +362,8 @@ func FromBlocks(kind model.Kind, numProfiles, split int, blocks []Block) *Collec
 // keys, appended keys found where they are, and per block side ids in
 // range, on the side Split puts them and strictly ascending (so no
 // profile repeats within a block).
+//
+//blast:allow deadapi -- structural check of blocking TestValidateCatchesCorruption and the Phase 2 equivalence tests, graph TestBuildCSRMatchesBuildOnRandomCollections
 func (c *Collection) Validate() error {
 	nb := len(c.mid)
 	if nb > 0 && (int(c.start[nb]) != len(c.members) || int(c.keyOff[nb]) != len(c.keys)) {

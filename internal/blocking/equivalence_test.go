@@ -69,9 +69,11 @@ type keyCase struct {
 func keyCases(ds *model.Dataset, tr text.Transform) []keyCase {
 	align := make(map[[2]string]string)
 	for s, c := range ds.Sources() {
-		for _, name := range c.AttributeNames() {
-			if len(name)%4 != 0 {
-				align[[2]string{fmt.Sprint(s), name}] = fmt.Sprint(len(name) % 3)
+		for _, p := range c.Profiles {
+			for _, pr := range p.Pairs {
+				if len(pr.Name)%4 != 0 {
+					align[[2]string{fmt.Sprint(s), pr.Name}] = fmt.Sprint(len(pr.Name) % 3)
+				}
 			}
 		}
 	}
@@ -103,7 +105,7 @@ var corpora = sync.OnceValue(func() []corpus {
 		all(corpus{name: "random-clean-2", ds: randomDataset(rng, model.CleanClean, 40)}),
 		all(corpus{name: "paper", ds: datasets.PaperExample()}),
 		{name: "dbp", ds: datasets.DBP(0.02, 1), purges: purges, filters: filters},
-		{name: "stream", ds: datasets.NewStream(600, 1).Dataset(), purges: purges, filters: filters},
+		{name: "stream", ds: streamDataset(600), purges: purges, filters: filters},
 	}
 	for i := range cs {
 		cs[i].keys = keyCases(cs[i].ds, text.NewTokenizer())
@@ -301,7 +303,7 @@ func (c *pollCounter) Err() error {
 // worker, in both of its parallel passes: each returns ctx.Err() and no
 // collection, and leaves no goroutine behind.
 func TestBuildCancellation(t *testing.T) {
-	ds := datasets.NewStream(3000, 1).Dataset()
+	ds := streamDataset(3000)
 	tr := text.NewTokenizer()
 	for _, workers := range []int{1, 2, 4} {
 		count := &pollCounter{Context: context.Background(), after: math.MaxInt64}
@@ -364,4 +366,18 @@ func TestCollectionFootprint(t *testing.T) {
 	if held > bound {
 		t.Errorf("cleaned collection holds %d bytes, bound %d", held, bound)
 	}
+}
+
+// streamDataset materializes a datagen stream of n profiles as a dirty
+// dataset with its duplicate pairs as ground truth.
+func streamDataset(n int) *model.Dataset {
+	s := datasets.NewStream(n, 1)
+	e, g := model.NewCollection("stream"), model.NewGroundTruth()
+	for i := 0; i < s.Len(); i++ {
+		e.Append(s.Profile(i))
+		if d, ok := s.Duplicate(i); ok {
+			g.Add(d, i)
+		}
+	}
+	return &model.Dataset{Name: "stream", Kind: model.Dirty, E1: e, Truth: g}
 }

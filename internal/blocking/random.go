@@ -19,6 +19,8 @@ import (
 // For clean-clean collections the profile space is split in half: ids
 // below the split belong to E1, the rest to E2, and every block gets at
 // least one profile from each side.
+//
+//blast:allow deadapi -- generator of the property tests: metablocking TestEngineEquivalenceRandomized, graph TestBuildCSRParallelMatchesSerial, prune, weights and blocking append tests
 func RandomCollection(rng *stats.RNG, kind model.Kind, profiles, blocks int) *Collection {
 	split := 0
 	if kind == model.CleanClean {

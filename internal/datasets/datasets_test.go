@@ -20,18 +20,8 @@ func TestPaperExampleShape(t *testing.T) {
 	}
 }
 
-func TestPaperExampleNameCluster(t *testing.T) {
-	m := PaperExampleNameCluster()
-	if m["Name"] != 1 || m["full name"] != 1 {
-		t.Error("name attributes should be cluster 1")
-	}
-	if m["mail"] != 0 {
-		t.Error("mail should be glue")
-	}
-}
-
 func TestAllGeneratorsValidate(t *testing.T) {
-	for _, name := range AllNames() {
+	for _, name := range append(CleanCleanNames(), DirtyNames()...) {
 		gen, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%s): %v", name, err)
@@ -306,7 +296,7 @@ func TestGeneratorInvariantsAcrossSeedsAndScales(t *testing.T) {
 		"ar1": 0.03, "ar2": 0.005, "prd": 0.05, "mov": 0.005, "dbp": 0.01,
 		"census": 0.1, "cora": 0.1, "cddb": 0.01,
 	}
-	for _, name := range AllNames() {
+	for _, name := range append(CleanCleanNames(), DirtyNames()...) {
 		for _, seed := range []uint64{1, 2} {
 			gen, err := ByName(name)
 			if err != nil {
@@ -341,8 +331,8 @@ func TestNoiseMonotonicity(t *testing.T) {
 			l := g.entity()
 			p1 := g.render(l, schema, noise{dropToken: dropToken}, "x")
 			p2 := g.render(l, schema, noise{dropToken: dropToken}, "y")
-			v1, _ := p1.Value("a")
-			v2, _ := p2.Value("a")
+			v1 := value(p1, "a")
+			v2 := value(p2, "a")
 			set := make(map[string]bool)
 			for _, tok := range splitTokens(v1) {
 				set[tok] = true

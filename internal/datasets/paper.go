@@ -60,22 +60,3 @@ func PaperExample() *model.Dataset {
 
 	return &model.Dataset{Name: "paper-fig1", Kind: model.Dirty, E1: e, Truth: g}
 }
-
-// PaperExampleNameCluster returns the loose schema partitioning the paper
-// derives for the Figure 1 example (Figure 2): the person-name attributes
-// form one cluster and everything else falls in the glue cluster. The map
-// is keyed by attribute name (the example has one source).
-func PaperExampleNameCluster() map[string]int {
-	return map[string]int{
-		"Name":       1,
-		"FirstName":  1,
-		"SecondName": 1,
-		"name1":      1,
-		"name2":      1,
-		"full name":  1,
-		// glue cluster (id 0): all remaining attributes
-		"profession": 0, "year": 0, "Addr.": 0, "occupation": 0,
-		"mail": 0, "birth year": 0, "job": 0, "Loc": 0,
-		"b. date": 0, "work info": 0, "loc": 0,
-	}
-}

@@ -2,7 +2,6 @@ package datasets
 
 import (
 	"fmt"
-	"sort"
 
 	"blast/internal/model"
 )
@@ -115,12 +114,4 @@ func ManualAlignment(name string) (map[[2]string]string, bool) {
 		align[[2]string{"1", p[1]}] = id
 	}
 	return align, true
-}
-
-// AllNames returns every benchmark name, clean-clean first.
-func AllNames() []string {
-	names := append([]string{}, CleanCleanNames()...)
-	names = append(names, DirtyNames()...)
-	sort.Strings(names[len(CleanCleanNames()):]) // dirty names sorted for stability
-	return names
 }

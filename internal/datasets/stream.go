@@ -158,21 +158,6 @@ func (s *Stream) Profiles(lo, hi int) []model.Profile {
 	return out
 }
 
-// Dataset materializes the whole stream as a dirty dataset — for
-// small n only (tests, serving bootstraps); large corpora should be
-// consumed through Profile/WriteE1 instead.
-func (s *Stream) Dataset() *model.Dataset {
-	e := model.NewCollection("stream")
-	g := model.NewGroundTruth()
-	for i := 0; i < s.n; i++ {
-		e.Append(s.Profile(i))
-		if d, ok := s.Duplicate(i); ok {
-			g.Add(d, i)
-		}
-	}
-	return &model.Dataset{Name: "stream", Kind: model.Dirty, E1: e, Truth: g}
-}
-
 // WriteE1 emits the whole stream as long-form CSV triples (the
 // WriteCollection format) without materializing it: memory stays
 // bounded at one profile regardless of Len.

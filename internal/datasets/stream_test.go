@@ -3,6 +3,8 @@ package datasets
 import (
 	"bytes"
 	"testing"
+
+	"blast/internal/model"
 )
 
 func TestStreamPurityAndDeterminism(t *testing.T) {
@@ -42,8 +44,8 @@ func TestStreamDuplicates(t *testing.T) {
 		// entity) without being byte-identical (independent noise) —
 		// byte-identical pairs would make the matching task trivial.
 		a, b := s.Profile(d), s.Profile(i)
-		at, _ := a.Value("title")
-		bt, _ := b.Value("title")
+		at := value(a, "title")
+		bt := value(b, "title")
 		if at == "" || bt == "" {
 			t.Fatalf("profiles %d/%d lack titles", d, i)
 		}
@@ -89,7 +91,7 @@ func TestStreamProfilesRange(t *testing.T) {
 // through the ordinary loaders to the same collection and truth.
 func TestStreamCSVMatchesDataset(t *testing.T) {
 	s := NewStream(120, 11)
-	ds := s.Dataset()
+	ds := streamDataset(s)
 
 	var e1 bytes.Buffer
 	if err := s.WriteE1(&e1); err != nil {
@@ -122,4 +124,27 @@ func TestStreamCSVMatchesDataset(t *testing.T) {
 	if back.Len() != ds.E1.Len() {
 		t.Errorf("round trip: %d profiles, want %d", back.Len(), ds.E1.Len())
 	}
+}
+
+// streamDataset materializes the whole stream as a dirty dataset with
+// its duplicate pairs as ground truth.
+func streamDataset(s *Stream) *model.Dataset {
+	e, g := model.NewCollection("stream"), model.NewGroundTruth()
+	for i := 0; i < s.Len(); i++ {
+		e.Append(s.Profile(i))
+		if d, ok := s.Duplicate(i); ok {
+			g.Add(d, i)
+		}
+	}
+	return &model.Dataset{Name: "stream", Kind: model.Dirty, E1: e, Truth: g}
+}
+
+// value returns the first value of attribute name in p, or "".
+func value(p model.Profile, name string) string {
+	for _, pr := range p.Pairs {
+		if pr.Name == name {
+			return pr.Value
+		}
+	}
+	return ""
 }

@@ -27,9 +27,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig returns the standard experiment configuration.
-func DefaultConfig() Config { return Config{Scale: 1, Seed: 42} }
-
 // defaultScales maps each benchmark to the fraction of its paper-scale
 // size used at Config.Scale == 1. The ratios preserve each dataset's
 // character (ar2's asymmetry, dbp's width) while keeping the largest

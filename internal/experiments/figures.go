@@ -160,11 +160,7 @@ func Figure9(cfg Config, names []string) ([]Figure9Row, error) {
 		acQ := run(func(p []attr.Profile) *attr.Partitioning {
 			return attr.AC(p, ds.Kind, attr.DefaultConfig())
 		})
-		row := Figure9Row{Dataset: name, PCLMI: lmiQ.PC, PCAC: acQ.PC}
-		if acQ.PQ > 0 {
-			row.DeltaPQ = (lmiQ.PQ - acQ.PQ) / acQ.PQ
-		}
-		out = append(out, row)
+		out = append(out, Figure9Row{Dataset: name, PCLMI: lmiQ.PC, PCAC: acQ.PC, DeltaPQ: metrics.DeltaPQ(acQ, lmiQ)})
 	}
 	return out, nil
 }
@@ -217,21 +213,6 @@ func RenderFigure10(rows []Figure10Row) string {
 		fmt.Fprintf(&b, "(%2d,%3d)     %10.3f %8.2f\n", r.Rows, r.Bands, r.Threshold, r.PC*100)
 	}
 	return b.String()
-}
-
-// Monotone reports whether ys are non-increasing within tolerance eps —
-// the qualitative shape check of Figure 10 (PC never improves as the
-// threshold rises).
-func Monotone(rows []Figure10Row, eps float64) bool {
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Threshold < rows[i-1].Threshold {
-			continue
-		}
-		if rows[i].PC > rows[i-1].PC+eps {
-			return false
-		}
-	}
-	return true
 }
 
 // round2 rounds to two decimals (report helpers).

@@ -207,6 +207,21 @@ func TestPaperReproductionGolden(t *testing.T) {
 	}
 }
 
+// Monotone reports whether the rows' PC is non-increasing within
+// tolerance eps — the qualitative shape check of Figure 10 (PC never
+// improves as the threshold rises).
+func Monotone(rows []Figure10Row, eps float64) bool {
+	for i := 1; i < len(rows); i++ {
+		if rows[i].Threshold < rows[i-1].Threshold {
+			continue
+		}
+		if rows[i].PC > rows[i-1].PC+eps {
+			return false
+		}
+	}
+	return true
+}
+
 // lineDiff lists the lines that differ between want and got, by line
 // number.
 func lineDiff(want, got string) string {

@@ -77,7 +77,7 @@ func TestStreamedInsertsMatchColdRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range datasets.AllNames() {
+	for _, name := range append(datasets.CleanCleanNames(), datasets.DirtyNames()...) {
 		full, err := tiny().load(name)
 		if err != nil {
 			t.Fatal(err)

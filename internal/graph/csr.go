@@ -189,60 +189,6 @@ func (g *CSR) CanonicalCtx(ctx context.Context, fn func(u, v int32, p int64)) er
 	return g.Err()
 }
 
-// CanonicalMirror is Canonical plus the position mp of each edge's
-// reverse entry (the one in v's run pointing back at u), located in O(1)
-// per edge: because the sub-v neighbors of any node v form the prefix of
-// v's run in ascending order — the same order in which their canonical
-// entries are visited — a per-node cursor into that prefix always lands
-// on the current edge's mirror. Every consumer that needs both entries
-// of an edge (per-endpoint mark resolution) must go through this
-// iterator rather than re-derive the invariant.
-func (g *CSR) CanonicalMirror(fn func(u, v int32, p, mp int64)) {
-	_ = g.CanonicalMirrorCtx(context.Background(), fn)
-}
-
-// CanonicalMirrorCtx is CanonicalMirror with cooperative cancellation,
-// with the same early-stop and fail-closed contract as CanonicalCtx.
-func (g *CSR) CanonicalMirrorCtx(ctx context.Context, fn func(u, v int32, p, mp int64)) error {
-	if err := g.Err(); err != nil {
-		return err
-	}
-	runs := g.Reader()
-	cursors := make([]int64, g.NumProfiles)
-	budget := int64(csrCancelCheckEvery)
-	for u := 0; u < g.NumProfiles; u++ {
-		if u%csrCancelCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		base, end := g.Offsets[u], g.Offsets[u+1]
-		nbr := runs.Neighbors(u)
-		for p := base; p < end; {
-			seg := end - p
-			if seg > budget {
-				seg = budget
-			}
-			for stop := p + seg; p < stop; p++ {
-				v := nbr[p-base]
-				if int(v) < u {
-					continue // reverse entry; visited from its canonical side
-				}
-				mp := g.Offsets[v] + cursors[v]
-				cursors[v]++
-				fn(int32(u), v, p, mp)
-			}
-			if budget -= seg; budget == 0 {
-				budget = csrCancelCheckEvery
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return g.Err()
-}
-
 // EntryWeight computes the weight of one adjacency entry — row u's
 // entry for neighbor v — from the edge's co-occurrence statistics. The
 // weighting kernel calls it once per entry, from several goroutines and
@@ -627,14 +573,9 @@ func BuildCSRCtx(ctx context.Context, c *blocking.Collection) (*CSR, error) {
 	return BuildOwnedCSR(ctx, c, nil, 1)
 }
 
-// BuildCSRParallel constructs the same graph as BuildCSR, byte for
-// byte, using workers goroutines (0 = GOMAXPROCS).
-func BuildCSRParallel(c *blocking.Collection, workers int) *CSR {
-	g, _ := BuildCSRParallelCtx(context.Background(), c, workers)
-	return g
-}
-
-// BuildCSRParallelCtx is BuildCSRParallel with cooperative cancellation.
+// BuildCSRParallelCtx constructs the same graph as BuildCSR, byte for
+// byte, using workers goroutines (0 = GOMAXPROCS), with cooperative
+// cancellation.
 func BuildCSRParallelCtx(ctx context.Context, c *blocking.Collection, workers int) (*CSR, error) {
 	return BuildOwnedCSR(ctx, c, nil, workers)
 }

@@ -583,9 +583,9 @@ func TestCutRangesCoverAndBalance(t *testing.T) {
 	}
 }
 
-// TestCanonicalMirrorPointsBack pins the cursor sweep's invariant: for
-// every canonical edge, p sits in u's run pointing at v and mp sits in
-// v's run pointing back at u.
+// TestCanonicalMirrorPointsBack pins the run order the tests' mirror
+// sweep (canonicalMirror) relies on: for every canonical edge, p sits in
+// u's run pointing at v and mp sits in v's run pointing back at u.
 func TestCanonicalMirrorPointsBack(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := stats.NewRNG(seed * 31337)
@@ -593,7 +593,7 @@ func TestCanonicalMirrorPointsBack(t *testing.T) {
 			c := blocking.RandomCollection(rng, kind, 30+rng.Intn(50), 25+rng.Intn(25))
 			g := BuildCSR(c)
 			edges := 0
-			g.CanonicalMirror(func(u, v int32, p, mp int64) {
+			if err := canonicalMirror(g, func(u, v int32, p, mp int64) {
 				edges++
 				if p < g.Offsets[u] || p >= g.Offsets[u+1] || g.Neighbors[p] != v {
 					t.Fatalf("edge (%d,%d): canonical entry %d is not u's entry for v", u, v, p)
@@ -601,7 +601,9 @@ func TestCanonicalMirrorPointsBack(t *testing.T) {
 				if mp < g.Offsets[v] || mp >= g.Offsets[v+1] || g.Neighbors[mp] != u {
 					t.Fatalf("edge (%d,%d): mirror entry %d is not v's entry for u", u, v, mp)
 				}
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			if edges != g.NumEdges() {
 				t.Fatalf("sweep visited %d edges, want %d", edges, g.NumEdges())
 			}
@@ -616,4 +618,16 @@ func withBlocks(c *blocking.Collection, extra ...blocking.Block) *blocking.Colle
 		blocks = append(blocks, c.Block(i))
 	}
 	return blocking.FromBlocks(c.Kind, c.NumProfiles, c.Split, append(blocks, extra...))
+}
+
+// canonicalMirror visits each edge once from its canonical (u < v) entry
+// p, with mp the mirror entry in v's run pointing back at u: the sub-v
+// neighbors of v lead its ascending run in the order their canonical
+// entries are visited, so a per-node cursor lands on each mirror.
+func canonicalMirror(g *CSR, fn func(u, v int32, p, mp int64)) error {
+	cursors := make([]int64, g.NumProfiles)
+	return g.CanonicalCtx(context.Background(), func(u, v int32, p int64) {
+		fn(u, v, p, g.Offsets[v]+cursors[v])
+		cursors[v]++
+	})
 }

@@ -695,11 +695,6 @@ func (sb *spillBuilder) abort() {
 	}
 }
 
-// BuildCSRSpill is BuildCSRSpillCtx with a background context.
-func BuildCSRSpill(c *blocking.Collection, opt SpillOptions) (*CSR, error) {
-	return BuildCSRSpillCtx(context.Background(), c, opt)
-}
-
 // BuildCSRSpillCtx constructs the same graph as BuildCSR — per-entry
 // values bit-identical, since the per-node accumulation loop is shared
 // — under a resident-memory budget: the adjacency accumulates in

@@ -171,14 +171,18 @@ func TestBuildCSRSpillMatchesResident(t *testing.T) {
 			p, mp int64
 		}
 		var edges []quad
-		resident.CanonicalMirror(func(u, v int32, p, mp int64) { edges = append(edges, quad{u, v, p, mp}) })
+		if err := canonicalMirror(resident, func(u, v int32, p, mp int64) { edges = append(edges, quad{u, v, p, mp}) }); err != nil {
+			t.Fatal(err)
+		}
 		i := 0
-		spilled.CanonicalMirror(func(u, v int32, p, mp int64) {
+		if err := canonicalMirror(spilled, func(u, v int32, p, mp int64) {
 			if i >= len(edges) || edges[i] != (quad{u, v, p, mp}) {
 				t.Fatalf("mirror sweep diverged at %d", i)
 			}
 			i++
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		if i != len(edges) {
 			t.Fatalf("mirror sweep visited %d edges, want %d", i, len(edges))
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"testing"
 
 	"blast/internal/blocking"
@@ -19,14 +20,14 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
 	serial := edgelist.Build(blocks)
 	for _, workers := range []int{2, 3, 4, 8} {
-		checkCSRMatchesGraph(t, serial, BuildCSRParallel(blocks, workers))
+		checkCSRMatchesGraph(t, serial, buildParallel(t, blocks, workers))
 	}
 }
 
 func TestBuildParallelDirty(t *testing.T) {
 	ds := datasets.Census(0.3, 5)
 	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
-	checkCSRMatchesGraph(t, edgelist.Build(blocks), BuildCSRParallel(blocks, 4))
+	checkCSRMatchesGraph(t, edgelist.Build(blocks), buildParallel(t, blocks, 4))
 }
 
 func TestBuildParallelSmallInputFallsBack(t *testing.T) {
@@ -34,7 +35,7 @@ func TestBuildParallelSmallInputFallsBack(t *testing.T) {
 	// 4 profiles with 8 workers triggers the serial fallback; the result
 	// must still be identical.
 	for _, workers := range []int{8, 0, 1} { // 0 = GOMAXPROCS default
-		checkCSRMatchesGraph(t, edgelist.Build(blocks), BuildCSRParallel(blocks, workers))
+		checkCSRMatchesGraph(t, edgelist.Build(blocks), buildParallel(t, blocks, workers))
 	}
 }
 
@@ -42,6 +43,16 @@ func TestBuildParallelDeterministic(t *testing.T) {
 	ds := datasets.PRD(0.2, 9)
 	blocks := blocking.CleanWorkflow(blocking.TokenBlocking(ds), 0.5, 0.8)
 	serial := edgelist.Build(blocks)
-	checkCSRMatchesGraph(t, serial, BuildCSRParallel(blocks, 4))
-	checkCSRMatchesGraph(t, serial, BuildCSRParallel(blocks, 4))
+	checkCSRMatchesGraph(t, serial, buildParallel(t, blocks, 4))
+	checkCSRMatchesGraph(t, serial, buildParallel(t, blocks, 4))
+}
+
+// buildParallel builds blocks' CSR on the given number of workers.
+func buildParallel(t *testing.T, blocks *blocking.Collection, workers int) *CSR {
+	t.Helper()
+	g, err := BuildCSRParallelCtx(context.Background(), blocks, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

@@ -51,6 +51,7 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	loader    *Loader
 	// report receives every diagnostic; the runner wraps it with scope
 	// filtering and allow-comment suppression.
 	report func(Diagnostic)
@@ -77,6 +78,7 @@ func All() []*Analyzer {
 		SnapshotMut,
 		CtxPoll,
 		WallClock,
+		DeadAPI,
 	}
 }
 
@@ -145,21 +147,9 @@ func inScope(a *Analyzer, pkgPath, filename string) bool {
 		// Everywhere except the decode/constructor file, which builds
 		// snapshots in place before publication.
 		return !(pkgPath == "blast/internal/shard" && base == "persist.go")
+	case "deadapi":
+		// The reference package tests compare the engine against.
+		return pkgPath != "blast/internal/edgelist"
 	}
 	return true
-}
-
-// pkgPathOf is a helper for analyzers that need the import path of a
-// types object's package ("" for builtins and the universe scope).
-func pkgPathOf(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil {
-		return ""
-	}
-	return obj.Pkg().Path()
-}
-
-// isTestFile reports whether filename is a _test.go file. The loader
-// never parses them, but analysistest fixtures may name files freely.
-func isTestFile(filename string) bool {
-	return strings.HasSuffix(filename, "_test.go")
 }

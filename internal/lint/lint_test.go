@@ -15,6 +15,13 @@ func TestSnapshotMutGolden(t *testing.T) { runGolden(t, []*Analyzer{SnapshotMut}
 func TestCtxPollGolden(t *testing.T)     { runGolden(t, []*Analyzer{CtxPoll}, "ctxpoll") }
 func TestWallClockGolden(t *testing.T)   { runGolden(t, []*Analyzer{WallClock}, "wallclock") }
 
+// TestDeadAPIGolden runs deadapi over the two fixture packages: the
+// reference index spans both, so lib's names app uses stay quiet.
+func TestDeadAPIGolden(t *testing.T) {
+	runGolden(t, []*Analyzer{DeadAPI}, "deadapi/internal/lib")
+	runGolden(t, []*Analyzer{DeadAPI}, "deadapi/app")
+}
+
 // TestSmokeMultichecker runs the full suite over one fixture package
 // that trips several analyzers at once and exercises every way a
 // blast:allow comment can be wrong: missing justification, unknown
@@ -55,6 +62,10 @@ func TestScopeTable(t *testing.T) {
 		{SnapshotMut, "blast/internal/shard", "shard.go", true},
 		{SnapshotMut, "blast/internal/shard", "persist.go", false},
 		{SnapshotMut, "blast", "durable.go", true},
+		{DeadAPI, "blast/internal/edgelist", "edgelist.go", false},
+		{DeadAPI, "blast/internal/store", "store.go", true},
+		{DeadAPI, "blast", "pipeline.go", true},
+		{DeadAPI, "blast/cmd/blastlint", "main.go", true},
 	}
 	for _, c := range cases {
 		if got := inScope(c.analyzer, c.pkg, filepath.Join("any", "dir", c.file)); got != c.want {
@@ -99,5 +110,27 @@ func TestRepoClean(t *testing.T) {
 	for _, d := range diags {
 		pos := loader.Fset().Position(d.Pos)
 		t.Errorf("%s:%d:%d: [%s] %s", pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Message)
+	}
+}
+
+// TestDeadAPISubsetRun lints one package, as CI's fuzz-smoke legs do:
+// deadapi still indexes the whole module, so store's names other
+// packages use (CreateFile, DecodeFrame) draw no finding.
+func TestDeadAPISubsetRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module from source")
+	}
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader := NewLoader(map[string]string{"blast": root})
+	diags, err := RunDirs(loader, []string{"blast/internal/store"}, []*Analyzer{DeadAPI})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		pos := loader.Fset().Position(d.Pos)
+		t.Errorf("%s:%d: [%s] %s", pos.Filename, pos.Line, d.Analyzer, d.Message)
 	}
 }

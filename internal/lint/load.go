@@ -26,6 +26,8 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	Fset  *token.FileSet
+
+	loader *Loader
 }
 
 // A Loader parses and type-checks packages without the go/packages
@@ -39,6 +41,9 @@ type Loader struct {
 	mounts []mount
 	std    types.ImporterFrom
 	pkgs   map[string]*loadEntry
+	// deadapi's reference index, built on its first pass.
+	used   map[types.Object]bool
+	ifaces map[*types.Interface]bool
 }
 
 type mount struct {
@@ -152,7 +157,7 @@ func (l *Loader) loadDir(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)
 	}
-	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info, Fset: l.fset}, nil
+	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info, Fset: l.fset, loader: l}, nil
 }
 
 // loaderImporter routes mounted import paths back through the loader

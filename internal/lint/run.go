@@ -20,6 +20,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, scoped bool) ([]Diagnostic,
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
+			loader:    pkg.loader,
 		}
 		pass.report = func(d Diagnostic) {
 			file := pkg.Fset.Position(d.Pos).Filename

@@ -1,0 +1,8 @@
+package lib
+
+import "testing"
+
+func TestOnlyCaller(t *testing.T) {
+	TestOnly()
+	Oracle()
+}

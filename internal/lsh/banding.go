@@ -35,9 +35,6 @@ func NewIndex(rows, bands int) *Index {
 	return &Index{Rows: rows, Bands: bands, buckets: bk}
 }
 
-// Len returns the number of items added.
-func (ix *Index) Len() int { return ix.n }
-
 // bandHash combines the rows of one band into a single bucket key.
 func bandHash(rows []uint64) uint64 {
 	h := uint64(1469598103934665603) // FNV-64 offset basis

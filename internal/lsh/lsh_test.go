@@ -21,15 +21,15 @@ func TestTokenHashDeterministic(t *testing.T) {
 func TestSignerDeterministic(t *testing.T) {
 	s1 := NewSigner(16, 42)
 	s2 := NewSigner(16, 42)
-	a := s1.Sign([]string{"a", "b", "c"})
-	b := s2.Sign([]string{"a", "b", "c"})
+	a := sign(s1, []string{"a", "b", "c"})
+	b := sign(s2, []string{"a", "b", "c"})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed signers differ")
 		}
 	}
 	s3 := NewSigner(16, 43)
-	c := s3.Sign([]string{"a", "b", "c"})
+	c := sign(s3, []string{"a", "b", "c"})
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -52,8 +52,8 @@ func TestSignerPanics(t *testing.T) {
 
 func TestSignatureOrderInvariance(t *testing.T) {
 	s := NewSigner(32, 7)
-	a := s.Sign([]string{"x", "y", "z", "w"})
-	b := s.Sign([]string{"w", "z", "y", "x"})
+	a := sign(s, []string{"x", "y", "z", "w"})
+	b := sign(s, []string{"w", "z", "y", "x"})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("signature depends on token order; it must not")
@@ -63,7 +63,7 @@ func TestSignatureOrderInvariance(t *testing.T) {
 
 func TestEmptySetSignature(t *testing.T) {
 	s := NewSigner(8, 7)
-	sig := s.Sign(nil)
+	sig := sign(s, nil)
 	for _, v := range sig {
 		if v != math.MaxUint64 {
 			t.Fatal("empty set signature must be all MaxUint64")
@@ -73,34 +73,19 @@ func TestEmptySetSignature(t *testing.T) {
 
 func TestIdenticalSetsEstimateOne(t *testing.T) {
 	s := NewSigner(64, 3)
-	a := s.Sign([]string{"p", "q", "r"})
-	b := s.Sign([]string{"p", "q", "r"})
-	if got := EstimateJaccard(a, b); got != 1 {
+	a := sign(s, []string{"p", "q", "r"})
+	b := sign(s, []string{"p", "q", "r"})
+	if got := agreement(a, b); got != 1 {
 		t.Errorf("identical sets estimate = %v, want 1", got)
 	}
 }
 
 func TestDisjointSetsEstimateNearZero(t *testing.T) {
 	s := NewSigner(128, 3)
-	a := s.Sign([]string{"aa", "bb", "cc", "dd"})
-	b := s.Sign([]string{"ee", "ff", "gg", "hh"})
-	if got := EstimateJaccard(a, b); got > 0.05 {
+	a := sign(s, []string{"aa", "bb", "cc", "dd"})
+	b := sign(s, []string{"ee", "ff", "gg", "hh"})
+	if got := agreement(a, b); got > 0.05 {
 		t.Errorf("disjoint sets estimate = %v, want ~0", got)
-	}
-}
-
-func TestEstimateJaccardPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch should panic")
-		}
-	}()
-	EstimateJaccard([]uint64{1}, []uint64{1, 2})
-}
-
-func TestEstimateJaccardEmpty(t *testing.T) {
-	if got := EstimateJaccard(nil, nil); got != 0 {
-		t.Errorf("empty signatures = %v, want 0", got)
 	}
 }
 
@@ -148,7 +133,7 @@ func TestMinHashEstimatesJaccard(t *testing.T) {
 	}
 	for i, c := range cases {
 		want := trueJaccard(c.a, c.b)
-		got := EstimateJaccard(s.Sign(c.a), s.Sign(c.b))
+		got := agreement(sign(s, c.a), sign(s, c.b))
 		tol := 5 * math.Sqrt(want*(1-want)/512)
 		if tol < 0.02 {
 			tol = 0.02
@@ -209,24 +194,6 @@ func TestThresholdProperties(t *testing.T) {
 	}
 }
 
-func TestParams(t *testing.T) {
-	r, b, th := Params(0.5, 150)
-	if r*b > 150 {
-		t.Fatalf("Params exceeded hash budget: r=%d b=%d", r, b)
-	}
-	if math.Abs(th-0.5) > 0.1 {
-		t.Errorf("Params(0.5,150) threshold = %v (r=%d b=%d), want ~0.5", th, r, b)
-	}
-	r, b, th = Params(0.9, 150)
-	if math.Abs(th-0.9) > 0.1 {
-		t.Errorf("Params(0.9,150) threshold = %v (r=%d b=%d)", th, r, b)
-	}
-	r, b, th = Params(0.5, 1)
-	if r != 1 || b != 1 || th != 1 {
-		t.Errorf("tiny budget should degrade to (1,1,1), got (%d,%d,%v)", r, b, th)
-	}
-}
-
 func TestIndexCandidatesSimilarPairs(t *testing.T) {
 	// Attributes: 0 and 1 nearly identical, 2 unrelated.
 	sets := [][]string{
@@ -237,7 +204,7 @@ func TestIndexCandidatesSimilarPairs(t *testing.T) {
 	signer := NewSigner(150, 17)
 	ix := NewIndex(5, 30)
 	for i, s := range sets {
-		ix.Add(int32(i), signer.Sign(s))
+		ix.Add(int32(i), sign(signer, s))
 	}
 	cands := ix.Candidates(nil)
 	found01 := false
@@ -259,7 +226,7 @@ func TestIndexCrossOnlyFilter(t *testing.T) {
 	ix := NewIndex(5, 30)
 	same := []string{"a", "b", "c", "d", "e"}
 	for i := 0; i < 4; i++ {
-		ix.Add(int32(i), signer.Sign(same))
+		ix.Add(int32(i), sign(signer, same))
 	}
 	// Only allow pairs crossing the boundary at 2.
 	cross := func(a, b int32) bool { return (a < 2) != (b < 2) }
@@ -278,8 +245,8 @@ func TestIndexCandidatesDeduplicated(t *testing.T) {
 	signer := NewSigner(150, 17)
 	ix := NewIndex(5, 30)
 	same := []string{"x", "y", "z", "q", "r"}
-	ix.Add(0, signer.Sign(same))
-	ix.Add(1, signer.Sign(same))
+	ix.Add(0, sign(signer, same))
+	ix.Add(1, sign(signer, same))
 	cands := ix.Candidates(nil)
 	if len(cands) != 1 {
 		t.Fatalf("identical signatures collide in every band; want 1 deduplicated pair, got %d", len(cands))
@@ -354,4 +321,25 @@ func TestBandingRecallStatistical(t *testing.T) {
 	if high < 0.8 {
 		t.Errorf("high-similarity candidate rate %v, want > 0.8", high)
 	}
+}
+
+// sign is the MinHash signature of string tokens hashed with TokenHash.
+func sign(s *Signer, tokens []string) []uint64 {
+	hs := make([]uint64, len(tokens))
+	for i, tok := range tokens {
+		hs[i] = TokenHash(tok)
+	}
+	return s.SignHashes(hs)
+}
+
+// agreement is the fraction of equal positions of two signatures of one
+// length: MinHash's estimate of the underlying sets' Jaccard similarity.
+func agreement(a, b []uint64) float64 {
+	agree := 0
+	for i := range a {
+		if a[i] == b[i] {
+			agree++
+		}
+	}
+	return float64(agree) / float64(len(a))
 }

@@ -42,9 +42,6 @@ func NewSigner(n int, seed uint64) *Signer {
 	return &Signer{n: n, seedA: rng.Uint64(), seedB: rng.Uint64()}
 }
 
-// Size returns the signature length n.
-func (s *Signer) Size() int { return s.n }
-
 // mix64 is a strong 64-bit finalizer (splitmix64's output stage).
 func mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -75,34 +72,6 @@ func (s *Signer) SignHashes(tokens []uint64) []uint64 {
 	return sig
 }
 
-// Sign hashes the tokens and returns their MinHash signature.
-func (s *Signer) Sign(tokens []string) []uint64 {
-	hs := make([]uint64, len(tokens))
-	for i, t := range tokens {
-		hs[i] = TokenHash(t)
-	}
-	return s.SignHashes(hs)
-}
-
-// EstimateJaccard returns the fraction of agreeing signature positions,
-// an unbiased estimator of the Jaccard similarity of the underlying sets.
-// It panics if the signatures have different lengths.
-func EstimateJaccard(a, b []uint64) float64 {
-	if len(a) != len(b) {
-		panic("lsh: signature length mismatch")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	agree := 0
-	for i := range a {
-		if a[i] == b[i] {
-			agree++
-		}
-	}
-	return float64(agree) / float64(len(a))
-}
-
 // SCurve returns the probability that two sets with Jaccard similarity s
 // become a candidate pair under banding with r rows per band and b bands:
 // 1 - (1 - s^r)^b (Figure 5 of the paper).
@@ -123,29 +92,4 @@ func Threshold(r, b int) float64 {
 		return 1
 	}
 	return math.Pow(1/float64(b), 1/float64(r))
-}
-
-// Params picks (rows, bands) whose S-curve threshold best approximates
-// target, subject to rows*bands <= maxHashes, preferring configurations
-// that use more of the hash budget (sharper curves). It returns the chosen
-// rows, bands and the achieved threshold.
-func Params(target float64, maxHashes int) (rows, bands int, threshold float64) {
-	if maxHashes < 2 {
-		return 1, 1, 1
-	}
-	best := math.Inf(1)
-	for r := 1; r <= maxHashes; r++ {
-		b := maxHashes / r
-		if b < 1 {
-			break
-		}
-		th := Threshold(r, b)
-		d := math.Abs(th - target)
-		// Prefer closer thresholds; break ties toward more hashes used.
-		if d < best-1e-12 {
-			best = d
-			rows, bands, threshold = r, b, th
-		}
-	}
-	return rows, bands, threshold
 }

@@ -93,7 +93,7 @@ var engineWorkersAxis = []int{0, 1, 2, 4}
 func checkEngineEquivalence(t *testing.T, c *blocking.Collection, cfg Config) {
 	t.Helper()
 	want := referencePairs(c, cfg)
-	label := cfg.Scheme.Name() + "+" + cfg.Pruning.String()
+	label := fmt.Sprint(cfg.Scheme) + "+" + cfg.Pruning.String()
 	for _, workers := range engineWorkersAxis {
 		cfg.Workers = workers
 		samePairs(t, fmt.Sprintf("%s workers=%d", label, workers), want, Run(c, cfg).Pairs)
@@ -145,7 +145,7 @@ func TestEngineEquivalenceConfigKnobs(t *testing.T) {
 // the engine returns byte-identical pairs to the edge-list reference.
 func TestEngineEquivalenceRegistryDatasets(t *testing.T) {
 	scales := map[string]float64{"dbp": 0.02, "mov": 0.01, "ar2": 0.02, "cddb": 0.03}
-	for _, name := range datasets.AllNames() {
+	for _, name := range append(datasets.CleanCleanNames(), datasets.DirtyNames()...) {
 		gen, err := datasets.ByName(name)
 		if err != nil {
 			t.Fatal(err)

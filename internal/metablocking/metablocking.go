@@ -162,19 +162,6 @@ func (r *Result) Overhead() time.Duration {
 	return r.GraphTime + r.WeightTime + r.PruneTime
 }
 
-// Comparisons returns the aggregate cardinality of the restructured
-// collection, which equals the number of retained pairs.
-func (r *Result) Comparisons() int64 { return int64(len(r.Pairs)) }
-
-// PairSet returns the retained pairs keyed by IDPair.Key.
-func (r *Result) PairSet() map[uint64]struct{} {
-	set := make(map[uint64]struct{}, len(r.Pairs))
-	for _, p := range r.Pairs {
-		set[p.Key()] = struct{}{}
-	}
-	return set
-}
-
 // Decide runs the configured pruning decision over a weighted CSR: the
 // whole graph with prune.Alone, or one party's owned rows of a graph the
 // parties hold between them, whose global inputs it resolves through

@@ -2,6 +2,7 @@ package metablocking
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"blast/internal/blocking"
@@ -24,8 +25,8 @@ func TestRunBlastOnPaperExample(t *testing.T) {
 	if q.PC != 1 || q.PQ != 1 {
 		t.Errorf("BLAST on Figure 1: PC=%v PQ=%v, want perfect", q.PC, q.PQ)
 	}
-	if res.Comparisons() != 2 {
-		t.Errorf("comparisons = %d, want 2", res.Comparisons())
+	if len(res.Pairs) != 2 {
+		t.Errorf("comparisons = %d, want 2", len(res.Pairs))
 	}
 }
 
@@ -63,8 +64,8 @@ func TestMetaBlockingNeverIncreasesComparisons(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Pruning = p
 		res := Run(c, cfg)
-		if res.Comparisons() > base {
-			t.Errorf("%v: %d comparisons > input %d", p, res.Comparisons(), base)
+		if int64(len(res.Pairs)) > base {
+			t.Errorf("%v: %d comparisons > input %d", p, int64(len(res.Pairs)), base)
 		}
 	}
 }
@@ -84,12 +85,12 @@ func TestRunOnGraphMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samePairs(t, s.Name(), Run(c, cfg).Pairs, b.Pairs)
+		samePairs(t, fmt.Sprint(s), Run(c, cfg).Pairs, b.Pairs)
 		if g.Common == nil {
-			t.Fatalf("%s: RunOnCSR released the statistics the next cell needs", s.Name())
+			t.Fatalf("%v: RunOnCSR released the statistics the next cell needs", s)
 		}
 		if b.GraphTime != 0 || b.Workers != 0 {
-			t.Errorf("%s: RunOnCSR builds no graph, got GraphTime %v Workers %d", s.Name(), b.GraphTime, b.Workers)
+			t.Errorf("%v: RunOnCSR builds no graph, got GraphTime %v Workers %d", s, b.GraphTime, b.Workers)
 		}
 	}
 }
@@ -118,16 +119,15 @@ func TestOverheadAccounting(t *testing.T) {
 	}
 }
 
+// TestPairSet pins that a result retains each pair once.
 func TestPairSet(t *testing.T) {
 	res := Run(paperBlocks(), DefaultConfig())
-	set := res.PairSet()
-	if len(set) != len(res.Pairs) {
-		t.Errorf("PairSet size %d != %d", len(set), len(res.Pairs))
-	}
+	set := make(map[uint64]bool, len(res.Pairs))
 	for _, p := range res.Pairs {
-		if _, ok := set[p.Key()]; !ok {
-			t.Errorf("pair %v missing from set", p)
+		if set[p.Key()] {
+			t.Errorf("pair %v retained twice", p)
 		}
+		set[p.Key()] = true
 	}
 }
 

@@ -33,12 +33,14 @@ func maskedRows(t *testing.T, g *graph.CSR, cfg Config) (*prune.Rows, []model.ID
 	}
 	mask := make([]bool, g.NumEntries())
 	next := 0
-	g.CanonicalMirror(func(u, v int32, pos, mirror int64) {
+	if err := canonicalMirror(g, func(u, v int32, pos, mirror int64) {
 		if next < len(pairs) && pairs[next] == (model.IDPair{U: u, V: v}) {
 			mask[pos], mask[mirror] = true, true
 			next++
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if next != len(pairs) {
 		t.Fatalf("mirror walk resolved %d of %d pairs", next, len(pairs))
 	}
@@ -234,7 +236,7 @@ func TestFrozenRowsMatchMaskedGraph(t *testing.T) {
 					all := func(int32) bool { return true }
 					for _, workers := range []int{1, 2, 4} {
 						cfg.Workers = workers
-						label := fmt.Sprintf("%s %s+%s workers=%d", shape.name, s.Name(), p, workers)
+						label := fmt.Sprintf("%s %v+%s workers=%d", shape.name, s, p, workers)
 
 						got, err := FreezeCSR(ctx, resident, cfg)
 						if err != nil {
@@ -339,4 +341,16 @@ func TestFreezeFailsClosed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// canonicalMirror visits each edge once from its canonical (u < v) entry
+// p, with mp the mirror entry in v's run pointing back at u: the sub-v
+// neighbors of v lead its ascending run in the order their canonical
+// entries are visited, so a per-node cursor lands on each mirror.
+func canonicalMirror(g *graph.CSR, fn func(u, v int32, p, mp int64)) error {
+	cursors := make([]int64, g.NumProfiles)
+	return g.CanonicalCtx(context.Background(), func(u, v int32, p int64) {
+		fn(u, v, p, g.Offsets[v]+cursors[v])
+		cursors[v]++
+	})
 }

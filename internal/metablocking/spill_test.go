@@ -58,7 +58,7 @@ func TestSpilledReweigh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			samePairs(t, fmt.Sprintf("round %d %s+%s spilled", round, s.Name(), p), want, got)
+			samePairs(t, fmt.Sprintf("round %d %v+%s spilled", round, s, p), want, got)
 		}
 		if err := spilled.Err(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -131,7 +131,7 @@ func TestSpilledPruneMatchesResident(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[s.Name()+p.String()] = pairs
+				want[fmt.Sprint(s)+p.String()] = pairs
 			}
 		}
 		for _, pageEntries := range []int{64, 256, 0} {
@@ -149,8 +149,8 @@ func TestSpilledPruneMatchesResident(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						samePairs(t, fmt.Sprintf("%s page=%d %s+%s workers=%d", name, pageEntries, s.Name(), p, workers),
-							want[s.Name()+p.String()], got)
+						samePairs(t, fmt.Sprintf("%s page=%d %v+%s workers=%d", name, pageEntries, s, p, workers),
+							want[fmt.Sprint(s)+p.String()], got)
 					}
 				}
 			}
@@ -217,9 +217,9 @@ func refusesCorrupt(t *testing.T, label string, g *graph.CSR) {
 		}
 	}
 	visited := 0
-	err := g.CanonicalMirrorCtx(ctx, func(u, v int32, p, mp int64) { visited++ })
+	err := g.CanonicalCtx(ctx, func(u, v int32, p int64) { visited++ })
 	if !errors.Is(err, store.ErrCorruptSegment) || visited != 0 {
-		t.Fatalf("%s: CanonicalMirrorCtx visited %d edges, err %v, want none and ErrCorruptSegment", label, visited, err)
+		t.Fatalf("%s: CanonicalCtx visited %d edges, err %v, want none and ErrCorruptSegment", label, visited, err)
 	}
 }
 

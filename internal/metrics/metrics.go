@@ -113,16 +113,8 @@ func EvaluatePairs(pairs []model.IDPair, truth *model.GroundTruth) Quality {
 	return q
 }
 
-// DeltaPC returns (PC(B') - PC(B)) / PC(B), the relative recall change of
-// B' versus baseline B (Section 4 notation). Zero baseline yields 0.
-func DeltaPC(base, other Quality) float64 {
-	if base.PC == 0 {
-		return 0
-	}
-	return (other.PC - base.PC) / base.PC
-}
-
-// DeltaPQ returns (PQ(B') - PQ(B)) / PQ(B), the relative precision change.
+// DeltaPQ returns (PQ(B') - PQ(B)) / PQ(B), the relative precision change
+// of B' versus baseline B (Section 4 notation). Zero baseline yields 0.
 func DeltaPQ(base, other Quality) float64 {
 	if base.PQ == 0 {
 		return 0

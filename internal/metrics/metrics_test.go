@@ -100,13 +100,10 @@ func TestEvaluateEmptyTruth(t *testing.T) {
 func TestDeltas(t *testing.T) {
 	base := Quality{PC: 0.8, PQ: 0.1}
 	other := Quality{PC: 0.76, PQ: 0.3}
-	if got := DeltaPC(base, other); math.Abs(got+0.05) > 1e-12 {
-		t.Errorf("DeltaPC = %v, want -0.05", got)
-	}
 	if got := DeltaPQ(base, other); math.Abs(got-2.0) > 1e-12 {
 		t.Errorf("DeltaPQ = %v, want 2.0", got)
 	}
-	if DeltaPC(Quality{}, other) != 0 || DeltaPQ(Quality{}, other) != 0 {
+	if DeltaPQ(Quality{}, other) != 0 {
 		t.Error("zero baseline should give 0 delta")
 	}
 }

@@ -82,26 +82,3 @@ func (g *GroundTruth) ForEach(fn func(IDPair) bool) {
 		}
 	}
 }
-
-// CountIn returns how many ground-truth pairs appear in the given set of
-// candidate pair keys (as produced by IDPair.Key). It is the |D_B| term of
-// PC and PQ.
-func (g *GroundTruth) CountIn(candidates map[uint64]struct{}) int {
-	// Iterate over the smaller set.
-	if len(candidates) < len(g.set) {
-		n := 0
-		for k := range candidates {
-			if _, ok := g.set[k]; ok {
-				n++
-			}
-		}
-		return n
-	}
-	n := 0
-	for k := range g.set {
-		if _, ok := candidates[k]; ok {
-			n++
-		}
-	}
-	return n
-}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -12,18 +13,9 @@ func TestProfileAddValue(t *testing.T) {
 	p.Add("profession", "car seller")
 	p.Add("name", "J. Abram")
 
-	if v, ok := p.Value("name"); !ok || v != "John Abram Jr" {
-		t.Errorf("Value(name) = %q, %v; want first value", v, ok)
-	}
-	if _, ok := p.Value("missing"); ok {
-		t.Error("Value(missing) reported present")
-	}
-	if got := p.Values("name"); len(got) != 2 {
-		t.Errorf("Values(name) = %v; want 2 values", got)
-	}
-	names := p.AttributeNames()
-	if len(names) != 2 || names[0] != "name" || names[1] != "profession" {
-		t.Errorf("AttributeNames = %v; want [name profession] in appearance order", names)
+	want := []Pair{{"name", "John Abram Jr"}, {"profession", "car seller"}, {"name", "J. Abram"}}
+	if !slices.Equal(p.Pairs, want) {
+		t.Errorf("Pairs = %v; want %v in insertion order", p.Pairs, want)
 	}
 }
 
@@ -45,26 +37,11 @@ func TestCollectionAttributeIndex(t *testing.T) {
 	c.Append(p1)
 	p2 := Profile{ID: "2"}
 	p2.Add("mid", "v")
+	p2.Add("alpha", "w")
 	c.Append(p2)
 
 	if got := c.NumAttributes(); got != 3 {
 		t.Fatalf("NumAttributes = %d, want 3", got)
-	}
-	names := c.AttributeNames()
-	want := []string{"alpha", "mid", "zeta"}
-	for i, n := range want {
-		if names[i] != n {
-			t.Errorf("AttributeNames[%d] = %q, want %q", i, names[i], n)
-		}
-	}
-	for i, n := range want {
-		id, ok := c.AttributeID(n)
-		if !ok || id != i {
-			t.Errorf("AttributeID(%q) = %d, %v; want %d, true", n, id, ok, i)
-		}
-	}
-	if _, ok := c.AttributeID("nope"); ok {
-		t.Error("AttributeID(nope) reported present")
 	}
 }
 
@@ -150,29 +127,6 @@ func TestGroundTruth(t *testing.T) {
 	ps := g.Pairs()
 	if len(ps) != 2 || ps[0] != MakePair(0, 9) || ps[1] != MakePair(1, 5) {
 		t.Errorf("Pairs = %v, want sorted [{0 9} {1 5}]", ps)
-	}
-}
-
-func TestGroundTruthCountIn(t *testing.T) {
-	g := NewGroundTruth()
-	g.Add(1, 2)
-	g.Add(3, 4)
-	g.Add(5, 6)
-
-	cand := map[uint64]struct{}{
-		MakePair(1, 2).Key(): {},
-		MakePair(9, 8).Key(): {},
-		MakePair(4, 3).Key(): {},
-	}
-	if got := g.CountIn(cand); got != 2 {
-		t.Errorf("CountIn = %d, want 2", got)
-	}
-	// Exercise the branch iterating over the ground truth (candidates larger).
-	for i := 10; i < 40; i += 2 {
-		cand[MakePair(i, i+1).Key()] = struct{}{}
-	}
-	if got := g.CountIn(cand); got != 2 {
-		t.Errorf("CountIn (large candidates) = %d, want 2", got)
 	}
 }
 

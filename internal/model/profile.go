@@ -10,7 +10,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -34,42 +33,6 @@ type Profile struct {
 // blocking-level transformations decide how to treat them.
 func (p *Profile) Add(name, value string) {
 	p.Pairs = append(p.Pairs, Pair{Name: name, Value: value})
-}
-
-// Value returns the first value associated with the attribute name and
-// whether the attribute is present.
-func (p *Profile) Value(name string) (string, bool) {
-	for _, pr := range p.Pairs {
-		if pr.Name == name {
-			return pr.Value, true
-		}
-	}
-	return "", false
-}
-
-// Values returns all values associated with the attribute name.
-func (p *Profile) Values(name string) []string {
-	var vs []string
-	for _, pr := range p.Pairs {
-		if pr.Name == name {
-			vs = append(vs, pr.Value)
-		}
-	}
-	return vs
-}
-
-// AttributeNames returns the distinct attribute names of the profile in
-// first-appearance order.
-func (p *Profile) AttributeNames() []string {
-	seen := make(map[string]bool, len(p.Pairs))
-	var names []string
-	for _, pr := range p.Pairs {
-		if !seen[pr.Name] {
-			seen[pr.Name] = true
-			names = append(names, pr.Name)
-		}
-	}
-	return names
 }
 
 // String renders the profile as "id{name=value, ...}". Intended for
@@ -96,9 +59,6 @@ type Collection struct {
 	Name string
 	// Profiles holds the entity profiles of the collection.
 	Profiles []Profile
-
-	attrIndex map[string]int // lazily built attribute name -> dense id
-	attrNames []string       // dense id -> attribute name
 }
 
 // NewCollection returns an empty collection with the given source name.
@@ -107,11 +67,8 @@ func NewCollection(name string) *Collection {
 }
 
 // Append adds a profile to the collection and returns its index.
-// It invalidates any previously built attribute index.
 func (c *Collection) Append(p Profile) int {
 	c.Profiles = append(c.Profiles, p)
-	c.attrIndex = nil
-	c.attrNames = nil
 	return len(c.Profiles) - 1
 }
 
@@ -128,49 +85,13 @@ func (c *Collection) NVP() int {
 	return n
 }
 
-// buildAttrIndex assigns dense ids to the distinct attribute names of the
-// collection, in deterministic (sorted) order.
-func (c *Collection) buildAttrIndex() {
-	if c.attrIndex != nil {
-		return
-	}
-	set := make(map[string]bool)
-	for i := range c.Profiles {
-		for _, pr := range c.Profiles[i].Pairs {
-			set[pr.Name] = true
-		}
-	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	idx := make(map[string]int, len(names))
-	for i, n := range names {
-		idx[n] = i
-	}
-	c.attrIndex = idx
-	c.attrNames = names
-}
-
-// AttributeNames returns the distinct attribute names of the collection in
-// sorted order. The returned slice must not be modified.
-func (c *Collection) AttributeNames() []string {
-	c.buildAttrIndex()
-	return c.attrNames
-}
-
 // NumAttributes returns |A|, the number of distinct attribute names.
 func (c *Collection) NumAttributes() int {
-	c.buildAttrIndex()
-	return len(c.attrNames)
-}
-
-// AttributeID returns the dense id of an attribute name and whether the
-// attribute occurs in the collection. Dense ids are stable for a given
-// collection content and span [0, NumAttributes()).
-func (c *Collection) AttributeID(name string) (int, bool) {
-	c.buildAttrIndex()
-	id, ok := c.attrIndex[name]
-	return id, ok
+	names := make(map[string]bool)
+	for i := range c.Profiles {
+		for _, pr := range c.Profiles[i].Pairs {
+			names[pr.Name] = true
+		}
+	}
+	return len(names)
 }

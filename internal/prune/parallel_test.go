@@ -108,7 +108,7 @@ func TestPruneParallelMatchesSerial(t *testing.T) {
 				for _, workers := range pruneWorkersAxis[1:] {
 					got := runAllSchemes(t, ctx, csr, workers)
 					for name, want := range serial {
-						label := fmt.Sprintf("seed=%d kind=%v %s %s workers=%d", seed, kind, s.Name(), name, workers)
+						label := fmt.Sprintf("seed=%d kind=%v %v %s workers=%d", seed, kind, s, name, workers)
 						comparePairs(t, label, want, got[name])
 					}
 					gotMean, _ := MeanThresholds(ctx, csr, workers)
@@ -264,6 +264,37 @@ func TestReducersMatchWholeRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// MeanThresholdOf is the whole-run oracle of meanReducer: the mean
+// adjacent weight, summed in run order. Empty runs yield 0.
+func MeanThresholdOf(ws []float64) float64 {
+	if len(ws) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, w := range ws {
+		s += w
+	}
+	return s / float64(len(ws))
+}
+
+// BlastThresholdOf is the whole-run oracle of blastReducer: theta_i =
+// M_i/c (c <= 0 defaults to 2). Empty runs yield 0.
+func BlastThresholdOf(ws []float64, c float64) float64 {
+	if len(ws) == 0 {
+		return 0
+	}
+	if c <= 0 {
+		c = 2
+	}
+	m := ws[0]
+	for _, w := range ws[1:] {
+		if w > m {
+			m = w
+		}
+	}
+	return m / c
 }
 
 // pollCountCtx is a context whose Err() counts how often it is polled

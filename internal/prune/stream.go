@@ -168,12 +168,12 @@ func tieBoundary(ctx context.Context, g *graph.CSR, workers int, cut float64, re
 
 // runReducer reduces one adjacency run to a per-node threshold, polling
 // the worker's cancellation budget between edge segments. Implementations
-// must be bit-identical to their whole-run counterparts (MeanThresholdOf,
-// BlastThresholdOf): segmentation pauses the loop, it never reorders the
-// arithmetic.
+// must be bit-identical to one loop over the whole run: segmentation
+// pauses the loop, it never reorders the arithmetic.
 type runReducer func(w *pruneWorker, ws []float64) (float64, error)
 
-// meanReducer is MeanThresholdOf with in-run cancellation polls.
+// meanReducer is WNP's per-node reducer: the mean adjacent weight,
+// summed in run order, with in-run cancellation polls.
 func meanReducer(w *pruneWorker, ws []float64) (float64, error) {
 	n := len(ws)
 	s := 0.0
@@ -193,7 +193,8 @@ func meanReducer(w *pruneWorker, ws []float64) (float64, error) {
 	return s / float64(n), nil
 }
 
-// blastReducer is BlastThresholdOf with in-run cancellation polls.
+// blastReducer is BLAST's per-node reducer, theta_i = M_i/c (c <= 0
+// defaults to 2), with in-run cancellation polls.
 func blastReducer(c float64) runReducer {
 	if c <= 0 {
 		c = 2
@@ -256,39 +257,6 @@ func nodeThresholdsCSR(ctx context.Context, g *graph.CSR, workers int, reduce ru
 		return nil, err
 	}
 	return th, nil
-}
-
-// MeanThresholdOf is WNP's per-node reducer over one adjacency run: the
-// mean adjacent weight, summed in run order so the value is bit-identical
-// whether computed by a full pass (MeanThresholds) or by an incremental
-// re-reduction of a single spliced run. Empty runs yield 0.
-func MeanThresholdOf(ws []float64) float64 {
-	if len(ws) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, w := range ws {
-		s += w
-	}
-	return s / float64(len(ws))
-}
-
-// BlastThresholdOf is BLAST's per-node reducer over one adjacency run:
-// theta_i = M_i/c (c <= 0 defaults to 2). Empty runs yield 0.
-func BlastThresholdOf(ws []float64, c float64) float64 {
-	if len(ws) == 0 {
-		return 0
-	}
-	if c <= 0 {
-		c = 2
-	}
-	m := ws[0]
-	for _, w := range ws[1:] {
-		if w > m {
-			m = w
-		}
-	}
-	return m / c
 }
 
 // MeanThresholds returns WNP's per-node thresholds over the CSR graph:

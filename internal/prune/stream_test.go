@@ -97,7 +97,7 @@ func TestStreamMatchesEdgeListOnRandomCollections(t *testing.T) {
 				{Kind: weights.ChiSquared, Entropy: true},
 			} {
 				g, csr := weightedPairReps(c, s)
-				label := fmt.Sprintf("seed=%d kind=%v %s", seed, kind, s.Name())
+				label := fmt.Sprintf("seed=%d kind=%v %v", seed, kind, s)
 				comparePairs(t, label+" wep", g.Pairs(refWEP(g)), must(WEPStream(ctx, csr, 1)))
 				comparePairs(t, label+" cep", g.Pairs(refCEP(g, 0)), must(CEPStream(ctx, csr, 0, 1)))
 				comparePairs(t, label+" cep5", g.Pairs(refCEP(g, 5)), must(CEPStream(ctx, csr, 5, 1)))

@@ -136,10 +136,3 @@ func (e *Exchange) Poison(err error) {
 	}
 	e.mu.Unlock()
 }
-
-// Err returns the poison error, if any.
-func (e *Exchange) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}

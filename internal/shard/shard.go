@@ -166,9 +166,6 @@ func New(id, n int, w Writer, start *Snapshot, opt Options) *Shard {
 	return s
 }
 
-// ID returns the shard's index within its server.
-func (s *Shard) ID() int { return s.id }
-
 // Err returns the first error the worker encountered, if any.
 func (s *Shard) Err() error {
 	s.mu.Lock()
@@ -200,7 +197,7 @@ func (s *Shard) Stats() Stats {
 // caller broadcasting one batch to many shards under a lock that
 // excludes Close either enqueues it on all of them or on none. A
 // failed shard silently drops the batches it receives (see apply);
-// callers observe the failure through Err, Barrier and their own
+// callers observe the failure through Err, a barrier and their own
 // pre-checks. The shard reads the batch asynchronously; callers must
 // not mutate it after handoff.
 func (s *Shard) Enqueue(profiles []model.Profile) error {
@@ -216,24 +213,6 @@ func (s *Shard) Enqueue(profiles []model.Profile) error {
 	s.received++
 	s.cond.Signal()
 	return nil
-}
-
-// Barrier enqueues a publication barrier and waits for it: when Barrier
-// returns nil, every batch enqueued before it has been applied and
-// handed over in an export (the shard is quiesced). On
-// context cancellation the barrier itself still completes eventually;
-// only the wait is abandoned.
-func (s *Shard) Barrier(ctx context.Context) error {
-	done, err := s.BarrierStart()
-	if err != nil {
-		return err
-	}
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // BarrierStart enqueues a publication barrier without waiting and
@@ -257,7 +236,7 @@ func (s *Shard) BarrierStart() (<-chan error, error) {
 
 // Close stops the worker after draining every operation already in the
 // mailbox and publishing what it applied, waits for it to exit, and
-// returns the shard's sticky error. Enqueue and Barrier fail with
+// returns the shard's sticky error. Enqueue and BarrierStart fail with
 // ErrClosed afterwards.
 func (s *Shard) Close() error {
 	s.mu.Lock()

@@ -141,7 +141,7 @@ func TestShardAppliesInOrderAndBarrierPublishes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Barrier(context.Background()); err != nil {
+	if err := barrier(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.appliedCount(); got != 15 {
@@ -152,7 +152,7 @@ func TestShardAppliesInOrderAndBarrierPublishes(t *testing.T) {
 		t.Fatalf("stats = %+v, want 15 profiles published at epoch 1", st)
 	}
 	// An idle barrier re-publishes nothing.
-	if err := s.Barrier(context.Background()); err != nil {
+	if err := barrier(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Epoch; got != 1 {
@@ -210,7 +210,7 @@ func TestShardSwapOpsTrigger(t *testing.T) {
 		}
 		waitBatches(t, s, i)
 	}
-	if err := s.Barrier(context.Background()); err != nil {
+	if err := barrier(s); err != nil {
 		t.Fatal(err)
 	}
 	// Due after the 4th and the 8th with an empty mailbox each time, so
@@ -232,7 +232,7 @@ func TestShardSwapOpsTrigger(t *testing.T) {
 		if err := s.Enqueue(profiles(4)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Barrier(context.Background()); err != nil {
+		if err := barrier(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func TestShardBurstPublishesOnceAtAgreedPosition(t *testing.T) {
 	// Batches 3 and 4 make the next publication fall due with 12 received:
 	// it is agreed for 12 and published there, windows 6, 8 and 10 skipped.
 	w.release(t)
-	if err := s.Barrier(context.Background()); err != nil {
+	if err := barrier(s); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := log.get(), []int64{2, 12}; !slices.Equal(got, want) {
@@ -336,7 +336,7 @@ func TestShardBarrierInsideHoldPublishesThere(t *testing.T) {
 	// Hold cleared: 7 and 8 make a publication fall due again (a third
 	// agreement), published at 10.
 	w.release(t)
-	if err := s.Barrier(context.Background()); err != nil {
+	if err := barrier(s); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := log.get(), []int64{2, 6, 10}; !slices.Equal(got, want) {
@@ -461,7 +461,7 @@ func TestShardAgreementErrorIsStickyAndPoisonsPeers(t *testing.T) {
 		enqueueSingles(t, sh, 2)
 	}
 	for i, sh := range shards {
-		if err := sh.Barrier(context.Background()); !errors.Is(err, boom) {
+		if err := barrier(sh); !errors.Is(err, boom) {
 			t.Fatalf("shard %d barrier = %v, want the agreement failure", i, err)
 		}
 	}
@@ -470,7 +470,7 @@ func TestShardAgreementErrorIsStickyAndPoisonsPeers(t *testing.T) {
 		enqueueSingles(t, sh, 4)
 	}
 	for i, sh := range shards {
-		if err := sh.Barrier(context.Background()); !errors.Is(err, boom) {
+		if err := barrier(sh); !errors.Is(err, boom) {
 			t.Fatalf("shard %d second barrier = %v, want the sticky failure", i, err)
 		}
 		if got := writers[i].appliedCount(); got != 2 {
@@ -502,7 +502,7 @@ func TestShardFailedPeerTakesNoAgreementRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	enqueueSingles(t, shards[0], 4)
-	if err := shards[0].Barrier(context.Background()); !errors.Is(err, boom) {
+	if err := barrier(shards[0]); !errors.Is(err, boom) {
 		t.Fatalf("failed shard barrier = %v, want %v", err, boom)
 	}
 	select {
@@ -529,7 +529,7 @@ func TestShardStickyApplyError(t *testing.T) {
 	if err := s.Enqueue(profiles(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Barrier(context.Background()); !errors.Is(err, boom) {
+	if err := barrier(s); !errors.Is(err, boom) {
 		t.Fatalf("barrier err = %v, want %v", err, boom)
 	}
 	// Enqueue still accepts (broadcast atomicity: a failed shard must
@@ -538,7 +538,7 @@ func TestShardStickyApplyError(t *testing.T) {
 	if err := s.Enqueue(profiles(1)); err != nil {
 		t.Fatalf("enqueue after failure = %v, want accepted-and-dropped", err)
 	}
-	if err := s.Barrier(context.Background()); !errors.Is(err, boom) {
+	if err := barrier(s); !errors.Is(err, boom) {
 		t.Fatalf("barrier after failed enqueue = %v, want sticky error", err)
 	}
 	if got := s.Stats().Applied; got != 1 {
@@ -557,7 +557,7 @@ func TestShardExportError(t *testing.T) {
 	if err := s.Enqueue(profiles(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Barrier(context.Background()); !errors.Is(err, boom) {
+	if err := barrier(s); !errors.Is(err, boom) {
 		t.Fatalf("barrier err = %v, want %v", err, boom)
 	}
 }
@@ -580,7 +580,7 @@ func TestShardCloseDrainsAndStops(t *testing.T) {
 	if err := s.Enqueue(profiles(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("enqueue after close = %v, want ErrClosed", err)
 	}
-	if err := s.Barrier(context.Background()); !errors.Is(err, ErrClosed) {
+	if err := barrier(s); !errors.Is(err, ErrClosed) {
 		t.Fatalf("barrier after close = %v, want ErrClosed", err)
 	}
 	// Close is idempotent and the worker is gone.
@@ -611,7 +611,7 @@ func TestShardBatchesAndPersistHook(t *testing.T) {
 	w.gate <- struct{}{}
 	// Due again at 4 with 5 received: agreed for 5, window 4 skipped.
 	w.release(t)
-	if err := s.Barrier(context.Background()); err != nil {
+	if err := barrier(s); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Batches != 5 || st.Swaps != 2 || st.Epoch != 2 {
@@ -644,7 +644,7 @@ func TestShardPersistErrorSticky(t *testing.T) {
 	if err := s.Enqueue(profiles(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Barrier(context.Background()); !errors.Is(err, boom) {
+	if err := barrier(s); !errors.Is(err, boom) {
 		t.Fatalf("barrier err = %v, want %v", err, boom)
 	}
 	if err := s.Err(); !errors.Is(err, boom) {
@@ -666,7 +666,7 @@ func TestShardContinuesFromStartState(t *testing.T) {
 		t.Fatalf("stats before any publication = %+v, want epoch 7, batch 3, 4 profiles, share (%d, %d)", st, rows, bytes)
 	}
 	enqueueSingles(t, s, 2)
-	if err := s.Barrier(context.Background()); err != nil {
+	if err := barrier(s); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := log.get(), []int64{5}; !slices.Equal(got, want) {
@@ -684,13 +684,20 @@ func TestShardBarrierContext(t *testing.T) {
 	if err := s.Enqueue(profiles(4)); err != nil {
 		t.Fatal(err)
 	}
+	// BarrierStart only enqueues: the wait is the caller's to abandon,
+	// and the barrier still completes behind the slow apply.
+	done, err := s.BarrierStart()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if err := s.Barrier(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("barrier err = %v, want deadline exceeded", err)
+	select {
+	case err := <-done:
+		t.Fatalf("barrier completed before the slow apply: %v", err)
+	case <-ctx.Done():
 	}
-	// The barrier still completes; the shard stays healthy.
-	if err := s.Barrier(context.Background()); err != nil {
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	if got := w.appliedCount(); got != 4 {
@@ -722,4 +729,13 @@ func TestOwnerStableAndInRange(t *testing.T) {
 	if Owner(123, 0) != 0 || Owner(123, 1) != 0 {
 		t.Error("degenerate shard counts must map to 0")
 	}
+}
+
+// barrier places a publication barrier on s and waits for it.
+func barrier(s *Shard) error {
+	done, err := s.BarrierStart()
+	if err != nil {
+		return err
+	}
+	return <-done
 }

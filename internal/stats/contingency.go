@@ -42,13 +42,6 @@ func (c Contingency) Cells() (n11, n12, n21, n22 float64) {
 	return
 }
 
-// Valid reports whether the table is internally consistent: all cells
-// non-negative and marginals within the total.
-func (c Contingency) Valid() bool {
-	n11, n12, n21, n22 := c.Cells()
-	return n11 >= 0 && n12 >= 0 && n21 >= 0 && n22 >= 0 && c.N > 0
-}
-
 // ChiSquared returns Pearson's chi-squared statistic of the table:
 //
 //	chi2 = sum_ij (n_ij - mu_ij)^2 / mu_ij,   mu_ij = n_i+ * n_+j / n

@@ -47,15 +47,6 @@ func Entropy(counts []int) float64 {
 // everything downstream of an entropy is held to. Callers materialize
 // counts in a data-determined order and use Entropy.
 
-// MaxEntropy returns the maximum possible entropy of a distribution over
-// n outcomes, log2(n). It is 0 for n <= 1.
-func MaxEntropy(n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	return math.Log2(float64(n))
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice. It is
 // the aggregation used for cluster entropies (H̄(C_k), Section 3.1.3).
 func Mean(xs []float64) float64 {

@@ -48,7 +48,7 @@ func TestEntropyBounds(t *testing.T) {
 			}
 		}
 		h := Entropy(counts)
-		return h >= 0 && h <= MaxEntropy(positive)+1e-9
+		return h >= 0 && h <= math.Log2(math.Max(1, float64(positive)))+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -63,8 +63,8 @@ func TestEntropyUniformIsMax(t *testing.T) {
 			uniform[i] = 7
 		}
 		hu := Entropy(uniform)
-		if !almostEqual(hu, MaxEntropy(n), 1e-12) {
-			t.Errorf("uniform entropy over %d = %v, want %v", n, hu, MaxEntropy(n))
+		if !almostEqual(hu, math.Log2(float64(n)), 1e-12) {
+			t.Errorf("uniform entropy over %d = %v, want %v", n, hu, math.Log2(float64(n)))
 		}
 		skewed := make([]int, n)
 		for i := range skewed {
@@ -93,9 +93,6 @@ func TestContingencyCellsPaperExample(t *testing.T) {
 	n11, n12, n21, n22 := c.Cells()
 	if n11 != 4 || n12 != 2 || n21 != 3 || n22 != 3 {
 		t.Fatalf("Cells = %v %v %v %v, want 4 2 3 3", n11, n12, n21, n22)
-	}
-	if !c.Valid() {
-		t.Error("paper example table should be valid")
 	}
 }
 
@@ -161,7 +158,7 @@ func TestChiSquaredNonNegativeProperty(t *testing.T) {
 		bu := common + int(b)%(total-common+1)
 		bv := common + int(c)%(total-common+1)
 		tab := NewContingency(common, bu, bv, total)
-		if !tab.Valid() {
+		if n11, n12, n21, n22 := tab.Cells(); n11 < 0 || n12 < 0 || n21 < 0 || n22 < 0 {
 			return true
 		}
 		return tab.ChiSquared() >= 0

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzSegmentDecode feeds arbitrary byte images to the segment-frame
-// scanner: it must never panic, must only ever fail with the named
-// segment errors, and must round-trip payloads it re-encodes bit for
-// bit. This is the decode half of the fail-closed contract the spilled
+// FuzzSegmentDecode feeds arbitrary byte images to DecodeFrame, walked
+// frame by frame after the magic header (scanFrames): it must never
+// panic, must only ever fail with the named segment errors, and must
+// round-trip payloads it re-encodes bit for bit. This is the decode half of the fail-closed contract the spilled
 // CSR relies on — a mangled segment file yields an error, never
 // plausible adjacency bytes.
 func FuzzSegmentDecode(f *testing.F) {
@@ -21,14 +21,10 @@ func FuzzSegmentDecode(f *testing.F) {
 	img := AppendFrame([]byte(Magic), bytes.Repeat([]byte{0xab}, 300))
 	f.Add(img[:len(img)-7])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var payloads [][]byte
-		err := ScanFrames(data, func(p []byte) error {
-			payloads = append(payloads, append([]byte(nil), p...))
-			return nil
-		})
+		payloads, err := scanFrames(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptSegment) && !errors.Is(err, ErrTruncatedSegment) {
-				t.Fatalf("ScanFrames failed with an unnamed error: %v", err)
+				t.Fatalf("DecodeFrame failed with an unnamed error: %v", err)
 			}
 			return
 		}

@@ -1,19 +1,12 @@
 // Package store decouples the logical shapes of the system — flat
-// per-entry arrays such as a CSR adjacency — from their residency. An
-// Arena is an append-only sequence of opaque payload frames ("segments")
-// with random read access by frame id. Two implementations exist:
-//
-//   - Mem keeps every frame in process memory. It is the zero-cost
-//     reference implementation; the fully resident fast paths of the
-//     system do not even go through it (they index plain slices
-//     directly), but it lets every paging consumer be exercised without
-//     touching disk.
-//   - FileArena appends frames to a single file and reads them back
-//     with positioned reads (pread). Every frame is CRC-framed, and a
-//     read that does not check out — short file, mangled header, payload
-//     checksum mismatch — fails closed with a named error rather than
-//     returning bytes that merely look plausible. This is the spill
-//     target of the beyond-RAM CSR (graph.BuildCSRSpillCtx).
+// per-entry arrays such as a CSR adjacency — from their residency. A
+// FileArena is an append-only sequence of opaque payload frames
+// ("segments") in a single file, read back by frame id with positioned
+// reads (pread). Every frame is CRC-framed, and a read that does not
+// check out — short file, mangled header, payload checksum mismatch —
+// fails closed with a named error rather than returning bytes that
+// merely look plausible. It is the spill target of the beyond-RAM CSR
+// (graph.BuildCSRSpillCtx).
 //
 // The on-disk format is deliberately minimal and self-checking:
 //
@@ -25,8 +18,7 @@
 //
 // Frames are located by the in-memory offset table the writer built;
 // segment files are ephemeral (one build's spill), never reopened by a
-// later process, so no recovery scan exists — but ScanFrames walks a
-// raw image with full validation for tests and fuzzing.
+// later process, so no recovery scan exists.
 package store
 
 import (
@@ -103,92 +95,11 @@ func DecodeFrame(b []byte) (payload, rest []byte, err error) {
 	return payload, body[n:], nil
 }
 
-// ScanFrames walks a whole segment-file image (magic header plus
-// frames), invoking fn for each valid payload in order. It stops with
-// the first validation error; a nil fn just validates.
-func ScanFrames(img []byte, fn func(payload []byte) error) error {
-	if len(img) < len(Magic) {
-		return fmt.Errorf("%w: %d bytes, shorter than the magic header", ErrTruncatedSegment, len(img))
-	}
-	if string(img[:len(Magic)]) != Magic {
-		return fmt.Errorf("%w: bad magic %q", ErrCorruptSegment, img[:len(Magic)])
-	}
-	rest := img[len(Magic):]
-	for len(rest) > 0 {
-		payload, next, err := DecodeFrame(rest)
-		if err != nil {
-			return err
-		}
-		if fn != nil {
-			if err := fn(payload); err != nil {
-				return err
-			}
-		}
-		rest = next
-	}
-	return nil
-}
-
-// Arena is an append-only sequence of payload frames with random read
-// access by frame id. Append and Load must not be interleaved from
-// multiple goroutines without external synchronization; Load alone is
-// safe for concurrent readers.
-type Arena interface {
-	// Append stores payload as the next frame and returns its id
-	// (sequential from 0).
-	Append(payload []byte) (id int, err error)
-	// Load returns frame id's payload, reading through dst's backing
-	// array when it has capacity (a file arena needs FrameHeaderSize
-	// more than the payload; the payload then aliases dst). A frame that
-	// fails validation returns a nil payload and an error wrapping
-	// ErrCorruptSegment or ErrTruncatedSegment.
-	Load(id int, dst []byte) ([]byte, error)
-	// Frames returns the number of frames appended.
-	Frames() int
-	// Close releases the arena's resources.
-	Close() error
-}
-
-// Mem is the in-memory Arena: frames are copied into process memory.
-type Mem struct {
-	frames [][]byte
-	closed bool
-}
-
-// NewMem returns an empty in-memory arena.
-func NewMem() *Mem { return &Mem{} }
-
-// Append implements Arena.
-func (m *Mem) Append(payload []byte) (int, error) {
-	if m.closed {
-		return 0, ErrClosed
-	}
-	m.frames = append(m.frames, append([]byte(nil), payload...))
-	return len(m.frames) - 1, nil
-}
-
-// Load implements Arena.
-func (m *Mem) Load(id int, dst []byte) ([]byte, error) {
-	if m.closed {
-		return nil, ErrClosed
-	}
-	if id < 0 || id >= len(m.frames) {
-		return nil, fmt.Errorf("store: frame %d out of range (%d frames)", id, len(m.frames))
-	}
-	return append(dst[:0], m.frames[id]...), nil
-}
-
-// Frames implements Arena.
-func (m *Mem) Frames() int { return len(m.frames) }
-
-// Close implements Arena.
-func (m *Mem) Close() error {
-	m.frames, m.closed = nil, true
-	return nil
-}
-
-// FileArena is the file-backed Arena: frames append to a single segment
-// file and load back by positioned read with full validation.
+// FileArena is an append-only arena of payload frames: frames append to
+// a single segment file and load back by positioned read with full
+// validation. Append and Load must not be interleaved from multiple
+// goroutines without external synchronization; Load alone is safe for
+// concurrent readers.
 type FileArena struct {
 	f    *os.File
 	path string
@@ -218,7 +129,8 @@ func CreateFile(path string) (*FileArena, error) {
 // Path returns the segment file's path.
 func (a *FileArena) Path() string { return a.path }
 
-// Append implements Arena.
+// Append stores payload as the next frame and returns its id
+// (sequential from 0).
 func (a *FileArena) Append(payload []byte) (int, error) {
 	if a.f == nil {
 		return 0, ErrClosed
@@ -233,10 +145,12 @@ func (a *FileArena) Append(payload []byte) (int, error) {
 	return len(a.offs) - 1, nil
 }
 
-// Load implements Arena. The frame is re-validated on every load: the
-// header must match the writer's table and the payload its checksum, so
-// on-disk corruption surfaces as a named error at the first read that
-// touches it.
+// Load returns frame id's payload, reading through dst's backing array
+// when it has FrameHeaderSize more capacity than the payload (the
+// payload then aliases dst). The frame is re-validated on every load:
+// the header must match the writer's table and the payload its
+// checksum, so on-disk corruption surfaces as a named error at the
+// first read that touches it.
 func (a *FileArena) Load(id int, dst []byte) ([]byte, error) {
 	if a.f == nil {
 		return nil, ErrClosed
@@ -266,9 +180,6 @@ func (a *FileArena) Load(id int, dst []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Frames implements Arena.
-func (a *FileArena) Frames() int { return len(a.offs) }
-
 // Sync flushes the segment file to stable storage.
 func (a *FileArena) Sync() error {
 	if a.f == nil {
@@ -277,7 +188,7 @@ func (a *FileArena) Sync() error {
 	return a.f.Sync()
 }
 
-// Close implements Arena. It does not remove the file; see
+// Close closes the segment file without removing it; see
 // CloseAndRemove.
 func (a *FileArena) Close() error {
 	if a.f == nil {

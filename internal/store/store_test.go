@@ -24,50 +24,42 @@ func testPayloads(t *testing.T, seed int64, n int) [][]byte {
 
 func TestArenaRoundTrip(t *testing.T) {
 	payloads := testPayloads(t, 1, 32)
-	arenas := map[string]Arena{}
-	fa, err := CreateFile(filepath.Join(t.TempDir(), "seg"))
+	a, err := CreateFile(filepath.Join(t.TempDir(), "seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	arenas["file"] = fa
-	arenas["mem"] = NewMem()
-	for name, a := range arenas {
-		t.Run(name, func(t *testing.T) {
-			for i, p := range payloads {
-				id, err := a.Append(p)
-				if err != nil {
-					t.Fatalf("append %d: %v", i, err)
-				}
-				if id != i {
-					t.Fatalf("append %d returned id %d", i, id)
-				}
+	t.Run("file", func(t *testing.T) {
+		for i, p := range payloads {
+			id, err := a.Append(p)
+			if err != nil {
+				t.Fatalf("append %d: %v", i, err)
 			}
-			if a.Frames() != len(payloads) {
-				t.Fatalf("Frames() = %d, want %d", a.Frames(), len(payloads))
+			if id != i {
+				t.Fatalf("append %d returned id %d", i, id)
 			}
-			var buf []byte
-			// Random-access loads, repeated to exercise dst reuse.
-			for _, i := range []int{31, 0, 7, 7, 16, 31} {
-				got, err := a.Load(i, buf)
-				if err != nil {
-					t.Fatalf("load %d: %v", i, err)
-				}
-				if !bytes.Equal(got, payloads[i]) {
-					t.Fatalf("load %d: payload mismatch (%d vs %d bytes)", i, len(got), len(payloads[i]))
-				}
-				buf = got
+		}
+		var buf []byte
+		// Random-access loads, repeated to exercise dst reuse.
+		for _, i := range []int{31, 0, 7, 7, 16, 31} {
+			got, err := a.Load(i, buf)
+			if err != nil {
+				t.Fatalf("load %d: %v", i, err)
 			}
-			if _, err := a.Load(len(payloads), nil); err == nil {
-				t.Fatal("out-of-range load succeeded")
+			if !bytes.Equal(got, payloads[i]) {
+				t.Fatalf("load %d: payload mismatch (%d vs %d bytes)", i, len(got), len(payloads[i]))
 			}
-			if err := a.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := a.Load(0, nil); !errors.Is(err, ErrClosed) {
-				t.Fatalf("load after close: %v, want ErrClosed", err)
-			}
-		})
-	}
+			buf = got
+		}
+		if _, err := a.Load(len(payloads), nil); err == nil {
+			t.Fatal("out-of-range load succeeded")
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Load(0, nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("load after close: %v, want ErrClosed", err)
+		}
+	})
 }
 
 // TestFileArenaFaultInjection mirrors the internal/wal torn-tail tests:
@@ -155,26 +147,26 @@ func flipByteAt(t *testing.T, f *os.File, off int64) {
 	}
 }
 
-// TestScanFramesFaults drives the image-level scanner through the same
-// fault classes, pinning which named error each shape produces.
+// TestScanFramesFaults walks a segment image frame by frame with
+// DecodeFrame, the decoder FileArena.Load runs, through the same fault
+// classes, pinning which named error each shape produces.
 func TestScanFramesFaults(t *testing.T) {
 	img := []byte(Magic)
 	payloads := testPayloads(t, 3, 4)
 	for _, p := range payloads {
 		img = AppendFrame(img, p)
 	}
-	count := 0
-	if err := ScanFrames(img, func(p []byte) error {
-		if !bytes.Equal(p, payloads[count]) {
-			return fmt.Errorf("frame %d mismatch", count)
-		}
-		count++
-		return nil
-	}); err != nil {
+	got, err := scanFrames(img)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if count != len(payloads) {
-		t.Fatalf("scanned %d frames, want %d", count, len(payloads))
+	if len(got) != len(payloads) {
+		t.Fatalf("scanned %d frames, want %d", len(got), len(payloads))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], payloads[i]) {
+			t.Fatalf("frame %d mismatch", i)
+		}
 	}
 
 	cases := []struct {
@@ -191,11 +183,33 @@ func TestScanFramesFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mut := tc.mut(append([]byte(nil), img...))
-			if err := ScanFrames(mut, nil); !errors.Is(err, tc.want) {
-				t.Fatalf("ScanFrames = %v, want %v", err, tc.want)
+			if _, err := scanFrames(mut); !errors.Is(err, tc.want) {
+				t.Fatalf("scanFrames = %v, want %v", err, tc.want)
 			}
 		})
 	}
+}
+
+// scanFrames walks a whole segment image as CreateFile lays it out — the
+// magic header, then frames back to back — decoding each frame with
+// DecodeFrame and stopping at the first error.
+func scanFrames(img []byte) ([][]byte, error) {
+	if len(img) < len(Magic) {
+		return nil, fmt.Errorf("%w: %d bytes, shorter than the magic header", ErrTruncatedSegment, len(img))
+	}
+	if string(img[:len(Magic)]) != Magic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptSegment, img[:len(Magic)])
+	}
+	var payloads [][]byte
+	for rest := img[len(Magic):]; len(rest) > 0; {
+		payload, next, err := DecodeFrame(rest)
+		if err != nil {
+			return nil, err
+		}
+		payloads = append(payloads, payload)
+		rest = next
+	}
+	return payloads, nil
 }
 
 func TestCacheLRUAndStats(t *testing.T) {

@@ -167,13 +167,13 @@ func TestPipelineStemMergesBlockingKeys(t *testing.T) {
 	// tokenization.
 	plain := NewTokenizer()
 	stem := NewStemmingTokenizer()
-	a := TokenSet(plain, []string{"retailer"})
-	b := TokenSet(plain, []string{"retail"})
+	a := plain.Terms("retailer")
+	b := plain.Terms("retail")
 	if a[0] == b[0] {
 		t.Fatal("precondition: plain tokens differ")
 	}
-	a = TokenSet(stem, []string{"retailer"})
-	b = TokenSet(stem, []string{"retail"})
+	a = stem.Terms("retailer")
+	b = stem.Terms("retail")
 	if a[0] != b[0] {
 		t.Errorf("stemmed keys differ: %q vs %q", a[0], b[0])
 	}

@@ -140,23 +140,6 @@ func normalizeForGrams(value string) string {
 	return b.String()
 }
 
-// TokenSet returns the deduplicated tokens of all values, preserving first
-// appearance order. It is the set-building helper used by attribute
-// profiles and blocking.
-func TokenSet(tr Transform, values []string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, v := range values {
-		for _, tok := range tr.Terms(v) {
-			if !seen[tok] {
-				seen[tok] = true
-				out = append(out, tok)
-			}
-		}
-	}
-	return out
-}
-
 // DefaultStopWords is a small English stop-word list for users who opt in
 // to stop-word removal. The paper's experiments do not use it.
 func DefaultStopWords() map[string]bool {

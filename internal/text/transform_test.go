@@ -2,7 +2,6 @@ package text
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -143,33 +142,6 @@ func TestQGramCount(t *testing.T) {
 		default:
 			return len(grams) == n-1
 		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTokenSetDeduplicates(t *testing.T) {
-	tr := NewTokenizer()
-	got := TokenSet(tr, []string{"Ellen Smith", "smith ellen", "NY"})
-	want := []string{"ellen", "smith", "ny"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("TokenSet = %v, want %v", got, want)
-	}
-}
-
-func TestTokenSetUniqueProperty(t *testing.T) {
-	tr := NewTokenizer()
-	f := func(vals []string) bool {
-		set := TokenSet(tr, vals)
-		sorted := append([]string(nil), set...)
-		sort.Strings(sorted)
-		for i := 1; i < len(sorted); i++ {
-			if sorted[i] == sorted[i-1] {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -29,10 +29,10 @@ func checkApplyCSRMatchesApply(t *testing.T, c *blocking.Collection, s Scheme) {
 			v := int(csr.Neighbors[p])
 			e := g.EdgeBetween(n, v)
 			if e == nil {
-				t.Fatalf("%s: edge (%d,%d) missing", s.Name(), n, v)
+				t.Fatalf("%v: edge (%d,%d) missing", s, n, v)
 			}
 			if csr.Weights[p] != e.Weight {
-				t.Fatalf("%s: weight(%d,%d) = %v, want %v", s.Name(), n, v, csr.Weights[p], e.Weight)
+				t.Fatalf("%v: weight(%d,%d) = %v, want %v", s, n, v, csr.Weights[p], e.Weight)
 			}
 		}
 	}
@@ -57,7 +57,7 @@ func TestApplyCSRMatchesApplyAllSchemes(t *testing.T) {
 func mirrorWalkOracle(s Scheme, g *graph.CSR) []float64 {
 	w := s.Weigher(g.NumEdges(), g.TotalBlocks)
 	out := make([]float64, len(g.Neighbors))
-	g.CanonicalMirror(func(u, v int32, p, mp int64) {
+	_ = canonicalMirror(g, func(u, v int32, p, mp int64) {
 		wt := w.Weight(g.Common[p],
 			g.BlockCounts[u], g.BlockCounts[v],
 			int32(g.Degree(int(u))), int32(g.Degree(int(v))),
@@ -167,7 +167,7 @@ func TestKernelMatchesMirrorWalk(t *testing.T) {
 					}
 				}
 				for _, workers := range []int{0, 1, 2, 4} {
-					label := fmt.Sprintf("%v %s workers=%d", kind, s.Name(), workers)
+					label := fmt.Sprintf("%v %v workers=%d", kind, s, workers)
 					clear(full.Weights)
 					if err := s.ApplyCSRCtx(ctx, full, workers); err != nil {
 						t.Fatal(err)
@@ -233,7 +233,7 @@ func TestWeighingFillMatchesKernel(t *testing.T) {
 					for part := 0; part < parts; part++ {
 						owns := func(n int32) bool { return int(n)%parts == part }
 						for _, workers := range []int{1, 2, 4} {
-							label := fmt.Sprintf("%s %s part %d/%d workers=%d", label, s.Name(), part, parts, workers)
+							label := fmt.Sprintf("%s %v part %d/%d workers=%d", label, s, part, parts, workers)
 							kept, err := graph.BuildOwnedCSR(ctx, c, owns, workers)
 							if err != nil {
 								t.Fatal(err)
@@ -278,7 +278,7 @@ func TestWeigherMatchesApplyPerEdge(t *testing.T) {
 	s := Blast()
 	s.ApplyCSR(g)
 	w := s.Weigher(g.NumEdges(), g.TotalBlocks)
-	g.CanonicalMirror(func(u, v int32, p, mp int64) {
+	if err := canonicalMirror(g, func(u, v int32, p, mp int64) {
 		want := w.Weight(g.Common[p],
 			g.BlockCounts[u], g.BlockCounts[v],
 			int32(g.Degree(int(u))), int32(g.Degree(int(v))),
@@ -286,7 +286,9 @@ func TestWeigherMatchesApplyPerEdge(t *testing.T) {
 		if g.Weights[p] != want || g.Weights[mp] != want {
 			t.Errorf("edge (%d,%d): ApplyCSR = %v / %v, Weigher = %v", u, v, g.Weights[p], g.Weights[mp], want)
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestWeigherPanicsOnUnknownKind(t *testing.T) {
@@ -308,4 +310,16 @@ func readWeights(g *graph.CSR) ([]float64, error) {
 		out = append(out, wts...)
 	}
 	return out, g.Err()
+}
+
+// canonicalMirror visits each edge once from its canonical (u < v) entry
+// p, with mp the mirror entry in v's run pointing back at u: the sub-v
+// neighbors of v lead its ascending run in the order their canonical
+// entries are visited, so a per-node cursor lands on each mirror.
+func canonicalMirror(g *graph.CSR, fn func(u, v int32, p, mp int64)) error {
+	cursors := make([]int64, g.NumProfiles)
+	return g.CanonicalCtx(context.Background(), func(u, v int32, p int64) {
+		fn(u, v, p, g.Offsets[v]+cursors[v])
+		cursors[v]++
+	})
 }

@@ -73,14 +73,6 @@ type Scheme struct {
 // Blast returns the paper's weighting: chi-squared scaled by entropy.
 func Blast() Scheme { return Scheme{Kind: ChiSquared, Entropy: true} }
 
-// Name renders e.g. "chi2*h" or "JS".
-func (s Scheme) Name() string {
-	if s.Entropy {
-		return s.Kind.String() + "*h"
-	}
-	return s.Kind.String()
-}
-
 // Weigher computes single-edge weights for a scheme over fixed
 // graph-level totals. It is the one per-edge formula: the CSR kernel
 // and the weighing fill pass (both through Scheme.EntryWeight) and the

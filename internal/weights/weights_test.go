@@ -153,9 +153,6 @@ func TestBlastSchemeIsChiSquaredTimesEntropy(t *testing.T) {
 	if s.Kind != ChiSquared || !s.Entropy {
 		t.Errorf("Blast() = %+v", s)
 	}
-	if s.Name() != "chi2*h" {
-		t.Errorf("Blast().Name() = %q", s.Name())
-	}
 }
 
 func TestAllSchemesNonNegativeAndFinite(t *testing.T) {
@@ -175,12 +172,6 @@ func TestAllSchemesNonNegativeAndFinite(t *testing.T) {
 }
 
 func TestSchemeNames(t *testing.T) {
-	if (Scheme{Kind: JS}).Name() != "JS" {
-		t.Error("JS name")
-	}
-	if (Scheme{Kind: JS, Entropy: true}).Name() != "JS*h" {
-		t.Error("JS*h name")
-	}
 	names := map[Kind]string{CBS: "CBS", ECBS: "ECBS", ARCS: "ARCS", JS: "JS", EJS: "EJS", ChiSquared: "chi2"}
 	for k, n := range names {
 		if k.String() != n {

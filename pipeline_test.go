@@ -142,7 +142,7 @@ func TestStagedEquivalenceMatrix(t *testing.T) {
 		}
 		for _, scheme := range schemes {
 			for _, pruning := range prunings {
-				label := fmt.Sprintf("%v/%s/%v", ind, scheme.Name(), pruning)
+				label := fmt.Sprintf("%v/%v/%v", ind, scheme, pruning)
 				opt := base
 				opt.Scheme = scheme
 				opt.Pruning = pruning

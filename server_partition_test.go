@@ -53,7 +53,7 @@ func TestPartitionedEquivalenceMatrix(t *testing.T) {
 			shards := shardCounts[cfg%len(shardCounts)]
 			workers := workersAxis[cfg%len(workersAxis)]
 			cfg++
-			label := fmt.Sprintf("part/%s/%v/shards=%d/workers=%d", scheme.Name(), pruning, shards, workers)
+			label := fmt.Sprintf("part/%v/%v/shards=%d/workers=%d", scheme, pruning, shards, workers)
 			rng := stats.NewRNG(uint64(cfg)*9176168613 + 3)
 			e1, e2 := model.NewCollection("ref"), model.NewCollection("live")
 			for i := 0; i < 30; i++ {
@@ -649,7 +649,7 @@ func TestJoinOwnedMatchesFrozenRows(t *testing.T) {
 	}
 	for si, scheme := range schemes {
 		for _, pruning := range prunings {
-			label := fmt.Sprintf("%s/%v", scheme.Name(), pruning)
+			label := fmt.Sprintf("%v/%v", scheme, pruning)
 			opt := DefaultOptions()
 			opt.Scheme, opt.Pruning = scheme, pruning
 			p, err := NewPipeline(opt)

@@ -94,7 +94,7 @@ func TestServerEquivalenceMatrix(t *testing.T) {
 			shards := shardCounts[cfg%len(shardCounts)]
 			workers := workersAxis[cfg%len(workersAxis)]
 			cfg++
-			label := fmt.Sprintf("%s/%v/shards=%d/workers=%d", scheme.Name(), pruning, shards, workers)
+			label := fmt.Sprintf("%v/%v/shards=%d/workers=%d", scheme, pruning, shards, workers)
 			rng := stats.NewRNG(uint64(cfg)*2654435761 + 7)
 			ds := synthDirty(rng, 50)
 			opt := DefaultOptions()

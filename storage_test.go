@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"blast/internal/datasets"
 	"blast/internal/metablocking"
 	"blast/internal/model"
 	"blast/internal/stats"
@@ -85,7 +84,7 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 	for _, scheme := range schemes {
 		for _, pruning := range prunings {
 			cfg++
-			label := fmt.Sprintf("%s/%v", scheme.Name(), pruning)
+			label := fmt.Sprintf("%v/%v", scheme, pruning)
 			rng := stats.NewRNG(uint64(cfg)*0x9E3779B9 + 3)
 			ds := synthDirty(rng, 60)
 
@@ -135,7 +134,7 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 	// The synthetic corpora above spill a few kilobytes, inside one page
 	// of 64Ki entries at 12 B an entry; a datagen stream of 3000 profiles
 	// spills megabytes, so every pass pages frames in and out.
-	ds := datasets.NewStream(3000, 1).Dataset()
+	ds := StreamDataset(3000, 1)
 	pMem, err := NewPipeline(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
