@@ -547,7 +547,7 @@ func BenchmarkEngine_BuildWeighted(b *testing.B) {
 	b.ReportAllocs()
 	var edges int
 	for i := 0; i < b.N; i++ {
-		g, _, err := metablocking.BuildWeighted(ctx, blocks, cfg)
+		g, _, err := metablocking.BuildWeighted(ctx, blocks, cfg, prune.Alone, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

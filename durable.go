@@ -54,8 +54,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 
 	"blast/internal/blocking"
 	"blast/internal/model"
@@ -107,7 +106,11 @@ func durSnapDir(dir string) string {
 }
 
 func durSnapPath(sdir string, epoch uint64) string {
-	return filepath.Join(sdir, fmt.Sprintf("epoch-%016d.snap", epoch))
+	return filepath.Join(sdir, snapFileName(epoch))
+}
+
+func snapFileName(epoch uint64) string {
+	return fmt.Sprintf("epoch-%016d.snap", epoch)
 }
 
 // collectionFingerprint digests the structural identity of the seed
@@ -215,8 +218,10 @@ func (sp *snapPersister) prune() {
 	}
 }
 
-// snapFileNames lists the snapshot files of a directory, oldest first.
-// The zero-padded decimal epoch makes lexical order numeric.
+// snapFileNames lists the snapshot files of a directory, oldest first:
+// only the names snapFileName formats, so a stray file is neither
+// adopted nor counted among the ones prune keeps, and no epoch is read
+// off it.
 func snapFileNames(sdir string) []string {
 	entries, err := os.ReadDir(sdir)
 	if err != nil {
@@ -224,19 +229,23 @@ func snapFileNames(sdir string) []string {
 	}
 	var names []string
 	for _, e := range entries {
-		if name := e.Name(); strings.HasPrefix(name, "epoch-") && strings.HasSuffix(name, ".snap") {
-			names = append(names, name)
+		if _, ok := snapFileEpoch(e.Name()); ok {
+			names = append(names, e.Name())
 		}
 	}
-	sort.Strings(names)
+	// ReadDir sorts by name, and past 16 digits a longer name is a later
+	// epoch.
+	slices.SortStableFunc(names, func(a, b string) int { return len(a) - len(b) })
 	return names
 }
 
-// snapFileEpoch parses the epoch out of a snapshot file name.
-func snapFileEpoch(name string) uint64 {
-	var epoch uint64
-	fmt.Sscanf(name, "epoch-%d.snap", &epoch)
-	return epoch
+// snapFileEpoch parses the epoch out of a snapshot file name; ok is
+// false for any name snapFileName does not format.
+func snapFileEpoch(name string) (epoch uint64, ok bool) {
+	if _, err := fmt.Sscanf(name, "epoch-%d.snap", &epoch); err != nil {
+		return 0, false
+	}
+	return epoch, name == snapFileName(epoch)
 }
 
 // openDurable prepares ServerOptions.Dir for ServeBlocks over the seed

@@ -157,7 +157,7 @@ func TestDurablePartitionedAdoptionCrossCheck(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := seedDir()
 			path := newest(dir)
-			persisted := snapFileEpoch(filepath.Base(path))
+			persisted, _ := snapFileEpoch(filepath.Base(path))
 			damage(path)
 			srv, err := durOpen(t, p, dir, shards, 1)
 			if err != nil {

@@ -16,6 +16,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -613,7 +614,8 @@ func TestDurableSnapshotFallback(t *testing.T) {
 			tc.damage(t, sdir, names)
 			rebuiltEpoch := uint64(1)
 			if left := snapFileNames(sdir); len(left) > 0 {
-				rebuiltEpoch = snapFileEpoch(left[len(left)-1]) + 1
+				last, _ := snapFileEpoch(left[len(left)-1])
+				rebuiltEpoch = last + 1
 			}
 			srv, err := durOpen(t, p, dir, shards, 1)
 			if err != nil {
@@ -630,6 +632,73 @@ func TestDurableSnapshotFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestDurableStraySnapshotNames: a file in the snapshot directory under
+// a name the server never writes — a short epoch, a signed one, one past
+// uint64, a suffix — is not a snapshot. A reopen keeps two real files
+// beside the strays and leaves the strays alone, and a rebuild with no
+// real file left publishes at epoch 1, not above a stray's epoch.
+func TestDurableStraySnapshotNames(t *testing.T) {
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 4
+	dir := durSeedDir(t, p, 1, 1, batches)
+	sdir := durSnapDir(dir)
+	strays := []string{"epoch-9.snap", "epoch-+000000000000099.snap", "epoch-99999999999999999999.snap", "epoch-0000000000000099.snap.tmp"}
+	for _, name := range strays {
+		if err := os.WriteFile(filepath.Join(sdir, name), []byte("stray"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	written := func() []string {
+		entries, err := os.ReadDir(sdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			if !slices.Contains(strays, e.Name()) {
+				names = append(names, e.Name())
+			}
+		}
+		return names
+	}
+	srv, err := durOpen(t, p, dir, 1, 1)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	durInsert(t, srv, batches, batches+2)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names := written(); len(names) != 2 {
+		t.Fatalf("snapshot files beside the strays: %v, want the newest two", names)
+	}
+	for _, name := range strays {
+		if _, err := os.Stat(filepath.Join(sdir, name)); err != nil {
+			t.Fatalf("stray %s: %v", name, err)
+		}
+	}
+
+	for _, name := range written() {
+		if err := os.Remove(filepath.Join(sdir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err = durOpen(t, p, dir, 1, 1)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	checkRecovered(t, "rebuild beside strays", p, srv, batches+2)
+	if epoch := srv.Stats()[0].Epoch; epoch != 1 {
+		t.Errorf("the rebuild published at epoch %d, want 1: no snapshot file is left", epoch)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -13,7 +13,10 @@ package blast
 // a pruned entry, so the frozen form of an index is the retained rows
 // and nothing else: a shard.Snapshot, collected where the pruning pass
 // makes its decisions. The blocking graph itself — resident or spilled
-// to segment files — lives only as long as the build.
+// to segment files — lives only as long as the build. There is one
+// freeze (metablocking.BuildWeighted, then metablocking.FreezeCSR): an
+// index runs it over the whole graph, each shard of a Server over the
+// rows it owns (partition.go).
 //
 // That is an index's only form. Insert appends profiles to the live
 // block collection and marks the rows stale; the next read re-freezes
@@ -36,6 +39,7 @@ import (
 	"blast/internal/blocking"
 	"blast/internal/metablocking"
 	"blast/internal/model"
+	"blast/internal/prune"
 	"blast/internal/shard"
 )
 
@@ -133,31 +137,23 @@ func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, err
 	return ix, nil
 }
 
-// freeze builds the rows over the index's collection under cfg. Over a
-// spilled graph every pass reads through page cursors and fails closed
-// on the graph's sticky read error, so no row is ever collected from a
-// zeroed run; whatever the outcome, the segment files end here. On
-// error the index is unchanged.
+// freeze builds the rows over the index's collection under cfg, over
+// the whole graph (prune.Alone). Over a spilled graph every pass reads
+// through page cursors and fails closed on the graph's sticky read
+// error, so no row is ever collected from a zeroed run; whatever the
+// outcome, the segment files end here. On error the index is unchanged.
 func (ix *Index) freeze(ctx context.Context, cfg metablocking.Config) error {
-	csr, _, err := metablocking.BuildWeighted(ctx, ix.collection, cfg)
+	csr, _, err := metablocking.BuildWeighted(ctx, ix.collection, cfg, prune.Alone, nil)
 	if err != nil {
 		return err
 	}
-	rows, err := metablocking.FreezeCSR(ctx, csr, cfg)
+	rows, err := metablocking.FreezeCSR(ctx, csr, cfg, prune.Alone)
 	spillBytes, pageLoads := csr.SpillBytes(), csr.PageLoads()
 	if err := csr.CloseAfter(err); err != nil {
 		return err
 	}
 	ix.spillBytes, ix.pageLoads = spillBytes, pageLoads
-	ix.rows = &shard.Snapshot{
-		NumProfiles:   csr.NumProfiles,
-		NumEdges:      csr.NumEdges(),
-		RetainedPairs: len(rows.Neighbors) / 2,
-		Offsets:       rows.Offsets,
-		Neighbors:     rows.Neighbors,
-		Weights:       rows.Weights,
-		Theta:         rows.Theta,
-	}
+	ix.rows = rows
 	return nil
 }
 

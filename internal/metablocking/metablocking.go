@@ -10,17 +10,18 @@
 // runs or by the row-parallel kernel over a built graph, and the
 // pruning decisions of package prune behind one switch (Decide) — for a
 // whole graph, or for one shard's owned rows of a partitioned server's
-// graph — collected into pairs (PruneCSR) or into an index's rows
-// (FreezeCSR). No global edge map or per-edge record is ever allocated,
-// every stage polls its context, and the retained pairs are
-// byte-identical at every worker count, in either residency and for
-// every partition of the rows. The edge-list formulation of the literature
-// survives as the test-only reference (internal/edgelist) the engine is
-// held to.
+// graph — collected into pairs (PruneCSR) or into the rows of a frozen
+// index or a shard's export (FreezeCSR). No global edge map or per-edge
+// record is ever allocated, every stage polls its context, and the
+// retained pairs are byte-identical at every worker count, in either
+// residency and for every partition of the rows. The edge-list
+// formulation of the literature survives as the test-only reference
+// (internal/edgelist) the engine is held to.
 package metablocking
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -29,6 +30,7 @@ import (
 	"blast/internal/graph"
 	"blast/internal/model"
 	"blast/internal/prune"
+	"blast/internal/shard"
 	"blast/internal/weights"
 )
 
@@ -165,8 +167,8 @@ func (r *Result) Overhead() time.Duration {
 // Decide runs the configured pruning decision over a weighted CSR: the
 // whole graph with prune.Alone, or one party's owned rows of a graph the
 // parties hold between them, whose global inputs it resolves through
-// their rounds. It is the one switch over the schemes; PruneCSR,
-// FreezeCSR and a partitioned server's export all decide through it.
+// their rounds. It is the one switch over the schemes; PruneCSR and
+// FreezeCSR decide through it.
 // Cfg.Workers selects the parallelism of its passes (0 = GOMAXPROCS,
 // 1 = serial); the decision is byte-identical at every worker count.
 func Decide(ctx context.Context, g *graph.CSR, cfg Config, p prune.Parties) (prune.Decision, error) {
@@ -205,12 +207,15 @@ func PruneCSR(ctx context.Context, g *graph.CSR, cfg Config) ([]model.IDPair, er
 }
 
 // FreezeCSR is PruneCSR for the candidate-serving index: the same
-// decision, collected into the rows an index serves from — each retained
-// edge in both endpoints' rows, with its weight — together with the
-// thresholds the decision reduced. The canonical walk of the rows is
-// PruneCSR's pair list.
-func FreezeCSR(ctx context.Context, g *graph.CSR, cfg Config) (*prune.Rows, error) {
-	d, err := Decide(ctx, g, cfg, prune.Alone)
+// decision, run by party p over the rows it holds, collected with the
+// thresholds it reduced into the rows an index serves from — each
+// retained entry, with its weight. Over prune.Alone the canonical walk
+// of the rows is PruneCSR's pair list; over N parties shard.JoinOwned
+// joins theirs into that snapshot. A last round sums the parties' entry
+// and retained-entry counts — each edge counted once per endpoint — into
+// the global NumEdges and RetainedPairs.
+func FreezeCSR(ctx context.Context, g *graph.CSR, cfg Config, p prune.Parties) (*shard.Snapshot, error) {
+	d, err := Decide(ctx, g, cfg, p)
 	if err != nil {
 		return nil, err
 	}
@@ -218,8 +223,19 @@ func FreezeCSR(ctx context.Context, g *graph.CSR, cfg Config) (*prune.Rows, erro
 	if err != nil {
 		return nil, err
 	}
-	rows.Theta = d.Theta
-	return rows, nil
+	counts, err := prune.GatherSum(p, g.NumEntries(), int64(len(rows.Neighbors)))
+	if err != nil {
+		return nil, err
+	}
+	return &shard.Snapshot{
+		NumProfiles:   g.NumProfiles,
+		NumEdges:      int(counts[0] / 2),
+		RetainedPairs: int(counts[1] / 2),
+		Offsets:       rows.Offsets,
+		Neighbors:     rows.Neighbors,
+		Weights:       rows.Weights,
+		Theta:         d.Theta,
+	}, nil
 }
 
 // Run executes meta-blocking over the block collection.
@@ -240,7 +256,7 @@ func Run(c *blocking.Collection, cfg Config) *Result {
 // every worker joined and a spilled graph's segments deleted. The
 // retained pairs are identical to Run's.
 func RunCtx(ctx context.Context, c *blocking.Collection, cfg Config) (*Result, error) {
-	g, res, err := BuildWeighted(ctx, c, cfg)
+	g, res, err := BuildWeighted(ctx, c, cfg, prune.Alone, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -252,38 +268,52 @@ func RunCtx(ctx context.Context, c *blocking.Collection, cfg Config) (*Result, e
 	return res, nil
 }
 
-// BuildWeighted is the first half of a run, written once for RunCtx and
-// for the candidate-serving index (blast.IndexBlocks): it builds the
-// blocking graph of c — resident on cfg.Workers goroutines, or spilled
-// under cfg.Spill — weighed under cfg.Scheme, reporting the "graph" and
+// BuildWeighted is the first half of a run, written once for RunCtx, the
+// candidate-serving index (blast.IndexBlocks) and a shard's export: it
+// builds the blocking graph of c — resident on cfg.Workers goroutines
+// over the rows owns selects (nil = every row), or spilled under
+// cfg.Spill — weighed under cfg.Scheme, reporting the "graph" and
 // "weight" stages. No caller reads the co-occurrence statistics after
 // the weights, so the graph comes back as after ReleaseStats: a
 // resident build never makes the statistics arrays at all — the degree
 // pass is the "graph" stage, the fill pass weighs each entry as it
 // emits it and is the "weight" stage (graph.OwnedBuild), bit-identical
 // to the kernel — and a spilled one drops them once the kernel has
-// weighed it. The graph is the caller's to Close; res carries the two
-// stage timings and the resolved worker count. When weighting fails the
-// graph is closed here — a spilled build owns segment files nobody else
-// will delete — and its error joined.
-func BuildWeighted(ctx context.Context, c *blocking.Collection, cfg Config) (g *graph.CSR, res *Result, err error) {
+// weighed it. The weights read the global degrees, one round of p over
+// the degree pass (an owned row's run is its node's whole adjacency); a
+// spilled build holds every row and refuses owns. The graph is the
+// caller's to Close; res carries the two stage timings and the resolved
+// worker count. When weighting fails the graph is closed here — a
+// spilled build owns segment files nobody else will delete — and its
+// error joined.
+func BuildWeighted(ctx context.Context, c *blocking.Collection, cfg Config, p prune.Parties, owns func(int32) bool) (g *graph.CSR, res *Result, err error) {
 	res = &Result{Workers: resolveWorkers(cfg.Workers)}
 	if cfg.Spill == nil {
 		var b *graph.OwnedBuild
 		if res.GraphTime, err = cfg.timed("graph", func() (err error) {
-			b, err = graph.StartOwnedCSR(ctx, c, nil, res.Workers)
+			b, err = graph.StartOwnedCSR(ctx, c, owns, res.Workers)
 			return err
 		}); err != nil {
 			return nil, nil, err
 		}
-		if res.WeightTime, err = cfg.timed("weight", func() (err error) {
-			h := b.Header()
-			g, err = b.Fill(ctx, cfg.Scheme.EntryWeight(h, h.Degrees(), h.NumEdges()))
+		if res.WeightTime, err = cfg.timed("weight", func() error {
+			degrees, err := prune.GatherRows(p, b.Header().Degrees())
+			if err != nil {
+				return err
+			}
+			entries := int64(0)
+			for _, d := range degrees {
+				entries += int64(d)
+			}
+			g, err = b.Fill(ctx, cfg.Scheme.EntryWeight(b.Header(), degrees, int(entries/2)))
 			return err
 		}); err != nil {
 			return nil, nil, err
 		}
 		return g, res, nil
+	}
+	if owns != nil {
+		return nil, nil, errors.New("metablocking: a spilled build cannot own rows")
 	}
 	res.GraphTime, err = cfg.timed("graph", func() (err error) {
 		g, err = graph.BuildCSRSpillCtx(ctx, c, *cfg.Spill)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"slices"
 	"sync"
 	"testing"
@@ -24,7 +25,8 @@ import (
 // in a pass of their own, then filter the full weighted graph through
 // the mask. Three passes and a per-entry mask where
 // FreezeCSR collects in the retention loop; they must agree to the bit.
-func maskedRows(t *testing.T, g *graph.CSR, cfg Config) (*prune.Rows, []model.IDPair) {
+// Its counts are the full graph's edges and PruneCSR's pairs.
+func maskedRows(t *testing.T, g *graph.CSR, cfg Config) (*shard.Snapshot, []model.IDPair) {
 	t.Helper()
 	ctx := context.Background()
 	pairs, err := PruneCSR(ctx, g, cfg)
@@ -44,36 +46,52 @@ func maskedRows(t *testing.T, g *graph.CSR, cfg Config) (*prune.Rows, []model.ID
 	if next != len(pairs) {
 		t.Fatalf("mirror walk resolved %d of %d pairs", next, len(pairs))
 	}
-	r := &prune.Rows{Offsets: make([]int64, g.NumProfiles+1)}
+	offsets := make([]int64, g.NumProfiles+1)
+	var nbrs []int32
+	var wts []float64
 	for u := 0; u < g.NumProfiles; u++ {
 		for p := g.Offsets[u]; p < g.Offsets[u+1]; p++ {
 			if mask[p] {
-				r.Neighbors = append(r.Neighbors, g.Neighbors[p])
-				r.Weights = append(r.Weights, g.Weights[p])
+				nbrs = append(nbrs, g.Neighbors[p])
+				wts = append(wts, g.Weights[p])
 			}
 		}
-		r.Offsets[u+1] = int64(len(r.Neighbors))
+		offsets[u+1] = int64(len(nbrs))
 	}
+	var theta []float64
 	switch cfg.Pruning {
 	case BlastWNP:
-		r.Theta, err = prune.BlastThresholds(ctx, g, cfg.C, 1)
+		theta, err = prune.BlastThresholds(ctx, g, cfg.C, 1)
 	case WNP1, WNP2:
-		r.Theta, err = prune.MeanThresholds(ctx, g, 1)
+		theta, err = prune.MeanThresholds(ctx, g, 1)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, pairs
+	return &shard.Snapshot{
+		NumProfiles:   g.NumProfiles,
+		NumEdges:      g.NumEdges(),
+		RetainedPairs: len(pairs),
+		Offsets:       offsets,
+		Neighbors:     nbrs,
+		Weights:       wts,
+		Theta:         theta,
+	}, pairs
 }
 
 func sameFloatBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// sameRows compares rows [lo, hi) selected by owns — offsets relative to
-// each side's own arrays — and, when theta is set, the thresholds.
-func sameRows(t *testing.T, label string, want, got *prune.Rows, owns func(int32) bool, theta bool) {
+// sameRows compares the global counts, rows [lo, hi) selected by owns —
+// offsets relative to each side's own arrays — and, when theta is set,
+// the thresholds.
+func sameRows(t *testing.T, label string, want, got *shard.Snapshot, owns func(int32) bool, theta bool) {
 	t.Helper()
+	if got.NumProfiles != want.NumProfiles || got.NumEdges != want.NumEdges || got.RetainedPairs != want.RetainedPairs {
+		t.Fatalf("%s: %d profiles, %d edges, %d retained, want %d, %d, %d", label,
+			got.NumProfiles, got.NumEdges, got.RetainedPairs, want.NumProfiles, want.NumEdges, want.RetainedPairs)
+	}
 	if len(got.Offsets) != len(want.Offsets) {
 		t.Fatalf("%s: %d offsets, want %d", label, len(got.Offsets), len(want.Offsets))
 	}
@@ -100,7 +118,7 @@ func sameRows(t *testing.T, label string, want, got *prune.Rows, owns func(int32
 
 // canonicalWalk lists the larger-neighbor entries of the rows, row by
 // row: the retained pairs, if the rows are what they claim to be.
-func canonicalWalk(r *prune.Rows) []model.IDPair {
+func canonicalWalk(r *shard.Snapshot) []model.IDPair {
 	var pairs []model.IDPair
 	for u := 0; u+1 < len(r.Offsets); u++ {
 		for p := r.Offsets[u]; p < r.Offsets[u+1]; p++ {
@@ -122,30 +140,24 @@ type exParties struct {
 func (p exParties) Gather(v any) ([]any, error) { return p.ex.Gather(p.slot, v) }
 func (p exParties) Owner(u int32) int           { return int(u) % p.n }
 
-// decideParties runs the configured decision on every party of a
-// partition at once, each over its owned-rows graph, and returns the
-// rows each party collects, with the thresholds it decided by.
-func decideParties(t *testing.T, owned []*graph.CSR, cfg Config) []*prune.Rows {
+// freezeParties runs the production freeze (FreezeCSR) on every party
+// of a partition at once, each over its owned-rows graph, and returns
+// each party's rows; a failing party poisons the exchange, as a shard
+// does.
+func freezeParties(t *testing.T, owned []*graph.CSR, cfg Config) []*shard.Snapshot {
 	t.Helper()
 	ex := shard.NewExchange(len(owned))
-	rows := make([]*prune.Rows, len(owned))
+	rows := make([]*shard.Snapshot, len(owned))
 	errs := make([]error, len(owned))
 	var wg sync.WaitGroup
 	for k, g := range owned {
 		wg.Add(1)
 		go func(k int, g *graph.CSR) {
 			defer wg.Done()
-			ctx := context.Background()
-			d, err := Decide(ctx, g, cfg, exParties{ex: ex, slot: k, n: len(owned)})
-			if err == nil {
-				rows[k], err = prune.CollectOwned(ctx, g, cfg.Workers, d.Keep)
+			rows[k], errs[k] = FreezeCSR(context.Background(), g, cfg, exParties{ex: ex, slot: k, n: len(owned)})
+			if errs[k] != nil {
+				ex.Poison(errs[k])
 			}
-			if err != nil {
-				ex.Poison(err)
-				errs[k] = err
-				return
-			}
-			rows[k].Theta = d.Theta
 		}(k, g)
 	}
 	wg.Wait()
@@ -160,12 +172,13 @@ func decideParties(t *testing.T, owned []*graph.CSR, cfg Config) []*prune.Rows {
 // TestFrozenRowsMatchMaskedGraph holds the two row collectors to the
 // oracle for every weighting kind with and without entropy, every
 // pruning and 1, 2 and 4 workers: FreezeCSR over the resident graph and
-// over a spilled one read a small page at a time, and the decision run
-// through the parties of a 2-way and a 3-way partition, each collecting
-// its owned-rows graph (weighed under the full graph's degrees, as a
-// shard does once the parties have gathered them).
-// Offsets and neighbors must be equal, weights and thresholds bit-equal,
-// and the canonical walk of the rows must be PruneCSR's pair list. The
+// over a spilled one read a small page at a time, and FreezeCSR run by
+// the parties of a 2-way and a 3-way partition, each over its
+// owned-rows graph (weighed under the full graph's degrees, as a shard
+// does once the parties have gathered them). Offsets and neighbors must
+// be equal, weights and thresholds bit-equal, every freeze's edge and
+// retained counts — each party's included — the whole graph's, and the
+// canonical walk of the rows must be PruneCSR's pair list. The
 // thresholds come out of the one reduction the pruning pass runs: on the
 // spilled graph the frames read say so — a freeze reads each page of
 // each stream once per pass it makes, and makes no pass PruneCSR does
@@ -238,7 +251,7 @@ func TestFrozenRowsMatchMaskedGraph(t *testing.T) {
 						cfg.Workers = workers
 						label := fmt.Sprintf("%s %v+%s workers=%d", shape.name, s, p, workers)
 
-						got, err := FreezeCSR(ctx, resident, cfg)
+						got, err := FreezeCSR(ctx, resident, cfg, prune.Alone)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -246,7 +259,7 @@ func TestFrozenRowsMatchMaskedGraph(t *testing.T) {
 						samePairs(t, label+" canonical walk", pairs, canonicalWalk(got))
 
 						before := spilled.PageLoads()
-						got, err = FreezeCSR(ctx, spilled, cfg)
+						got, err = FreezeCSR(ctx, spilled, cfg, prune.Alone)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -261,7 +274,7 @@ func TestFrozenRowsMatchMaskedGraph(t *testing.T) {
 						}
 
 						for _, pt := range partitions {
-							for k, got := range decideParties(t, pt.owned, cfg) {
+							for k, got := range freezeParties(t, pt.owned, cfg) {
 								owns := func(u int32) bool { return int(u)%pt.n == k }
 								sameRows(t, fmt.Sprintf("%s owned %d/%d", label, k, pt.n), want, got, owns, true)
 							}
@@ -273,6 +286,52 @@ func TestFrozenRowsMatchMaskedGraph(t *testing.T) {
 		if err := spilled.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// countedParties is one party that counts the rounds it takes.
+type countedParties struct{ rounds *int }
+
+func (p countedParties) Gather(v any) ([]any, error) { *p.rounds++; return prune.Alone.Gather(v) }
+func (p countedParties) Owner(int32) int             { return 0 }
+
+// TestFreezeRounds: the build and freeze a shard's export runs take the
+// degrees round, the decision's own rounds and one round for both
+// counts — nothing more. Every party takes the same rounds, so one
+// party counts them.
+func TestFreezeRounds(t *testing.T) {
+	ctx := context.Background()
+	c := blocking.RandomCollection(stats.NewRNG(9), model.Dirty, 400, 300)
+	for _, p := range allPrunings {
+		cfg := Config{Scheme: weights.Blast(), Pruning: p, C: 2, D: 2, Workers: 2}
+		var decide, freeze int
+		g, _, err := BuildWeighted(ctx, c, cfg, countedParties{&freeze}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decide(ctx, g, cfg, countedParties{&decide}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FreezeCSR(ctx, g, cfg, countedParties{&freeze}); err != nil {
+			t.Fatal(err)
+		}
+		if freeze != decide+2 {
+			t.Fatalf("%s: build and freeze took %d rounds, want the decision's %d + 2", p, freeze, decide)
+		}
+	}
+}
+
+// TestSpilledBuildRefusesOwnedRows: a spilled build holds every row, so
+// it refuses an owned-row predicate before it writes a segment.
+func TestSpilledBuildRefusesOwnedRows(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Spill = &graph.SpillOptions{Dir: t.TempDir(), MemoryBudget: 1}
+	even := func(u int32) bool { return u%2 == 0 }
+	if g, _, err := BuildWeighted(context.Background(), paperBlocks(), cfg, prune.Alone, even); err == nil || g != nil {
+		t.Fatalf("spilled owned-rows build = (%v, %v), want an error and no graph", g, err)
+	}
+	if entries, err := os.ReadDir(cfg.Spill.Dir); err != nil || len(entries) > 0 {
+		t.Fatalf("spill dir after the refusal: %v, %v", entries, err)
 	}
 }
 
@@ -304,14 +363,14 @@ func TestFreezeFailsClosed(t *testing.T) {
 		// WNP1 retains most of the graph, so its scatter polls too.
 		cfg := Config{Scheme: weights.Blast(), Pruning: p, C: 2, D: 2, Workers: 1}
 		counter := &cancelAfter{Context: bg, after: math.MaxInt}
-		if _, err := FreezeCSR(counter, g, cfg); err != nil {
+		if _, err := FreezeCSR(counter, g, cfg, prune.Alone); err != nil {
 			t.Fatal(err)
 		}
 		if counter.polls < 3 {
 			t.Fatalf("%s: a freeze of %d edges polled %d times", p, g.NumEdges(), counter.polls)
 		}
 		for after := 1; after <= counter.polls; after++ {
-			rows, err := FreezeCSR(&cancelAfter{Context: bg, after: after}, g, cfg)
+			rows, err := FreezeCSR(&cancelAfter{Context: bg, after: after}, g, cfg, prune.Alone)
 			if err != context.Canceled || rows != nil {
 				t.Fatalf("%s cancelled at poll %d of %d: (%v, %v), want no rows and context.Canceled", p, after, counter.polls, rows, err)
 			}
@@ -335,7 +394,7 @@ func TestFreezeFailsClosed(t *testing.T) {
 				t.Fatal(err)
 			}
 			flipSegmentByte(t, dir, pattern)
-			rows, err := FreezeCSR(bg, spilled, Config{Scheme: weights.Blast(), Pruning: p, C: 2, D: 2, Workers: 2})
+			rows, err := FreezeCSR(bg, spilled, Config{Scheme: weights.Blast(), Pruning: p, C: 2, D: 2, Workers: 2}, prune.Alone)
 			if !errors.Is(err, store.ErrCorruptSegment) || rows != nil {
 				t.Fatalf("%s/%s: FreezeCSR = (%v, %v), want no rows and ErrCorruptSegment", pattern, p, rows, err)
 			}

@@ -72,16 +72,18 @@ func GatherRows[T any](p Parties, rows []T) ([]T, error) {
 	return out, nil
 }
 
-// GatherSum runs one round over a count and returns its sum over the
-// parties.
-func GatherSum(p Parties, n int64) (int64, error) {
-	vals, err := p.Gather(n)
+// GatherSum runs one round over a few counts and returns each one's
+// sum over the parties.
+func GatherSum(p Parties, counts ...int64) ([]int64, error) {
+	vals, err := p.Gather(counts)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	total := int64(0)
+	total := make([]int64, len(counts))
 	for _, v := range vals {
-		total += v.(int64)
+		for i, n := range v.([]int64) {
+			total[i] += n
+		}
 	}
 	return total, nil
 }

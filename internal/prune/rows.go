@@ -19,9 +19,6 @@ type Rows struct {
 	Offsets   []int64
 	Neighbors []int32
 	Weights   []float64
-	// Theta is the per-node threshold vector retention was decided by
-	// (nil for schemes without one).
-	Theta []float64
 }
 
 // CollectPairs runs the retention pass over the graph's canonical
@@ -59,15 +56,15 @@ func CollectPairs(ctx context.Context, g *graph.CSR, workers int, keep func(u, v
 }
 
 // CollectOwned runs the retention pass over every entry of the graph's
-// populated rows and returns the rows of what it kept (Theta nil; the
-// caller sets it from the Decision): each positive-weight entry (u, v)
-// — u the row, v the neighbor, in BOTH orientations of every edge the
-// row holds, so a row's served candidates are complete — is decided by
-// keep, a Decision's predicate. Over an owned-rows CSR the populated
-// rows are exactly the owned ones, and since the parties' rows are
-// disjoint, summing their entry counts counts every retained edge
-// exactly twice (once per endpoint, whoever owns it): the global number
-// of retained pairs is that sum over two. Entries are kept in the order
+// populated rows and returns the rows of what it kept: each
+// positive-weight entry (u, v) — u the row, v the neighbor, in BOTH
+// orientations of every edge the row holds, so a row's served
+// candidates are complete — is decided by keep, a Decision's
+// predicate. Over an owned-rows CSR the populated rows are exactly the
+// owned ones, and since the parties' rows are disjoint, summing their
+// entry counts counts every retained edge exactly twice (once per
+// endpoint, whoever owns it): the global number of retained pairs is
+// that sum over two. Entries are kept in the order
 // they are read — row by row, neighbor-ascending — so the rows need no
 // placement, only stitching.
 func CollectOwned(ctx context.Context, g *graph.CSR, workers int, keep func(u, v int32, w float64) bool) (*Rows, error) {

@@ -96,7 +96,7 @@ func CEP(ctx context.Context, g *graph.CSR, k, workers int, p Parties) (Decision
 	if k <= 0 {
 		k = CEPBudget(g.BlockCounts)
 	}
-	if k = min(k, int(entries/2)); k <= 0 {
+	if k = min(k, int(entries[0]/2)); k <= 0 {
 		return keepNone, nil
 	}
 	cut, greater, ties, err := cepCut(ctx, g, workers, k, p)

@@ -8,7 +8,9 @@
 // merely look plausible. It is the spill target of the beyond-RAM CSR
 // (graph.BuildCSRSpillCtx).
 //
-// The on-disk format is deliberately minimal and self-checking:
+// The on-disk format is deliberately minimal and self-checking — the
+// write-ahead log's frame (wal.AppendFrame, wal.DecodeFrame) behind a
+// magic of its own:
 //
 //	[8]  magic "BLSEG001"
 //	per frame:
@@ -22,78 +24,36 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"blast/internal/wal"
 )
 
 // Magic is the 8-byte header every segment file starts with.
 const Magic = "BLSEG001"
 
-// maxFramePayload bounds a single frame's declared payload length; a
-// header announcing more than this is corruption, not a huge frame (the
-// paged CSR writes pages of at most a few MiB).
-const maxFramePayload = 1 << 30
-
 var (
 	// ErrCorruptSegment reports a segment frame whose bytes fail
-	// validation: bad magic, an implausible header, or a payload whose
-	// checksum does not match. Readers must fail closed on it — the
-	// frame's bytes are not usable in any part.
-	ErrCorruptSegment = errors.New("store: corrupt segment")
+	// validation: an implausible header or a payload whose checksum does
+	// not match. Readers must fail closed on it — the frame's bytes are
+	// not usable in any part. It is the frame codec's wal.ErrCorruptFrame.
+	ErrCorruptSegment = wal.ErrCorruptFrame
 	// ErrTruncatedSegment reports a segment file that ends mid-header or
 	// mid-payload — the torn-tail shape of an interrupted write. Distinct
 	// from ErrCorruptSegment so fault-injection tests can pin which
-	// failure mode a given fault produces.
-	ErrTruncatedSegment = errors.New("store: truncated segment")
+	// failure mode a given fault produces. It is wal.ErrTruncatedFrame.
+	ErrTruncatedSegment = wal.ErrTruncatedFrame
 	// ErrClosed reports an operation on a closed arena.
 	ErrClosed = errors.New("store: arena closed")
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // FrameHeaderSize is the bytes a frame adds in front of its payload; a
 // Load into a buffer with capacity for header plus payload allocates
 // nothing.
-const FrameHeaderSize = 8
-
-// AppendFrame appends the CRC-framed encoding of payload to dst and
-// returns the extended slice. It is the single encoder of the frame
-// format, shared by the file arena and the fuzz round-trip.
-func AppendFrame(dst, payload []byte) []byte {
-	var hdr [FrameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
-
-// DecodeFrame validates and decodes the first frame of b, returning its
-// payload (aliasing b) and the remaining bytes. A header that runs past
-// the end of b is ErrTruncatedSegment; an implausible length or a
-// checksum mismatch is ErrCorruptSegment.
-func DecodeFrame(b []byte) (payload, rest []byte, err error) {
-	if len(b) < FrameHeaderSize {
-		return nil, nil, fmt.Errorf("%w: %d bytes left mid-header", ErrTruncatedSegment, len(b))
-	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	if n > maxFramePayload {
-		return nil, nil, fmt.Errorf("%w: implausible frame length %d", ErrCorruptSegment, n)
-	}
-	want := binary.LittleEndian.Uint32(b[4:8])
-	body := b[FrameHeaderSize:]
-	if uint32(len(body)) < n {
-		return nil, nil, fmt.Errorf("%w: %d bytes left of a %d-byte payload", ErrTruncatedSegment, len(body), n)
-	}
-	payload = body[:n]
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, nil, fmt.Errorf("%w: payload checksum %08x, frame declares %08x", ErrCorruptSegment, got, want)
-	}
-	return payload, body[n:], nil
-}
+const FrameHeaderSize = wal.FrameHeaderSize
 
 // FileArena is an append-only arena of payload frames: frames append to
 // a single segment file and load back by positioned read with full
@@ -135,7 +95,7 @@ func (a *FileArena) Append(payload []byte) (int, error) {
 	if a.f == nil {
 		return 0, ErrClosed
 	}
-	a.buf = AppendFrame(a.buf[:0], payload)
+	a.buf = wal.AppendFrame(a.buf[:0], payload)
 	if _, err := a.f.WriteAt(a.buf, a.end); err != nil {
 		return 0, err
 	}
@@ -169,7 +129,7 @@ func (a *FileArena) Load(id int, dst []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	payload, _, err := DecodeFrame(dst)
+	payload, _, err := wal.DecodeFrame(dst)
 	if err != nil {
 		return nil, fmt.Errorf("%s frame %d: %w", a.path, id, err)
 	}

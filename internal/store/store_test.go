@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"blast/internal/wal"
 )
 
 func testPayloads(t *testing.T, seed int64, n int) [][]byte {
@@ -148,13 +150,13 @@ func flipByteAt(t *testing.T, f *os.File, off int64) {
 }
 
 // TestScanFramesFaults walks a segment image frame by frame with
-// DecodeFrame, the decoder FileArena.Load runs, through the same fault
+// wal.DecodeFrame, the decoder FileArena.Load runs, through the same fault
 // classes, pinning which named error each shape produces.
 func TestScanFramesFaults(t *testing.T) {
 	img := []byte(Magic)
 	payloads := testPayloads(t, 3, 4)
 	for _, p := range payloads {
-		img = AppendFrame(img, p)
+		img = wal.AppendFrame(img, p)
 	}
 	got, err := scanFrames(img)
 	if err != nil {
@@ -192,7 +194,7 @@ func TestScanFramesFaults(t *testing.T) {
 
 // scanFrames walks a whole segment image as CreateFile lays it out — the
 // magic header, then frames back to back — decoding each frame with
-// DecodeFrame and stopping at the first error.
+// wal.DecodeFrame and stopping at the first error.
 func scanFrames(img []byte) ([][]byte, error) {
 	if len(img) < len(Magic) {
 		return nil, fmt.Errorf("%w: %d bytes, shorter than the magic header", ErrTruncatedSegment, len(img))
@@ -202,7 +204,7 @@ func scanFrames(img []byte) ([][]byte, error) {
 	}
 	var payloads [][]byte
 	for rest := img[len(Magic):]; len(rest) > 0; {
-		payload, next, err := DecodeFrame(rest)
+		payload, next, err := wal.DecodeFrame(rest)
 		if err != nil {
 			return nil, err
 		}

@@ -32,7 +32,7 @@ func FuzzWALReplay(f *testing.F) {
 			hi := lo + (i*7)%(len(seed)-lo+1)
 			rec := seed[lo:hi]
 			records = append(records, rec)
-			data = appendRecord(data, rec)
+			data = AppendFrame(data, rec)
 			ends = append(ends, int64(len(data)))
 		}
 		// Corrupt.

@@ -1,11 +1,13 @@
 // Package wal implements the write-ahead log of durable serving: one
 // append-only file of length-prefixed, CRC-checksummed records, one per
-// admitted insert batch.
+// admitted insert batch. It also owns the record's frame codec
+// (AppendFrame, DecodeFrame), which the spill segments of package store
+// write and validate too.
 //
 // File layout:
 //
 //	[8]  magic "BLWAL001"
-//	per record:
+//	per record (one frame):
 //	  [4] little-endian payload length
 //	  [4] little-endian CRC-32C (Castagnoli) of the payload
 //	  [n] payload
@@ -38,9 +40,10 @@ import (
 )
 
 const (
-	headerSize     = 8
-	recordOverhead = 8
-	// MaxRecordSize bounds one record's payload (1 GiB). The limit keeps
+	headerSize = 8
+	// FrameHeaderSize is the bytes a frame adds in front of its payload.
+	FrameHeaderSize = 8
+	// MaxRecordSize bounds one frame's payload (1 GiB). The limit keeps
 	// a corrupted length field from driving a huge allocation during the
 	// recovery scan.
 	MaxRecordSize = 1 << 30
@@ -50,14 +53,48 @@ var logMagic = [headerSize]byte{'B', 'L', 'W', 'A', 'L', '0', '0', '1'}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrClosed is returned by operations on a closed log.
-var ErrClosed = errors.New("wal: closed")
+var (
+	// ErrClosed is returned by operations on a closed log.
+	ErrClosed = errors.New("wal: closed")
+	// ErrCorruptFrame reports a frame whose bytes fail validation: an
+	// implausible length or a payload whose checksum does not match.
+	ErrCorruptFrame = errors.New("corrupt frame")
+	// ErrTruncatedFrame reports bytes that end mid-header or
+	// mid-payload — the torn-tail shape of an interrupted write.
+	ErrTruncatedFrame = errors.New("truncated frame")
+)
 
-// appendRecord encodes one record (header + payload) onto dst.
-func appendRecord(dst, payload []byte) []byte {
+// AppendFrame appends the CRC-framed encoding of payload to dst and
+// returns the extended slice: the one encoder of the log's records and
+// the spill segments' frames.
+func AppendFrame(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
 	return append(dst, payload...)
+}
+
+// DecodeFrame validates and decodes the first frame of b, returning its
+// payload (aliasing b) and the remaining bytes. A header or payload that
+// runs past the end of b is ErrTruncatedFrame; a length above
+// MaxRecordSize or a checksum mismatch is ErrCorruptFrame.
+func DecodeFrame(b []byte) (payload, rest []byte, err error) {
+	if len(b) < FrameHeaderSize {
+		return nil, nil, fmt.Errorf("%w: %d bytes left mid-header", ErrTruncatedFrame, len(b))
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n > MaxRecordSize {
+		return nil, nil, fmt.Errorf("%w: implausible frame length %d", ErrCorruptFrame, n)
+	}
+	want := binary.LittleEndian.Uint32(b[4:])
+	body := b[FrameHeaderSize:]
+	if uint32(len(body)) < n {
+		return nil, nil, fmt.Errorf("%w: %d bytes left of a %d-byte payload", ErrTruncatedFrame, len(body), n)
+	}
+	payload = body[:n]
+	if got := crc32.Checksum(payload, castagnoli); got != want {
+		return nil, nil, fmt.Errorf("%w: payload checksum %08x, frame declares %08x", ErrCorruptFrame, got, want)
+	}
+	return payload, body[n:], nil
 }
 
 // Scan parses raw log bytes into the payloads of the longest valid
@@ -75,24 +112,14 @@ func Scan(data []byte) (payloads [][]byte, ends []int64, err error) {
 	if [headerSize]byte(data[:headerSize]) != logMagic {
 		return nil, nil, fmt.Errorf("wal: bad magic %q", data[:headerSize])
 	}
-	off := int64(headerSize)
-	for {
-		rest := data[off:]
-		if len(rest) < recordOverhead {
+	for rest := data[headerSize:]; ; {
+		payload, next, err := DecodeFrame(rest)
+		if err != nil {
 			return payloads, ends, nil
 		}
-		n := int64(binary.LittleEndian.Uint32(rest))
-		sum := binary.LittleEndian.Uint32(rest[4:])
-		if n > MaxRecordSize || int64(len(rest)) < recordOverhead+n {
-			return payloads, ends, nil
-		}
-		payload := rest[recordOverhead : recordOverhead+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return payloads, ends, nil
-		}
-		off += recordOverhead + n
+		rest = next
 		payloads = append(payloads, payload)
-		ends = append(ends, off)
+		ends = append(ends, int64(len(data)-len(rest)))
 	}
 }
 
@@ -195,7 +222,7 @@ func (l *Log) Append(payload []byte) error {
 	if int64(len(payload)) > MaxRecordSize {
 		return fmt.Errorf("wal: record of %d bytes exceeds the %d limit", len(payload), MaxRecordSize)
 	}
-	buf := appendRecord(make([]byte, 0, recordOverhead+len(payload)), payload)
+	buf := AppendFrame(make([]byte, 0, FrameHeaderSize+len(payload)), payload)
 	_, err := l.f.WriteAt(buf, l.size)
 	due := l.syncEvery > 0 && l.pending+1 >= l.syncEvery
 	if err == nil && due {

@@ -336,7 +336,7 @@ func TestAppendFailureLeavesNoRecord(t *testing.T) {
 // exceeds MaxRecordSize: the scan must stop (and never allocate for it).
 func TestOversizedLengthFieldStopsScan(t *testing.T) {
 	data := append([]byte(nil), logMagic[:]...)
-	data = appendRecord(data, []byte("ok"))
+	data = AppendFrame(data, []byte("ok"))
 	forged := append([]byte(nil), data...)
 	forged = append(forged, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0) // len = 2^32-1
 	forged = append(forged, []byte("garbage")...)

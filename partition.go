@@ -3,23 +3,26 @@ package blast
 // The shard writer of a Server. A partIndex owns only the rows that
 // hash onto its shard: it holds its clone of the (compact, fully
 // replicated) block collection plus an appender, and materializes
-// nothing else between exports. An export builds the owned-rows CSR
-// from the collection and publishes the owned rows of what pruning
-// retained — the CSR itself does not outlive the export. The shards of
-// a server are the parties of one pruning decision (prune.Parties):
-// every value global to the graph is all-gathered over the server's
-// shard.Exchange, one round at a time:
+// nothing else between exports. An export is the freeze an Index runs
+// — metablocking.BuildWeighted, then metablocking.FreezeCSR — over the
+// owned rows: the owned-rows CSR is built, weighed and pruned, and only
+// the owned rows of what pruning retained outlive the export. The
+// shards of a server are the parties of that one freeze
+// (prune.Parties): every value global to the graph is all-gathered over
+// the server's shard.Exchange, one round at a time:
 //
 //	agreement  received batch counts     → the batch to publish at
 //	           (shard.Exchange.AgreeMin; once per due publication,
 //	            before the export — see Agree)
 //	degrees    owned degree vectors      → global degrees, edge count
-//	           (off the builder's degree pass; the fill pass then
+//	           (BuildWeighted, off the degree pass; the fill pass then
 //	            weighs each entry as it emits it)
 //	decision   the pruning decision's   → its predicate and thresholds
 //	           rounds (metablocking.Decide; see internal/prune's
 //	            partition.go)
-//	final      owned entry counts       → the global retained count
+//	counts     owned entry and          → the global edge and
+//	           retained-entry counts       retained counts
+//	           (FreezeCSR; one round)
 //
 // A shard decides the entries of its owned rows locally once the rounds
 // are done. Every branch a shard takes between rounds depends only on
@@ -37,17 +40,15 @@ package blast
 // The correctness contract is bit for bit: a row of a shard's export
 // is byte-identical to the same row of a cold IndexBlocks over the same
 // collection, because a whole graph is just the one-party case of the
-// same decision; the server joins the exports into that build's rows
+// same freeze; the server joins the exports into that build's rows
 // (shard.JoinOwned).
 
 import (
 	"context"
 
 	"blast/internal/blocking"
-	"blast/internal/graph"
 	"blast/internal/metablocking"
 	"blast/internal/model"
-	"blast/internal/prune"
 	"blast/internal/shard"
 )
 
@@ -99,7 +100,7 @@ func (px *partIndex) Agree(received int64) (int64, error) {
 }
 
 // Export builds this shard's export — its owned rows — at the current
-// collection state, running the rounds described in the file comment.
+// collection state: the freeze an Index runs, over the shard's parties.
 // All participating shards must export concurrently from identical
 // collection states; the server guarantees both (batches are enqueued
 // to all shards atomically, and every publication happens at a position
@@ -107,62 +108,20 @@ func (px *partIndex) Agree(received int64) (int64, error) {
 // end of the stream).
 func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 	c := px.app.Collection()
-	np := c.NumProfiles
-	parties := shardParties{ex: px.ex, part: px.part, owners: make([]uint8, np)}
+	parties := shardParties{ex: px.ex, part: px.part, owners: make([]uint8, c.NumProfiles)}
 	for u := range parties.owners {
 		parties.owners[u] = uint8(shard.Owner(int32(u), px.nparts))
 	}
 	owns := func(u int32) bool { return parties.Owner(u) == px.part }
-	build, err := graph.StartOwnedCSR(ctx, c, owns, px.opt.Workers)
+	cfg := metaConfigFromOptions(px.opt)
+	cfg.Spill = nil
+	// Built resident, the owned graph needs no Close and dies with this
+	// export: the rows are all that is published.
+	g, _, err := metablocking.BuildWeighted(ctx, c, cfg, parties, owns)
 	if err != nil {
 		return nil, err
 	}
-
-	// Degrees, straight off the degree pass. An owned row's run is its
-	// node's complete adjacency, so run lengths are the global degrees
-	// and their sum counts every edge endpoint exactly once per side.
-	degrees, err := prune.GatherRows(parties, build.Header().Degrees())
-	if err != nil {
-		return nil, err
-	}
-	ne := int64(0)
-	for _, d := range degrees {
-		ne += int64(d)
-	}
-	numEdges := int(ne / 2)
-
-	// The fill pass weighs each entry as it emits it: nothing reads the
-	// co-occurrence statistics after the weights, so they are never made.
-	g, err := build.Fill(ctx, px.opt.Scheme.EntryWeight(build.Header(), degrees, numEdges))
-	if err != nil {
-		return nil, err
-	}
-	d, err := metablocking.Decide(ctx, g, metaConfigFromOptions(px.opt), parties)
-	if err != nil {
-		return nil, err
-	}
-	// The retention pass collects what it keeps: the owned CSR and its
-	// weights die with this export, the rows are all that is published.
-	rows, err := prune.CollectOwned(ctx, g, px.opt.Workers, d.Keep)
-	if err != nil {
-		return nil, err
-	}
-	// Each retained edge sits once in the row of each endpoint — twice
-	// in the global sum, whoever the owners are.
-	total, err := prune.GatherSum(parties, int64(len(rows.Neighbors)))
-	if err != nil {
-		return nil, err
-	}
-
-	return &shard.Snapshot{
-		NumProfiles:   np,
-		NumEdges:      numEdges,
-		RetainedPairs: int(total / 2),
-		Offsets:       rows.Offsets,
-		Neighbors:     rows.Neighbors,
-		Weights:       rows.Weights,
-		Theta:         d.Theta,
-	}, nil
+	return metablocking.FreezeCSR(ctx, g, cfg, parties)
 }
 
 // shardParties are the shards of one server as the parties of a

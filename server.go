@@ -166,7 +166,7 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		if log != nil {
 			maxEpoch := uint64(0)
 			if names := snapFileNames(durSnapDir(sopt.Dir)); len(names) > 0 {
-				maxEpoch = snapFileEpoch(names[len(names)-1])
+				maxEpoch, _ = snapFileEpoch(names[len(names)-1])
 			}
 			if maxEpoch > 0 || cut > 0 {
 				// Publish strictly above every file on disk, at the log's
