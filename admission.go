@@ -3,7 +3,7 @@ package blast
 // Group commit. Every InsertAll call joins one bounded write queue, and
 // the queue has no goroutine of its own: the call at its head commits
 // everything queued behind it as one group — one write-ahead-log record
-// (one fsync at SyncEvery 1) and one enqueue per shard — then wakes the
+// (one fsync at SyncEvery 1) and one enqueue on the writer — then wakes the
 // callers and hands the head to the next call queued. A lone caller
 // commits its own batch at once; N concurrent callers cost as many
 // commits as the fsyncs they queue behind, not N.
@@ -83,13 +83,13 @@ type writeQueue struct {
 }
 
 // InsertAll admits a batch of profiles, assigns their global ids, and
-// broadcasts the batch to every shard worker. The profiles are copied,
+// hands the batch to the writer. The profiles are copied,
 // so the caller may reuse them once InsertAll returns.
 //
 // Concurrent calls are committed together: the call at the head of the
 // write queue journals everything queued behind it as one record of the
 // write-ahead log (one fsync at ServerOptions.SyncEvery 1) and enqueues
-// it on every shard at once. Ids are assigned in queue order and are
+// it on the writer once. Ids are assigned in queue order and are
 // contiguous within a call. The queue is bounded by
 // ServerOptions.MaxPendingRequests and MaxPendingBytes; a call beyond
 // either bound fails at once with ErrOverloaded.
@@ -102,19 +102,18 @@ type writeQueue struct {
 //
 // Ids are returned once the batch is journaled and enqueued;
 // application and publication are asynchronous: reads observe the batch
-// once the shards next publish (due after ServerOptions.SwapOps applied
-// profiles, published at the newest batch every shard held when it fell
-// due, at the latest on Quiesce or Close — see the consistency contract
+// once the writer next publishes (due after ServerOptions.SwapOps
+// applied profiles, published at the newest batch it had received when
+// it fell due, at the latest on Quiesce or Close — see the consistency contract
 // in server.go).
 func (s *Server) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
 	if len(profiles) == 0 {
 		return nil, ctx.Err()
 	}
-	// The workers read the batch asynchronously, so nothing may alias
+	// The writer reads the batch asynchronously, so nothing may alias
 	// caller memory — copying the Profile structs alone would share the
 	// Pairs backing arrays and let a caller reusing its buffers race the
-	// appliers. The workers only read the copy, so one serves every
-	// shard.
+	// applier.
 	batch := make([]model.Profile, len(profiles))
 	for i := range profiles {
 		batch[i] = profiles[i]
@@ -214,7 +213,7 @@ func (s *Server) commitGroup() {
 	q.handOff()
 }
 
-// admitLocked journals and broadcasts one group as a single batch and
+// admitLocked journals and enqueues one group as a single batch and
 // assigns its ids. The caller holds s.mu.
 func (s *Server) admitLocked(group []*admission) ([]int, error) {
 	if len(group) == 0 {
@@ -238,14 +237,10 @@ func (s *Server) admitLocked(group []*admission) ([]int, error) {
 			return nil, fmt.Errorf("blast: wal append: %w", err)
 		}
 	}
-	// Enqueues cannot fail here — the server lock excludes Close, and a
-	// shard mailbox never rejects otherwise — so the broadcast is
-	// atomic: every shard receives the batch or (had Close won the
-	// lock) none does.
-	for _, sh := range s.shards {
-		if err := sh.Enqueue(batch); err != nil {
-			return nil, err
-		}
+	// The enqueue cannot fail here: the server lock excludes Close, and
+	// the mailbox never rejects otherwise.
+	if err := s.worker.Enqueue(batch); err != nil {
+		return nil, err
 	}
 	ids := make([]int, len(batch))
 	for i := range ids {

@@ -557,14 +557,13 @@ func BenchmarkEngine_BuildWeighted(b *testing.B) {
 }
 
 // BenchmarkServer_StreamPublish streams 1024 profiles in batches of 16
-// into a fresh in-memory partitioned two-shard server (SwapOps at its
-// default 256) and quiesces it: the write path of bench/e2e's
-// serve-stream without the journal. An op is one stream; swaps/op is
-// the publications both shards made for it — admission outruns an
-// export, so group publication covers the backlog with fewer than the
-// eight a per-window policy makes (the exact count depends on timing,
-// by design) — and profiles/s the rate at which streamed profiles
-// became visible.
+// into a fresh in-memory two-shard server (SwapOps at its default 256)
+// and quiesces it: the write path of bench/e2e's serve-stream without
+// the journal. An op is one stream; swaps/op is the publications the
+// writer made for it — admission outruns a freeze, so group publication
+// covers the backlog with fewer than the four a per-window policy makes
+// (the exact count depends on timing, by design) — and profiles/s the
+// rate at which streamed profiles became visible.
 func BenchmarkServer_StreamPublish(b *testing.B) {
 	ctx := context.Background()
 	const base, streamed, batch = 5000, 1024, 16
@@ -608,9 +607,7 @@ func BenchmarkServer_StreamPublish(b *testing.B) {
 		if got := srv.NumProfiles(); got != base+streamed {
 			b.Fatalf("quiesced server serves %d profiles, want %d", got, base+streamed)
 		}
-		for _, st := range srv.Stats() {
-			swaps += st.Swaps
-		}
+		swaps += srv.Stats()[0].Swaps
 		if err := srv.Close(); err != nil {
 			b.Fatal(err)
 		}

@@ -135,18 +135,19 @@ func (s Storage) Validate() error {
 	}
 }
 
-// Topology names how a Server's shards divide the index state. There is
-// one: TopologyPartitioned, the zero value. The replicated topology —
-// a full writable index per shard — was removed; the field remains so
-// that existing callers setting TopologyPartitioned keep compiling.
+// Topology names how the parties of a Server's publications divide the
+// index state. There is one: TopologyPartitioned, the zero value. The
+// replicated topology — a full writable index per shard — was removed;
+// the field remains so that existing callers setting
+// TopologyPartitioned keep compiling.
 type Topology int
 
-// TopologyPartitioned has each shard own the rows hash-owned by it:
-// every shard appends every batch to its clone of the block collection,
-// builds only its owned rows' adjacency, and serves only their retained
-// entries. Graph-global pruning state (degree vectors, weight sums,
-// histogram cuts, top-k marks) is resolved at publish time by
-// exchanging compact per-shard aggregates in deterministic shard order,
+// TopologyPartitioned has each party of a publication own the rows
+// hash-owned by it: one writer appends every batch once to its
+// collection, and a publication's parties each build, weigh and prune
+// only their owned rows' adjacency. Graph-global pruning state (degree
+// vectors, weight sums, histogram cuts, top-k marks) is resolved by
+// exchanging compact per-party aggregates in deterministic party order,
 // so a quiesced server is byte-identical to a cold IndexBlocks.
 const TopologyPartitioned Topology = 0
 
@@ -158,28 +159,26 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// ServerOptions configures a sharded snapshot-swap Server (see
-// Pipeline.Serve). The zero value is valid: one shard, default swap
-// cadence.
+// ServerOptions configures a snapshot-swap Server (see Pipeline.Serve).
+// The zero value is valid: one party, default swap cadence.
 type ServerOptions struct {
-	// Shards is the number of shard workers; 0 selects 1. Each shard
-	// owns the rows of the profiles hash-sharded to it: it builds their
-	// graph state on its write path and exports them at a publication,
-	// and the server joins the exports into the one published state
-	// every read is served from. Memory does not divide across the
-	// shards: every shard clones the block collection, so more shards
-	// cost more resident memory, not less.
+	// Shards is the number of parties every publication is frozen by; 0
+	// selects 1. The server has one writer and one block collection at
+	// any count: a publication runs Shards goroutines, each building,
+	// weighing and pruning the rows of the profiles hashed onto it, and
+	// joins their rows into the one published state every read is served
+	// from.
 	Shards int
 	// Topology must be TopologyPartitioned, the zero value.
 	Topology Topology
 	// SwapOps makes a fresh read snapshot fall due once this many
-	// streamed profiles have been applied on a shard since its last
-	// publication. A due snapshot is published at the newest batch every
-	// shard of the server had already received at that moment: at once
-	// when nothing is queued behind the batch that made it due, and as
-	// ONE publication covering the backlog — not one per SwapOps window,
-	// each stale before it is swapped in — when admission runs ahead of
-	// the shards. The position is fixed when the publication falls due,
+	// streamed profiles have been applied since the last publication. A
+	// due snapshot is published at the newest batch the writer had
+	// already received at that moment: at once when nothing is queued
+	// behind the batch that made it due, and as ONE publication covering
+	// the backlog — not one per SwapOps window, each stale before it is
+	// swapped in — when admission runs ahead of the writer. The position
+	// is fixed when the publication falls due,
 	// so a writer that never pauses cannot postpone it, and Quiesce or
 	// Close publish at the latest. 0 selects 256; negative disables the
 	// op-count trigger, leaving publication to Quiesce and Close.
@@ -191,10 +190,11 @@ type ServerOptions struct {
 	// whatever the shard count. Published states are persisted on the
 	// SnapshotEvery policy, one file each, and ServeBlocks on an existing
 	// Dir recovers — a torn tail truncated, every journaled batch
-	// replayed onto every shard, the snapshot at the log's last record
-	// adopted or rebuilt — to a state byte-identical to a cold
-	// IndexBlocks over seed + replayed inserts, at any shard count. The seed Blocks artifact is NOT persisted;
-	// reopening requires the same artifact (a manifest records its
+	// replayed once onto the writer, the snapshot at the log's last
+	// record adopted or rebuilt — to a state byte-identical to a cold
+	// IndexBlocks over seed + replayed inserts, at any shard count. The
+	// seed Blocks artifact is NOT persisted; reopening requires the same
+	// artifact (a manifest records its
 	// fingerprint and fails closed on mismatch). A directory of the
 	// manifest's version 1, which kept one log per shard, fails closed
 	// too: recreate it from the seed artifact. Empty disables durability
@@ -226,10 +226,10 @@ type ServerOptions struct {
 	MaxPendingBytes int64
 }
 
-// maxServerShards bounds the shard count: shard owners are hashed into
-// a byte, and every shard holds a clone of the block collection, so
-// triple-digit counts are a configuration error long before they are a
-// scaling strategy.
+// maxServerShards bounds the party count: row owners are hashed into a
+// byte, and every party of a publication is a goroutine with its own
+// degree pass over the whole collection, so triple-digit counts are a
+// configuration error long before they are a scaling strategy.
 const maxServerShards = 256
 
 // Validate checks the server options, mirroring Options.Validate.
@@ -372,22 +372,22 @@ type Options struct {
 	// blocking-graph construction, weighting AND the streaming pruning
 	// passes (thresholds, top-k cuts, retention — everywhere a CSR is
 	// pruned: batch runs, IndexBlocks, an index's re-freeze after
-	// inserts, the sharded server's exports): 0 uses one worker
-	// per CPU, 1 forces serial execution, >1 uses exactly that many
-	// goroutines. Results are byte-identical at every count — induction,
-	// block building, graph construction and weighting compute each row,
-	// profile or entry on one worker, and pruning runs over fixed node
-	// chunks with float partials combined in chunk order, so parallelism
-	// never moves a ulp.
+	// inserts, every party of a server's publications): 0 uses one
+	// worker per CPU, 1 forces serial execution, >1 uses exactly that
+	// many goroutines. Results are byte-identical at every count —
+	// induction, block building, graph construction and weighting
+	// compute each row, profile or entry on one worker, and pruning runs
+	// over fixed node chunks with float partials combined in chunk
+	// order, so parallelism never moves a ulp.
 	Workers int
 
 	// Storage selects where the blocking graph's adjacency lives during
 	// meta-blocking and index builds (MetaBlock, IndexBlocks, the build
-	// that seeds a Server's shards): StorageMemory (default) keeps it
-	// resident, StorageFile spills it to segment files past MemoryBudget
-	// and streams them back page by page. Byte-identical output either
-	// way. It does not reach an Index's re-freeze after inserts or a
-	// shard's export, which build their graph resident.
+	// that seeds a Server): StorageMemory (default) keeps it resident,
+	// StorageFile spills it to segment files past MemoryBudget and
+	// streams them back page by page. Byte-identical output either way.
+	// It does not reach an Index's re-freeze after inserts or a Server's
+	// publications, which build their graph resident.
 	Storage Storage
 	// MemoryBudget bounds (in bytes) the resident footprint of the
 	// adjacency entries a StorageFile build may accumulate before

@@ -6,9 +6,9 @@
 //	GET  /v1/candidates  ?profile=N — retained candidates of one profile
 //	GET  /v1/threshold   ?profile=N — theta_i of one profile
 //	GET  /v1/pairs       every retained comparison, canonical order
-//	POST /v1/quiesce     drive all shards to the strongest consistent state
+//	POST /v1/quiesce     drive the server to the strongest consistent state
 //	GET  /healthz        liveness (503 once the serving machinery failed)
-//	GET  /statsz         shard + write-path statistics
+//	GET  /statsz         writer, partition and write-path statistics
 //
 // Write path. POST /v1/insert calls Server.InsertAll directly, whose
 // write queue commits concurrent requests together by group commit: one
@@ -182,9 +182,10 @@ type QuiesceResponse struct {
 }
 
 // StatszResponse is the body of GET /statsz. Storage names the graph
-// storage mode builds run under; the per-shard entries carry the
-// owned-rows and resident-bytes counters that make the partitioned
-// memory claim observable per process.
+// storage mode builds run under. Shards holds one entry per partition
+// of the server's publications: the writer's counters, and the
+// partition's owned rows and resident bytes of the published state,
+// which sum to the state's footprint.
 type StatszResponse struct {
 	Storage   string        `json:"storage"`
 	Admitted  int           `json:"admitted"`

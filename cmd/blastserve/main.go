@@ -18,7 +18,7 @@
 // On SIGTERM or SIGINT the server drains gracefully: the listener
 // stops accepting, in-flight requests finish (every queued insert
 // commits or fails), the server closes — every admitted profile applied
-// and published on every shard, and on a durable server a final
+// and published, and on a durable server a final
 // snapshot persisted — and the process exits 0.
 package main
 
@@ -66,8 +66,8 @@ func parseFlags(args []string, w io.Writer) (config, error) {
 	fs.Float64Var(&cfg.scale, "scale", 0.1, "fraction of paper-scale size for the bootstrap dataset")
 	fs.Uint64Var(&cfg.seed, "seed", 42, "random seed for the bootstrap dataset")
 	so := &cfg.server
-	fs.IntVar(&so.Shards, "shards", 2, "shard workers, each owning the rows hashed onto it")
-	fs.IntVar(&so.SwapOps, "swap-ops", 0, "a snapshot falls due every N applied profiles and is published once the backlog the shards held by then is applied (0 = default)")
+	fs.IntVar(&so.Shards, "shards", 2, "parties each publication is frozen by, each over the rows hashed onto it")
+	fs.IntVar(&so.SwapOps, "swap-ops", 0, "a snapshot falls due every N applied profiles and is published once the backlog the writer held by then is applied (0 = default)")
 	fs.StringVar(&so.Dir, "dir", "", "durable directory (empty = in-memory only)")
 	fs.IntVar(&so.SyncEvery, "sync-every", 0, "fsync the write-ahead log every N records, one record per group of inserts committed together (0 = every record; requires -dir)")
 	fs.IntVar(&so.SnapshotEvery, "snapshot-every", 0, "persist a snapshot every N log records (0 = default; requires -dir)")

@@ -1,11 +1,11 @@
 package blast
 
 // Regression tests for the serving-path correctness fixes: Pairs must
-// observe every shard at one position of the insert sequence (never a
-// mix of epochs), and the Quiesce/Close error semantics must follow the
-// documented state machine — closed servers report shard.ErrClosed, a
-// poisoned server reports its real failure, and Close always releases
-// its resources even when a worker died.
+// observe one position of the insert sequence (never a mix of epochs),
+// and the Quiesce/Close error semantics must follow the documented
+// state machine — closed servers report shard.ErrClosed, a poisoned
+// server reports its real failure, and Close always releases its
+// resources even when a publication failed.
 
 import (
 	"context"
@@ -138,47 +138,78 @@ func TestServerQuiesceCloseSemantics(t *testing.T) {
 		}
 	})
 
+	// One party of the next publication fails: its exchange is poisoned,
+	// every party returns, the publication fails and the writer's error
+	// goes sticky, while the state published before keeps serving.
 	t.Run("poisoned-worker", func(t *testing.T) {
-		base := runtime.NumGoroutine()
-		srv, err := p.Serve(ctx, durDataset(), ServerOptions{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		boom := errors.New("shard wedged")
-		// Poison the shards' aggregate exchange, as a failing shard's
-		// OnFail hook does: the next publication fails on every worker,
-		// which goes sticky.
-		srv.parts[1].ex.Poison(boom)
-		if _, err := srv.InsertAll(ctx, durBatchFor(0)); err != nil {
-			t.Fatalf("admission must succeed (failure is async): %v", err)
-		}
-		// Quiesce reports the real failure — not ErrClosed, not nil.
-		if err := srv.Quiesce(ctx); !errors.Is(err, boom) || errors.Is(err, shard.ErrClosed) {
-			t.Fatalf("Quiesce on poisoned server = %v, want the worker error", err)
-		}
-		if err := srv.Err(); !errors.Is(err, boom) {
-			t.Fatalf("Err = %v, want sticky worker error", err)
-		}
-		// Admission is now rejected with the sticky error.
-		if _, err := srv.InsertAll(ctx, durBatchFor(1)); !errors.Is(err, boom) {
-			t.Fatalf("InsertAll after poisoning = %v, want sticky error", err)
-		}
-		// Close surfaces the failure but still releases every worker.
-		if err := srv.Close(); !errors.Is(err, boom) {
-			t.Fatalf("Close on poisoned server = %v, want the worker error", err)
-		}
-		if err := srv.Close(); err != nil {
-			t.Fatalf("second Close = %v, want nil (already released)", err)
-		}
-		if err := srv.Quiesce(ctx); !errors.Is(err, shard.ErrClosed) {
-			t.Fatalf("Quiesce after Close = %v, want shard.ErrClosed", err)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) && runtime.NumGoroutine() > base {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > base {
-			t.Errorf("Close on poisoned server leaked goroutines: %d > %d", n, base)
+		for _, shards := range []int{2, 4} {
+			t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				srv, err := p.Serve(ctx, durDataset(), ServerOptions{Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				before, err := srv.Pairs(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				np, epoch := srv.NumProfiles(), srv.Epoch(0)
+				boom := errors.New("shard wedged")
+				var entered sync.Map
+				srv.w.failParty = func(part int) error {
+					entered.Store(part, true)
+					if part == shards-1 {
+						return boom
+					}
+					return nil
+				}
+				if _, err := srv.InsertAll(ctx, durBatchFor(0)); err != nil {
+					t.Fatalf("admission must succeed (failure is async): %v", err)
+				}
+				// Quiesce reports the real failure — not ErrClosed, not nil —
+				// and returns only once every party of the failed freeze has.
+				if err := srv.Quiesce(ctx); !errors.Is(err, boom) || errors.Is(err, shard.ErrClosed) {
+					t.Fatalf("Quiesce on poisoned server = %v, want the worker error", err)
+				}
+				for part := 0; part < shards; part++ {
+					if _, ok := entered.Load(part); !ok {
+						t.Fatalf("party %d of %d never ran", part, shards)
+					}
+				}
+				// /healthz reports Err.
+				if err := srv.Err(); !errors.Is(err, boom) {
+					t.Fatalf("Err = %v, want sticky worker error", err)
+				}
+				after, err := srv.Pairs(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSamePairs(t, "after the failed publication", before, after)
+				if got, gotEpoch := srv.NumProfiles(), srv.Epoch(0); got != np || gotEpoch != epoch {
+					t.Fatalf("serving %d profiles at epoch %d after the failed publication, want the earlier %d at %d", got, gotEpoch, np, epoch)
+				}
+				// Admission is now rejected with the sticky error.
+				if _, err := srv.InsertAll(ctx, durBatchFor(1)); !errors.Is(err, boom) {
+					t.Fatalf("InsertAll after poisoning = %v, want sticky error", err)
+				}
+				// Close surfaces the failure but still releases every worker.
+				if err := srv.Close(); !errors.Is(err, boom) {
+					t.Fatalf("Close on poisoned server = %v, want the worker error", err)
+				}
+				if err := srv.Close(); err != nil {
+					t.Fatalf("second Close = %v, want nil (already released)", err)
+				}
+				if err := srv.Quiesce(ctx); !errors.Is(err, shard.ErrClosed) {
+					t.Fatalf("Quiesce after Close = %v, want shard.ErrClosed", err)
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for time.Now().Before(deadline) && runtime.NumGoroutine() > base {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > base {
+					t.Errorf("Close on poisoned server leaked goroutines: %d > %d", n, base)
+				}
+			})
 		}
 	})
 

@@ -1,6 +1,6 @@
 package blast
 
-// Durable serving: persistence and crash recovery for the sharded
+// Durable serving: persistence and crash recovery for the
 // snapshot-swap Server. Enabled by ServerOptions.Dir, which lays out:
 //
 //	Dir/MANIFEST.json          layout + seed fingerprint, written once
@@ -18,9 +18,9 @@ package blast
 // admits nothing; one whose failure could not be undone breaks the log,
 // and the server with it (Server.Err). Snapshot persistence piggybacks
 // on publication: every SnapshotEvery admitted batches, the freshly
-// published state — the join of every shard's export — is written as
-// one file (atomically, via temp file + fsync + rename) and old files
-// are pruned.
+// published state — every row of it — is written as one file
+// (atomically, via temp file + fsync + rename) and old files are
+// pruned.
 //
 // Recovery. ServeBlocks over an existing Dir rebuilds the pre-crash
 // state from the seed Blocks artifact plus the disk state:
@@ -33,7 +33,7 @@ package blast
 //     batch. A record that passes its checksum but does not decode
 //     fails closed — recovery never invents, skips or reorders admitted
 //     data.
-//  3. Every shard appends every batch to its clone of the seed
+//  3. The writer appends every batch, once, to its clone of the seed
 //     collection, exactly as it did before the crash.
 //  4. The start state is adopted from disk: the newest snapshot file
 //     that sits at exactly the log's record count over the recovered
@@ -179,10 +179,10 @@ func checkManifest(dir string, want durManifest) error {
 }
 
 // snapPersister persists published states on the SnapshotEvery cadence
-// and prunes old files. It runs on the worker goroutine of the shard
-// that completes a state (plus once during recovery, before the workers
-// start, and once in Close, after they exit); publications are
-// collective, so those calls never overlap and it needs no locking.
+// and prunes old files. It runs inline on the writer's worker goroutine
+// as each state is published (plus once during recovery, before the
+// worker starts, and once in Close, after it exits), so those calls
+// never overlap and it needs no locking.
 type snapPersister struct {
 	dir   string
 	every int64

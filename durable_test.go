@@ -103,18 +103,18 @@ func checkRecovered(t *testing.T, label string, p *Pipeline, srv *Server, wantBa
 	assertSamePairs(t, label+" vs reference", durReferencePairs(t, p, wantBatches), got)
 }
 
-// checkEveryShard runs one subtest per shard, named shard<i>, asserting
-// the reopened shard was cut back to the same surviving prefix: it sits
-// at wantBatches of the insert stream, its state covers exactly the
-// profiles those batches admitted, and no error is latched.
+// checkEveryShard runs one subtest per partition, named shard<i>,
+// asserting the reopened server was cut back to the same surviving
+// prefix in that partition's Stats entry: it sits at wantBatches of the
+// insert stream, its state covers exactly the profiles those batches
+// admitted, and no error is latched.
 func checkEveryShard(t *testing.T, srv *Server, wantBatches int) {
 	t.Helper()
-	for i, sh := range srv.shards {
+	for i, st := range srv.Stats() {
 		t.Run(fmt.Sprintf("shard%d", i), func(t *testing.T) {
-			if err := sh.Err(); err != nil {
+			if err := srv.Err(); err != nil {
 				t.Fatalf("shard %d: %v", i, err)
 			}
-			st := sh.Stats()
 			if st.Batches != int64(wantBatches) {
 				t.Fatalf("shard %d sits at batch %d, want %d", i, st.Batches, wantBatches)
 			}

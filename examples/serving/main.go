@@ -1,5 +1,5 @@
-// Serving demonstrates the sharded snapshot-swap Server: a product
-// catalog is split across two row-owning shards, new products stream in
+// Serving demonstrates the snapshot-swap Server: a product catalog's
+// publications are frozen by two row-owning parties, new products stream in
 // while candidate queries are served wait-free from published
 // snapshots, and a quiesce pins the server to exactly the state a cold
 // rebuild over everything would produce.
@@ -49,10 +49,11 @@ func run() error {
 	}
 	ds := &model.Dataset{Name: "serving", Kind: model.Dirty, E1: catalog, Truth: model.NewGroundTruth()}
 
-	// Two shard workers: each owns the rows hashed onto it; reads are
-	// hash-routed to the owner's published snapshot. SwapOps: 2 keeps
-	// the walkthrough's snapshots visibly fresh; production cadences are
-	// hundreds of inserts per swap.
+	// Two shards: each publication is frozen by two parties, each over
+	// the rows hashed onto it, and joined into one published snapshot
+	// every read is served from. SwapOps: 2 keeps the walkthrough's
+	// snapshots visibly fresh; production cadences are hundreds of
+	// inserts per swap.
 	p, err := blast.NewPipeline(blast.DefaultOptions())
 	if err != nil {
 		return err
@@ -65,8 +66,8 @@ func run() error {
 	fmt.Printf("server: %d shards over %d catalog products\n", srv.NumShards(), srv.NumProfiles())
 
 	// New products arrive while the catalog serves queries. Ids are
-	// admitted immediately; each shard appends them to its block
-	// collection and publishes fresh owned rows at the swap cadence.
+	// admitted immediately; the writer appends them to its block
+	// collection and publishes fresh rows at the swap cadence.
 	arrivals := []model.Profile{
 		product("n1", "Panasonic Lumix TZ5-S", "9 megapixel compact camera 10x zoom silver", "Panasonic"),
 		product("n2", "Sony NWZ-A818 8GB Walkman", "mp3 player bluetooth 8gb black", "Sony"),
@@ -78,8 +79,8 @@ func run() error {
 	}
 	fmt.Printf("admitted %d arrivals as ids %v\n", len(ids), ids)
 
-	// Quiesce: every shard applies the stream, exports its owned rows and
-	// swaps the result in. From here the server answers exactly like a
+	// Quiesce: the writer applies the stream, freezes it by both parties
+	// and swaps the result in. From here the server answers exactly like a
 	// cold rebuild over catalog+arrivals.
 	if err := srv.Quiesce(ctx); err != nil {
 		return err

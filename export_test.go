@@ -14,8 +14,8 @@ func MBKeyForBench(i int) string { return mbKey(i) }
 // holdCommits blocks every group commit of srv until release is called:
 // the call at the head of the write queue waits for the server lock, and
 // every later call queues behind it, so a test can fill the queue
-// deterministically. Admitted and Quiesce block while it is held;
-// reads, View and WriteStats do not.
+// deterministically. Admitted blocks while it is held; reads, View,
+// Quiesce and WriteStats do not.
 func holdCommits(srv *Server) (release func()) {
 	srv.mu.Lock()
 	return srv.mu.Unlock

@@ -15,8 +15,8 @@ package blast
 // makes its decisions. The blocking graph itself — resident or spilled
 // to segment files — lives only as long as the build. There is one
 // freeze (metablocking.BuildWeighted, then metablocking.FreezeCSR): an
-// index runs it over the whole graph, each shard of a Server over the
-// rows it owns (partition.go).
+// index runs it over the whole graph, each party of a Server's
+// publication over the rows it owns (partition.go).
 //
 // That is an index's only form. Insert appends profiles to the live
 // block collection and marks the rows stale; the next read re-freezes
@@ -350,7 +350,7 @@ func (ix *Index) StorageStats() (spillBytes, pageLoads int64) {
 
 // appendBatch tokenizes a batch and appends it to a collection, in
 // order, returning the assigned ids: the admission step of every
-// streaming writer (Index, the Server's partIndex), so both assign
+// streaming writer (Index, the Server's writer), so both assign
 // identical ids and block keys to identical streams. Tokenization is
 // total and the append unconditional, so it cannot fail part-way.
 func appendBatch(app *blocking.Appender, schema *Schema, kind model.Kind, opt *Options, profiles []model.Profile) []int {

@@ -9,9 +9,9 @@
 // (weights.Scheme.EntryWeight) applied as the resident build emits its
 // runs or by the row-parallel kernel over a built graph, and the
 // pruning decisions of package prune behind one switch (Decide) — for a
-// whole graph, or for one shard's owned rows of a partitioned server's
-// graph — collected into pairs (PruneCSR) or into the rows of a frozen
-// index or a shard's export (FreezeCSR). No global edge map or per-edge
+// whole graph, or for one party's owned rows of a partitioned server
+// publication — collected into pairs (PruneCSR) or into the rows of a
+// frozen index or a party's share of a publication (FreezeCSR). No global edge map or per-edge
 // record is ever allocated, every stage polls its context, and the
 // retained pairs are byte-identical at every worker count, in either
 // residency and for every partition of the rows. The edge-list
@@ -269,7 +269,7 @@ func RunCtx(ctx context.Context, c *blocking.Collection, cfg Config) (*Result, e
 }
 
 // BuildWeighted is the first half of a run, written once for RunCtx, the
-// candidate-serving index (blast.IndexBlocks) and a shard's export: it
+// candidate-serving index (blast.IndexBlocks) and a server publication: it
 // builds the blocking graph of c — resident on cfg.Workers goroutines
 // over the rows owns selects (nil = every row), or spilled under
 // cfg.Spill — weighed under cfg.Scheme, reporting the "graph" and

@@ -1,6 +1,6 @@
 // The parties of a pruning decision. A graph's rows may be held by one
-// party — the whole graph, Alone — or split between N: the shards of a
-// partitioned server, each holding an owned-rows CSR
+// party — the whole graph, Alone — or split between N: the parties of a
+// server's partitioned publication, each holding an owned-rows CSR
 // (graph.BuildOwnedCSR: full-length Offsets, adjacency runs only for
 // the rows it owns). A decision runs on every party at once over what
 // that party holds, and resolves what is global to the graph by rounds

@@ -11,36 +11,24 @@ import (
 )
 
 // Writer is the mutable side of a shard: a writable index that absorbs
-// insert batches and exports the rows the shard owns at its current
-// state. Only the shard's worker goroutine ever calls these methods, so
+// insert batches and exports the frozen state at its current position.
+// Only the shard's worker goroutine ever calls these methods, so
 // implementations need no locking beyond their own invariants.
 type Writer interface {
 	// InsertAll appends a batch of profiles and folds them into the
 	// writable index.
 	InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error)
-	// Agree is called when a publication falls due, with the number of
-	// insert batches this shard's mailbox has received so far, and
-	// returns the batch position the publication covers: the shard
-	// applies through it and only then exports. A writer whose exports
-	// are its own returns received unchanged — publish once the backlog
-	// already admitted is in. A writer whose exports must line up with
-	// its peers' (partitioned sharding) returns the smallest count any
-	// of them received (Exchange.AgreeMin), the newest state they all
-	// hold. The result lies between the shard's current position and
-	// received, so the shard never waits for input to reach it.
-	Agree(received int64) (int64, error)
-	// Export returns the shard's export of the current state: its owned
-	// rows and the state's global counters and thresholds. The shard
-	// assigns Epoch and Batches.
+	// Export returns the frozen state at the current position: its rows
+	// and global counters and thresholds. The shard assigns Epoch and
+	// Batches.
 	Export(ctx context.Context) (*Snapshot, error)
 }
 
 // Options tunes a shard's snapshot-swap policy. A publication falls due
 // once SwapOps profiles have been applied since the last one; it is
-// published at the batch position
-// Writer.Agree returns at that moment — the newest state every shard of
-// the server already held — and at the latest at the next barrier or
-// Close, whichever the worker meets first.
+// published at the batch position the mailbox had received at that
+// moment, and at the latest at the next barrier or Close, whichever the
+// worker meets first.
 type Options struct {
 	// SwapOps makes a publication fall due once this many profiles have
 	// been applied since the last one. <= 0 disables the op-count
@@ -51,18 +39,14 @@ type Options struct {
 	// keeps none of its rows. An error is sticky: the shard reports it
 	// like an apply error.
 	Publish func(*Snapshot) error
-	// OnFail, when non-nil, is invoked exactly once, from the worker
-	// goroutine and outside the shard lock, at the moment the shard's
-	// sticky error is first set. It is the failure hook of partitioned
-	// serving: a dead partitioned shard can never again contribute to an
-	// exchange round, so the hook poisons the exchange and the
-	// sibling exports fail instead of waiting forever.
-	OnFail func(error)
 }
 
-// Stats is a point-in-time summary of one shard.
+// Stats is a point-in-time summary of a shard's writer and of one
+// partition of the state it published. Shard.Stats fills the writer's
+// counters; ID, OwnedRows and ResidentBytes are the partition's, filled
+// by the server that divides the state.
 type Stats struct {
-	// ID is the shard's index within its server.
+	// ID is the partition's index within its server.
 	ID int
 	// Epoch is the epoch of the shard's last publication (or of the
 	// server's start state before the first).
@@ -82,10 +66,10 @@ type Stats struct {
 	// ApplyTime is the cumulative wall-clock time spent applying insert
 	// batches (excluding snapshot export).
 	ApplyTime time.Duration
-	// OwnedRows and ResidentBytes are the shard's share of the state
-	// Epoch names (Snapshot.Share): the rows Owner hashes onto it, and
-	// 12 bytes a retained entry of those rows plus 16 bytes a row. Summed
-	// over a server's shards they are the published state's.
+	// OwnedRows and ResidentBytes are the partition's share of the
+	// published state (Snapshot.Share): the rows Owner hashes onto it,
+	// and 12 bytes a retained entry of those rows plus 16 bytes a row.
+	// Summed over a server's partitions they are the published state's.
 	OwnedRows     int
 	ResidentBytes int64
 }
@@ -102,56 +86,48 @@ type op struct {
 	barrier  chan error
 }
 
-// Shard is one partition of a snapshot-swap server: a single worker
+// Shard is the writer of a snapshot-swap server: a single worker
 // goroutine drains a mailbox of insert batches into the writable index
 // and hands its exports over to the Publish hook. A publication falls
-// due after Options.SwapOps applied profiles; the worker then asks its
-// Writer how far the server's shards have all been fed (Writer.Agree),
-// keeps applying through that batch and exports there — one export for
-// the whole backlog instead of one per SwapOps window, each of which
-// would be stale before it was swapped in. The target is fixed when the
-// publication falls due, so a writer that never pauses cannot postpone
-// it; a barrier or the Close drain met on the way publishes on the spot.
-// Mailbox enqueues are non-blocking (the queue is unbounded); writes are
-// therefore all-or-nothing across the shards of a server, which is what
-// keeps their insert sequences aligned.
+// due after Options.SwapOps applied profiles; the worker then notes how
+// many batches the mailbox has received, keeps applying through that
+// batch and exports there — one export for the whole backlog instead of
+// one per SwapOps window, each of which would be stale before it was
+// swapped in. The target is fixed when the publication falls due, so a
+// writer that never pauses cannot postpone it; a barrier or the Close
+// drain met on the way publishes on the spot.
 type Shard struct {
-	id, n int // the shard's index and its server's shard count
-	w     Writer
-	opt   Options
+	w   Writer
+	opt Options
 
 	mu        sync.Mutex
 	cond      *sync.Cond
 	queue     []op
 	closed    bool
-	err       error // first apply/agree/publish error; sticky
+	err       error // first apply/export/publish error; sticky
 	received  int64 // stream position of the last batch enqueued
 	applied   int64
 	batches   int64 // stream position of the last batch applied
 	swaps     int64
 	applyTime time.Duration
-	// The last publication's tag and the shard's share of it.
+	// The last publication's tag.
 	epoch     uint64
 	published int
-	ownedRows int
-	resident  int64
 
 	// sinceSwap counts profiles applied since the last publication;
 	// publishAt, when non-zero, is the batch position the due publication
-	// was agreed to cover. Both worker-goroutine-local; no lock needed.
+	// covers. Both worker-goroutine-local; no lock needed.
 	sinceSwap int
 	publishAt int64
 
 	stopped chan struct{}
 }
 
-// New starts worker id of a server's n shards over a writable index
-// that holds the server's start state: its epoch and batch position are
-// where the shard's publications and stream position continue from.
-func New(id, n int, w Writer, start *Snapshot, opt Options) *Shard {
+// New starts the worker over a writable index that holds the server's
+// start state: its epoch and batch position are where the shard's
+// publications and stream position continue from.
+func New(w Writer, start *Snapshot, opt Options) *Shard {
 	s := &Shard{
-		id:        id,
-		n:         n,
 		w:         w,
 		opt:       opt,
 		received:  start.Batches,
@@ -160,7 +136,6 @@ func New(id, n int, w Writer, start *Snapshot, opt Options) *Shard {
 		published: start.NumProfiles,
 		stopped:   make(chan struct{}),
 	}
-	s.ownedRows, s.resident = start.Share(id, n)
 	s.cond = sync.NewCond(&s.mu)
 	go s.loop()
 	return s
@@ -173,33 +148,28 @@ func (s *Shard) Err() error {
 	return s.err
 }
 
-// Stats returns a point-in-time summary of the shard.
+// Stats returns a point-in-time summary of the writer's counters; the
+// partition fields are zero.
 func (s *Shard) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		ID:            s.id,
-		Epoch:         s.epoch,
-		Published:     s.published,
-		Applied:       s.applied,
-		Batches:       s.batches,
-		Swaps:         s.swaps,
-		Queued:        len(s.queue),
-		ApplyTime:     s.applyTime,
-		OwnedRows:     s.ownedRows,
-		ResidentBytes: s.resident,
+		Epoch:     s.epoch,
+		Published: s.published,
+		Applied:   s.applied,
+		Batches:   s.batches,
+		Swaps:     s.swaps,
+		Queued:    len(s.queue),
+		ApplyTime: s.applyTime,
 	}
 }
 
 // Enqueue hands an insert batch to the worker. It never blocks (the
-// mailbox is unbounded) and fails only on a closed shard — in
-// particular NOT on a shard whose worker has already failed, so a
-// caller broadcasting one batch to many shards under a lock that
-// excludes Close either enqueues it on all of them or on none. A
-// failed shard silently drops the batches it receives (see apply);
-// callers observe the failure through Err, a barrier and their own
-// pre-checks. The shard reads the batch asynchronously; callers must
-// not mutate it after handoff.
+// mailbox is unbounded) and fails only on a closed shard — NOT on one
+// whose worker has already failed: a failed shard silently drops the
+// batches it receives (see apply), and callers observe the failure
+// through Err, a barrier and their own pre-checks. The shard reads the
+// batch asynchronously; callers must not mutate it after handoff.
 func (s *Shard) Enqueue(profiles []model.Profile) error {
 	if len(profiles) == 0 {
 		return nil
@@ -217,11 +187,7 @@ func (s *Shard) Enqueue(profiles []model.Profile) error {
 
 // BarrierStart enqueues a publication barrier without waiting and
 // returns its completion channel (buffered; the worker's send never
-// blocks). Splitting enqueue from wait lets a server place barriers on
-// ALL of its shards atomically under its own admission lock — the only
-// way partitioned shards are guaranteed to export at the same position
-// of the insert stream, which their aggregate exchange requires — and
-// then wait outside the lock.
+// blocks), so the caller may abandon the wait.
 func (s *Shard) BarrierStart() (<-chan error, error) {
 	done := make(chan error, 1)
 	s.mu.Lock()
@@ -268,10 +234,9 @@ func (s *Shard) next() (op, bool) {
 }
 
 // loop is the shard worker: apply, check the swap policy, honor
-// barriers. Application runs under the background context — once a
-// batch is enqueued on every shard it must be applied on every shard,
-// or the shards would diverge; cancellation governs only the enqueue and
-// wait paths.
+// barriers. Application runs under the background context — a batch
+// once enqueued is admitted and must be applied; cancellation governs
+// only the enqueue and wait paths.
 func (s *Shard) loop() {
 	defer close(s.stopped)
 	for {
@@ -279,9 +244,8 @@ func (s *Shard) loop() {
 		if !ok {
 			// Final drain complete: publish anything applied since the
 			// last swap so post-Close reads observe the full admitted
-			// sequence — every shard does the same at the same position,
-			// so the server's last state covers it. The error (if any)
-			// is sticky and surfaces through Close/Err.
+			// sequence. The error (if any) is sticky and surfaces
+			// through Close/Err.
 			_ = s.publishIfBehind()
 			return
 		}
@@ -295,20 +259,15 @@ func (s *Shard) loop() {
 }
 
 // apply folds one insert batch into the writable index and runs the
-// publication policy. A shard that has already failed drops the batch
-// and takes no part in any agreement: its writable index may sit in the
-// aftermath of the failed apply, and pretending to continue would
-// publish state the healthy shards never converge with.
+// publication policy. A shard that has already failed drops the batch:
+// its writable index may sit in the aftermath of the failed apply, and
+// publishing from it would serve state no cold build reproduces.
 //
-// The policy: when a publication falls due the writer is asked, once,
-// which batch position it covers (Writer.Agree); the shard publishes
+// The policy: when a publication falls due it is fixed to the batch
+// position the mailbox has received at that moment; the shard publishes
 // when it has applied through that position. With no backlog behind the
-// due batch that is at once; under a burst it is one export at the
-// newest state the server's shards all held instead of one per SwapOps
-// window. Every shard of a partitioned server reaches the same due
-// points (publications are aligned, so the counts since them are too)
-// and receives the same answer, which is what keeps their exports — and
-// the exchange rounds inside them — aligned.
+// due batch that is at once; under a burst it is one export covering
+// the backlog instead of one per SwapOps window.
 func (s *Shard) apply(profiles []model.Profile) {
 	if s.Err() != nil {
 		return
@@ -325,15 +284,12 @@ func (s *Shard) apply(profiles []model.Profile) {
 	pos, received := s.batches, s.received
 	s.mu.Unlock()
 	if err != nil {
-		s.setErr(fmt.Errorf("shard %d: apply: %w", s.id, err))
+		s.setErr(fmt.Errorf("shard: apply: %w", err))
 		return
 	}
 	s.sinceSwap += len(profiles)
 	if s.publishAt == 0 && s.due() {
-		if s.publishAt, err = s.w.Agree(received); err != nil {
-			s.setErr(fmt.Errorf("shard %d: agree: %w", s.id, err))
-			return
-		}
+		s.publishAt = received
 	}
 	if s.publishAt != 0 && pos >= s.publishAt {
 		s.publish()
@@ -359,49 +315,41 @@ func (s *Shard) publishIfBehind() error {
 	return s.publish()
 }
 
-// publish exports the shard's rows from the writer, tags the export
-// with the next epoch and the insert-stream position it covers, counts
-// the shard's share of it and hands it to the Publish hook. It settles
-// any publication that was due: whatever position it was agreed for, the
-// state just published is newer than the one that made it fall due.
+// publish exports the state from the writer, tags it with the next
+// epoch and the insert-stream position it covers and hands it to the
+// Publish hook. It settles any publication that was due: whatever
+// position it was fixed to, the state just published is newer than the
+// one that made it fall due.
 func (s *Shard) publish() error {
 	snap, err := s.w.Export(context.Background())
 	if err != nil {
-		return s.setErr(fmt.Errorf("shard %d: export: %w", s.id, err))
+		return s.setErr(fmt.Errorf("shard: export: %w", err))
 	}
-	rows, bytes := snap.Share(s.id, s.n)
 	s.mu.Lock()
 	s.epoch++
 	s.swaps++
-	s.published, s.ownedRows, s.resident = snap.NumProfiles, rows, bytes
+	s.published = snap.NumProfiles
 	//blast:allow snapshotmut -- tagging a freshly exported snapshot the writer just handed over; no reader sees it before the hand-off below
 	snap.Epoch, snap.Batches = s.epoch, s.batches
 	s.mu.Unlock()
 	s.sinceSwap, s.publishAt = 0, 0
 	if s.opt.Publish != nil {
 		if err := s.opt.Publish(snap); err != nil {
-			return s.setErr(fmt.Errorf("shard %d: publish: %w", s.id, err))
+			return s.setErr(fmt.Errorf("shard: publish: %w", err))
 		}
 	}
 	return nil
 }
 
-// setErr records the worker's first (sticky) error and fires the OnFail
-// hook exactly once, outside the lock; later calls return the original
-// error unchanged. Only the worker goroutine calls it, so "first" is
-// also "only" within one shard.
+// setErr records the worker's first (sticky) error; later calls return
+// the original error unchanged.
 func (s *Shard) setErr(err error) error {
 	s.mu.Lock()
-	first := s.err == nil
-	if first {
+	defer s.mu.Unlock()
+	if s.err == nil {
 		s.err = err
 	}
-	err = s.err
-	s.mu.Unlock()
-	if first && s.opt.OnFail != nil {
-		s.opt.OnFail(err)
-	}
-	return err
+	return s.err
 }
 
 // telemetryNow reads the wall clock for apply-timing telemetry

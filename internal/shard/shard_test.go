@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,11 +17,10 @@ import (
 // and exports snapshots whose NumProfiles reflects the applied count,
 // every row empty.
 //
-// agree, when set, answers Writer.Agree (the default is the unpartitioned
-// answer, received itself); every call is logged as {received, target}.
 // gate, when set, makes every Export announce itself on entered and then
 // block until the test sends on gate — the way a test holds the worker
-// inside an export while a backlog builds up behind it.
+// inside an export while a backlog builds up behind it. onApply, when
+// set, runs on the worker after every applied batch.
 type fakeWriter struct {
 	mu        sync.Mutex
 	applied   []model.Profile
@@ -30,10 +28,9 @@ type fakeWriter struct {
 	applyErr  error
 	exportErr error
 	slow      time.Duration
-	agree     func(received int64) (int64, error)
-	agreed    [][2]int64
 	gate      chan struct{}
 	entered   chan struct{}
+	onApply   func()
 }
 
 // gatedWriter returns a fakeWriter whose exports block until released.
@@ -55,28 +52,12 @@ func (f *fakeWriter) release(t *testing.T) {
 	f.gate <- struct{}{}
 }
 
-func (f *fakeWriter) Agree(received int64) (int64, error) {
-	target, err := received, error(nil)
-	if f.agree != nil {
-		target, err = f.agree(received)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err == nil {
-		f.agreed = append(f.agreed, [2]int64{received, target})
-	}
-	return target, err
-}
-
-func (f *fakeWriter) agreements() [][2]int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return slices.Clone(f.agreed)
-}
-
 func (f *fakeWriter) InsertAll(ctx context.Context, ps []model.Profile) ([]int, error) {
 	if f.slow > 0 {
 		time.Sleep(f.slow)
+	}
+	if f.onApply != nil {
+		defer f.onApply()
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -134,7 +115,7 @@ func profiles(n int) []model.Profile {
 
 func TestShardAppliesInOrderAndBarrierPublishes(t *testing.T) {
 	w := &fakeWriter{}
-	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 0}) // no automatic swaps
+	s := New(w, &Snapshot{}, Options{SwapOps: 0}) // no automatic swaps
 	defer s.Close()
 	for i := 0; i < 5; i++ {
 		if err := s.Enqueue(profiles(3)); err != nil {
@@ -182,7 +163,7 @@ func (l *cursorLog) get() []int64 {
 
 // waitBatches blocks until the worker has applied n batches — and, the
 // counter moving in the critical section that samples the mailbox count
-// for Agree, has also taken that sample.
+// a due publication is fixed to, has also taken that sample.
 func waitBatches(t *testing.T, s *Shard, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -201,7 +182,7 @@ func waitBatches(t *testing.T, s *Shard, n int64) {
 func TestShardSwapOpsTrigger(t *testing.T) {
 	var log cursorLog
 	w := &fakeWriter{}
-	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 4, Publish: log.publish})
+	s := New(w, &Snapshot{}, Options{SwapOps: 4, Publish: log.publish})
 	defer s.Close()
 	// One batch at a time, each applied before the next is sent.
 	for i := int64(1); i <= 10; i++ {
@@ -214,19 +195,16 @@ func TestShardSwapOpsTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Due after the 4th and the 8th with an empty mailbox each time, so
-	// agreed for those very positions; the barrier publishes the rest.
+	// fixed to those very positions; the barrier publishes the rest.
 	if got, want := log.get(), []int64{4, 8, 10}; !slices.Equal(got, want) {
 		t.Fatalf("published at %v, want %v", got, want)
-	}
-	if got, want := w.agreements(), [][2]int64{{4, 4}, {8, 8}}; !slices.Equal(got, want) {
-		t.Fatalf("agreements {received, target} = %v, want %v", got, want)
 	}
 	if st := s.Stats(); st.Swaps != 3 || st.Published != 10 {
 		t.Fatalf("stats = %+v, want 3 swaps over 10 profiles", st)
 	}
 
 	// Enqueue-then-Barrier, every batch a full SwapOps window: the policy
-	// publishes each (agreed at its own position) and the barriers find
+	// publishes each (fixed to its own position) and the barriers find
 	// nothing left to do.
 	for i := int64(11); i <= 13; i++ {
 		if err := s.Enqueue(profiles(4)); err != nil {
@@ -239,19 +217,16 @@ func TestShardSwapOpsTrigger(t *testing.T) {
 	if got, want := log.get(), []int64{4, 8, 10, 11, 12, 13}; !slices.Equal(got, want) {
 		t.Fatalf("published at %v, want %v", got, want)
 	}
-	if got, want := w.agreements()[2:], [][2]int64{{11, 11}, {12, 12}, {13, 13}}; !slices.Equal(got, want) {
-		t.Fatalf("agreements {received, target} = %v, want %v", got, want)
-	}
 }
 
 // TestShardBurstPublishesOnceAtAgreedPosition is the second half: a
 // burst that arrives while the worker sits in an export is covered by
-// ONE publication, at the position agreed when it fell due — the count
+// ONE publication, at the position fixed when it fell due — the count
 // the mailbox had received then — and not one per SwapOps window.
 func TestShardBurstPublishesOnceAtAgreedPosition(t *testing.T) {
 	var log cursorLog
 	w := gatedWriter()
-	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
+	s := New(w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
 	defer s.Close()
 	enqueueSingles(t, s, 2)
 	// The worker is now inside the export of position 2; ten more batches
@@ -260,16 +235,13 @@ func TestShardBurstPublishesOnceAtAgreedPosition(t *testing.T) {
 	enqueueSingles(t, s, 10)
 	w.gate <- struct{}{}
 	// Batches 3 and 4 make the next publication fall due with 12 received:
-	// it is agreed for 12 and published there, windows 6, 8 and 10 skipped.
+	// it is fixed to 12 and published there, windows 6, 8 and 10 skipped.
 	w.release(t)
 	if err := barrier(s); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := log.get(), []int64{2, 12}; !slices.Equal(got, want) {
 		t.Fatalf("published at %v, want %v", got, want)
-	}
-	if got, want := w.agreements(), [][2]int64{{2, 2}, {12, 12}}; !slices.Equal(got, want) {
-		t.Fatalf("agreements {received, target} = %v, want %v", got, want)
 	}
 	if st := s.Stats(); st.Swaps != 2 || st.Batches != 12 || st.Published != 12 {
 		t.Fatalf("stats = %+v, want 2 swaps covering 12 batches", st)
@@ -278,42 +250,52 @@ func TestShardBurstPublishesOnceAtAgreedPosition(t *testing.T) {
 
 // TestShardContinuousStreamCannotPostpone: the target is fixed when the
 // publication falls due, so a writer that never pauses still gets one
-// publication per agreed window — each at exactly the agreed position,
-// never later.
+// publication per window — each at exactly the position the mailbox had
+// received when it fell due, never later. Every applied batch enqueues
+// the next, so that position runs a constant 10 batches ahead.
 func TestShardContinuousStreamCannotPostpone(t *testing.T) {
+	const total, ahead, swapOps = 400, 10, 8
 	var log cursorLog
 	w := &fakeWriter{}
-	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 8, Publish: log.publish})
-	const total = 4000
-	for i := 0; i < total; i++ {
-		if err := s.Enqueue(profiles(1)); err != nil {
-			t.Fatal(err)
+	ready := make(chan struct{})
+	var s *Shard
+	enqueued := int64(ahead)
+	w.onApply = func() {
+		<-ready
+		if enqueued < total {
+			enqueued++
+			if err := s.Enqueue(profiles(1)); err != nil {
+				t.Error(err)
+			}
 		}
 	}
+	s = New(w, &Snapshot{}, Options{SwapOps: swapOps, Publish: log.publish})
+	enqueueSingles(t, s, ahead)
+	close(ready)
+	waitBatches(t, s, total)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cursors, agreed := log.get(), w.agreements()
-	if len(agreed) == 0 {
-		t.Fatal("no publication ever fell due")
+	// Due after swapOps applied since the last publication and fixed
+	// ahead of it: 18, 36, … while the stream runs. 396 is fixed when
+	// only 400 will ever arrive, and the Close drain publishes the tail.
+	var want []int64
+	for at := int64(swapOps + ahead); at < 396; at += swapOps + ahead {
+		want = append(want, at)
 	}
-	for i, a := range agreed {
-		if a[1] < 1 || a[1] > total || i >= len(cursors) || cursors[i] != a[1] {
-			t.Fatalf("agreement %d {received, target} = %v, published at %v", i, a, cursors)
-		}
-	}
-	if last := cursors[len(cursors)-1]; last != total || len(cursors) > len(agreed)+1 {
-		t.Fatalf("published at %v after %d agreements, want the last at %d", cursors, len(agreed), total)
+	want = append(want, 396, total)
+	if got := log.get(); !slices.Equal(got, want) {
+		t.Fatalf("published at %v, want %v", got, want)
 	}
 }
 
 // TestShardBarrierInsideHoldPublishesThere: a barrier the worker meets
-// before the agreed position publishes on the spot and clears the hold —
+// before the fixed position publishes on the spot and clears the hold —
 // the next publication falls due afresh, counted from the barrier.
 func TestShardBarrierInsideHoldPublishesThere(t *testing.T) {
 	var log cursorLog
 	w := gatedWriter()
-	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
+	s := New(w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
 	defer s.Close()
 	enqueueSingles(t, s, 2)
 	<-w.entered             // inside the export of position 2
@@ -324,7 +306,7 @@ func TestShardBarrierInsideHoldPublishesThere(t *testing.T) {
 	}
 	enqueueSingles(t, s, 4) // 7..10
 	w.gate <- struct{}{}
-	// Due at 4 with 10 received: held for 10. The barrier after batch 6
+	// Due at 4 with 10 received: fixed to 10. The barrier after batch 6
 	// publishes there.
 	w.release(t)
 	if err := <-done; err != nil {
@@ -333,8 +315,8 @@ func TestShardBarrierInsideHoldPublishesThere(t *testing.T) {
 	if got, want := log.get(), []int64{2, 6}; !slices.Equal(got, want) {
 		t.Fatalf("published at %v, want %v", got, want)
 	}
-	// Hold cleared: 7 and 8 make a publication fall due again (a third
-	// agreement), published at 10.
+	// Hold cleared: 7 and 8 make a publication fall due again, fixed to
+	// and published at 10.
 	w.release(t)
 	if err := barrier(s); err != nil {
 		t.Fatal(err)
@@ -342,189 +324,41 @@ func TestShardBarrierInsideHoldPublishesThere(t *testing.T) {
 	if got, want := log.get(), []int64{2, 6, 10}; !slices.Equal(got, want) {
 		t.Fatalf("published at %v, want %v", got, want)
 	}
-	if got, want := w.agreements(), [][2]int64{{2, 2}, {10, 10}, {10, 10}}; !slices.Equal(got, want) {
-		t.Fatalf("agreements {received, target} = %v, want %v", got, want)
-	}
 }
 
 // TestShardCloseDuringHold: Close with a publication on hold drains the
-// mailbox, publishes the final state and returns — also when the agreed
-// position lies past everything the shard will ever receive, which an
-// honest Writer never answers but which must not hang a shutdown.
+// mailbox, publishes the final state and returns.
 func TestShardCloseDuringHold(t *testing.T) {
-	for _, overshoot := range []int64{0, 100} {
-		var log cursorLog
-		w := gatedWriter()
-		if overshoot > 0 {
-			// Nothing is published before the drain ends: no gate needed.
-			w = &fakeWriter{}
-		}
-		w.agree = func(received int64) (int64, error) { return received + overshoot, nil }
-		s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
-		enqueueSingles(t, s, 2)
-		if overshoot == 0 {
-			<-w.entered // inside the export of position 2
-		}
-		enqueueSingles(t, s, 5)
-		closed := make(chan error, 1)
-		go func() { closed <- s.Close() }()
-		if overshoot == 0 {
-			w.gate <- struct{}{}
-			w.release(t) // due at 4, held for 7, reached inside the drain
-		}
-		select {
-		case err := <-closed:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("overshoot %d: Close hung on a held publication", overshoot)
-		}
-		want := []int64{2, 7}
-		if overshoot > 0 {
-			want = []int64{7}
-		}
-		if got := log.get(); !slices.Equal(got, want) {
-			t.Fatalf("overshoot %d: published at %v, want %v", overshoot, got, want)
-		}
-		if st := s.Stats(); st.Batches != 7 || st.Published != 7 {
-			t.Fatalf("overshoot %d: final state = {batches %d, profiles %d}, want 7 of each", overshoot, st.Batches, st.Published)
-		}
-	}
-}
-
-// exchangePair starts two shards whose writers agree over one Exchange
-// and whose failure hooks poison it, the way a partitioned server wires
-// them; fails counts each shard's OnFail invocations.
-func exchangePair(opts [2]Options) (shards [2]*Shard, writers [2]*fakeWriter, fails *[2]atomic.Int32) {
-	ex := NewExchange(2)
-	fails = new([2]atomic.Int32)
-	for i := range shards {
-		i := i
-		writers[i] = &fakeWriter{agree: func(received int64) (int64, error) { return ex.AgreeMin(i, received) }}
-		opts[i].OnFail = func(err error) {
-			fails[i].Add(1)
-			ex.Poison(err)
-		}
-		shards[i] = New(i, 2, writers[i], &Snapshot{}, opts[i])
-	}
-	return shards, writers, fails
-}
-
-// TestShardAgreementPicksTheSlowestMailbox: two shards fed unevenly
-// agree on the smaller received count and both publish exactly there.
-func TestShardAgreementPicksTheSlowestMailbox(t *testing.T) {
-	var logs [2]cursorLog
-	shards, writers, _ := exchangePair([2]Options{
-		{SwapOps: 2, Publish: logs[0].publish},
-		{SwapOps: 2, Publish: logs[1].publish},
-	})
-	// Shard 0 holds 9 batches when its publication falls due; shard 1 is
-	// given only 5 before it can answer.
-	enqueueSingles(t, shards[0], 9)
-	waitBatches(t, shards[0], 2)
-	enqueueSingles(t, shards[1], 5)
-	waitBatches(t, shards[1], 5)
-	enqueueSingles(t, shards[1], 4)
-	for i := range shards {
-		if err := shards[i].Close(); err != nil {
+	var log cursorLog
+	w := gatedWriter()
+	s := New(w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
+	enqueueSingles(t, s, 2)
+	<-w.entered // inside the export of position 2
+	enqueueSingles(t, s, 5)
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	w.gate <- struct{}{}
+	w.release(t) // due at 4, held for 7, reached inside the drain
+	select {
+	case err := <-closed:
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	a0, a1 := writers[0].agreements(), writers[1].agreements()
-	if len(a0) == 0 || len(a0) != len(a1) {
-		t.Fatalf("agreement rounds: %v vs %v", a0, a1)
-	}
-	for k := range a0 {
-		if a0[k][1] != a1[k][1] {
-			t.Fatalf("round %d agreed differently: %v vs %v", k, a0, a1)
-		}
-	}
-	if first := a0[0]; first[1] < 2 || first[1] > 5 {
-		t.Fatalf("first agreement %v: shard 1 had received at most 5 batches", first)
-	}
-	if c0, c1 := logs[0].get(), logs[1].get(); !slices.Equal(c0, c1) || c0[len(c0)-1] != 9 {
-		t.Fatalf("published positions differ or stop short of 9: %v vs %v", c0, c1)
-	}
-}
-
-// TestShardAgreementErrorIsStickyAndPoisonsPeers: a failed agreement is
-// the shard's sticky error, fires OnFail exactly once, and through it
-// fails the peer's round instead of leaving it waiting.
-func TestShardAgreementErrorIsStickyAndPoisonsPeers(t *testing.T) {
-	boom := errors.New("agree boom")
-	shards, writers, fails := exchangePair([2]Options{{SwapOps: 2}, {SwapOps: 2}})
-	defer shards[0].Close()
-	defer shards[1].Close()
-	writers[0].agree = func(int64) (int64, error) { return 0, boom }
-	for _, sh := range shards {
-		enqueueSingles(t, sh, 2)
-	}
-	for i, sh := range shards {
-		if err := barrier(sh); !errors.Is(err, boom) {
-			t.Fatalf("shard %d barrier = %v, want the agreement failure", i, err)
-		}
-	}
-	// Sticky, and dropped batches reach neither the writer nor a round.
-	for _, sh := range shards {
-		enqueueSingles(t, sh, 4)
-	}
-	for i, sh := range shards {
-		if err := barrier(sh); !errors.Is(err, boom) {
-			t.Fatalf("shard %d second barrier = %v, want the sticky failure", i, err)
-		}
-		if got := writers[i].appliedCount(); got != 2 {
-			t.Fatalf("shard %d applied %d profiles after failing, want 2", i, got)
-		}
-		if got := fails[i].Load(); got != 1 {
-			t.Fatalf("shard %d fired OnFail %d times, want once", i, got)
-		}
-		if st := sh.Stats(); st.Swaps != 0 {
-			t.Fatalf("shard %d published %d times past a failed agreement", i, st.Swaps)
-		}
-	}
-}
-
-// TestShardFailedPeerTakesNoAgreementRound: a shard that failed on apply
-// drops its batches without ever joining an agreement, and the round its
-// peer is already waiting in returns the poison.
-func TestShardFailedPeerTakesNoAgreementRound(t *testing.T) {
-	boom := errors.New("apply boom")
-	shards, writers, fails := exchangePair([2]Options{{SwapOps: 2}, {SwapOps: 2}})
-	defer shards[0].Close()
-	defer shards[1].Close()
-	writers[0].applyErr = boom
-	// Shard 1 falls due first and waits in the round for shard 0.
-	enqueueSingles(t, shards[1], 2)
-	waitBatches(t, shards[1], 2)
-	pending, err := shards[1].BarrierStart()
-	if err != nil {
-		t.Fatal(err)
-	}
-	enqueueSingles(t, shards[0], 4)
-	if err := barrier(shards[0]); !errors.Is(err, boom) {
-		t.Fatalf("failed shard barrier = %v, want %v", err, boom)
-	}
-	select {
-	case err := <-pending:
-		if !errors.Is(err, boom) {
-			t.Fatalf("peer's pending round = %v, want the poison %v", err, boom)
-		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("peer still waits for a round the failed shard will never join")
+		t.Fatal("Close hung on a held publication")
 	}
-	if got := len(writers[0].agreements()); got != 0 {
-		t.Fatalf("failed shard took %d agreement rounds, want none", got)
+	if got, want := log.get(), []int64{2, 7}; !slices.Equal(got, want) {
+		t.Fatalf("published at %v, want %v", got, want)
 	}
-	if f0, f1 := fails[0].Load(), fails[1].Load(); f0 != 1 || f1 != 1 {
-		t.Fatalf("OnFail fired %d and %d times, want once each", f0, f1)
+	if st := s.Stats(); st.Batches != 7 || st.Published != 7 {
+		t.Fatalf("final state = {batches %d, profiles %d}, want 7 of each", st.Batches, st.Published)
 	}
 }
 
 func TestShardStickyApplyError(t *testing.T) {
 	boom := errors.New("boom")
 	w := &fakeWriter{applyErr: boom}
-	s := New(0, 1, w, &Snapshot{}, Options{})
+	s := New(w, &Snapshot{}, Options{})
 	defer s.Close()
 	if err := s.Enqueue(profiles(1)); err != nil {
 		t.Fatal(err)
@@ -532,9 +366,8 @@ func TestShardStickyApplyError(t *testing.T) {
 	if err := barrier(s); !errors.Is(err, boom) {
 		t.Fatalf("barrier err = %v, want %v", err, boom)
 	}
-	// Enqueue still accepts (broadcast atomicity: a failed shard must
-	// not split a multi-shard broadcast) but the batch is dropped and
-	// the failure stays observable.
+	// Enqueue still accepts, but the batch is dropped and the failure
+	// stays observable.
 	if err := s.Enqueue(profiles(1)); err != nil {
 		t.Fatalf("enqueue after failure = %v, want accepted-and-dropped", err)
 	}
@@ -552,7 +385,7 @@ func TestShardStickyApplyError(t *testing.T) {
 func TestShardExportError(t *testing.T) {
 	boom := errors.New("export boom")
 	w := &fakeWriter{exportErr: boom}
-	s := New(0, 1, w, &Snapshot{}, Options{})
+	s := New(w, &Snapshot{}, Options{})
 	defer s.Close()
 	if err := s.Enqueue(profiles(1)); err != nil {
 		t.Fatal(err)
@@ -565,7 +398,7 @@ func TestShardExportError(t *testing.T) {
 func TestShardCloseDrainsAndStops(t *testing.T) {
 	base := runtime.NumGoroutine()
 	w := &fakeWriter{slow: time.Millisecond}
-	s := New(0, 1, w, &Snapshot{}, Options{})
+	s := New(w, &Snapshot{}, Options{})
 	for i := 0; i < 8; i++ {
 		if err := s.Enqueue(profiles(2)); err != nil {
 			t.Fatal(err)
@@ -598,18 +431,18 @@ func TestShardCloseDrainsAndStops(t *testing.T) {
 
 // TestShardBatchesAndPersistHook pins the publication contract of the
 // worker: exports carry the batch cursor, the Publish hook sees exactly
-// the publications — the agreed one of a burst, not one per SwapOps
+// the publications — the fixed one of a burst, not one per SwapOps
 // window —, a closing drain publishes the tail, and a hook failure is
 // sticky.
 func TestShardBatchesAndPersistHook(t *testing.T) {
 	var log cursorLog
 	w := gatedWriter()
-	s := New(0, 1, w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
+	s := New(w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
 	enqueueSingles(t, s, 2)
 	<-w.entered // inside the export of position 2
 	enqueueSingles(t, s, 3)
 	w.gate <- struct{}{}
-	// Due again at 4 with 5 received: agreed for 5, window 4 skipped.
+	// Due again at 4 with 5 received: fixed to 5, window 4 skipped.
 	w.release(t)
 	if err := barrier(s); err != nil {
 		t.Fatal(err)
@@ -639,7 +472,7 @@ func TestShardBatchesAndPersistHook(t *testing.T) {
 func TestShardPersistErrorSticky(t *testing.T) {
 	boom := errors.New("disk full")
 	w := &fakeWriter{}
-	s := New(0, 1, w, &Snapshot{}, Options{Publish: func(*Snapshot) error { return boom }})
+	s := New(w, &Snapshot{}, Options{Publish: func(*Snapshot) error { return boom }})
 	defer s.Close()
 	if err := s.Enqueue(profiles(1)); err != nil {
 		t.Fatal(err)
@@ -654,16 +487,14 @@ func TestShardPersistErrorSticky(t *testing.T) {
 
 // TestShardContinuesFromStartState: a shard started over a server's
 // start state — a recovered one, here at epoch 7 and batch 3 — counts
-// its stream position and its epochs on from there, and reports its
-// share of the start state before it has published anything.
+// its stream position and its epochs on from there.
 func TestShardContinuesFromStartState(t *testing.T) {
 	var log cursorLog
 	start := sampleSnapshot(true)
-	s := New(1, 2, &fakeWriter{}, start, Options{Publish: log.publish})
+	s := New(&fakeWriter{}, start, Options{Publish: log.publish})
 	defer s.Close()
-	rows, bytes := start.Share(1, 2)
-	if st := s.Stats(); st.Epoch != 7 || st.Batches != 3 || st.Published != 4 || st.OwnedRows != rows || st.ResidentBytes != bytes {
-		t.Fatalf("stats before any publication = %+v, want epoch 7, batch 3, 4 profiles, share (%d, %d)", st, rows, bytes)
+	if st := s.Stats(); st.Epoch != 7 || st.Batches != 3 || st.Published != 4 {
+		t.Fatalf("stats before any publication = %+v, want epoch 7, batch 3, 4 profiles", st)
 	}
 	enqueueSingles(t, s, 2)
 	if err := barrier(s); err != nil {
@@ -679,7 +510,7 @@ func TestShardContinuesFromStartState(t *testing.T) {
 
 func TestShardBarrierContext(t *testing.T) {
 	w := &fakeWriter{slow: 50 * time.Millisecond}
-	s := New(0, 1, w, &Snapshot{}, Options{})
+	s := New(w, &Snapshot{}, Options{})
 	defer s.Close()
 	if err := s.Enqueue(profiles(4)); err != nil {
 		t.Fatal(err)

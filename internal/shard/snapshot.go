@@ -1,23 +1,23 @@
-// Package shard is the machinery of sharded snapshot-swap serving:
-// immutable epoch-tagged snapshots of the retained rows, single-writer
-// shard workers that absorb insert batches and export the rows they own
-// on a publication policy, hash-based row ownership, and JoinOwned,
-// which joins the exports of one state into the full snapshot readers
-// are served from.
+// Package shard is the machinery of snapshot-swap serving: immutable
+// epoch-tagged snapshots of the retained rows, the single-writer worker
+// that absorbs insert batches and exports the frozen state on a
+// publication policy, hash-based row ownership, the all-gather exchange
+// the parties of one partitioned freeze resolve global values over, and
+// JoinOwned, which joins the parties' rows into the full snapshot
+// readers are served from.
 //
 // The package is deliberately ignorant of BLAST itself. The writable
-// side of a shard is any Writer (the blast package's partitioned writer
-// in production, a fake in tests); a Snapshot is just the flat
-// per-profile rows of what pruning retained. The blast.Server composes
-// shards into the public serving API: it gathers every shard's export of
-// a state, joins them, and publishes the result behind one atomic
-// pointer.
+// side of a shard is any Writer (the blast package's server writer in
+// production, a fake in tests); a Snapshot is just the flat per-profile
+// rows of what pruning retained. The blast.Server composes the worker,
+// the exchange and the join into the public serving API, and publishes
+// every export behind one atomic pointer.
 //
-// Concurrency model: one worker goroutine per shard owns all mutation of
-// its Writer and hands every export over through the Publish hook,
-// keeping only counters. A snapshot is immutable from the moment it is
-// handed over, so readers never block on writers and writers never wait
-// for readers — a swap simply retires the old state to the garbage
+// Concurrency model: one worker goroutine owns all mutation of its
+// Writer and hands every export over through the Publish hook, keeping
+// only counters. A snapshot is immutable from the moment it is handed
+// over, so readers never block on writers and writers never wait for
+// readers — a swap simply retires the old state to the garbage
 // collector once the last reader drops it.
 package shard
 
@@ -74,11 +74,8 @@ type Snapshot struct {
 	Epoch uint64
 	// Batches is the snapshot's position in the globally sequenced
 	// insert stream: the number of admitted insert batches it covers.
-	// Every shard of a server applies the same batch sequence in the
-	// same order, so exports with equal Batches were derived from
-	// identical collection states — JoinOwned joins only those — and on
-	// disk it is the WAL position: recovery adopts a snapshot only when
-	// it sits at the log's record count.
+	// On disk it is the WAL position: recovery adopts a snapshot only
+	// when it sits at the log's record count.
 	Batches int64
 	// NumProfiles is the number of profiles the snapshot covers.
 	NumProfiles int
@@ -90,7 +87,7 @@ type Snapshot struct {
 	RetainedPairs int
 	// Offsets and Neighbors are the retained rows in CSR form: row i
 	// occupies positions [Offsets[i], Offsets[i+1]) of the entry arrays,
-	// ascending by neighbor. A shard's export populates only the rows it
+	// ascending by neighbor. A party's snapshot populates only the rows it
 	// owns; its counters and Theta are global all the same.
 	Offsets   []int64
 	Neighbors []int32
@@ -101,11 +98,11 @@ type Snapshot struct {
 	Theta []float64
 }
 
-// Share returns what shard part of n holds of the snapshot: the rows
-// Owner hashes onto it and their footprint, 12 bytes a retained entry
-// plus 16 bytes a row (its offset and threshold). An export holds
-// exactly its share, so one count serves a shard's export and a full
-// state, and the shares of a state's shards sum to the state's own.
+// Share returns what partition part of n holds of the snapshot: the
+// rows Owner hashes onto it and their footprint, 12 bytes a retained
+// entry plus 16 bytes a row (its offset and threshold). A party's rows
+// hold exactly its share, so one count serves a party's rows and a full
+// state, and the shares of a state's partitions sum to the state's own.
 func (s *Snapshot) Share(part, n int) (rows int, bytes int64) {
 	entries := int64(0)
 	for u := 0; u < s.NumProfiles; u++ {
@@ -117,14 +114,14 @@ func (s *Snapshot) Share(part, n int) (rows int, bytes int64) {
 	return rows, 12*entries + 16*int64(rows)
 }
 
-// JoinOwned joins the exports of one state into its full snapshot:
-// parts[i] is shard i's export, and every row is taken from the shard
-// Owner hashes it onto. The counters and Theta are global in every
-// export (the shards resolved them together), so they come from
+// JoinOwned joins the parties' rows of one freeze into its full
+// snapshot: parts[i] is party i's, and every row is taken from the
+// party Owner hashes it onto. The counters and Theta are global in
+// every part (the parties resolved them together), so they come from
 // parts[0]. It refuses parts of different states — another epoch, batch
 // position or global counter — and parts whose owned rows do not hold
 // every entry they carry, two a retained pair, which is what a part
-// joined at another shard's index holds.
+// joined at another party's index holds.
 func JoinOwned(parts []*Snapshot) (*Snapshot, error) {
 	n, p0 := len(parts), parts[0]
 	np, entries := p0.NumProfiles, int64(0)
@@ -231,11 +228,11 @@ func (s *Snapshot) Pairs(ctx context.Context) ([]model.IDPair, error) {
 	return dst, nil
 }
 
-// Owner maps a profile id onto one of n shards. The hash is a fixed
-// multiplicative mix (SplitMix64's first round) so routing is stable
-// across processes and uniform even for the dense sequential ids the
-// pipeline assigns; plain modulo would stripe ids across shards in lock
-// step with insertion order.
+// Owner maps a profile id onto one of n partitions. The hash is a
+// fixed multiplicative mix (SplitMix64's first round) so routing is
+// stable across processes and uniform even for the dense sequential ids
+// the pipeline assigns; plain modulo would stripe ids across partitions
+// in lock step with insertion order.
 func Owner(profile int32, n int) int {
 	if n <= 1 {
 		return 0

@@ -1,19 +1,16 @@
 package blast
 
-// The shard writer of a Server. A partIndex owns only the rows that
-// hash onto its shard: it holds its clone of the (compact, fully
-// replicated) block collection plus an appender, and materializes
-// nothing else between exports. An export is the freeze an Index runs
-// — metablocking.BuildWeighted, then metablocking.FreezeCSR — over the
-// owned rows: the owned-rows CSR is built, weighed and pruned, and only
-// the owned rows of what pruning retained outlive the export. The
-// shards of a server are the parties of that one freeze
-// (prune.Parties): every value global to the graph is all-gathered over
-// the server's shard.Exchange, one round at a time:
+// The writer of a Server and its partitioned freeze. The writer holds
+// one appender over one clone of the (compact) block collection and
+// materializes nothing else between publications. A publication is the
+// freeze an Index runs — metablocking.BuildWeighted, then
+// metablocking.FreezeCSR — run by ServerOptions.Shards parties at once,
+// each over the rows that hash onto it: a party builds, weighs and
+// prunes its owned rows, and only the owned rows of what pruning
+// retained outlive the freeze. The parties of one freeze
+// (prune.Parties) all-gather every value global to the graph over a
+// fresh shard.Exchange, one round at a time:
 //
-//	agreement  received batch counts     → the batch to publish at
-//	           (shard.Exchange.AgreeMin; once per due publication,
-//	            before the export — see Agree)
 //	degrees    owned degree vectors      → global degrees, edge count
 //	           (BuildWeighted, off the degree pass; the fill pass then
 //	            weighs each entry as it emits it)
@@ -24,99 +21,104 @@ package blast
 //	           retained-entry counts       retained counts
 //	           (FreezeCSR; one round)
 //
-// A shard decides the entries of its owned rows locally once the rounds
-// are done. Every branch a shard takes between rounds depends only on
-// gathered values, so all shards run the identical round sequence and
-// the exchange's call-index round matching never misaligns. The
-// agreement round keeps to the same rule: every shard takes one at
-// every point where a publication falls due and nowhere else, only
-// after a batch it applied successfully (a failed shard takes none and
-// poisons the exchange), and due points coincide across shards because
-// they are counted in applied profiles since the last publication,
-// which was itself aligned — by a previous agreement, by a barrier the
-// server placed at one position on every shard, or by the final drain
-// of Close.
+// A party decides the entries of its owned rows locally once the rounds
+// are done. Every branch a party takes between rounds depends only on
+// gathered values, so all parties run the identical round sequence and
+// the exchange's call-index round matching never misaligns. A failing
+// party poisons its freeze's exchange, so its peers fail instead of
+// waiting; the next publication runs over a fresh one.
 //
-// The correctness contract is bit for bit: a row of a shard's export
-// is byte-identical to the same row of a cold IndexBlocks over the same
-// collection, because a whole graph is just the one-party case of the
-// same freeze; the server joins the exports into that build's rows
-// (shard.JoinOwned).
+// The correctness contract is bit for bit: the join of the parties'
+// rows (shard.JoinOwned) is byte-identical to a cold IndexBlocks over
+// the same collection, because a whole graph is just the one-party case
+// of the same freeze — the one a single-party writer runs.
 
 import (
 	"context"
+	"sync"
 
 	"blast/internal/blocking"
 	"blast/internal/metablocking"
 	"blast/internal/model"
+	"blast/internal/prune"
 	"blast/internal/shard"
 )
 
-// partIndex is the Writer behind one shard of a Server.
-// The shard worker serializes all calls, so it needs no lock of its
-// own.
-type partIndex struct {
-	part   int
-	nparts int
+// writer is the shard.Writer behind a Server. The shard worker
+// serializes all calls, so it needs no lock of its own.
+type writer struct {
+	parts  int
 	kind   model.Kind
 	schema *Schema
 	opt    Options
 	app    *blocking.Appender
-	ex     *shard.Exchange
+	// failParty, when set, runs first in every party of a partitioned
+	// freeze; a non-nil result fails that party. Tests set it to inject
+	// a party failure before the writer's next publication.
+	failParty func(part int) error
 }
 
-// newPartIndex wraps one shard's clone of the block collection. The
-// clone is owned by the partIndex from here on.
-func newPartIndex(c *blocking.Collection, schema *Schema, opt Options, part, nparts int, ex *shard.Exchange) *partIndex {
-	return &partIndex{
-		part:   part,
-		nparts: nparts,
-		kind:   c.Kind,
-		schema: schema,
-		opt:    opt,
-		app:    blocking.NewAppender(c),
-		ex:     ex,
-	}
+// newWriter wraps the server's clone of the block collection, frozen by
+// parts parties. The clone is owned by the writer from here on.
+func newWriter(c *blocking.Collection, schema *Schema, opt Options, parts int) *writer {
+	return &writer{parts: parts, kind: c.Kind, schema: schema, opt: opt, app: blocking.NewAppender(c)}
 }
 
-// InsertAll tokenizes and appends a batch to the shard's collection;
-// ownership resolution happens wholesale at the next Export. Every
-// shard of the server admits every batch (the collection is replicated;
-// only adjacency is partitioned), which is what keeps the appenders' id
-// assignment aligned.
-func (px *partIndex) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
+// InsertAll tokenizes and appends a batch to the collection; the next
+// Export folds it in.
+func (w *writer) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return appendBatch(px.app, px.schema, px.kind, &px.opt, profiles), nil
+	return appendBatch(w.app, w.schema, w.kind, &w.opt, profiles), nil
 }
 
-// Agree resolves a due publication to the newest batch position every
-// shard of the server has received: partitioned exports exchange
-// aggregates, so all shards must export the same collection state, and
-// agreeing on the minimum picks one none of them has to wait for.
-func (px *partIndex) Agree(received int64) (int64, error) {
-	return px.ex.AgreeMin(px.part, received)
-}
-
-// Export builds this shard's export — its owned rows — at the current
-// collection state: the freeze an Index runs, over the shard's parties.
-// All participating shards must export concurrently from identical
-// collection states; the server guarantees both (batches are enqueued
-// to all shards atomically, and every publication happens at a position
-// all shards share: one they agreed on, a server-placed barrier, or the
-// end of the stream).
-func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
-	c := px.app.Collection()
-	parties := shardParties{ex: px.ex, part: px.part, owners: make([]uint8, c.NumProfiles)}
-	for u := range parties.owners {
-		parties.owners[u] = uint8(shard.Owner(int32(u), px.nparts))
-	}
-	owns := func(u int32) bool { return parties.Owner(u) == px.part }
-	cfg := metaConfigFromOptions(px.opt)
+// Export freezes the collection's current state into the rows the
+// server publishes, built resident: over prune.Alone with one party, as
+// Index.freeze does, or by w.parts party goroutines over one fresh
+// exchange, whose rows are then joined.
+func (w *writer) Export(ctx context.Context) (*shard.Snapshot, error) {
+	c := w.app.Collection()
+	cfg := metaConfigFromOptions(w.opt)
 	cfg.Spill = nil
-	// Built resident, the owned graph needs no Close and dies with this
-	// export: the rows are all that is published.
+	if w.parts == 1 {
+		return freezeParty(ctx, c, cfg, prune.Alone, nil)
+	}
+	ex, owners := shard.NewExchange(w.parts), make([]uint8, c.NumProfiles)
+	for u := range owners {
+		owners[u] = uint8(shard.Owner(int32(u), w.parts))
+	}
+	rows, errs := make([]*shard.Snapshot, w.parts), make([]error, w.parts)
+	var wg sync.WaitGroup
+	for i := range rows {
+		wg.Add(1)
+		go func(p partyOf) {
+			defer wg.Done()
+			var err error
+			if w.failParty != nil {
+				err = w.failParty(p.part)
+			}
+			if err == nil {
+				rows[p.part], err = freezeParty(ctx, c, cfg, p, func(u int32) bool { return p.Owner(u) == p.part })
+			}
+			if err != nil {
+				ex.Poison(err)
+			}
+			errs[p.part] = err
+		}(partyOf{ex: ex, part: i, owners: owners})
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return shard.JoinOwned(rows)
+}
+
+// freezeParty is one party's freeze of the rows owns selects (nil:
+// every row). Built resident, its graph needs no Close and dies here.
+func freezeParty(ctx context.Context, c *blocking.Collection, cfg metablocking.Config, parties prune.Parties, owns func(int32) bool) (*shard.Snapshot, error) {
 	g, _, err := metablocking.BuildWeighted(ctx, c, cfg, parties, owns)
 	if err != nil {
 		return nil, err
@@ -124,15 +126,15 @@ func (px *partIndex) Export(ctx context.Context) (*shard.Snapshot, error) {
 	return metablocking.FreezeCSR(ctx, g, cfg, parties)
 }
 
-// shardParties are the shards of one server as the parties of a
-// pruning decision: rounds run over the server's exchange, and a row
-// belongs to the shard it hashes onto (shard counts are capped at 256,
-// so a byte a row holds the owner table).
-type shardParties struct {
+// partyOf is one party of a partitioned freeze as a prune.Parties:
+// rounds run over the freeze's exchange, and a row belongs to the party
+// it hashes onto (shard counts are capped at 256, so a byte a row holds
+// the owner table).
+type partyOf struct {
 	ex     *shard.Exchange
 	part   int
 	owners []uint8
 }
 
-func (s shardParties) Gather(v any) ([]any, error) { return s.ex.Gather(s.part, v) }
-func (s shardParties) Owner(u int32) int           { return int(s.owners[u]) }
+func (p partyOf) Gather(v any) ([]any, error) { return p.ex.Gather(p.part, v) }
+func (p partyOf) Owner(u int32) int           { return int(p.owners[u]) }

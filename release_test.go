@@ -58,8 +58,8 @@ func footprintCorpus(t *testing.T, p *Pipeline) *Blocks {
 // TestIndexReleasesServingOnlyArrays pins the frozen footprint: beside
 // its collection, a query-only index holds 12 bytes a retained entry and
 // 16 a profile — bounded here at 16 and 24 — however large the graph
-// was; so does a partitioned shard's export and a snapshot decoded from
-// disk. Lookups on it allocate nothing into a sized buffer.
+// was; so does a server writer's freeze by two parties and a snapshot
+// decoded from disk. Lookups on it allocate nothing into a sized buffer.
 func TestIndexReleasesServingOnlyArrays(t *testing.T) {
 	ctx := context.Background()
 	opt := DefaultOptions()
@@ -87,9 +87,9 @@ func TestIndexReleasesServingOnlyArrays(t *testing.T) {
 			held, entries, np, bound(entries, np), 2*ix.NumEdges())
 	}
 
-	px := newPartIndex(blocks.Collection.Clone(), blocks.Schema, p.opt, 0, 1, shard.NewExchange(1))
+	w := newWriter(blocks.Collection.Clone(), blocks.Schema, p.opt, 2)
 	snap, held := liveHeapOf(func() *shard.Snapshot {
-		snap, err := px.Export(ctx)
+		snap, err := w.Export(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestIndexReleasesServingOnlyArrays(t *testing.T) {
 		t.Fatalf("export holds %d entries, frozen index %d", len(snap.Neighbors), entries)
 	}
 	if held > bound(entries, np) {
-		t.Errorf("partIndex.Export result holds %d bytes, want at most %d", held, bound(entries, np))
+		t.Errorf("writer.Export result holds %d bytes, want at most %d", held, bound(entries, np))
 	}
 
 	blob := shard.EncodeSnapshot(snap)
@@ -191,7 +191,7 @@ func allocatedBy(fn func()) uint64 {
 
 // TestColdPathsNeverMakeStatisticsArrays: the builds whose caller reads
 // no co-occurrence statistics after the weights — a cold MetaBlock, a
-// cold IndexBlocks, a partitioned shard's Export — weigh as they fill
+// cold IndexBlocks, a server writer's freeze by two parties — weigh as they fill
 // and never allocate Common/ARCS/EntropySum, nor a per-entry retention
 // mask. A statistics-keeping fill alone allocates 32 bytes an entry
 // (five arrays); these paths must stay under 20 with everything they
@@ -218,16 +218,16 @@ func TestColdPathsNeverMakeStatisticsArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	px := newPartIndex(blocks.Collection.Clone(), blocks.Schema, p.opt, 0, 1, shard.NewExchange(1))
+	w := newWriter(blocks.Collection.Clone(), blocks.Schema, p.opt, 2)
 	var snap *shard.Snapshot
-	exportBytes := allocatedBy(func() { snap, err = px.Export(ctx) })
+	exportBytes := allocatedBy(func() { snap, err = w.Export(ctx) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if 2*uint64(snap.NumEdges) != entries {
 		t.Fatalf("export weighed %d entries, cold index %d", 2*snap.NumEdges, entries)
 	}
-	for name, bytes := range map[string]uint64{"IndexBlocks": coldBytes, "MetaBlock": runBytes, "partIndex.Export": exportBytes} {
+	for name, bytes := range map[string]uint64{"IndexBlocks": coldBytes, "MetaBlock": runBytes, "writer.Export": exportBytes} {
 		if bytes >= 20*entries {
 			t.Errorf("%s allocated %d bytes for %d entries (%.1f an entry), want under 20", name, bytes, entries, float64(bytes)/float64(entries))
 		}

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"sync"
 	"testing"
@@ -336,13 +337,11 @@ func TestViewConsistency(t *testing.T) {
 	}
 }
 
-// publicationLog samples the last publication of every shard and keeps,
-// per shard, the profile count (Stats.Published) of each publication
-// epoch it saw. Partitioned shards publish in lockstep — the k-th
-// publication of every shard covers the same batches, or their exchange
-// rounds would pair up states of different collections, and the server
-// could not join their exports — so any epoch seen on two shards must
-// carry one count.
+// publicationLog samples the last publication every partition's Stats
+// entry reports and keeps, per partition, the profile count
+// (Stats.Published) of each publication epoch it saw. Every publication
+// is one state of the one writer, so any epoch seen on two partitions
+// must carry one count.
 type publicationLog struct {
 	mu   sync.Mutex
 	seen []map[uint64]int64
@@ -352,7 +351,7 @@ func (l *publicationLog) sample(srv *Server) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.seen == nil {
-		l.seen = make([]map[uint64]int64, len(srv.shards))
+		l.seen = make([]map[uint64]int64, srv.NumShards())
 		for i := range l.seen {
 			l.seen[i] = make(map[uint64]int64)
 		}
@@ -418,10 +417,10 @@ func copyTree(t *testing.T, src, dst string) {
 // TestPartitionedAlignmentUnderBacklog drives group publication through
 // the public API: partitioned servers of 1, 2 and 4 shards, at SwapOps
 // 2, 16 and 256, are fed one seeded stream by a writer that bursts, that
-// waits for every shard to apply each batch, or that yields at random —
+// waits for the server to apply each batch, or that yields at random —
 // so publications fall due with every kind of backlog behind them. In
-// every cell no shard may deadlock (a watchdog bounds the cell), the
-// shards' publication sequences must coincide, every admitted profile is
+// every cell no publication may deadlock (a watchdog bounds the cell),
+// the partitions' publication sequences must coincide, every admitted profile is
 // visible after Quiesce, and Pairs/Candidates/Threshold equal a cold
 // IndexBlocks over the served collection. The durable cells then reopen
 // a kill image of the quiesced directory: it must adopt the snapshots
@@ -553,10 +552,63 @@ func TestPartitionedAlignmentUnderBacklog(t *testing.T) {
 	}
 }
 
+// TestServerAppliesEachBatchOnce: a Server appends every admitted batch
+// once, to one collection, whatever ServerOptions.Shards is. The bytes
+// allocated while 64 batches are admitted and applied — with no
+// publication (SwapOps -1), whose freeze would swamp the reading — at
+// four shards stay within 1.25x of the figure at one shard; N writers,
+// each tokenizing and appending every batch, read about N times it.
+func TestServerAppliesEachBatchOnce(t *testing.T) {
+	ctx := context.Background()
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 64
+	allocated := func(shards int) uint64 {
+		srv, err := p.Serve(ctx, durDataset(), ServerOptions{Shards: shards, SwapOps: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		// A collection flushes every P's allocation cache, whose slots the
+		// metric counts only once flushed.
+		sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		runtime.GC()
+		metrics.Read(sample)
+		before := sample[0].Value.Uint64()
+		for k := 0; k < batches; k++ {
+			if _, err := srv.InsertAll(ctx, durBatchFor(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for applied := false; !applied; {
+			applied = true
+			for _, st := range srv.Stats() {
+				applied = applied && st.Applied == batches*durBatchSize
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("shards=%d: batches not applied: %+v", shards, srv.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		runtime.GC()
+		metrics.Read(sample)
+		return sample[0].Value.Uint64() - before
+	}
+	one, four := allocated(1), allocated(4)
+	if float64(four) > 1.25*float64(one) {
+		t.Errorf("admitting and applying %d batches allocated %d bytes at 4 shards, %d at 1 (%.2fx, want at most 1.25x)",
+			batches, four, one, float64(four)/float64(one))
+	}
+	t.Logf("allocated %d bytes at 1 shard, %d at 4 (%.2fx)", one, four, float64(four)/float64(one))
+}
+
 // TestPartitionedOwnedRowsServedFromTheSnapshot: Stats().OwnedRows is
-// the shard's share of the published state, counted where the share is
-// made — once at start, then at every export — not a re-hash of every
-// profile id per call, and equals the hashed count for every shard count;
+// the partition's share of the published state, counted once at start,
+// then at every publication — not a re-hash of every profile id per
+// call — and equals the hashed count for every shard count;
 // the shares' ResidentBytes sum to the state's 12 bytes a retained entry
 // plus 16 a profile.
 func TestPartitionedOwnedRowsServedFromTheSnapshot(t *testing.T) {
@@ -634,12 +686,12 @@ func assertSameSnapshot(t *testing.T, label string, want, got *shard.Snapshot) {
 }
 
 // TestJoinOwnedMatchesFrozenRows pins the rule a server publishes by,
-// for every pruning under three weightings: the join (JoinOwned) of what
-// each shard of a 1-, 2- and 3-way partition collects and exchanges for
-// itself equals, row for row and counter for counter, the rows one
-// frozen IndexBlocks build collects over the shards' union collection —
-// over the seed collection, and again after a batch every shard
-// appended.
+// for every pruning under three weightings: the writer's freeze by the
+// parties of a 1-, 2- and 3-way partition — each collecting and
+// exchanging for itself, their rows joined by JoinOwned — equals, row
+// for row and counter for counter, the rows one frozen IndexBlocks
+// build collects over the writer's collection: over the seed
+// collection, and again after the writer appended a batch.
 func TestJoinOwnedMatchesFrozenRows(t *testing.T) {
 	ctx := context.Background()
 	schemes := []weights.Scheme{{Kind: weights.ChiSquared, Entropy: true}, {Kind: weights.CBS}, {Kind: weights.EJS}}
@@ -672,42 +724,20 @@ func TestJoinOwnedMatchesFrozenRows(t *testing.T) {
 			}
 
 			for n := 1; n <= 3; n++ {
-				ex := shard.NewExchange(n)
-				parts := make([]*partIndex, n)
-				for i := range parts {
-					parts[i] = newPartIndex(blocks.Collection.Clone(), blocks.Schema, p.opt, i, n, ex)
-				}
+				w := newWriter(blocks.Collection.Clone(), blocks.Schema, p.opt, n)
 				for stage, appended := range []bool{false, true} {
 					if appended {
-						for _, px := range parts {
-							if _, err := px.InsertAll(ctx, batch); err != nil {
-								t.Fatal(err)
-							}
+						if _, err := w.InsertAll(ctx, batch); err != nil {
+							t.Fatal(err)
 						}
 					}
-					frozen, err := p.IndexBlocks(ctx, &Blocks{Collection: parts[0].app.Collection(), Schema: blocks.Schema})
+					frozen, err := p.IndexBlocks(ctx, &Blocks{Collection: w.app.Collection(), Schema: blocks.Schema})
 					if err != nil {
 						t.Fatal(err)
 					}
-					exports := make([]*shard.Snapshot, n)
-					errs := make([]error, n)
-					var wg sync.WaitGroup
-					for i, px := range parts {
-						wg.Add(1)
-						go func(i int, px *partIndex) {
-							defer wg.Done()
-							exports[i], errs[i] = px.Export(ctx)
-						}(i, px)
-					}
-					wg.Wait()
-					for i := 0; i < n; i++ {
-						if errs[i] != nil {
-							t.Fatalf("%s: stage %d export %d/%d: %v", label, stage, i, n, errs[i])
-						}
-					}
-					joined, err := shard.JoinOwned(exports)
+					joined, err := w.Export(ctx)
 					if err != nil {
-						t.Fatalf("%s: stage %d join of %d: %v", label, stage, n, err)
+						t.Fatalf("%s: stage %d freeze by %d parties: %v", label, stage, n, err)
 					}
 					assertSameSnapshot(t, fmt.Sprintf("%s stage %d join of %d vs frozen", label, stage, n), frozen.rows, joined)
 				}
