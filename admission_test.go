@@ -1,14 +1,16 @@
 package blast
 
-// Tests of the write queue in front of the shards (admission.go): group
-// commit, the pending bounds, cancellation, Close, and the queue under
-// concurrent writers that cancel and overflow it.
+// Tests of the write queue through the Server (InsertAll and the
+// writer's queue in internal/shard): group commit, the pending bounds
+// held until the writer applies a batch, cancellation, Close, and the
+// queue under concurrent writers that cancel and overflow it.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +99,11 @@ func TestServerCoalescing(t *testing.T) {
 			}
 		}
 	}
+	// A call holds its share of the bounds until the writer has applied
+	// it: the queue is empty once the server is quiesced.
+	if err := srv.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
 	st := srv.WriteStats()
 	if st.Batches != 1 || st.CoalescedRequests != n || st.AdmittedProfiles != n*durBatchSize || st.PendingRequests != 0 || st.PendingBytes != 0 {
 		t.Fatalf("%d calls queued behind one commit: %+v, want one batch of all of them", n, st)
@@ -116,7 +123,7 @@ func TestServerCoalescing(t *testing.T) {
 
 	// Close the log out from under the server: the next group's append
 	// fails, and with it every call of the group.
-	if err := srv2.log.Close(); err != nil {
+	if err := srv2.w.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	release = holdCommits(srv2)
@@ -268,6 +275,9 @@ func TestServerCancellation(t *testing.T) {
 	if got, want := srv.Admitted(), 40+2*durBatchSize; got != want {
 		t.Fatalf("admitted %d profiles, want %d", got, want)
 	}
+	if err := srv.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if st := srv.WriteStats(); st.Canceled != 2 || st.PendingRequests != 0 {
 		t.Fatalf("stats %+v, want 2 canceled and an empty queue", st)
 	}
@@ -380,20 +390,164 @@ func TestServerGroupCommitUnderChurn(t *testing.T) {
 			t.Fatalf("admitted id %d was returned to no call", id)
 		}
 	}
+	if err := srv.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
 	st := srv.WriteStats()
 	if st.AdmittedProfiles != int64(len(owner)) || st.PendingRequests != 0 || st.PendingBytes != 0 {
 		t.Fatalf("stats %+v after %d admitted profiles", st, len(owner))
 	}
 	t.Logf("%d calls: %d admitted in %d groups, %d failed (%d overloaded, %d canceled)",
 		writers*calls, len(owner)/durBatchSize, st.Batches, failed, st.Rejected, st.Canceled)
-	if err := srv.Quiesce(ctx); err != nil {
-		t.Fatal(err)
-	}
 	checkServerEquivalence(t, "churned queue", p, srv)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := walRecords(t, dir); int64(got) != st.Batches {
 		t.Fatalf("%d WAL records for %d committed groups", got, st.Batches)
+	}
+}
+
+// TestServerAdmissionBoundCoversApply holds the writer inside a
+// publication's freeze — one party of a two-party freeze blocks in
+// writer.failParty — and admits until ErrOverloaded. A call holds its
+// share of MaxPendingRequests and MaxPendingBytes until the writer has
+// applied it, so exactly the bound is admitted behind the held freeze,
+// at SwapOps 1 (the trigger batch's own publication) and at the default
+// (a Quiesce's), the rest fail with nil ids and admit nothing, and no
+// more batches wait for the writer than the bound. Released and
+// quiesced, the server equals a cold build over the seed plus the
+// admitted batches; a durable server's kill image taken during the hold,
+// and its directory closed during the hold, reopen with exactly those.
+func TestServerAdmissionBoundCoversApply(t *testing.T) {
+	ctx := context.Background()
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const held, calls = 4, 12
+	var heldBytes int64
+	for k := 1; k <= held; k++ {
+		heldBytes += profilesBytes(durBatchFor(k))
+	}
+	for _, leg := range []struct {
+		name string
+		sopt ServerOptions
+	}{
+		{"requests/swap=1", ServerOptions{SwapOps: 1, MaxPendingRequests: held}},
+		{"requests/swap=default", ServerOptions{MaxPendingRequests: held}},
+		{"bytes/swap=1", ServerOptions{SwapOps: 1, MaxPendingBytes: heldBytes}},
+		{"durable/swap=1", ServerOptions{SwapOps: 1, MaxPendingRequests: held, Dir: "dir"}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			sopt := leg.sopt
+			sopt.Shards = 2
+			if sopt.Dir != "" {
+				sopt.Dir = t.TempDir()
+			}
+			srv, err := p.Serve(ctx, durDataset(), sopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			entered, gate := make(chan struct{}, 1), make(chan struct{})
+			srv.w.failParty = func(part int) error {
+				if part == 0 {
+					select {
+					case entered <- struct{}{}:
+					default:
+					}
+					<-gate
+				}
+				return nil
+			}
+			release := sync.OnceFunc(func() { close(gate) })
+			defer release()
+			// Batch 0 puts the writer into a freeze: its own publication at
+			// SwapOps 1, a Quiesce's at the default. Either way it has been
+			// applied, and its share of the bounds released, once the
+			// freeze is entered.
+			if _, err := srv.InsertAll(ctx, durBatchFor(0)); err != nil {
+				t.Fatal(err)
+			}
+			quiesced := make(chan error, 1)
+			if sopt.SwapOps != 1 {
+				go func() { quiesced <- srv.Quiesce(ctx) }()
+			} else {
+				quiesced <- nil
+			}
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the writer never entered a freeze")
+			}
+			admitted := 0
+			for k := 1; k <= calls; k++ {
+				switch ids, err := srv.InsertAll(ctx, durBatchFor(k)); {
+				case err == nil:
+					if k != admitted+1 {
+						t.Fatalf("call %d admitted after a rejection", k)
+					}
+					admitted++
+				case !errors.Is(err, ErrOverloaded) || ids != nil:
+					t.Fatalf("call %d: ids %v, err %v, want ErrOverloaded", k, ids, err)
+				}
+				if q := srv.Stats()[0].Queued; q > held {
+					t.Fatalf("%d batches wait for the held writer, bound %d", q, held)
+				}
+			}
+			st := srv.WriteStats()
+			if admitted != held || st.Rejected != calls-held || st.PendingRequests != held || srv.Admitted() != 40+(1+held)*durBatchSize {
+				t.Fatalf("%d calls admitted behind a held freeze (%+v, %d profiles), want %d", admitted, st, srv.Admitted(), held)
+			}
+			if sopt.MaxPendingBytes > 0 && st.PendingBytes != heldBytes {
+				t.Fatalf("%d bytes pending behind a held freeze, want the bound %d", st.PendingBytes, heldBytes)
+			}
+			if sopt.Dir != "" {
+				image := t.TempDir()
+				copyTree(t, sopt.Dir, image)
+				killOpt := sopt
+				killOpt.Dir = image
+				srv2, err := p.Serve(ctx, durDataset(), killOpt)
+				if err != nil {
+					t.Fatalf("reopen the kill image: %v", err)
+				}
+				checkRecovered(t, "kill image taken while held", p, srv2, 1+held)
+				if err := srv2.Close(); err != nil {
+					t.Fatal(err)
+				}
+				closed := make(chan error, 1)
+				go func() { closed <- srv.Close() }()
+				for {
+					_, err := srv.InsertAll(ctx, durBatchFor(calls+1))
+					if errors.Is(err, shard.ErrClosed) {
+						break
+					}
+					if !errors.Is(err, ErrOverloaded) {
+						t.Fatalf("a call while Close waits on the held writer: %v", err)
+					}
+					runtime.Gosched()
+				}
+				release()
+				if err := <-closed; err != nil {
+					t.Fatal(err)
+				}
+				srv3, err := p.Serve(ctx, durDataset(), sopt)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				defer srv3.Close()
+				checkRecovered(t, "closed while held", p, srv3, 1+held)
+				return
+			}
+			release()
+			if err := <-quiesced; err != nil {
+				t.Fatal(err)
+			}
+			checkRecovered(t, leg.name, p, srv, 1+held)
+			if st := srv.WriteStats(); st.PendingRequests != 0 || st.PendingBytes != 0 {
+				t.Fatalf("a quiesced server holds %+v of its bounds", st)
+			}
+		})
 	}
 }

@@ -12,12 +12,14 @@ package blast_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"blast"
 	"blast/internal/attr"
@@ -624,7 +626,11 @@ func BenchmarkServer_StreamPublish(b *testing.B) {
 // records — one fsync each — the server wrote per admitted profile.
 // Group commit makes it fall as writers rise: calls that queue behind
 // a commit share the next record. The count depends on timing, not on a
-// fixed window.
+// fixed window. The collection grows with b.N and is never quiesced, so
+// the writer's freezes (every SwapOps profiles) fall behind admission:
+// a call refused with ErrOverloaded backs off for a millisecond and
+// retries, as a client answered 429 would, and rejected/op counts the
+// refusals.
 func BenchmarkServer_ConcurrentInsert(b *testing.B) {
 	ctx := context.Background()
 	const base, calls = 1000, 32
@@ -662,7 +668,12 @@ func BenchmarkServer_ConcurrentInsert(b *testing.B) {
 					go func(w int) {
 						defer wg.Done()
 						for c := 0; c < calls; c++ {
-							if _, err := srv.InsertAll(ctx, stream[w*calls+c:w*calls+c+1]); err != nil {
+							_, err := srv.InsertAll(ctx, stream[w*calls+c:w*calls+c+1])
+							for errors.Is(err, blast.ErrOverloaded) {
+								time.Sleep(time.Millisecond)
+								_, err = srv.InsertAll(ctx, stream[w*calls+c:w*calls+c+1])
+							}
+							if err != nil {
 								b.Error(err)
 								return
 							}
@@ -672,6 +683,7 @@ func BenchmarkServer_ConcurrentInsert(b *testing.B) {
 				wg.Wait()
 			}
 			b.StopTimer()
+			rejected := srv.WriteStats().Rejected
 			if err := srv.Close(); err != nil {
 				b.Fatal(err)
 			}
@@ -684,6 +696,7 @@ func BenchmarkServer_ConcurrentInsert(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(len(records))/float64(b.N*writers*calls), "records/profile")
+			b.ReportMetric(float64(rejected)/float64(b.N), "rejected/op")
 		})
 	}
 }

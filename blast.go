@@ -173,8 +173,8 @@ type ServerOptions struct {
 	Topology Topology
 	// SwapOps makes a fresh read snapshot fall due once this many
 	// streamed profiles have been applied since the last publication. A
-	// due snapshot is published at the newest batch the writer had
-	// already received at that moment: at once when nothing is queued
+	// due snapshot is published at the newest batch committed at that
+	// moment: at once when nothing is queued
 	// behind the batch that made it due, and as ONE publication covering
 	// the backlog — not one per SwapOps window, each stale before it is
 	// swapped in — when admission runs ahead of the writer. The position
@@ -215,14 +215,16 @@ type ServerOptions struct {
 	// always rebuilds). Requires Dir.
 	SnapshotEvery int
 
-	// MaxPendingRequests bounds the InsertAll calls in the write queue,
-	// queued or committing; a call beyond it fails at once with
-	// ErrOverloaded. 0 selects 256.
+	// MaxPendingRequests bounds the InsertAll calls admitted and not yet
+	// applied by the writer — queued, committing, or committed and
+	// waiting for the writer; a call beyond it fails at once with
+	// ErrOverloaded, so a writer behind by the budget (inside a long
+	// freeze, say) sheds load. 0 selects 256.
 	MaxPendingRequests int
 	// MaxPendingBytes bounds the estimated in-memory size of the
-	// profiles in the write queue, queued or committing; a call beyond
-	// it fails at once with ErrOverloaded, so a single call larger than
-	// the bound is never admitted. 0 selects 16 MiB.
+	// profiles admitted and not yet applied; a call beyond it fails at
+	// once with ErrOverloaded, so a single call larger than the bound is
+	// never admitted. 0 selects 16 MiB.
 	MaxPendingBytes int64
 }
 

@@ -15,10 +15,12 @@
 // write-ahead-log record and one fsync for everything queued behind the
 // previous commit, with no timer for a lone writer. The response ids
 // carry the in-process durability receipt: on a durable server they are
-// returned only after the batch reached the write-ahead log. The queue
-// is bounded by ServerOptions.MaxPendingRequests and MaxPendingBytes;
-// beyond either the server answers 429 Too Many Requests with a
-// Retry-After header instead of queueing without limit. Draining is the
+// returned only after the batch reached the write-ahead log. A request
+// counts against ServerOptions.MaxPendingRequests and MaxPendingBytes
+// from admission until the writer has applied it; beyond either bound —
+// the writer behind by the budget, say inside a long freeze — the
+// server answers 429 Too Many Requests with a Retry-After header instead
+// of queueing without limit. Draining is the
 // Server's: shut the http.Server down, which waits for every in-flight
 // request, then Close the Server.
 //
@@ -86,10 +88,6 @@ type Handler struct {
 	mux *http.ServeMux
 }
 
-// BatcherStats is the Server's write-queue summary as /statsz serves
-// it.
-type BatcherStats = blast.WriteStats
-
 // NewHandler returns the handler.
 func NewHandler(srv *blast.Server, opt Options) *Handler {
 	h := &Handler{srv: srv, opt: opt}
@@ -111,7 +109,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Stats snapshots the Server's write-queue counters.
-func (h *Handler) Stats() BatcherStats { return h.srv.WriteStats() }
+func (h *Handler) Stats() blast.WriteStats { return h.srv.WriteStats() }
 
 // Close releases the handler. It owns no goroutine and does not close
 // the underlying Server, so it always returns nil.
@@ -187,11 +185,11 @@ type QuiesceResponse struct {
 // partition's owned rows and resident bytes of the published state,
 // which sum to the state's footprint.
 type StatszResponse struct {
-	Storage   string        `json:"storage"`
-	Admitted  int           `json:"admitted"`
-	Published int           `json:"published"`
-	Shards    []shard.Stats `json:"shards"`
-	Writes    BatcherStats  `json:"writes"`
+	Storage   string           `json:"storage"`
+	Admitted  int              `json:"admitted"`
+	Published int              `json:"published"`
+	Shards    []shard.Stats    `json:"shards"`
+	Writes    blast.WriteStats `json:"writes"`
 }
 
 // errorBody is the JSON error envelope of every non-2xx response.

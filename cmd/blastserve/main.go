@@ -71,8 +71,8 @@ func parseFlags(args []string, w io.Writer) (config, error) {
 	fs.StringVar(&so.Dir, "dir", "", "durable directory (empty = in-memory only)")
 	fs.IntVar(&so.SyncEvery, "sync-every", 0, "fsync the write-ahead log every N records, one record per group of inserts committed together (0 = every record; requires -dir)")
 	fs.IntVar(&so.SnapshotEvery, "snapshot-every", 0, "persist a snapshot every N log records (0 = default; requires -dir)")
-	fs.IntVar(&so.MaxPendingRequests, "max-pending", 0, "insert requests queued or committing before 429 (0 = default)")
-	fs.Int64Var(&so.MaxPendingBytes, "max-pending-bytes", 0, "estimated insert bytes queued or committing before 429 (0 = default)")
+	fs.IntVar(&so.MaxPendingRequests, "max-pending", 0, "insert requests admitted and not yet applied before 429 (0 = default)")
+	fs.Int64Var(&so.MaxPendingBytes, "max-pending-bytes", 0, "estimated insert bytes admitted and not yet applied before 429 (0 = default)")
 	fs.Int64Var(&cfg.maxBodyBytes, "max-body-bytes", 0, "largest accepted insert body (0 = default)")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "bound on waiting for in-flight requests when draining")
 	if err := fs.Parse(args); err != nil {

@@ -224,7 +224,7 @@ func TestServerQuiesceCloseSemantics(t *testing.T) {
 		// Close the log out from under the server: the next append fails,
 		// so the batch is not admitted — and since nothing was left on the
 		// log, the server is not broken either.
-		if err := srv.log.Close(); err != nil {
+		if err := srv.w.log.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := srv.InsertAll(ctx, durBatchFor(2)); err == nil {

@@ -12,7 +12,7 @@ package blast
 // releases are never read; they are safe to delete.
 //
 // Write path. Server.InsertAll journals each committed group — the
-// InsertAll calls queued together, one batch (see admission.go) — as
+// InsertAll calls queued together, one batch (see writer.Journal) — as
 // one record (wal.AppendBatch) of the one log before ids are returned,
 // whatever the shard count. An append that fails leaves no record and
 // admits nothing; one whose failure could not be undone breaks the log,

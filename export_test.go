@@ -12,13 +12,15 @@ import (
 func MBKeyForBench(i int) string { return mbKey(i) }
 
 // holdCommits blocks every group commit of srv until release is called:
-// the call at the head of the write queue waits for the server lock, and
-// every later call queues behind it, so a test can fill the queue
-// deterministically. Admitted blocks while it is held; reads, View,
-// Quiesce and WriteStats do not.
+// the call at the head of the write queue waits in the writer's Journal
+// before its group closes, and every later call queues behind it, so a
+// test can fill the queue deterministically. Reads, View, Quiesce,
+// Admitted and WriteStats do not block. Call it with no commit in
+// flight.
 func holdCommits(srv *Server) (release func()) {
-	srv.mu.Lock()
-	return srv.mu.Unlock
+	gate := make(chan struct{})
+	srv.w.holdJournal = func() { <-gate }
+	return func() { close(gate) }
 }
 
 // StreamDataset materializes a datagen stream of n profiles as a dirty

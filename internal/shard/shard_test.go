@@ -52,6 +52,12 @@ func (f *fakeWriter) release(t *testing.T) {
 	f.gate <- struct{}{}
 }
 
+// Journal closes the group and journals nothing.
+func (f *fakeWriter) Journal(take func() []model.Profile) error {
+	take()
+	return nil
+}
+
 func (f *fakeWriter) InsertAll(ctx context.Context, ps []model.Profile) ([]int, error) {
 	if f.slow > 0 {
 		time.Sleep(f.slow)
@@ -95,11 +101,17 @@ func (f *fakeWriter) appliedCount() int {
 	return len(f.applied)
 }
 
-// enqueueSingles sends n single-profile batches.
-func enqueueSingles(t *testing.T, s *Shard, n int) {
+// commit admits one batch through Commit, alone in its group.
+func commit(s *Shard, ps []model.Profile) error {
+	_, err := s.Commit(context.Background(), ps, 0)
+	return err
+}
+
+// commitSingles commits n single-profile batches.
+func commitSingles(t *testing.T, s *Shard, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := s.Enqueue(profiles(1)); err != nil {
+		if err := commit(s, profiles(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +130,7 @@ func TestShardAppliesInOrderAndBarrierPublishes(t *testing.T) {
 	s := New(w, &Snapshot{}, Options{SwapOps: 0}) // no automatic swaps
 	defer s.Close()
 	for i := 0; i < 5; i++ {
-		if err := s.Enqueue(profiles(3)); err != nil {
+		if err := commit(s, profiles(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +174,7 @@ func (l *cursorLog) get() []int64 {
 }
 
 // waitBatches blocks until the worker has applied n batches — and, the
-// counter moving in the critical section that samples the mailbox count
+// counter moving in the critical section that samples the committed count
 // a due publication is fixed to, has also taken that sample.
 func waitBatches(t *testing.T, s *Shard, n int64) {
 	t.Helper()
@@ -186,7 +198,7 @@ func TestShardSwapOpsTrigger(t *testing.T) {
 	defer s.Close()
 	// One batch at a time, each applied before the next is sent.
 	for i := int64(1); i <= 10; i++ {
-		if err := s.Enqueue(profiles(1)); err != nil {
+		if err := commit(s, profiles(1)); err != nil {
 			t.Fatal(err)
 		}
 		waitBatches(t, s, i)
@@ -194,7 +206,7 @@ func TestShardSwapOpsTrigger(t *testing.T) {
 	if err := barrier(s); err != nil {
 		t.Fatal(err)
 	}
-	// Due after the 4th and the 8th with an empty mailbox each time, so
+	// Due after the 4th and the 8th with nothing committed behind each time, so
 	// fixed to those very positions; the barrier publishes the rest.
 	if got, want := log.get(), []int64{4, 8, 10}; !slices.Equal(got, want) {
 		t.Fatalf("published at %v, want %v", got, want)
@@ -203,11 +215,11 @@ func TestShardSwapOpsTrigger(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 swaps over 10 profiles", st)
 	}
 
-	// Enqueue-then-Barrier, every batch a full SwapOps window: the policy
+	// Commit-then-Barrier, every batch a full SwapOps window: the policy
 	// publishes each (fixed to its own position) and the barriers find
 	// nothing left to do.
 	for i := int64(11); i <= 13; i++ {
-		if err := s.Enqueue(profiles(4)); err != nil {
+		if err := commit(s, profiles(4)); err != nil {
 			t.Fatal(err)
 		}
 		if err := barrier(s); err != nil {
@@ -222,17 +234,17 @@ func TestShardSwapOpsTrigger(t *testing.T) {
 // TestShardBurstPublishesOnceAtAgreedPosition is the second half: a
 // burst that arrives while the worker sits in an export is covered by
 // ONE publication, at the position fixed when it fell due — the count
-// the mailbox had received then — and not one per SwapOps window.
+// committed then — and not one per SwapOps window.
 func TestShardBurstPublishesOnceAtAgreedPosition(t *testing.T) {
 	var log cursorLog
 	w := gatedWriter()
 	s := New(w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
 	defer s.Close()
-	enqueueSingles(t, s, 2)
+	commitSingles(t, s, 2)
 	// The worker is now inside the export of position 2; ten more batches
 	// queue up behind it.
 	<-w.entered
-	enqueueSingles(t, s, 10)
+	commitSingles(t, s, 10)
 	w.gate <- struct{}{}
 	// Batches 3 and 4 make the next publication fall due with 12 received:
 	// it is fixed to 12 and published there, windows 6, 8 and 10 skipped.
@@ -250,8 +262,8 @@ func TestShardBurstPublishesOnceAtAgreedPosition(t *testing.T) {
 
 // TestShardContinuousStreamCannotPostpone: the target is fixed when the
 // publication falls due, so a writer that never pauses still gets one
-// publication per window — each at exactly the position the mailbox had
-// received when it fell due, never later. Every applied batch enqueues
+// publication per window — each at exactly the position committed when
+// it fell due, never later. Every applied batch commits
 // the next, so that position runs a constant 10 batches ahead.
 func TestShardContinuousStreamCannotPostpone(t *testing.T) {
 	const total, ahead, swapOps = 400, 10, 8
@@ -259,18 +271,18 @@ func TestShardContinuousStreamCannotPostpone(t *testing.T) {
 	w := &fakeWriter{}
 	ready := make(chan struct{})
 	var s *Shard
-	enqueued := int64(ahead)
+	committed := int64(ahead)
 	w.onApply = func() {
 		<-ready
-		if enqueued < total {
-			enqueued++
-			if err := s.Enqueue(profiles(1)); err != nil {
+		if committed < total {
+			committed++
+			if err := commit(s, profiles(1)); err != nil {
 				t.Error(err)
 			}
 		}
 	}
 	s = New(w, &Snapshot{}, Options{SwapOps: swapOps, Publish: log.publish})
-	enqueueSingles(t, s, ahead)
+	commitSingles(t, s, ahead)
 	close(ready)
 	waitBatches(t, s, total)
 	if err := s.Close(); err != nil {
@@ -297,14 +309,15 @@ func TestShardBarrierInsideHoldPublishesThere(t *testing.T) {
 	w := gatedWriter()
 	s := New(w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
 	defer s.Close()
-	enqueueSingles(t, s, 2)
-	<-w.entered             // inside the export of position 2
-	enqueueSingles(t, s, 4) // 3..6
-	done, err := s.BarrierStart()
-	if err != nil {
-		t.Fatal(err)
+	commitSingles(t, s, 2)
+	<-w.entered            // inside the export of position 2
+	commitSingles(t, s, 4) // 3..6
+	done := make(chan error, 1)
+	go func() { done <- barrier(s) }()
+	for s.Stats().Queued != 5 { // the barrier placed behind 3..6
+		runtime.Gosched()
 	}
-	enqueueSingles(t, s, 4) // 7..10
+	commitSingles(t, s, 4) // 7..10
 	w.gate <- struct{}{}
 	// Due at 4 with 10 received: fixed to 10. The barrier after batch 6
 	// publishes there.
@@ -327,14 +340,14 @@ func TestShardBarrierInsideHoldPublishesThere(t *testing.T) {
 }
 
 // TestShardCloseDuringHold: Close with a publication on hold drains the
-// mailbox, publishes the final state and returns.
+// queue, publishes the final state and returns.
 func TestShardCloseDuringHold(t *testing.T) {
 	var log cursorLog
 	w := gatedWriter()
 	s := New(w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
-	enqueueSingles(t, s, 2)
+	commitSingles(t, s, 2)
 	<-w.entered // inside the export of position 2
-	enqueueSingles(t, s, 5)
+	commitSingles(t, s, 5)
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
 	w.gate <- struct{}{}
@@ -360,34 +373,145 @@ func TestShardStickyApplyError(t *testing.T) {
 	w := &fakeWriter{applyErr: boom}
 	s := New(w, &Snapshot{}, Options{})
 	defer s.Close()
-	if err := s.Enqueue(profiles(1)); err != nil {
+	if err := commit(s, profiles(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := barrier(s); !errors.Is(err, boom) {
 		t.Fatalf("barrier err = %v, want %v", err, boom)
 	}
-	// Enqueue still accepts, but the batch is dropped and the failure
-	// stays observable.
-	if err := s.Enqueue(profiles(1)); err != nil {
-		t.Fatalf("enqueue after failure = %v, want accepted-and-dropped", err)
+	// A failed shard refuses admission with its sticky error, and the
+	// failure stays observable.
+	if err := commit(s, profiles(1)); !errors.Is(err, boom) {
+		t.Fatalf("commit after failure = %v, want the sticky error", err)
 	}
 	if err := barrier(s); !errors.Is(err, boom) {
-		t.Fatalf("barrier after failed enqueue = %v, want sticky error", err)
+		t.Fatalf("barrier after refused commit = %v, want sticky error", err)
 	}
 	if got := s.Stats().Applied; got != 1 {
-		t.Fatalf("failed shard applied %d, want 1 (drops after failure)", got)
+		t.Fatalf("failed shard applied %d, want 1 (refuses after failure)", got)
+	}
+	if got := s.Admitted(); got != 1 {
+		t.Fatalf("failed shard admitted %d profiles, want 1", got)
 	}
 	if err := s.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err() = %v", err)
 	}
 }
 
+// TestShardBoundCoversApply: a committed batch holds its calls'
+// admission budget until the worker has applied it. With the worker held
+// inside an export, exactly MaxRequests calls are admitted — the batch
+// whose publication the worker is in has been applied and released its
+// share — and the rest fail with ErrOverloaded, admitting nothing; the
+// batches waiting never outnumber the bound. Released, the worker
+// applies every admitted batch and frees the budget.
+func TestShardBoundCoversApply(t *testing.T) {
+	const bound = 4
+	w := gatedWriter()
+	s := New(w, &Snapshot{}, Options{SwapOps: 1, MaxRequests: bound})
+	defer s.Close()
+	commitSingles(t, s, 1)
+	<-w.entered // inside the export of position 1
+	admitted := 0
+	for i := 0; i < 3*bound; i++ {
+		switch ids, err := s.Commit(context.Background(), profiles(1), 0); {
+		case err == nil:
+			admitted++
+		case !errors.Is(err, ErrOverloaded) || ids != nil:
+			t.Fatalf("call %d: ids %v, err %v", i, ids, err)
+		}
+		if q := s.Stats().Queued; q > bound {
+			t.Fatalf("%d batches queued, bound %d", q, bound)
+		}
+	}
+	if st := s.WriteStats(); admitted != bound || st.Rejected != 2*bound || st.PendingRequests != bound || s.Admitted() != 1+bound {
+		t.Fatalf("%d admitted behind a held export (%+v, %d ids), want %d", admitted, st, s.Admitted(), bound)
+	}
+	w.gate <- struct{}{}
+	w.release(t) // the batches behind fall due at once: one export covers them
+	if err := barrier(s); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.WriteStats(); st.PendingRequests != 0 || w.appliedCount() != 1+bound {
+		t.Fatalf("after the drain: %+v, %d applied", st, w.appliedCount())
+	}
+	close(w.gate) // later exports pass
+	if err := commit(s, profiles(1)); err != nil {
+		t.Fatalf("commit with the budget free: %v", err)
+	}
+}
+
+// journalSleeper is a fakeWriter whose Journal takes a little time, so
+// calls queue behind each group commit.
+type journalSleeper struct{ fakeWriter }
+
+func (j *journalSleeper) Journal(take func() []model.Profile) error {
+	take()
+	time.Sleep(20 * time.Microsecond)
+	return nil
+}
+
+// TestShardHeadPassesUnderCancellation: the head of the queue passes to
+// a call still waiting whatever happens to the call it was handed to.
+// Each round, calls whose contexts end at random race calls that never
+// give up, and no call arrives after them to take a free head: every
+// call returns — none is stranded behind a head nobody holds — and
+// every admitted profile is applied.
+func TestShardHeadPassesUnderCancellation(t *testing.T) {
+	w := &journalSleeper{}
+	s := New(w, &Snapshot{}, Options{})
+	defer s.Close()
+	const rounds, callers = 300, 8
+	admitted := 0
+	for r := 0; r < rounds; r++ {
+		results := make(chan error, callers)
+		for i := 0; i < callers; i++ {
+			go func(i int) {
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				if i%2 == 0 {
+					ctx, cancel = context.WithTimeout(ctx, time.Duration((r+i)%5)*20*time.Microsecond)
+				}
+				defer cancel()
+				_, err := s.Commit(ctx, profiles(1), 0)
+				if i%2 == 1 && err != nil {
+					err = fmt.Errorf("a call with no deadline: %w", err)
+				} else if errors.Is(err, context.DeadlineExceeded) {
+					err = errCanceled
+				}
+				results <- err
+			}(i)
+		}
+		for i := 0; i < callers; i++ {
+			select {
+			case err := <-results:
+				switch {
+				case err == nil:
+					admitted++
+				case err != errCanceled:
+					t.Fatalf("round %d: %v", r, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: a call was stranded in the queue", r)
+			}
+		}
+	}
+	if err := barrier(s); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.WriteStats(); w.appliedCount() != admitted || s.Admitted() != admitted || st.PendingRequests != 0 {
+		t.Fatalf("%d admitted, %d applied, %+v", admitted, w.appliedCount(), st)
+	}
+}
+
+// errCanceled marks a call that gave up, as its context allowed.
+var errCanceled = errors.New("canceled")
+
 func TestShardExportError(t *testing.T) {
 	boom := errors.New("export boom")
 	w := &fakeWriter{exportErr: boom}
 	s := New(w, &Snapshot{}, Options{})
 	defer s.Close()
-	if err := s.Enqueue(profiles(1)); err != nil {
+	if err := commit(s, profiles(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := barrier(s); !errors.Is(err, boom) {
@@ -400,7 +524,7 @@ func TestShardCloseDrainsAndStops(t *testing.T) {
 	w := &fakeWriter{slow: time.Millisecond}
 	s := New(w, &Snapshot{}, Options{})
 	for i := 0; i < 8; i++ {
-		if err := s.Enqueue(profiles(2)); err != nil {
+		if err := commit(s, profiles(2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -410,8 +534,8 @@ func TestShardCloseDrainsAndStops(t *testing.T) {
 	if got := w.appliedCount(); got != 16 {
 		t.Fatalf("close did not drain: applied %d, want 16", got)
 	}
-	if err := s.Enqueue(profiles(1)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("enqueue after close = %v, want ErrClosed", err)
+	if err := commit(s, profiles(1)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit after close = %v, want ErrClosed", err)
 	}
 	if err := barrier(s); !errors.Is(err, ErrClosed) {
 		t.Fatalf("barrier after close = %v, want ErrClosed", err)
@@ -438,9 +562,9 @@ func TestShardBatchesAndPersistHook(t *testing.T) {
 	var log cursorLog
 	w := gatedWriter()
 	s := New(w, &Snapshot{}, Options{SwapOps: 2, Publish: log.publish})
-	enqueueSingles(t, s, 2)
+	commitSingles(t, s, 2)
 	<-w.entered // inside the export of position 2
-	enqueueSingles(t, s, 3)
+	commitSingles(t, s, 3)
 	w.gate <- struct{}{}
 	// Due again at 4 with 5 received: fixed to 5, window 4 skipped.
 	w.release(t)
@@ -454,7 +578,7 @@ func TestShardBatchesAndPersistHook(t *testing.T) {
 		t.Fatalf("persisted cursor sequence = %v, want %v", got, want)
 	}
 	// Close with unpublished tail: the drain publishes (and persists).
-	enqueueSingles(t, s, 1)
+	commitSingles(t, s, 1)
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
 	w.release(t)
@@ -474,7 +598,7 @@ func TestShardPersistErrorSticky(t *testing.T) {
 	w := &fakeWriter{}
 	s := New(w, &Snapshot{}, Options{Publish: func(*Snapshot) error { return boom }})
 	defer s.Close()
-	if err := s.Enqueue(profiles(1)); err != nil {
+	if err := commit(s, profiles(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := barrier(s); !errors.Is(err, boom) {
@@ -496,7 +620,7 @@ func TestShardContinuesFromStartState(t *testing.T) {
 	if st := s.Stats(); st.Epoch != 7 || st.Batches != 3 || st.Published != 4 {
 		t.Fatalf("stats before any publication = %+v, want epoch 7, batch 3, 4 profiles", st)
 	}
-	enqueueSingles(t, s, 2)
+	commitSingles(t, s, 2)
 	if err := barrier(s); err != nil {
 		t.Fatal(err)
 	}
@@ -512,23 +636,18 @@ func TestShardBarrierContext(t *testing.T) {
 	w := &fakeWriter{slow: 50 * time.Millisecond}
 	s := New(w, &Snapshot{}, Options{})
 	defer s.Close()
-	if err := s.Enqueue(profiles(4)); err != nil {
+	if err := commit(s, profiles(4)); err != nil {
 		t.Fatal(err)
 	}
-	// BarrierStart only enqueues: the wait is the caller's to abandon,
-	// and the barrier still completes behind the slow apply.
-	done, err := s.BarrierStart()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The wait is the caller's to abandon, and the barrier still
+	// completes behind the slow apply: a barrier placed after it waits
+	// for both.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	select {
-	case err := <-done:
+	if err := s.Quiesce(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("barrier completed before the slow apply: %v", err)
-	case <-ctx.Done():
 	}
-	if err := <-done; err != nil {
+	if err := barrier(s); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.appliedCount(); got != 4 {
@@ -563,10 +682,4 @@ func TestOwnerStableAndInRange(t *testing.T) {
 }
 
 // barrier places a publication barrier on s and waits for it.
-func barrier(s *Shard) error {
-	done, err := s.BarrierStart()
-	if err != nil {
-		return err
-	}
-	return <-done
-}
+func barrier(s *Shard) error { return s.Quiesce(context.Background()) }

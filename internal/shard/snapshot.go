@@ -1,10 +1,12 @@
 // Package shard is the machinery of snapshot-swap serving: immutable
-// epoch-tagged snapshots of the retained rows, the single-writer worker
-// that absorbs insert batches and exports the frozen state on a
-// publication policy, hash-based row ownership, the all-gather exchange
-// the parties of one partitioned freeze resolve global values over, and
-// JoinOwned, which joins the parties' rows into the full snapshot
-// readers are served from.
+// epoch-tagged snapshots of the retained rows, the writer's one queue —
+// calls admitted under a bound, group-committed by the call at its head
+// and held until applied — and the single worker that drains it into
+// the writable index and exports the frozen state on a publication
+// policy, hash-based row ownership, the all-gather exchange the parties
+// of one partitioned freeze resolve global values over, and JoinOwned,
+// which joins the parties' rows into the full snapshot readers are
+// served from.
 //
 // The package is deliberately ignorant of BLAST itself. The writable
 // side of a shard is any Writer (the blast package's server writer in
@@ -14,11 +16,13 @@
 // every export behind one atomic pointer.
 //
 // Concurrency model: one worker goroutine owns all mutation of its
-// Writer and hands every export over through the Publish hook, keeping
-// only counters. A snapshot is immutable from the moment it is handed
-// over, so readers never block on writers and writers never wait for
-// readers — a swap simply retires the old state to the garbage
-// collector once the last reader drops it.
+// Writer's index and hands every export over through the Publish hook,
+// keeping only counters; the admitting goroutine at the head of the
+// queue journals each group through the Writer, one at a time. A
+// snapshot is immutable from the moment it is handed over, so readers
+// never block on writers and writers never wait for readers — a swap
+// simply retires the old state to the garbage collector once the last
+// reader drops it.
 package shard
 
 import (

@@ -35,6 +35,7 @@ package blast
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"blast/internal/blocking"
@@ -42,26 +43,50 @@ import (
 	"blast/internal/model"
 	"blast/internal/prune"
 	"blast/internal/shard"
+	"blast/internal/wal"
 )
 
-// writer is the shard.Writer behind a Server. The shard worker
-// serializes all calls, so it needs no lock of its own.
+// writer is the shard.Writer behind a Server. The shard serializes
+// Journal calls, and its worker every other call, so it needs no lock of
+// its own.
 type writer struct {
 	parts  int
 	kind   model.Kind
 	schema *Schema
 	opt    Options
 	app    *blocking.Appender
+	log    *wal.Log // nil unless ServerOptions.Dir was set
 	// failParty, when set, runs first in every party of a partitioned
 	// freeze; a non-nil result fails that party. Tests set it to inject
 	// a party failure before the writer's next publication.
 	failParty func(part int) error
+	// holdJournal, when set, runs first in every Journal call, before
+	// the group closes. Tests set it to hold group commits.
+	holdJournal func()
 }
 
 // newWriter wraps the server's clone of the block collection, frozen by
 // parts parties. The clone is owned by the writer from here on.
 func newWriter(c *blocking.Collection, schema *Schema, opt Options, parts int) *writer {
 	return &writer{parts: parts, kind: c.Kind, schema: schema, opt: opt, app: blocking.NewAppender(c)}
+}
+
+// Journal closes a group and, on a durable server, appends it to the log
+// as one record: once ids are returned the group survives a crash (to
+// the fsync policy), and a group that could not be journaled is not
+// admitted at all.
+func (w *writer) Journal(take func() []model.Profile) error {
+	if w.holdJournal != nil {
+		w.holdJournal()
+	}
+	batch := take()
+	if w.log == nil || len(batch) == 0 {
+		return nil
+	}
+	if err := w.log.Append(wal.AppendBatch(nil, batch)); err != nil {
+		return fmt.Errorf("blast: wal append: %w", err)
+	}
+	return nil
 }
 
 // InsertAll tokenizes and appends a batch to the collection; the next

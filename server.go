@@ -3,8 +3,9 @@ package blast
 // Snapshot-swap serving. A Server scales the candidate-serving Index to
 // heavy read traffic by separating the write and read paths completely:
 //
-//   - Writes are globally sequenced into one writer (partition.go): one
-//     worker appends every admitted batch, once, to one clone of the
+//   - Writes are globally sequenced into one writer (partition.go)
+//     through one queue, from InsertAll to apply (internal/shard): one
+//     worker appends every committed batch, once, to one clone of the
 //     (compact) block collection. When a publication falls due it
 //     freezes the collection — BuildWeighted, then FreezeCSR, the
 //     freeze an Index runs — by ServerOptions.Shards parties at once,
@@ -28,7 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"blast/internal/blocking"
@@ -46,18 +47,12 @@ type Server struct {
 	kind    model.Kind
 	storage Storage
 	w       *writer
-	worker  *shard.Shard // runs w
+	worker  *shard.Shard // runs w: admission, group commit and apply
 	schema  *Schema
-	log     *wal.Log       // nil unless ServerOptions.Dir was set
 	pers    *snapPersister // nil where persistence is off
 
-	state atomic.Pointer[View] // the newest published state
-
-	mu     sync.Mutex // admission: ids, enqueues
-	nextID int
-	closed bool
-
-	wq writeQueue // InsertAll's group commit (admission.go)
+	state   atomic.Pointer[View] // the newest published state
+	closing atomic.Bool
 }
 
 // Serve runs the full pipeline on the dataset and starts a
@@ -124,20 +119,17 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		storage: p.opt.Storage,
 		w:       newWriter(c.Clone(), blocks.Schema, p.opt, n),
 		schema:  blocks.Schema,
-		nextID:  c.NumProfiles,
 	}
-	def := sopt.WithDefaults()
-	srv.wq.maxReqs, srv.wq.maxBytes = def.MaxPendingRequests, def.MaxPendingBytes
-	cut := len(replay)
+	cut, admitted := len(replay), c.NumProfiles
 	var start *shard.Snapshot
 	if log != nil {
 		for k, b := range replay {
 			if _, err := srv.w.InsertAll(ctx, b); err != nil {
 				return nil, fmt.Errorf("blast: wal replay, batch %d: %w", k, err)
 			}
-			srv.nextID += len(b)
+			admitted += len(b)
 		}
-		start = adoptSnapshot(durSnapDir(sopt.Dir), cut, srv.nextID)
+		start = adoptSnapshot(durSnapDir(sopt.Dir), cut, admitted)
 	}
 	if start == nil {
 		// Nothing adoptable: one frozen build over the union collection —
@@ -174,8 +166,11 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		}
 	}
 	srv.state.Store(newView(start, n))
-	srv.worker = shard.New(srv.w, start, shard.Options{SwapOps: sopt.swapOps(), Publish: srv.publish})
-	srv.log = log
+	def := sopt.WithDefaults()
+	srv.w.log = log
+	srv.worker = shard.New(srv.w, start, shard.Options{
+		SwapOps: sopt.swapOps(), MaxRequests: def.MaxPendingRequests, MaxBytes: def.MaxPendingBytes, Publish: srv.publish,
+	})
 	return srv, nil
 }
 
@@ -196,11 +191,7 @@ func (s *Server) Storage() Storage { return s.storage }
 // Admitted returns the number of profiles the server has accepted:
 // the build's profiles plus every insert admitted so far, whether or
 // not the writer has applied and published them yet.
-func (s *Server) Admitted() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextID
-}
+func (s *Server) Admitted() int { return s.worker.Admitted() }
 
 // NumProfiles returns the number of profiles the published state
 // covers. After Quiesce it equals Admitted.
@@ -224,19 +215,85 @@ func (s *Server) Stats() []shard.Stats {
 // undone) or a failed writer. A non-nil result is sticky and fails all
 // further admissions.
 func (s *Server) Err() error {
-	if s.log != nil {
-		if err := s.log.Err(); err != nil {
+	if s.w.log != nil {
+		if err := s.w.log.Err(); err != nil {
 			return err
 		}
 	}
 	return s.worker.Err()
 }
 
+// ErrOverloaded is returned by InsertAll when admitting the call would
+// take the calls admitted and not yet applied past
+// ServerOptions.MaxPendingRequests or MaxPendingBytes: the writer is
+// behind by the budget. Nothing of the call was admitted; it may be
+// retried once the writer has caught up.
+var ErrOverloaded = shard.ErrOverloaded
+
+// WriteStats is a point-in-time summary of a Server's write queue:
+// what InsertAll committed, rejected and dropped, and the calls admitted
+// and not yet applied, which MaxPendingRequests and MaxPendingBytes
+// bound.
+type WriteStats = shard.WriteStats
+
+// WriteStats snapshots the write-queue counters.
+func (s *Server) WriteStats() WriteStats { return s.worker.WriteStats() }
+
+// InsertAll admits a batch of profiles, assigns their global ids, and
+// hands the batch to the writer. The profiles are copied, so the caller
+// may reuse them once InsertAll returns.
+//
+// Concurrent calls are committed together as one group — one record of
+// the write-ahead log, one batch for the writer — by the call at the
+// head of the queue, so N concurrent callers cost as many commits as the
+// fsyncs they queue behind, not N. Ids are assigned in queue order and
+// are contiguous within a call. A call beyond
+// ServerOptions.MaxPendingRequests or MaxPendingBytes — which count the
+// calls admitted and not yet applied — fails at once with ErrOverloaded,
+// so a writer behind by the budget sheds load instead of queueing it.
+//
+// An error return means none of the call's profiles were admitted. A
+// call whose ctx ends while it is queued leaves the queue with ctx's
+// error; one already taken into a group waits out that group's commit
+// and returns its outcome. After Close, calls fail with
+// shard.ErrClosed; after the writer failed, with its sticky error.
+//
+// Ids are returned once the group is journaled; application and
+// publication are asynchronous: reads observe the batch once the writer
+// next publishes (due after ServerOptions.SwapOps applied profiles,
+// published at the newest batch committed when it fell due, at the
+// latest on Quiesce or Close — see the consistency contract above).
+func (s *Server) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
+	// The writer reads the batch asynchronously, so nothing may alias
+	// caller memory — copying the Profile structs alone would share the
+	// Pairs backing arrays and let a caller reusing its buffers race the
+	// applier.
+	batch := make([]model.Profile, len(profiles))
+	for i := range profiles {
+		batch[i] = profiles[i]
+		batch[i].Pairs = slices.Clone(profiles[i].Pairs)
+	}
+	return s.worker.Commit(ctx, batch, profilesBytes(profiles))
+}
+
+// profilesBytes estimates the in-memory size of a batch: the unit of
+// ServerOptions.MaxPendingBytes.
+func profilesBytes(profiles []model.Profile) int64 {
+	n := int64(0)
+	for i := range profiles {
+		n += int64(len(profiles[i].ID)) + 16
+		for _, pr := range profiles[i].Pairs {
+			n += int64(len(pr.Name)+len(pr.Value)) + 32
+		}
+	}
+	return n
+}
+
 // Insert admits one profile and returns its assigned global id. The
 // profile is applied asynchronously by the writer; reads observe it
 // once the writer next publishes — a publication falls due after
-// ServerOptions.SwapOps applied profiles and covers everything the
-// writer had received by then — or at the latest on Quiesce.
+// ServerOptions.SwapOps applied profiles and covers every batch
+// committed by then — or at the latest on Quiesce.
 func (s *Server) Insert(ctx context.Context, p *model.Profile) (int, error) {
 	if p == nil {
 		return -1, errors.New("blast: Insert requires a non-nil profile")
@@ -354,21 +411,10 @@ func (v *View) Epoch(profile int) uint64 {
 // Quiesce drives the server to the strongest consistent state: all
 // admitted batches applied, published and swapped in. When it returns
 // nil, every read observes every insert admitted before the call. It
-// places a barrier behind them in the writer's mailbox and waits for
-// it; ctx bounds only the wait. On a closed server Quiesce reports
+// places a barrier behind them in the writer's queue and waits for it;
+// ctx bounds only the wait. On a closed server Quiesce reports
 // shard.ErrClosed (Close already established the drained state).
-func (s *Server) Quiesce(ctx context.Context) error {
-	done, err := s.worker.BarrierStart()
-	if err != nil {
-		return err
-	}
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+func (s *Server) Quiesce(ctx context.Context) error { return s.worker.Quiesce(ctx) }
 
 // Blocks returns the writer's live block collection — on a quiesced
 // server, the union collection the published state was frozen from. The
@@ -391,14 +437,9 @@ func (s *Server) Schema() *Schema { return s.schema }
 // publish; Insert, InsertAll and Quiesce fail after Close. Close is
 // idempotent.
 func (s *Server) Close() error {
-	s.wq.close()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closing.Swap(true) {
 		return nil
 	}
-	s.closed = true
-	s.mu.Unlock()
 	err := s.worker.Close()
 	// Final snapshot: with the worker joined, persist the last published
 	// state if it sits past the last file on disk. A drained shutdown then
@@ -408,8 +449,8 @@ func (s *Server) Close() error {
 	if st := s.state.Load().rows; s.pers != nil && st.Batches > s.pers.last {
 		err = errors.Join(err, s.pers.persistNow(st))
 	}
-	if s.log != nil {
-		err = errors.Join(err, s.log.Close())
+	if s.w.log != nil {
+		err = errors.Join(err, s.w.log.Close())
 	}
 	return err
 }
