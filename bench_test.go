@@ -621,16 +621,17 @@ func BenchmarkServer_StreamPublish(b *testing.B) {
 
 // BenchmarkServer_ConcurrentInsert runs 1, 2 and 8 in-process writers
 // against a durable two-shard server fsyncing every log record
-// (SyncEvery 1). An op is one burst: every writer makes 32
-// single-profile InsertAll calls. records/profile is the write-ahead-log
-// records — one fsync each — the server wrote per admitted profile.
-// Group commit makes it fall as writers rise: calls that queue behind
-// a commit share the next record. The count depends on timing, not on a
-// fixed window. The collection grows with b.N and is never quiesced, so
-// the writer's freezes (every SwapOps profiles) fall behind admission:
-// a call refused with ErrOverloaded backs off for a millisecond and
-// retries, as a client answered 429 would, and rejected/op counts the
-// refusals.
+// (SyncEvery 1). An op is one burst against a fresh server, built
+// outside the timer as BenchmarkServer_StreamPublish builds its own:
+// every writer makes 32 single-profile InsertAll calls, then the op
+// ends with Quiesce, so every op starts from the same collection and
+// ns/op is comparable across -benchtime. records/profile is the
+// write-ahead-log records — one fsync each — the server wrote per
+// admitted profile. Group commit makes it fall as writers rise: calls
+// that queue behind a commit share the next record. The count depends
+// on timing, not on a fixed window. A call refused with ErrOverloaded
+// backs off for a millisecond and retries, as a client answered 429
+// would, and rejected/op counts the refusals.
 func BenchmarkServer_ConcurrentInsert(b *testing.B) {
 	ctx := context.Background()
 	const base, calls = 1000, 32
@@ -655,13 +656,16 @@ func BenchmarkServer_ConcurrentInsert(b *testing.B) {
 	}
 	for _, writers := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("writers-%d", writers), func(b *testing.B) {
-			dir := b.TempDir()
-			srv, err := p.ServeBlocks(ctx, blocks, blast.ServerOptions{Shards: 2, Dir: dir, SyncEvery: 1, SnapshotEvery: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
+			var records, rejected int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := b.TempDir()
+				srv, err := p.ServeBlocks(ctx, blocks, blast.ServerOptions{Shards: 2, Dir: dir, SyncEvery: 1, SnapshotEvery: -1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 				var wg sync.WaitGroup
 				for w := 0; w < writers; w++ {
 					wg.Add(1)
@@ -681,21 +685,26 @@ func BenchmarkServer_ConcurrentInsert(b *testing.B) {
 					}(w)
 				}
 				wg.Wait()
+				if err := srv.Quiesce(ctx); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				rejected += srv.WriteStats().Rejected
+				if err := srv.Close(); err != nil {
+					b.Fatal(err)
+				}
+				raw, err := os.ReadFile(filepath.Join(dir, "wal", "batches.wal"))
+				if err != nil {
+					b.Fatal(err)
+				}
+				recs, _, err := wal.Scan(raw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				records += int64(len(recs))
+				b.StartTimer()
 			}
-			b.StopTimer()
-			rejected := srv.WriteStats().Rejected
-			if err := srv.Close(); err != nil {
-				b.Fatal(err)
-			}
-			raw, err := os.ReadFile(filepath.Join(dir, "wal", "batches.wal"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			records, _, err := wal.Scan(raw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(len(records))/float64(b.N*writers*calls), "records/profile")
+			b.ReportMetric(float64(records)/float64(b.N*writers*calls), "records/profile")
 			b.ReportMetric(float64(rejected)/float64(b.N), "rejected/op")
 		})
 	}

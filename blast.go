@@ -113,18 +113,6 @@ func (s Storage) String() string {
 	}
 }
 
-// ParseStorage maps a storage name ("memory", "file" — the String()
-// forms) back to the enum value.
-func ParseStorage(s string) (Storage, error) {
-	for _, st := range []Storage{StorageMemory, StorageFile} {
-		if s == st.String() {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("blast: unknown storage %q: valid names are %q and %q",
-		s, StorageMemory, StorageFile)
-}
-
 // Validate rejects unknown storage values with a descriptive error.
 func (s Storage) Validate() error {
 	switch s {
@@ -191,14 +179,14 @@ type ServerOptions struct {
 	// SnapshotEvery policy, one file each, and ServeBlocks on an existing
 	// Dir recovers — a torn tail truncated, every journaled batch
 	// replayed once onto the writer, the snapshot at the log's last
-	// record adopted or rebuilt — to a state byte-identical to a cold
-	// IndexBlocks over seed + replayed inserts, at any shard count. The
-	// seed Blocks artifact is NOT persisted; reopening requires the same
-	// artifact (a manifest records its
-	// fingerprint and fails closed on mismatch). A directory of the
-	// manifest's version 1, which kept one log per shard, fails closed
-	// too: recreate it from the seed artifact. Empty disables durability
-	// entirely.
+	// record adopted or re-exported by the writer — to a state
+	// byte-identical to a cold IndexBlocks over seed + replayed inserts,
+	// at any shard count or Options.Storage. The seed Blocks artifact is
+	// NOT persisted; reopening requires the same artifact (a manifest
+	// records its fingerprint and fails closed on mismatch). A directory
+	// of the manifest's version 1, which kept one log per shard, fails
+	// closed too: recreate it from the seed artifact. Nothing is spilled
+	// under Dir. Empty disables durability entirely.
 	Dir string
 	// SyncEvery batches the log's fsyncs: one fsync per SyncEvery log
 	// records, whatever the shard count. A record is one group: every
@@ -384,12 +372,12 @@ type Options struct {
 	Workers int
 
 	// Storage selects where the blocking graph's adjacency lives during
-	// meta-blocking and index builds (MetaBlock, IndexBlocks, the build
-	// that seeds a Server): StorageMemory (default) keeps it resident,
-	// StorageFile spills it to segment files past MemoryBudget and
-	// streams them back page by page. Byte-identical output either way.
-	// It does not reach an Index's re-freeze after inserts or a Server's
-	// publications, which build their graph resident.
+	// the cold builds, MetaBlock and IndexBlocks (BuildIndex):
+	// StorageMemory (default) keeps it resident, StorageFile spills it to
+	// segment files past MemoryBudget and streams them back page by
+	// page. Byte-identical output either way. It reaches no writer
+	// export: an Index's re-freeze after inserts and every state of a
+	// Server build their graph resident.
 	Storage Storage
 	// MemoryBudget bounds (in bytes) the resident footprint of the
 	// adjacency entries a StorageFile build may accumulate before
@@ -402,11 +390,10 @@ type Options struct {
 	// retained pair), which are resident by definition. Ignored under
 	// StorageMemory.
 	MemoryBudget int64
-	// SpillDir is the directory StorageFile segment files are created
-	// under (a fresh subdirectory per build, removed before the build
-	// returns). Empty selects the OS temp dir — or, on a durable Server,
-	// a "spill" directory next to the WAL so segments live on the same
-	// filesystem as the rest of the state. Ignored under StorageMemory.
+	// SpillDir is the directory the segment files of a StorageFile cold
+	// build are created under (a fresh subdirectory per build, removed
+	// before the build returns). Empty selects the OS temp dir. Ignored
+	// under StorageMemory, and by a Server, which never spills.
 	SpillDir string
 
 	// Progress, when non-nil, observes pipeline execution: it is invoked

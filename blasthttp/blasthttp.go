@@ -19,8 +19,8 @@
 // counts against ServerOptions.MaxPendingRequests and MaxPendingBytes
 // from admission until the writer has applied it; beyond either bound —
 // the writer behind by the budget, say inside a long freeze — the
-// server answers 429 Too Many Requests with a Retry-After header instead
-// of queueing without limit. Draining is the
+// server answers 429 Too Many Requests with a one-second Retry-After
+// header instead of queueing without limit. Draining is the
 // Server's: shut the http.Server down, which waits for every in-flight
 // request, then Close the Server.
 //
@@ -41,7 +41,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"blast"
 	"blast/internal/model"
@@ -55,10 +54,6 @@ type Options struct {
 	// MaxBodyBytes bounds one insert request body (413 beyond it).
 	// 0 selects 8 MiB.
 	MaxBodyBytes int64
-	// RetryAfter is the client backoff hint sent with 429 responses.
-	// 0 selects 1 second (the Retry-After header has whole-second
-	// granularity).
-	RetryAfter time.Duration
 }
 
 func (o Options) maxBodyBytes() int64 {
@@ -66,17 +61,6 @@ func (o Options) maxBodyBytes() int64 {
 		return 8 << 20
 	}
 	return o.MaxBodyBytes
-}
-
-func (o Options) retryAfterSeconds() int {
-	if o.RetryAfter <= 0 {
-		return 1
-	}
-	s := int((o.RetryAfter + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 // Handler serves the blasthttp API over one blast.Server. Construct
@@ -179,13 +163,11 @@ type QuiesceResponse struct {
 	Published int `json:"published"`
 }
 
-// StatszResponse is the body of GET /statsz. Storage names the graph
-// storage mode builds run under. Shards holds one entry per partition
-// of the server's publications: the writer's counters, and the
-// partition's owned rows and resident bytes of the published state,
-// which sum to the state's footprint.
+// StatszResponse is the body of GET /statsz. Shards holds one entry per
+// partition of the server's publications: the writer's counters, and
+// the partition's owned rows and resident bytes of the published state,
+// which sum to the state's footprint. Every state is resident rows.
 type StatszResponse struct {
-	Storage   string           `json:"storage"`
 	Admitted  int              `json:"admitted"`
 	Published int              `json:"published"`
 	Shards    []shard.Stats    `json:"shards"`
@@ -319,16 +301,17 @@ func profileParam(r *http.Request) (int, error) {
 
 // fail answers a failed call with the status its error maps to, the one
 // mapping every handler shares: a full write queue is 429 with a
-// Retry-After hint, an oversized body 413, an ended request context 408
-// (499-style: the client went away, so the status is best-effort), a
-// closed server 503, and anything else 500.
+// Retry-After hint of one second (the header's granularity), an
+// oversized body 413, an ended request context 408 (499-style: the
+// client went away, so the status is best-effort), a closed server 503,
+// and anything else 500.
 func (h *Handler) fail(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
 	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, blast.ErrOverloaded):
 		status = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", strconv.Itoa(h.opt.retryAfterSeconds()))
+		w.Header().Set("Retry-After", "1")
 	case errors.As(err, &tooBig):
 		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -433,7 +416,6 @@ func (h *Handler) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (h *Handler) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	h.writeValue(w, StatszResponse{
-		Storage:   h.srv.Storage().String(),
 		Admitted:  h.srv.Admitted(),
 		Published: h.srv.NumProfiles(),
 		Shards:    h.srv.Stats(),

@@ -291,14 +291,14 @@ func TestRequestValidation(t *testing.T) {
 // TestErrorStatus holds the one error-to-status mapping every handler
 // shares, the 429's Retry-After hint included.
 func TestErrorStatus(t *testing.T) {
-	h := NewHandler(nil, Options{RetryAfter: 2500 * time.Millisecond})
+	h := NewHandler(nil, Options{})
 	cases := []struct {
 		err        error
 		status     int
 		retryAfter string
 	}{
-		{blast.ErrOverloaded, http.StatusTooManyRequests, "3"},
-		{fmt.Errorf("admit: %w", blast.ErrOverloaded), http.StatusTooManyRequests, "3"},
+		{blast.ErrOverloaded, http.StatusTooManyRequests, "1"},
+		{fmt.Errorf("admit: %w", blast.ErrOverloaded), http.StatusTooManyRequests, "1"},
 		{&http.MaxBytesError{Limit: 512}, http.StatusRequestEntityTooLarge, ""},
 		{context.Canceled, http.StatusRequestTimeout, ""},
 		{fmt.Errorf("barrier: %w", context.DeadlineExceeded), http.StatusRequestTimeout, ""},
@@ -439,9 +439,6 @@ func TestStatszTopology(t *testing.T) {
 		if _, ok := fields["topology"]; ok {
 			t.Fatalf("statsz still names a topology: %s", body)
 		}
-		if st.Storage != blast.StorageMemory.String() {
-			t.Fatalf("statsz storage %q, want %q", st.Storage, blast.StorageMemory)
-		}
 		if len(st.Shards) != 2 {
 			t.Fatalf("statsz reports %d shards", len(st.Shards))
 		}
@@ -456,38 +453,4 @@ func TestStatszTopology(t *testing.T) {
 			t.Fatalf("owned rows sum to %d, want 40", owned)
 		}
 	})
-}
-
-// TestStatszStorage: /statsz names the graph storage mode the server's
-// builds run under (configuration, not residency — spilled builds are
-// materialized at publish time).
-func TestStatszStorage(t *testing.T) {
-	opt := blast.DefaultOptions()
-	opt.Storage = blast.StorageFile
-	opt.MemoryBudget = 1
-	p, err := blast.NewPipeline(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := p.Serve(context.Background(), testDataset(stats.NewRNG(7), 40),
-		blast.ServerOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	h := NewHandler(srv, Options{})
-	defer h.Close()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	resp, body := getBody(t, ts.Client(), ts.URL+"/statsz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("statsz status %d", resp.StatusCode)
-	}
-	var st StatszResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("statsz body: %v", err)
-	}
-	if st.Storage != blast.StorageFile.String() {
-		t.Fatalf("statsz storage %q, want %q", st.Storage, blast.StorageFile)
-	}
 }

@@ -8,8 +8,9 @@ package blast
 //	Dir/snap/epoch-N.snap      one file per persisted state, every row (internal/shard)
 //
 // Nothing on disk depends on the shard count, so a directory reopens at
-// any. Per-shard snapshot directories (Dir/snap/shard-NNN/) of earlier
-// releases are never read; they are safe to delete.
+// any. Per-shard snapshot directories (Dir/snap/shard-NNN/) and the
+// Dir/spill directory of earlier releases are never read; they are safe
+// to delete.
 //
 // Write path. Server.InsertAll journals each committed group — the
 // InsertAll calls queued together, one batch (see writer.Journal) — as
@@ -38,7 +39,7 @@ package blast
 //  4. The start state is adopted from disk: the newest snapshot file
 //     that sits at exactly the log's record count over the recovered
 //     profile count (the state a drained Close leaves). Otherwise it is
-//     one frozen IndexBlocks build over the recovered union collection.
+//     the writer's export over the recovered union collection.
 //
 // The recovered server then serves Pairs/Candidates/Threshold
 // byte-identical to a cold IndexBlocks over seed + replayed inserts —
@@ -65,7 +66,8 @@ import (
 // durManifestVersion 2 journals into one log. Version 1 kept one log
 // per shard, each holding that shard's owned subset of every batch; it
 // is not read. (Version 2 directories of earlier releases also recorded
-// their shard count; the field is ignored.)
+// their shard count and storage mode; neither moves a served state, and
+// both fields are ignored.)
 const durManifestVersion = 2
 
 // errNoManifest fails a durable directory that holds state but no
@@ -80,21 +82,6 @@ type durManifest struct {
 	Kind         string `json:"kind"`
 	SeedProfiles int    `json:"seed_profiles"`
 	SeedBlocks   uint64 `json:"seed_blocks_fnv"`
-	// Storage records the graph storage mode (Options.Storage) the
-	// directory was created under; empty means memory, the zero value.
-	// Pinning it keeps a reopen from silently flipping the build's
-	// memory/spill behavior out from under an operator's capacity
-	// planning.
-	Storage string `json:"storage,omitempty"`
-}
-
-// manifestStorage renders a Storage for the manifest, mapping the
-// memory zero value onto the field's backward-compatible zero.
-func manifestStorage(s Storage) string {
-	if s == StorageMemory {
-		return ""
-	}
-	return s.String()
 }
 
 func durWalPath(dir string) string {
@@ -251,51 +238,34 @@ func snapFileEpoch(name string) (epoch uint64, ok bool) {
 // openDurable prepares ServerOptions.Dir for ServeBlocks over the seed
 // collection c: it makes the directories, checks (or, on first open,
 // records) the manifest, opens the log and decodes the admitted batches
-// it holds, failing closed on a record that does not decode. The
-// returned pipeline is p, or a copy whose StorageFile builds spill
-// under Dir when Options.SpillDir is empty.
-func (p *Pipeline) openDurable(c *blocking.Collection, sopt ServerOptions) (*Pipeline, *wal.Log, [][]model.Profile, error) {
+// it holds, failing closed on a record that does not decode.
+func openDurable(c *blocking.Collection, sopt ServerOptions) (*wal.Log, [][]model.Profile, error) {
 	dir := sopt.Dir
 	for _, sub := range []string{filepath.Join(dir, "wal"), durSnapDir(dir)} {
 		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-	}
-	if p.opt.Storage == StorageFile && p.opt.SpillDir == "" {
-		// Spill segments default to living alongside the WAL and the
-		// snapshots: one directory to provision, one filesystem whose
-		// capacity and durability characteristics the operator reasons
-		// about. (They are temporary either way — a build deletes them
-		// once its rows are frozen.)
-		spill := filepath.Join(dir, "spill")
-		if err := os.MkdirAll(spill, 0o755); err != nil {
-			return nil, nil, nil, err
-		}
-		pp := *p
-		pp.opt.SpillDir = spill
-		p = &pp
 	}
 	if err := checkManifest(dir, durManifest{
 		Version:      durManifestVersion,
 		Kind:         c.Kind.String(),
 		SeedProfiles: c.NumProfiles,
 		SeedBlocks:   collectionFingerprint(c),
-		Storage:      manifestStorage(p.opt.Storage),
 	}); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	log, payloads, err := wal.Open(durWalPath(dir), sopt.walSyncEvery())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	batches := make([][]model.Profile, len(payloads))
 	for k, payload := range payloads {
 		if batches[k], err = wal.DecodeBatch(payload); err != nil {
 			err = fmt.Errorf("blast: wal record %d: %w; refusing to replay", k, err)
-			return nil, nil, nil, errors.Join(err, log.Close())
+			return nil, nil, errors.Join(err, log.Close())
 		}
 	}
-	return p, log, batches, nil
+	return log, batches, nil
 }
 
 // adoptSnapshot returns the state to start from, read from the

@@ -19,9 +19,10 @@ package blast
 // publication over the rows it owns (partition.go).
 //
 // That is an index's only form. Insert appends profiles to the live
-// block collection and marks the rows stale; the next read re-freezes
-// them over the grown collection through the same build IndexBlocks
-// runs (Compact does it on demand, under a context). A finer-grained
+// block collection through a one-party writer (partition.go) and marks
+// the rows stale; the next read re-freezes them over the grown
+// collection by that writer's export, the freeze IndexBlocks runs, built
+// resident (Compact does it on demand, under a context). A finer-grained
 // refresh would not pay under BLAST's weighting: chi-squared depends on
 // |B| (paper §3.3.1), so a new block moves every weight. The contract —
 // after any insert sequence, Pairs(), Candidates(i) and Threshold(i)
@@ -72,8 +73,9 @@ type IndexStats struct {
 // profile, the co-candidate ids and the weights that retained them, and
 // the per-node thresholds — at 24 bytes a retained pair and 16 a
 // profile, whatever the size of the blocking graph they were pruned
-// from. Insert and InsertAll append to the collection; the next read, or
-// Compact, re-freezes the rows over it. It is safe for concurrent use:
+// from. Insert and InsertAll append to the collection through the
+// index's writer; the next read, or Compact, re-freezes the rows by the
+// writer's export. It is safe for concurrent use:
 // readers see either the state before or after a whole insert batch,
 // never a partial one.
 type Index struct {
@@ -90,9 +92,9 @@ type Index struct {
 	// rows is what every read serves from; nil while inserts are pending.
 	// A snapshot is immutable, so a reader holding one needs no lock.
 	rows *shard.Snapshot
-	// app appends to the collection; nil until the first Insert, while
-	// the collection is still the Blocks artifact's.
-	app *blocking.Appender
+	// w appends to the collection and re-freezes it; nil until the first
+	// Insert, while the collection is still the Blocks artifact's.
+	w *writer
 	// pending counts the insert batches rows does not cover.
 	pending int
 	stats   IndexStats
@@ -129,7 +131,7 @@ func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, err
 	t0 := time.Now()
 	c := blocks.Collection
 	ix := &Index{kind: c.Kind, collection: c, schema: blocks.Schema, opt: p.opt}
-	if err := ix.freeze(ctx, metaConfigFromOptions(p.opt)); err != nil {
+	if err := ix.freeze(ctx); err != nil {
 		return nil, err
 	}
 	ix.buildTime = time.Since(t0)
@@ -137,12 +139,14 @@ func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, err
 	return ix, nil
 }
 
-// freeze builds the rows over the index's collection under cfg, over
-// the whole graph (prune.Alone). Over a spilled graph every pass reads
-// through page cursors and fails closed on the graph's sticky read
-// error, so no row is ever collected from a zeroed run; whatever the
-// outcome, the segment files end here. On error the index is unchanged.
-func (ix *Index) freeze(ctx context.Context, cfg metablocking.Config) error {
+// freeze builds the rows over the index's collection, over the whole
+// graph (prune.Alone): IndexBlocks' build, the one Index build that
+// honors Options.Storage. Over a spilled graph every pass reads through
+// page cursors and fails closed on the graph's sticky read error, so no
+// row is ever collected from a zeroed run; whatever the outcome, the
+// segment files end here. On error the index is unchanged.
+func (ix *Index) freeze(ctx context.Context) error {
+	cfg := metaConfigFromOptions(ix.opt)
 	csr, _, err := metablocking.BuildWeighted(ctx, ix.collection, cfg, prune.Alone, nil)
 	if err != nil {
 		return err
@@ -157,16 +161,16 @@ func (ix *Index) freeze(ctx context.Context, cfg metablocking.Config) error {
 	return nil
 }
 
-// refreezeLocked folds the pending insert batches into fresh rows. The
-// graph is built resident whatever Options.Storage says, so under a
-// context that never cancels the fold cannot fail. The caller holds
-// ix.mu.
+// refreezeLocked folds the pending insert batches into fresh rows: the
+// writer's export, built resident whatever Options.Storage says, so
+// under a context that never cancels the fold cannot fail. On error the
+// index is unchanged. The caller holds ix.mu.
 func (ix *Index) refreezeLocked(ctx context.Context) error {
-	cfg := metaConfigFromOptions(ix.opt)
-	cfg.Spill = nil
-	if err := ix.freeze(ctx, cfg); err != nil {
+	rows, err := ix.w.Export(ctx)
+	if err != nil {
 		return err
 	}
+	ix.rows, ix.spillBytes, ix.pageLoads = rows, 0, 0
 	ix.stats.RebuiltBatches += ix.pending
 	ix.stats.Compactions++
 	ix.pending = 0
@@ -231,8 +235,8 @@ func (ix *Index) Stats() IndexStats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	st := ix.stats
-	if ix.app != nil {
-		st.PendingKeys = ix.app.PendingKeys()
+	if ix.w != nil {
+		st.PendingKeys = ix.w.app.PendingKeys()
 	}
 	return st
 }
@@ -309,11 +313,14 @@ func (ix *Index) InsertAll(ctx context.Context, profiles []model.Profile) ([]int
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if ix.app == nil {
+	if ix.w == nil {
 		ix.collection = ix.collection.Clone()
-		ix.app = blocking.NewAppender(ix.collection)
+		ix.w = newWriter(ix.collection, ix.schema, ix.opt, 1)
 	}
-	ids := appendBatch(ix.app, ix.schema, ix.kind, &ix.opt, profiles)
+	ids, err := ix.w.InsertAll(ctx, profiles)
+	if err != nil {
+		return nil, err
+	}
 	ix.rows = nil
 	ix.pending++
 	ix.stats.Inserts += len(ids)
@@ -346,19 +353,6 @@ func (ix *Index) StorageStats() (spillBytes, pageLoads int64) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.spillBytes, ix.pageLoads
-}
-
-// appendBatch tokenizes a batch and appends it to a collection, in
-// order, returning the assigned ids: the admission step of every
-// streaming writer (Index, the Server's writer), so both assign
-// identical ids and block keys to identical streams. Tokenization is
-// total and the append unconditional, so it cannot fail part-way.
-func appendBatch(app *blocking.Appender, schema *Schema, kind model.Kind, opt *Options, profiles []model.Profile) []int {
-	ids := make([]int, len(profiles))
-	for i := range profiles {
-		ids[i] = int(app.Append(tokenizeProfile(schema, kind, opt, &profiles[i])))
-	}
-	return ids
 }
 
 // tokenizeProfile tokenizes a profile against the frozen schema exactly

@@ -1,13 +1,16 @@
 package blast
 
-// The writer of a Server and its partitioned freeze. The writer holds
-// one appender over one clone of the (compact) block collection and
-// materializes nothing else between publications. A publication is the
-// freeze an Index runs — metablocking.BuildWeighted, then
-// metablocking.FreezeCSR — run by ServerOptions.Shards parties at once,
-// each over the rows that hash onto it: a party builds, weighs and
-// prunes its owned rows, and only the owned rows of what pruning
-// retained outlive the freeze. The parties of one freeze
+// The writer of a Server and of an Index's inserts, and its partitioned
+// freeze. The writer holds one appender over one clone of the (compact)
+// block collection and materializes nothing else between exports. Every
+// freeze that is not a cold build is a writer export: a Server's start
+// state and each of its publications, and an Index's re-freeze after
+// inserts. An export is the freeze IndexBlocks runs —
+// metablocking.BuildWeighted, then metablocking.FreezeCSR — built
+// resident, and run by ServerOptions.Shards parties at once (an Index's
+// writer has one), each over the rows that hash onto it: a party builds,
+// weighs and prunes its owned rows, and only the owned rows of what
+// pruning retained outlive the freeze. The parties of one freeze
 // (prune.Parties) all-gather every value global to the graph over a
 // fresh shard.Exchange, one round at a time:
 //
@@ -46,9 +49,10 @@ import (
 	"blast/internal/wal"
 )
 
-// writer is the shard.Writer behind a Server. The shard serializes
-// Journal calls, and its worker every other call, so it needs no lock of
-// its own.
+// writer is the shard.Writer behind a Server, and the insert path of an
+// Index. The shard serializes Journal calls, and its worker every other
+// call (an Index's mutex serializes its own writer's), so it needs no
+// lock of its own.
 type writer struct {
 	parts  int
 	kind   model.Kind
@@ -65,8 +69,8 @@ type writer struct {
 	holdJournal func()
 }
 
-// newWriter wraps the server's clone of the block collection, frozen by
-// parts parties. The clone is owned by the writer from here on.
+// newWriter wraps a clone of the block collection, frozen by parts
+// parties. The clone is owned by the writer from here on.
 func newWriter(c *blocking.Collection, schema *Schema, opt Options, parts int) *writer {
 	return &writer{parts: parts, kind: c.Kind, schema: schema, opt: opt, app: blocking.NewAppender(c)}
 }
@@ -89,19 +93,25 @@ func (w *writer) Journal(take func() []model.Profile) error {
 	return nil
 }
 
-// InsertAll tokenizes and appends a batch to the collection; the next
-// Export folds it in.
+// InsertAll tokenizes a batch and appends it to the collection, in
+// order, returning the assigned ids; the next Export folds it in. ctx is
+// observed once, before anything mutates: tokenization is total and the
+// append unconditional, so it cannot fail part-way.
 func (w *writer) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return appendBatch(w.app, w.schema, w.kind, &w.opt, profiles), nil
+	ids := make([]int, len(profiles))
+	for i := range profiles {
+		ids[i] = int(w.app.Append(tokenizeProfile(w.schema, w.kind, &w.opt, &profiles[i])))
+	}
+	return ids, nil
 }
 
-// Export freezes the collection's current state into the rows the
-// server publishes, built resident: over prune.Alone with one party, as
-// Index.freeze does, or by w.parts party goroutines over one fresh
-// exchange, whose rows are then joined.
+// Export freezes the collection's current state into rows, built
+// resident whatever Options.Storage says: over prune.Alone with one
+// party, as Index.freeze does, or by w.parts party goroutines over one
+// fresh exchange, whose rows are then joined.
 func (w *writer) Export(ctx context.Context) (*shard.Snapshot, error) {
 	c := w.app.Collection()
 	cfg := metaConfigFromOptions(w.opt)

@@ -12,7 +12,8 @@ package blast
 //     each over the rows whose profile ids hash onto it, resolving the
 //     graph-global pruning inputs (degrees, |E|, weight sums, cuts,
 //     thresholds) by exchanging compact aggregates, and joins their
-//     rows (shard.JoinOwned).
+//     rows (shard.JoinOwned). The start state is the same export, so
+//     every state a Server serves is a writer export, built resident.
 //   - Reads never touch the writer. Each publication — the retained
 //     rows, nothing of the graph they were pruned from — is swapped in
 //     behind one atomic pointer. Every read, View and Pairs is one load
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"blast/internal/blocking"
 	"blast/internal/model"
@@ -44,12 +46,11 @@ import (
 // server when done (Close stops the writer; reads stay valid
 // afterwards). All methods are safe for concurrent use.
 type Server struct {
-	kind    model.Kind
-	storage Storage
-	w       *writer
-	worker  *shard.Shard // runs w: admission, group commit and apply
-	schema  *Schema
-	pers    *snapPersister // nil where persistence is off
+	kind   model.Kind
+	w      *writer
+	worker *shard.Shard // runs w: admission, group commit and apply
+	schema *Schema
+	pers   *snapPersister // nil where persistence is off
 
 	state   atomic.Pointer[View] // the newest published state
 	closing atomic.Bool
@@ -75,10 +76,11 @@ func (p *Pipeline) Serve(ctx context.Context, ds *model.Dataset, sopt ServerOpti
 
 // ServeBlocks starts a server over a Blocks artifact, which is never
 // mutated: one writer over one clone of the block collection, and reads
-// served from the rows of one frozen IndexBlocks build (honoring
-// Options.Storage) until the writer first publishes. Options.Workers
-// reaches every build and freeze, whose output is byte-identical at any
-// worker count. A failing party of a publication poisons that freeze's
+// served from that writer's first export until it next publishes. Every
+// state is a writer export, built resident: Options.Storage reaches only
+// the cold builds (MetaBlock, IndexBlocks), never a Server. Options.Workers
+// reaches every freeze, whose output is byte-identical at any worker
+// count. A failing party of a publication poisons that freeze's
 // exchange, failing its peers too — each party's rows exist nowhere
 // else — so the publication fails, the earlier state keeps serving and
 // the failure is sticky (Err).
@@ -90,7 +92,7 @@ func (p *Pipeline) Serve(ctx context.Context, ds *model.Dataset, sopt ServerOpti
 // recovers the pre-crash state: every journaled batch is appended once
 // to the writer, and the start state is either adopted from disk — the
 // newest file at the log's last record, which is what a drained Close
-// leaves — or the one frozen build over the recovered union collection.
+// leaves — or the writer's export over the recovered union collection.
 // Nothing on disk depends on the shard count. See durable.go for the
 // layout and the fail-closed rules.
 func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerOptions) (srv *Server, err error) {
@@ -104,7 +106,7 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 	var log *wal.Log
 	var replay [][]model.Profile
 	if sopt.Dir != "" {
-		if p, log, replay, err = p.openDurable(c, sopt); err != nil {
+		if log, replay, err = openDurable(c, sopt); err != nil {
 			return nil, err
 		}
 		defer func() {
@@ -114,12 +116,7 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		}()
 	}
 
-	srv = &Server{
-		kind:    c.Kind,
-		storage: p.opt.Storage,
-		w:       newWriter(c.Clone(), blocks.Schema, p.opt, n),
-		schema:  blocks.Schema,
-	}
+	srv = &Server{kind: c.Kind, w: newWriter(c.Clone(), blocks.Schema, p.opt, n), schema: blocks.Schema}
 	cut, admitted := len(replay), c.NumProfiles
 	var start *shard.Snapshot
 	if log != nil {
@@ -132,14 +129,13 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		start = adoptSnapshot(durSnapDir(sopt.Dir), cut, admitted)
 	}
 	if start == nil {
-		// Nothing adoptable: one frozen build over the union collection —
-		// byte-identical to the state the writer's freeze would publish.
-		union := &Blocks{Collection: srv.w.app.Collection(), Schema: blocks.Schema}
-		ix, err := p.IndexBlocks(ctx, union)
-		if err != nil {
+		// Nothing adoptable: the writer exports the union collection, the
+		// freeze of every later publication, reported as an index build.
+		t0 := time.Now()
+		if start, err = srv.w.Export(ctx); err != nil {
 			return nil, err
 		}
-		start = ix.rows
+		p.opt.progress("index", time.Since(t0))
 		if log != nil {
 			maxEpoch := uint64(0)
 			if names := snapFileNames(durSnapDir(sopt.Dir)); len(names) > 0 {
@@ -180,13 +176,6 @@ func (s *Server) NumShards() int { return s.w.parts }
 
 // Kind returns the ER setting of the served dataset.
 func (s *Server) Kind() model.Kind { return s.kind }
-
-// Storage returns the graph storage mode (Options.Storage) the server
-// was configured with. It governs frozen builds only — the build of the
-// server's start state — and is never a point-in-time residency: every
-// published state is resident rows, whose size the partitions'
-// ResidentBytes in Stats sum to.
-func (s *Server) Storage() Storage { return s.storage }
 
 // Admitted returns the number of profiles the server has accepted:
 // the build's profiles plus every insert admitted so far, whether or

@@ -2,22 +2,23 @@ package blast
 
 // Differential tests of the beyond-RAM storage layer: every observable
 // of a file-backed (spilled) build — MetaBlock pairs, Index pairs,
-// thresholds and candidates, quiesced Server state under both
-// topologies, durable recovery — must be byte-identical to the
-// resident StorageMemory build. Plus the spill-specific lifecycle
-// contracts: the segments end with the build that wrote them (frozen,
-// cancelled or failed on a read), the re-freeze after an insert builds
-// resident, and the manifest storage pin.
+// thresholds and candidates — must be byte-identical to the resident
+// StorageMemory build, and a Server under a spilling pipeline to a cold
+// resident build. Plus the spill-specific lifecycle contracts: the
+// segments end with the build that wrote them (frozen, cancelled or
+// failed on a read), and the writer's exports — an Index's re-freeze
+// after an insert, every state of a Server — never spill.
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,9 +180,6 @@ func TestStorageServerEquivalence(t *testing.T) {
 		srv, err := pFile.Serve(ctx, ds, ServerOptions{Shards: shards, SwapOps: 4})
 		if err != nil {
 			t.Fatalf("%s: Serve: %v", label, err)
-		}
-		if got := srv.Storage(); got != StorageFile {
-			t.Fatalf("%s: Storage() = %v, want %v", label, got, StorageFile)
 		}
 		for batch := 0; batch < 2; batch++ {
 			profs := make([]model.Profile, 6)
@@ -435,89 +433,116 @@ func TestStorageCancelledBuildLeavesNoSegments(t *testing.T) {
 	}
 }
 
-// TestDurableStorageManifestPin: the durable manifest records the
-// storage mode; reopening under the other mode fails closed, and the
-// durable layer parks spill segments under Dir/spill by default.
-func TestDurableStorageManifestPin(t *testing.T) {
+// TestServeNeverSpills: Options.Storage stops at the cold builds. Every
+// state of a Server is a writer export, built resident, so a server over
+// a pipeline that would spill from the first entry into a SpillDir that
+// does not exist serves at one and two parties, durable or not, leaves
+// no Dir/spill behind, and once quiesced equals a cold resident
+// IndexBlocks over the union collection.
+func TestServeNeverSpills(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
+	pMem, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	fileOpt := fileStorageOptions(DefaultOptions())
+	fileOpt.SpillDir = filepath.Join(t.TempDir(), "absent")
 	pFile, err := NewPipeline(fileOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memOpt := DefaultOptions()
-	pMem, err := NewPipeline(memOpt)
+	for _, shards := range []int{1, 2} {
+		for _, durable := range []bool{false, true} {
+			label := fmt.Sprintf("shards=%d durable=%v", shards, durable)
+			sopt := ServerOptions{Shards: shards, SwapOps: 4}
+			if durable {
+				sopt.Dir = t.TempDir()
+			}
+			srv, err := pFile.Serve(ctx, durDataset(), sopt)
+			if err != nil {
+				t.Fatalf("%s: Serve: %v", label, err)
+			}
+			durInsert(t, srv, 0, 3)
+			checkServerEquivalence(t, label, pMem, srv)
+			if err := srv.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", label, err)
+			}
+			if durable {
+				if _, err := os.Stat(filepath.Join(sopt.Dir, "spill")); !errors.Is(err, fs.ErrNotExist) {
+					t.Errorf("%s: durable dir holds a spill directory (stat: %v)", label, err)
+				}
+			}
+		}
+	}
+	if _, err := os.Stat(fileOpt.SpillDir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a server created its SpillDir (stat: %v)", err)
+	}
+}
+
+// TestDurableReopensStorageManifest: a durable directory whose manifest
+// pins a storage mode, as earlier releases wrote it under StorageFile
+// (with a Dir/spill beside it), reopens under the default options and
+// adopts its snapshot: the storage field is ignored, and a leftover
+// spill directory is never read.
+func TestDurableReopensStorageManifest(t *testing.T) {
+	ctx := context.Background()
+	events := map[string]int{}
+	opt := DefaultOptions()
+	opt.Progress = func(phase string, _ time.Duration) { events[phase]++ }
+	p, err := NewPipeline(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
 	sopt := ServerOptions{Shards: 2, SwapOps: 2, Dir: dir, SyncEvery: 1}
-
-	srv, err := pFile.Serve(ctx, durDataset(), sopt)
+	srv, err := p.Serve(ctx, durDataset(), sopt)
 	if err != nil {
-		t.Fatalf("durable Serve under file storage: %v", err)
-	}
-	if got := srv.Storage(); got != StorageFile {
-		t.Fatalf("Storage() = %v, want %v", got, StorageFile)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "spill")); err != nil {
-		t.Fatalf("durable dir has no default spill directory: %v", err)
+		t.Fatal(err)
 	}
 	durInsert(t, srv, 0, 2)
-	checkServerEquivalence(t, "durable-file", pMem, srv)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	manifest, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
+	path := filepath.Join(dir, "MANIFEST.json")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(manifest), `"storage": "file"`) {
-		t.Fatalf("manifest does not pin file storage:\n%s", manifest)
-	}
-
-	if _, err := pMem.Serve(ctx, durDataset(), sopt); err == nil {
-		t.Error("file-storage directory reopened under memory storage")
-	}
-	srv2, err := pFile.Serve(ctx, durDataset(), sopt)
-	if err != nil {
-		t.Fatalf("reopen under the pinned storage: %v", err)
-	}
-	checkRecovered(t, "durable-file-reopen", pMem, srv2, 2)
-	if err := srv2.Close(); err != nil {
+	var m durManifest
+	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-
-	memDir := t.TempDir()
-	memSopt := sopt
-	memSopt.Dir = memDir
-	srv3, err := pMem.Serve(ctx, durDataset(), memSopt)
+	old, err := json.MarshalIndent(struct {
+		durManifest
+		Storage string `json:"storage"`
+	}{m, "file"}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv3.Close(); err != nil {
+	if err := os.WriteFile(path, append(old, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pFile.Serve(ctx, durDataset(), memSopt); err == nil {
-		t.Error("memory-storage directory reopened under file storage")
+	if err := os.MkdirAll(filepath.Join(dir, "spill", "leftover"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	clear(events)
+	srv, err = p.Serve(ctx, durDataset(), sopt)
+	if err != nil {
+		t.Fatalf("reopen of a manifest with %s: %v", old, err)
+	}
+	if events["index"] != 0 {
+		t.Errorf("reopen rebuilt instead of adopting its snapshot: stages %v", events)
+	}
+	checkRecovered(t, "storage-manifest reopen", p, srv, 2)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestStorageOptionValidation pins the configuration surface: the
-// storage enum round-trips through ParseStorage, and the invalid
-// combinations are rejected with descriptive errors at NewPipeline.
+// invalid combinations are rejected with descriptive errors at
+// NewPipeline.
 func TestStorageOptionValidation(t *testing.T) {
-	for _, s := range []Storage{StorageMemory, StorageFile} {
-		got, err := ParseStorage(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseStorage(%q) = %v, %v; want %v", s.String(), got, err, s)
-		}
-	}
-	if _, err := ParseStorage("tape"); err == nil {
-		t.Error("ParseStorage accepted an unknown storage name")
-	}
-
 	reject := func(label string, mutate func(*Options)) {
 		t.Helper()
 		opt := DefaultOptions()
