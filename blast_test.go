@@ -227,22 +227,11 @@ func TestInductionString(t *testing.T) {
 	}
 }
 
+// TestPairsComparableAndDeduplicated: Run's pairs are comparable and
+// distinct (the harness's start state: Run and an Index agree, and the
+// Index's candidate lists are comparable and its distinct pairs).
 func TestPairsComparableAndDeduplicated(t *testing.T) {
-	ds := datasets.PRD(0.1, 17)
-	res, err := Run(ds, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[uint64]bool)
-	for _, p := range res.Pairs {
-		if !ds.Comparable(int(p.U), int(p.V)) {
-			t.Errorf("pair %v not comparable", p)
-		}
-		if seen[p.Key()] {
-			t.Errorf("pair %v duplicated", p)
-		}
-		seen[p.Key()] = true
-	}
+	space{data: []data{registryData("prd", 0.1, 0)}, grid: true}.run(t)
 }
 
 func TestRestructuredBlocks(t *testing.T) {

@@ -27,13 +27,13 @@ func TestDurablePartitionedReopenMatrix(t *testing.T) {
 	with := func(scheme weights.Scheme, pruning metablocking.Pruning) func(*Options) {
 		return func(o *Options) { o.Scheme, o.Pruning = scheme, pruning }
 	}
-	runReopenMatrix(t, "part/", []reopenCase{
-		{shards: 1, snapEvery: 1, syncEvery: 1, opt: with(weights.Scheme{Kind: weights.ChiSquared, Entropy: true}, metablocking.BlastWNP)},
-		{shards: 2, snapEvery: -1, syncEvery: 1, opt: with(weights.Scheme{Kind: weights.ARCS, Entropy: true}, metablocking.CNP1)},
-		{shards: 3, snapEvery: 1, syncEvery: -1, opt: with(weights.Scheme{Kind: weights.ECBS}, metablocking.WEP)},
-		{shards: 2, snapEvery: 0, syncEvery: 0, opt: with(weights.Scheme{Kind: weights.JS}, metablocking.CEP)},
-		{shards: 4, snapEvery: 1, syncEvery: 1, opt: with(weights.Scheme{Kind: weights.EJS}, metablocking.CNP2)},
-	})
+	runCases(t, reopenCases("part/", []reopenRow{
+		{shards: 1, snap: 1, sync: 1, opt: with(weights.Scheme{Kind: weights.ChiSquared, Entropy: true}, metablocking.BlastWNP)},
+		{shards: 2, snap: -1, sync: 1, opt: with(weights.Scheme{Kind: weights.ARCS, Entropy: true}, metablocking.CNP1)},
+		{shards: 3, snap: 1, sync: -1, opt: with(weights.Scheme{Kind: weights.ECBS}, metablocking.WEP)},
+		{shards: 2, snap: 0, sync: 0, opt: with(weights.Scheme{Kind: weights.JS}, metablocking.CEP)},
+		{shards: 4, snap: 1, sync: 1, opt: with(weights.Scheme{Kind: weights.EJS}, metablocking.CNP2)},
+	}))
 }
 
 // TestDurablePartitionedTornWAL tears the last byte off the log of a

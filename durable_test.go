@@ -19,7 +19,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"blast/internal/blocking"
 	"blast/internal/datasets"
@@ -95,7 +94,7 @@ func checkRecovered(t *testing.T, label string, p *Pipeline, srv *Server, wantBa
 	if got, want := srv.Admitted(), 40+wantBatches*durBatchSize; got != want {
 		t.Fatalf("%s: recovered %d admitted profiles, want %d (%d batches)", label, got, want, wantBatches)
 	}
-	checkServerEquivalence(t, label, p, srv)
+	matchesCold(t, label, p, srv)
 	got, err := srv.Pairs(context.Background())
 	if err != nil {
 		t.Fatalf("%s: Pairs: %v", label, err)
@@ -125,83 +124,44 @@ func checkEveryShard(t *testing.T, srv *Server, wantBatches int) {
 	}
 }
 
-// reopenCase is one row of a durable reopen matrix; opt, when set,
-// adjusts the pipeline options the case serves under, and reshard, when
-// set, is the shard count of the first and second reopen.
-type reopenCase struct {
-	shards, snapEvery, syncEvery int
-	opt                          func(*Options)
-	reshard                      [2]int
+// durableCase is a durable harness case over 40 synthetic profiles at
+// SwapOps 2: opened at shards with the snapshot and sync cadences and
+// the options opt adjusts (when set), running ops.
+func durableCase(name string, shards, snap, sync int, opt func(*Options), ops ...op) modelCase {
+	c := modelCase{name: name, seed: 0xD00D, data: dirtyData(40, 40), opt: DefaultOptions(), target: onDurable, ops: ops}
+	if opt != nil {
+		opt(&c.opt)
+	}
+	c.sopt = ServerOptions{Shards: shards, SwapOps: 2, SnapshotEvery: snap, SyncEvery: sync}
+	return c
 }
 
-// runReopenMatrix runs open → stream → close → reopen, two generations
-// deep, for every case, and checks the recovery contract at every step.
-func runReopenMatrix(t *testing.T, prefix string, cases []reopenCase) {
-	ctx := context.Background()
-	for _, tc := range cases {
-		label := fmt.Sprintf("%sshards=%d/snap=%d/sync=%d", prefix, tc.shards, tc.snapEvery, tc.syncEvery)
-		if tc.reshard != [2]int{} {
-			label = fmt.Sprintf("%sshards=%d-%d-%d/snap=%d/sync=%d", prefix, tc.shards, tc.reshard[0], tc.reshard[1], tc.snapEvery, tc.syncEvery)
+// reopenRow is one row of a durable reopen matrix: the shard count of
+// the open and, when reshard is set, of the first and second reopen;
+// the snapshot and sync cadences; and, when opt is set, an adjustment
+// of the default options.
+type reopenRow struct {
+	shards, snap, sync int
+	reshard            [2]int
+	opt                func(*Options)
+}
+
+// reopenCases makes each row a durable harness case: open, check, three
+// batches of three, check, then twice close, reopen, check and stream
+// two more, two generations deep — the second recovering a directory a
+// recovery produced (epoch continuation, snapshot pruning).
+func reopenCases(prefix string, rows []reopenRow) []modelCase {
+	cases := make([]modelCase, len(rows))
+	b3 := insertAll(durBatchSize)
+	for i, row := range rows {
+		name := fmt.Sprintf("%sshards=%d/snap=%d/sync=%d", prefix, row.shards, row.snap, row.sync)
+		if row.reshard != [2]int{} {
+			name = fmt.Sprintf("%sshards=%d-%d-%d/snap=%d/sync=%d", prefix, row.shards, row.reshard[0], row.reshard[1], row.snap, row.sync)
 		}
-		t.Run(label, func(t *testing.T) {
-			dir := t.TempDir()
-			opt := DefaultOptions()
-			if tc.opt != nil {
-				tc.opt(&opt)
-			}
-			p, err := NewPipeline(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sopt := ServerOptions{
-				Shards: tc.shards, SwapOps: 2,
-				Dir: dir, SnapshotEvery: tc.snapEvery, SyncEvery: tc.syncEvery,
-			}
-			srv, err := p.Serve(ctx, durDataset(), sopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A fresh durable server behaves exactly like the in-memory one.
-			checkRecovered(t, label+"/fresh", p, srv, 0)
-			durInsert(t, srv, 0, 3)
-			checkServerEquivalence(t, label+"/streamed", p, srv)
-			if err := srv.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			// Pairs still serves after Close, from the drained state.
-			if _, err := srv.Pairs(ctx); err != nil {
-				t.Fatalf("Pairs after Close: %v", err)
-			}
-
-			if tc.reshard != [2]int{} {
-				sopt.Shards = tc.reshard[0]
-			}
-			srv2, err := p.Serve(ctx, durDataset(), sopt)
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			checkRecovered(t, label+"/gen1", p, srv2, 3)
-			durInsert(t, srv2, 3, 5)
-			checkServerEquivalence(t, label+"/gen1-streamed", p, srv2)
-			if err := srv2.Close(); err != nil {
-				t.Fatalf("close gen1: %v", err)
-			}
-
-			// Second generation: recovery over a directory that was itself
-			// produced by a recovery (epoch continuation, snapshot pruning).
-			if tc.reshard != [2]int{} {
-				sopt.Shards = tc.reshard[1]
-			}
-			srv3, err := p.Serve(ctx, durDataset(), sopt)
-			if err != nil {
-				t.Fatalf("reopen gen2: %v", err)
-			}
-			checkRecovered(t, label+"/gen2", p, srv3, 5)
-			if err := srv3.Close(); err != nil {
-				t.Fatalf("close gen2: %v", err)
-			}
-		})
+		cases[i] = durableCase(name, row.shards, row.snap, row.sync, row.opt,
+			check, b3, b3, b3, check, op{opReopen, row.reshard[0]}, check, b3, b3, check, op{opReopen, row.reshard[1]}, check)
 	}
+	return cases
 }
 
 // TestDurableReopenMatrix runs the reopen matrix under the default
@@ -213,124 +173,40 @@ func runReopenMatrix(t *testing.T, prefix string, cases []reopenCase) {
 // last two cells reopen at 1 and then 3 shards a directory written by 2,
 // adopting and rebuilding.
 func TestDurableReopenMatrix(t *testing.T) {
-	runReopenMatrix(t, "", []reopenCase{
-		{shards: 1, snapEvery: 1, syncEvery: 1},
-		{shards: 2, snapEvery: -1, syncEvery: 1},
-		{shards: 3, snapEvery: 1, syncEvery: -1},
-		{shards: 2, snapEvery: 0, syncEvery: 0},
-		{shards: 2, snapEvery: 1, syncEvery: 1, reshard: [2]int{1, 3}},
-		{shards: 2, snapEvery: -1, syncEvery: 1, reshard: [2]int{1, 3}},
-	})
+	runCases(t, reopenCases("", []reopenRow{
+		{shards: 1, snap: 1, sync: 1},
+		{shards: 2, snap: -1, sync: 1},
+		{shards: 3, snap: 1, sync: -1},
+		{shards: 2, snap: 0, sync: 0},
+		{shards: 2, snap: 1, sync: 1, reshard: [2]int{1, 3}},
+		{shards: 2, snap: -1, sync: 1, reshard: [2]int{1, 3}},
+	}))
 }
 
 // TestDurableReopenBuildCount counts the index builds a reopen makes
-// (Options.Progress "index" events) and every other stage it reports:
-// adopting an at-cut snapshot set builds nothing, and a WAL-only image
-// is rebuilt by exactly one frozen build over the recovered union
-// collection. Recovery drives no Index through the log, so nothing is
-// re-frozen along the way, and the recovered server still equals the
-// cold rebuild.
+// (Options.Progress "index" events) and every other stage it reports,
+// as the harness does at every reopen: adopting an at-cut snapshot set
+// builds nothing, and a WAL-only image is rebuilt by exactly one frozen
+// build over the recovered union collection. Recovery drives no Index
+// through the log, so nothing is re-frozen along the way, and the
+// recovered server still equals the cold rebuild.
 func TestDurableReopenBuildCount(t *testing.T) {
-	ctx := context.Background()
-	events := map[string]int{}
-	opt := DefaultOptions()
-	opt.Progress = func(phase string, _ time.Duration) { events[phase]++ }
-	p, err := NewPipeline(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := durDataset()
-	sch, err := p.InduceSchema(ctx, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, err := p.Block(ctx, ds, sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batches = 4
-	for _, tc := range []struct {
-		name      string
-		snapEvery int
-		builds    int
-	}{
-		{"adopt", 1, 0},
-		{"wal-only", -1, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sopt := ServerOptions{Shards: 2, SwapOps: 2, Dir: t.TempDir(), SnapshotEvery: tc.snapEvery, SyncEvery: 1}
-			srv, err := p.ServeBlocks(ctx, blocks, sopt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			durInsert(t, srv, 0, batches)
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			clear(events)
-			srv, err = p.ServeBlocks(ctx, blocks, sopt)
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			if got := events["index"]; got != tc.builds || len(events) > min(tc.builds, 1) {
-				t.Errorf("reopen reported stages %v, want %d index build(s) and nothing else", events, tc.builds)
-			}
-			checkRecovered(t, tc.name, p, srv, batches)
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	b3, reopen := insertAll(durBatchSize), op{kind: opReopen}
+	runCases(t, []modelCase{
+		durableCase("adopt", 2, 1, 1, nil, b3, b3, b3, b3, reopen, check),
+		durableCase("wal-only", 2, -1, 1, nil, b3, b3, b3, b3, reopen, check),
+	})
 }
 
-// TestDurableReopenKeepsStreamPosition: a reopened server's shards
-// continue the insert stream from the cut, not from 0. Three generations
-// deep at one and two shards, with a snapshot persisted every batch:
-// every drained reopen adopts what the Close before it persisted — no
-// index build — and after k more batches a quiesced View sits at the
-// cut plus k.
+// TestDurableReopenKeepsStreamPosition: a reopened server continues the
+// insert stream from the cut, not from 0. Three generations deep at one
+// and two shards, with a snapshot persisted every batch: every drained
+// reopen adopts what the Close before it persisted — no index build —
+// and after k more batches a quiesced View sits at the cut plus k.
 func TestDurableReopenKeepsStreamPosition(t *testing.T) {
-	ctx := context.Background()
-	builds := 0
-	opt := DefaultOptions()
-	opt.Progress = func(phase string, _ time.Duration) {
-		if phase == "index" {
-			builds++
-		}
-	}
-	p, err := NewPipeline(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2} {
-		dir := t.TempDir()
-		cut := 0
-		for gen := 0; gen < 3; gen++ {
-			builds = 0
-			srv, err := durOpen(t, p, dir, shards, 1)
-			if err != nil {
-				t.Fatalf("shards=%d gen %d: %v", shards, gen, err)
-			}
-			if gen > 0 && builds != 0 {
-				t.Errorf("shards=%d gen %d: the reopen at cut %d made %d index builds, want 0", shards, gen, cut, builds)
-			}
-			durInsert(t, srv, cut, cut+2)
-			if err := srv.Quiesce(ctx); err != nil {
-				t.Fatal(err)
-			}
-			v, err := srv.View(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := v.Batches(), int64(cut+2); got != want {
-				t.Errorf("shards=%d gen %d: quiesced view at batch %d, want %d", shards, gen, got, want)
-			}
-			if err := srv.Close(); err != nil {
-				t.Fatal(err)
-			}
-			cut += 2
-		}
-	}
+	b, reopen := insertAll(durBatchSize), op{kind: opReopen}
+	gens := []op{b, b, check, reopen, b, b, check, reopen, b, b, check}
+	runCases(t, []modelCase{durableCase("shards=1", 1, 1, 1, nil, gens...), durableCase("shards=2", 2, 1, 1, nil, gens...)})
 }
 
 // TestDurableMissingManifestFailsClosed: a directory that holds a log

@@ -18,11 +18,9 @@ import (
 	"testing"
 	"time"
 
-	"blast/internal/datasets"
 	"blast/internal/metablocking"
 	"blast/internal/model"
 	"blast/internal/stats"
-	"blast/internal/weights"
 )
 
 // synthProfile draws a random profile from a small shared vocabulary, so
@@ -63,219 +61,41 @@ func synthDirty(rng *stats.RNG, n int) *model.Dataset {
 	return &model.Dataset{Name: "stream", Kind: model.Dirty, E1: e, Truth: model.NewGroundTruth()}
 }
 
-// checkIndexEquivalence asserts the incremental correctness contract:
-// the mutable index matches a cold IndexBlocks over a clone of its live
-// collection on every observable — pairs, per-profile candidates
-// (ids and bitwise weights) and per-profile thresholds.
-func checkIndexEquivalence(t *testing.T, label string, p *Pipeline, ix *Index) {
-	t.Helper()
-	cold, err := p.IndexBlocks(context.Background(), &Blocks{Collection: ix.Blocks().Clone(), Schema: ix.Schema()})
-	if err != nil {
-		t.Fatalf("%s: cold IndexBlocks: %v", label, err)
-	}
-	if cold.NumProfiles() != ix.NumProfiles() {
-		t.Fatalf("%s: NumProfiles = %d, want %d", label, ix.NumProfiles(), cold.NumProfiles())
-	}
-	if cold.NumEdges() != ix.NumEdges() {
-		t.Fatalf("%s: NumEdges = %d, want %d", label, ix.NumEdges(), cold.NumEdges())
-	}
-	assertSamePairs(t, label+" pairs", cold.Pairs(), ix.Pairs())
-	if cold.NumRetained() != ix.NumRetained() {
-		t.Fatalf("%s: NumRetained = %d, want %d", label, ix.NumRetained(), cold.NumRetained())
-	}
-	var want, got []Candidate
-	for i := 0; i < cold.NumProfiles(); i++ {
-		if cw, iw := cold.Threshold(i), ix.Threshold(i); cw != iw {
-			t.Fatalf("%s: Threshold(%d) = %v, want %v", label, i, iw, cw)
-		}
-		want = cold.AppendCandidates(want[:0], i)
-		got = ix.AppendCandidates(got[:0], i)
-		if len(want) != len(got) {
-			t.Fatalf("%s: Candidates(%d): %d, want %d", label, i, len(got), len(want))
-		}
-		for k := range want {
-			if want[k] != got[k] {
-				t.Fatalf("%s: Candidates(%d)[%d] = %+v, want %+v", label, i, k, got[k], want[k])
-			}
-		}
-	}
-}
-
-// TestIncrementalEquivalenceMatrix streams profile batches into indexes
-// across Induction x Scheme x Pruning and checks the cold-rebuild
-// contract at every batch boundary, then cross-checks the final pair set
-// against the batch run over the live collection.
+// TestIncrementalEquivalenceMatrix streams three batches into indexes
+// across Induction x Scheme x Pruning, workers cycling, and checks the
+// write path's contract after the first and after a re-freeze that
+// folds the other two at once.
 func TestIncrementalEquivalenceMatrix(t *testing.T) {
-	ctx := context.Background()
-	schemes := []weights.Scheme{
-		{Kind: weights.ChiSquared, Entropy: true},
-		{Kind: weights.CBS},
-		{Kind: weights.JS},
-		{Kind: weights.ARCS, Entropy: true},
-		{Kind: weights.ECBS},
-	}
-	prunings := []metablocking.Pruning{
-		metablocking.WEP, metablocking.CEP, metablocking.WNP1,
-		metablocking.WNP2, metablocking.CNP1, metablocking.CNP2,
-		metablocking.BlastWNP,
-	}
-	// Workers cycles through the axis so every pruning runs both serial
-	// and parallel at least once; the contract demands byte-identical
-	// decisions at every value (the cold reference inside
-	// checkIndexEquivalence prunes under the same Workers).
-	workersAxis := []int{0, 1, 2, 4}
-	cfgN := 0
-	for _, ind := range []Induction{LMI, NoInduction} {
-		for _, scheme := range schemes {
-			for _, pruning := range prunings {
-				workers := workersAxis[cfgN%len(workersAxis)]
-				cfgN++
-				label := fmt.Sprintf("%v/%v/%v/workers=%d", ind, scheme, pruning, workers)
-				rng := stats.NewRNG(uint64(len(label))*977 + 13)
-				ds := synthDirty(rng, 60)
-				opt := DefaultOptions()
-				opt.Induction = ind
-				opt.Scheme = scheme
-				opt.Pruning = pruning
-				opt.Workers = workers
-				p, err := NewPipeline(opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ix, err := p.BuildIndex(ctx, ds)
-				if err != nil {
-					t.Fatalf("%s: BuildIndex: %v", label, err)
-				}
-				for batch := 0; batch < 3; batch++ {
-					profs := make([]model.Profile, 8)
-					for i := range profs {
-						profs[i] = synthProfile(rng, fmt.Sprintf("s%d-%d", batch, i))
-					}
-					if _, err := ix.InsertAll(ctx, profs); err != nil {
-						t.Fatalf("%s: InsertAll: %v", label, err)
-					}
-					checkIndexEquivalence(t, fmt.Sprintf("%s batch %d", label, batch), p, ix)
-				}
-				// The live collection must also reproduce the index's
-				// pairs through the batch run.
-				mb, err := metablocking.RunCtx(ctx, ix.Blocks(), metaConfigFromOptions(opt))
-				if err != nil {
-					t.Fatalf("%s: RunCtx: %v", label, err)
-				}
-				assertSamePairs(t, label+" final", mb.Pairs, ix.Pairs())
-			}
-		}
-	}
+	space{
+		data:      []data{dirtyData(60, 60)},
+		induction: []Induction{LMI, NoInduction},
+		schemes:   sixSchemes[:5],
+		prunings:  allPrunings,
+		workers:   workersAxis,
+		ops:       []op{insertAll(8), check, insertAll(8), insertAll(8), check},
+		grid:      true,
+	}.run(t)
 }
 
-// TestIncrementalEquivalenceRandom is the randomized differential
-// harness: seeded random profile streams with interleaved Insert,
-// InsertAll and explicit Compact calls over randomized configuration
-// axes, asserting the cold-rebuild contract at random checkpoints and at
-// the end.
+// TestIncrementalEquivalenceRandom draws seeded op sequences —
+// Insert, InsertAll, Compact, probes and checks — over the whole option
+// lattice into an Index.
 func TestIncrementalEquivalenceRandom(t *testing.T) {
-	ctx := context.Background()
-	schemes := []weights.Kind{
-		weights.CBS, weights.ECBS, weights.ARCS, weights.JS, weights.EJS, weights.ChiSquared,
-	}
-	prunings := []metablocking.Pruning{
-		metablocking.WEP, metablocking.CEP, metablocking.WNP1, metablocking.WNP2,
-		metablocking.CNP1, metablocking.CNP2, metablocking.BlastWNP,
-	}
-	for seed := uint64(1); seed <= 18; seed++ {
-		rng := stats.NewRNG(seed * 2654435761)
-		opt := DefaultOptions()
-		opt.Induction = []Induction{LMI, AC, NoInduction}[rng.Intn(3)]
-		opt.Scheme = weights.Scheme{Kind: schemes[rng.Intn(len(schemes))], Entropy: rng.Intn(2) == 0}
-		opt.Pruning = prunings[rng.Intn(len(prunings))]
-		opt.C = []float64{1, 2, 4}[rng.Intn(3)]
-		opt.Workers = []int{0, 1, 2, 4}[rng.Intn(4)]
-		label := fmt.Sprintf("seed %d (%v/%v/%v)", seed, opt.Induction, opt.Scheme, opt.Pruning)
-		p, err := NewPipeline(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds := synthDirty(rng, 20+rng.Intn(60))
-		ix, err := p.BuildIndex(ctx, ds)
-		if err != nil {
-			t.Fatalf("%s: BuildIndex: %v", label, err)
-		}
-		streamed := 0
-		total := 10 + rng.Intn(25)
-		for streamed < total {
-			switch rng.Intn(4) {
-			case 0: // single insert
-				prof := synthProfile(rng, fmt.Sprintf("s%d", streamed))
-				if _, err := ix.Insert(ctx, &prof); err != nil {
-					t.Fatalf("%s: Insert: %v", label, err)
-				}
-				streamed++
-			case 1: // explicit compaction
-				if err := ix.Compact(ctx); err != nil {
-					t.Fatalf("%s: Compact: %v", label, err)
-				}
-			default: // batch insert
-				n := 1 + rng.Intn(6)
-				profs := make([]model.Profile, n)
-				for i := range profs {
-					profs[i] = synthProfile(rng, fmt.Sprintf("s%d", streamed+i))
-				}
-				if _, err := ix.InsertAll(ctx, profs); err != nil {
-					t.Fatalf("%s: InsertAll: %v", label, err)
-				}
-				streamed += n
-			}
-			if rng.Intn(3) == 0 {
-				checkIndexEquivalence(t, fmt.Sprintf("%s @%d", label, streamed), p, ix)
-			}
-		}
-		checkIndexEquivalence(t, label+" final", p, ix)
-		if st := ix.Stats(); st.Inserts != streamed {
-			t.Errorf("%s: Stats.Inserts = %d, want %d", label, st.Inserts, streamed)
-		}
-	}
+	s := optionLattice
+	s.data, s.cases = []data{dirtyData(20, 80)}, 18
+	s.run(t)
 }
 
-// TestIncrementalCleanClean streams profiles into E2 of a clean-clean
-// index (the fixed-reference-collection workload) and checks the
-// cold-rebuild contract.
+// TestIncrementalCleanClean streams the held-back tail of a registry
+// clean-clean dataset into E2 of an index (the fixed reference
+// collection workload), one Insert at a time.
 func TestIncrementalCleanClean(t *testing.T) {
-	ctx := context.Background()
-	for _, pruning := range []metablocking.Pruning{metablocking.BlastWNP, metablocking.CEP} {
-		full := datasets.AR1(0.04, 11)
-		hold := 12
-		base := &model.Dataset{
-			Name: full.Name, Kind: model.CleanClean,
-			E1:    full.E1,
-			E2:    &model.Collection{Name: full.E2.Name, Profiles: full.E2.Profiles[:full.E2.Len()-hold]},
-			Truth: model.NewGroundTruth(),
-		}
-		opt := DefaultOptions()
-		opt.Pruning = pruning
-		p, err := NewPipeline(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := p.BuildIndex(ctx, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSplit := base.Split()
-		stream := full.E2.Profiles[full.E2.Len()-hold:]
-		for i := range stream {
-			id, err := ix.Insert(ctx, &stream[i])
-			if err != nil {
-				t.Fatalf("%v: Insert %d: %v", pruning, i, err)
-			}
-			if id < wantSplit {
-				t.Fatalf("%v: inserted profile landed in E1 id space: %d < %d", pruning, id, wantSplit)
-			}
-		}
-		if err := ix.Blocks().Validate(); err != nil {
-			t.Fatalf("%v: live collection invalid: %v", pruning, err)
-		}
-		checkIndexEquivalence(t, fmt.Sprintf("clean-clean %v", pruning), p, ix)
-	}
+	space{
+		data:     []data{registryData("ar1", 0.04, 12)},
+		prunings: []metablocking.Pruning{metablocking.BlastWNP, metablocking.CEP},
+		ops:      singles(12),
+		grid:     true,
+	}.run(t)
 }
 
 // TestIncrementalCompactionPreservesState: Compact is the explicit fold
@@ -318,7 +138,7 @@ func TestIncrementalCompactionPreservesState(t *testing.T) {
 	if st := ix.Stats(); st.Compactions != 1 || st.RebuiltBatches != 2 {
 		t.Fatalf("after Compact: %+v, want one re-freeze folding two batches", st)
 	}
-	checkIndexEquivalence(t, "post-compaction", p, ix)
+	matchesCold(t, "post-compaction", p, ix)
 	if err := ix.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -342,60 +162,11 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-// TestIndexCandidatesBoundary is the boundary-id table test: before and
+// TestIndexCandidatesBoundary is the boundary-id probe: before and
 // after inserts, out-of-range ids serve empty results from Candidates,
 // AppendCandidates and Threshold instead of panicking.
 func TestIndexCandidatesBoundary(t *testing.T) {
-	ctx := context.Background()
-	rng := stats.NewRNG(5)
-	ds := synthDirty(rng, 30)
-	p, err := NewPipeline(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := p.BuildIndex(ctx, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(stage string) {
-		t.Helper()
-		n := ix.NumProfiles()
-		cases := []struct {
-			id     int
-			inside bool
-		}{
-			{-1, false}, {0, true}, {n - 1, true}, {n, false}, {n + 1, false}, {1 << 30, false},
-		}
-		for _, tc := range cases {
-			got := ix.Candidates(tc.id)
-			if got == nil {
-				t.Errorf("%s: Candidates(%d) = nil, want non-nil slice", stage, tc.id)
-			}
-			if !tc.inside && len(got) != 0 {
-				t.Errorf("%s: Candidates(%d) served %d candidates out of range", stage, tc.id, len(got))
-			}
-			buf := ix.AppendCandidates(make([]Candidate, 2, 8), tc.id)
-			if len(buf) < 2 {
-				t.Errorf("%s: AppendCandidates(%d) truncated its input buffer", stage, tc.id)
-			}
-			if !tc.inside && len(buf) != 2 {
-				t.Errorf("%s: AppendCandidates(%d) appended out of range", stage, tc.id)
-			}
-			if !tc.inside && ix.Threshold(tc.id) != 0 {
-				t.Errorf("%s: Threshold(%d) != 0 out of range", stage, tc.id)
-			}
-		}
-	}
-	check("cold")
-	prof := synthProfile(rng, "bnd")
-	id, err := ix.Insert(ctx, &prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != ix.NumProfiles()-1 {
-		t.Fatalf("Insert id = %d, want %d", id, ix.NumProfiles()-1)
-	}
-	check("mutable")
+	space{data: []data{dirtyData(30, 30)}, ops: []op{probe, {}, probe, check}, cases: 1}.run(t)
 }
 
 // TestInsertCancellation: a pre-cancelled context mutates nothing; a
@@ -461,7 +232,7 @@ func TestInsertCancellation(t *testing.T) {
 			t.Errorf("delay %v: batch of %d admitted %d with err %v", delay, len(profs), res.n, res.err)
 		}
 	}
-	checkIndexEquivalence(t, "post-cancellation", p, ix)
+	matchesCold(t, "post-cancellation", p, ix)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) && runtime.NumGoroutine() > base {
@@ -523,7 +294,7 @@ func TestInsertConcurrentReads(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		<-doneReading
 	}
-	checkIndexEquivalence(t, "concurrent", p, ix)
+	matchesCold(t, "concurrent", p, ix)
 }
 
 // TestInsertNoCooccurrence: a profile sharing no tokens with anything
@@ -553,7 +324,7 @@ func TestInsertNoCooccurrence(t *testing.T) {
 	if st := ix.Stats(); st.PendingKeys == 0 {
 		t.Error("unseen tokens should be pending keys")
 	}
-	checkIndexEquivalence(t, "loner", p, ix)
+	matchesCold(t, "loner", p, ix)
 
 	twin := model.Profile{ID: "twin"}
 	twin.Add("name", "zzyzx qwxyz")
@@ -570,5 +341,5 @@ func TestInsertNoCooccurrence(t *testing.T) {
 	if !found {
 		t.Error("materialized pending key did not connect the twins")
 	}
-	checkIndexEquivalence(t, "twins", p, ix)
+	matchesCold(t, "twins", p, ix)
 }

@@ -356,25 +356,23 @@ func (ix *Index) StorageStats() (spillBytes, pageLoads int64) {
 }
 
 // tokenizeProfile tokenizes a profile against the frozen schema exactly
-// as Phase 2 blocking would: the value transform extracts terms, the
-// schema's key function qualifies them, and re-occurrences of a key
-// within the profile are deduplicated.
+// as Phase 2 blocking would: the value transform extracts terms and the
+// schema's key function qualifies them. A key may repeat; the Appender
+// de-duplicates, and which copy it keeps cannot matter, since a key
+// embeds its attribute cluster and carries that cluster's entropy (1
+// for TokenKey).
 func tokenizeProfile(schema *Schema, kind model.Kind, opt *Options, p *model.Profile) []blocking.KeyEntropy {
 	key := schema.keyFunc()
 	source := 0
 	if kind == model.CleanClean {
 		source = 1 // streamed profiles join E2
 	}
-	seen := make(map[string]bool)
 	var out []blocking.KeyEntropy
 	for _, pair := range p.Pairs {
 		for _, tok := range opt.Transform.Terms(pair.Value) {
-			k, h, ok := key(source, pair.Name, tok)
-			if !ok || seen[k] {
-				continue
+			if k, h, ok := key(source, pair.Name, tok); ok {
+				out = append(out, blocking.KeyEntropy{Key: k, Entropy: h})
 			}
-			seen[k] = true
-			out = append(out, blocking.KeyEntropy{Key: k, Entropy: h})
 		}
 	}
 	return out

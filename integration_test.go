@@ -11,7 +11,6 @@ import (
 	"testing/quick"
 
 	"blast/internal/datasets"
-	"blast/internal/metablocking"
 	"blast/internal/model"
 	"blast/internal/stats"
 	"blast/internal/weights"
@@ -62,39 +61,15 @@ func TestPipelineAllBenchmarks(t *testing.T) {
 
 // TestPipelineConfigurationMatrix exercises every pruning x weighting
 // combination on one dataset: all must produce valid, deduplicated
-// output.
+// output (the harness's start state: Run, staged MetaBlock and an
+// Index agree, and the Index's candidate lists are its distinct pairs).
 func TestPipelineConfigurationMatrix(t *testing.T) {
-	ds := datasets.AR1(0.03, 8)
-	prunings := []metablocking.Pruning{
-		metablocking.WEP, metablocking.CEP, metablocking.WNP1,
-		metablocking.WNP2, metablocking.CNP1, metablocking.CNP2,
-		metablocking.BlastWNP,
-	}
-	kinds := []weights.Kind{
-		weights.ARCS, weights.CBS, weights.ECBS, weights.JS,
-		weights.EJS, weights.ChiSquared,
-	}
-	for _, p := range prunings {
-		for _, k := range kinds {
-			for _, entropy := range []bool{false, true} {
-				opt := DefaultOptions()
-				opt.Pruning = p
-				opt.Scheme = weights.Scheme{Kind: k, Entropy: entropy}
-				name := fmt.Sprintf("%v/%v/h=%v", p, k, entropy)
-				res, err := Run(ds, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				seen := make(map[uint64]bool, len(res.Pairs))
-				for _, pair := range res.Pairs {
-					if seen[pair.Key()] {
-						t.Fatalf("%s: duplicate pair", name)
-					}
-					seen[pair.Key()] = true
-				}
-			}
-		}
-	}
+	space{
+		data:     []data{registryData("ar1", 0.03, 0)},
+		schemes:  schemesOf(weights.ARCS, weights.CBS, weights.ECBS, weights.JS, weights.EJS, weights.ChiSquared),
+		prunings: allPrunings,
+		grid:     true,
+	}.run(t)
 }
 
 // randomDataset synthesizes an arbitrary small dirty dataset from fuzz

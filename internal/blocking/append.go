@@ -46,8 +46,8 @@ type pendingKey struct {
 // Appender folds new profiles into an existing block collection. It owns
 // the collection it wraps: between NewAppender and the last Append no
 // other code may mutate the collection. It is not safe for concurrent
-// use; callers serialize access (the blast.Index does so under its own
-// lock).
+// use; its one caller, a blast writer, is serialized by whoever drives
+// it: an Index's mutex, or a Server's one worker goroutine.
 type Appender struct {
 	c       *Collection
 	pending map[string]*pendingKey

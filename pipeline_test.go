@@ -12,13 +12,11 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"blast/internal/datasets"
 	"blast/internal/metablocking"
 	"blast/internal/model"
-	"blast/internal/stats"
 	"blast/internal/weights"
 )
 
@@ -109,171 +107,37 @@ func assertSamePairs(t *testing.T, label string, want, got []model.IDPair) {
 	}
 }
 
-// TestStagedEquivalenceMatrix: across Induction x Scheme x Pruning, the
-// staged Pipeline, Index.Pairs() and legacy Run are byte-identical. Induction and blocking artifacts are computed once per
-// induction setting and reused across the Phase 3 sweep — the workload
-// shape the staged API exists for.
+// TestStagedEquivalenceMatrix: across Induction x Scheme x Pruning, on
+// a registry slice, legacy Run, staged MetaBlock and an Index built
+// over the same blocks agree — the harness's start state, no ops.
 func TestStagedEquivalenceMatrix(t *testing.T) {
-	ds := datasets.AR1(0.03, 8)
-	ctx := context.Background()
-	prunings := []metablocking.Pruning{
-		metablocking.WEP, metablocking.CEP, metablocking.WNP1,
-		metablocking.WNP2, metablocking.CNP1, metablocking.CNP2,
-		metablocking.BlastWNP,
-	}
-	schemes := []weights.Scheme{
-		{Kind: weights.ChiSquared, Entropy: true},
-		{Kind: weights.JS},
-	}
-	for _, ind := range []Induction{LMI, AC, NoInduction} {
-		base := DefaultOptions()
-		base.Induction = ind
-		stager, err := NewPipeline(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sch, err := stager.InduceSchema(ctx, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks, err := stager.Block(ctx, ds, sch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, scheme := range schemes {
-			for _, pruning := range prunings {
-				label := fmt.Sprintf("%v/%v/%v", ind, scheme, pruning)
-				opt := base
-				opt.Scheme = scheme
-				opt.Pruning = pruning
-				legacy, err := Run(ds, opt)
-				if err != nil {
-					t.Fatalf("%s: Run: %v", label, err)
-				}
-				p, err := NewPipeline(opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				staged, err := p.MetaBlock(ctx, blocks)
-				if err != nil {
-					t.Fatalf("%s: MetaBlock: %v", label, err)
-				}
-				assertSamePairs(t, label+" staged", legacy.Pairs, staged.Pairs)
-				if legacy.Quality != staged.Quality {
-					t.Errorf("%s: quality differs: %+v vs %+v", label, legacy.Quality, staged.Quality)
-				}
-				ix, err := p.IndexBlocks(ctx, blocks)
-				if err != nil {
-					t.Fatalf("%s: IndexBlocks: %v", label, err)
-				}
-				assertSamePairs(t, label+" index", legacy.Pairs, ix.Pairs())
-			}
-		}
-	}
+	space{
+		data:      []data{registryData("ar1", 0.03, 0)},
+		induction: []Induction{LMI, AC, NoInduction},
+		schemes:   []weights.Scheme{{Kind: weights.ChiSquared, Entropy: true}, {Kind: weights.JS}},
+		prunings:  allPrunings,
+		grid:      true,
+	}.run(t)
 }
 
-// TestStagedEquivalenceRandom: the same equivalence property over
+// TestStagedEquivalenceRandom: the same start-state agreement over
 // arbitrary random dirty collections and randomized configuration axes.
 func TestStagedEquivalenceRandom(t *testing.T) {
-	ctx := context.Background()
-	f := func(raw []byte) bool {
-		ds := randomDataset(raw)
-		rng := stats.NewRNG(uint64(len(raw)) + 7)
-		opt := DefaultOptions()
-		opt.Induction = []Induction{LMI, AC, NoInduction}[rng.Intn(3)]
-		opt.Scheme = weights.Scheme{
-			Kind:    []weights.Kind{weights.CBS, weights.ARCS, weights.ChiSquared}[rng.Intn(3)],
-			Entropy: rng.Intn(2) == 0,
-		}
-		opt.Pruning = []metablocking.Pruning{
-			metablocking.WEP, metablocking.CEP, metablocking.WNP1, metablocking.WNP2,
-			metablocking.CNP1, metablocking.CNP2, metablocking.BlastWNP,
-		}[rng.Intn(7)]
-		legacy, err := Run(ds, opt)
-		if err != nil {
-			return false
-		}
-		p, err := NewPipeline(opt)
-		if err != nil {
-			return false
-		}
-		staged, err := p.Run(ctx, ds)
-		if err != nil {
-			return false
-		}
-		ix, err := p.BuildIndex(ctx, ds)
-		if err != nil {
-			return false
-		}
-		ixPairs := ix.Pairs()
-		if len(legacy.Pairs) != len(staged.Pairs) || len(legacy.Pairs) != len(ixPairs) {
-			return false
-		}
-		for i := range legacy.Pairs {
-			if legacy.Pairs[i] != staged.Pairs[i] || legacy.Pairs[i] != ixPairs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
+	space{
+		data:      []data{bytesData},
+		induction: []Induction{LMI, AC, NoInduction},
+		schemes:   schemesOf(weights.CBS, weights.ARCS, weights.ChiSquared),
+		prunings:  allPrunings,
+		cases:     25,
+	}.run(t)
 }
 
 // TestIndexCandidatesConsistent: the union of every profile's candidate
 // list reconstructs exactly the retained pair set, weights are ordered
-// descending, and clean-clean candidates stay cross-source.
+// descending, and clean-clean candidates stay cross-source (the
+// harness's consistency check, here on two registry datasets).
 func TestIndexCandidatesConsistent(t *testing.T) {
-	for _, gen := range []func() *model.Dataset{
-		func() *model.Dataset { return datasets.AR1(0.05, 3) },
-		func() *model.Dataset { return datasets.Census(0.2, 3) },
-	} {
-		ds := gen()
-		p, err := NewPipeline(DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := p.BuildIndex(context.Background(), ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make(map[uint64]struct{}, ix.NumRetained())
-		for _, pr := range ix.Pairs() {
-			want[pr.Key()] = struct{}{}
-		}
-		got := make(map[uint64]struct{})
-		var buf []Candidate
-		for i := 0; i < ix.NumProfiles(); i++ {
-			buf = ix.AppendCandidates(buf[:0], i)
-			for k := 1; k < len(buf); k++ {
-				if buf[k].Weight > buf[k-1].Weight {
-					t.Fatalf("%s: candidates of %d not weight-descending", ds.Name, i)
-				}
-			}
-			for _, c := range buf {
-				if !ds.Comparable(i, int(c.ID)) {
-					t.Fatalf("%s: candidate (%d, %d) not comparable", ds.Name, i, c.ID)
-				}
-				got[model.MakePair(i, int(c.ID)).Key()] = struct{}{}
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: candidates cover %d pairs, want %d", ds.Name, len(got), len(want))
-		}
-		for k := range want {
-			if _, ok := got[k]; !ok {
-				t.Fatalf("%s: pair %v missing from candidate lists", ds.Name, model.PairFromKey(k))
-			}
-		}
-		// Out-of-range queries are empty (non-nil) slices, not panics.
-		if got := ix.Candidates(-1); got == nil || len(got) != 0 {
-			t.Errorf("Candidates(-1) = %v, want empty non-nil slice", got)
-		}
-		if got := ix.Candidates(ix.NumProfiles()); got == nil || len(got) != 0 {
-			t.Errorf("Candidates(NumProfiles) = %v, want empty non-nil slice", got)
-		}
-	}
+	space{data: []data{registryData("ar1", 0.05, 0), registryData("census", 0.2, 0)}, grid: true}.run(t)
 }
 
 // TestIndexThresholds: under BlastWNP the per-node threshold is the
@@ -322,40 +186,10 @@ func TestIndexThresholds(t *testing.T) {
 }
 
 // TestSchemaReuseAcrossPipelines: the headline staged scenario — one
-// Schema and one Blocks artifact feeding a C sweep — matches the
-// per-configuration full runs exactly.
+// Schema and one Blocks artifact feeding a C sweep (the harness's
+// stages) — matches the per-configuration full runs exactly.
 func TestSchemaReuseAcrossPipelines(t *testing.T) {
-	ds := datasets.Census(0.2, 11)
-	ctx := context.Background()
-	base, err := NewPipeline(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch, err := base.InduceSchema(ctx, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, err := base.Block(ctx, ds, sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []float64{1, 2, 4} {
-		opt := DefaultOptions()
-		opt.C = c
-		sweep, err := NewPipeline(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		staged, err := sweep.MetaBlock(ctx, blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := Run(ds, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSamePairs(t, fmt.Sprintf("c=%v", c), full.Pairs, staged.Pairs)
-	}
+	space{data: []data{registryData("census", 0.2, 0)}, c: []float64{1, 2, 4}, grid: true}.run(t)
 }
 
 // TestPipelineCancelledContext: a context cancelled before a phase

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -27,78 +26,20 @@ import (
 	"blast/internal/weights"
 )
 
-// TestPartitionedEquivalenceMatrix runs the cold-rebuild contract over
-// Scheme x Pruning on clean-clean data, with the shard and worker counts
-// cycling: streamed profiles join E2, so every exchanged aggregate must
-// also respect the E1/E2 split — and may not move a single bit.
+// TestPartitionedEquivalenceMatrix runs the server matrix on
+// clean-clean data: streamed profiles join E2, so every exchanged
+// aggregate must also respect the E1/E2 split.
 func TestPartitionedEquivalenceMatrix(t *testing.T) {
-	ctx := context.Background()
-	schemes := []weights.Scheme{
-		{Kind: weights.ChiSquared, Entropy: true},
-		{Kind: weights.CBS},
-		{Kind: weights.JS},
-		{Kind: weights.ARCS, Entropy: true},
-		{Kind: weights.ECBS},
-		{Kind: weights.EJS},
-	}
-	prunings := []metablocking.Pruning{
-		metablocking.WEP, metablocking.CEP, metablocking.WNP1,
-		metablocking.WNP2, metablocking.CNP1, metablocking.CNP2,
-		metablocking.BlastWNP,
-	}
-	shardCounts := []int{1, 2, 4}
-	workersAxis := []int{0, 1, 2, 4}
-	cfg := 0
-	for _, scheme := range schemes {
-		for _, pruning := range prunings {
-			shards := shardCounts[cfg%len(shardCounts)]
-			workers := workersAxis[cfg%len(workersAxis)]
-			cfg++
-			label := fmt.Sprintf("part/%v/%v/shards=%d/workers=%d", scheme, pruning, shards, workers)
-			rng := stats.NewRNG(uint64(cfg)*9176168613 + 3)
-			e1, e2 := model.NewCollection("ref"), model.NewCollection("live")
-			for i := 0; i < 30; i++ {
-				e1.Append(synthProfile(rng, fmt.Sprintf("a%d", i)))
-			}
-			for i := 0; i < 20; i++ {
-				e2.Append(synthProfile(rng, fmt.Sprintf("b%d", i)))
-			}
-			ds := &model.Dataset{Name: "cc", Kind: model.CleanClean, E1: e1, E2: e2, Truth: model.NewGroundTruth()}
-			opt := DefaultOptions()
-			opt.Scheme = scheme
-			opt.Pruning = pruning
-			opt.Workers = workers
-			p, err := NewPipeline(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := p.Serve(ctx, ds, ServerOptions{Shards: shards, SwapOps: 8})
-			if err != nil {
-				t.Fatalf("%s: Serve: %v", label, err)
-			}
-			streamed := 0
-			for batch := 0; batch < 2; batch++ {
-				profs := make([]model.Profile, 7)
-				for i := range profs {
-					profs[i] = synthProfile(rng, fmt.Sprintf("s%d-%d", batch, i))
-				}
-				ids, err := srv.InsertAll(ctx, profs)
-				if err != nil {
-					t.Fatalf("%s: InsertAll: %v", label, err)
-				}
-				for k, id := range ids {
-					if want := 50 + streamed + k; id != want {
-						t.Fatalf("%s: id[%d] = %d, want %d", label, k, id, want)
-					}
-				}
-				streamed += len(profs)
-				checkServerEquivalence(t, fmt.Sprintf("%s batch %d", label, batch), p, srv)
-			}
-			if err := srv.Close(); err != nil {
-				t.Fatalf("%s: Close: %v", label, err)
-			}
-		}
-	}
+	space{
+		data:     []data{cleanData(30, 20)},
+		schemes:  sixSchemes,
+		prunings: allPrunings,
+		workers:  workersAxis,
+		targets:  []target{onServer},
+		shards:   shardAxis,
+		ops:      []op{insertAll(7), compact, pin, insertAll(7), check},
+		grid:     true,
+	}.run(t)
 }
 
 // TestPartitionedCNPCutExchange drives CNP's (cut, tie) exchange where
@@ -107,40 +48,18 @@ func TestPartitionedEquivalenceMatrix(t *testing.T) {
 // owned by another shard. Both modes, the default and explicit budgets,
 // every shard count — each must match the cold rebuild.
 func TestPartitionedCNPCutExchange(t *testing.T) {
-	ctx := context.Background()
-	for _, pruning := range []metablocking.Pruning{metablocking.CNP1, metablocking.CNP2} {
-		for _, k := range []int{0, 1, 3} {
-			for _, shards := range []int{1, 2, 4} {
-				label := fmt.Sprintf("part/cbs/%v/k=%d/shards=%d", pruning, k, shards)
-				rng := stats.NewRNG(uint64(shards*31+k)*7919 + 5)
-				opt := DefaultOptions()
-				opt.Scheme = weights.Scheme{Kind: weights.CBS}
-				opt.Pruning = pruning
-				opt.K = k
-				p, err := NewPipeline(opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				srv, err := p.Serve(ctx, synthDirty(rng, 60), ServerOptions{
-					Shards: shards, SwapOps: 4,
-				})
-				if err != nil {
-					t.Fatalf("%s: Serve: %v", label, err)
-				}
-				profs := make([]model.Profile, 9)
-				for i := range profs {
-					profs[i] = synthProfile(rng, fmt.Sprintf("c%d", i))
-				}
-				if _, err := srv.InsertAll(ctx, profs); err != nil {
-					t.Fatalf("%s: InsertAll: %v", label, err)
-				}
-				checkServerEquivalence(t, label, p, srv)
-				if err := srv.Close(); err != nil {
-					t.Fatalf("%s: Close: %v", label, err)
-				}
-			}
-		}
-	}
+	space{
+		data:     []data{dirtyData(60, 60)},
+		schemes:  []weights.Scheme{{Kind: weights.CBS}},
+		prunings: []metablocking.Pruning{metablocking.CNP1, metablocking.CNP2},
+		k:        []int{0, 1, 3},
+		targets:  []target{onServer},
+		shards:   shardAxis,
+		swapOps:  []int{4},
+		ops:      []op{insertAll(9), check},
+		grid:     true,
+		cases:    6 * len(shardAxis),
+	}.run(t)
 }
 
 // TestOwnerSkew checks the SplitMix64 ownership hash spreads dense
@@ -220,7 +139,7 @@ func TestPartitionedBoundaryIDsUnderChurn(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("writer: %v", err)
 	}
-	checkServerEquivalence(t, "boundary churn", p, srv)
+	matchesCold(t, "boundary churn", p, srv)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -272,69 +191,19 @@ func TestReadsNeverBlock(t *testing.T) {
 	}
 }
 
-// TestViewConsistency takes Views while writers stream and checks each
-// view is internally consistent: the state behind it sits at the view's
-// Batches cursor, and repeated reads through one view never change even
-// as the server publishes past it.
+// TestViewConsistency pins a View, publishes past it at SwapOps 2 and
+// checks that repeated reads through the view never change, and that a
+// fresh view, quiesced, sits at the batches admitted and covers every
+// admitted profile (the harness's pin and check).
 func TestViewConsistency(t *testing.T) {
-	ctx := context.Background()
-	rng := stats.NewRNG(77)
-	ds := synthDirty(rng, 30)
-	p, err := NewPipeline(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 3, SwapOps: 2})
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	v, err := srv.View(ctx)
-	if err != nil {
-		t.Fatalf("View: %v", err)
-	}
-	before := make([][]Candidate, v.NumProfiles())
-	for i := range before {
-		before[i] = v.Candidates(i)
-	}
-	batchesBefore := v.Batches()
-	// Publish past the view.
-	for b := 0; b < 4; b++ {
-		profs := []model.Profile{synthProfile(rng, fmt.Sprintf("v%d", b))}
-		if _, err := srv.InsertAll(ctx, profs); err != nil {
-			t.Fatalf("InsertAll: %v", err)
-		}
-	}
-	if err := srv.Quiesce(ctx); err != nil {
-		t.Fatalf("Quiesce: %v", err)
-	}
-	if got := v.Batches(); got != batchesBefore {
-		t.Fatalf("view cursor moved: %d -> %d", batchesBefore, got)
-	}
-	for i := range before {
-		after := v.Candidates(i)
-		if len(after) != len(before[i]) {
-			t.Fatalf("view read of %d changed after publication", i)
-		}
-		for k := range after {
-			if after[k] != before[i][k] {
-				t.Fatalf("view read of %d changed after publication", i)
-			}
-		}
-	}
-	// A fresh view observes the later state.
-	v2, err := srv.View(ctx)
-	if err != nil {
-		t.Fatalf("second View: %v", err)
-	}
-	if v2.Batches() <= batchesBefore {
-		t.Fatalf("second view did not advance (%d <= %d)", v2.Batches(), batchesBefore)
-	}
-	if got, want := v2.NumProfiles(), srv.Admitted(); got != want {
-		t.Fatalf("second view covers %d profiles, want %d", got, want)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
+	space{
+		data:    []data{dirtyData(30, 30)},
+		targets: []target{onServer},
+		shards:  []int{3},
+		swapOps: []int{2},
+		ops:     []op{pin, {}, {}, {}, {}, check},
+		cases:   1,
+	}.run(t)
 }
 
 // publicationLog samples the last publication every partition's Stats
@@ -515,7 +384,7 @@ func TestPartitionedAlignmentUnderBacklog(t *testing.T) {
 								label, i, st.Epoch, st.Swaps, st.Batches, first.Epoch, first.Swaps)
 						}
 					}
-					checkServerEquivalence(t, label, p, srv)
+					matchesCold(t, label, p, srv)
 					if durable {
 						want, err := srv.Pairs(ctx)
 						if err != nil {
@@ -667,81 +536,22 @@ func TestPartitionedOwnedRowsServedFromTheSnapshot(t *testing.T) {
 	}
 }
 
-// assertSameSnapshot compares two snapshots field for field: counters
-// and geometry, rows entry for entry, weights and thresholds bit for bit.
-func assertSameSnapshot(t *testing.T, label string, want, got *shard.Snapshot) {
-	t.Helper()
-	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	switch {
-	case got.NumProfiles != want.NumProfiles || got.NumEdges != want.NumEdges || got.RetainedPairs != want.RetainedPairs:
-		t.Fatalf("%s: %d profiles, %d edges, %d retained pairs; want %d, %d, %d", label,
-			got.NumProfiles, got.NumEdges, got.RetainedPairs, want.NumProfiles, want.NumEdges, want.RetainedPairs)
-	case !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Neighbors, want.Neighbors):
-		t.Fatalf("%s: rows differ in shape (%d entries, want %d)", label, len(got.Neighbors), len(want.Neighbors))
-	case !slices.EqualFunc(got.Weights, want.Weights, sameBits):
-		t.Fatalf("%s: weights differ", label)
-	case (got.Theta == nil) != (want.Theta == nil) || !slices.EqualFunc(got.Theta, want.Theta, sameBits):
-		t.Fatalf("%s: thresholds differ", label)
-	}
-}
-
 // TestJoinOwnedMatchesFrozenRows pins the rule a server publishes by,
 // for every pruning under three weightings: the writer's freeze by the
-// parties of a 1-, 2- and 3-way partition — each collecting and
+// parties of every partition of shardAxis — each collecting and
 // exchanging for itself, their rows joined by JoinOwned — equals, row
-// for row and counter for counter, the rows one frozen IndexBlocks
-// build collects over the writer's collection: over the seed
-// collection, and again after the writer appended a batch.
+// for row and counter for counter (the comparer's rows check), the
+// rows one frozen IndexBlocks build collects: the model over the seed
+// collection, and a cold build after the writer appended a batch.
 func TestJoinOwnedMatchesFrozenRows(t *testing.T) {
-	ctx := context.Background()
-	schemes := []weights.Scheme{{Kind: weights.ChiSquared, Entropy: true}, {Kind: weights.CBS}, {Kind: weights.EJS}}
-	prunings := []metablocking.Pruning{
-		metablocking.WEP, metablocking.CEP, metablocking.WNP1, metablocking.WNP2,
-		metablocking.CNP1, metablocking.CNP2, metablocking.BlastWNP,
-	}
-	for si, scheme := range schemes {
-		for _, pruning := range prunings {
-			label := fmt.Sprintf("%v/%v", scheme, pruning)
-			opt := DefaultOptions()
-			opt.Scheme, opt.Pruning = scheme, pruning
-			p, err := NewPipeline(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := stats.NewRNG(uint64(si)*7919 + uint64(pruning) + 11)
-			ds := synthDirty(rng, 60)
-			sch, err := p.InduceSchema(ctx, ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blocks, err := p.Block(ctx, ds, sch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch := make([]model.Profile, 6)
-			for i := range batch {
-				batch[i] = synthProfile(rng, fmt.Sprintf("sl%d", i))
-			}
-
-			for n := 1; n <= 3; n++ {
-				w := newWriter(blocks.Collection.Clone(), blocks.Schema, p.opt, n)
-				for stage, appended := range []bool{false, true} {
-					if appended {
-						if _, err := w.InsertAll(ctx, batch); err != nil {
-							t.Fatal(err)
-						}
-					}
-					frozen, err := p.IndexBlocks(ctx, &Blocks{Collection: w.app.Collection(), Schema: blocks.Schema})
-					if err != nil {
-						t.Fatal(err)
-					}
-					joined, err := w.Export(ctx)
-					if err != nil {
-						t.Fatalf("%s: stage %d freeze by %d parties: %v", label, stage, n, err)
-					}
-					assertSameSnapshot(t, fmt.Sprintf("%s stage %d join of %d vs frozen", label, stage, n), frozen.rows, joined)
-				}
-			}
-		}
-	}
+	space{
+		data:     []data{dirtyData(60, 60)},
+		schemes:  []weights.Scheme{{Kind: weights.ChiSquared, Entropy: true}, {Kind: weights.CBS}, {Kind: weights.EJS}},
+		prunings: allPrunings,
+		targets:  []target{onServer},
+		shards:   shardAxis,
+		ops:      []op{insertAll(6), check},
+		grid:     true,
+		cases:    21 * len(shardAxis),
+	}.run(t)
 }

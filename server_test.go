@@ -15,202 +15,53 @@ import (
 	"testing"
 	"time"
 
-	"blast/internal/metablocking"
 	"blast/internal/model"
 	"blast/internal/shard"
 	"blast/internal/stats"
-	"blast/internal/weights"
 )
 
-// checkServerEquivalence quiesces the server and asserts the sharded
-// serving contract: every observable matches a cold IndexBlocks over
-// the union collection.
-func checkServerEquivalence(t *testing.T, label string, p *Pipeline, srv *Server) {
-	t.Helper()
-	ctx := context.Background()
-	if err := srv.Quiesce(ctx); err != nil {
-		t.Fatalf("%s: Quiesce: %v", label, err)
-	}
-	cold, err := p.IndexBlocks(ctx, &Blocks{Collection: srv.Blocks().Clone(), Schema: srv.Schema()})
-	if err != nil {
-		t.Fatalf("%s: cold IndexBlocks: %v", label, err)
-	}
-	if got, want := srv.NumProfiles(), cold.NumProfiles(); got != want {
-		t.Fatalf("%s: NumProfiles = %d, want %d", label, got, want)
-	}
-	if got, want := srv.NumProfiles(), srv.Admitted(); got != want {
-		t.Fatalf("%s: quiesced server published %d of %d admitted profiles", label, got, want)
-	}
-	got, err := srv.Pairs(ctx)
-	if err != nil {
-		t.Fatalf("%s: Pairs: %v", label, err)
-	}
-	assertSamePairs(t, label+" pairs", cold.Pairs(), got)
-	var wantC, gotC []Candidate
-	for i := 0; i < cold.NumProfiles(); i++ {
-		if cw, sw := cold.Threshold(i), srv.Threshold(i); cw != sw {
-			t.Fatalf("%s: Threshold(%d) = %v, want %v", label, i, sw, cw)
-		}
-		wantC = cold.AppendCandidates(wantC[:0], i)
-		gotC = srv.AppendCandidates(gotC[:0], i)
-		if len(wantC) != len(gotC) {
-			t.Fatalf("%s: Candidates(%d): %d, want %d", label, i, len(gotC), len(wantC))
-		}
-		for k := range wantC {
-			if wantC[k] != gotC[k] {
-				t.Fatalf("%s: Candidates(%d)[%d] = %+v, want %+v", label, i, k, gotC[k], wantC[k])
-			}
-		}
-	}
-}
-
-// TestServerEquivalenceMatrix interleaves insert batches and quiesces
-// across Scheme x Pruning, cycling the shard count through the axis, and
-// checks the cold-rebuild contract after every quiesce point — the
-// aggregate exchange may not move a single bit.
+// TestServerEquivalenceMatrix streams a batch into servers across
+// Scheme x Pruning, the shard and worker counts cycling, quiesces and
+// pins the published View, streams a second batch on top and checks —
+// the aggregate exchange may not move a single bit, nor the pinned
+// View.
 func TestServerEquivalenceMatrix(t *testing.T) {
-	ctx := context.Background()
-	schemes := []weights.Scheme{
-		{Kind: weights.ChiSquared, Entropy: true},
-		{Kind: weights.CBS},
-		{Kind: weights.JS},
-		{Kind: weights.ARCS, Entropy: true},
-		{Kind: weights.ECBS},
-		{Kind: weights.EJS},
-	}
-	prunings := []metablocking.Pruning{
-		metablocking.WEP, metablocking.CEP, metablocking.WNP1,
-		metablocking.WNP2, metablocking.CNP1, metablocking.CNP2,
-		metablocking.BlastWNP,
-	}
-	shardCounts := []int{1, 2, 4}
-	// Pruning workers cycle through the determinism axis alongside the
-	// shard count: the exchanged exports must equal the cold rebuild at
-	// every parallelism level.
-	workersAxis := []int{0, 1, 2, 4}
-	cfg := 0
-	for _, scheme := range schemes {
-		for _, pruning := range prunings {
-			shards := shardCounts[cfg%len(shardCounts)]
-			workers := workersAxis[cfg%len(workersAxis)]
-			cfg++
-			label := fmt.Sprintf("%v/%v/shards=%d/workers=%d", scheme, pruning, shards, workers)
-			rng := stats.NewRNG(uint64(cfg)*2654435761 + 7)
-			ds := synthDirty(rng, 50)
-			opt := DefaultOptions()
-			opt.Scheme = scheme
-			opt.Pruning = pruning
-			opt.Workers = workers
-			p, err := NewPipeline(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := p.Serve(ctx, ds, ServerOptions{Shards: shards, SwapOps: 8})
-			if err != nil {
-				t.Fatalf("%s: Serve: %v", label, err)
-			}
-			streamed := 0
-			for batch := 0; batch < 2; batch++ {
-				profs := make([]model.Profile, 7)
-				for i := range profs {
-					profs[i] = synthProfile(rng, fmt.Sprintf("s%d-%d", batch, i))
-				}
-				ids, err := srv.InsertAll(ctx, profs)
-				if err != nil {
-					t.Fatalf("%s: InsertAll: %v", label, err)
-				}
-				for k, id := range ids {
-					if want := 50 + streamed + k; id != want {
-						t.Fatalf("%s: id[%d] = %d, want %d", label, k, id, want)
-					}
-				}
-				streamed += len(profs)
-				checkServerEquivalence(t, fmt.Sprintf("%s batch %d", label, batch), p, srv)
-			}
-			if err := srv.Close(); err != nil {
-				t.Fatalf("%s: Close: %v", label, err)
-			}
-		}
-	}
+	space{
+		data:     []data{dirtyData(50, 50)},
+		schemes:  sixSchemes,
+		prunings: allPrunings,
+		workers:  workersAxis,
+		targets:  []target{onServer},
+		shards:   shardAxis,
+		ops:      []op{insertAll(7), compact, pin, insertAll(7), check},
+		grid:     true,
+	}.run(t)
 }
 
 // TestServerShardCountsFullCross runs the default configuration over
-// every shard count 1..4 with a randomized insert/quiesce interleaving
-// and checks that all of them converge to the identical cold state.
+// every shard count with a seeded random op sequence at SwapOps 4.
 func TestServerShardCountsFullCross(t *testing.T) {
-	ctx := context.Background()
-	for shards := 1; shards <= 4; shards++ {
-		rng := stats.NewRNG(uint64(shards) * 7919)
-		ds := synthDirty(rng, 40)
-		p, err := NewPipeline(DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := p.Serve(ctx, ds, ServerOptions{Shards: shards, SwapOps: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed := 0
-		for streamed < 20 {
-			n := 1 + rng.Intn(5)
-			profs := make([]model.Profile, n)
-			for i := range profs {
-				profs[i] = synthProfile(rng, fmt.Sprintf("s%d", streamed+i))
-			}
-			if _, err := srv.InsertAll(ctx, profs); err != nil {
-				t.Fatal(err)
-			}
-			streamed += n
-			if rng.Intn(2) == 0 {
-				if err := srv.Quiesce(ctx); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		checkServerEquivalence(t, fmt.Sprintf("shards=%d", shards), p, srv)
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	space{
+		targets: []target{onServer},
+		shards:  shardAxis,
+		swapOps: []int{4},
+		random:  true,
+		grid:    true,
+		cases:   len(shardAxis),
+	}.run(t)
 }
 
 // TestServerCleanClean streams profiles into E2 of a clean-clean server
-// and checks the contract (streamed profiles must join the E2 id space).
+// at three shards: streamed profiles must join the E2 id space.
 func TestServerCleanClean(t *testing.T) {
-	ctx := context.Background()
-	rng := stats.NewRNG(17)
-	e1 := model.NewCollection("ref")
-	e2 := model.NewCollection("live")
-	for i := 0; i < 30; i++ {
-		e1.Append(synthProfile(rng, fmt.Sprintf("a%d", i)))
-	}
-	for i := 0; i < 20; i++ {
-		e2.Append(synthProfile(rng, fmt.Sprintf("b%d", i)))
-	}
-	ds := &model.Dataset{Name: "cc", Kind: model.CleanClean, E1: e1, E2: e2, Truth: model.NewGroundTruth()}
-	p, err := NewPipeline(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 3, SwapOps: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.Kind() != model.CleanClean {
-		t.Fatalf("Kind = %v", srv.Kind())
-	}
-	for i := 0; i < 10; i++ {
-		prof := synthProfile(rng, fmt.Sprintf("s%d", i))
-		id, err := srv.Insert(ctx, &prof)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id < 50 {
-			t.Fatalf("streamed profile landed below the E2 id space: %d", id)
-		}
-	}
-	checkServerEquivalence(t, "clean-clean", p, srv)
+	space{
+		data:    []data{cleanData(30, 20)},
+		targets: []target{onServer},
+		shards:  []int{3},
+		swapOps: []int{4},
+		ops:     singles(10),
+		cases:   1,
+	}.run(t)
 }
 
 // TestServerConcurrentSnapshotSwap is the -race stress test: concurrent
@@ -307,7 +158,7 @@ func TestServerConcurrentSnapshotSwap(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	checkServerEquivalence(t, "stress", p, srv)
+	matchesCold(t, "stress", p, srv)
 	st := srv.Stats()
 	if len(st) != 3 {
 		t.Fatalf("stats for %d shards", len(st))
@@ -460,13 +311,14 @@ func TestServerBoundaryIDsUnderChurn(t *testing.T) {
 	if c := srv.Candidates(ceiling); c == nil || len(c) != 0 {
 		t.Errorf("Candidates(ceiling) = %v, want empty non-nil", c)
 	}
-	checkServerEquivalence(t, "boundary churn", p, srv)
+	matchesCold(t, "boundary churn", p, srv)
 }
 
 // TestServerLifecycleAndBoundaries covers the non-happy paths: closed
-// servers reject writes but keep serving reads, out-of-range ids serve
-// empty results, cancelled contexts admit nothing, options validate, and
-// reads before any publication see exactly the build state.
+// servers reject writes but keep serving reads, cancelled contexts
+// admit nothing, and options validate. (That out-of-range ids serve
+// empty results and reads before any publication see exactly the build
+// state, every harness case with a Server checks.)
 func TestServerLifecycleAndBoundaries(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(41)
@@ -495,25 +347,6 @@ func TestServerLifecycleAndBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Before any insert the epoch-0 snapshots serve the build state.
-	cold, err := p.IndexBlocks(ctx, &Blocks{Collection: srv.Blocks().Clone(), Schema: srv.Schema()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := srv.Pairs(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSamePairs(t, "epoch-0 pairs", cold.Pairs(), got)
-	for _, bad := range []int{-1, srv.NumProfiles(), 1 << 29} {
-		if c := srv.Candidates(bad); c == nil || len(c) != 0 {
-			t.Errorf("Candidates(%d) = %v, want empty non-nil", bad, c)
-		}
-		if th := srv.Threshold(bad); th != 0 {
-			t.Errorf("Threshold(%d) = %v", bad, th)
-		}
-	}
-
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	if _, err := srv.InsertAll(cancelled, []model.Profile{synthProfile(rng, "x")}); err != context.Canceled {
@@ -557,36 +390,16 @@ func TestServerLifecycleAndBoundaries(t *testing.T) {
 	}
 }
 
-// TestServerConsistencyPrefix pins the consistency contract: without a
-// quiesce, reads observe some prefix of the insert sequence — never a
-// torn state — and after the swap cadence fires they observe the full
-// sequence.
+// TestServerConsistencyPrefix pins the consistency contract at SwapOps
+// 1: after every Insert, reads observe some prefix of the insert
+// sequence (the harness checks it after every op), and after a quiesce
+// the full sequence.
 func TestServerConsistencyPrefix(t *testing.T) {
-	ctx := context.Background()
-	rng := stats.NewRNG(53)
-	ds := synthDirty(rng, 40)
-	p, err := NewPipeline(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := p.Serve(ctx, ds, ServerOptions{Shards: 2, SwapOps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	for i := 0; i < 10; i++ {
-		prof := synthProfile(rng, fmt.Sprintf("s%d", i))
-		if _, err := srv.Insert(ctx, &prof); err != nil {
-			t.Fatal(err)
-		}
-		if n := srv.NumProfiles(); n < 40 || n > srv.Admitted() {
-			t.Fatalf("published profiles %d outside [40, %d]", n, srv.Admitted())
-		}
-	}
-	if err := srv.Quiesce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if n, a := srv.NumProfiles(), srv.Admitted(); n != a {
-		t.Fatalf("quiesced server published %d of %d", n, a)
-	}
+	space{
+		targets: []target{onServer},
+		shards:  []int{2},
+		swapOps: []int{1},
+		ops:     singles(10),
+		cases:   1,
+	}.run(t)
 }

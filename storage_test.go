@@ -38,31 +38,6 @@ func fileStorageOptions(opt Options) Options {
 	return opt
 }
 
-// assertSameIndex asserts every serving observable of got matches want.
-func assertSameIndex(t *testing.T, label string, want, got *Index) {
-	t.Helper()
-	if want.NumProfiles() != got.NumProfiles() {
-		t.Fatalf("%s: NumProfiles = %d, want %d", label, got.NumProfiles(), want.NumProfiles())
-	}
-	assertSamePairs(t, label+" pairs", want.Pairs(), got.Pairs())
-	var wantC, gotC []Candidate
-	for i := 0; i < want.NumProfiles(); i++ {
-		if ww, gw := want.Threshold(i), got.Threshold(i); ww != gw {
-			t.Fatalf("%s: Threshold(%d) = %v, want %v", label, i, gw, ww)
-		}
-		wantC = want.AppendCandidates(wantC[:0], i)
-		gotC = got.AppendCandidates(gotC[:0], i)
-		if len(wantC) != len(gotC) {
-			t.Fatalf("%s: Candidates(%d): %d, want %d", label, i, len(gotC), len(wantC))
-		}
-		for k := range wantC {
-			if wantC[k] != gotC[k] {
-				t.Fatalf("%s: Candidates(%d)[%d] = %+v, want %+v", label, i, k, gotC[k], wantC[k])
-			}
-		}
-	}
-}
-
 // TestStorageColdDifferentialMatrix extends the Scheme x Pruning matrix
 // with the Storage axis: a file-backed MetaBlock and IndexBlocks must
 // be byte-identical to the resident build for every configuration.
@@ -128,7 +103,7 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 			if spill, loads := memIx.StorageStats(); spill != 0 || loads != 0 {
 				t.Fatalf("%s: resident build reports %d spill bytes, %d page loads", label, spill, loads)
 			}
-			assertSameIndex(t, label, memIx, fileIx)
+			sameServed(t, label, memIx, fileIx)
 		}
 	}
 
@@ -155,7 +130,7 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 	if spill, loads := fileIx.StorageStats(); spill <= 12<<16 || loads <= 1 {
 		t.Fatalf("stream of 3000 profiles: file-backed build reports %d spill bytes, %d page loads; want more than one page", spill, loads)
 	}
-	assertSameIndex(t, "stream of 3000 profiles", memIx, fileIx)
+	sameServed(t, "stream of 3000 profiles", memIx, fileIx)
 }
 
 // TestStorageServerEquivalence runs the serving contract across shard
@@ -191,7 +166,7 @@ func TestStorageServerEquivalence(t *testing.T) {
 			}
 			// The cold reference build is resident: the equivalence check
 			// crosses the storage axis, not just the serving machinery.
-			checkServerEquivalence(t, fmt.Sprintf("%s batch %d", label, batch), pMem, srv)
+			matchesCold(t, fmt.Sprintf("%s batch %d", label, batch), pMem, srv)
 		}
 		if err := srv.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", label, err)
@@ -241,7 +216,7 @@ func TestStorageInsertMaterializes(t *testing.T) {
 			t.Fatalf("file Insert(%d): %v", i, err)
 		}
 	}
-	assertSameIndex(t, "post-insert", memIx, fileIx)
+	sameServed(t, "post-insert", memIx, fileIx)
 	if spill, loads := fileIx.StorageStats(); spill != 0 || loads != 0 {
 		t.Errorf("re-freeze after inserts spilled: %d bytes, %d page loads", spill, loads)
 	}
@@ -410,7 +385,7 @@ func TestStorageCancelledBuildLeavesNoSegments(t *testing.T) {
 			case err == nil:
 				// The flip landed where no pass read it back: every page
 				// that was read checked out, so the index is the clean one.
-				assertSameIndex(t, fmt.Sprintf("segments corrupted at poll %d, unread", after), clean, ix)
+				sameServed(t, fmt.Sprintf("segments corrupted at poll %d, unread", after), clean, ix)
 			case errors.Is(err, store.ErrCorruptSegment) && ix == nil:
 				failed++
 			default:
@@ -463,7 +438,7 @@ func TestServeNeverSpills(t *testing.T) {
 				t.Fatalf("%s: Serve: %v", label, err)
 			}
 			durInsert(t, srv, 0, 3)
-			checkServerEquivalence(t, label, pMem, srv)
+			matchesCold(t, label, pMem, srv)
 			if err := srv.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", label, err)
 			}
