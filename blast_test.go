@@ -231,7 +231,7 @@ func TestInductionString(t *testing.T) {
 // distinct (the harness's start state: Run and an Index agree, and the
 // Index's candidate lists are comparable and its distinct pairs).
 func TestPairsComparableAndDeduplicated(t *testing.T) {
-	space{data: []data{registryData("prd", 0.1, 0)}, grid: true}.run(t)
+	space{data: []data{registryData("prd", 0.1, 17, 0)}}.run(t)
 }
 
 func TestRestructuredBlocks(t *testing.T) {

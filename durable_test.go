@@ -49,7 +49,7 @@ func durDataset() *model.Dataset {
 	return synthDirty(stats.NewRNG(0xD00D), 40)
 }
 
-func durInsert(t *testing.T, srv *Server, from, to int) {
+func durInsert(t *testing.T, srv writable, from, to int) {
 	t.Helper()
 	ctx := context.Background()
 	for k := from; k < to; k++ {
@@ -65,24 +65,15 @@ func durInsert(t *testing.T, srv *Server, from, to int) {
 
 // durReferencePairs computes the expected Pairs of a server holding the
 // seed plus the first nBatches insert batches, via an independent
-// in-memory server.
+// in-memory Index.
 func durReferencePairs(t *testing.T, p *Pipeline, nBatches int) []model.IDPair {
 	t.Helper()
-	ctx := context.Background()
-	ref, err := p.Serve(ctx, durDataset(), ServerOptions{Shards: 1})
+	ref, err := p.BuildIndex(context.Background(), durDataset())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 	durInsert(t, ref, 0, nBatches)
-	if err := ref.Quiesce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := ref.Pairs(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pairs
+	return ref.Pairs()
 }
 
 // checkRecovered asserts the full recovery contract: the reopened

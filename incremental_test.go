@@ -63,8 +63,7 @@ func synthDirty(rng *stats.RNG, n int) *model.Dataset {
 
 // TestIncrementalEquivalenceMatrix streams three batches into indexes
 // across Induction x Scheme x Pruning, workers cycling, and checks the
-// write path's contract after the first and after a re-freeze that
-// folds the other two at once.
+// write path's contract after each.
 func TestIncrementalEquivalenceMatrix(t *testing.T) {
 	space{
 		data:      []data{dirtyData(60, 60)},
@@ -72,8 +71,7 @@ func TestIncrementalEquivalenceMatrix(t *testing.T) {
 		schemes:   sixSchemes[:5],
 		prunings:  allPrunings,
 		workers:   workersAxis,
-		ops:       []op{insertAll(8), check, insertAll(8), insertAll(8), check},
-		grid:      true,
+		ops:       []op{insertAll(8), check, insertAll(8), check, insertAll(8), check},
 	}.run(t)
 }
 
@@ -91,10 +89,9 @@ func TestIncrementalEquivalenceRandom(t *testing.T) {
 // collection workload), one Insert at a time.
 func TestIncrementalCleanClean(t *testing.T) {
 	space{
-		data:     []data{registryData("ar1", 0.04, 12)},
+		data:     []data{registryData("ar1", 0.04, 11, 12)},
 		prunings: []metablocking.Pruning{metablocking.BlastWNP, metablocking.CEP},
 		ops:      singles(12),
-		grid:     true,
 	}.run(t)
 }
 
@@ -166,7 +163,7 @@ func (c *cancelAfter) Err() error {
 // after inserts, out-of-range ids serve empty results from Candidates,
 // AppendCandidates and Threshold instead of panicking.
 func TestIndexCandidatesBoundary(t *testing.T) {
-	space{data: []data{dirtyData(30, 30)}, ops: []op{probe, {}, probe, check}, cases: 1}.run(t)
+	space{data: []data{dirtyData(30, 30)}, ops: []op{probe, {}, probe, check}}.run(t)
 }
 
 // TestInsertCancellation: a pre-cancelled context mutates nothing; a

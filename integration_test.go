@@ -65,10 +65,9 @@ func TestPipelineAllBenchmarks(t *testing.T) {
 // Index agree, and the Index's candidate lists are its distinct pairs).
 func TestPipelineConfigurationMatrix(t *testing.T) {
 	space{
-		data:     []data{registryData("ar1", 0.03, 0)},
+		data:     []data{registryData("ar1", 0.03, 8, 0)},
 		schemes:  schemesOf(weights.ARCS, weights.CBS, weights.ECBS, weights.JS, weights.EJS, weights.ChiSquared),
 		prunings: allPrunings,
-		grid:     true,
 	}.run(t)
 }
 

@@ -240,12 +240,14 @@ func cleanData(n1, n2 int) data {
 	}
 }
 
-// registryData is a registry dataset at scale whose last hold profiles
-// (of E2 when clean-clean) are streamed instead of built.
-func registryData(name string, scale float64, hold int) data {
-	return func(rng *stats.RNG) (*model.Dataset, []model.Profile) {
+// registryData is a registry dataset at scale and seed whose last hold
+// profiles (of E2 when clean-clean) are streamed instead of built. It is
+// generated once and shared by every case of the entry, so the entry's
+// cases share its Phase 1–2 stages.
+func registryData(name string, scale float64, seed uint64, hold int) data {
+	once := sync.OnceValues(func() (*model.Dataset, []model.Profile) {
 		gen, _ := datasets.ByName(name)
-		ds := gen(scale, rng.Uint64()%1000)
+		ds := gen(scale, seed)
 		tail := &ds.E1
 		if ds.Kind == model.CleanClean {
 			tail = &ds.E2
@@ -256,7 +258,8 @@ func registryData(name string, scale float64, hold int) data {
 			ds.Truth = model.NewGroundTruth()
 		}
 		return ds, all[len(all)-hold:]
-	}
+	})
+	return func(*stats.RNG) (*model.Dataset, []model.Profile) { return once() }
 }
 
 // bytesData is randomDataset over 0..32 random bytes.
@@ -308,12 +311,13 @@ func schemesOf(kinds ...weights.Kind) []weights.Scheme {
 // space is the lattice a harness entry draws its cases from; an empty
 // axis keeps its default (DefaultOptions, dirtyData(40, 40), an Index,
 // one shard, SwapOps 8). Every case runs ops, or randomOps when random.
-// With grid, each data value makes one dataset for every case, case i
-// enumerates data × induction × scheme × pruning × C × K by the digits
-// of i mod ∏ of them, and workers and the target axes by the digits of
-// i mod ∏ + i div ∏ — cycling them, or crossing them with the rest
-// when cases is ∏ times their own product. Otherwise every axis, the
-// data and the ops are drawn from an RNG seeded by i.
+// With cases 0 the space is a grid: the cases 0..∏-1 enumerate every
+// combination of data × induction × scheme × pruning × C × K (×
+// shards, when crossShards) by the digits of the case index, and the
+// digits of the same index cycle workers and the other target axes.
+// Otherwise cases are drawn, every axis and the ops from an RNG seeded
+// by the case index. Either way a case draws synthetic data from its
+// own seed; registryData is one dataset for the whole entry.
 type space struct {
 	data                 []data
 	induction            []Induction
@@ -326,7 +330,8 @@ type space struct {
 	shards, swapOps      []int
 	snapEvery, syncEvery []int
 	ops                  []op
-	random, grid         bool
+	random               bool
+	crossShards          bool // grid: shards is a lattice axis
 	cases                int
 }
 
@@ -352,7 +357,11 @@ func (s space) draw(name string, seed uint64, lattice, axes, ops chooser) modelC
 	c.opt.K = pick(lattice, s.k, c.opt.K)
 	c.opt.Workers = pick(axes, s.workers, c.opt.Workers)
 	c.target = pick(axes, s.targets, onIndex)
-	c.sopt = ServerOptions{Shards: pick(axes, s.shards, 1), SwapOps: pick(axes, s.swapOps, 8)}
+	shards := axes
+	if s.crossShards {
+		shards = lattice
+	}
+	c.sopt = ServerOptions{Shards: pick(shards, s.shards, 1), SwapOps: pick(axes, s.swapOps, 8)}
 	if c.target == onDurable {
 		c.sopt.SnapshotEvery, c.sopt.SyncEvery = pick(axes, s.snapEvery, 0), pick(axes, s.syncEvery, 0)
 	}
@@ -377,20 +386,16 @@ func (s space) fromBytes(raw []byte) modelCase {
 func (s space) run(t *testing.T) {
 	lattice := max(len(s.data), 1) * max(len(s.induction), 1) * max(len(s.schemes), 1) *
 		max(len(s.prunings), 1) * max(len(s.c), 1) * max(len(s.k), 1)
-	n, shared := s.cases, &stages{}
-	if s.grid {
-		n, s.data = max(n, lattice), slices.Clone(s.data)
-		for i, d := range s.data {
-			ds, stream := d(stats.NewRNG(uint64(i) + 1))
-			s.data[i] = func(*stats.RNG) (*model.Dataset, []model.Profile) { return ds, stream }
-		}
+	if s.crossShards {
+		lattice *= max(len(s.shards), 1)
 	}
+	n, shared := cmp.Or(s.cases, lattice), &stages{}
 	cases := make([]modelCase, n)
 	for i := range cases {
 		seed := uint64(i)*0x9E3779B97F4A7C15 + 1
 		rng := stats.NewRNG(seed)
-		if s.grid {
-			cases[i] = s.draw(fmt.Sprintf("seed=%d", i), seed, &digits{i}, &digits{i%lattice + i/lattice}, rng)
+		if s.cases == 0 {
+			cases[i] = s.draw(fmt.Sprintf("seed=%d", i), seed, &digits{i}, &digits{i}, rng)
 		} else {
 			cases[i] = s.draw(fmt.Sprintf("seed=%d", i), seed, rng, rng, rng)
 		}
@@ -568,7 +573,8 @@ func (r *modelRun) step(label string, o op) {
 		}
 	case opPin:
 		if r.srv != nil {
-			v, _ := r.srv.View(r.ctx)
+			v, err := r.srv.View(r.ctx)
+			r.must(err, label+": View")
 			rows := *v.rows
 			rows.Offsets, rows.Neighbors = slices.Clone(rows.Offsets), slices.Clone(rows.Neighbors)
 			rows.Weights, rows.Theta = slices.Clone(rows.Weights), slices.Clone(rows.Theta)
@@ -637,7 +643,9 @@ func (r *modelRun) check(label string) {
 	}
 	matchesCold(t, label, r.p, r.w)
 	if r.srv != nil {
-		if v, _ := r.srv.View(r.ctx); v.Batches() != int64(r.batches) {
+		v, err := r.srv.View(r.ctx)
+		r.must(err, label+": View")
+		if v.Batches() != int64(r.batches) {
 			t.Fatalf("%s: quiesced View at batch %d, want %d", label, v.Batches(), r.batches)
 		}
 	}
@@ -652,6 +660,9 @@ func (r *modelRun) check(label string) {
 	}
 	r.consistent(label)
 	for i, p := range r.pins {
+		if p.v.Batches() != p.copy.Batches() {
+			t.Fatalf("%s: View %d pinned at batch %d moved to %d", label, i, p.copy.Batches(), p.v.Batches())
+		}
 		sameServed(t, fmt.Sprintf("%s: View %d pinned at batch %d", label, i, p.v.Batches()), p.copy, p.v)
 	}
 }
@@ -699,7 +710,9 @@ func (r *modelRun) probe(label string) {
 			at(r.srv, id, false)
 		}
 		rowsOf(r.t, r.srv)
-		x, _ = r.srv.View(r.ctx)
+		var err error
+		x, err = r.srv.View(r.ctx)
+		r.must(err, label+": View")
 	}
 	n := x.NumProfiles()
 	for _, id := range append(ids, 0, n-1, n, n+1, r.admitted) {
@@ -734,53 +747,55 @@ func FuzzSnapshotSwap(f *testing.F) {
 // that name a block of the collection must be exactly the blocks the
 // profile is a member of, with the blocks' entropies: for every E2
 // profile of a clean-clean dataset (streamed profiles join E2) and
-// every profile of a dirty one. A key the tokenizer repeats must repeat
-// its entropy, or the two sets differ in size.
+// every profile of a dirty one, under every induction. A key the
+// tokenizer repeats must repeat its entropy, or the two sets differ in
+// size.
 func TestStreamedKeysMatchPhase2(t *testing.T) {
 	ctx := context.Background()
-	opt := DefaultOptions()
-	opt.PurgeRatio, opt.FilterRatio = 1, 1 // 1 disables both
-	p, err := NewPipeline(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range append(datasets.CleanCleanNames(), datasets.DirtyNames()...) {
 		gen, _ := datasets.ByName(name)
 		ds := gen(0.05, 5)
-		sch, err := p.InduceSchema(ctx, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks, err := p.Block(ctx, ds, sch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := blocks.Collection
-		phase2 := make([][]blocking.KeyEntropy, c.NumProfiles)
-		index := make(map[string]bool, c.Len())
-		for b := 0; b < c.Len(); b++ {
-			index[c.Key(b)] = true
-			for side := 0; side < 2; side++ {
-				run, _ := c.Members(b, side)
-				for _, u := range run {
-					phase2[u] = append(phase2[u], blocking.KeyEntropy{Key: c.Key(b), Entropy: c.Entropy(b)})
+		for _, ind := range []Induction{LMI, AC, NoInduction} {
+			opt := DefaultOptions()
+			opt.Induction, opt.PurgeRatio, opt.FilterRatio = ind, 1, 1 // 1 disables both
+			p, err := NewPipeline(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sch, err := p.InduceSchema(ctx, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks, err := p.Block(ctx, ds, sch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := blocks.Collection
+			phase2 := make([][]blocking.KeyEntropy, c.NumProfiles)
+			index := make(map[string]bool, c.Len())
+			for b := 0; b < c.Len(); b++ {
+				index[c.Key(b)] = true
+				for side := 0; side < 2; side++ {
+					run, _ := c.Members(b, side)
+					for _, u := range run {
+						phase2[u] = append(phase2[u], blocking.KeyEntropy{Key: c.Key(b), Entropy: c.Entropy(b)})
+					}
 				}
 			}
-		}
-		from := 0
-		if ds.Kind == model.CleanClean {
-			from = ds.Split()
-		}
-		for u := from; u < ds.NumProfiles(); u++ {
-			streamed := make(map[blocking.KeyEntropy]bool)
-			for _, ke := range tokenizeProfile(sch, ds.Kind, &opt, ds.Profile(u)) {
-				if index[ke.Key] {
-					streamed[ke] = true
-				}
+			from := 0
+			if ds.Kind == model.CleanClean {
+				from = ds.Split()
 			}
-			for _, ke := range phase2[u] {
-				if !streamed[ke] || len(streamed) != len(phase2[u]) {
-					t.Fatalf("%s: profile %d: streamed keys %v, Phase 2 keys %v", name, u, streamed, phase2[u])
+			for u := from; u < ds.NumProfiles(); u++ {
+				streamed := make(map[blocking.KeyEntropy]bool)
+				for _, ke := range tokenizeProfile(sch, ds.Kind, &opt, ds.Profile(u)) {
+					if index[ke.Key] {
+						streamed[ke] = true
+					}
+				}
+				missing := slices.ContainsFunc(phase2[u], func(ke blocking.KeyEntropy) bool { return !streamed[ke] })
+				if missing || len(streamed) != len(phase2[u]) {
+					t.Fatalf("%v/%s: profile %d: streamed keys %v, Phase 2 keys %v", ind, name, u, streamed, phase2[u])
 				}
 			}
 		}

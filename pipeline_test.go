@@ -112,11 +112,10 @@ func assertSamePairs(t *testing.T, label string, want, got []model.IDPair) {
 // over the same blocks agree — the harness's start state, no ops.
 func TestStagedEquivalenceMatrix(t *testing.T) {
 	space{
-		data:      []data{registryData("ar1", 0.03, 0)},
+		data:      []data{registryData("ar1", 0.03, 8, 0)},
 		induction: []Induction{LMI, AC, NoInduction},
 		schemes:   []weights.Scheme{{Kind: weights.ChiSquared, Entropy: true}, {Kind: weights.JS}},
 		prunings:  allPrunings,
-		grid:      true,
 	}.run(t)
 }
 
@@ -137,7 +136,7 @@ func TestStagedEquivalenceRandom(t *testing.T) {
 // descending, and clean-clean candidates stay cross-source (the
 // harness's consistency check, here on two registry datasets).
 func TestIndexCandidatesConsistent(t *testing.T) {
-	space{data: []data{registryData("ar1", 0.05, 0), registryData("census", 0.2, 0)}, grid: true}.run(t)
+	space{data: []data{registryData("ar1", 0.05, 3, 0), registryData("census", 0.2, 3, 0)}}.run(t)
 }
 
 // TestIndexThresholds: under BlastWNP the per-node threshold is the
@@ -189,7 +188,7 @@ func TestIndexThresholds(t *testing.T) {
 // Schema and one Blocks artifact feeding a C sweep (the harness's
 // stages) — matches the per-configuration full runs exactly.
 func TestSchemaReuseAcrossPipelines(t *testing.T) {
-	space{data: []data{registryData("census", 0.2, 0)}, c: []float64{1, 2, 4}, grid: true}.run(t)
+	space{data: []data{registryData("census", 0.2, 11, 0)}, c: []float64{1, 2, 4}}.run(t)
 }
 
 // TestPipelineCancelledContext: a context cancelled before a phase

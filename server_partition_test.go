@@ -37,8 +37,7 @@ func TestPartitionedEquivalenceMatrix(t *testing.T) {
 		workers:  workersAxis,
 		targets:  []target{onServer},
 		shards:   shardAxis,
-		ops:      []op{insertAll(7), compact, pin, insertAll(7), check},
-		grid:     true,
+		ops:      []op{insertAll(7), check, pin, insertAll(7), check},
 	}.run(t)
 }
 
@@ -49,16 +48,15 @@ func TestPartitionedEquivalenceMatrix(t *testing.T) {
 // every shard count — each must match the cold rebuild.
 func TestPartitionedCNPCutExchange(t *testing.T) {
 	space{
-		data:     []data{dirtyData(60, 60)},
-		schemes:  []weights.Scheme{{Kind: weights.CBS}},
-		prunings: []metablocking.Pruning{metablocking.CNP1, metablocking.CNP2},
-		k:        []int{0, 1, 3},
-		targets:  []target{onServer},
-		shards:   shardAxis,
-		swapOps:  []int{4},
-		ops:      []op{insertAll(9), check},
-		grid:     true,
-		cases:    6 * len(shardAxis),
+		data:        []data{dirtyData(60, 60)},
+		schemes:     []weights.Scheme{{Kind: weights.CBS}},
+		prunings:    []metablocking.Pruning{metablocking.CNP1, metablocking.CNP2},
+		k:           []int{0, 1, 3},
+		targets:     []target{onServer},
+		shards:      shardAxis,
+		swapOps:     []int{4},
+		ops:         []op{insertAll(9), check},
+		crossShards: true,
 	}.run(t)
 }
 
@@ -202,7 +200,6 @@ func TestViewConsistency(t *testing.T) {
 		shards:  []int{3},
 		swapOps: []int{2},
 		ops:     []op{pin, {}, {}, {}, {}, check},
-		cases:   1,
 	}.run(t)
 }
 
@@ -545,13 +542,12 @@ func TestPartitionedOwnedRowsServedFromTheSnapshot(t *testing.T) {
 // collection, and a cold build after the writer appended a batch.
 func TestJoinOwnedMatchesFrozenRows(t *testing.T) {
 	space{
-		data:     []data{dirtyData(60, 60)},
-		schemes:  []weights.Scheme{{Kind: weights.ChiSquared, Entropy: true}, {Kind: weights.CBS}, {Kind: weights.EJS}},
-		prunings: allPrunings,
-		targets:  []target{onServer},
-		shards:   shardAxis,
-		ops:      []op{insertAll(6), check},
-		grid:     true,
-		cases:    21 * len(shardAxis),
+		data:        []data{dirtyData(60, 60)},
+		schemes:     []weights.Scheme{{Kind: weights.ChiSquared, Entropy: true}, {Kind: weights.CBS}, {Kind: weights.EJS}},
+		prunings:    allPrunings,
+		targets:     []target{onServer},
+		shards:      shardAxis,
+		ops:         []op{insertAll(6), check},
+		crossShards: true,
 	}.run(t)
 }

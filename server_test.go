@@ -21,8 +21,8 @@ import (
 )
 
 // TestServerEquivalenceMatrix streams a batch into servers across
-// Scheme x Pruning, the shard and worker counts cycling, quiesces and
-// pins the published View, streams a second batch on top and checks —
+// Scheme x Pruning, the shard and worker counts cycling, checks, pins
+// the published View, streams a second batch on top and checks again —
 // the aggregate exchange may not move a single bit, nor the pinned
 // View.
 func TestServerEquivalenceMatrix(t *testing.T) {
@@ -33,8 +33,7 @@ func TestServerEquivalenceMatrix(t *testing.T) {
 		workers:  workersAxis,
 		targets:  []target{onServer},
 		shards:   shardAxis,
-		ops:      []op{insertAll(7), compact, pin, insertAll(7), check},
-		grid:     true,
+		ops:      []op{insertAll(7), check, pin, insertAll(7), check},
 	}.run(t)
 }
 
@@ -42,12 +41,11 @@ func TestServerEquivalenceMatrix(t *testing.T) {
 // every shard count with a seeded random op sequence at SwapOps 4.
 func TestServerShardCountsFullCross(t *testing.T) {
 	space{
-		targets: []target{onServer},
-		shards:  shardAxis,
-		swapOps: []int{4},
-		random:  true,
-		grid:    true,
-		cases:   len(shardAxis),
+		targets:     []target{onServer},
+		shards:      shardAxis,
+		swapOps:     []int{4},
+		random:      true,
+		crossShards: true,
 	}.run(t)
 }
 
@@ -60,7 +58,6 @@ func TestServerCleanClean(t *testing.T) {
 		shards:  []int{3},
 		swapOps: []int{4},
 		ops:     singles(10),
-		cases:   1,
 	}.run(t)
 }
 
@@ -400,6 +397,5 @@ func TestServerConsistencyPrefix(t *testing.T) {
 		shards:  []int{2},
 		swapOps: []int{1},
 		ops:     singles(10),
-		cases:   1,
 	}.run(t)
 }
