@@ -883,7 +883,9 @@ func liveHeap() float64 {
 // BenchmarkIndex_Freeze is a cold IndexBlocks over prebuilt Blocks — the
 // blocking graph built, weighed, pruned and dropped, its retained rows
 // kept. Run with -benchmem: B/op is the build's allocation (12 bytes an
-// adjacency entry for the graph, nothing else per entry), and
+// adjacency entry for the graph, nothing else per entry, plus one weight
+// table a freeze for χ², ECBS and JS: O(max|B_u|³) cells, at most
+// 2 MiB and never more cells than entries), and
 // live-B/retained-entry what the frozen index holds beside its
 // collection once the build is garbage — 12 bytes an entry for the rows
 // plus 16 a profile, over the entries of the retained pairs.

@@ -84,7 +84,6 @@ type Index struct {
 	collection *blocking.Collection
 	schema     *Schema
 	opt        Options
-	buildTime  time.Duration
 	// spillBytes and pageLoads are what the build that last froze the
 	// rows wrote to its segment files and read back before deleting them.
 	spillBytes, pageLoads int64
@@ -134,8 +133,7 @@ func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, err
 	if err := ix.freeze(ctx); err != nil {
 		return nil, err
 	}
-	ix.buildTime = time.Since(t0)
-	p.opt.progress("index", ix.buildTime)
+	p.opt.progress("index", time.Since(t0))
 	return ix, nil
 }
 
@@ -225,10 +223,6 @@ func (ix *Index) Blocks() *blocking.Collection {
 	defer ix.mu.RUnlock()
 	return ix.collection
 }
-
-// BuildTime returns the wall-clock time IndexBlocks spent freezing the
-// index (graph, weighting, pruning and row collection).
-func (ix *Index) BuildTime() time.Duration { return ix.buildTime }
 
 // Stats returns the insert counters of the index.
 func (ix *Index) Stats() IndexStats {

@@ -10,7 +10,7 @@
 // bucket holds a single distinct key — immediately, in the common case
 // of massive ties at the cut — or after at most four passes, when the
 // full 64 bits are resolved. Scratch is O(2^16) per worker regardless
-// of |E|.
+// of |E|, pooled across passes and decisions.
 //
 // Counting passes parallelize over the fixed node chunks; histogram
 // counts and key min/max merge commutatively — across workers, and
@@ -22,6 +22,8 @@ package prune
 import (
 	"context"
 	"math"
+	"math/bits"
+	"sync"
 
 	"blast/internal/graph"
 )
@@ -59,35 +61,59 @@ func keyWeight(k uint64) float64 {
 }
 
 // selHist is the histogram of one counting pass: per bucket, the count
-// of candidate keys and their key min/max.
+// of candidate keys and their key min/max, and a bitmap of the buckets
+// counted into. Histograms come from a pool and go back cleared at the
+// buckets they used, so a pass over a small graph costs what it counts,
+// not 2^16 buckets.
 type selHist struct {
 	counts [selBuckets]int64
 	kmin   [selBuckets]uint64
 	kmax   [selBuckets]uint64
+	used   [selBuckets / 64]uint64
 }
 
-// newSelHist returns an empty histogram (counts zero, minima saturated
-// high, maxima low), ready to merge into.
-func newSelHist() *selHist {
+var selHists = sync.Pool{New: func() any {
 	h := &selHist{}
 	for i := range h.kmin {
 		h.kmin[i] = ^uint64(0)
 	}
 	return h
+}}
+
+// newSelHist returns an empty histogram (counts zero, minima saturated
+// high, maxima low), ready to count or merge into.
+func newSelHist() *selHist { return selHists.Get().(*selHist) }
+
+// add counts n keys spanning [lo, hi] into bucket b.
+func (h *selHist) add(b uint64, n int64, lo, hi uint64) {
+	h.counts[b] += n
+	h.kmin[b] = min(h.kmin[b], lo)
+	h.kmax[b] = max(h.kmax[b], hi)
+	h.used[b/64] |= 1 << (b % 64)
+}
+
+// eachUsed calls fn with every bucket h has counted into.
+func (h *selHist) eachUsed(fn func(b uint64)) {
+	for i, word := range h.used {
+		for ; word != 0; word &= word - 1 {
+			fn(uint64(i*64 + bits.TrailingZeros64(word)))
+		}
+	}
+}
+
+// release empties h and returns it to the pool; h must not be used
+// after.
+func (h *selHist) release() {
+	h.eachUsed(func(b uint64) { h.counts[b], h.kmin[b], h.kmax[b] = 0, ^uint64(0), 0 })
+	h.used = [selBuckets / 64]uint64{}
+	selHists.Put(h)
 }
 
 // merge folds another histogram into h: counts add, key minima/maxima
 // tighten. The merge is commutative and associative, so any fold order
 // — worker order, party order — yields the identical histogram.
 func (h *selHist) merge(o *selHist) {
-	for b := range h.counts {
-		if o.counts[b] == 0 {
-			continue
-		}
-		h.counts[b] += o.counts[b]
-		h.kmin[b] = min(h.kmin[b], o.kmin[b])
-		h.kmax[b] = max(h.kmax[b], o.kmax[b])
-	}
+	o.eachUsed(func(b uint64) { h.add(b, o.counts[b], o.kmin[b], o.kmax[b]) })
 }
 
 // countCutHist runs one counting pass of the histogram selection over
@@ -106,21 +132,20 @@ func countCutHist(ctx context.Context, g *graph.CSR, workers int, prefix uint64,
 	err := runChunks(ctx, g, workers, func(w *pruneWorker, chunk int) error {
 		h := hists[w.id]
 		return forChunkCanonical(g, w, chunk, func(_, _ int32, wt float64) {
-			key := weightKey(wt)
-			if key>>(shift+selBucketBits) != prefix {
-				return
+			if key := weightKey(wt); key>>(shift+selBucketBits) == prefix {
+				h.add((key>>shift)&selBucketMask, 1, key, key)
 			}
-			b := (key >> shift) & selBucketMask
-			h.counts[b]++
-			h.kmin[b] = min(h.kmin[b], key)
-			h.kmax[b] = max(h.kmax[b], key)
 		})
 	})
 	if err != nil {
+		for _, h := range hists {
+			h.release()
+		}
 		return nil, err
 	}
 	for _, o := range hists[1:] {
 		hists[0].merge(o)
+		o.release()
 	}
 	return hists[0], nil
 }
@@ -138,6 +163,9 @@ func cepCut(ctx context.Context, g *graph.CSR, workers, k int, p Parties) (cut f
 	rank := int64(k)  // rank of the cut among the candidates, from the top
 	above := int64(0) // keys strictly above the candidates
 	prefix, shift := uint64(0), uint(48)
+	// shared is this party's histogram of the last round, which the
+	// other parties read until they have all gathered the next one.
+	var shared *selHist
 	for {
 		h, err := countCutHist(ctx, g, workers, prefix, shift)
 		if err != nil {
@@ -147,25 +175,27 @@ func cepCut(ctx context.Context, g *graph.CSR, workers, k int, p Parties) (cut f
 		if err != nil {
 			return 0, 0, 0, err
 		}
+		if shared != nil {
+			shared.release()
+			shared = nil
+		}
 		if len(hs) > 1 {
-			h = newSelHist()
+			shared, h = h, newSelHist()
 			for _, o := range hs {
 				h.merge(o.(*selHist))
 			}
 		}
-		// Find the bucket holding the rank-th largest candidate key.
-		cum := int64(0)
-		b := selBuckets - 1
-		for ; b > 0; b-- {
-			if c := h.counts[b]; c > 0 {
-				cum += c
-				if cum >= rank {
-					break
+		// Find the bucket holding the rank-th largest candidate key,
+		// walking the used buckets from the top.
+		cum, b := int64(0), 0
+	scan:
+		for i := len(h.used) - 1; i >= 0; i-- {
+			for word := h.used[i]; word != 0; word &^= 1 << (b % 64) {
+				b = i*64 + 63 - bits.LeadingZeros64(word)
+				if cum += h.counts[b]; cum >= rank {
+					break scan
 				}
 			}
-		}
-		if b == 0 {
-			cum += h.counts[0]
 		}
 		above += cum - h.counts[b]
 		rank -= cum - h.counts[b]
@@ -174,8 +204,11 @@ func cepCut(ctx context.Context, g *graph.CSR, workers, k int, p Parties) (cut f
 			// same key (always true at shift 0, where a bucket is one
 			// exact key): it is the cut, nothing inside it ties above,
 			// and the bucket's population is the global tie count.
-			return keyWeight(h.kmin[b]), int(above), int(h.counts[b]), nil
+			cut, ties := keyWeight(h.kmin[b]), int(h.counts[b])
+			h.release()
+			return cut, int(above), ties, nil
 		}
+		h.release()
 		prefix = prefix<<selBucketBits | uint64(b)
 		shift -= selBucketBits
 	}

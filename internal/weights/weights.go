@@ -4,6 +4,19 @@
 // aggregate entropy of the shared blocking keys (Section 3.3.1 of the
 // paper). Every scheme can optionally be multiplied by h(B_uv), which is
 // how the paper's "wsh" ablation (classic schemes + entropy) is obtained.
+//
+// χ², ECBS and JS depend on an edge only through |B_uv|, |B_u| and |B_v|
+// (|B| and |E| are fixed for a graph), and after Block Filtering |B_u|
+// takes few values. So Scheme.EntryWeight weighs those kinds by table:
+// once per call it evaluates the unscaled formula for every
+// |B_uv| ≤ min(|B_u|, |B_v|), |B_u|, |B_v| ≤ max|B_u|, and an entry is a
+// lookup times h(B_uv). The table is indexed in canonical orientation
+// (the lower id's count first), exactly the arguments the formula
+// would get, so a weight is bit-identical whichever path computes it. A
+// graph whose largest |B_u| reaches tableBound (64), or whose table
+// would hold more cells than the entries it weighs, keeps the formula,
+// as do EJS and ARCS, which read degrees and the ARCS mass, and CBS,
+// which is |B_uv| itself.
 package weights
 
 import (
@@ -77,7 +90,8 @@ func Blast() Scheme { return Scheme{Kind: ChiSquared, Entropy: true} }
 // graph-level totals. It is the one per-edge formula: the CSR kernel
 // and the weighing fill pass (both through Scheme.EntryWeight) and the
 // edge-list reference the kernels are tested against all funnel every
-// edge through it.
+// edge through it — directly, or through the weight table EntryWeight
+// fills from it for χ², ECBS and JS (weightTable).
 type Weigher struct {
 	scheme         Scheme
 	numEdges       float64
@@ -103,39 +117,48 @@ func (s Scheme) Weigher(numEdges, totalBlocks int) Weigher {
 // but floating-point products are evaluated left to right, so callers
 // must pass the smaller endpoint's statistics first for reproducibility.
 func (w Weigher) Weight(common, bu, bv, du, dv int32, arcs, entropySum float64) float64 {
+	return w.scale(w.base(common, bu, bv, du, dv, arcs), common, entropySum)
+}
+
+// base is the scheme's weight before the entropy factor.
+func (w Weigher) base(common, bu, bv, du, dv int32, arcs float64) float64 {
 	buF := float64(bu)
 	bvF := float64(bv)
 	commonF := float64(common)
-	var out float64
 	switch w.scheme.Kind {
 	case CBS:
-		out = commonF
+		return commonF
 	case ECBS:
-		out = commonF * safeLog(w.totalBlocks/buF) * safeLog(w.totalBlocks/bvF)
+		return commonF * safeLog(w.totalBlocks/buF) * safeLog(w.totalBlocks/bvF)
 	case ARCS:
-		out = arcs
+		return arcs
 	case JS:
 		if d := buF + bvF - commonF; d > 0 {
-			out = commonF / d
+			return commonF / d
 		}
+		return 0
 	case EJS:
 		var js float64
 		if d := buF + bvF - commonF; d > 0 {
 			js = commonF / d
 		}
-		out = js * safeLog(w.numEdges/float64(du)) * safeLog(w.numEdges/float64(dv))
+		return js * safeLog(w.numEdges/float64(du)) * safeLog(w.numEdges/float64(dv))
 	case ChiSquared:
 		tab := stats.NewContingency(int(common), int(bu), int(bv), w.totalBlocksInt)
-		out = tab.PositiveAssociation()
+		return tab.PositiveAssociation()
 	default:
 		panic(fmt.Sprintf("weights: unknown kind %d", int(w.scheme.Kind)))
 	}
+}
+
+// scale multiplies a base weight by h(B_uv) when the scheme asks for
+// it: 1 when the edge has no recorded entropy mass — the same
+// convention as Edge.EntropyMean.
+func (w Weigher) scale(out float64, common int32, entropySum float64) float64 {
 	if w.scheme.Entropy {
-		// h(B_uv), 1 when the edge has no recorded entropy mass — the
-		// same convention as Edge.EntropyMean.
 		h := 1.0
 		if common != 0 && entropySum != 0 {
-			h = entropySum / commonF
+			h = entropySum / float64(common)
 		}
 		out *= h
 	}
@@ -184,15 +207,65 @@ func (s Scheme) ApplyOwnedCSR(ctx context.Context, g *graph.CSR, degrees []int32
 // weighs as it emits (graph.OwnedBuild.Fill), which is what makes the
 // two bit-identical — and it needs of g only the header the degree pass
 // of a build already holds (graph.OwnedBuild.Header).
+//
+// For χ², ECBS and JS it first builds the weight table (weightTable),
+// shared read-only by every worker the closure runs on, and an entry
+// whose |B_uv| ≤ min(|B_u|, |B_v|) reads its base weight there;
+// anything else, and every entry of the other kinds or of a graph that
+// gets no table, is weighed by the formula.
 func (s Scheme) EntryWeight(g *graph.CSR, degrees []int32, numEdges int) graph.EntryWeight {
 	w := s.Weigher(numEdges, g.TotalBlocks)
 	blocks := g.BlockCounts
+	tab, m := w.weightTable(blocks, g.NumEntries())
 	return func(u, v, common int32, arcs, entropySum float64) float64 {
 		if v < u {
 			u, v = v, u
 		}
-		return w.Weight(common, blocks[u], blocks[v], degrees[u], degrees[v], arcs, entropySum)
+		bu, bv := blocks[u], blocks[v]
+		if tab != nil && common <= min(bu, bv) {
+			return w.scale(tab[(int(bu)*m+int(bv))*m+int(common)], common, entropySum)
+		}
+		return w.Weight(common, bu, bv, degrees[u], degrees[v], arcs, entropySum)
 	}
+}
+
+// tableBound bounds the weight table: a graph whose largest |B_u| is
+// tableBound or more weighs by the formula. The largest table holds
+// tableBound³ cells, 2 MiB.
+const tableBound = 64
+
+// weightTable memoizes the base weight (before h) of a scheme that
+// reads only block counts — χ², ECBS and JS — over a graph whose per-node
+// block counts are blocks and that weighs `entries` adjacency entries.
+// With m = max|B_u| + 1, the cell (|B_u|·m + |B_v|)·m + |B_uv| holds the
+// base weight of every |B_uv| ≤ min(|B_u|, |B_v|). The cells are
+// indexed by canonical orientation, |B_u| the lower id's count, and not
+// by min/max, because the formulas evaluate left to right: χ²'s sum and
+// ECBS's product come out in different last bits when the two counts
+// swap. It returns nil for any other kind, when m exceeds tableBound, or
+// when the table would have more cells than the entries it weighs, so a
+// small graph never pays for one.
+func (w Weigher) weightTable(blocks []int32, entries int64) ([]float64, int) {
+	if k := w.scheme.Kind; k != ChiSquared && k != ECBS && k != JS {
+		return nil, 0
+	}
+	m := 1
+	for _, b := range blocks {
+		m = max(m, int(b)+1)
+	}
+	if m > tableBound || int64(m)*int64(m)*int64(m) > entries {
+		return nil, 0
+	}
+	tab := make([]float64, m*m*m)
+	for bu := range int32(m) {
+		for bv := range int32(m) {
+			row := tab[(int(bu)*m+int(bv))*m:]
+			for c := range min(bu, bv) + 1 {
+				row[c] = w.base(c, bu, bv, 0, 0, 0)
+			}
+		}
+	}
+	return tab, m
 }
 
 // safeLog returns log(x) clamped to 0 for x <= 1, keeping the
