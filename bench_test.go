@@ -303,6 +303,21 @@ func BenchmarkComponent_MinHashSign(b *testing.B) {
 
 // --- Ablation benches ---------------------------------------------------
 
+// runBlast is NewPipeline, then Pipeline.Run under the background
+// context; either failing fails the benchmark.
+func runBlast(b *testing.B, ds *model.Dataset, opt blast.Options) *blast.Result {
+	b.Helper()
+	p, err := blast.NewPipeline(opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := p.Run(context.Background(), ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkAblation_ThresholdC sweeps BLAST's local threshold divisor c
 // (Section 3.3.2: higher c -> higher PC, lower PQ).
 func BenchmarkAblation_ThresholdC(b *testing.B) {
@@ -313,10 +328,7 @@ func BenchmarkAblation_ThresholdC(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := blast.DefaultOptions()
 				opt.C = c
-				res, err := blast.Run(ds, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runBlast(b, ds, opt)
 				q = res.Quality
 			}
 			b.ReportMetric(q.PC*100, "PC%")
@@ -335,10 +347,7 @@ func BenchmarkAblation_GlueCluster(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := blast.DefaultOptions()
 				opt.Glue = glue
-				res, err := blast.Run(ds, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runBlast(b, ds, opt)
 				q = res.Quality
 			}
 			b.ReportMetric(q.PC*100, "PC%")
@@ -356,10 +365,7 @@ func BenchmarkAblation_FilterRatio(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := blast.DefaultOptions()
 				opt.FilterRatio = ratio
-				res, err := blast.Run(ds, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runBlast(b, ds, opt)
 				q = res.Quality
 			}
 			b.ReportMetric(q.PC*100, "PC%")
@@ -373,10 +379,7 @@ func BenchmarkAblation_FilterRatio(b *testing.B) {
 func BenchmarkAblation_WeightingScheme(b *testing.B) {
 	ds := datasets.AR1(0.2, 42)
 	opt := blast.DefaultOptions()
-	res, err := blast.Run(ds, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
+	res := runBlast(b, ds, opt)
 	blocks := res.Blocks
 	for _, sc := range []struct {
 		name string
@@ -801,46 +804,6 @@ func BenchmarkCNPStream(b *testing.B) {
 	}
 }
 
-// BenchmarkRestructuredKey compares the restructured-block key
-// generation before/after the strconv rewrite: fmt.Sprintf("mb-%08d")
-// boxes its argument and runs the formatter state machine per pair,
-// the strconv-based append allocates only the final string.
-func BenchmarkRestructuredKey(b *testing.B) {
-	b.Run("sprintf", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if k := fmt.Sprintf("mb-%08d", i); len(k) < 11 {
-				b.Fatal("bad key")
-			}
-		}
-	})
-	b.Run("strconv", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if k := blast.MBKeyForBench(i); len(k) < 11 {
-				b.Fatal("bad key")
-			}
-		}
-	})
-}
-
-// BenchmarkRestructuredBlocks measures the full block restructuring of a
-// real result, the loop the strconv key rewrite targets.
-func BenchmarkRestructuredBlocks(b *testing.B) {
-	ds := datasets.AR1(0.2, 42)
-	res, err := blast.Run(ds, blast.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if rb := res.RestructuredBlocks(); rb.Len() != len(res.Pairs) {
-			b.Fatal("bad restructuring")
-		}
-	}
-}
-
 // indexCorpus blocks the first base profiles of a seeded stream — the
 // shape of bench/e2e's serving workloads at half their size: mean degree
 // in the hundreds, a fraction of a percent of it retained — and returns
@@ -1117,10 +1080,7 @@ func BenchmarkAblation_TFIDFRepresentation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := blast.DefaultOptions()
 				opt.TFIDF = tfidf
-				res, err := blast.Run(ds, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runBlast(b, ds, opt)
 				q = res.Quality
 			}
 			b.ReportMetric(q.PC*100, "PC%")

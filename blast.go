@@ -23,19 +23,18 @@
 // algorithmic building blocks live in internal/ packages (blocking,
 // attr, graph, weights, prune, metablocking, ...) and are composed here.
 //
-// Two entry styles are provided. Run (with the CleanClean and Dirty
-// wrappers) executes all three phases in one call. The staged Pipeline
-// exposes each phase as a context-aware call returning a reusable
-// artifact (Schema, Blocks, Result), and BuildIndex freezes a run into
-// an Index serving per-profile candidate queries online; both styles
-// produce byte-identical retained pairs.
+// The staged Pipeline is the one entry style: NewPipeline validates the
+// Options, and each phase is a context-aware call returning a reusable
+// artifact (InduceSchema a Schema, Block a Blocks, MetaBlock a Result).
+// Pipeline.Run chains the three; IndexBlocks freezes a Blocks artifact
+// into an Index serving per-profile candidate queries online, and
+// ServeBlocks starts a Server over one that serves reads while it
+// absorbs inserts.
 package blast
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 
@@ -409,7 +408,7 @@ type Progress func(phase string, d time.Duration)
 
 // Validate checks the option values that the pipeline cannot interpret,
 // returning a descriptive error for the first violation found. It is
-// called by NewPipeline and Run; DefaultOptions always validates.
+// called by NewPipeline; DefaultOptions always validates.
 func (o Options) Validate() error {
 	switch o.Induction {
 	case LMI, AC, NoInduction:
@@ -526,38 +525,6 @@ func (r *Result) Overhead() time.Duration {
 	return r.InductionTime + r.BlockTime + r.MetaTime
 }
 
-// RestructuredBlocks materializes the meta-blocking output in block form:
-// each retained comparison becomes a block of two profiles (the paper's
-// "each pair of nodes connected by an edge forms a new block"). Useful
-// for feeding downstream tools that consume block collections.
-func (r *Result) RestructuredBlocks() *blocking.Collection {
-	blocks := make([]blocking.Block, 0, len(r.Pairs))
-	for i, p := range r.Pairs {
-		b := blocking.Block{Key: mbKey(i), Entropy: 1, P1: []int32{p.U, p.V}}
-		if r.Blocks.Kind == model.CleanClean {
-			b.P1, b.P2 = b.P1[:1], b.P1[1:]
-		}
-		blocks = append(blocks, b)
-	}
-	return blocking.FromBlocks(r.Blocks.Kind, r.Blocks.NumProfiles, r.Blocks.Split, blocks)
-}
-
-// mbKey renders the restructured-block key "mb-%08d" without going
-// through fmt: one string allocation per key instead of Sprintf's
-// argument boxing and formatter state, which dominates the restructuring
-// loop on large outputs (see BenchmarkRestructuredKey).
-func mbKey(i int) string {
-	var digits [20]byte
-	d := strconv.AppendInt(digits[:0], int64(i), 10)
-	buf := make([]byte, 0, 3+8)
-	buf = append(buf, "mb-"...)
-	for pad := 8 - len(d); pad > 0; pad-- {
-		buf = append(buf, '0')
-	}
-	buf = append(buf, d...)
-	return string(buf)
-}
-
 // LooseSchemaReport renders the discovered attribute partitioning as a
 // human-readable listing (one cluster per line with its aggregate
 // entropy), or a note when induction was disabled.
@@ -584,38 +551,4 @@ func (r *Result) LooseSchemaReport() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Run executes the BLAST pipeline on a dataset. It is a thin wrapper
-// over the staged Pipeline API — NewPipeline followed by Pipeline.Run
-// under the background context — and produces byte-identical Pairs.
-// Use a Pipeline directly to reuse phase artifacts (one *Schema across a
-// parameter sweep), cancel long runs, or serve per-profile candidate
-// queries through an Index.
-func Run(ds *model.Dataset, opt Options) (*Result, error) {
-	p, err := NewPipeline(opt)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(context.Background(), ds)
-}
-
-// CleanClean is a convenience wrapper building the dataset from two
-// collections and running the default pipeline. truth may be nil (no
-// quality is computed then).
-func CleanClean(e1, e2 *model.Collection, truth *model.GroundTruth, opt Options) (*Result, error) {
-	if truth == nil {
-		truth = model.NewGroundTruth()
-	}
-	ds := &model.Dataset{Name: "clean-clean", Kind: model.CleanClean, E1: e1, E2: e2, Truth: truth}
-	return Run(ds, opt)
-}
-
-// Dirty is the single-collection counterpart of CleanClean.
-func Dirty(e *model.Collection, truth *model.GroundTruth, opt Options) (*Result, error) {
-	if truth == nil {
-		truth = model.NewGroundTruth()
-	}
-	ds := &model.Dataset{Name: "dirty", Kind: model.Dirty, E1: e, Truth: truth}
-	return Run(ds, opt)
 }

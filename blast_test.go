@@ -15,6 +15,21 @@ import (
 	"blast/internal/weights"
 )
 
+// runPipeline is NewPipeline, then Pipeline.Run under the background
+// context; either failing fails the test.
+func runPipeline(t *testing.T, ds *model.Dataset, opt Options) *Result {
+	t.Helper()
+	p, err := NewPipeline(opt)
+	if err != nil {
+		t.Fatalf("NewPipeline: %v", err)
+	}
+	res, err := p.Run(context.Background(), ds)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return res
+}
+
 func TestRunPaperExample(t *testing.T) {
 	// The Figure 1-3 walkthrough end to end: BLAST retains exactly the
 	// two true matches.
@@ -22,10 +37,7 @@ func TestRunPaperExample(t *testing.T) {
 	opt := DefaultOptions()
 	opt.PurgeRatio = 1.0  // the 4-profile example would purge "abram" at 0.5
 	opt.FilterRatio = 1.0 // keep all blocks: the example has no filtering
-	res, err := Run(ds, opt)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := runPipeline(t, ds, opt)
 	if res.Quality.PC != 1 || res.Quality.PQ != 1 {
 		t.Errorf("PC=%v PQ=%v, want 1/1 (pairs=%v)", res.Quality.PC, res.Quality.PQ, res.Pairs)
 	}
@@ -36,10 +48,7 @@ func TestRunPaperExample(t *testing.T) {
 
 func TestRunImprovesPQOverBlocks(t *testing.T) {
 	ds := datasets.AR1(0.1, 7)
-	res, err := Run(ds, DefaultOptions())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := runPipeline(t, ds, DefaultOptions())
 	if res.Quality.PC < 0.95 {
 		t.Errorf("PC = %v, want >= 0.95", res.Quality.PC)
 	}
@@ -52,18 +61,12 @@ func TestRunBeatsTraditionalMetaBlocking(t *testing.T) {
 	// The paper's core claim, on a scaled ar1: BLAST achieves higher F1
 	// than traditional WNP with nearly identical PC (|dPC| <= 6%).
 	ds := datasets.AR1(0.1, 11)
-	blastRes, err := Run(ds, DefaultOptions())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	blastRes := runPipeline(t, ds, DefaultOptions())
 	trad := DefaultOptions()
 	trad.Induction = NoInduction
 	trad.Scheme = weights.Scheme{Kind: weights.JS}
 	trad.Pruning = metablocking.WNP2
-	tradRes, err := Run(ds, trad)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	tradRes := runPipeline(t, ds, trad)
 	if blastRes.Quality.F1 <= tradRes.Quality.F1 {
 		t.Errorf("BLAST F1 %v should beat wnp2/JS %v", blastRes.Quality.F1, tradRes.Quality.F1)
 	}
@@ -74,10 +77,7 @@ func TestRunBeatsTraditionalMetaBlocking(t *testing.T) {
 
 func TestRunDirty(t *testing.T) {
 	ds := datasets.Census(0.3, 5)
-	res, err := Run(ds, DefaultOptions())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := runPipeline(t, ds, DefaultOptions())
 	if res.Quality.PC < 0.8 {
 		t.Errorf("census PC = %v, want >= 0.8", res.Quality.PC)
 	}
@@ -88,16 +88,10 @@ func TestRunDirty(t *testing.T) {
 
 func TestRunWithLSH(t *testing.T) {
 	ds := datasets.AR1(0.1, 3)
-	exact, err := Run(ds, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := runPipeline(t, ds, DefaultOptions())
 	opt := DefaultOptions()
 	opt.LSH = &LSHOptions{Rows: 5, Bands: 30, Seed: 2}
-	approx, err := Run(ds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	approx := runPipeline(t, ds, opt)
 	// ar1 attribute similarities are well above the ~0.5 threshold: LSH
 	// must not change the outcome materially.
 	if d := approx.Quality.PC - exact.Quality.PC; d < -0.02 || d > 0.02 {
@@ -135,10 +129,7 @@ func TestRunAC(t *testing.T) {
 	ds := datasets.AR1(0.05, 13)
 	opt := DefaultOptions()
 	opt.Induction = AC
-	res, err := Run(ds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPipeline(t, ds, opt)
 	if res.Partitioning == nil {
 		t.Fatal("AC should produce a partitioning")
 	}
@@ -149,16 +140,19 @@ func TestRunAC(t *testing.T) {
 
 func TestRunValidatesDataset(t *testing.T) {
 	bad := &model.Dataset{Name: "bad", Kind: model.CleanClean, E1: model.NewCollection("a")}
-	if _, err := Run(bad, DefaultOptions()); err == nil {
+	p, err := NewPipeline(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(context.Background(), bad); err == nil {
 		t.Error("invalid dataset should error")
 	}
 }
 
 func TestRunUnknownInduction(t *testing.T) {
-	ds := datasets.PaperExample()
 	opt := DefaultOptions()
 	opt.Induction = Induction(99)
-	if _, err := Run(ds, opt); err == nil {
+	if _, err := NewPipeline(opt); err == nil {
 		t.Error("unknown induction should error")
 	}
 }
@@ -169,50 +163,49 @@ func TestRunNilTransformDefaults(t *testing.T) {
 	opt.Transform = nil
 	opt.PurgeRatio = 1.0
 	opt.FilterRatio = 1.0
-	if _, err := Run(ds, opt); err != nil {
-		t.Errorf("nil transform should default: %v", err)
-	}
+	runPipeline(t, ds, opt)
 }
 
+// TestCleanCleanWrapper: a clean-clean dataset runs through
+// Pipeline.Run with its ground truth and without it; with a nil Truth
+// the pipeline still retains pairs and leaves Quality at its zero value.
 func TestCleanCleanWrapper(t *testing.T) {
 	gen := datasets.AR1(0.05, 21)
-	res, err := CleanClean(gen.E1, gen.E2, gen.Truth, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Pairs) == 0 {
+	if res := runPipeline(t, gen, DefaultOptions()); len(res.Pairs) == 0 {
 		t.Error("no pairs retained")
 	}
-	// nil truth allowed
-	res2, err := CleanClean(gen.E1, gen.E2, nil, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	ds := *gen
+	ds.Truth = nil
+	res := runPipeline(t, &ds, DefaultOptions())
+	if len(res.Pairs) == 0 {
+		t.Error("no truth: no pairs retained")
 	}
-	if res2.Quality.PC != 0 {
-		t.Error("no truth: quality should be zero value")
+	if res.Quality != (Result{}).Quality {
+		t.Errorf("no truth: Quality = %+v, want the zero value", res.Quality)
 	}
 }
 
+// TestDirtyWrapper: a dirty dataset runs through Pipeline.Run with its
+// ground truth and without it.
 func TestDirtyWrapper(t *testing.T) {
 	gen := datasets.Census(0.2, 21)
-	res, err := Dirty(gen.E1, gen.Truth, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Pairs) == 0 {
+	if res := runPipeline(t, gen, DefaultOptions()); len(res.Pairs) == 0 {
 		t.Error("no pairs retained")
 	}
-	if _, err := Dirty(gen.E1, nil, DefaultOptions()); err != nil {
-		t.Errorf("nil truth should work: %v", err)
+	ds := *gen
+	ds.Truth = nil
+	res := runPipeline(t, &ds, DefaultOptions())
+	if len(res.Pairs) == 0 {
+		t.Error("no truth: no pairs retained")
+	}
+	if res.Quality != (Result{}).Quality {
+		t.Errorf("no truth: Quality = %+v, want the zero value", res.Quality)
 	}
 }
 
 func TestOverheadDecomposition(t *testing.T) {
 	ds := datasets.AR1(0.05, 2)
-	res, err := Run(ds, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPipeline(t, ds, DefaultOptions())
 	if res.Overhead() != res.InductionTime+res.BlockTime+res.MetaTime {
 		t.Error("Overhead() mismatch")
 	}
@@ -227,39 +220,12 @@ func TestInductionString(t *testing.T) {
 	}
 }
 
-// TestPairsComparableAndDeduplicated: Run's pairs are comparable and
-// distinct (the harness's start state: Run and an Index agree, and the
-// Index's candidate lists are comparable and its distinct pairs).
+// TestPairsComparableAndDeduplicated: the pipeline's pairs are
+// comparable and distinct (the harness's start state: MetaBlock and an
+// Index agree, and the Index's candidate lists are comparable and its
+// distinct pairs).
 func TestPairsComparableAndDeduplicated(t *testing.T) {
 	space{data: []data{registryData("prd", 0.1, 17, 0)}}.run(t)
-}
-
-func TestRestructuredBlocks(t *testing.T) {
-	ds := datasets.AR1(0.05, 3)
-	res, err := Run(ds, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb := res.RestructuredBlocks()
-	if err := rb.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if rb.Len() != len(res.Pairs) {
-		t.Fatalf("blocks = %d, want %d (one per pair)", rb.Len(), len(res.Pairs))
-	}
-	if rb.AggregateCardinality() != int64(len(res.Pairs)) {
-		t.Error("each restructured block must entail exactly one comparison")
-	}
-	// Dirty variant.
-	dd := datasets.Census(0.2, 3)
-	dres, err := Run(dd, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	drb := dres.RestructuredBlocks()
-	if err := drb.Validate(); err != nil {
-		t.Fatalf("dirty Validate: %v", err)
-	}
 }
 
 func TestLooseSchemaReport(t *testing.T) {
@@ -267,17 +233,14 @@ func TestLooseSchemaReport(t *testing.T) {
 	opt := DefaultOptions()
 	opt.PurgeRatio = 1.0
 	opt.FilterRatio = 1.0
-	res, err := Run(ds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPipeline(t, ds, opt)
 	report := res.LooseSchemaReport()
 	if report == "" || !containsAll(report, "cluster", "glue", "H=") {
 		t.Errorf("report missing sections:\n%s", report)
 	}
 	// Induction disabled.
 	opt.Induction = NoInduction
-	res2, _ := Run(ds, opt)
+	res2 := runPipeline(t, ds, opt)
 	if res2.LooseSchemaReport() == "" {
 		t.Error("disabled induction should still report")
 	}
@@ -294,16 +257,10 @@ func containsAll(s string, subs ...string) bool {
 
 func TestRunParallelWorkersIdentical(t *testing.T) {
 	ds := datasets.PRD(0.2, 6)
-	serial, err := Run(ds, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runPipeline(t, ds, DefaultOptions())
 	opt := DefaultOptions()
 	opt.Workers = 4
-	par, err := Run(ds, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := runPipeline(t, ds, opt)
 	if len(serial.Pairs) != len(par.Pairs) {
 		t.Fatalf("worker count changed output: %d vs %d pairs", len(serial.Pairs), len(par.Pairs))
 	}
@@ -321,10 +278,7 @@ func TestRunParallelWorkersIdentical(t *testing.T) {
 func TestRunEngineIdentical(t *testing.T) {
 	for _, ds := range []*model.Dataset{datasets.AR1(0.1, 9), datasets.Census(0.2, 9)} {
 		opt := DefaultOptions()
-		res, err := Run(ds, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runPipeline(t, ds, opt)
 		g := edgelist.Build(res.Blocks)
 		g.Weigh(opt.Scheme.Weigher(g.NumEdges(), g.TotalBlocks).Weight)
 		want := g.Pairs(edgelist.BlastWNP(g, opt.C, opt.D))

@@ -20,24 +20,35 @@ import (
 
 const ciWorkflow = ".github/workflows/ci.yml"
 
-// testFuncs returns the names of the Test, Fuzz and Benchmark functions
-// declared in the _test.go files of one package directory.
-func testFuncs(t *testing.T, dir string) []string {
+// parseDir parses the Go files of one package directory: its _test.go
+// files when tests is set, the others otherwise.
+func parseDir(t *testing.T, dir string, tests bool) []*ast.File {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
+	var files []*ast.File
 	fset := token.NewFileSet()
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") != tests {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// testFuncs returns the names of the Test, Fuzz and Benchmark functions
+// declared in the _test.go files of one package directory.
+func testFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	var names []string
+	for _, f := range parseDir(t, dir, true) {
 		for _, d := range f.Decls {
 			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil &&
 				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz") || strings.HasPrefix(fn.Name.Name, "Benchmark")) {
@@ -215,5 +226,72 @@ func TestCIRunFiltersMatchTests(t *testing.T) {
 	}
 	if commands == 0 || fuzzTargets == 0 {
 		t.Fatalf("%s: found %d filtered go test commands and %d fuzz targets; the workflow parse is broken", ciWorkflow, commands, fuzzTargets)
+	}
+}
+
+// exportedNames returns the exported top-level identifiers declared in
+// the non-test Go files of one package directory, parsed, not compiled.
+func exportedNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			names[id.Name] = true
+		}
+	}
+	for _, f := range parseDir(t, dir, false) {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add(s.Name)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							add(id)
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// TestREADMENamesExist fails when a ```go block of README.md names a
+// qualified blast.X or blasthttp.X that is not an exported top-level
+// identifier of that package. Methods called on variables are not
+// checked: that needs the samples compiled.
+func TestREADMENamesExist(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := map[string]map[string]bool{"blast": exportedNames(t, "."), "blasthttp": exportedNames(t, "blasthttp")}
+	ref := regexp.MustCompile(`\b(blast|blasthttp)\.([A-Z]\w*)`)
+	inGo, refs := false, 0
+	for n, line := range strings.Split(string(raw), "\n") {
+		trimmed := strings.TrimSpace(line)
+		if strings.HasPrefix(trimmed, "```") {
+			inGo = !inGo && trimmed == "```go"
+			continue
+		}
+		if !inGo {
+			continue
+		}
+		for _, m := range ref.FindAllStringSubmatch(line, -1) {
+			refs++
+			if !pkgs[m[1]][m[2]] {
+				t.Errorf("README.md:%d: %s.%s is not an exported top-level identifier of package %s", n+1, m[1], m[2], m[1])
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatal("README.md: no blast.X or blasthttp.X in a ```go block; the README parse is broken")
 	}
 }

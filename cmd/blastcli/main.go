@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"errors"
 	"flag"
@@ -38,8 +39,8 @@ func main() {
 	d := flag.Float64("d", 2, "BLAST threshold combiner")
 	purge := flag.Float64("purge", 0.5, "block purging ratio")
 	filter := flag.Float64("filter", 0.8, "block filtering keep ratio")
-	lshRows := flag.Int("lsh-rows", 0, "LSH rows per band (0 = exhaustive induction)")
-	lshBands := flag.Int("lsh-bands", 0, "LSH bands")
+	lshRows := flag.Int("lsh-rows", 0, "LSH rows per band (0 with -lsh-bands 0 = exhaustive induction)")
+	lshBands := flag.Int("lsh-bands", 0, "LSH bands (set with -lsh-rows)")
 	pruning := flag.String("pruning", "blast", "pruning: blast | wnp1 | wnp2 | cnp1 | cnp2 | wep | cep")
 	transform := flag.String("transform", "token", "value transformation: token | qgram3 | suffix3")
 	dumpClusters := flag.Bool("dump-clusters", false, "print the discovered attribute clusters to stderr")
@@ -57,6 +58,9 @@ func run(e1Path, e2Path, truthPath, outPath, induction, pruning, transform strin
 	alpha, c, d, purge, filter float64, lshRows, lshBands int, seed uint64, dumpClusters bool) error {
 	if e1Path == "" {
 		return fmt.Errorf("-e1 is required")
+	}
+	if lshRows < 0 || lshBands < 0 || (lshRows == 0) != (lshBands == 0) {
+		return fmt.Errorf("-lsh-rows/-lsh-bands = %d/%d: set both >= 1 for LSH, or both 0 for exhaustive induction", lshRows, lshBands)
 	}
 	e1, err := loadCollection(e1Path, "E1")
 	if err != nil {
@@ -129,11 +133,15 @@ func run(e1Path, e2Path, truthPath, outPath, induction, pruning, transform strin
 	default:
 		return fmt.Errorf("unknown pruning %q", pruning)
 	}
-	if lshRows > 0 && lshBands > 0 {
+	if lshRows > 0 {
 		opt.LSH = &blast.LSHOptions{Rows: lshRows, Bands: lshBands, Seed: seed}
 	}
 
-	res, err := blast.Run(ds, opt)
+	p, err := blast.NewPipeline(opt)
+	if err != nil {
+		return err
+	}
+	res, err := p.Run(context.Background(), ds)
 	if err != nil {
 		return err
 	}

@@ -112,6 +112,12 @@ func TestCLIErrors(t *testing.T) {
 		{"bad pruning", func() error { return runCLI(t, e1, e2, truth, "", "lmi", "xx", "token") }},
 		{"bad transform", func() error { return runCLI(t, e1, e2, truth, "", "lmi", "blast", "xx") }},
 		{"missing file", func() error { return runCLI(t, dir+"/nope.csv", e2, truth, "", "lmi", "blast", "token") }},
+		{"lsh rows without bands", func() error {
+			return run(e1, e2, truth, filepath.Join(dir, "lsh.csv"), "lmi", "blast", "token", 0.9, 2, 2, 0.5, 0.8, 4, 0, 1, false)
+		}},
+		{"negative lsh bands", func() error {
+			return run(e1, e2, truth, filepath.Join(dir, "lsh.csv"), "lmi", "blast", "token", 0.9, 2, 2, 0.5, 0.8, 4, -1, 1, false)
+		}},
 	}
 	for _, tc := range cases {
 		if err := tc.fn(); err == nil {

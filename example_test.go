@@ -9,19 +9,24 @@ import (
 	"blast/internal/model"
 )
 
-// ExampleRun demonstrates the full pipeline on the paper's Figure 1
-// example: four heterogeneous person profiles, two true matches.
-func ExampleRun() {
+// ExamplePipeline_Run runs all three phases in one call on the paper's
+// Figure 1 example: four heterogeneous person profiles, two true
+// matches.
+func ExamplePipeline_Run() {
 	ds := datasets.PaperExample()
 	opt := blast.DefaultOptions()
 	opt.PurgeRatio = 1.0  // tiny example: skip purging
 	opt.FilterRatio = 1.0 // ... and filtering
-	res, err := blast.Run(ds, opt)
+	p, err := blast.NewPipeline(opt)
 	if err != nil {
 		panic(err)
 	}
-	for _, p := range res.Pairs {
-		fmt.Printf("%s matches %s\n", ds.Profile(int(p.U)).ID, ds.Profile(int(p.V)).ID)
+	res, err := p.Run(context.Background(), ds)
+	if err != nil {
+		panic(err)
+	}
+	for _, pair := range res.Pairs {
+		fmt.Printf("%s matches %s\n", ds.Profile(int(pair.U)).ID, ds.Profile(int(pair.V)).ID)
 	}
 	fmt.Printf("PC=%.0f%% PQ=%.0f%%\n", res.Quality.PC*100, res.Quality.PQ*100)
 	// Output:
@@ -30,9 +35,10 @@ func ExampleRun() {
 	// PC=100% PQ=100%
 }
 
-// ExampleCleanClean shows clean-clean ER over two hand-built collections
-// with different schemas and no alignment.
-func ExampleCleanClean() {
+// ExamplePipeline_Run_cleanClean shows clean-clean ER over two
+// hand-built collections with different schemas and no alignment. A nil
+// Truth is allowed: no quality is computed then.
+func ExamplePipeline_Run_cleanClean() {
 	a := model.NewCollection("A")
 	p1 := model.Profile{ID: "a1"}
 	p1.Add("name", "Ellen Smith")
@@ -55,7 +61,12 @@ func ExampleCleanClean() {
 
 	opt := blast.DefaultOptions()
 	opt.FilterRatio = 1.0
-	res, err := blast.CleanClean(a, b, nil, opt)
+	p, err := blast.NewPipeline(opt)
+	if err != nil {
+		panic(err)
+	}
+	ds := &model.Dataset{Name: "catalogs", Kind: model.CleanClean, E1: a, E2: b}
+	res, err := p.Run(context.Background(), ds)
 	if err != nil {
 		panic(err)
 	}
@@ -133,8 +144,8 @@ func ExamplePipeline_MetaBlock() {
 	// c=2 retains 2 comparisons
 }
 
-// ExampleDirty deduplicates a single collection.
-func ExampleDirty() {
+// ExamplePipeline_Run_dirty deduplicates a single collection.
+func ExamplePipeline_Run_dirty() {
 	e := model.NewCollection("contacts")
 	for i, v := range []string{
 		"Ellen Smith 10 Main street",
@@ -148,7 +159,11 @@ func ExampleDirty() {
 	opt := blast.DefaultOptions()
 	opt.PurgeRatio = 1.0
 	opt.FilterRatio = 1.0
-	res, err := blast.Dirty(e, nil, opt)
+	p, err := blast.NewPipeline(opt)
+	if err != nil {
+		panic(err)
+	}
+	res, err := p.Run(context.Background(), &model.Dataset{Name: "contacts", Kind: model.Dirty, E1: e})
 	if err != nil {
 		panic(err)
 	}

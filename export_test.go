@@ -8,9 +8,6 @@ import (
 // Test-only exports bridging the external test package (blast_test) to
 // unexported internals.
 
-// MBKeyForBench exposes mbKey to the benchmark suite.
-func MBKeyForBench(i int) string { return mbKey(i) }
-
 // holdCommits blocks every group commit of srv until release is called:
 // the call at the head of the write queue waits in the writer's Journal
 // before its group closes, and every later call queues behind it, so a

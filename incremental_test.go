@@ -1,7 +1,7 @@
 package blast
 
 // Differential tests of inserts into an Index: after any sequence of
-// Insert/InsertAll/Compact calls and reads, the Index must be
+// InsertAll calls and reads, the Index must be
 // byte-identical — Pairs(), Candidates(i), Threshold(i) — to a cold
 // IndexBlocks over its own live (appended) collection, across the
 // Induction x Scheme x Pruning configuration axes and against the batch
@@ -10,11 +10,9 @@ package blast
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,7 +74,7 @@ func TestIncrementalEquivalenceMatrix(t *testing.T) {
 }
 
 // TestIncrementalEquivalenceRandom draws seeded op sequences —
-// Insert, InsertAll, Compact, probes and checks — over the whole option
+// InsertAlls, folding reads, probes and checks — over the whole option
 // lattice into an Index.
 func TestIncrementalEquivalenceRandom(t *testing.T) {
 	s := optionLattice
@@ -86,7 +84,7 @@ func TestIncrementalEquivalenceRandom(t *testing.T) {
 
 // TestIncrementalCleanClean streams the held-back tail of a registry
 // clean-clean dataset into E2 of an index (the fixed reference
-// collection workload), one Insert at a time.
+// collection workload), one profile an InsertAll.
 func TestIncrementalCleanClean(t *testing.T) {
 	space{
 		data:     []data{registryData("ar1", 0.04, 11, 12)},
@@ -95,11 +93,10 @@ func TestIncrementalCleanClean(t *testing.T) {
 	}.run(t)
 }
 
-// TestIncrementalCompactionPreservesState: Compact is the explicit fold
-// of pending inserts. A fold cancelled part-way leaves the index pending
-// and unchanged; a completed one counts the batches it folded, reads
-// after it equal a cold rebuild without folding again, and a second
-// Compact is a no-op.
+// TestIncrementalCompactionPreservesState: a read is the fold of
+// pending inserts. Inserts alone fold nothing; the first read after two
+// batches folds both in one re-freeze and serves what a cold rebuild
+// does, and reads with nothing pending do not re-freeze.
 func TestIncrementalCompactionPreservesState(t *testing.T) {
 	ctx := context.Background()
 	rng := stats.NewRNG(7)
@@ -121,42 +118,17 @@ func TestIncrementalCompactionPreservesState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The first poll passes Compact's entry check; the build trips on the
-	// next one.
-	if err := ix.Compact(&cancelAfter{Context: ctx, left: 1}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Compact under a context cancelled mid-fold: err = %v", err)
-	}
 	if st := ix.Stats(); st.Compactions != 0 || st.RebuiltBatches != 0 || st.Inserts != 10 {
-		t.Fatalf("cancelled Compact folded: %+v", st)
+		t.Fatalf("inserts folded before a read: %+v", st)
 	}
-	if err := ix.Compact(ctx); err != nil {
-		t.Fatal(err)
-	}
+	ix.NumProfiles()
 	if st := ix.Stats(); st.Compactions != 1 || st.RebuiltBatches != 2 {
-		t.Fatalf("after Compact: %+v, want one re-freeze folding two batches", st)
+		t.Fatalf("after a read: %+v, want one re-freeze folding two batches", st)
 	}
-	matchesCold(t, "post-compaction", p, ix)
-	if err := ix.Compact(ctx); err != nil {
-		t.Fatal(err)
-	}
+	matchesCold(t, "post-fold", p, ix)
 	if st := ix.Stats(); st.Compactions != 1 || st.LocalizedBatches != 0 {
-		t.Errorf("reads or a second Compact re-froze: %+v", st)
+		t.Errorf("reads with nothing pending re-froze: %+v", st)
 	}
-}
-
-// cancelAfter is a context whose Err reports cancellation once it has
-// been polled left times.
-type cancelAfter struct {
-	context.Context
-	left int64
-	n    atomic.Int64
-}
-
-func (c *cancelAfter) Err() error {
-	if c.n.Add(1) > c.left {
-		return context.Canceled
-	}
-	return nil
 }
 
 // TestIndexCandidatesBoundary is the boundary-id probe: before and
@@ -187,14 +159,8 @@ func TestInsertCancellation(t *testing.T) {
 	cancel()
 	before := ix.NumProfiles()
 	prof := synthProfile(rng, "x")
-	if _, err := ix.Insert(cancelled, &prof); err != context.Canceled {
-		t.Errorf("pre-cancelled Insert: err = %v, want context.Canceled", err)
-	}
 	if ids, err := ix.InsertAll(cancelled, []model.Profile{prof}); err != context.Canceled || len(ids) != 0 {
 		t.Errorf("pre-cancelled InsertAll: ids = %v, err = %v", ids, err)
-	}
-	if err := ix.Compact(cancelled); err != context.Canceled {
-		t.Errorf("pre-cancelled Compact: err = %v, want context.Canceled", err)
 	}
 	if ix.NumProfiles() != before {
 		t.Fatalf("cancelled insert mutated the index: %d -> %d profiles", before, ix.NumProfiles())
@@ -311,10 +277,11 @@ func TestInsertNoCooccurrence(t *testing.T) {
 	}
 	loner := model.Profile{ID: "loner"}
 	loner.Add("name", "zzyzx qwxyz")
-	id1, err := ix.Insert(ctx, &loner)
+	ids, err := ix.InsertAll(ctx, []model.Profile{loner})
 	if err != nil {
 		t.Fatal(err)
 	}
+	id1 := ids[0]
 	if got := ix.Candidates(id1); len(got) != 0 {
 		t.Fatalf("edgeless insert has %d candidates", len(got))
 	}
@@ -325,10 +292,11 @@ func TestInsertNoCooccurrence(t *testing.T) {
 
 	twin := model.Profile{ID: "twin"}
 	twin.Add("name", "zzyzx qwxyz")
-	id2, err := ix.Insert(ctx, &twin)
+	ids, err = ix.InsertAll(ctx, []model.Profile{twin})
 	if err != nil {
 		t.Fatal(err)
 	}
+	id2 := ids[0]
 	found := false
 	for _, c := range ix.Candidates(id2) {
 		if int(c.ID) == id1 {

@@ -18,13 +18,13 @@ package blast
 // index runs it over the whole graph, each party of a Server's
 // publication over the rows it owns (partition.go).
 //
-// That is an index's only form. Insert appends profiles to the live
+// That is an index's only form. InsertAll appends profiles to the live
 // block collection through a one-party writer (partition.go) and marks
 // the rows stale; the next read re-freezes them over the grown
 // collection by that writer's export, the freeze IndexBlocks runs, built
-// resident (Compact does it on demand, under a context). A finer-grained
-// refresh would not pay under BLAST's weighting: chi-squared depends on
-// |B| (paper §3.3.1), so a new block moves every weight. The contract —
+// resident. A finer-grained refresh would not pay under BLAST's
+// weighting: chi-squared depends on |B| (paper §3.3.1), so a new block
+// moves every weight. The contract —
 // after any insert sequence, Pairs(), Candidates(i) and Threshold(i)
 // are byte-identical to a cold IndexBlocks over the live collection —
 // holds by construction. Cleaning is frozen: Block Purging and Filtering
@@ -60,8 +60,7 @@ type IndexStats struct {
 	// RebuiltBatches counts insert batches folded into the rows by a
 	// re-freeze.
 	RebuiltBatches int
-	// Compactions counts re-freezes: reads and Compact calls that found
-	// inserts pending.
+	// Compactions counts re-freezes: reads that found inserts pending.
 	Compactions int
 	// PendingKeys is the number of streamed blocking keys still waiting
 	// for their first valid comparison before forming a block.
@@ -73,14 +72,13 @@ type IndexStats struct {
 // profile, the co-candidate ids and the weights that retained them, and
 // the per-node thresholds — at 24 bytes a retained pair and 16 a
 // profile, whatever the size of the blocking graph they were pruned
-// from. Insert and InsertAll append to the collection through the
-// index's writer; the next read, or Compact, re-freezes the rows by the
-// writer's export. It is safe for concurrent use:
+// from. InsertAll appends to the collection through the index's
+// writer; the next read re-freezes the rows by the writer's export. It
+// is safe for concurrent use:
 // readers see either the state before or after a whole insert batch,
 // never a partial one.
 type Index struct {
 	mu         sync.RWMutex
-	kind       model.Kind
 	collection *blocking.Collection
 	schema     *Schema
 	opt        Options
@@ -92,7 +90,7 @@ type Index struct {
 	// A snapshot is immutable, so a reader holding one needs no lock.
 	rows *shard.Snapshot
 	// w appends to the collection and re-freezes it; nil until the first
-	// Insert, while the collection is still the Blocks artifact's.
+	// InsertAll, while the collection is still the Blocks artifact's.
 	w *writer
 	// pending counts the insert batches rows does not cover.
 	pending int
@@ -102,6 +100,8 @@ type Index struct {
 // BuildIndex runs the full pipeline on the dataset and freezes the
 // outcome into a candidate-serving Index: InduceSchema, Block, then
 // IndexBlocks.
+//
+//blast:allow deadapi -- ExampleIndex_Candidates documents it, and the loader type-checks no _test.go file
 func (p *Pipeline) BuildIndex(ctx context.Context, ds *model.Dataset) (*Index, error) {
 	sch, err := p.InduceSchema(ctx, ds)
 	if err != nil {
@@ -129,7 +129,7 @@ func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, err
 	}
 	t0 := time.Now()
 	c := blocks.Collection
-	ix := &Index{kind: c.Kind, collection: c, schema: blocks.Schema, opt: p.opt}
+	ix := &Index{collection: c, schema: blocks.Schema, opt: p.opt}
 	if err := ix.freeze(ctx); err != nil {
 		return nil, err
 	}
@@ -159,24 +159,10 @@ func (ix *Index) freeze(ctx context.Context) error {
 	return nil
 }
 
-// refreezeLocked folds the pending insert batches into fresh rows: the
+// frozen returns the rows every read serves from, first folding the
+// pending insert batches into fresh rows when there are any: the
 // writer's export, built resident whatever Options.Storage says, so
-// under a context that never cancels the fold cannot fail. On error the
-// index is unchanged. The caller holds ix.mu.
-func (ix *Index) refreezeLocked(ctx context.Context) error {
-	rows, err := ix.w.Export(ctx)
-	if err != nil {
-		return err
-	}
-	ix.rows, ix.spillBytes, ix.pageLoads = rows, 0, 0
-	ix.stats.RebuiltBatches += ix.pending
-	ix.stats.Compactions++
-	ix.pending = 0
-	return nil
-}
-
-// frozen returns the rows every read serves from, re-freezing them
-// first when inserts are pending.
+// under a context that never cancels the fold cannot fail.
 func (ix *Index) frozen() *shard.Snapshot {
 	ix.mu.RLock()
 	rows := ix.rows
@@ -187,9 +173,14 @@ func (ix *Index) frozen() *shard.Snapshot {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.rows == nil {
-		if err := ix.refreezeLocked(context.Background()); err != nil {
+		rows, err := ix.w.Export(context.Background())
+		if err != nil {
 			panic(fmt.Sprintf("blast: resident re-freeze failed without cancellation: %v", err))
 		}
+		ix.rows, ix.spillBytes, ix.pageLoads = rows, 0, 0
+		ix.stats.RebuiltBatches += ix.pending
+		ix.stats.Compactions++
+		ix.pending = 0
 	}
 	return ix.rows
 }
@@ -206,18 +197,19 @@ func (ix *Index) NumEdges() int { return ix.frozen().NumEdges }
 // the length of Pairs.
 func (ix *Index) NumRetained() int { return ix.frozen().RetainedPairs }
 
-// Kind returns the ER setting of the indexed dataset.
-func (ix *Index) Kind() model.Kind { return ix.kind }
-
 // Schema returns the Phase 1 artifact the index was blocked under (nil
 // for a schema-agnostic index).
+//
+//blast:allow deadapi -- with Blocks, what a caller outside the package needs to hold the index to a cold IndexBlocks, as TestStreamedInsertsMatchColdRebuild does
 func (ix *Index) Schema() *Schema { return ix.schema }
 
 // Blocks returns the block collection backing the index. Before the
-// first Insert this is the collection of the Blocks artifact the index
-// was built from; the first Insert replaces it with a private clone that
-// subsequent inserts extend (the artifact is never mutated). The
-// returned collection must not be modified.
+// first InsertAll this is the collection of the Blocks artifact the
+// index was built from; the first InsertAll replaces it with a private
+// clone that subsequent inserts extend (the artifact is never mutated).
+// The returned collection must not be modified.
+//
+//blast:allow deadapi -- with Schema, what a caller outside the package needs to hold the index to a cold IndexBlocks, as TestStreamedInsertsMatchColdRebuild does
 func (ix *Index) Blocks() *blocking.Collection {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -261,43 +253,27 @@ func (ix *Index) AppendCandidates(buf []Candidate, profile int) []Candidate {
 }
 
 // Pairs returns the full batch output of the index: every retained
-// comparison in canonical order, byte-identical to the Pairs of the
-// staged pipeline and of legacy Run under the same options (and, after
-// inserts, to a cold IndexBlocks over the live collection). The slice is
-// freshly allocated and owned by the caller: one canonical walk of the
-// rows.
+// comparison in canonical order, byte-identical to the Pairs of
+// MetaBlock under the same options (and, after inserts, to a cold
+// IndexBlocks over the live collection). The slice is freshly allocated
+// and owned by the caller: one canonical walk of the rows.
 func (ix *Index) Pairs() []model.IDPair {
 	// The walk only fails on cancellation, which Background never does.
 	pairs, _ := ix.frozen().Pairs(context.Background())
 	return pairs
 }
 
-// Insert adds one profile to the index and returns its assigned global
-// id; it is InsertAll of a one-profile batch. The profile is tokenized
-// against the frozen schema (attributes unknown to the schema are not
-// indexed) and appended to the live block collection. For clean-clean
-// indexes the profile joins E2 — streaming new entities against a fixed
-// reference collection; dirty indexes have a single source. The
-// caller's original Dataset and Blocks artifacts are never mutated (the
-// first Insert clones the collection).
-func (ix *Index) Insert(ctx context.Context, p *model.Profile) (int, error) {
-	if p == nil {
-		return -1, errors.New("blast: Insert requires a non-nil profile")
-	}
-	ids, err := ix.InsertAll(ctx, []model.Profile{*p})
-	if err != nil {
-		return -1, err
-	}
-	return ids[0], nil
-}
-
 // InsertAll adds a batch of profiles and returns their assigned global
 // ids in order. ctx is observed once, before anything mutates: the batch
-// is then tokenized against the frozen schema and appended to the live
-// collection whole, which cannot fail part-way. The rows go stale, and
-// the next read re-freezes them over every batch appended since the last
-// one — a build of the whole index — so append what you can before
-// reading, or fold ahead of time with Compact.
+// is then tokenized against the frozen schema (attributes unknown to the
+// schema are not indexed) and appended to the live collection whole,
+// which cannot fail part-way. For clean-clean indexes the profiles join
+// E2 — streaming new entities against a fixed reference collection;
+// dirty indexes have a single source. The caller's Dataset and Blocks
+// artifacts are never mutated (the first InsertAll clones the
+// collection). The rows go stale, and the next read re-freezes them over
+// every batch appended since the last one — a build of the whole index
+// — so append what you can before reading.
 func (ix *Index) InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error) {
 	if len(profiles) == 0 {
 		return nil, ctx.Err()
@@ -319,34 +295,6 @@ func (ix *Index) InsertAll(ctx context.Context, profiles []model.Profile) ([]int
 	ix.pending++
 	ix.stats.Inserts += len(ids)
 	return ids, nil
-}
-
-// Compact folds pending inserts into the rows now, under ctx, instead of
-// on the next read: the same re-freeze, but cancellable. It is a no-op
-// when nothing is pending; on error (cancellation) the index stays
-// pending and unchanged.
-func (ix *Index) Compact(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.rows != nil {
-		return nil
-	}
-	return ix.refreezeLocked(ctx)
-}
-
-// StorageStats reports what the build that last froze the rows did with
-// its graph storage: the bytes of spill segment data it had on disk when
-// the rows were collected, and the segment frames it read back. Both are
-// zero for a build that stayed resident: Options.Storage =
-// StorageMemory, a graph under MemoryBudget, and every re-freeze after
-// an insert.
-func (ix *Index) StorageStats() (spillBytes, pageLoads int64) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.spillBytes, ix.pageLoads
 }
 
 // tokenizeProfile tokenizes a profile against the frozen schema exactly

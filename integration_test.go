@@ -5,6 +5,7 @@ package blast
 // small collections.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -37,10 +38,7 @@ func TestPipelineAllBenchmarks(t *testing.T) {
 				t.Fatal(err)
 			}
 			ds := gen(scales[name], 42)
-			res, err := Run(ds, DefaultOptions())
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+			res := runPipeline(t, ds, DefaultOptions())
 			if res.Quality.PC < floors[name] {
 				t.Errorf("PC = %.3f below floor %.2f", res.Quality.PC, floors[name])
 			}
@@ -61,8 +59,8 @@ func TestPipelineAllBenchmarks(t *testing.T) {
 
 // TestPipelineConfigurationMatrix exercises every pruning x weighting
 // combination on one dataset: all must produce valid, deduplicated
-// output (the harness's start state: Run, staged MetaBlock and an
-// Index agree, and the Index's candidate lists are its distinct pairs).
+// output (the harness's start state: staged MetaBlock and an Index
+// agree, and the Index's candidate lists are its distinct pairs).
 func TestPipelineConfigurationMatrix(t *testing.T) {
 	space{
 		data:     []data{registryData("ar1", 0.03, 8, 0)},
@@ -106,12 +104,20 @@ func randomDataset(raw []byte) *model.Dataset {
 // TestPipelineNeverPanicsOnRandomData: arbitrary inputs must flow
 // through the whole pipeline without panics and with valid outputs.
 func TestPipelineNeverPanicsOnRandomData(t *testing.T) {
+	var pipelines []*Pipeline
+	for _, induction := range []Induction{LMI, AC, NoInduction} {
+		opt := DefaultOptions()
+		opt.Induction = induction
+		p, err := NewPipeline(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipelines = append(pipelines, p)
+	}
 	f := func(raw []byte) bool {
 		ds := randomDataset(raw)
-		for _, induction := range []Induction{LMI, AC, NoInduction} {
-			opt := DefaultOptions()
-			opt.Induction = induction
-			res, err := Run(ds, opt)
+		for _, p := range pipelines {
+			res, err := p.Run(context.Background(), ds)
 			if err != nil {
 				return false
 			}
@@ -136,10 +142,7 @@ func TestPipelineMonotoneInC(t *testing.T) {
 	for _, c := range []float64{1, 1.5, 2, 3, 5, 10} {
 		opt := DefaultOptions()
 		opt.C = c
-		res, err := Run(ds, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runPipeline(t, ds, opt)
 		if len(res.Pairs) < prev {
 			t.Errorf("c=%v retained %d < previous %d", c, len(res.Pairs), prev)
 		}
@@ -153,14 +156,8 @@ func TestPipelineMonotoneInC(t *testing.T) {
 func TestSeedStability(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 99} {
 		ds := datasets.PRD(0.05, seed)
-		a, err := Run(ds, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(ds, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := runPipeline(t, ds, DefaultOptions())
+		b := runPipeline(t, ds, DefaultOptions())
 		if len(a.Pairs) != len(b.Pairs) {
 			t.Fatalf("seed %d: nondeterministic pair count", seed)
 		}
@@ -191,10 +188,7 @@ func TestStandardBlockingEquivalence(t *testing.T) {
 			}
 			ds := gen(scale, 17)
 
-			lmiRes, err := Run(ds, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
+			lmiRes := runPipeline(t, ds, DefaultOptions())
 
 			// The LMI partitioning must align exactly the manually
 			// aligned attribute pairs (glue cluster empty or singleton

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -38,7 +39,11 @@ func EndToEnd(cfg Config, dataset string, simThreshold float64) (*EndToEndResult
 	if err != nil {
 		return nil, err
 	}
-	res, err := blast.Run(ds, blast.DefaultOptions())
+	p, err := blast.NewPipeline(blast.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.Run(context.Background(), ds)
 	if err != nil {
 		return nil, err
 	}

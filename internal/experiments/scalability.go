@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -39,7 +40,11 @@ func Scalability(cfg Config, dataset string, multipliers []float64, workers int)
 		}
 		opt := blast.DefaultOptions()
 		opt.Workers = workers
-		res, err := blast.Run(ds, opt)
+		p, err := blast.NewPipeline(opt)
+		if err != nil {
+			return nil, err
+		}
+		res, err := p.Run(context.Background(), ds)
 		if err != nil {
 			return nil, err
 		}

@@ -7,17 +7,16 @@ import (
 	"path"
 	"path/filepath"
 	"slices"
-	"strings"
 )
 
-// DeadAPI flags an exported identifier of an internal/ package, or an
+// DeadAPI flags an exported identifier of a non-main package, or an
 // unexported package-level declaration anywhere, that no non-test file
 // of the module or of bench/e2e references, whatever packages were asked
 // for. A method is live when its receiver implements fmt.Stringer, error
 // or an interface that types a loaded expression.
 var DeadAPI = &Analyzer{
 	Name: "deadapi",
-	Doc: "flags exported identifiers of internal packages and unexported " +
+	Doc: "flags exported identifiers of non-main packages and unexported " +
 		"package-level declarations that no non-test file references",
 	Run: runDeadAPI,
 }
@@ -27,7 +26,7 @@ func runDeadAPI(pass *Pass) error {
 	if err := l.indexRefs(); err != nil {
 		return err
 	}
-	internal := strings.Contains("/"+pass.Pkg.Path()+"/", "/internal/")
+	library := pass.Pkg.Name() != "main"
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			var names []*ast.Ident
@@ -50,7 +49,7 @@ func runDeadAPI(pass *Pass) error {
 				}
 			}
 			for _, id := range names {
-				if id.Name != "_" && (internal || !id.IsExported()) && !l.live(pass.TypesInfo.Defs[id]) {
+				if id.Name != "_" && (library || !id.IsExported()) && !l.live(pass.TypesInfo.Defs[id]) {
 					pass.Reportf(id.Pos(), "%s is referenced by no non-test file of the module; delete it", id.Name)
 				}
 			}

@@ -15,11 +15,14 @@ func TestSnapshotMutGolden(t *testing.T) { runGolden(t, []*Analyzer{SnapshotMut}
 func TestCtxPollGolden(t *testing.T)     { runGolden(t, []*Analyzer{CtxPoll}, "ctxpoll") }
 func TestWallClockGolden(t *testing.T)   { runGolden(t, []*Analyzer{WallClock}, "wallclock") }
 
-// TestDeadAPIGolden runs deadapi over the two fixture packages: the
-// reference index spans both, so lib's names app uses stay quiet.
+// TestDeadAPIGolden runs deadapi over the three fixture packages: the
+// reference index spans them all, so lib's names app uses and app's
+// name the main package cmd/tool uses stay quiet, and so do the
+// exported names of cmd/tool itself.
 func TestDeadAPIGolden(t *testing.T) {
 	runGolden(t, []*Analyzer{DeadAPI}, "deadapi/internal/lib")
 	runGolden(t, []*Analyzer{DeadAPI}, "deadapi/app")
+	runGolden(t, []*Analyzer{DeadAPI}, "deadapi/cmd/tool")
 }
 
 // TestSmokeMultichecker runs the full suite over one fixture package

@@ -7,8 +7,8 @@ package blast
 // serves. A harness case draws its data, its options and its target
 // from a lattice (space), runs a generated op sequence on the target,
 // and feeds every batch a Server admits to a plain in-memory Index, the
-// model (an Index target is its own). At case start legacy Run, staged
-// MetaBlock, the model and the start state agree; at every checkpoint
+// model (an Index target is its own). At case start staged MetaBlock,
+// the model and the start state agree; at every checkpoint
 // one comparer (sameServed) holds the target to a cold IndexBlocks over
 // its live collection, to MetaBlock's pairs over that collection, and
 // to the model. Cases are named seed=N, so
@@ -45,10 +45,8 @@ type served interface {
 // writable is a harness target: an Index or a Server.
 type writable interface {
 	served
-	Kind() model.Kind
 	Schema() *Schema
 	Blocks() *blocking.Collection
-	Insert(ctx context.Context, p *model.Profile) (int, error)
 	InsertAll(ctx context.Context, profiles []model.Profile) ([]int, error)
 }
 
@@ -135,9 +133,8 @@ const (
 type opKind uint8
 
 const (
-	opInsert    opKind = iota // Insert of one profile
-	opInsertAll               // InsertAll of n profiles
-	opCompact                 // Index.Compact, Server.Quiesce
+	opInsertAll opKind = iota // InsertAll of n profiles, at least one
+	opCompact                 // a read of an Index, which folds; Server.Quiesce
 	opPin                     // pin a Server View, re-read at every later check
 	opProbe                   // reads at and past the id boundaries
 	opCheck                   // hold the target to the three references
@@ -149,15 +146,15 @@ type op struct {
 	n    int
 }
 
-// insertAll is an InsertAll of n profiles; singles is n Inserts and a
-// check.
+// insertAll is an InsertAll of n profiles; singles is n InsertAlls of
+// one profile and a check.
 func insertAll(n int) op { return op{opInsertAll, n} }
 
 func singles(n int) []op { return append(make([]op, n), check) }
 
 var compact, pin, probe, check = op{kind: opCompact}, op{kind: opPin}, op{kind: opProbe}, op{kind: opCheck}
 
-// randomOps streams 10–34 profiles by Inserts and InsertAlls of 1–6,
+// randomOps streams 10–34 profiles by InsertAlls of 1 and of 1–6,
 // with compactions, pinned Views, boundary probes, a check after a
 // quarter of the steps and — on a durable Server — up to two reopens,
 // at a count of shardAxis or the one before; it ends with a check. Zero
@@ -489,8 +486,6 @@ func (c modelCase) run(t *testing.T) {
 	var err error
 	r.p, err = NewPipeline(r.opt)
 	r.must(err, "NewPipeline")
-	legacy, err := Run(r.ds, r.opt)
-	r.must(err, "Run")
 	if r.stages == nil {
 		r.stages = &stages{}
 	}
@@ -498,10 +493,6 @@ func (c modelCase) run(t *testing.T) {
 	r.must(err, "InduceSchema and Block")
 	staged, err := r.p.MetaBlock(r.ctx, r.blocks)
 	r.must(err, "MetaBlock")
-	assertSamePairs(t, "staged MetaBlock vs Run", legacy.Pairs, staged.Pairs)
-	if staged.Quality != legacy.Quality {
-		t.Errorf("staged Quality %+v, Run %+v", staged.Quality, legacy.Quality)
-	}
 	if r.target == onDurable {
 		r.dir = t.TempDir()
 	}
@@ -511,7 +502,7 @@ func (c modelCase) run(t *testing.T) {
 		r.must(err, "model IndexBlocks")
 		sameServed(t, "start state vs model", r.model, r.srv)
 	}
-	assertSamePairs(t, "start state vs Run", legacy.Pairs, r.model.Pairs())
+	assertSamePairs(t, "start state vs MetaBlock", staged.Pairs, r.model.Pairs())
 	r.consistent("start")
 	r.probe("start")
 	for i, o := range r.ops {
@@ -550,9 +541,6 @@ func (r *modelRun) open(label string) {
 			r.t.Fatalf("%s: reported %v, want %v", label, r.events, want)
 		}
 	}
-	if k := r.w.Kind(); k != r.ds.Kind {
-		r.t.Fatalf("%s: Kind = %v, want %v", label, k, r.ds.Kind)
-	}
 }
 
 // close closes the Server, which must go on serving the drained state.
@@ -563,11 +551,11 @@ func (r *modelRun) close(label string) {
 
 func (r *modelRun) step(label string, o op) {
 	switch o.kind {
-	case opInsert, opInsertAll:
+	case opInsertAll:
 		r.insert(label, o)
 	case opCompact:
 		if r.ix != nil {
-			r.must(r.ix.Compact(r.ctx), label+": Compact")
+			r.fold(label)
 		} else {
 			r.must(r.srv.Quiesce(r.ctx), label+": Quiesce")
 		}
@@ -609,15 +597,7 @@ func (r *modelRun) insert(label string, o op) {
 			profs[i] = synthProfile(r.rng, fmt.Sprintf("s%d", r.inserted+i))
 		}
 	}
-	var ids []int
-	var err error
-	if o.kind == opInsert {
-		var id int
-		id, err = r.w.Insert(r.ctx, &profs[0])
-		ids = []int{id}
-	} else {
-		ids, err = r.w.InsertAll(r.ctx, profs)
-	}
+	ids, err := r.w.InsertAll(r.ctx, profs)
 	r.must(err, label+": insert")
 	want := ids
 	if r.srv != nil {
@@ -632,21 +612,37 @@ func (r *modelRun) insert(label string, o op) {
 	r.admitted, r.inserted, r.batches = r.admitted+len(profs), r.inserted+len(profs), r.batches+1
 }
 
+// fold reads an Index, which re-freezes once if any batch is pending:
+// after it every batch is folded, and a read with nothing pending does
+// not re-freeze.
+func (r *modelRun) fold(label string) {
+	before := r.ix.Stats()
+	r.ix.NumProfiles()
+	want := before.Compactions
+	if before.RebuiltBatches < r.batches {
+		want++
+	}
+	if st := r.ix.Stats(); st.Compactions != want || st.RebuiltBatches != r.batches || st.LocalizedBatches != 0 {
+		r.t.Fatalf("%s: a read took the stats from %+v to %+v, want %d re-freezes folding %d batches", label, before, st, want, r.batches)
+	}
+}
+
 // check holds the target to a cold IndexBlocks over its live collection,
 // MetaBlock's pairs over that collection and the model, and every pinned
 // View to what it served when pinned. A quiesced Server's View sits at
 // the insert calls admitted, across reopens too.
 func (r *modelRun) check(label string) {
 	t := r.t
-	if r.ix != nil && r.ix.Stats().Inserts != r.inserted {
-		t.Fatalf("%s: Stats().Inserts = %d, want %d", label, r.ix.Stats().Inserts, r.inserted)
-	}
 	matchesCold(t, label, r.p, r.w)
-	if r.srv != nil {
+	if r.ix != nil {
+		if st := r.ix.Stats(); st.Inserts != r.inserted || st.RebuiltBatches != r.batches {
+			t.Fatalf("%s: after a read, Stats() = %+v, want %d inserts in %d folded batches", label, st, r.inserted, r.batches)
+		}
+	} else {
 		v, err := r.srv.View(r.ctx)
 		r.must(err, label+": View")
-		if v.Batches() != int64(r.batches) {
-			t.Fatalf("%s: quiesced View at batch %d, want %d", label, v.Batches(), r.batches)
+		if v.rows.Batches != int64(r.batches) {
+			t.Fatalf("%s: quiesced View at batch %d, want %d", label, v.rows.Batches, r.batches)
 		}
 	}
 	live := r.w.Blocks()
@@ -660,10 +656,10 @@ func (r *modelRun) check(label string) {
 	}
 	r.consistent(label)
 	for i, p := range r.pins {
-		if p.v.Batches() != p.copy.Batches() {
-			t.Fatalf("%s: View %d pinned at batch %d moved to %d", label, i, p.copy.Batches(), p.v.Batches())
+		if p.v.rows.Batches != p.copy.rows.Batches {
+			t.Fatalf("%s: View %d pinned at batch %d moved to %d", label, i, p.copy.rows.Batches, p.v.rows.Batches)
 		}
-		sameServed(t, fmt.Sprintf("%s: View %d pinned at batch %d", label, i, p.v.Batches()), p.copy, p.v)
+		sameServed(t, fmt.Sprintf("%s: View %d pinned at batch %d", label, i, p.v.rows.Batches), p.copy, p.v)
 	}
 }
 

@@ -14,8 +14,8 @@ package blast
 // one *Blocks can feed many MetaBlock calls with different weighting and
 // pruning settings (a C/D parameter sweep re-runs only Phase 3), and an
 // *Index freezes the weighted, pruned blocking graph into a per-profile
-// candidate-serving structure that additionally accepts incremental
-// profile insertions (Index.Insert) without a rebuild. ServeBlocks (the
+// candidate-serving structure that additionally accepts batches of new
+// profiles (Index.InsertAll), folded in by the next read. ServeBlocks (the
 // blocks-level hook behind Serve, in server.go) lifts one *Blocks
 // artifact into hash-partitioned snapshot-swap shards for read-heavy
 // traffic. Every phase honors context cancellation at phase and
@@ -54,9 +54,6 @@ func NewPipeline(opt Options) (*Pipeline, error) {
 	}
 	return &Pipeline{opt: opt}, nil
 }
-
-// Options returns the pipeline's (defaulted, validated) configuration.
-func (p *Pipeline) Options() Options { return p.opt }
 
 // Schema is the Phase 1 artifact: the loose schema information extracted
 // by attribute-match induction. It is independent of every Phase 2/3
@@ -231,9 +228,10 @@ func (p *Pipeline) metaConfig() metablocking.Config {
 	return cfg
 }
 
-// Run executes the three phases in sequence. Legacy blast.Run delegates
-// here; staged callers get the same result while keeping the
-// intermediate artifacts.
+// Run executes the three phases in sequence: InduceSchema, Block, then
+// MetaBlock. Call the phases directly to keep the intermediate artifacts
+// (one Schema across a parameter sweep, one Blocks across Phase 3
+// settings).
 func (p *Pipeline) Run(ctx context.Context, ds *model.Dataset) (*Result, error) {
 	sch, err := p.InduceSchema(ctx, ds)
 	if err != nil {

@@ -1,13 +1,12 @@
 package blast
 
 // Tests of the staged Pipeline API: option validation, byte-identical
-// equivalence of legacy Run / staged phases / Index.Pairs across the
+// equivalence of staged MetaBlock and Index.Pairs across the
 // configuration axes, context cancellation, progress reporting, and the
 // candidate-serving Index.
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -56,12 +55,9 @@ func TestOptionsValidate(t *testing.T) {
 	if err := unknown.Validate(); err == nil || !strings.Contains(err.Error(), "Scheme.Kind") {
 		t.Errorf("Scheme.Kind 99: Validate = %v, want an error naming Scheme.Kind", err)
 	}
-	// Run and NewPipeline must reject what Validate rejects.
+	// NewPipeline must reject what Validate rejects.
 	bad := DefaultOptions()
 	bad.C = -1
-	if _, err := Run(datasets.PaperExample(), bad); err == nil {
-		t.Error("Run accepted invalid options")
-	}
 	if _, err := NewPipeline(bad); err == nil {
 		t.Error("NewPipeline accepted invalid options")
 	}
@@ -108,8 +104,8 @@ func assertSamePairs(t *testing.T, label string, want, got []model.IDPair) {
 }
 
 // TestStagedEquivalenceMatrix: across Induction x Scheme x Pruning, on
-// a registry slice, legacy Run, staged MetaBlock and an Index built
-// over the same blocks agree — the harness's start state, no ops.
+// a registry slice, staged MetaBlock and an Index built over the same
+// blocks agree — the harness's start state, no ops.
 func TestStagedEquivalenceMatrix(t *testing.T) {
 	space{
 		data:      []data{registryData("ar1", 0.03, 8, 0)},
@@ -310,16 +306,5 @@ func TestProgressObserver(t *testing.T) {
 	}
 	if len(phases) == 0 || phases[len(phases)-1] != "index" {
 		t.Errorf("BuildIndex phases = %v, want trailing \"index\"", phases)
-	}
-}
-
-// TestMBKeyMatchesSprintf: the strconv-based restructured-block key is
-// byte-identical to the fmt formulation it replaced.
-func TestMBKeyMatchesSprintf(t *testing.T) {
-	for _, i := range []int{0, 1, 7, 99, 1234, 99999999, 100000000, 123456789, 1 << 30} {
-		want := fmt.Sprintf("mb-%08d", i)
-		if got := mbKey(i); got != want {
-			t.Errorf("mbKey(%d) = %q, want %q", i, got, want)
-		}
 	}
 }

@@ -46,7 +46,6 @@ import (
 // server when done (Close stops the writer; reads stay valid
 // afterwards). All methods are safe for concurrent use.
 type Server struct {
-	kind   model.Kind
 	w      *writer
 	worker *shard.Shard // runs w: admission, group commit and apply
 	schema *Schema
@@ -116,7 +115,7 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 		}()
 	}
 
-	srv = &Server{kind: c.Kind, w: newWriter(c.Clone(), blocks.Schema, p.opt, n), schema: blocks.Schema}
+	srv = &Server{w: newWriter(c.Clone(), blocks.Schema, p.opt, n), schema: blocks.Schema}
 	cut, admitted := len(replay), c.NumProfiles
 	var start *shard.Snapshot
 	if log != nil {
@@ -173,9 +172,6 @@ func (p *Pipeline) ServeBlocks(ctx context.Context, blocks *Blocks, sopt ServerO
 // NumShards returns the number of parties every publication is frozen
 // by: ServerOptions.Shards.
 func (s *Server) NumShards() int { return s.w.parts }
-
-// Kind returns the ER setting of the served dataset.
-func (s *Server) Kind() model.Kind { return s.kind }
 
 // Admitted returns the number of profiles the server has accepted:
 // the build's profiles plus every insert admitted so far, whether or
@@ -278,22 +274,6 @@ func profilesBytes(profiles []model.Profile) int64 {
 	return n
 }
 
-// Insert admits one profile and returns its assigned global id. The
-// profile is applied asynchronously by the writer; reads observe it
-// once the writer next publishes — a publication falls due after
-// ServerOptions.SwapOps applied profiles and covers every batch
-// committed by then — or at the latest on Quiesce.
-func (s *Server) Insert(ctx context.Context, p *model.Profile) (int, error) {
-	if p == nil {
-		return -1, errors.New("blast: Insert requires a non-nil profile")
-	}
-	ids, err := s.InsertAll(ctx, []model.Profile{*p})
-	if len(ids) == 1 {
-		return ids[0], err
-	}
-	return -1, err
-}
-
 // publish is the writer's Publish hook, run on its worker goroutine: it
 // swaps the state in and persists it when SnapshotEvery says so.
 func (s *Server) publish(state *shard.Snapshot) error {
@@ -363,11 +343,6 @@ func newView(rows *shard.Snapshot, parts int) *View {
 // always nil.
 func (s *Server) View(ctx context.Context) (*View, error) { return s.state.Load(), nil }
 
-// Batches identifies the state every read of this view observes: its
-// position in the globally sequenced insert stream. Two views with
-// equal Batches over the same server observe identical state.
-func (v *View) Batches() int64 { return v.rows.Batches }
-
 // NumProfiles returns the number of profiles the view covers.
 func (v *View) NumProfiles() int { return v.rows.NumProfiles }
 
@@ -423,7 +398,7 @@ func (s *Server) Schema() *Schema { return s.schema }
 // returns the errors encountered. Every resource is released even when
 // the writer reports a failure. Reads remain valid on the last
 // published state, which covers every admitted profile the writer could
-// publish; Insert, InsertAll and Quiesce fail after Close. Close is
+// publish; InsertAll and Quiesce fail after Close. Close is
 // idempotent.
 func (s *Server) Close() error {
 	if s.closing.Swap(true) {

@@ -352,15 +352,12 @@ func TestServerLifecycleAndBoundaries(t *testing.T) {
 	if admitted := srv.Admitted(); admitted != 30 {
 		t.Errorf("cancelled insert admitted profiles: %d", admitted)
 	}
-	if _, err := srv.Insert(ctx, nil); err == nil {
-		t.Error("nil profile accepted")
-	}
 	if ids, err := srv.InsertAll(ctx, nil); err != nil || ids != nil {
 		t.Errorf("empty InsertAll = %v, %v", ids, err)
 	}
 
-	prof := synthProfile(rng, "y")
-	if _, err := srv.Insert(ctx, &prof); err != nil {
+	prof := []model.Profile{synthProfile(rng, "y")}
+	if _, err := srv.InsertAll(ctx, prof); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -369,8 +366,8 @@ func TestServerLifecycleAndBoundaries(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-	if _, err := srv.Insert(ctx, &prof); err != shard.ErrClosed {
-		t.Errorf("Insert after Close err = %v", err)
+	if _, err := srv.InsertAll(ctx, prof); err != shard.ErrClosed {
+		t.Errorf("InsertAll after Close err = %v", err)
 	}
 	if err := srv.Quiesce(ctx); err != shard.ErrClosed {
 		t.Errorf("Quiesce after Close err = %v", err)

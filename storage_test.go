@@ -97,10 +97,10 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 			// The file-backed build went through segment files and read
 			// them back; the resident one never touched the disk. Neither
 			// holds anything but rows now.
-			if spill, loads := fileIx.StorageStats(); spill == 0 || loads == 0 {
+			if spill, loads := fileIx.spillBytes, fileIx.pageLoads; spill == 0 || loads == 0 {
 				t.Fatalf("%s: file-backed build under MemoryBudget=1 reports %d spill bytes, %d page loads", label, spill, loads)
 			}
-			if spill, loads := memIx.StorageStats(); spill != 0 || loads != 0 {
+			if spill, loads := memIx.spillBytes, memIx.pageLoads; spill != 0 || loads != 0 {
 				t.Fatalf("%s: resident build reports %d spill bytes, %d page loads", label, spill, loads)
 			}
 			sameServed(t, label, memIx, fileIx)
@@ -127,7 +127,7 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spill, loads := fileIx.StorageStats(); spill <= 12<<16 || loads <= 1 {
+	if spill, loads := fileIx.spillBytes, fileIx.pageLoads; spill <= 12<<16 || loads <= 1 {
 		t.Fatalf("stream of 3000 profiles: file-backed build reports %d spill bytes, %d page loads; want more than one page", spill, loads)
 	}
 	sameServed(t, "stream of 3000 profiles", memIx, fileIx)
@@ -176,7 +176,7 @@ func TestStorageServerEquivalence(t *testing.T) {
 
 // TestStorageInsertMaterializes pins the mutation seam: an index frozen
 // by a spilled build re-freezes resident after an insert — nothing of
-// the build's storage is left to read back, and StorageStats says so —
+// the build's storage is left to read back, and its spill counters say so —
 // and stays byte-identical to a resident index fed the same sequence.
 func TestStorageInsertMaterializes(t *testing.T) {
 	ctx := context.Background()
@@ -199,7 +199,7 @@ func TestStorageInsertMaterializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spill, _ := fileIx.StorageStats(); spill == 0 {
+	if fileIx.spillBytes == 0 {
 		t.Fatal("file-backed build did not spill")
 	}
 	profs := make([]model.Profile, 9)
@@ -207,17 +207,15 @@ func TestStorageInsertMaterializes(t *testing.T) {
 		profs[i] = synthProfile(rng, fmt.Sprintf("ins-%d", i))
 	}
 	for i := range profs {
-		p := profs[i]
-		if _, err := memIx.Insert(ctx, &p); err != nil {
-			t.Fatalf("mem Insert(%d): %v", i, err)
+		if _, err := memIx.InsertAll(ctx, profs[i:i+1]); err != nil {
+			t.Fatalf("mem InsertAll(%d): %v", i, err)
 		}
-		q := profs[i]
-		if _, err := fileIx.Insert(ctx, &q); err != nil {
-			t.Fatalf("file Insert(%d): %v", i, err)
+		if _, err := fileIx.InsertAll(ctx, profs[i:i+1]); err != nil {
+			t.Fatalf("file InsertAll(%d): %v", i, err)
 		}
 	}
 	sameServed(t, "post-insert", memIx, fileIx)
-	if spill, loads := fileIx.StorageStats(); spill != 0 || loads != 0 {
+	if spill, loads := fileIx.spillBytes, fileIx.pageLoads; spill != 0 || loads != 0 {
 		t.Errorf("re-freeze after inserts spilled: %d bytes, %d page loads", spill, loads)
 	}
 }
@@ -240,7 +238,7 @@ func TestStorageSpillDirLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spillBytes, _ := ix.StorageStats(); spillBytes == 0 {
+	if ix.spillBytes == 0 {
 		t.Fatal("index build did not spill")
 	}
 	entries, err := os.ReadDir(spill)
