@@ -1,14 +1,13 @@
 package blast_test
 
-// One benchmark per table and figure of the paper's evaluation, plus
-// ablation benches for the design choices called out in DESIGN.md.
+// Component, ablation, engine, server, index and blocking benchmarks.
 // Quality metrics are attached via b.ReportMetric so the -bench output
-// carries the reproduced numbers next to the timings:
+// carries them next to the timings:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem .
 //
-// Scales are chosen so the full bench suite completes in minutes; use
-// cmd/blastbench to run any experiment at larger scales.
+// The paper's tables and figures are experiments of cmd/blastbench
+// (-exp), which runs each at any scale.
 
 import (
 	"context"
@@ -26,7 +25,6 @@ import (
 	"blast/internal/blocking"
 	"blast/internal/datasets"
 	"blast/internal/edgelist"
-	"blast/internal/experiments"
 	"blast/internal/graph"
 	"blast/internal/lsh"
 	"blast/internal/metablocking"
@@ -38,193 +36,6 @@ import (
 	"blast/internal/wal"
 	"blast/internal/weights"
 )
-
-// benchCfg is the shared experiment configuration of the bench suite.
-func benchCfg() experiments.Config { return experiments.Config{Scale: 0.5, Seed: 42} }
-
-func BenchmarkTable2_DatasetGen(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkTable3_Blocking(b *testing.B) {
-	var rows []experiments.Table3Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table3(benchCfg(), []string{"ar1", "prd"})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Dataset == "ar1" && r.Variant == "L" {
-			b.ReportMetric(r.FiltPC*100, "PC%")
-			b.ReportMetric(r.FiltPQ*100, "PQ%")
-		}
-	}
-}
-
-// benchTable4 runs the comparison table for one dataset and reports
-// BLAST's quality metrics.
-func benchTable4(b *testing.B, dataset string) {
-	b.Helper()
-	var rows []experiments.CompareRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table4(benchCfg(), dataset)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Method == "Blast" {
-			b.ReportMetric(r.PC*100, "PC%")
-			b.ReportMetric(r.PQ*100, "PQ%")
-			b.ReportMetric(r.F1, "F1")
-		}
-	}
-}
-
-func BenchmarkTable4_AR1(b *testing.B) { benchTable4(b, "ar1") }
-func BenchmarkTable4_AR2(b *testing.B) { benchTable4(b, "ar2") }
-func BenchmarkTable4_PRD(b *testing.B) { benchTable4(b, "prd") }
-func BenchmarkTable4_MOV(b *testing.B) { benchTable4(b, "mov") }
-
-func BenchmarkTable5_DBP(b *testing.B) {
-	cfg := experiments.Config{Scale: 0.25, Seed: 42} // dbp is the heavy benchmark
-	var rows []experiments.CompareRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Method == "Blast*" {
-			b.ReportMetric(r.PC*100, "PC%")
-			b.ReportMetric(r.PQ*100, "PQ%")
-		}
-	}
-}
-
-func BenchmarkTable6_LSHLMI(b *testing.B) {
-	cfg := experiments.Config{Scale: 0.5, Seed: 42}
-	var rows []experiments.Table6Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table6(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Time of the mid-sweep LSH configuration relative to exhaustive
-	// LMI (above 1: the posting-row kernel beats signing at this scale).
-	if len(rows) > 3 && rows[0].Duration > 0 {
-		b.ReportMetric(float64(rows[3].Duration)/float64(rows[0].Duration), "lsh/exhaustive")
-	}
-}
-
-func benchTable7(b *testing.B, dataset string) {
-	b.Helper()
-	var rows []experiments.CompareRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Table7(benchCfg(), dataset)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Method == "Blast" {
-			b.ReportMetric(r.PC*100, "PC%")
-			b.ReportMetric(r.PQ*100, "PQ%")
-		}
-	}
-}
-
-func BenchmarkTable7_Census(b *testing.B) { benchTable7(b, "census") }
-func BenchmarkTable7_Cora(b *testing.B)   { benchTable7(b, "cora") }
-func BenchmarkTable7_CDDB(b *testing.B)   { benchTable7(b, "cddb") }
-
-func BenchmarkFigure5_SCurve(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		curve, th := experiments.Figure5()
-		if len(curve) == 0 || th <= 0 {
-			b.Fatal("bad curve")
-		}
-	}
-}
-
-func BenchmarkFigure8_Ablation(b *testing.B) {
-	var rows []experiments.Figure8Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure8(benchCfg(), []string{"ar1"})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Variant == "bch" {
-			b.ReportMetric(r.PQ*100, "bchPQ%")
-		}
-		if r.Variant == "chi" {
-			b.ReportMetric(r.PQ*100, "chiPQ%")
-		}
-	}
-}
-
-func BenchmarkFigure9_LMIvsAC(b *testing.B) {
-	var rows []experiments.Figure9Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure9(benchCfg(), []string{"ar1", "prd"})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(rows) > 0 {
-		b.ReportMetric(rows[0].DeltaPQ*100, "dPQ%")
-	}
-}
-
-func BenchmarkFigure10_LSHSweep(b *testing.B) {
-	cfg := experiments.Config{Scale: 0.25, Seed: 42}
-	var rows []experiments.Figure10Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Figure10(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(rows) > 0 {
-		b.ReportMetric(rows[0].PC*100, "lowThPC%")
-		b.ReportMetric(rows[len(rows)-1].PC*100, "highThPC%")
-	}
-}
-
-func BenchmarkEndToEnd_Savings(b *testing.B) {
-	var res *experiments.EndToEndResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.EndToEnd(benchCfg(), "ar1", 0.3)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if res.BlastComparisons > 0 {
-		b.ReportMetric(float64(res.OriginalComparisons)/float64(res.BlastComparisons), "reduction")
-	}
-}
 
 // --- Component microbenches -------------------------------------------
 
@@ -1035,38 +846,6 @@ func BenchmarkIndex_Insert(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N*streamed)/b.Elapsed().Seconds(), "profiles/s")
 		})
-	}
-}
-
-// BenchmarkExtension_Baselines compares the blocking substrates feeding
-// BLAST meta-blocking (the composability extension).
-func BenchmarkExtension_Baselines(b *testing.B) {
-	var rows []experiments.BaselineRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.Baselines(experiments.Config{Scale: 0.3, Seed: 42}, "ar1")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Blocking == "token+lmi" {
-			b.ReportMetric(r.F1, "lmiF1")
-		}
-	}
-}
-
-// BenchmarkExtension_Scalability measures phase overhead growth with
-// dataset scale.
-func BenchmarkExtension_Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Scalability(experiments.Config{Scale: 0.2, Seed: 42}, "ar1", []float64{1, 2}, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 2 {
-			b.Fatal("bad series")
-		}
 	}
 }
 

@@ -77,51 +77,6 @@ func (i Induction) String() string {
 	}
 }
 
-// Storage selects where the blocking graph's adjacency entries live
-// while a run or index build is in flight. It is a build-time choice
-// and nothing more: a run returns pairs, an index build freezes the
-// rows of what pruning retained into RAM, and either way the graph —
-// and any segment file it was spilled to — is gone when the call
-// returns. What is served never depends on it.
-type Storage int
-
-const (
-	// StorageMemory (the zero value) keeps the full CSR adjacency
-	// resident in RAM — the original behavior and the right choice
-	// whenever the graph fits.
-	StorageMemory Storage = iota
-	// StorageFile spills the adjacency to CRC-checked segment files once
-	// the build's resident footprint exceeds Options.MemoryBudget; the
-	// weighting and pruning passes then stream the pages back through
-	// per-worker cursors, and the segments are deleted before MetaBlock
-	// or IndexBlocks returns. Retained pairs and served candidates are
-	// byte-identical to StorageMemory; only the build's peak memory (and
-	// speed) differ.
-	StorageFile
-)
-
-// String implements fmt.Stringer.
-func (s Storage) String() string {
-	switch s {
-	case StorageMemory:
-		return "memory"
-	case StorageFile:
-		return "file"
-	default:
-		return fmt.Sprintf("Storage(%d)", int(s))
-	}
-}
-
-// Validate rejects unknown storage values with a descriptive error.
-func (s Storage) Validate() error {
-	switch s {
-	case StorageMemory, StorageFile:
-		return nil
-	default:
-		return fmt.Errorf("blast: unknown %v: valid storages are StorageMemory (0, resident adjacency) and StorageFile (1, spill past MemoryBudget)", s)
-	}
-}
-
 // Topology names how the parties of a Server's publications divide the
 // index state. There is one: TopologyPartitioned, the zero value. The
 // replicated topology — a full writable index per shard — was removed;
@@ -180,7 +135,7 @@ type ServerOptions struct {
 	// replayed once onto the writer, the snapshot at the log's last
 	// record adopted or re-exported by the writer — to a state
 	// byte-identical to a cold IndexBlocks over seed + replayed inserts,
-	// at any shard count or Options.Storage. The seed Blocks artifact is
+	// at any shard count or Options.MemoryBudget. The seed Blocks artifact is
 	// NOT persisted; reopening requires the same artifact (a manifest
 	// records its fingerprint and fails closed on mismatch). A directory
 	// of the manifest's version 1, which kept one log per shard, fails
@@ -310,7 +265,7 @@ func (so ServerOptions) snapshotEvery() int64 {
 type LSHOptions struct {
 	Rows  int
 	Bands int
-	Seed  uint64
+	Seed  uint64 // seeds the MinHash functions
 }
 
 // Options configures the full pipeline. The zero value is NOT valid; use
@@ -353,8 +308,6 @@ type Options struct {
 	// K overrides the cardinality of CEP/CNP pruning (<= 0: defaults).
 	K int
 
-	// Seed drives the deterministic randomness (LSH).
-	Seed uint64
 	// Workers parallelizes attribute-match induction (the exhaustive
 	// row kernel; attribute rows are independent), Phase 2 block
 	// building (contiguous profile ranges, merged in key order),
@@ -370,29 +323,26 @@ type Options struct {
 	// order, so parallelism never moves a ulp.
 	Workers int
 
-	// Storage selects where the blocking graph's adjacency lives during
-	// the cold builds, MetaBlock and IndexBlocks (BuildIndex):
-	// StorageMemory (default) keeps it resident, StorageFile spills it to
-	// segment files past MemoryBudget and streams them back page by
-	// page. Byte-identical output either way. It reaches no writer
-	// export: an Index's re-freeze after inserts and every state of a
-	// Server build their graph resident.
-	Storage Storage
-	// MemoryBudget bounds (in bytes) the resident footprint of the
-	// adjacency entries a StorageFile build may accumulate before
-	// spilling: <= 0 spills from the first entry, and a budget larger
-	// than the graph never spills at all (the build simply stays
-	// resident). The budget covers the adjacency entry streams only —
-	// offsets, block counts and the fixed pipeline state are O(profiles)
-	// and excluded, as is what the build is for: the retained pairs of a
-	// run (8 bytes each) or the frozen rows of an index (24 bytes a
-	// retained pair), which are resident by definition. Ignored under
-	// StorageMemory.
+	// MemoryBudget, when positive, makes the cold builds, MetaBlock and
+	// IndexBlocks (BuildIndex), spill the blocking graph's adjacency to
+	// segment files once its resident entries exceed this many bytes,
+	// and stream them back page by page; 1 spills from the first page,
+	// and a budget larger than the graph never spills. 0 (the default)
+	// keeps the graph resident; a negative budget is rejected. The
+	// budget covers the adjacency entry streams only — offsets, block
+	// counts and the fixed pipeline state are O(profiles) and excluded,
+	// as is what the build is for: the retained pairs of a run (8 bytes
+	// each) or the frozen rows of an index (24 bytes a retained pair),
+	// which are resident by definition. Output is byte-identical at
+	// every budget. It reaches no writer export: an Index's re-freeze
+	// after inserts and every state of a Server build their graph
+	// resident.
 	MemoryBudget int64
-	// SpillDir is the directory the segment files of a StorageFile cold
+	// SpillDir is the directory the segment files of a spilled cold
 	// build are created under (a fresh subdirectory per build, removed
-	// before the build returns). Empty selects the OS temp dir. Ignored
-	// under StorageMemory, and by a Server, which never spills.
+	// before the build returns). Empty selects the OS temp dir. It
+	// requires a positive MemoryBudget, and a Server, which never
+	// spills, ignores it.
 	SpillDir string
 
 	// Progress, when non-nil, observes pipeline execution: it is invoked
@@ -455,19 +405,19 @@ func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("blast: Workers = %d must be >= 0 (0 selects one worker per CPU)", o.Workers)
 	}
-	if err := o.Storage.Validate(); err != nil {
-		return err
+	if o.MemoryBudget < 0 {
+		return fmt.Errorf("blast: MemoryBudget = %d must be >= 0 (0 keeps the graph resident)", o.MemoryBudget)
 	}
-	if o.Storage != StorageFile && (o.MemoryBudget != 0 || o.SpillDir != "") {
-		return fmt.Errorf("blast: MemoryBudget/SpillDir = %d/%q without StorageFile: the spill knobs need file storage", o.MemoryBudget, o.SpillDir)
+	if o.MemoryBudget == 0 && o.SpillDir != "" {
+		return fmt.Errorf("blast: SpillDir = %q without a positive MemoryBudget: only a spilled build writes segment files", o.SpillDir)
 	}
 	return nil
 }
 
-// spillOptions maps the public storage knobs onto the graph builder's
-// spill configuration, nil when storage is resident.
+// spillOptions maps the spill knobs onto the graph builder's spill
+// configuration, nil when the graph stays resident.
 func (o *Options) spillOptions() *graph.SpillOptions {
-	if o.Storage != StorageFile {
+	if o.MemoryBudget == 0 {
 		return nil
 	}
 	return &graph.SpillOptions{Dir: o.SpillDir, MemoryBudget: o.MemoryBudget}
@@ -493,7 +443,6 @@ func DefaultOptions() Options {
 		Pruning:     metablocking.BlastWNP,
 		C:           2,
 		D:           2,
-		Seed:        1,
 	}
 }
 
@@ -510,9 +459,6 @@ type Result struct {
 	// Quality measures Pairs against the dataset's ground truth (zero
 	// when the dataset has no truth).
 	Quality metrics.Quality
-	// BlockQuality measures Blocks before meta-blocking (the Table 3
-	// baseline view).
-	BlockQuality metrics.Quality
 
 	// InductionTime, BlockTime and MetaTime decompose the overhead.
 	InductionTime time.Duration

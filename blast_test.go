@@ -52,8 +52,8 @@ func TestRunImprovesPQOverBlocks(t *testing.T) {
 	if res.Quality.PC < 0.95 {
 		t.Errorf("PC = %v, want >= 0.95", res.Quality.PC)
 	}
-	if res.Quality.PQ < 10*res.BlockQuality.PQ {
-		t.Errorf("meta-blocking PQ %v should be >> block PQ %v", res.Quality.PQ, res.BlockQuality.PQ)
+	if bq := metrics.EvaluateBlocks(res.Blocks, ds.Truth); res.Quality.PQ < 10*bq.PQ {
+		t.Errorf("meta-blocking PQ %v should be >> block PQ %v", res.Quality.PQ, bq.PQ)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestRunDirty(t *testing.T) {
 	if res.Quality.PC < 0.8 {
 		t.Errorf("census PC = %v, want >= 0.8", res.Quality.PC)
 	}
-	if res.Quality.PQ <= res.BlockQuality.PQ {
-		t.Errorf("PQ should improve: %v vs %v", res.Quality.PQ, res.BlockQuality.PQ)
+	if bq := metrics.EvaluateBlocks(res.Blocks, ds.Truth); res.Quality.PQ <= bq.PQ {
+		t.Errorf("PQ should improve: %v vs %v", res.Quality.PQ, bq.PQ)
 	}
 }
 

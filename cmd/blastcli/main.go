@@ -44,7 +44,7 @@ func main() {
 	pruning := flag.String("pruning", "blast", "pruning: blast | wnp1 | wnp2 | cnp1 | cnp2 | wep | cep")
 	transform := flag.String("transform", "token", "value transformation: token | qgram3 | suffix3")
 	dumpClusters := flag.Bool("dump-clusters", false, "print the discovered attribute clusters to stderr")
-	seed := flag.Uint64("seed", 1, "random seed")
+	seed := flag.Uint64("seed", 1, "LSH hash seed (with -lsh-rows/-lsh-bands)")
 	flag.Parse()
 
 	if err := run(*e1Path, *e2Path, *truthPath, *outPath, *induction, *pruning, *transform,
@@ -94,7 +94,6 @@ func run(e1Path, e2Path, truthPath, outPath, induction, pruning, transform strin
 	opt.D = d
 	opt.PurgeRatio = purge
 	opt.FilterRatio = filter
-	opt.Seed = seed
 	switch transform {
 	case "", "token":
 		// default tokenizer

@@ -1,19 +1,27 @@
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"blast/internal/datasets"
+	"blast/internal/model"
 )
 
 // writeFixture materializes a small clean-clean benchmark to dir and
 // returns the three file paths.
 func writeFixture(t *testing.T, dir string) (e1, e2, truth string) {
 	t.Helper()
-	ds := datasets.PRD(0.05, 3)
+	return writeDataset(t, dir, datasets.PRD(0.05, 3))
+}
+
+// writeDataset writes a clean-clean dataset's two collections and its
+// truth to dir as the CSV files the CLI reads, and returns their paths.
+func writeDataset(t *testing.T, dir string, ds *model.Dataset) (e1, e2, truth string) {
+	t.Helper()
 	e1 = filepath.Join(dir, "e1.csv")
 	e2 = filepath.Join(dir, "e2.csv")
 	truth = filepath.Join(dir, "truth.csv")
@@ -133,5 +141,28 @@ func TestCLILSHAndClusters(t *testing.T) {
 	if err := run(e1, e2, truth, out, "lmi", "blast", "token",
 		0.9, 2, 2, 0.5, 0.8, 5, 30, 1, true); err != nil {
 		t.Fatalf("run with LSH + dump: %v", err)
+	}
+}
+
+// TestCLISeedReachesLSH: -seed seeds the MinHash functions of LSH
+// induction, so two seeds whose band partitions differ retain different
+// pairs.
+func TestCLISeedReachesLSH(t *testing.T) {
+	dir := t.TempDir()
+	e1, e2, truth := writeDataset(t, dir, datasets.DBP(0.1, 42))
+	pairs := func(seed uint64) []byte {
+		out := filepath.Join(dir, "pairs.csv")
+		if err := run(e1, e2, truth, out, "lmi", "blast", "token",
+			0.9, 2, 2, 0.5, 0.8, 8, 2, seed, false); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if bytes.Equal(pairs(0), pairs(2)) {
+		t.Error("-seed 0 and -seed 2 retained the same pairs: the seed does not reach LSH")
 	}
 }

@@ -121,7 +121,7 @@ func (p *Pipeline) BuildIndex(ctx context.Context, ds *model.Dataset) (*Index, e
 // the index serves from (metablocking.FreezeCSR) — by the same decision
 // MetaBlock prunes with, so Pairs is byte-identical to MetaBlock's. The graph
 // ends with the build: a resident one is garbage on return, a spilled
-// one (Options.Storage = StorageFile) has had its segment files
+// one (a positive Options.MemoryBudget) has had its segment files
 // deleted.
 func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, error) {
 	if blocks == nil || blocks.Collection == nil {
@@ -139,7 +139,7 @@ func (p *Pipeline) IndexBlocks(ctx context.Context, blocks *Blocks) (*Index, err
 
 // freeze builds the rows over the index's collection, over the whole
 // graph (prune.Alone): IndexBlocks' build, the one Index build that
-// honors Options.Storage. Over a spilled graph every pass reads through
+// honors Options.MemoryBudget. Over a spilled graph every pass reads through
 // page cursors and fails closed on the graph's sticky read error, so no
 // row is ever collected from a zeroed run; whatever the outcome, the
 // segment files end here. On error the index is unchanged.
@@ -161,7 +161,7 @@ func (ix *Index) freeze(ctx context.Context) error {
 
 // frozen returns the rows every read serves from, first folding the
 // pending insert batches into fresh rows when there are any: the
-// writer's export, built resident whatever Options.Storage says, so
+// writer's export, built resident whatever Options.MemoryBudget says, so
 // under a context that never cancels the fold cannot fail.
 func (ix *Index) frozen() *shard.Snapshot {
 	ix.mu.RLock()

@@ -12,6 +12,7 @@ import (
 	"testing/quick"
 
 	"blast/internal/datasets"
+	"blast/internal/metrics"
 	"blast/internal/model"
 	"blast/internal/stats"
 	"blast/internal/weights"
@@ -42,8 +43,8 @@ func TestPipelineAllBenchmarks(t *testing.T) {
 			if res.Quality.PC < floors[name] {
 				t.Errorf("PC = %.3f below floor %.2f", res.Quality.PC, floors[name])
 			}
-			if res.Quality.PQ < res.BlockQuality.PQ {
-				t.Errorf("meta-blocking reduced PQ: %.4f -> %.4f", res.BlockQuality.PQ, res.Quality.PQ)
+			if bq := metrics.EvaluateBlocks(res.Blocks, ds.Truth); res.Quality.PQ < bq.PQ {
+				t.Errorf("meta-blocking reduced PQ: %.4f -> %.4f", bq.PQ, res.Quality.PQ)
 			}
 			if int64(len(res.Pairs)) > res.Blocks.AggregateCardinality() {
 				t.Error("more pairs than input comparisons")

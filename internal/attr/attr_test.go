@@ -461,24 +461,6 @@ func TestLSHStepPrunesLowSimilarityPairs(t *testing.T) {
 	}
 }
 
-func TestMinSimFloor(t *testing.T) {
-	rows := []struct {
-		src    int
-		name   string
-		tokens []string
-	}{
-		{0, "a", []string{"1", "2", "3", "4"}},
-		{1, "b", []string{"1", "2", "x", "y"}}, // J = 2/6 = 0.33
-	}
-	ps := mkProfiles(rows)
-	cfg := DefaultConfig()
-	cfg.MinSim = 0.5
-	part := LMI(ps, model.CleanClean, cfg)
-	if a, _ := part.ClusterOf(0, "a"); a != GlueClusterID {
-		t.Errorf("MinSim floor should prune the pair, got cluster %d", a)
-	}
-}
-
 func TestACDirtyKind(t *testing.T) {
 	rows := []struct {
 		src    int
@@ -581,7 +563,7 @@ func refScoredPairs(profiles []Profile, kind model.Kind, cfg Config) []refPair {
 		} else {
 			p.sim = Jaccard(profiles[p.i].Tokens, profiles[p.j].Tokens)
 		}
-		if p.sim <= 0 || p.sim < cfg.MinSim {
+		if p.sim <= 0 {
 			continue
 		}
 		out = append(out, p)
@@ -692,18 +674,16 @@ func checkInductionMatrix(t *testing.T, label string, ps []Profile, workers []in
 	for _, kind := range []model.Kind{model.Dirty, model.CleanClean} {
 		for _, rep := range []Representation{Binary, TFIDF} {
 			for _, alpha := range []float64{0.5, 0.9, 1.0} {
-				for _, minSim := range []float64{0, 0.3} {
-					for _, glue := range []bool{true, false} {
-						cfg := Config{Alpha: alpha, Glue: glue, MinSim: minSim, Representation: rep}
-						wantLMI, wantAC := refLMI(ps, kind, cfg), refAC(ps, kind, cfg)
-						for _, w := range workers {
-							cfg.Workers = w
-							if got := LMI(ps, kind, cfg); !reflect.DeepEqual(got, wantLMI) {
-								t.Fatalf("%s: LMI kind=%v %+v differs from the oracle:\n got %+v\nwant %+v", label, kind, cfg, got.Clusters, wantLMI.Clusters)
-							}
-							if got := AC(ps, kind, cfg); !reflect.DeepEqual(got, wantAC) {
-								t.Fatalf("%s: AC kind=%v %+v differs from the oracle:\n got %+v\nwant %+v", label, kind, cfg, got.Clusters, wantAC.Clusters)
-							}
+				for _, glue := range []bool{true, false} {
+					cfg := Config{Alpha: alpha, Glue: glue, Representation: rep}
+					wantLMI, wantAC := refLMI(ps, kind, cfg), refAC(ps, kind, cfg)
+					for _, w := range workers {
+						cfg.Workers = w
+						if got := LMI(ps, kind, cfg); !reflect.DeepEqual(got, wantLMI) {
+							t.Fatalf("%s: LMI kind=%v %+v differs from the oracle:\n got %+v\nwant %+v", label, kind, cfg, got.Clusters, wantLMI.Clusters)
+						}
+						if got := AC(ps, kind, cfg); !reflect.DeepEqual(got, wantAC) {
+							t.Fatalf("%s: AC kind=%v %+v differs from the oracle:\n got %+v\nwant %+v", label, kind, cfg, got.Clusters, wantAC.Clusters)
 						}
 					}
 				}
@@ -714,7 +694,7 @@ func checkInductionMatrix(t *testing.T, label string, ps []Profile, workers []in
 
 // TestInductionRowsMatchOracle: the token-posting row kernel returns the
 // oracle's Partitioning across {LMI, AC} x {Binary, TFIDF} x {Dirty,
-// CleanClean} x Alpha x MinSim x Glue x Workers on random profile sets
+// CleanClean} x Alpha x Glue x Workers on random profile sets
 // (wide enough for several row chunks) and on the shapes the kernel
 // treats specially.
 func TestInductionRowsMatchOracle(t *testing.T) {
@@ -805,8 +785,8 @@ func TestInductionLSHMatchesOracle(t *testing.T) {
 // the rest are its tokens; knobs selects the configuration.
 func FuzzInductionRows(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0xFF, 1, 1, 2, 0xFF, 1, 1, 2, 3, 4, 0xFF, 0, 3, 4}, uint16(0))
-	f.Add([]byte{1, 5, 6, 7, 0xFF, 0, 5, 6, 7, 8, 0xFF, 1, 5, 6, 7, 0xFF, 0xFF, 0}, uint16(0x1FF))
-	f.Add([]byte{0, 9, 0xFF, 0, 9, 0xFF, 0, 9, 10}, uint16(0x2A))
+	f.Add([]byte{1, 5, 6, 7, 0xFF, 0, 5, 6, 7, 8, 0xFF, 1, 5, 6, 7, 0xFF, 0xFF, 0}, uint16(0x7F))
+	f.Add([]byte{0, 9, 0xFF, 0, 9, 0xFF, 0, 9, 10}, uint16(0x12))
 	f.Fuzz(func(t *testing.T, data []byte, knobs uint16) {
 		if len(data) > 512 {
 			return
@@ -827,14 +807,13 @@ func FuzzInductionRows(f *testing.F) {
 		cfg := Config{
 			Alpha:   []float64{0.5, 0.9, 1.0, 0.75}[knobs&3],
 			Glue:    knobs&4 != 0,
-			MinSim:  []float64{0, 0.3}[knobs>>3&1],
-			Workers: int(knobs >> 4 & 3),
+			Workers: int(knobs >> 3 & 3),
 		}
-		if knobs&64 != 0 {
+		if knobs&32 != 0 {
 			cfg.Representation = TFIDF
 		}
 		kind := model.Dirty
-		if knobs&128 != 0 {
+		if knobs&64 != 0 {
 			kind = model.CleanClean
 		}
 		if got, want := LMI(ps, kind, cfg), refLMI(ps, kind, cfg); !reflect.DeepEqual(got, want) {

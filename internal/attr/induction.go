@@ -26,9 +26,6 @@ type Config struct {
 	// MinHash proposes (Section 3.1.2) instead of every pair that
 	// shares a token.
 	LSH *LSHConfig
-	// MinSim discards pairs below an absolute similarity floor before
-	// candidate selection. Zero keeps everything (paper behaviour).
-	MinSim float64
 	// Representation selects binary/Jaccard (default) or TF-IDF/cosine
 	// attribute comparison (Section 2.1's two compatible combinations).
 	Representation Representation
@@ -66,9 +63,9 @@ const (
 )
 
 // rowPick consumes one attribute's scored row: every comparable partner
-// with a positive similarity of at least MinSim, in ascending partner
-// order. It is called at most once per attribute, concurrently for
-// distinct attributes, and must not retain the slices.
+// with a positive similarity, in ascending partner order. It is called
+// at most once per attribute, concurrently for distinct attributes, and
+// must not retain the slices.
 type rowPick func(i int, partners []int32, sims []float64)
 
 // tokenPostings is the token -> attribute inverted index the row kernel
@@ -159,7 +156,7 @@ type rowScratch struct {
 // order a merge of the two sorted token lists would visit them, so both
 // similarities carry the bits of Jaccard and weightedView.cosine. It
 // reports false when ctx was cancelled mid-row.
-func (px *tokenPostings) scoreRow(ctx context.Context, profiles []Profile, view *weightedView, minSim float64, i int, sc *rowScratch) bool {
+func (px *tokenPostings) scoreRow(ctx context.Context, profiles []Profile, view *weightedView, i int, sc *rowScratch) bool {
 	for k, id := range px.tokens[i] {
 		seg := int(id)*px.stride + px.stride - 1 - px.side[i] // the other side's
 		lo, hi := px.start[seg], px.start[seg+1]
@@ -194,7 +191,7 @@ func (px *tokenPostings) scoreRow(ctx context.Context, profiles []Profile, view 
 				sc.dot[j] = 0
 			}
 			sc.shared[j] = 0
-			if j != i && sim > 0 && sim >= minSim { // dirty ER meets i itself
+			if j != i && sim > 0 { // dirty ER meets i itself
 				sc.partners = append(sc.partners, int32(j))
 				sc.sims = append(sc.sims, sim)
 			}
@@ -232,7 +229,7 @@ func scoreRows(ctx context.Context, profiles []Profile, kind model.Kind, cfg Con
 					return
 				}
 				for i := lo; i < min(lo+rowChunk, n); i++ {
-					if !px.scoreRow(ctx, profiles, view, cfg.MinSim, i, sc) {
+					if !px.scoreRow(ctx, profiles, view, i, sc) {
 						return
 					}
 					if len(sc.partners) > 0 {
@@ -272,7 +269,7 @@ func scoreLSHRows(ctx context.Context, profiles []Profile, kind model.Kind, cfg 
 		} else {
 			sim = Jaccard(profiles[c.A].Tokens, profiles[c.B].Tokens)
 		}
-		if sim > 0 && sim >= cfg.MinSim {
+		if sim > 0 {
 			partners[c.A], sims[c.A] = append(partners[c.A], c.B), append(sims[c.A], sim)
 			partners[c.B], sims[c.B] = append(partners[c.B], c.A), append(sims[c.B], sim)
 		}

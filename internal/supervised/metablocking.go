@@ -168,7 +168,7 @@ func classify(n int, pair func(i int) model.IDPair, features func(i int, out []f
 		xs = append(xs, features(i, nil))
 		ys = append(ys, -1)
 	}
-	svm := Train(xs, ys, TrainConfig{Seed: cfg.Seed})
+	svm := Train(xs, ys, cfg.Seed)
 
 	var pairs []model.IDPair
 	buf := make([]float64, NumFeatures)

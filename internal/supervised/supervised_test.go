@@ -32,7 +32,7 @@ func TestSVMLearnsLinearlySeparable(t *testing.T) {
 			ys = append(ys, -1)
 		}
 	}
-	m := Train(xs, ys, TrainConfig{Seed: 7})
+	m := Train(xs, ys, 7)
 	errs := 0
 	for i, x := range xs {
 		if m.Predict(x) != (ys[i] > 0) {
@@ -47,7 +47,7 @@ func TestSVMLearnsLinearlySeparable(t *testing.T) {
 func TestSVMHandlesConstantFeature(t *testing.T) {
 	xs := [][]float64{{1, 5}, {2, 5}, {3, 5}, {4, 5}}
 	ys := []int{-1, -1, 1, 1}
-	m := Train(xs, ys, TrainConfig{Seed: 1})
+	m := Train(xs, ys, 1)
 	if !m.Predict([]float64{4, 5}) || m.Predict([]float64{1, 5}) {
 		t.Error("constant feature broke training")
 	}
@@ -55,9 +55,9 @@ func TestSVMHandlesConstantFeature(t *testing.T) {
 
 func TestTrainPanicsOnBadInput(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"empty":  func() { Train(nil, nil, TrainConfig{}) },
-		"ragged": func() { Train([][]float64{{1, 2}, {1}}, []int{1, -1}, TrainConfig{}) },
-		"len":    func() { Train([][]float64{{1}}, []int{1, -1}, TrainConfig{}) },
+		"empty":  func() { Train(nil, nil, 0) },
+		"ragged": func() { Train([][]float64{{1, 2}, {1}}, []int{1, -1}, 0) },
+		"len":    func() { Train([][]float64{{1}}, []int{1, -1}, 0) },
 	} {
 		func() {
 			defer func() {

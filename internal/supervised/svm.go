@@ -23,20 +23,17 @@ type SVM struct {
 	std  []float64
 }
 
-// TrainConfig controls the Pegasos optimizer.
-type TrainConfig struct {
-	// Lambda is the L2 regularization strength (default 1e-4).
-	Lambda float64
-	// Epochs is the number of passes over the training set (default 40).
-	Epochs int
-	// Seed drives the sampling order (deterministic).
-	Seed uint64
-}
+// The Pegasos optimizer's settings.
+const (
+	lambda = 1e-4 // L2 regularization strength
+	epochs = 40   // passes over the training set
+)
 
-// Train fits a linear SVM on feature vectors xs with labels ys (+1/-1).
-// Features are standardized to zero mean / unit variance internally, so
-// callers can mix scales freely. It panics on empty or ragged input.
-func Train(xs [][]float64, ys []int, cfg TrainConfig) *SVM {
+// Train fits a linear SVM on feature vectors xs with labels ys (+1/-1);
+// seed drives the sampling order (deterministic). Features are
+// standardized to zero mean / unit variance internally, so callers can
+// mix scales freely. It panics on empty or ragged input.
+func Train(xs [][]float64, ys []int, seed uint64) *SVM {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		panic("supervised: bad training set")
 	}
@@ -45,12 +42,6 @@ func Train(xs [][]float64, ys []int, cfg TrainConfig) *SVM {
 		if len(x) != dim {
 			panic("supervised: ragged features")
 		}
-	}
-	if cfg.Lambda <= 0 {
-		cfg.Lambda = 1e-4
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 40
 	}
 
 	mean := make([]float64, dim)
@@ -83,20 +74,20 @@ func Train(xs [][]float64, ys []int, cfg TrainConfig) *SVM {
 	w := make([]float64, dim+1)
 	avg := make([]float64, dim+1)
 	avgCount := 0
-	rng := stats.NewRNG(cfg.Seed + 1)
+	rng := stats.NewRNG(seed + 1)
 	t := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		for range xs {
 			t++
 			i := rng.Intn(len(xs))
-			eta := 1 / (cfg.Lambda * float64(t))
+			eta := 1 / (lambda * float64(t))
 			x, y := xs[i], float64(ys[i])
 			score := w[dim]
 			for j := 0; j < dim; j++ {
 				score += w[j] * norm(x, j)
 			}
 			// Sub-gradient step: shrink + (on margin violation) push.
-			shrink := 1 - eta*cfg.Lambda
+			shrink := 1 - eta*lambda
 			for j := range w {
 				w[j] *= shrink
 			}
@@ -108,7 +99,7 @@ func Train(xs [][]float64, ys []int, cfg TrainConfig) *SVM {
 			}
 			// Average the iterates of the second half of training
 			// (averaged Pegasos: lower-variance final model).
-			if epoch >= cfg.Epochs/2 {
+			if epoch >= epochs/2 {
 				for j := range w {
 					avg[j] += w[j]
 				}

@@ -1,7 +1,5 @@
 package text
 
-import "strings"
-
 // Stem reduces an English word to its stem with the Porter algorithm
 // (Porter, 1980). The paper's value transformation function tau is "a
 // concatenation of text transformation functions (e.g. tokenization,
@@ -260,57 +258,29 @@ func step5b(w []byte) []byte {
 	return w
 }
 
-// Pipeline chains a base transform with per-term mappers (e.g. stemming)
-// and an optional stop-word filter applied after mapping. It is the
-// "concatenation of text transformation functions" of Section 2.1.
-type Pipeline struct {
-	// Base produces the initial terms (required).
-	Base Transform
-	// Mappers rewrite each term in order; empty results drop the term.
-	Mappers []func(string) string
-	// StopWords drops exact matches after mapping.
-	StopWords map[string]bool
-	// Label names the pipeline (defaults to the base name + "+").
-	Label string
-}
+// StemmingTokenizer is the full tau of the paper, "a concatenation of
+// text transformation functions" (Section 2.1): it tokenizes like
+// Tokenizer, stems each token with Stem, then drops the stems that are
+// in DefaultStopWords.
+type StemmingTokenizer struct{}
 
-// NewStemmingTokenizer returns the full tau of the paper: tokenization,
-// stop-word removal, stemming.
-func NewStemmingTokenizer() *Pipeline {
-	return &Pipeline{
-		Base:      NewTokenizer(),
-		Mappers:   []func(string) string{Stem},
-		StopWords: DefaultStopWords(),
-		Label:     "token+stem",
-	}
-}
+// stopWords is DefaultStopWords, built once for every StemmingTokenizer.
+var stopWords = DefaultStopWords()
+
+// NewStemmingTokenizer returns the stemming tokenizer.
+func NewStemmingTokenizer() *StemmingTokenizer { return &StemmingTokenizer{} }
 
 // Name implements Transform.
-func (p *Pipeline) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	return p.Base.Name() + "+"
-}
+func (*StemmingTokenizer) Name() string { return "token+stem" }
 
 // Terms implements Transform.
-func (p *Pipeline) Terms(value string) []string {
-	terms := p.Base.Terms(value)
+func (*StemmingTokenizer) Terms(value string) []string {
+	terms := appendTokens(nil, value)
 	out := terms[:0]
 	for _, t := range terms {
-		for _, m := range p.Mappers {
-			t = m(t)
-			if t == "" {
-				break
-			}
+		if t = Stem(t); !stopWords[t] {
+			out = append(out, t)
 		}
-		if t == "" {
-			continue
-		}
-		if p.StopWords != nil && p.StopWords[strings.ToLower(t)] {
-			continue
-		}
-		out = append(out, t)
 	}
 	return out
 }

@@ -140,24 +140,12 @@ func TestPipelineStemming(t *testing.T) {
 	if p.Name() != "token+stem" {
 		t.Errorf("Name = %q", p.Name())
 	}
-}
-
-func TestPipelineDropsEmptyMapped(t *testing.T) {
-	p := &Pipeline{
-		Base: NewTokenizer(),
-		Mappers: []func(string) string{func(s string) string {
-			if s == "drop" {
-				return ""
-			}
-			return s
-		}},
-	}
-	got := p.Terms("keep drop keep")
-	if !reflect.DeepEqual(got, []string{"keep", "keep"}) {
-		t.Errorf("Terms = %v", got)
-	}
-	if p.Name() != "token+" {
-		t.Errorf("default Name = %q", p.Name())
+	// Stop words are dropped after stemming: "this" and "was" stem to
+	// "thi" and "wa" and stay, "ins" stems to the stop word "in" and goes.
+	got = p.Terms("This was the ins")
+	want = []string{"thi", "wa"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Terms = %v, want %v", got, want)
 	}
 }
 

@@ -10,10 +10,6 @@ package text
 type Suffix struct {
 	// MinLength is the shortest suffix emitted (default 3).
 	MinLength int
-	// MaxPerToken caps the suffixes emitted per token (longest first;
-	// 0 = no cap).
-	MaxPerToken int
-	tokenizer   Tokenizer
 }
 
 // NewSuffix returns a suffix transform with the given minimum length.
@@ -21,7 +17,7 @@ func NewSuffix(minLength int) *Suffix {
 	if minLength < 2 {
 		minLength = 2
 	}
-	return &Suffix{MinLength: minLength, tokenizer: Tokenizer{MinLength: 1}}
+	return &Suffix{MinLength: minLength}
 }
 
 // Name implements Transform.
@@ -30,19 +26,14 @@ func (s *Suffix) Name() string { return "suffix" }
 // Terms implements Transform.
 func (s *Suffix) Terms(value string) []string {
 	var out []string
-	for _, tok := range s.tokenizer.Terms(value) {
+	for _, tok := range appendTokens(nil, value) {
 		runes := []rune(tok)
 		if len(runes) < s.MinLength {
 			out = append(out, tok)
 			continue
 		}
-		emitted := 0
 		for i := 0; len(runes)-i >= s.MinLength; i++ {
 			out = append(out, string(runes[i:]))
-			emitted++
-			if s.MaxPerToken > 0 && emitted >= s.MaxPerToken {
-				break
-			}
 		}
 	}
 	return out

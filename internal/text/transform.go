@@ -1,8 +1,8 @@
 // Package text implements the value transformation functions of the paper
-// (Section 2.1): tokenization, normalization, q-gram extraction and
-// optional stop-word removal. A transformation function tau maps an
-// attribute value to the set of terms used as blocking keys and as the
-// elements of attribute profiles.
+// (Section 2.1): tokenization, normalization, q-gram and suffix
+// extraction, and a stemming tokenizer that also drops stop words. A
+// transformation function tau maps an attribute value to the set of
+// terms used as blocking keys and as the elements of attribute profiles.
 package text
 
 import (
@@ -21,55 +21,33 @@ type Transform interface {
 }
 
 // Tokenizer is the default value transformation of BLAST: it lowercases
-// the value and splits it on any non-alphanumeric rune. Tokens shorter
-// than MinLength are dropped.
+// the value and splits it on any non-alphanumeric rune.
 //
 // The paper applies plain tokenization with no stop-word removal; highly
 // frequent tokens are instead handled downstream by Block Purging.
-type Tokenizer struct {
-	// MinLength drops tokens with fewer runes. Zero keeps everything.
-	MinLength int
-	// StopWords, when non-nil, drops exact (lowercased) matches.
-	StopWords map[string]bool
-}
+type Tokenizer struct{}
 
-// NewTokenizer returns the tokenizer used throughout the reproduction:
-// lowercase, split on non-alphanumerics, keep tokens of length >= 1.
-func NewTokenizer() *Tokenizer {
-	return &Tokenizer{MinLength: 1}
-}
+// NewTokenizer returns the tokenizer used throughout the reproduction.
+func NewTokenizer() *Tokenizer { return &Tokenizer{} }
 
 // Name implements Transform.
 func (t *Tokenizer) Name() string { return "token" }
 
 // Terms implements Transform.
 func (t *Tokenizer) Terms(value string) []string {
-	return t.appendTokens(nil, value)
+	return appendTokens(nil, value)
 }
 
 // AppendTerms appends the terms Terms returns to dst, so a caller can
 // reuse one slice across values.
 func (t *Tokenizer) AppendTerms(dst []string, value string) []string {
-	return t.appendTokens(dst, value)
+	return appendTokens(dst, value)
 }
 
-// appendTokens tokenizes value into dst and returns the extended slice.
-func (t *Tokenizer) appendTokens(dst []string, value string) []string {
+// appendTokens appends the lowercased alphanumeric runs of value to dst
+// and returns the extended slice.
+func appendTokens(dst []string, value string) []string {
 	start := -1
-	flush := func(end int) {
-		if start < 0 {
-			return
-		}
-		tok := strings.ToLower(value[start:end])
-		start = -1
-		if t.MinLength > 0 && len([]rune(tok)) < t.MinLength {
-			return
-		}
-		if t.StopWords != nil && t.StopWords[tok] {
-			return
-		}
-		dst = append(dst, tok)
-	}
 	for i, r := range value {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
 			if start < 0 {
@@ -77,9 +55,14 @@ func (t *Tokenizer) appendTokens(dst []string, value string) []string {
 			}
 			continue
 		}
-		flush(i)
+		if start >= 0 {
+			dst = append(dst, strings.ToLower(value[start:i]))
+			start = -1
+		}
 	}
-	flush(len(value))
+	if start >= 0 {
+		dst = append(dst, strings.ToLower(value[start:]))
+	}
 	return dst
 }
 
@@ -140,8 +123,8 @@ func normalizeForGrams(value string) string {
 	return b.String()
 }
 
-// DefaultStopWords is a small English stop-word list for users who opt in
-// to stop-word removal. The paper's experiments do not use it.
+// DefaultStopWords is the small English stop-word list the stemming
+// tokenizer drops. The paper's experiments do not use it.
 func DefaultStopWords() map[string]bool {
 	words := []string{
 		"a", "an", "and", "are", "as", "at", "be", "but", "by", "for",

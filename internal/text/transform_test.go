@@ -34,24 +34,6 @@ func TestTokenizerEmptyAndSymbols(t *testing.T) {
 	}
 }
 
-func TestTokenizerMinLength(t *testing.T) {
-	tr := &Tokenizer{MinLength: 3}
-	got := tr.Terms("a bb ccc dddd")
-	want := []string{"ccc", "dddd"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Terms = %v, want %v", got, want)
-	}
-}
-
-func TestTokenizerStopWords(t *testing.T) {
-	tr := &Tokenizer{MinLength: 1, StopWords: DefaultStopWords()}
-	got := tr.Terms("the cat and the hat")
-	want := []string{"cat", "hat"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Terms = %v, want %v", got, want)
-	}
-}
-
 func TestTokenizerUnicode(t *testing.T) {
 	tr := NewTokenizer()
 	got := tr.Terms("Modena–Reggio Émilia")

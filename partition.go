@@ -109,7 +109,7 @@ func (w *writer) InsertAll(ctx context.Context, profiles []model.Profile) ([]int
 }
 
 // Export freezes the collection's current state into rows, built
-// resident whatever Options.Storage says: over prune.Alone with one
+// resident whatever Options.MemoryBudget says: over prune.Alone with one
 // party, as Index.freeze does, or by w.parts party goroutines over one
 // fresh exchange, whose rows are then joined.
 func (w *writer) Export(ctx context.Context) (*shard.Snapshot, error) {

@@ -117,7 +117,7 @@ func (p *Pipeline) InduceSchema(ctx context.Context, ds *model.Dataset) (*Schema
 			cfg.Representation = attr.TFIDF
 		}
 		if p.opt.LSH != nil {
-			cfg.LSH = &attr.LSHConfig{Rows: p.opt.LSH.Rows, Bands: p.opt.LSH.Bands, Seed: p.opt.LSH.Seed ^ p.opt.Seed}
+			cfg.LSH = &attr.LSHConfig{Rows: p.opt.LSH.Rows, Bands: p.opt.LSH.Bands, Seed: p.opt.LSH.Seed}
 		}
 		var part *attr.Partitioning
 		var err error
@@ -168,7 +168,7 @@ func (p *Pipeline) Block(ctx context.Context, ds *model.Dataset, schema *Schema)
 
 // MetaBlock runs Phase 3 (meta-blocking) on a Blocks artifact: the
 // blocking graph is built, weighted and pruned under this pipeline's
-// Scheme/Pruning/Storage settings, so re-running MetaBlock with
+// Scheme/Pruning/MemoryBudget settings, so re-running MetaBlock with
 // different pipelines over one Blocks artifact sweeps Phase 3 parameters
 // without recomputing induction or blocking. Every stage polls ctx at
 // chunk granularity. The returned Result carries the phase timings of
@@ -197,7 +197,6 @@ func (p *Pipeline) MetaBlock(ctx context.Context, blocks *Blocks) (*Result, erro
 
 	if ds := blocks.Dataset; ds != nil && ds.Truth != nil && ds.Truth.Size() > 0 {
 		res.Quality = metrics.EvaluatePairs(res.Pairs, ds.Truth)
-		res.BlockQuality = metrics.EvaluateBlocks(blocks.Collection, ds.Truth)
 	}
 	return res, nil
 }

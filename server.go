@@ -76,11 +76,11 @@ func (p *Pipeline) Serve(ctx context.Context, ds *model.Dataset, sopt ServerOpti
 // ServeBlocks starts a server over a Blocks artifact, which is never
 // mutated: one writer over one clone of the block collection, and reads
 // served from that writer's first export until it next publishes. Every
-// state is a writer export, built resident: Options.Storage reaches only
-// the cold builds (MetaBlock, IndexBlocks), never a Server. Options.Workers
-// reaches every freeze, whose output is byte-identical at any worker
-// count. A failing party of a publication poisons that freeze's
-// exchange, failing its peers too — each party's rows exist nowhere
+// state is a writer export, built resident: Options.MemoryBudget reaches
+// only the cold builds (MetaBlock, IndexBlocks), never a Server.
+// Options.Workers reaches every freeze, whose output is byte-identical
+// at any worker count. A failing party of a publication poisons that
+// freeze's exchange, failing its peers too — each party's rows exist nowhere
 // else — so the publication fails, the earlier state keeps serving and
 // the failure is sticky (Err).
 //

@@ -3,7 +3,7 @@ package blast
 // Differential tests of the beyond-RAM storage layer: every observable
 // of a file-backed (spilled) build — MetaBlock pairs, Index pairs,
 // thresholds and candidates — must be byte-identical to the resident
-// StorageMemory build, and a Server under a spilling pipeline to a cold
+// build at MemoryBudget 0, and a Server under a spilling pipeline to a cold
 // resident build. Plus the spill-specific lifecycle contracts: the
 // segments end with the build that wrote them (frozen, cancelled or
 // failed on a read), and the writer's exports — an Index's re-freeze
@@ -30,16 +30,15 @@ import (
 	"blast/internal/weights"
 )
 
-// fileStorageOptions returns opt flipped to file storage with a budget
-// that forces the build to spill from the first page.
+// fileStorageOptions returns opt with a memory budget that makes the
+// build spill from the first page.
 func fileStorageOptions(opt Options) Options {
-	opt.Storage = StorageFile
 	opt.MemoryBudget = 1
 	return opt
 }
 
 // TestStorageColdDifferentialMatrix extends the Scheme x Pruning matrix
-// with the Storage axis: a file-backed MetaBlock and IndexBlocks must
+// with a spill axis: a file-backed MetaBlock and IndexBlocks must
 // be byte-identical to the resident build for every configuration.
 func TestStorageColdDifferentialMatrix(t *testing.T) {
 	ctx := context.Background()
@@ -134,7 +133,7 @@ func TestStorageColdDifferentialMatrix(t *testing.T) {
 }
 
 // TestStorageServerEquivalence runs the serving contract across shard
-// counts under file storage: the quiesced server must match a cold
+// counts under a spilling pipeline: the quiesced server must match a cold
 // *resident* IndexBlocks over the union collection — cross-storage
 // byte-equality on the full serving path.
 func TestStorageServerEquivalence(t *testing.T) {
@@ -406,7 +405,7 @@ func TestStorageCancelledBuildLeavesNoSegments(t *testing.T) {
 	}
 }
 
-// TestServeNeverSpills: Options.Storage stops at the cold builds. Every
+// TestServeNeverSpills: Options.MemoryBudget stops at the cold builds. Every
 // state of a Server is a writer export, built resident, so a server over
 // a pipeline that would spill from the first entry into a SpillDir that
 // does not exist serves at one and two parties, durable or not, leaves
@@ -453,7 +452,7 @@ func TestServeNeverSpills(t *testing.T) {
 }
 
 // TestDurableReopensStorageManifest: a durable directory whose manifest
-// pins a storage mode, as earlier releases wrote it under StorageFile
+// pins a storage mode, as earlier releases wrote it for a spilled build
 // (with a Dir/spill beside it), reopens under the default options and
 // adopts its snapshot: the storage field is ignored, and a leftover
 // spill directory is never read.
@@ -524,19 +523,21 @@ func TestStorageOptionValidation(t *testing.T) {
 			t.Errorf("%s: invalid storage configuration accepted", label)
 		}
 	}
-	// File storage needs nothing beside itself: the defaults validate.
-	file := DefaultOptions()
-	file.Storage = StorageFile
-	if _, err := NewPipeline(file); err != nil {
-		t.Errorf("StorageFile under DefaultOptions rejected: %v", err)
+	// A positive budget needs nothing beside itself, and a spill
+	// directory needs only the budget.
+	spill := DefaultOptions()
+	spill.MemoryBudget = 1 << 20
+	if _, err := NewPipeline(spill); err != nil {
+		t.Errorf("MemoryBudget under DefaultOptions rejected: %v", err)
 	}
-	reject("budget without file storage", func(o *Options) {
-		o.MemoryBudget = 1 << 20
+	spill.SpillDir = "x"
+	if _, err := NewPipeline(spill); err != nil {
+		t.Errorf("SpillDir with a positive MemoryBudget rejected: %v", err)
+	}
+	reject("negative budget", func(o *Options) {
+		o.MemoryBudget = -1
 	})
-	reject("spill dir without file storage", func(o *Options) {
+	reject("spill dir without a budget", func(o *Options) {
 		o.SpillDir = "x"
-	})
-	reject("unknown storage", func(o *Options) {
-		o.Storage = Storage(42)
 	})
 }
